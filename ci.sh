@@ -57,16 +57,19 @@ done
 # The analysis pipeline has its own bitwise contract: analyze_parallel must
 # reproduce the serial analyze byte for byte (permutation, etree, supernode
 # partition, row structures, fingerprint) at 1/2/4/8 workers, across matrix
-# families and at both factor precisions. Run the analysis tests by name and
-# count them, so a filter typo or a renamed test cannot silently skip them.
+# families and at both factor precisions, and the orderings must reproduce
+# the permutation hashes and fingerprints recorded from the commit before
+# they moved to compact subgraphs (analysis_ordering_matches_golden). Run the
+# analysis tests by name and count them, so a filter typo or a renamed test
+# cannot silently skip them.
 echo "==> analysis determinism suite (explicit, default + single test thread)"
 for t in "" "RUST_TEST_THREADS=1"; do
   out=$(env $t cargo test --release --test determinism analysis_ 2>&1) || {
     echo "$out"
     exit 1
   }
-  echo "$out" | grep -q "4 passed" || {
-    echo "expected exactly 4 analysis determinism tests to run:"
+  echo "$out" | grep -q "5 passed" || {
+    echo "expected exactly 5 analysis determinism tests to run:"
     echo "$out"
     exit 1
   }
@@ -170,5 +173,12 @@ cargo bench -p mf-bench --bench server
 # same schedule, and f64 refinement converging through bf16 spill storage.
 echo "==> ooc bench (writes BENCH_ooc.json)"
 cargo bench -p mf-bench --bench ooc
+
+# benchmark/ is its own workspace on the facade crate: it constructs
+# `Analysis` by literal and calls the analysis stages by name, so a public-API
+# break shows here instead of in the acceptance run. --smoke runs every
+# workload untraced and traced at tiny sizes and checks every answer.
+echo "==> benchmark package (build + smoke run of every workload)"
+cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- --smoke
 
 echo "CI OK"

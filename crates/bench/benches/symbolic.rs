@@ -14,6 +14,13 @@
 //!   symbolic factorization runs on): speedup at `w` workers is
 //!   `T_total / max(T_critical, T_total / w)`.
 //!
+//! * **stages** — beside those order-≈1000 rows, a wall-clock table of the
+//!   six analysis stages (order / permute / etree / colcount / supernodes /
+//!   symbolic, median ms over [`STAGE_REPS`] runs) on a 9-point plate 400²
+//!   and a 27-point cube 30³, where a stage takes milliseconds rather than
+//!   microseconds. The staged run's fingerprint must equal the one-call
+//!   analysis'.
+//!
 //! The bench doubles as a CI gate: `main` asserts, before any timing, that
 //! `analyze_parallel` produces a fingerprint byte-identical to the serial
 //! analysis at 1/2/4/8 workers on every suite matrix, and the JSON writer
@@ -23,12 +30,18 @@
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use mf_core::{factor_permuted, BaselineThresholds, FactorOptions, PolicySelector};
 use mf_gpusim::Machine;
-use mf_matgen::PaperMatrix;
-use mf_sparse::symbolic::{analyze, analyze_parallel, Analysis, SymbolicFactor};
-use mf_sparse::{AmalgamationOptions, OrderingKind, SymCsc};
+use mf_matgen::{laplacian_2d, laplacian_3d, PaperMatrix, Stencil};
+use mf_sparse::symbolic::{analyze, analyze_parallel, Analysis, SymCscF64Holder, SymbolicFactor};
+use mf_sparse::{
+    amalgamate, column_counts, elimination_tree, fundamental_supernodes, order, symbolic_factor,
+    AmalgamationOptions, OrderingKind, SymCsc,
+};
+use std::time::Instant;
 
 const WORKER_COUNTS: [usize; 2] = [2, 4];
 const FINGERPRINT_WORKERS: [usize; 4] = [1, 2, 4, 8];
+const STAGES: [&str; 6] = ["order", "permute", "etree", "colcount", "supernodes", "symbolic"];
+const STAGE_REPS: usize = 5;
 
 fn suite() -> Vec<(&'static str, SymCsc<f64>)> {
     let scale =
@@ -115,6 +128,74 @@ fn simulated_analysis_speedup(sym: &SymbolicFactor, workers: usize) -> f64 {
     total / critical.max(total / workers as f64)
 }
 
+/// Run `stage`, appending its wall-clock milliseconds to `ms`.
+fn timed<R>(ms: &mut Vec<f64>, stage: impl FnOnce() -> R) -> R {
+    let start = Instant::now();
+    let result = stage();
+    ms.push(start.elapsed().as_secs_f64() * 1e3);
+    result
+}
+
+/// The serial analysis as its six stage calls; returns the wall-clock
+/// milliseconds of each (in [`STAGES`] order) and the assembled result.
+fn staged_analysis(a: &SymCsc<f64>) -> (Vec<f64>, Analysis) {
+    let mut times = Vec::with_capacity(STAGES.len());
+    let ms = &mut times;
+    let perm = timed(ms, || order(a, OrderingKind::NestedDissection));
+    let pa = timed(ms, || perm.permute_sym(a));
+    let etree = timed(ms, || elimination_tree(&pa));
+    let cc = timed(ms, || column_counts(&pa, &etree));
+    let part = timed(ms, || {
+        let fund = fundamental_supernodes(&etree, &cc);
+        amalgamate(&fund, &etree, &cc, &AmalgamationOptions::default())
+    });
+    let symbolic = timed(ms, || symbolic_factor(&pa, &etree, &part));
+    (times, Analysis { perm, permuted: SymCscF64Holder(pa), etree, symbolic })
+}
+
+/// One JSON row per large matrix: the median wall-clock milliseconds of
+/// every analysis stage. Panics (failing CI) if a staged run's fingerprint
+/// differs from the one-call analysis'.
+fn stage_rows() -> Vec<String> {
+    let large = [
+        ("plate_400x400_9pt", laplacian_2d(400, 400, Stencil::Full)),
+        ("cube_30x30x30_27pt", laplacian_3d(30, 30, 30, Stencil::Full)),
+    ];
+    let mut rows = Vec::new();
+    for (name, a) in large {
+        let reference = analysis_of(&a);
+        let runs: Vec<Vec<f64>> = (0..STAGE_REPS)
+            .map(|_| {
+                let (ms, staged) = staged_analysis(&a);
+                assert_eq!(
+                    staged.fingerprint(),
+                    reference.fingerprint(),
+                    "{name}: staged analysis fingerprint diverged from analyze"
+                );
+                ms
+            })
+            .collect();
+        let mut fields = Vec::new();
+        let mut total = 0.0;
+        for (i, stage) in STAGES.iter().enumerate() {
+            let mut samples: Vec<f64> = runs.iter().map(|ms| ms[i]).collect();
+            samples.sort_by(f64::total_cmp);
+            let median = samples[STAGE_REPS / 2];
+            total += median;
+            fields.push(format!("\"{stage}_ms\": {median:.3}"));
+        }
+        println!("stages: {name} {} (total {total:.1} ms)", fields.join(", "));
+        rows.push(format!(
+            "    {{\"name\": \"{name}\", \"order\": {}, \"supernodes\": {}, \"reps\": {STAGE_REPS}, \
+             {}, \"total_ms\": {total:.3}}}",
+            a.order(),
+            reference.symbolic.num_supernodes(),
+            fields.join(", ")
+        ));
+    }
+    rows
+}
+
 /// Write `BENCH_symbolic.json`: per matrix, the symbolic-vs-numeric time
 /// share, measured parallel-analysis speedups, and the simulated
 /// critical-path speedups. Panics (failing CI) if the simulated
@@ -179,6 +260,13 @@ fn write_bench_json() {
         ));
     }
     out.push_str(&blocks.join(",\n"));
+    out.push_str("\n  ],\n");
+    out.push_str(
+        "  \"stages_note\": \"serial analyze as its six public stage calls, wall-clock ms, \
+         median over reps; every staged run's fingerprint equals analyze's (asserted)\",\n",
+    );
+    out.push_str("  \"stages\": [\n");
+    out.push_str(&stage_rows().join(",\n"));
     out.push_str("\n  ]\n}\n");
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_symbolic.json");
     if let Err(e) = std::fs::write(path, &out) {

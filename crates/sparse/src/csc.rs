@@ -259,9 +259,10 @@ impl<T: Scalar> SymCsc<T> {
                 }
             }
         }
-        for v in 0..n {
-            adj[xadj[v]..xadj[v + 1]].sort_unstable();
-        }
+        // Each list is already sorted: column j hands vertex v = j its
+        // larger neighbours in row order, after the columns before it handed
+        // it its smaller ones in column order.
+        debug_assert!((0..n).all(|v| adj[xadj[v]..xadj[v + 1]].windows(2).all(|w| w[0] < w[1])));
         Adjacency { xadj, adj }
     }
 

@@ -7,7 +7,12 @@
 //! where we use it: standalone small matrices and the leaf blocks of nested
 //! dissection. Asymptotically heavier than AMD on large 3-D problems — use
 //! [`super::nested_dissection`] there.
+//!
+//! The pivot is always the uneliminated vertex of least `(degree, id)`, and
+//! degrees are exact, so the order depends on the graph and its numbering
+//! alone — not on how the lists below happen to be laid out.
 
+use super::subgraph::{Stamps, Subgraph};
 use crate::csc::Adjacency;
 use crate::perm::Permutation;
 use std::cmp::Reverse;
@@ -16,93 +21,202 @@ use std::collections::BinaryHeap;
 /// Minimum-degree ordering of the graph. Returns `perm[new] = old`
 /// (elimination order).
 pub fn minimum_degree(g: &Adjacency) -> Permutation {
-    let n = g.len();
-    let mut vnbrs: Vec<Vec<usize>> = (0..n).map(|v| g.neighbors(v).to_vec()).collect();
-    let mut enbrs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    // After elimination, slot v is reused as element v with boundary evars.
-    let mut evars: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut degree: Vec<usize> = (0..n).map(|v| g.degree(v)).collect();
-    let mut eliminated = vec![false; n];
-    let mut absorbed = vec![false; n];
+    let mut order = vec![0usize; g.len()];
+    MdWork::default().order(&Subgraph::whole(g), &mut order);
+    Permutation::from_vec(order)
+}
 
-    // Lazy min-heap keyed by (degree, vertex); stale entries skipped on pop.
-    let mut heap: BinaryHeap<Reverse<(usize, usize)>> =
-        (0..n).map(|v| Reverse((degree[v], v))).collect();
+/// Quotient-graph state of one vertex: a variable until eliminated, then
+/// the element its elimination created.
+#[derive(Debug, Clone, Copy, Default)]
+struct Node {
+    /// Live variable neighbours: `vadj[xadj[v]..][..vlen]`.
+    vlen: u32,
+    /// Live element neighbours: `eadj[xadj[v]..][..elen]`.
+    elen: u32,
+    /// As an element, its variables: `evars[estart..][..esize]`; `esize`
+    /// drops to 0 when a later element absorbs it.
+    estart: u32,
+    esize: u32,
+    /// Exact external degree (variables only).
+    degree: u32,
+    eliminated: bool,
+}
 
-    // Stamp-based set membership scratch.
-    let mut stamp = vec![0u64; n];
-    let mut cur = 0u64;
+impl Node {
+    /// Where this element's variables sit in `evars`.
+    fn vars(&self) -> std::ops::Range<usize> {
+        self.estart as usize..(self.estart + self.esize) as usize
+    }
+}
 
-    let mut order = Vec::with_capacity(n);
-    while order.len() < n {
-        let p = loop {
-            let Reverse((d, v)) = heap.pop().expect("heap exhausted before all pivots chosen");
-            if !eliminated[v] && degree[v] == d {
-                break v;
-            }
-        };
-        order.push(p);
-        eliminated[p] = true;
+/// Minimum-degree arenas, reused from one graph to the next: no allocation
+/// per call once they have grown to the largest graph seen, none per pivot.
+///
+/// A variable's two neighbour lists live in its own CSR slot of `vadj` /
+/// `eadj`: a variable gains an element neighbour only by losing the pivot as
+/// a variable neighbour or an absorbed element, so the two together never
+/// outgrow its original degree.
+#[derive(Debug, Default)]
+pub(crate) struct MdWork {
+    nodes: Vec<Node>,
+    vadj: Vec<u32>,
+    eadj: Vec<u32>,
+    /// Element variable lists, appended per pivot and compacted when the
+    /// absorbed ones outweigh the live ones.
+    evars: Vec<u32>,
+    /// Pivots so far, i.e. the elements in `evars` order.
+    pivots: Vec<u32>,
+    /// Lazy min-heap keyed by (degree, vertex); stale entries skipped on pop.
+    heap: BinaryHeap<Reverse<(u32, u32)>>,
+    seen: Stamps,
+}
 
-        // Reachable set Lp = vnbrs[p] ∪ ⋃_{e ∈ enbrs[p]} evars[e] \ {p}.
-        cur += 1;
-        stamp[p] = cur;
-        let mut lp: Vec<usize> = Vec::new();
-        for &v in &vnbrs[p] {
-            if !eliminated[v] && stamp[v] != cur {
-                stamp[v] = cur;
-                lp.push(v);
-            }
-        }
-        for &e in &enbrs[p] {
-            if absorbed[e] {
-                continue;
-            }
-            for &v in &evars[e] {
-                if !eliminated[v] && stamp[v] != cur {
-                    stamp[v] = cur;
-                    lp.push(v);
+impl MdWork {
+    /// Eliminate `g` by minimum degree, writing the pivots' original ids
+    /// (`g.verts`) to `out` in elimination order.
+    pub fn order(&mut self, g: &Subgraph, out: &mut [usize]) {
+        let n = g.len();
+        debug_assert_eq!(out.len(), n);
+        let slot = |v: u32| g.xadj[v as usize] as usize;
+        self.nodes.clear();
+        self.nodes.extend((0..n as u32).map(|v| {
+            let d = g.degree(v);
+            Node { vlen: d, degree: d, ..Node::default() }
+        }));
+        self.vadj.clear();
+        self.vadj.extend_from_slice(&g.adj);
+        self.eadj.clear();
+        self.eadj.resize(g.adj.len(), 0);
+        self.evars.clear();
+        self.pivots.clear();
+        self.heap.clear();
+        self.heap.extend((0..n as u32).map(|v| Reverse((g.degree(v), v))));
+        self.seen.reset(n);
+
+        for place in out.iter_mut() {
+            let p = loop {
+                let Reverse((d, v)) =
+                    self.heap.pop().expect("a live entry per uneliminated vertex");
+                let node = &self.nodes[v as usize];
+                if !node.eliminated && node.degree == d {
+                    break v;
+                }
+            };
+            *place = g.verts[p as usize] as usize;
+            self.pivots.push(p);
+
+            // Reachable set Lp = vnbrs[p] ∪ ⋃_{e ∈ enbrs[p]} evars[e] \ {p},
+            // built in place as the new element's variable list. Live lists
+            // hold no eliminated variable: eliminating one absorbs every
+            // element it is in and prunes it from every variable next to it.
+            self.seen.clear();
+            self.seen.insert(p);
+            let lp_start = self.evars.len();
+            let Node { vlen, elen, .. } = self.nodes[p as usize];
+            for i in slot(p)..slot(p) + vlen as usize {
+                let v = self.vadj[i];
+                if self.seen.insert(v) {
+                    self.evars.push(v);
                 }
             }
-            // Element e is fully contained in the new element p: absorb it.
-            absorbed[e] = true;
-            evars[e].clear();
-        }
-        evars[p] = lp.clone();
-        vnbrs[p].clear();
-        enbrs[p].clear();
-
-        // Update every boundary variable: prune quotient-graph lists and
-        // recompute its exact external degree. The `lp` stamp is still live.
-        let lp_stamp = cur;
-        for &v in &lp {
-            // Variable neighbors now covered by element p are removed.
-            vnbrs[v].retain(|&w| !eliminated[w] && stamp[w] != lp_stamp);
-            enbrs[v].retain(|&e| !absorbed[e]);
-            enbrs[v].push(p);
-            // Exact external degree via a fresh stamp union.
-            cur += 1;
-            stamp[v] = cur;
-            let mut d = 0usize;
-            for &w in &vnbrs[v] {
-                if stamp[w] != cur {
-                    stamp[w] = cur;
-                    d += 1;
-                }
-            }
-            for &e in &enbrs[v] {
-                for &w in &evars[e] {
-                    if !eliminated[w] && stamp[w] != cur {
-                        stamp[w] = cur;
-                        d += 1;
+            for i in slot(p)..slot(p) + elen as usize {
+                // Element e is fully contained in the new element p: absorb it.
+                let e = &mut self.nodes[self.eadj[i] as usize];
+                let vars = e.vars();
+                e.esize = 0;
+                for j in vars {
+                    let v = self.evars[j];
+                    if self.seen.insert(v) {
+                        self.evars.push(v);
                     }
                 }
             }
-            degree[v] = d;
-            heap.push(Reverse((d, v)));
+            let lp = lp_start..self.evars.len();
+            self.nodes[p as usize] = Node {
+                estart: lp.start as u32,
+                esize: lp.len() as u32,
+                eliminated: true,
+                ..Node::default()
+            };
+
+            // Prune the quotient-graph lists of every boundary variable
+            // while `seen` still marks Lp ∪ {p}: variable neighbours now
+            // covered by element p go, absorbed elements go, p comes in.
+            for i in lp.clone() {
+                let v = self.evars[i];
+                let x = slot(v);
+                let Node { vlen, elen, .. } = self.nodes[v as usize];
+                let mut vkept = 0;
+                for k in 0..vlen as usize {
+                    let w = self.vadj[x + k];
+                    if !self.seen.contains(w) {
+                        self.vadj[x + vkept] = w;
+                        vkept += 1;
+                    }
+                }
+                let mut ekept = 0;
+                for k in 0..elen as usize {
+                    let e = self.eadj[x + k];
+                    if self.nodes[e as usize].esize != 0 {
+                        self.eadj[x + ekept] = e;
+                        ekept += 1;
+                    }
+                }
+                debug_assert!(vkept + ekept < g.degree(v) as usize, "lists outgrew the slot");
+                self.eadj[x + ekept] = p;
+                let node = &mut self.nodes[v as usize];
+                node.vlen = vkept as u32;
+                node.elen = ekept as u32 + 1;
+            }
+
+            // Exact external degree of each boundary variable. Its variable
+            // neighbours are disjoint from its elements (just pruned), so
+            // next to the new element alone the degree is a sum; otherwise
+            // a fresh stamp union over its elements' variables.
+            for i in lp.clone() {
+                let v = self.evars[i];
+                let x = slot(v);
+                let Node { vlen, elen, degree, .. } = self.nodes[v as usize];
+                let mut d = vlen;
+                if elen == 1 {
+                    d += lp.len() as u32 - 1;
+                } else {
+                    self.seen.clear();
+                    self.seen.insert(v);
+                    for &e in &self.eadj[x..x + elen as usize] {
+                        for &w in &self.evars[self.nodes[e as usize].vars()] {
+                            d += u32::from(self.seen.insert(w));
+                        }
+                    }
+                }
+                // An unchanged degree still has its live heap entry.
+                if d != degree {
+                    self.nodes[v as usize].degree = d;
+                    self.heap.push(Reverse((d, v)));
+                }
+            }
+
+            // Live element lists total at most one entry per edge; once the
+            // dead ones exceed that plus a pivot's worth, slide the live
+            // ones down (amortised O(1) per entry appended).
+            if self.evars.len() > 2 * g.adj.len() + n {
+                self.compact_elements();
+            }
         }
     }
-    Permutation::from_vec(order)
+
+    fn compact_elements(&mut self) {
+        let mut end = 0usize;
+        for &p in &self.pivots {
+            let e = &mut self.nodes[p as usize];
+            let vars = e.vars();
+            e.estart = end as u32;
+            self.evars.copy_within(vars, end);
+            end += e.esize as usize;
+        }
+        self.evars.truncate(end);
+    }
 }
 
 #[cfg(test)]

@@ -16,6 +16,7 @@
 mod mindeg;
 mod nd;
 mod rcm;
+mod subgraph;
 
 pub use mindeg::minimum_degree;
 pub use nd::{nested_dissection, nested_dissection_parallel, NdOptions};
@@ -41,12 +42,13 @@ pub enum OrderingKind {
 
 /// Compute a fill-reducing permutation for a lower-stored symmetric matrix.
 pub fn order<T: Scalar>(a: &SymCsc<T>, kind: OrderingKind) -> Permutation {
-    let g = a.to_adjacency();
     match kind {
         OrderingKind::Natural => Permutation::identity(a.order()),
-        OrderingKind::Rcm => reverse_cuthill_mckee(&g),
-        OrderingKind::MinimumDegree => minimum_degree(&g),
-        OrderingKind::NestedDissection => nested_dissection(&g, &NdOptions::default()),
+        OrderingKind::Rcm => reverse_cuthill_mckee(&a.to_adjacency()),
+        OrderingKind::MinimumDegree => minimum_degree(&a.to_adjacency()),
+        OrderingKind::NestedDissection => {
+            nested_dissection(&a.to_adjacency(), &NdOptions::default())
+        }
     }
 }
 

@@ -7,11 +7,18 @@
 //! bottom of the elimination tree. On 3-D grids this yields the
 //! characteristic frontal-size distribution the paper's policy analysis
 //! depends on (Section IV-A): ~97 % of fronts tiny, a few huge near the root.
+//!
+//! Every part of the recursion is a compact [`Subgraph`] extracted from its
+//! parent, and every part knows where in the final order its vertices go
+//! (halves first, separator last), so parts can be finished in any order:
+//! a leaf is ordered the moment it is cut off, into scratch that is reused
+//! for the next one.
 
-use super::mindeg::minimum_degree;
-use super::rcm::{pseudo_peripheral, BfsWork};
+use super::mindeg::MdWork;
+use super::subgraph::{pseudo_peripheral, BfsWork, Subgraph};
 use crate::csc::Adjacency;
 use crate::perm::Permutation;
+use std::ops::Range;
 
 /// Tuning knobs for nested dissection.
 #[derive(Debug, Clone)]
@@ -31,371 +38,228 @@ impl Default for NdOptions {
 
 /// Nested-dissection ordering; returns `perm[new] = old`.
 pub fn nested_dissection(g: &Adjacency, opts: &NdOptions) -> Permutation {
-    let n = g.len();
-    let mut order: Vec<usize> = Vec::with_capacity(n);
-    let mut work = BfsWork::new(n);
-    work.mask = vec![true; n];
-    let mut assigned = vec![false; n];
-    // Collect top-level connected components first.
-    let mut top_comps = Vec::new();
-    for seed in 0..n {
-        if assigned[seed] {
-            continue;
-        }
-        let _ = work.bfs(g, seed);
-        let comp: Vec<usize> = work.visited().to_vec();
-        for &v in &comp {
-            assigned[v] = true;
-        }
-        top_comps.push(comp);
-    }
-    // The recursion masks in the vertices of each part it inspects, so the
-    // baseline mask state is all-false.
-    work.mask.fill(false);
-    for comp in top_comps {
-        dissect(g, comp, opts, &mut work, &mut order);
-    }
-    debug_assert_eq!(order.len(), n);
+    let mut order = vec![0usize; g.len()];
+    let mut nd = Dissector::new(g, opts, g.len());
+    let mut pending = nd.top_level_parts(&mut order);
+    nd.finish(&mut pending, &mut order);
     Permutation::from_vec(order)
 }
 
 /// Parallel nested dissection on the mf-runtime pool, bitwise identical to
 /// [`nested_dissection`] at every worker count.
 ///
-/// The serial recursion composes: `dissect` on a part either orders it as a
-/// leaf, or recurses on disjoint sub-parts and appends each sub-order
-/// contiguously (A, B, separator). The driver exploits that by expanding
-/// the dissection front *serially* — always splitting the largest pending
-/// part, exactly as `dissect` would — until there are a few parts per
-/// worker, then runs each part's full serial `dissect` as an independent
-/// task and splices the per-part orders back in the serial emission order.
-/// Scheduling cannot perturb the result: `split`, `components`,
-/// `order_leaf`, and `dissect` depend only on the graph and the part (BFS
-/// scratch is stamp-guarded and the mask baseline is restored to all-false
-/// after every use), and the merge order is fixed by the plan, not by task
-/// completion order.
+/// A part's order depends only on the graph and the part, and lands in a
+/// slice of the result fixed when the part is cut off. The driver exploits
+/// that by expanding the dissection *serially* — always the largest pending
+/// part, by the same [`Dissector::expand`] step the serial recursion takes —
+/// until there are a few parts per worker, then runs each part's full
+/// serial dissection as an independent task and copies the per-part orders
+/// into their slices. Scheduling cannot perturb the result: no step reads
+/// anything but its own part, and where an order goes is fixed by the plan,
+/// not by task completion order.
 pub fn nested_dissection_parallel(g: &Adjacency, opts: &NdOptions, workers: usize) -> Permutation {
-    let n = g.len();
-    let mut work = BfsWork::new(n);
-    work.mask = vec![true; n];
-    let mut assigned = vec![false; n];
-    let mut top_comps = Vec::new();
-    for seed in 0..n {
-        if assigned[seed] {
-            continue;
-        }
-        let _ = work.bfs(g, seed);
-        let comp: Vec<usize> = work.visited().to_vec();
-        for &v in &comp {
-            assigned[v] = true;
-        }
-        top_comps.push(comp);
+    let mut order = vec![0usize; g.len()];
+    let mut nd = Dissector::new(g, opts, g.len());
+    let mut tasks = nd.top_level_parts(&mut order);
+    while tasks.len() < workers.max(1) * 4 {
+        // Every pending part is above leaf size: expanding one always makes
+        // progress, and evening out the sizes evens out the tasks.
+        let Some(largest) = (0..tasks.len()).max_by_key(|&i| tasks[i].sub.len()) else { break };
+        let part = tasks.swap_remove(largest);
+        nd.expand(&part.sub, part.at, part.connected, &mut order, &mut tasks);
     }
-    work.mask.fill(false);
-
-    // Plan tree: `Part` runs as one task, `Seq` splices children in
-    // emission order, `Lit` is a separator emitted verbatim.
-    enum Node {
-        Part(Vec<usize>),
-        Seq(Vec<usize>),
-        Lit(Vec<usize>),
-    }
-    let mut nodes: Vec<Node> = Vec::new();
-    let mut roots = Vec::new();
-    // Max-heap on (size, id): always expand the largest pending part, so
-    // task granularity evens out quickly.
-    let mut heap = std::collections::BinaryHeap::new();
-    for comp in top_comps {
-        let id = nodes.len();
-        heap.push((comp.len(), id));
-        nodes.push(Node::Part(comp));
-        roots.push(id);
-    }
-    let target = workers.max(1) * 4;
-    let mut nparts = heap.len();
-    while nparts < target {
-        let Some((len, id)) = heap.pop() else { break };
-        if len <= opts.leaf_size {
-            // The largest pending part is already a leaf: nothing to split.
-            heap.push((len, id));
-            break;
-        }
-        let Node::Part(vs) = std::mem::replace(&mut nodes[id], Node::Seq(Vec::new())) else {
-            unreachable!("heap only references Part nodes")
-        };
-        // Mirror `dissect` exactly: components first, then split.
-        let comps = components(g, &vs, &mut work);
-        let mut seq = Vec::new();
-        if comps.len() > 1 {
-            for comp in comps {
-                let cid = nodes.len();
-                heap.push((comp.len(), cid));
-                nodes.push(Node::Part(comp));
-                seq.push(cid);
-                nparts += 1;
-            }
-        } else {
-            match split(g, &vs, opts, &mut work) {
-                None => {
-                    // Unsplittable: leave it as one leaf task (off the heap).
-                    nodes[id] = Node::Part(vs);
-                    continue;
-                }
-                Some((a, b, sep)) => {
-                    for half in [a, b] {
-                        if half.is_empty() {
-                            continue;
-                        }
-                        let cid = nodes.len();
-                        heap.push((half.len(), cid));
-                        nodes.push(Node::Part(half));
-                        seq.push(cid);
-                        nparts += 1;
-                    }
-                    let lid = nodes.len();
-                    nodes.push(Node::Lit(sep));
-                    seq.push(lid);
-                }
-            }
-        }
-        nparts -= 1;
-        nodes[id] = Node::Seq(seq);
-    }
-
-    // Flatten the plan in emission order into task parts + literal runs.
-    enum Seg {
-        Task(usize),
-        Lit(Vec<usize>),
-    }
-    let mut tasks: Vec<Vec<usize>> = Vec::new();
-    let mut schedule: Vec<Seg> = Vec::new();
-    let mut stack: Vec<usize> = roots.iter().rev().copied().collect();
-    while let Some(id) = stack.pop() {
-        match std::mem::replace(&mut nodes[id], Node::Seq(Vec::new())) {
-            Node::Part(vs) => {
-                schedule.push(Seg::Task(tasks.len()));
-                tasks.push(vs);
-            }
-            Node::Lit(sep) => schedule.push(Seg::Lit(sep)),
-            Node::Seq(seq) => stack.extend(seq.iter().rev()),
-        }
-    }
+    drop(nd);
 
     // Run every part's full serial dissection as an independent task; the
     // graph is edgeless (parts are vertex-disjoint by construction).
     let ntasks = tasks.len();
     let graph = mf_runtime::TaskGraph::new(ntasks);
     let rt = mf_runtime::Runtime::new(workers.max(1).min(ntasks.max(1)));
+    let largest = tasks.iter().map(|t| t.sub.len()).max().unwrap_or(0);
     // Per-worker scratch plus the (task id, emitted order) pairs it ran.
-    type NdWorkerState = (BfsWork, Vec<(usize, Vec<usize>)>);
-    let states: Vec<NdWorkerState> = (0..rt.workers())
-        .map(|_| {
-            let mut w = BfsWork::new(n);
-            w.mask = vec![false; n];
-            (w, Vec::new())
-        })
-        .collect();
-    let tasks_ref = &tasks;
-    let (states, _errs) = rt.run(&graph, states, |st, t| -> Result<(), ()> {
-        let mut out = Vec::with_capacity(tasks_ref[t].len());
-        dissect(g, tasks_ref[t].clone(), opts, &mut st.0, &mut out);
-        st.1.push((t, out));
+    type WorkerState<'a> = (Dissector<'a>, Vec<(usize, Vec<usize>)>);
+    let states: Vec<WorkerState> =
+        (0..rt.workers()).map(|_| (Dissector::new(g, opts, largest), Vec::new())).collect();
+    let tasks = &tasks;
+    let (states, _errs) = rt.run(&graph, states, |(nd, done), t| -> Result<(), ()> {
+        let part = &tasks[t];
+        let mut out = vec![0usize; part.sub.len()];
+        let mut pending = Vec::new();
+        nd.expand(&part.sub, 0, part.connected, &mut out, &mut pending);
+        nd.finish(&mut pending, &mut out);
+        done.push((t, out));
         Ok(())
     });
-    let mut results: Vec<Vec<usize>> = vec![Vec::new(); ntasks];
-    for (_, done) in states {
-        for (t, out) in done {
-            results[t] = out;
-        }
+    for (t, out) in states.into_iter().flat_map(|(_, done)| done) {
+        order[tasks[t].at..][..out.len()].copy_from_slice(&out);
     }
-    let mut order: Vec<usize> = Vec::with_capacity(n);
-    for seg in schedule {
-        match seg {
-            Seg::Task(t) => order.append(&mut results[t]),
-            Seg::Lit(sep) => order.extend(sep),
-        }
-    }
-    debug_assert_eq!(order.len(), n);
     Permutation::from_vec(order)
 }
 
-/// Recursively order the connected vertex set `verts` (mask-restricted),
-/// appending to `order`. Uses an explicit work stack with a post-step to
-/// append separators after both halves — written iteratively so deep
-/// recursions on elongated meshes cannot overflow the stack.
-fn dissect(
-    g: &Adjacency,
-    verts: Vec<usize>,
-    opts: &NdOptions,
-    work: &mut BfsWork,
-    order: &mut Vec<usize>,
-) {
-    enum Item {
-        Part(Vec<usize>),
-        EmitSep(Vec<usize>),
+/// A part of the graph still to be dissected.
+struct Part {
+    sub: Subgraph,
+    /// Its vertices fill `order[at..at + sub.len()]`.
+    at: usize,
+    /// Connected by construction — no component search needed.
+    connected: bool,
+}
+
+/// One worker's dissection state: the inputs, and scratch allocated once
+/// for parts of up to `capacity` vertices and reused down the recursion.
+struct Dissector<'a> {
+    g: &'a Adjacency,
+    opts: &'a NdOptions,
+    bfs: BfsWork,
+    /// `pos[v]` = place of local vertex `v` in `bfs.queue`.
+    pos: Vec<u32>,
+    /// The leaf being ordered.
+    leaf: Subgraph,
+    md: MdWork,
+}
+
+impl<'a> Dissector<'a> {
+    fn new(g: &'a Adjacency, opts: &'a NdOptions, capacity: usize) -> Self {
+        Dissector {
+            g,
+            opts,
+            bfs: BfsWork::new(capacity),
+            pos: vec![0; capacity],
+            leaf: Subgraph::default(),
+            md: MdWork::default(),
+        }
     }
-    let mut stack = vec![Item::Part(verts)];
-    while let Some(item) = stack.pop() {
-        match item {
-            Item::EmitSep(sep) => order.extend(sep),
-            Item::Part(vs) => {
-                if vs.len() <= opts.leaf_size {
-                    order_leaf(g, &vs, order);
-                    continue;
-                }
-                // A part left over from a previous split may be disconnected;
-                // dissect each connected component independently.
-                let comps = components(g, &vs, work);
-                if comps.len() > 1 {
-                    for comp in comps.into_iter().rev() {
-                        stack.push(Item::Part(comp));
-                    }
-                    continue;
-                }
-                match split(g, &vs, opts, work) {
-                    None => order_leaf(g, &vs, order),
-                    Some((a, b, sep)) => {
-                        // Emit order: A, B, then separator ⇒ push sep first.
-                        stack.push(Item::EmitSep(sep));
-                        if !b.is_empty() {
-                            stack.push(Item::Part(b));
-                        }
-                        if !a.is_empty() {
-                            stack.push(Item::Part(a));
-                        }
-                    }
-                }
+
+    /// The graph's connected components as parts, each numbered in BFS
+    /// order from its lowest vertex — a connected graph too, unlike a part
+    /// found connected further down, which keeps its numbering (leaf
+    /// tie-breaks follow the numbering). Those at or below leaf size are
+    /// ordered on the spot instead.
+    fn top_level_parts(&mut self, order: &mut [usize]) -> Vec<Part> {
+        let whole = Subgraph::whole(self.g);
+        let mut parts = Vec::new();
+        self.bfs.components(&whole);
+        self.cut_components(&whole, 0, order, &mut parts);
+        parts
+    }
+
+    /// Dissect every pending part to the end. Iterative, so deep recursions
+    /// on elongated meshes cannot overflow the stack.
+    fn finish(&mut self, pending: &mut Vec<Part>, order: &mut [usize]) {
+        while let Some(part) = pending.pop() {
+            self.expand(&part.sub, part.at, part.connected, order, pending);
+        }
+    }
+
+    /// One dissection step: order `sub` whole if it is a leaf, else split it
+    /// into components or into halves and a separator, writing what is
+    /// final into `order[at..at + sub.len()]` and queueing what is not.
+    fn expand(
+        &mut self,
+        sub: &Subgraph,
+        at: usize,
+        connected: bool,
+        order: &mut [usize],
+        pending: &mut Vec<Part>,
+    ) {
+        let n = sub.len();
+        if n <= self.opts.leaf_size {
+            return self.md.order(sub, &mut order[at..at + n]);
+        }
+        // The far half of a split may be disconnected; dissect each
+        // connected component independently.
+        if !connected {
+            self.bfs.components(sub);
+            if self.bfs.comp_ptr.len() > 2 {
+                return self.cut_components(sub, at, order, pending);
             }
         }
-    }
-}
-
-/// Connected components of the subgraph induced by `vs`.
-fn components(g: &Adjacency, vs: &[usize], work: &mut BfsWork) -> Vec<Vec<usize>> {
-    for &v in vs {
-        work.mask[v] = true;
-    }
-    let mut comps = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    for &v in vs {
-        if seen.contains(&v) {
-            continue;
+        // Level structure rooted at a pseudo-peripheral vertex. Among the
+        // farthest vertices the sweep prefers low degree in the whole graph.
+        let g = self.g;
+        pseudo_peripheral(sub, 0, |v| g.degree(sub.verts[v as usize] as usize), &mut self.bfs);
+        let level_ptr = &self.bfs.level_ptr;
+        let nlevels = level_ptr.len() - 1;
+        debug_assert_eq!(self.bfs.queue.len(), n, "part must be connected");
+        if nlevels < 3 {
+            // The graph is complete: no useful split, treat as a leaf.
+            return self.md.order(sub, &mut order[at..at + n]);
         }
-        let _ = work.bfs(g, v);
-        let comp: Vec<usize> = work.visited().to_vec();
-        seen.extend(comp.iter().copied());
-        comps.push(comp);
-    }
-    for &v in vs {
-        work.mask[v] = false;
-    }
-    comps
-}
-
-/// Order a leaf subgraph by minimum degree on the extracted subgraph.
-fn order_leaf(g: &Adjacency, vs: &[usize], order: &mut Vec<usize>) {
-    if vs.len() <= 2 {
-        order.extend_from_slice(vs);
-        return;
-    }
-    // Extract the induced subgraph with local indices.
-    let mut local = std::collections::HashMap::with_capacity(vs.len());
-    for (li, &v) in vs.iter().enumerate() {
-        local.insert(v, li);
-    }
-    let mut xadj = vec![0usize; vs.len() + 1];
-    let mut adj = Vec::new();
-    for (li, &v) in vs.iter().enumerate() {
-        for &w in g.neighbors(v) {
-            if let Some(&lw) = local.get(&w) {
-                adj.push(lw);
+        // Search the middle band for the thinnest level, balancing halves:
+        // cost = |level| + imbalance penalty.
+        let half_band = (nlevels as f64 * self.opts.separator_band / 2.0).max(1.0) as usize;
+        let mid = nlevels / 2;
+        let lo = mid.saturating_sub(half_band).max(1);
+        let hi = (mid + half_band).min(nlevels - 2);
+        let mut best_level = lo;
+        let mut best_cost = f64::INFINITY;
+        for l in lo..=hi {
+            let na = level_ptr[l];
+            let nb = n - level_ptr[l + 1];
+            let imbalance = (na as f64 - nb as f64).abs() / n as f64;
+            let cost = (level_ptr[l + 1] - level_ptr[l]) as f64 * (1.0 + 2.0 * imbalance);
+            if cost < best_cost {
+                best_cost = cost;
+                best_level = l;
             }
         }
-        xadj[li + 1] = adj.len();
+        // Levels below the separator (connected through the root), levels
+        // above it, then the separator itself, each in visit order.
+        let (a, b) = (0..level_ptr[best_level], level_ptr[best_level + 1]..n);
+        let sep = &self.bfs.queue[a.end..b.start];
+        for (place, &v) in order[at + a.len() + b.len()..at + n].iter_mut().zip(sep) {
+            *place = sub.verts[v as usize] as usize;
+        }
+        self.index_queue();
+        self.cut(sub, a.clone(), at, true, order, pending);
+        self.cut(sub, b, at + a.len(), false, order, pending);
     }
-    let sub = Adjacency { xadj, adj };
-    let p = minimum_degree(&sub);
-    order.extend(p.as_slice().iter().map(|&li| vs[li]));
-}
 
-/// Split a connected vertex set into (A, B, separator) via BFS level sets.
-/// Returns `None` when no useful split exists (e.g. near-clique).
-fn split(
-    g: &Adjacency,
-    vs: &[usize],
-    opts: &NdOptions,
-    work: &mut BfsWork,
-) -> Option<(Vec<usize>, Vec<usize>, Vec<usize>)> {
-    // Restrict traversal to this part.
-    for &v in vs {
-        work.mask[v] = true;
-    }
-    let result = split_masked(g, vs, opts, work);
-    for &v in vs {
-        work.mask[v] = false;
-    }
-    result
-}
-
-fn split_masked(
-    g: &Adjacency,
-    vs: &[usize],
-    opts: &NdOptions,
-    work: &mut BfsWork,
-) -> Option<(Vec<usize>, Vec<usize>, Vec<usize>)> {
-    let root = pseudo_peripheral_masked(g, vs[0], work);
-    let nlevels = work.bfs(g, root);
-    if nlevels < 3 {
-        return None; // graph is (near-)complete; treat as leaf
-    }
-    // Level populations.
-    let mut pop = vec![0usize; nlevels];
-    for &v in work.visited() {
-        pop[work.level[v]] += 1;
-    }
-    debug_assert_eq!(work.visited().len(), vs.len(), "part must be connected");
-    // Search the middle band for the thinnest level, balancing halves:
-    // cost = |level| + imbalance penalty.
-    let half_band = (nlevels as f64 * opts.separator_band / 2.0).max(1.0) as usize;
-    let mid = nlevels / 2;
-    let lo = mid.saturating_sub(half_band).max(1);
-    let hi = (mid + half_band).min(nlevels - 2);
-    let mut below = vec![0usize; nlevels + 1];
-    for l in 0..nlevels {
-        below[l + 1] = below[l] + pop[l];
-    }
-    let total = vs.len();
-    let mut best_level = lo;
-    let mut best_cost = f64::INFINITY;
-    for l in lo..=hi {
-        let na = below[l];
-        let nb = total - below[l + 1];
-        let imbalance = (na as f64 - nb as f64).abs() / total as f64;
-        let cost = pop[l] as f64 * (1.0 + 2.0 * imbalance);
-        if cost < best_cost {
-            best_cost = cost;
-            best_level = l;
+    /// Record every visited vertex's place in the queue for [`Self::cut`].
+    fn index_queue(&mut self) {
+        for (i, &v) in self.bfs.queue.iter().enumerate() {
+            self.pos[v as usize] = i as u32;
         }
     }
-    let mut a = Vec::new();
-    let mut b = Vec::new();
-    let mut sep = Vec::new();
-    for &v in work.visited() {
-        match work.level[v].cmp(&best_level) {
-            std::cmp::Ordering::Less => a.push(v),
-            std::cmp::Ordering::Equal => sep.push(v),
-            std::cmp::Ordering::Greater => b.push(v),
+
+    /// Cut `sub` into the components `bfs.components` just found, laid out
+    /// in `order` from `at` in the order they were found.
+    fn cut_components(
+        &mut self,
+        sub: &Subgraph,
+        at: usize,
+        order: &mut [usize],
+        pending: &mut Vec<Part>,
+    ) {
+        self.index_queue();
+        for c in 0..self.bfs.comp_ptr.len() - 1 {
+            let run = self.bfs.comp_ptr[c]..self.bfs.comp_ptr[c + 1];
+            self.cut(sub, run.clone(), at + run.start, true, order, pending);
         }
     }
-    if a.is_empty() && b.is_empty() {
-        return None;
-    }
-    Some((a, b, sep))
-}
 
-/// Pseudo-peripheral vertex within the current mask.
-fn pseudo_peripheral_masked(g: &Adjacency, start: usize, work: &mut BfsWork) -> usize {
-    pseudo_peripheral(g, start, work)
+    /// Cut the run `run` of the queue off `sub` as a part to be laid out at
+    /// `order[at..]`: ordered on the spot if it is a leaf, queued otherwise.
+    fn cut(
+        &mut self,
+        sub: &Subgraph,
+        run: Range<usize>,
+        at: usize,
+        connected: bool,
+        order: &mut [usize],
+        pending: &mut Vec<Part>,
+    ) {
+        let first = run.start;
+        let members = &self.bfs.queue[run];
+        if members.len() <= self.opts.leaf_size {
+            sub.extract_into(members, &self.pos, first, &mut self.leaf);
+            self.md.order(&self.leaf, &mut order[at..at + members.len()]);
+        } else {
+            let mut child = Subgraph::default();
+            sub.extract_into(members, &self.pos, first, &mut child);
+            pending.push(Part { sub: child, at, connected });
+        }
+    }
 }
 
 #[cfg(test)]
@@ -420,15 +284,28 @@ mod tests {
         let g = a.to_adjacency();
         let p = nested_dissection(&g, &NdOptions::default());
         let n = nx * ny;
-        // Take the last ~sqrt(n) vertices as separator candidates.
+        // From a corner the levels are the anti-diagonals, and the longest
+        // one — nx vertices — balances the halves: that is the tail.
         let tail = nx;
-        let sep: std::collections::HashSet<usize> =
-            (n - tail..n).map(|new| p.old_of(new)).collect();
-        // BFS in the complement must not reach everything (graph is cut or
-        // at least the tail is a plausible separator region). Weak check:
-        // the tail vertices form a connected, low-degree-structure — we
-        // simply verify the ordering put *some* grid line last.
-        assert_eq!(sep.len(), tail);
+        let mut reached = vec![false; n];
+        for new in n - tail..n {
+            reached[p.old_of(new)] = true;
+        }
+        // Flood the rest from its first vertex; a separator keeps part of
+        // it out of reach.
+        let start = reached.iter().position(|&sep| !sep).unwrap();
+        reached[start] = true;
+        let mut stack = vec![start];
+        let mut count = 1;
+        while let Some(v) = stack.pop() {
+            for &w in g.neighbors(v) {
+                if !std::mem::replace(&mut reached[w], true) {
+                    count += 1;
+                    stack.push(w);
+                }
+            }
+        }
+        assert!(count < n - tail, "the last {tail} vertices do not cut the grid");
     }
 
     #[test]

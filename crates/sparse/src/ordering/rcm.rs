@@ -1,97 +1,8 @@
 //! Reverse Cuthill-McKee ordering.
 
+use super::subgraph::{pseudo_peripheral, BfsWork, Subgraph};
 use crate::csc::Adjacency;
 use crate::perm::Permutation;
-
-/// Find a pseudo-peripheral vertex of the component containing `start`
-/// by repeated BFS to the farthest vertex (George-Liu heuristic).
-pub(crate) fn pseudo_peripheral(g: &Adjacency, start: usize, work: &mut BfsWork) -> usize {
-    let mut v = start;
-    let mut ecc = 0usize;
-    loop {
-        let levels = work.bfs(g, v);
-        let (far, far_ecc) = work.farthest_min_degree(g, levels);
-        if far_ecc <= ecc {
-            return v;
-        }
-        ecc = far_ecc;
-        v = far;
-    }
-}
-
-/// Reusable BFS scratch space.
-pub(crate) struct BfsWork {
-    /// `level[v]` for the most recent BFS, `usize::MAX` = unreached.
-    pub level: Vec<usize>,
-    /// Visit stamp per vertex to avoid clearing `level` between runs.
-    stamp: Vec<u64>,
-    cur_stamp: u64,
-    queue: Vec<usize>,
-    /// Restrict traversal to vertices with `mask[v] == true` (empty = all).
-    pub mask: Vec<bool>,
-}
-
-impl BfsWork {
-    pub fn new(n: usize) -> Self {
-        BfsWork {
-            level: vec![usize::MAX; n],
-            stamp: vec![0; n],
-            cur_stamp: 0,
-            queue: Vec::with_capacity(n),
-            mask: Vec::new(),
-        }
-    }
-
-    fn allowed(&self, v: usize) -> bool {
-        self.mask.is_empty() || self.mask[v]
-    }
-
-    /// BFS from `root`; returns the number of levels. Levels readable via
-    /// [`Self::levels_of`] until the next BFS.
-    pub fn bfs(&mut self, g: &Adjacency, root: usize) -> usize {
-        self.cur_stamp += 1;
-        self.queue.clear();
-        self.queue.push(root);
-        self.stamp[root] = self.cur_stamp;
-        self.level[root] = 0;
-        let mut head = 0;
-        let mut max_level = 0;
-        while head < self.queue.len() {
-            let v = self.queue[head];
-            head += 1;
-            let lv = self.level[v];
-            for &w in g.neighbors(v) {
-                if self.stamp[w] != self.cur_stamp && self.allowed(w) {
-                    self.stamp[w] = self.cur_stamp;
-                    self.level[w] = lv + 1;
-                    self.queue.push(w);
-                    max_level = max_level.max(lv + 1);
-                }
-            }
-        }
-        max_level + 1
-    }
-
-    /// Vertices visited by the most recent BFS, in visit order.
-    pub fn visited(&self) -> &[usize] {
-        &self.queue
-    }
-
-    /// Among vertices in the last BFS level, the one of minimum degree
-    /// (classic pseudo-peripheral tie-break); returns `(vertex, ecc)`.
-    fn farthest_min_degree(&self, g: &Adjacency, nlevels: usize) -> (usize, usize) {
-        let last = nlevels - 1;
-        let mut best = usize::MAX;
-        let mut best_deg = usize::MAX;
-        for &v in &self.queue {
-            if self.level[v] == last && g.degree(v) < best_deg {
-                best_deg = g.degree(v);
-                best = v;
-            }
-        }
-        (best, last)
-    }
-}
 
 /// Reverse Cuthill-McKee ordering of the whole graph (all components).
 ///
@@ -100,13 +11,15 @@ pub fn reverse_cuthill_mckee(g: &Adjacency) -> Permutation {
     let n = g.len();
     let mut order: Vec<usize> = Vec::with_capacity(n);
     let mut placed = vec![false; n];
+    let compact = Subgraph::whole(g);
     let mut work = BfsWork::new(n);
     let mut nbrs: Vec<usize> = Vec::new();
     for seed in 0..n {
         if placed[seed] {
             continue;
         }
-        let root = pseudo_peripheral(g, seed, &mut work);
+        let root =
+            pseudo_peripheral(&compact, seed as u32, |v| g.degree(v as usize), &mut work) as usize;
         // Cuthill-McKee: BFS from root, neighbors in increasing-degree order.
         let start_len = order.len();
         order.push(root);
@@ -158,14 +71,6 @@ mod tests {
                 assert_eq!(d, 1, "edge ({v},{w}) stretched to {d}");
             }
         }
-    }
-
-    #[test]
-    fn pseudo_peripheral_of_path_is_an_end() {
-        let g = path_graph(9);
-        let mut work = BfsWork::new(9);
-        let v = pseudo_peripheral(&g, 4, &mut work);
-        assert!(v == 0 || v == 8, "got {v}");
     }
 
     #[test]

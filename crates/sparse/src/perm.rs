@@ -1,6 +1,6 @@
 //! Permutations and symmetric permutation of sparse matrices.
 
-use crate::csc::{SymCsc, Triplet};
+use crate::csc::SymCsc;
 use mf_dense::Scalar;
 
 /// A permutation of `{0, …, n−1}` together with its inverse.
@@ -96,19 +96,58 @@ impl Permutation {
     pub fn permute_sym<T: Scalar>(&self, a: &SymCsc<T>) -> SymCsc<T> {
         let n = a.order();
         assert_eq!(n, self.len());
-        let mut t = Triplet::with_capacity(n, a.nnz_lower());
+        // Entry (i, j) lands in the lower triangle at (max, min) of the new
+        // indices. Count each new column, place every entry straight into
+        // its column's run, then sort the runs by row — they are as short as
+        // the columns, where sorting all entries at once is not.
+        let target = |i: usize, j: usize| {
+            let (ni, nj) = (self.inv[i], self.inv[j]);
+            (ni.max(nj), ni.min(nj))
+        };
+        let mut colptr = vec![0usize; n + 1];
         for j in 0..n {
-            for (&i, &v) in a.col_rows(j).iter().zip(a.col_vals(j)) {
-                t.push(self.inv[i], self.inv[j], v);
+            for &i in a.col_rows(j) {
+                colptr[target(i, j).1 + 1] += 1;
             }
         }
-        t.assemble()
+        for c in 0..n {
+            colptr[c + 1] += colptr[c];
+        }
+        let mut next = colptr[..n].to_vec();
+        let mut rowind = vec![0usize; a.nnz_lower()];
+        let mut values = vec![T::ZERO; a.nnz_lower()];
+        for j in 0..n {
+            for (&i, &v) in a.col_rows(j).iter().zip(a.col_vals(j)) {
+                let (r, c) = target(i, j);
+                rowind[next[c]] = r;
+                values[next[c]] = v;
+                next[c] += 1;
+            }
+        }
+        let mut run: Vec<(usize, T)> = Vec::new();
+        for c in 0..n {
+            let span = colptr[c]..colptr[c + 1];
+            if rowind[span.clone()].windows(2).all(|w| w[0] < w[1]) {
+                continue;
+            }
+            run.clear();
+            run.extend(
+                rowind[span.clone()].iter().copied().zip(values[span.clone()].iter().copied()),
+            );
+            run.sort_unstable_by_key(|e| e.0);
+            for (slot, &(r, v)) in span.zip(&run) {
+                rowind[slot] = r;
+                values[slot] = v;
+            }
+        }
+        SymCsc::from_parts(n, colptr, rowind, values)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csc::Triplet;
 
     fn tridiag(n: usize) -> SymCsc<f64> {
         let mut t = Triplet::new(n);
@@ -150,6 +189,52 @@ mod tests {
                     "entry ({inew},{jnew})"
                 );
             }
+        }
+    }
+
+    /// The construction `permute_sym` replaced: push every permuted entry
+    /// into a triplet builder and assemble.
+    fn permute_by_triplets<T: Scalar>(p: &Permutation, a: &SymCsc<T>) -> SymCsc<T> {
+        let mut t = Triplet::with_capacity(a.order(), a.nnz_lower());
+        for j in 0..a.order() {
+            for (&i, &v) in a.col_rows(j).iter().zip(a.col_vals(j)) {
+                t.push(p.new_of(i), p.new_of(j), v);
+            }
+        }
+        t.assemble()
+    }
+
+    #[test]
+    fn permute_sym_equals_triplet_assembly_on_random_patterns() {
+        let mut s = 0x9E37_79B9_7F4A_7C15u64;
+        let mut rand = move |m: usize| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s % m as u64) as usize
+        };
+        for case in 0..40 {
+            // Sparse to dense, with empty columns, missing diagonals and a
+            // full row thrown in.
+            let n = 1 + rand(60);
+            let mut t = Triplet::<f64>::new(n);
+            for _ in 0..rand(n * (1 + case % 8)) {
+                t.push(rand(n), rand(n), rand(1000) as f64 / 7.0 - 60.0);
+            }
+            if case % 3 == 0 {
+                for j in 0..n {
+                    t.push(n - 1, j, 1.0 + j as f64);
+                }
+            }
+            let a = t.assemble();
+            let mut order: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                order.swap(i, rand(i + 1));
+            }
+            let p = Permutation::from_vec(order);
+            assert_eq!(p.permute_sym(&a), permute_by_triplets(&p, &a), "f64 case {case}");
+            let a32: SymCsc<f32> = a.cast();
+            assert_eq!(p.permute_sym(&a32), permute_by_triplets(&p, &a32), "f32 case {case}");
         }
     }
 

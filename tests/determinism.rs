@@ -824,6 +824,132 @@ fn analysis_parallel_factors_bitwise_identical_f32() {
     }
 }
 
+/// FNV-1a over a permutation's forward array.
+fn perm_hash(p: &Permutation) -> u64 {
+    p.as_slice().iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &old| {
+        (old as u64)
+            .to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+    })
+}
+
+/// Lower-stored pattern with unit off-diagonals from an edge list.
+fn graph_matrix(n: usize, edges: impl IntoIterator<Item = (usize, usize)>) -> SymCsc<f64> {
+    let mut t = Triplet::new(n);
+    for i in 0..n {
+        t.push(i, i, n as f64);
+    }
+    for (i, j) in edges {
+        t.push(i, j, -1.0);
+    }
+    t.assemble()
+}
+
+/// The matrices whose orderings are pinned: the three generator families, an
+/// elongated strip (deep recursion), and graphs that reach the ordering's
+/// corner paths — several top-level components ordered as leaves, a
+/// separator that leaves 148 singleton components, and a 100-clique behind a
+/// tail, which `split` declines and hands to minimum degree whole.
+fn golden_families() -> Vec<(&'static str, SymCsc<f64>)> {
+    let paths = (0..3).flat_map(|p| (0..199).map(move |i| (200 * p + i + 1, 200 * p + i)));
+    let star = (1..150).map(|i| (i, 0));
+    let clique = (0..100).flat_map(|i| (0..i).map(move |j| (i, j)));
+    let tail = (100..130).map(|i| (i, i - 1));
+    vec![
+        ("plate60", laplacian_2d(60, 60, Stencil::Full)),
+        ("cube10", laplacian_3d(10, 10, 10, Stencil::Full)),
+        ("elasticity6", elasticity_3d(6, 6, 6)),
+        ("strip400x3", laplacian_2d(400, 3, Stencil::Faces)),
+        ("three_paths", graph_matrix(600, paths)),
+        ("star150", graph_matrix(150, star)),
+        ("clique100_tail30", graph_matrix(130, clique.chain(tail))),
+    ]
+}
+
+/// `(name, nested dissection, minimum degree, RCM, Analysis::fingerprint)`,
+/// the first three as [`perm_hash`], recorded from commit 17193a0 — the last
+/// one before the ordering moved to compact subgraphs. Serial-vs-parallel
+/// identity cannot see a change that moves both; this can.
+const GOLDEN_ORDERINGS: [(&str, u64, u64, u64, u64); 7] = [
+    (
+        "plate60",
+        0x9b56_a7e2_e4b1_c389,
+        0x1cc4_2e71_083e_aaa9,
+        0x6d34_6bb4_6374_c5b1,
+        0x654e_34ca_f776_1cb6,
+    ),
+    (
+        "cube10",
+        0x3ef9_f285_5a34_df81,
+        0x785c_9536_1392_43d5,
+        0x6406_6407_f995_fd41,
+        0xfe96_b91e_3c7d_c010,
+    ),
+    (
+        "elasticity6",
+        0xb940_7460_6c54_21e9,
+        0xdb1d_de6a_736f_f92d,
+        0x40eb_df99_9f9b_0f1d,
+        0x58a8_fbe5_16e5_fe3e,
+    ),
+    (
+        "strip400x3",
+        0xb1d4_01b9_5e24_80a5,
+        0x0f7a_f3e1_f29e_31d9,
+        0xb2d4_dfa6_2939_8735,
+        0x020a_62e7_9a99_510a,
+    ),
+    (
+        "three_paths",
+        0xc6d4_539a_0bc9_31a9,
+        0x829b_3466_cf02_8f7d,
+        0x829b_3466_cf02_8f7d,
+        0x1630_b546_7761_4089,
+    ),
+    (
+        "star150",
+        0xccae_8d59_3aca_0084,
+        0x80cf_8ece_6e24_0dc4,
+        0xd170_d459_ed99_9b84,
+        0x9fd3_36c6_0cf9_ce01,
+    ),
+    (
+        "clique100_tail30",
+        0xec12_be6e_c74c_3004,
+        0x51de_e15b_c741_6224,
+        0x8198_4063_7609_bc44,
+        0x368e_e7c0_40ec_2ffb,
+    ),
+];
+
+#[test]
+fn analysis_ordering_matches_golden() {
+    use gpu_multifrontal::sparse::order;
+    let actual: Vec<(&str, u64, u64, u64, u64)> = golden_families()
+        .iter()
+        .map(|(name, a)| {
+            let nd = order(a, OrderingKind::NestedDissection);
+            for workers in [1usize, 2, 4] {
+                let par = gpu_multifrontal::sparse::order_parallel(
+                    a,
+                    OrderingKind::NestedDissection,
+                    workers,
+                );
+                assert_eq!(par.as_slice(), nd.as_slice(), "{name} workers={workers}");
+            }
+            (
+                *name,
+                perm_hash(&nd),
+                perm_hash(&order(a, OrderingKind::MinimumDegree)),
+                perm_hash(&order(a, OrderingKind::Rcm)),
+                analysis_of(a).fingerprint(),
+            )
+        })
+        .collect();
+    assert_eq!(actual, GOLDEN_ORDERINGS, "actual:\n{actual:#x?}");
+}
+
 // ───────────────────────── out-of-core (memory-budgeted) execution ─────────
 
 use gpu_multifrontal::core::{

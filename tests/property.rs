@@ -586,3 +586,131 @@ proptest! {
         );
     }
 }
+
+// ---------------------------------------------------------------------------
+// Ordering properties on hostile graph shapes: isolated vertices, several
+// components, dense blocks. Nested dissection walks compact subgraphs that
+// are relabelled at every level, so the properties pin what relabelling must
+// not change.
+// ---------------------------------------------------------------------------
+
+use gpu_multifrontal::sparse::csc::Adjacency;
+use gpu_multifrontal::sparse::ordering::{
+    minimum_degree, nested_dissection, nested_dissection_parallel, NdOptions,
+};
+
+/// `rand(m)`: the next xorshift draw in `0..m`.
+fn xorshift(seed: u64) -> impl FnMut(usize) -> usize {
+    let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    move |m| {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        (s % m as u64) as usize
+    }
+}
+
+/// A random symmetric pattern on `n` vertices: the vertices are dealt into
+/// `groups` groups with edges only inside a group (so at least that many
+/// components), about one vertex in eight is left isolated, and each group
+/// may carry a clique of up to 14 vertices.
+fn random_pattern(n: usize, groups: usize, density: usize, seed: u64) -> SymCsc<f64> {
+    let mut rand = xorshift(seed);
+    let mut members: Vec<Vec<usize>> = vec![Vec::new(); groups];
+    for v in 0..n {
+        if rand(8) != 0 {
+            members[rand(groups)].push(v);
+        }
+    }
+    let mut t = Triplet::new(n);
+    for v in 0..n {
+        t.push(v, v, n as f64);
+    }
+    for group in members.iter().filter(|g| g.len() > 1) {
+        for _ in 0..group.len() * density / 2 {
+            let (i, j) = (group[rand(group.len())], group[rand(group.len())]);
+            if i != j {
+                t.push(i, j, -0.25);
+            }
+        }
+        if rand(2) == 0 {
+            let block = &group[..group.len().min(2 + rand(13))];
+            for (k, &i) in block.iter().enumerate() {
+                for &j in &block[..k] {
+                    t.push(i, j, -0.25);
+                }
+            }
+        }
+    }
+    t.assemble()
+}
+
+fn is_permutation_of(p: &Permutation, n: usize) -> bool {
+    let mut seen = vec![false; n];
+    p.len() == n && p.as_slice().iter().all(|&v| v < n && !std::mem::replace(&mut seen[v], true))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// ND and MD number every vertex exactly once, and the parallel driver
+    /// reproduces the serial order at every worker count and leaf size.
+    #[test]
+    fn ordering_valid_and_parallel_equals_serial(
+        n in 1usize..260,
+        groups in 1usize..5,
+        density in 1usize..9,
+        leaf_size in 1usize..80,
+        seed in 0u64..10_000,
+    ) {
+        let g = random_pattern(n, groups, density, seed).to_adjacency();
+        prop_assert!(is_permutation_of(&minimum_degree(&g), n));
+        let opts = NdOptions { leaf_size, ..Default::default() };
+        let serial = nested_dissection(&g, &opts);
+        prop_assert!(is_permutation_of(&serial, n));
+        for workers in [1usize, 2, 4] {
+            let par = nested_dissection_parallel(&g, &opts, workers);
+            prop_assert!(par == serial, "workers = {workers}");
+        }
+    }
+
+    /// Minimum degree on a leaf relabelled the way nested dissection does it
+    /// — vertices renumbered by position, neighbour lists left in the
+    /// parent's order, so no longer sorted — equals minimum degree on the
+    /// same graph built directly with sorted lists.
+    #[test]
+    fn ordering_md_on_relabelled_leaf_equals_direct(
+        n in 2usize..120,
+        groups in 1usize..4,
+        density in 1usize..9,
+        keep_pct in 30usize..101,
+        seed in 0u64..10_000,
+    ) {
+        let parent = random_pattern(n, groups, density, seed).to_adjacency();
+        // The leaf: a shuffled subset of the parent's vertices.
+        let mut rand = xorshift(seed ^ 0xA5A5_5A5A_1234_5678);
+        let mut vs: Vec<usize> = (0..n).filter(|_| rand(100) < keep_pct).collect();
+        for i in (1..vs.len()).rev() {
+            vs.swap(i, rand(i + 1));
+        }
+        let mut local = vec![usize::MAX; n];
+        for (li, &v) in vs.iter().enumerate() {
+            local[v] = li;
+        }
+        let mut relabelled = Adjacency { xadj: vec![0], adj: Vec::new() };
+        let mut direct = Triplet::new(vs.len());
+        for (li, &v) in vs.iter().enumerate() {
+            direct.push(li, li, 1.0);
+            for &w in parent.neighbors(v) {
+                if local[w] != usize::MAX {
+                    relabelled.adj.push(local[w]);
+                    direct.push(li, local[w], 1.0);
+                }
+            }
+            relabelled.xadj.push(relabelled.adj.len());
+        }
+        let direct = direct.assemble().to_adjacency();
+        prop_assert_eq!(relabelled.len(), direct.len());
+        prop_assert_eq!(minimum_degree(&relabelled), minimum_degree(&direct));
+    }
+}
