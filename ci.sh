@@ -37,43 +37,44 @@ cargo test -q --release -p mf-server
 echo "==> server suite (RUST_TEST_THREADS=1)"
 RUST_TEST_THREADS=1 cargo test -q --release -p mf-server
 
-# The intra-front tiled task DAG has its own bitwise contract (serial vs
-# 1/2/4/8 workers × f32/f64 × arena/heap with fronts forced to expand).
-# Run the tiled tests by name and count them, so a filter typo or a renamed
-# test cannot silently skip the suite.
-echo "==> tiled determinism suite (explicit, default + single test thread)"
-for t in "" "RUST_TEST_THREADS=1"; do
-  out=$(env $t cargo test --release --test determinism tiled_expansion 2>&1) || {
-    echo "$out"
-    exit 1
-  }
-  echo "$out" | grep -q "2 passed" || {
-    echo "expected exactly 2 tiled determinism tests to run:"
-    echo "$out"
-    exit 1
-  }
-done
-
-# The analysis pipeline has its own bitwise contract: analyze_parallel must
-# reproduce the serial analyze byte for byte (permutation, etree, supernode
-# partition, row structures, fingerprint) at 1/2/4/8 workers, across matrix
-# families and at both factor precisions, and the orderings must reproduce
-# the permutation hashes and fingerprints recorded from the commit before
-# they moved to compact subgraphs (analysis_ordering_matches_golden). Run the
-# analysis tests by name and count them, so a filter typo or a renamed test
-# cannot silently skip them.
-echo "==> analysis determinism suite (explicit, default + single test thread)"
-for t in "" "RUST_TEST_THREADS=1"; do
-  out=$(env $t cargo test --release --test determinism analysis_ 2>&1) || {
-    echo "$out"
-    exit 1
-  }
-  echo "$out" | grep -q "5 passed" || {
-    echo "expected exactly 5 analysis determinism tests to run:"
-    echo "$out"
-    exit 1
-  }
-done
+# Suites that pin a contract by name. Each row of the manifest is
+# `test-target filter expected-count`; the filter must run exactly that many
+# tests, with the test harness running cases concurrently (default) and fully
+# serialized, so a filter typo or a renamed test cannot silently skip a suite.
+#   tiled_expansion  tile DAG: serial vs 1/2/4/8 workers, f32/f64, arena/heap
+#   analysis_        analyze_parallel == analyze byte for byte; golden orderings
+#   numeric_         golden hashes of factor slabs and solve_many outputs (f64 and
+#                    f32, 1 and 8 RHS, serial and 1/2/4 workers) from before the
+#                    flat structure, the solve stack and the subtree tasks
+#   multigpu_        bitwise factors at every workers x devices, OOM parity
+#   ooc_             budgeted == in-core bits, residency, bf16 spill, typed errors
+#   symbolic_flat, bottom_subtrees, subtree_tasks
+#                    flat parallel build == serial, the subtree partition, the
+#                    subtree-task drivers and the forward stack bound
+echo "==> named suites (counted, default + single test thread)"
+while read -r target filter expected; do
+  for t in "" "RUST_TEST_THREADS=1"; do
+    out=$(env $t cargo test --release --test "$target" "$filter" 2>&1) || {
+      echo "$out"
+      exit 1
+    }
+    echo "$out" | grep -q "test result: ok. $expected passed" || {
+      echo "expected exactly $expected '$filter' tests of '$target' to run (${t:-default threads}):"
+      echo "$out"
+      exit 1
+    }
+  done
+done <<'MANIFEST'
+determinism tiled_expansion 2
+determinism analysis_ 5
+determinism numeric_ 1
+determinism multigpu_ 3
+determinism ooc_ 9
+property ooc_ 2
+property symbolic_flat 1
+property bottom_subtrees 1
+property subtree_tasks 1
+MANIFEST
 
 # The factor bench runs the tiled scheduler on every suite matrix and
 # asserts critical_path <= makespan <= serial_time for the tree and tiled
@@ -91,56 +92,6 @@ cargo bench -p mf-bench --bench solve
 # speedup — either violation panics the bench and fails this step.
 echo "==> symbolic bench (analysis fingerprint gate, writes BENCH_symbolic.json)"
 cargo bench -p mf-bench --bench symbolic
-
-# The multi-GPU driver's determinism contracts (bitwise-identical factors at
-# every workers × devices combination, OOM-fallback parity with the serial
-# drain driver, clean NotPositiveDefinite recovery) run by name and are
-# counted, so a filter typo or a renamed test cannot silently skip them.
-echo "==> multi-GPU determinism suite (explicit, default + single test thread)"
-for t in "" "RUST_TEST_THREADS=1"; do
-  out=$(env $t cargo test --release --test determinism multigpu_ 2>&1) || {
-    echo "$out"
-    exit 1
-  }
-  echo "$out" | grep -q "3 passed" || {
-    echo "expected exactly 3 multi-GPU determinism tests to run:"
-    echo "$out"
-    exit 1
-  }
-done
-
-# The out-of-core (memory-budgeted) driver's determinism contracts — ladder-off
-# runs bitwise identical to in-core at every budget × worker count × precision,
-# residency provably under budget, bf16 spill halving traffic without moving
-# the eviction schedule, typed infeasible-budget errors, streaming solve parity
-# and refinement through 16-bit spill storage — run by name and are counted,
-# so a filter typo or a renamed test cannot silently skip them.
-echo "==> out-of-core determinism suite (explicit, default + single test thread)"
-for t in "" "RUST_TEST_THREADS=1"; do
-  out=$(env $t cargo test --release --test determinism ooc_ 2>&1) || {
-    echo "$out"
-    exit 1
-  }
-  echo "$out" | grep -q "9 passed" || {
-    echo "expected exactly 9 out-of-core determinism tests to run:"
-    echo "$out"
-    exit 1
-  }
-done
-
-# Property tests for the out-of-core planner: residency never exceeds the
-# budget at any event for arbitrary structures/budgets/ladders, and f64
-# refinement converges through 16-bit spill storage.
-echo "==> out-of-core property suite (explicit, counted)"
-out=$(cargo test --release --test property ooc_ 2>&1) || {
-  echo "$out"
-  exit 1
-}
-echo "$out" | grep -q "2 passed" || {
-  echo "expected exactly 2 out-of-core property tests to run:"
-  echo "$out"
-  exit 1
-}
 
 # Property tests for the peer-copy primitive the multi-GPU extend-add path
 # rides on: event forward-progress/transitivity across arbitrary device

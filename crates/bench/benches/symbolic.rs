@@ -114,14 +114,14 @@ fn simulated_analysis_speedup(sym: &SymbolicFactor, workers: usize) -> f64 {
     let cost: Vec<f64> = (0..nsn)
         .map(|s| {
             let child_rows: usize =
-                sym.children[s].iter().map(|&c| sym.supernodes[c].rows.len()).sum();
-            (sym.supernodes[s].rows.len() + child_rows + 1) as f64
+                sym.children(s).iter().map(|&c| sym.supernodes[c].front_size()).sum();
+            (sym.supernodes[s].front_size() + child_rows + 1) as f64
         })
         .collect();
     let total: f64 = cost.iter().sum();
     let mut path = vec![0.0f64; nsn];
     for &s in &sym.postorder {
-        let longest_child = sym.children[s].iter().map(|&c| path[c]).fold(0.0f64, f64::max);
+        let longest_child = sym.children(s).iter().map(|&c| path[c]).fold(0.0f64, f64::max);
         path[s] = cost[s] + longest_child;
     }
     let critical = path.iter().cloned().fold(0.0, f64::max);

@@ -8,10 +8,12 @@
 //! occupy the top contiguous region of the stack when the supernode runs,
 //! so compaction is a per-column `copy_within` — no second buffer.
 //!
-//! The parallel driver cannot use one stack — a worker cannot
-//! stack-discipline updates that a *different* worker will consume — so it
-//! reuses a per-worker front buffer and hands updates over in transient
-//! per-edge buffers instead (see `parallel.rs`).
+//! The serial driver runs the whole postorder on one arena. The parallel
+//! driver gives every worker its own for the bottom subtrees it runs front
+//! to back; above them a worker cannot stack-discipline updates that a
+//! *different* worker will consume, so there it reuses a per-worker front
+//! buffer and hands updates over in transient per-edge buffers (see
+//! `parallel.rs`).
 
 use mf_dense::Scalar;
 
@@ -41,6 +43,17 @@ impl<T: Scalar> FrontArena<T> {
     /// region must find zeros just like a fresh heap buffer would provide).
     pub fn with_len(len: usize) -> Self {
         FrontArena { buf: vec![T::ZERO; len], top: 0, high_water: 0, resident_high_water: 0 }
+    }
+
+    /// Length of the arena in scalars.
+    pub fn capacity(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Empty the stack for another run on the same storage. The contents
+    /// stay: a front re-zeroes the part of its region it references.
+    pub fn clear(&mut self) {
+        self.top = 0;
     }
 
     /// Current stack top (scalars in live use below it).

@@ -66,15 +66,18 @@ impl PolicySelector {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FrontStorage {
     /// Preallocated storage: the serial driver runs fronts on a postorder
-    /// LIFO [`FrontArena`]; the parallel driver gives each worker a
-    /// max-front buffer and hands updates across workers in pooled buffers.
-    /// Steady state performs O(1) heap allocations per factorization.
+    /// LIFO [`FrontArena`]; the parallel driver runs each bottom subtree as
+    /// one task on the worker's own arena, gives each worker a max-front
+    /// buffer for the supernodes above, and hands updates across tasks in
+    /// transient buffers. The serial factorization performs O(1) heap
+    /// allocations, the parallel one O(tasks).
     #[default]
     Arena,
     /// The reference per-front allocation path: a fresh zeroed front and a
     /// fresh update buffer per supernode (panels still land in the
-    /// contiguous slab). Kept as the bitwise cross-check for the
-    /// determinism suite and the baseline for the allocation benchmarks.
+    /// contiguous slab), and in the parallel driver one task per supernode.
+    /// Kept as the bitwise cross-check for the determinism suite and the
+    /// baseline for the allocation benchmarks.
     Heap,
 }
 
@@ -270,21 +273,19 @@ impl From<crate::ooc::OocError> for FactorError {
 /// The Cholesky factor in supernodal panel form: `P·A·Pᵀ = L·Lᵀ`.
 ///
 /// All panels live in **one contiguous slab** — panel `sn` is the
-/// `slab[panel_ptr[sn]..panel_ptr[sn + 1]]` region (`front_size × k`
-/// column-major with leading dimension `front_size`; rows follow
-/// `symbolic.supernodes[sn].rows`), in ascending supernode order. The solve
+/// `slab[panel_ptr[sn]..panel_ptr[sn + 1]]` region of
+/// `symbolic.panel_ptr()` (`front_size × k` column-major with leading
+/// dimension `front_size`; rows are the supernode's pivot columns followed
+/// by `symbolic.update_rows(sn)`), in ascending supernode order. The solve
 /// sweeps read panels as slices of this slab; no per-supernode `Vec`s.
 #[derive(Debug, Clone)]
 pub struct CholeskyFactor<T> {
-    /// Symbolic structure shared with the analysis.
+    /// Symbolic structure, shared with the analysis it came from.
     pub symbolic: SymbolicFactor,
     /// The fill-reducing permutation used (`perm[new] = old`).
     pub perm: Permutation,
     /// Contiguous factor storage holding every supernode's panel.
     pub slab: Vec<T>,
-    /// Panel offsets into `slab` (length `num_supernodes + 1`; equals
-    /// `symbolic.panel_ptr()`).
-    pub panel_ptr: Vec<usize>,
 }
 
 impl<T: Scalar> CholeskyFactor<T> {
@@ -296,7 +297,8 @@ impl<T: Scalar> CholeskyFactor<T> {
     /// The `front_size × k` factor panel of supernode `sn`, as a slice of
     /// the contiguous slab.
     pub fn panel(&self, sn: usize) -> &[T] {
-        &self.slab[self.panel_ptr[sn]..self.panel_ptr[sn + 1]]
+        let ptr = self.symbolic.panel_ptr();
+        &self.slab[ptr[sn]..ptr[sn + 1]]
     }
 
     /// Entry `L[i, j]` of the factor (permuted indices; zero if outside the
@@ -312,12 +314,76 @@ impl<T: Scalar> CholeskyFactor<T> {
         let lr = if i < info.col_end {
             i - info.col_start
         } else {
-            match info.rows[info.k()..].binary_search(&i) {
+            match self.symbolic.update_rows(sn).binary_search(&i) {
                 Ok(pos) => info.k() + pos,
                 Err(_) => return T::ZERO,
             }
         };
         self.panel(sn)[lr + lc * s]
+    }
+}
+
+/// Raw-pointer view of a block whose disjoint parts concurrent tasks write:
+/// the factor slab (each front's task writes its supernode's panel), the
+/// permuted right-hand sides of a solve sweep (each front writes the rows of
+/// its own columns) and the sweep's hand-off block (each task its own
+/// slice).
+///
+/// Raw pointers are used because handing overlapping `&mut` slices to
+/// concurrent tasks would be aliasing UB even with disjoint index sets.
+/// Every access is sound for the same reason: the part is written by exactly
+/// one task, and anything that reads it is ordered after that task — by the
+/// release/acquire dependency counters of the task graph, or by the driver
+/// being done with the view.
+pub(crate) struct SharedSlice<T> {
+    ptr: *mut T,
+    len: usize,
+}
+
+// SAFETY: the view hands out disjoint parts only (see the accessors).
+unsafe impl<T: Send> Send for SharedSlice<T> {}
+unsafe impl<T: Send> Sync for SharedSlice<T> {}
+
+impl<T: Copy> SharedSlice<T> {
+    pub(crate) fn new(block: &mut [T]) -> Self {
+        SharedSlice { ptr: block.as_mut_ptr(), len: block.len() }
+    }
+
+    #[inline]
+    pub(crate) fn read(&self, idx: usize) -> T {
+        debug_assert!(idx < self.len);
+        // SAFETY: in bounds; disjointness/ordering per the type-level note.
+        unsafe { *self.ptr.add(idx) }
+    }
+
+    #[inline]
+    pub(crate) fn write(&self, idx: usize, v: T) {
+        debug_assert!(idx < self.len);
+        // SAFETY: in bounds; disjointness/ordering per the type-level note.
+        unsafe { *self.ptr.add(idx) = v }
+    }
+
+    /// `off..off + len` as a slice.
+    ///
+    /// # Safety
+    /// No task may write the range while the slice lives.
+    pub(crate) unsafe fn slice(&self, off: usize, len: usize) -> &[T] {
+        debug_assert!(off + len <= self.len);
+        // SAFETY: in bounds; no concurrent writer per the caller.
+        unsafe { std::slice::from_raw_parts(self.ptr.add(off), len) }
+    }
+
+    /// `off..off + len` as a mutable slice.
+    ///
+    /// # Safety
+    /// The range must be the calling task's alone while the slice lives —
+    /// for the slab, every driver runs each supernode exactly once and panel
+    /// ranges (a prefix sum) never overlap.
+    #[allow(clippy::mut_from_ref)]
+    pub(crate) unsafe fn slice_mut(&self, off: usize, len: usize) -> &mut [T] {
+        debug_assert!(off + len <= self.len);
+        // SAFETY: in bounds; exclusivity is the caller's obligation.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(off), len) }
     }
 }
 
@@ -364,8 +430,15 @@ pub(crate) fn process_supernode<'c, T: Scalar + 'c>(
     let info = &symbolic.supernodes[sn];
     let (m, k) = (info.m(), info.k());
 
-    let mut front =
-        assemble_front_into(a, info, children, front_data, rel_scratch, &mut machine.host);
+    let mut front = assemble_front_into(
+        a,
+        info.col_start..info.col_end,
+        symbolic.update_rows(sn),
+        children,
+        front_data,
+        rel_scratch,
+        &mut machine.host,
+    );
     let t_assemble_records = if opts.record_stats { machine.take_records() } else { Vec::new() };
 
     let policy = opts.selector.choose(sn, m, k);
@@ -458,64 +531,20 @@ pub fn factor_permuted<T: Scalar>(
             // only front-storage allocations.
             stats.front_alloc_events = 2;
             let mut arena = FrontArena::<T>::with_len(symbolic.update_stack_peak());
-            // Where each retired supernode's packed update sits in the arena.
-            let mut upd_off = vec![0usize; nsn];
-            for (r, &sn) in symbolic.postorder.iter().enumerate() {
-                if let Some(plan) = &ooc_plan {
-                    replay_step_io(plan, r, machine, opts);
-                }
-                let info = &symbolic.supernodes[sn];
-                let (s, k) = (info.front_size(), info.k());
-                let front_off = arena.top();
-                let (below, front_data) = arena.split_for_front(s * s);
-                let kids = &symbolic.children[sn];
-                let children = kids.iter().map(|&c| {
-                    let ci = &symbolic.supernodes[c];
-                    let cm = ci.m();
-                    ChildUpdate {
-                        rows: ci.update_rows(),
-                        data: &below[upd_off[c]..upd_off[c] + cm * cm],
-                    }
-                });
-                let out = process_supernode(
-                    a,
-                    symbolic,
-                    sn,
-                    children,
-                    front_data,
-                    &mut slab[panel_ptr[sn]..panel_ptr[sn + 1]],
-                    &mut rel,
-                    machine,
-                    &mut pool,
-                    opts,
-                    None,
-                )?;
-                if out.oom_fallback {
-                    stats.oom_fallbacks += 1;
-                }
-                if let Some(rec) = out.record {
-                    stats.records.push(rec);
-                }
-                // Retire the front: in postorder the consumed child updates
-                // are the top contiguous stack region (the first child
-                // deepest), so packing this supernode's update down to the
-                // first child's offset frees front and children in one move.
-                let dest = kids.first().map_or(front_off, |&c| upd_off[c]);
-                arena.pop_and_compact(front_off, s, k, dest);
-                upd_off[sn] = dest;
-                if let Some(plan) = &ooc_plan {
-                    // Blocks the plan ever stores encoded are degraded
-                    // once, at production, to their tier read-back values —
-                    // numerics then cannot depend on when transfers happen.
-                    if s > k && plan.degrade_update[sn] {
-                        opts.ladder.degrade_slice(arena.update_at_mut(dest, s - k));
-                    }
-                    if plan.degrade_panel[sn] {
-                        opts.ladder.degrade_slice(&mut slab[panel_ptr[sn]..panel_ptr[sn + 1]]);
-                    }
-                    arena.note_resident_bytes(plan.arena_step_resident[r]);
-                }
-            }
+            let run = FrontRun { a, symbolic, opts, ooc_plan: ooc_plan.as_ref() };
+            run.factor_range(
+                0..nsn,
+                &mut arena,
+                &SharedSlice::new(&mut slab),
+                &mut rel,
+                machine,
+                &mut pool,
+                None,
+                |_, _, out| {
+                    stats.oom_fallbacks += usize::from(out.oom_fallback);
+                    stats.records.extend(out.record);
+                },
+            )?;
             stats.peak_front_bytes = arena.high_water() * T::BYTES;
             if let Some(plan) = &ooc_plan {
                 // The arena's tier-resident high water must mirror the
@@ -541,17 +570,17 @@ pub fn factor_permuted<T: Scalar>(
                 }
                 let info = &symbolic.supernodes[sn];
                 let (s, k, m) = (info.front_size(), info.k(), info.m());
-                let child_bufs: Vec<(usize, Vec<T>)> = symbolic.children[sn]
+                let child_bufs: Vec<(usize, Vec<T>)> = symbolic
+                    .children(sn)
                     .iter()
                     .map(|&c| (c, updates[c].take().expect("child update must exist in postorder")))
                     .collect();
                 stats.front_alloc_events += 1;
                 let mut front_data = vec![T::ZERO; s * s];
                 peak = peak.max(live + s * s);
-                let children = child_bufs.iter().map(|(c, d)| ChildUpdate {
-                    rows: symbolic.supernodes[*c].update_rows(),
-                    data: &d[..],
-                });
+                let children = child_bufs
+                    .iter()
+                    .map(|(c, d)| ChildUpdate { rows: symbolic.update_rows(*c), data: &d[..] });
                 let out = process_supernode(
                     a,
                     symbolic,
@@ -603,7 +632,100 @@ pub fn factor_permuted<T: Scalar>(
     stats.gpu = machine.gpu.as_ref().map(|g| g.utilization(stats.total_time));
     stats.wall_time = wall0.elapsed().as_secs_f64();
     machine.set_recording(false);
-    Ok((CholeskyFactor { symbolic: symbolic.clone(), perm: perm.clone(), slab, panel_ptr }, stats))
+    Ok((CholeskyFactor { symbolic: symbolic.clone(), perm: perm.clone(), slab }, stats))
+}
+
+/// What the arena factorization of a postorder range reads: the matrix, the
+/// shared structure, the options and (budgeted runs) the out-of-core plan.
+pub(crate) struct FrontRun<'a, T> {
+    pub a: &'a SymCsc<T>,
+    pub symbolic: &'a SymbolicFactor,
+    pub opts: &'a FactorOptions,
+    pub ooc_plan: Option<&'a crate::ooc::OocPlan>,
+}
+
+impl<T: Scalar> FrontRun<'_, T> {
+    /// Factor the supernodes at postorder positions `range` — one or more
+    /// whole subtrees — front to back on `arena`, which holds nothing of
+    /// theirs before and the packed updates of the subtrees' roots after (in
+    /// range order from the entry top; nothing when they are forest roots).
+    ///
+    /// The stack discipline needs no bookkeeping per supernode: when a
+    /// front is assembled its children's updates are the top of the stack
+    /// in child order, the first child deepest, so their offsets follow
+    /// from their sizes, and packing the front's own update down to the
+    /// first child's offset frees front and children in one move.
+    ///
+    /// The serial driver runs the whole postorder through here; the parallel
+    /// driver runs one bottom subtree per task on the worker's own arena.
+    /// Every simulated-time charge is issued per front, in postorder.
+    /// `on_front(position, supernode, outcome)` collects the statistics.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn factor_range(
+        &self,
+        range: std::ops::Range<usize>,
+        arena: &mut FrontArena<T>,
+        slab: &SharedSlice<T>,
+        rel: &mut Vec<usize>,
+        machine: &mut Machine,
+        pool: &mut PinnedPool,
+        kernel_threads: Option<usize>,
+        mut on_front: impl FnMut(usize, usize, SnOutcome),
+    ) -> Result<(), FactorError> {
+        let (symbolic, opts) = (self.symbolic, self.opts);
+        let panel_ptr = symbolic.panel_ptr();
+        for r in range {
+            let sn = symbolic.postorder[r];
+            if let Some(plan) = self.ooc_plan {
+                replay_step_io(plan, r, machine, opts);
+            }
+            let info = &symbolic.supernodes[sn];
+            let (s, k) = (info.front_size(), info.k());
+            let kids = symbolic.children(sn);
+            let front_off = arena.top();
+            let kids_len: usize = kids.iter().map(|&c| symbolic.supernodes[c].m().pow(2)).sum();
+            let dest = front_off - kids_len;
+            let (below, front_data) = arena.split_for_front(s * s);
+            let mut next = dest;
+            let children = kids.iter().map(|&c| {
+                let rows = symbolic.update_rows(c);
+                let data = &below[next..next + rows.len() * rows.len()];
+                next += data.len();
+                ChildUpdate { rows, data }
+            });
+            // SAFETY: this supernode's panel region is written here alone.
+            let panel_out =
+                unsafe { slab.slice_mut(panel_ptr[sn], panel_ptr[sn + 1] - panel_ptr[sn]) };
+            let out = process_supernode(
+                self.a,
+                symbolic,
+                sn,
+                children,
+                front_data,
+                panel_out,
+                rel,
+                machine,
+                pool,
+                opts,
+                kernel_threads,
+            )?;
+            on_front(r, sn, out);
+            arena.pop_and_compact(front_off, s, k, dest);
+            if let Some(plan) = self.ooc_plan {
+                // Blocks the plan ever stores encoded are degraded once, at
+                // production, to their tier read-back values — numerics then
+                // cannot depend on when transfers happen.
+                if s > k && plan.degrade_update[sn] {
+                    opts.ladder.degrade_slice(arena.update_at_mut(dest, s - k));
+                }
+                if plan.degrade_panel[sn] {
+                    opts.ladder.degrade_slice(panel_out);
+                }
+                arena.note_resident_bytes(plan.arena_step_resident[r]);
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Replay one supernode's planned spill transfers on the executing clock,
@@ -698,7 +820,6 @@ struct InflightFront {
 struct PipeDriver<'a, T> {
     symbolic: &'a SymbolicFactor,
     opts: &'a FactorOptions,
-    panel_ptr: Vec<usize>,
     slab: Vec<T>,
     /// Packed `m × m` updates awaiting their parent's extend-add.
     updates: Vec<Option<Vec<T>>>,
@@ -764,7 +885,7 @@ impl<T: Scalar> PipeDriver<'_, T> {
             if s > pl.batch_max_front || self.opts.selector.choose(sn, m, k) != PolicyKind::P4 {
                 break;
             }
-            if symbolic.children[sn].iter().any(|c| post[start..start + len].contains(c)) {
+            if symbolic.children(sn).iter().any(|c| post[start..start + len].contains(c)) {
                 break;
             }
             len += 1;
@@ -778,7 +899,7 @@ impl<T: Scalar> PipeDriver<'_, T> {
     /// an event wait, not a device drain.
     fn ready_children(&mut self, sn: usize, machine: &mut Machine, pool: &mut PinnedPool) {
         let symbolic = self.symbolic;
-        let kids = &symbolic.children[sn];
+        let kids = symbolic.children(sn);
         if self.staged.as_ref().is_some_and(|st| st.sns.iter().any(|x| kids.contains(x))) {
             self.flush_staged(machine, pool);
         }
@@ -801,7 +922,7 @@ impl<T: Scalar> PipeDriver<'_, T> {
         let s = info.front_size();
         self.stats.front_alloc_events += 1;
         if self.timing {
-            for &c in &symbolic.children[sn] {
+            for &c in symbolic.children(sn) {
                 self.updates[c].take().expect("child update must exist in postorder");
             }
             self.live += s * s;
@@ -811,23 +932,31 @@ impl<T: Scalar> PipeDriver<'_, T> {
                 a_nnz,
                 s,
                 info.k(),
-                symbolic.children[sn].iter().map(|&c| symbolic.supernodes[c].m()),
+                symbolic.children(sn).iter().map(|&c| symbolic.supernodes[c].m()),
                 &mut machine.host,
             );
             return Vec::new();
         }
-        let child_bufs: Vec<(usize, Vec<T>)> = symbolic.children[sn]
+        let child_bufs: Vec<(usize, Vec<T>)> = symbolic
+            .children(sn)
             .iter()
             .map(|&c| (c, self.updates[c].take().expect("child update must exist in postorder")))
             .collect();
         let mut front_data = vec![T::ZERO; s * s];
         self.live += s * s;
         self.peak = self.peak.max(self.live);
-        let children = child_bufs.iter().map(|(c, d)| ChildUpdate {
-            rows: symbolic.supernodes[*c].update_rows(),
-            data: &d[..],
-        });
-        assemble_front_into(a, info, children, &mut front_data, &mut self.rel, &mut machine.host);
+        let children = child_bufs
+            .iter()
+            .map(|(c, d)| ChildUpdate { rows: symbolic.update_rows(*c), data: &d[..] });
+        assemble_front_into(
+            a,
+            info.col_start..info.col_end,
+            symbolic.update_rows(sn),
+            children,
+            &mut front_data,
+            &mut self.rel,
+            &mut machine.host,
+        );
         for (_, d) in child_bufs {
             self.live -= d.len();
         }
@@ -848,7 +977,8 @@ impl<T: Scalar> PipeDriver<'_, T> {
             }
             return;
         }
-        let (p0, p1) = (self.panel_ptr[sn], self.panel_ptr[sn + 1]);
+        let ptr = self.symbolic.panel_ptr();
+        let (p0, p1) = (ptr[sn], ptr[sn + 1]);
         extract_panel_into(front, &mut self.slab[p0..p1], &mut machine.host);
         charge_update_extract::<T>(m, &mut machine.host);
         if m > 0 {
@@ -898,7 +1028,8 @@ impl<T: Scalar> PipeDriver<'_, T> {
                     self.updates[sn] = Some(Vec::new());
                 }
             } else {
-                let (p0, p1) = (self.panel_ptr[sn], self.panel_ptr[sn + 1]);
+                let ptr = self.symbolic.panel_ptr();
+                let (p0, p1) = (ptr[sn], ptr[sn + 1]);
                 extract_panel_copy(&front, &mut self.slab[p0..p1]);
                 if m > 0 {
                     self.stats.front_alloc_events += 1;
@@ -1097,7 +1228,6 @@ fn rehearse_makespan<T: Scalar>(
         let mut drv = PipeDriver {
             symbolic,
             opts,
-            panel_ptr: symbolic.panel_ptr(),
             slab: Vec::new(),
             updates: (0..nsn).map(|_| None).collect(),
             staged: None,
@@ -1124,7 +1254,7 @@ fn rehearse_makespan<T: Scalar>(
                 a_nnz,
                 s,
                 k,
-                symbolic.children[sn].iter().map(|&c| symbolic.supernodes[c].m()),
+                symbolic.children(sn).iter().map(|&c| symbolic.supernodes[c].m()),
                 &mut twin.host,
             );
             let mut front = Front { s, k, data: &mut empty };
@@ -1181,7 +1311,6 @@ fn factor_permuted_pipelined<T: Scalar>(
     let mut drv = PipeDriver {
         symbolic,
         opts,
-        panel_ptr: symbolic.panel_ptr(),
         slab: vec![T::ZERO; symbolic.factor_slab_len()],
         updates: (0..nsn).map(|_| None).collect(),
         staged: None,
@@ -1193,12 +1322,12 @@ fn factor_permuted_pipelined<T: Scalar>(
         timing: false,
     };
     drv.run(a, machine, &mut pool)?;
-    let PipeDriver { panel_ptr, slab, mut stats, peak, .. } = drv;
+    let PipeDriver { slab, mut stats, peak, .. } = drv;
     stats.peak_front_bytes = peak * T::BYTES;
     stats.total_time = machine.elapsed();
     stats.gpu = machine.gpu.as_ref().map(|g| g.utilization(stats.total_time));
     stats.wall_time = wall0.elapsed().as_secs_f64();
-    Ok((CholeskyFactor { symbolic: symbolic.clone(), perm: perm.clone(), slab, panel_ptr }, stats))
+    Ok((CholeskyFactor { symbolic: symbolic.clone(), perm: perm.clone(), slab }, stats))
 }
 
 #[cfg(test)]
@@ -1555,7 +1684,7 @@ mod tests {
         };
         let (fa, sa) = run(FrontStorage::Arena);
         let (fh, sh) = run(FrontStorage::Heap);
-        assert_eq!(fa.panel_ptr, fh.panel_ptr);
+        assert!(fa.symbolic.shares_structure_with(&fh.symbolic));
         let ba: Vec<u64> = fa.slab.iter().map(|x| x.to_bits()).collect();
         let bh: Vec<u64> = fh.slab.iter().map(|x| x.to_bits()).collect();
         assert_eq!(ba, bh, "arena factor must match the per-front heap path bitwise");

@@ -19,8 +19,8 @@
 
 use mf_dense::Scalar;
 use mf_gpusim::HostClock;
-use mf_sparse::symbolic::SupernodeInfo;
 use mf_sparse::SymCsc;
+use std::ops::Range;
 
 /// Host memory bandwidth used to charge assembly/extend-add time
 /// (bytes/s) — calibrated to streaming axpy/gather rates of the paper's
@@ -52,8 +52,8 @@ impl<T: Scalar> Front<'_, T> {
 }
 
 /// A borrowed view of a factored child's update matrix, consumed by the
-/// parent's extend-add. `rows` points into the child's symbolic structure
-/// ([`SupernodeInfo::update_rows`]); `data` is the packed `m × m`
+/// parent's extend-add. `rows` points into the shared symbolic structure
+/// (`SymbolicFactor::update_rows`); `data` is the packed `m × m`
 /// column-major buffer (lower triangle significant).
 #[derive(Debug, Clone, Copy)]
 pub struct ChildUpdate<'a, T> {
@@ -76,23 +76,25 @@ pub(crate) fn lower_trapezoid_len(s: usize, cols: usize) -> usize {
     cols * s - cols * (cols.saturating_sub(1)) / 2
 }
 
-/// Assemble the frontal matrix of `info` into `data` (caller-supplied
-/// `s × s` storage): zero the lower trapezoid actually referenced, scatter
-/// the entries of `A` belonging to the supernode's columns, then extend-add
+/// Assemble the frontal matrix of the supernode with pivot columns `cols`
+/// and sorted update rows `tail` into `data` (caller-supplied `s × s`
+/// storage): zero the lower trapezoid actually referenced, scatter the
+/// entries of `A` belonging to the supernode's columns, then extend-add
 /// every child update view in the order given. `rel` is a reusable scratch
 /// buffer for the child row-relocation map. Charges host assembly time for
 /// exactly the bytes written.
 pub fn assemble_front_into<'a, 'c, T: Scalar + 'c>(
     a: &SymCsc<T>,
-    info: &SupernodeInfo,
+    cols: Range<usize>,
+    tail: &[usize],
     children: impl Iterator<Item = ChildUpdate<'c, T>>,
     data: &'a mut [T],
     rel: &mut Vec<usize>,
     host: &mut HostClock,
 ) -> Front<'a, T> {
-    let s = info.front_size();
-    let k = info.k();
-    let m = s - k;
+    let k = cols.len();
+    let m = tail.len();
+    let s = k + m;
     debug_assert_eq!(data.len(), s * s);
 
     // Zero only what the factorization will read or write: the panel
@@ -107,16 +109,15 @@ pub fn assemble_front_into<'a, 'c, T: Scalar + 'c>(
     }
     let zeroed = lower_trapezoid_len(s, k) + m * (m + 1) / 2;
 
-    // Positions of global rows in the front: the first k entries of
-    // info.rows are the contiguous pivot columns, the tail is sorted. Every
-    // index list we map (A's column rows, child update rows) is itself
-    // sorted, so a shared cursor into the tail resolves a whole list in one
-    // merge sweep — O(m + s) instead of O(m log s) binary searches.
-    let tail = &info.rows[k..];
+    // Positions of global rows in the front: the first k are the contiguous
+    // pivot columns, the tail is sorted. Every index list we map (A's column
+    // rows, child update rows) is itself sorted, so a shared cursor into the
+    // tail resolves a whole list in one merge sweep — O(m + s) instead of
+    // O(m log s) binary searches.
     let merge_local = |t: &mut usize, row: usize| -> usize {
-        if row < info.col_end {
-            debug_assert!(row >= info.col_start);
-            row - info.col_start
+        if row < cols.end {
+            debug_assert!(row >= cols.start);
+            row - cols.start
         } else {
             while tail[*t] < row {
                 *t += 1;
@@ -128,7 +129,7 @@ pub fn assemble_front_into<'a, 'c, T: Scalar + 'c>(
 
     // Scatter A's entries (lower triangle) for the pivot columns.
     let mut scattered = 0usize;
-    for (lc, c) in (info.col_start..info.col_end).enumerate() {
+    for (lc, c) in cols.clone().enumerate() {
         let mut t = 0usize;
         for (&i, &v) in a.col_rows(c).iter().zip(a.col_vals(c)) {
             debug_assert!(i >= c);
@@ -238,18 +239,18 @@ pub(crate) fn charge_update_extract<T: Scalar>(m: usize, host: &mut HostClock) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mf_sparse::symbolic::SupernodeInfo;
     use mf_sparse::Triplet;
 
-    fn info(col_start: usize, col_end: usize, update_rows: Vec<usize>) -> SupernodeInfo {
-        let mut rows: Vec<usize> = (col_start..col_end).collect();
-        rows.extend(update_rows);
-        SupernodeInfo { col_start, col_end, rows, parent: usize::MAX }
+    /// Pivot columns and update rows of a test front.
+    type Shape = (Range<usize>, Vec<usize>);
+
+    fn info(col_start: usize, col_end: usize, update_rows: Vec<usize>) -> Shape {
+        (col_start..col_end, update_rows)
     }
 
     fn assemble<'a>(
         a: &SymCsc<f64>,
-        inf: &SupernodeInfo,
+        inf: &Shape,
         children: &[(Vec<usize>, Vec<f64>)],
         data: &'a mut [f64],
         host: &mut HostClock,
@@ -257,7 +258,8 @@ mod tests {
         let mut rel = Vec::new();
         assemble_front_into(
             a,
-            inf,
+            inf.0.clone(),
+            &inf.1,
             children.iter().map(|(rows, d)| ChildUpdate { rows, data: d }),
             data,
             &mut rel,

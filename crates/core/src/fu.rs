@@ -25,7 +25,9 @@ use crate::frontal::Front;
 use crate::pinned_pool::PinnedPool;
 use crate::policy::PolicyKind;
 use crate::tile::{process_front_tiled, TilingOptions};
-use mf_dense::{potrf, syrk_lower, trsm_right_lower_trans, Scalar};
+use mf_dense::{
+    factor_front_small, front_is_small, potrf, syrk_lower, trsm_right_lower_trans, Scalar,
+};
 use mf_gpusim::{CopyMode, DevBuf, DevMat, Event, Gpu, HostClock, KernelKind, Machine};
 
 /// Width of the device panels in the P4 algorithm (Figure 9's `w`).
@@ -626,10 +628,10 @@ fn with_pivot_scratch<T: Scalar, R>(len: usize, body: impl FnOnce(&mut [T]) -> R
 fn cpu_potrf<T: Scalar>(
     front: &mut Front<'_, T>,
     host: &mut HostClock,
-    timing_only: bool,
+    charge_only: bool,
 ) -> Result<(), FuError> {
     let (s, k) = (front.s, front.k);
-    if !timing_only {
+    if !charge_only {
         potrf(k, front.data, s)
             .map_err(|e| FuError::NotPositiveDefinite { local_column: e.column })?;
     }
@@ -637,13 +639,13 @@ fn cpu_potrf<T: Scalar>(
     Ok(())
 }
 
-fn cpu_trsm<T: Scalar>(front: &mut Front<'_, T>, host: &mut HostClock, timing_only: bool) {
+fn cpu_trsm<T: Scalar>(front: &mut Front<'_, T>, host: &mut HostClock, charge_only: bool) {
     let (s, k) = (front.s, front.k);
     let m = s - k;
     if m == 0 {
         return;
     }
-    if !timing_only {
+    if !charge_only {
         // Pack the k×k pivot block (lower triangle) into reused scratch.
         with_pivot_scratch::<T, _>(k * k, |l1| {
             for j in 0..k {
@@ -657,13 +659,13 @@ fn cpu_trsm<T: Scalar>(front: &mut Front<'_, T>, host: &mut HostClock, timing_on
     host.charge_kernel(KernelKind::Trsm, m, 0, k);
 }
 
-fn cpu_syrk<T: Scalar>(front: &mut Front<'_, T>, host: &mut HostClock, timing_only: bool) {
+fn cpu_syrk<T: Scalar>(front: &mut Front<'_, T>, host: &mut HostClock, charge_only: bool) {
     let (s, k) = (front.s, front.k);
     let m = s - k;
     if m == 0 {
         return;
     }
-    if !timing_only {
+    if !charge_only {
         // The panel (rows k.., cols 0..k) and the trailing block (rows k..,
         // cols k..) live in disjoint column ranges of the front, so a split
         // at column k lets syrk read the panel in place — the engine packs
@@ -684,9 +686,17 @@ fn fu_p1<T: Scalar>(front: &mut Front<'_, T>, ctx: &mut FuContext<'_>) -> Result
     if let Some(plan) = ctx.tiling.plan(front.s, front.k) {
         return process_front_tiled(front, &plan, host, timing);
     }
-    cpu_potrf(front, host, timing)?;
-    cpu_trsm(front, host, timing);
-    cpu_syrk(front, host, timing);
+    // A small front takes one fused pass over its columns instead of three
+    // kernel dispatches — the same arithmetic in the same order — and then
+    // only the kernels' charges remain to be issued (`charge_only`).
+    let fused = !timing && front_is_small(front.s, front.k);
+    if fused {
+        factor_front_small(front.s, front.k, front.data)
+            .map_err(|e| FuError::NotPositiveDefinite { local_column: e.column })?;
+    }
+    cpu_potrf(front, host, timing || fused)?;
+    cpu_trsm(front, host, timing || fused);
+    cpu_syrk(front, host, timing || fused);
     Ok(())
 }
 

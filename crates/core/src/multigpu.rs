@@ -121,7 +121,7 @@ pub fn proportional_map(symbolic: &SymbolicFactor, ndev: usize) -> DeviceMap {
     let mut work = vec![0.0f64; nsn];
     for &sn in &symbolic.postorder {
         own[sn] = symbolic.supernodes[sn].flops().total().max(1.0);
-        work[sn] = own[sn] + symbolic.children[sn].iter().map(|&c| work[c]).sum::<f64>();
+        work[sn] = own[sn] + symbolic.children(sn).iter().map(|&c| work[c]).sum::<f64>();
     }
     let roots: Vec<usize> =
         (0..nsn).filter(|&sn| symbolic.supernodes[sn].parent == usize::MAX).collect();
@@ -138,7 +138,7 @@ pub fn proportional_map(symbolic: &SymbolicFactor, ndev: usize) -> DeviceMap {
             let cand = chunks
                 .iter()
                 .copied()
-                .filter(|&c| !symbolic.children[c].is_empty())
+                .filter(|&c| !symbolic.children(c).is_empty())
                 .max_by(|&x, &y| work[x].total_cmp(&work[y]).then(y.cmp(&x)));
             let Some(c) = cand else { break };
             if work[c] <= target && chunks.len() >= ndev {
@@ -146,7 +146,7 @@ pub fn proportional_map(symbolic: &SymbolicFactor, ndev: usize) -> DeviceMap {
             }
             chunks.retain(|&x| x != c);
             frontier[c] = true;
-            chunks.extend(symbolic.children[c].iter().copied());
+            chunks.extend(symbolic.children(c).iter().copied());
         }
     }
 
@@ -159,7 +159,7 @@ pub fn proportional_map(symbolic: &SymbolicFactor, ndev: usize) -> DeviceMap {
         let mut stack = vec![c];
         while let Some(sn) = stack.pop() {
             device_of[sn] = d;
-            stack.extend(symbolic.children[sn].iter().copied());
+            stack.extend(symbolic.children(sn).iter().copied());
         }
         load[d] += work[c];
     }
@@ -169,7 +169,8 @@ pub fn proportional_map(symbolic: &SymbolicFactor, ndev: usize) -> DeviceMap {
         if !frontier[sn] {
             continue;
         }
-        let d = symbolic.children[sn]
+        let d = symbolic
+            .children(sn)
             .iter()
             .copied()
             .max_by(|&x, &y| work[x].total_cmp(&work[y]).then(y.cmp(&x)))
@@ -194,7 +195,7 @@ pub fn proportional_map(symbolic: &SymbolicFactor, ndev: usize) -> DeviceMap {
         for d in 0..ndev {
             if heads[d] < queues[d].len() {
                 let sn = queues[d][heads[d]];
-                if symbolic.children[sn].iter().all(|&c| issued[c]) {
+                if symbolic.children(sn).iter().all(|&c| issued[c]) {
                     issued[sn] = true;
                     issue_order.push(sn);
                     heads[d] += 1;
@@ -262,7 +263,6 @@ struct MgRun<'a, 'm, T> {
     /// Lane index of each global device within its worker's set.
     lane_of: Vec<usize>,
     ws: Vec<WorkerState<'m, T>>,
-    panel_ptr: Vec<usize>,
     slab: Vec<T>,
     /// Packed host-side `m × m` updates awaiting their parent's extend-add
     /// (always produced — the authoritative numerics).
@@ -371,8 +371,8 @@ impl<T: Scalar> MgRun<'_, '_, T> {
     /// cross-device look-ahead. Children of another worker carry no timing
     /// edge (the parallel driver's convention for cross-worker hand-off).
     fn ready_children(&mut self, sn: usize, w: usize) {
-        let kids = self.symbolic.children[sn].clone();
-        for &c in &kids {
+        let kids = self.symbolic.children(sn);
+        for &c in kids {
             let cdev = self.map.device_of[c];
             let (cw, clane) = (self.worker_of[cdev], self.lane_of[cdev]);
             if self.ws[cw].staged[clane].as_ref().is_some_and(|st| st.sn == c) {
@@ -395,7 +395,8 @@ impl<T: Scalar> MgRun<'_, '_, T> {
         let symbolic = self.symbolic;
         let info = &symbolic.supernodes[sn];
         let s = info.front_size();
-        let child_bufs: Vec<(usize, Vec<T>)> = symbolic.children[sn]
+        let child_bufs: Vec<(usize, Vec<T>)> = symbolic
+            .children(sn)
             .iter()
             .map(|&c| (c, self.updates[c].take().expect("child update must exist at issue")))
             .collect();
@@ -403,13 +404,13 @@ impl<T: Scalar> MgRun<'_, '_, T> {
         let mut front_data = vec![T::ZERO; s * s];
         self.live += s * s;
         self.peak = self.peak.max(self.live);
-        let children = child_bufs.iter().map(|(c, d)| ChildUpdate {
-            rows: symbolic.supernodes[*c].update_rows(),
-            data: &d[..],
-        });
+        let children = child_bufs
+            .iter()
+            .map(|(c, d)| ChildUpdate { rows: symbolic.update_rows(*c), data: &d[..] });
         assemble_front_into(
             a,
-            info,
+            info.col_start..info.col_end,
+            symbolic.update_rows(sn),
             children,
             &mut front_data,
             &mut self.rel,
@@ -429,8 +430,8 @@ impl<T: Scalar> MgRun<'_, '_, T> {
     /// no-op — the host already holds the authoritative update — so only
     /// the simulated timeline moves.
     fn consume_child_exports(&mut self, sn: usize, w: usize, lane: usize, policy: PolicyKind) {
-        let kids = self.symbolic.children[sn].clone();
-        for &c in &kids {
+        let kids = self.symbolic.children(sn);
+        for &c in kids {
             let Some(ru) = self.exports[c].take() else { continue };
             let cdev = self.map.device_of[c];
             let clane = self.lane_of[cdev];
@@ -504,7 +505,8 @@ impl<T: Scalar> MgRun<'_, '_, T> {
             }
         };
         self.put_dev(w, lane);
-        let (p0, p1) = (self.panel_ptr[sn], self.panel_ptr[sn + 1]);
+        let ptr = self.symbolic.panel_ptr();
+        let (p0, p1) = (ptr[sn], ptr[sn + 1]);
         extract_panel_copy(&Front { s, k, data: &mut buf }, &mut self.slab[p0..p1]);
         if m > 0 {
             self.stats.front_alloc_events += 1;
@@ -525,7 +527,8 @@ impl<T: Scalar> MgRun<'_, '_, T> {
     fn extract_inline(&mut self, sn: usize, front: &Front<'_, T>, w: usize) {
         let info = &self.symbolic.supernodes[sn];
         let (s, k, m) = (info.front_size(), info.k(), info.m());
-        let (p0, p1) = (self.panel_ptr[sn], self.panel_ptr[sn + 1]);
+        let ptr = self.symbolic.panel_ptr();
+        let (p0, p1) = (ptr[sn], ptr[sn + 1]);
         extract_panel_into(front, &mut self.slab[p0..p1], &mut self.ws[w].machine.host);
         charge_update_extract::<T>(m, &mut self.ws[w].machine.host);
         if m > 0 {
@@ -700,7 +703,6 @@ pub fn factor_permuted_parallel_multigpu<T: Scalar>(
         worker_of,
         lane_of,
         ws,
-        panel_ptr: symbolic.panel_ptr(),
         slab: vec![T::ZERO; symbolic.factor_slab_len()],
         updates: (0..nsn).map(|_| None).collect(),
         exports: (0..nsn).map(|_| None).collect(),
@@ -729,7 +731,7 @@ pub fn factor_permuted_parallel_multigpu<T: Scalar>(
         }
         peer += wsi.set.peer_bytes();
     }
-    let MgRun { slab, panel_ptr, mut stats, ws: mut workers, peak, .. } = run;
+    let MgRun { slab, mut stats, ws: mut workers, peak, .. } = run;
     stats.peak_front_bytes = peak * T::BYTES;
     stats.total_time = total;
     stats.gpu = Some(agg);
@@ -742,7 +744,7 @@ pub fn factor_permuted_parallel_multigpu<T: Scalar>(
     }
     drop(workers);
     result?;
-    Ok((CholeskyFactor { symbolic: symbolic.clone(), perm: perm.clone(), slab, panel_ptr }, stats))
+    Ok((CholeskyFactor { symbolic: symbolic.clone(), perm: perm.clone(), slab }, stats))
 }
 
 #[cfg(test)]
@@ -781,7 +783,7 @@ mod tests {
             let mut seen = vec![false; nsn];
             for &sn in &map.issue_order {
                 assert!(!seen[sn], "duplicate issue of {sn}");
-                for &c in &symbolic.children[sn] {
+                for &c in symbolic.children(sn) {
                     assert!(seen[c], "child {c} must issue before parent {sn}");
                 }
                 seen[sn] = true;

@@ -257,7 +257,8 @@ pub fn min_feasible_budget(symbolic: &SymbolicFactor, elem_bytes: usize) -> usiz
     for (sn, info) in symbolic.supernodes.iter().enumerate() {
         let s = info.front_size();
         let k = info.k();
-        let biggest_child = symbolic.children[sn]
+        let biggest_child = symbolic
+            .children(sn)
             .iter()
             .map(|&c| {
                 let cm = symbolic.supernodes[c].m();
@@ -592,7 +593,7 @@ pub fn plan_ooc(
         // not yet consumed stay evictable (their next-touch key is the
         // current rank, the nearest touch of anything in the queue, so
         // Belady victimises them only as a last resort).
-        for &c in &symbolic.children[sn] {
+        for &c in symbolic.children(sn) {
             let blk = nsn + c;
             if st.block_elems[blk] == 0 {
                 continue;

@@ -8,10 +8,13 @@
 //!    per-worker virtual timelines, largest-bottom-level-first priorities,
 //!    and moldable large tasks standing in for intra-front parallel BLAS.
 //! 2. [`factor_permuted_parallel`] — a real wall-clock parallel numeric
-//!    factorization on the `mf-runtime` work-stealing scheduler: every
-//!    supernode is a task whose remaining-children counter releases the
-//!    parent, child update matrices are buffered and extend-added in
-//!    postorder child rank (so the factor is **bitwise identical** to
+//!    factorization on the `mf-runtime` work-stealing scheduler. A *bottom
+//!    subtree* (CPU fronts whose panels and front stack fit the cache) is
+//!    one task: the serial driver's range loop on an arena the worker owns.
+//!    Every supernode above the subtrees is a task whose
+//!    remaining-children counter releases the parent; update matrices that
+//!    cross tasks are buffered and extend-added in postorder child rank (so
+//!    the factor is **bitwise identical** to
 //!    [`factor_permuted`](crate::factor::factor_permuted) at every worker
 //!    count), and a shared [`ThreadBudget`] arbitrates hardware threads
 //!    between tree-level workers and the dense engine's column-slab
@@ -24,8 +27,10 @@
 //! `factor_parallel` bench writes both curves side by side
 //! (`BENCH_factor.json`) so the simulated speedups stay honest.
 
+use crate::arena::FrontArena;
 use crate::factor::{
-    fu_err_to_factor, process_supernode, CholeskyFactor, FactorError, FactorOptions, FrontStorage,
+    fu_err_to_factor, process_supernode, CholeskyFactor, FactorError, FactorOptions, FrontRun,
+    FrontStorage, SharedSlice,
 };
 use crate::frontal::{
     assemble_front_into, charge_panel_extract, charge_update_extract, copy_update_packed,
@@ -41,7 +46,7 @@ use crate::tile::{exec_tile_task, FrontView, TileKernel, TilePlan, TilingOptions
 use mf_dense::{FuFlops, Scalar};
 use mf_gpusim::{exact_ops, CpuConfig, GpuUtilization, Machine};
 use mf_runtime::{Runtime, TaskGraph, ThreadBudget};
-use mf_sparse::symbolic::SymbolicFactor;
+use mf_sparse::symbolic::{SymbolicFactor, BOTTOM_SUBTREE_BYTES};
 use mf_sparse::{Permutation, SymCsc};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -115,7 +120,7 @@ pub fn simulate_tree_schedule(
         blevel[sn] = durations[sn] + up;
     }
 
-    let mut pending_children: Vec<usize> = (0..nsn).map(|s| symbolic.children[s].len()).collect();
+    let mut pending_children: Vec<usize> = (0..nsn).map(|s| symbolic.children(s).len()).collect();
     let mut ready_time = vec![0.0f64; nsn];
     // Ready pool (small; linear scans are fine at our scale).
     let mut ready: Vec<usize> = (0..nsn).filter(|&s| pending_children[s] == 0).collect();
@@ -379,7 +384,7 @@ impl Default for ParallelOptions {
 
 /// Per-worker mutable state for the parallel driver. Workers never share any
 /// of this; the only cross-worker traffic is the buffered update-matrix
-/// hand-off guarded by per-supernode mutexes.
+/// hand-off between tasks, one mutex-guarded slot per task-level supernode.
 struct WorkerCtx<'m, T> {
     machine: &'m mut Machine,
     pool: PinnedPool,
@@ -393,6 +398,9 @@ struct WorkerCtx<'m, T> {
     /// Reusable front storage sized to the largest front in the tree
     /// (arena mode; empty in the per-front heap reference mode).
     front_buf: Vec<T>,
+    /// This worker's LIFO front stack for bottom-subtree tasks, sized for
+    /// the largest of them on first use.
+    arena: FrontArena<T>,
     /// Reusable extend-add row-relocation scratch.
     rel: Vec<usize>,
     /// Largest front (scalars) this worker assembled.
@@ -431,48 +439,22 @@ fn finish_worker_inflight<T: Scalar>(
     charge_update_extract::<T>(m, &mut machine.host);
 }
 
-/// Raw-pointer view of the factor slab letting workers write their
-/// supernode's panel region directly. Sound because panel regions are
-/// pairwise disjoint (`panel_ptr` is a prefix sum), each region is written
-/// by exactly the worker running that supernode, and nothing reads the slab
-/// until the runtime joins its workers.
-struct SharedSlab<T> {
-    ptr: *mut T,
-    len: usize,
-}
-
-unsafe impl<T: Send> Send for SharedSlab<T> {}
-unsafe impl<T: Send> Sync for SharedSlab<T> {}
-
-impl<T> SharedSlab<T> {
-    fn new(slab: &mut [T]) -> Self {
-        SharedSlab { ptr: slab.as_mut_ptr(), len: slab.len() }
-    }
-
-    /// Mutable view of `off..off + len`.
-    ///
-    /// # Safety
-    /// The caller must guarantee no other live reference overlaps the
-    /// range — here, the task graph runs each supernode exactly once and
-    /// panel ranges never overlap.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn slice_mut(&self, off: usize, len: usize) -> &mut [T] {
-        debug_assert!(off + len <= self.len);
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(off), len) }
-    }
-}
-
 /// Factor an already-permuted matrix in parallel across the elimination
 /// tree, one worker thread per entry of `machines`.
 ///
-/// The supernodal task DAG (child supernodes block their parent) runs on the
-/// `mf-runtime` work-stealing scheduler. Each worker owns one [`Machine`]
-/// (its simulated CPU+GPU node) and one [`PinnedPool`]; child update
-/// matrices are buffered per supernode and consumed by the parent's
-/// extend-add in postorder child rank — the same order and the same
-/// [`process_supernode`] body as the serial driver, which makes the result
-/// **bitwise identical** to [`crate::factor::factor_permuted`] at every
-/// worker count.
+/// The task DAG runs on the `mf-runtime` work-stealing scheduler. Each
+/// *bottom subtree* ([`SymbolicFactor::bottom_subtrees`]: CPU fronts whose
+/// panels and front stack fit the cache) is **one task** — the serial
+/// driver's range loop over the subtree's postorder range, on the worker's
+/// own arena — and every supernode above them is a task that its children's
+/// tasks release. Each worker owns one [`Machine`] (its simulated CPU+GPU
+/// node) and one [`PinnedPool`]; update matrices that cross tasks are
+/// buffered and consumed by the parent's extend-add in postorder child rank
+/// — the same order and the same [`process_supernode`] body as the serial
+/// driver, which makes the result **bitwise identical** to
+/// [`crate::factor::factor_permuted`] at every worker count. Pipelined
+/// dispatch and the per-front heap reference storage keep one task per
+/// front.
 ///
 /// Fronts the serial driver would run through the canonical tiled CPU body
 /// (P1-selected, at or above [`crate::tile::TilingOptions::min_front`],
@@ -554,9 +536,24 @@ pub fn factor_permuted_parallel<T: Scalar>(
         }
     }
 
-    /// One node of the combined tree + tile task graph.
+    // Bottom subtrees: runs of CPU fronts small enough to stay in cache,
+    // each factored front to back by one task. Like tile expansion this is
+    // decided from the symbolic structure and the policy selector alone.
+    let arena_mode = opts.front_storage == FrontStorage::Arena;
+    let ranges = if arena_mode && !pipelined {
+        symbolic.bottom_subtrees(T::BYTES, |sn| {
+            let info = &symbolic.supernodes[sn];
+            plans[sn].is_none() && opts.selector.choose(sn, info.m(), info.k()) == PolicyKind::P1
+        })
+    } else {
+        Vec::new()
+    };
+
+    /// One node of the combined subtree + tree + tile task graph.
     #[derive(Clone, Copy)]
     enum NodeTask {
+        /// Bottom subtree `i`: all of `ranges[i]` on the worker's arena.
+        Subtree(usize),
         /// An unexpanded supernode: assemble + factor-update + extract.
         Whole(usize),
         /// Assembly (extend-add) of an expanded front.
@@ -568,14 +565,27 @@ pub fn factor_permuted_parallel<T: Scalar>(
         Extract(usize),
     }
 
-    // Node ids: each unexpanded supernode is one `Whole` node; an expanded
-    // supernode contributes `Assemble`, its tile tasks (plan order), then
-    // `Extract`, contiguously. Tree edges connect a child's exit node to
-    // its parent's entry node; tile-DAG edges are the plan's dependency
-    // lists shifted to graph ids.
-    let mut node_of: Vec<NodeTask> = Vec::new();
-    let mut entry_of = vec![0usize; nsn];
+    // Node ids: the bottom subtrees first; then each unexpanded supernode
+    // above them is one `Whole` node and an expanded one contributes
+    // `Assemble`, its tile tasks (plan order), then `Extract`, contiguously.
+    // `entry_of` is `NO_NODE` inside a subtree except at its root, which
+    // stands for the subtree. Tree edges connect a child's exit node to its
+    // parent's entry node; tile-DAG edges are the plan's dependency lists
+    // shifted to graph ids.
+    const NO_NODE: usize = usize::MAX;
+    let mut node_of: Vec<NodeTask> = (0..ranges.len()).map(NodeTask::Subtree).collect();
+    let mut entry_of = vec![NO_NODE; nsn];
+    let mut fused = vec![false; nsn];
+    for (i, range) in ranges.iter().enumerate() {
+        for &sn in &symbolic.postorder[range.clone()] {
+            fused[sn] = true;
+        }
+        entry_of[symbolic.postorder[range.end - 1]] = i;
+    }
     for sn in 0..nsn {
+        if fused[sn] {
+            continue;
+        }
         entry_of[sn] = node_of.len();
         match &plans[sn] {
             None => node_of.push(NodeTask::Whole(sn)),
@@ -589,14 +599,20 @@ pub fn factor_permuted_parallel<T: Scalar>(
         }
     }
     let exit_of = |sn: usize| entry_of[sn] + plans[sn].as_ref().map_or(0, |p| p.len() + 1);
-    let sn_of = |t: usize| match node_of[t] {
+    // Serial execution position of a node's (first) front: picks the error
+    // the serial driver would have hit first.
+    let rank_of = |t: usize| match node_of[t] {
+        NodeTask::Subtree(i) => ranges[i].start,
         NodeTask::Whole(sn)
         | NodeTask::Assemble(sn)
         | NodeTask::Tile(sn, _)
-        | NodeTask::Extract(sn) => sn,
+        | NodeTask::Extract(sn) => rank[sn],
     };
     let mut graph = TaskGraph::new(node_of.len());
     for sn in 0..nsn {
+        if entry_of[sn] == NO_NODE {
+            continue;
+        }
         if parents[sn] != usize::MAX {
             graph.add_dependency(entry_of[parents[sn]], exit_of(sn));
         }
@@ -622,7 +638,7 @@ pub fn factor_permuted_parallel<T: Scalar>(
     // panel region in place (regions are disjoint by construction).
     let panel_ptr = symbolic.panel_ptr();
     let mut slab = vec![T::ZERO; symbolic.factor_slab_len()];
-    let slab_view = SharedSlab::new(&mut slab);
+    let slab_view = SharedSlice::new(&mut slab);
 
     // Dedicated storage for expanded fronts. Tile tasks on several workers
     // address one front concurrently, so these fronts cannot live in any
@@ -639,17 +655,29 @@ pub fn factor_permuted_parallel<T: Scalar>(
         }
     }
 
-    let arena_mode = opts.front_storage == FrontStorage::Arena;
+    // Hand-off buffers, one slot per task node; the update of a supernode
+    // that crosses tasks (a subtree root, or anything above the subtrees)
+    // sits in the slot of its exit node. A slot is written exactly once (by
+    // the worker that ran the child) and taken exactly once (by the worker
+    // that runs the parent, after the dependency counter ordered the two),
+    // so the mutexes are uncontended in practice. Cross-worker updates
+    // cannot obey one worker's stack discipline, so they travel in
+    // transient per-edge buffers dropped after the parent's extend-add (the
+    // system allocator's thread cache recycles them more cheaply than an
+    // explicit free list here); update rows come from the shared symbolic
+    // structure.
+    let updates: Vec<Mutex<Option<Vec<T>>>> =
+        (0..node_of.len()).map(|_| Mutex::new(None)).collect();
+    let take_update =
+        |c: usize| updates[exit_of(c)].lock().unwrap_or_else(|poison| poison.into_inner()).take();
+    let put_update = |sn: usize, u: Vec<T>| {
+        *updates[exit_of(sn)].lock().unwrap_or_else(|poison| poison.into_inner()) = Some(u);
+    };
 
-    // Hand-off buffers. A child's slot is written exactly once (by the
-    // worker that ran the child) and taken exactly once (by the worker that
-    // runs the parent, after the dependency counter ordered the two), so
-    // the mutexes are uncontended in practice. Cross-worker updates cannot
-    // obey one worker's stack discipline, so they travel in transient
-    // per-edge buffers dropped after the parent's extend-add (the system
-    // allocator's thread cache recycles them more cheaply than an explicit
-    // free list here); update rows come from the shared symbolic structure.
-    let updates: Vec<Mutex<Option<Vec<T>>>> = (0..nsn).map(|_| Mutex::new(None)).collect();
+    // One arena length serves every bottom subtree: the subtree constant
+    // bounds their stack peaks (and the whole forest's peak bounds them too).
+    let arena_len = (BOTTOM_SUBTREE_BYTES / T::BYTES).min(symbolic.update_stack_peak());
+    let front_run = FrontRun { a, symbolic, opts, ooc_plan: ooc_plan.as_ref() };
 
     let budget = ThreadBudget::new(par.thread_budget);
     let saved_cap = mf_dense::thread_cap();
@@ -669,6 +697,7 @@ pub fn factor_permuted_parallel<T: Scalar>(
                 tasks: Vec::new(),
                 oom: 0,
                 front_buf: Vec::new(),
+                arena: FrontArena::with_len(0),
                 rel: Vec::new(),
                 peak_front: 0,
                 allocs: 0,
@@ -687,6 +716,52 @@ pub fn factor_permuted_parallel<T: Scalar>(
             }
         }
         let sn = match node_of[t] {
+            NodeTask::Subtree(i) => {
+                // The serial driver's loop over this subtree's postorder
+                // range, on this worker's arena; only the root's update
+                // leaves the task.
+                let range = ranges[i].clone();
+                if st.arena.capacity() < arena_len {
+                    st.allocs += 1;
+                    st.arena = FrontArena::with_len(arena_len);
+                }
+                st.arena.clear();
+                let width = budget.begin();
+                let (records, tasks, oom, wid) =
+                    (&mut st.records, &mut st.tasks, &mut st.oom, st.wid);
+                let done = front_run.factor_range(
+                    range.clone(),
+                    &mut st.arena,
+                    &slab_view,
+                    &mut st.rel,
+                    st.machine,
+                    &mut st.pool,
+                    Some(width),
+                    |r, sn, out| {
+                        *oom += usize::from(out.oom_fallback);
+                        if let Some(rec) = out.record {
+                            tasks.push(TaskRecord {
+                                sn,
+                                worker: wid,
+                                kind: TaskKind::Whole,
+                                seq: 0,
+                                duration: rec.total,
+                            });
+                            records.push((r, rec));
+                        }
+                    },
+                );
+                budget.end();
+                done?;
+                st.peak_front = st.peak_front.max(st.arena.high_water());
+                let root = symbolic.postorder[range.end - 1];
+                let m = symbolic.supernodes[root].m();
+                if m > 0 {
+                    st.allocs += 1;
+                    put_update(root, st.arena.update_at(0, m).to_vec());
+                }
+                return Ok(());
+            }
             NodeTask::Whole(sn) => sn,
             NodeTask::Assemble(sn) => {
                 // Gather buffered child updates in postorder child rank and
@@ -694,21 +769,17 @@ pub fn factor_permuted_parallel<T: Scalar>(
                 // serial assembly, just hoisted into its own task so tile
                 // tasks can start the moment it completes.
                 let info = &symbolic.supernodes[sn];
-                let kids = &symbolic.children[sn];
+                let kids = symbolic.children(sn);
                 let mut child_bufs: Vec<(usize, Vec<T>)> = Vec::with_capacity(kids.len());
                 for &c in kids {
-                    let taken =
-                        updates[c].lock().unwrap_or_else(|poison| poison.into_inner()).take();
-                    match taken {
+                    match take_update(c) {
                         Some(u) => child_bufs.push((c, u)),
                         None => return Err(FactorError::WorkerLost { supernode: sn }),
                     }
                 }
-                let children = child_bufs.iter().map(|(c, d)| {
-                    let ci = &symbolic.supernodes[*c];
-                    let cm = ci.m();
-                    ChildUpdate { rows: ci.update_rows(), data: &d[..cm * cm] }
-                });
+                let children = child_bufs
+                    .iter()
+                    .map(|(c, d)| ChildUpdate { rows: symbolic.update_rows(*c), data: &d[..] });
                 let view = views[sn].expect("expanded front has a view");
                 // SAFETY: the task graph orders this task before every tile
                 // task of `sn`; nothing else touches the buffer yet.
@@ -716,7 +787,8 @@ pub fn factor_permuted_parallel<T: Scalar>(
                 let t0 = st.machine.host.now();
                 assemble_front_into(
                     a,
-                    info,
+                    info.col_start..info.col_end,
+                    symbolic.update_rows(sn),
                     children,
                     front_data,
                     &mut st.rel,
@@ -808,7 +880,7 @@ pub fn factor_permuted_parallel<T: Scalar>(
                             opts.ladder.degrade_slice(&mut u);
                         }
                     }
-                    *updates[sn].lock().unwrap_or_else(|poison| poison.into_inner()) = Some(u);
+                    put_update(sn, u);
                 }
                 if opts.record_stats {
                     let _ = st.machine.take_records();
@@ -832,7 +904,7 @@ pub fn factor_permuted_parallel<T: Scalar>(
         // missing or poisoned slot means a worker died mid-task, which is
         // surfaced as a structured error (still selected by minimal
         // postorder rank below) rather than a cascading panic.
-        let kids = &symbolic.children[sn];
+        let kids = symbolic.children(sn);
         if pipelined && st.machine.gpu.is_some() {
             // Event-wait on this worker's in-flight fronts that are
             // children of `sn` — a wait on each child's d2h completion
@@ -851,8 +923,7 @@ pub fn factor_permuted_parallel<T: Scalar>(
         }
         let mut child_bufs: Vec<(usize, Vec<T>)> = Vec::with_capacity(kids.len());
         for &c in kids {
-            let taken = updates[c].lock().unwrap_or_else(|poison| poison.into_inner()).take();
-            match taken {
+            match take_update(c) {
                 Some(u) => child_bufs.push((c, u)),
                 None => return Err(FactorError::WorkerLost { supernode: sn }),
             }
@@ -881,11 +952,9 @@ pub fn factor_permuted_parallel<T: Scalar>(
         // SAFETY: this supernode's panel region belongs to this task alone.
         let panel_out =
             unsafe { slab_view.slice_mut(panel_ptr[sn], panel_ptr[sn + 1] - panel_ptr[sn]) };
-        let children = child_bufs.iter().map(|(c, d)| {
-            let ci = &symbolic.supernodes[*c];
-            let cm = ci.m();
-            ChildUpdate { rows: ci.update_rows(), data: &d[..cm * cm] }
-        });
+        let children = child_bufs
+            .iter()
+            .map(|(c, d)| ChildUpdate { rows: symbolic.update_rows(*c), data: &d[..] });
         let width = budget.begin();
         if pipelined && st.machine.gpu.is_some() {
             // Pipelined per-worker dispatch: phases 1+2 run here; the
@@ -894,7 +963,8 @@ pub fn factor_permuted_parallel<T: Scalar>(
             // worker's CPU work on later tasks overlaps its own device.
             let mut front = assemble_front_into(
                 a,
-                info,
+                info.col_start..info.col_end,
+                symbolic.update_rows(sn),
                 children,
                 &mut *front_data,
                 &mut st.rel,
@@ -983,7 +1053,7 @@ pub fn factor_permuted_parallel<T: Scalar>(
                 st.allocs += 1;
                 let mut u = vec![T::ZERO; m * m];
                 copy_update_packed(front_data, s, k, &mut u);
-                *updates[sn].lock().unwrap_or_else(|poison| poison.into_inner()) = Some(u);
+                put_update(sn, u);
             }
             if outstanding {
                 st.inflight.push((sn, pending, (s, k, m)));
@@ -1036,7 +1106,7 @@ pub fn factor_permuted_parallel<T: Scalar>(
                     opts.ladder.degrade_slice(&mut u);
                 }
             }
-            *updates[sn].lock().unwrap_or_else(|poison| poison.into_inner()) = Some(u);
+            put_update(sn, u);
         }
         Ok(())
     });
@@ -1086,7 +1156,7 @@ pub fn factor_permuted_parallel<T: Scalar>(
     // minimal postorder rank, then minimal task id — within one expanded
     // front task ids follow the canonical tile order, and the pivot-tile
     // chain guarantees the earliest failing pivot tile is the one that ran.
-    if let Some((_, err)) = errors.into_iter().min_by_key(|&(t, _)| (rank[sn_of(t)], t)) {
+    if let Some((_, err)) = errors.into_iter().min_by_key(|&(t, _)| (rank_of(t), t)) {
         return Err(err);
     }
     // Synthesize one FuRecord per expanded front from its task records so
@@ -1151,7 +1221,7 @@ pub fn factor_permuted_parallel<T: Scalar>(
     drop(states);
     drop(tile_bufs);
 
-    Ok((CholeskyFactor { symbolic: symbolic.clone(), perm: perm.clone(), slab, panel_ptr }, stats))
+    Ok((CholeskyFactor { symbolic: symbolic.clone(), perm: perm.clone(), slab }, stats))
 }
 
 #[cfg(test)]

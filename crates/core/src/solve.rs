@@ -2,29 +2,41 @@
 //!
 //! Given `P·A·Pᵀ = L·Lᵀ`, solving `A·X = B` proceeds as
 //! `Y = L⁻¹·(P·B)`, `Z = L⁻ᵀ·Y`, `X = Pᵀ·Z`. The forward pass walks the
-//! supernodes leaf→root, the backward pass root→leaf; both exist in a
-//! serial and a tree-parallel flavour built from **one shared per-supernode
-//! body each**, which is what makes the parallel solve bitwise identical to
-//! the serial one at every worker count (the same contract as
+//! supernodes leaf→root, the backward pass root→leaf. Each pass is one
+//! *range loop* over a run of postorder positions, built on one per-front
+//! body; the serial sweeps run the whole postorder through it, the
+//! tree-parallel sweeps run one bottom subtree
+//! (`SymbolicFactor::bottom_subtrees`) per task through it and the fronts
+//! above the subtrees one task each through the same per-front body — which
+//! is what makes the parallel solve bitwise identical to the serial one at
+//! every worker count (the same contract as
 //! [`crate::parallel::factor_permuted_parallel`]).
 //!
 //! ## Determinism design
 //!
 //! *Backward* is embarrassingly deterministic: a supernode's off-diagonal
 //! update reads only ancestor columns, which the root→leaf dependency order
-//! (via [`TaskGraph::from_parents_reversed`]) finalises before the supernode
-//! runs, and each task writes only its own columns.
+//! finalises before the supernode runs, and each front writes only its own
+//! columns.
 //!
 //! *Forward* is the interesting one: sibling subtrees both contribute
 //! subtractions to shared ancestor rows, and letting them race on the global
 //! vector would make the float summation order depend on the schedule.
-//! Instead each supernode produces a buffered *subtrahend* (`m × nrhs`, rows
-//! = its update rows) that is handed to its parent, exactly like the update
-//! matrices of the numeric factorization. The parent folds child buffers in
+//! Instead each supernode produces a *subtrahend* (`m × nrhs`, rows = its
+//! update rows) for its parent, exactly like the update matrices of the
+//! numeric factorization. The parent folds its children's subtrahends in
 //! child-list order — rows inside its own columns subtract straight into its
-//! right-hand-side block, rows beyond accumulate into its own outgoing
-//! buffer — so every addition happens at a fixed tree position in a fixed
-//! order, independent of the schedule.
+//! right-hand-side block, rows beyond accumulate into its own subtrahend —
+//! so every addition happens at a fixed tree position in a fixed order,
+//! independent of the schedule.
+//!
+//! Inside a range the subtrahends live on one LIFO stack sized by the
+//! symbolic bound `SymbolicFactor::solve_stack_rows` — the factor arena's
+//! discipline: at a front its children's blocks are the top of the stack in
+//! child order, its own block is built above them and then moved down onto
+//! the first child's offset. Nothing is allocated per supernode. Between
+//! tasks of a parallel sweep a subtrahend travels in its own slice of one
+//! preallocated hand-off block.
 //!
 //! All right-hand-side blocks are `n × nrhs` column-major with leading
 //! dimension `n`. Every dense call goes through the RHS-count-invariant
@@ -32,200 +44,302 @@
 //! column `j` of a batched solve is additionally bitwise identical to a
 //! single-RHS solve of column `j` alone.
 
-use crate::factor::CholeskyFactor;
+use crate::factor::{CholeskyFactor, SharedSlice};
 use crate::ooc::{plan_ooc, rehearse_stream_solve, OocError, PrecisionLadder, StreamSolveStats};
 use crate::pinned_pool::PinnedPool;
 use mf_dense::{
-    gemm_multi_rhs, trsm_left_lower_notrans_multi, trsm_left_lower_trans_multi, Scalar, Transpose,
+    backward_panel_small, forward_panel_small, gemm_multi_rhs, panel_is_small,
+    trsm_left_lower_notrans_multi, trsm_left_lower_trans_multi, Scalar, Transpose,
 };
 use mf_gpusim::{Machine, TierParams};
 use mf_runtime::{Runtime, TaskGraph};
-use mf_sparse::symbolic::SymbolicFactor;
-use std::sync::Mutex;
+use std::ops::Range;
 
-/// Shared view of the permuted right-hand-side block for the parallel
-/// sweeps.
-///
-/// # Safety
-///
-/// Tasks write disjoint element sets: in both sweeps a task writes only the
-/// rows of its own supernode's columns (forward contributions to other rows
-/// travel through the buffered hand-off, never through `X`), and reads of
-/// other rows are ordered after the writing task by the release/acquire
-/// dependency counters of the [`TaskGraph`]. Raw pointers are used because
-/// handing overlapping `&mut` slices to concurrent tasks would be aliasing
-/// UB even with disjoint index sets.
-struct SharedX<T> {
-    ptr: *mut T,
-    len: usize,
+/// The tasks of a tree-parallel sweep: one per bottom subtree (a range of
+/// postorder positions), one per supernode above them.
+struct SweepTasks {
+    /// Bottom subtrees; task `i < ranges.len()` runs `ranges[i]`.
+    ranges: Vec<Range<usize>>,
+    /// Supernodes above the subtrees; task `ranges.len() + i` runs `top[i]`.
+    top: Vec<usize>,
+    /// Parent task of each task (`usize::MAX` at the roots).
+    parents: Vec<usize>,
+    /// Per supernode whose subtrahend crosses tasks (subtree roots and top
+    /// supernodes): its row offset in the hand-off block; `usize::MAX`
+    /// elsewhere.
+    handoff: Vec<usize>,
+    /// Rows of the hand-off block.
+    handoff_rows: usize,
 }
 
-unsafe impl<T: Send> Sync for SharedX<T> {}
-unsafe impl<T: Send> Send for SharedX<T> {}
-
-impl<T: Scalar> SharedX<T> {
-    fn new(x: &mut [T]) -> Self {
-        SharedX { ptr: x.as_mut_ptr(), len: x.len() }
-    }
-
-    #[inline]
-    fn read(&self, idx: usize) -> T {
-        debug_assert!(idx < self.len);
-        // SAFETY: in-bounds; disjointness/ordering per the type-level note.
-        unsafe { *self.ptr.add(idx) }
-    }
-
-    #[inline]
-    fn write(&self, idx: usize, v: T) {
-        debug_assert!(idx < self.len);
-        // SAFETY: in-bounds; disjointness/ordering per the type-level note.
-        unsafe { *self.ptr.add(idx) = v }
-    }
-}
-
-/// Take a buffered child contribution, tolerating a poisoned lock (the
-/// buffer itself is always fully written before the dependency counter
-/// releases the parent, so the value is intact even if some other task
-/// panicked while holding an unrelated slot).
-fn take_buffer<T>(slot: &Mutex<Option<Vec<T>>>) -> Vec<T> {
-    slot.lock()
-        .unwrap_or_else(|poison| poison.into_inner())
-        .take()
-        .expect("child solve buffer must exist before its parent runs")
-}
-
-/// Forward-substitution body of one supernode: fold the children's buffered
-/// subtrahends, solve the diagonal block, and produce this supernode's own
-/// outgoing subtrahend (`None` for root supernodes, `m = 0`).
-///
-/// Shared verbatim by the serial postorder driver and the work-stealing
-/// parallel driver — the bitwise-identity anchor.
-#[allow(clippy::too_many_arguments)]
-fn forward_supernode<T: Scalar>(
-    symbolic: &SymbolicFactor,
-    slab: &[T],
-    panel_ptr: &[usize],
-    sn: usize,
-    nrhs: usize,
-    ldx: usize,
-    x: &SharedX<T>,
-    children: &[(usize, Vec<T>)],
-    xk: &mut Vec<T>,
-) -> Option<Vec<T>> {
-    let info = &symbolic.supernodes[sn];
-    let (k, m) = (info.k(), info.m());
-    let s = info.front_size();
-    let (c0, c1) = (info.col_start, info.col_end);
-    let panel = &slab[panel_ptr[sn]..panel_ptr[sn + 1]];
-
-    // Gather this supernode's rows of the RHS block into contiguous k×nrhs
-    // scratch (the global block is ldx-strided).
-    xk.clear();
-    xk.resize(k * nrhs, T::ZERO);
-    for j in 0..nrhs {
-        for i in 0..k {
-            xk[i + j * k] = x.read(c0 + i + j * ldx);
-        }
-    }
-
-    let own_rows = &info.rows[k..];
-    let mut ubuf = vec![T::ZERO; m * nrhs];
-
-    // Extend-add the children's subtrahends in child-list order (the serial
-    // consumption order): rows inside [c0, c1) land in xk, rows beyond fold
-    // into the outgoing buffer via a merge against our sorted row list.
-    for (c, cbuf) in children {
-        let cinfo = &symbolic.supernodes[*c];
-        let crows = &cinfo.rows[cinfo.k()..];
-        let mc = crows.len();
-        let mut pos = 0usize;
-        for (i, &r) in crows.iter().enumerate() {
-            if r < c1 {
-                debug_assert!(r >= c0);
-                let li = r - c0;
-                for j in 0..nrhs {
-                    xk[li + j * k] -= cbuf[i + j * mc];
-                }
+impl SweepTasks {
+    fn new<T: Scalar>(factor: &CholeskyFactor<T>) -> Self {
+        let symbolic = &factor.symbolic;
+        let nsn = symbolic.num_supernodes();
+        let ranges = symbolic.bottom_subtrees(T::BYTES, |_| true);
+        let mut task_of = vec![usize::MAX; nsn];
+        let mut handoff = vec![usize::MAX; nsn];
+        let mut handoff_rows = 0usize;
+        let mut top = Vec::new();
+        let mut next_range = 0;
+        let mut pos = 0;
+        while pos < nsn {
+            let sn = if ranges.get(next_range).is_some_and(|r| r.start == pos) {
+                pos = ranges[next_range].end;
+                next_range += 1;
+                let root = symbolic.postorder[pos - 1];
+                task_of[root] = next_range - 1;
+                root
             } else {
-                while own_rows[pos] < r {
-                    pos += 1;
-                }
-                debug_assert_eq!(own_rows[pos], r, "child row must appear in parent front");
-                for j in 0..nrhs {
-                    ubuf[pos + j * m] += cbuf[i + j * mc];
-                }
-            }
+                let sn = symbolic.postorder[pos];
+                pos += 1;
+                task_of[sn] = ranges.len() + top.len();
+                top.push(sn);
+                sn
+            };
+            handoff[sn] = handoff_rows;
+            handoff_rows += symbolic.supernodes[sn].m();
         }
+        let root_of = |t: usize| match ranges.get(t) {
+            Some(r) => symbolic.postorder[r.end - 1],
+            None => top[t - ranges.len()],
+        };
+        let parents = (0..ranges.len() + top.len())
+            .map(|t| match symbolic.supernodes[root_of(t)].parent {
+                usize::MAX => usize::MAX,
+                p => task_of[p],
+            })
+            .collect();
+        SweepTasks { ranges, top, parents, handoff, handoff_rows }
     }
-
-    // Diagonal block: xk ← L₁⁻¹ xk.
-    trsm_left_lower_notrans_multi(k, nrhs, panel, s, xk, k);
-
-    // Rows [c0, c1) are written by this task alone.
-    for j in 0..nrhs {
-        for i in 0..k {
-            x.write(c0 + i + j * ldx, xk[i + j * k]);
-        }
-    }
-
-    if m == 0 {
-        return None;
-    }
-    // ubuf += L₂ · xk — this supernode's own contribution to its ancestors
-    // (L₂ = rows k..s of the panel).
-    gemm_multi_rhs(Transpose::No, m, nrhs, k, T::ONE, &panel[k..], s, xk, k, T::ONE, &mut ubuf, m);
-    Some(ubuf)
 }
 
-/// Backward-substitution body of one supernode: gather the (already final)
-/// ancestor rows, apply the transposed off-diagonal update, solve the
-/// diagonal block, scatter back. Shared by the serial and parallel drivers.
-#[allow(clippy::too_many_arguments)]
-fn backward_supernode<T: Scalar>(
-    symbolic: &SymbolicFactor,
-    slab: &[T],
-    panel_ptr: &[usize],
-    sn: usize,
-    nrhs: usize,
-    ldx: usize,
-    x: &SharedX<T>,
-    xk: &mut Vec<T>,
-    xu: &mut Vec<T>,
-) {
-    let info = &symbolic.supernodes[sn];
-    let (k, m) = (info.k(), info.m());
-    let s = info.front_size();
-    let (c0, _c1) = (info.col_start, info.col_end);
-    let panel = &slab[panel_ptr[sn]..panel_ptr[sn + 1]];
-
-    xk.clear();
-    xk.resize(k * nrhs, T::ZERO);
-    for j in 0..nrhs {
-        for i in 0..k {
-            xk[i + j * k] = x.read(c0 + i + j * ldx);
-        }
-    }
-    if m > 0 {
-        xu.clear();
-        xu.resize(m * nrhs, T::ZERO);
-        for j in 0..nrhs {
-            for (i, &r) in info.rows[k..].iter().enumerate() {
-                xu[i + j * m] = x.read(r + j * ldx);
-            }
-        }
-        // xk −= L₂ᵀ · x[update rows].
-        gemm_multi_rhs(Transpose::Yes, k, nrhs, m, -T::ONE, &panel[k..], s, xu, m, T::ONE, xk, k);
-    }
-    // Diagonal block: xk ← L₁⁻ᵀ xk.
-    trsm_left_lower_trans_multi(k, nrhs, panel, s, xk, k);
-    for j in 0..nrhs {
-        for i in 0..k {
-            x.write(c0 + i + j * ldx, xk[i + j * k]);
-        }
-    }
+/// Per-worker scratch of the sweeps: the gathered pivot rows and update rows
+/// of the front in hand, and (forward) the subtrahend stack.
+#[derive(Default)]
+struct SweepScratch<T> {
+    xk: Vec<T>,
+    xu: Vec<T>,
+    stack: Vec<T>,
 }
 
 impl<T: Scalar> CholeskyFactor<T> {
+    /// Forward substitution at one supernode: fold the children's
+    /// subtrahends (in the order given — the child list's), solve the
+    /// diagonal block, and leave this supernode's own subtrahend in `ubuf`
+    /// (`m × nrhs`, overwritten). The one body of every forward sweep.
+    fn forward_front<'c>(
+        &self,
+        sn: usize,
+        nrhs: usize,
+        x: &SharedSlice<T>,
+        children: impl Iterator<Item = (usize, &'c [T])>,
+        xk: &mut Vec<T>,
+        ubuf: &mut [T],
+    ) where
+        T: 'c,
+    {
+        let symbolic = &self.symbolic;
+        let ldx = symbolic.n;
+        let info = &symbolic.supernodes[sn];
+        let (k, m) = (info.k(), info.m());
+        let s = k + m;
+        let (c0, c1) = (info.col_start, info.col_end);
+        let panel = self.panel(sn);
+        debug_assert_eq!(ubuf.len(), m * nrhs);
+
+        // Extend-add the children's subtrahends: rows inside [c0, c1) subtract
+        // from this supernode's rows of the RHS block, rows beyond fold into
+        // the outgoing block via a merge against our sorted row list.
+        let own_rows = symbolic.update_rows(sn);
+        ubuf.fill(T::ZERO);
+        for (c, cbuf) in children {
+            let crows = symbolic.update_rows(c);
+            let mc = crows.len();
+            let mut pos = 0usize;
+            for (i, &r) in crows.iter().enumerate() {
+                if r < c1 {
+                    debug_assert!(r >= c0);
+                    for j in 0..nrhs {
+                        x.write(r + j * ldx, x.read(r + j * ldx) - cbuf[i + j * mc]);
+                    }
+                } else {
+                    while own_rows[pos] < r {
+                        pos += 1;
+                    }
+                    debug_assert_eq!(own_rows[pos], r, "child row must appear in parent front");
+                    for j in 0..nrhs {
+                        ubuf[pos + j * m] += cbuf[i + j * mc];
+                    }
+                }
+            }
+        }
+
+        if panel_is_small(k, m) {
+            // Column by column, in place: rows [c0, c1) of every RHS column
+            // are this front's alone.
+            for j in 0..nrhs {
+                // SAFETY: see above; no other front touches these rows.
+                let xj = unsafe { x.slice_mut(c0 + j * ldx, k) };
+                forward_panel_small(k, m, panel, s, xj, &mut ubuf[j * m..(j + 1) * m]);
+            }
+            return;
+        }
+
+        // Gather this supernode's rows of the RHS block into contiguous k×nrhs
+        // scratch (the global block is ldx-strided).
+        xk.clear();
+        xk.resize(k * nrhs, T::ZERO);
+        for j in 0..nrhs {
+            for i in 0..k {
+                xk[i + j * k] = x.read(c0 + i + j * ldx);
+            }
+        }
+        // Diagonal block: xk ← L₁⁻¹ xk.
+        trsm_left_lower_notrans_multi(k, nrhs, panel, s, xk, k);
+        for j in 0..nrhs {
+            for i in 0..k {
+                x.write(c0 + i + j * ldx, xk[i + j * k]);
+            }
+        }
+        // ubuf += L₂ · xk — this supernode's own contribution to its
+        // ancestors (L₂ = rows k..s of the panel).
+        if m > 0 {
+            gemm_multi_rhs(
+                Transpose::No,
+                m,
+                nrhs,
+                k,
+                T::ONE,
+                &panel[k..],
+                s,
+                xk,
+                k,
+                T::ONE,
+                ubuf,
+                m,
+            );
+        }
+    }
+
+    /// Forward substitution over the supernodes at postorder positions
+    /// `range` (whole subtrees) on `stack`, which holds nothing of theirs on
+    /// entry and, on return, the subtrahends of the subtrees' roots from
+    /// offset 0 in range order.
+    fn forward_range(
+        &self,
+        range: Range<usize>,
+        nrhs: usize,
+        x: &SharedSlice<T>,
+        scratch: &mut SweepScratch<T>,
+    ) {
+        let symbolic = &self.symbolic;
+        let SweepScratch { xk, stack, .. } = scratch;
+        let mut top = 0usize;
+        for r in range {
+            let sn = symbolic.postorder[r];
+            let m = symbolic.supernodes[sn].m();
+            let kids = symbolic.children(sn);
+            // The children's subtrahends are the top of the stack, in child
+            // order with the first child deepest.
+            let kid_rows: usize = kids.iter().map(|&c| symbolic.supernodes[c].m()).sum();
+            let dest = top - kid_rows * nrhs;
+            debug_assert!(
+                top + m * nrhs <= stack.len(),
+                "forward stack bound exceeded at supernode {sn}"
+            );
+            let (below, above) = stack.split_at_mut(top);
+            let mut next = dest;
+            let children = kids.iter().map(|&c| {
+                let len = symbolic.supernodes[c].m() * nrhs;
+                next += len;
+                (c, &below[next - len..next])
+            });
+            self.forward_front(sn, nrhs, x, children, xk, &mut above[..m * nrhs]);
+            // Retire the children: this supernode's block takes their place.
+            if dest < top {
+                stack.copy_within(top..top + m * nrhs, dest);
+            }
+            top = dest + m * nrhs;
+        }
+    }
+
+    /// Backward substitution at one supernode: gather the (already final)
+    /// ancestor rows, apply the transposed off-diagonal update, solve the
+    /// diagonal block, scatter back. The one body of every backward sweep.
+    fn backward_front(
+        &self,
+        sn: usize,
+        nrhs: usize,
+        x: &SharedSlice<T>,
+        scratch: &mut SweepScratch<T>,
+    ) {
+        let symbolic = &self.symbolic;
+        let ldx = symbolic.n;
+        let info = &symbolic.supernodes[sn];
+        let (k, m) = (info.k(), info.m());
+        let s = k + m;
+        let c0 = info.col_start;
+        let panel = self.panel(sn);
+        let rows = symbolic.update_rows(sn);
+        let SweepScratch { xk, xu, .. } = scratch;
+
+        if panel_is_small(k, m) {
+            // Column by column, in place (rows [c0, c0 + k) are this front's
+            // alone), against one gathered column of ancestor rows.
+            xu.clear();
+            xu.resize(m, T::ZERO);
+            for j in 0..nrhs {
+                for (v, &r) in xu.iter_mut().zip(rows) {
+                    *v = x.read(r + j * ldx);
+                }
+                // SAFETY: see above; no other front touches these rows.
+                let xj = unsafe { x.slice_mut(c0 + j * ldx, k) };
+                backward_panel_small(k, m, panel, s, xj, xu);
+            }
+            return;
+        }
+
+        xk.clear();
+        xk.resize(k * nrhs, T::ZERO);
+        for j in 0..nrhs {
+            for i in 0..k {
+                xk[i + j * k] = x.read(c0 + i + j * ldx);
+            }
+        }
+        if m > 0 {
+            xu.clear();
+            xu.resize(m * nrhs, T::ZERO);
+            for j in 0..nrhs {
+                for (i, &r) in rows.iter().enumerate() {
+                    xu[i + j * m] = x.read(r + j * ldx);
+                }
+            }
+            // xk −= L₂ᵀ · x[update rows].
+            gemm_multi_rhs(
+                Transpose::Yes,
+                k,
+                nrhs,
+                m,
+                -T::ONE,
+                &panel[k..],
+                s,
+                xu,
+                m,
+                T::ONE,
+                xk,
+                k,
+            );
+        }
+        // Diagonal block: xk ← L₁⁻ᵀ xk.
+        trsm_left_lower_trans_multi(k, nrhs, panel, s, xk, k);
+        for j in 0..nrhs {
+            for i in 0..k {
+                x.write(c0 + i + j * ldx, xk[i + j * k]);
+            }
+        }
+    }
+
     /// Solve `A·x = b` (original, unpermuted ordering). `b` is given in the
     /// factor's scalar type.
     pub fn solve(&self, b: &[T]) -> Vec<T> {
@@ -240,7 +354,7 @@ impl<T: Scalar> CholeskyFactor<T> {
     pub fn solve_many(&self, b: &[T], nrhs: usize) -> Vec<T> {
         let mut x = self.permute_rhs(b, nrhs);
         self.solve_permuted_in_place_multi(&mut x, nrhs);
-        self.unpermute_rhs(&x, nrhs)
+        self.unpermute_rhs(&x)
     }
 
     /// [`CholeskyFactor::solve_many`] under a memory budget: the triangular
@@ -289,9 +403,12 @@ impl<T: Scalar> CholeskyFactor<T> {
     /// to the serial path at every worker count.
     pub fn solve_many_parallel(&self, b: &[T], nrhs: usize, workers: usize) -> Vec<T> {
         let mut x = self.permute_rhs(b, nrhs);
-        self.forward_in_place_multi_parallel(&mut x, nrhs, workers);
-        self.backward_in_place_multi_parallel(&mut x, nrhs, workers);
-        self.unpermute_rhs(&x, nrhs)
+        if nrhs > 0 && self.order() > 0 {
+            let tasks = SweepTasks::new(self);
+            self.forward_tasks(&tasks, &mut x, nrhs, workers);
+            self.backward_tasks(&tasks, &mut x, nrhs, workers);
+        }
+        self.unpermute_rhs(&x)
     }
 
     /// Solve `(P·A·Pᵀ)·x = b` in place on a permuted right-hand side.
@@ -322,27 +439,12 @@ impl<T: Scalar> CholeskyFactor<T> {
         if nrhs == 0 || n == 0 {
             return;
         }
-        let shared = SharedX::new(x);
+        let mut scratch = SweepScratch {
+            stack: vec![T::ZERO; self.symbolic.solve_stack_rows() * nrhs],
+            ..Default::default()
+        };
         let nsn = self.symbolic.num_supernodes();
-        let mut bufs: Vec<Option<Vec<T>>> = (0..nsn).map(|_| None).collect();
-        let mut xk = Vec::new();
-        for &sn in &self.symbolic.postorder {
-            let children: Vec<(usize, Vec<T>)> = self.symbolic.children[sn]
-                .iter()
-                .map(|&c| (c, bufs[c].take().expect("child solve buffer must exist in postorder")))
-                .collect();
-            bufs[sn] = forward_supernode(
-                &self.symbolic,
-                &self.slab,
-                &self.panel_ptr,
-                sn,
-                nrhs,
-                n,
-                &shared,
-                &children,
-                &mut xk,
-            );
-        }
+        self.forward_range(0..nsn, nrhs, &SharedSlice::new(x), &mut scratch);
     }
 
     /// Backward substitution `X ← L⁻ᵀ·X` on a permuted `n × nrhs` block.
@@ -352,55 +454,63 @@ impl<T: Scalar> CholeskyFactor<T> {
         if nrhs == 0 || n == 0 {
             return;
         }
-        let shared = SharedX::new(x);
-        let mut xk = Vec::new();
-        let mut xu = Vec::new();
+        let shared = SharedSlice::new(x);
+        let mut scratch = SweepScratch::default();
         for &sn in self.symbolic.postorder.iter().rev() {
-            backward_supernode(
-                &self.symbolic,
-                &self.slab,
-                &self.panel_ptr,
-                sn,
-                nrhs,
-                n,
-                &shared,
-                &mut xk,
-                &mut xu,
-            );
+            self.backward_front(sn, nrhs, &shared, &mut scratch);
         }
     }
 
-    /// Tree-parallel forward substitution (leaf→root) on `workers` threads.
-    /// Bitwise identical to [`CholeskyFactor::forward_in_place_multi`].
+    /// Tree-parallel forward substitution (leaf→root) on `workers` threads:
+    /// one task per bottom subtree, one per supernode above. Bitwise
+    /// identical to [`CholeskyFactor::forward_in_place_multi`].
     pub fn forward_in_place_multi_parallel(&self, x: &mut [T], nrhs: usize, workers: usize) {
-        let n = self.order();
-        assert_eq!(x.len(), n * nrhs);
-        if nrhs == 0 || n == 0 {
-            return;
+        if nrhs > 0 && self.order() > 0 {
+            self.forward_tasks(&SweepTasks::new(self), x, nrhs, workers);
         }
-        let nsn = self.symbolic.num_supernodes();
-        let parents: Vec<usize> = self.symbolic.supernodes.iter().map(|s| s.parent).collect();
-        let graph = TaskGraph::from_parents(&parents);
-        let bufs: Vec<Mutex<Option<Vec<T>>>> = (0..nsn).map(|_| Mutex::new(None)).collect();
-        let shared = SharedX::new(x);
+    }
+
+    fn forward_tasks(&self, tasks: &SweepTasks, x: &mut [T], nrhs: usize, workers: usize) {
+        assert_eq!(x.len(), self.order() * nrhs);
+        let symbolic = &self.symbolic;
+        let graph = TaskGraph::from_parents(&tasks.parents);
+        // Subtrahends that cross tasks: supernode `sn`'s is the
+        // `m × nrhs` block at `handoff[sn] · nrhs`.
+        let mut handoff = vec![T::ZERO; tasks.handoff_rows * nrhs];
+        let handoff_view = SharedSlice::new(&mut handoff);
+        let block_of = |sn: usize| (tasks.handoff[sn] * nrhs, symbolic.supernodes[sn].m() * nrhs);
+        let shared = SharedSlice::new(x);
         let runtime = Runtime::new(workers);
-        let states: Vec<Vec<T>> = (0..runtime.workers()).map(|_| Vec::new()).collect();
-        let (_, errors) = runtime.run(&graph, states, |xk: &mut Vec<T>, sn| -> Result<(), ()> {
-            let children: Vec<(usize, Vec<T>)> =
-                self.symbolic.children[sn].iter().map(|&c| (c, take_buffer(&bufs[c]))).collect();
-            let out = forward_supernode(
-                &self.symbolic,
-                &self.slab,
-                &self.panel_ptr,
-                sn,
-                nrhs,
-                n,
-                &shared,
-                &children,
-                xk,
-            );
-            if let Some(b) = out {
-                *bufs[sn].lock().unwrap_or_else(|poison| poison.into_inner()) = Some(b);
+        let states: Vec<SweepScratch<T>> =
+            (0..runtime.workers()).map(|_| SweepScratch::default()).collect();
+        let (_, errors) = runtime.run(&graph, states, |scratch, t| -> Result<(), ()> {
+            match tasks.ranges.get(t) {
+                Some(range) => {
+                    if scratch.stack.is_empty() {
+                        scratch.stack = vec![T::ZERO; symbolic.solve_stack_rows() * nrhs];
+                    }
+                    let root = symbolic.postorder[range.end - 1];
+                    self.forward_range(range.clone(), nrhs, &shared, scratch);
+                    let (off, len) = block_of(root);
+                    // SAFETY: the root's hand-off block is this task's to
+                    // write; its reader waits for this task.
+                    unsafe { handoff_view.slice_mut(off, len) }
+                        .copy_from_slice(&scratch.stack[..len]);
+                }
+                None => {
+                    let sn = tasks.top[t - tasks.ranges.len()];
+                    let children = symbolic.children(sn).iter().map(|&c| {
+                        let (off, len) = block_of(c);
+                        // SAFETY: written by the child's task, which the
+                        // dependency counter ordered before this one.
+                        (c, unsafe { handoff_view.slice(off, len) })
+                    });
+                    let (off, len) = block_of(sn);
+                    // SAFETY: this supernode's own block, disjoint from its
+                    // children's.
+                    let ubuf = unsafe { handoff_view.slice_mut(off, len) };
+                    self.forward_front(sn, nrhs, &shared, children, &mut scratch.xk, ubuf);
+                }
             }
             Ok(())
         });
@@ -408,33 +518,32 @@ impl<T: Scalar> CholeskyFactor<T> {
     }
 
     /// Tree-parallel backward substitution (root→leaf, on the reversed
-    /// elimination tree) on `workers` threads. Bitwise identical to
+    /// task forest) on `workers` threads. Bitwise identical to
     /// [`CholeskyFactor::backward_in_place_multi`].
     pub fn backward_in_place_multi_parallel(&self, x: &mut [T], nrhs: usize, workers: usize) {
-        let n = self.order();
-        assert_eq!(x.len(), n * nrhs);
-        if nrhs == 0 || n == 0 {
-            return;
+        if nrhs > 0 && self.order() > 0 {
+            self.backward_tasks(&SweepTasks::new(self), x, nrhs, workers);
         }
-        let parents: Vec<usize> = self.symbolic.supernodes.iter().map(|s| s.parent).collect();
-        let graph = TaskGraph::from_parents_reversed(&parents);
-        let shared = SharedX::new(x);
+    }
+
+    fn backward_tasks(&self, tasks: &SweepTasks, x: &mut [T], nrhs: usize, workers: usize) {
+        assert_eq!(x.len(), self.order() * nrhs);
+        let graph = TaskGraph::from_parents_reversed(&tasks.parents);
+        let shared = SharedSlice::new(x);
         let runtime = Runtime::new(workers);
-        let states: Vec<(Vec<T>, Vec<T>)> =
-            (0..runtime.workers()).map(|_| (Vec::new(), Vec::new())).collect();
-        let (_, errors) = runtime.run(&graph, states, |st, sn| -> Result<(), ()> {
-            let (xk, xu) = st;
-            backward_supernode(
-                &self.symbolic,
-                &self.slab,
-                &self.panel_ptr,
-                sn,
-                nrhs,
-                n,
-                &shared,
-                xk,
-                xu,
-            );
+        let states: Vec<SweepScratch<T>> =
+            (0..runtime.workers()).map(|_| SweepScratch::default()).collect();
+        let (_, errors) = runtime.run(&graph, states, |scratch, t| -> Result<(), ()> {
+            match tasks.ranges.get(t) {
+                Some(range) => {
+                    for &sn in self.symbolic.postorder[range.clone()].iter().rev() {
+                        self.backward_front(sn, nrhs, &shared, scratch);
+                    }
+                }
+                None => {
+                    self.backward_front(tasks.top[t - tasks.ranges.len()], nrhs, &shared, scratch)
+                }
+            }
             Ok(())
         });
         debug_assert!(errors.is_empty(), "solve tasks are infallible");
@@ -445,26 +554,20 @@ impl<T: Scalar> CholeskyFactor<T> {
         let n = self.order();
         assert_eq!(b.len(), n * nrhs, "B must be n × nrhs column-major");
         let mut x = Vec::with_capacity(n * nrhs);
-        for j in 0..nrhs {
-            x.extend(self.perm.permute_vec(&b[j * n..(j + 1) * n]));
+        for col in b.chunks_exact(n.max(1)) {
+            x.extend(self.perm.as_slice().iter().map(|&old| col[old]));
         }
         x
     }
 
     /// Un-permute a block of solutions column by column (`x = Pᵀ·z`).
-    fn unpermute_rhs(&self, z: &[T], nrhs: usize) -> Vec<T> {
+    fn unpermute_rhs(&self, z: &[T]) -> Vec<T> {
         let n = self.order();
-        let mut x = Vec::with_capacity(n * nrhs);
-        for j in 0..nrhs {
-            x.extend(self.perm.unpermute_vec(&z[j * n..(j + 1) * n]));
+        let mut x = Vec::with_capacity(z.len());
+        for col in z.chunks_exact(n.max(1)) {
+            x.extend(self.perm.inv_slice().iter().map(|&new| col[new]));
         }
         x
-    }
-
-    /// Largest update-row count over all supernodes (gather scratch size).
-    #[allow(dead_code)]
-    fn max_update_size(&self) -> usize {
-        self.symbolic.supernodes.iter().map(|i| i.m()).max().unwrap_or(0)
     }
 }
 

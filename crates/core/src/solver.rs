@@ -259,6 +259,8 @@ impl std::error::Error for RefactorError {}
 /// refactorization.
 pub struct SpdSolver {
     a: SymCsc<f64>,
+    /// `‖A‖∞`, the scale of the refinement residuals.
+    norm_a: f64,
     factor: FactorHolder,
     stats: FactorStats,
     analysis: Analysis,
@@ -277,25 +279,39 @@ impl SpdSolver {
         } else {
             analyze(a, opts.ordering, opts.amalgamation.as_ref())
         }?;
-        Self::from_analysis(a, &analysis, machine, opts)
+        let (factor, stats) = factor_holder(&analysis.permuted.0, &analysis, machine, opts)?;
+        Ok(Self::assemble(a, analysis, factor, stats, opts))
     }
 
     /// Factor with a precomputed analysis (reuse across repeated
-    /// factorizations with the same pattern).
+    /// factorizations with the same pattern). The solver keeps its own copy
+    /// of the permutation and the permuted matrix; the symbolic structure is
+    /// shared with `analysis`.
     pub fn from_analysis(
         a: &SymCsc<f64>,
         analysis: &Analysis,
         machine: &mut Machine,
         opts: &SolverOptions,
     ) -> Result<Self, FactorError> {
-        let (factor, stats) = factor_holder(analysis, machine, opts)?;
-        Ok(SpdSolver {
+        let (factor, stats) = factor_holder(&analysis.permuted.0, analysis, machine, opts)?;
+        Ok(Self::assemble(a, analysis.clone(), factor, stats, opts))
+    }
+
+    fn assemble(
+        a: &SymCsc<f64>,
+        analysis: Analysis,
+        factor: FactorHolder,
+        stats: FactorStats,
+        opts: &SolverOptions,
+    ) -> Self {
+        SpdSolver {
             a: a.clone(),
+            norm_a: a.norm_inf(),
             factor,
             stats,
-            analysis: analysis.clone(),
+            analysis,
             opts: opts.clone(),
-        })
+        }
     }
 
     /// Re-run only the numeric factorization for a matrix with the **same
@@ -313,14 +329,14 @@ impl SpdSolver {
         if !a.same_pattern(&self.a) {
             return Err(RefactorError::PatternMismatch);
         }
-        let mut analysis = self.analysis.clone();
-        analysis.permuted = SymCscF64Holder(analysis.perm.permute_sym(a));
-        let (factor, stats) =
-            factor_holder(&analysis, machine, &self.opts).map_err(RefactorError::Factor)?;
+        let permuted = self.analysis.perm.permute_sym(a);
+        let (factor, stats) = factor_holder(&permuted, &self.analysis, machine, &self.opts)
+            .map_err(RefactorError::Factor)?;
         self.a = a.clone();
+        self.norm_a = a.norm_inf();
         self.factor = factor;
         self.stats = stats;
-        self.analysis = analysis;
+        self.analysis.permuted = SymCscF64Holder(permuted);
         Ok(())
     }
 
@@ -452,7 +468,7 @@ impl SpdSolver {
     ) -> Result<RefinedManySolution, SolveError> {
         let n = self.a.order();
         validate_rhs(n, b, nrhs)?;
-        let norm_a = self.a.norm_inf();
+        let norm_a = self.norm_a;
 
         let mut x = self.solve_many_raw(b, nrhs);
         let mut cols: Vec<ColState> = (0..nrhs)
@@ -542,27 +558,24 @@ fn rel_residual(norm_a: f64, norm_b: f64, x: &[f64], r: &[f64]) -> f64 {
     }
 }
 
-/// Run the numeric factorization at the precision the options ask for.
+/// Run the numeric factorization of `permuted` (the matrix under
+/// `analysis`'s permutation, with its pattern) at the precision the options
+/// ask for, against `analysis`'s structure.
 fn factor_holder(
+    permuted: &SymCsc<f64>,
     analysis: &Analysis,
     machine: &mut Machine,
     opts: &SolverOptions,
 ) -> Result<(FactorHolder, FactorStats), FactorError> {
+    let (symbolic, perm) = (&analysis.symbolic, &analysis.perm);
     match opts.precision {
         Precision::F64 => {
-            let (f, stats) = factor_permuted(
-                &analysis.permuted.0,
-                &analysis.symbolic,
-                &analysis.perm,
-                machine,
-                &opts.factor,
-            )?;
+            let (f, stats) = factor_permuted(permuted, symbolic, perm, machine, &opts.factor)?;
             Ok((FactorHolder::F64(f), stats))
         }
         Precision::F32 => {
-            let a32: SymCsc<f32> = analysis.permuted.0.cast();
-            let (f, stats) =
-                factor_permuted(&a32, &analysis.symbolic, &analysis.perm, machine, &opts.factor)?;
+            let a32: SymCsc<f32> = permuted.cast();
+            let (f, stats) = factor_permuted(&a32, symbolic, perm, machine, &opts.factor)?;
             Ok((FactorHolder::F32(f), stats))
         }
     }
@@ -922,17 +935,54 @@ mod tests {
     }
 
     #[test]
-    fn refactor_rejects_different_pattern() {
+    fn refactor_errors_leave_the_solver_unchanged_and_the_structure_shared() {
+        fn factor_symbolic(s: &SpdSolver) -> &mf_sparse::SymbolicFactor {
+            match &s.factor {
+                FactorHolder::F64(f) => &f.symbolic,
+                FactorHolder::F32(f) => &f.symbolic,
+            }
+        }
         let a = laplacian_3d(4, 4, 4, Stencil::Faces);
         let other = laplacian_3d(4, 4, 4, Stencil::Full);
         let mut machine = Machine::paper_node();
         let mut s =
             SpdSolver::new(&a, &mut machine, &solver_opts(PolicyKind::P1, Precision::F64)).unwrap();
+        // One copy of the structure: the analysis and the factor point at it.
+        let structure = s.analysis().symbolic.clone();
+        assert!(factor_symbolic(&s).shares_structure_with(&structure));
+
         assert_eq!(s.refactor(&other, &mut machine), Err(RefactorError::PatternMismatch));
-        // The old factor must still work after the rejection.
+        // Same pattern, indefinite values: the numeric phase fails.
+        let indefinite = SymCsc::from_parts(
+            a.order(),
+            a.colptr().to_vec(),
+            a.rowind().to_vec(),
+            a.values().iter().map(|&v| -v).collect(),
+        );
+        assert!(matches!(
+            s.refactor(&indefinite, &mut machine),
+            Err(RefactorError::Factor(FactorError::NotPositiveDefinite { .. }))
+        ));
+        // The old factor must still work after both rejections.
         let (xtrue, b) = rhs_for_solution(&a, 2);
         let x = s.solve(&b).unwrap();
         let err = x.iter().zip(&xtrue).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
         assert!(err < 1e-9);
+        assert!(s.analysis().symbolic.shares_structure_with(&structure));
+        assert!(factor_symbolic(&s).shares_structure_with(&structure));
+
+        // A successful refactor swaps matrix and factor, never the structure.
+        let scaled = SymCsc::from_parts(
+            a.order(),
+            a.colptr().to_vec(),
+            a.rowind().to_vec(),
+            a.values().iter().map(|&v| v * 2.0).collect(),
+        );
+        s.refactor(&scaled, &mut machine).unwrap();
+        assert!(s.analysis().symbolic.shares_structure_with(&structure));
+        assert!(factor_symbolic(&s).shares_structure_with(&structure));
+        let x2 = s.solve(&b).unwrap();
+        let err = x2.iter().zip(&x).map(|(p, q)| (2.0 * p - q).abs()).fold(0.0, f64::max);
+        assert!(err < 1e-9, "refactored solver must solve the new system: {err}");
     }
 }

@@ -42,6 +42,7 @@ mod pack;
 mod potrf;
 mod reference;
 mod simd;
+mod small;
 mod syrk;
 mod tile;
 mod trsm;
@@ -52,6 +53,9 @@ pub use matrix::{ColMajor, DenseMat};
 pub use potrf::{potrf, potrf_blocked, potrf_unblocked, PotrfError};
 pub use reference::{gemm_ref, potrf_ref, syrk_ref, trsm_ref};
 pub use scalar::Scalar;
+pub use small::{
+    backward_panel_small, factor_front_small, forward_panel_small, front_is_small, panel_is_small,
+};
 pub use syrk::syrk_lower;
 pub use tile::{tile_gemm_nt, tile_potrf, tile_syrk, tile_trsm};
 pub use trsm::{

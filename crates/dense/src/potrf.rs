@@ -99,7 +99,7 @@ pub fn potrf_blocked<T: Scalar>(
 /// Unblocked fallback threshold: diagonal blocks at or below this order are
 /// factored by the scalar routine; larger ones recurse so their own trailing
 /// updates run as (small) `trsm`/`syrk` calls instead of scalar column ops.
-const POTRF_UNBLOCKED_MAX: usize = 16;
+pub(crate) const POTRF_UNBLOCKED_MAX: usize = 16;
 
 fn potrf_blocked_offset<T: Scalar>(
     n: usize,
@@ -113,7 +113,8 @@ fn potrf_blocked_offset<T: Scalar>(
         return Ok(());
     }
     debug_assert!(lda >= n && a.len() >= (n - 1) * lda + n);
-    let mut diag_scratch = vec![T::ZERO; nb.min(n) * nb.min(n)];
+    // Only a matrix of more than one block has a panel solve to stage.
+    let mut diag_scratch = if n > nb { vec![T::ZERO; nb * nb] } else { Vec::new() };
     let mut j = 0;
     while j < n {
         let jb = nb.min(n - j);

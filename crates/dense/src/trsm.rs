@@ -14,7 +14,7 @@ use crate::gemm::{gemm, gemm_multi_rhs, Transpose};
 use crate::Scalar;
 
 /// Diagonal-block width of the blocked triangular solves.
-const TRSM_BLOCK: usize = 16;
+pub(crate) const TRSM_BLOCK: usize = 16;
 
 /// Solve `X·Lᵀ = B` in place: `B` (`m × n`, leading dimension `ldb`) is
 /// overwritten by `X`; `L` is `n × n` lower triangular (leading dimension

@@ -72,36 +72,68 @@ impl SupernodePartition {
     }
 }
 
-/// Children lists (ascending) and postorder (children before parents) of a
-/// supernodal forest given by its parent array ([`NONE`] marks roots).
+/// A supernodal forest in flat form: CSR child lists and a depth-first
+/// postorder.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SupernodeForest {
+    /// `child_idx[child_ptr[s]..child_ptr[s + 1]]` are the children of
+    /// supernode `s`, ascending.
+    pub child_ptr: Vec<usize>,
+    /// Concatenated child lists.
+    pub child_idx: Vec<usize>,
+    /// Depth-first postorder (children before parents; every subtree is a
+    /// contiguous run ending at its root).
+    pub postorder: Vec<usize>,
+}
+
+impl SupernodeForest {
+    /// Children of supernode `s`, ascending.
+    pub fn children(&self, s: usize) -> &[usize] {
+        &self.child_idx[self.child_ptr[s]..self.child_ptr[s + 1]]
+    }
+}
+
+/// Child lists and postorder of a supernodal forest given by its parent
+/// array ([`NONE`] marks roots).
 ///
 /// Shared by the serial and parallel symbolic factorizations so both walk
 /// exactly the same traversal — the postorder is part of the bitwise
 /// determinism contract on [`crate::symbolic::SymbolicFactor`].
-pub fn supernode_forest(sn_parent: &[usize]) -> (Vec<Vec<usize>>, Vec<usize>) {
+pub fn supernode_forest(sn_parent: &[usize]) -> SupernodeForest {
     let nsn = sn_parent.len();
-    let mut children: Vec<Vec<usize>> = vec![Vec::new(); nsn];
-    let mut roots = Vec::new();
+    let mut child_ptr = vec![0usize; nsn + 1];
+    for &p in sn_parent {
+        if p != NONE {
+            child_ptr[p + 1] += 1;
+        }
+    }
+    for s in 0..nsn {
+        child_ptr[s + 1] += child_ptr[s];
+    }
+    // Ascending ids fill each list in ascending order.
+    let mut next = child_ptr[..nsn].to_vec();
+    let mut child_idx = vec![0usize; child_ptr[nsn]];
     for (s, &p) in sn_parent.iter().enumerate() {
-        match p {
-            NONE => roots.push(s),
-            p => children[p].push(s),
+        if p != NONE {
+            child_idx[next[p]] = s;
+            next[p] += 1;
         }
     }
     let mut postorder = Vec::with_capacity(nsn);
-    let mut stack: Vec<(usize, bool)> = roots.iter().rev().map(|&r| (r, false)).collect();
+    let mut stack: Vec<(usize, bool)> =
+        (0..nsn).rev().filter(|&s| sn_parent[s] == NONE).map(|r| (r, false)).collect();
     while let Some((s, expanded)) = stack.pop() {
         if expanded {
             postorder.push(s);
         } else {
             stack.push((s, true));
-            for &c in children[s].iter().rev() {
+            for &c in child_idx[child_ptr[s]..child_ptr[s + 1]].iter().rev() {
                 stack.push((c, false));
             }
         }
     }
     assert_eq!(postorder.len(), nsn, "supernodal forest must cover all supernodes");
-    (children, postorder)
+    SupernodeForest { child_ptr, child_idx, postorder }
 }
 
 /// Detect **fundamental supernodes** from the elimination tree and column

@@ -5,31 +5,52 @@
 //! counts `N_P, N_T, N_S`, and the factor's storage map. This is the
 //! analysis phase that precedes numeric factorization and is reused across
 //! repeated factorizations with the same pattern.
+//!
+//! ## Storage
+//!
+//! The structure is a handful of flat arrays ([`SymbolicArrays`]): one
+//! [`SupernodeInfo`] record per supernode, the update rows of all fronts
+//! concatenated in postorder, the child lists in CSR form, and the panel
+//! offsets. [`SymbolicFactor`] is a shared handle on them — cloning it
+//! copies a pointer, so an [`Analysis`], the solver that caches it and every
+//! factor computed from it refer to one copy. The numeric sweeps walk these
+//! arrays front to back; nothing is allocated per supernode.
 
 use crate::csc::SymCsc;
-use crate::etree::{column_counts, column_counts_parallel, elimination_tree, EliminationTree};
+use crate::etree::{
+    column_counts, column_counts_parallel, elimination_tree, EliminationTree, NONE,
+};
 use crate::ordering::{order, order_parallel, OrderingKind};
 use crate::perm::Permutation;
 use crate::supernode::{
-    amalgamate, fundamental_supernodes, supernode_forest, AmalgamationOptions, SupernodePartition,
+    amalgamate, fundamental_supernodes, supernode_forest, AmalgamationOptions, SupernodeForest,
+    SupernodePartition,
 };
 use mf_dense::{FuFlops, Scalar};
 use mf_runtime::{Runtime, TaskGraph};
-use std::sync::OnceLock;
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
-/// Per-supernode symbolic information.
-#[derive(Debug, Clone)]
+/// Working-set size, in bytes, up to which a subtree counts as a *bottom
+/// subtree* ([`SymbolicFactor::bottom_subtrees`]): its panels plus its peak
+/// front stack stay cache-resident while one worker factors it front to back.
+pub const BOTTOM_SUBTREE_BYTES: usize = 256 << 10;
+
+/// Per-supernode symbolic information. The front's rows are the pivot
+/// columns `col_start..col_end` followed by the sorted update rows, which
+/// live in the shared flat array ([`SymbolicFactor::update_rows`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupernodeInfo {
     /// First column of the supernode.
     pub col_start: usize,
     /// One past the last column (`k = col_end − col_start`).
     pub col_end: usize,
-    /// Sorted row indices of the front. The first `k` entries are exactly
-    /// `col_start..col_end`; the remaining `m` are the update rows.
-    pub rows: Vec<usize>,
     /// Parent supernode in the supernodal elimination tree, or
     /// [`crate::etree::NONE`].
     pub parent: usize,
+    /// This supernode's slice of the flat update-row array.
+    rows_start: usize,
+    rows_end: usize,
 }
 
 impl SupernodeInfo {
@@ -40,17 +61,12 @@ impl SupernodeInfo {
 
     /// Update-matrix size `m`.
     pub fn m(&self) -> usize {
-        self.rows.len() - self.k()
+        self.rows_end - self.rows_start
     }
 
     /// Front order `s = m + k`.
     pub fn front_size(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Update rows (the last `m` entries of [`Self::rows`]).
-    pub fn update_rows(&self) -> &[usize] {
-        &self.rows[self.k()..]
+        self.k() + self.m()
     }
 
     /// Factor-update flop counts for this front.
@@ -59,25 +75,75 @@ impl SupernodeInfo {
     }
 }
 
-/// The complete symbolic factorization.
-#[derive(Debug, Clone)]
-pub struct SymbolicFactor {
+/// The flat arrays behind a [`SymbolicFactor`].
+#[derive(Debug, PartialEq, Eq)]
+pub struct SymbolicArrays {
     /// Matrix order.
     pub n: usize,
-    /// Per-supernode structures, in ascending column order.
+    /// Per-supernode records, in ascending column order.
     pub supernodes: Vec<SupernodeInfo>,
-    /// Postorder over supernodes (children before parents).
+    /// Depth-first postorder over supernodes (children before parents, every
+    /// subtree a contiguous run ending at its root).
     pub postorder: Vec<usize>,
-    /// Children lists per supernode (ascending).
-    pub children: Vec<Vec<usize>>,
     /// Map column → supernode.
     pub col_to_sn: Vec<usize>,
+    /// Update rows of every front, concatenated in postorder.
+    update_rows: Vec<usize>,
+    /// CSR child lists (ascending within a list).
+    child_ptr: Vec<usize>,
+    child_idx: Vec<usize>,
+    /// Prefix sum of the `s × k` panel rectangles, in supernode order.
+    panel_ptr: Vec<usize>,
+    /// Peak of the factorization's LIFO front stack, in scalars.
+    update_stack_peak: usize,
+    /// Peak of the forward sweep's subtrahend stack, in rows.
+    solve_stack_rows: usize,
 }
 
+/// The complete symbolic factorization: a shared, immutable handle on
+/// [`SymbolicArrays`] (fields and flat arrays are reached through `Deref`).
+#[derive(Debug, Clone)]
+pub struct SymbolicFactor(Arc<SymbolicArrays>);
+
+impl std::ops::Deref for SymbolicFactor {
+    type Target = SymbolicArrays;
+
+    fn deref(&self) -> &SymbolicArrays {
+        &self.0
+    }
+}
+
+impl PartialEq for SymbolicFactor {
+    fn eq(&self, other: &Self) -> bool {
+        self.shares_structure_with(other) || *self.0 == *other.0
+    }
+}
+
+impl Eq for SymbolicFactor {}
+
 impl SymbolicFactor {
+    /// Whether the two handles refer to the same arrays (not merely equal
+    /// ones) — what a clone of an analysis, a solver and its factors do.
+    pub fn shares_structure_with(&self, other: &SymbolicFactor) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+
     /// Number of supernodes.
     pub fn num_supernodes(&self) -> usize {
         self.supernodes.len()
+    }
+
+    /// Sorted update rows of supernode `sn` (the last `m` rows of its
+    /// front; the first `k` are its pivot columns).
+    pub fn update_rows(&self, sn: usize) -> &[usize] {
+        let info = &self.supernodes[sn];
+        &self.update_rows[info.rows_start..info.rows_end]
+    }
+
+    /// Children of supernode `sn`, ascending — the order in which their
+    /// contributions are reduced everywhere.
+    pub fn children(&self, sn: usize) -> &[usize] {
+        &self.child_idx[self.child_ptr[sn]..self.child_ptr[sn + 1]]
     }
 
     /// Nonzeros of `L` (including explicit zeros from amalgamation):
@@ -110,21 +176,14 @@ impl SymbolicFactor {
     /// (leading dimension `s = front_size`), in ascending supernode order.
     /// `panel_ptr.len() == num_supernodes + 1`; the last entry is the slab
     /// length in scalars.
-    pub fn panel_ptr(&self) -> Vec<usize> {
-        let mut ptr = Vec::with_capacity(self.num_supernodes() + 1);
-        let mut off = 0usize;
-        ptr.push(0);
-        for info in &self.supernodes {
-            off += info.front_size() * info.k();
-            ptr.push(off);
-        }
-        ptr
+    pub fn panel_ptr(&self) -> &[usize] {
+        &self.panel_ptr
     }
 
     /// Length in scalars of the contiguous factor slab (`panel_ptr` last
     /// entry): Σ over supernodes of the full `s × k` panel rectangle.
     pub fn factor_slab_len(&self) -> usize {
-        self.supernodes.iter().map(|s| s.front_size() * s.k()).sum()
+        *self.panel_ptr.last().expect("panel_ptr is never empty")
     }
 
     /// Per-subtree working-storage bounds, in scalars: `peaks[s]` is the
@@ -144,7 +203,7 @@ impl SymbolicFactor {
             // updates of children 0..i already on the stack.
             let mut prefix = 0usize;
             let mut peak = 0usize;
-            for &c in &self.children[s] {
+            for &c in self.children(s) {
                 peak = peak.max(prefix + peaks[c]);
                 let cm = self.supernodes[c].m();
                 prefix += cm * cm;
@@ -161,75 +220,168 @@ impl SymbolicFactor {
     /// Peak size (in scalars) of the update-matrix stack under the postorder
     /// traversal — useful to pre-size arenas and check device memory fits.
     pub fn update_stack_peak(&self) -> usize {
-        // Simulate the LIFO stack: on visiting a supernode all children
-        // updates are live plus its own front.
-        let mut live = vec![0usize; self.num_supernodes()];
-        let mut peak = 0usize;
-        let mut cur = 0usize;
+        self.update_stack_peak
+    }
+
+    /// Peak height, in rows, of the forward sweep's subtrahend stack under
+    /// the postorder traversal: multiply by the right-hand-side count for
+    /// its size in scalars. At a supernode its children's subtrahends
+    /// (`m` rows each) are on top of the stack, its own is built above them
+    /// and then moved down over them.
+    pub fn solve_stack_rows(&self) -> usize {
+        self.solve_stack_rows
+    }
+
+    /// The *bottom subtrees*: the maximal subtrees whose factor working set
+    /// — the panels of all their fronts plus their peak front stack
+    /// ([`Self::subtree_update_peaks`]) at `elem_bytes` per scalar — fits
+    /// [`BOTTOM_SUBTREE_BYTES`] and whose fronts are all `eligible`. Each is
+    /// returned as its range of postorder positions; the ranges are disjoint
+    /// and ascending, closed under descendants, and every supernode outside
+    /// them (the *top* of the forest) has no ancestor inside one.
+    ///
+    /// One worker can run such a range front to back on a private stack, so
+    /// the parallel drivers emit one task per range instead of one per
+    /// supernode.
+    pub fn bottom_subtrees(
+        &self,
+        elem_bytes: usize,
+        eligible: impl Fn(usize) -> bool,
+    ) -> Vec<Range<usize>> {
+        let nsn = self.num_supernodes();
+        let budget = BOTTOM_SUBTREE_BYTES / elem_bytes.max(1);
+        let peaks = self.subtree_update_peaks();
+        // Per subtree: supernode count and panel scalars, or `usize::MAX`
+        // once something inside it rules the subtree out.
+        let mut size = vec![0usize; nsn];
+        let mut panels = vec![0usize; nsn];
         for &s in &self.postorder {
-            let info = &self.supernodes[s];
-            let front = info.front_size() * info.front_size();
-            peak = peak.max(cur + front);
-            // Children updates are consumed by the extend-add into s.
-            for &c in &self.children[s] {
-                cur -= live[c];
-                live[c] = 0;
+            let mut count = 1usize;
+            let mut scalars = self.panel_ptr[s + 1] - self.panel_ptr[s];
+            let mut fits = eligible(s);
+            for &c in self.children(s) {
+                fits &= panels[c] != usize::MAX;
+                count += size[c];
+                scalars = scalars.saturating_add(panels[c]);
             }
-            let upd = info.m() * info.m();
-            live[s] = upd;
-            cur += upd;
-            peak = peak.max(cur + front);
+            fits &= scalars.saturating_add(peaks[s]) <= budget;
+            size[s] = count;
+            panels[s] = if fits { scalars } else { usize::MAX };
         }
-        peak
+        // Fitting is closed under descendants, so the maximal fitting
+        // subtrees are the fitting supernodes whose parent does not fit.
+        let mut ranges = Vec::new();
+        for (pos, &s) in self.postorder.iter().enumerate() {
+            let parent = self.supernodes[s].parent;
+            if panels[s] != usize::MAX && (parent == NONE || panels[parent] == usize::MAX) {
+                ranges.push(pos + 1 - size[s]..pos + 1);
+            }
+        }
+        ranges
     }
 }
 
-/// Sorted row structure of one supernode's front: the pivot columns
-/// `c0..c1` followed by the merged, deduplicated, sorted update rows from
-/// the matrix pattern and the children's update rows. Shared by the serial
-/// and parallel drivers so both compute byte-identical structures; `mark`
-/// is an `n`-length scratch stamped with the supernode id (safe to reuse
-/// across calls because every supernode is processed exactly once).
-fn supernode_row_structure<'a, T: Scalar>(
+/// Sorted update rows of one supernode's front, written to `out`: the
+/// merged, deduplicated rows below the pivot block from the matrix pattern
+/// in the supernode's columns and from the children's update rows. Shared by
+/// the serial and parallel drivers so both compute byte-identical
+/// structures; `mark` is an `n`-length scratch stamped with the supernode id
+/// (safe to reuse across calls because every supernode is processed exactly
+/// once).
+fn supernode_update_rows<'a, T: Scalar>(
     a: &SymCsc<T>,
     part: &SupernodePartition,
     s: usize,
     children: &[usize],
     mark: &mut [usize],
     child_rows: impl Fn(usize) -> &'a [usize],
-) -> Vec<usize> {
+    out: &mut Vec<usize>,
+) {
     let c0 = part.starts[s];
     let c1 = part.starts[s + 1];
-    let mut rows: Vec<usize> = Vec::new();
-    // Pivot rows first (always present).
-    for m in &mut mark[c0..c1] {
-        *m = s;
-    }
-    // Pattern of A in the supernode's columns, below c0.
+    out.clear();
+    // Pattern of A in the supernode's columns, below the pivot block.
     for c in c0..c1 {
         for &i in a.col_rows(c) {
             if i >= c1 && mark[i] != s {
                 mark[i] = s;
-                rows.push(i);
+                out.push(i);
             }
         }
     }
     // Children update rows (all ≥ c0 by the etree parent property).
     for &ch in children {
-        let chk = part.width(ch);
-        for &i in &child_rows(ch)[chk..] {
+        for &i in child_rows(ch) {
             debug_assert!(i >= c0);
             if i >= c1 && mark[i] != s {
                 mark[i] = s;
-                rows.push(i);
+                out.push(i);
             }
         }
     }
-    rows.sort_unstable();
-    let mut full = Vec::with_capacity(c1 - c0 + rows.len());
-    full.extend(c0..c1);
-    full.extend(rows);
-    full
+    out.sort_unstable();
+}
+
+/// Put the pieces together: per-supernode records over `update_rows`
+/// (`span[s]` is supernode `s`'s slice of it), the panel offsets, and the
+/// two stack bounds, each from one pass over the postorder.
+fn build_factor(
+    n: usize,
+    part: &SupernodePartition,
+    sn_parent: &[usize],
+    col_to_sn: Vec<usize>,
+    forest: SupernodeForest,
+    update_rows: Vec<usize>,
+    span: &[Range<usize>],
+) -> SymbolicFactor {
+    let supernodes: Vec<SupernodeInfo> = (0..part.len())
+        .map(|s| SupernodeInfo {
+            col_start: part.starts[s],
+            col_end: part.starts[s + 1],
+            parent: sn_parent[s],
+            rows_start: span[s].start,
+            rows_end: span[s].end,
+        })
+        .collect();
+    let mut panel_ptr = Vec::with_capacity(supernodes.len() + 1);
+    panel_ptr.push(0);
+    let mut off = 0usize;
+    for info in &supernodes {
+        off += info.front_size() * info.k();
+        panel_ptr.push(off);
+    }
+    // Simulate both LIFO stacks: on visiting a supernode all its children's
+    // blocks are live below its own front (factor) or subtrahend (solve),
+    // and are replaced by its own block when it retires.
+    let SupernodeForest { child_ptr, child_idx, postorder } = forest;
+    let (mut live, mut update_stack_peak) = (0usize, 0usize);
+    let (mut live_rows, mut solve_stack_rows) = (0usize, 0usize);
+    for &s in &postorder {
+        let info = &supernodes[s];
+        let (front, m) = (info.front_size() * info.front_size(), info.m());
+        update_stack_peak = update_stack_peak.max(live + front);
+        solve_stack_rows = solve_stack_rows.max(live_rows + m);
+        for &c in &child_idx[child_ptr[s]..child_ptr[s + 1]] {
+            let cm = supernodes[c].m();
+            live -= cm * cm;
+            live_rows -= cm;
+        }
+        live += m * m;
+        live_rows += m;
+        update_stack_peak = update_stack_peak.max(live + front);
+    }
+    SymbolicFactor(Arc::new(SymbolicArrays {
+        n,
+        supernodes,
+        postorder,
+        col_to_sn,
+        update_rows,
+        child_ptr,
+        child_idx,
+        panel_ptr,
+        update_stack_peak,
+        solve_stack_rows,
+    }))
 }
 
 /// Compute the supernodal symbolic factorization given a partition.
@@ -239,30 +391,73 @@ pub fn symbolic_factor<T: Scalar>(
     part: &SupernodePartition,
 ) -> SymbolicFactor {
     let n = a.order();
-    let nsn = part.len();
     let sn_parent = part.supernode_etree(etree);
-    let col_to_sn = part.col_to_sn();
-    let (children, postorder) = supernode_forest(&sn_parent);
+    let forest = supernode_forest(&sn_parent);
 
-    // Row structures, bottom-up.
-    let mut rows_of: Vec<Vec<usize>> = vec![Vec::new(); nsn];
+    // Row structures, bottom-up, appended to one array in postorder.
+    let mut update_rows: Vec<usize> = Vec::new();
+    let mut span = vec![0..0; part.len()];
     let mut mark = vec![usize::MAX; n];
-    for &s in &postorder {
-        let full =
-            supernode_row_structure(a, part, s, &children[s], &mut mark, |ch| &rows_of[ch][..]);
-        rows_of[s] = full;
+    let mut rows = Vec::new();
+    for &s in &forest.postorder {
+        supernode_update_rows(
+            a,
+            part,
+            s,
+            forest.children(s),
+            &mut mark,
+            |ch| &update_rows[span[ch].clone()],
+            &mut rows,
+        );
+        span[s] = update_rows.len()..update_rows.len() + rows.len();
+        update_rows.extend_from_slice(&rows);
     }
+    build_factor(n, part, &sn_parent, part.col_to_sn(), forest, update_rows, &span)
+}
 
-    let supernodes: Vec<SupernodeInfo> = (0..nsn)
-        .map(|s| SupernodeInfo {
-            col_start: part.starts[s],
-            col_end: part.starts[s + 1],
-            rows: std::mem::take(&mut rows_of[s]),
-            parent: sn_parent[s],
-        })
-        .collect();
+/// A finished run of update rows inside some worker's [`RowChunks`].
+#[derive(Clone, Copy)]
+struct RowRun {
+    ptr: *const usize,
+    len: usize,
+}
 
-    SymbolicFactor { n, supernodes, postorder, children, col_to_sn }
+// SAFETY: a `RowRun` is only ever read, and only while the chunk it points
+// into is alive and unmoved (see `RowChunks`).
+unsafe impl Send for RowRun {}
+unsafe impl Sync for RowRun {}
+
+impl RowRun {
+    /// # Safety
+    /// The [`RowChunks`] that produced this run must still be alive.
+    unsafe fn rows<'a>(self) -> &'a [usize] {
+        // SAFETY: `ptr..ptr + len` was initialised before the run was
+        // published and chunk buffers never reallocate.
+        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
+    }
+}
+
+/// Append-only row storage of one worker of the parallel build. Chunks are
+/// filled only up to the capacity they were created with, so their buffers
+/// never move and a published [`RowRun`] stays valid — other workers read
+/// the runs of a supernode's children while this worker keeps appending.
+#[derive(Default)]
+struct RowChunks {
+    chunks: Vec<Vec<usize>>,
+}
+
+impl RowChunks {
+    const CHUNK: usize = 1 << 16;
+
+    fn push(&mut self, rows: &[usize]) -> RowRun {
+        if self.chunks.last().is_none_or(|c| c.capacity() - c.len() < rows.len()) {
+            self.chunks.push(Vec::with_capacity(rows.len().max(Self::CHUNK)));
+        }
+        let chunk = self.chunks.last_mut().expect("a chunk with room was just ensured");
+        let start = chunk.len();
+        chunk.extend_from_slice(rows);
+        RowRun { ptr: chunk[start..].as_ptr(), len: rows.len() }
+    }
 }
 
 /// Parallel supernodal symbolic factorization, bitwise identical to
@@ -273,8 +468,10 @@ pub fn symbolic_factor<T: Scalar>(
 /// task DAG: [`TaskGraph::from_parents`] releases a parent only after all
 /// of its children completed, and the runtime's release/acquire on the
 /// dependency counters makes every child's published rows visible. Each
-/// structure is written exactly once into a [`OnceLock`] slot; per-worker
-/// mark scratch is stamped by supernode id, which never repeats.
+/// worker appends the structures it computes to its own [`RowChunks`] and
+/// publishes where they are; a final pass copies them into the postorder
+/// layout the serial build produces. Per-worker mark scratch is stamped by
+/// supernode id, which never repeats.
 pub fn symbolic_factor_parallel<T: Scalar>(
     a: &SymCsc<T>,
     etree: &EliminationTree,
@@ -284,34 +481,54 @@ pub fn symbolic_factor_parallel<T: Scalar>(
     let n = a.order();
     let nsn = part.len();
     let sn_parent = part.supernode_etree(etree);
-    let col_to_sn = part.col_to_sn();
-    let (children, postorder) = supernode_forest(&sn_parent);
+    let forest = supernode_forest(&sn_parent);
 
-    let slots: Vec<OnceLock<Vec<usize>>> = (0..nsn).map(|_| OnceLock::new()).collect();
+    struct Worker {
+        chunks: RowChunks,
+        mark: Vec<usize>,
+        rows: Vec<usize>,
+    }
+    let runs: Vec<OnceLock<RowRun>> = (0..nsn).map(|_| OnceLock::new()).collect();
     let graph = TaskGraph::from_parents(&sn_parent);
     let rt = Runtime::new(workers.max(1).min(nsn.max(1)));
-    let states: Vec<Vec<usize>> = (0..rt.workers()).map(|_| vec![usize::MAX; n]).collect();
-    let (_, errs) = rt.run(&graph, states, |mark, s| -> Result<(), ()> {
-        let full = supernode_row_structure(a, part, s, &children[s], mark, |ch| {
-            slots[ch].get().expect("child row structure must be published").as_slice()
-        });
-        let _ = slots[s].set(full);
+    let states: Vec<Worker> = (0..rt.workers())
+        .map(|_| Worker {
+            chunks: RowChunks::default(),
+            mark: vec![usize::MAX; n],
+            rows: Vec::new(),
+        })
+        .collect();
+    let (states, errs) = rt.run(&graph, states, |w, s| -> Result<(), ()> {
+        supernode_update_rows(
+            a,
+            part,
+            s,
+            forest.children(s),
+            &mut w.mark,
+            |ch| {
+                let run = *runs[ch].get().expect("child row structure must be published");
+                // SAFETY: every worker's chunks live until `states` drops,
+                // after the last read below.
+                unsafe { run.rows() }
+            },
+            &mut w.rows,
+        );
+        let _ = runs[s].set(w.chunks.push(&w.rows));
         Ok(())
     });
     debug_assert!(errs.is_empty(), "symbolic tasks are infallible");
 
-    let supernodes: Vec<SupernodeInfo> = slots
-        .into_iter()
-        .enumerate()
-        .map(|(s, slot)| SupernodeInfo {
-            col_start: part.starts[s],
-            col_end: part.starts[s + 1],
-            rows: slot.into_inner().expect("every supernode task must run"),
-            parent: sn_parent[s],
-        })
-        .collect();
-
-    SymbolicFactor { n, supernodes, postorder, children, col_to_sn }
+    let mut update_rows: Vec<usize> = Vec::new();
+    let mut span = vec![0..0; nsn];
+    for &s in &forest.postorder {
+        let run = *runs[s].get().expect("every supernode task must run");
+        // SAFETY: `states` (the chunks) is still alive.
+        let rows = unsafe { run.rows() };
+        span[s] = update_rows.len()..update_rows.len() + rows.len();
+        update_rows.extend_from_slice(rows);
+    }
+    drop(states);
+    build_factor(n, part, &sn_parent, part.col_to_sn(), forest, update_rows, &span)
 }
 
 /// Typed failure of the analysis pipeline on hostile input.
@@ -401,11 +618,12 @@ impl Analysis {
                 h = mix(h, v.to_bits());
             }
         }
-        for s in &self.symbolic.supernodes {
+        for (sn, s) in self.symbolic.supernodes.iter().enumerate() {
             h = mix(h, s.col_start as u64);
             h = mix(h, s.col_end as u64);
             h = mix(h, s.parent as u64);
-            for &r in &s.rows {
+            // The front's rows: pivot columns, then update rows.
+            for r in (s.col_start..s.col_end).chain(self.symbolic.update_rows(sn).iter().copied()) {
                 h = mix(h, r as u64);
             }
         }
@@ -535,18 +753,18 @@ mod tests {
     }
 
     #[test]
-    fn rows_sorted_and_prefixed_by_pivots() {
+    fn update_rows_sorted_and_below_the_pivot_block() {
         let a = grid2d(7, 6);
         let analysis = analyze(&a, OrderingKind::NestedDissection, None).unwrap();
-        for s in &analysis.symbolic.supernodes {
-            let k = s.k();
-            for (i, c) in (s.col_start..s.col_end).enumerate() {
-                assert_eq!(s.rows[i], c);
-            }
-            for w in s.rows[k..].windows(2) {
+        let sym = &analysis.symbolic;
+        for (sn, s) in sym.supernodes.iter().enumerate() {
+            let rows = sym.update_rows(sn);
+            assert_eq!(rows.len(), s.m());
+            assert_eq!(s.front_size(), s.k() + rows.len());
+            for w in rows.windows(2) {
                 assert!(w[0] < w[1], "update rows must be strictly increasing");
             }
-            if let Some(&first) = s.rows[k..].first() {
+            if let Some(&first) = rows.first() {
                 assert!(first >= s.col_end);
             }
         }
@@ -569,9 +787,9 @@ mod tests {
     fn first_update_row_lands_in_parent() {
         let a = grid2d(9, 9);
         let sym = symbolic_of(&a);
-        for s in &sym.supernodes {
+        for (sn, s) in sym.supernodes.iter().enumerate() {
             if s.parent != NONE {
-                let first = s.update_rows()[0];
+                let first = sym.update_rows(sn)[0];
                 let p = &sym.supernodes[s.parent];
                 assert!(
                     first >= p.col_start && first < p.col_end,
@@ -587,14 +805,15 @@ mod tests {
     fn update_rows_subset_of_parent_front() {
         let a = grid2d(10, 7);
         let sym = symbolic_of(&a);
-        for s in &sym.supernodes {
+        for (sn, s) in sym.supernodes.iter().enumerate() {
             if s.parent == NONE {
                 continue;
             }
             let p = &sym.supernodes[s.parent];
-            for &r in s.update_rows() {
+            for &r in sym.update_rows(sn) {
                 assert!(
-                    p.rows.binary_search(&r).is_ok(),
+                    (p.col_start..p.col_end).contains(&r)
+                        || sym.update_rows(s.parent).binary_search(&r).is_ok(),
                     "update row {r} of supernode missing from parent front"
                 );
             }
@@ -674,6 +893,39 @@ mod tests {
     }
 
     #[test]
+    fn clones_share_the_arrays() {
+        let sym = symbolic_of(&grid2d(6, 5));
+        let copy = sym.clone();
+        assert!(copy.shares_structure_with(&sym));
+        assert_eq!(copy.update_rows(0).as_ptr(), sym.update_rows(0).as_ptr());
+    }
+
+    #[test]
+    fn solve_stack_bound_covers_a_chain_and_a_star() {
+        // Chain: each subtrahend has one row and replaces its child's.
+        assert_eq!(symbolic_of(&tridiag(9)).solve_stack_rows(), 2);
+        // A 2-D grid's bound is at least its widest update block.
+        let sym = symbolic_of(&grid2d(10, 10));
+        let widest = sym.supernodes.iter().map(|s| s.m()).max().unwrap();
+        assert!(sym.solve_stack_rows() >= widest);
+    }
+
+    #[test]
+    fn bottom_subtrees_partition_small_trees_whole() {
+        // Everything fits the constant: one range per tree of the forest.
+        let sym = symbolic_of(&grid2d(9, 9));
+        let roots = sym.supernodes.iter().filter(|s| s.parent == NONE).count();
+        let all = sym.bottom_subtrees(8, |_| true);
+        assert_eq!(all.len(), roots);
+        assert_eq!(all.iter().map(|r| r.len()).sum::<usize>(), sym.num_supernodes());
+        // An ineligible root leaves its children's subtrees.
+        let root = *sym.postorder.last().unwrap();
+        let below = sym.bottom_subtrees(8, |s| s != root);
+        assert_eq!(below.len(), roots - 1 + sym.children(root).len());
+        assert!(below.iter().all(|r| r.end < sym.num_supernodes()));
+    }
+
+    #[test]
     fn missing_diagonal_is_a_typed_error_not_a_panic() {
         // No (1,1) entry; column 1 still has sub-diagonal structure.
         let mut t = Triplet::new(3);
@@ -711,13 +963,8 @@ mod tests {
                 .unwrap();
             assert_eq!(par.perm.as_slice(), serial.perm.as_slice(), "workers={workers}");
             assert_eq!(par.etree.parent, serial.etree.parent, "workers={workers}");
-            assert_eq!(par.symbolic.postorder, serial.symbolic.postorder, "workers={workers}");
-            for (ps, ss) in par.symbolic.supernodes.iter().zip(&serial.symbolic.supernodes) {
-                assert_eq!(ps.col_start, ss.col_start);
-                assert_eq!(ps.col_end, ss.col_end);
-                assert_eq!(ps.parent, ss.parent);
-                assert_eq!(ps.rows, ss.rows);
-            }
+            assert!(!par.symbolic.shares_structure_with(&serial.symbolic));
+            assert_eq!(par.symbolic, serial.symbolic, "workers={workers}");
             assert_eq!(par.fingerprint(), serial.fingerprint(), "workers={workers}");
         }
     }

@@ -733,13 +733,19 @@ fn assert_analysis_identical(name: &str, workers: usize, serial: &Analysis, par:
         serial.symbolic.num_supernodes(),
         "{tag}: supernode count"
     );
-    for (s, (ps, ss)) in par.symbolic.supernodes.iter().zip(&serial.symbolic.supernodes).enumerate()
+    for (s, (ps, ss)) in
+        par.symbolic.supernodes.iter().zip(serial.symbolic.supernodes.iter()).enumerate()
     {
         assert_eq!(ps.col_start, ss.col_start, "{tag}: supernode {s} col_start");
         assert_eq!(ps.col_end, ss.col_end, "{tag}: supernode {s} col_end");
         assert_eq!(ps.parent, ss.parent, "{tag}: supernode {s} parent");
-        assert_eq!(ps.rows, ss.rows, "{tag}: supernode {s} rows");
+        assert_eq!(
+            par.symbolic.update_rows(s),
+            serial.symbolic.update_rows(s),
+            "{tag}: supernode {s} rows"
+        );
     }
+    assert_eq!(par.symbolic, serial.symbolic, "{tag}: flat arrays");
     assert_eq!(par.fingerprint(), serial.fingerprint(), "{tag}: fingerprint");
 }
 
@@ -824,14 +830,18 @@ fn analysis_parallel_factors_bitwise_identical_f32() {
     }
 }
 
-/// FNV-1a over a permutation's forward array.
-fn perm_hash(p: &Permutation) -> u64 {
-    p.as_slice().iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &old| {
-        (old as u64)
-            .to_le_bytes()
+/// FNV-1a over the little-endian bytes of a stream of words.
+fn fnv1a(words: impl Iterator<Item = u64>) -> u64 {
+    words.fold(0xcbf2_9ce4_8422_2325u64, |h, w| {
+        w.to_le_bytes()
             .iter()
             .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
     })
+}
+
+/// FNV-1a over a permutation's forward array.
+fn perm_hash(p: &Permutation) -> u64 {
+    fnv1a(p.as_slice().iter().map(|&old| old as u64))
 }
 
 /// Lower-stored pattern with unit off-diagonals from an edge list.
@@ -948,6 +958,103 @@ fn analysis_ordering_matches_golden() {
         })
         .collect();
     assert_eq!(actual, GOLDEN_ORDERINGS, "actual:\n{actual:#x?}");
+}
+
+// ───────────────────────── numeric golden bits ─────────────────────────────
+// (The `numeric_` prefix is load-bearing: ci.sh runs this suite by name.)
+
+/// FNV-1a over the `f64` bit patterns of a scalar block.
+fn bits_hash<T: Scalar>(v: &[T]) -> u64 {
+    fnv1a(v.iter().map(|&x| x.to_f64().to_bits()))
+}
+
+/// `[factor slab, solve_many(1 RHS), solve_many(8 RHS)]` as [`bits_hash`]es,
+/// after requiring the parallel factor and the parallel solves to reproduce
+/// the serial bits at 1, 2 and 4 workers.
+fn numeric_hashes<T: Scalar>(
+    name: &str,
+    a: &SymCsc<T>,
+    an: &Analysis,
+    opts: &FactorOptions,
+) -> [u64; 3] {
+    let mut machine = Machine::paper_node();
+    let (f, _) = factor_permuted(a, &an.symbolic, &an.perm, &mut machine, opts).unwrap();
+    let slab = bits_hash(&f.slab);
+    let n = an.symbolic.n;
+    let rhs: Vec<(usize, Vec<T>)> = [1usize, 8].iter().map(|&k| (k, rhs_block(n, k))).collect();
+    let solves: Vec<u64> = rhs.iter().map(|(k, b)| bits_hash(&f.solve_many(b, *k))).collect();
+    for workers in [1usize, 2, 4] {
+        let mut machines: Vec<Machine> = (0..workers).map(|_| Machine::paper_node()).collect();
+        let par = ParallelOptions { thread_budget: 2 };
+        let (fp, _) =
+            factor_permuted_parallel(a, &an.symbolic, &an.perm, &mut machines, opts, &par).unwrap();
+        assert_eq!(bits_hash(&fp.slab), slab, "{name}: {workers}-worker factor");
+        for ((k, b), &serial) in rhs.iter().zip(&solves) {
+            let x = fp.solve_many_parallel(b, *k, workers);
+            assert_eq!(bits_hash(&x), serial, "{name}: {workers}-worker solve, {k} rhs");
+        }
+    }
+    [slab, solves[0], solves[1]]
+}
+
+/// `(name, f64 under the default CPU policy, f32 under the baseline hybrid)`,
+/// each `[slab, 1 RHS, 8 RHS]`, recorded from commit ed369d8 — the last one
+/// with per-supernode row vectors, per-supernode solve buffers and one task
+/// per front. Serial-vs-parallel identity cannot see a change that moves
+/// both; this can.
+const GOLDEN_NUMERIC: [(&str, [u64; 3], [u64; 3]); 7] = [
+    (
+        "plate60",
+        [0xb988_9a8a_3c27_25f6, 0x7153_04ad_a437_f017, 0x8a09_7362_a4ac_4959],
+        [0x57ca_809c_7d8a_bd73, 0x59f4_22b9_ceec_3f7e, 0x0b95_fc4f_5893_f707],
+    ),
+    (
+        "cube10",
+        [0x6736_debc_ea0f_279d, 0xe9f9_751d_2e55_7322, 0x3fdb_5beb_32a1_0052],
+        [0x188f_ee64_8900_f74f, 0x495b_4d94_90dd_91b5, 0xd0e4_02c8_f697_d5c5],
+    ),
+    (
+        "elasticity6",
+        [0x71a3_36d4_11b8_5906, 0x0b58_0917_d654_c4da, 0x7e6f_34b0_9b49_6310],
+        [0x89a4_b738_c138_aa8d, 0x1aad_941b_c063_8a53, 0xf32c_6079_11da_4666],
+    ),
+    (
+        "strip400x3",
+        [0xcb21_5cc2_236f_1d85, 0xe308_39b8_2c1e_5b8d, 0x0944_800e_8d0b_ecf4],
+        [0x21ac_a16e_cefe_f421, 0xac55_eddb_24e2_3030, 0xb70f_5d9f_2910_a029],
+    ),
+    (
+        "three_paths",
+        [0xf52e_9928_4369_23d4, 0xc8d1_a997_648a_1ca5, 0x7634_2611_7de5_3032],
+        [0xf72a_1ef7_0f70_9316, 0x444f_f093_01a5_290d, 0x9725_8789_b8f5_c48b],
+    ),
+    (
+        "star150",
+        [0xaf77_9731_5ed9_b728, 0x2b33_a10a_e2bf_29e0, 0x1d7d_a16c_7f74_cb14],
+        [0x05f5_99d8_da75_0693, 0x9dfa_031b_3ab1_6e57, 0x9897_12e7_9533_0854],
+    ),
+    (
+        "clique100_tail30",
+        [0xc7d7_e2f0_84d3_1667, 0x3554_aa3e_8c9f_ac7e, 0x381a_455d_a224_5b02],
+        [0xa506_7040_9ac8_c5be, 0xf96e_de49_5173_626f, 0x2707_c2fe_a012_8ff7],
+    ),
+];
+
+#[test]
+fn numeric_bits_match_golden() {
+    let actual: Vec<(&str, [u64; 3], [u64; 3])> = golden_families()
+        .iter()
+        .map(|(name, a)| {
+            let an = analysis_of(a);
+            let a32: SymCsc<f32> = an.permuted.0.cast();
+            (
+                *name,
+                numeric_hashes(name, &an.permuted.0, &an, &FactorOptions::default()),
+                numeric_hashes(name, &a32, &an, &baseline_opts()),
+            )
+        })
+        .collect();
+    assert_eq!(actual, GOLDEN_NUMERIC, "actual:\n{actual:#x?}");
 }
 
 // ───────────────────────── out-of-core (memory-budgeted) execution ─────────

@@ -714,3 +714,173 @@ proptest! {
         prop_assert_eq!(minimum_degree(&relabelled), minimum_degree(&direct));
     }
 }
+
+// ---------------------------------------------------------------------------
+// The flat symbolic structure and what the numeric sweeps build on it: the
+// parallel build equals the serial one array for array, bottom subtrees tile
+// the bottom of the forest, and the forward sweep stays inside its symbolic
+// stack bound.
+// ---------------------------------------------------------------------------
+
+use gpu_multifrontal::core::{factor_permuted, factor_permuted_parallel, ParallelOptions};
+use gpu_multifrontal::matgen::{laplacian_2d, Stencil};
+use gpu_multifrontal::sparse::symbolic::BOTTOM_SUBTREE_BYTES;
+use gpu_multifrontal::sparse::{
+    amalgamate, analyze, column_counts, elimination_tree, fundamental_supernodes, symbolic_factor,
+    symbolic_factor_parallel, SymbolicFactor,
+};
+
+/// Symbolic factorization of `a` as given (no reordering), with or without
+/// relaxed amalgamation, serially and at 1, 2 and 4 workers.
+fn symbolic_builds(a: &SymCsc<f64>, relaxed: bool) -> (SymbolicFactor, Vec<SymbolicFactor>) {
+    let etree = elimination_tree(a);
+    let cc = column_counts(a, &etree);
+    let mut part = fundamental_supernodes(&etree, &cc);
+    if relaxed {
+        part = amalgamate(&part, &etree, &cc, &AmalgamationOptions::default());
+    }
+    let serial = symbolic_factor(a, &etree, &part);
+    let parallel = [1usize, 2, 4].map(|w| symbolic_factor_parallel(a, &etree, &part, w));
+    (serial, parallel.into())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The parallel build lays the flat arrays out exactly as the serial one.
+    #[test]
+    fn symbolic_flat_parallel_equals_serial(
+        n in 1usize..260,
+        groups in 1usize..5,
+        density in 1usize..9,
+        relaxed in any::<bool>(),
+        seed in 0u64..10_000,
+    ) {
+        let a = random_pattern(n, groups, density, seed);
+        let (serial, parallel) = symbolic_builds(&a, relaxed);
+        for (par, workers) in parallel.iter().zip([1usize, 2, 4]) {
+            prop_assert!(!par.shares_structure_with(&serial));
+            prop_assert!(*par == serial, "workers = {workers}");
+        }
+    }
+
+    /// Bottom subtrees are disjoint runs of the postorder, each a whole
+    /// subtree of eligible fronts within the constant, none extendable to
+    /// its parent; everything else is the top, which no subtree sits above.
+    /// A large `elem_bytes` shrinks the budget in scalars, so small random
+    /// trees split the way large ones do at 8 bytes.
+    #[test]
+    fn bottom_subtrees_tile_the_bottom_of_the_forest(
+        n in 1usize..260,
+        groups in 1usize..5,
+        density in 1usize..9,
+        relaxed in any::<bool>(),
+        elem_shift in 3usize..14,
+        barred_pct in 0usize..30,
+        seed in 0u64..10_000,
+    ) {
+        let a = random_pattern(n, groups, density, seed);
+        let sym = symbolic_builds(&a, relaxed).0;
+        let nsn = sym.num_supernodes();
+        let elem_bytes = 1usize << elem_shift;
+        let budget = BOTTOM_SUBTREE_BYTES / elem_bytes;
+        let mut rand = xorshift(seed ^ 0x0BAD_5EED);
+        let eligible: Vec<bool> = (0..nsn).map(|_| rand(100) >= barred_pct).collect();
+        let ranges = sym.bottom_subtrees(elem_bytes, |sn| eligible[sn]);
+
+        // Independent oracle: subtree sizes, panel sums and eligibility by
+        // accumulation up the parent array (ids ascend towards the roots).
+        let peaks = sym.subtree_update_peaks();
+        let mut size = vec![1usize; nsn];
+        let mut panels: Vec<usize> = sym.panel_ptr().windows(2).map(|w| w[1] - w[0]).collect();
+        let mut clean = eligible.clone();
+        for sn in 0..nsn {
+            let p = sym.supernodes[sn].parent;
+            if p != usize::MAX {
+                prop_assert!(p > sn);
+                size[p] += size[sn];
+                panels[p] += panels[sn];
+                clean[p] &= clean[sn];
+            }
+        }
+        let fits = |sn: usize| clean[sn] && panels[sn] + peaks[sn] <= budget;
+
+        let mut owner = vec![usize::MAX; nsn];
+        let mut end = 0;
+        for (i, r) in ranges.iter().enumerate() {
+            prop_assert!(r.start >= end && r.start < r.end && r.end <= nsn, "ranges ascend");
+            end = r.end;
+            let root = sym.postorder[r.end - 1];
+            prop_assert!(r.len() == size[root], "a range is one whole subtree");
+            prop_assert!(fits(root), "within the constant, all fronts eligible");
+            for &sn in &sym.postorder[r.clone()] {
+                owner[sn] = i;
+                let p = sym.supernodes[sn].parent;
+                prop_assert!(sn == root || sym.postorder[r.clone()].contains(&p));
+            }
+            let p = sym.supernodes[root].parent;
+            prop_assert!(p == usize::MAX || !fits(p), "a range is maximal");
+        }
+        for sn in 0..nsn {
+            let p = sym.supernodes[sn].parent;
+            if owner[sn] == usize::MAX {
+                // The top: it has no fitting subtree to offer, and nothing
+                // above it is inside a range.
+                prop_assert!(!fits(sn));
+                prop_assert!(p == usize::MAX || owner[p] == usize::MAX);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// On plates large enough to have a top above several bottom subtrees,
+    /// the forward sweep never outgrows its symbolic stack bound (a
+    /// `debug_assert` in the sweep, and a slice bound in release) and the
+    /// subtree-task drivers reproduce the serial factor and solutions bit
+    /// for bit at 1, 3 and 8 right-hand sides.
+    #[test]
+    fn subtree_tasks_and_forward_stack_match_serial(
+        nx in 36usize..64,
+        ny in 36usize..64,
+        full in any::<bool>(),
+        seed in 0u64..1000,
+    ) {
+        let a = laplacian_2d(nx, ny, if full { Stencil::Full } else { Stencil::Faces });
+        let an = analyze(&a, OrderingKind::NestedDissection, Some(&AmalgamationOptions::default()))
+            .unwrap();
+        let ranges = an.symbolic.bottom_subtrees(8, |_| true);
+        let fused: usize = ranges.iter().map(|r| r.len()).sum();
+        prop_assert!(ranges.len() > 1 && fused < an.symbolic.num_supernodes());
+
+        let opts = FactorOptions::default();
+        let mut machine = Machine::paper_node();
+        let (f, _) =
+            factor_permuted(&an.permuted.0, &an.symbolic, &an.perm, &mut machine, &opts).unwrap();
+        let mut machines = vec![Machine::paper_node(), Machine::paper_node()];
+        let par = ParallelOptions { thread_budget: 2 };
+        let (fp, stats) = factor_permuted_parallel(
+            &an.permuted.0, &an.symbolic, &an.perm, &mut machines, &opts, &par,
+        )
+        .unwrap();
+        prop_assert!(f.slab.iter().zip(&fp.slab).all(|(p, q)| p.to_bits() == q.to_bits()));
+        // One hand-off per task, not per front.
+        prop_assert!((stats.front_alloc_events as usize) < an.symbolic.num_supernodes() / 2);
+
+        let n = a.order();
+        let mut rand = xorshift(seed);
+        for nrhs in [1usize, 3, 8] {
+            let b: Vec<f64> = (0..n * nrhs).map(|_| rand(2001) as f64 / 1000.0 - 1.0).collect();
+            let x = f.solve_many(&b, nrhs);
+            for workers in [1usize, 2, 4] {
+                let xp = fp.solve_many_parallel(&b, nrhs, workers);
+                prop_assert!(
+                    x.iter().zip(&xp).all(|(p, q)| p.to_bits() == q.to_bits()),
+                    "nrhs = {nrhs}, workers = {workers}"
+                );
+            }
+        }
+    }
+}
