@@ -51,6 +51,8 @@ RUST_TEST_THREADS=1 cargo test -q --release -p mf-server
 #   symbolic_flat, bottom_subtrees, subtree_tasks
 #                    flat parallel build == serial, the subtree partition, the
 #                    subtree-task drivers and the forward stack bound
+#   ordering_quality nested dissection splits meshes in balance and within 1.5x
+#                    the flops of a geometric dissection; valid on random patterns
 echo "==> named suites (counted, default + single test thread)"
 while read -r target filter expected; do
   for t in "" "RUST_TEST_THREADS=1"; do
@@ -74,6 +76,7 @@ property ooc_ 2
 property symbolic_flat 1
 property bottom_subtrees 1
 property subtree_tasks 1
+property ordering_quality 2
 MANIFEST
 
 # The factor bench runs the tiled scheduler on every suite matrix and

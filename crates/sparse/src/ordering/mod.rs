@@ -1,19 +1,22 @@
 //! Fill-reducing orderings.
 //!
 //! The paper's matrices come from 3-D structural analysis and are ordered by
-//! WSMP's nested-dissection-style ordering; the shape of the resulting
-//! frontal-size distribution (many tiny fronts at the leaves, a handful of
-//! huge fronts near the root) is what drives the policy crossovers. We
-//! implement:
+//! WSMP's nested dissection. What drives the policy crossovers is the
+//! frontal-size distribution such an ordering leaves — many tiny fronts at
+//! the leaves, a handful of large ones near the root, the largest about 1.75
+//! mesh planes wide — and it only comes out that way if the separators are
+//! both small and balanced. We implement:
 //!
 //! * [`OrderingKind::Natural`] — the identity (for tests and banded inputs),
 //! * [`OrderingKind::Rcm`] — reverse Cuthill-McKee (bandwidth reduction),
 //! * [`OrderingKind::MinimumDegree`] — quotient-graph minimum degree with
 //!   element absorption and an AMD-style degree bound,
-//! * [`OrderingKind::NestedDissection`] — recursive level-set vertex
-//!   separators with minimum-degree-ordered leaves (the default).
+//! * [`OrderingKind::NestedDissection`] — recursive vertex separators, the
+//!   cheaper of a level set and a multilevel separator under one
+//!   balance-aware cost, with minimum-degree-ordered leaves (the default).
 
 mod mindeg;
+mod multilevel;
 mod nd;
 mod rcm;
 mod subgraph;

@@ -1,12 +1,27 @@
-//! Recursive nested dissection with level-set vertex separators.
+//! Recursive nested dissection with vertex separators.
 //!
-//! The classic recipe for mesh-like graphs: find a pseudo-peripheral vertex,
-//! run BFS, pick the thinnest level set near the middle as the separator,
-//! recurse on the two halves, and number the separator last. Leaves are
-//! ordered by the exact minimum-degree algorithm, giving good fronts at the
-//! bottom of the elimination tree. On 3-D grids this yields the
-//! characteristic frontal-size distribution the paper's policy analysis
-//! depends on (Section IV-A): ~97 % of fronts tiny, a few huge near the root.
+//! The recipe for mesh-like graphs: find a separator that cuts a part into
+//! two halves of similar size, recurse on the halves, and number the
+//! separator last. Leaves are ordered by the exact minimum-degree algorithm,
+//! giving good fronts at the bottom of the elimination tree. How much the
+//! factorization costs is decided by how small *and how balanced* the
+//! separators are: a separator that peels a corner off the part is thin but
+//! leaves the rest to be cut again, and the separators chain up into one
+//! large front at the root.
+//!
+//! Each part gets up to two candidate separators, scored by one cost,
+//! `|S| · n / min(|A|, |B|)` — a separator's size per unit of the smaller
+//! half, which cannot be bought down by giving up balance:
+//!
+//! 1. the cheapest level set, over *all* interior levels, of the
+//!    breadth-first search from a pseudo-peripheral vertex. Level sets are
+//!    planes on a 5- or 7-point grid seen from a corner, and that is where
+//!    this candidate keeps winning;
+//! 2. a multilevel vertex separator ([`super::multilevel`]), tried only where
+//!    the first candidate is large enough for a better one to repay the
+//!    search, and taken only when it costs less. On a 27-point grid or a
+//!    3-DOF elasticity mesh the level sets are shells around a corner; this
+//!    finds the plane.
 //!
 //! Every part of the recursion is a compact [`Subgraph`] extracted from its
 //! parent, and every part knows where in the final order its vertices go
@@ -15,24 +30,49 @@
 //! for the next one.
 
 use super::mindeg::MdWork;
+use super::multilevel::{Multilevel, SEPARATOR, SIDE_A, SIDE_B};
 use super::subgraph::{pseudo_peripheral, BfsWork, Subgraph};
 use crate::csc::Adjacency;
 use crate::perm::Permutation;
 use std::ops::Range;
+
+/// The multilevel candidate is tried when the level-set separator has
+/// `|S|³ > MULTILEVEL_TRIGGER · |E|` (`|E|` the part's edges): the search
+/// costs a few passes over the edges, a separator costs the factorization
+/// about `|S|³` flops. Swept on the benchmark's matrices (Gflop to factor /
+/// seconds to order; level sets alone: 14.1 / 0.03 on the 27-point cube 30³,
+/// 7.9 / 0.02 on elasticity 16³, 1.87 / 0.11 on the plate):
+///
+/// | trigger | cube 30³    | elasticity 16³ | 9-point plate 400²          |
+/// |---------|-------------|----------------|-----------------------------|
+/// | 50      | 5.28 / 0.21 | 2.99 / 0.16    | 1.65 / 0.21                 |
+/// | 100     | 5.39 / 0.17 | 3.17 / 0.11    | 1.72 / 0.19                 |
+/// | 200     | 5.58 / 0.12 | 3.34 / 0.10    | 1.70 / 0.15 (top part only) |
+/// | 300     | 5.60 / 0.11 | 3.34 / 0.10    | 1.87 / 0.13 (never tried)   |
+/// | 400     | 5.71 / 0.10 | 3.34 / 0.10    | 1.87 / 0.13                 |
+/// | 1000    | 5.71 / 0.10 | 4.43 / 0.05    | 1.87 / 0.13                 |
+///
+/// Below 200 the extra attempts are on parts of a few hundred vertices,
+/// where a millisecond of search buys back microseconds of factorization.
+/// From 300 the plate's top part (ratio 283) and the 8³ octants of a 16³
+/// cube (ratio between 260 and 285) go without: the plate then orders 30 ms
+/// sooner for 9 % more flops, which in a cold solve is a wash, but the small
+/// cube costs 1.54× a geometric dissection, over the 1.5× that
+/// `ordering_quality_*` holds meshes to. Above 400 whole levels of an
+/// elasticity mesh go without. Parts whose level sets are already planes
+/// (7-point grids, slabs) never reach it.
+const MULTILEVEL_TRIGGER: u64 = 200;
 
 /// Tuning knobs for nested dissection.
 #[derive(Debug, Clone)]
 pub struct NdOptions {
     /// Subgraphs at or below this size are ordered by minimum degree.
     pub leaf_size: usize,
-    /// Candidate separator levels are searched within the middle
-    /// `separator_band` fraction of the BFS levels.
-    pub separator_band: f64,
 }
 
 impl Default for NdOptions {
     fn default() -> Self {
-        NdOptions { leaf_size: 96, separator_band: 0.5 }
+        NdOptions { leaf_size: 96 }
     }
 }
 
@@ -105,6 +145,30 @@ struct Part {
     connected: bool,
 }
 
+/// A separator and the halves it leaves, as runs of the vertex sequence in
+/// `bfs.queue`.
+struct Split {
+    a: Range<usize>,
+    b: Range<usize>,
+    sep: Range<usize>,
+}
+
+impl Split {
+    /// Level `l` of the level structure as the separator.
+    fn at_level(level_ptr: &[usize], l: usize) -> Split {
+        let n = level_ptr[level_ptr.len() - 1];
+        Split { a: 0..level_ptr[l], sep: level_ptr[l]..level_ptr[l + 1], b: level_ptr[l + 1]..n }
+    }
+
+    /// Whether this split costs strictly less than `other` under
+    /// `|S| · n / min(|A|, |B|)` (compared cross-multiplied, so exactly; a
+    /// split with an empty half beats nothing).
+    fn beats(&self, other: &Split) -> bool {
+        let smaller_half = |s: &Split| s.a.len().min(s.b.len()) as u64;
+        self.sep.len() as u64 * smaller_half(other) < other.sep.len() as u64 * smaller_half(self)
+    }
+}
+
 /// One worker's dissection state: the inputs, and scratch allocated once
 /// for parts of up to `capacity` vertices and reused down the recursion.
 struct Dissector<'a> {
@@ -116,6 +180,10 @@ struct Dissector<'a> {
     /// The leaf being ordered.
     leaf: Subgraph,
     md: MdWork,
+    multilevel: Multilevel,
+    /// [`MULTILEVEL_TRIGGER`], except where a test switches the second
+    /// candidate off.
+    trigger: u64,
 }
 
 impl<'a> Dissector<'a> {
@@ -127,6 +195,8 @@ impl<'a> Dissector<'a> {
             pos: vec![0; capacity],
             leaf: Subgraph::default(),
             md: MdWork::default(),
+            multilevel: Multilevel::default(),
+            trigger: MULTILEVEL_TRIGGER,
         }
     }
 
@@ -185,33 +255,42 @@ impl<'a> Dissector<'a> {
             // The graph is complete: no useful split, treat as a leaf.
             return self.md.order(sub, &mut order[at..at + n]);
         }
-        // Search the middle band for the thinnest level, balancing halves:
-        // cost = |level| + imbalance penalty.
-        let half_band = (nlevels as f64 * self.opts.separator_band / 2.0).max(1.0) as usize;
-        let mid = nlevels / 2;
-        let lo = mid.saturating_sub(half_band).max(1);
-        let hi = (mid + half_band).min(nlevels - 2);
-        let mut best_level = lo;
-        let mut best_cost = f64::INFINITY;
-        for l in lo..=hi {
-            let na = level_ptr[l];
-            let nb = n - level_ptr[l + 1];
-            let imbalance = (na as f64 - nb as f64).abs() / n as f64;
-            let cost = (level_ptr[l + 1] - level_ptr[l]) as f64 * (1.0 + 2.0 * imbalance);
-            if cost < best_cost {
-                best_cost = cost;
-                best_level = l;
+        // First candidate: the interior level that costs least. (Both
+        // neighbours of an interior level are non-empty.)
+        let mut split = Split::at_level(level_ptr, 1);
+        for l in 2..nlevels - 1 {
+            let other = Split::at_level(level_ptr, l);
+            if other.beats(&split) {
+                split = other;
             }
         }
-        // Levels below the separator (connected through the root), levels
-        // above it, then the separator itself, each in visit order.
-        let (a, b) = (0..level_ptr[best_level], level_ptr[best_level + 1]..n);
-        let sep = &self.bfs.queue[a.end..b.start];
-        for (place, &v) in order[at + a.len() + b.len()..at + n].iter_mut().zip(sep) {
+        // The levels below a level are connected through the root.
+        let mut below_connected = true;
+        // Second candidate, where a smaller separator would repay the search.
+        let (s, edges) = (split.sep.len() as u128, (sub.adj.len() / 2) as u128);
+        if s * s * s > u128::from(self.trigger) * edges {
+            let [na, nb, ns] = self.multilevel.separator(sub);
+            let other = Split { a: 0..na, b: na..na + nb, sep: na + nb..n };
+            debug_assert_eq!(other.sep.len(), ns);
+            if other.beats(&split) {
+                // Its halves are not runs of the queue: replace the queue by
+                // the stable partition of the part's own numbering.
+                let side = self.multilevel.side();
+                self.bfs.queue.clear();
+                for s in [SIDE_A, SIDE_B, SEPARATOR] {
+                    self.bfs.queue.extend((0..n as u32).filter(|&v| side[v as usize] == s));
+                }
+                split = other;
+                below_connected = false;
+            }
+        }
+        let Split { a, b, sep } = split;
+        let tail = &mut order[at + a.len() + b.len()..at + n];
+        for (place, &v) in tail.iter_mut().zip(&self.bfs.queue[sep]) {
             *place = sub.verts[v as usize] as usize;
         }
         self.index_queue();
-        self.cut(sub, a.clone(), at, true, order, pending);
+        self.cut(sub, a.clone(), at, below_connected, order, pending);
         self.cut(sub, b, at + a.len(), false, order, pending);
     }
 
@@ -265,6 +344,7 @@ impl<'a> Dissector<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csc::{SymCsc, Triplet};
     use crate::ordering::tests::{fill_of, grid2d};
 
     #[test]
@@ -274,38 +354,141 @@ mod tests {
         assert_eq!(p.len(), 15 * 13);
     }
 
-    #[test]
-    fn separator_numbered_last_dominates_tail() {
-        // On a 2-D grid the final vertices of an ND order form the top-level
-        // separator — they should cut the grid, i.e. removing them leaves no
-        // edge between the two halves.
-        let (nx, ny) = (16, 16);
-        let a = grid2d(nx, ny);
-        let g = a.to_adjacency();
-        let p = nested_dissection(&g, &NdOptions::default());
-        let n = nx * ny;
-        // From a corner the levels are the anti-diagonals, and the longest
-        // one — nx vertices — balances the halves: that is the tail.
-        let tail = nx;
-        let mut reached = vec![false; n];
-        for new in n - tail..n {
-            reached[p.old_of(new)] = true;
-        }
-        // Flood the rest from its first vertex; a separator keeps part of
-        // it out of reach.
-        let start = reached.iter().position(|&sep| !sep).unwrap();
-        reached[start] = true;
-        let mut stack = vec![start];
-        let mut count = 1;
-        while let Some(v) = stack.pop() {
-            for &w in g.neighbors(v) {
-                if !std::mem::replace(&mut reached[w], true) {
-                    count += 1;
-                    stack.push(w);
+    /// 27-point Laplacian pattern on an `n × n × n` grid.
+    fn grid3d_27(n: usize) -> SymCsc<f64> {
+        let mut t = Triplet::new(n * n * n);
+        let idx = |x: usize, y: usize, z: usize| (z * n + y) * n + x;
+        for (x, y, z) in (0..n * n * n).map(|i| (i % n, i / n % n, i / (n * n))) {
+            t.push(idx(x, y, z), idx(x, y, z), 26.0);
+            for (dx, dy, dz) in (0..27).map(|d| (d % 3, d / 3 % 3, d / 9)) {
+                let (x2, y2, z2) = (x + dx, y + dy, z + dz);
+                // Each edge once, from its lexicographically larger end.
+                if (dz, dy, dx) > (1, 1, 1) && x2 > 0 && y2 > 0 && z2 > 0 {
+                    let (x2, y2, z2) = (x2 - 1, y2 - 1, z2 - 1);
+                    if x2 < n && y2 < n && z2 < n {
+                        t.push(idx(x2, y2, z2), idx(x, y, z), -1.0);
+                    }
                 }
             }
         }
-        assert!(count < n - tail, "the last {tail} vertices do not cut the grid");
+        t.assemble()
+    }
+
+    /// The top-level separator of the order `p` of the connected graph `g`
+    /// as `(|S|, size of the largest part it leaves)`: the shortest tail of
+    /// the order whose removal disconnects the rest.
+    fn top_separator(g: &Adjacency, p: &Permutation) -> (usize, usize) {
+        let n = g.len();
+        for tail in 1..n {
+            // Flood the rest from each unreached vertex in turn.
+            let mut reached = vec![false; n];
+            for new in n - tail..n {
+                reached[p.old_of(new)] = true;
+            }
+            let mut largest = 0;
+            let mut parts = 0;
+            for start in 0..n {
+                if std::mem::replace(&mut reached[start], true) {
+                    continue;
+                }
+                parts += 1;
+                let mut count = 1;
+                let mut stack = vec![start];
+                while let Some(v) = stack.pop() {
+                    for &w in g.neighbors(v) {
+                        if !std::mem::replace(&mut reached[w], true) {
+                            count += 1;
+                            stack.push(w);
+                        }
+                    }
+                }
+                largest = largest.max(count);
+            }
+            if parts > 1 {
+                return (tail, largest);
+            }
+        }
+        panic!("no tail of the order disconnects the graph");
+    }
+
+    #[test]
+    fn separator_numbered_last_cuts_the_grid_in_balance() {
+        // The final vertices of an ND order are the top-level separator:
+        // removing them must leave no part with more than two thirds of the
+        // vertices. On these grids the best separator is a grid line or
+        // plane, and a level-set separator is at worst the longest diagonal.
+        assert_eq!(grid3d_27(3).to_adjacency().degree(13), 26);
+        for (a, line) in [(grid2d(16, 16), 16), (grid2d(24, 11), 11), (grid3d_27(10), 100)] {
+            let g = a.to_adjacency();
+            let n = g.len();
+            let p = nested_dissection(&g, &NdOptions::default());
+            let (sep, largest) = top_separator(&g, &p);
+            assert!(3 * largest <= 2 * n, "n = {n}: a part of {largest} beside |S| = {sep}");
+            assert!(
+                sep <= line + line / 2,
+                "n = {n}: |S| = {sep} where a line or plane has {line}"
+            );
+        }
+    }
+
+    /// A connected random graph: a path through all vertices, `extra` random
+    /// edges per vertex, and a clique on the first `clique` vertices.
+    fn random_connected(n: usize, extra: usize, clique: usize, seed: u64) -> SymCsc<f64> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut rand = |m: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % m as u64) as usize
+        };
+        let mut t = Triplet::new(n);
+        for v in 0..n {
+            t.push(v, v, n as f64);
+            if v > 0 {
+                t.push(v, v - 1, -1.0);
+            }
+            for _ in 0..extra {
+                // Mostly nearby, so that there is some structure to find.
+                let w = if rand(4) == 0 { rand(n) } else { (v + 1 + rand(40)) % n };
+                if w != v {
+                    t.push(v.max(w), v.min(w), -1.0);
+                }
+            }
+        }
+        for i in 0..clique {
+            for j in 0..i {
+                t.push(i, j, -1.0);
+            }
+        }
+        t.assemble()
+    }
+
+    #[test]
+    fn second_candidate_never_costs_fill_on_random_graphs() {
+        // The multilevel candidate is taken only when it scores lower on the
+        // part at hand; that it also lowers the fill of the whole order is
+        // the point of the score. Compared against level sets alone.
+        let opts = NdOptions::default();
+        let mut tried = 0;
+        for seed in 0..24u64 {
+            let n = 300 + 97 * seed as usize;
+            let a =
+                random_connected(n, 1 + seed as usize % 3, [0, 12, 40][seed as usize % 3], seed);
+            let g = a.to_adjacency();
+            let level_sets_only = {
+                let mut order = vec![0usize; n];
+                let mut nd = Dissector::new(&g, &opts, n);
+                nd.trigger = u64::MAX;
+                let mut pending = nd.top_level_parts(&mut order);
+                nd.finish(&mut pending, &mut order);
+                Permutation::from_vec(order)
+            };
+            let both = nested_dissection(&g, &opts);
+            tried += usize::from(both != level_sets_only);
+            let (f_both, f_level) = (fill_of(&a, &both), fill_of(&a, &level_sets_only));
+            assert!(f_both <= f_level, "seed {seed}: fill {f_both} with, {f_level} without");
+        }
+        assert!(tried >= 12, "the second candidate was taken on {tried} graphs of 24");
     }
 
     #[test]
@@ -322,14 +505,13 @@ mod tests {
     #[test]
     fn leaf_size_one_still_valid() {
         let a = grid2d(6, 6);
-        let opts = NdOptions { leaf_size: 1, ..Default::default() };
+        let opts = NdOptions { leaf_size: 1 };
         let p = nested_dissection(&a.to_adjacency(), &opts);
         assert_eq!(p.len(), 36);
     }
 
     #[test]
     fn handles_disconnected_graph() {
-        use crate::csc::Triplet;
         let mut t = Triplet::new(8);
         // Two paths of 4.
         for base in [0usize, 4] {
@@ -346,7 +528,8 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial_bitwise_at_every_worker_count() {
-        let grids = [grid2d(23, 19), grid2d(400, 3), grid2d(6, 6)];
+        // The last one is large enough to take multilevel separators.
+        let grids = [grid2d(23, 19), grid2d(400, 3), grid2d(6, 6), grid3d_27(16)];
         for a in &grids {
             let g = a.to_adjacency();
             let serial = nested_dissection(&g, &NdOptions::default());
@@ -359,7 +542,6 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial_on_disconnected_graph() {
-        use crate::csc::Triplet;
         let mut t = Triplet::new(600);
         // Three disjoint paths of 200 — big enough to expand past the
         // top-level components.

@@ -720,6 +720,8 @@ fn analysis_families() -> Vec<(&'static str, SymCsc<f64>)> {
         ("laplacian_2d", laplacian_2d(19, 14, Stencil::Faces)),
         ("laplacian_3d", laplacian_3d(7, 6, 5, Stencil::Full)),
         ("elasticity_3d", elasticity_3d(4, 4, 3)),
+        // Large enough for nested dissection to take multilevel separators.
+        ("laplacian_3d_27pt_16", laplacian_3d(16, 16, 16, Stencil::Full)),
     ]
 }
 
@@ -860,7 +862,8 @@ fn graph_matrix(n: usize, edges: impl IntoIterator<Item = (usize, usize)>) -> Sy
 /// elongated strip (deep recursion), and graphs that reach the ordering's
 /// corner paths — several top-level components ordered as leaves, a
 /// separator that leaves 148 singleton components, and a 100-clique behind a
-/// tail, which `split` declines and hands to minimum degree whole.
+/// tail: once the tail is cut off the clique has two levels, no split, and
+/// goes to minimum degree whole.
 fn golden_families() -> Vec<(&'static str, SymCsc<f64>)> {
     let paths = (0..3).flat_map(|p| (0..199).map(move |i| (200 * p + i + 1, 200 * p + i)));
     let star = (1..150).map(|i| (i, 0));
@@ -878,30 +881,34 @@ fn golden_families() -> Vec<(&'static str, SymCsc<f64>)> {
 }
 
 /// `(name, nested dissection, minimum degree, RCM, Analysis::fingerprint)`,
-/// the first three as [`perm_hash`], recorded from commit 17193a0 — the last
-/// one before the ordering moved to compact subgraphs. Serial-vs-parallel
-/// identity cannot see a change that moves both; this can.
+/// the first three as [`perm_hash`]. Minimum degree and RCM are as recorded
+/// from commit 17193a0, before the ordering moved to compact subgraphs;
+/// nested dissection and the fingerprints were re-recorded when the separator
+/// step became "cheapest level set or multilevel separator" (the strip, the
+/// paths and the star did not move: their level sets were already the best
+/// cut). Serial-vs-parallel identity cannot see a change that moves both;
+/// this can.
 const GOLDEN_ORDERINGS: [(&str, u64, u64, u64, u64); 7] = [
     (
         "plate60",
-        0x9b56_a7e2_e4b1_c389,
+        0xa4da_7a39_f7d9_79d1,
         0x1cc4_2e71_083e_aaa9,
         0x6d34_6bb4_6374_c5b1,
-        0x654e_34ca_f776_1cb6,
+        0x700b_e05e_7e00_d889,
     ),
     (
         "cube10",
-        0x3ef9_f285_5a34_df81,
+        0x317a_c50f_6c62_4f35,
         0x785c_9536_1392_43d5,
         0x6406_6407_f995_fd41,
-        0xfe96_b91e_3c7d_c010,
+        0xe15f_9444_47a2_31c4,
     ),
     (
         "elasticity6",
-        0xb940_7460_6c54_21e9,
+        0x23df_b54d_3caf_81a5,
         0xdb1d_de6a_736f_f92d,
         0x40eb_df99_9f9b_0f1d,
-        0x58a8_fbe5_16e5_fe3e,
+        0x052b_61d8_4be0_fce3,
     ),
     (
         "strip400x3",
@@ -926,10 +933,10 @@ const GOLDEN_ORDERINGS: [(&str, u64, u64, u64, u64); 7] = [
     ),
     (
         "clique100_tail30",
-        0xec12_be6e_c74c_3004,
+        0x51de_e15b_c741_6224,
         0x51de_e15b_c741_6224,
         0x8198_4063_7609_bc44,
-        0x368e_e7c0_40ec_2ffb,
+        0xf835_9857_6615_d0e1,
     ),
 ];
 
@@ -998,25 +1005,27 @@ fn numeric_hashes<T: Scalar>(
 }
 
 /// `(name, f64 under the default CPU policy, f32 under the baseline hybrid)`,
-/// each `[slab, 1 RHS, 8 RHS]`, recorded from commit ed369d8 — the last one
-/// with per-supernode row vectors, per-supernode solve buffers and one task
-/// per front. Serial-vs-parallel identity cannot see a change that moves
-/// both; this can.
+/// each `[slab, 1 RHS, 8 RHS]`. The three families whose nested-dissection
+/// order is unchanged since commit ed369d8 — the last one with
+/// per-supernode row vectors, per-supernode solve buffers and one task per
+/// front — keep the bits recorded there; the other four were re-recorded
+/// together with [`GOLDEN_ORDERINGS`]. Serial-vs-parallel identity cannot
+/// see a change that moves both; this can.
 const GOLDEN_NUMERIC: [(&str, [u64; 3], [u64; 3]); 7] = [
     (
         "plate60",
-        [0xb988_9a8a_3c27_25f6, 0x7153_04ad_a437_f017, 0x8a09_7362_a4ac_4959],
-        [0x57ca_809c_7d8a_bd73, 0x59f4_22b9_ceec_3f7e, 0x0b95_fc4f_5893_f707],
+        [0x0fae_0f07_3f83_1a2e, 0x3d5b_ec63_2686_6764, 0x0501_2930_8f33_5ff8],
+        [0x2997_445d_ee99_b191, 0xc3a3_c2e9_bbdc_0c4e, 0x1b96_4554_901f_5a97],
     ),
     (
         "cube10",
-        [0x6736_debc_ea0f_279d, 0xe9f9_751d_2e55_7322, 0x3fdb_5beb_32a1_0052],
-        [0x188f_ee64_8900_f74f, 0x495b_4d94_90dd_91b5, 0xd0e4_02c8_f697_d5c5],
+        [0x839c_fe29_2dba_d85e, 0xd2e1_4ed2_1dbb_9a4d, 0x4cb3_13b7_f122_06db],
+        [0xf1bf_54a2_036f_96e1, 0x01fd_f93c_1ecb_b35e, 0x821b_76b9_406d_35c9],
     ),
     (
         "elasticity6",
-        [0x71a3_36d4_11b8_5906, 0x0b58_0917_d654_c4da, 0x7e6f_34b0_9b49_6310],
-        [0x89a4_b738_c138_aa8d, 0x1aad_941b_c063_8a53, 0xf32c_6079_11da_4666],
+        [0x29a3_a07b_c9d0_aee0, 0x19f4_4aa3_3718_6df2, 0x6532_23df_e0a1_9420],
+        [0x9f54_4e2d_9731_ed72, 0xf2e5_3652_3934_0d10, 0x9d4a_90dd_f30e_2436],
     ),
     (
         "strip400x3",
@@ -1035,8 +1044,8 @@ const GOLDEN_NUMERIC: [(&str, [u64; 3], [u64; 3]); 7] = [
     ),
     (
         "clique100_tail30",
-        [0xc7d7_e2f0_84d3_1667, 0x3554_aa3e_8c9f_ac7e, 0x381a_455d_a224_5b02],
-        [0xa506_7040_9ac8_c5be, 0xf96e_de49_5173_626f, 0x2707_c2fe_a012_8ff7],
+        [0x33cd_18f1_5420_0d3d, 0xf1de_fab0_3696_6c17, 0x306a_408f_ff30_ba1f],
+        [0x610b_d310_3874_87f5, 0x9519_7204_4243_126d, 0xac27_f36a_5970_24ec],
     ),
 ];
 

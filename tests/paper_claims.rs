@@ -8,7 +8,7 @@ use gpu_multifrontal::core::{
 };
 use gpu_multifrontal::dense::FuFlops;
 use gpu_multifrontal::gpusim::{tesla_t10, xeon_5160_core};
-use gpu_multifrontal::matgen::{laplacian_3d, Stencil};
+use gpu_multifrontal::matgen::{elasticity_3d, laplacian_3d, Stencil};
 use gpu_multifrontal::prelude::*;
 use gpu_multifrontal::sparse::symbolic::analyze;
 use gpu_multifrontal::sparse::AmalgamationOptions;
@@ -144,8 +144,14 @@ fn model_hybrid_near_ideal() {
 #[test]
 fn speedup_ordering_matches_paper() {
     // Needs a matrix large enough for GPU policies to pay off at all
-    // (N ≈ 14k; the paper's are ~1M).
-    let a = laplacian_3d(24, 24, 24, Stencil::Full);
+    // (N ≈ 12k; the paper's are ~1M) — and, under an ordering that finds the
+    // mesh planes, one of the paper's kind: a 3-D structural mesh, 3 unknowns
+    // a node, has a few hundred fronts and most of its flops in the large
+    // ones. A 27-point Laplacian of the same cost has thousands of small
+    // fronts that every fixed GPU policy loses on, and P3 overtakes P2 only
+    // from 42³ (44 Gflop; 24³ sufficed while the ordering's separators
+    // chained into fronts 1.7× as wide).
+    let a = elasticity_3d(16, 16, 16);
     let analysis =
         analyze(&a, OrderingKind::NestedDissection, Some(&AmalgamationOptions::default())).unwrap();
     let a32: SymCsc<f32> = analysis.permuted.0.cast();
