@@ -1597,6 +1597,42 @@ mod tests {
     }
 
     #[test]
+    fn rehearsal_equals_the_run_it_predicts() {
+        // The cost-model gate is exact only if a timing-only rehearsal
+        // charges what the real run charges: on the P2-loses / P4-wins
+        // elasticity case both rehearsals must equal the run they stand for
+        // to the bit (under P2 the routed run *is* the drain schedule).
+        let a = mf_matgen::elasticity_3d(4, 4, 3);
+        let analysis =
+            analyze(&a, OrderingKind::NestedDissection, Some(&AmalgamationOptions::default()))
+                .unwrap();
+        let a32: SymCsc<f32> = analysis.permuted.0.cast();
+        for (policy, wins) in [(PolicyKind::P2, false), (PolicyKind::P4, true)] {
+            let run = |pipeline: PipelineOptions| {
+                let mut machine = Machine::paper_node();
+                let opts = FactorOptions {
+                    selector: PolicySelector::Fixed(policy),
+                    pipeline,
+                    ..Default::default()
+                };
+                let (_, stats) =
+                    factor_permuted(&a32, &analysis.symbolic, &analysis.perm, &mut machine, &opts)
+                        .unwrap();
+                (stats.total_time, opts)
+            };
+            let (t_drain, _) = run(PipelineOptions::default());
+            let (t_routed, opts) = run(PipelineOptions::pipelined());
+            let machine = Machine::paper_node();
+            let r_pipe = rehearse_makespan(&a32, &analysis.symbolic, &opts, &machine, true);
+            let r_drain = rehearse_makespan(&a32, &analysis.symbolic, &opts, &machine, false);
+            assert_eq!(r_drain.to_bits(), t_drain.to_bits(), "{policy}: drain rehearsal");
+            assert_eq!(r_pipe < r_drain, wins, "{policy}: {r_pipe:.6e} vs {r_drain:.6e}");
+            let predicted = if wins { r_pipe } else { r_drain };
+            assert_eq!(predicted.to_bits(), t_routed.to_bits(), "{policy}: routed run");
+        }
+    }
+
+    #[test]
     fn pipelined_oom_fallbacks_match_drain_driver() {
         // A device too small for the big fronts: the pipelined driver must
         // make the same P1-fallback decisions (after draining) and still

@@ -1360,3 +1360,228 @@ fn ooc_budgeted_solver_refines_to_f64_accuracy() {
         refined.residual_history
     );
 }
+
+// ───────────────────────── simulated-clock golden figures ──────────────────
+// (The `sim_clock` and `driver_errors` prefixes are load-bearing: ci.sh runs
+// these suites by name.)
+
+use gpu_multifrontal::core::{FactorStats, MultiGpuOptions, PipelineOptions};
+
+/// How a GPU run is issued: the drain schedule, the pipelined driver, the
+/// multi-GPU driver at `n` devices from one host, or the parallel entry at
+/// `workers` machines (which cooperatively drive `n` devices when `n > 1`).
+#[derive(Debug, Clone, Copy)]
+enum Issuer {
+    Drain,
+    Pipelined,
+    Devices(usize),
+    Workers(usize, usize),
+}
+
+impl Issuer {
+    fn opts(self, selector: PolicySelector) -> FactorOptions {
+        let (pipeline, devices) = match self {
+            Issuer::Drain => (PipelineOptions::default(), MultiGpuOptions::default()),
+            Issuer::Pipelined => (PipelineOptions::pipelined(), MultiGpuOptions::default()),
+            Issuer::Devices(n) | Issuer::Workers(_, n) => {
+                (PipelineOptions::pipelined(), MultiGpuOptions::devices(n))
+            }
+        };
+        FactorOptions { selector, pipeline, devices, ..Default::default() }
+    }
+
+    /// Factor on `machines` (all of them for [`Issuer::Workers`], the first
+    /// otherwise).
+    fn factor<T: Scalar>(
+        self,
+        a: &SymCsc<T>,
+        an: &Analysis,
+        machines: &mut [Machine],
+        selector: PolicySelector,
+    ) -> Result<(CholeskyFactor<T>, FactorStats), FactorError> {
+        let opts = self.opts(selector);
+        match self {
+            Issuer::Workers(..) => factor_permuted_parallel(
+                a,
+                &an.symbolic,
+                &an.perm,
+                machines,
+                &opts,
+                &ParallelOptions { thread_budget: 2 },
+            ),
+            _ => factor_permuted(a, &an.symbolic, &an.perm, &mut machines[0], &opts),
+        }
+    }
+
+    fn machines(self, make: impl Fn() -> Machine) -> Vec<Machine> {
+        let n = if let Issuer::Workers(w, _) = self { w } else { 1 };
+        (0..n).map(|_| make()).collect()
+    }
+}
+
+/// The four selectors the clock is pinned under.
+fn clock_selectors() -> Vec<PolicySelector> {
+    vec![
+        PolicySelector::Fixed(PolicyKind::P2),
+        PolicySelector::Fixed(PolicyKind::P3),
+        PolicySelector::Fixed(PolicyKind::P4),
+        PolicySelector::Baseline(BaselineThresholds::default()),
+    ]
+}
+
+/// Every deterministic figure of a run that is not a factor bit.
+fn clock_words(s: &FactorStats) -> Vec<u64> {
+    let mut w = vec![
+        s.total_time.to_bits(),
+        s.oom_fallbacks as u64,
+        s.peer_bytes as u64,
+        s.front_alloc_events,
+    ];
+    for u in s.gpu.iter().chain(&s.gpu_devices) {
+        w.extend([u.compute_busy.to_bits(), u.copy_busy.to_bits()]);
+    }
+    w
+}
+
+/// The issuers whose simulated clock is a function of the input alone: one
+/// host timeline, or the cooperative (sequential) multi-worker multi-GPU
+/// schedule. Work-stealing runs at two or more workers are not.
+const CLOCK_ISSUERS: [Issuer; 6] = [
+    Issuer::Drain,
+    Issuer::Pipelined,
+    Issuer::Devices(2),
+    Issuer::Devices(4),
+    Issuer::Workers(2, 4),
+    Issuer::Workers(1, 1),
+];
+
+/// [`fnv1a`] of [`clock_words`] over [`clock_selectors`], per issuer.
+fn clock_hashes(a: &SymCsc<f32>, an: &Analysis, make: impl Fn() -> Machine) -> [u64; 6] {
+    CLOCK_ISSUERS.map(|issuer| {
+        let words: Vec<u64> = clock_selectors()
+            .into_iter()
+            .flat_map(|sel| {
+                let mut machines = issuer.machines(&make);
+                let (_, stats) = issuer.factor(a, an, &mut machines, sel).unwrap();
+                clock_words(&stats)
+            })
+            .collect();
+        fnv1a(words.into_iter())
+    })
+}
+
+fn small_device_node() -> Machine {
+    use gpu_multifrontal::gpusim::{tesla_t10, xeon_5160_core};
+    let mut cfg = tesla_t10();
+    cfg.mem_bytes = 2_000; // 500 f32 elements — only tiny fronts fit
+    Machine::with_gpu(xeon_5160_core(), cfg)
+}
+
+/// `(name, one hash per CLOCK_ISSUERS entry)`: [`golden_families`] in f32 on
+/// the paper node, then the 6×6×5 Laplacian on a 2 000-byte device (every
+/// large front takes the drain-then-retry OOM path). Recorded at commit
+/// e92d7ea, the last one with a pipelined front lifecycle per driver.
+const GOLDEN_CLOCK: [(&str, [u64; 6]); 8] = [
+    (
+        "plate60",
+        [
+            0x6592_a086_2032_046c,
+            0xbec6_5c3a_1800_89d2,
+            0x73c0_56a2_e1df_d057,
+            0x56d5_62ce_9589_a81c,
+            0xb445_6735_f2fd_2107,
+            0x88bb_9b49_7aac_d163,
+        ],
+    ),
+    (
+        "cube10",
+        [
+            0x57a7_37ee_bfe6_fc5f,
+            0x09ca_4173_c116_e33f,
+            0x85ad_0e6f_4ef0_e1ee,
+            0xfb4e_0cdf_1ef0_03cf,
+            0x93c3_be88_9522_7db7,
+            0x33f0_4d59_8039_787c,
+        ],
+    ),
+    (
+        "elasticity6",
+        [
+            0xf380_92f4_5cde_202a,
+            0x2e70_e059_f14b_74e1,
+            0x81e7_ec42_8de1_4b9d,
+            0x235c_c4f5_47a3_6523,
+            0x41bc_d886_207c_d90a,
+            0xbac2_7093_c87a_0163,
+        ],
+    ),
+    (
+        "strip400x3",
+        [
+            0xf463_e95a_f0c0_ef33,
+            0x4a53_0eef_eb5c_cf1a,
+            0xd6d1_98c2_d1fb_d46b,
+            0x441b_f364_4e8b_b83a,
+            0x3077_0c20_b2d8_9726,
+            0x8ef4_c43f_0d0b_75ff,
+        ],
+    ),
+    (
+        "three_paths",
+        [
+            0xac82_390a_e09d_4c94,
+            0xfe98_0afa_3ed3_21a0,
+            0xf782_8104_85a5_ceba,
+            0xb895_4005_de19_cdfe,
+            0x3d54_835e_bffc_43e8,
+            0x8ddf_99f3_c599_a001,
+        ],
+    ),
+    (
+        "star150",
+        [
+            0x1764_7392_002a_2ac0,
+            0x54f1_371d_7c43_0088,
+            0x4579_1f01_3865_f2ff,
+            0xef04_d18c_210d_6433,
+            0x7ca0_1133_ce7a_7d61,
+            0x68c3_1525_ce72_e65e,
+        ],
+    ),
+    (
+        "clique100_tail30",
+        [
+            0x1398_03ea_3363_2934,
+            0x1398_03ea_3363_2934,
+            0x7afc_06ea_8730_f228,
+            0x89c9_eb67_cd3e_0428,
+            0x89c9_eb67_cd3e_0428,
+            0xf75e_2bc0_3d52_f2a0,
+        ],
+    ),
+    (
+        "lap3d-6x6x5-oom",
+        [
+            0xc310_643e_563d_41dc,
+            0x53d8_c864_6567_b789,
+            0x8897_eff4_fb6e_d6ae,
+            0x10b4_0bab_a219_5f8c,
+            0x9997_b68c_211a_fdb7,
+            0xfba3_499a_e27a_b925,
+        ],
+    ),
+];
+
+#[test]
+fn sim_clock_matches_golden() {
+    let mut actual: Vec<(&str, [u64; 6])> = golden_families()
+        .iter()
+        .map(|(name, a)| {
+            let an = analysis_of(a);
+            (*name, clock_hashes(&an.permuted.0.cast(), &an, Machine::paper_node))
+        })
+        .collect();
+    let an = analysis_of(&laplacian_3d(6, 6, 5, Stencil::Faces));
+    actual.push(("lap3d-6x6x5-oom", clock_hashes(&an.permuted.0.cast(), &an, small_device_node)));
+    assert_eq!(actual, GOLDEN_CLOCK, "actual:\n{actual:#x?}");
+}
