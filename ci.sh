@@ -51,6 +51,11 @@ RUST_TEST_THREADS=1 cargo test -q --release -p mf-server
 #   symbolic_flat, bottom_subtrees, subtree_tasks
 #                    flat parallel build == serial, the subtree partition, the
 #                    subtree-task drivers and the forward stack bound
+#   sim_clock        golden hashes of total_time, fallbacks, peer bytes, allocation
+#                    events and per-device busy time: drain, pipelined, 2/4 devices,
+#                    2 workers x 4 devices, P2/P3/P4/baseline, and under device OOM
+#   driver_errors    a failing pivot at every supernode under every issuer: the
+#                    serial error, empty devices, machines as good as new
 #   ordering_quality nested dissection splits meshes in balance and within 1.5x
 #                    the flops of a geometric dissection; valid on random patterns
 echo "==> named suites (counted, default + single test thread)"
@@ -72,6 +77,8 @@ determinism analysis_ 5
 determinism numeric_ 1
 determinism multigpu_ 3
 determinism ooc_ 9
+determinism sim_clock 1
+determinism driver_errors 1
 property ooc_ 2
 property symbolic_flat 1
 property bottom_subtrees 1
@@ -85,9 +92,6 @@ MANIFEST
 # fails this step.
 echo "==> factor_parallel bench (tiled + tree schedulers, writes BENCH_factor.json)"
 cargo bench -p mf-bench --bench factor_parallel
-
-echo "==> solve bench (writes BENCH_solve.json)"
-cargo bench -p mf-bench --bench solve
 
 # The symbolic bench asserts, before timing anything, that analyze_parallel's
 # fingerprint matches the serial analysis at 1/2/4/8 workers on every suite

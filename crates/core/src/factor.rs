@@ -10,17 +10,23 @@
 //! default [`FrontStorage::Arena`]) a postorder LIFO working-storage stack
 //! sized by `SymbolicFactor::update_stack_peak` — two allocations for the
 //! whole factorization, no matter how many supernodes run.
+//!
+//! Two lifecycles live here. The drain lifecycle — `process_supernode`,
+//! one front at a time on the LIFO arena (`FrontRun::factor_range`) or on
+//! per-front heap buffers — is shared with the CPU tasks of
+//! [`crate::parallel`]. The pipelined lifecycle belongs to `crate::lane`;
+//! this module keeps only its postorder issuer (`PostorderRun`: look-ahead,
+//! batched P4 runs) and the rehearsal gate that decides whether to use it.
 
 use crate::arena::FrontArena;
 use crate::features::LinearPolicyModel;
 use crate::frontal::{
-    assemble_front_into, charge_assemble, charge_panel_extract, charge_update_extract,
-    copy_update_packed, extract_panel_copy, extract_panel_into, ChildUpdate, Front,
+    assemble_front_into, charge_update_extract, extract_panel_into, packed_update, ChildUpdate,
+    Front,
 };
-use crate::fu::{
-    dispatch_fu, enqueue_batch_downloads, enqueue_downloads, execute_fu, finish_fu,
-    try_dispatch_gpu, try_dispatch_gpu_batch, BatchError, FuBatchPending, FuContext, FuError,
-    FuPending, DEFAULT_PANEL_WIDTH,
+use crate::fu::{execute_fu, FuContext, FuError, DEFAULT_PANEL_WIDTH};
+use crate::lane::{
+    child_views, extract_inline, take_children, FrontStore, Lane, Member, Phase1, PIPELINE_DEPTH,
 };
 use crate::multigpu::MultiGpuOptions;
 use crate::pinned_pool::PinnedPool;
@@ -77,48 +83,36 @@ pub enum FrontStorage {
     /// fresh update buffer per supernode (panels still land in the
     /// contiguous slab), and in the parallel driver one task per supernode.
     /// Kept as the bitwise cross-check for the determinism suite and the
-    /// baseline for the allocation benchmarks.
+    /// baseline for the allocation counts of `BENCH_factor.json`.
     Heap,
 }
 
 /// Pipelined GPU dispatch (DESIGN.md §4.9): look-ahead staging of the next
 /// GPU-bound front while the current one computes, event-gated consumption
-/// of child updates, and batched dispatch of runs of small fronts.
+/// of child updates, and batched dispatch of runs of small fronts. Depth and
+/// batch limits are fixed (see `crate::lane` and the postorder issuer in
+/// this module).
 ///
 /// The pipelined driver produces factor slabs **bitwise identical** to the
-/// drain-per-front driver at every setting here — only the simulated
-/// timeline (and therefore makespan and GPU utilization) changes. It does
-/// not collect per-call [`FuRecord`]s: with fronts overlapping on the
-/// device, per-front time attribution is ill-defined, so `record_stats`
-/// is ignored while `enabled` is set. Front storage is per-front heap
-/// buffers (front lifetimes overlap, which the postorder LIFO arena cannot
-/// express), so `front_storage` is ignored too.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// drain-per-front driver — only the simulated timeline (and therefore
+/// makespan and GPU utilization) changes. It does not collect per-call
+/// [`FuRecord`]s: with fronts overlapping on the device, per-front time
+/// attribution is ill-defined, so `record_stats` is ignored while `enabled`
+/// is set. Front storage is per-front heap buffers (front lifetimes overlap,
+/// which the postorder LIFO arena cannot express), so `front_storage` is
+/// ignored too.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PipelineOptions {
     /// Run the pipelined driver. CPU-only machines always use the
-    /// drain-per-front driver regardless.
+    /// drain-per-front driver regardless, and so does a matrix on which the
+    /// driver's exact rehearsal predicts the pipeline to lose.
     pub enabled: bool,
-    /// Maximum fronts with downloads still outstanding before the oldest is
-    /// finished (double/triple buffering of the staging pool falls out of
-    /// this — each outstanding front holds its pinned generations leased).
-    pub depth: usize,
-    /// Largest front size `s` eligible for batched dispatch.
-    pub batch_max_front: usize,
-    /// Maximum members of one batched dispatch (a run of consecutive
-    /// postorder P4-selected fronts with no producer/consumer pair inside).
-    pub batch_max_fronts: usize,
-}
-
-impl Default for PipelineOptions {
-    fn default() -> Self {
-        PipelineOptions { enabled: false, depth: 3, batch_max_front: 128, batch_max_fronts: 8 }
-    }
 }
 
 impl PipelineOptions {
-    /// Pipelining on, with the default look-ahead depth and batching.
+    /// Pipelining on.
     pub fn pipelined() -> Self {
-        PipelineOptions { enabled: true, ..Default::default() }
+        PipelineOptions { enabled: true }
     }
 }
 
@@ -443,20 +437,9 @@ pub(crate) fn process_supernode<'c, T: Scalar + 'c>(
 
     let policy = opts.selector.choose(sn, m, k);
     let t0 = machine.host.now();
-    let mut ctx = FuContext {
-        machine,
-        pool,
-        panel_width: opts.panel_width,
-        copy_optimized: opts.copy_optimized,
-        timing_only: false,
-        kernel_threads,
-        tiling: opts.tiling,
-    };
-    let outcome = execute_fu(&mut front, policy, &mut ctx).map_err(|e| match e {
-        FuError::NotPositiveDefinite { local_column } => {
-            FactorError::NotPositiveDefinite { column: info.col_start + local_column }
-        }
-    })?;
+    let mut ctx = fu_ctx(machine, pool, opts, kernel_threads, false);
+    let outcome = execute_fu(&mut front, policy, &mut ctx)
+        .map_err(|e| fu_err_to_factor(info.col_start, e))?;
     let t1 = machine.host.now();
 
     let record = if opts.record_stats {
@@ -515,8 +498,7 @@ pub fn factor_permuted<T: Scalar>(
         None => None,
     };
     let nsn = symbolic.num_supernodes();
-    let mut pool =
-        if opts.pinned_reuse { PinnedPool::new(2) } else { PinnedPool::without_reuse(2) };
+    let mut pool = pinned_pool(opts);
     let panel_ptr = symbolic.panel_ptr();
     let mut slab = vec![T::ZERO; symbolic.factor_slab_len()];
     let mut stats = FactorStats::default();
@@ -569,23 +551,17 @@ pub fn factor_permuted<T: Scalar>(
                     replay_step_io(plan, r, machine, opts);
                 }
                 let info = &symbolic.supernodes[sn];
-                let (s, k, m) = (info.front_size(), info.k(), info.m());
-                let child_bufs: Vec<(usize, Vec<T>)> = symbolic
-                    .children(sn)
-                    .iter()
-                    .map(|&c| (c, updates[c].take().expect("child update must exist in postorder")))
-                    .collect();
+                let (s, k) = (info.front_size(), info.k());
+                let child_bufs = take_children(symbolic, sn, |c| updates[c].take())
+                    .expect("child update must exist in postorder");
                 stats.front_alloc_events += 1;
                 let mut front_data = vec![T::ZERO; s * s];
                 peak = peak.max(live + s * s);
-                let children = child_bufs
-                    .iter()
-                    .map(|(c, d)| ChildUpdate { rows: symbolic.update_rows(*c), data: &d[..] });
                 let out = process_supernode(
                     a,
                     symbolic,
                     sn,
-                    children,
+                    child_views(symbolic, sn, &child_bufs),
                     &mut front_data,
                     &mut slab[panel_ptr[sn]..panel_ptr[sn + 1]],
                     &mut rel,
@@ -594,25 +570,15 @@ pub fn factor_permuted<T: Scalar>(
                     opts,
                     None,
                 )?;
-                if out.oom_fallback {
-                    stats.oom_fallbacks += 1;
-                }
-                if let Some(rec) = out.record {
-                    stats.records.push(rec);
-                }
-                for (_, d) in child_bufs {
-                    live -= d.len();
-                }
-                if m > 0 {
+                stats.oom_fallbacks += usize::from(out.oom_fallback);
+                stats.records.extend(out.record);
+                live -= child_bufs.iter().map(Vec::len).sum::<usize>();
+                if let Some(mut u) = packed_update(&front_data, s, k) {
                     stats.front_alloc_events += 1;
-                    let mut u = vec![T::ZERO; m * m];
-                    copy_update_packed(&front_data, s, k, &mut u);
-                    if let Some(plan) = &ooc_plan {
-                        if plan.degrade_update[sn] {
-                            opts.ladder.degrade_slice(&mut u);
-                        }
+                    if ooc_plan.as_ref().is_some_and(|plan| plan.degrade_update[sn]) {
+                        opts.ladder.degrade_slice(&mut u);
                     }
-                    live += m * m;
+                    live += u.len();
                     updates[sn] = Some(u);
                 }
                 if let Some(plan) = &ooc_plan {
@@ -747,24 +713,17 @@ pub(crate) fn replay_step_io(
     }
 }
 
-// ----- pipelined driver ------------------------------------------------------
+// ----- postorder issuer of the pipelined lifecycle ---------------------------
 
-/// Build the standard (non-timing-only, serial) F-U context.
+/// Build the F-U context of one call: the run's options plus what varies per
+/// call — the dense-engine thread width the tree runtime granted, and
+/// timing-only mode (the rehearsal behind the pipelined-vs-drain cost model
+/// runs the full F-U schedule with every numeric touch suppressed).
 pub(crate) fn fu_ctx<'a>(
     machine: &'a mut Machine,
     pool: &'a mut PinnedPool,
     opts: &FactorOptions,
-) -> FuContext<'a> {
-    fu_ctx_mode(machine, pool, opts, false)
-}
-
-/// [`fu_ctx`] with an explicit timing-only flag — the rehearsal drivers
-/// behind the pipelined-vs-drain cost model run the full F-U schedule with
-/// every numeric touch suppressed.
-pub(crate) fn fu_ctx_mode<'a>(
-    machine: &'a mut Machine,
-    pool: &'a mut PinnedPool,
-    opts: &FactorOptions,
+    kernel_threads: Option<usize>,
     timing_only: bool,
 ) -> FuContext<'a> {
     FuContext {
@@ -773,8 +732,17 @@ pub(crate) fn fu_ctx_mode<'a>(
         panel_width: opts.panel_width,
         copy_optimized: opts.copy_optimized,
         timing_only,
-        kernel_threads: None,
+        kernel_threads,
         tiling: opts.tiling,
+    }
+}
+
+/// The run's pinned staging pool under `opts`.
+pub(crate) fn pinned_pool(opts: &FactorOptions) -> PinnedPool {
+    if opts.pinned_reuse {
+        PinnedPool::new(2)
+    } else {
+        PinnedPool::without_reuse(2)
     }
 }
 
@@ -787,102 +755,101 @@ pub(crate) fn fu_err_to_factor(col_start: usize, e: FuError) -> FactorError {
     }
 }
 
-fn batch_err_to_factor(symbolic: &SymbolicFactor, sns: &[usize], e: BatchError) -> FactorError {
-    fu_err_to_factor(symbolic.supernodes[sns[e.member]].col_start, e.error)
-}
+/// Largest front order `s` that joins a batched dispatch: a batch pays one
+/// launch and one PCIe latency for the whole run, which matters only while
+/// those rival a member's own transfer and kernel time. On the matrices
+/// named at [`PIPELINE_DEPTH`] under fixed P4, 64 costs 0.2–2.2 % of the
+/// makespan and 256 gains 0.04–0.9 %; 128 stays because every recorded
+/// makespan is pinned to it.
+const BATCH_MAX_FRONT: usize = 128;
 
-/// A dispatched front (phase 1 done) whose downloads have not been enqueued
-/// yet. Holding the flush back until the *next* front dispatches is what
-/// lets that front's upload overtake this one's downloads on the copy
-/// engine while the compute engine is still busy here.
-struct StagedFront<T> {
-    sns: Vec<usize>,
-    bufs: Vec<Vec<T>>,
-    kind: StagedKind,
-}
+/// Most fronts in one batched dispatch. The batch is one device allocation
+/// and one staging slot, flushed and finished as one entry, so none of it
+/// reaches a parent before all of it has downloaded. Batching itself is
+/// worth 3–8 % of the fixed-P4 makespan on those matrices (against one
+/// member per dispatch); 4, 8 and 16 members agree within 0.1 %.
+const BATCH_MAX_FRONTS: usize = 8;
 
-enum StagedKind {
-    Single(FuPending),
-    Batch(FuBatchPending),
-}
-
-/// A flushed front: downloads enqueued (event-gated), panel and update
-/// already extracted (the simulator computes data eagerly — only *time* is
-/// outstanding), host charges for the extraction deferred to finish.
-struct InflightFront {
-    sns: Vec<usize>,
-    /// `(s, k, m)` per member — the deferred extract-charge dimensions.
-    extracts: Vec<(usize, usize, usize)>,
-    pending: FuPending,
-}
-
-/// State of the pipelined postorder driver (see [`PipelineOptions`]).
-struct PipeDriver<'a, T> {
+/// One single-device run of the lifecycle of [`crate::lane`] in postorder.
+/// With `look_ahead` it is the pipelined schedule: each dispatched front
+/// stays staged until the next one has dispatched, [`PIPELINE_DEPTH`] fronts
+/// stay in flight, and runs of small P4 fronts share one dispatch. Without,
+/// every front is flushed and finished before the next assembles — the drain
+/// schedule, charge for charge.
+struct PostorderRun<'a, T> {
+    a: &'a SymCsc<T>,
     symbolic: &'a SymbolicFactor,
     opts: &'a FactorOptions,
-    slab: Vec<T>,
-    /// Packed `m × m` updates awaiting their parent's extend-add.
-    updates: Vec<Option<Vec<T>>>,
-    staged: Option<StagedFront<T>>,
-    inflight: Vec<InflightFront>,
-    stats: FactorStats,
-    rel: Vec<usize>,
-    live: usize,
-    peak: usize,
-    /// Timing-only rehearsal mode: charge every simulated cost the real run
-    /// would charge, touch no numeric data. Simulated durations depend only
-    /// on shapes and machine configuration, so the rehearsed makespan is
-    /// exact — this is what the pipelined-vs-drain cost model runs on a
-    /// virtual twin machine.
-    timing: bool,
+    look_ahead: bool,
+    store: FrontStore<'a, T>,
+    lane: Lane<T>,
+    oom_fallbacks: usize,
 }
 
-impl<T: Scalar> PipeDriver<'_, T> {
-    fn run(
-        &mut self,
-        a: &SymCsc<T>,
-        machine: &mut Machine,
-        pool: &mut PinnedPool,
-    ) -> Result<(), FactorError> {
+impl<'a, T: Scalar> PostorderRun<'a, T> {
+    /// `timing`: charge every simulated cost, touch no numeric data (the
+    /// machine's device and the pool must then be in virtual mode).
+    fn new(
+        a: &'a SymCsc<T>,
+        symbolic: &'a SymbolicFactor,
+        opts: &'a FactorOptions,
+        look_ahead: bool,
+        timing: bool,
+    ) -> Self {
+        let store = FrontStore::new(symbolic, timing);
+        PostorderRun { a, symbolic, opts, look_ahead, store, lane: Lane::new(), oom_fallbacks: 0 }
+    }
+
+    /// Issue every front and drain the lane; on a pivot failure abandon what
+    /// the lane still holds on the device.
+    fn run(&mut self, machine: &mut Machine, pool: &mut PinnedPool) -> Result<(), FactorError> {
+        let mut ctx = fu_ctx(machine, pool, self.opts, None, self.store.timing);
+        let issued = self.issue(&mut ctx);
+        match issued {
+            Ok(()) => {
+                self.lane.flush(&mut ctx, &mut self.store);
+                self.lane.enforce_window(0, &mut ctx);
+            }
+            Err(_) => self.lane.abandon(&mut ctx),
+        }
+        issued
+    }
+
+    fn issue(&mut self, ctx: &mut FuContext<'_>) -> Result<(), FactorError> {
         let post = &self.symbolic.postorder;
         let mut i = 0;
         while i < post.len() {
             let run = self.batch_run_len(i);
             if run >= 2 {
-                let sns = post[i..i + run].to_vec();
-                self.step_batch(a, &sns, machine, pool)?;
-                i += run;
+                self.step_batch(&post[i..i + run], ctx)?;
             } else {
-                self.step_single(a, post[i], machine, pool)?;
-                i += 1;
+                self.step_single(post[i], ctx)?;
             }
+            i += run;
         }
-        self.flush_staged(machine, pool);
-        self.drain_inflight(machine, pool);
         Ok(())
     }
 
     /// Length of the batchable run starting at postorder position `start`:
-    /// consecutive P4-selected fronts no larger than `batch_max_front`,
+    /// consecutive P4-selected fronts no larger than [`BATCH_MAX_FRONT`],
     /// with no producer/consumer pair inside the run (a member's children
     /// must have flushed before it assembles). Returns 1 when the front at
     /// `start` dispatches alone.
     fn batch_run_len(&self, start: usize) -> usize {
-        let pl = &self.opts.pipeline;
         // Batches run the naive whole-front P4 plan; under the
         // copy-optimized plan members dispatch singly so the transfer byte
-        // counts (and the bits) match the drain driver.
-        if self.opts.copy_optimized || pl.batch_max_fronts < 2 {
+        // counts (and the bits) match the drain schedule.
+        if !self.look_ahead || self.opts.copy_optimized {
             return 1;
         }
         let symbolic = self.symbolic;
         let post = &symbolic.postorder;
         let mut len = 0;
-        while len < pl.batch_max_fronts && start + len < post.len() {
+        while len < BATCH_MAX_FRONTS && start + len < post.len() {
             let sn = post[start + len];
             let info = &symbolic.supernodes[sn];
             let (s, k, m) = (info.front_size(), info.k(), info.m());
-            if s > pl.batch_max_front || self.opts.selector.choose(sn, m, k) != PolicyKind::P4 {
+            if s > BATCH_MAX_FRONT || self.opts.selector.choose(sn, m, k) != PolicyKind::P4 {
                 break;
             }
             if symbolic.children(sn).iter().any(|c| post[start..start + len].contains(c)) {
@@ -893,307 +860,85 @@ impl<T: Scalar> PipeDriver<'_, T> {
         len.max(1)
     }
 
-    /// Make `sn`'s child updates consumable: flush the staged front if it
-    /// holds a child (producing the update data), then block the host on
-    /// the d2h completion *event* of any in-flight entry holding a child —
-    /// an event wait, not a device drain.
-    fn ready_children(&mut self, sn: usize, machine: &mut Machine, pool: &mut PinnedPool) {
-        let symbolic = self.symbolic;
-        let kids = symbolic.children(sn);
-        if self.staged.as_ref().is_some_and(|st| st.sns.iter().any(|x| kids.contains(x))) {
-            self.flush_staged(machine, pool);
-        }
-        let mut j = 0;
-        while j < self.inflight.len() {
-            if self.inflight[j].sns.iter().any(|x| kids.contains(x)) {
-                let e = self.inflight.remove(j);
-                self.finish_entry(e, machine, pool);
-            } else {
-                j += 1;
-            }
-        }
+    /// Make `sn`'s child updates consumable and assemble its front.
+    fn ready_front(&mut self, sn: usize, ctx: &mut FuContext<'_>) -> Vec<T> {
+        let kids = self.symbolic.children(sn);
+        self.lane.flush_if_holds(|c| kids.contains(&c), ctx, &mut self.store);
+        self.lane.finish_holding(|c| kids.contains(&c), ctx);
+        self.store.assemble(self.a, sn, &mut ctx.machine.host)
     }
 
-    /// Assemble `sn`'s front into a fresh buffer, consuming its children's
-    /// packed updates.
-    fn assemble(&mut self, a: &SymCsc<T>, sn: usize, machine: &mut Machine) -> Vec<T> {
-        let symbolic = self.symbolic;
-        let info = &symbolic.supernodes[sn];
-        let s = info.front_size();
-        self.stats.front_alloc_events += 1;
-        if self.timing {
-            for &c in symbolic.children(sn) {
-                self.updates[c].take().expect("child update must exist in postorder");
-            }
-            self.live += s * s;
-            self.peak = self.peak.max(self.live);
-            let a_nnz = (info.col_start..info.col_end).map(|c| a.col_rows(c).len()).sum();
-            charge_assemble::<T>(
-                a_nnz,
-                s,
-                info.k(),
-                symbolic.children(sn).iter().map(|&c| symbolic.supernodes[c].m()),
-                &mut machine.host,
-            );
-            return Vec::new();
-        }
-        let child_bufs: Vec<(usize, Vec<T>)> = symbolic
-            .children(sn)
-            .iter()
-            .map(|&c| (c, self.updates[c].take().expect("child update must exist in postorder")))
-            .collect();
-        let mut front_data = vec![T::ZERO; s * s];
-        self.live += s * s;
-        self.peak = self.peak.max(self.live);
-        let children = child_bufs
-            .iter()
-            .map(|(c, d)| ChildUpdate { rows: symbolic.update_rows(*c), data: &d[..] });
-        assemble_front_into(
-            a,
-            info.col_start..info.col_end,
-            symbolic.update_rows(sn),
-            children,
-            &mut front_data,
-            &mut self.rel,
-            &mut machine.host,
-        );
-        for (_, d) in child_bufs {
-            self.live -= d.len();
-        }
-        front_data
-    }
-
-    /// Drain-path extraction for fronts with no GPU work outstanding:
-    /// numerics and charges together, as the drain driver orders them.
-    fn extract_inline(&mut self, sn: usize, front: &Front<'_, T>, machine: &mut Machine) {
-        let info = &self.symbolic.supernodes[sn];
-        let (s, k, m) = (info.front_size(), info.k(), info.m());
-        if self.timing {
-            charge_panel_extract::<T>(s, k, &mut machine.host);
-            charge_update_extract::<T>(m, &mut machine.host);
-            if m > 0 {
-                self.stats.front_alloc_events += 1;
-                self.updates[sn] = Some(Vec::new());
-            }
-            return;
-        }
-        let ptr = self.symbolic.panel_ptr();
-        let (p0, p1) = (ptr[sn], ptr[sn + 1]);
-        extract_panel_into(front, &mut self.slab[p0..p1], &mut machine.host);
-        charge_update_extract::<T>(m, &mut machine.host);
-        if m > 0 {
-            self.stats.front_alloc_events += 1;
-            let mut u = vec![T::ZERO; m * m];
-            copy_update_packed(front.data, s, k, &mut u);
-            self.live += m * m;
-            self.updates[sn] = Some(u);
-        }
-    }
-
-    /// Phase 2 for the staged front: enqueue its event-gated downloads,
-    /// extract the panel and update eagerly (data exists; time is still
-    /// outstanding) so the front buffer can drop, and move it in flight
-    /// with the extraction charges deferred to finish.
-    fn flush_staged(&mut self, machine: &mut Machine, pool: &mut PinnedPool) {
-        let Some(StagedFront { sns, mut bufs, kind }) = self.staged.take() else { return };
-        let symbolic = self.symbolic;
-        let mut ctx = fu_ctx_mode(machine, pool, self.opts, self.timing);
-        let pending = match kind {
-            StagedKind::Single(mut pending) => {
-                let info = &symbolic.supernodes[sns[0]];
-                let mut front = Front { s: info.front_size(), k: info.k(), data: &mut bufs[0] };
-                enqueue_downloads(&mut front, &mut pending, &mut ctx);
-                pending
-            }
-            StagedKind::Batch(batch) => {
-                let mut fronts: Vec<Front<'_, T>> = sns
-                    .iter()
-                    .zip(bufs.iter_mut())
-                    .map(|(&sn, buf)| {
-                        let info = &symbolic.supernodes[sn];
-                        Front { s: info.front_size(), k: info.k(), data: &mut buf[..] }
-                    })
-                    .collect();
-                enqueue_batch_downloads(&mut fronts, batch, &mut ctx)
-            }
-        };
-        let mut extracts = Vec::with_capacity(sns.len());
-        for (&sn, buf) in sns.iter().zip(bufs.iter_mut()) {
-            let info = &symbolic.supernodes[sn];
-            let (s, k, m) = (info.front_size(), info.k(), info.m());
-            let front = Front { s, k, data: &mut buf[..] };
-            if self.timing {
-                if m > 0 {
-                    self.stats.front_alloc_events += 1;
-                    self.updates[sn] = Some(Vec::new());
-                }
-            } else {
-                let ptr = self.symbolic.panel_ptr();
-                let (p0, p1) = (ptr[sn], ptr[sn + 1]);
-                extract_panel_copy(&front, &mut self.slab[p0..p1]);
-                if m > 0 {
-                    self.stats.front_alloc_events += 1;
-                    let mut u = vec![T::ZERO; m * m];
-                    copy_update_packed(front.data, s, k, &mut u);
-                    self.live += m * m;
-                    self.updates[sn] = Some(u);
-                }
-            }
-            self.live -= s * s;
-            extracts.push((s, k, m));
-        }
-        self.inflight.push(InflightFront { sns, extracts, pending });
-    }
-
-    /// Phase 3 for one in-flight entry: host waits on its `done` event,
-    /// device buffers free, and the deferred extraction charges land in the
-    /// drain driver's per-front order.
-    fn finish_entry(&mut self, entry: InflightFront, machine: &mut Machine, pool: &mut PinnedPool) {
-        let InflightFront { extracts, mut pending, .. } = entry;
-        let mut ctx = fu_ctx_mode(machine, pool, self.opts, self.timing);
-        finish_fu(&mut pending, &mut ctx);
-        for (s, k, m) in extracts {
-            charge_panel_extract::<T>(s, k, &mut machine.host);
-            charge_update_extract::<T>(m, &mut machine.host);
-        }
-    }
-
-    fn drain_inflight(&mut self, machine: &mut Machine, pool: &mut PinnedPool) {
-        while !self.inflight.is_empty() {
-            let e = self.inflight.remove(0);
-            self.finish_entry(e, machine, pool);
-        }
-    }
-
-    /// Finish the oldest in-flight entries until at most `depth` remain.
-    fn enforce_depth(&mut self, machine: &mut Machine, pool: &mut PinnedPool) {
-        while self.inflight.len() > self.opts.pipeline.depth {
-            let e = self.inflight.remove(0);
-            self.finish_entry(e, machine, pool);
-        }
-    }
-
-    fn step_single(
+    /// Dispatch one assembled front and extract it: inline when nothing is
+    /// outstanding on the device, through the lane otherwise — staged behind
+    /// the next dispatch under `look_ahead`, flushed and finished at once
+    /// without.
+    fn dispatch(
         &mut self,
-        a: &SymCsc<T>,
-        sn: usize,
-        machine: &mut Machine,
-        pool: &mut PinnedPool,
+        (sn, s, k, mut buf): Member<T>,
+        policy: PolicyKind,
+        look_ahead: bool,
+        ctx: &mut FuContext<'_>,
     ) -> Result<(), FactorError> {
-        let symbolic = self.symbolic;
-        let info = &symbolic.supernodes[sn];
-        let (s, k, m) = (info.front_size(), info.k(), info.m());
-        self.ready_children(sn, machine, pool);
-        let mut front_data = self.assemble(a, sn, machine);
-        let mut front = Front { s, k, data: &mut front_data };
-        let policy = self.opts.selector.choose(sn, m, k);
-        let mut ctx = fu_ctx_mode(machine, pool, self.opts, self.timing);
-        let dispatched = try_dispatch_gpu(&mut front, policy, &mut ctx)
-            .map_err(|e| fu_err_to_factor(info.col_start, e))?;
-        let pending = match dispatched {
-            Some(p) => p,
-            None => {
-                // Device OOM: reach the drain driver's empty-device state
-                // before retrying, so P1-fallback decisions match it.
-                self.flush_staged(machine, pool);
-                self.drain_inflight(machine, pool);
-                let mut ctx = fu_ctx_mode(machine, pool, self.opts, self.timing);
-                dispatch_fu(&mut front, policy, &mut ctx)
-                    .map_err(|e| fu_err_to_factor(info.col_start, e))?
-            }
-        };
-        if pending.oom_fallback() {
-            self.stats.oom_fallbacks += 1;
-        }
+        let pending = self
+            .lane
+            .dispatch(&mut Front { s, k, data: &mut buf }, policy, ctx, &mut self.store)
+            .map_err(|e| fu_err_to_factor(self.symbolic.supernodes[sn].col_start, e))?;
+        self.oom_fallbacks += usize::from(pending.oom_fallback());
         if pending.is_done() {
-            // CPU-resident result (P1, or an m = 0 P2/P3 pivot): nothing to
-            // pipeline.
-            self.extract_inline(sn, &front, machine);
-            self.live -= s * s;
+            extract_inline(sn, &Front { s, k, data: &mut buf }, ctx, &mut self.store);
             return Ok(());
         }
-        // Dispatch-before-flush: this front's upload is already queued, so
-        // flushing the previous front's downloads now cannot delay it.
-        self.flush_staged(machine, pool);
-        self.staged = Some(StagedFront {
-            sns: vec![sn],
-            bufs: vec![front_data],
-            kind: StagedKind::Single(pending),
-        });
-        self.enforce_depth(machine, pool);
+        self.lane.stage(
+            vec![(sn, s, k, buf)],
+            Phase1::Single(pending),
+            false,
+            ctx,
+            &mut self.store,
+        );
+        if look_ahead {
+            self.lane.enforce_window(PIPELINE_DEPTH, ctx);
+        } else {
+            self.lane.flush(ctx, &mut self.store);
+            self.lane.enforce_window(0, ctx);
+        }
         Ok(())
     }
 
-    fn step_batch(
-        &mut self,
-        a: &SymCsc<T>,
-        sns: &[usize],
-        machine: &mut Machine,
-        pool: &mut PinnedPool,
-    ) -> Result<(), FactorError> {
+    fn step_single(&mut self, sn: usize, ctx: &mut FuContext<'_>) -> Result<(), FactorError> {
+        let info = &self.symbolic.supernodes[sn];
+        let (s, k) = (info.front_size(), info.k());
+        let buf = self.ready_front(sn, ctx);
+        let policy = self.opts.selector.choose(sn, info.m(), k);
+        self.dispatch((sn, s, k, buf), policy, self.look_ahead, ctx)
+    }
+
+    fn step_batch(&mut self, sns: &[usize], ctx: &mut FuContext<'_>) -> Result<(), FactorError> {
         let symbolic = self.symbolic;
-        let mut bufs: Vec<Vec<T>> = Vec::with_capacity(sns.len());
+        let mut members: Vec<Member<T>> = Vec::with_capacity(sns.len());
         for &sn in sns {
-            self.ready_children(sn, machine, pool);
-            bufs.push(self.assemble(a, sn, machine));
+            let info = &symbolic.supernodes[sn];
+            members.push((sn, info.front_size(), info.k(), self.ready_front(sn, ctx)));
         }
-        let mut ctx = fu_ctx_mode(machine, pool, self.opts, self.timing);
-        let mut fronts: Vec<Front<'_, T>> = sns
-            .iter()
-            .zip(bufs.iter_mut())
-            .map(|(&sn, buf)| {
-                let info = &symbolic.supernodes[sn];
-                Front { s: info.front_size(), k: info.k(), data: &mut buf[..] }
-            })
-            .collect();
-        let first = try_dispatch_gpu_batch(&mut fronts, &mut ctx)
-            .map_err(|e| batch_err_to_factor(symbolic, sns, e))?;
-        drop(fronts);
-        let batch = match first {
-            Some(b) => Some(b),
-            None => {
-                // Combined allocation OOM: drain to the empty-device state
-                // and retry once before degrading to per-member dispatch.
-                self.flush_staged(machine, pool);
-                self.drain_inflight(machine, pool);
-                let mut ctx = fu_ctx_mode(machine, pool, self.opts, self.timing);
-                let mut fronts: Vec<Front<'_, T>> = sns
-                    .iter()
-                    .zip(bufs.iter_mut())
-                    .map(|(&sn, buf)| {
-                        let info = &symbolic.supernodes[sn];
-                        Front { s: info.front_size(), k: info.k(), data: &mut buf[..] }
-                    })
-                    .collect();
-                try_dispatch_gpu_batch(&mut fronts, &mut ctx)
-                    .map_err(|e| batch_err_to_factor(symbolic, sns, e))?
-            }
+        let batch = {
+            let mut fronts: Vec<Front<'_, T>> = members
+                .iter_mut()
+                .map(|(_, s, k, buf)| Front { s: *s, k: *k, data: buf })
+                .collect();
+            self.lane.dispatch_batch(&mut fronts, ctx, &mut self.store).map_err(|e| {
+                fu_err_to_factor(symbolic.supernodes[sns[e.member]].col_start, e.error)
+            })?
         };
         match batch {
-            Some(b) => {
-                self.flush_staged(machine, pool);
-                self.staged =
-                    Some(StagedFront { sns: sns.to_vec(), bufs, kind: StagedKind::Batch(b) });
-                self.enforce_depth(machine, pool);
+            Some(batch) => {
+                self.lane.stage(members, Phase1::Batch(batch), false, ctx, &mut self.store);
+                self.lane.enforce_window(PIPELINE_DEPTH, ctx);
             }
+            // The run does not fit even an empty device: its members
+            // dispatch one by one on the drained lane, so every decision
+            // matches the drain schedule's.
             None => {
-                // The run does not fit even on an empty device: dispatch
-                // members one by one (drained, so every decision matches
-                // the drain driver's).
-                for (&sn, mut buf) in sns.iter().zip(bufs) {
-                    let info = &symbolic.supernodes[sn];
-                    let (s, k) = (info.front_size(), info.k());
-                    let mut front = Front { s, k, data: &mut buf[..] };
-                    let mut ctx = fu_ctx_mode(machine, pool, self.opts, self.timing);
-                    let mut pending = dispatch_fu(&mut front, PolicyKind::P4, &mut ctx)
-                        .map_err(|e| fu_err_to_factor(info.col_start, e))?;
-                    enqueue_downloads(&mut front, &mut pending, &mut ctx);
-                    finish_fu(&mut pending, &mut ctx);
-                    if pending.oom_fallback() {
-                        self.stats.oom_fallbacks += 1;
-                    }
-                    self.extract_inline(sn, &front, machine);
-                    self.live -= s * s;
+                for member in members {
+                    self.dispatch(member, PolicyKind::P4, false, ctx)?;
                 }
             }
         }
@@ -1201,13 +946,15 @@ impl<T: Scalar> PipeDriver<'_, T> {
     }
 }
 
-/// Timing-only rehearsal of one driver schedule on a *virtual twin* of
-/// `machine`: same CPU and GPU configuration, fresh clocks, device memory
-/// and staging pool in virtual mode. Every simulated duration depends only
-/// on shapes and configuration — never on numeric data — so the rehearsed
-/// makespan equals the corresponding real driver's exactly, including OOM
-/// fallback decisions and pinned-pool waits. Costs two data-free passes
-/// over the supernode list; no numeric buffer is allocated or touched.
+/// Timing-only rehearsal of one schedule of [`PostorderRun`] on a *virtual
+/// twin* of `machine`: same CPU and GPU configuration, fresh clocks, device
+/// memory and staging pool in virtual mode. Every simulated duration depends
+/// only on shapes and configuration — never on numeric data — and the
+/// rehearsal runs the very bodies the real run does, so the rehearsed
+/// makespan equals the real driver's exactly, including OOM fallback
+/// decisions and pinned-pool waits (arena and heap front storage charge
+/// alike, so the drain rehearsal stands for both). No numeric buffer is
+/// allocated or touched.
 fn rehearse_makespan<T: Scalar>(
     a: &SymCsc<T>,
     symbolic: &SymbolicFactor,
@@ -1220,52 +967,11 @@ fn rehearse_makespan<T: Scalar>(
     if let Some(g) = twin.gpu.as_mut() {
         g.set_virtual(true);
     }
-    let mut pool =
-        if opts.pinned_reuse { PinnedPool::new(2) } else { PinnedPool::without_reuse(2) };
+    let mut pool = pinned_pool(opts);
     pool.set_virtual(true);
-    if pipelined {
-        let nsn = symbolic.num_supernodes();
-        let mut drv = PipeDriver {
-            symbolic,
-            opts,
-            slab: Vec::new(),
-            updates: (0..nsn).map(|_| None).collect(),
-            staged: None,
-            inflight: Vec::new(),
-            stats: FactorStats::default(),
-            rel: Vec::new(),
-            live: 0,
-            peak: 0,
-            timing: true,
-        };
-        drv.run(a, &mut twin, &mut pool)
-            .expect("timing-only rehearsal sees no data, so no pivot can fail");
-    } else {
-        // The drain driver's per-front charge sequence, data-free: assembly,
-        // the full F-U schedule (drained per front), panel and update
-        // extraction. Arena/heap front storage charge identically, so the
-        // rehearsal needs neither.
-        let mut empty: [T; 0] = [];
-        for &sn in &symbolic.postorder {
-            let info = &symbolic.supernodes[sn];
-            let (s, k, m) = (info.front_size(), info.k(), info.m());
-            let a_nnz = (info.col_start..info.col_end).map(|c| a.col_rows(c).len()).sum();
-            charge_assemble::<T>(
-                a_nnz,
-                s,
-                k,
-                symbolic.children(sn).iter().map(|&c| symbolic.supernodes[c].m()),
-                &mut twin.host,
-            );
-            let mut front = Front { s, k, data: &mut empty };
-            let policy = opts.selector.choose(sn, m, k);
-            let mut ctx = fu_ctx_mode(&mut twin, &mut pool, opts, true);
-            execute_fu(&mut front, policy, &mut ctx)
-                .expect("timing-only rehearsal sees no data, so no pivot can fail");
-            charge_panel_extract::<T>(s, k, &mut twin.host);
-            charge_update_extract::<T>(m, &mut twin.host);
-        }
-    }
+    PostorderRun::new(a, symbolic, opts, pipelined, true)
+        .run(&mut twin, &mut pool)
+        .expect("timing-only rehearsal sees no data, so no pivot can fail");
     twin.elapsed()
 }
 
@@ -1298,36 +1004,27 @@ fn factor_permuted_pipelined<T: Scalar>(
     let t_pipe = rehearse_makespan(a, symbolic, opts, machine, true);
     let t_drain = rehearse_makespan(a, symbolic, opts, machine, false);
     if t_pipe >= t_drain {
-        let drain = FactorOptions {
-            pipeline: PipelineOptions { enabled: false, ..opts.pipeline },
-            ..opts.clone()
-        };
+        let drain = FactorOptions { pipeline: PipelineOptions::default(), ..opts.clone() };
         return factor_permuted(a, symbolic, perm, machine, &drain);
     }
-    let nsn = symbolic.num_supernodes();
-    let mut pool =
-        if opts.pinned_reuse { PinnedPool::new(2) } else { PinnedPool::without_reuse(2) };
+    let mut pool = pinned_pool(opts);
     let wall0 = std::time::Instant::now();
-    let mut drv = PipeDriver {
-        symbolic,
-        opts,
-        slab: vec![T::ZERO; symbolic.factor_slab_len()],
-        updates: (0..nsn).map(|_| None).collect(),
-        staged: None,
-        inflight: Vec::new(),
-        stats: FactorStats { front_alloc_events: 1, ..Default::default() },
-        rel: Vec::new(),
-        live: 0,
-        peak: 0,
-        timing: false,
+    let mut run = PostorderRun::new(a, symbolic, opts, true, false);
+    run.run(machine, &mut pool)?;
+    let total_time = machine.elapsed();
+    let stats = FactorStats {
+        oom_fallbacks: run.oom_fallbacks,
+        front_alloc_events: run.store.allocs,
+        peak_front_bytes: run.store.peak_bytes(),
+        total_time,
+        gpu: machine.gpu.as_ref().map(|g| g.utilization(total_time)),
+        wall_time: wall0.elapsed().as_secs_f64(),
+        ..Default::default()
     };
-    drv.run(a, machine, &mut pool)?;
-    let PipeDriver { slab, mut stats, peak, .. } = drv;
-    stats.peak_front_bytes = peak * T::BYTES;
-    stats.total_time = machine.elapsed();
-    stats.gpu = machine.gpu.as_ref().map(|g| g.utilization(stats.total_time));
-    stats.wall_time = wall0.elapsed().as_secs_f64();
-    Ok((CholeskyFactor { symbolic: symbolic.clone(), perm: perm.clone(), slab }, stats))
+    Ok((
+        CholeskyFactor { symbolic: symbolic.clone(), perm: perm.clone(), slab: run.store.slab },
+        stats,
+    ))
 }
 
 #[cfg(test)]

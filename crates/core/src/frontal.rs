@@ -195,7 +195,7 @@ pub fn extract_panel_into<T: Scalar>(front: &Front<'_, T>, dst: &mut [T], host: 
     charge_panel_extract::<T>(front.s, front.k, host);
 }
 
-/// The data movement of [`extract_panel_into`] alone. The pipelined driver
+/// The data movement of [`extract_panel_into`] alone. A pipelined lane
 /// extracts eagerly once a front's downloads are enqueued (data exists the
 /// moment the simulator queues the transfer) but defers the clock charge to
 /// the front's finish.
@@ -213,19 +213,22 @@ pub(crate) fn charge_panel_extract<T: Scalar>(s: usize, k: usize, host: &mut Hos
     host.charge_memop(lower_trapezoid_len(s, k) * T::BYTES, ASSEMBLY_BW);
 }
 
-/// Pack the trailing `m × m` lower block of a factored front (stored with
-/// leading dimension `s` at offset `(k, k)` in `front_data`) into `dst`
-/// (leading dimension `m`). Pure data movement — simulated time is charged
-/// separately by [`charge_update_extract`] so every storage mode (arena
-/// compaction, pooled hand-off buffer, reference heap path) pays the same
-/// clock.
-pub(crate) fn copy_update_packed<T: Scalar>(front_data: &[T], s: usize, k: usize, dst: &mut [T]) {
+/// The trailing `m × m` lower block of a factored front (stored with leading
+/// dimension `s` at offset `(k, k)` in `front_data`) packed into a fresh
+/// buffer with leading dimension `m`; `None` when `m = 0`. Pure data
+/// movement — simulated time is charged separately by
+/// [`charge_update_extract`] so every storage mode (arena compaction,
+/// hand-off buffer, reference heap path) pays the same clock.
+pub(crate) fn packed_update<T: Scalar>(front_data: &[T], s: usize, k: usize) -> Option<Vec<T>> {
     let m = s - k;
-    debug_assert!(dst.len() >= m * m);
-    for j in 0..m {
-        let src = &front_data[(k + j) * s + k + j..(k + j) * s + s];
-        dst[j * m + j..(j + 1) * m].copy_from_slice(src);
-    }
+    (m > 0).then(|| {
+        let mut dst = vec![T::ZERO; m * m];
+        for j in 0..m {
+            let src = &front_data[(k + j) * s + k + j..(k + j) * s + s];
+            dst[j * m + j..(j + 1) * m].copy_from_slice(src);
+        }
+        dst
+    })
 }
 
 /// Charge the simulated cost of packing an `m × m` update matrix out of a
@@ -353,8 +356,7 @@ mod tests {
         let f = Front { s, k, data: &mut data };
         let mut host = HostClock::new(mf_gpusim::xeon_5160_core());
         let m = s - k;
-        let mut u = vec![0.0f64; m * m];
-        copy_update_packed(f.data, s, k, &mut u);
+        let u = packed_update(f.data, s, k).unwrap();
         charge_update_extract::<f64>(m, &mut host);
         assert_eq!(u[0], 22.0); // front (2,2)
         assert_eq!(u[1], 32.0); // front (3,2)

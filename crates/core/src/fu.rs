@@ -16,6 +16,10 @@
 //!   front (the optimization the paper credits for P4 winning at moderate
 //!   sizes in the multi-GPU runs).
 //!
+//! This module owns the three phases of one front's factor-update (dispatch,
+//! downloads, finish) and their device buffers; `crate::lane` owns when
+//! they run relative to other fronts. Nothing else calls the phases.
+//!
 //! All GPU arithmetic is f32 (the paper's choice on the T10); host fronts
 //! may be f64, converted at the staging boundary — exactly the
 //! mixed-precision scheme whose lost digits the paper recovers with
@@ -53,7 +57,7 @@ pub enum FuError {
 
 /// Execution context shared across the factorization's F-U calls.
 #[derive(Debug)]
-pub struct FuContext<'a> {
+pub(crate) struct FuContext<'a> {
     /// The worker's host+device timelines.
     pub machine: &'a mut Machine,
     /// Pinned staging buffers (growth-only reuse per §V-A2).
@@ -83,7 +87,7 @@ pub struct FuContext<'a> {
 
 /// Outcome of an F-U call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FuOutcome {
+pub(crate) struct FuOutcome {
     /// Policy that actually ran (may differ from the request on device OOM
     /// or on a CPU-only machine).
     pub executed: PolicyKind,
@@ -96,16 +100,16 @@ pub struct FuOutcome {
 ///
 /// This is the drain-per-front path: the three pipeline phases run
 /// back-to-back, so the host blocks until this front's downloads complete
-/// before returning. The pipelined driver in `factor.rs` calls
-/// [`dispatch_fu`], [`enqueue_downloads`] and [`finish_fu`] separately to
-/// overlap fronts across the PCIe bus and the compute engine.
-pub fn execute_fu<T: Scalar>(
+/// before returning. `crate::lane` calls [`dispatch_fu`],
+/// [`enqueue_downloads`] and [`finish_fu`] separately to overlap fronts
+/// across the PCIe bus and the compute engine.
+pub(crate) fn execute_fu<T: Scalar>(
     front: &mut Front<'_, T>,
     policy: PolicyKind,
     ctx: &mut FuContext<'_>,
 ) -> Result<FuOutcome, FuError> {
     let mut pending = dispatch_fu(front, policy, ctx)?;
-    enqueue_downloads(front, &mut pending, ctx);
+    enqueue_downloads(front, &mut pending, false, ctx);
     finish_fu(&mut pending, ctx);
     Ok(FuOutcome { executed: pending.executed, oom_fallback: pending.oom_fallback })
 }
@@ -130,7 +134,7 @@ pub fn execute_fu<T: Scalar>(
 /// *j+1* before phase 3 of front *j* has the next front uploading while
 /// the current one computes.
 #[derive(Debug)]
-pub struct FuPending {
+pub(crate) struct FuPending {
     executed: PolicyKind,
     oom_fallback: bool,
     state: PendingState,
@@ -191,27 +195,31 @@ impl FuPending {
         FuPending { executed, oom_fallback, state: PendingState::Done }
     }
 
-    /// Policy that actually ran.
-    pub fn executed(&self) -> PolicyKind {
-        self.executed
-    }
-
     /// Whether a device OOM forced a P1 fallback.
-    pub fn oom_fallback(&self) -> bool {
+    pub(crate) fn oom_fallback(&self) -> bool {
         self.oom_fallback
     }
 
     /// Whether every phase has run (nothing outstanding on the device).
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         matches!(self.state, PendingState::Done)
     }
 
-    /// The completion event of the front's last download, once phase 2 has
-    /// run and GPU work is still outstanding.
-    pub fn done_event(&self) -> Option<Event> {
-        match &self.state {
-            PendingState::Downloaded(f) => Some(f.done),
-            _ => None,
+    /// Give up on the front: free the device buffers it still owns, in
+    /// whatever phase it stands, without charging any time. The error path
+    /// of a driver whose caller keeps the machine.
+    pub(crate) fn abandon(self, gpu: &mut Gpu) {
+        let bufs = match self.state {
+            PendingState::Done => Vec::new(),
+            PendingState::Computed(DownloadPlan::P2 { d_l2, d_w, .. }) => vec![d_l2, d_w],
+            PendingState::Computed(DownloadPlan::P3 { d_panel, d_l1, d_w, .. }) => {
+                vec![d_panel, d_l1, d_w]
+            }
+            PendingState::Computed(DownloadPlan::P4 { d_front, .. }) => vec![d_front],
+            PendingState::Downloaded(plan) => plan.bufs,
+        };
+        for b in bufs {
+            let _ = gpu.free(b);
         }
     }
 }
@@ -219,7 +227,7 @@ impl FuPending {
 /// Phase 1 with transparent fallback: on a CPU-only machine the F-U runs
 /// as P1; on device OOM it falls back to P1 and flags the outcome. Either
 /// way the returned pending may already be done.
-pub fn dispatch_fu<T: Scalar>(
+pub(crate) fn dispatch_fu<T: Scalar>(
     front: &mut Front<'_, T>,
     policy: PolicyKind,
     ctx: &mut FuContext<'_>,
@@ -238,7 +246,7 @@ pub fn dispatch_fu<T: Scalar>(
 /// pipelined driver drains its in-flight fronts (releasing device memory)
 /// and retries before accepting a P1 fallback, so its fallback decisions
 /// match the drain-per-front driver's.
-pub fn try_dispatch_gpu<T: Scalar>(
+pub(crate) fn try_dispatch_gpu<T: Scalar>(
     front: &mut Front<'_, T>,
     policy: PolicyKind,
     ctx: &mut FuContext<'_>,
@@ -267,109 +275,17 @@ pub fn try_dispatch_gpu<T: Scalar>(
     }
 }
 
-/// Phase 2: enqueue the device→host downloads (each gated on its
-/// producer's completion event), record the front's `done` event, retire
-/// staging slots guarded by it, and run the host-side numerics that
-/// consume the staged data. No host blocking happens here.
-pub fn enqueue_downloads<T: Scalar>(
-    front: &mut Front<'_, T>,
-    pending: &mut FuPending,
-    ctx: &mut FuContext<'_>,
-) {
-    let plan = match std::mem::replace(&mut pending.state, PendingState::Done) {
-        PendingState::Computed(p) => p,
-        other => {
-            pending.state = other;
-            return;
-        }
-    };
-    let timing = ctx.timing_only;
-    let (host, gpu, pool) = split_ctx(ctx);
-    let finish = match plan {
-        DownloadPlan::P2 { d_l2, d_w, m, sp, su, chunks } => {
-            let copy = gpu.stream(S_COPY);
-            let wv = DevMat::whole(d_w, m);
-            for (j0, jb, ev) in chunks {
-                gpu.wait_event(copy, ev);
-                let stage = pool.slot_mut(su);
-                let dst = if timing { &mut [][..] } else { &mut stage[j0 + j0 * m..] };
-                gpu.d2h(copy, wv.offset(j0, j0), m - j0, jb, dst, m, true, CopyMode::Async, host);
-            }
-            let done = gpu.record_event(copy);
-            if !timing {
-                apply_update_numerics(front, &pool.slot(su)[..m * m]);
-            }
-            pool.retire(su, done.0, host);
-            pool.retire(sp, done.0, host);
-            FinishPlan { done, bufs: vec![d_l2, d_w], apply_bytes: update_apply_bytes::<T>(m) }
-        }
-        DownloadPlan::P3 { d_panel, d_l1, d_w, m, k, sp, su, ev_trsm, ev_syrk } => {
-            let copy = gpu.stream(S_COPY);
-            let pv = DevMat::whole(d_panel, m);
-            let wv = DevMat::whole(d_w, m);
-            // Download L₂ — overlaps the syrk still running on the device.
-            gpu.wait_event(copy, ev_trsm);
-            gpu.d2h(copy, pv, m, k, pool.slot_mut(sp), m, true, CopyMode::Async, host);
-            gpu.wait_event(copy, ev_syrk);
-            gpu.d2h(copy, wv, m, m, pool.slot_mut(su), m, true, CopyMode::Async, host);
-            let done = gpu.record_event(copy);
-            if !timing {
-                unstage_block(front, k, 0, m, k, &pool.slot(sp)[..m * k]);
-                apply_update_numerics(front, &pool.slot(su)[..m * m]);
-            }
-            pool.retire(su, done.0, host);
-            pool.retire(sp, done.0, host);
-            FinishPlan {
-                done,
-                bufs: vec![d_panel, d_l1, d_w],
-                apply_bytes: update_apply_bytes::<T>(m),
-            }
-        }
-        DownloadPlan::P4 { d_front, s, k, sp, stage_len, copy_optimized } => {
-            let m = s - k;
-            let compute = gpu.stream(S_COMPUTE);
-            let fv = DevMat::whole(d_front, s);
-            if copy_optimized {
-                let dst = if timing { &mut [][..] } else { &mut pool.slot_mut(sp)[..s * k] };
-                gpu.d2h(compute, fv, s, k, dst, s, true, CopyMode::Async, host);
-                if m > 0 {
-                    let dst =
-                        if timing { &mut [][..] } else { &mut pool.slot_mut(sp)[s * k..stage_len] };
-                    gpu.d2h(compute, fv.offset(k, k), m, m, dst, m, true, CopyMode::Async, host);
-                }
-            } else {
-                let dst = if timing { &mut [][..] } else { pool.slot_mut(sp) };
-                gpu.d2h(compute, fv, s, s, dst, s, true, CopyMode::Async, host);
-            }
-            let done = gpu.record_event(compute);
-            if !timing {
-                let stage = &pool.slot(sp)[..stage_len];
-                if copy_optimized {
-                    unstage_block(front, 0, 0, s, k, &stage[..s * k]);
-                    if m > 0 {
-                        unstage_block(front, k, k, m, m, &stage[s * k..]);
-                    }
-                } else {
-                    unstage_block(front, 0, 0, s, s, stage);
-                }
-            }
-            pool.retire(sp, done.0, host);
-            FinishPlan { done, bufs: vec![d_front], apply_bytes: 0 }
-        }
-    };
-    pending.state = PendingState::Downloaded(finish);
-}
-
 /// A device-resident contribution block left behind by
-/// [`enqueue_downloads_keep_update`]: the `m × m` update of a factored
-/// front, still on its device, ready to be peer-copied into the device
-/// that owns the parent front instead of round-tripping through the host.
+/// [`enqueue_downloads`] with `keep_update`: the `m × m` update of a
+/// factored front, still on its device, ready to be peer-copied into the
+/// device that owns the parent front instead of round-tripping through the
+/// host.
 ///
 /// The consumer owns `buf` and must free it on the producing device once
 /// the peer copy has been issued (or once it decides to fall back to host
 /// staging).
 #[derive(Debug, Clone, Copy)]
-pub struct RemoteUpdate {
+pub(crate) struct RemoteUpdate {
     /// Device buffer holding (or containing) the update block.
     pub buf: DevBuf,
     /// View of the `m × m` update block within `buf`.
@@ -380,25 +296,26 @@ pub struct RemoteUpdate {
     pub ready: Event,
 }
 
-/// Phase 2 variant for the multi-GPU driver: identical host numerics to
-/// [`enqueue_downloads`] — the simulator's eager transfers mean a d2h is a
-/// straight memcpy of the device bytes, so reading the device buffer in
-/// place yields bit-identical values — but the update block's download is
-/// *skipped* and its device buffer returned as a [`RemoteUpdate`] for a
-/// peer-copy extend-add. Only simulated time changes, never bits.
+/// Phase 2: enqueue the device→host downloads (each gated on its
+/// producer's completion event), record the front's `done` event, retire
+/// staging slots guarded by it, and run the host-side numerics that
+/// consume the staged data. No host blocking happens here.
 ///
-/// Returns `None` (after performing a normal phase 2) when there is nothing
-/// to export: a P1/finished front, an `m = 0` front, or timing-only mode
-/// (where device buffers hold no data to keep).
-pub fn enqueue_downloads_keep_update<T: Scalar>(
+/// With `keep_update` the update block's download is *skipped* and its
+/// device buffer returned as a [`RemoteUpdate`] for a peer-copy extend-add
+/// (the panel still crosses to the host — its columns land in the factor
+/// slab). The host numerics then read the device buffer in place: the
+/// simulator's transfers are eager memcpys of the device bytes, so the
+/// values are bit-identical to the downloaded ones and only simulated time
+/// changes. Nothing is kept (and `None` returned) when there is nothing to
+/// export: a finished front, an `m = 0` front, or timing-only mode, where
+/// device buffers hold no data.
+pub(crate) fn enqueue_downloads<T: Scalar>(
     front: &mut Front<'_, T>,
     pending: &mut FuPending,
+    keep_update: bool,
     ctx: &mut FuContext<'_>,
 ) -> Option<RemoteUpdate> {
-    if ctx.timing_only {
-        enqueue_downloads(front, pending, ctx);
-        return None;
-    }
     let plan = match std::mem::replace(&mut pending.state, PendingState::Done) {
         PendingState::Computed(p) => p,
         other => {
@@ -406,95 +323,131 @@ pub fn enqueue_downloads_keep_update<T: Scalar>(
             return None;
         }
     };
-    if let DownloadPlan::P4 { s, k, .. } = &plan {
-        if *s == *k {
-            // No update block to export — run the normal download path.
-            pending.state = PendingState::Computed(plan);
-            enqueue_downloads(front, pending, ctx);
-            return None;
-        }
-    }
+    let timing = ctx.timing_only;
+    let keep = keep_update && !timing;
     let (host, gpu, pool) = split_ctx(ctx);
     let (finish, remote) = match plan {
         DownloadPlan::P2 { d_l2, d_w, m, sp, su, chunks } => {
-            let ready = chunks.last().expect("m > 0 fronts enqueue at least one chunk").2;
-            {
-                let w = gpu.peek(d_w).expect("update buffer is live");
+            let done = if keep {
+                chunks.last().expect("m > 0 fronts enqueue at least one chunk").2
+            } else {
+                let copy = gpu.stream(S_COPY);
+                let wv = DevMat::whole(d_w, m);
+                for (j0, jb, ev) in chunks {
+                    gpu.wait_event(copy, ev);
+                    let stage = pool.slot_mut(su);
+                    let dst = if timing { &mut [][..] } else { &mut stage[j0 + j0 * m..] };
+                    let src = wv.offset(j0, j0);
+                    gpu.d2h(copy, src, m - j0, jb, dst, m, true, CopyMode::Async, host);
+                }
+                gpu.record_event(copy)
+            };
+            if !timing {
+                let w = if keep {
+                    gpu.peek(d_w).expect("update buffer is live")
+                } else {
+                    pool.slot(su)
+                };
                 apply_update_numerics(front, &w[..m * m]);
             }
-            pool.retire(su, ready.0, host);
-            pool.retire(sp, ready.0, host);
-            (
-                FinishPlan { done: ready, bufs: vec![d_l2], apply_bytes: 0 },
-                RemoteUpdate { buf: d_w, view: DevMat::whole(d_w, m), m, ready },
-            )
+            pool.retire(su, done.0, host);
+            pool.retire(sp, done.0, host);
+            if keep {
+                let remote = RemoteUpdate { buf: d_w, view: DevMat::whole(d_w, m), m, ready: done };
+                (FinishPlan { done, bufs: vec![d_l2], apply_bytes: 0 }, Some(remote))
+            } else {
+                let apply_bytes = update_apply_bytes::<T>(m);
+                (FinishPlan { done, bufs: vec![d_l2, d_w], apply_bytes }, None)
+            }
         }
         DownloadPlan::P3 { d_panel, d_l1, d_w, m, k, sp, su, ev_trsm, ev_syrk } => {
             let copy = gpu.stream(S_COPY);
             let pv = DevMat::whole(d_panel, m);
-            // The panel still crosses to the host (its columns land in the
-            // factor slab); the update block stays device-resident.
+            // Download L₂ — overlaps the syrk still running on the device.
             gpu.wait_event(copy, ev_trsm);
             gpu.d2h(copy, pv, m, k, pool.slot_mut(sp), m, true, CopyMode::Async, host);
-            let ev_dl = gpu.record_event(copy);
-            unstage_block(front, k, 0, m, k, &pool.slot(sp)[..m * k]);
-            {
-                let w = gpu.peek(d_w).expect("update buffer is live");
+            let done = if keep {
+                Event(gpu.record_event(copy).0.max(ev_syrk.0))
+            } else {
+                gpu.wait_event(copy, ev_syrk);
+                let wv = DevMat::whole(d_w, m);
+                gpu.d2h(copy, wv, m, m, pool.slot_mut(su), m, true, CopyMode::Async, host);
+                gpu.record_event(copy)
+            };
+            if !timing {
+                unstage_block(front, k, 0, m, k, &pool.slot(sp)[..m * k], m);
+                let w = if keep {
+                    gpu.peek(d_w).expect("update buffer is live")
+                } else {
+                    pool.slot(su)
+                };
                 apply_update_numerics(front, &w[..m * m]);
             }
-            let done = Event(ev_dl.0.max(ev_syrk.0));
             pool.retire(su, done.0, host);
             pool.retire(sp, done.0, host);
-            (
-                FinishPlan { done, bufs: vec![d_panel, d_l1], apply_bytes: 0 },
-                RemoteUpdate { buf: d_w, view: DevMat::whole(d_w, m), m, ready: ev_syrk },
-            )
+            if keep {
+                let remote =
+                    RemoteUpdate { buf: d_w, view: DevMat::whole(d_w, m), m, ready: ev_syrk };
+                (FinishPlan { done, bufs: vec![d_panel, d_l1], apply_bytes: 0 }, Some(remote))
+            } else {
+                let apply_bytes = update_apply_bytes::<T>(m);
+                (FinishPlan { done, bufs: vec![d_panel, d_l1, d_w], apply_bytes }, None)
+            }
         }
-        DownloadPlan::P4 { d_front, s, k, sp, stage_len: _, copy_optimized } => {
+        DownloadPlan::P4 { d_front, s, k, sp, stage_len, copy_optimized } => {
             let m = s - k;
+            let keep = keep && m > 0;
             let compute = gpu.stream(S_COMPUTE);
             let fv = DevMat::whole(d_front, s);
             // Kernels are all enqueued; the update bytes are final after
             // this point on the compute stream.
             let ready = gpu.record_event(compute);
-            gpu.d2h(
-                compute,
-                fv,
-                s,
-                k,
-                &mut pool.slot_mut(sp)[..s * k],
-                s,
-                true,
-                CopyMode::Async,
-                host,
-            );
+            if keep || copy_optimized {
+                let dst = if timing { &mut [][..] } else { &mut pool.slot_mut(sp)[..s * k] };
+                gpu.d2h(compute, fv, s, k, dst, s, true, CopyMode::Async, host);
+                if !keep && m > 0 {
+                    let dst =
+                        if timing { &mut [][..] } else { &mut pool.slot_mut(sp)[s * k..stage_len] };
+                    gpu.d2h(compute, fv.offset(k, k), m, m, dst, m, true, CopyMode::Async, host);
+                }
+            } else {
+                let dst = if timing { &mut [][..] } else { pool.slot_mut(sp) };
+                gpu.d2h(compute, fv, s, s, dst, s, true, CopyMode::Async, host);
+            }
             let done = gpu.record_event(compute);
-            {
-                let dev = gpu.peek(d_front).expect("front buffer is live");
-                if copy_optimized {
-                    unstage_block(front, 0, 0, s, k, &dev[..s * k]);
-                    unstage_block_ld(front, k, k, m, m, &dev[k + k * s..], s);
+            if !timing {
+                // Kept: the device buffer *is* the packed s×s front, so
+                // unstaging it in place reproduces the staged bytes.
+                let (src, update_at, update_ld) = if keep {
+                    (gpu.peek(d_front).expect("front buffer is live"), k + k * s, s)
                 } else {
-                    // The naive plan round-trips the whole s×s front; the
-                    // device buffer *is* that packed front, so unstaging it
-                    // in place reproduces the exact same bytes.
-                    unstage_block(front, 0, 0, s, s, &dev[..s * s]);
+                    (&pool.slot(sp)[..stage_len], s * k, m)
+                };
+                if copy_optimized {
+                    unstage_block(front, 0, 0, s, k, &src[..s * k], s);
+                    if m > 0 {
+                        unstage_block(front, k, k, m, m, &src[update_at..], update_ld);
+                    }
+                } else {
+                    unstage_block(front, 0, 0, s, s, &src[..s * s], s);
                 }
             }
             pool.retire(sp, done.0, host);
-            (
-                FinishPlan { done, bufs: Vec::new(), apply_bytes: 0 },
-                RemoteUpdate { buf: d_front, view: fv.offset(k, k), m, ready },
-            )
+            if keep {
+                let remote = RemoteUpdate { buf: d_front, view: fv.offset(k, k), m, ready };
+                (FinishPlan { done, bufs: Vec::new(), apply_bytes: 0 }, Some(remote))
+            } else {
+                (FinishPlan { done, bufs: vec![d_front], apply_bytes: 0 }, None)
+            }
         }
     };
     pending.state = PendingState::Downloaded(finish);
-    Some(remote)
+    remote
 }
 
 /// Phase 3 — the only host block: wait for the front's `done` event, free
 /// its device buffers and land the deferred host charges.
-pub fn finish_fu(pending: &mut FuPending, ctx: &mut FuContext<'_>) {
+pub(crate) fn finish_fu(pending: &mut FuPending, ctx: &mut FuContext<'_>) {
     let plan = match std::mem::replace(&mut pending.state, PendingState::Done) {
         PendingState::Downloaded(p) => p,
         other => {
@@ -547,7 +500,6 @@ pub fn estimate_fu_time(
     panel_width: usize,
     copy_optimized: bool,
 ) -> f64 {
-    machine.reset();
     if let Some(g) = machine.gpu.as_mut() {
         g.set_virtual(true);
     }
@@ -555,11 +507,13 @@ pub fn estimate_fu_time(
     pool.set_virtual(true);
     let empty: &mut [f32] = &mut [];
     let mut front = Front { s: m + k, k, data: empty };
-    // Warm-up pass: grow the pinned pool to this call's footprint so the
-    // measured pass sees the steady-state cost (in a factorization the pool
-    // amortises growth across thousands of calls; a cold-pool estimate
-    // would bias against the policies with large staging footprints).
-    {
+    // Two passes, the clocks reset before each. The first is a warm-up that
+    // grows the pinned pool to this call's footprint so the second measures
+    // the steady-state cost (in a factorization the pool amortises growth
+    // across thousands of calls; a cold-pool estimate would bias against
+    // the policies with large staging footprints).
+    for _pass in 0..2 {
+        machine.reset();
         let mut ctx = FuContext {
             machine,
             pool: &mut pool,
@@ -576,19 +530,6 @@ pub fn estimate_fu_time(
         execute_fu(&mut front, policy, &mut ctx)
             .expect("timing-only execution cannot fail numerically");
     }
-    machine.reset();
-    let mut ctx = FuContext {
-        machine,
-        pool: &mut pool,
-        panel_width,
-        copy_optimized,
-        timing_only: true,
-        kernel_threads: None,
-        tiling: TilingOptions::disabled(),
-    };
-    let out = execute_fu(&mut front, policy, &mut ctx)
-        .expect("timing-only execution cannot fail numerically");
-    let _ = out;
     let t = machine.elapsed();
     if let Some(g) = machine.gpu.as_mut() {
         g.set_virtual(false);
@@ -731,9 +672,9 @@ fn stage_block<T: Scalar>(
     }
 }
 
-/// Unstage an f32 buffer with leading dimension `src_ld` back into a front
-/// sub-block (the packed variant below has `src_ld == rows`).
-fn unstage_block_ld<T: Scalar>(
+/// Unstage an f32 buffer with leading dimension `src_ld` (`rows` when it is
+/// packed) back into a front sub-block.
+fn unstage_block<T: Scalar>(
     front: &mut Front<'_, T>,
     row0: usize,
     col0: usize,
@@ -746,22 +687,6 @@ fn unstage_block_ld<T: Scalar>(
     for j in 0..cols {
         let dst = &mut front.data[(col0 + j) * s + row0..(col0 + j) * s + row0 + rows];
         unstage_from_f32(&src[j * src_ld..j * src_ld + rows], dst);
-    }
-}
-
-/// Unstage a packed f32 buffer back into a front sub-block.
-fn unstage_block<T: Scalar>(
-    front: &mut Front<'_, T>,
-    row0: usize,
-    col0: usize,
-    rows: usize,
-    cols: usize,
-    src: &[f32],
-) {
-    let s = front.s;
-    for j in 0..cols {
-        let dst = &mut front.data[(col0 + j) * s + row0..(col0 + j) * s + row0 + rows];
-        unstage_from_f32(&src[j * rows..(j + 1) * rows], dst);
     }
 }
 
@@ -1050,7 +975,7 @@ fn dispatch_p4<T: Scalar>(
 
 /// Error from a batched dispatch, attributing the failure to one member.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchError {
+pub(crate) struct BatchError {
     /// Index into the dispatched run.
     pub member: usize,
     /// The underlying F-U failure.
@@ -1064,7 +989,7 @@ pub struct BatchError {
 /// per-member kernel sequences — and therefore numerics — are identical to
 /// single dispatch.
 #[derive(Debug)]
-pub struct FuBatchPending {
+pub(crate) struct FuBatchPending {
     d_all: DevBuf,
     slot: usize,
     total: usize,
@@ -1073,14 +998,9 @@ pub struct FuBatchPending {
 }
 
 impl FuBatchPending {
-    /// Number of fronts in the batch.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Whether the batch is empty (never true for a dispatched batch).
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
+    /// [`FuPending::abandon`] for a dispatched batch.
+    pub(crate) fn abandon(self, gpu: &mut Gpu) {
+        let _ = gpu.free(self.d_all);
     }
 }
 
@@ -1088,7 +1008,7 @@ impl FuBatchPending {
 /// upload with a single h2d, then enqueue each member's Figure-9 panel
 /// loop. Returns `Ok(None)` if the combined device allocation OOMs (the
 /// caller drains and retries member-by-member).
-pub fn try_dispatch_gpu_batch<T: Scalar>(
+pub(crate) fn try_dispatch_gpu_batch<T: Scalar>(
     fronts: &mut [Front<'_, T>],
     ctx: &mut FuContext<'_>,
 ) -> Result<Option<FuBatchPending>, BatchError> {
@@ -1140,7 +1060,7 @@ pub fn try_dispatch_gpu_batch<T: Scalar>(
 /// Phase 2 for a batch: one download covers the whole run, then every
 /// member unstages from its sub-range of the slot. Returns a pending that
 /// [`finish_fu`] drains exactly like a single dispatch.
-pub fn enqueue_batch_downloads<T: Scalar>(
+pub(crate) fn enqueue_batch_downloads<T: Scalar>(
     fronts: &mut [Front<'_, T>],
     batch: FuBatchPending,
     ctx: &mut FuContext<'_>,
@@ -1166,7 +1086,7 @@ pub fn enqueue_batch_downloads<T: Scalar>(
     let done = gpu.record_event(compute);
     if !timing {
         for (f, &(base, s, _)) in fronts.iter_mut().zip(&members) {
-            unstage_block(f, 0, 0, s, s, &pool.slot(slot)[base..base + s * s]);
+            unstage_block(f, 0, 0, s, s, &pool.slot(slot)[base..base + s * s], s);
         }
     }
     pool.retire(slot, done.0, host);
@@ -1500,12 +1420,7 @@ mod tests {
                     tiling: TilingOptions::default(),
                 };
                 let mut pending = dispatch_fu(&mut front, policy, &mut ctx).unwrap();
-                let export = if keep {
-                    enqueue_downloads_keep_update(&mut front, &mut pending, &mut ctx)
-                } else {
-                    enqueue_downloads(&mut front, &mut pending, &mut ctx);
-                    None
-                };
+                let export = enqueue_downloads(&mut front, &mut pending, keep, &mut ctx);
                 finish_fu(&mut pending, &mut ctx);
                 let block = export.map(|r| {
                     assert_eq!(r.m, m);

@@ -33,6 +33,7 @@ pub mod factor;
 pub mod features;
 pub mod frontal;
 pub mod fu;
+mod lane;
 pub mod multigpu;
 pub mod ooc;
 pub mod parallel;
@@ -50,11 +51,7 @@ pub use factor::{
 };
 pub use features::{raw_features, LinearPolicyModel, NUM_FEATURES};
 pub use frontal::{ChildUpdate, Front};
-pub use fu::{
-    dispatch_fu, enqueue_batch_downloads, enqueue_downloads, estimate_fu_time, execute_fu,
-    finish_fu, try_dispatch_gpu, try_dispatch_gpu_batch, BatchError, FuBatchPending, FuContext,
-    FuError, FuOutcome, FuPending, DEFAULT_PANEL_WIDTH,
-};
+pub use fu::{estimate_fu_time, FuError, DEFAULT_PANEL_WIDTH};
 pub use multigpu::{
     factor_permuted_multigpu, factor_permuted_parallel_multigpu, proportional_map, DeviceMap,
     MultiGpuOptions,

@@ -15,16 +15,17 @@
 //!
 //! # Execution
 //!
-//! Each device factors its region with the existing pipelined three-phase
-//! front machinery ([`crate::fu`]), driven in an interleaved issue order
-//! (round-robin over per-device postorder queues) so that a front uploads
-//! to one device while another device's kernels run. Above the frontier, a
-//! front whose children were factored on *other* devices consumes their
+//! This module is the multi-device *issuer* of the pipelined front lifecycle
+//! of `crate::lane`: it owns the issue order (round-robin over per-device
+//! postorder queues, so a front uploads to one device while another
+//! device's kernels run), which lane a front runs on, the window over a
+//! worker's lanes, and the peer exports between lanes. Above the frontier,
+//! a front whose children were factored on *other* devices consumes their
 //! packed `m × m` contribution blocks via [`DeviceSet::p2p`] peer copies —
 //! event-chained, on the dedicated peer engine — instead of the
 //! d2h → host-assemble → h2d staging round-trip; the producing front's
 //! update download (and its host-side apply charge) is skipped entirely
-//! ([`enqueue_downloads_keep_update`]).
+//! (`keep_update` in `fu::enqueue_downloads`).
 //!
 //! # Determinism
 //!
@@ -38,18 +39,16 @@
 //! same bytes the download path would have produced (pinned by
 //! `fu::tests::keep_update_path_is_bitwise_identical_to_download_path`).
 //! Device-OOM retry first drains the device to the serial driver's
-//! empty-device state, so P1-fallback decisions — the one place scheduling
+//! empty-device state (the lane's rule, plus the eviction of exports still
+//! resident there), so P1-fallback decisions — the one place scheduling
 //! could touch numerics — match the drain driver exactly.
 
-use crate::factor::{fu_ctx, fu_err_to_factor, CholeskyFactor, FactorError, FactorOptions};
-use crate::frontal::{
-    assemble_front_into, charge_panel_extract, charge_update_extract, copy_update_packed,
-    extract_panel_copy, extract_panel_into, ChildUpdate, Front,
+use crate::factor::{
+    fu_ctx, fu_err_to_factor, pinned_pool, CholeskyFactor, FactorError, FactorOptions,
 };
-use crate::fu::{
-    dispatch_fu, enqueue_downloads, enqueue_downloads_keep_update, finish_fu, try_dispatch_gpu,
-    FuPending, RemoteUpdate, S_COMPUTE, S_COPY,
-};
+use crate::frontal::{charge_update_extract, Front};
+use crate::fu::{FuContext, RemoteUpdate, S_COMPUTE, S_COPY};
+use crate::lane::{extract_inline, FrontSink, FrontStore, Lane, Phase1};
 use crate::pinned_pool::PinnedPool;
 use crate::policy::PolicyKind;
 use crate::stats::FactorStats;
@@ -57,6 +56,7 @@ use mf_dense::Scalar;
 use mf_gpusim::{CopyMode, DevMat, DeviceSet, Gpu, GpuUtilization, Machine};
 use mf_sparse::symbolic::SymbolicFactor;
 use mf_sparse::{Permutation, SymCsc};
+use std::collections::VecDeque;
 
 /// Stream id for incoming peer copies on each device (S_COMPUTE and S_COPY
 /// keep the single-device meanings).
@@ -74,27 +74,18 @@ pub struct MultiGpuOptions {
     /// Number of simulated devices. `1` (the default) keeps the
     /// single-device drivers.
     pub count: usize,
-    /// Global look-ahead window: maximum fronts with downloads outstanding
-    /// across the whole device set before the oldest is finished (never
-    /// below the device count, so every device can hold work).
-    pub look_ahead: usize,
-    /// Consume cross-device child updates via peer copies instead of host
-    /// staging. Off, every contribution block round-trips through the host
-    /// exactly as the single-device drivers do (an ablation knob — bits
-    /// never change either way).
-    pub peer_extend_add: bool,
 }
 
 impl Default for MultiGpuOptions {
     fn default() -> Self {
-        MultiGpuOptions { count: 1, look_ahead: 8, peer_extend_add: true }
+        MultiGpuOptions::devices(1)
     }
 }
 
 impl MultiGpuOptions {
-    /// `count` devices with the default look-ahead and peer extend-add on.
+    /// `count` devices.
     pub fn devices(count: usize) -> Self {
-        MultiGpuOptions { count, ..Default::default() }
+        MultiGpuOptions { count }
     }
 }
 
@@ -217,42 +208,89 @@ pub fn proportional_map(symbolic: &SymbolicFactor, ndev: usize) -> DeviceMap {
     DeviceMap { device_of, issue_order, load }
 }
 
-/// A dispatched front whose downloads are not enqueued yet (per-lane
-/// dispatch-before-flush staging, as the single-device pipelined driver).
-struct MgStaged<T> {
-    sn: usize,
-    buf: Vec<T>,
-    pending: FuPending,
-}
+/// Fronts one worker keeps in flight over all its devices before its host
+/// waits for the oldest (never fewer than it has devices, so every device
+/// can hold work). At 2 and 4 devices on plate 120², cube 16³ and elasticity
+/// 10³ (f32, fixed P2/P3/P4 and the baseline hybrid) windows of 2, 4 and 16
+/// land within 3 % of 8 with no consistent sign.
+const LOOK_AHEAD: usize = 8;
 
-/// A flushed front: downloads (or the peer-export) enqueued, panel and
-/// update extracted eagerly, extraction charges deferred to finish.
-struct MgInflight {
-    sn: usize,
-    lane: usize,
-    /// `(s, k, m)`.
-    dims: (usize, usize, usize),
-    /// Update block exported device-side: its extract charge is skipped —
-    /// the bytes never cross to the host.
-    exported: bool,
-    pending: FuPending,
-}
+/// Consume cross-device child updates by peer copy rather than through the
+/// host — one transfer in place of a d2h, a host extend-add and an h2d. On
+/// those runs host staging alone is 0–4 % slower and never faster. It
+/// remains the fallback where a peer copy cannot serve: a P1 parent, a
+/// landing buffer that does not fit, an OOM retry on the producing device
+/// ([`evict`]).
+const PEER_EXTEND_ADD: bool = true;
 
-/// One driving worker: a host timeline, the lanes (devices) it owns, and
-/// its staging state. The worker's [`Machine`] holds no device between fu
-/// calls — lanes are taken out of `set` for exactly the duration of each
-/// single-device fu call and restored immediately after.
+/// One driving worker: a host timeline and the devices it owns, one
+/// [`Lane`] each. The worker's [`Machine`] holds no device between lane
+/// calls — a device is taken out of `set` for exactly the duration of each
+/// call ([`MgRun::on_lane`]) and restored immediately after.
 struct WorkerState<'m, T> {
     machine: &'m mut Machine,
     set: DeviceSet,
     /// Global device ids of this worker's lanes (`devs[lane]`), ascending.
     devs: Vec<usize>,
     pool: PinnedPool,
-    staged: Vec<Option<MgStaged<T>>>,
-    inflight: Vec<MgInflight>,
+    lanes: Vec<Lane<T>>,
+    /// Supernodes in the order their fronts went in flight on any lane —
+    /// the worker-wide FIFO behind the look-ahead window. Entries already
+    /// finished (a parent consumed them) are skipped when popped.
+    order: VecDeque<usize>,
 }
 
-/// Whole-run state of the multi-GPU driver.
+/// What a lane of the multi-GPU run delivers into: the shared front store,
+/// plus the update blocks left device-resident for a peer-copy extend-add.
+struct MgSink<'r, 'a, T> {
+    store: &'r mut FrontStore<'a, T>,
+    exports: &'r mut [Option<RemoteUpdate>],
+    order: &'r mut VecDeque<usize>,
+    /// Owning device of each supernode, and the device this lane drives.
+    device_of: &'r [usize],
+    dev: usize,
+}
+
+impl<T: Scalar> FrontSink<T> for MgSink<'_, '_, T> {
+    fn deliver(&mut self, sn: usize, front: &Front<'_, T>, remote: Option<RemoteUpdate>) {
+        self.store.deliver(sn, front, None);
+        self.exports[sn] = remote;
+        self.order.push_back(sn);
+    }
+
+    /// Evict every export still resident on the lane's device, so an OOM
+    /// retry sees the memory the serial drain driver would.
+    fn device_drained(&mut self, ctx: &mut FuContext<'_>) {
+        for c in 0..self.exports.len() {
+            if self.device_of[c] == self.dev {
+                if let Some(ru) = self.exports[c].take() {
+                    evict::<T>(ru, ctx);
+                }
+            }
+        }
+    }
+}
+
+/// Host-staging fallback for one exported update, on its producing device
+/// (installed in `ctx`): an event-gated d2h into a pooled pinned slot (bytes
+/// already live on the host — only the transfer's simulated time matters)
+/// plus the update-extract charge its producer skipped, then the device
+/// buffer frees.
+fn evict<T: Scalar>(ru: RemoteUpdate, ctx: &mut FuContext<'_>) {
+    let slot = ctx.pool.lease(ru.m * ru.m, &mut ctx.machine.host);
+    let (host, gpu) = ctx.machine.host_and_gpu().expect("lane device present");
+    let copy = gpu.stream(S_COPY);
+    gpu.wait_event(copy, ru.ready);
+    gpu.d2h(copy, ru.view, ru.m, ru.m, ctx.pool.slot_mut(slot), ru.m, true, CopyMode::Async, host);
+    let ev = gpu.record_event(copy);
+    ctx.pool.retire(slot, ev.0, host);
+    let _ = gpu.free(ru.buf);
+    charge_update_extract::<T>(ru.m, host);
+}
+
+/// Whole-run state of the multi-GPU issuer: the issue order, which lane a
+/// front runs on, and the peer exports between lanes. The lifecycle of each
+/// front is [`crate::lane`]'s.
 struct MgRun<'a, 'm, T> {
     a: &'a SymCsc<T>,
     symbolic: &'a SymbolicFactor,
@@ -263,104 +301,115 @@ struct MgRun<'a, 'm, T> {
     /// Lane index of each global device within its worker's set.
     lane_of: Vec<usize>,
     ws: Vec<WorkerState<'m, T>>,
-    slab: Vec<T>,
-    /// Packed host-side `m × m` updates awaiting their parent's extend-add
-    /// (always produced — the authoritative numerics).
-    updates: Vec<Option<Vec<T>>>,
+    /// Slab and host-side packed updates (always produced — the
+    /// authoritative numerics).
+    store: FrontStore<'a, T>,
     /// Device-resident update blocks awaiting a peer-copy extend-add.
     exports: Vec<Option<RemoteUpdate>>,
-    rel: Vec<usize>,
-    stats: FactorStats,
-    live: usize,
-    peak: usize,
+    oom_fallbacks: usize,
 }
 
-impl<T: Scalar> MgRun<'_, '_, T> {
-    fn take_dev(&mut self, w: usize, lane: usize) {
-        let ws = &mut self.ws[w];
-        debug_assert!(ws.machine.gpu.is_none(), "device take/put must nest");
-        ws.machine.gpu = Some(ws.set.take(lane));
+impl<'a, T: Scalar> MgRun<'a, '_, T> {
+    /// Worker and lane of the device that owns `sn`.
+    fn home(&self, sn: usize) -> (usize, usize) {
+        let dev = self.map.device_of[sn];
+        (self.worker_of[dev], self.lane_of[dev])
     }
 
-    fn put_dev(&mut self, w: usize, lane: usize) {
+    /// Run `f` on lane `lane` of worker `w` with the lane's device installed
+    /// in the worker's machine.
+    fn on_lane<R>(
+        &mut self,
+        w: usize,
+        lane: usize,
+        f: impl FnOnce(&mut Lane<T>, &mut FuContext<'_>, &mut MgSink<'_, 'a, T>) -> R,
+    ) -> R {
         let ws = &mut self.ws[w];
-        let g = ws.machine.gpu.take().expect("device must be present to restore");
-        ws.set.restore(lane, g);
+        debug_assert!(ws.machine.gpu.is_none(), "device take/restore must nest");
+        ws.machine.gpu = Some(ws.set.take(lane));
+        let mut sink = MgSink {
+            store: &mut self.store,
+            exports: &mut self.exports,
+            order: &mut ws.order,
+            device_of: &self.map.device_of,
+            dev: ws.devs[lane],
+        };
+        let mut ctx = fu_ctx(ws.machine, &mut ws.pool, self.opts, None, false);
+        let r = f(&mut ws.lanes[lane], &mut ctx, &mut sink);
+        let gpu = ws.machine.gpu.take().expect("lane calls leave the device installed");
+        ws.set.restore(lane, gpu);
+        r
     }
 
     fn run(&mut self) -> Result<(), FactorError> {
         let order = self.map.issue_order.clone();
-        for sn in order {
-            self.step(sn)?;
-        }
+        let issued = order.into_iter().try_for_each(|sn| self.step(sn));
         for w in 0..self.ws.len() {
-            for lane in 0..self.ws[w].staged.len() {
-                self.flush_lane(w, lane);
+            for lane in 0..self.ws[w].lanes.len() {
+                self.on_lane(w, lane, |l, ctx, sink| match issued {
+                    Ok(()) => l.flush(ctx, sink),
+                    Err(_) => l.abandon(ctx),
+                });
             }
-            while !self.ws[w].inflight.is_empty() {
-                let e = self.ws[w].inflight.remove(0);
-                self.finish_entry(w, e);
+            self.trim_window(w, 0);
+        }
+        if issued.is_err() {
+            for c in 0..self.exports.len() {
+                if let Some(ru) = self.exports[c].take() {
+                    let (w, lane) = self.home(c);
+                    let _ = self.ws[w].set.device_mut(lane).free(ru.buf);
+                }
             }
         }
         debug_assert!(
             self.exports.iter().all(Option::is_none),
             "every exported update must be consumed by its parent"
         );
-        Ok(())
+        issued
     }
 
     fn step(&mut self, sn: usize) -> Result<(), FactorError> {
-        let symbolic = self.symbolic;
-        let info = &symbolic.supernodes[sn];
+        let info = &self.symbolic.supernodes[sn];
         let (s, k, m) = (info.front_size(), info.k(), info.m());
-        let dev = self.map.device_of[sn];
-        let (w, lane) = (self.worker_of[dev], self.lane_of[dev]);
+        let (w, lane) = self.home(sn);
         self.ready_children(sn, w);
-        let mut front_data = self.assemble(sn, w);
+        let mut buf = self.store.assemble(self.a, sn, &mut self.ws[w].machine.host);
         let policy = self.opts.selector.choose(sn, m, k);
         self.consume_child_exports(sn, w, lane, policy);
-        let mut front = Front { s, k, data: &mut front_data };
-        let dispatched = {
-            self.take_dev(w, lane);
-            let ws = &mut self.ws[w];
-            let mut ctx = fu_ctx(ws.machine, &mut ws.pool, self.opts);
-            let r = try_dispatch_gpu(&mut front, policy, &mut ctx);
-            self.put_dev(w, lane);
-            r.map_err(|e| fu_err_to_factor(info.col_start, e))?
-        };
-        let pending = match dispatched {
-            Some(p) => p,
-            None => {
-                // Device OOM: reach the drain driver's empty-device state on
-                // *this* device (its own inflight work finished, stranded
-                // exports evicted to the host) before retrying, so
-                // P1-fallback decisions match the serial driver bitwise.
-                self.flush_lane(w, lane);
-                self.drain_lane(w, lane);
-                self.evict_exports_on(dev);
-                self.take_dev(w, lane);
-                let ws = &mut self.ws[w];
-                let mut ctx = fu_ctx(ws.machine, &mut ws.pool, self.opts);
-                let r = dispatch_fu(&mut front, policy, &mut ctx);
-                self.put_dev(w, lane);
-                r.map_err(|e| fu_err_to_factor(info.col_start, e))?
-            }
-        };
-        if pending.oom_fallback() {
-            self.stats.oom_fallbacks += 1;
-        }
+        let pending = self
+            .on_lane(w, lane, |l, ctx, sink| {
+                l.dispatch(&mut Front { s, k, data: &mut buf }, policy, ctx, sink)
+            })
+            .map_err(|e| fu_err_to_factor(info.col_start, e))?;
+        self.oom_fallbacks += usize::from(pending.oom_fallback());
         if pending.is_done() {
             // CPU-resident result (P1, or an m = 0 pivot): nothing in flight.
-            self.extract_inline(sn, &Front { s, k, data: &mut front_data }, w);
-            self.live -= s * s;
+            let ws = &mut self.ws[w];
+            let mut ctx = fu_ctx(ws.machine, &mut ws.pool, self.opts, None, false);
+            extract_inline(sn, &Front { s, k, data: &mut buf }, &mut ctx, &mut self.store);
             return Ok(());
         }
-        // Dispatch-before-flush: this front's upload is queued, so flushing
-        // the lane's previous front cannot delay it on the copy engine.
-        self.flush_lane(w, lane);
-        self.ws[w].staged[lane] = Some(MgStaged { sn, buf: front_data, pending });
-        self.enforce_window(w);
+        let keep_update = self.exports_update(sn, w);
+        self.on_lane(w, lane, |l, ctx, sink| {
+            l.stage(vec![(sn, s, k, buf)], Phase1::Single(pending), keep_update, ctx, sink)
+        });
+        self.trim_window(w, LOOK_AHEAD.max(self.ws[w].lanes.len()));
         Ok(())
+    }
+
+    /// Whether `sn`'s update block stays on its device for its parent to
+    /// peer-copy: the parent lives on another device of the same worker and
+    /// will itself run on the GPU.
+    fn exports_update(&self, sn: usize, w: usize) -> bool {
+        let info = &self.symbolic.supernodes[sn];
+        let parent = info.parent;
+        PEER_EXTEND_ADD && info.m() > 0 && parent != usize::MAX && {
+            let pdev = self.map.device_of[parent];
+            let pi = &self.symbolic.supernodes[parent];
+            pdev != self.map.device_of[sn]
+                && self.worker_of[pdev] == w
+                && self.opts.selector.choose(parent, pi.m(), pi.k()) != PolicyKind::P1
+        }
     }
 
     /// Make `sn`'s child updates consumable. Children staged anywhere flush
@@ -371,55 +420,13 @@ impl<T: Scalar> MgRun<'_, '_, T> {
     /// cross-device look-ahead. Children of another worker carry no timing
     /// edge (the parallel driver's convention for cross-worker hand-off).
     fn ready_children(&mut self, sn: usize, w: usize) {
-        let kids = self.symbolic.children(sn);
-        for &c in kids {
-            let cdev = self.map.device_of[c];
-            let (cw, clane) = (self.worker_of[cdev], self.lane_of[cdev]);
-            if self.ws[cw].staged[clane].as_ref().is_some_and(|st| st.sn == c) {
-                self.flush_lane(cw, clane);
-            }
+        for &c in self.symbolic.children(sn) {
+            let (cw, clane) = self.home(c);
+            self.on_lane(cw, clane, |l, ctx, sink| l.flush_if_holds(|x| x == c, ctx, sink));
             if cw == w && self.exports[c].is_none() {
-                if let Some(pos) = self.ws[w].inflight.iter().position(|e| e.sn == c) {
-                    let e = self.ws[w].inflight.remove(pos);
-                    self.finish_entry(w, e);
-                }
+                self.on_lane(w, clane, |l, ctx, _| l.finish_holding(|x| x == c, ctx));
             }
         }
-    }
-
-    /// Assemble `sn`'s front on worker `w`'s host, consuming its children's
-    /// packed updates in postorder child rank — the numerics are byte-for-
-    /// byte the serial driver's regardless of where the children ran.
-    fn assemble(&mut self, sn: usize, w: usize) -> Vec<T> {
-        let a = self.a;
-        let symbolic = self.symbolic;
-        let info = &symbolic.supernodes[sn];
-        let s = info.front_size();
-        let child_bufs: Vec<(usize, Vec<T>)> = symbolic
-            .children(sn)
-            .iter()
-            .map(|&c| (c, self.updates[c].take().expect("child update must exist at issue")))
-            .collect();
-        self.stats.front_alloc_events += 1;
-        let mut front_data = vec![T::ZERO; s * s];
-        self.live += s * s;
-        self.peak = self.peak.max(self.live);
-        let children = child_bufs
-            .iter()
-            .map(|(c, d)| ChildUpdate { rows: symbolic.update_rows(*c), data: &d[..] });
-        assemble_front_into(
-            a,
-            info.col_start..info.col_end,
-            symbolic.update_rows(sn),
-            children,
-            &mut front_data,
-            &mut self.rel,
-            &mut self.ws[w].machine.host,
-        );
-        for (_, d) in child_bufs {
-            self.live -= d.len();
-        }
-        front_data
     }
 
     /// Peer-copy every exported child update onto `sn`'s device: an `m × m`
@@ -430,197 +437,49 @@ impl<T: Scalar> MgRun<'_, '_, T> {
     /// no-op — the host already holds the authoritative update — so only
     /// the simulated timeline moves.
     fn consume_child_exports(&mut self, sn: usize, w: usize, lane: usize, policy: PolicyKind) {
-        let kids = self.symbolic.children(sn);
-        for &c in kids {
+        for &c in self.symbolic.children(sn) {
             let Some(ru) = self.exports[c].take() else { continue };
-            let cdev = self.map.device_of[c];
-            let clane = self.lane_of[cdev];
-            debug_assert_eq!(self.worker_of[cdev], w, "exports never cross workers");
-            if policy == PolicyKind::P1 || clane == lane {
-                self.evict_one(w, clane, ru);
-                continue;
-            }
+            let (cw, clane) = self.home(c);
+            debug_assert_eq!(cw, w, "exports never cross workers");
             let ws = &mut self.ws[w];
-            match ws.set.device_mut(lane).alloc(ru.m * ru.m) {
-                Ok(dst) => {
-                    let dst_stream = ws.set.device_mut(lane).stream(S_PEER);
-                    let ev = ws.set.p2p(
-                        clane,
-                        ru.view,
-                        lane,
-                        dst_stream,
-                        DevMat::whole(dst, ru.m),
-                        ru.m,
-                        ru.m,
-                        ru.ready,
-                        &mut ws.machine.host,
-                    );
-                    let cs = ws.set.device_mut(lane).stream(S_COMPUTE);
-                    ws.set.device_mut(lane).wait_event(cs, ev);
-                    // The copy's timing is scheduled; the allocator is
-                    // timeless, so free both endpoints now — `sn`'s own
-                    // dispatch must see the same free memory the serial
-                    // drain driver would.
-                    let _ = ws.set.device_mut(lane).free(dst);
-                    let _ = ws.set.device_mut(clane).free(ru.buf);
-                }
-                Err(_) => self.evict_one(w, clane, ru),
-            }
-        }
-    }
-
-    /// Phase 2 for a lane's staged front. When the parent lives on another
-    /// device of the same worker and will itself run on the GPU, the update
-    /// block stays device-resident as a [`RemoteUpdate`] export and its d2h
-    /// is skipped; otherwise the normal event-gated downloads enqueue.
-    /// Either way the panel and the (host-authoritative) packed update are
-    /// extracted eagerly, with the host charges deferred to finish.
-    fn flush_lane(&mut self, w: usize, lane: usize) {
-        let Some(MgStaged { sn, mut buf, mut pending }) = self.ws[w].staged[lane].take() else {
-            return;
-        };
-        let symbolic = self.symbolic;
-        let info = &symbolic.supernodes[sn];
-        let (s, k, m) = (info.front_size(), info.k(), info.m());
-        let parent = info.parent;
-        let export = self.opts.devices.peer_extend_add
-            && m > 0
-            && parent != usize::MAX
-            && self.map.device_of[parent] != self.map.device_of[sn]
-            && self.worker_of[self.map.device_of[parent]] == w
-            && {
-                let pi = &symbolic.supernodes[parent];
-                self.opts.selector.choose(parent, pi.m(), pi.k()) != PolicyKind::P1
-            };
-        self.take_dev(w, lane);
-        let remote = {
-            let ws = &mut self.ws[w];
-            let mut ctx = fu_ctx(ws.machine, &mut ws.pool, self.opts);
-            let mut front = Front { s, k, data: &mut buf };
-            if export {
-                enqueue_downloads_keep_update(&mut front, &mut pending, &mut ctx)
-            } else {
-                enqueue_downloads(&mut front, &mut pending, &mut ctx);
+            let landing = if policy == PolicyKind::P1 || clane == lane {
                 None
-            }
-        };
-        self.put_dev(w, lane);
-        let ptr = self.symbolic.panel_ptr();
-        let (p0, p1) = (ptr[sn], ptr[sn + 1]);
-        extract_panel_copy(&Front { s, k, data: &mut buf }, &mut self.slab[p0..p1]);
-        if m > 0 {
-            self.stats.front_alloc_events += 1;
-            let mut u = vec![T::ZERO; m * m];
-            copy_update_packed(&buf, s, k, &mut u);
-            self.live += m * m;
-            self.updates[sn] = Some(u);
-        }
-        self.live -= s * s;
-        let exported = remote.is_some();
-        if let Some(ru) = remote {
-            self.exports[sn] = Some(ru);
-        }
-        self.ws[w].inflight.push(MgInflight { sn, lane, dims: (s, k, m), exported, pending });
-    }
-
-    /// Drain-path extraction for fronts with no device work outstanding.
-    fn extract_inline(&mut self, sn: usize, front: &Front<'_, T>, w: usize) {
-        let info = &self.symbolic.supernodes[sn];
-        let (s, k, m) = (info.front_size(), info.k(), info.m());
-        let ptr = self.symbolic.panel_ptr();
-        let (p0, p1) = (ptr[sn], ptr[sn + 1]);
-        extract_panel_into(front, &mut self.slab[p0..p1], &mut self.ws[w].machine.host);
-        charge_update_extract::<T>(m, &mut self.ws[w].machine.host);
-        if m > 0 {
-            self.stats.front_alloc_events += 1;
-            let mut u = vec![T::ZERO; m * m];
-            copy_update_packed(front.data, s, k, &mut u);
-            self.live += m * m;
-            self.updates[sn] = Some(u);
-        }
-    }
-
-    /// Phase 3 for one in-flight entry: host event wait, device buffers
-    /// free, deferred extraction charges. An exported entry skips the
-    /// update-extract charge — its block never crossed to the host.
-    fn finish_entry(&mut self, w: usize, e: MgInflight) {
-        let MgInflight { lane, dims: (s, k, m), exported, mut pending, .. } = e;
-        self.take_dev(w, lane);
-        {
-            let ws = &mut self.ws[w];
-            let mut ctx = fu_ctx(ws.machine, &mut ws.pool, self.opts);
-            finish_fu(&mut pending, &mut ctx);
-        }
-        self.put_dev(w, lane);
-        let host = &mut self.ws[w].machine.host;
-        charge_panel_extract::<T>(s, k, host);
-        if !exported {
-            charge_update_extract::<T>(m, host);
-        }
-    }
-
-    /// Finish every in-flight entry running on one lane (FIFO within it).
-    fn drain_lane(&mut self, w: usize, lane: usize) {
-        let mut j = 0;
-        while j < self.ws[w].inflight.len() {
-            if self.ws[w].inflight[j].lane == lane {
-                let e = self.ws[w].inflight.remove(j);
-                self.finish_entry(w, e);
             } else {
-                j += 1;
-            }
-        }
-    }
-
-    /// Host-staging fallback for one exported update: an event-gated d2h
-    /// into a pooled pinned slot (bytes already live on the host — only the
-    /// transfer's simulated time matters) plus the update-extract charge
-    /// its producer skipped, then the device buffer frees.
-    fn evict_one(&mut self, w: usize, src_lane: usize, ru: RemoteUpdate) {
-        self.take_dev(w, src_lane);
-        {
-            let ws = &mut self.ws[w];
-            let slot = ws.pool.lease(ru.m * ru.m, &mut ws.machine.host);
-            let (host, gpu) = ws.machine.host_and_gpu().expect("lane device present");
-            let copy = gpu.stream(S_COPY);
-            gpu.wait_event(copy, ru.ready);
-            gpu.d2h(
-                copy,
+                ws.set.device_mut(lane).alloc(ru.m * ru.m).ok()
+            };
+            let Some(dst) = landing else {
+                self.on_lane(w, clane, |_, ctx, _| evict::<T>(ru, ctx));
+                continue;
+            };
+            let dst_stream = ws.set.device_mut(lane).stream(S_PEER);
+            let ev = ws.set.p2p(
+                clane,
                 ru.view,
+                lane,
+                dst_stream,
+                DevMat::whole(dst, ru.m),
                 ru.m,
                 ru.m,
-                ws.pool.slot_mut(slot),
-                ru.m,
-                true,
-                CopyMode::Async,
-                host,
+                ru.ready,
+                &mut ws.machine.host,
             );
-            let ev = gpu.record_event(copy);
-            ws.pool.retire(slot, ev.0, host);
-            let _ = gpu.free(ru.buf);
-            charge_update_extract::<T>(ru.m, host);
-        }
-        self.put_dev(w, src_lane);
-    }
-
-    /// Evict every stranded export resident on global device `dev` (frees
-    /// its memory ahead of an OOM retry on that device).
-    fn evict_exports_on(&mut self, dev: usize) {
-        for c in 0..self.exports.len() {
-            if self.exports[c].is_some() && self.map.device_of[c] == dev {
-                let ru = self.exports[c].take().expect("checked above");
-                self.evict_one(self.worker_of[dev], self.lane_of[dev], ru);
-            }
+            let cs = ws.set.device_mut(lane).stream(S_COMPUTE);
+            ws.set.device_mut(lane).wait_event(cs, ev);
+            // The copy's timing is scheduled; the allocator is timeless, so
+            // free both endpoints now — `sn`'s own dispatch must see the
+            // same free memory the serial drain driver would.
+            let _ = ws.set.device_mut(lane).free(dst);
+            let _ = ws.set.device_mut(clane).free(ru.buf);
         }
     }
 
-    /// Enforce the global look-ahead window on worker `w`: finish oldest
-    /// entries until at most `max(look_ahead, lanes)` remain outstanding.
-    fn enforce_window(&mut self, w: usize) {
-        let window = self.opts.devices.look_ahead.max(self.ws[w].staged.len());
-        while self.ws[w].inflight.len() > window {
-            let e = self.ws[w].inflight.remove(0);
-            self.finish_entry(w, e);
+    /// Finish worker `w`'s oldest fronts, over all its lanes, until at most
+    /// `window` remain in flight.
+    fn trim_window(&mut self, w: usize, window: usize) {
+        while self.ws[w].lanes.iter().map(Lane::outstanding).sum::<usize>() > window {
+            let sn = self.ws[w].order.pop_front().expect("every front in flight is in the order");
+            let (_, lane) = self.home(sn);
+            self.on_lane(w, lane, |l, ctx, _| l.finish_holding(|x| x == sn, ctx));
         }
     }
 }
@@ -642,7 +501,7 @@ pub fn factor_permuted_multigpu<T: Scalar>(
 
 /// Multi-worker multi-GPU entry: devices are dealt round-robin over the
 /// GPU-bearing machines (device `d` → worker `d mod workers`), each worker
-/// cooperatively driving its lanes with the per-lane pipelined machinery.
+/// cooperatively driving its lanes.
 ///
 /// Worker host timelines are independent — cross-worker child hand-offs
 /// carry no timing edge, exactly the work-stealing parallel driver's
@@ -659,7 +518,6 @@ pub fn factor_permuted_parallel_multigpu<T: Scalar>(
     opts: &FactorOptions,
 ) -> Result<(CholeskyFactor<T>, FactorStats), FactorError> {
     let ndev = opts.devices.count.max(1);
-    let nsn = symbolic.num_supernodes();
     let wall0 = std::time::Instant::now();
     let mut drivers: Vec<&mut Machine> = machines.iter_mut().filter(|m| m.gpu.is_some()).collect();
     assert!(!drivers.is_empty(), "multi-GPU factorization needs a GPU machine");
@@ -677,21 +535,18 @@ pub fn factor_permuted_parallel_multigpu<T: Scalar>(
     }
 
     let mut ws: Vec<WorkerState<'_, T>> = Vec::with_capacity(nw);
-    for (w, machine) in drivers.into_iter().enumerate() {
+    for (machine, devs) in drivers.into_iter().zip(devs_per_worker) {
         let own = machine.gpu.take().expect("driver machines carry a device");
         let cfg = own.config().clone();
         let mut gpus = vec![own];
-        for _ in 1..devs_per_worker[w].len() {
-            gpus.push(Gpu::new(cfg.clone()));
-        }
-        let nlanes = gpus.len();
+        gpus.resize_with(devs.len(), || Gpu::new(cfg.clone()));
         ws.push(WorkerState {
             machine,
             set: DeviceSet::from_gpus(gpus),
-            devs: devs_per_worker[w].clone(),
-            pool: if opts.pinned_reuse { PinnedPool::new(2) } else { PinnedPool::without_reuse(2) },
-            staged: (0..nlanes).map(|_| None).collect(),
-            inflight: Vec::new(),
+            lanes: devs.iter().map(|_| Lane::new()).collect(),
+            devs,
+            pool: pinned_pool(opts),
+            order: VecDeque::new(),
         });
     }
 
@@ -703,13 +558,9 @@ pub fn factor_permuted_parallel_multigpu<T: Scalar>(
         worker_of,
         lane_of,
         ws,
-        slab: vec![T::ZERO; symbolic.factor_slab_len()],
-        updates: (0..nsn).map(|_| None).collect(),
-        exports: (0..nsn).map(|_| None).collect(),
-        rel: Vec::new(),
-        stats: FactorStats { front_alloc_events: 1, ..Default::default() },
-        live: 0,
-        peak: 0,
+        store: FrontStore::new(symbolic, false),
+        exports: vec![None; symbolic.num_supernodes()],
+        oom_fallbacks: 0,
     };
     let result = run.run();
 
@@ -731,20 +582,26 @@ pub fn factor_permuted_parallel_multigpu<T: Scalar>(
         }
         peer += wsi.set.peer_bytes();
     }
-    let MgRun { slab, mut stats, ws: mut workers, peak, .. } = run;
-    stats.peak_front_bytes = peak * T::BYTES;
-    stats.total_time = total;
-    stats.gpu = Some(agg);
-    stats.gpu_devices = per_dev;
-    stats.peer_bytes = peer;
-    stats.wall_time = wall0.elapsed().as_secs_f64();
-    for w in workers.iter_mut() {
+    for w in run.ws.iter_mut() {
         debug_assert!(w.machine.gpu.is_none());
         w.machine.gpu = Some(w.set.take(0));
     }
-    drop(workers);
     result?;
-    Ok((CholeskyFactor { symbolic: symbolic.clone(), perm: perm.clone(), slab }, stats))
+    let stats = FactorStats {
+        oom_fallbacks: run.oom_fallbacks,
+        front_alloc_events: run.store.allocs,
+        peak_front_bytes: run.store.peak_bytes(),
+        total_time: total,
+        gpu: Some(agg),
+        gpu_devices: per_dev,
+        peer_bytes: peer,
+        wall_time: wall0.elapsed().as_secs_f64(),
+        ..Default::default()
+    };
+    Ok((
+        CholeskyFactor { symbolic: symbolic.clone(), perm: perm.clone(), slab: run.store.slab },
+        stats,
+    ))
 }
 
 #[cfg(test)]

@@ -23,21 +23,25 @@
 //!    is spliced into the task graph so idle workers steal tile tasks
 //!    *inside* the front instead of starving under the root.
 //!
+//! This module owns the task graph, the hand-off slots between tasks and
+//! the per-worker state. What a task does to a front is not its own: CPU
+//! tasks run the drain lifecycle of [`crate::factor`] (`process_supernode`,
+//! `FrontRun::factor_range`), tile tasks run [`crate::tile`], and under
+//! pipelined dispatch the `Whole` task issues its front into the worker's
+//! `crate::lane::Lane`.
+//!
 //! The model predicts; the runtime measures. `mf-bench`'s
 //! `factor_parallel` bench writes both curves side by side
 //! (`BENCH_factor.json`) so the simulated speedups stay honest.
 
 use crate::arena::FrontArena;
 use crate::factor::{
-    fu_err_to_factor, process_supernode, CholeskyFactor, FactorError, FactorOptions, FrontRun,
-    FrontStorage, SharedSlice,
+    fu_ctx, fu_err_to_factor, pinned_pool, process_supernode, CholeskyFactor, FactorError,
+    FactorOptions, FrontRun, FrontStorage, SharedSlice,
 };
-use crate::frontal::{
-    assemble_front_into, charge_panel_extract, charge_update_extract, copy_update_packed,
-    extract_panel_copy, extract_panel_into, ChildUpdate, Front,
-};
-use crate::fu::{
-    dispatch_fu, enqueue_downloads, finish_fu, try_dispatch_gpu, FuContext, FuPending,
+use crate::frontal::{charge_update_extract, extract_panel_into, packed_update, Front};
+use crate::lane::{
+    assemble_owned, child_views, extract_front, extract_inline, take_children, Lane, PIPELINE_DEPTH,
 };
 use crate::pinned_pool::PinnedPool;
 use crate::policy::PolicyKind;
@@ -407,36 +411,11 @@ struct WorkerCtx<'m, T> {
     peak_front: usize,
     /// Front-storage heap allocations this worker performed.
     allocs: u64,
-    /// Pipelined mode: this worker's fronts with downloads still
-    /// outstanding on its own device — `(sn, pending, (s, k, m))`, oldest
-    /// first. Data is already extracted (the simulator computes numerics
-    /// eagerly); only the d2h completion wait and the extraction charges
-    /// are deferred.
-    inflight: Vec<(usize, FuPending, (usize, usize, usize))>,
-}
-
-/// Finish one of a worker's in-flight fronts: host waits on its `done`
-/// event, device buffers free, and the deferred extraction charges land in
-/// the drain driver's per-front order.
-fn finish_worker_inflight<T: Scalar>(
-    machine: &mut Machine,
-    pool: &mut PinnedPool,
-    opts: &FactorOptions,
-    mut pending: FuPending,
-    (s, k, m): (usize, usize, usize),
-) {
-    let mut ctx = FuContext {
-        machine: &mut *machine,
-        pool,
-        panel_width: opts.panel_width,
-        copy_optimized: opts.copy_optimized,
-        timing_only: false,
-        kernel_threads: None,
-        tiling: opts.tiling,
-    };
-    finish_fu(&mut pending, &mut ctx);
-    charge_panel_extract::<T>(s, k, &mut machine.host);
-    charge_update_extract::<T>(m, &mut machine.host);
+    /// Pipelined mode: the pipeline of this worker's own device. A front is
+    /// flushed in the task that dispatched it (its buffer is the worker's
+    /// reusable one), so nothing is ever staged here; only the host waits
+    /// and the extraction charges stay outstanding across tasks.
+    lane: Lane<T>,
 }
 
 /// Factor an already-permuted matrix in parallel across the elimination
@@ -673,6 +652,17 @@ pub fn factor_permuted_parallel<T: Scalar>(
     let put_update = |sn: usize, u: Vec<T>| {
         *updates[exit_of(sn)].lock().unwrap_or_else(|poison| poison.into_inner()) = Some(u);
     };
+    // A task-level supernode's packed update on its way to the parent's
+    // task, degraded to its tier read-back value first where the
+    // out-of-core plan ever stores it encoded.
+    let hand_off = |sn: usize, update: Option<Vec<T>>, allocs: &mut u64| {
+        let Some(mut u) = update else { return };
+        *allocs += 1;
+        if ooc_plan.as_ref().is_some_and(|plan| plan.degrade_update[sn]) {
+            opts.ladder.degrade_slice(&mut u);
+        }
+        put_update(sn, u);
+    };
 
     // One arena length serves every bottom subtree: the subtree constant
     // bounds their stack peaks (and the whole forest's peak bounds them too).
@@ -687,11 +677,9 @@ pub fn factor_permuted_parallel<T: Scalar>(
         .enumerate()
         .map(|(wid, machine)| {
             machine.set_recording(opts.record_stats && !(pipelined && machine.gpu.is_some()));
-            let pool =
-                if opts.pinned_reuse { PinnedPool::new(2) } else { PinnedPool::without_reuse(2) };
             WorkerCtx {
                 machine,
-                pool,
+                pool: pinned_pool(opts),
                 wid,
                 records: Vec::new(),
                 tasks: Vec::new(),
@@ -701,7 +689,7 @@ pub fn factor_permuted_parallel<T: Scalar>(
                 rel: Vec::new(),
                 peak_front: 0,
                 allocs: 0,
-                inflight: Vec::new(),
+                lane: Lane::new(),
             }
         })
         .collect();
@@ -768,32 +756,14 @@ pub fn factor_permuted_parallel<T: Scalar>(
                 // extend-add into the front's dedicated buffer — exactly the
                 // serial assembly, just hoisted into its own task so tile
                 // tasks can start the moment it completes.
-                let info = &symbolic.supernodes[sn];
-                let kids = symbolic.children(sn);
-                let mut child_bufs: Vec<(usize, Vec<T>)> = Vec::with_capacity(kids.len());
-                for &c in kids {
-                    match take_update(c) {
-                        Some(u) => child_bufs.push((c, u)),
-                        None => return Err(FactorError::WorkerLost { supernode: sn }),
-                    }
-                }
-                let children = child_bufs
-                    .iter()
-                    .map(|(c, d)| ChildUpdate { rows: symbolic.update_rows(*c), data: &d[..] });
+                let child_bufs = take_children(symbolic, sn, take_update)?;
                 let view = views[sn].expect("expanded front has a view");
                 // SAFETY: the task graph orders this task before every tile
                 // task of `sn`; nothing else touches the buffer yet.
                 let front_data = unsafe { view.as_mut_slice() };
                 let t0 = st.machine.host.now();
-                assemble_front_into(
-                    a,
-                    info.col_start..info.col_end,
-                    symbolic.update_rows(sn),
-                    children,
-                    front_data,
-                    &mut st.rel,
-                    &mut st.machine.host,
-                );
+                let host = &mut st.machine.host;
+                assemble_owned(a, symbolic, sn, &child_bufs, front_data, &mut st.rel, host);
                 if opts.record_stats {
                     let _ = st.machine.take_records();
                     st.tasks.push(TaskRecord {
@@ -871,17 +841,7 @@ pub fn factor_permuted_parallel<T: Scalar>(
                     }
                 }
                 charge_update_extract::<T>(m, &mut st.machine.host);
-                if m > 0 {
-                    st.allocs += 1;
-                    let mut u = vec![T::ZERO; m * m];
-                    copy_update_packed(front_data, s, k, &mut u);
-                    if let Some(plan) = &ooc_plan {
-                        if plan.degrade_update[sn] {
-                            opts.ladder.degrade_slice(&mut u);
-                        }
-                    }
-                    put_update(sn, u);
-                }
+                hand_off(sn, packed_update(front_data, s, k), &mut st.allocs);
                 if opts.record_stats {
                     let _ = st.machine.take_records();
                     st.tasks.push(TaskRecord {
@@ -905,29 +865,17 @@ pub fn factor_permuted_parallel<T: Scalar>(
         // surfaced as a structured error (still selected by minimal
         // postorder rank below) rather than a cascading panic.
         let kids = symbolic.children(sn);
-        if pipelined && st.machine.gpu.is_some() {
+        let on_gpu = pipelined && st.machine.gpu.is_some();
+        if on_gpu {
             // Event-wait on this worker's in-flight fronts that are
             // children of `sn` — a wait on each child's d2h completion
             // event, not a device drain. Children run by other workers
             // carry no timing edge here: worker timelines are independent,
             // exactly as in the drain parallel driver.
-            let mut j = 0;
-            while j < st.inflight.len() {
-                if kids.contains(&st.inflight[j].0) {
-                    let (_, pending, dims) = st.inflight.remove(j);
-                    finish_worker_inflight::<T>(st.machine, &mut st.pool, opts, pending, dims);
-                } else {
-                    j += 1;
-                }
-            }
+            let mut ctx = fu_ctx(st.machine, &mut st.pool, opts, None, false);
+            st.lane.finish_holding(|c| kids.contains(&c), &mut ctx);
         }
-        let mut child_bufs: Vec<(usize, Vec<T>)> = Vec::with_capacity(kids.len());
-        for &c in kids {
-            match take_update(c) {
-                Some(u) => child_bufs.push((c, u)),
-                None => return Err(FactorError::WorkerLost { supernode: sn }),
-            }
-        }
+        let child_bufs = take_children(symbolic, sn, take_update)?;
         let mut heap_front = if arena_mode {
             Vec::new()
         } else {
@@ -952,123 +900,39 @@ pub fn factor_permuted_parallel<T: Scalar>(
         // SAFETY: this supernode's panel region belongs to this task alone.
         let panel_out =
             unsafe { slab_view.slice_mut(panel_ptr[sn], panel_ptr[sn + 1] - panel_ptr[sn]) };
-        let children = child_bufs
-            .iter()
-            .map(|(c, d)| ChildUpdate { rows: symbolic.update_rows(*c), data: &d[..] });
         let width = budget.begin();
-        if pipelined && st.machine.gpu.is_some() {
-            // Pipelined per-worker dispatch: phases 1+2 run here; the
+        if on_gpu {
+            // Pipelined per-worker dispatch, the lifecycle of `crate::lane`
+            // against this worker's device: phases 1+2 run here; the
             // host-blocking phase 3 is deferred until a dependent task, the
-            // depth limit, or the end-of-run drain forces it — so this
-            // worker's CPU work on later tasks overlaps its own device.
-            let mut front = assemble_front_into(
-                a,
-                info.col_start..info.col_end,
-                symbolic.update_rows(sn),
-                children,
-                &mut *front_data,
-                &mut st.rel,
-                &mut st.machine.host,
-            );
+            // window, or the end-of-run drain forces it — so this worker's
+            // CPU work on later tasks overlaps its own device.
+            let host = &mut st.machine.host;
+            let mut front =
+                assemble_owned(a, symbolic, sn, &child_bufs, front_data, &mut st.rel, host);
+            let allocs = &mut st.allocs;
+            let mut sink = |sn: usize, front: &Front<'_, T>| {
+                hand_off(sn, extract_front(front, panel_out), allocs);
+            };
             let policy = opts.selector.choose(sn, m, k);
-            let dispatched = {
-                let mut ctx = FuContext {
-                    machine: &mut *st.machine,
-                    pool: &mut st.pool,
-                    panel_width: opts.panel_width,
-                    copy_optimized: opts.copy_optimized,
-                    timing_only: false,
-                    kernel_threads: Some(width),
-                    tiling: opts.tiling,
-                };
-                try_dispatch_gpu(&mut front, policy, &mut ctx)
-            };
-            let dispatched = match dispatched {
-                Ok(d) => d,
-                Err(e) => {
-                    budget.end();
-                    return Err(fu_err_to_factor(info.col_start, e));
+            let mut ctx = fu_ctx(st.machine, &mut st.pool, opts, Some(width), false);
+            let done = st.lane.dispatch(&mut front, policy, &mut ctx, &mut sink).map(|pending| {
+                st.oom += usize::from(pending.oom_fallback());
+                if pending.is_done() {
+                    extract_inline(sn, &front, &mut ctx, &mut sink);
+                } else {
+                    st.lane.flush_front(sn, &mut front, pending, false, &mut ctx, &mut sink);
+                    st.lane.enforce_window(PIPELINE_DEPTH, &mut ctx);
                 }
-            };
-            let mut pending = match dispatched {
-                Some(p) => p,
-                None => {
-                    // Device OOM: reach the drain driver's empty-device
-                    // state on this worker's device before retrying, so
-                    // P1-fallback decisions match it.
-                    while !st.inflight.is_empty() {
-                        let (_, p, dims) = st.inflight.remove(0);
-                        finish_worker_inflight::<T>(st.machine, &mut st.pool, opts, p, dims);
-                    }
-                    let retried = {
-                        let mut ctx = FuContext {
-                            machine: &mut *st.machine,
-                            pool: &mut st.pool,
-                            panel_width: opts.panel_width,
-                            copy_optimized: opts.copy_optimized,
-                            timing_only: false,
-                            kernel_threads: Some(width),
-                            tiling: opts.tiling,
-                        };
-                        dispatch_fu(&mut front, policy, &mut ctx)
-                    };
-                    match retried {
-                        Ok(p) => p,
-                        Err(e) => {
-                            budget.end();
-                            return Err(fu_err_to_factor(info.col_start, e));
-                        }
-                    }
-                }
-            };
-            {
-                let mut ctx = FuContext {
-                    machine: &mut *st.machine,
-                    pool: &mut st.pool,
-                    panel_width: opts.panel_width,
-                    copy_optimized: opts.copy_optimized,
-                    timing_only: false,
-                    kernel_threads: Some(width),
-                    tiling: opts.tiling,
-                };
-                enqueue_downloads(&mut front, &mut pending, &mut ctx);
-            }
+            });
             budget.end();
-            if pending.oom_fallback() {
-                st.oom += 1;
-            }
-            // Extract now — the data exists (the simulator computes
-            // numerics eagerly at enqueue); only time is outstanding. The
-            // charge split matches the serial pipelined driver: inline for
-            // fronts with nothing outstanding, deferred to finish for the
-            // rest.
-            let outstanding = !pending.is_done();
-            if outstanding {
-                extract_panel_copy(&front, panel_out);
-            } else {
-                extract_panel_into(&front, panel_out, &mut st.machine.host);
-                charge_update_extract::<T>(m, &mut st.machine.host);
-            }
-            if m > 0 {
-                st.allocs += 1;
-                let mut u = vec![T::ZERO; m * m];
-                copy_update_packed(front_data, s, k, &mut u);
-                put_update(sn, u);
-            }
-            if outstanding {
-                st.inflight.push((sn, pending, (s, k, m)));
-                while st.inflight.len() > opts.pipeline.depth {
-                    let (_, p, dims) = st.inflight.remove(0);
-                    finish_worker_inflight::<T>(st.machine, &mut st.pool, opts, p, dims);
-                }
-            }
-            return Ok(());
+            return done.map_err(|e| fu_err_to_factor(info.col_start, e));
         }
         let out = process_supernode(
             a,
             symbolic,
             sn,
-            children,
+            child_views(symbolic, sn, &child_bufs),
             front_data,
             panel_out,
             &mut st.rel,
@@ -1097,17 +961,7 @@ pub fn factor_permuted_parallel<T: Scalar>(
                 opts.ladder.degrade_slice(panel_out);
             }
         }
-        if m > 0 {
-            st.allocs += 1;
-            let mut u = vec![T::ZERO; m * m];
-            copy_update_packed(front_data, s, k, &mut u);
-            if let Some(plan) = &ooc_plan {
-                if plan.degrade_update[sn] {
-                    opts.ladder.degrade_slice(&mut u);
-                }
-            }
-            put_update(sn, u);
-        }
+        hand_off(sn, packed_update(front_data, s, k), &mut st.allocs);
         Ok(())
     });
 
@@ -1117,12 +971,10 @@ pub fn factor_permuted_parallel<T: Scalar>(
 
     // Pipelined mode: drain any fronts still in flight (timing only — the
     // data landed at enqueue time), so per-worker clocks include their d2h
-    // completions.
+    // completions and every device comes back empty, error or not.
     for st in states.iter_mut() {
-        while !st.inflight.is_empty() {
-            let (_, p, dims) = st.inflight.remove(0);
-            finish_worker_inflight::<T>(st.machine, &mut st.pool, opts, p, dims);
-        }
+        let mut ctx = fu_ctx(st.machine, &mut st.pool, opts, None, false);
+        st.lane.enforce_window(0, &mut ctx);
     }
 
     // front_alloc_events starts at 1 for the factor slab, plus one

@@ -146,7 +146,7 @@ pub struct FactorStats {
     pub gpu_devices: Vec<GpuUtilization>,
     /// Total bytes moved over peer (device-to-device) links by the
     /// multi-GPU driver's peer-copy extend-adds. Zero for single-device
-    /// runs or with `MultiGpuOptions::peer_extend_add` off.
+    /// runs.
     pub peer_bytes: usize,
     /// Residency/traffic accounting of a memory-budgeted run
     /// (`FactorOptions::memory_budget`): tier traffic, eviction/reload

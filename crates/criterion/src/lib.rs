@@ -5,8 +5,8 @@
 //! `iter_batched`, throughput annotation — with real wall-clock measurement
 //! (calibrated warm-up, fixed sample count, median/mean reporting). Results
 //! are additionally accumulated in a process-global registry so bench
-//! binaries can post-process them (e.g. the dense-kernel bench writes
-//! `BENCH_dense.json` with GF/s per kernel/shape).
+//! binaries can post-process them (e.g. the symbolic bench writes
+//! `BENCH_symbolic.json` with a per-stage table).
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};

@@ -22,8 +22,8 @@
 //! array autovectorizes to FMA chains for both scalar types. The engine can
 //! multithread over disjoint column slabs of `C` ([`set_num_threads`]);
 //! results are bitwise identical for every thread count (see `kernel.rs`).
-//! The seed loop-nest kernels survive in [`naive`] as the small-size path
-//! and the in-build benchmark baseline. *Measured* speed never feeds the
+//! The seed loop-nest kernels survive in [`naive`] as the small-size path.
+//! *Measured* speed never feeds the
 //! paper's experiments (simulated time does; see `mf-gpusim`).
 
 // The kernels take BLAS-style argument lists (dims, alpha, a, lda, …);

@@ -1,14 +1,11 @@
 //! The pre-engine kernels: straightforward axpy/dot loop nests.
 //!
-//! These are kept for two jobs. Small problems dispatch here from the
-//! public entry points, where packing overhead would outweigh the
-//! register-tiled engine (the cutoff is [`crate::kernel::PACK_MIN_MADDS`]
-//! multiply-adds). And the benches measure them side by side with the
-//! packed engine, so speedup ratios come from one build and one run
-//! (`BENCH_dense.json`), not from comparing binaries.
+//! Small problems dispatch here from the public entry points, where packing
+//! overhead would outweigh the register-tiled engine (the cutoff is
+//! [`crate::kernel::PACK_MIN_MADDS`] multiply-adds), and the blocked `trsm`
+//! solves its diagonal blocks here.
 
-use crate::gemm::{axpy, scale_cols};
-use crate::potrf::{potrf_unblocked_offset, PotrfError, POTRF_BLOCK};
+use crate::gemm::axpy;
 use crate::{Scalar, Transpose};
 
 /// Accumulate `C += α·op(A)·op(B)` with the seed loop nests (`β` already
@@ -83,34 +80,6 @@ pub(crate) fn gemm_accum<T: Scalar>(
     }
 }
 
-/// Seed `gemm`: `C ← α·op(A)·op(B) + β·C` without packing (benchmark
-/// baseline).
-#[allow(clippy::too_many_arguments)]
-pub fn gemm<T: Scalar>(
-    transa: Transpose,
-    transb: Transpose,
-    m: usize,
-    n: usize,
-    kk: usize,
-    alpha: T,
-    a: &[T],
-    lda: usize,
-    b: &[T],
-    ldb: usize,
-    beta: T,
-    c: &mut [T],
-    ldc: usize,
-) {
-    if m == 0 || n == 0 {
-        return;
-    }
-    scale_cols(m, n, beta, c, ldc);
-    if kk == 0 || alpha == T::ZERO {
-        return;
-    }
-    gemm_accum(transa, transb, m, n, kk, alpha, a, lda, b, ldb, c, ldc);
-}
-
 /// Accumulate the lower triangle of `C += α·A·Aᵀ` with the seed loops (`β`
 /// already applied).
 pub(crate) fn syrk_accum<T: Scalar>(
@@ -144,29 +113,8 @@ pub(crate) fn syrk_accum<T: Scalar>(
     }
 }
 
-/// Seed `syrk`: lower triangle of `C ← α·A·Aᵀ + β·C` (benchmark baseline).
-pub fn syrk_lower<T: Scalar>(
-    n: usize,
-    k: usize,
-    alpha: T,
-    a: &[T],
-    lda: usize,
-    beta: T,
-    c: &mut [T],
-    ldc: usize,
-) {
-    if n == 0 {
-        return;
-    }
-    crate::syrk::scale_lower(n, beta, c, ldc);
-    if k == 0 || alpha == T::ZERO {
-        return;
-    }
-    syrk_accum(n, k, alpha, a, lda, c, ldc);
-}
-
-/// Seed right-side solve `X·Lᵀ = B` (benchmark baseline; also the
-/// diagonal-block solver of the blocked `trsm`).
+/// Seed right-side solve `X·Lᵀ = B`: the small-size path and the
+/// diagonal-block solver of the blocked `trsm`.
 pub fn trsm_right_lower_trans<T: Scalar>(
     m: usize,
     n: usize,
@@ -197,57 +145,5 @@ pub fn trsm_right_lower_trans<T: Scalar>(
         for bv in bj.iter_mut() {
             *bv *= inv;
         }
-    }
-}
-
-/// Seed blocked Cholesky over the seed `trsm`/`syrk` (benchmark baseline).
-pub fn potrf<T: Scalar>(n: usize, a: &mut [T], lda: usize) -> Result<(), PotrfError> {
-    if n == 0 {
-        return Ok(());
-    }
-    let nb = POTRF_BLOCK;
-    let mut diag_scratch = vec![T::ZERO; nb.min(n) * nb.min(n)];
-    let mut j = 0;
-    while j < n {
-        let jb = nb.min(n - j);
-        let rest = n - j - jb;
-        {
-            let diag = &mut a[j * lda + j..];
-            potrf_unblocked_offset(jb, diag, lda, j)?;
-        }
-        if rest > 0 {
-            for c in 0..jb {
-                for r in c..jb {
-                    diag_scratch[r + c * jb] = a[(j + r) + (j + c) * lda];
-                }
-            }
-            let below = &mut a[j * lda + j + jb..];
-            trsm_right_lower_trans(rest, jb, &diag_scratch, jb, below, lda);
-            let (panel_cols, trailing) = a.split_at_mut((j + jb) * lda);
-            let panel = &panel_cols[j * lda + j + jb..];
-            let c = &mut trailing[j + jb..];
-            syrk_lower(rest, jb, -T::ONE, panel, lda, T::ONE, c, lda);
-        }
-        j += jb;
-    }
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::matrix::random_spd;
-
-    #[test]
-    fn naive_potrf_reconstructs() {
-        let n = 90;
-        let a0 = random_spd::<f64>(n, 5);
-        let mut a = a0.clone();
-        potrf(n, a.as_mut_slice(), n).unwrap();
-        a.zero_upper();
-        let mut sym = a0.clone();
-        sym.symmetrize_from_lower();
-        let recon = a.matmul(&a.transpose());
-        assert!(recon.max_abs_diff(&sym) < 1e-8 * n as f64);
     }
 }

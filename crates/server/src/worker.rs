@@ -15,8 +15,9 @@
 //!
 //! A batched sweep walks the factor's supernodal panels once for the whole
 //! block and routes trailing updates through one multi-RHS GEMM per
-//! supernode; `BENCH_solve.json` measures 1.9–2.4× over per-request
-//! dispatch at 8–32 RHS. Aggregating *across callers* converts that kernel
+//! supernode — 1.9–2.4× over per-request dispatch at 8–32 RHS when it was
+//! measured (`benchmark/` tracks `core.solve_rhs8_s` against `core.solve_s`).
+//! Aggregating *across callers* converts that kernel
 //! win into service throughput.
 
 use std::sync::atomic::Ordering;

@@ -1585,3 +1585,76 @@ fn sim_clock_matches_golden() {
     actual.push(("lap3d-6x6x5-oom", clock_hashes(&an.permuted.0.cast(), &an, small_device_node)));
     assert_eq!(actual, GOLDEN_CLOCK, "actual:\n{actual:#x?}");
 }
+/// `a` with the diagonal entry of column `col` made negative.
+fn with_negative_pivot(a: &SymCsc<f32>, col: usize) -> SymCsc<f32> {
+    let mut values = a.values().to_vec();
+    let p = a.colptr()[col];
+    assert_eq!(a.rowind()[p], col, "lower storage keeps the diagonal first");
+    values[p] = -values[p].abs() - 1.0;
+    SymCsc::from_parts(a.order(), a.colptr().to_vec(), a.rowind().to_vec(), values)
+}
+
+#[test]
+fn driver_errors_leave_devices_empty() {
+    // A pivot failure anywhere in the tree, under every issuer: the error is
+    // the serial driver's, every device handed back is empty, and the same
+    // machines then factor the good matrix exactly as fresh ones do.
+    let issuers = [
+        Issuer::Drain,
+        Issuer::Pipelined,
+        Issuer::Devices(2),
+        Issuer::Devices(4),
+        Issuer::Workers(2, 4),
+        Issuer::Workers(2, 1),
+    ];
+    for a in [laplacian_3d(7, 6, 6, Stencil::Faces), laplacian_3d(12, 6, 6, Stencil::Faces)] {
+        let an = analysis_of(&a);
+        let good: SymCsc<f32> = an.permuted.0.cast();
+        for selector in clock_selectors() {
+            let fresh: Vec<(Vec<u64>, usize, u64)> = issuers
+                .iter()
+                .map(|issuer| {
+                    let mut machines = issuer.machines(Machine::paper_node);
+                    let (f, s) =
+                        issuer.factor(&good, &an, &mut machines, selector.clone()).unwrap();
+                    (panel_bits(&f), s.oom_fallbacks, s.total_time.to_bits())
+                })
+                .collect();
+            let mut machines: Vec<Vec<Machine>> =
+                issuers.iter().map(|issuer| issuer.machines(Machine::paper_node)).collect();
+            for info in an.symbolic.supernodes.iter() {
+                let bad = with_negative_pivot(&good, info.col_start);
+                let mut serial = Machine::paper_node();
+                let expected = factor_permuted(
+                    &bad,
+                    &an.symbolic,
+                    &an.perm,
+                    &mut serial,
+                    &FactorOptions::default(),
+                )
+                .unwrap_err();
+                assert_eq!(expected, FactorError::NotPositiveDefinite { column: info.col_start });
+                for (issuer, ms) in issuers.iter().zip(machines.iter_mut()) {
+                    let what = format!("{issuer:?} {selector:?} column {}", info.col_start);
+                    let err = issuer.factor(&bad, &an, ms, selector.clone()).unwrap_err();
+                    assert_eq!(err, expected, "{what}");
+                    for m in ms.iter_mut() {
+                        let gpu = m.gpu.as_ref().expect("device handed back");
+                        assert_eq!(gpu.mem_used(), 0, "{what}: device memory leaked");
+                        m.reset();
+                    }
+                }
+            }
+            // The machines that saw every failure still behave as new.
+            for ((issuer, ms), want) in issuers.iter().zip(machines.iter_mut()).zip(&fresh) {
+                let (f, s) = issuer.factor(&good, &an, ms, selector.clone()).unwrap();
+                let work_stealing = matches!(issuer, Issuer::Workers(w, 1) if *w > 1);
+                assert_eq!(panel_bits(&f), want.0, "{issuer:?} {selector:?}: bits after errors");
+                assert_eq!(s.oom_fallbacks, want.1, "{issuer:?} {selector:?}: fallbacks");
+                if !work_stealing {
+                    assert_eq!(s.total_time.to_bits(), want.2, "{issuer:?} {selector:?}: clock");
+                }
+            }
+        }
+    }
+}
