@@ -3,6 +3,7 @@
 # ROADMAP.md (release build + full test suite). Run from the repo root.
 set -euo pipefail
 cd "$(dirname "$0")"
+tree_before=$(git status --porcelain)
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
@@ -41,7 +42,9 @@ RUST_TEST_THREADS=1 cargo test -q --release -p mf-server
 # `test-target filter expected-count`; the filter must run exactly that many
 # tests, with the test harness running cases concurrently (default) and fully
 # serialized, so a filter typo or a renamed test cannot silently skip a suite.
-#   tiled_expansion  tile DAG: serial vs 1/2/4/8 workers, f32/f64, arena/heap
+#   tiled_expansion  tile DAG: serial vs 1/2/4/8 workers, f32/f64
+#   arena_storage    peak front bytes within the symbolic bound, two allocations
+#                    serially, parallel bits == serial at 1/2/4/8 workers
 #   analysis_        analyze_parallel == analyze byte for byte; golden orderings
 #   numeric_         golden hashes of factor slabs and solve_many outputs (f64 and
 #                    f32, 1 and 8 RHS, serial and 1/2/4 workers) from before the
@@ -55,7 +58,8 @@ RUST_TEST_THREADS=1 cargo test -q --release -p mf-server
 #                    events and per-device busy time: drain, pipelined, 2/4 devices,
 #                    2 workers x 4 devices, P2/P3/P4/baseline, and under device OOM
 #   driver_errors    a failing pivot at every supernode under every issuer: the
-#                    serial error, empty devices, machines as good as new
+#                    serial error, empty devices, machines as good as new; a
+#                    recorded run leaves no machine recording or holding records
 #   ordering_quality nested dissection splits meshes in balance and within 1.5x
 #                    the flops of a geometric dissection; valid on random patterns
 echo "==> named suites (counted, default + single test thread)"
@@ -73,12 +77,13 @@ while read -r target filter expected; do
   done
 done <<'MANIFEST'
 determinism tiled_expansion 2
+determinism arena_storage 2
 determinism analysis_ 5
 determinism numeric_ 1
 determinism multigpu_ 3
 determinism ooc_ 9
 determinism sim_clock 1
-determinism driver_errors 1
+determinism driver_errors 2
 property ooc_ 2
 property symbolic_flat 1
 property bottom_subtrees 1
@@ -86,51 +91,11 @@ property subtree_tasks 1
 property ordering_quality 2
 MANIFEST
 
-# The factor bench runs the tiled scheduler on every suite matrix and
-# asserts critical_path <= makespan <= serial_time for the tree and tiled
-# schedule models at every worker count — a violation panics the bench and
-# fails this step.
-echo "==> factor_parallel bench (tiled + tree schedulers, writes BENCH_factor.json)"
-cargo bench -p mf-bench --bench factor_parallel
-
-# The symbolic bench asserts, before timing anything, that analyze_parallel's
-# fingerprint matches the serial analysis at 1/2/4/8 workers on every suite
-# matrix, and that the supernodal task DAG admits a >1x simulated multi-worker
-# speedup — either violation panics the bench and fails this step.
-echo "==> symbolic bench (analysis fingerprint gate, writes BENCH_symbolic.json)"
-cargo bench -p mf-bench --bench symbolic
-
 # Property tests for the peer-copy primitive the multi-GPU extend-add path
 # rides on: event forward-progress/transitivity across arbitrary device
 # chains, and bitwise h2d -> d2d -> d2h roundtrips over arbitrary shapes.
 echo "==> gpusim peer-copy property suite"
 cargo test -q --release -p mf-gpusim --test peer_properties
-
-echo "==> gpu_pipeline bench (writes BENCH_gpu.json)"
-cargo bench -p mf-bench --bench gpu_pipeline
-
-# Multi-GPU strong scaling. Asserted inside the bench (panic fails this
-# step): bitwise identity with the serial drain driver at 1/2/4/8 devices,
-# 2 devices beating 1 on every suite matrix, and peer extend-add traffic
-# appearing wherever the proportional mapping splits a subtree.
-echo "==> multigpu bench (writes BENCH_multigpu.json)"
-cargo bench -p mf-bench --bench multigpu
-
-# Open-loop load bench for the service layer. Three invariants are asserted
-# inside the bench and panic (failing this step) on violation: every response
-# bitwise identical to the serial single-request answer, batched mode beating
-# per-request dispatch on requests/sec at 8 concurrent callers, and overload
-# bursts shedding load without corrupting accepted requests.
-echo "==> server load bench (writes BENCH_server.json)"
-cargo bench -p mf-bench --bench server
-
-# Out-of-core traffic/wall-clock sweep over budget fractions and the spill
-# ladder. Four invariants are asserted inside the bench and panic (failing
-# this step) on violation: residency never over budget, ladder-off runs
-# bitwise identical to in-core, bf16 cutting spill traffic >= 1.8x at the
-# same schedule, and f64 refinement converging through bf16 spill storage.
-echo "==> ooc bench (writes BENCH_ooc.json)"
-cargo bench -p mf-bench --bench ooc
 
 # benchmark/ is its own workspace on the facade crate: it constructs
 # `Analysis` by literal and calls the analysis stages by name, so a public-API
@@ -138,5 +103,14 @@ cargo bench -p mf-bench --bench ooc
 # workload untraced and traced at tiny sizes and checks every answer.
 echo "==> benchmark package (build + smoke run of every workload)"
 cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- --smoke
+
+# Nothing above may write into the tree: build and run output is untracked
+# and ignored, and no step regenerates a tracked file.
+echo "==> tracked files untouched"
+[ "$(git status --porcelain)" = "$tree_before" ] || {
+  echo "the run modified the working tree:"
+  git status --porcelain
+  exit 1
+}
 
 echo "CI OK"

@@ -27,7 +27,7 @@ pub fn fitted_baseline(machine: &mut Machine) -> BaselineThresholds {
         let m = 4 * k;
         let mut times = [0.0f64; 4];
         for p in PolicyKind::ALL {
-            times[p.index()] = estimate_fu_time(machine, m, k, p, 64, false);
+            times[p.index()] = estimate_fu_time(machine, m, k, p, false);
         }
         samples.push((FuFlops::new(m, k).total(), times));
     }
@@ -489,8 +489,8 @@ pub fn exp_table5(cfg: &ExpConfig, cache: &mut Option<SuiteData>) -> Report {
             .max()
             .unwrap_or(0);
         let ops = exact_ops(KernelKind::Potrf, 0, k, 0);
-        let t_cpu = estimate_fu_time(&mut machine, 0, k, PolicyKind::P1, 64, false);
-        let t_gpu = estimate_fu_time(&mut machine, 0, k, PolicyKind::P4, 64, false);
+        let t_cpu = estimate_fu_time(&mut machine, 0, k, PolicyKind::P1, false);
+        let t_gpu = estimate_fu_time(&mut machine, 0, k, PolicyKind::P4, false);
         rows.push(vec![
             m.name().to_string(),
             k.to_string(),
@@ -522,7 +522,7 @@ pub fn exp_fig1011(_cfg: &ExpConfig, _cache: &mut Option<SuiteData>) -> Report {
         let m = 4 * k;
         let t: Vec<f64> = PolicyKind::ALL
             .iter()
-            .map(|&p| estimate_fu_time(&mut machine, m, k, p, 64, false))
+            .map(|&p| estimate_fu_time(&mut machine, m, k, p, false))
             .collect();
         let actual_ops = FuFlops::new(m, k).total();
         let best = PolicyKind::from_index((0..4).min_by(|&a, &b| t[a].total_cmp(&t[b])).unwrap());

@@ -28,7 +28,7 @@ impl TimeGrid {
             for (ik, entry) in row.iter_mut().enumerate() {
                 let k = (ik * cell + cell / 2).max(1);
                 for p in PolicyKind::ALL {
-                    entry[p.index()] = estimate_fu_time(machine, m, k, p, 64, copy_optimized);
+                    entry[p.index()] = estimate_fu_time(machine, m, k, p, copy_optimized);
                 }
             }
         }

@@ -6,28 +6,26 @@
 //! the factor panels and per-call timing records.
 //!
 //! The numeric phase runs out of preallocated storage: one contiguous
-//! factor slab laid out by `SymbolicFactor::panel_ptr`, plus (under the
-//! default [`FrontStorage::Arena`]) a postorder LIFO working-storage stack
-//! sized by `SymbolicFactor::update_stack_peak` — two allocations for the
-//! whole factorization, no matter how many supernodes run.
+//! factor slab laid out by `SymbolicFactor::panel_ptr`, plus a postorder
+//! LIFO working-storage stack ([`FrontArena`]) sized by
+//! `SymbolicFactor::update_stack_peak` — two allocations for the whole
+//! factorization, no matter how many supernodes run.
 //!
 //! Two lifecycles live here. The drain lifecycle — `process_supernode`,
-//! one front at a time on the LIFO arena (`FrontRun::factor_range`) or on
-//! per-front heap buffers — is shared with the CPU tasks of
-//! [`crate::parallel`]. The pipelined lifecycle belongs to `crate::lane`;
+//! one front at a time on the LIFO arena (`FrontRun::factor_range`) — is
+//! shared with the CPU tasks of [`crate::parallel`], which run it on the
+//! worker's own arena (bottom subtrees) or reusable front buffer (above
+//! them). The pipelined lifecycle belongs to `crate::lane`;
 //! this module keeps only its postorder issuer (`PostorderRun`: look-ahead,
 //! batched P4 runs) and the rehearsal gate that decides whether to use it.
 
 use crate::arena::FrontArena;
 use crate::features::LinearPolicyModel;
 use crate::frontal::{
-    assemble_front_into, charge_update_extract, extract_panel_into, packed_update, ChildUpdate,
-    Front,
+    assemble_front_into, charge_update_extract, extract_panel_into, ChildUpdate, Front,
 };
-use crate::fu::{execute_fu, FuContext, FuError, DEFAULT_PANEL_WIDTH};
-use crate::lane::{
-    child_views, extract_inline, take_children, FrontStore, Lane, Member, Phase1, PIPELINE_DEPTH,
-};
+use crate::fu::{execute_fu, FuContext, FuError};
+use crate::lane::{extract_inline, FrontStore, Lane, Member, Phase1, PIPELINE_DEPTH};
 use crate::multigpu::MultiGpuOptions;
 use crate::pinned_pool::PinnedPool;
 use crate::policy::{BaselineThresholds, PolicyKind};
@@ -64,29 +62,6 @@ impl PolicySelector {
     }
 }
 
-/// How front working storage is provided during the numeric phase. Both
-/// modes produce **bitwise identical** factors, stats records, and
-/// simulated clocks — every numeric operation and every simulated-time
-/// charge lives in the shared per-supernode body; only where the bytes sit
-/// differs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FrontStorage {
-    /// Preallocated storage: the serial driver runs fronts on a postorder
-    /// LIFO [`FrontArena`]; the parallel driver runs each bottom subtree as
-    /// one task on the worker's own arena, gives each worker a max-front
-    /// buffer for the supernodes above, and hands updates across tasks in
-    /// transient buffers. The serial factorization performs O(1) heap
-    /// allocations, the parallel one O(tasks).
-    #[default]
-    Arena,
-    /// The reference per-front allocation path: a fresh zeroed front and a
-    /// fresh update buffer per supernode (panels still land in the
-    /// contiguous slab), and in the parallel driver one task per supernode.
-    /// Kept as the bitwise cross-check for the determinism suite and the
-    /// baseline for the allocation counts of `BENCH_factor.json`.
-    Heap,
-}
-
 /// Pipelined GPU dispatch (DESIGN.md §4.9): look-ahead staging of the next
 /// GPU-bound front while the current one computes, event-gated consumption
 /// of child updates, and batched dispatch of runs of small fronts. Depth and
@@ -98,9 +73,8 @@ pub enum FrontStorage {
 /// makespan and GPU utilization) changes. It does not collect per-call
 /// [`FuRecord`]s: with fronts overlapping on the device, per-front time
 /// attribution is ill-defined, so `record_stats` is ignored while `enabled`
-/// is set. Front storage is per-front heap buffers (front lifetimes overlap,
-/// which the postorder LIFO arena cannot express), so `front_storage` is
-/// ignored too.
+/// is set. Front storage is per-front heap buffers: front lifetimes overlap,
+/// which the postorder LIFO arena cannot express.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PipelineOptions {
     /// Run the pipelined driver. CPU-only machines always use the
@@ -121,8 +95,6 @@ impl PipelineOptions {
 pub struct FactorOptions {
     /// Policy selection scheme.
     pub selector: PolicySelector,
-    /// P4 panel width `w` (Figure 9).
-    pub panel_width: usize,
     /// Use the copy-optimized P4 transfer plan (§VI-C).
     pub copy_optimized: bool,
     /// Collect per-call [`FuRecord`]s (adds no simulated time).
@@ -130,8 +102,6 @@ pub struct FactorOptions {
     /// Use the growth-only pinned-buffer reuse policy (§V-A2); disable for
     /// the allocation-cost ablation.
     pub pinned_reuse: bool,
-    /// Front working-storage backend (see [`FrontStorage`]).
-    pub front_storage: FrontStorage,
     /// Pipelined GPU dispatch (see [`PipelineOptions`]).
     pub pipeline: PipelineOptions,
     /// Intra-front tiling (see [`TilingOptions`]); **off by default** —
@@ -167,11 +137,9 @@ impl Default for FactorOptions {
     fn default() -> Self {
         FactorOptions {
             selector: PolicySelector::Fixed(PolicyKind::P1),
-            panel_width: DEFAULT_PANEL_WIDTH,
             copy_optimized: false,
             record_stats: false,
             pinned_reuse: true,
-            front_storage: FrontStorage::default(),
             pipeline: PipelineOptions::default(),
             tiling: TilingOptions::default(),
             devices: MultiGpuOptions::default(),
@@ -397,10 +365,10 @@ pub(crate) struct SnOutcome {
 /// into `panel_out` (the supernode's slab region).
 ///
 /// The packed `m × m` update stays in `front_data`; the *caller* moves it
-/// (arena compaction, pooled hand-off buffer, or a fresh heap buffer in the
-/// reference path) while the simulated cost of that move is charged *here*
-/// via [`charge_update_extract`] — so every storage mode and both drivers
-/// advance the simulated clock identically.
+/// (arena compaction, or a hand-off buffer between tasks) while the
+/// simulated cost of that move is charged *here* via
+/// [`charge_update_extract`] — so both drivers advance the simulated clock
+/// identically.
 ///
 /// This is shared verbatim by the serial postorder driver and the
 /// work-stealing parallel driver
@@ -467,6 +435,33 @@ pub(crate) fn process_supernode<'c, T: Scalar + 'c>(
     Ok(SnOutcome { record, oom_fallback: outcome.oom_fallback })
 }
 
+/// The driver a run takes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Route {
+    /// One front at a time, the device drained after each.
+    Drain,
+    /// The lifecycle of [`crate::lane`] against one device per host.
+    Pipelined,
+    /// The cooperative multi-device driver of [`crate::multigpu`].
+    MultiGpu,
+}
+
+/// The route of a run under `opts` on machines of which some (`gpu`) or none
+/// carry a device — decided here for the serial and the parallel entry alike.
+/// A memory budget forces the drain schedule: the pipelined and multi-GPU
+/// drivers overlap front lifetimes in ways the LIFO residency plan does not
+/// model, and drain keeps budgeted numerics identical at every driver and
+/// worker count.
+pub(crate) fn route(opts: &FactorOptions, gpu: bool) -> Route {
+    if opts.memory_budget.is_some() || !opts.pipeline.enabled || !gpu {
+        Route::Drain
+    } else if opts.devices.count > 1 {
+        Route::MultiGpu
+    } else {
+        Route::Pipelined
+    }
+}
+
 /// Factor an already-permuted matrix on the given machine.
 ///
 /// `a` must be the permuted matrix `P·A·Pᵀ` whose structure `symbolic`
@@ -478,16 +473,17 @@ pub fn factor_permuted<T: Scalar>(
     machine: &mut Machine,
     opts: &FactorOptions,
 ) -> Result<(CholeskyFactor<T>, FactorStats), FactorError> {
-    // A memory budget forces the drain schedule: the pipelined/multi-GPU
-    // drivers overlap front lifetimes in ways the LIFO residency plan does
-    // not model, and drain keeps budgeted numerics identical at every
-    // driver and worker count.
-    let in_core = opts.memory_budget.is_none();
-    if in_core && opts.devices.count > 1 && opts.pipeline.enabled && machine.gpu.is_some() {
-        return crate::multigpu::factor_permuted_multigpu(a, symbolic, perm, machine, opts);
-    }
-    if in_core && opts.pipeline.enabled && machine.gpu.is_some() {
-        return factor_permuted_pipelined(a, symbolic, perm, machine, opts);
+    match route(opts, machine.gpu.is_some()) {
+        // The machine's device drives lane 0 of `opts.devices.count`
+        // identical devices, all fed from this machine's host timeline.
+        Route::MultiGpu => {
+            let machines = std::slice::from_mut(machine);
+            return crate::multigpu::factor_permuted_parallel_multigpu(
+                a, symbolic, perm, machines, opts,
+            );
+        }
+        Route::Pipelined => return factor_permuted_pipelined(a, symbolic, perm, machine, opts),
+        Route::Drain => {}
     }
     // Pin the deterministic out-of-core schedule before any numbers move;
     // infeasible budgets fail typed here.
@@ -497,107 +493,50 @@ pub fn factor_permuted<T: Scalar>(
         }
         None => None,
     };
-    let nsn = symbolic.num_supernodes();
     let mut pool = pinned_pool(opts);
-    let panel_ptr = symbolic.panel_ptr();
     let mut slab = vec![T::ZERO; symbolic.factor_slab_len()];
-    let mut stats = FactorStats::default();
     let mut rel: Vec<usize> = Vec::new();
     machine.set_recording(opts.record_stats);
     let wall0 = std::time::Instant::now();
 
-    match opts.front_storage {
-        FrontStorage::Arena => {
-            // Whole-run working storage: the factor slab plus one arena
-            // sized by the symbolic stack-peak bound — the numeric phase's
-            // only front-storage allocations.
-            stats.front_alloc_events = 2;
-            let mut arena = FrontArena::<T>::with_len(symbolic.update_stack_peak());
-            let run = FrontRun { a, symbolic, opts, ooc_plan: ooc_plan.as_ref() };
-            run.factor_range(
-                0..nsn,
-                &mut arena,
-                &SharedSlice::new(&mut slab),
-                &mut rel,
-                machine,
-                &mut pool,
-                None,
-                |_, _, out| {
-                    stats.oom_fallbacks += usize::from(out.oom_fallback);
-                    stats.records.extend(out.record);
-                },
-            )?;
-            stats.peak_front_bytes = arena.high_water() * T::BYTES;
-            if let Some(plan) = &ooc_plan {
-                // The arena's tier-resident high water must mirror the
-                // plan; the logical high water above stays the symbolic
-                // bound regardless of the budget.
-                debug_assert_eq!(
-                    arena.resident_high_water_bytes(),
-                    plan.stats.arena_resident_peak_bytes
-                );
-            }
-        }
-        FrontStorage::Heap => {
-            // Reference path: per-front allocations, as the pre-arena code
-            // did. Identical numeric body and identical charges — only the
-            // storage differs.
-            stats.front_alloc_events = 1; // the slab
-            let mut updates: Vec<Option<Vec<T>>> = (0..nsn).map(|_| None).collect();
-            let mut live = 0usize;
-            let mut peak = 0usize;
-            for (r, &sn) in symbolic.postorder.iter().enumerate() {
-                if let Some(plan) = &ooc_plan {
-                    replay_step_io(plan, r, machine, opts);
-                }
-                let info = &symbolic.supernodes[sn];
-                let (s, k) = (info.front_size(), info.k());
-                let child_bufs = take_children(symbolic, sn, |c| updates[c].take())
-                    .expect("child update must exist in postorder");
-                stats.front_alloc_events += 1;
-                let mut front_data = vec![T::ZERO; s * s];
-                peak = peak.max(live + s * s);
-                let out = process_supernode(
-                    a,
-                    symbolic,
-                    sn,
-                    child_views(symbolic, sn, &child_bufs),
-                    &mut front_data,
-                    &mut slab[panel_ptr[sn]..panel_ptr[sn + 1]],
-                    &mut rel,
-                    machine,
-                    &mut pool,
-                    opts,
-                    None,
-                )?;
-                stats.oom_fallbacks += usize::from(out.oom_fallback);
-                stats.records.extend(out.record);
-                live -= child_bufs.iter().map(Vec::len).sum::<usize>();
-                if let Some(mut u) = packed_update(&front_data, s, k) {
-                    stats.front_alloc_events += 1;
-                    if ooc_plan.as_ref().is_some_and(|plan| plan.degrade_update[sn]) {
-                        opts.ladder.degrade_slice(&mut u);
-                    }
-                    live += u.len();
-                    updates[sn] = Some(u);
-                }
-                if let Some(plan) = &ooc_plan {
-                    if plan.degrade_panel[sn] {
-                        opts.ladder.degrade_slice(&mut slab[panel_ptr[sn]..panel_ptr[sn + 1]]);
-                    }
-                }
-            }
-            stats.peak_front_bytes = peak * T::BYTES;
-        }
-    }
+    // Whole-run working storage: the factor slab plus one arena sized by the
+    // symbolic stack-peak bound — the numeric phase's only front-storage
+    // allocations.
+    let mut stats = FactorStats { front_alloc_events: 2, ..Default::default() };
+    let mut arena = FrontArena::<T>::with_len(symbolic.update_stack_peak());
+    let run = FrontRun { a, symbolic, opts, ooc_plan: ooc_plan.as_ref() };
+    let ran = run.factor_range(
+        0..symbolic.num_supernodes(),
+        &mut arena,
+        &SharedSlice::new(&mut slab),
+        &mut rel,
+        machine,
+        &mut pool,
+        None,
+        |_, _, out| {
+            stats.oom_fallbacks += usize::from(out.oom_fallback);
+            stats.records.extend(out.record);
+        },
+    );
+    // Error or not, the machine goes back not recording and with nothing
+    // queued: what a front records after its last `take_records` (its
+    // extraction; everything since assembly when its pivot failed) would
+    // otherwise be booked into the next recorded run's first front.
+    machine.set_recording(false);
+    let _ = machine.take_records();
+    ran?;
 
+    stats.peak_front_bytes = arena.high_water() * T::BYTES;
     if let Some(plan) = ooc_plan {
+        // The arena's tier-resident high water must mirror the plan; the
+        // logical high water above stays the symbolic bound regardless of
+        // the budget.
+        debug_assert_eq!(arena.resident_high_water_bytes(), plan.stats.arena_resident_peak_bytes);
         stats.ooc = Some(plan.stats);
     }
     stats.total_time = machine.elapsed();
     stats.gpu = machine.gpu.as_ref().map(|g| g.utilization(stats.total_time));
     stats.wall_time = wall0.elapsed().as_secs_f64();
-    machine.set_recording(false);
     Ok((CholeskyFactor { symbolic: symbolic.clone(), perm: perm.clone(), slab }, stats))
 }
 
@@ -643,7 +582,7 @@ impl<T: Scalar> FrontRun<'_, T> {
         for r in range {
             let sn = symbolic.postorder[r];
             if let Some(plan) = self.ooc_plan {
-                replay_step_io(plan, r, machine, opts);
+                plan.begin_front(r, machine, opts);
             }
             let info = &symbolic.supernodes[sn];
             let (s, k) = (info.front_size(), info.k());
@@ -678,38 +617,11 @@ impl<T: Scalar> FrontRun<'_, T> {
             on_front(r, sn, out);
             arena.pop_and_compact(front_off, s, k, dest);
             if let Some(plan) = self.ooc_plan {
-                // Blocks the plan ever stores encoded are degraded once, at
-                // production, to their tier read-back values — numerics then
-                // cannot depend on when transfers happen.
-                if s > k && plan.degrade_update[sn] {
-                    opts.ladder.degrade_slice(arena.update_at_mut(dest, s - k));
-                }
-                if plan.degrade_panel[sn] {
-                    opts.ladder.degrade_slice(panel_out);
-                }
+                plan.finish_front(sn, panel_out, arena.update_at_mut(dest, s - k));
                 arena.note_resident_bytes(plan.arena_step_resident[r]);
             }
         }
         Ok(())
-    }
-}
-
-/// Replay one supernode's planned spill transfers on the executing clock,
-/// then drop any profile records the charges produced so they do not leak
-/// into the next front's assembly bucket (`FuRecord::absorb` books
-/// `HostMemop` under `t_assemble`).
-pub(crate) fn replay_step_io(
-    plan: &crate::ooc::OocPlan,
-    rank: usize,
-    machine: &mut Machine,
-    opts: &FactorOptions,
-) {
-    for op in &plan.step_io[rank] {
-        let bw = if op.write { opts.tiers.write_bw(op.tier) } else { opts.tiers.read_bw(op.tier) };
-        machine.host.charge_memop(op.bytes, bw);
-    }
-    if opts.record_stats && !plan.step_io[rank].is_empty() {
-        let _ = machine.take_records();
     }
 }
 
@@ -729,7 +641,6 @@ pub(crate) fn fu_ctx<'a>(
     FuContext {
         machine,
         pool,
-        panel_width: opts.panel_width,
         copy_optimized: opts.copy_optimized,
         timing_only,
         kernel_threads,
@@ -952,9 +863,9 @@ impl<'a, T: Scalar> PostorderRun<'a, T> {
 /// only on shapes and configuration — never on numeric data — and the
 /// rehearsal runs the very bodies the real run does, so the rehearsed
 /// makespan equals the real driver's exactly, including OOM fallback
-/// decisions and pinned-pool waits (arena and heap front storage charge
-/// alike, so the drain rehearsal stands for both). No numeric buffer is
-/// allocated or touched.
+/// decisions and pinned-pool waits (where a front's bytes sit is never
+/// charged, so the drain rehearsal stands for the arena run). No numeric
+/// buffer is allocated or touched.
 fn rehearse_makespan<T: Scalar>(
     a: &SymCsc<T>,
     symbolic: &SymbolicFactor,
@@ -1390,47 +1301,5 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, FactorError::NotPositiveDefinite { column: 5 });
-    }
-
-    #[test]
-    fn arena_and_heap_storage_agree_bit_for_bit() {
-        let a = laplacian_3d(6, 5, 7, Stencil::Faces);
-        let analysis =
-            analyze(&a, OrderingKind::NestedDissection, Some(&AmalgamationOptions::default()))
-                .unwrap();
-        let run = |storage: FrontStorage| {
-            let mut machine = Machine::paper_node();
-            let opts = FactorOptions {
-                selector: PolicySelector::Baseline(BaselineThresholds::default()),
-                record_stats: true,
-                front_storage: storage,
-                ..Default::default()
-            };
-            factor_permuted(
-                &analysis.permuted.0,
-                &analysis.symbolic,
-                &analysis.perm,
-                &mut machine,
-                &opts,
-            )
-            .unwrap()
-        };
-        let (fa, sa) = run(FrontStorage::Arena);
-        let (fh, sh) = run(FrontStorage::Heap);
-        assert!(fa.symbolic.shares_structure_with(&fh.symbolic));
-        let ba: Vec<u64> = fa.slab.iter().map(|x| x.to_bits()).collect();
-        let bh: Vec<u64> = fh.slab.iter().map(|x| x.to_bits()).collect();
-        assert_eq!(ba, bh, "arena factor must match the per-front heap path bitwise");
-        // Simulated clocks charge identically in both modes.
-        assert_eq!(sa.total_time.to_bits(), sh.total_time.to_bits());
-        assert_eq!(sa.records.len(), sh.records.len());
-        // Arena mode: factor slab + arena. Heap mode: one allocation per
-        // front plus one per non-root update on top of the slab.
-        assert_eq!(sa.front_alloc_events, 2);
-        assert!(sh.front_alloc_events > sa.front_alloc_events);
-        // The arena high-water mark respects the symbolic bound.
-        let bound = analysis.symbolic.update_stack_peak() * 8;
-        assert!(sa.peak_front_bytes <= bound, "{} > {bound}", sa.peak_front_bytes);
-        assert!(sa.peak_front_bytes > 0);
     }
 }

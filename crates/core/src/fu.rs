@@ -62,8 +62,6 @@ pub(crate) struct FuContext<'a> {
     pub machine: &'a mut Machine,
     /// Pinned staging buffers (growth-only reuse per §V-A2).
     pub pool: &'a mut PinnedPool,
-    /// P4 panel width `w`.
-    pub panel_width: usize,
     /// Use the copy-optimized P4 transfer plan.
     pub copy_optimized: bool,
     /// Timing-only mode: charge every cost but skip all numeric work and
@@ -497,7 +495,6 @@ pub fn estimate_fu_time(
     m: usize,
     k: usize,
     policy: PolicyKind,
-    panel_width: usize,
     copy_optimized: bool,
 ) -> f64 {
     if let Some(g) = machine.gpu.as_mut() {
@@ -517,7 +514,6 @@ pub fn estimate_fu_time(
         let mut ctx = FuContext {
             machine,
             pool: &mut pool,
-            panel_width,
             copy_optimized,
             timing_only: true,
             kernel_threads: None,
@@ -930,7 +926,7 @@ fn dispatch_p4<T: Scalar>(
 ) -> Result<PendingState, GpuFuError> {
     let (s, k) = (front.s, front.k);
     let m = s - k;
-    let w = ctx.panel_width.max(1);
+    let w = DEFAULT_PANEL_WIDTH;
     let copy_optimized = ctx.copy_optimized;
     let timing = ctx.timing_only;
     let (host, gpu, pool) = split_ctx(ctx);
@@ -1012,7 +1008,7 @@ pub(crate) fn try_dispatch_gpu_batch<T: Scalar>(
     fronts: &mut [Front<'_, T>],
     ctx: &mut FuContext<'_>,
 ) -> Result<Option<FuBatchPending>, BatchError> {
-    let w = ctx.panel_width.max(1);
+    let w = DEFAULT_PANEL_WIDTH;
     let timing = ctx.timing_only;
     let (host, gpu, pool) = split_ctx(ctx);
     let mut members = Vec::with_capacity(fronts.len());
@@ -1120,7 +1116,6 @@ mod tests {
         let mut ctx = FuContext {
             machine: &mut machine,
             pool: &mut pool,
-            panel_width: 16,
             copy_optimized: false,
             timing_only: false,
             kernel_threads: None,
@@ -1134,20 +1129,22 @@ mod tests {
 
     #[test]
     fn all_policies_agree_numerically() {
-        let (s, k) = (60, 24);
-        let (f1, _) = run(PolicyKind::P1, s, k, 3);
-        for p in [PolicyKind::P2, PolicyKind::P3, PolicyKind::P4] {
-            let (fp, _) = run(p, s, k, 3);
-            // Compare the panel and update lower triangles at f32 accuracy.
-            let mut max = 0.0f64;
-            for j in 0..s {
-                for i in j..s {
-                    if j < k || i >= k {
-                        max = max.max((at(&f1, s, i, j) - at(&fp, s, i, j)).abs());
+        // One P4 panel, then three (the panel width is 64).
+        for (s, k) in [(60, 24), (200, 150)] {
+            let (f1, _) = run(PolicyKind::P1, s, k, 3);
+            for p in [PolicyKind::P2, PolicyKind::P3, PolicyKind::P4] {
+                let (fp, _) = run(p, s, k, 3);
+                // Compare the panel and update lower triangles at f32 accuracy.
+                let mut max = 0.0f64;
+                for j in 0..s {
+                    for i in j..s {
+                        if j < k || i >= k {
+                            max = max.max((at(&f1, s, i, j) - at(&fp, s, i, j)).abs());
+                        }
                     }
                 }
+                assert!(max < 2e-3, "{p} {s}x{k} deviates from P1 by {max}");
             }
-            assert!(max < 2e-3, "{p} deviates from P1 by {max}");
         }
     }
 
@@ -1177,24 +1174,26 @@ mod tests {
 
     #[test]
     fn not_positive_definite_detected_on_every_policy() {
-        for p in PolicyKind::ALL {
-            let mut machine = Machine::paper_node();
-            let mut pool = PinnedPool::new(2);
-            let mut data = spd_data(20, 5);
-            // Poison a pivot column inside the block.
-            data[4 + 4 * 20] = -50.0;
-            let mut front = Front { s: 20, k: 10, data: &mut data };
-            let mut ctx = FuContext {
-                machine: &mut machine,
-                pool: &mut pool,
-                panel_width: 4,
-                copy_optimized: false,
-                timing_only: false,
-                kernel_threads: None,
-                tiling: TilingOptions::default(),
-            };
-            let err = execute_fu(&mut front, p, &mut ctx).unwrap_err();
-            assert_eq!(err, FuError::NotPositiveDefinite { local_column: 4 }, "{p}");
+        // A failing pivot in the first P4 panel, then in the second.
+        for (s, k, bad) in [(20, 10, 4), (160, 100, 70)] {
+            for p in PolicyKind::ALL {
+                let mut machine = Machine::paper_node();
+                let mut pool = PinnedPool::new(2);
+                let mut data = spd_data(s, 5);
+                // Poison a pivot column inside the block.
+                data[bad + bad * s] = -50.0;
+                let mut front = Front { s, k, data: &mut data };
+                let mut ctx = FuContext {
+                    machine: &mut machine,
+                    pool: &mut pool,
+                    copy_optimized: false,
+                    timing_only: false,
+                    kernel_threads: None,
+                    tiling: TilingOptions::default(),
+                };
+                let err = execute_fu(&mut front, p, &mut ctx).unwrap_err();
+                assert_eq!(err, FuError::NotPositiveDefinite { local_column: bad }, "{p}");
+            }
         }
     }
 
@@ -1231,7 +1230,6 @@ mod tests {
         let mut ctx = FuContext {
             machine: &mut machine,
             pool: &mut pool,
-            panel_width: 16,
             copy_optimized: false,
             timing_only: false,
             kernel_threads: None,
@@ -1254,7 +1252,6 @@ mod tests {
         let mut ctx = FuContext {
             machine: &mut machine,
             pool: &mut pool,
-            panel_width: 8,
             copy_optimized: false,
             timing_only: false,
             kernel_threads: None,
@@ -1276,7 +1273,6 @@ mod tests {
             let mut ctx = FuContext {
                 machine: &mut machine,
                 pool: &mut pool,
-                panel_width: 32,
                 copy_optimized: opt,
                 timing_only: false,
                 kernel_threads: None,
@@ -1299,7 +1295,6 @@ mod tests {
         let mut ctx = FuContext {
             machine: &mut machine,
             pool: &mut pool,
-            panel_width: 16,
             copy_optimized: true,
             timing_only: false,
             kernel_threads: None,
@@ -1331,7 +1326,6 @@ mod tests {
         let mut ctx = FuContext {
             machine: &mut machine,
             pool: &mut pool,
-            panel_width: 32,
             copy_optimized: false,
             timing_only: false,
             kernel_threads: None,
@@ -1359,7 +1353,6 @@ mod tests {
                 let mut ctx = FuContext {
                     machine: &mut machine,
                     pool: &mut pool,
-                    panel_width: 16,
                     copy_optimized: false,
                     timing_only: false,
                     kernel_threads: None,
@@ -1371,7 +1364,7 @@ mod tests {
                 }
             }
             let mut machine2 = Machine::paper_node();
-            let t_est = estimate_fu_time(&mut machine2, 90, 60, p, 16, false);
+            let t_est = estimate_fu_time(&mut machine2, 90, 60, p, false);
             let rel = (t_real - t_est).abs() / t_real;
             assert!(rel < 1e-9, "{p}: real {t_real:.6e} vs estimate {t_est:.6e}");
         }
@@ -1383,12 +1376,12 @@ mod tests {
         // return instantly with a sensible (sub-minute simulated) time.
         let mut machine = Machine::paper_node();
         for p in PolicyKind::ALL {
-            let t = estimate_fu_time(&mut machine, 10_000, 10_000, p, 64, true);
+            let t = estimate_fu_time(&mut machine, 10_000, 10_000, p, true);
             assert!(t > 0.1 && t < 600.0, "{p}: {t}");
         }
         // And GPU policies must beat P1 at this scale.
-        let t1 = estimate_fu_time(&mut machine, 10_000, 10_000, PolicyKind::P1, 64, true);
-        let t4 = estimate_fu_time(&mut machine, 10_000, 10_000, PolicyKind::P4, 64, true);
+        let t1 = estimate_fu_time(&mut machine, 10_000, 10_000, PolicyKind::P1, true);
+        let t4 = estimate_fu_time(&mut machine, 10_000, 10_000, PolicyKind::P4, true);
         assert!(t4 < t1 / 4.0, "P4 {t4} vs P1 {t1}");
     }
 
@@ -1413,7 +1406,6 @@ mod tests {
                 let mut ctx = FuContext {
                     machine: &mut machine,
                     pool: &mut pool,
-                    panel_width: 16,
                     copy_optimized,
                     timing_only: false,
                     kernel_threads: None,
@@ -1459,7 +1451,6 @@ mod tests {
             let mut ctx = FuContext {
                 machine: &mut machine,
                 pool: &mut pool,
-                panel_width: 16,
                 copy_optimized,
                 timing_only: false,
                 kernel_threads: None,
@@ -1496,7 +1487,6 @@ mod tests {
             let mut ctx = FuContext {
                 machine: &mut machine,
                 pool: &mut pool,
-                panel_width: 16,
                 copy_optimized: false,
                 timing_only: false,
                 kernel_threads: None,

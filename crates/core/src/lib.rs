@@ -46,15 +46,13 @@ pub mod tile;
 
 pub use arena::FrontArena;
 pub use factor::{
-    factor_permuted, CholeskyFactor, FactorError, FactorOptions, FrontStorage, PipelineOptions,
-    PolicySelector,
+    factor_permuted, CholeskyFactor, FactorError, FactorOptions, PipelineOptions, PolicySelector,
 };
 pub use features::{raw_features, LinearPolicyModel, NUM_FEATURES};
 pub use frontal::{ChildUpdate, Front};
 pub use fu::{estimate_fu_time, FuError, DEFAULT_PANEL_WIDTH};
 pub use multigpu::{
-    factor_permuted_multigpu, factor_permuted_parallel_multigpu, proportional_map, DeviceMap,
-    MultiGpuOptions,
+    factor_permuted_parallel_multigpu, proportional_map, DeviceMap, MultiGpuOptions,
 };
 pub use ooc::{
     in_core_bytes, min_feasible_budget, plan_ooc, rehearse_stream_solve, OocError, OocEvent,

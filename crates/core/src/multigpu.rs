@@ -484,24 +484,13 @@ impl<'a, T: Scalar> MgRun<'a, '_, T> {
     }
 }
 
-/// Single-machine multi-GPU entry: the machine's device drives lane 0 of a
-/// [`DeviceSet`] of `opts.devices.count` identical devices, all fed from
-/// this machine's host timeline. Reached from
-/// [`crate::factor::factor_permuted`] when `devices.count > 1` with
-/// pipelining enabled on a GPU machine.
-pub fn factor_permuted_multigpu<T: Scalar>(
-    a: &SymCsc<T>,
-    symbolic: &SymbolicFactor,
-    perm: &Permutation,
-    machine: &mut Machine,
-    opts: &FactorOptions,
-) -> Result<(CholeskyFactor<T>, FactorStats), FactorError> {
-    factor_permuted_parallel_multigpu(a, symbolic, perm, std::slice::from_mut(machine), opts)
-}
-
-/// Multi-worker multi-GPU entry: devices are dealt round-robin over the
-/// GPU-bearing machines (device `d` → worker `d mod workers`), each worker
-/// cooperatively driving its lanes.
+/// The multi-GPU entry, reached from [`crate::factor::factor_permuted`]
+/// (one machine) and [`crate::parallel::factor_permuted_parallel`] when
+/// `devices.count > 1` with pipelining enabled on a GPU machine: devices are
+/// dealt round-robin over the GPU-bearing machines (device `d` → worker
+/// `d mod workers`), each worker cooperatively driving its lanes. A
+/// machine's own device drives its lane 0; the rest of its
+/// [`DeviceSet`] are identical devices fed from the same host timeline.
 ///
 /// Worker host timelines are independent — cross-worker child hand-offs
 /// carry no timing edge, exactly the work-stealing parallel driver's

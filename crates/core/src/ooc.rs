@@ -59,9 +59,10 @@
 use std::collections::BTreeSet;
 
 use mf_dense::Scalar;
-use mf_gpusim::{HostClock, KernelKind, SpillTier, TierParams};
+use mf_gpusim::{HostClock, KernelKind, Machine, SpillTier, TierParams};
 use mf_sparse::SymbolicFactor;
 
+use crate::factor::FactorOptions;
 use crate::pinned_pool::PinnedPool;
 
 /// Storage precision of spilled blocks.
@@ -82,7 +83,7 @@ pub enum PrecisionLadder {
 }
 
 impl PrecisionLadder {
-    /// Short stable name (used in bench JSON and logs).
+    /// Short stable name (used in reports and logs).
     pub fn name(self) -> &'static str {
         match self {
             PrecisionLadder::Off => "off",
@@ -240,7 +241,7 @@ impl std::error::Error for OocError {}
 
 /// Bytes the in-core drivers keep resident: the contiguous factor slab
 /// plus the LIFO update-stack peak — the "symbolic bound" that budget
-/// fractions in tests and benches refer to.
+/// fractions in tests and the benchmark refer to.
 pub fn in_core_bytes(symbolic: &SymbolicFactor, elem_bytes: usize) -> usize {
     (symbolic.factor_slab_len() + symbolic.update_stack_peak()) * elem_bytes
 }
@@ -407,6 +408,36 @@ pub struct OocPlan {
     pub host_used_end: usize,
     /// Full residency trace for invariant checking.
     pub events: Vec<OocEvent>,
+}
+
+impl OocPlan {
+    /// Replay the planned spill transfers of the front at postorder `rank`
+    /// on the executing clock, then drop any profile records the charges
+    /// produced so they do not leak into the front's assembly bucket
+    /// (`FuRecord::absorb` books `HostMemop` under `t_assemble`).
+    pub(crate) fn begin_front(&self, rank: usize, machine: &mut Machine, opts: &FactorOptions) {
+        for op in &self.step_io[rank] {
+            let bw =
+                if op.write { opts.tiers.write_bw(op.tier) } else { opts.tiers.read_bw(op.tier) };
+            machine.host.charge_memop(op.bytes, bw);
+        }
+        if opts.record_stats && !self.step_io[rank].is_empty() {
+            let _ = machine.take_records();
+        }
+    }
+
+    /// Degrade the blocks of supernode `sn` the plan ever stores encoded —
+    /// its factor `panel`, its packed `update` (empty at a root) — to their
+    /// tier read-back values, once, at production: numerics then cannot
+    /// depend on when transfers happen.
+    pub(crate) fn finish_front<T: Scalar>(&self, sn: usize, panel: &mut [T], update: &mut [T]) {
+        if self.degrade_update[sn] {
+            self.stats.ladder.degrade_slice(update);
+        }
+        if self.degrade_panel[sn] {
+            self.stats.ladder.degrade_slice(panel);
+        }
+    }
 }
 
 /// Mutable planner state: device residency, tier occupancy, the Belady

@@ -30,14 +30,13 @@
 //! pipelined dispatch the `Whole` task issues its front into the worker's
 //! `crate::lane::Lane`.
 //!
-//! The model predicts; the runtime measures. `mf-bench`'s
-//! `factor_parallel` bench writes both curves side by side
-//! (`BENCH_factor.json`) so the simulated speedups stay honest.
+//! The model predicts; the runtime measures: `benchmark/`'s `plate2d_par2`
+//! workload reports the measured side as `runtime.par2_speedup.*`.
 
 use crate::arena::FrontArena;
 use crate::factor::{
-    fu_ctx, fu_err_to_factor, pinned_pool, process_supernode, CholeskyFactor, FactorError,
-    FactorOptions, FrontRun, FrontStorage, SharedSlice,
+    fu_ctx, fu_err_to_factor, pinned_pool, process_supernode, route, CholeskyFactor, FactorError,
+    FactorOptions, FrontRun, Route, SharedSlice,
 };
 use crate::frontal::{charge_update_extract, extract_panel_into, packed_update, Front};
 use crate::lane::{
@@ -189,8 +188,8 @@ pub fn simulate_tree_schedule(
 }
 
 /// Simulate a width-1 list schedule of the **combined** tree + tile task
-/// DAG on `workers` identical workers — the model behind the
-/// `tiled_vs_tree_speedup` numbers in `BENCH_factor.json`.
+/// DAG on `workers` identical workers — the model behind `exp_table7`'s
+/// tiled-vs-tree speedups.
 ///
 /// Every supernode the recorded run executed as CPU P1 whose shape yields
 /// a plan under `tiling` is expanded into its tile tasks, with dims-only
@@ -202,7 +201,7 @@ pub fn simulate_tree_schedule(
 ///
 /// No molding: where [`simulate_tree_schedule`] needs the moldable-BLAS
 /// *model* to fill idle workers near the root, the tile DAG provides that
-/// parallelism explicitly — which is exactly the comparison the bench
+/// parallelism explicitly — which is exactly the comparison `exp_table7`
 /// draws.
 pub fn simulate_tiled_schedule(
     symbolic: &SymbolicFactor,
@@ -399,8 +398,8 @@ struct WorkerCtx<'m, T> {
     /// Per-task records at tile granularity, merged at the end.
     tasks: Vec<TaskRecord>,
     oom: usize,
-    /// Reusable front storage sized to the largest front in the tree
-    /// (arena mode; empty in the per-front heap reference mode).
+    /// Reusable front storage for the supernodes above the bottom subtrees,
+    /// grown to the largest front this worker has run.
     front_buf: Vec<T>,
     /// This worker's LIFO front stack for bottom-subtree tasks, sized for
     /// the largest of them on first use.
@@ -432,8 +431,7 @@ struct WorkerCtx<'m, T> {
 /// — the same order and the same [`process_supernode`] body as the serial
 /// driver, which makes the result **bitwise identical** to
 /// [`crate::factor::factor_permuted`] at every worker count. Pipelined
-/// dispatch and the per-front heap reference storage keep one task per
-/// front.
+/// dispatch keeps one task per front.
 ///
 /// Fronts the serial driver would run through the canonical tiled CPU body
 /// (P1-selected, at or above [`crate::tile::TilingOptions::min_front`],
@@ -446,9 +444,8 @@ struct WorkerCtx<'m, T> {
 ///
 /// Returned [`FactorStats`]: `records` are merged back into postorder,
 /// `total_time` is the maximum per-worker simulated clock, and `wall_time`
-/// is the real measured wall-clock of this call — the quantity the
-/// `factor_parallel` bench compares against [`simulate_tree_schedule`]'s
-/// predicted makespan.
+/// is the real measured wall-clock of this call — the quantity
+/// [`simulate_tree_schedule`]'s makespan predicts.
 pub fn factor_permuted_parallel<T: Scalar>(
     a: &SymCsc<T>,
     symbolic: &SymbolicFactor,
@@ -462,11 +459,8 @@ pub fn factor_permuted_parallel<T: Scalar>(
     // Multi-device runs route to the cooperative multi-GPU driver: devices
     // are dealt round-robin over the GPU-bearing machines, and
     // `ParallelOptions` (a tree-level work-stealing knob) does not apply.
-    if opts.memory_budget.is_none()
-        && opts.devices.count > 1
-        && opts.pipeline.enabled
-        && machines.iter().any(|m| m.gpu.is_some())
-    {
+    let route = route(opts, machines.iter().any(|m| m.gpu.is_some()));
+    if route == Route::MultiGpu {
         return crate::multigpu::factor_permuted_parallel_multigpu(
             a, symbolic, perm, machines, opts,
         );
@@ -495,9 +489,8 @@ pub fn factor_permuted_parallel<T: Scalar>(
 
     // Pipelined dispatch (per worker, against its own device). Per-call
     // records are not collected in this mode — with fronts overlapping on
-    // the device, per-front time attribution is ill-defined. A memory
-    // budget forces the drain schedule (see `factor_permuted`).
-    let pipelined = opts.pipeline.enabled && ooc_plan.is_none();
+    // the device, per-front time attribution is ill-defined.
+    let pipelined = route == Route::Pipelined;
 
     // Intra-front tile expansion: fronts the serial driver runs through the
     // canonical tiled CPU body (`fu_p1` at or above the tiling threshold)
@@ -518,14 +511,13 @@ pub fn factor_permuted_parallel<T: Scalar>(
     // Bottom subtrees: runs of CPU fronts small enough to stay in cache,
     // each factored front to back by one task. Like tile expansion this is
     // decided from the symbolic structure and the policy selector alone.
-    let arena_mode = opts.front_storage == FrontStorage::Arena;
-    let ranges = if arena_mode && !pipelined {
+    let ranges = if pipelined {
+        Vec::new()
+    } else {
         symbolic.bottom_subtrees(T::BYTES, |sn| {
             let info = &symbolic.supernodes[sn];
             plans[sn].is_none() && opts.selector.choose(sn, info.m(), info.k()) == PolicyKind::P1
         })
-    } else {
-        Vec::new()
     };
 
     /// One node of the combined subtree + tree + tile task graph.
@@ -652,16 +644,17 @@ pub fn factor_permuted_parallel<T: Scalar>(
     let put_update = |sn: usize, u: Vec<T>| {
         *updates[exit_of(sn)].lock().unwrap_or_else(|poison| poison.into_inner()) = Some(u);
     };
-    // A task-level supernode's packed update on its way to the parent's
-    // task, degraded to its tier read-back value first where the
-    // out-of-core plan ever stores it encoded.
-    let hand_off = |sn: usize, update: Option<Vec<T>>, allocs: &mut u64| {
-        let Some(mut u) = update else { return };
-        *allocs += 1;
-        if ooc_plan.as_ref().is_some_and(|plan| plan.degrade_update[sn]) {
-            opts.ladder.degrade_slice(&mut u);
+    // The end of a task-level supernode: its panel is in the slab and its
+    // packed update goes to the parent's task, both as the out-of-core plan
+    // stores them.
+    let hand_off = |sn: usize, panel: &mut [T], mut update: Option<Vec<T>>, allocs: &mut u64| {
+        if let Some(plan) = &ooc_plan {
+            plan.finish_front(sn, panel, update.as_deref_mut().unwrap_or_default());
         }
-        put_update(sn, u);
+        if let Some(u) = update {
+            *allocs += 1;
+            put_update(sn, u);
+        }
     };
 
     // One arena length serves every bottom subtree: the subtree constant
@@ -700,7 +693,7 @@ pub fn factor_permuted_parallel<T: Scalar>(
         // the executing worker's clock at its entry task.
         if let Some(plan) = &ooc_plan {
             if let NodeTask::Whole(sn) | NodeTask::Assemble(sn) = node_of[t] {
-                crate::factor::replay_step_io(plan, plan.rank[sn], st.machine, opts);
+                plan.begin_front(plan.rank[sn], st.machine, opts);
             }
         }
         let sn = match node_of[t] {
@@ -835,13 +828,8 @@ pub fn factor_permuted_parallel<T: Scalar>(
                     let front = Front { s, k, data: &mut *front_data };
                     extract_panel_into(&front, panel_out, &mut st.machine.host);
                 }
-                if let Some(plan) = &ooc_plan {
-                    if plan.degrade_panel[sn] {
-                        opts.ladder.degrade_slice(panel_out);
-                    }
-                }
                 charge_update_extract::<T>(m, &mut st.machine.host);
-                hand_off(sn, packed_update(front_data, s, k), &mut st.allocs);
+                hand_off(sn, panel_out, packed_update(front_data, s, k), &mut st.allocs);
                 if opts.record_stats {
                     let _ = st.machine.take_records();
                     st.tasks.push(TaskRecord {
@@ -876,26 +864,16 @@ pub fn factor_permuted_parallel<T: Scalar>(
             st.lane.finish_holding(|c| kids.contains(&c), &mut ctx);
         }
         let child_bufs = take_children(symbolic, sn, take_update)?;
-        let mut heap_front = if arena_mode {
-            Vec::new()
-        } else {
+        // Grow this worker's reusable buffer to the largest front it has
+        // seen — most workers never run the root, so lazy growth keeps each
+        // buffer at its own subtree's maximum. Reuse without re-zeroing is
+        // safe: assembly re-zeroes the lower trapezoid it references and
+        // nothing reads the rest.
+        if st.front_buf.len() < s * s {
             st.allocs += 1;
-            vec![T::ZERO; s * s]
-        };
-        let front_data: &mut [T] = if arena_mode {
-            // Grow this worker's reusable buffer to the largest front it has
-            // seen — most workers never run the root, so lazy growth keeps
-            // each buffer at its own subtree's maximum. Reuse without
-            // re-zeroing is safe: assembly re-zeroes the lower trapezoid it
-            // references and nothing reads the rest.
-            if st.front_buf.len() < s * s {
-                st.allocs += 1;
-                st.front_buf = vec![T::ZERO; s * s];
-            }
-            &mut st.front_buf[..s * s]
-        } else {
-            &mut heap_front
-        };
+            st.front_buf = vec![T::ZERO; s * s];
+        }
+        let front_data = &mut st.front_buf[..s * s];
         st.peak_front = st.peak_front.max(s * s);
         // SAFETY: this supernode's panel region belongs to this task alone.
         let panel_out =
@@ -912,7 +890,8 @@ pub fn factor_permuted_parallel<T: Scalar>(
                 assemble_owned(a, symbolic, sn, &child_bufs, front_data, &mut st.rel, host);
             let allocs = &mut st.allocs;
             let mut sink = |sn: usize, front: &Front<'_, T>| {
-                hand_off(sn, extract_front(front, panel_out), allocs);
+                let update = extract_front(front, panel_out);
+                hand_off(sn, panel_out, update, allocs);
             };
             let policy = opts.selector.choose(sn, m, k);
             let mut ctx = fu_ctx(st.machine, &mut st.pool, opts, Some(width), false);
@@ -956,12 +935,7 @@ pub fn factor_permuted_parallel<T: Scalar>(
             });
             st.records.push((rank[sn], rec));
         }
-        if let Some(plan) = &ooc_plan {
-            if plan.degrade_panel[sn] {
-                opts.ladder.degrade_slice(panel_out);
-            }
-        }
-        hand_off(sn, packed_update(front_data, s, k), &mut st.allocs);
+        hand_off(sn, panel_out, packed_update(front_data, s, k), &mut st.allocs);
         Ok(())
     });
 

@@ -123,13 +123,15 @@ pub struct FactorStats {
     pub oom_fallbacks: usize,
     /// Peak bytes of front working storage in live use at any point: the
     /// arena high-water mark (serial) or the largest per-worker front
-    /// buffer actually touched (parallel). Heap storage reports the sum of
-    /// simultaneously-live front/update buffers instead.
+    /// buffer or arena extent actually touched (parallel). Pipelined and
+    /// multi-GPU runs, whose front lifetimes overlap, report the most
+    /// simultaneously-live front and update buffers instead.
     pub peak_front_bytes: usize,
-    /// Heap allocation (or growth) events the numeric phase performed for
-    /// front/update storage. Serial arena storage is O(1) — exactly the
-    /// slab plus the arena; the parallel driver adds per-worker front
-    /// buffer growths and one transient buffer per cross-worker update.
+    /// Allocation (or growth) events the numeric phase performed for
+    /// front/update storage. The serial drain run is O(1) — exactly the
+    /// slab plus the arena; the parallel driver adds per-worker arena and
+    /// front-buffer growths and one transient buffer per update that
+    /// crosses tasks; pipelined and multi-GPU runs allocate per front.
     pub front_alloc_events: u64,
     /// Per-task records of a parallel run at tile granularity, sorted by
     /// `(postorder rank, seq)` — the canonical serial order. Empty for

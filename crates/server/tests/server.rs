@@ -239,6 +239,46 @@ fn overload_rejects_excess_load_without_corrupting_sessions() {
 }
 
 #[test]
+fn backlog_is_solved_in_batches_unless_the_window_is_one() {
+    // One worker, and in every round eight single-RHS solves queued behind
+    // a refactor that keeps it busy: with a window of one column each solve
+    // is its own sweep; with the default window the backlog is coalesced.
+    let a = laplacian_3d(8, 8, 6, Stencil::Faces);
+    let n = a.order();
+    let bs: Vec<Vec<f64>> = (0..8).map(|i| rhs(n, 1, 7 + i)).collect();
+    let expected: Vec<Vec<f64>> = bs.iter().map(|b| serial_answer(&a, b, 1)).collect();
+    for window in [1usize, 32] {
+        let server = Server::start(ServerConfig { workers: 1, max_batch_rhs: window, ..cfg() });
+        let id = server.submit("backlog", &a).unwrap();
+        // How much of a backlog forms is up to the scheduler; that one forms
+        // within a few rounds is not.
+        let mut rounds = 0u64;
+        loop {
+            rounds += 1;
+            let refactor = server.resubmit_async(id, a.clone()).unwrap();
+            let tickets: Vec<_> =
+                bs.iter().map(|b| server.solve_many_async(id, b.clone(), 1).unwrap()).collect();
+            refactor.wait().unwrap();
+            for (t, want) in tickets.into_iter().zip(&expected) {
+                assert_bitwise(&t.wait().unwrap(), want, "backlogged solve");
+            }
+            if window == 1 || rounds == 50 || server.stats().max_batch_rhs >= 2 {
+                break;
+            }
+        }
+        let stats = server.stats();
+        assert_eq!(stats.solve_requests, 8 * rounds);
+        if window == 1 {
+            assert_eq!(stats.max_batch_rhs, 1, "a window of one column must disable batching");
+            assert_eq!(stats.batches, stats.solve_requests);
+        } else {
+            assert!(stats.max_batch_rhs >= 2, "no batch formed in {rounds} backlogged rounds");
+            assert!(stats.batches < stats.solve_requests);
+        }
+    }
+}
+
+#[test]
 fn tenant_budget_evicts_idle_sessions_lru_then_rejects() {
     let a = laplacian_3d(5, 5, 3, Stencil::Faces);
     let n = a.order();

@@ -592,8 +592,8 @@ impl Analysis {
     /// elimination tree, and the full supernodal structure (spans, parents,
     /// row structures, postorder). Two analyses agree on this fingerprint
     /// iff every byte a downstream numeric phase consumes is identical —
-    /// the CI invariant asserted by the `symbolic` bench and the
-    /// determinism suite for [`analyze_parallel`].
+    /// the CI invariant the determinism suite asserts for
+    /// [`analyze_parallel`].
     pub fn fingerprint(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -75,14 +75,18 @@ fn main() {
         for col_m in 0..cells {
             let m = col_m * cell + cell / 2;
             model_row.push(char::from(b'1' + ec.predict(m, k).index() as u8));
-            let best =
-                PolicyKind::ALL
-                    .iter()
-                    .min_by(|&&a, &&b| {
-                        estimate_fu_time(&mut machine, m, k, a, 64, false)
-                            .total_cmp(&estimate_fu_time(&mut machine, m, k, b, 64, false))
-                    })
-                    .unwrap();
+            let best = PolicyKind::ALL
+                .iter()
+                .min_by(|&&a, &&b| {
+                    estimate_fu_time(&mut machine, m, k, a, false).total_cmp(&estimate_fu_time(
+                        &mut machine,
+                        m,
+                        k,
+                        b,
+                        false,
+                    ))
+                })
+                .unwrap();
             ideal_row.push(char::from(b'1' + best.index() as u8));
         }
         println!("k≈{k:>4}  model {model_row}   ideal {ideal_row}");

@@ -9,8 +9,7 @@
 //! concurrently to shake out any hidden shared state.
 
 use gpu_multifrontal::core::{
-    factor_permuted, factor_permuted_parallel, CholeskyFactor, FactorError, FrontStorage,
-    ParallelOptions,
+    factor_permuted, factor_permuted_parallel, CholeskyFactor, FactorError, ParallelOptions,
 };
 use gpu_multifrontal::dense::Scalar;
 use gpu_multifrontal::matgen::{elasticity_3d, laplacian_2d, laplacian_3d, Stencil};
@@ -95,20 +94,15 @@ fn bitwise_identical_f32_gpu_policies() {
     }
 }
 
-/// The arena storage backend (LIFO stack serially, pooled hand-off buffers
-/// in parallel) and the per-front heap reference backend must agree bit for
-/// bit at every worker count — the backend changes where the numbers live,
-/// never the numbers. Also pins the arena's memory contract: peak working
-/// storage within the symbolic bound and an O(1) allocation count.
-fn assert_storage_backends_agree<T: Scalar>(
-    a: &SymCsc<T>,
-    symbolic: &SymbolicFactor,
-    perm: &Permutation,
-) {
-    let arena_opts = baseline_opts();
-    let heap_opts = FactorOptions { front_storage: FrontStorage::Heap, ..baseline_opts() };
+/// The arena's memory contract — peak working storage within the symbolic
+/// bound, two allocations for a serial run — and the parallel driver's
+/// storage (a worker's own arena below, its reusable front buffer and
+/// hand-off buffers above) giving the serial arena's bits at every worker
+/// count.
+fn assert_arena_contract<T: Scalar>(a: &SymCsc<T>, symbolic: &SymbolicFactor, perm: &Permutation) {
+    let opts = baseline_opts();
     let mut m0 = Machine::paper_node();
-    let (fa, sa) = factor_permuted(a, symbolic, perm, &mut m0, &arena_opts).unwrap();
+    let (fa, sa) = factor_permuted(a, symbolic, perm, &mut m0, &opts).unwrap();
     let reference = panel_bits(&fa);
     assert!(
         sa.peak_front_bytes <= symbolic.update_stack_peak() * T::BYTES,
@@ -117,46 +111,40 @@ fn assert_storage_backends_agree<T: Scalar>(
         symbolic.update_stack_peak() * T::BYTES
     );
     assert_eq!(sa.front_alloc_events, 2, "serial arena must allocate only slab + arena");
-    let mut m1 = Machine::paper_node();
-    let (fh, sh) = factor_permuted(a, symbolic, perm, &mut m1, &heap_opts).unwrap();
-    assert_eq!(reference, panel_bits(&fh), "serial heap storage diverged from arena");
-    assert!(sh.front_alloc_events > sa.front_alloc_events);
     for workers in [1usize, 2, 4, 8] {
-        for (name, opts) in [("arena", &arena_opts), ("heap", &heap_opts)] {
-            let mut machines: Vec<Machine> = (0..workers).map(|_| Machine::paper_node()).collect();
-            let (fp, sp) = factor_permuted_parallel(
-                a,
-                symbolic,
-                perm,
-                &mut machines,
-                opts,
-                &ParallelOptions { thread_budget: 2 },
-            )
-            .unwrap();
-            assert_eq!(
-                reference,
-                panel_bits(&fp),
-                "{workers}-worker {name} storage diverged from serial arena factor"
-            );
-            assert!(sp.front_alloc_events > 0);
-        }
+        let mut machines: Vec<Machine> = (0..workers).map(|_| Machine::paper_node()).collect();
+        let (fp, sp) = factor_permuted_parallel(
+            a,
+            symbolic,
+            perm,
+            &mut machines,
+            &opts,
+            &ParallelOptions { thread_budget: 2 },
+        )
+        .unwrap();
+        assert_eq!(
+            reference,
+            panel_bits(&fp),
+            "{workers}-worker factor diverged from serial arena factor"
+        );
+        assert!(sp.front_alloc_events > 0);
     }
 }
 
 #[test]
-fn storage_backends_bitwise_agree_f64() {
+fn arena_storage_bounded_and_parallel_bits_match_f64() {
     for a in [laplacian_2d(16, 13, Stencil::Faces), laplacian_3d(6, 6, 5, Stencil::Faces)] {
         let an = analysis_of(&a);
-        assert_storage_backends_agree(&an.permuted.0, &an.symbolic, &an.perm);
+        assert_arena_contract(&an.permuted.0, &an.symbolic, &an.perm);
     }
 }
 
 #[test]
-fn storage_backends_bitwise_agree_f32() {
+fn arena_storage_bounded_and_parallel_bits_match_f32() {
     for a in [laplacian_2d(16, 13, Stencil::Faces), elasticity_3d(4, 3, 3)] {
         let an = analysis_of(&a);
         let a32: SymCsc<f32> = an.permuted.0.cast();
-        assert_storage_backends_agree(&a32, &an.symbolic, &an.perm);
+        assert_arena_contract(&a32, &an.symbolic, &an.perm);
     }
 }
 
@@ -168,13 +156,11 @@ fn storage_backends_bitwise_agree_f32() {
 /// loop nest is the *same* canonical numeric schedule serially and in
 /// parallel (the DAG only reorders independent tiles; every output tile has
 /// exactly one writer per round and the update reduction order over `k` is
-/// fixed). Checked for both storage backends, which must also agree with
-/// each other.
-fn tiled_opts(storage: FrontStorage) -> FactorOptions {
+/// fixed).
+fn tiled_opts() -> FactorOptions {
     FactorOptions {
         selector: PolicySelector::Fixed(PolicyKind::P1),
         tiling: TilingOptions { enabled: true, tile: 8, min_front: 24 },
-        front_storage: storage,
         record_stats: true,
         ..Default::default()
     }
@@ -182,39 +168,32 @@ fn tiled_opts(storage: FrontStorage) -> FactorOptions {
 
 fn assert_tiled_bitwise<T: Scalar>(a: &SymCsc<T>, symbolic: &SymbolicFactor, perm: &Permutation) {
     use gpu_multifrontal::core::TaskKind;
-    let mut cross_storage: Option<Vec<u64>> = None;
-    for (sname, storage) in [("arena", FrontStorage::Arena), ("heap", FrontStorage::Heap)] {
-        let opts = tiled_opts(storage);
-        let mut serial_machine = Machine::paper_node();
-        let (fs, _) = factor_permuted(a, symbolic, perm, &mut serial_machine, &opts).unwrap();
-        let reference = panel_bits(&fs);
-        match &cross_storage {
-            None => cross_storage = Some(reference.clone()),
-            Some(r) => assert_eq!(r, &reference, "storage backend changed the tiled factor"),
-        }
-        for workers in [1usize, 2, 4, 8] {
-            let mut machines: Vec<Machine> = (0..workers).map(|_| Machine::paper_node()).collect();
-            let (fp, sp) = factor_permuted_parallel(
-                a,
-                symbolic,
-                perm,
-                &mut machines,
-                &opts,
-                &ParallelOptions { thread_budget: 4 },
-            )
-            .unwrap();
-            assert_eq!(
-                reference,
-                panel_bits(&fp),
-                "{workers}-worker {sname} tiled factor must be bitwise identical to serial"
-            );
-            // The thresholds above must actually expand fronts, otherwise
-            // this suite silently degenerates into the untiled one.
-            assert!(
-                sp.tasks.iter().any(|t| t.kind == TaskKind::Potrf),
-                "no front expanded into tile tasks ({sname}, w={workers})"
-            );
-        }
+    let opts = tiled_opts();
+    let mut serial_machine = Machine::paper_node();
+    let (fs, _) = factor_permuted(a, symbolic, perm, &mut serial_machine, &opts).unwrap();
+    let reference = panel_bits(&fs);
+    for workers in [1usize, 2, 4, 8] {
+        let mut machines: Vec<Machine> = (0..workers).map(|_| Machine::paper_node()).collect();
+        let (fp, sp) = factor_permuted_parallel(
+            a,
+            symbolic,
+            perm,
+            &mut machines,
+            &opts,
+            &ParallelOptions { thread_budget: 4 },
+        )
+        .unwrap();
+        assert_eq!(
+            reference,
+            panel_bits(&fp),
+            "{workers}-worker tiled factor must be bitwise identical to serial"
+        );
+        // The thresholds above must actually expand fronts, otherwise
+        // this suite silently degenerates into the untiled one.
+        assert!(
+            sp.tasks.iter().any(|t| t.kind == TaskKind::Potrf),
+            "no front expanded into tile tasks (w={workers})"
+        );
     }
 }
 
@@ -1094,7 +1073,8 @@ fn budget_for(symbolic: &SymbolicFactor, elem: usize, frac: f64) -> usize {
 
 /// The tentpole determinism contract: with the ladder off, a budgeted
 /// factorization is bitwise identical to the in-core one — at every budget,
-/// every worker count, both precisions, and both storage backends.
+/// every worker count and both precisions — and what it spills costs
+/// simulated time.
 fn assert_ooc_bitwise_in_core<T: Scalar>(
     name: &str,
     a: &SymCsc<T>,
@@ -1132,6 +1112,10 @@ fn assert_ooc_bitwise_in_core<T: Scalar>(
             assert_eq!(ooc.traffic_bytes(), 0, "{name}: a full budget must not spill");
         } else {
             assert!(ooc.traffic_bytes() > 0, "{name}: a {frac} budget must actually spill");
+            assert!(
+                ss.total_time > s0.total_time,
+                "{name}: spill traffic at {frac} must cost simulated time"
+            );
         }
 
         for workers in [1usize, 2, 4, 8] {
@@ -1147,16 +1131,6 @@ fn assert_ooc_bitwise_in_core<T: Scalar>(
             let pooc = sp.ooc.as_ref().expect("parallel budgeted runs report OOC stats");
             assert_eq!(pooc, ooc, "{name}: OOC stats are schedule-independent");
         }
-
-        // Heap storage replays the same plan.
-        let heap_opts = FactorOptions { front_storage: FrontStorage::Heap, ..opts.clone() };
-        let mut mh = Machine::paper_node();
-        let (fh, _) = factor_permuted(a, symbolic, perm, &mut mh, &heap_opts).unwrap();
-        assert_eq!(
-            reference,
-            panel_bits(&fh),
-            "{name}: heap-storage budgeted factor at {frac} diverged"
-        );
     }
 }
 
@@ -1655,6 +1629,61 @@ fn driver_errors_leave_devices_empty() {
                     assert_eq!(s.total_time.to_bits(), want.2, "{issuer:?} {selector:?}: clock");
                 }
             }
+        }
+    }
+}
+
+/// Every figure of a run's per-call records.
+fn record_words(s: &FactorStats) -> Vec<u64> {
+    let mut w = Vec::new();
+    for r in &s.records {
+        w.extend([r.sn as u64, r.policy.index() as u64]);
+        w.extend(
+            [r.total, r.t_potrf, r.t_trsm, r.t_syrk, r.t_copy, r.t_assemble].map(f64::to_bits),
+        );
+    }
+    w
+}
+
+#[test]
+fn driver_errors_leave_recording_machines_clean() {
+    // A pivot failure anywhere in the tree of a *recorded* serial run: the
+    // machine comes back not recording and with no kernel record queued, so
+    // a long-lived clock does not collect records nobody drains and the next
+    // recorded run books none of the failed front's into its first front.
+    let an = analysis_of(&laplacian_3d(7, 6, 6, Stencil::Faces));
+    let good: SymCsc<f32> = an.permuted.0.cast();
+    for selector in clock_selectors() {
+        let opts = FactorOptions { selector, record_stats: true, ..Default::default() };
+        let recorded = |a: &SymCsc<f32>, machine: &mut Machine| {
+            factor_permuted(a, &an.symbolic, &an.perm, machine, &opts)
+        };
+        let fresh = record_words(&recorded(&good, &mut Machine::paper_node()).unwrap().1);
+        for info in an.symbolic.supernodes.iter() {
+            let what = format!("{:?} column {}", opts.selector, info.col_start);
+            let bad = with_negative_pivot(&good, info.col_start);
+
+            let mut probed = Machine::paper_node();
+            recorded(&bad, &mut probed).unwrap_err();
+            assert!(probed.take_records().is_empty(), "{what}: records left queued");
+            probed.host.charge_memop(64, 1.0e9);
+            assert!(probed.take_records().is_empty(), "{what}: machine left recording");
+
+            // The next recorded run on the same clock, against one on a
+            // machine cleaned by hand after the same failure...
+            let mut cleaned = Machine::paper_node();
+            recorded(&bad, &mut cleaned).unwrap_err();
+            cleaned.set_recording(false);
+            cleaned.take_records();
+            let want = record_words(&recorded(&good, &mut cleaned).unwrap().1);
+            let mut reused = Machine::paper_node();
+            recorded(&bad, &mut reused).unwrap_err();
+            let (_, stats) = recorded(&good, &mut reused).unwrap();
+            assert_eq!(record_words(&stats), want, "{what}: records after the error");
+            // ...and, the clocks zeroed, against a fresh machine.
+            reused.reset();
+            let (_, stats) = recorded(&good, &mut reused).unwrap();
+            assert_eq!(record_words(&stats), fresh, "{what}: records on the reset machine");
         }
     }
 }

@@ -70,8 +70,8 @@ fn most_calls_are_small() {
 fn panel_potrf_speedup_in_paper_band() {
     let mut machine = Machine::paper_node();
     for k in [2000usize, 5400, 10000] {
-        let t_cpu = estimate_fu_time(&mut machine, 0, k, PolicyKind::P1, 64, false);
-        let t_gpu = estimate_fu_time(&mut machine, 0, k, PolicyKind::P4, 64, false);
+        let t_cpu = estimate_fu_time(&mut machine, 0, k, PolicyKind::P1, false);
+        let t_gpu = estimate_fu_time(&mut machine, 0, k, PolicyKind::P4, false);
         let sp = t_cpu / t_gpu;
         assert!((4.0..20.0).contains(&sp), "k={k}: panel potrf speedup {sp:.1} (paper 7.7–13.1)");
     }
@@ -85,12 +85,11 @@ fn policy_progression_with_size() {
         PolicyKind::ALL
             .into_iter()
             .min_by(|&a, &b| {
-                estimate_fu_time(&mut machine, m, k, a, 64, false).total_cmp(&estimate_fu_time(
+                estimate_fu_time(&mut machine, m, k, a, false).total_cmp(&estimate_fu_time(
                     &mut machine,
                     m,
                     k,
                     b,
-                    64,
                     false,
                 ))
             })
@@ -101,8 +100,8 @@ fn policy_progression_with_size() {
     assert!(large == PolicyKind::P3 || large == PolicyKind::P4, "huge fronts belong on the GPU");
     // Monotonicity proxy: P1's relative penalty grows with size.
     let mut pen = |m: usize, k: usize| {
-        estimate_fu_time(&mut machine, m, k, PolicyKind::P1, 64, false)
-            / estimate_fu_time(&mut machine, m, k, PolicyKind::P4, 64, false)
+        estimate_fu_time(&mut machine, m, k, PolicyKind::P1, false)
+            / estimate_fu_time(&mut machine, m, k, PolicyKind::P4, false)
     };
     assert!(pen(200, 100) < pen(2000, 800));
     assert!(pen(2000, 800) < pen(8000, 3000));
@@ -191,16 +190,16 @@ fn adapts_to_faster_device() {
     let mut t10 = Machine::paper_node();
     let mut fermi = Machine::with_gpu(xeon_5160_core(), fermi_like());
     // At a mid-size front the faster device must shorten GPU policies.
-    let t_t10 = estimate_fu_time(&mut t10, 600, 200, PolicyKind::P4, 64, false);
-    let t_fermi = estimate_fu_time(&mut fermi, 600, 200, PolicyKind::P4, 64, false);
+    let t_t10 = estimate_fu_time(&mut t10, 600, 200, PolicyKind::P4, false);
+    let t_fermi = estimate_fu_time(&mut fermi, 600, 200, PolicyKind::P4, false);
     assert!(t_fermi < t_t10, "Fermi-like must be faster: {t_fermi} vs {t_t10}");
     // And the P1/P4 crossover moves to smaller sizes.
     let cross = |machine: &mut Machine| {
         for i in 1..100 {
             let k = i * 8;
             let m = 2 * k;
-            if estimate_fu_time(machine, m, k, PolicyKind::P4, 64, false)
-                < estimate_fu_time(machine, m, k, PolicyKind::P1, 64, false)
+            if estimate_fu_time(machine, m, k, PolicyKind::P4, false)
+                < estimate_fu_time(machine, m, k, PolicyKind::P1, false)
             {
                 return k;
             }
