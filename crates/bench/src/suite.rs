@@ -6,7 +6,7 @@ use crate::config::ExpConfig;
 use mf_autotune::{train, Dataset, TrainOptions};
 use mf_core::{
     factor_permuted, factor_permuted_parallel, BaselineThresholds, FactorOptions, FactorStats,
-    LinearPolicyModel, ParallelOptions, PolicyKind, PolicySelector, TilingOptions,
+    LinearPolicyModel, ParallelOptions, PolicyKind, PolicySelector,
 };
 use mf_gpusim::Machine;
 use mf_matgen::paper::{paper_suite, PaperMatrix};
@@ -126,32 +126,6 @@ impl MatrixRuns {
         )
         .expect("suite matrices are SPD");
         stats.wall_time
-    }
-
-    /// CPU-only (fixed P1) run through the work-stealing parallel driver
-    /// with per-task records on: large fronts expand into tiled
-    /// `potrf`/`trsm`/`syrk`/`gemm` tasks, and `stats.tasks` carries one
-    /// [`mf_core::TaskRecord`] per scheduled task — the data behind the
-    /// tile-granular utilization table of `exp_table7`.
-    pub fn run_parallel_tiled(&self, workers: usize) -> FactorStats {
-        let mut machines: Vec<Machine> = (0..workers).map(|_| Machine::paper_node()).collect();
-        let a32: SymCsc<f32> = self.analysis.permuted.0.cast();
-        let opts = FactorOptions {
-            selector: PolicySelector::Fixed(PolicyKind::P1),
-            record_stats: true,
-            tiling: TilingOptions::tiled(),
-            ..Default::default()
-        };
-        let (_, stats) = factor_permuted_parallel(
-            &a32,
-            &self.analysis.symbolic,
-            &self.analysis.perm,
-            &mut machines,
-            &opts,
-            &ParallelOptions::default(),
-        )
-        .expect("suite matrices are SPD");
-        stats
     }
 
     /// *Measured* wall-clock seconds of the real work-stealing parallel

@@ -30,7 +30,6 @@ use crate::multigpu::MultiGpuOptions;
 use crate::pinned_pool::PinnedPool;
 use crate::policy::{BaselineThresholds, PolicyKind};
 use crate::stats::{FactorStats, FuRecord};
-use crate::tile::TilingOptions;
 use mf_dense::{FuFlops, Scalar};
 use mf_gpusim::{Machine, TierParams};
 use mf_sparse::symbolic::SymbolicFactor;
@@ -104,12 +103,6 @@ pub struct FactorOptions {
     pub pinned_reuse: bool,
     /// Pipelined GPU dispatch (see [`PipelineOptions`]).
     pub pipeline: PipelineOptions,
-    /// Intra-front tiling (see [`TilingOptions`]); **off by default** —
-    /// enable with [`TilingOptions::tiled`]. When enabled, CPU (P1) fronts
-    /// at or above the threshold run the canonical tiled loop nest in every
-    /// driver, and the parallel driver additionally schedules their tile
-    /// tasks across workers.
-    pub tiling: TilingOptions,
     /// Multi-device execution (see [`MultiGpuOptions`]). With `count > 1`
     /// on a GPU machine and pipelining enabled, the factorization routes
     /// to the multi-GPU driver of [`crate::multigpu`].
@@ -141,7 +134,6 @@ impl Default for FactorOptions {
             record_stats: false,
             pinned_reuse: true,
             pipeline: PipelineOptions::default(),
-            tiling: TilingOptions::default(),
             devices: MultiGpuOptions::default(),
             memory_budget: None,
             ladder: crate::ooc::PrecisionLadder::default(),
@@ -518,12 +510,7 @@ pub fn factor_permuted<T: Scalar>(
             stats.records.extend(out.record);
         },
     );
-    // Error or not, the machine goes back not recording and with nothing
-    // queued: what a front records after its last `take_records` (its
-    // extraction; everything since assembly when its pivot failed) would
-    // otherwise be booked into the next recorded run's first front.
-    machine.set_recording(false);
-    let _ = machine.take_records();
+    stop_recording(machine);
     ran?;
 
     stats.peak_front_bytes = arena.high_water() * T::BYTES;
@@ -538,6 +525,15 @@ pub fn factor_permuted<T: Scalar>(
     stats.gpu = machine.gpu.as_ref().map(|g| g.utilization(stats.total_time));
     stats.wall_time = wall0.elapsed().as_secs_f64();
     Ok((CholeskyFactor { symbolic: symbolic.clone(), perm: perm.clone(), slab }, stats))
+}
+
+/// The end of a run on `machine`, error or not: it goes back not
+/// recording and with nothing queued. What a front records after its last
+/// `take_records` (its extraction; everything since assembly when its pivot
+/// failed) would otherwise be booked into the next recorded run's first front.
+pub(crate) fn stop_recording(machine: &mut Machine) {
+    machine.set_recording(false);
+    let _ = machine.take_records();
 }
 
 /// What the arena factorization of a postorder range reads: the matrix, the
@@ -638,14 +634,7 @@ pub(crate) fn fu_ctx<'a>(
     kernel_threads: Option<usize>,
     timing_only: bool,
 ) -> FuContext<'a> {
-    FuContext {
-        machine,
-        pool,
-        copy_optimized: opts.copy_optimized,
-        timing_only,
-        kernel_threads,
-        tiling: opts.tiling,
-    }
+    FuContext { machine, pool, copy_optimized: opts.copy_optimized, timing_only, kernel_threads }
 }
 
 /// The run's pinned staging pool under `opts`.

@@ -28,7 +28,6 @@
 use crate::frontal::Front;
 use crate::pinned_pool::PinnedPool;
 use crate::policy::PolicyKind;
-use crate::tile::{process_front_tiled, TilingOptions};
 use mf_dense::{
     factor_front_small, front_is_small, potrf, syrk_lower, trsm_right_lower_trans, Scalar,
 };
@@ -76,11 +75,6 @@ pub(crate) struct FuContext<'a> {
     /// serial driver). Thread width never changes results — the engine is
     /// bitwise deterministic at every thread count.
     pub kernel_threads: Option<usize>,
-    /// Intra-front tiling policy: CPU (P1) fronts whose order clears
-    /// [`TilingOptions::min_front`] run the canonical tiled loop nest of
-    /// `crate::tile` instead of the monolithic body — in *both* the serial
-    /// and parallel drivers, so the two stay bitwise identical.
-    pub tiling: TilingOptions,
 }
 
 /// Outcome of an F-U call.
@@ -517,11 +511,6 @@ pub fn estimate_fu_time(
             copy_optimized,
             timing_only: true,
             kernel_threads: None,
-            // The (m, k)-map estimator models the monolithic P1 kernel:
-            // building a per-estimate tile plan would cost O((s/tile)³)
-            // tasks per call across the figures' huge (m, k) grids, and
-            // the maps compare *policies*, not CPU schedules.
-            tiling: TilingOptions::disabled(),
         };
         execute_fu(&mut front, policy, &mut ctx)
             .expect("timing-only execution cannot fail numerically");
@@ -616,13 +605,6 @@ fn cpu_syrk<T: Scalar>(front: &mut Front<'_, T>, host: &mut HostClock, charge_on
 fn fu_p1<T: Scalar>(front: &mut Front<'_, T>, ctx: &mut FuContext<'_>) -> Result<(), FuError> {
     let timing = ctx.timing_only;
     let host = &mut ctx.machine.host;
-    // Fronts above the tiling threshold run the canonical tiled loop nest
-    // (crate::tile) — the same schedule the parallel driver's tile tasks
-    // execute, which is what keeps serial and parallel factors bitwise
-    // identical. Small fronts keep the monolithic body below.
-    if let Some(plan) = ctx.tiling.plan(front.s, front.k) {
-        return process_front_tiled(front, &plan, host, timing);
-    }
     // A small front takes one fused pass over its columns instead of three
     // kernel dispatches — the same arithmetic in the same order — and then
     // only the kernels' charges remain to be issued (`charge_only`).
@@ -1119,7 +1101,6 @@ mod tests {
             copy_optimized: false,
             timing_only: false,
             kernel_threads: None,
-            tiling: TilingOptions::default(),
         };
         let out = execute_fu(&mut front, policy, &mut ctx).unwrap();
         assert_eq!(out.executed, policy);
@@ -1189,7 +1170,6 @@ mod tests {
                     copy_optimized: false,
                     timing_only: false,
                     kernel_threads: None,
-                    tiling: TilingOptions::default(),
                 };
                 let err = execute_fu(&mut front, p, &mut ctx).unwrap_err();
                 assert_eq!(err, FuError::NotPositiveDefinite { local_column: bad }, "{p}");
@@ -1233,7 +1213,6 @@ mod tests {
             copy_optimized: false,
             timing_only: false,
             kernel_threads: None,
-            tiling: TilingOptions::default(),
         };
         let out = execute_fu(&mut front, PolicyKind::P4, &mut ctx).unwrap();
         assert_eq!(out.executed, PolicyKind::P1);
@@ -1255,7 +1234,6 @@ mod tests {
             copy_optimized: false,
             timing_only: false,
             kernel_threads: None,
-            tiling: TilingOptions::default(),
         };
         let out = execute_fu(&mut front, PolicyKind::P3, &mut ctx).unwrap();
         assert_eq!(out.executed, PolicyKind::P1);
@@ -1276,7 +1254,6 @@ mod tests {
                 copy_optimized: opt,
                 timing_only: false,
                 kernel_threads: None,
-                tiling: TilingOptions::default(),
             };
             execute_fu(&mut front, PolicyKind::P4, &mut ctx).unwrap();
             t[idx] = machine.elapsed();
@@ -1298,7 +1275,6 @@ mod tests {
             copy_optimized: true,
             timing_only: false,
             kernel_threads: None,
-            tiling: TilingOptions::default(),
         };
         execute_fu(&mut front, PolicyKind::P4, &mut ctx).unwrap();
         for j in 0..s {
@@ -1329,7 +1305,6 @@ mod tests {
             copy_optimized: false,
             timing_only: false,
             kernel_threads: None,
-            tiling: TilingOptions::default(),
         };
         execute_fu(&mut front, PolicyKind::P3, &mut ctx).unwrap();
         assert!(machine.elapsed() > t_fast * 5.0);
@@ -1356,7 +1331,6 @@ mod tests {
                     copy_optimized: false,
                     timing_only: false,
                     kernel_threads: None,
-                    tiling: TilingOptions::default(),
                 };
                 execute_fu(&mut front, p, &mut ctx).unwrap();
                 if pass == 1 {
@@ -1409,7 +1383,6 @@ mod tests {
                     copy_optimized,
                     timing_only: false,
                     kernel_threads: None,
-                    tiling: TilingOptions::default(),
                 };
                 let mut pending = dispatch_fu(&mut front, policy, &mut ctx).unwrap();
                 let export = enqueue_downloads(&mut front, &mut pending, keep, &mut ctx);
@@ -1454,7 +1427,6 @@ mod tests {
                 copy_optimized,
                 timing_only: false,
                 kernel_threads: None,
-                tiling: TilingOptions::default(),
             };
             execute_fu(&mut front, policy, &mut ctx).unwrap();
             let mut idx = 0;
@@ -1490,7 +1462,6 @@ mod tests {
                 copy_optimized: false,
                 timing_only: false,
                 kernel_threads: None,
-                tiling: TilingOptions::default(),
             };
             execute_fu(&mut front, p, &mut ctx).unwrap();
             assert_eq!(machine.gpu.as_ref().unwrap().mem_used(), 0, "{p} leaked device memory");

@@ -42,7 +42,6 @@ pub mod policy;
 pub mod solve;
 pub mod solver;
 pub mod stats;
-pub mod tile;
 
 pub use arena::FrontArena;
 pub use factor::{
@@ -55,12 +54,12 @@ pub use multigpu::{
     factor_permuted_parallel_multigpu, proportional_map, DeviceMap, MultiGpuOptions,
 };
 pub use ooc::{
-    in_core_bytes, min_feasible_budget, plan_ooc, rehearse_stream_solve, OocError, OocEvent,
-    OocEventKind, OocPlan, OocStats, PrecisionLadder, StreamSolveStats,
+    in_core_bytes, min_feasible_budget, plan_ooc, OocError, OocEvent, OocEventKind, OocPlan,
+    OocStats, PrecisionLadder,
 };
 pub use parallel::{
-    durations_by_supernode, factor_permuted_parallel, simulate_tiled_schedule,
-    simulate_tree_schedule, MoldableModel, ParallelOptions, ScheduleResult,
+    durations_by_supernode, factor_permuted_parallel, simulate_tree_schedule, MoldableModel,
+    ParallelOptions, ScheduleResult,
 };
 pub use pinned_pool::PinnedPool;
 pub use policy::{BaselineThresholds, PolicyKind};
@@ -68,8 +67,7 @@ pub use solver::{
     estimated_memory_bytes, estimated_memory_bytes_budgeted, Precision, RefactorError, RefineInfo,
     RefineStop, RefinedManySolution, RefinedSolution, SolveError, SolverOptions, SpdSolver,
 };
-pub use stats::{FactorStats, FuRecord, TaskKind, TaskRecord};
-pub use tile::{process_front_tiled, FrontView, TileKernel, TilePlan, TilingOptions};
+pub use stats::{FactorStats, FuRecord};
 
 // Re-export the analysis entry points: `analyze_parallel` is the public
 // parallel symbolic pipeline (bitwise identical to `analyze` at every worker
@@ -86,6 +84,5 @@ pub mod prelude {
         Precision, RefactorError, RefineStop, RefinedManySolution, RefinedSolution, SolveError,
         SolverOptions, SpdSolver,
     };
-    pub use crate::tile::TilingOptions;
     pub use mf_sparse::{analyze, analyze_parallel, Analysis, AnalyzeError};
 }

@@ -45,25 +45,14 @@
 //! ladder) pair, never on worker count or on when the replayed transfers
 //! happen — with the ladder off the factor is bitwise identical to the
 //! in-core driver.
-//!
-//! ## Streaming solve
-//!
-//! After a budgeted factorization some panels live on the spill tiers.
-//! [`rehearse_stream_solve`] models the forward/backward sweeps as
-//! streaming passes: panels arrive in postorder (forward) and reverse
-//! postorder (backward), prefetched with the PR 5 growth-only pinned
-//! leasing ([`PinnedPool`]) at the pool's generation depth, while
-//! consumed panels are dropped (free if a tier copy exists) under the
-//! same residency budget.
 
 use std::collections::BTreeSet;
 
 use mf_dense::Scalar;
-use mf_gpusim::{HostClock, KernelKind, Machine, SpillTier, TierParams};
+use mf_gpusim::{Machine, SpillTier, TierParams};
 use mf_sparse::SymbolicFactor;
 
 use crate::factor::FactorOptions;
-use crate::pinned_pool::PinnedPool;
 
 /// Storage precision of spilled blocks.
 ///
@@ -348,8 +337,7 @@ pub struct OocStats {
     pub evictions: usize,
     /// Number of block reloads.
     pub loads: usize,
-    /// Panels still on a spill tier when factorization finishes (the
-    /// streaming solve reloads them).
+    /// Panels still on a spill tier when factorization finishes.
     pub panels_spilled_at_end: usize,
     /// Total transfer time of the spill engine at tier bandwidths. This
     /// is the spill engine's own serialized timeline; the factorization
@@ -403,8 +391,7 @@ pub struct OocPlan {
     pub degrade_update: Vec<bool>,
     /// Where each panel lives when factorization ends (`None` = resident).
     pub panel_tier: Vec<Option<SpillTier>>,
-    /// Pinned-host tier occupancy (encoded bytes) at the end — the
-    /// streaming solve starts from this.
+    /// Pinned-host tier occupancy (encoded bytes) at the end.
     pub host_used_end: usize,
     /// Full residency trace for invariant checking.
     pub events: Vec<OocEvent>,
@@ -690,177 +677,9 @@ pub fn plan_ooc(
     })
 }
 
-/// What the streaming solve rehearsal measured.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct StreamSolveStats {
-    /// Right-hand sides solved per sweep.
-    pub nrhs: usize,
-    /// Panel reloads across both sweeps.
-    pub loads: usize,
-    /// Encoded bytes streamed in.
-    pub bytes_in: usize,
-    /// Encoded bytes written out by solve-time evictions.
-    pub bytes_out: usize,
-    /// Makespan of the forward sweep (compute/IO overlapped).
-    pub forward_seconds: f64,
-    /// Makespan of the backward sweep.
-    pub backward_seconds: f64,
-    /// Total kernel time across both sweeps (what a fully-resident solve
-    /// would cost).
-    pub compute_seconds: f64,
-    /// Total transfer time (what a no-overlap schedule would add).
-    pub io_seconds: f64,
-    /// Peak panel residency during the sweeps (≤ budget).
-    pub resident_peak_bytes: usize,
-}
-
-/// Model the forward+backward solve sweeps of a budgeted factor as
-/// streaming passes and charge the makespan on `host`.
-///
-/// Panels are touched in postorder (forward) then reverse postorder
-/// (backward) — sequential runs, so spilled panels are prefetched with
-/// look-ahead: each reload leases a staging buffer from `pool` (the PR 5
-/// growth-only pinned policy, [`PinnedAllocModel`] costs) and the IO
-/// engine runs up to the pool's generation depth ahead of compute.
-/// Consumed panels are evicted free when a tier copy exists (spilled
-/// panels are clean) and written back otherwise. Charges land on `host`:
-/// pinned growth immediately, then one `sync_to` to the overlapped
-/// makespan. The numeric sweeps themselves are unchanged — this models
-/// *when* data moves, never *what* it holds.
-pub fn rehearse_stream_solve(
-    symbolic: &SymbolicFactor,
-    plan: &OocPlan,
-    elem_bytes: usize,
-    nrhs: usize,
-    tiers: &TierParams,
-    host: &mut HostClock,
-    pool: &mut PinnedPool,
-) -> StreamSolveStats {
-    let nsn = symbolic.num_supernodes();
-    let enc_bytes = plan.stats.ladder.stored_bytes(elem_bytes);
-    let depth = pool.generations().max(1);
-    let mut stats = StreamSolveStats { nrhs, ..StreamSolveStats::default() };
-
-    // Per-supernode sweep kernel cost, measured on a twin clock so the
-    // session clock only moves by the final overlapped makespan.
-    let mut twin = HostClock::new(host.config().clone());
-    let mut compute = vec![0.0f64; nsn];
-    for (sn, info) in symbolic.supernodes.iter().enumerate() {
-        let t0 = twin.now();
-        twin.charge_kernel(KernelKind::Trsm, nrhs, 0, info.k());
-        if info.m() > 0 {
-            twin.charge_kernel(KernelKind::Gemm, info.m(), nrhs, info.k());
-        }
-        compute[sn] = twin.now() - t0;
-        // Forward and backward sweeps charge the same kernel shapes
-        // (transposed triangles, identical op counts).
-        stats.compute_seconds += 2.0 * compute[sn];
-    }
-
-    let panel_native =
-        |sn: usize| symbolic.supernodes[sn].front_size() * symbolic.supernodes[sn].k() * elem_bytes;
-    let panel_enc =
-        |sn: usize| symbolic.supernodes[sn].front_size() * symbolic.supernodes[sn].k() * enc_bytes;
-
-    // Residency state across both sweeps.
-    let mut tier_copy: Vec<Option<SpillTier>> = plan.panel_tier.clone();
-    let mut resident: Vec<bool> = tier_copy.iter().map(|t| t.is_none()).collect();
-    let mut host_used = plan.host_used_end;
-    let mut resident_bytes: usize =
-        (0..nsn).map(|sn| if resident[sn] { panel_native(sn) } else { 0 }).sum();
-    stats.resident_peak_bytes = resident_bytes;
-    let budget = plan.stats.budget_bytes.max(resident_bytes);
-
-    // One sweep: visit panels in `order`; `touched[sn]` marks panels this
-    // sweep is done with (evicted free — their data is dead for the sweep
-    // or clean on a tier). Returns the sweep makespan.
-    let mut sweep = |order: &[usize],
-                     touched: &mut [bool],
-                     stats: &mut StreamSolveStats,
-                     host: &mut HostClock,
-                     pool: &mut PinnedPool| {
-        let mut io_t = 0.0f64;
-        let mut t = 0.0f64;
-        let mut slot_free = std::collections::VecDeque::from(vec![0.0f64; depth]);
-        for &sn in order {
-            let mut ready = 0.0f64;
-            let mut loaded = false;
-            if !resident[sn] {
-                let tier = tier_copy[sn].expect("non-resident panel must have a tier copy");
-                // Make room: drop sweep-finished panels first (free),
-                // then farthest-next-touch unfinished ones (write-back).
-                let native = panel_native(sn);
-                while resident_bytes + native > budget {
-                    let victim = (0..nsn)
-                        .filter(|&v| resident[v] && touched[v])
-                        .min_by_key(|&v| plan.rank[v])
-                        .or_else(|| {
-                            (0..nsn)
-                                .filter(|&v| resident[v] && !touched[v] && v != sn)
-                                .min_by_key(|&v| plan.rank[v])
-                        })
-                        .expect("a resident panel must exist to evict");
-                    resident[victim] = false;
-                    resident_bytes -= panel_native(victim);
-                    if tier_copy[victim].is_none() {
-                        let enc = panel_enc(victim);
-                        let vt = if host_used + enc <= tiers.host_capacity {
-                            host_used += enc;
-                            SpillTier::Host
-                        } else {
-                            SpillTier::Disk
-                        };
-                        tier_copy[victim] = Some(vt);
-                        let dur = tiers.transfer_seconds(vt, true, enc);
-                        io_t += dur;
-                        stats.io_seconds += dur;
-                        stats.bytes_out += enc;
-                    }
-                }
-                let enc = panel_enc(sn);
-                let dur = tiers.transfer_seconds(tier, false, enc);
-                // Lease the staging generation (growth-only pinned cost on
-                // the session clock), stream, retire.
-                let slot = pool.lease(enc.div_ceil(4), host);
-                let free_at = slot_free.pop_front().unwrap_or(0.0);
-                io_t = io_t.max(free_at) + dur;
-                ready = io_t;
-                pool.retire_now(slot, host);
-                resident[sn] = true;
-                resident_bytes += native;
-                stats.resident_peak_bytes = stats.resident_peak_bytes.max(resident_bytes);
-                stats.loads += 1;
-                stats.bytes_in += enc;
-                stats.io_seconds += dur;
-                loaded = true;
-            }
-            t = t.max(ready) + compute[sn];
-            if loaded {
-                // The staging slot frees when compute consumes the panel.
-                slot_free.push_back(t);
-            }
-            touched[sn] = true;
-        }
-        t
-    };
-
-    let forward_order: Vec<usize> = symbolic.postorder.clone();
-    let backward_order: Vec<usize> = symbolic.postorder.iter().rev().copied().collect();
-
-    let mut touched = vec![false; nsn];
-    stats.forward_seconds = sweep(&forward_order, &mut touched, &mut stats, host, pool);
-    let mut touched = vec![false; nsn];
-    stats.backward_seconds = sweep(&backward_order, &mut touched, &mut stats, host, pool);
-
-    let start = host.now();
-    host.sync_to(start + stats.forward_seconds + stats.backward_seconds);
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mf_gpusim::xeon_5160_core;
     use mf_sparse::{analyze, AmalgamationOptions, OrderingKind};
 
     fn test_symbolic() -> SymbolicFactor {
@@ -982,38 +801,5 @@ mod tests {
         }
         assert!(bf.degrade_panel.iter().any(|&d| d));
         assert!(a.degrade_panel.iter().all(|&d| !d), "ladder off never degrades");
-    }
-
-    #[test]
-    fn stream_solve_rehearsal_overlaps_and_charges() {
-        let sym = test_symbolic();
-        let bound = in_core_bytes(&sym, 4);
-        let tiers = TierParams::default();
-        let budget = (bound * 3 / 10).max(min_feasible_budget(&sym, 4));
-        let plan = plan_ooc(&sym, 4, budget, PrecisionLadder::Off, &tiers).unwrap();
-        assert!(plan.stats.panels_spilled_at_end > 0);
-        let mut host = HostClock::new(xeon_5160_core());
-        let mut pool = PinnedPool::new(2);
-        pool.set_virtual(true);
-        let st = rehearse_stream_solve(&sym, &plan, 4, 4, &tiers, &mut host, &mut pool);
-        assert!(st.loads >= plan.stats.panels_spilled_at_end, "both sweeps reload spilled panels");
-        assert!(st.bytes_in > 0);
-        assert!(st.forward_seconds > 0.0 && st.backward_seconds > 0.0);
-        // Overlap: each sweep beats the serialized io+compute sum, and is
-        // at least as long as either engine alone.
-        assert!(st.forward_seconds + st.backward_seconds <= st.compute_seconds + st.io_seconds);
-        assert!(st.forward_seconds + st.backward_seconds >= st.compute_seconds);
-        assert!(st.resident_peak_bytes <= budget);
-        // The clock carries the makespan plus the pinned staging growth
-        // charged by the leases.
-        assert!(host.now() >= st.forward_seconds + st.backward_seconds);
-
-        // A fully-resident factor streams nothing and costs pure compute.
-        let full = plan_ooc(&sym, 4, bound, PrecisionLadder::Off, &tiers).unwrap();
-        let mut host2 = HostClock::new(xeon_5160_core());
-        let mut pool2 = PinnedPool::new(2);
-        let st2 = rehearse_stream_solve(&sym, &full, 4, 4, &tiers, &mut host2, &mut pool2);
-        assert_eq!(st2.loads, 0);
-        assert!((st2.forward_seconds + st2.backward_seconds - st2.compute_seconds).abs() < 1e-12);
     }
 }

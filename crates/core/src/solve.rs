@@ -45,13 +45,10 @@
 //! single-RHS solve of column `j` alone.
 
 use crate::factor::{CholeskyFactor, SharedSlice};
-use crate::ooc::{plan_ooc, rehearse_stream_solve, OocError, PrecisionLadder, StreamSolveStats};
-use crate::pinned_pool::PinnedPool;
 use mf_dense::{
     backward_panel_small, forward_panel_small, gemm_multi_rhs, panel_is_small,
     trsm_left_lower_notrans_multi, trsm_left_lower_trans_multi, Scalar, Transpose,
 };
-use mf_gpusim::{Machine, TierParams};
 use mf_runtime::{Runtime, TaskGraph};
 use std::ops::Range;
 
@@ -355,47 +352,6 @@ impl<T: Scalar> CholeskyFactor<T> {
         let mut x = self.permute_rhs(b, nrhs);
         self.solve_permuted_in_place_multi(&mut x, nrhs);
         self.unpermute_rhs(&x)
-    }
-
-    /// [`CholeskyFactor::solve_many`] under a memory budget: the triangular
-    /// sweeps become streaming passes over the factor slab. Panels the
-    /// budget cannot keep device-resident are fetched tier→device with
-    /// look-ahead prefetch through the PR 5 pinned-buffer lease discipline
-    /// ([`PinnedPool`], virtual mode — timing only), overlapping each
-    /// panel's transfer with the compute of the panels ahead of it; the
-    /// rehearsal charges `machine.host` and returns the overlap accounting.
-    ///
-    /// The returned solution is **bitwise identical to
-    /// [`CholeskyFactor::solve_many`]**: streaming changes when panel bytes
-    /// move, never the substitution arithmetic, and panels spilled through a
-    /// precision ladder were already degraded in the slab at factorization
-    /// time (re-promotion is exact — see [`PrecisionLadder`]), so the sweep
-    /// reads the same bits either way.
-    pub fn solve_many_streamed(
-        &self,
-        b: &[T],
-        nrhs: usize,
-        budget: usize,
-        ladder: PrecisionLadder,
-        tiers: &TierParams,
-        machine: &mut Machine,
-    ) -> Result<(Vec<T>, StreamSolveStats), OocError> {
-        let plan = plan_ooc(&self.symbolic, T::BYTES, budget, ladder, tiers)?;
-        // Two staging generations: one panel loading while the previous one
-        // feeds the sweep — the same double-buffer depth the pipelined
-        // factorization leases.
-        let mut pool = PinnedPool::new(2);
-        pool.set_virtual(true);
-        let stats = rehearse_stream_solve(
-            &self.symbolic,
-            &plan,
-            T::BYTES,
-            nrhs,
-            tiers,
-            &mut machine.host,
-            &mut pool,
-        );
-        Ok((self.solve_many(b, nrhs), stats))
     }
 
     /// [`CholeskyFactor::solve_many`] with the triangular sweeps scheduled
@@ -719,37 +675,6 @@ mod tests {
             let par = f.solve_many_parallel(&b, nrhs, workers);
             for i in 0..n * nrhs {
                 assert_eq!(serial[i].to_bits(), par[i].to_bits(), "{workers} workers, idx {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn streamed_solve_is_bitwise_solve_many_and_charges_host() {
-        use crate::ooc::{in_core_bytes, min_feasible_budget, PrecisionLadder};
-        use mf_gpusim::TierParams;
-
-        let a = laplacian_3d(7, 7, 7, Stencil::Faces);
-        let f = factor_of(&a, OrderingKind::NestedDissection);
-        let nrhs = 3;
-        let (_, b) = rhs_block(&a, nrhs, 5);
-        let reference = f.solve_many(&b, nrhs);
-
-        let full = in_core_bytes(&f.symbolic, 8);
-        let tiers = TierParams::default();
-        for budget in [full, min_feasible_budget(&f.symbolic, 8).max(full * 3 / 10)] {
-            let mut machine = Machine::paper_node();
-            let t0 = machine.host.now();
-            let (x, st) = f
-                .solve_many_streamed(&b, nrhs, budget, PrecisionLadder::Off, &tiers, &mut machine)
-                .unwrap();
-            assert_eq!(x.len(), reference.len());
-            for i in 0..x.len() {
-                assert_eq!(x[i].to_bits(), reference[i].to_bits(), "budget {budget}, idx {i}");
-            }
-            assert!(st.forward_seconds > 0.0 && st.backward_seconds > 0.0);
-            assert!(machine.host.now() > t0, "rehearsal must advance the host clock");
-            if budget == full {
-                assert_eq!(st.loads, 0, "full budget keeps every panel resident");
             }
         }
     }

@@ -66,46 +66,6 @@ impl FuRecord {
     }
 }
 
-/// What one scheduled task of the parallel driver did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TaskKind {
-    /// A whole (unexpanded) supernode: assembly + factor-update + extract.
-    Whole,
-    /// Front assembly (extend-add) of a tile-expanded front.
-    Assemble,
-    /// A `potrf` diagonal tile task.
-    Potrf,
-    /// A `trsm` panel tile task.
-    Trsm,
-    /// A `syrk` diagonal update tile task.
-    Syrk,
-    /// A `gemm` off-diagonal update tile task.
-    Gemm,
-    /// Panel/update extraction of a tile-expanded front.
-    Extract,
-}
-
-/// One scheduled task of a parallel run, at tile granularity for expanded
-/// fronts. The per-supernode [`FuRecord`]s attribute a whole front to one
-/// duration total; when several workers cooperate *inside* one front these
-/// records are what keeps per-worker utilization accounting truthful.
-#[derive(Debug, Clone, Copy)]
-pub struct TaskRecord {
-    /// Supernode the task belongs to.
-    pub sn: usize,
-    /// Worker that executed the task.
-    pub worker: usize,
-    /// What the task did.
-    pub kind: TaskKind,
-    /// Canonical position within the supernode: `0` for whole/assembly
-    /// tasks, `tile index + 1` for tile tasks, `plan length + 1` for the
-    /// extraction task — sorting by `(postorder rank, seq)` restores the
-    /// serial execution order.
-    pub seq: usize,
-    /// Simulated duration charged to the executing worker's clock.
-    pub duration: f64,
-}
-
 /// All records of one factorization run plus run-level metadata.
 #[derive(Debug, Clone, Default)]
 pub struct FactorStats {
@@ -133,10 +93,6 @@ pub struct FactorStats {
     /// front-buffer growths and one transient buffer per update that
     /// crosses tasks; pipelined and multi-GPU runs allocate per front.
     pub front_alloc_events: u64,
-    /// Per-task records of a parallel run at tile granularity, sorted by
-    /// `(postorder rank, seq)` — the canonical serial order. Empty for
-    /// serial runs, pipelined runs, or with `record_stats` off.
-    pub tasks: Vec<TaskRecord>,
     /// GPU engine busy/idle accounting over the run, measured against
     /// `total_time`. `None` on CPU-only machines. Parallel runs aggregate
     /// one entry per worker device (busy seconds summed, `gpus` counted),

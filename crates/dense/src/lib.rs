@@ -44,7 +44,6 @@ mod reference;
 mod simd;
 mod small;
 mod syrk;
-mod tile;
 mod trsm;
 
 pub use gemm::{gemm, gemm_multi_rhs, gemm_nt, Transpose};
@@ -57,7 +56,6 @@ pub use small::{
     backward_panel_small, factor_front_small, forward_panel_small, front_is_small, panel_is_small,
 };
 pub use syrk::syrk_lower;
-pub use tile::{tile_gemm_nt, tile_potrf, tile_syrk, tile_trsm};
 pub use trsm::{
     trsm_left_lower_notrans, trsm_left_lower_notrans_multi, trsm_left_lower_trans,
     trsm_left_lower_trans_multi, trsm_right_lower_trans,

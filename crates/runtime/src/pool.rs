@@ -144,10 +144,8 @@ impl Runtime {
         let nw = self.workers;
         // Each deque is sized to the whole graph: a task is pushed at most
         // once overall, so no deque can ever see more than `n` pushes —
-        // the no-wraparound precondition of `TaskDeque`. Callers that
-        // expand coarse tasks into fine-grained child tasks (e.g. a front's
-        // tile DAG) pre-declare them as graph nodes, so the bound covers
-        // the maximum tile-task burst too — no deque ever grows or spills.
+        // the no-wraparound precondition of `TaskDeque`; no deque ever
+        // grows or spills.
         let deques: Vec<TaskDeque> = (0..nw).map(|_| TaskDeque::new(n)).collect();
         for (i, t) in graph.initial_ready().into_iter().enumerate() {
             deques[i % nw].push(t);

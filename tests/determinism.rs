@@ -148,80 +148,6 @@ fn arena_storage_bounded_and_parallel_bits_match_f32() {
     }
 }
 
-/// Intra-front tiled task expansion: with the tile size and expansion
-/// threshold lowered so the test families' root fronts really split into
-/// `potrf`/`trsm`/`syrk`/`gemm` tile tasks, the parallel driver schedules
-/// those tiles across workers — and the factor must still be bitwise
-/// identical to the serial driver at every worker count, because the tiled
-/// loop nest is the *same* canonical numeric schedule serially and in
-/// parallel (the DAG only reorders independent tiles; every output tile has
-/// exactly one writer per round and the update reduction order over `k` is
-/// fixed).
-fn tiled_opts() -> FactorOptions {
-    FactorOptions {
-        selector: PolicySelector::Fixed(PolicyKind::P1),
-        tiling: TilingOptions { enabled: true, tile: 8, min_front: 24 },
-        record_stats: true,
-        ..Default::default()
-    }
-}
-
-fn assert_tiled_bitwise<T: Scalar>(a: &SymCsc<T>, symbolic: &SymbolicFactor, perm: &Permutation) {
-    use gpu_multifrontal::core::TaskKind;
-    let opts = tiled_opts();
-    let mut serial_machine = Machine::paper_node();
-    let (fs, _) = factor_permuted(a, symbolic, perm, &mut serial_machine, &opts).unwrap();
-    let reference = panel_bits(&fs);
-    for workers in [1usize, 2, 4, 8] {
-        let mut machines: Vec<Machine> = (0..workers).map(|_| Machine::paper_node()).collect();
-        let (fp, sp) = factor_permuted_parallel(
-            a,
-            symbolic,
-            perm,
-            &mut machines,
-            &opts,
-            &ParallelOptions { thread_budget: 4 },
-        )
-        .unwrap();
-        assert_eq!(
-            reference,
-            panel_bits(&fp),
-            "{workers}-worker tiled factor must be bitwise identical to serial"
-        );
-        // The thresholds above must actually expand fronts, otherwise
-        // this suite silently degenerates into the untiled one.
-        assert!(
-            sp.tasks.iter().any(|t| t.kind == TaskKind::Potrf),
-            "no front expanded into tile tasks (w={workers})"
-        );
-    }
-}
-
-#[test]
-fn tiled_expansion_bitwise_identical_f64_all_families() {
-    for a in [
-        laplacian_2d(20, 17, Stencil::Faces),
-        laplacian_3d(8, 7, 6, Stencil::Faces),
-        elasticity_3d(4, 4, 3),
-    ] {
-        let an = analysis_of(&a);
-        assert_tiled_bitwise(&an.permuted.0, &an.symbolic, &an.perm);
-    }
-}
-
-#[test]
-fn tiled_expansion_bitwise_identical_f32_all_families() {
-    for a in [
-        laplacian_2d(20, 17, Stencil::Faces),
-        laplacian_3d(8, 7, 6, Stencil::Faces),
-        elasticity_3d(4, 4, 3),
-    ] {
-        let an = analysis_of(&a);
-        let a32: SymCsc<f32> = an.permuted.0.cast();
-        assert_tiled_bitwise(&a32, &an.symbolic, &an.perm);
-    }
-}
-
 #[test]
 fn thread_budget_never_changes_bits() {
     // The nested-parallelism arbitration only picks kernel widths; the
@@ -1227,40 +1153,6 @@ fn ooc_infeasible_budget_is_typed() {
 }
 
 #[test]
-fn ooc_streamed_solve_matches_in_core_solve_on_a_budgeted_factor() {
-    // Factor under a bf16 ladder (panels on disk hold rounded bits), then
-    // solve both ways: the streaming sweep reads the same re-promoted slab
-    // the in-core sweep does, so answers are bitwise identical.
-    let a = laplacian_3d(6, 6, 30, Stencil::Faces);
-    let an = analysis_of(&a);
-    let a32: SymCsc<f32> = an.permuted.0.cast();
-    let tiers = TierParams::default();
-    let budget = budget_for(&an.symbolic, 4, 0.4);
-    let opts = FactorOptions {
-        memory_budget: Some(budget),
-        ladder: PrecisionLadder::Bf16,
-        ..Default::default()
-    };
-    let mut machine = Machine::paper_node();
-    let (f, stats) = factor_permuted(&a32, &an.symbolic, &an.perm, &mut machine, &opts).unwrap();
-    assert!(stats.ooc.as_ref().unwrap().panels_spilled_at_end > 0, "panels must end spilled");
-
-    let nrhs = 3;
-    let b: Vec<f32> = rhs_block(a.order(), nrhs);
-    let reference = f.solve_many(&b, nrhs);
-    let (x, st) = f
-        .solve_many_streamed(&b, nrhs, budget, PrecisionLadder::Bf16, &tiers, &mut machine)
-        .unwrap();
-    assert_eq!(
-        reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        "streamed solve must be bitwise identical to the in-core sweep"
-    );
-    assert!(st.loads > 0, "spilled panels must stream back in");
-    assert!(st.resident_peak_bytes <= budget);
-}
-
-#[test]
 fn ooc_huge_family_bounds_exceed_default_tier_budgets() {
     // Analyze-only (the symbolic phase is cheap even at out-of-core size):
     // at quarter scale the huge families already outgrow device + pinned
@@ -1684,6 +1576,30 @@ fn driver_errors_leave_recording_machines_clean() {
             reused.reset();
             let (_, stats) = recorded(&good, &mut reused).unwrap();
             assert_eq!(record_words(&stats), fresh, "{what}: records on the reset machine");
+
+            // The parallel issuer hands every worker machine back the same
+            // way, after the failure and after the success that follows it.
+            for workers in [1usize, 2] {
+                let mut machines: Vec<Machine> =
+                    (0..workers).map(|_| Machine::paper_node()).collect();
+                for (a, ok) in [(&bad, false), (&good, true)] {
+                    let ran = factor_permuted_parallel(
+                        a,
+                        &an.symbolic,
+                        &an.perm,
+                        &mut machines,
+                        &opts,
+                        &ParallelOptions { thread_budget: 2 },
+                    );
+                    assert_eq!(ran.is_ok(), ok, "{what}");
+                    for (w, machine) in machines.iter_mut().enumerate() {
+                        let what = format!("{what}, worker {w} of {workers}, ok {ok}");
+                        assert!(machine.take_records().is_empty(), "{what}: records left queued");
+                        machine.host.charge_memop(64, 1.0e9);
+                        assert!(machine.take_records().is_empty(), "{what}: left recording");
+                    }
+                }
+            }
         }
     }
 }

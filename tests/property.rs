@@ -303,61 +303,6 @@ proptest! {
         gpu.free(buf).unwrap();
     }
 
-    /// The intra-front tiled schedule matches the monolithic dense kernels
-    /// at factorization accuracy on arbitrary front shapes: random `(s, k)`
-    /// including full-pivot fronts (`k = s`), degenerate one-tile plans
-    /// (`tile ≥ s`), and tile grids whose partial tiles straddle the
-    /// pivot/update boundary (`k % tile ≠ 0`). The tiled loop nest is a
-    /// different — but numerically equivalent — elimination order, so the
-    /// comparison is at accuracy, not bitwise (the determinism suite covers
-    /// bitwise serial-vs-parallel identity of the tiled schedule itself).
-    #[test]
-    fn tiled_front_matches_monolithic(
-        s in 2usize..96,
-        kfrac in 1usize..=100,
-        tile in 1usize..40,
-        seed in 0u64..500,
-    ) {
-        use gpu_multifrontal::core::{process_front_tiled, Front, TilingOptions};
-        use gpu_multifrontal::dense::{potrf as dpotrf, syrk_lower, trsm_right_lower_trans as dtrsm};
-        let k = (s * kfrac).div_ceil(100).clamp(1, s);
-        let tiling = TilingOptions { enabled: true, tile, min_front: 1 };
-        let Some(plan) = tiling.plan(s, k) else {
-            // Single-task plans are never expanded; nothing to compare.
-            return Ok(());
-        };
-        let a = gpu_multifrontal::dense::matrix::random_spd::<f64>(s, seed ^ 0x7151ED);
-        // Monolithic reference: potrf on the pivot block, then one trsm and
-        // one syrk over the whole update region.
-        let mut mono = a.as_slice().to_vec();
-        dpotrf(k, &mut mono, s).unwrap();
-        if s > k {
-            let m = s - k;
-            let piv: Vec<f64> = (0..k * k)
-                .map(|p| if p % k >= p / k { mono[(p / k) * s + p % k] } else { 0.0 })
-                .collect();
-            dtrsm(m, k, &piv, k, &mut mono[k..], s);
-            let (pc, tr) = mono.split_at_mut(k * s);
-            syrk_lower(m, k, -1.0, &pc[k..], s, 1.0, &mut tr[k..], s);
-        }
-        let mut tiled = a.as_slice().to_vec();
-        let mut machine = Machine::paper_node();
-        let mut f = Front { s, k, data: &mut tiled };
-        process_front_tiled(&mut f, &plan, &mut machine.host, false).unwrap();
-        let tol = 1e-9 * s as f64;
-        for j in 0..s {
-            for i in j..s {
-                if j < k || i >= k {
-                    let (t, m0) = (tiled[i + j * s], mono[i + j * s]);
-                    prop_assert!(
-                        (t - m0).abs() < tol,
-                        "(s={s},k={k},tile={tile}) entry ({i},{j}): tiled {t} vs monolithic {m0}"
-                    );
-                }
-            }
-        }
-    }
-
     /// Permutation composition and inversion laws.
     #[test]
     fn permutation_laws(n in 1usize..64, seed in 0u64..100) {
