@@ -1451,6 +1451,64 @@ fn sim_clock_matches_golden() {
     actual.push(("lap3d-6x6x5-oom", clock_hashes(&an.permuted.0.cast(), &an, small_device_node)));
     assert_eq!(actual, GOLDEN_CLOCK, "actual:\n{actual:#x?}");
 }
+
+/// [`fnv1a`] over [`clock_selectors`] of a *recorded* drain run's per-call
+/// records — `(sn, policy, total, t_potrf, t_trsm, t_syrk, t_copy)` each —
+/// plus its `total_time` and `oom_fallbacks`: the serial entry, then the
+/// parallel entry on one machine. `t_assemble` is left out on purpose: which
+/// front a host memop is booked to is bookkeeping, not the clock.
+fn record_hashes(a: &SymCsc<f32>, an: &Analysis, make: impl Fn() -> Machine) -> [u64; 2] {
+    [false, true].map(|parallel| {
+        let mut words = Vec::new();
+        for selector in clock_selectors() {
+            let opts = FactorOptions { selector, record_stats: true, ..Default::default() };
+            let mut machines = [make()];
+            let (_, stats) = if parallel {
+                let par = ParallelOptions { thread_budget: 2 };
+                factor_permuted_parallel(a, &an.symbolic, &an.perm, &mut machines, &opts, &par)
+            } else {
+                factor_permuted(a, &an.symbolic, &an.perm, &mut machines[0], &opts)
+            }
+            .unwrap();
+            assert_eq!(stats.records.len(), an.symbolic.num_supernodes());
+            for r in &stats.records {
+                words.extend([r.sn as u64, r.policy.index() as u64]);
+                words.extend([r.total, r.t_potrf, r.t_trsm, r.t_syrk, r.t_copy].map(f64::to_bits));
+            }
+            words.extend([stats.total_time.to_bits(), stats.oom_fallbacks as u64]);
+        }
+        fnv1a(words.into_iter())
+    })
+}
+
+/// `(name, [serial, one-worker parallel])` over the rows of [`GOLDEN_CLOCK`].
+/// Recorded at commit 8dffe96, the last one whose drain runs sequenced a
+/// front's phases outside `mf-core`'s lane.
+const GOLDEN_RECORDS: [(&str, [u64; 2]); 8] = [
+    ("plate60", [0xc3b8_227e_f0a8_6be4, 0x3db4_52e5_3749_33a9]),
+    ("cube10", [0x1825_2408_6eaa_af84, 0xefa5_3145_ce05_9e48]),
+    ("elasticity6", [0x65e9_a4cf_c666_17fb, 0x18fb_46b5_f941_8691]),
+    ("strip400x3", [0x46c1_a88b_65f9_9a7e, 0xe973_453e_e65d_896e]),
+    ("three_paths", [0x07ae_ad58_a68c_69be, 0x35c0_3fdd_b8f3_1d20]),
+    ("star150", [0xc813_3089_75a1_500e, 0x6df2_a928_cad7_d36e]),
+    ("clique100_tail30", [0xeeb3_158c_319f_b067, 0xeeb3_158c_319f_b067]),
+    ("lap3d-6x6x5-oom", [0x141c_93a9_55dd_a615, 0x2193_2fdc_02d1_e778]),
+];
+
+#[test]
+fn sim_clock_records_match_golden() {
+    let mut actual: Vec<(&str, [u64; 2])> = golden_families()
+        .iter()
+        .map(|(name, a)| {
+            let an = analysis_of(a);
+            (*name, record_hashes(&an.permuted.0.cast(), &an, Machine::paper_node))
+        })
+        .collect();
+    let an = analysis_of(&laplacian_3d(6, 6, 5, Stencil::Faces));
+    actual.push(("lap3d-6x6x5-oom", record_hashes(&an.permuted.0.cast(), &an, small_device_node)));
+    assert_eq!(actual, GOLDEN_RECORDS, "actual:\n{actual:#x?}");
+}
+
 /// `a` with the diagonal entry of column `col` made negative.
 fn with_negative_pivot(a: &SymCsc<f32>, col: usize) -> SymCsc<f32> {
     let mut values = a.values().to_vec();
