@@ -11,22 +11,21 @@
 //! `SymbolicFactor::update_stack_peak` — two allocations for the whole
 //! factorization, no matter how many supernodes run.
 //!
-//! Two lifecycles live here. The drain lifecycle — `process_supernode`,
-//! one front at a time on the LIFO arena (`FrontRun::factor_range`) — is
-//! shared with the CPU tasks of [`crate::parallel`], which run it on the
-//! worker's own arena (bottom subtrees) or reusable front buffer (above
-//! them). The pipelined lifecycle belongs to `crate::lane`;
-//! this module keeps only its postorder issuer (`PostorderRun`: look-ahead,
-//! batched P4 runs) and the rehearsal gate that decides whether to use it.
+//! A front's lifecycle — dispatch, downloads, extraction, finish — belongs to
+//! `crate::lane`. This module holds two of its issuers: the arena loop
+//! (`FrontRun::factor_range`: the drain schedule, one front at a time on the
+//! LIFO stack, which the bottom-subtree tasks of [`crate::parallel`] run on
+//! the worker's own arena) and the postorder issuer for fronts whose
+//! lifetimes overlap (`PostorderRun`: look-ahead, batched P4 runs), with the
+//! rehearsal that decides between the two.
 
 use crate::arena::FrontArena;
 use crate::features::LinearPolicyModel;
-use crate::frontal::{
-    assemble_front_into, charge_update_extract, extract_panel_into, ChildUpdate, Front,
-};
-use crate::fu::{execute_fu, FuContext, FuError};
-use crate::lane::{extract_inline, FrontStore, Lane, Member, Phase1, PIPELINE_DEPTH};
+use crate::frontal::{assemble_front_into, extract_panel_copy, ChildUpdate, Front};
+use crate::fu::{FuContext, FuError};
+use crate::lane::{FrontRan, FrontStore, Lane, Member, Phase1, PIPELINE_DEPTH};
 use crate::multigpu::MultiGpuOptions;
+use crate::ooc::{plan_ooc, OocPlan};
 use crate::pinned_pool::PinnedPool;
 use crate::policy::{BaselineThresholds, PolicyKind};
 use crate::stats::{FactorStats, FuRecord};
@@ -61,24 +60,26 @@ impl PolicySelector {
     }
 }
 
-/// Pipelined GPU dispatch (DESIGN.md §4.9): look-ahead staging of the next
-/// GPU-bound front while the current one computes, event-gated consumption
-/// of child updates, and batched dispatch of runs of small fronts. Depth and
-/// batch limits are fixed (see `crate::lane` and the postorder issuer in
-/// this module).
+/// Pipelined GPU dispatch (DESIGN.md §4.9): the lifecycle every run issues
+/// its fronts into, with more than one front in flight — look-ahead staging
+/// of the next GPU-bound front while the current one computes, event-gated
+/// consumption of child updates, and batched dispatch of runs of small
+/// fronts. Depth and batch limits are fixed (see `crate::lane` and the
+/// postorder issuer in this module). Off, the same lifecycle runs at a window
+/// of 0: the drain schedule.
 ///
-/// The pipelined driver produces factor slabs **bitwise identical** to the
-/// drain-per-front driver — only the simulated timeline (and therefore
-/// makespan and GPU utilization) changes. It does not collect per-call
-/// [`FuRecord`]s: with fronts overlapping on the device, per-front time
-/// attribution is ill-defined, so `record_stats` is ignored while `enabled`
-/// is set. Front storage is per-front heap buffers: front lifetimes overlap,
-/// which the postorder LIFO arena cannot express.
+/// A pipelined run produces factor slabs **bitwise identical** to the drain
+/// schedule's — only the simulated timeline (and therefore makespan and GPU
+/// utilization) changes. It does not collect per-call [`FuRecord`]s: with
+/// fronts overlapping on the device, per-front time attribution is
+/// ill-defined, so `record_stats` yields records only from a run that ends up
+/// on the drain schedule. Front storage is per-front heap buffers: front
+/// lifetimes overlap, which the postorder LIFO arena cannot express.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PipelineOptions {
-    /// Run the pipelined driver. CPU-only machines always use the
-    /// drain-per-front driver regardless, and so does a matrix on which the
-    /// driver's exact rehearsal predicts the pipeline to lose.
+    /// Keep fronts in flight. A CPU-only machine runs the drain schedule
+    /// regardless, and so does a matrix on which the exact rehearsal
+    /// predicts the pipeline to lose.
     pub enabled: bool,
 }
 
@@ -122,8 +123,6 @@ pub struct FactorOptions {
     /// Off by default — budgeted runs are then bitwise identical to
     /// in-core runs.
     pub ladder: crate::ooc::PrecisionLadder,
-    /// Spill-tier capacities and bandwidths (see [`TierParams`]).
-    pub tiers: TierParams,
 }
 
 impl Default for FactorOptions {
@@ -137,7 +136,6 @@ impl Default for FactorOptions {
             devices: MultiGpuOptions::default(),
             memory_budget: None,
             ladder: crate::ooc::PrecisionLadder::default(),
-            tiers: TierParams::default(),
         }
     }
 }
@@ -341,8 +339,9 @@ impl<T: Copy> SharedSlice<T> {
     }
 }
 
-/// Bookkeeping one supernode's task produces (the panel goes straight into
-/// the factor slab; the update stays in the caller's front storage).
+/// Bookkeeping one front leaves behind once the lane has run it at a window
+/// of 0 (the panel went into the factor slab; the update stays in the
+/// issuer's front storage).
 pub(crate) struct SnOutcome {
     /// Per-call timing record, when `opts.record_stats` is set.
     pub record: Option<FuRecord>,
@@ -350,81 +349,36 @@ pub(crate) struct SnOutcome {
     pub oom_fallback: bool,
 }
 
-/// One supernode's complete task body: assemble the front from `A` and the
-/// borrowed child update views (extend-added in the order given — the
-/// serial postorder child rank) into caller-supplied `front_data`, execute
-/// the factor-update under the selected policy, and copy the factored panel
-/// into `panel_out` (the supernode's slab region).
-///
-/// The packed `m × m` update stays in `front_data`; the *caller* moves it
-/// (arena compaction, or a hand-off buffer between tasks) while the
-/// simulated cost of that move is charged *here* via
-/// [`charge_update_extract`] — so both drivers advance the simulated clock
-/// identically.
-///
-/// This is shared verbatim by the serial postorder driver and the
-/// work-stealing parallel driver
-/// ([`crate::parallel::factor_permuted_parallel`]), which is what makes the
-/// parallel factor bitwise identical to the serial one: both run exactly
-/// this code per supernode, on child updates in exactly this order.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn process_supernode<'c, T: Scalar + 'c>(
-    a: &SymCsc<T>,
-    symbolic: &SymbolicFactor,
-    sn: usize,
-    children: impl Iterator<Item = ChildUpdate<'c, T>>,
-    front_data: &mut [T],
-    panel_out: &mut [T],
-    rel_scratch: &mut Vec<usize>,
-    machine: &mut Machine,
-    pool: &mut PinnedPool,
-    opts: &FactorOptions,
-    kernel_threads: Option<usize>,
-) -> Result<SnOutcome, FactorError> {
-    let info = &symbolic.supernodes[sn];
-    let (m, k) = (info.m(), info.k());
-
-    let mut front = assemble_front_into(
-        a,
-        info.col_start..info.col_end,
-        symbolic.update_rows(sn),
-        children,
-        front_data,
-        rel_scratch,
-        &mut machine.host,
-    );
-    let t_assemble_records = if opts.record_stats { machine.take_records() } else { Vec::new() };
-
-    let policy = opts.selector.choose(sn, m, k);
-    let t0 = machine.host.now();
-    let mut ctx = fu_ctx(machine, pool, opts, kernel_threads, false);
-    let outcome = execute_fu(&mut front, policy, &mut ctx)
-        .map_err(|e| fu_err_to_factor(info.col_start, e))?;
-    let t1 = machine.host.now();
-
-    let record = if opts.record_stats {
-        let mut rec = FuRecord {
-            sn,
-            m,
-            k,
-            policy: outcome.executed,
-            total: t1 - t0,
-            t_potrf: 0.0,
-            t_trsm: 0.0,
-            t_syrk: 0.0,
-            t_copy: 0.0,
-            t_assemble: 0.0,
-        };
-        rec.absorb(&t_assemble_records);
-        rec.absorb(&machine.take_records());
-        Some(rec)
-    } else {
-        None
-    };
-
-    extract_panel_into(&front, panel_out, &mut machine.host);
-    charge_update_extract::<T>(m, &mut machine.host);
-    Ok(SnOutcome { record, oom_fallback: outcome.oom_fallback })
+impl SnOutcome {
+    /// Close front `sn`'s books right after the lane ran it. With `record`,
+    /// everything `machine` has queued since the front began — its assembly,
+    /// its factor-update, its extraction — goes into its record.
+    pub(crate) fn close(
+        sn: usize,
+        symbolic: &SymbolicFactor,
+        ran: FrontRan,
+        machine: &mut Machine,
+        record: bool,
+    ) -> Self {
+        let info = &symbolic.supernodes[sn];
+        let record = record.then(|| {
+            let mut rec = FuRecord {
+                sn,
+                m: info.m(),
+                k: info.k(),
+                policy: ran.outcome.executed,
+                total: ran.total,
+                t_potrf: 0.0,
+                t_trsm: 0.0,
+                t_syrk: 0.0,
+                t_copy: 0.0,
+                t_assemble: 0.0,
+            };
+            rec.absorb(&machine.take_records());
+            rec
+        });
+        SnOutcome { record, oom_fallback: ran.outcome.oom_fallback }
+    }
 }
 
 /// The driver a run takes.
@@ -474,17 +428,24 @@ pub fn factor_permuted<T: Scalar>(
                 a, symbolic, perm, machines, opts,
             );
         }
-        Route::Pipelined => return factor_permuted_pipelined(a, symbolic, perm, machine, opts),
+        // Cost-model gate: rehearse both schedules on a virtual twin and
+        // pipeline only when that is predicted to win. Either way the factor
+        // is bitwise the same, so this is purely a makespan decision — and
+        // not a heuristic one: a rehearsal replays every simulated charge of
+        // the run it stands for, so the prediction is exact. Matrices whose
+        // front mix loses more to pinned-pool growth and look-ahead chaining
+        // than overlap buys back (narrow-treed P2-heavy suites) run the drain
+        // schedule below and report speedup 1.0 instead of a regression.
+        Route::Pipelined => {
+            let t_pipe = rehearse_makespan(a, symbolic, opts, machine, true);
+            let t_drain = rehearse_makespan(a, symbolic, opts, machine, false);
+            if t_pipe < t_drain {
+                return factor_permuted_pipelined(a, symbolic, perm, machine, opts);
+            }
+        }
         Route::Drain => {}
     }
-    // Pin the deterministic out-of-core schedule before any numbers move;
-    // infeasible budgets fail typed here.
-    let ooc_plan = match opts.memory_budget {
-        Some(budget) => {
-            Some(crate::ooc::plan_ooc(symbolic, T::BYTES, budget, opts.ladder, &opts.tiers)?)
-        }
-        None => None,
-    };
+    let ooc_plan = ooc_plan::<T>(symbolic, opts)?;
     let mut pool = pinned_pool(opts);
     let mut slab = vec![T::ZERO; symbolic.factor_slab_len()];
     let mut rel: Vec<usize> = Vec::new();
@@ -527,10 +488,20 @@ pub fn factor_permuted<T: Scalar>(
     Ok((CholeskyFactor { symbolic: symbolic.clone(), perm: perm.clone(), slab }, stats))
 }
 
+/// The deterministic out-of-core schedule of a budgeted run (`None` in core),
+/// pinned before any numbers move; an infeasible budget fails typed here.
+pub(crate) fn ooc_plan<T: Scalar>(
+    symbolic: &SymbolicFactor,
+    opts: &FactorOptions,
+) -> Result<Option<OocPlan>, FactorError> {
+    let plan = |budget| plan_ooc(symbolic, T::BYTES, budget, opts.ladder, &TierParams::default());
+    Ok(opts.memory_budget.map(plan).transpose()?)
+}
+
 /// The end of a run on `machine`, error or not: it goes back not
-/// recording and with nothing queued. What a front records after its last
-/// `take_records` (its extraction; everything since assembly when its pivot
-/// failed) would otherwise be booked into the next recorded run's first front.
+/// recording and with nothing queued. What a front whose pivot failed had
+/// recorded since its assembly would otherwise be booked into the next
+/// recorded run's first front.
 pub(crate) fn stop_recording(machine: &mut Machine) {
     machine.set_recording(false);
     let _ = machine.take_records();
@@ -542,7 +513,7 @@ pub(crate) struct FrontRun<'a, T> {
     pub a: &'a SymCsc<T>,
     pub symbolic: &'a SymbolicFactor,
     pub opts: &'a FactorOptions,
-    pub ooc_plan: Option<&'a crate::ooc::OocPlan>,
+    pub ooc_plan: Option<&'a OocPlan>,
 }
 
 impl<T: Scalar> FrontRun<'_, T> {
@@ -559,7 +530,8 @@ impl<T: Scalar> FrontRun<'_, T> {
     ///
     /// The serial driver runs the whole postorder through here; the parallel
     /// driver runs one bottom subtree per task on the worker's own arena.
-    /// Every simulated-time charge is issued per front, in postorder.
+    /// Each front goes through a [`Lane`] at a window of 0, so every
+    /// simulated-time charge is issued per front, in postorder.
     /// `on_front(position, supernode, outcome)` collects the statistics.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn factor_range(
@@ -575,10 +547,11 @@ impl<T: Scalar> FrontRun<'_, T> {
     ) -> Result<(), FactorError> {
         let (symbolic, opts) = (self.symbolic, self.opts);
         let panel_ptr = symbolic.panel_ptr();
+        let mut lane = Lane::new();
         for r in range {
             let sn = symbolic.postorder[r];
             if let Some(plan) = self.ooc_plan {
-                plan.begin_front(r, machine, opts);
+                plan.begin_front(r, machine);
             }
             let info = &symbolic.supernodes[sn];
             let (s, k) = (info.front_size(), info.k());
@@ -594,23 +567,26 @@ impl<T: Scalar> FrontRun<'_, T> {
                 next += data.len();
                 ChildUpdate { rows, data }
             });
+            let mut front = assemble_front_into(
+                self.a,
+                info.col_start..info.col_end,
+                symbolic.update_rows(sn),
+                children,
+                front_data,
+                rel,
+                &mut machine.host,
+            );
             // SAFETY: this supernode's panel region is written here alone.
             let panel_out =
                 unsafe { slab.slice_mut(panel_ptr[sn], panel_ptr[sn + 1] - panel_ptr[sn]) };
-            let out = process_supernode(
-                self.a,
-                symbolic,
-                sn,
-                children,
-                front_data,
-                panel_out,
-                rel,
-                machine,
-                pool,
-                opts,
-                kernel_threads,
-            )?;
-            on_front(r, sn, out);
+            // The panel goes to the slab; the update stays in the arena.
+            let mut sink = |_: usize, front: &Front<'_, T>| extract_panel_copy(front, panel_out);
+            let policy = opts.selector.choose(sn, s - k, k);
+            let mut ctx = fu_ctx(machine, pool, opts, kernel_threads, false);
+            let ran = lane
+                .run_front(sn, &mut front, policy, 0, &mut ctx, &mut sink)
+                .map_err(|e| fu_err_to_factor(info.col_start, e))?;
+            on_front(r, sn, SnOutcome::close(sn, symbolic, ran, machine, opts.record_stats));
             arena.pop_and_compact(front_off, s, k, dest);
             if let Some(plan) = self.ooc_plan {
                 plan.finish_front(sn, panel_out, arena.update_at_mut(dest, s - k));
@@ -768,39 +744,28 @@ impl<'a, T: Scalar> PostorderRun<'a, T> {
         self.store.assemble(self.a, sn, &mut ctx.machine.host)
     }
 
-    /// Dispatch one assembled front and extract it: inline when nothing is
-    /// outstanding on the device, through the lane otherwise — staged behind
-    /// the next dispatch under `look_ahead`, flushed and finished at once
-    /// without.
+    /// Run one assembled front through the lane: staged behind the next
+    /// dispatch with [`PIPELINE_DEPTH`] fronts in flight under `look_ahead`,
+    /// finished before the call returns without.
     fn dispatch(
         &mut self,
-        (sn, s, k, mut buf): Member<T>,
+        member: Member<T>,
         policy: PolicyKind,
         look_ahead: bool,
         ctx: &mut FuContext<'_>,
     ) -> Result<(), FactorError> {
-        let pending = self
-            .lane
-            .dispatch(&mut Front { s, k, data: &mut buf }, policy, ctx, &mut self.store)
-            .map_err(|e| fu_err_to_factor(self.symbolic.supernodes[sn].col_start, e))?;
-        self.oom_fallbacks += usize::from(pending.oom_fallback());
-        if pending.is_done() {
-            extract_inline(sn, &Front { s, k, data: &mut buf }, ctx, &mut self.store);
-            return Ok(());
-        }
-        self.lane.stage(
-            vec![(sn, s, k, buf)],
-            Phase1::Single(pending),
-            false,
-            ctx,
-            &mut self.store,
-        );
-        if look_ahead {
+        let col_start = self.symbolic.supernodes[member.0].col_start;
+        let outcome = if look_ahead {
+            let staged = self.lane.run_staged(member, policy, false, ctx, &mut self.store);
             self.lane.enforce_window(PIPELINE_DEPTH, ctx);
+            staged
         } else {
-            self.lane.flush(ctx, &mut self.store);
-            self.lane.enforce_window(0, ctx);
-        }
+            let (sn, s, k, mut buf) = member;
+            let mut front = Front { s, k, data: &mut buf };
+            self.lane.run_front(sn, &mut front, policy, 0, ctx, &mut self.store).map(|r| r.outcome)
+        };
+        let outcome = outcome.map_err(|e| fu_err_to_factor(col_start, e))?;
+        self.oom_fallbacks += usize::from(outcome.oom_fallback);
         Ok(())
     }
 
@@ -875,17 +840,17 @@ fn rehearse_makespan<T: Scalar>(
     twin.elapsed()
 }
 
-/// The pipelined counterpart of [`factor_permuted`] (selected via
-/// [`PipelineOptions::enabled`] on a GPU machine).
+/// The pipelined run [`factor_permuted`] takes when its rehearsal predicts a
+/// win.
 ///
-/// Per-front numeric work is byte-for-byte the drain driver's — assembly in
+/// Per-front numeric work is byte-for-byte the drain schedule's — assembly in
 /// postorder, the same staged f32 kernels in the same order, extend-add of
 /// child updates in postorder child rank — so factor slabs are **bitwise
-/// identical** to the drain driver's. What changes is when the host blocks:
-/// instead of a full device drain after every front, each front's downloads
-/// gate on completion events, the next front's upload is dispatched before
-/// the previous front's downloads flush, and runs of small P4 fronts share
-/// one dispatch.
+/// identical** to it. What changes is when the host blocks: instead of a
+/// full device drain after every front, each front's downloads gate on
+/// completion events, the next front's upload is dispatched before the
+/// previous front's downloads flush, and runs of small P4 fronts share one
+/// dispatch.
 fn factor_permuted_pipelined<T: Scalar>(
     a: &SymCsc<T>,
     symbolic: &SymbolicFactor,
@@ -893,20 +858,6 @@ fn factor_permuted_pipelined<T: Scalar>(
     machine: &mut Machine,
     opts: &FactorOptions,
 ) -> Result<(CholeskyFactor<T>, FactorStats), FactorError> {
-    // Cost-model gate: rehearse both schedules on a virtual twin and keep
-    // the pipeline only when it is predicted to win. Both drivers produce
-    // bitwise-identical factors, so this is purely a makespan decision —
-    // and not a heuristic one: the rehearsal replays every simulated charge
-    // the real run would make, so the prediction is exact. Matrices whose
-    // front mix loses more to pinned-pool growth and look-ahead chaining
-    // than overlap buys back (narrow-treed P2-heavy suites) run the drain
-    // schedule and report speedup 1.0 instead of a regression.
-    let t_pipe = rehearse_makespan(a, symbolic, opts, machine, true);
-    let t_drain = rehearse_makespan(a, symbolic, opts, machine, false);
-    if t_pipe >= t_drain {
-        let drain = FactorOptions { pipeline: PipelineOptions::default(), ..opts.clone() };
-        return factor_permuted(a, symbolic, perm, machine, &drain);
-    }
     let mut pool = pinned_pool(opts);
     let wall0 = std::time::Instant::now();
     let mut run = PostorderRun::new(a, symbolic, opts, true, false);

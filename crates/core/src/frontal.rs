@@ -107,7 +107,6 @@ pub fn assemble_front_into<'a, 'c, T: Scalar + 'c>(
     for j in 0..m {
         data[(k + j) * s + k + j..(k + j + 1) * s].fill(T::ZERO);
     }
-    let zeroed = lower_trapezoid_len(s, k) + m * (m + 1) / 2;
 
     // Positions of global rows in the front: the first k are the contiguous
     // pivot columns, the tail is sorted. Every index list we map (A's column
@@ -155,50 +154,36 @@ pub fn assemble_front_into<'a, 'c, T: Scalar + 'c>(
                 data[rel[i] + cj * s] += src[i];
             }
         }
-        extended += cm * (cm + 1) / 2;
+        extended += lower_trapezoid_len(cm, cm);
     }
-
-    // Charge: read+write per scattered/extended entry plus the zero-fill
-    // that was actually written (the lower trapezoid, not the full s×s).
-    let bytes = (scattered + extended) * 2 * T::BYTES + zeroed * T::BYTES;
-    host.charge_memop(bytes, ASSEMBLY_BW);
+    charge_assemble::<T>(scattered, extended, s, k, host);
 
     Front { s, k, data }
 }
 
-/// The simulated cost of [`assemble_front_into`] alone, computed from
-/// structure: `a_nnz` entries scattered from `A`'s supernode columns, one
-/// extend-add triangle per child update size, and the zero-fill trapezoid.
-/// Charges exactly the bytes the real assembly charges — the timing-only
-/// rehearsal behind the pipelined-vs-drain cost model leans on this parity.
+/// The simulated cost of [`assemble_front_into`], which charges through
+/// here, from counts alone (what a timing-only run has): read+write per
+/// entry `scattered` from `A`'s supernode columns and per entry `extended`
+/// from the children's update triangles, plus the zero-fill that is actually
+/// written (the lower trapezoid and the update triangle, not the full s×s).
 pub(crate) fn charge_assemble<T: Scalar>(
-    a_nnz: usize,
+    scattered: usize,
+    extended: usize,
     s: usize,
     k: usize,
-    child_ms: impl Iterator<Item = usize>,
     host: &mut HostClock,
 ) {
-    let m = s - k;
-    let zeroed = lower_trapezoid_len(s, k) + m * (m + 1) / 2;
-    let extended: usize = child_ms.map(|cm| cm * (cm + 1) / 2).sum();
-    let bytes = (a_nnz + extended) * 2 * T::BYTES + zeroed * T::BYTES;
-    host.charge_memop(bytes, ASSEMBLY_BW);
+    let zeroed = lower_trapezoid_len(s, k) + lower_trapezoid_len(s - k, s - k);
+    host.charge_memop((scattered + extended) * 2 * T::BYTES + zeroed * T::BYTES, ASSEMBLY_BW);
 }
 
 /// Copy the factored panel (lower trapezoid of columns `0..k`) from the
 /// front into `dst` — the supernode's `s × k` region of the contiguous
 /// factor slab. `dst` starts zeroed (slab init), so skipping the
-/// strictly-upper entries leaves them exactly zero. Charges copy-out time
-/// for the trapezoid actually moved.
-pub fn extract_panel_into<T: Scalar>(front: &Front<'_, T>, dst: &mut [T], host: &mut HostClock) {
-    extract_panel_copy(front, dst);
-    charge_panel_extract::<T>(front.s, front.k, host);
-}
-
-/// The data movement of [`extract_panel_into`] alone. A pipelined lane
-/// extracts eagerly once a front's downloads are enqueued (data exists the
-/// moment the simulator queues the transfer) but defers the clock charge to
-/// the front's finish.
+/// strictly-upper entries leaves them exactly zero. Data only: the lane
+/// extracts as soon as a front's downloads are enqueued (the data exists the
+/// moment the simulator queues the transfer) and charges
+/// [`charge_panel_extract`] at the front's finish.
 pub(crate) fn extract_panel_copy<T: Scalar>(front: &Front<'_, T>, dst: &mut [T]) {
     let s = front.s;
     let k = front.k;
@@ -208,7 +193,7 @@ pub(crate) fn extract_panel_copy<T: Scalar>(front: &Front<'_, T>, dst: &mut [T])
     }
 }
 
-/// The simulated cost of [`extract_panel_into`]'s trapezoid copy alone.
+/// The simulated cost of [`extract_panel_copy`]'s trapezoid.
 pub(crate) fn charge_panel_extract<T: Scalar>(s: usize, k: usize, host: &mut HostClock) {
     host.charge_memop(lower_trapezoid_len(s, k) * T::BYTES, ASSEMBLY_BW);
 }
@@ -362,7 +347,8 @@ mod tests {
         assert_eq!(u[1], 32.0); // front (3,2)
         assert_eq!(u[3], 33.0); // front (3,3)
         let mut p = vec![0.0f64; s * k];
-        extract_panel_into(&f, &mut p, &mut host);
+        extract_panel_copy(&f, &mut p);
+        charge_panel_extract::<f64>(s, k, &mut host);
         assert_eq!(p.len(), 8);
         assert_eq!(p[1], 10.0);
         assert_eq!(p[4 + 1], 11.0);

@@ -18,7 +18,8 @@
 //!
 //! This module owns the three phases of one front's factor-update (dispatch,
 //! downloads, finish) and their device buffers; `crate::lane` owns when
-//! they run relative to other fronts. Nothing else calls the phases.
+//! they run relative to other fronts. Nothing else calls the phases, bar
+//! `execute_fu` for the estimate of one factor-update taken alone.
 //!
 //! All GPU arithmetic is f32 (the paper's choice on the T10); host fronts
 //! may be f64, converted at the staging boundary — exactly the
@@ -90,11 +91,10 @@ pub(crate) struct FuOutcome {
 /// Run one factor-update on `front` under `policy`. On device OOM the call
 /// transparently falls back to P1 and reports it in the outcome.
 ///
-/// This is the drain-per-front path: the three pipeline phases run
-/// back-to-back, so the host blocks until this front's downloads complete
-/// before returning. `crate::lane` calls [`dispatch_fu`],
-/// [`enqueue_downloads`] and [`finish_fu`] separately to overlap fronts
-/// across the PCIe bus and the compute engine.
+/// The three phases back to back with no extraction in between: the
+/// factor-update alone, as [`estimate_fu_time`] prices it for the policy maps
+/// and this module's tests exercise it. No driver comes through here —
+/// `crate::lane` sequences the phases of every front that is part of a run.
 pub(crate) fn execute_fu<T: Scalar>(
     front: &mut Front<'_, T>,
     policy: PolicyKind,
@@ -103,7 +103,7 @@ pub(crate) fn execute_fu<T: Scalar>(
     let mut pending = dispatch_fu(front, policy, ctx)?;
     enqueue_downloads(front, &mut pending, false, ctx);
     finish_fu(&mut pending, ctx);
-    Ok(FuOutcome { executed: pending.executed, oom_fallback: pending.oom_fallback })
+    Ok(pending.outcome())
 }
 
 /// An F-U operation whose GPU work has been enqueued but not yet drained.
@@ -187,9 +187,9 @@ impl FuPending {
         FuPending { executed, oom_fallback, state: PendingState::Done }
     }
 
-    /// Whether a device OOM forced a P1 fallback.
-    pub(crate) fn oom_fallback(&self) -> bool {
-        self.oom_fallback
+    /// The policy that ran, and whether a device OOM forced it.
+    pub(crate) fn outcome(&self) -> FuOutcome {
+        FuOutcome { executed: self.executed, oom_fallback: self.oom_fallback }
     }
 
     /// Whether every phase has run (nothing outstanding on the device).

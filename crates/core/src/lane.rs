@@ -13,13 +13,15 @@
 //! computes data eagerly, only the host's wait and the extraction charges
 //! outstanding).
 //!
-//! Three issuers drive lanes and own nothing of the lifecycle but its order:
-//! the postorder driver of [`crate::factor`] (look-ahead, batched P4 runs,
-//! and — with a window of 0 and no look-ahead — the drain schedule its
-//! rehearsal compares against), [`crate::multigpu`] (one lane per device,
-//! peer exports) and the work-stealing `Whole` task of [`crate::parallel`].
-//! What differs between them arrives as data: the window, `keep_update`,
-//! timing-only, and the [`FrontSink`] that receives the results.
+//! Four issuers drive lanes and own nothing of the lifecycle but its order:
+//! the arena loop of [`crate::factor`] (the drain schedule: a window of 0, so
+//! every front finishes before the next assembles), its postorder issuer
+//! (look-ahead and batched P4 runs; timing-only at a window of 0 it rehearses
+//! that drain schedule), [`crate::multigpu`] (one lane per device, peer
+//! exports) and the work-stealing tasks of [`crate::parallel`]. What differs
+//! between them arrives as data: the window, `keep_update`, timing-only, and
+//! the [`FrontSink`] that receives the results. [`Lane::run_front`] and
+//! [`Lane::run_staged`] are the only places a front's phases are sequenced.
 //!
 //! Numerics never depend on the schedule: every body runs the same host
 //! operations on the same bytes in the same per-front order whatever is
@@ -30,11 +32,11 @@
 use crate::factor::FactorError;
 use crate::frontal::{
     assemble_front_into, charge_assemble, charge_panel_extract, charge_update_extract,
-    extract_panel_copy, packed_update, ChildUpdate, Front,
+    extract_panel_copy, lower_trapezoid_len, packed_update, ChildUpdate, Front,
 };
 use crate::fu::{
     dispatch_fu, enqueue_batch_downloads, enqueue_downloads, finish_fu, try_dispatch_gpu,
-    try_dispatch_gpu_batch, BatchError, FuBatchPending, FuContext, FuError, FuPending,
+    try_dispatch_gpu_batch, BatchError, FuBatchPending, FuContext, FuError, FuOutcome, FuPending,
     RemoteUpdate,
 };
 use crate::policy::PolicyKind;
@@ -108,29 +110,6 @@ pub(crate) fn child_views<'c, T>(
         .map(|(&c, data)| ChildUpdate { rows: symbolic.update_rows(c), data })
 }
 
-/// Assemble `sn`'s front into `front_data` from `A` and its children's owned
-/// updates.
-pub(crate) fn assemble_owned<'f, T: Scalar>(
-    a: &SymCsc<T>,
-    symbolic: &SymbolicFactor,
-    sn: usize,
-    updates: &[Vec<T>],
-    front_data: &'f mut [T],
-    rel: &mut Vec<usize>,
-    host: &mut HostClock,
-) -> Front<'f, T> {
-    let info = &symbolic.supernodes[sn];
-    assemble_front_into(
-        a,
-        info.col_start..info.col_end,
-        symbolic.update_rows(sn),
-        child_views(symbolic, sn, updates),
-        front_data,
-        rel,
-        host,
-    )
-}
-
 /// Per-front heap storage for a run on one host thread whose front lifetimes
 /// overlap (which the postorder LIFO arena cannot express): the factor slab,
 /// the packed updates awaiting their parents, and the allocation accounting.
@@ -173,7 +152,8 @@ impl<'a, T: Scalar> FrontStore<'a, T> {
         if self.timing {
             let a_nnz = (info.col_start..info.col_end).map(|c| a.col_rows(c).len()).sum();
             let child_ms = symbolic.children(sn).iter().map(|&c| symbolic.supernodes[c].m());
-            charge_assemble::<T>(a_nnz, s, info.k(), child_ms, host);
+            let extended = child_ms.map(|cm| lower_trapezoid_len(cm, cm)).sum();
+            charge_assemble::<T>(a_nnz, extended, s, info.k(), host);
             return Vec::new();
         }
         let kids = take_children(symbolic, sn, |c| self.updates[c].take())
@@ -182,7 +162,15 @@ impl<'a, T: Scalar> FrontStore<'a, T> {
         let mut front_data = vec![T::ZERO; s * s];
         self.live += s * s;
         self.peak = self.peak.max(self.live);
-        assemble_owned(a, symbolic, sn, &kids, &mut front_data, &mut self.rel, host);
+        assemble_front_into(
+            a,
+            info.col_start..info.col_end,
+            symbolic.update_rows(sn),
+            child_views(symbolic, sn, &kids),
+            &mut front_data,
+            &mut self.rel,
+            host,
+        );
         self.live -= kids.iter().map(Vec::len).sum::<usize>();
         front_data
     }
@@ -238,6 +226,17 @@ struct Inflight {
     pending: FuPending,
 }
 
+/// What [`Lane::run_front`] reports of one front.
+pub(crate) struct FrontRan {
+    /// The policy that ran, and whether a device OOM forced it.
+    pub outcome: FuOutcome,
+    /// Simulated time of the factor-update proper: from entry until the host
+    /// has waited for the downloads and applied the update, the extraction
+    /// charges excluded — [`crate::stats::FuRecord::total`]. Only a window of
+    /// 0 finishes the front inside the call; at any other this is not its time.
+    pub total: f64,
+}
+
 /// One device's pipeline (see the module docs).
 pub(crate) struct Lane<T> {
     staged: Option<Staged<T>>,
@@ -254,11 +253,62 @@ impl<T: Scalar> Lane<T> {
         self.inflight.len()
     }
 
+    /// The whole lifecycle of one assembled front whose buffer the issuer
+    /// keeps, so nothing of it may stay staged: phase 1; then, with nothing
+    /// outstanding on the device (P1, or an `m = 0` P2/P3 pivot), extraction
+    /// on the spot; otherwise phase 2 at once and the lane trimmed to
+    /// `window` fronts in flight. At a window of 0 this is the drain schedule.
+    pub(crate) fn run_front(
+        &mut self,
+        sn: usize,
+        front: &mut Front<'_, T>,
+        policy: PolicyKind,
+        window: usize,
+        ctx: &mut FuContext<'_>,
+        sink: &mut impl FrontSink<T>,
+    ) -> Result<FrontRan, FuError> {
+        debug_assert!(self.staged.is_none(), "a borrowed front cannot wait behind a staged one");
+        let t0 = ctx.machine.host.now();
+        let pending = self.dispatch(front, policy, ctx, sink)?;
+        let outcome = pending.outcome();
+        let fu_end = if pending.is_done() {
+            let now = ctx.machine.host.now();
+            extract_inline(sn, front, ctx, sink);
+            now
+        } else {
+            self.flush_front(sn, front, pending, false, ctx, sink);
+            self.enforce_window(window, ctx)
+        };
+        Ok(FrontRan { outcome, total: fu_end - t0 })
+    }
+
+    /// The same for a front whose buffer the lane may keep: with GPU work
+    /// outstanding it stays staged until the next dispatch (or an explicit
+    /// [`Self::flush`]) — see [`Self::flush_front`] for `keep_update` — and
+    /// the issuer trims the window, which may span several lanes.
+    pub(crate) fn run_staged(
+        &mut self,
+        (sn, s, k, mut buf): Member<T>,
+        policy: PolicyKind,
+        keep_update: bool,
+        ctx: &mut FuContext<'_>,
+        sink: &mut impl FrontSink<T>,
+    ) -> Result<FuOutcome, FuError> {
+        let pending = self.dispatch(&mut Front { s, k, data: &mut buf }, policy, ctx, sink)?;
+        let outcome = pending.outcome();
+        if pending.is_done() {
+            extract_inline(sn, &Front { s, k, data: &mut buf }, ctx, sink);
+        } else {
+            self.stage(vec![(sn, s, k, buf)], Phase1::Single(pending), keep_update, ctx, sink);
+        }
+        Ok(outcome)
+    }
+
     /// Phase 1 for one front. On device OOM the lane first reaches the drain
     /// driver's empty-device state — everything staged or in flight
     /// finished, the issuer's other buffers released — and retries before a
     /// P1 fallback is accepted, so fallback decisions match that driver's.
-    pub(crate) fn dispatch(
+    fn dispatch(
         &mut self,
         front: &mut Front<'_, T>,
         policy: PolicyKind,
@@ -340,7 +390,7 @@ impl<T: Scalar> Lane<T> {
     /// results at once (the data exists the moment the transfers are
     /// queued), so the buffer can go; the front moves in flight with its
     /// extraction charges deferred to the finish.
-    pub(crate) fn flush_front(
+    fn flush_front(
         &mut self,
         sn: usize,
         front: &mut Front<'_, T>,
@@ -388,12 +438,15 @@ impl<T: Scalar> Lane<T> {
     }
 
     /// Finish the oldest entries until at most `window` remain in flight; a
-    /// window of 0 drains the lane.
-    pub(crate) fn enforce_window(&mut self, window: usize, ctx: &mut FuContext<'_>) {
+    /// window of 0 drains the lane. Returns the host time at which the last
+    /// of them ended its factor-update (now, when none had to finish).
+    pub(crate) fn enforce_window(&mut self, window: usize, ctx: &mut FuContext<'_>) -> f64 {
+        let mut fu_end = ctx.machine.host.now();
         while self.inflight.len() > window {
             let entry = self.inflight.pop_front().expect("non-empty: len > window >= 0");
-            finish::<T>(entry, ctx);
+            fu_end = finish::<T>(entry, ctx);
         }
+        fu_end
     }
 
     /// Give up after an error: free every device buffer the lane still owns
@@ -415,7 +468,7 @@ impl<T: Scalar> Lane<T> {
 /// Extraction for a front with nothing outstanding on the device (P1, or an
 /// `m = 0` P2/P3 pivot): deliver and charge together, as the drain driver
 /// orders them.
-pub(crate) fn extract_inline<T: Scalar>(
+fn extract_inline<T: Scalar>(
     sn: usize,
     front: &Front<'_, T>,
     ctx: &mut FuContext<'_>,
@@ -428,12 +481,15 @@ pub(crate) fn extract_inline<T: Scalar>(
 
 /// Phase 3 for one entry in flight: the host waits on its `done` event, its
 /// device buffers free, and the deferred extraction charges land in the
-/// drain driver's per-front order.
-fn finish<T: Scalar>(entry: Inflight, ctx: &mut FuContext<'_>) {
+/// drain driver's per-front order. Returns the host time in between, the end
+/// of the factor-update proper.
+fn finish<T: Scalar>(entry: Inflight, ctx: &mut FuContext<'_>) -> f64 {
     let Inflight { members, mut pending } = entry;
     finish_fu(&mut pending, ctx);
+    let fu_end = ctx.machine.host.now();
     for (_, s, k, m) in members {
         charge_panel_extract::<T>(s, k, &mut ctx.machine.host);
         charge_update_extract::<T>(m, &mut ctx.machine.host);
     }
+    fu_end
 }

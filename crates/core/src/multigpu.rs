@@ -25,7 +25,7 @@
 //! event-chained, on the dedicated peer engine — instead of the
 //! d2h → host-assemble → h2d staging round-trip; the producing front's
 //! update download (and its host-side apply charge) is skipped entirely
-//! (`keep_update` in `fu::enqueue_downloads`).
+//! (`keep_update`, which the lane passes to the download phase).
 //!
 //! # Determinism
 //!
@@ -48,7 +48,7 @@ use crate::factor::{
 };
 use crate::frontal::{charge_update_extract, Front};
 use crate::fu::{FuContext, RemoteUpdate, S_COMPUTE, S_COPY};
-use crate::lane::{extract_inline, FrontSink, FrontStore, Lane, Phase1};
+use crate::lane::{FrontSink, FrontStore, Lane};
 use crate::pinned_pool::PinnedPool;
 use crate::policy::PolicyKind;
 use crate::stats::FactorStats;
@@ -373,26 +373,18 @@ impl<'a, T: Scalar> MgRun<'a, '_, T> {
         let (s, k, m) = (info.front_size(), info.k(), info.m());
         let (w, lane) = self.home(sn);
         self.ready_children(sn, w);
-        let mut buf = self.store.assemble(self.a, sn, &mut self.ws[w].machine.host);
+        let buf = self.store.assemble(self.a, sn, &mut self.ws[w].machine.host);
         let policy = self.opts.selector.choose(sn, m, k);
         self.consume_child_exports(sn, w, lane, policy);
-        let pending = self
+        // Structure and selector alone decide it, so it is known before the
+        // dispatch; a front that leaves nothing on the device ignores it.
+        let keep_update = self.exports_update(sn, w);
+        let outcome = self
             .on_lane(w, lane, |l, ctx, sink| {
-                l.dispatch(&mut Front { s, k, data: &mut buf }, policy, ctx, sink)
+                l.run_staged((sn, s, k, buf), policy, keep_update, ctx, sink)
             })
             .map_err(|e| fu_err_to_factor(info.col_start, e))?;
-        self.oom_fallbacks += usize::from(pending.oom_fallback());
-        if pending.is_done() {
-            // CPU-resident result (P1, or an m = 0 pivot): nothing in flight.
-            let ws = &mut self.ws[w];
-            let mut ctx = fu_ctx(ws.machine, &mut ws.pool, self.opts, None, false);
-            extract_inline(sn, &Front { s, k, data: &mut buf }, &mut ctx, &mut self.store);
-            return Ok(());
-        }
-        let keep_update = self.exports_update(sn, w);
-        self.on_lane(w, lane, |l, ctx, sink| {
-            l.stage(vec![(sn, s, k, buf)], Phase1::Single(pending), keep_update, ctx, sink)
-        });
+        self.oom_fallbacks += usize::from(outcome.oom_fallback);
         self.trim_window(w, LOOK_AHEAD.max(self.ws[w].lanes.len()));
         Ok(())
     }

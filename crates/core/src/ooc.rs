@@ -52,8 +52,6 @@ use mf_dense::Scalar;
 use mf_gpusim::{Machine, SpillTier, TierParams};
 use mf_sparse::SymbolicFactor;
 
-use crate::factor::FactorOptions;
-
 /// Storage precision of spilled blocks.
 ///
 /// Compute precision is unchanged (the factorization runs in `T`); the
@@ -395,6 +393,9 @@ pub struct OocPlan {
     pub host_used_end: usize,
     /// Full residency trace for invariant checking.
     pub events: Vec<OocEvent>,
+    /// The tiers the schedule was planned on; replayed transfers are charged
+    /// at their bandwidths.
+    tiers: TierParams,
 }
 
 impl OocPlan {
@@ -402,13 +403,13 @@ impl OocPlan {
     /// on the executing clock, then drop any profile records the charges
     /// produced so they do not leak into the front's assembly bucket
     /// (`FuRecord::absorb` books `HostMemop` under `t_assemble`).
-    pub(crate) fn begin_front(&self, rank: usize, machine: &mut Machine, opts: &FactorOptions) {
+    pub(crate) fn begin_front(&self, rank: usize, machine: &mut Machine) {
         for op in &self.step_io[rank] {
             let bw =
-                if op.write { opts.tiers.write_bw(op.tier) } else { opts.tiers.read_bw(op.tier) };
+                if op.write { self.tiers.write_bw(op.tier) } else { self.tiers.read_bw(op.tier) };
             machine.host.charge_memop(op.bytes, bw);
         }
-        if opts.record_stats && !self.step_io[rank].is_empty() {
+        if !self.step_io[rank].is_empty() {
             let _ = machine.take_records();
         }
     }
@@ -674,6 +675,7 @@ pub fn plan_ooc(
         panel_tier,
         host_used_end: st.host_used,
         events: st.events,
+        tiers: *tiers,
     })
 }
 

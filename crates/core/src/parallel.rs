@@ -22,23 +22,22 @@
 //!    task standing near the root runs its kernels at the full budget.
 //!
 //! This module owns the task graph, the hand-off slots between tasks and
-//! the per-worker state. What a task does to a front is not its own: CPU
-//! tasks run the drain lifecycle of [`crate::factor`] (`process_supernode`,
-//! `FrontRun::factor_range`), and under pipelined dispatch the `Whole` task
-//! issues its front into the worker's `crate::lane::Lane`.
+//! the per-worker state. What a task does to a front is not its own: a
+//! `Subtree` task is the arena loop of [`crate::factor`]
+//! (`FrontRun::factor_range`), and a `Whole` task runs its front through the
+//! worker's `crate::lane::Lane` — at a window of 0, or with fronts left in
+//! flight on the worker's own device under pipelined dispatch.
 //!
 //! The model predicts; the runtime measures: `benchmark/`'s `plate2d_par2`
 //! workload reports the measured side as `runtime.par2_speedup.*`.
 
 use crate::arena::FrontArena;
 use crate::factor::{
-    fu_ctx, fu_err_to_factor, pinned_pool, process_supernode, route, stop_recording,
-    CholeskyFactor, FactorError, FactorOptions, FrontRun, Route, SharedSlice,
+    fu_ctx, fu_err_to_factor, ooc_plan, pinned_pool, route, stop_recording, CholeskyFactor,
+    FactorError, FactorOptions, FrontRun, Route, SharedSlice, SnOutcome,
 };
-use crate::frontal::{packed_update, Front};
-use crate::lane::{
-    assemble_owned, child_views, extract_front, extract_inline, take_children, Lane, PIPELINE_DEPTH,
-};
+use crate::frontal::{assemble_front_into, Front};
+use crate::lane::{child_views, extract_front, take_children, Lane, PIPELINE_DEPTH};
 use crate::pinned_pool::PinnedPool;
 use crate::policy::PolicyKind;
 use crate::stats::{FactorStats, FuRecord};
@@ -242,10 +241,11 @@ struct WorkerCtx<'m, T> {
     peak_front: usize,
     /// Front-storage heap allocations this worker performed.
     allocs: u64,
-    /// Pipelined mode: the pipeline of this worker's own device. A front is
-    /// flushed in the task that dispatched it (its buffer is the worker's
-    /// reusable one), so nothing is ever staged here; only the host waits
-    /// and the extraction charges stay outstanding across tasks.
+    /// The pipeline of this worker's own device, which every `Whole` task
+    /// runs its front through. A front is flushed in the task that
+    /// dispatched it (its buffer is the worker's reusable one), so nothing is
+    /// ever staged here; under pipelined dispatch the host waits and the
+    /// extraction charges stay outstanding across tasks, otherwise nothing.
     lane: Lane<T>,
 }
 
@@ -260,7 +260,7 @@ struct WorkerCtx<'m, T> {
 /// tasks release. Each worker owns one [`Machine`] (its simulated CPU+GPU
 /// node) and one [`PinnedPool`]; update matrices that cross tasks are
 /// buffered and consumed by the parent's extend-add in postorder child rank
-/// — the same order and the same [`process_supernode`] body as the serial
+/// — the same order and the same `crate::lane` body as the serial
 /// driver, which makes the result **bitwise identical** to
 /// [`crate::factor::factor_permuted`] at every worker count. Pipelined
 /// dispatch keeps one task per front.
@@ -295,12 +295,7 @@ pub fn factor_permuted_parallel<T: Scalar>(
     // the serial driver: the plan decides residency and which blocks get
     // ladder-degraded; workers only replay its transfers and apply its
     // flags, so the factor bits cannot depend on worker count.
-    let ooc_plan = match opts.memory_budget {
-        Some(budget) => {
-            Some(crate::ooc::plan_ooc(symbolic, T::BYTES, budget, opts.ladder, &opts.tiers)?)
-        }
-        None => None,
-    };
+    let ooc_plan = ooc_plan::<T>(symbolic, opts)?;
 
     // Postorder rank of each supernode: its execution position in the
     // serial driver. Used to merge stats and to pick the serial-first error.
@@ -466,10 +461,18 @@ pub fn factor_permuted_parallel<T: Scalar>(
         // Budgeted runs replay the supernode's planned spill transfers on
         // the executing worker's clock.
         if let Some(plan) = &ooc_plan {
-            plan.begin_front(plan.rank[sn], st.machine, opts);
+            plan.begin_front(plan.rank[sn], st.machine);
         }
         let info = &symbolic.supernodes[sn];
-        let (s, k, m) = (info.front_size(), info.k(), info.m());
+        let (s, k) = (info.front_size(), info.k());
+        // Event-wait on this worker's in-flight fronts that are children of
+        // `sn` (there are none but under pipelined dispatch) — a wait on each
+        // child's d2h completion event, not a device drain. Children run by
+        // other workers carry no timing edge here: worker timelines are
+        // independent, exactly as without pipelining.
+        let kids = symbolic.children(sn);
+        let mut ctx = fu_ctx(st.machine, &mut st.pool, opts, None, false);
+        st.lane.finish_holding(|c| kids.contains(&c), &mut ctx);
         // Gather buffered child updates in postorder child rank — the order
         // the serial driver consumes them, which keeps the extend-add
         // reduction (and hence the factor bits) identical. The dependency
@@ -477,17 +480,6 @@ pub fn factor_permuted_parallel<T: Scalar>(
         // missing or poisoned slot means a worker died mid-task, which is
         // surfaced as a structured error (still selected by minimal
         // postorder rank below) rather than a cascading panic.
-        let kids = symbolic.children(sn);
-        let on_gpu = pipelined && st.machine.gpu.is_some();
-        if on_gpu {
-            // Event-wait on this worker's in-flight fronts that are
-            // children of `sn` — a wait on each child's d2h completion
-            // event, not a device drain. Children run by other workers
-            // carry no timing edge here: worker timelines are independent,
-            // exactly as in the drain parallel driver.
-            let mut ctx = fu_ctx(st.machine, &mut st.pool, opts, None, false);
-            st.lane.finish_holding(|c| kids.contains(&c), &mut ctx);
-        }
         let child_bufs = take_children(symbolic, sn, take_update)?;
         // Grow this worker's reusable buffer to the largest front it has
         // seen — most workers never run the root, so lazy growth keeps each
@@ -498,57 +490,37 @@ pub fn factor_permuted_parallel<T: Scalar>(
             st.allocs += 1;
             st.front_buf = vec![T::ZERO; s * s];
         }
-        let front_data = &mut st.front_buf[..s * s];
         st.peak_front = st.peak_front.max(s * s);
         // SAFETY: this supernode's panel region belongs to this task alone.
         let panel_out =
             unsafe { slab_view.slice_mut(panel_ptr[sn], panel_ptr[sn + 1] - panel_ptr[sn]) };
         let width = budget.begin();
+        let mut front = assemble_front_into(
+            a,
+            info.col_start..info.col_end,
+            symbolic.update_rows(sn),
+            child_views(symbolic, sn, &child_bufs),
+            &mut st.front_buf[..s * s],
+            &mut st.rel,
+            &mut st.machine.host,
+        );
+        // The lifecycle of `crate::lane` against this worker's machine. On
+        // its own device under pipelined dispatch the host-blocking phase 3
+        // is deferred until a dependent task, the window, or the end-of-run
+        // drain forces it — so this worker's CPU work on later tasks overlaps
+        // its own device; otherwise the front finishes here.
+        let on_gpu = pipelined && st.machine.gpu.is_some();
+        let window = if on_gpu { PIPELINE_DEPTH } else { 0 };
         let mut update = None;
-        if on_gpu {
-            // Pipelined per-worker dispatch, the lifecycle of `crate::lane`
-            // against this worker's device: phases 1+2 run here; the
-            // host-blocking phase 3 is deferred until a dependent task, the
-            // window, or the end-of-run drain forces it — so this worker's
-            // CPU work on later tasks overlaps its own device.
-            let host = &mut st.machine.host;
-            let mut front =
-                assemble_owned(a, symbolic, sn, &child_bufs, front_data, &mut st.rel, host);
-            let mut sink =
-                |_: usize, front: &Front<'_, T>| update = extract_front(front, panel_out);
-            let policy = opts.selector.choose(sn, m, k);
-            let mut ctx = fu_ctx(st.machine, &mut st.pool, opts, Some(width), false);
-            let done = st.lane.dispatch(&mut front, policy, &mut ctx, &mut sink).map(|pending| {
-                st.oom += usize::from(pending.oom_fallback());
-                if pending.is_done() {
-                    extract_inline(sn, &front, &mut ctx, &mut sink);
-                } else {
-                    st.lane.flush_front(sn, &mut front, pending, false, &mut ctx, &mut sink);
-                    st.lane.enforce_window(PIPELINE_DEPTH, &mut ctx);
-                }
-            });
-            budget.end();
-            done.map_err(|e| fu_err_to_factor(info.col_start, e))?;
-        } else {
-            let out = process_supernode(
-                a,
-                symbolic,
-                sn,
-                child_views(symbolic, sn, &child_bufs),
-                front_data,
-                panel_out,
-                &mut st.rel,
-                st.machine,
-                &mut st.pool,
-                opts,
-                Some(width),
-            );
-            budget.end();
-            let out = out?;
-            st.oom += usize::from(out.oom_fallback);
-            st.records.extend(out.record.map(|rec| (rank[sn], rec)));
-            update = packed_update(front_data, s, k);
-        }
+        let mut sink = |_: usize, front: &Front<'_, T>| update = extract_front(front, panel_out);
+        let policy = opts.selector.choose(sn, s - k, k);
+        let mut ctx = fu_ctx(st.machine, &mut st.pool, opts, Some(width), false);
+        let ran = st.lane.run_front(sn, &mut front, policy, window, &mut ctx, &mut sink);
+        budget.end();
+        let ran = ran.map_err(|e| fu_err_to_factor(info.col_start, e))?;
+        let out = SnOutcome::close(sn, symbolic, ran, st.machine, opts.record_stats && !on_gpu);
+        st.oom += usize::from(out.oom_fallback);
+        st.records.extend(out.record.map(|rec| (rank[sn], rec)));
         // The end of a task-level supernode: its panel is in the slab and
         // its packed update goes to the parent's task, both as the
         // out-of-core plan stores them.

@@ -1471,10 +1471,8 @@ fn record_hashes(a: &SymCsc<f32>, an: &Analysis, make: impl Fn() -> Machine) -> 
             }
             .unwrap();
             assert_eq!(stats.records.len(), an.symbolic.num_supernodes());
-            for r in &stats.records {
-                words.extend([r.sn as u64, r.policy.index() as u64]);
-                words.extend([r.total, r.t_potrf, r.t_trsm, r.t_syrk, r.t_copy].map(f64::to_bits));
-            }
+            // Every word of a record but its last, `t_assemble`.
+            words.extend(record_words(&stats).chunks(8).flat_map(|r| r[..7].to_vec()));
             words.extend([stats.total_time.to_bits(), stats.oom_fallbacks as u64]);
         }
         fnv1a(words.into_iter())
@@ -1507,6 +1505,28 @@ fn sim_clock_records_match_golden() {
     let an = analysis_of(&laplacian_3d(6, 6, 5, Stencil::Faces));
     actual.push(("lap3d-6x6x5-oom", record_hashes(&an.permuted.0.cast(), &an, small_device_node)));
     assert_eq!(actual, GOLDEN_RECORDS, "actual:\n{actual:#x?}");
+}
+
+#[test]
+fn recorded_cpu_run_accounts_for_every_simulated_second() {
+    // On one host timeline with no device every simulated second is either
+    // inside a front's factor-update (`total`) or a host memop around it —
+    // its assembly and its own extraction (`t_assemble`). A front's
+    // extraction booked to the next front, and the root's to none, left a gap.
+    use gpu_multifrontal::gpusim::xeon_5160_core;
+    for a in [laplacian_3d(7, 6, 6, Stencil::Faces), elasticity_3d(4, 4, 3)] {
+        let an = analysis_of(&a);
+        let opts = FactorOptions { record_stats: true, ..Default::default() };
+        let mut machine = Machine::cpu_only(xeon_5160_core());
+        let (_, stats) =
+            factor_permuted(&an.permuted.0, &an.symbolic, &an.perm, &mut machine, &opts).unwrap();
+        let booked = stats.sum(|r| r.total + r.t_assemble);
+        assert!(
+            (stats.total_time - booked).abs() <= 1e-9 * stats.total_time,
+            "{booked:e} booked of {:e} simulated seconds",
+            stats.total_time
+        );
+    }
 }
 
 /// `a` with the diagonal entry of column `col` made negative.
