@@ -55,9 +55,12 @@ RUST_TEST_THREADS=1 cargo test -q --release -p mf-server
 #                    subtree-task drivers and the forward stack bound
 #   sim_clock        golden hashes of total_time, fallbacks, peer bytes, allocation
 #                    events and per-device busy time: drain, pipelined, 2/4 devices,
-#                    2 workers x 4 devices, P2/P3/P4/baseline, and under device OOM;
-#                    and of the per-call records (sn, policy, total, kernel and copy
-#                    buckets) of recorded drain runs, serial and one-worker parallel
+#                    P2/P3/P4/baseline, and under device OOM; of the per-call records
+#                    (sn, policy, total, kernel and copy buckets) of recorded drain
+#                    runs, serial and one-worker parallel; and
+#                    sim_clock_parallel_entry_runs_pipelined_and_multi_device_on_one_timeline:
+#                    the parallel entry's pipelined and 4-device runs at 1/2/3 workers
+#                    are the serial entry's, bit for bit and clock for clock
 #   driver_errors    a failing pivot at every supernode under every issuer: the
 #                    serial error, empty devices, machines as good as new; a
 #                    recorded run, serial or at 1/2 workers, failed or not, leaves
@@ -83,7 +86,7 @@ determinism analysis_ 5
 determinism numeric_ 1
 determinism multigpu_ 3
 determinism ooc_ 8
-determinism sim_clock 2
+determinism sim_clock 3
 determinism driver_errors 2
 property ooc_ 2
 property symbolic_flat 1

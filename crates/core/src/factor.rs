@@ -65,8 +65,8 @@ impl PolicySelector {
 /// of the next GPU-bound front while the current one computes, event-gated
 /// consumption of child updates, and batched dispatch of runs of small
 /// fronts. Depth and batch limits are fixed (see `crate::lane` and the
-/// postorder issuer in this module). Off, the same lifecycle runs at a window
-/// of 0: the drain schedule.
+/// postorder issuer in this module). Off, the same lifecycle finishes each
+/// front before the next assembles: the drain schedule.
 ///
 /// A pipelined run produces factor slabs **bitwise identical** to the drain
 /// schedule's — only the simulated timeline (and therefore makespan and GPU
@@ -74,7 +74,9 @@ impl PolicySelector {
 /// fronts overlapping on the device, per-front time attribution is
 /// ill-defined, so `record_stats` yields records only from a run that ends up
 /// on the drain schedule. Front storage is per-front heap buffers: front
-/// lifetimes overlap, which the postorder LIFO arena cannot express.
+/// lifetimes overlap, which the postorder LIFO arena cannot express. The
+/// parallel entry hands a pipelined run to [`factor_permuted`] on its first
+/// GPU machine: fronts in flight share one host timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PipelineOptions {
     /// Keep fronts in flight. A CPU-only machine runs the drain schedule
@@ -106,7 +108,9 @@ pub struct FactorOptions {
     pub pipeline: PipelineOptions,
     /// Multi-device execution (see [`MultiGpuOptions`]). With `count > 1`
     /// on a GPU machine and pipelining enabled, the factorization routes
-    /// to the multi-GPU driver of [`crate::multigpu`].
+    /// to the multi-GPU driver of [`crate::multigpu`]: one host timeline
+    /// feeding every device. The parallel entry hands such a run to
+    /// [`factor_permuted`] on its first GPU machine.
     pub devices: MultiGpuOptions,
     /// Out-of-core residency budget in bytes for the factor slab plus the
     /// front arena (see `mf-core::ooc`, DESIGN.md §4.14). `None` runs
@@ -339,9 +343,9 @@ impl<T: Copy> SharedSlice<T> {
     }
 }
 
-/// Bookkeeping one front leaves behind once the lane has run it at a window
-/// of 0 (the panel went into the factor slab; the update stays in the
-/// issuer's front storage).
+/// Bookkeeping one front leaves behind once [`Lane::run_front`] has run it
+/// (the panel went into the factor slab; the update stays in the issuer's
+/// front storage).
 pub(crate) struct SnOutcome {
     /// Per-call timing record, when `opts.record_stats` is set.
     pub record: Option<FuRecord>,
@@ -386,14 +390,15 @@ impl SnOutcome {
 pub(crate) enum Route {
     /// One front at a time, the device drained after each.
     Drain,
-    /// The lifecycle of [`crate::lane`] against one device per host.
+    /// The lifecycle of [`crate::lane`] against one device.
     Pipelined,
-    /// The cooperative multi-device driver of [`crate::multigpu`].
+    /// One lane per device of [`crate::multigpu`], fed from one host.
     MultiGpu,
 }
 
 /// The route of a run under `opts` on machines of which some (`gpu`) or none
-/// carry a device — decided here for the serial and the parallel entry alike.
+/// carry a device — decided here for the serial and the parallel entry alike
+/// (which runs only the drain schedule itself).
 /// A memory budget forces the drain schedule: the pipelined and multi-GPU
 /// drivers overlap front lifetimes in ways the LIFO residency plan does not
 /// model, and drain keeps budgeted numerics identical at every driver and
@@ -423,10 +428,7 @@ pub fn factor_permuted<T: Scalar>(
         // The machine's device drives lane 0 of `opts.devices.count`
         // identical devices, all fed from this machine's host timeline.
         Route::MultiGpu => {
-            let machines = std::slice::from_mut(machine);
-            return crate::multigpu::factor_permuted_parallel_multigpu(
-                a, symbolic, perm, machines, opts,
-            );
+            return crate::multigpu::factor_permuted_multigpu(a, symbolic, perm, machine, opts);
         }
         // Cost-model gate: rehearse both schedules on a virtual twin and
         // pipeline only when that is predicted to win. Either way the factor
@@ -530,8 +532,8 @@ impl<T: Scalar> FrontRun<'_, T> {
     ///
     /// The serial driver runs the whole postorder through here; the parallel
     /// driver runs one bottom subtree per task on the worker's own arena.
-    /// Each front goes through a [`Lane`] at a window of 0, so every
-    /// simulated-time charge is issued per front, in postorder.
+    /// Each front goes through [`Lane::run_front`], so every simulated-time
+    /// charge is issued per front, in postorder.
     /// `on_front(position, supernode, outcome)` collects the statistics.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn factor_range(
@@ -584,7 +586,7 @@ impl<T: Scalar> FrontRun<'_, T> {
             let policy = opts.selector.choose(sn, s - k, k);
             let mut ctx = fu_ctx(machine, pool, opts, kernel_threads, false);
             let ran = lane
-                .run_front(sn, &mut front, policy, 0, &mut ctx, &mut sink)
+                .run_front(sn, &mut front, policy, &mut ctx, &mut sink)
                 .map_err(|e| fu_err_to_factor(info.col_start, e))?;
             on_front(r, sn, SnOutcome::close(sn, symbolic, ran, machine, opts.record_stats));
             arena.pop_and_compact(front_off, s, k, dest);
@@ -610,7 +612,14 @@ pub(crate) fn fu_ctx<'a>(
     kernel_threads: Option<usize>,
     timing_only: bool,
 ) -> FuContext<'a> {
-    FuContext { machine, pool, copy_optimized: opts.copy_optimized, timing_only, kernel_threads }
+    FuContext {
+        host: &mut machine.host,
+        gpu: machine.gpu.as_mut(),
+        pool,
+        copy_optimized: opts.copy_optimized,
+        timing_only,
+        kernel_threads,
+    }
 }
 
 /// The run's pinned staging pool under `opts`.
@@ -741,7 +750,7 @@ impl<'a, T: Scalar> PostorderRun<'a, T> {
         let kids = self.symbolic.children(sn);
         self.lane.flush_if_holds(|c| kids.contains(&c), ctx, &mut self.store);
         self.lane.finish_holding(|c| kids.contains(&c), ctx);
-        self.store.assemble(self.a, sn, &mut ctx.machine.host)
+        self.store.assemble(self.a, sn, ctx.host)
     }
 
     /// Run one assembled front through the lane: staged behind the next
@@ -762,7 +771,7 @@ impl<'a, T: Scalar> PostorderRun<'a, T> {
         } else {
             let (sn, s, k, mut buf) = member;
             let mut front = Front { s, k, data: &mut buf };
-            self.lane.run_front(sn, &mut front, policy, 0, ctx, &mut self.store).map(|r| r.outcome)
+            self.lane.run_front(sn, &mut front, policy, ctx, &mut self.store).map(|r| r.outcome)
         };
         let outcome = outcome.map_err(|e| fu_err_to_factor(col_start, e))?;
         self.oom_fallbacks += usize::from(outcome.oom_fallback);

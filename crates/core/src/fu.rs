@@ -58,14 +58,16 @@ pub enum FuError {
 /// Execution context shared across the factorization's F-U calls.
 #[derive(Debug)]
 pub(crate) struct FuContext<'a> {
-    /// The worker's host+device timelines.
-    pub machine: &'a mut Machine,
+    /// The host timeline.
+    pub host: &'a mut HostClock,
+    /// The device the call runs on; `None` runs every policy as P1.
+    pub gpu: Option<&'a mut Gpu>,
     /// Pinned staging buffers (growth-only reuse per §V-A2).
     pub pool: &'a mut PinnedPool,
     /// Use the copy-optimized P4 transfer plan.
     pub copy_optimized: bool,
     /// Timing-only mode: charge every cost but skip all numeric work and
-    /// data movement. Requires the machine's GPU and the pool to be in
+    /// data movement. Requires the device and the pool to be in
     /// virtual mode (see [`estimate_fu_time`]). The front may be a dummy.
     pub timing_only: bool,
     /// Dense-engine thread width for this call, from the tree runtime's
@@ -250,7 +252,7 @@ pub(crate) fn try_dispatch_gpu<T: Scalar>(
         // restores the caller's cap once the whole run finishes.
         mf_dense::set_num_threads(w);
     }
-    let requested = if ctx.machine.gpu.is_some() { policy } else { PolicyKind::P1 };
+    let requested = if ctx.gpu.is_some() { policy } else { PolicyKind::P1 };
     let attempt = match requested {
         PolicyKind::P1 => {
             fu_p1(front, ctx)?;
@@ -506,7 +508,8 @@ pub fn estimate_fu_time(
     for _pass in 0..2 {
         machine.reset();
         let mut ctx = FuContext {
-            machine,
+            host: &mut machine.host,
+            gpu: machine.gpu.as_mut(),
             pool: &mut pool,
             copy_optimized,
             timing_only: true,
@@ -604,7 +607,7 @@ fn cpu_syrk<T: Scalar>(front: &mut Front<'_, T>, host: &mut HostClock, charge_on
 
 fn fu_p1<T: Scalar>(front: &mut Front<'_, T>, ctx: &mut FuContext<'_>) -> Result<(), FuError> {
     let timing = ctx.timing_only;
-    let host = &mut ctx.machine.host;
+    let host = &mut *ctx.host;
     // A small front takes one fused pass over its columns instead of three
     // kernel dispatches — the same arithmetic in the same order — and then
     // only the kernels' charges remain to be issued (`charge_only`).
@@ -691,13 +694,12 @@ fn update_apply_bytes<T: Scalar>(m: usize) -> usize {
 }
 
 /// Destructure the context into independently borrowable pieces. Panics if
-/// the machine has no GPU (callers check before dispatching GPU policies).
+/// it carries no device (callers check before dispatching GPU policies).
 fn split_ctx<'b>(
     ctx: &'b mut FuContext<'_>,
 ) -> (&'b mut HostClock, &'b mut Gpu, &'b mut PinnedPool) {
-    let (host, gpu) =
-        ctx.machine.host_and_gpu().expect("GPU policy dispatched on a CPU-only machine");
-    (host, gpu, ctx.pool)
+    let gpu = ctx.gpu.as_deref_mut().expect("GPU policy dispatched on a CPU-only machine");
+    (ctx.host, gpu, ctx.pool)
 }
 
 // ----- P2 --------------------------------------------------------------------
@@ -710,7 +712,7 @@ fn dispatch_p2<T: Scalar>(
     let m = s - k;
     let timing = ctx.timing_only;
     if m == 0 {
-        cpu_potrf(front, &mut ctx.machine.host, timing)?;
+        cpu_potrf(front, ctx.host, timing)?;
         return Ok(PendingState::Done);
     }
 
@@ -781,7 +783,7 @@ fn dispatch_p3<T: Scalar>(
     let m = s - k;
     let timing = ctx.timing_only;
     if m == 0 {
-        cpu_potrf(front, &mut ctx.machine.host, timing)?;
+        cpu_potrf(front, ctx.host, timing)?;
         return Ok(PendingState::Done);
     }
     let (host, gpu, pool) = split_ctx(ctx);
@@ -1096,7 +1098,8 @@ mod tests {
         let mut data = spd_data(s, seed);
         let mut front = Front { s, k, data: &mut data };
         let mut ctx = FuContext {
-            machine: &mut machine,
+            host: &mut machine.host,
+            gpu: machine.gpu.as_mut(),
             pool: &mut pool,
             copy_optimized: false,
             timing_only: false,
@@ -1165,7 +1168,8 @@ mod tests {
                 data[bad + bad * s] = -50.0;
                 let mut front = Front { s, k, data: &mut data };
                 let mut ctx = FuContext {
-                    machine: &mut machine,
+                    host: &mut machine.host,
+                    gpu: machine.gpu.as_mut(),
                     pool: &mut pool,
                     copy_optimized: false,
                     timing_only: false,
@@ -1208,7 +1212,8 @@ mod tests {
         let mut data = spd_data(64, 21);
         let mut front = Front { s: 64, k: 16, data: &mut data };
         let mut ctx = FuContext {
-            machine: &mut machine,
+            host: &mut machine.host,
+            gpu: machine.gpu.as_mut(),
             pool: &mut pool,
             copy_optimized: false,
             timing_only: false,
@@ -1229,7 +1234,8 @@ mod tests {
         let mut data = spd_data(30, 2);
         let mut front = Front { s: 30, k: 10, data: &mut data };
         let mut ctx = FuContext {
-            machine: &mut machine,
+            host: &mut machine.host,
+            gpu: machine.gpu.as_mut(),
             pool: &mut pool,
             copy_optimized: false,
             timing_only: false,
@@ -1249,7 +1255,8 @@ mod tests {
             let mut data = spd_data(s, 31);
             let mut front = Front { s, k, data: &mut data };
             let mut ctx = FuContext {
-                machine: &mut machine,
+                host: &mut machine.host,
+                gpu: machine.gpu.as_mut(),
                 pool: &mut pool,
                 copy_optimized: opt,
                 timing_only: false,
@@ -1270,7 +1277,8 @@ mod tests {
         let mut data = spd_data(s, 41);
         let mut front = Front { s, k, data: &mut data };
         let mut ctx = FuContext {
-            machine: &mut machine,
+            host: &mut machine.host,
+            gpu: machine.gpu.as_mut(),
             pool: &mut pool,
             copy_optimized: true,
             timing_only: false,
@@ -1300,7 +1308,8 @@ mod tests {
         let mut data = spd_data(s, 17);
         let mut front = Front { s, k, data: &mut data };
         let mut ctx = FuContext {
-            machine: &mut machine,
+            host: &mut machine.host,
+            gpu: machine.gpu.as_mut(),
             pool: &mut pool,
             copy_optimized: false,
             timing_only: false,
@@ -1326,7 +1335,8 @@ mod tests {
                 let mut data = a.as_slice().to_vec();
                 let mut front = Front { s: 150, k: 60, data: &mut data };
                 let mut ctx = FuContext {
-                    machine: &mut machine,
+                    host: &mut machine.host,
+                    gpu: machine.gpu.as_mut(),
                     pool: &mut pool,
                     copy_optimized: false,
                     timing_only: false,
@@ -1378,7 +1388,8 @@ mod tests {
                 let mut data = spd_data(s, 63);
                 let mut front = Front { s, k, data: &mut data };
                 let mut ctx = FuContext {
-                    machine: &mut machine,
+                    host: &mut machine.host,
+                    gpu: machine.gpu.as_mut(),
                     pool: &mut pool,
                     copy_optimized,
                     timing_only: false,
@@ -1422,7 +1433,8 @@ mod tests {
                 .map(|(i, j)| front.at(k + i, k + j))
                 .collect();
             let mut ctx = FuContext {
-                machine: &mut machine,
+                host: &mut machine.host,
+                gpu: machine.gpu.as_mut(),
                 pool: &mut pool,
                 copy_optimized,
                 timing_only: false,
@@ -1457,7 +1469,8 @@ mod tests {
             let mut data = spd_data(100, 51);
             let mut front = Front { s: 100, k: 40, data: &mut data };
             let mut ctx = FuContext {
-                machine: &mut machine,
+                host: &mut machine.host,
+                gpu: machine.gpu.as_mut(),
                 pool: &mut pool,
                 copy_optimized: false,
                 timing_only: false,

@@ -13,15 +13,16 @@
 //! computes data eagerly, only the host's wait and the extraction charges
 //! outstanding).
 //!
-//! Four issuers drive lanes and own nothing of the lifecycle but its order:
-//! the arena loop of [`crate::factor`] (the drain schedule: a window of 0, so
-//! every front finishes before the next assembles), its postorder issuer
-//! (look-ahead and batched P4 runs; timing-only at a window of 0 it rehearses
-//! that drain schedule), [`crate::multigpu`] (one lane per device, peer
-//! exports) and the work-stealing tasks of [`crate::parallel`]. What differs
-//! between them arrives as data: the window, `keep_update`, timing-only, and
-//! the [`FrontSink`] that receives the results. [`Lane::run_front`] and
-//! [`Lane::run_staged`] are the only places a front's phases are sequenced.
+//! Three issuers drive lanes and own nothing of the lifecycle but its order:
+//! the arena loop of [`crate::factor`] (the drain schedule: every front
+//! through [`Lane::run_front`], finished before the next assembles — the
+//! work-stealing tasks of [`crate::parallel`] run theirs the same way), its
+//! postorder issuer (look-ahead and batched P4 runs; timing-only without
+//! look-ahead it rehearses that drain schedule) and [`crate::multigpu`] (one
+//! lane per device, peer exports). What differs between them arrives as
+//! data: staging, `keep_update`, timing-only, and the [`FrontSink`] that
+//! receives the results. [`Lane::run_front`] and [`Lane::run_staged`] are the
+//! only places a front's phases are sequenced.
 //!
 //! Numerics never depend on the schedule: every body runs the same host
 //! operations on the same bytes in the same per-front order whatever is
@@ -232,8 +233,7 @@ pub(crate) struct FrontRan {
     pub outcome: FuOutcome,
     /// Simulated time of the factor-update proper: from entry until the host
     /// has waited for the downloads and applied the update, the extraction
-    /// charges excluded — [`crate::stats::FuRecord::total`]. Only a window of
-    /// 0 finishes the front inside the call; at any other this is not its time.
+    /// charges excluded — [`crate::stats::FuRecord::total`].
     pub total: f64,
 }
 
@@ -254,30 +254,28 @@ impl<T: Scalar> Lane<T> {
     }
 
     /// The whole lifecycle of one assembled front whose buffer the issuer
-    /// keeps, so nothing of it may stay staged: phase 1; then, with nothing
-    /// outstanding on the device (P1, or an `m = 0` P2/P3 pivot), extraction
-    /// on the spot; otherwise phase 2 at once and the lane trimmed to
-    /// `window` fronts in flight. At a window of 0 this is the drain schedule.
+    /// keeps, finished before the call returns — the drain schedule: phase 1;
+    /// then, with nothing outstanding on the device (P1, or an `m = 0` P2/P3
+    /// pivot), extraction on the spot; otherwise phase 2 and the lane drained.
     pub(crate) fn run_front(
         &mut self,
         sn: usize,
         front: &mut Front<'_, T>,
         policy: PolicyKind,
-        window: usize,
         ctx: &mut FuContext<'_>,
         sink: &mut impl FrontSink<T>,
     ) -> Result<FrontRan, FuError> {
         debug_assert!(self.staged.is_none(), "a borrowed front cannot wait behind a staged one");
-        let t0 = ctx.machine.host.now();
+        let t0 = ctx.host.now();
         let pending = self.dispatch(front, policy, ctx, sink)?;
         let outcome = pending.outcome();
         let fu_end = if pending.is_done() {
-            let now = ctx.machine.host.now();
+            let now = ctx.host.now();
             extract_inline(sn, front, ctx, sink);
             now
         } else {
             self.flush_front(sn, front, pending, false, ctx, sink);
-            self.enforce_window(window, ctx)
+            self.enforce_window(0, ctx)
         };
         Ok(FrontRan { outcome, total: fu_end - t0 })
     }
@@ -441,7 +439,7 @@ impl<T: Scalar> Lane<T> {
     /// window of 0 drains the lane. Returns the host time at which the last
     /// of them ended its factor-update (now, when none had to finish).
     pub(crate) fn enforce_window(&mut self, window: usize, ctx: &mut FuContext<'_>) -> f64 {
-        let mut fu_end = ctx.machine.host.now();
+        let mut fu_end = ctx.host.now();
         while self.inflight.len() > window {
             let entry = self.inflight.pop_front().expect("non-empty: len > window >= 0");
             fu_end = finish::<T>(entry, ctx);
@@ -453,7 +451,7 @@ impl<T: Scalar> Lane<T> {
     /// without charging any time, so the caller's machine comes back with
     /// the device as empty as a finished run leaves it.
     pub(crate) fn abandon(&mut self, ctx: &mut FuContext<'_>) {
-        let Some(gpu) = ctx.machine.gpu.as_mut() else { return };
+        let Some(gpu) = ctx.gpu.as_deref_mut() else { return };
         match self.staged.take().map(|st| st.phase1) {
             Some(Phase1::Single(pending)) => pending.abandon(gpu),
             Some(Phase1::Batch(batch)) => batch.abandon(gpu),
@@ -475,8 +473,8 @@ fn extract_inline<T: Scalar>(
     sink: &mut impl FrontSink<T>,
 ) {
     sink.deliver(sn, front, None);
-    charge_panel_extract::<T>(front.s, front.k, &mut ctx.machine.host);
-    charge_update_extract::<T>(front.m(), &mut ctx.machine.host);
+    charge_panel_extract::<T>(front.s, front.k, ctx.host);
+    charge_update_extract::<T>(front.m(), ctx.host);
 }
 
 /// Phase 3 for one entry in flight: the host waits on its `done` event, its
@@ -486,10 +484,10 @@ fn extract_inline<T: Scalar>(
 fn finish<T: Scalar>(entry: Inflight, ctx: &mut FuContext<'_>) -> f64 {
     let Inflight { members, mut pending } = entry;
     finish_fu(&mut pending, ctx);
-    let fu_end = ctx.machine.host.now();
+    let fu_end = ctx.host.now();
     for (_, s, k, m) in members {
-        charge_panel_extract::<T>(s, k, &mut ctx.machine.host);
-        charge_update_extract::<T>(m, &mut ctx.machine.host);
+        charge_panel_extract::<T>(s, k, ctx.host);
+        charge_update_extract::<T>(m, ctx.host);
     }
     fu_end
 }

@@ -50,9 +50,7 @@ pub use factor::{
 pub use features::{raw_features, LinearPolicyModel, NUM_FEATURES};
 pub use frontal::{ChildUpdate, Front};
 pub use fu::{estimate_fu_time, FuError, DEFAULT_PANEL_WIDTH};
-pub use multigpu::{
-    factor_permuted_parallel_multigpu, proportional_map, DeviceMap, MultiGpuOptions,
-};
+pub use multigpu::{proportional_map, DeviceMap, MultiGpuOptions};
 pub use ooc::{
     in_core_bytes, min_feasible_budget, plan_ooc, OocError, OocEvent, OocEventKind, OocPlan,
     OocStats, PrecisionLadder,

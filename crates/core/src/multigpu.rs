@@ -18,8 +18,9 @@
 //! This module is the multi-device *issuer* of the pipelined front lifecycle
 //! of `crate::lane`: it owns the issue order (round-robin over per-device
 //! postorder queues, so a front uploads to one device while another
-//! device's kernels run), which lane a front runs on, the window over a
-//! worker's lanes, and the peer exports between lanes. Above the frontier,
+//! device's kernels run), which lane a front runs on, the window over all
+//! lanes, and the peer exports between lanes. One host timeline drives every
+//! lane; lane `d` is device `d`. Above the frontier,
 //! a front whose children were factored on *other* devices consumes their
 //! packed `m × m` contribution blocks via [`DeviceSet::p2p`] peer copies —
 //! event-chained, on the dedicated peer engine — instead of the
@@ -33,7 +34,7 @@
 //! its children's packed updates in fixed postorder child rank, and runs the
 //! exact per-front kernel sequence of the serial drain driver, so factor
 //! slabs are **bitwise identical** to the serial, pipelined and parallel
-//! drivers at every `(workers × devices)` combination. The peer-copy path
+//! drivers at every device count. The peer-copy path
 //! changes only *simulated time*: the simulator's transfers are eager
 //! memcpys, so reading the still-device-resident update block yields the
 //! same bytes the download path would have produced (pinned by
@@ -43,9 +44,7 @@
 //! resident there), so P1-fallback decisions — the one place scheduling
 //! could touch numerics — match the drain driver exactly.
 
-use crate::factor::{
-    fu_ctx, fu_err_to_factor, pinned_pool, CholeskyFactor, FactorError, FactorOptions,
-};
+use crate::factor::{fu_err_to_factor, pinned_pool, CholeskyFactor, FactorError, FactorOptions};
 use crate::frontal::{charge_update_extract, Front};
 use crate::fu::{FuContext, RemoteUpdate, S_COMPUTE, S_COPY};
 use crate::lane::{FrontSink, FrontStore, Lane};
@@ -53,7 +52,7 @@ use crate::pinned_pool::PinnedPool;
 use crate::policy::PolicyKind;
 use crate::stats::FactorStats;
 use mf_dense::Scalar;
-use mf_gpusim::{CopyMode, DevMat, DeviceSet, Gpu, GpuUtilization, Machine};
+use mf_gpusim::{CopyMode, DevMat, DeviceSet, Gpu, GpuUtilization, HostClock, Machine};
 use mf_sparse::symbolic::SymbolicFactor;
 use mf_sparse::{Permutation, SymCsc};
 use std::collections::VecDeque;
@@ -66,9 +65,10 @@ const S_PEER: usize = 2;
 /// [`FactorOptions::devices`](crate::factor::FactorOptions::devices).
 ///
 /// With `count > 1` on a GPU machine with pipelining enabled,
-/// `factor_permuted`/`factor_permuted_parallel` route to the multi-GPU
-/// driver: the machine's device becomes device 0 of a [`DeviceSet`] of
-/// `count` identically-configured devices.
+/// `factor_permuted` routes to the multi-GPU driver (and
+/// `factor_permuted_parallel` hands the run to `factor_permuted` on its first
+/// GPU machine): the machine's device becomes device 0 of a [`DeviceSet`] of
+/// `count` identically-configured devices fed from its host timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MultiGpuOptions {
     /// Number of simulated devices. `1` (the default) keeps the
@@ -208,11 +208,11 @@ pub fn proportional_map(symbolic: &SymbolicFactor, ndev: usize) -> DeviceMap {
     DeviceMap { device_of, issue_order, load }
 }
 
-/// Fronts one worker keeps in flight over all its devices before its host
-/// waits for the oldest (never fewer than it has devices, so every device
-/// can hold work). At 2 and 4 devices on plate 120², cube 16³ and elasticity
-/// 10³ (f32, fixed P2/P3/P4 and the baseline hybrid) windows of 2, 4 and 16
-/// land within 3 % of 8 with no consistent sign.
+/// Fronts the host keeps in flight over all devices before it waits for the
+/// oldest (never fewer than there are devices, so every device can hold
+/// work). At 2 and 4 devices on plate 120², cube 16³ and elasticity 10³ (f32,
+/// fixed P2/P3/P4 and the baseline hybrid) windows of 2, 4 and 16 land within
+/// 3 % of 8 with no consistent sign.
 const LOOK_AHEAD: usize = 8;
 
 /// Consume cross-device child updates by peer copy rather than through the
@@ -222,23 +222,6 @@ const LOOK_AHEAD: usize = 8;
 /// landing buffer that does not fit, an OOM retry on the producing device
 /// ([`evict`]).
 const PEER_EXTEND_ADD: bool = true;
-
-/// One driving worker: a host timeline and the devices it owns, one
-/// [`Lane`] each. The worker's [`Machine`] holds no device between lane
-/// calls — a device is taken out of `set` for exactly the duration of each
-/// call ([`MgRun::on_lane`]) and restored immediately after.
-struct WorkerState<'m, T> {
-    machine: &'m mut Machine,
-    set: DeviceSet,
-    /// Global device ids of this worker's lanes (`devs[lane]`), ascending.
-    devs: Vec<usize>,
-    pool: PinnedPool,
-    lanes: Vec<Lane<T>>,
-    /// Supernodes in the order their fronts went in flight on any lane —
-    /// the worker-wide FIFO behind the look-ahead window. Entries already
-    /// finished (a parent consumed them) are skipped when popped.
-    order: VecDeque<usize>,
-}
 
 /// What a lane of the multi-GPU run delivers into: the shared front store,
 /// plus the update blocks left device-resident for a peer-copy extend-add.
@@ -272,35 +255,40 @@ impl<T: Scalar> FrontSink<T> for MgSink<'_, '_, T> {
 }
 
 /// Host-staging fallback for one exported update, on its producing device
-/// (installed in `ctx`): an event-gated d2h into a pooled pinned slot (bytes
+/// (the one in `ctx`): an event-gated d2h into a pooled pinned slot (bytes
 /// already live on the host — only the transfer's simulated time matters)
 /// plus the update-extract charge its producer skipped, then the device
 /// buffer frees.
 fn evict<T: Scalar>(ru: RemoteUpdate, ctx: &mut FuContext<'_>) {
-    let slot = ctx.pool.lease(ru.m * ru.m, &mut ctx.machine.host);
-    let (host, gpu) = ctx.machine.host_and_gpu().expect("lane device present");
+    let slot = ctx.pool.lease(ru.m * ru.m, ctx.host);
+    let gpu = ctx.gpu.as_deref_mut().expect("lane calls carry their device");
     let copy = gpu.stream(S_COPY);
     gpu.wait_event(copy, ru.ready);
-    gpu.d2h(copy, ru.view, ru.m, ru.m, ctx.pool.slot_mut(slot), ru.m, true, CopyMode::Async, host);
+    let dst = ctx.pool.slot_mut(slot);
+    gpu.d2h(copy, ru.view, ru.m, ru.m, dst, ru.m, true, CopyMode::Async, ctx.host);
     let ev = gpu.record_event(copy);
-    ctx.pool.retire(slot, ev.0, host);
+    ctx.pool.retire(slot, ev.0, ctx.host);
     let _ = gpu.free(ru.buf);
-    charge_update_extract::<T>(ru.m, host);
+    charge_update_extract::<T>(ru.m, ctx.host);
 }
 
-/// Whole-run state of the multi-GPU issuer: the issue order, which lane a
-/// front runs on, and the peer exports between lanes. The lifecycle of each
-/// front is [`crate::lane`]'s.
+/// Whole-run state of the multi-GPU issuer: one host timeline, one [`Lane`]
+/// per device of `set` (lane `d` drives device `d`), the issue order and the
+/// peer exports between lanes. The lifecycle of each front is
+/// [`crate::lane`]'s.
 struct MgRun<'a, 'm, T> {
     a: &'a SymCsc<T>,
     symbolic: &'a SymbolicFactor,
     opts: &'a FactorOptions,
     map: DeviceMap,
-    /// Driving worker of each global device.
-    worker_of: Vec<usize>,
-    /// Lane index of each global device within its worker's set.
-    lane_of: Vec<usize>,
-    ws: Vec<WorkerState<'m, T>>,
+    host: &'m mut HostClock,
+    set: DeviceSet,
+    pool: PinnedPool,
+    lanes: Vec<Lane<T>>,
+    /// Supernodes in the order their fronts went in flight on any lane —
+    /// the FIFO behind the look-ahead window. Entries already finished (a
+    /// parent consumed them) are skipped when popped.
+    order: VecDeque<usize>,
     /// Slab and host-side packed updates (always produced — the
     /// authoritative numerics).
     store: FrontStore<'a, T>,
@@ -310,54 +298,44 @@ struct MgRun<'a, 'm, T> {
 }
 
 impl<'a, T: Scalar> MgRun<'a, '_, T> {
-    /// Worker and lane of the device that owns `sn`.
-    fn home(&self, sn: usize) -> (usize, usize) {
-        let dev = self.map.device_of[sn];
-        (self.worker_of[dev], self.lane_of[dev])
-    }
-
-    /// Run `f` on lane `lane` of worker `w` with the lane's device installed
-    /// in the worker's machine.
+    /// Run `f` on lane `lane` against the host clock and device `lane`.
     fn on_lane<R>(
         &mut self,
-        w: usize,
         lane: usize,
         f: impl FnOnce(&mut Lane<T>, &mut FuContext<'_>, &mut MgSink<'_, 'a, T>) -> R,
     ) -> R {
-        let ws = &mut self.ws[w];
-        debug_assert!(ws.machine.gpu.is_none(), "device take/restore must nest");
-        ws.machine.gpu = Some(ws.set.take(lane));
         let mut sink = MgSink {
             store: &mut self.store,
             exports: &mut self.exports,
-            order: &mut ws.order,
+            order: &mut self.order,
             device_of: &self.map.device_of,
-            dev: ws.devs[lane],
+            dev: lane,
         };
-        let mut ctx = fu_ctx(ws.machine, &mut ws.pool, self.opts, None, false);
-        let r = f(&mut ws.lanes[lane], &mut ctx, &mut sink);
-        let gpu = ws.machine.gpu.take().expect("lane calls leave the device installed");
-        ws.set.restore(lane, gpu);
-        r
+        let mut ctx = FuContext {
+            host: self.host,
+            gpu: Some(self.set.device_mut(lane)),
+            pool: &mut self.pool,
+            copy_optimized: self.opts.copy_optimized,
+            timing_only: false,
+            kernel_threads: None,
+        };
+        f(&mut self.lanes[lane], &mut ctx, &mut sink)
     }
 
     fn run(&mut self) -> Result<(), FactorError> {
         let order = self.map.issue_order.clone();
         let issued = order.into_iter().try_for_each(|sn| self.step(sn));
-        for w in 0..self.ws.len() {
-            for lane in 0..self.ws[w].lanes.len() {
-                self.on_lane(w, lane, |l, ctx, sink| match issued {
-                    Ok(()) => l.flush(ctx, sink),
-                    Err(_) => l.abandon(ctx),
-                });
-            }
-            self.trim_window(w, 0);
+        for lane in 0..self.lanes.len() {
+            self.on_lane(lane, |l, ctx, sink| match issued {
+                Ok(()) => l.flush(ctx, sink),
+                Err(_) => l.abandon(ctx),
+            });
         }
+        self.trim_window(0);
         if issued.is_err() {
             for c in 0..self.exports.len() {
                 if let Some(ru) = self.exports[c].take() {
-                    let (w, lane) = self.home(c);
-                    let _ = self.ws[w].set.device_mut(lane).free(ru.buf);
+                    let _ = self.set.device_mut(self.map.device_of[c]).free(ru.buf);
                 }
             }
         }
@@ -371,53 +349,51 @@ impl<'a, T: Scalar> MgRun<'a, '_, T> {
     fn step(&mut self, sn: usize) -> Result<(), FactorError> {
         let info = &self.symbolic.supernodes[sn];
         let (s, k, m) = (info.front_size(), info.k(), info.m());
-        let (w, lane) = self.home(sn);
-        self.ready_children(sn, w);
-        let buf = self.store.assemble(self.a, sn, &mut self.ws[w].machine.host);
+        let lane = self.map.device_of[sn];
+        self.ready_children(sn);
+        let buf = self.store.assemble(self.a, sn, self.host);
         let policy = self.opts.selector.choose(sn, m, k);
-        self.consume_child_exports(sn, w, lane, policy);
+        self.consume_child_exports(sn, lane, policy);
         // Structure and selector alone decide it, so it is known before the
         // dispatch; a front that leaves nothing on the device ignores it.
-        let keep_update = self.exports_update(sn, w);
+        let keep_update = self.exports_update(sn);
         let outcome = self
-            .on_lane(w, lane, |l, ctx, sink| {
+            .on_lane(lane, |l, ctx, sink| {
                 l.run_staged((sn, s, k, buf), policy, keep_update, ctx, sink)
             })
             .map_err(|e| fu_err_to_factor(info.col_start, e))?;
         self.oom_fallbacks += usize::from(outcome.oom_fallback);
-        self.trim_window(w, LOOK_AHEAD.max(self.ws[w].lanes.len()));
+        self.trim_window(LOOK_AHEAD.max(self.lanes.len()));
         Ok(())
     }
 
     /// Whether `sn`'s update block stays on its device for its parent to
-    /// peer-copy: the parent lives on another device of the same worker and
-    /// will itself run on the GPU.
-    fn exports_update(&self, sn: usize, w: usize) -> bool {
+    /// peer-copy: the parent lives on another device and will itself run on
+    /// the GPU.
+    fn exports_update(&self, sn: usize) -> bool {
         let info = &self.symbolic.supernodes[sn];
         let parent = info.parent;
         PEER_EXTEND_ADD && info.m() > 0 && parent != usize::MAX && {
-            let pdev = self.map.device_of[parent];
             let pi = &self.symbolic.supernodes[parent];
-            pdev != self.map.device_of[sn]
-                && self.worker_of[pdev] == w
+            self.map.device_of[parent] != self.map.device_of[sn]
                 && self.opts.selector.choose(parent, pi.m(), pi.k()) != PolicyKind::P1
         }
     }
 
     /// Make `sn`'s child updates consumable. Children staged anywhere flush
     /// (producing their update data and, cross-device, their exports). A
-    /// same-worker, non-exported in-flight child costs a host *event wait*;
-    /// an exported child costs nothing here — its ordering flows through
-    /// the peer-copy event on the consumer device, which is exactly the
-    /// cross-device look-ahead. Children of another worker carry no timing
-    /// edge (the parallel driver's convention for cross-worker hand-off).
-    fn ready_children(&mut self, sn: usize, w: usize) {
+    /// non-exported in-flight child costs a host *event wait*; an exported
+    /// child costs nothing here — its ordering flows through the peer-copy
+    /// event on the consumer device, which is exactly the cross-device
+    /// look-ahead.
+    fn ready_children(&mut self, sn: usize) {
         for &c in self.symbolic.children(sn) {
-            let (cw, clane) = self.home(c);
-            self.on_lane(cw, clane, |l, ctx, sink| l.flush_if_holds(|x| x == c, ctx, sink));
-            if cw == w && self.exports[c].is_none() {
-                self.on_lane(w, clane, |l, ctx, _| l.finish_holding(|x| x == c, ctx));
-            }
+            self.on_lane(self.map.device_of[c], |l, ctx, sink| {
+                l.flush_if_holds(|x| x == c, ctx, sink);
+                if sink.exports[c].is_none() {
+                    l.finish_holding(|x| x == c, ctx);
+                }
+            });
         }
     }
 
@@ -428,145 +404,94 @@ impl<'a, T: Scalar> MgRun<'a, '_, T> {
     /// the CPU or the landing allocation does not fit. Data-wise this is a
     /// no-op — the host already holds the authoritative update — so only
     /// the simulated timeline moves.
-    fn consume_child_exports(&mut self, sn: usize, w: usize, lane: usize, policy: PolicyKind) {
+    fn consume_child_exports(&mut self, sn: usize, lane: usize, policy: PolicyKind) {
         for &c in self.symbolic.children(sn) {
             let Some(ru) = self.exports[c].take() else { continue };
-            let (cw, clane) = self.home(c);
-            debug_assert_eq!(cw, w, "exports never cross workers");
-            let ws = &mut self.ws[w];
-            let landing = if policy == PolicyKind::P1 || clane == lane {
+            let clane = self.map.device_of[c];
+            let set = &mut self.set;
+            let landing = if policy == PolicyKind::P1 {
                 None
             } else {
-                ws.set.device_mut(lane).alloc(ru.m * ru.m).ok()
+                set.device_mut(lane).alloc(ru.m * ru.m).ok()
             };
             let Some(dst) = landing else {
-                self.on_lane(w, clane, |_, ctx, _| evict::<T>(ru, ctx));
+                self.on_lane(clane, |_, ctx, _| evict::<T>(ru, ctx));
                 continue;
             };
-            let dst_stream = ws.set.device_mut(lane).stream(S_PEER);
-            let ev = ws.set.p2p(
-                clane,
-                ru.view,
-                lane,
-                dst_stream,
-                DevMat::whole(dst, ru.m),
-                ru.m,
-                ru.m,
-                ru.ready,
-                &mut ws.machine.host,
-            );
-            let cs = ws.set.device_mut(lane).stream(S_COMPUTE);
-            ws.set.device_mut(lane).wait_event(cs, ev);
+            let dst_stream = set.device_mut(lane).stream(S_PEER);
+            let dst_view = DevMat::whole(dst, ru.m);
+            let ev = set
+                .p2p(clane, ru.view, lane, dst_stream, dst_view, ru.m, ru.m, ru.ready, self.host);
+            let cs = set.device_mut(lane).stream(S_COMPUTE);
+            set.device_mut(lane).wait_event(cs, ev);
             // The copy's timing is scheduled; the allocator is timeless, so
             // free both endpoints now — `sn`'s own dispatch must see the
             // same free memory the serial drain driver would.
-            let _ = ws.set.device_mut(lane).free(dst);
-            let _ = ws.set.device_mut(clane).free(ru.buf);
+            let _ = set.device_mut(lane).free(dst);
+            let _ = set.device_mut(clane).free(ru.buf);
         }
     }
 
-    /// Finish worker `w`'s oldest fronts, over all its lanes, until at most
-    /// `window` remain in flight.
-    fn trim_window(&mut self, w: usize, window: usize) {
-        while self.ws[w].lanes.iter().map(Lane::outstanding).sum::<usize>() > window {
-            let sn = self.ws[w].order.pop_front().expect("every front in flight is in the order");
-            let (_, lane) = self.home(sn);
-            self.on_lane(w, lane, |l, ctx, _| l.finish_holding(|x| x == sn, ctx));
+    /// Finish the oldest fronts, over all lanes, until at most `window`
+    /// remain in flight.
+    fn trim_window(&mut self, window: usize) {
+        while self.lanes.iter().map(Lane::outstanding).sum::<usize>() > window {
+            let sn = self.order.pop_front().expect("every front in flight is in the order");
+            let lane = self.map.device_of[sn];
+            self.on_lane(lane, |l, ctx, _| l.finish_holding(|x| x == sn, ctx));
         }
     }
 }
 
-/// The multi-GPU entry, reached from [`crate::factor::factor_permuted`]
-/// (one machine) and [`crate::parallel::factor_permuted_parallel`] when
-/// `devices.count > 1` with pipelining enabled on a GPU machine: devices are
-/// dealt round-robin over the GPU-bearing machines (device `d` → worker
-/// `d mod workers`), each worker cooperatively driving its lanes. A
-/// machine's own device drives its lane 0; the rest of its
-/// [`DeviceSet`] are identical devices fed from the same host timeline.
-///
-/// Worker host timelines are independent — cross-worker child hand-offs
-/// carry no timing edge, exactly the work-stealing parallel driver's
-/// convention — so a sequential cooperative schedule reproduces the same
-/// per-worker clocks a threaded interleaving would, and the reported
-/// `total_time` is the max over workers after all devices drain. Factor
-/// slabs are bitwise identical to the serial driver at every
-/// `(workers × devices)` combination (see the module docs).
-pub fn factor_permuted_parallel_multigpu<T: Scalar>(
+/// The multi-GPU driver [`crate::factor::factor_permuted`] routes to when
+/// `devices.count > 1` with pipelining enabled on a GPU machine (the parallel
+/// entry hands such runs to it too). The machine's own device becomes device
+/// 0 of a [`DeviceSet`] of `count` identical devices, all fed from the
+/// machine's host timeline, and moves back when the run ends, error or not.
+/// Factor slabs are bitwise identical to the serial driver at every device
+/// count (see the module docs).
+pub(crate) fn factor_permuted_multigpu<T: Scalar>(
     a: &SymCsc<T>,
     symbolic: &SymbolicFactor,
     perm: &Permutation,
-    machines: &mut [Machine],
+    machine: &mut Machine,
     opts: &FactorOptions,
 ) -> Result<(CholeskyFactor<T>, FactorStats), FactorError> {
     let ndev = opts.devices.count.max(1);
     let wall0 = std::time::Instant::now();
-    let mut drivers: Vec<&mut Machine> = machines.iter_mut().filter(|m| m.gpu.is_some()).collect();
-    assert!(!drivers.is_empty(), "multi-GPU factorization needs a GPU machine");
-    drivers.truncate(ndev);
-    let nw = drivers.len();
-
-    let mut worker_of = vec![0usize; ndev];
-    let mut lane_of = vec![0usize; ndev];
-    let mut devs_per_worker: Vec<Vec<usize>> = vec![Vec::new(); nw];
-    for d in 0..ndev {
-        let w = d % nw;
-        worker_of[d] = w;
-        lane_of[d] = devs_per_worker[w].len();
-        devs_per_worker[w].push(d);
-    }
-
-    let mut ws: Vec<WorkerState<'_, T>> = Vec::with_capacity(nw);
-    for (machine, devs) in drivers.into_iter().zip(devs_per_worker) {
-        let own = machine.gpu.take().expect("driver machines carry a device");
-        let cfg = own.config().clone();
-        let mut gpus = vec![own];
-        gpus.resize_with(devs.len(), || Gpu::new(cfg.clone()));
-        ws.push(WorkerState {
-            machine,
-            set: DeviceSet::from_gpus(gpus),
-            lanes: devs.iter().map(|_| Lane::new()).collect(),
-            devs,
-            pool: pinned_pool(opts),
-            order: VecDeque::new(),
-        });
-    }
+    let own = machine.gpu.take().expect("multi-GPU factorization needs a GPU machine");
+    let cfg = own.config().clone();
+    let mut gpus = vec![own];
+    gpus.resize_with(ndev, || Gpu::new(cfg.clone()));
 
     let mut run = MgRun {
         a,
         symbolic,
         opts,
         map: proportional_map(symbolic, ndev),
-        worker_of,
-        lane_of,
-        ws,
+        host: &mut machine.host,
+        set: DeviceSet::from_gpus(gpus),
+        pool: pinned_pool(opts),
+        lanes: (0..ndev).map(|_| Lane::new()).collect(),
+        order: VecDeque::new(),
         store: FrontStore::new(symbolic, false),
         exports: vec![None; symbolic.num_supernodes()],
         oom_fallbacks: 0,
     };
     let result = run.run();
 
-    // Stats and device restoration happen whether or not the run errored,
-    // so callers always get their machines back intact.
-    let mut total = 0.0f64;
-    for ws in run.ws.iter_mut() {
-        ws.set.sync_all(&mut ws.machine.host);
-        total = total.max(ws.machine.host.now());
-    }
-    let mut per_dev = vec![GpuUtilization::default(); ndev];
+    // Stats and the device's way back happen whether or not the run errored,
+    // so callers always get their machine back intact.
+    run.set.sync_all(run.host);
+    let total = run.host.now();
+    let per_dev: Vec<GpuUtilization> =
+        (0..ndev).map(|d| run.set.device(d).utilization(total)).collect();
     let mut agg = GpuUtilization::default();
-    let mut peer = 0usize;
-    for wsi in run.ws.iter() {
-        for (lane, &d) in wsi.devs.iter().enumerate() {
-            let u = wsi.set.device(lane).utilization(total);
-            agg.merge(&u);
-            per_dev[d] = u;
-        }
-        peer += wsi.set.peer_bytes();
+    for u in &per_dev {
+        agg.merge(u);
     }
-    for w in run.ws.iter_mut() {
-        debug_assert!(w.machine.gpu.is_none());
-        w.machine.gpu = Some(w.set.take(0));
-    }
+    let peer_bytes = run.set.peer_bytes();
+    machine.gpu = Some(run.set.take(0));
     result?;
     let stats = FactorStats {
         oom_fallbacks: run.oom_fallbacks,
@@ -575,7 +500,7 @@ pub fn factor_permuted_parallel_multigpu<T: Scalar>(
         total_time: total,
         gpu: Some(agg),
         gpu_devices: per_dev,
-        peer_bytes: peer,
+        peer_bytes,
         wall_time: wall0.elapsed().as_secs_f64(),
         ..Default::default()
     };

@@ -24,20 +24,22 @@
 //! This module owns the task graph, the hand-off slots between tasks and
 //! the per-worker state. What a task does to a front is not its own: a
 //! `Subtree` task is the arena loop of [`crate::factor`]
-//! (`FrontRun::factor_range`), and a `Whole` task runs its front through the
-//! worker's `crate::lane::Lane` — at a window of 0, or with fronts left in
-//! flight on the worker's own device under pipelined dispatch.
+//! (`FrontRun::factor_range`), and a `Whole` task runs its front through
+//! `crate::lane::Lane::run_front` — the drain schedule, the only one the
+//! workers run. Pipelined and multi-device runs keep fronts in flight on one
+//! host timeline, so the entry hands them to
+//! [`factor_permuted`](crate::factor::factor_permuted).
 //!
 //! The model predicts; the runtime measures: `benchmark/`'s `plate2d_par2`
 //! workload reports the measured side as `runtime.par2_speedup.*`.
 
 use crate::arena::FrontArena;
 use crate::factor::{
-    fu_ctx, fu_err_to_factor, ooc_plan, pinned_pool, route, stop_recording, CholeskyFactor,
-    FactorError, FactorOptions, FrontRun, Route, SharedSlice, SnOutcome,
+    factor_permuted, fu_ctx, fu_err_to_factor, ooc_plan, pinned_pool, route, stop_recording,
+    CholeskyFactor, FactorError, FactorOptions, FrontRun, Route, SharedSlice, SnOutcome,
 };
 use crate::frontal::{assemble_front_into, Front};
-use crate::lane::{child_views, extract_front, take_children, Lane, PIPELINE_DEPTH};
+use crate::lane::{child_views, extract_front, take_children, Lane};
 use crate::pinned_pool::PinnedPool;
 use crate::policy::PolicyKind;
 use crate::stats::{FactorStats, FuRecord};
@@ -241,12 +243,6 @@ struct WorkerCtx<'m, T> {
     peak_front: usize,
     /// Front-storage heap allocations this worker performed.
     allocs: u64,
-    /// The pipeline of this worker's own device, which every `Whole` task
-    /// runs its front through. A front is flushed in the task that
-    /// dispatched it (its buffer is the worker's reusable one), so nothing is
-    /// ever staged here; under pipelined dispatch the host waits and the
-    /// extraction charges stay outstanding across tasks, otherwise nothing.
-    lane: Lane<T>,
 }
 
 /// Factor an already-permuted matrix in parallel across the elimination
@@ -262,8 +258,9 @@ struct WorkerCtx<'m, T> {
 /// buffered and consumed by the parent's extend-add in postorder child rank
 /// — the same order and the same `crate::lane` body as the serial
 /// driver, which makes the result **bitwise identical** to
-/// [`crate::factor::factor_permuted`] at every worker count. Pipelined
-/// dispatch keeps one task per front.
+/// [`factor_permuted`] at every worker count. A run that keeps fronts in
+/// flight (pipelining, several devices) is [`factor_permuted`]'s on the first
+/// GPU machine; the others are left untouched.
 ///
 /// Returned [`FactorStats`]: `records` are merged back into postorder,
 /// `total_time` is the maximum per-worker simulated clock, and `wall_time`
@@ -279,14 +276,14 @@ pub fn factor_permuted_parallel<T: Scalar>(
 ) -> Result<(CholeskyFactor<T>, FactorStats), FactorError> {
     let workers = machines.len();
     assert!(workers >= 1, "need at least one worker machine");
-    // Multi-device runs route to the cooperative multi-GPU driver: devices
-    // are dealt round-robin over the GPU-bearing machines, and
-    // `ParallelOptions` (a tree-level work-stealing knob) does not apply.
-    let route = route(opts, machines.iter().any(|m| m.gpu.is_some()));
-    if route == Route::MultiGpu {
-        return crate::multigpu::factor_permuted_parallel_multigpu(
-            a, symbolic, perm, machines, opts,
-        );
+    // Fronts in flight share one host timeline: the serial entry drives
+    // them, and `ParallelOptions` (a tree-level work-stealing knob) does not
+    // apply.
+    let first_gpu = machines.iter().position(|m| m.gpu.is_some());
+    if let (Route::Pipelined | Route::MultiGpu, Some(g)) =
+        (route(opts, first_gpu.is_some()), first_gpu)
+    {
+        return factor_permuted(a, symbolic, perm, &mut machines[g], opts);
     }
     let nsn = symbolic.num_supernodes();
     let wall0 = Instant::now();
@@ -304,23 +301,14 @@ pub fn factor_permuted_parallel<T: Scalar>(
         rank[sn] = r;
     }
 
-    // Pipelined dispatch (per worker, against its own device). Per-call
-    // records are not collected in this mode — with fronts overlapping on
-    // the device, per-front time attribution is ill-defined.
-    let pipelined = route == Route::Pipelined;
-
     // Bottom subtrees: runs of CPU fronts small enough to stay in cache,
     // each factored front to back by one task. Decided from the symbolic
     // structure and the policy selector alone — deterministic and known
     // before the run starts.
-    let ranges = if pipelined {
-        Vec::new()
-    } else {
-        symbolic.bottom_subtrees(T::BYTES, |sn| {
-            let info = &symbolic.supernodes[sn];
-            opts.selector.choose(sn, info.m(), info.k()) == PolicyKind::P1
-        })
-    };
+    let ranges = symbolic.bottom_subtrees(T::BYTES, |sn| {
+        let info = &symbolic.supernodes[sn];
+        opts.selector.choose(sn, info.m(), info.k()) == PolicyKind::P1
+    });
 
     /// One node of the task graph.
     #[derive(Clone, Copy)]
@@ -401,7 +389,7 @@ pub fn factor_permuted_parallel<T: Scalar>(
     let states: Vec<WorkerCtx<'_, T>> = machines
         .iter_mut()
         .map(|machine| {
-            machine.set_recording(opts.record_stats && !(pipelined && machine.gpu.is_some()));
+            machine.set_recording(opts.record_stats);
             WorkerCtx {
                 machine,
                 pool: pinned_pool(opts),
@@ -412,7 +400,6 @@ pub fn factor_permuted_parallel<T: Scalar>(
                 rel: Vec::new(),
                 peak_front: 0,
                 allocs: 0,
-                lane: Lane::new(),
             }
         })
         .collect();
@@ -465,14 +452,6 @@ pub fn factor_permuted_parallel<T: Scalar>(
         }
         let info = &symbolic.supernodes[sn];
         let (s, k) = (info.front_size(), info.k());
-        // Event-wait on this worker's in-flight fronts that are children of
-        // `sn` (there are none but under pipelined dispatch) — a wait on each
-        // child's d2h completion event, not a device drain. Children run by
-        // other workers carry no timing edge here: worker timelines are
-        // independent, exactly as without pipelining.
-        let kids = symbolic.children(sn);
-        let mut ctx = fu_ctx(st.machine, &mut st.pool, opts, None, false);
-        st.lane.finish_holding(|c| kids.contains(&c), &mut ctx);
         // Gather buffered child updates in postorder child rank — the order
         // the serial driver consumes them, which keeps the extend-add
         // reduction (and hence the factor bits) identical. The dependency
@@ -504,21 +483,16 @@ pub fn factor_permuted_parallel<T: Scalar>(
             &mut st.rel,
             &mut st.machine.host,
         );
-        // The lifecycle of `crate::lane` against this worker's machine. On
-        // its own device under pipelined dispatch the host-blocking phase 3
-        // is deferred until a dependent task, the window, or the end-of-run
-        // drain forces it — so this worker's CPU work on later tasks overlaps
-        // its own device; otherwise the front finishes here.
-        let on_gpu = pipelined && st.machine.gpu.is_some();
-        let window = if on_gpu { PIPELINE_DEPTH } else { 0 };
+        // The drain lifecycle of `crate::lane` against this worker's machine:
+        // the front finishes here.
         let mut update = None;
         let mut sink = |_: usize, front: &Front<'_, T>| update = extract_front(front, panel_out);
         let policy = opts.selector.choose(sn, s - k, k);
         let mut ctx = fu_ctx(st.machine, &mut st.pool, opts, Some(width), false);
-        let ran = st.lane.run_front(sn, &mut front, policy, window, &mut ctx, &mut sink);
+        let ran = Lane::new().run_front(sn, &mut front, policy, &mut ctx, &mut sink);
         budget.end();
         let ran = ran.map_err(|e| fu_err_to_factor(info.col_start, e))?;
-        let out = SnOutcome::close(sn, symbolic, ran, st.machine, opts.record_stats && !on_gpu);
+        let out = SnOutcome::close(sn, symbolic, ran, st.machine, opts.record_stats);
         st.oom += usize::from(out.oom_fallback);
         st.records.extend(out.record.map(|rec| (rank[sn], rec)));
         // The end of a task-level supernode: its panel is in the slab and
@@ -541,12 +515,6 @@ pub fn factor_permuted_parallel<T: Scalar>(
     // front_alloc_events starts at 1 for the factor slab.
     let mut stats = FactorStats { front_alloc_events: 1, ..Default::default() };
     for st in states.iter_mut() {
-        // Pipelined mode: drain any fronts still in flight (timing only —
-        // the data landed at enqueue time), so per-worker clocks include
-        // their d2h completions and every device comes back empty, error or
-        // not.
-        let mut ctx = fu_ctx(st.machine, &mut st.pool, opts, None, false);
-        st.lane.enforce_window(0, &mut ctx);
         stats.total_time = stats.total_time.max(st.machine.elapsed());
         stats.oom_fallbacks += st.oom;
         stats.peak_front_bytes = stats.peak_front_bytes.max(st.peak_front * T::BYTES);
@@ -689,7 +657,6 @@ mod tests {
         }
     }
 
-    use crate::factor::factor_permuted;
     use crate::policy::BaselineThresholds;
     use crate::PolicySelector;
 
@@ -774,15 +741,19 @@ mod tests {
         let drain =
             FactorOptions { selector: PolicySelector::Fixed(PolicyKind::P4), ..Default::default() };
         let piped = FactorOptions { pipeline: PipelineOptions::pipelined(), ..drain.clone() };
-        let mut serial = Machine::paper_node();
-        let (fs, _) = factor_permuted(
-            &analysis.permuted.0,
-            &analysis.symbolic,
-            &analysis.perm,
-            &mut serial,
-            &drain,
-        )
-        .unwrap();
+        let serial = |opts: &FactorOptions| {
+            let mut machine = Machine::paper_node();
+            factor_permuted(
+                &analysis.permuted.0,
+                &analysis.symbolic,
+                &analysis.perm,
+                &mut machine,
+                opts,
+            )
+            .unwrap()
+        };
+        let (fs, _) = serial(&drain);
+        let (_, sps) = serial(&piped);
         for w in [1usize, 2, 4] {
             let mut ms = machines(w);
             let (fp, sp) = factor_permuted_parallel(
@@ -799,10 +770,10 @@ mod tests {
                 fs.slab.iter().zip(&fp.slab).all(|(x, y)| x.to_bits() == y.to_bits()),
                 "pipelined parallel ({w} workers) must be bitwise-identical to serial drain"
             );
-            let gpu = sp.gpu.expect("GPU utilization must be aggregated");
-            assert_eq!(gpu.gpus, w, "one device per worker");
+            let gpu = sp.gpu.expect("GPU utilization must be reported");
+            assert_eq!(Some(gpu), sps.gpu, "{w} workers: the serial pipelined run's devices");
+            assert_eq!(sp.total_time.to_bits(), sps.total_time.to_bits(), "{w} workers: clock");
             assert!(gpu.busy_fraction() > 0.0 && gpu.busy_fraction() <= 1.0 + 1e-9);
-            assert!(sp.total_time > 0.0);
         }
     }
 

@@ -172,25 +172,6 @@ impl GpuConfig {
             KernelKind::Gemm => q(m) * q(n) * q(k),
         }
     }
-
-    /// A hypothetical double-precision variant: kernel throughput divided by
-    /// `peak_sp / peak_dp` (8× on the T10, 2× on Fermi-class parts). Used by
-    /// the adaptation ablation — the tuner retrains and the policy map moves.
-    pub fn double_precision_variant(&self) -> GpuConfig {
-        let scale = self.peak_dp / self.peak_sp;
-        let s = |c: RateCurve| RateCurve { asymptote: c.asymptote * scale, ..c };
-        GpuConfig {
-            name: "dp-variant",
-            kernels: KernelRates {
-                potrf: s(self.kernels.potrf),
-                trsm: s(self.kernels.trsm),
-                syrk: s(self.kernels.syrk),
-                gemm: s(self.kernels.gemm),
-                panel_potrf: s(self.kernels.panel_potrf),
-            },
-            ..self.clone()
-        }
-    }
 }
 
 /// CPU model: one core of the host processor, with f64 kernel curves.
@@ -405,14 +386,6 @@ mod tests {
         let gpu = tesla_t10();
         let b = 10 << 20;
         assert!(gpu.pcie.time(b, true) < gpu.pcie.time(b, false));
-    }
-
-    #[test]
-    fn dp_variant_scales_throughput() {
-        let gpu = tesla_t10();
-        let dp = gpu.double_precision_variant();
-        let ratio = dp.kernels.syrk.asymptote / gpu.kernels.syrk.asymptote;
-        assert!((ratio - 0.125).abs() < 1e-12, "T10 dp/sp = 1/8");
     }
 
     #[test]

@@ -157,11 +157,6 @@ impl Gpu {
         self.mem.len(buf)
     }
 
-    /// Peak bytes allocated.
-    pub fn mem_peak(&self) -> usize {
-        self.mem.peak()
-    }
-
     /// Allocate a device buffer of `len` f32 elements (zero-initialised).
     pub fn alloc(&mut self, len: usize) -> Result<DevBuf, DeviceOom> {
         self.mem.alloc(len)
@@ -204,11 +199,6 @@ impl Gpu {
     /// exactly its child's d2h completion.
     pub fn wait_event_host(&self, event: Event, host: &mut HostClock) {
         host.sync_to(event.0);
-    }
-
-    /// Block the host until `stream` drains.
-    pub fn sync_stream(&mut self, stream: Stream, host: &mut HostClock) {
-        host.sync_to(self.streams[stream.0]);
     }
 
     /// Block the host until the whole device drains.
@@ -589,10 +579,9 @@ impl Gpu {
 /// times, so a wait on a remote event is just a `max`) and through the
 /// [`Gpu::p2p`] peer-copy primitive.
 ///
-/// Slots are `Option<Gpu>` so a driver can [`DeviceSet::take`] a device out,
-/// run the existing single-device dispatch machinery against it, and
-/// [`DeviceSet::restore`] it — peer copies against the remaining devices
-/// stay available throughout.
+/// Slots are `Option<Gpu>` so a driver can [`DeviceSet::take`] a device back
+/// out of the set — the multi-GPU driver returns the machine's own device
+/// this way when its run ends.
 #[derive(Debug)]
 pub struct DeviceSet {
     gpus: Vec<Option<Gpu>>,
@@ -630,16 +619,9 @@ impl DeviceSet {
         self.gpus[i].as_mut().expect("device taken out of the set")
     }
 
-    /// Move device `i` out of the set (for running single-device drivers
-    /// against it). Panics if already taken.
+    /// Move device `i` out of the set. Panics if already taken.
     pub fn take(&mut self, i: usize) -> Gpu {
         self.gpus[i].take().expect("device already taken")
-    }
-
-    /// Return a previously [`Self::take`]n device to slot `i`.
-    pub fn restore(&mut self, i: usize, gpu: Gpu) {
-        debug_assert!(self.gpus[i].is_none(), "restoring over a present device");
-        self.gpus[i] = Some(gpu);
     }
 
     /// Split-borrow two distinct devices at once.
@@ -681,29 +663,9 @@ impl DeviceSet {
         }
     }
 
-    /// Per-device engine accounting over a common span.
-    pub fn utilizations(&self, span: f64) -> Vec<GpuUtilization> {
-        self.gpus
-            .iter()
-            .map(|g| g.as_ref().map(|g| g.utilization(span)).unwrap_or_default())
-            .collect()
-    }
-
     /// Total bytes moved over peer links (summed over receiving devices).
     pub fn peer_bytes(&self) -> usize {
         self.gpus.iter().flatten().map(|g| g.peer_bytes()).sum()
-    }
-
-    /// Reset every present device's clocks (memory kept).
-    pub fn reset_clocks(&mut self) {
-        for g in self.gpus.iter_mut().flatten() {
-            g.reset_clock();
-        }
-    }
-
-    /// Consume the set, yielding the present devices in slot order.
-    pub fn into_gpus(self) -> Vec<Gpu> {
-        self.gpus.into_iter().flatten().collect()
     }
 }
 
@@ -1068,38 +1030,6 @@ mod tests {
             &mut host,
         );
         assert!(ev2.0 >= ev1.0 * 2.0 - 1e-12, "peer copies serialise on the shared engine");
-    }
-
-    #[test]
-    fn device_set_take_restore_and_reset() {
-        let mut set = DeviceSet::uniform(tesla_t10(), 2);
-        let mut host = HostClock::new(xeon_5160_core());
-        let g = set.take(0);
-        // Remaining device still works.
-        let buf = set.device_mut(1).alloc(16).unwrap();
-        let s = set.device(1).default_stream();
-        set.device_mut(1).h2d(
-            s,
-            DevMat::whole(buf, 4),
-            4,
-            4,
-            &[2.0; 16],
-            4,
-            false,
-            CopyMode::Sync,
-            &mut host,
-        );
-        set.restore(0, g);
-        assert_eq!(set.len(), 2);
-        set.sync_all(&mut host);
-        let us = set.utilizations(host.now());
-        assert_eq!(us.len(), 2);
-        assert!(us[1].copy_busy > 0.0);
-        set.reset_clocks();
-        assert_eq!(set.device(1).copy_busy(), 0.0);
-        assert_eq!(set.peer_bytes(), 0);
-        assert_eq!(set.device(1).peek(buf).unwrap()[0], 2.0, "reset keeps memory");
-        assert_eq!(set.into_gpus().len(), 2);
     }
 
     #[test]

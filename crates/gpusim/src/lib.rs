@@ -32,7 +32,7 @@ pub use calib::{
 pub use device::{CopyMode, DeviceSet, Event, Gpu, Stream};
 pub use host::{HostClock, ISSUE_OVERHEAD};
 pub use memory::{DevBuf, DevMat, DeviceOom, InvalidBuffer};
-pub use profile::{Component, GpuUtilization, ProfileRecord, ProfileSummary};
+pub use profile::{Component, GpuUtilization, ProfileRecord};
 pub use tier::{SpillTier, TierParams, DEFAULT_DEVICE_BUDGET};
 
 /// An operation that needs a device ran on a machine without one.
@@ -48,10 +48,8 @@ impl core::fmt::Display for NoGpu {
 impl std::error::Error for NoGpu {}
 
 /// A host/device pair with aligned virtual timelines — the "machine" on
-/// which a factorization executes. Multi-GPU configurations either hold one
-/// [`Machine`] per worker (per-worker timelines combined by the list
-/// scheduler in `mf-core::parallel`) or drive a [`DeviceSet`] of several
-/// devices from one host timeline (`mf-core::multigpu`).
+/// which a factorization executes. A multi-GPU run drives a [`DeviceSet`] of
+/// several devices from the machine's host timeline (`mf-core::multigpu`).
 #[derive(Debug)]
 pub struct Machine {
     /// Host timeline.
@@ -74,16 +72,6 @@ impl Machine {
     /// The paper's experimental node: one Xeon 5160 core + one Tesla T10.
     pub fn paper_node() -> Self {
         Machine::with_gpu(calib::xeon_5160_core(), calib::tesla_t10())
-    }
-
-    /// Shared access to the device, or [`NoGpu`] on a CPU-only machine.
-    pub fn gpu_ref(&self) -> Result<&Gpu, NoGpu> {
-        self.gpu.as_ref().ok_or(NoGpu)
-    }
-
-    /// Exclusive access to the device, or [`NoGpu`] on a CPU-only machine.
-    pub fn gpu_mut(&mut self) -> Result<&mut Gpu, NoGpu> {
-        self.gpu.as_mut().ok_or(NoGpu)
     }
 
     /// Split-borrow both timelines at once — GPU enqueue calls need
@@ -164,11 +152,8 @@ mod tests {
     #[test]
     fn gpu_accessors_surface_no_gpu() {
         let mut m = Machine::cpu_only(xeon_5160_core());
-        assert_eq!(m.gpu_ref().unwrap_err(), NoGpu);
-        assert_eq!(m.gpu_mut().unwrap_err(), NoGpu);
         assert_eq!(m.host_and_gpu().unwrap_err(), NoGpu);
         let mut p = Machine::paper_node();
-        assert!(p.gpu_ref().is_ok());
         let (host, gpu) = p.host_and_gpu().unwrap();
         let buf = gpu.alloc(16).unwrap();
         let s0 = gpu.default_stream();

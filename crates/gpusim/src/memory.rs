@@ -78,7 +78,6 @@ pub(crate) struct DeviceMemory {
     free_ids: Vec<usize>,
     capacity: usize,
     used: usize,
-    peak: usize,
     /// Virtual mode: track sizes and charge capacity without backing
     /// storage — used by timing-only estimation on huge fronts.
     pub virtual_mode: bool,
@@ -92,7 +91,6 @@ impl DeviceMemory {
             free_ids: Vec::new(),
             capacity,
             used: 0,
-            peak: 0,
             virtual_mode: false,
         }
     }
@@ -103,7 +101,6 @@ impl DeviceMemory {
             return Err(DeviceOom { requested: bytes, available: self.capacity - self.used });
         }
         self.used += bytes;
-        self.peak = self.peak.max(self.used);
         let data = if self.virtual_mode { Vec::new() } else { vec![0.0f32; len] };
         let id = match self.free_ids.pop() {
             Some(id) => {
@@ -157,10 +154,6 @@ impl DeviceMemory {
         self.used
     }
 
-    pub fn peak(&self) -> usize {
-        self.peak
-    }
-
     pub fn capacity(&self) -> usize {
         self.capacity
     }
@@ -179,7 +172,6 @@ mod tests {
         assert_eq!(m.used(), 800);
         m.free(a).unwrap();
         assert_eq!(m.used(), 400);
-        assert_eq!(m.peak(), 800);
         m.free(b).unwrap();
         assert_eq!(m.used(), 0);
     }

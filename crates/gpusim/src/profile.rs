@@ -119,97 +119,9 @@ impl GpuUtilization {
     }
 }
 
-/// Aggregate statistics over a batch of records.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ProfileSummary {
-    /// Total kernel time on the CPU.
-    pub cpu_kernel_time: f64,
-    /// Total kernel time on the GPU.
-    pub gpu_kernel_time: f64,
-    /// Total transfer time (both directions).
-    pub copy_time: f64,
-    /// Total pinned-allocation time.
-    pub pinned_time: f64,
-    /// Total host memop time.
-    pub memop_time: f64,
-}
-
-impl ProfileSummary {
-    /// Summarise a slice of records.
-    pub fn from_records(records: &[ProfileRecord]) -> Self {
-        let mut s = ProfileSummary::default();
-        for r in records {
-            let d = r.duration();
-            match r.component {
-                Component::CpuKernel(_) => s.cpu_kernel_time += d,
-                Component::GpuKernel(_) => s.gpu_kernel_time += d,
-                Component::CopyH2D | Component::CopyD2H | Component::CopyP2P => s.copy_time += d,
-                Component::PinnedAlloc => s.pinned_time += d,
-                Component::HostMemop => s.memop_time += d,
-            }
-        }
-        s
-    }
-
-    /// Grand total of categorised time.
-    pub fn total(&self) -> f64 {
-        self.cpu_kernel_time
-            + self.gpu_kernel_time
-            + self.copy_time
-            + self.pinned_time
-            + self.memop_time
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn summary_buckets() {
-        let recs = vec![
-            ProfileRecord {
-                component: Component::CpuKernel(KernelKind::Potrf),
-                ops: 1e6,
-                bytes: 0,
-                start: 0.0,
-                end: 1.0,
-            },
-            ProfileRecord {
-                component: Component::GpuKernel(KernelKind::Syrk),
-                ops: 1e8,
-                bytes: 0,
-                start: 1.0,
-                end: 1.5,
-            },
-            ProfileRecord {
-                component: Component::CopyH2D,
-                ops: 0.0,
-                bytes: 100,
-                start: 0.0,
-                end: 0.25,
-            },
-            ProfileRecord {
-                component: Component::CopyD2H,
-                ops: 0.0,
-                bytes: 100,
-                start: 0.5,
-                end: 0.75,
-            },
-            ProfileRecord {
-                component: Component::PinnedAlloc,
-                ops: 0.0,
-                bytes: 10,
-                start: 0.0,
-                end: 0.1,
-            },
-        ];
-        let s = ProfileSummary::from_records(&recs);
-        assert_eq!(s.cpu_kernel_time, 1.0);
-        assert_eq!(s.gpu_kernel_time, 0.5);
-        assert_eq!(s.copy_time, 0.5);
-        assert!((s.total() - 2.1).abs() < 1e-12);
-    }
 
     #[test]
     fn rate_computation() {

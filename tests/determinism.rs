@@ -1235,7 +1235,7 @@ use gpu_multifrontal::core::{FactorStats, MultiGpuOptions, PipelineOptions};
 
 /// How a GPU run is issued: the drain schedule, the pipelined driver, the
 /// multi-GPU driver at `n` devices from one host, or the parallel entry at
-/// `workers` machines (which cooperatively drive `n` devices when `n > 1`).
+/// `workers` machines, pipelined on `n` devices.
 #[derive(Debug, Clone, Copy)]
 enum Issuer {
     Drain,
@@ -1310,19 +1310,12 @@ fn clock_words(s: &FactorStats) -> Vec<u64> {
 }
 
 /// The issuers whose simulated clock is a function of the input alone: one
-/// host timeline, or the cooperative (sequential) multi-worker multi-GPU
-/// schedule. Work-stealing runs at two or more workers are not.
-const CLOCK_ISSUERS: [Issuer; 6] = [
-    Issuer::Drain,
-    Issuer::Pipelined,
-    Issuer::Devices(2),
-    Issuer::Devices(4),
-    Issuer::Workers(2, 4),
-    Issuer::Workers(1, 1),
-];
+/// host timeline. Work-stealing runs at two or more workers are not.
+const CLOCK_ISSUERS: [Issuer; 4] =
+    [Issuer::Drain, Issuer::Pipelined, Issuer::Devices(2), Issuer::Devices(4)];
 
 /// [`fnv1a`] of [`clock_words`] over [`clock_selectors`], per issuer.
-fn clock_hashes(a: &SymCsc<f32>, an: &Analysis, make: impl Fn() -> Machine) -> [u64; 6] {
+fn clock_hashes(a: &SymCsc<f32>, an: &Analysis, make: impl Fn() -> Machine) -> [u64; 4] {
     CLOCK_ISSUERS.map(|issuer| {
         let words: Vec<u64> = clock_selectors()
             .into_iter()
@@ -1347,7 +1340,7 @@ fn small_device_node() -> Machine {
 /// the paper node, then the 6×6×5 Laplacian on a 2 000-byte device (every
 /// large front takes the drain-then-retry OOM path). Recorded at commit
 /// e92d7ea, the last one with a pipelined front lifecycle per driver.
-const GOLDEN_CLOCK: [(&str, [u64; 6]); 8] = [
+const GOLDEN_CLOCK: [(&str, [u64; 4]); 8] = [
     (
         "plate60",
         [
@@ -1355,8 +1348,6 @@ const GOLDEN_CLOCK: [(&str, [u64; 6]); 8] = [
             0xbec6_5c3a_1800_89d2,
             0x73c0_56a2_e1df_d057,
             0x56d5_62ce_9589_a81c,
-            0xb445_6735_f2fd_2107,
-            0x88bb_9b49_7aac_d163,
         ],
     ),
     (
@@ -1366,8 +1357,6 @@ const GOLDEN_CLOCK: [(&str, [u64; 6]); 8] = [
             0x09ca_4173_c116_e33f,
             0x85ad_0e6f_4ef0_e1ee,
             0xfb4e_0cdf_1ef0_03cf,
-            0x93c3_be88_9522_7db7,
-            0x33f0_4d59_8039_787c,
         ],
     ),
     (
@@ -1377,8 +1366,6 @@ const GOLDEN_CLOCK: [(&str, [u64; 6]); 8] = [
             0x2e70_e059_f14b_74e1,
             0x81e7_ec42_8de1_4b9d,
             0x235c_c4f5_47a3_6523,
-            0x41bc_d886_207c_d90a,
-            0xbac2_7093_c87a_0163,
         ],
     ),
     (
@@ -1388,8 +1375,6 @@ const GOLDEN_CLOCK: [(&str, [u64; 6]); 8] = [
             0x4a53_0eef_eb5c_cf1a,
             0xd6d1_98c2_d1fb_d46b,
             0x441b_f364_4e8b_b83a,
-            0x3077_0c20_b2d8_9726,
-            0x8ef4_c43f_0d0b_75ff,
         ],
     ),
     (
@@ -1399,8 +1384,6 @@ const GOLDEN_CLOCK: [(&str, [u64; 6]); 8] = [
             0xfe98_0afa_3ed3_21a0,
             0xf782_8104_85a5_ceba,
             0xb895_4005_de19_cdfe,
-            0x3d54_835e_bffc_43e8,
-            0x8ddf_99f3_c599_a001,
         ],
     ),
     (
@@ -1410,8 +1393,6 @@ const GOLDEN_CLOCK: [(&str, [u64; 6]); 8] = [
             0x54f1_371d_7c43_0088,
             0x4579_1f01_3865_f2ff,
             0xef04_d18c_210d_6433,
-            0x7ca0_1133_ce7a_7d61,
-            0x68c3_1525_ce72_e65e,
         ],
     ),
     (
@@ -1421,8 +1402,6 @@ const GOLDEN_CLOCK: [(&str, [u64; 6]); 8] = [
             0x1398_03ea_3363_2934,
             0x7afc_06ea_8730_f228,
             0x89c9_eb67_cd3e_0428,
-            0x89c9_eb67_cd3e_0428,
-            0xf75e_2bc0_3d52_f2a0,
         ],
     ),
     (
@@ -1432,15 +1411,13 @@ const GOLDEN_CLOCK: [(&str, [u64; 6]); 8] = [
             0x53d8_c864_6567_b789,
             0x8897_eff4_fb6e_d6ae,
             0x10b4_0bab_a219_5f8c,
-            0x9997_b68c_211a_fdb7,
-            0xfba3_499a_e27a_b925,
         ],
     ),
 ];
 
 #[test]
 fn sim_clock_matches_golden() {
-    let mut actual: Vec<(&str, [u64; 6])> = golden_families()
+    let mut actual: Vec<(&str, [u64; 4])> = golden_families()
         .iter()
         .map(|(name, a)| {
             let an = analysis_of(a);
@@ -1450,6 +1427,50 @@ fn sim_clock_matches_golden() {
     let an = analysis_of(&laplacian_3d(6, 6, 5, Stencil::Faces));
     actual.push(("lap3d-6x6x5-oom", clock_hashes(&an.permuted.0.cast(), &an, small_device_node)));
     assert_eq!(actual, GOLDEN_CLOCK, "actual:\n{actual:#x?}");
+}
+
+#[test]
+fn sim_clock_parallel_entry_runs_pipelined_and_multi_device_on_one_timeline() {
+    // Fronts in flight share one host timeline: a pipelined or multi-device
+    // run from the parallel entry is the serial entry's run on its first
+    // machine — same bits, same clock — and leaves the other machines as
+    // they came.
+    let mut inputs: Vec<(Analysis, fn() -> Machine)> = golden_families()
+        .iter()
+        .map(|(_, a)| (analysis_of(a), Machine::paper_node as fn() -> Machine))
+        .collect();
+    inputs.push((analysis_of(&laplacian_3d(6, 6, 5, Stencil::Faces)), small_device_node));
+    for (an, make) in &inputs {
+        let a: SymCsc<f32> = an.permuted.0.cast();
+        for issuer in [Issuer::Pipelined, Issuer::Devices(4)] {
+            for selector in clock_selectors() {
+                let opts = issuer.opts(selector.clone());
+                let (fs, ss) =
+                    factor_permuted(&a, &an.symbolic, &an.perm, &mut make(), &opts).unwrap();
+                for workers in [1usize, 2, 3] {
+                    let what = format!("{issuer:?} {selector:?} at {workers} workers");
+                    let mut machines: Vec<Machine> = (0..workers).map(|_| make()).collect();
+                    let par = ParallelOptions { thread_budget: 2 };
+                    let (fp, sp) = factor_permuted_parallel(
+                        &a,
+                        &an.symbolic,
+                        &an.perm,
+                        &mut machines,
+                        &opts,
+                        &par,
+                    )
+                    .unwrap();
+                    assert_eq!(panel_bits(&fp), panel_bits(&fs), "{what}: bits");
+                    assert_eq!(clock_words(&sp), clock_words(&ss), "{what}: clock");
+                    for m in &mut machines[1..] {
+                        assert_eq!(m.elapsed(), 0.0, "{what}: an unused machine's clock moved");
+                        let gpu = m.gpu.as_ref().expect("an unused machine keeps its device");
+                        assert_eq!(gpu.mem_used(), 0, "{what}: an unused machine's device");
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// [`fnv1a`] over [`clock_selectors`] of a *recorded* drain run's per-call
