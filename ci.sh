@@ -52,7 +52,7 @@ RUST_TEST_THREADS=1 cargo test -q --release -p mf-server
 #   ooc_             budgeted == in-core bits, residency, bf16 spill, typed errors
 #   symbolic_flat, bottom_subtrees, subtree_tasks
 #                    flat parallel build == serial, the subtree partition, the
-#                    subtree-task drivers and the forward stack bound
+#                    range-task drivers and the forward stack bound
 #   sim_clock        golden hashes of total_time, fallbacks, peer bytes, allocation
 #                    events and per-device busy time: drain, pipelined, 2/4 devices,
 #                    P2/P3/P4/baseline, and under device OOM; of the per-call records

@@ -9,10 +9,10 @@
 //! so compaction is a per-column `copy_within` — no second buffer.
 //!
 //! The serial driver runs the whole postorder on one arena. The parallel
-//! driver gives every worker its own for the bottom subtrees it runs front
-//! to back; above them a worker cannot stack-discipline updates that a
-//! *different* worker will consume, so there it reuses a per-worker front
-//! buffer and hands updates over in transient per-edge buffers (see
+//! driver gives every worker its own, grown to the largest task it has run
+//! (a bottom subtree, or one supernode above them); a worker cannot
+//! stack-discipline an update that a *different* worker will consume, so a
+//! task's last update leaves in a transient per-edge buffer (see
 //! `parallel.rs`).
 
 use mf_dense::Scalar;

@@ -14,16 +14,16 @@
 //! A front's lifecycle — dispatch, downloads, extraction, finish — belongs to
 //! `crate::lane`. This module holds two of its issuers: the arena loop
 //! (`FrontRun::factor_range`: the drain schedule, one front at a time on the
-//! LIFO stack, which the bottom-subtree tasks of [`crate::parallel`] run on
+//! LIFO stack, which every work-stealing task of [`crate::parallel`] runs on
 //! the worker's own arena) and the postorder issuer for fronts whose
 //! lifetimes overlap (`PostorderRun`: look-ahead, batched P4 runs), with the
 //! rehearsal that decides between the two.
 
 use crate::arena::FrontArena;
 use crate::features::LinearPolicyModel;
-use crate::frontal::{assemble_front_into, extract_panel_copy, ChildUpdate, Front};
+use crate::frontal::{assemble_front_into, extract_panel_copy, packed_update, ChildUpdate, Front};
 use crate::fu::{FuContext, FuError};
-use crate::lane::{FrontRan, FrontStore, Lane, Member, Phase1, PIPELINE_DEPTH};
+use crate::lane::{child_views, FrontRan, FrontStore, Lane, Member, Phase1, PIPELINE_DEPTH};
 use crate::multigpu::MultiGpuOptions;
 use crate::ooc::{plan_ooc, OocPlan};
 use crate::pinned_pool::PinnedPool;
@@ -460,15 +460,17 @@ pub fn factor_permuted<T: Scalar>(
     let mut stats = FactorStats { front_alloc_events: 2, ..Default::default() };
     let mut arena = FrontArena::<T>::with_len(symbolic.update_stack_peak());
     let run = FrontRun { a, symbolic, opts, ooc_plan: ooc_plan.as_ref() };
+    // The postorder ends at a root, so no update leaves the run.
     let ran = run.factor_range(
         0..symbolic.num_supernodes(),
+        &[],
         &mut arena,
         &SharedSlice::new(&mut slab),
         &mut rel,
         machine,
         &mut pool,
         None,
-        |_, _, out| {
+        |_, out| {
             stats.oom_fallbacks += usize::from(out.oom_fallback);
             stats.records.extend(out.record);
         },
@@ -519,38 +521,42 @@ pub(crate) struct FrontRun<'a, T> {
 }
 
 impl<T: Scalar> FrontRun<'_, T> {
-    /// Factor the supernodes at postorder positions `range` — one or more
-    /// whole subtrees — front to back on `arena`, which holds nothing of
-    /// theirs before and the packed updates of the subtrees' roots after (in
-    /// range order from the entry top; nothing when they are forest roots).
+    /// Factor the supernodes at postorder positions `range` — a run whose
+    /// first front has no child inside it: the whole postorder, a bottom
+    /// subtree, or one supernode — front to back on `arena`, which holds
+    /// nothing of theirs before. The first front extend-adds `handed`, its
+    /// children's updates in child order; the last front's update leaves
+    /// packed as the return value (`None` when `m = 0`, as at a root).
     ///
-    /// The stack discipline needs no bookkeeping per supernode: when a
+    /// The stack discipline needs no bookkeeping per supernode: when a later
     /// front is assembled its children's updates are the top of the stack
     /// in child order, the first child deepest, so their offsets follow
     /// from their sizes, and packing the front's own update down to the
     /// first child's offset frees front and children in one move.
     ///
-    /// The serial driver runs the whole postorder through here; the parallel
-    /// driver runs one bottom subtree per task on the worker's own arena.
-    /// Each front goes through [`Lane::run_front`], so every simulated-time
-    /// charge is issued per front, in postorder.
-    /// `on_front(position, supernode, outcome)` collects the statistics.
+    /// The serial driver runs the whole postorder through here; every
+    /// work-stealing task of [`crate::parallel`] runs its range here on the
+    /// worker's own arena. Each front goes through [`Lane::run_front`], so
+    /// every simulated-time charge is issued per front, in postorder.
+    /// `on_front(position, outcome)` collects the statistics.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn factor_range(
         &self,
         range: std::ops::Range<usize>,
+        handed: &[Vec<T>],
         arena: &mut FrontArena<T>,
         slab: &SharedSlice<T>,
         rel: &mut Vec<usize>,
         machine: &mut Machine,
         pool: &mut PinnedPool,
         kernel_threads: Option<usize>,
-        mut on_front: impl FnMut(usize, usize, SnOutcome),
-    ) -> Result<(), FactorError> {
+        mut on_front: impl FnMut(usize, SnOutcome),
+    ) -> Result<Option<Vec<T>>, FactorError> {
         let (symbolic, opts) = (self.symbolic, self.opts);
         let panel_ptr = symbolic.panel_ptr();
         let mut lane = Lane::new();
-        for r in range {
+        let mut out = None;
+        for r in range.clone() {
             let sn = symbolic.postorder[r];
             if let Some(plan) = self.ooc_plan {
                 plan.begin_front(r, machine);
@@ -558,17 +564,23 @@ impl<T: Scalar> FrontRun<'_, T> {
             let info = &symbolic.supernodes[sn];
             let (s, k) = (info.front_size(), info.k());
             let kids = symbolic.children(sn);
+            // The first front's children are outside the range, their
+            // updates handed over; every later front's are on the stack.
+            let (from_hand, on_stack) =
+                if r == range.start { (handed, &[][..]) } else { (&[][..], kids) };
+            debug_assert!(r != range.start || handed.len() == kids.len());
             let front_off = arena.top();
-            let kids_len: usize = kids.iter().map(|&c| symbolic.supernodes[c].m().pow(2)).sum();
+            let kids_len: usize = on_stack.iter().map(|&c| symbolic.supernodes[c].m().pow(2)).sum();
             let dest = front_off - kids_len;
             let (below, front_data) = arena.split_for_front(s * s);
             let mut next = dest;
-            let children = kids.iter().map(|&c| {
+            let stacked = on_stack.iter().map(|&c| {
                 let rows = symbolic.update_rows(c);
                 let data = &below[next..next + rows.len() * rows.len()];
                 next += data.len();
                 ChildUpdate { rows, data }
             });
+            let children = child_views(symbolic, sn, from_hand).chain(stacked);
             let mut front = assemble_front_into(
                 self.a,
                 info.col_start..info.col_end,
@@ -581,21 +593,30 @@ impl<T: Scalar> FrontRun<'_, T> {
             // SAFETY: this supernode's panel region is written here alone.
             let panel_out =
                 unsafe { slab.slice_mut(panel_ptr[sn], panel_ptr[sn + 1] - panel_ptr[sn]) };
-            // The panel goes to the slab; the update stays in the arena.
+            // The panel goes to the slab; the update stays in the arena unless
+            // it is the range's last, which leaves packed.
             let mut sink = |_: usize, front: &Front<'_, T>| extract_panel_copy(front, panel_out);
             let policy = opts.selector.choose(sn, s - k, k);
             let mut ctx = fu_ctx(machine, pool, opts, kernel_threads, false);
             let ran = lane
                 .run_front(sn, &mut front, policy, &mut ctx, &mut sink)
                 .map_err(|e| fu_err_to_factor(info.col_start, e))?;
-            on_front(r, sn, SnOutcome::close(sn, symbolic, ran, machine, opts.record_stats));
-            arena.pop_and_compact(front_off, s, k, dest);
+            on_front(r, SnOutcome::close(sn, symbolic, ran, machine, opts.record_stats));
+            if r + 1 < range.end {
+                arena.pop_and_compact(front_off, s, k, dest);
+            } else {
+                out = packed_update(front.data, s, k);
+            }
             if let Some(plan) = self.ooc_plan {
-                plan.finish_front(sn, panel_out, arena.update_at_mut(dest, s - k));
+                let update = match out.as_deref_mut() {
+                    Some(u) => u,
+                    None => arena.update_at_mut(dest, s - k),
+                };
+                plan.finish_front(sn, panel_out, update);
                 arena.note_resident_bytes(plan.arena_step_resident[r]);
             }
         }
-        Ok(())
+        Ok(out)
     }
 }
 

@@ -15,8 +15,8 @@
 //!
 //! Three issuers drive lanes and own nothing of the lifecycle but its order:
 //! the arena loop of [`crate::factor`] (the drain schedule: every front
-//! through [`Lane::run_front`], finished before the next assembles — the
-//! work-stealing tasks of [`crate::parallel`] run theirs the same way), its
+//! through [`Lane::run_front`], finished before the next assembles — every
+//! work-stealing task of [`crate::parallel`] is this loop over its range), its
 //! postorder issuer (look-ahead and batched P4 runs; timing-only without
 //! look-ahead it rehearses that drain schedule) and [`crate::multigpu`] (one
 //! lane per device, peer exports). What differs between them arrives as
@@ -490,4 +490,31 @@ fn finish<T: Scalar>(entry: Inflight, ctx: &mut FuContext<'_>) -> f64 {
         charge_update_extract::<T>(m, ctx.host);
     }
     fu_end
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mf_sparse::{analyze, AmalgamationOptions, OrderingKind};
+
+    #[test]
+    fn take_children_in_child_order_or_worker_lost() {
+        let a = mf_matgen::laplacian_2d(12, 12, mf_matgen::Stencil::Faces);
+        let amalg = AmalgamationOptions::default();
+        let sym = analyze(&a, OrderingKind::NestedDissection, Some(&amalg)).unwrap().symbolic;
+        let nsn = sym.num_supernodes();
+        let sn = (0..nsn).find(|&s| sym.children(s).len() >= 2).expect("a front with two children");
+        let kids = sym.children(sn);
+        let full = || -> Vec<Option<Vec<usize>>> { (0..nsn).map(|c| Some(vec![c])).collect() };
+        // Every slot full: the buffers come back in child order.
+        let mut slots = full();
+        let got = take_children(&sym, sn, |c| slots[c].take());
+        assert_eq!(got, Ok(kids.iter().map(|&c| vec![c]).collect()));
+        // A child's slot is empty — its worker died: the parent's hand-off
+        // is lost.
+        let mut slots = full();
+        slots[kids[1]] = None;
+        let lost = take_children(&sym, sn, |c| slots[c].take());
+        assert_eq!(lost, Err(FactorError::WorkerLost { supernode: sn }));
+    }
 }

@@ -373,8 +373,6 @@ impl OocStats {
 pub struct OocPlan {
     /// Totals, surfaced as `FactorStats::ooc`.
     pub stats: OocStats,
-    /// Supernode → postorder rank.
-    pub rank: Vec<usize>,
     /// Per-postorder-rank transfers to replay (charge on the executing
     /// clock) before processing that supernode.
     pub step_io: Vec<Vec<IoOp>>,
@@ -667,7 +665,6 @@ pub fn plan_ooc(
 
     Ok(OocPlan {
         stats: st.stats,
-        rank,
         step_io,
         arena_step_resident,
         degrade_panel: st.degrade_panel,

@@ -8,11 +8,10 @@
 //!    per-worker virtual timelines, largest-bottom-level-first priorities,
 //!    and moldable large tasks standing in for intra-front parallel BLAS.
 //! 2. [`factor_permuted_parallel`] — a real wall-clock parallel numeric
-//!    factorization on the `mf-runtime` work-stealing scheduler. A *bottom
-//!    subtree* (CPU fronts whose panels and front stack fit the cache) is
-//!    one task: the serial driver's range loop on an arena the worker owns.
-//!    Every supernode above the subtrees is a task whose
-//!    remaining-children counter releases the parent; update matrices that
+//!    factorization on the `mf-runtime` work-stealing scheduler. A task is a
+//!    run of the postorder: a *bottom subtree* (CPU fronts whose panels and
+//!    front stack fit the cache), or one supernode above them. Each task's
+//!    remaining-children counter releases its parent; update matrices that
 //!    cross tasks are buffered and extend-added in postorder child rank (so
 //!    the factor is **bitwise identical** to
 //!    [`factor_permuted`](crate::factor::factor_permuted) at every worker
@@ -21,25 +20,24 @@
 //!    threading — the one intra-front parallelism mechanism: the last
 //!    task standing near the root runs its kernels at the full budget.
 //!
-//! This module owns the task graph, the hand-off slots between tasks and
-//! the per-worker state. What a task does to a front is not its own: a
-//! `Subtree` task is the arena loop of [`crate::factor`]
-//! (`FrontRun::factor_range`), and a `Whole` task runs its front through
-//! `crate::lane::Lane::run_front` — the drain schedule, the only one the
-//! workers run. Pipelined and multi-device runs keep fronts in flight on one
-//! host timeline, so the entry hands them to
+//! This module owns the task partition ([`RangeTasks`], which the parallel
+//! solve sweeps share), the hand-off slots between tasks and the per-worker
+//! state. What a task does to its fronts is not its own: every task is the
+//! arena loop of [`crate::factor`] (`FrontRun::factor_range`, the drain
+//! schedule) on the worker's arena. Pipelined and multi-device runs keep
+//! fronts in flight on one host timeline, so the entry hands them to
 //! [`factor_permuted`](crate::factor::factor_permuted).
 //!
-//! The model predicts; the runtime measures: `benchmark/`'s `plate2d_par2`
-//! workload reports the measured side as `runtime.par2_speedup.*`.
+//! The model predicts simulated makespans from simulated durations; the
+//! runtime measures wall time: `benchmark/`'s `plate2d_par2` workload
+//! reports it as `runtime.par2_speedup.*`.
 
 use crate::arena::FrontArena;
 use crate::factor::{
-    factor_permuted, fu_ctx, fu_err_to_factor, ooc_plan, pinned_pool, route, stop_recording,
-    CholeskyFactor, FactorError, FactorOptions, FrontRun, Route, SharedSlice, SnOutcome,
+    factor_permuted, ooc_plan, pinned_pool, route, stop_recording, CholeskyFactor, FactorError,
+    FactorOptions, FrontRun, Route, SharedSlice,
 };
-use crate::frontal::{assemble_front_into, Front};
-use crate::lane::{child_views, extract_front, take_children, Lane};
+use crate::lane::take_children;
 use crate::pinned_pool::PinnedPool;
 use crate::policy::PolicyKind;
 use crate::stats::{FactorStats, FuRecord};
@@ -48,6 +46,7 @@ use mf_gpusim::{GpuUtilization, Machine};
 use mf_runtime::{Runtime, TaskGraph, ThreadBudget};
 use mf_sparse::symbolic::{SymbolicFactor, BOTTOM_SUBTREE_BYTES};
 use mf_sparse::{Permutation, SymCsc};
+use std::ops::Range;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -222,24 +221,70 @@ impl Default for ParallelOptions {
     }
 }
 
+/// The tasks of a work-stealing run over the elimination tree, shared by the
+/// parallel factor and both parallel solve sweeps. Every task is a run of
+/// the postorder: a bottom subtree, or one supernode above them. A range's
+/// first front has no child inside the range — a subtree starts at a leaf —
+/// so one range loop runs every task, its first front consuming what its
+/// children's tasks handed over.
+pub(crate) struct RangeTasks {
+    /// Postorder positions of each task: the bottom subtrees in range order,
+    /// then one per remaining supernode in ascending supernode id. At one
+    /// worker the runtime pops ready tasks by id, so this numbering fixes the
+    /// one-worker clock.
+    pub ranges: Vec<Range<usize>>,
+    /// Parent task of each task (`usize::MAX` at the roots).
+    pub parents: Vec<usize>,
+    /// Per supernode: the task whose range it ends; `usize::MAX` elsewhere.
+    pub task_of: Vec<usize>,
+}
+
+impl RangeTasks {
+    /// The tasks around `subtrees`, a [`SymbolicFactor::bottom_subtrees`]
+    /// result.
+    pub(crate) fn new(symbolic: &SymbolicFactor, subtrees: Vec<Range<usize>>) -> Self {
+        let post = &symbolic.postorder;
+        let nsn = post.len();
+        // Postorder position of every supernode above the subtrees.
+        let mut above = vec![usize::MAX; nsn];
+        for (r, &sn) in post.iter().enumerate() {
+            above[sn] = r;
+        }
+        for &sn in subtrees.iter().flat_map(|range| &post[range.clone()]) {
+            above[sn] = usize::MAX;
+        }
+        let mut ranges = subtrees;
+        ranges.extend(above.into_iter().filter(|&r| r != usize::MAX).map(|r| r..r + 1));
+        let mut task_of = vec![usize::MAX; nsn];
+        for (t, range) in ranges.iter().enumerate() {
+            task_of[post[range.end - 1]] = t;
+        }
+        let parents = ranges
+            .iter()
+            .map(|range| match symbolic.supernodes[post[range.end - 1]].parent {
+                usize::MAX => usize::MAX,
+                p => task_of[p],
+            })
+            .collect();
+        RangeTasks { ranges, parents, task_of }
+    }
+}
+
 /// Per-worker mutable state for the parallel driver. Workers never share any
 /// of this; the only cross-worker traffic is the buffered update-matrix
-/// hand-off between tasks, one mutex-guarded slot per task-level supernode.
+/// hand-off between tasks, one mutex-guarded slot per task.
 struct WorkerCtx<'m, T> {
     machine: &'m mut Machine,
     pool: PinnedPool,
     /// `(postorder_rank, record)` pairs, merged into postorder at the end.
     records: Vec<(usize, FuRecord)>,
     oom: usize,
-    /// Reusable front storage for the supernodes above the bottom subtrees,
-    /// grown to the largest front this worker has run.
-    front_buf: Vec<T>,
-    /// This worker's LIFO front stack for bottom-subtree tasks, sized for
-    /// the largest of them on first use.
+    /// This worker's LIFO front stack, grown to the largest task need it has
+    /// met.
     arena: FrontArena<T>,
     /// Reusable extend-add row-relocation scratch.
     rel: Vec<usize>,
-    /// Largest front (scalars) this worker assembled.
+    /// Largest arena extent (scalars) this worker touched.
     peak_front: usize,
     /// Front-storage heap allocations this worker performed.
     allocs: u64,
@@ -248,24 +293,23 @@ struct WorkerCtx<'m, T> {
 /// Factor an already-permuted matrix in parallel across the elimination
 /// tree, one worker thread per entry of `machines`.
 ///
-/// The task DAG runs on the `mf-runtime` work-stealing scheduler. Each
-/// *bottom subtree* ([`SymbolicFactor::bottom_subtrees`]: CPU fronts whose
-/// panels and front stack fit the cache) is **one task** — the serial
-/// driver's range loop over the subtree's postorder range, on the worker's
-/// own arena — and every supernode above them is a task that its children's
-/// tasks release. Each worker owns one [`Machine`] (its simulated CPU+GPU
-/// node) and one [`PinnedPool`]; update matrices that cross tasks are
-/// buffered and consumed by the parent's extend-add in postorder child rank
-/// — the same order and the same `crate::lane` body as the serial
-/// driver, which makes the result **bitwise identical** to
-/// [`factor_permuted`] at every worker count. A run that keeps fronts in
-/// flight (pipelining, several devices) is [`factor_permuted`]'s on the first
-/// GPU machine; the others are left untouched.
+/// The task DAG runs on the `mf-runtime` work-stealing scheduler. A task is
+/// a run of the postorder — a *bottom subtree*
+/// ([`SymbolicFactor::bottom_subtrees`]: CPU fronts whose panels and front
+/// stack fit the cache), or one supernode above them — and every task is the
+/// serial driver's range loop on the worker's own arena. Each worker owns
+/// one [`Machine`] (its simulated CPU+GPU node) and one [`PinnedPool`];
+/// update matrices that cross tasks are buffered and consumed by the
+/// parent's extend-add in postorder child rank — the same order and the same
+/// `crate::lane` body as the serial driver, which makes the result
+/// **bitwise identical** to [`factor_permuted`] at every worker count. A run
+/// that keeps fronts in flight (pipelining, several devices) is
+/// [`factor_permuted`]'s on the first GPU machine; the others are left
+/// untouched.
 ///
 /// Returned [`FactorStats`]: `records` are merged back into postorder,
 /// `total_time` is the maximum per-worker simulated clock, and `wall_time`
-/// is the real measured wall-clock of this call — the quantity
-/// [`simulate_tree_schedule`]'s makespan predicts.
+/// is the real measured wall-clock of this call.
 pub fn factor_permuted_parallel<T: Scalar>(
     a: &SymCsc<T>,
     symbolic: &SymbolicFactor,
@@ -285,7 +329,6 @@ pub fn factor_permuted_parallel<T: Scalar>(
     {
         return factor_permuted(a, symbolic, perm, &mut machines[g], opts);
     }
-    let nsn = symbolic.num_supernodes();
     let wall0 = Instant::now();
 
     // Budgeted runs consume the same deterministic out-of-core schedule as
@@ -294,89 +337,36 @@ pub fn factor_permuted_parallel<T: Scalar>(
     // flags, so the factor bits cannot depend on worker count.
     let ooc_plan = ooc_plan::<T>(symbolic, opts)?;
 
-    // Postorder rank of each supernode: its execution position in the
-    // serial driver. Used to merge stats and to pick the serial-first error.
-    let mut rank = vec![0usize; nsn];
-    for (r, &sn) in symbolic.postorder.iter().enumerate() {
-        rank[sn] = r;
-    }
+    // Bottom subtrees: runs of CPU fronts small enough to stay in cache.
+    // Decided from the symbolic structure and the policy selector alone —
+    // deterministic and known before the run starts.
+    let tasks = RangeTasks::new(
+        symbolic,
+        symbolic.bottom_subtrees(T::BYTES, |sn| {
+            let info = &symbolic.supernodes[sn];
+            opts.selector.choose(sn, info.m(), info.k()) == PolicyKind::P1
+        }),
+    );
+    let graph = TaskGraph::from_parents(&tasks.parents);
 
-    // Bottom subtrees: runs of CPU fronts small enough to stay in cache,
-    // each factored front to back by one task. Decided from the symbolic
-    // structure and the policy selector alone — deterministic and known
-    // before the run starts.
-    let ranges = symbolic.bottom_subtrees(T::BYTES, |sn| {
-        let info = &symbolic.supernodes[sn];
-        opts.selector.choose(sn, info.m(), info.k()) == PolicyKind::P1
-    });
-
-    /// One node of the task graph.
-    #[derive(Clone, Copy)]
-    enum NodeTask {
-        /// Bottom subtree `i`: all of `ranges[i]` on the worker's arena.
-        Subtree(usize),
-        /// A supernode above the subtrees: assemble + factor-update +
-        /// extract.
-        Whole(usize),
-    }
-
-    // Task ids: the bottom subtrees first, then one `Whole` task per
-    // supernode above them. `task_of` is `NO_TASK` inside a subtree except
-    // at its root, which stands for the subtree. Tree edges connect a
-    // child's task to its parent's.
-    const NO_TASK: usize = usize::MAX;
-    let mut node_of: Vec<NodeTask> = (0..ranges.len()).map(NodeTask::Subtree).collect();
-    let mut task_of = vec![NO_TASK; nsn];
-    let mut fused = vec![false; nsn];
-    for (i, range) in ranges.iter().enumerate() {
-        for &sn in &symbolic.postorder[range.clone()] {
-            fused[sn] = true;
-        }
-        task_of[symbolic.postorder[range.end - 1]] = i;
-    }
-    for sn in 0..nsn {
-        if !fused[sn] {
-            task_of[sn] = node_of.len();
-            node_of.push(NodeTask::Whole(sn));
-        }
-    }
-    // Serial execution position of a task's (first) front: picks the error
-    // the serial driver would have hit first.
-    let rank_of = |t: usize| match node_of[t] {
-        NodeTask::Subtree(i) => ranges[i].start,
-        NodeTask::Whole(sn) => rank[sn],
-    };
-    let mut graph = TaskGraph::new(node_of.len());
-    for (sn, info) in symbolic.supernodes.iter().enumerate() {
-        if task_of[sn] != NO_TASK && info.parent != usize::MAX {
-            graph.add_dependency(task_of[info.parent], task_of[sn]);
-        }
-    }
-    let graph = graph;
-
-    // Factor storage: one contiguous slab; workers write their supernode's
-    // panel region in place (regions are disjoint by construction).
-    let panel_ptr = symbolic.panel_ptr();
+    // Factor storage: one contiguous slab; workers write their supernodes'
+    // panel regions in place (regions are disjoint by construction).
     let mut slab = vec![T::ZERO; symbolic.factor_slab_len()];
     let slab_view = SharedSlice::new(&mut slab);
 
-    // Hand-off buffers, one slot per task; the update of a supernode that
-    // crosses tasks (a subtree root, or anything above the subtrees) sits
-    // in its task's slot. A slot is written exactly once (by the worker
-    // that ran the child) and taken exactly once (by the worker that runs
-    // the parent, after the dependency counter ordered the two), so the
-    // mutexes are uncontended in practice. Cross-worker updates cannot obey
-    // one worker's stack discipline, so they travel in transient per-edge
+    // Hand-off buffers, one slot per task, holding the update of its last
+    // front. A slot is written exactly once (by the worker that ran the
+    // task) and taken exactly once (by the worker that runs the parent's
+    // task, after the dependency counter ordered the two), so the mutexes
+    // are uncontended in practice. Cross-worker updates cannot obey one
+    // worker's stack discipline, so they travel in transient per-edge
     // buffers dropped after the parent's extend-add (the system allocator's
     // thread cache recycles them more cheaply than an explicit free list
     // here); update rows come from the shared symbolic structure.
     let updates: Vec<Mutex<Option<Vec<T>>>> =
-        (0..node_of.len()).map(|_| Mutex::new(None)).collect();
-    let take_update =
-        |c: usize| updates[task_of[c]].lock().unwrap_or_else(|poison| poison.into_inner()).take();
-    let put_update = |sn: usize, u: Vec<T>| {
-        *updates[task_of[sn]].lock().unwrap_or_else(|poison| poison.into_inner()) = Some(u);
-    };
+        (0..tasks.ranges.len()).map(|_| Mutex::new(None)).collect();
+    let slot = |t: usize| updates[t].lock().unwrap_or_else(|poison| poison.into_inner());
+    let take_update = |c: usize| slot(tasks.task_of[c]).take();
 
     // One arena length serves every bottom subtree: the subtree constant
     // bounds their stack peaks (and the whole forest's peak bounds them too).
@@ -395,7 +385,6 @@ pub fn factor_permuted_parallel<T: Scalar>(
                 pool: pinned_pool(opts),
                 records: Vec::new(),
                 oom: 0,
-                front_buf: Vec::new(),
                 arena: FrontArena::with_len(0),
                 rel: Vec::new(),
                 peak_front: 0,
@@ -406,104 +395,50 @@ pub fn factor_permuted_parallel<T: Scalar>(
 
     let runtime = Runtime::new(workers);
     let (mut states, errors) = runtime.run(&graph, states, |st: &mut WorkerCtx<'_, T>, t| {
-        let sn = match node_of[t] {
-            NodeTask::Subtree(i) => {
-                // The serial driver's loop over this subtree's postorder
-                // range, on this worker's arena; only the root's update
-                // leaves the task.
-                let range = ranges[i].clone();
-                if st.arena.capacity() < arena_len {
-                    st.allocs += 1;
-                    st.arena = FrontArena::with_len(arena_len);
-                }
-                st.arena.clear();
-                let width = budget.begin();
-                let (records, oom) = (&mut st.records, &mut st.oom);
-                let done = front_run.factor_range(
-                    range.clone(),
-                    &mut st.arena,
-                    &slab_view,
-                    &mut st.rel,
-                    st.machine,
-                    &mut st.pool,
-                    Some(width),
-                    |r, _, out| {
-                        *oom += usize::from(out.oom_fallback);
-                        records.extend(out.record.map(|rec| (r, rec)));
-                    },
-                );
-                budget.end();
-                done?;
-                st.peak_front = st.peak_front.max(st.arena.high_water());
-                let root = symbolic.postorder[range.end - 1];
-                let m = symbolic.supernodes[root].m();
-                if m > 0 {
-                    st.allocs += 1;
-                    put_update(root, st.arena.update_at(0, m).to_vec());
-                }
-                return Ok(());
-            }
-            NodeTask::Whole(sn) => sn,
-        };
-        // Budgeted runs replay the supernode's planned spill transfers on
-        // the executing worker's clock.
-        if let Some(plan) = &ooc_plan {
-            plan.begin_front(plan.rank[sn], st.machine);
-        }
-        let info = &symbolic.supernodes[sn];
-        let (s, k) = (info.front_size(), info.k());
-        // Gather buffered child updates in postorder child rank — the order
-        // the serial driver consumes them, which keeps the extend-add
-        // reduction (and hence the factor bits) identical. The dependency
-        // counters guarantee every slot is filled before this task runs; a
-        // missing or poisoned slot means a worker died mid-task, which is
-        // surfaced as a structured error (still selected by minimal
-        // postorder rank below) rather than a cascading panic.
-        let child_bufs = take_children(symbolic, sn, take_update)?;
-        // Grow this worker's reusable buffer to the largest front it has
-        // seen — most workers never run the root, so lazy growth keeps each
-        // buffer at its own subtree's maximum. Reuse without re-zeroing is
-        // safe: assembly re-zeroes the lower trapezoid it references and
+        let range = tasks.ranges[t].clone();
+        let first = symbolic.postorder[range.start];
+        // The dependency counters guarantee every child's slot is filled
+        // before this task runs; a missing or poisoned slot means a worker
+        // died mid-task, which is surfaced as a structured error (still
+        // selected by minimal postorder rank below) rather than a cascading
+        // panic.
+        let handed = take_children(symbolic, first, take_update)?;
+        // Grow this worker's arena to the largest need it has met — one
+        // front for a single supernode, the subtree bound for a subtree — so
+        // most workers never hold the root's front. Reuse without re-zeroing
+        // is safe: assembly re-zeroes the lower trapezoid it references and
         // nothing reads the rest.
-        if st.front_buf.len() < s * s {
+        let need = match range.len() {
+            1 => symbolic.supernodes[first].front_size().pow(2),
+            _ => arena_len,
+        };
+        if st.arena.capacity() < need {
             st.allocs += 1;
-            st.front_buf = vec![T::ZERO; s * s];
+            st.arena = FrontArena::with_len(need);
         }
-        st.peak_front = st.peak_front.max(s * s);
-        // SAFETY: this supernode's panel region belongs to this task alone.
-        let panel_out =
-            unsafe { slab_view.slice_mut(panel_ptr[sn], panel_ptr[sn + 1] - panel_ptr[sn]) };
+        st.arena.clear();
         let width = budget.begin();
-        let mut front = assemble_front_into(
-            a,
-            info.col_start..info.col_end,
-            symbolic.update_rows(sn),
-            child_views(symbolic, sn, &child_bufs),
-            &mut st.front_buf[..s * s],
+        let (records, oom) = (&mut st.records, &mut st.oom);
+        let done = front_run.factor_range(
+            range,
+            &handed,
+            &mut st.arena,
+            &slab_view,
             &mut st.rel,
-            &mut st.machine.host,
+            st.machine,
+            &mut st.pool,
+            Some(width),
+            |r, out| {
+                *oom += usize::from(out.oom_fallback);
+                records.extend(out.record.map(|rec| (r, rec)));
+            },
         );
-        // The drain lifecycle of `crate::lane` against this worker's machine:
-        // the front finishes here.
-        let mut update = None;
-        let mut sink = |_: usize, front: &Front<'_, T>| update = extract_front(front, panel_out);
-        let policy = opts.selector.choose(sn, s - k, k);
-        let mut ctx = fu_ctx(st.machine, &mut st.pool, opts, Some(width), false);
-        let ran = Lane::new().run_front(sn, &mut front, policy, &mut ctx, &mut sink);
         budget.end();
-        let ran = ran.map_err(|e| fu_err_to_factor(info.col_start, e))?;
-        let out = SnOutcome::close(sn, symbolic, ran, st.machine, opts.record_stats);
-        st.oom += usize::from(out.oom_fallback);
-        st.records.extend(out.record.map(|rec| (rank[sn], rec)));
-        // The end of a task-level supernode: its panel is in the slab and
-        // its packed update goes to the parent's task, both as the
-        // out-of-core plan stores them.
-        if let Some(plan) = &ooc_plan {
-            plan.finish_front(sn, panel_out, update.as_deref_mut().unwrap_or_default());
-        }
+        let update = done?;
+        st.peak_front = st.peak_front.max(st.arena.high_water());
         if let Some(u) = update {
             st.allocs += 1;
-            put_update(sn, u);
+            *slot(t) = Some(u);
         }
         Ok(())
     });
@@ -534,8 +469,9 @@ pub fn factor_permuted_parallel<T: Scalar>(
             (acc, None) => acc,
         }
     });
-    // On failure report the error the serial driver would have hit first.
-    if let Some((_, err)) = errors.into_iter().min_by_key(|&(t, _)| rank_of(t)) {
+    // On failure report the error the serial driver would have hit first:
+    // the one of the task that starts earliest in the postorder.
+    if let Some((_, err)) = errors.into_iter().min_by_key(|&(t, _)| tasks.ranges[t].start) {
         return Err(err);
     }
     stats.merge_worker_records(
@@ -662,6 +598,59 @@ mod tests {
 
     fn machines(n: usize) -> Vec<Machine> {
         (0..n).map(|_| Machine::paper_node()).collect()
+    }
+
+    #[test]
+    fn range_tasks_partition_the_postorder() {
+        let selector = PolicySelector::Baseline(BaselineThresholds::default());
+        for a in [
+            laplacian_2d(60, 60, Stencil::Faces),
+            laplacian_3d(12, 12, 12, Stencil::Faces),
+            mf_matgen::elasticity_3d(6, 6, 6),
+        ] {
+            // Minimum degree and a subtree budget of an eighth of f64's leave
+            // dozens of supernodes above the subtrees, whose ascending ids
+            // are not their postorder: the numbering rule is exercised.
+            let amalg = AmalgamationOptions::default();
+            let sym = analyze(&a, OrderingKind::MinimumDegree, Some(&amalg)).unwrap().symbolic;
+            let (nsn, post) = (sym.num_supernodes(), &sym.postorder);
+            let mut subtree_len = vec![1usize; nsn];
+            for &sn in post {
+                subtree_len[sn] += sym.children(sn).iter().map(|&c| subtree_len[c]).sum::<usize>();
+            }
+            let p1 = |sn: usize| {
+                let info = &sym.supernodes[sn];
+                selector.choose(sn, info.m(), info.k()) == PolicyKind::P1
+            };
+            for subtrees in [sym.bottom_subtrees(64, p1), sym.bottom_subtrees(64, |_| true)] {
+                let tasks = RangeTasks::new(&sym, subtrees.clone());
+                let nsub = subtrees.len();
+                assert!(nsub > 0 && tasks.ranges.len() > nsub, "subtrees and singletons");
+                // The subtrees in range order, then one task per remaining
+                // supernode in ascending supernode id.
+                assert_eq!(tasks.ranges[..nsub], subtrees[..]);
+                assert!(tasks.ranges[nsub..].iter().all(|r| r.len() == 1));
+                let above: Vec<usize> =
+                    tasks.ranges[nsub..].iter().map(|r| post[r.start]).collect();
+                assert!(above.windows(2).all(|w| w[0] < w[1]));
+                assert!(tasks.ranges[nsub..].windows(2).any(|w| w[0].start > w[1].start));
+                // Together they cover the postorder exactly once.
+                let mut sorted = tasks.ranges.clone();
+                sorted.sort_by_key(|r| r.start);
+                assert!(sorted.into_iter().flatten().eq(0..nsn));
+                for (t, range) in tasks.ranges.iter().enumerate() {
+                    let root = post[range.end - 1];
+                    assert!(range.len() == 1 || subtree_len[root] == range.len(), "whole subtree");
+                    let inside = &post[range.clone()];
+                    assert!(sym.children(post[range.start]).iter().all(|c| !inside.contains(c)));
+                    assert_eq!(tasks.task_of[root], t);
+                    let parent = sym.supernodes[root].parent;
+                    let want =
+                        if parent == usize::MAX { usize::MAX } else { tasks.task_of[parent] };
+                    assert_eq!(tasks.parents[t], want);
+                }
+            }
+        }
     }
 
     #[test]

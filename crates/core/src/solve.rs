@@ -4,12 +4,12 @@
 //! `Y = L⁻¹·(P·B)`, `Z = L⁻ᵀ·Y`, `X = Pᵀ·Z`. The forward pass walks the
 //! supernodes leaf→root, the backward pass root→leaf. Each pass is one
 //! *range loop* over a run of postorder positions, built on one per-front
-//! body; the serial sweeps run the whole postorder through it, the
-//! tree-parallel sweeps run one bottom subtree
-//! (`SymbolicFactor::bottom_subtrees`) per task through it and the fronts
-//! above the subtrees one task each through the same per-front body — which
-//! is what makes the parallel solve bitwise identical to the serial one at
-//! every worker count (the same contract as
+//! body; the serial sweeps run the whole postorder through it, and every
+//! task of the tree-parallel sweeps — a bottom subtree
+//! (`SymbolicFactor::bottom_subtrees`) or one supernode above them, the
+//! factor's task partition — runs its range through it, which is what makes
+//! the parallel solve bitwise identical to the serial one at every worker
+//! count (the same contract as
 //! [`crate::parallel::factor_permuted_parallel`]).
 //!
 //! ## Determinism design
@@ -36,7 +36,8 @@
 //! child order, its own block is built above them and then moved down onto
 //! the first child's offset. Nothing is allocated per supernode. Between
 //! tasks of a parallel sweep a subtrahend travels in its own slice of one
-//! preallocated hand-off block.
+//! preallocated hand-off block: a task's last front leaves it there, and
+//! the first front of the parent's task folds it from there.
 //!
 //! All right-hand-side blocks are `n × nrhs` column-major with leading
 //! dimension `n`. Every dense call goes through the RHS-count-invariant
@@ -45,71 +46,13 @@
 //! single-RHS solve of column `j` alone.
 
 use crate::factor::{CholeskyFactor, SharedSlice};
+use crate::parallel::RangeTasks;
 use mf_dense::{
     backward_panel_small, forward_panel_small, gemm_multi_rhs, panel_is_small,
     trsm_left_lower_notrans_multi, trsm_left_lower_trans_multi, Scalar, Transpose,
 };
 use mf_runtime::{Runtime, TaskGraph};
 use std::ops::Range;
-
-/// The tasks of a tree-parallel sweep: one per bottom subtree (a range of
-/// postorder positions), one per supernode above them.
-struct SweepTasks {
-    /// Bottom subtrees; task `i < ranges.len()` runs `ranges[i]`.
-    ranges: Vec<Range<usize>>,
-    /// Supernodes above the subtrees; task `ranges.len() + i` runs `top[i]`.
-    top: Vec<usize>,
-    /// Parent task of each task (`usize::MAX` at the roots).
-    parents: Vec<usize>,
-    /// Per supernode whose subtrahend crosses tasks (subtree roots and top
-    /// supernodes): its row offset in the hand-off block; `usize::MAX`
-    /// elsewhere.
-    handoff: Vec<usize>,
-    /// Rows of the hand-off block.
-    handoff_rows: usize,
-}
-
-impl SweepTasks {
-    fn new<T: Scalar>(factor: &CholeskyFactor<T>) -> Self {
-        let symbolic = &factor.symbolic;
-        let nsn = symbolic.num_supernodes();
-        let ranges = symbolic.bottom_subtrees(T::BYTES, |_| true);
-        let mut task_of = vec![usize::MAX; nsn];
-        let mut handoff = vec![usize::MAX; nsn];
-        let mut handoff_rows = 0usize;
-        let mut top = Vec::new();
-        let mut next_range = 0;
-        let mut pos = 0;
-        while pos < nsn {
-            let sn = if ranges.get(next_range).is_some_and(|r| r.start == pos) {
-                pos = ranges[next_range].end;
-                next_range += 1;
-                let root = symbolic.postorder[pos - 1];
-                task_of[root] = next_range - 1;
-                root
-            } else {
-                let sn = symbolic.postorder[pos];
-                pos += 1;
-                task_of[sn] = ranges.len() + top.len();
-                top.push(sn);
-                sn
-            };
-            handoff[sn] = handoff_rows;
-            handoff_rows += symbolic.supernodes[sn].m();
-        }
-        let root_of = |t: usize| match ranges.get(t) {
-            Some(r) => symbolic.postorder[r.end - 1],
-            None => top[t - ranges.len()],
-        };
-        let parents = (0..ranges.len() + top.len())
-            .map(|t| match symbolic.supernodes[root_of(t)].parent {
-                usize::MAX => usize::MAX,
-                p => task_of[p],
-            })
-            .collect();
-        SweepTasks { ranges, top, parents, handoff, handoff_rows }
-    }
-}
 
 /// Per-worker scratch of the sweeps: the gathered pivot rows and update rows
 /// of the front in hand, and (forward) the subtrahend stack.
@@ -220,26 +163,34 @@ impl<T: Scalar> CholeskyFactor<T> {
     }
 
     /// Forward substitution over the supernodes at postorder positions
-    /// `range` (whole subtrees) on `stack`, which holds nothing of theirs on
-    /// entry and, on return, the subtrahends of the subtrees' roots from
-    /// offset 0 in range order.
-    fn forward_range(
+    /// `range` — a run whose first front has no child inside it — on
+    /// `stack`, which holds nothing of theirs on entry and, on return, the
+    /// subtrahend of the last front at offset 0 (the ranges end at subtree
+    /// roots). The first front folds its children's subtrahends from
+    /// `handed`; every later front finds its children's on the stack.
+    fn forward_range<'h>(
         &self,
         range: Range<usize>,
         nrhs: usize,
         x: &SharedSlice<T>,
+        handed: impl Fn(usize) -> &'h [T],
         scratch: &mut SweepScratch<T>,
-    ) {
+    ) where
+        T: 'h,
+    {
         let symbolic = &self.symbolic;
         let SweepScratch { xk, stack, .. } = scratch;
         let mut top = 0usize;
-        for r in range {
+        for r in range.clone() {
             let sn = symbolic.postorder[r];
             let m = symbolic.supernodes[sn].m();
             let kids = symbolic.children(sn);
-            // The children's subtrahends are the top of the stack, in child
-            // order with the first child deepest.
-            let kid_rows: usize = kids.iter().map(|&c| symbolic.supernodes[c].m()).sum();
+            // The first front's children are outside the range, their
+            // subtrahends handed over; every later front's are the top of the
+            // stack, in child order with the first child deepest.
+            let (from_hand, on_stack) =
+                if r == range.start { (kids, &[][..]) } else { (&[][..], kids) };
+            let kid_rows: usize = on_stack.iter().map(|&c| symbolic.supernodes[c].m()).sum();
             let dest = top - kid_rows * nrhs;
             debug_assert!(
                 top + m * nrhs <= stack.len(),
@@ -247,11 +198,12 @@ impl<T: Scalar> CholeskyFactor<T> {
             );
             let (below, above) = stack.split_at_mut(top);
             let mut next = dest;
-            let children = kids.iter().map(|&c| {
+            let stacked = on_stack.iter().map(|&c| {
                 let len = symbolic.supernodes[c].m() * nrhs;
                 next += len;
                 (c, &below[next - len..next])
             });
+            let children = from_hand.iter().map(|&c| (c, handed(c))).chain(stacked);
             self.forward_front(sn, nrhs, x, children, xk, &mut above[..m * nrhs]);
             // Retire the children: this supernode's block takes their place.
             if dest < top {
@@ -360,7 +312,7 @@ impl<T: Scalar> CholeskyFactor<T> {
     pub fn solve_many_parallel(&self, b: &[T], nrhs: usize, workers: usize) -> Vec<T> {
         let mut x = self.permute_rhs(b, nrhs);
         if nrhs > 0 && self.order() > 0 {
-            let tasks = SweepTasks::new(self);
+            let tasks = self.sweep_tasks();
             self.forward_tasks(&tasks, &mut x, nrhs, workers);
             self.backward_tasks(&tasks, &mut x, nrhs, workers);
         }
@@ -400,7 +352,8 @@ impl<T: Scalar> CholeskyFactor<T> {
             ..Default::default()
         };
         let nsn = self.symbolic.num_supernodes();
-        self.forward_range(0..nsn, nrhs, &SharedSlice::new(x), &mut scratch);
+        // The postorder starts at a leaf: nothing is handed in.
+        self.forward_range(0..nsn, nrhs, &SharedSlice::new(x), |_| &[], &mut scratch);
     }
 
     /// Backward substitution `X ← L⁻ᵀ·X` on a permuted `n × nrhs` block.
@@ -417,57 +370,56 @@ impl<T: Scalar> CholeskyFactor<T> {
         }
     }
 
+    /// The tasks of both tree-parallel sweeps: the factor's partition, with
+    /// every front eligible for a bottom subtree.
+    fn sweep_tasks(&self) -> RangeTasks {
+        RangeTasks::new(&self.symbolic, self.symbolic.bottom_subtrees(T::BYTES, |_| true))
+    }
+
     /// Tree-parallel forward substitution (leaf→root) on `workers` threads:
     /// one task per bottom subtree, one per supernode above. Bitwise
     /// identical to [`CholeskyFactor::forward_in_place_multi`].
     pub fn forward_in_place_multi_parallel(&self, x: &mut [T], nrhs: usize, workers: usize) {
         if nrhs > 0 && self.order() > 0 {
-            self.forward_tasks(&SweepTasks::new(self), x, nrhs, workers);
+            self.forward_tasks(&self.sweep_tasks(), x, nrhs, workers);
         }
     }
 
-    fn forward_tasks(&self, tasks: &SweepTasks, x: &mut [T], nrhs: usize, workers: usize) {
+    fn forward_tasks(&self, tasks: &RangeTasks, x: &mut [T], nrhs: usize, workers: usize) {
         assert_eq!(x.len(), self.order() * nrhs);
         let symbolic = &self.symbolic;
         let graph = TaskGraph::from_parents(&tasks.parents);
-        // Subtrahends that cross tasks: supernode `sn`'s is the
-        // `m × nrhs` block at `handoff[sn] · nrhs`.
-        let mut handoff = vec![T::ZERO; tasks.handoff_rows * nrhs];
+        // Subtrahends that cross tasks: that of task `t`'s last front is the
+        // `m × nrhs` block at `offset[t] · nrhs` of one hand-off block.
+        let (mut rows, mut offset) = (0, Vec::with_capacity(tasks.ranges.len()));
+        for range in &tasks.ranges {
+            offset.push(rows);
+            rows += symbolic.supernodes[symbolic.postorder[range.end - 1]].m();
+        }
+        let mut handoff = vec![T::ZERO; rows * nrhs];
         let handoff_view = SharedSlice::new(&mut handoff);
-        let block_of = |sn: usize| (tasks.handoff[sn] * nrhs, symbolic.supernodes[sn].m() * nrhs);
+        let block_of =
+            |sn: usize| (offset[tasks.task_of[sn]] * nrhs, symbolic.supernodes[sn].m() * nrhs);
         let shared = SharedSlice::new(x);
         let runtime = Runtime::new(workers);
         let states: Vec<SweepScratch<T>> =
             (0..runtime.workers()).map(|_| SweepScratch::default()).collect();
         let (_, errors) = runtime.run(&graph, states, |scratch, t| -> Result<(), ()> {
-            match tasks.ranges.get(t) {
-                Some(range) => {
-                    if scratch.stack.is_empty() {
-                        scratch.stack = vec![T::ZERO; symbolic.solve_stack_rows() * nrhs];
-                    }
-                    let root = symbolic.postorder[range.end - 1];
-                    self.forward_range(range.clone(), nrhs, &shared, scratch);
-                    let (off, len) = block_of(root);
-                    // SAFETY: the root's hand-off block is this task's to
-                    // write; its reader waits for this task.
-                    unsafe { handoff_view.slice_mut(off, len) }
-                        .copy_from_slice(&scratch.stack[..len]);
-                }
-                None => {
-                    let sn = tasks.top[t - tasks.ranges.len()];
-                    let children = symbolic.children(sn).iter().map(|&c| {
-                        let (off, len) = block_of(c);
-                        // SAFETY: written by the child's task, which the
-                        // dependency counter ordered before this one.
-                        (c, unsafe { handoff_view.slice(off, len) })
-                    });
-                    let (off, len) = block_of(sn);
-                    // SAFETY: this supernode's own block, disjoint from its
-                    // children's.
-                    let ubuf = unsafe { handoff_view.slice_mut(off, len) };
-                    self.forward_front(sn, nrhs, &shared, children, &mut scratch.xk, ubuf);
-                }
+            if scratch.stack.is_empty() {
+                scratch.stack = vec![T::ZERO; symbolic.solve_stack_rows() * nrhs];
             }
+            let range = tasks.ranges[t].clone();
+            let (off, len) = block_of(symbolic.postorder[range.end - 1]);
+            let handed = |c| {
+                let (off, len) = block_of(c);
+                // SAFETY: written by the child's task, which the dependency
+                // counter ordered before this one.
+                unsafe { handoff_view.slice(off, len) }
+            };
+            self.forward_range(range, nrhs, &shared, handed, scratch);
+            // SAFETY: the last front's hand-off block is this task's to
+            // write; its reader waits for this task.
+            unsafe { handoff_view.slice_mut(off, len) }.copy_from_slice(&scratch.stack[..len]);
             Ok(())
         });
         debug_assert!(errors.is_empty(), "solve tasks are infallible");
@@ -478,11 +430,11 @@ impl<T: Scalar> CholeskyFactor<T> {
     /// [`CholeskyFactor::backward_in_place_multi`].
     pub fn backward_in_place_multi_parallel(&self, x: &mut [T], nrhs: usize, workers: usize) {
         if nrhs > 0 && self.order() > 0 {
-            self.backward_tasks(&SweepTasks::new(self), x, nrhs, workers);
+            self.backward_tasks(&self.sweep_tasks(), x, nrhs, workers);
         }
     }
 
-    fn backward_tasks(&self, tasks: &SweepTasks, x: &mut [T], nrhs: usize, workers: usize) {
+    fn backward_tasks(&self, tasks: &RangeTasks, x: &mut [T], nrhs: usize, workers: usize) {
         assert_eq!(x.len(), self.order() * nrhs);
         let graph = TaskGraph::from_parents_reversed(&tasks.parents);
         let shared = SharedSlice::new(x);
@@ -490,15 +442,8 @@ impl<T: Scalar> CholeskyFactor<T> {
         let states: Vec<SweepScratch<T>> =
             (0..runtime.workers()).map(|_| SweepScratch::default()).collect();
         let (_, errors) = runtime.run(&graph, states, |scratch, t| -> Result<(), ()> {
-            match tasks.ranges.get(t) {
-                Some(range) => {
-                    for &sn in self.symbolic.postorder[range.clone()].iter().rev() {
-                        self.backward_front(sn, nrhs, &shared, scratch);
-                    }
-                }
-                None => {
-                    self.backward_front(tasks.top[t - tasks.ranges.len()], nrhs, &shared, scratch)
-                }
+            for &sn in self.symbolic.postorder[tasks.ranges[t].clone()].iter().rev() {
+                self.backward_front(sn, nrhs, &shared, scratch);
             }
             Ok(())
         });

@@ -82,16 +82,16 @@ pub struct FactorStats {
     /// Supernodes that fell back to P1 because the device was out of memory.
     pub oom_fallbacks: usize,
     /// Peak bytes of front working storage in live use at any point: the
-    /// arena high-water mark (serial) or the largest per-worker front
-    /// buffer or arena extent actually touched (parallel). Pipelined and
-    /// multi-GPU runs, whose front lifetimes overlap, report the most
-    /// simultaneously-live front and update buffers instead.
+    /// arena high-water mark (serial) or the largest per-worker arena
+    /// extent actually touched (parallel). Pipelined and multi-GPU runs,
+    /// whose front lifetimes overlap, report the most simultaneously-live
+    /// front and update buffers instead.
     pub peak_front_bytes: usize,
     /// Allocation (or growth) events the numeric phase performed for
     /// front/update storage. The serial drain run is O(1) — exactly the
-    /// slab plus the arena; the parallel driver adds per-worker arena and
-    /// front-buffer growths and one transient buffer per update that
-    /// crosses tasks; pipelined and multi-GPU runs allocate per front.
+    /// slab plus the arena; the parallel driver adds per-worker arena
+    /// growths and one transient buffer per update that crosses tasks;
+    /// pipelined and multi-GPU runs allocate per front.
     pub front_alloc_events: u64,
     /// GPU engine busy/idle accounting over the run, measured against
     /// `total_time`. `None` on CPU-only machines. Parallel runs aggregate

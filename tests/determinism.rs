@@ -96,9 +96,8 @@ fn bitwise_identical_f32_gpu_policies() {
 
 /// The arena's memory contract — peak working storage within the symbolic
 /// bound, two allocations for a serial run — and the parallel driver's
-/// storage (a worker's own arena below, its reusable front buffer and
-/// hand-off buffers above) giving the serial arena's bits at every worker
-/// count.
+/// storage (a worker's own arena per task, hand-off buffers between tasks)
+/// giving the serial arena's bits at every worker count.
 fn assert_arena_contract<T: Scalar>(a: &SymCsc<T>, symbolic: &SymbolicFactor, perm: &Permutation) {
     let opts = baseline_opts();
     let mut m0 = Machine::paper_node();
@@ -312,7 +311,7 @@ fn assert_multigpu_bitwise<T: Scalar>(
         assert_eq!(reference, panel_bits(&f1), "serial × {ndev} devices diverged");
         assert_eq!(s1.oom_fallbacks, ss.oom_fallbacks, "{ndev}-device OOM decisions");
         assert!(m.gpu.is_some(), "machine must get its device back ({ndev} devices)");
-        // Parallel entry: devices dealt round-robin over the machines.
+        // Parallel entry: the serial entry's run on the first GPU machine.
         for workers in [1usize, 2, 4, 8] {
             let mut machines: Vec<Machine> = (0..workers).map(|_| Machine::paper_node()).collect();
             let (fp, sp) = factor_permuted_parallel(
