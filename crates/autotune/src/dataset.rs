@@ -119,15 +119,6 @@ impl Dataset {
         self.points.iter().map(|d| d.times[f(d.m, d.k).index()]).sum()
     }
 
-    /// Classification accuracy of a predictor against the best-policy labels.
-    pub fn predictor_accuracy(&self, f: impl Fn(usize, usize) -> PolicyKind) -> f64 {
-        if self.is_empty() {
-            return 1.0;
-        }
-        let hit = self.points.iter().filter(|d| f(d.m, d.k) == d.best()).count();
-        hit as f64 / self.len() as f64
-    }
-
     /// Fraction of calls whose chosen policy is within `slack` (relative) of
     /// the best time — the accuracy notion that matters for a cost-sensitive
     /// learner, where exact argmin labels are ill-defined at near-ties.
@@ -180,10 +171,6 @@ mod tests {
         // A perfect predictor reaches the ideal.
         let t = d.predictor_time(|m, _| if m == 1 { PolicyKind::P1 } else { PolicyKind::P4 });
         assert_eq!(t, d.ideal_time());
-        assert_eq!(
-            d.predictor_accuracy(|m, _| if m == 1 { PolicyKind::P1 } else { PolicyKind::P4 }),
-            1.0
-        );
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! front (costly) is penalised far more than one on a tiny front
 //! (harmless), the paper's third desideratum. A plain cross-entropy
 //! objective is included as the ablation comparator representing prior work
-//! ([19], [20] in the paper).
+//! (the paper's references 19 and 20).
 
 pub mod dataset;
 pub mod train;

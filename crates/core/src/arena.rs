@@ -1,5 +1,5 @@
-//! Front working storage: the postorder LIFO arena that makes the serial
-//! numeric phase allocation-free.
+//! Front working storage: the postorder LIFO stack of update blocks that
+//! makes the drain schedule allocation-free per front.
 //!
 //! [`FrontArena`] is the classical multifrontal working-storage stack, for
 //! the part of a front that outlives its step: its `m × m` update block.
@@ -12,11 +12,15 @@
 //! region of the stack when the supernode runs, so that is one
 //! `copy_within` of an already packed block — no second buffer.
 //!
-//! The serial driver runs the whole postorder on one arena. The parallel
-//! driver gives every worker its own, grown to the largest bottom subtree it
-//! has run; a worker cannot stack-discipline an update that a *different*
-//! worker will consume, so a task's last front assembles its update in a
-//! transient per-edge buffer instead (see `parallel.rs`).
+//! The arena loop (`FrontRun::factor_range` in `factor.rs`) runs a
+//! postorder range on one arena: the serial driver the whole postorder,
+//! every work-stealing task its own range on its worker's arena, grown to
+//! the largest bottom subtree that worker has run. An update that leaves
+//! its range — a different worker consumes it, so no one stack can hold it
+//! — is assembled in a buffer of its own instead. The stack is the same
+//! under a memory budget: the out-of-core plan decides residency itself,
+//! and the arena only lends it [`FrontArena::update_at_mut`] to degrade a
+//! spill-bound block in place.
 
 use mf_dense::Scalar;
 
@@ -29,15 +33,6 @@ pub struct FrontArena<T> {
     buf: Vec<T>,
     top: usize,
     high_water: usize,
-    /// Peak *tier-resident* bytes an out-of-core driver reported via
-    /// [`Self::note_resident_bytes`]. Kept separate from `high_water`,
-    /// which stays the logical (symbolic-bound) figure: under a memory
-    /// budget the logical stack extent is unchanged — eviction only
-    /// changes which bytes are device-resident — so the PR 4
-    /// `peak == symbolic bound` invariant keeps holding for
-    /// `FactorStats::peak_front_bytes` while the budgeted residency is
-    /// reported here.
-    resident_high_water: usize,
 }
 
 impl<T: Scalar> FrontArena<T> {
@@ -45,7 +40,7 @@ impl<T: Scalar> FrontArena<T> {
     /// heap buffer (assembly re-zeroes the triangle of a block it
     /// references, nothing reads the rest).
     pub fn with_len(len: usize) -> Self {
-        FrontArena { buf: vec![T::ZERO; len], top: 0, high_water: 0, resident_high_water: 0 }
+        FrontArena { buf: vec![T::ZERO; len], top: 0, high_water: 0 }
     }
 
     /// Length of the arena in scalars.
@@ -97,30 +92,11 @@ impl<T: Scalar> FrontArena<T> {
         self.top = dest + m * m;
     }
 
-    /// Packed update region written by the last [`Self::pop_and_compact`]
-    /// for a supernode whose update landed at `off` (test helper).
-    pub fn update_at(&self, off: usize, m: usize) -> &[T] {
-        &self.buf[off..off + m * m]
-    }
-
-    /// Mutable view of a packed update region — the out-of-core driver
+    /// The packed update region written by the last [`Self::pop_and_compact`]
+    /// for a supernode whose update landed at `off` — the out-of-core driver
     /// degrades spill-bound updates in place through this.
     pub fn update_at_mut(&mut self, off: usize, m: usize) -> &mut [T] {
         &mut self.buf[off..off + m * m]
-    }
-
-    /// Record the device-resident bytes an out-of-core plan kept of this
-    /// arena's blocks during one elimination step (fronts + live updates
-    /// minus evicted ones). Monotone max.
-    pub fn note_resident_bytes(&mut self, bytes: usize) {
-        self.resident_high_water = self.resident_high_water.max(bytes);
-    }
-
-    /// Peak tier-resident bytes reported via [`Self::note_resident_bytes`];
-    /// `0` for in-core runs, where residency equals the logical
-    /// [`Self::high_water`] extent.
-    pub fn resident_high_water_bytes(&self) -> usize {
-        self.resident_high_water
     }
 }
 
@@ -152,31 +128,12 @@ mod tests {
         parent.copy_from_slice(&[11.0, 21.0, 0.0, 22.0]);
         arena.pop_and_compact(4, 2, 0);
         assert_eq!(arena.top(), 4);
-        assert_eq!(arena.update_at(0, 2), [11.0, 21.0, 0.0, 22.0]);
+        assert_eq!(arena.update_at_mut(0, 2), [11.0, 21.0, 0.0, 22.0]);
         assert_eq!(arena.high_water(), 8);
         // A root (m = 0) releases everything it consumed.
         let _ = arena.split_for_front(0);
         arena.pop_and_compact(4, 0, 0);
         assert_eq!(arena.top(), 0);
-    }
-
-    #[test]
-    fn resident_tracking_is_separate_from_logical_high_water() {
-        let mut arena = FrontArena::<f64>::with_len(32);
-        let _ = arena.split_for_front(16);
-        assert_eq!(arena.high_water(), 16);
-        // In-core runs never note residency.
-        assert_eq!(arena.resident_high_water_bytes(), 0);
-        // An out-of-core driver reports what the plan kept resident; the
-        // logical figure must not move.
-        arena.note_resident_bytes(40);
-        arena.note_resident_bytes(24);
-        assert_eq!(arena.resident_high_water_bytes(), 40);
-        assert_eq!(arena.high_water(), 16);
-        // update_at_mut exposes the same region update_at reads.
-        arena.pop_and_compact(0, 2, 0);
-        arena.update_at_mut(0, 2)[0] = 3.5;
-        assert_eq!(arena.update_at(0, 2)[0], 3.5);
     }
 
     #[test]

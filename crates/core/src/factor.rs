@@ -111,14 +111,14 @@ pub struct FactorOptions {
     pub pipeline: PipelineOptions,
     /// Multi-device execution (see [`MultiGpuOptions`]). With `count > 1`
     /// on a GPU machine and pipelining enabled, the factorization routes
-    /// to the multi-GPU driver of [`crate::multigpu`]: one host timeline
-    /// feeding every device. The parallel entry hands such a run to
-    /// [`factor_permuted`] on its first GPU machine.
+    /// to the multi-GPU driver: one host timeline feeding every device. The
+    /// parallel entry hands such a run to [`factor_permuted`] on its first
+    /// GPU machine.
     pub devices: MultiGpuOptions,
     /// Out-of-core residency budget in bytes for the factor slab plus the
-    /// front arena (see `mf-core::ooc`, DESIGN.md §4.14). `None` runs
-    /// fully in core. With a budget set, the drivers replay the
-    /// deterministic spill schedule of [`crate::ooc::plan_ooc`]: transfers
+    /// front arena (DESIGN.md §4.14). `None` runs fully in core. With a
+    /// budget set, the drivers replay the deterministic spill schedule of
+    /// [`crate::ooc::plan_ooc`]: transfers
     /// are charged on the executing clock, `FactorStats::ooc` reports the
     /// traffic, and pipelined/multi-GPU dispatch falls back to the drain
     /// schedule (whose front lifetimes the residency plan models exactly).
@@ -483,13 +483,7 @@ pub fn factor_permuted<T: Scalar>(
     ran?;
 
     stats.peak_front_bytes = arena.high_water() * T::BYTES;
-    if let Some(plan) = ooc_plan {
-        // The arena's tier-resident high water must mirror the plan; the
-        // logical high water above stays the symbolic bound regardless of
-        // the budget.
-        debug_assert_eq!(arena.resident_high_water_bytes(), plan.stats.arena_resident_peak_bytes);
-        stats.ooc = Some(plan.stats);
-    }
+    stats.ooc = ooc_plan.map(|plan| plan.stats);
     stats.total_time = machine.elapsed();
     stats.gpu = machine.gpu.as_ref().map(|g| g.utilization(stats.total_time));
     stats.wall_time = wall0.elapsed().as_secs_f64();
@@ -619,7 +613,6 @@ impl<T: Scalar> FrontRun<'_, T> {
                     None => arena.update_at_mut(dest, m),
                 };
                 plan.finish_front(sn, panel, update);
-                arena.note_resident_bytes(plan.arena_step_resident[r]);
             }
         }
         Ok(out)

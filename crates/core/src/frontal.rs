@@ -52,16 +52,6 @@ impl<T: Scalar> Front<'_, T> {
     pub fn m(&self) -> usize {
         self.s - self.k
     }
-
-    /// Entry `(i, j)` of the front's lower triangle, `i ≥ j` (test helper).
-    pub fn at(&self, i: usize, j: usize) -> T {
-        debug_assert!(i >= j);
-        if j < self.k {
-            self.panel[i + j * self.s]
-        } else {
-            self.update[(i - self.k) + (j - self.k) * self.m()]
-        }
-    }
 }
 
 /// A borrowed view of a factored child's update matrix, consumed by the
@@ -240,6 +230,15 @@ mod tests {
         (vec![0.0; (k + m) * k], vec![f64::NAN; m * m])
     }
 
+    /// Entry `(i, j)`, `i ≥ j`, of an assembled front's lower triangle.
+    fn at(f: &Front<'_, f64>, i: usize, j: usize) -> f64 {
+        if j < f.k {
+            f.panel[i + j * f.s]
+        } else {
+            f.update[(i - f.k) + (j - f.k) * f.m()]
+        }
+    }
+
     fn assemble<'a>(
         a: &SymCsc<f64>,
         inf: &Shape,
@@ -278,12 +277,12 @@ mod tests {
         let f = assemble(&a, &inf, &[], &mut bufs, &mut host);
         assert_eq!(f.s, 3);
         assert_eq!(f.k, 2);
-        assert_eq!(f.at(0, 0), 4.0);
-        assert_eq!(f.at(1, 0), -1.0);
-        assert_eq!(f.at(2, 0), -2.0); // row 3 → local 2
-        assert_eq!(f.at(1, 1), 5.0);
-        assert_eq!(f.at(2, 1), -3.0);
-        assert_eq!(f.at(2, 2), 0.0, "A(3,3) belongs to a later supernode");
+        assert_eq!(at(&f, 0, 0), 4.0);
+        assert_eq!(at(&f, 1, 0), -1.0);
+        assert_eq!(at(&f, 2, 0), -2.0); // row 3 → local 2
+        assert_eq!(at(&f, 1, 1), 5.0);
+        assert_eq!(at(&f, 2, 1), -3.0);
+        assert_eq!(at(&f, 2, 2), 0.0, "A(3,3) belongs to a later supernode");
         // The panel's strictly-upper entry is never written.
         assert_eq!(f.panel[3], 0.0);
         assert!(host.now() > 0.0);
@@ -304,11 +303,11 @@ mod tests {
         let mut bufs = buffers(&inf);
         let f = assemble(&a, &inf, &[child], &mut bufs, &mut host);
         // Local rows: 2→0, 3→1, 4→2.
-        assert_eq!(f.at(0, 0), 1.0 + 10.0);
-        assert_eq!(f.at(2, 0), 20.0);
+        assert_eq!(at(&f, 0, 0), 1.0 + 10.0);
+        assert_eq!(at(&f, 2, 0), 20.0);
         // A(4,4) belongs to a later supernode — only the child lands here.
-        assert_eq!(f.at(2, 2), 30.0);
-        assert_eq!(f.at(1, 1), 1.0);
+        assert_eq!(at(&f, 2, 2), 30.0);
+        assert_eq!(at(&f, 1, 1), 1.0);
     }
 
     #[test]
@@ -324,11 +323,11 @@ mod tests {
         let mut host = HostClock::new(mf_gpusim::xeon_5160_core());
         let mut bufs = buffers(&inf);
         let f = assemble(&a, &inf, &[c1, c2], &mut bufs, &mut host);
-        assert_eq!(f.at(0, 0), 6.0); // 1 + 5
-        assert_eq!(f.at(2, 0), 2.0);
-        assert_eq!(f.at(1, 0), 6.0);
-        assert_eq!(f.at(1, 1), 7.0);
-        assert_eq!(f.at(2, 2), 3.0);
+        assert_eq!(at(&f, 0, 0), 6.0); // 1 + 5
+        assert_eq!(at(&f, 2, 0), 2.0);
+        assert_eq!(at(&f, 1, 0), 6.0);
+        assert_eq!(at(&f, 1, 1), 7.0);
+        assert_eq!(at(&f, 2, 2), 3.0);
     }
 
     #[test]

@@ -1273,13 +1273,13 @@ mod tests {
         });
         let mut pool = PinnedPool::new(2);
         let mut bufs = Bufs::<f64>::spd(64, 16, 21);
-        let mut front = bufs.front();
-        let out = execute_fu(&mut front, PolicyKind::P4, &mut ctx(&mut machine, &mut pool, false))
-            .unwrap();
+        let out =
+            execute_fu(&mut bufs.front(), PolicyKind::P4, &mut ctx(&mut machine, &mut pool, false))
+                .unwrap();
         assert_eq!(out.executed, PolicyKind::P1);
         assert!(out.oom_fallback);
         for j in 0..64 {
-            assert!(front.at(j, j) > 0.0);
+            assert!(bufs.at(j, j) > 0.0);
         }
     }
 

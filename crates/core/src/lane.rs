@@ -1,5 +1,5 @@
-//! The pipelined front lifecycle: one body per phase, shared by every driver
-//! whose fronts overlap on a device.
+//! The front lifecycle: one body per phase, shared by every driver — the
+//! drain schedule is the lane with nothing staged and a window of 0.
 //!
 //! A front goes through assemble → dispatch under a policy → downloads →
 //! extraction → finish, and hands its update to its parent. [`crate::fu`]

@@ -28,29 +28,27 @@
 //! assert!(sol.residual_history.last().unwrap() < &1e-11);
 //! ```
 
-pub mod arena;
-pub mod factor;
-pub mod features;
-pub mod frontal;
-pub mod fu;
+mod arena;
+mod factor;
+mod features;
+mod frontal;
+mod fu;
 mod lane;
-pub mod multigpu;
-pub mod ooc;
-pub mod parallel;
-pub mod pinned_pool;
-pub mod policy;
-pub mod solve;
-pub mod solver;
-pub mod stats;
+mod multigpu;
+mod ooc;
+mod parallel;
+mod pinned_pool;
+mod policy;
+mod solve;
+mod solver;
+mod stats;
 
-pub use arena::FrontArena;
 pub use factor::{
     factor_permuted, CholeskyFactor, FactorError, FactorOptions, PipelineOptions, PolicySelector,
 };
 pub use features::{raw_features, LinearPolicyModel, NUM_FEATURES};
-pub use frontal::{ChildUpdate, Front};
-pub use fu::{estimate_fu_time, FuError, DEFAULT_PANEL_WIDTH};
-pub use multigpu::{proportional_map, DeviceMap, MultiGpuOptions};
+pub use fu::estimate_fu_time;
+pub use multigpu::MultiGpuOptions;
 pub use ooc::{
     in_core_bytes, min_feasible_budget, plan_ooc, OocError, OocEvent, OocEventKind, OocPlan,
     OocStats, PrecisionLadder,
@@ -59,7 +57,6 @@ pub use parallel::{
     durations_by_supernode, factor_permuted_parallel, simulate_tree_schedule, MoldableModel,
     ParallelOptions, ScheduleResult,
 };
-pub use pinned_pool::PinnedPool;
 pub use policy::{BaselineThresholds, PolicyKind};
 pub use solver::{
     estimated_memory_bytes, estimated_memory_bytes_budgeted, Precision, RefactorError, RefineInfo,

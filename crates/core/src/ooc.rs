@@ -30,9 +30,18 @@
 //! untouchable working set of a step is only `m² + s·k + maxᶜ mᶜ²`
 //! scalars ([`min_feasible_budget`]).
 //! Spilled blocks go to the pinned-host tier while it has capacity, then
-//! to simulated disk; the charges land on the existing [`HostClock`] via
-//! `charge_memop`, so spill traffic shares the virtual timeline with
-//! every other cost.
+//! to simulated disk.
+//!
+//! ## Replay
+//!
+//! A budgeted run takes the drain schedule at every worker count, the one
+//! schedule whose front lifetimes the plan models. The arena loop calls
+//! [`OocPlan::begin_front`] before each front, which charges that step's
+//! transfers on the executing [`HostClock`](mf_gpusim::HostClock) through
+//! `charge_memop`, so spill traffic shares the virtual timeline with every
+//! other cost, and [`OocPlan::finish_front`] after it. Residency is the
+//! plan's alone: [`OocStats`] reports it, and no driver keeps a second
+//! account.
 //!
 //! ## Precision ladder
 //!
@@ -319,8 +328,7 @@ pub struct OocStats {
     pub logical_peak_bytes: usize,
     /// Peak device residency the plan actually reaches (≤ budget).
     pub resident_peak_bytes: usize,
-    /// Peak residency attributable to arena blocks (update blocks),
-    /// mirrored into `FrontArena::resident_high_water_bytes`.
+    /// Peak residency attributable to arena blocks (update blocks).
     pub arena_resident_peak_bytes: usize,
     /// [`min_feasible_budget`] of the structure.
     pub min_feasible_bytes: usize,
@@ -377,9 +385,6 @@ pub struct OocPlan {
     /// Per-postorder-rank transfers to replay (charge on the executing
     /// clock) before processing that supernode.
     pub step_io: Vec<Vec<IoOp>>,
-    /// Per-postorder-rank peak of arena-resident bytes during the step —
-    /// what the arena's tier-resident high water should record.
-    pub arena_step_resident: Vec<usize>,
     /// Per-supernode: the panel is stored encoded at some point, so the
     /// driver must degrade it (once, at production) to the ladder's
     /// read-back value.
@@ -456,7 +461,6 @@ struct PlanState<'a> {
     stats: OocStats,
     degrade_panel: Vec<bool>,
     degrade_update: Vec<bool>,
-    arena_step_peak: usize,
 }
 
 impl PlanState<'_> {
@@ -472,7 +476,6 @@ impl PlanState<'_> {
         self.stats.resident_peak_bytes = self.stats.resident_peak_bytes.max(self.cur);
         self.stats.arena_resident_peak_bytes =
             self.stats.arena_resident_peak_bytes.max(self.arena_cur);
-        self.arena_step_peak = self.arena_step_peak.max(self.arena_cur);
         self.events.push(OocEvent { rank, kind, resident_bytes: self.cur });
     }
 
@@ -585,14 +588,11 @@ pub fn plan_ooc(
         },
         degrade_panel: vec![false; nsn],
         degrade_update: vec![false; nsn],
-        arena_step_peak: 0,
     };
 
     let mut step_io = Vec::with_capacity(nsn);
-    let mut arena_step_resident = Vec::with_capacity(nsn);
 
     for (r, &sn) in symbolic.postorder.iter().enumerate() {
-        st.arena_step_peak = st.arena_cur;
         let info = &symbolic.supernodes[sn];
         let s = info.front_size();
         let k = info.k();
@@ -655,7 +655,6 @@ pub fn plan_ooc(
         st.push_event(r, OocEventKind::Retire(sn));
 
         step_io.push(std::mem::take(&mut st.ops));
-        arena_step_resident.push(st.arena_step_peak);
     }
 
     let panel_tier: Vec<Option<SpillTier>> = st.spilled[..nsn].to_vec();
@@ -664,7 +663,6 @@ pub fn plan_ooc(
     Ok(OocPlan {
         stats: st.stats,
         step_io,
-        arena_step_resident,
         degrade_panel: st.degrade_panel,
         degrade_update: st.degrade_update,
         panel_tier,

@@ -13,9 +13,8 @@
 //!    front stack fit the cache), or one supernode above them. Each task's
 //!    remaining-children counter releases its parent; update matrices that
 //!    cross tasks are buffered and extend-added in postorder child rank (so
-//!    the factor is **bitwise identical** to
-//!    [`factor_permuted`](crate::factor::factor_permuted) at every worker
-//!    count), and a shared [`ThreadBudget`] arbitrates hardware threads
+//!    the factor is **bitwise identical** to [`factor_permuted`] at every
+//!    worker count), and a shared [`ThreadBudget`] arbitrates hardware threads
 //!    between tree-level workers and the dense engine's column-slab
 //!    threading — the one intra-front parallelism mechanism: the last
 //!    task standing near the root runs its kernels at the full budget.
@@ -26,7 +25,7 @@
 //! arena loop of [`crate::factor`] (`FrontRun::factor_range`, the drain
 //! schedule) on the worker's arena. Pipelined and multi-device runs keep
 //! fronts in flight on one host timeline, so the entry hands them to
-//! [`factor_permuted`](crate::factor::factor_permuted).
+//! [`factor_permuted`].
 //!
 //! The model predicts simulated makespans from simulated durations; the
 //! runtime measures wall time: `benchmark/`'s `plate2d_par2` workload
@@ -298,7 +297,7 @@ struct WorkerCtx<'m, T> {
 /// ([`SymbolicFactor::bottom_subtrees`]: CPU fronts whose panels and front
 /// stack fit the cache), or one supernode above them — and every task is the
 /// serial driver's range loop on the worker's own arena. Each worker owns
-/// one [`Machine`] (its simulated CPU+GPU node) and one [`PinnedPool`];
+/// one [`Machine`] (its simulated CPU+GPU node) and one pinned pool;
 /// update matrices that cross tasks are buffered and consumed by the
 /// parent's extend-add in postorder child rank — the same order and the same
 /// `crate::lane` body as the serial driver, which makes the result

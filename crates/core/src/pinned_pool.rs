@@ -12,14 +12,11 @@ use mf_gpusim::HostClock;
 
 /// A set of reusable pinned staging buffers (f32, matching the device).
 ///
-/// Two usage styles coexist:
-/// * the seed's **fixed-slot** style ([`Self::acquire`]/[`Self::release`]
-///   with caller-chosen indices), used by the drain-per-front driver;
-/// * the pipelined **multi-generation** style ([`Self::lease`] /
-///   [`Self::retire`]), where each dispatch leases whichever generation is
-///   free *and* whose guarding completion event has passed, and the pool
-///   grows a new generation when all are in flight — double/triple
-///   buffering falls out of the look-ahead depth.
+/// Every policy stages through [`Self::lease`] / [`Self::retire`]: a
+/// dispatch leases whichever slot generation is free *and* whose guarding
+/// completion event has passed, and the pool grows a new generation when
+/// all are in flight — double/triple buffering falls out of the look-ahead
+/// depth, and a drained run reuses the same slots front after front.
 #[derive(Debug)]
 pub struct PinnedPool {
     slots: Vec<Vec<f32>>,
@@ -33,7 +30,6 @@ pub struct PinnedPool {
     leased: Vec<bool>,
     reuse: bool,
     virtual_mode: bool,
-    empty: Vec<f32>,
 }
 
 impl PinnedPool {
@@ -47,12 +43,11 @@ impl PinnedPool {
             leased: vec![false; nslots],
             reuse: true,
             virtual_mode: false,
-            empty: Vec::new(),
         }
     }
 
-    /// Disable reuse: every acquisition allocates and releases pinned
-    /// memory (the configuration the paper found prohibitively slow).
+    /// Disable reuse: every lease allocates and every retirement frees
+    /// pinned memory (the configuration the paper found prohibitively slow).
     pub fn without_reuse(nslots: usize) -> Self {
         PinnedPool { reuse: false, ..Self::new(nslots) }
     }
@@ -61,23 +56,6 @@ impl PinnedPool {
     /// contents must not be read in this mode (timing-only estimation).
     pub fn set_virtual(&mut self, on: bool) {
         self.virtual_mode = on;
-    }
-
-    /// Whether the growth-only reuse policy is active.
-    pub fn reuses(&self) -> bool {
-        self.reuse
-    }
-
-    /// Acquire slot `idx` with at least `len` elements, charging the host
-    /// clock for any pinned allocation this requires. Contents are
-    /// unspecified. In virtual mode the returned slice is empty.
-    pub fn acquire(&mut self, idx: usize, len: usize, host: &mut HostClock) -> &mut [f32] {
-        self.charge_for(idx, len, host);
-        if self.virtual_mode {
-            &mut self.empty[..]
-        } else {
-            &mut self.slots[idx][..len]
-        }
     }
 
     /// The growth-only (or allocate-per-call) charging policy for one slot.
@@ -106,8 +84,8 @@ impl PinnedPool {
     }
 
     /// Lease whichever slot generation is free and whose completion guard
-    /// has passed (lowest index wins, so a drained pool reproduces the
-    /// fixed-slot assignment of the seed driver). When every generation is
+    /// has passed (lowest index wins, so a drained pool hands out the same
+    /// slots in the same order every front). When every generation is
     /// in flight, the pool weighs its options: if a retired-but-guarded
     /// slot already fits `len` and its guard expires sooner than a fresh
     /// pinned allocation would take, the host waits for it instead of
@@ -149,8 +127,7 @@ impl PinnedPool {
 
     /// Return a leased slot; it becomes leasable again once the simulated
     /// clock reaches `ready_at` (the completion event of the last transfer
-    /// still touching the staging buffer). Frees under allocate-per-call,
-    /// mirroring [`Self::release`].
+    /// still touching the staging buffer). Frees under allocate-per-call.
     pub fn retire(&mut self, idx: usize, ready_at: f64, host: &mut HostClock) {
         self.leased[idx] = false;
         self.ready_at[idx] = ready_at;
@@ -168,34 +145,13 @@ impl PinnedPool {
         self.retire(idx, 0.0, host);
     }
 
-    /// Number of slot generations currently backing the pool.
-    pub fn generations(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Release after use. A no-op under reuse; frees under allocate-per-call.
-    pub fn release(&mut self, idx: usize, host: &mut HostClock) {
-        if !self.reuse && self.logical[idx] > 0 {
-            host.free_pinned(self.logical[idx] * 4);
-            self.logical[idx] = 0;
-            self.slots[idx].clear();
-            self.slots[idx].shrink_to_fit();
-        }
-    }
-
-    /// Current logical capacity of a slot in elements.
-    pub fn capacity(&self, idx: usize) -> usize {
-        self.logical[idx]
-    }
-
-    /// Raw access to an already-acquired slot (no charging). Callers must
-    /// have called [`Self::acquire`] with a sufficient length first. Not
-    /// meaningful in virtual mode.
+    /// Raw access to a leased slot (no charging), at least as long as the
+    /// lease asked for. Not meaningful in virtual mode.
     pub fn slot(&self, idx: usize) -> &[f32] {
         &self.slots[idx]
     }
 
-    /// Mutable raw access to an already-acquired slot (no charging).
+    /// Mutable raw access to a leased slot (no charging).
     pub fn slot_mut(&mut self, idx: usize) -> &mut [f32] {
         &mut self.slots[idx]
     }
@@ -210,40 +166,43 @@ mod tests {
     fn reuse_only_charges_on_growth() {
         let mut pool = PinnedPool::new(1);
         let mut host = HostClock::new(xeon_5160_core());
-        pool.acquire(0, 1000, &mut host);
+        let a = pool.lease(1000, &mut host);
+        pool.retire_now(a, &mut host);
         let t1 = host.now();
         assert!(t1 > 0.0);
-        // Smaller and equal requests are free.
-        pool.acquire(0, 500, &mut host);
-        pool.acquire(0, 1000, &mut host);
+        // Re-leasing at a smaller or equal size is free.
+        for len in [500, 1000] {
+            let a = pool.lease(len, &mut host);
+            pool.retire_now(a, &mut host);
+        }
         assert_eq!(host.now(), t1);
         // Growth charges again.
-        pool.acquire(0, 2000, &mut host);
+        assert_eq!(pool.lease(2000, &mut host), 0);
         assert!(host.now() > t1);
-        assert_eq!(pool.capacity(0), 2000);
+        assert_eq!(pool.logical[0], 2000);
     }
 
     #[test]
     fn no_reuse_charges_every_time() {
         let mut pool = PinnedPool::without_reuse(1);
         let mut host = HostClock::new(xeon_5160_core());
-        pool.acquire(0, 100, &mut host);
-        pool.release(0, &mut host);
+        let a = pool.lease(100, &mut host);
+        pool.retire_now(a, &mut host);
         let t1 = host.now();
-        pool.acquire(0, 100, &mut host);
-        pool.release(0, &mut host);
-        assert!(host.now() > t1 * 1.5, "second acquisition must pay again");
+        let a = pool.lease(100, &mut host);
+        pool.retire_now(a, &mut host);
+        assert!(host.now() > t1 * 1.5, "second lease must pay again");
     }
 
     #[test]
     fn pinned_accounting_balances() {
         let mut pool = PinnedPool::without_reuse(2);
         let mut host = HostClock::new(xeon_5160_core());
-        pool.acquire(0, 64, &mut host);
-        pool.acquire(1, 32, &mut host);
+        let a = pool.lease(64, &mut host);
+        let b = pool.lease(32, &mut host);
         assert_eq!(host.pinned_bytes(), (64 + 32) * 4);
-        pool.release(0, &mut host);
-        pool.release(1, &mut host);
+        pool.retire_now(a, &mut host);
+        pool.retire_now(b, &mut host);
         assert_eq!(host.pinned_bytes(), 0);
     }
 
@@ -251,9 +210,15 @@ mod tests {
     fn slots_are_independent() {
         let mut pool = PinnedPool::new(2);
         let mut host = HostClock::new(xeon_5160_core());
-        pool.acquire(0, 10, &mut host)[0] = 7.0;
-        pool.acquire(1, 10, &mut host)[0] = 9.0;
-        assert_eq!(pool.acquire(0, 10, &mut host)[0], 7.0);
+        let a = pool.lease(10, &mut host);
+        let b = pool.lease(10, &mut host);
+        pool.slot_mut(a)[0] = 7.0;
+        pool.slot_mut(b)[0] = 9.0;
+        pool.retire_now(a, &mut host);
+        pool.retire_now(b, &mut host);
+        // Growth-only reuse keeps a slot's contents across leases.
+        let a = pool.lease(10, &mut host);
+        assert_eq!(pool.slot(a)[0], 7.0);
     }
 
     #[test]
@@ -265,11 +230,10 @@ mod tests {
         assert_eq!((a, b), (0, 1), "fresh pool leases in index order");
         pool.retire_now(b, &mut host);
         pool.retire_now(a, &mut host);
-        // Both free with no guard: index order again, like the seed's
-        // fixed SLOT_PANEL/SLOT_UPDATE assignment.
+        // Both free with no guard: index order again.
         assert_eq!(pool.lease(50, &mut host), 0);
         assert_eq!(pool.lease(50, &mut host), 1);
-        assert_eq!(pool.generations(), 2);
+        assert_eq!(pool.slots.len(), 2);
     }
 
     #[test]
@@ -282,7 +246,7 @@ mod tests {
         pool.retire(a, host.now() + 1.0, &mut host);
         let c = pool.lease(10, &mut host);
         assert_eq!(c, 2, "guarded slot must not be re-leased early");
-        assert_eq!(pool.generations(), 3);
+        assert_eq!(pool.slots.len(), 3);
         // Once the clock passes the guard, slot 0 is leasable again.
         pool.retire_now(c, &mut host);
         host.advance(2.0);
@@ -290,34 +254,18 @@ mod tests {
     }
 
     #[test]
-    fn lease_keeps_growth_only_charging_per_generation() {
-        let mut pool = PinnedPool::new(1);
-        let mut host = HostClock::new(xeon_5160_core());
-        let a = pool.lease(1000, &mut host);
-        pool.retire_now(a, &mut host);
-        let t1 = host.now();
-        assert!(t1 > 0.0);
-        // Re-leasing at the same or smaller size is free.
-        let a2 = pool.lease(1000, &mut host);
-        pool.retire_now(a2, &mut host);
-        assert_eq!(host.now(), t1);
-        // Growth charges again.
-        pool.lease(2000, &mut host);
-        assert!(host.now() > t1);
-    }
-
-    #[test]
     fn virtual_mode_charges_without_allocating() {
         let mut pool = PinnedPool::new(1);
         pool.set_virtual(true);
         let mut host = HostClock::new(xeon_5160_core());
-        let s = pool.acquire(0, 1_000_000_000, &mut host);
-        assert!(s.is_empty(), "virtual acquire must not allocate");
+        let a = pool.lease(1_000_000_000, &mut host);
+        assert!(pool.slot(a).is_empty(), "virtual lease must not allocate");
         assert!(host.now() > 0.0, "but it must charge");
-        assert_eq!(pool.capacity(0), 1_000_000_000);
+        assert_eq!(pool.logical[a], 1_000_000_000);
+        pool.retire_now(a, &mut host);
         // No growth ⇒ no further charge.
         let t = host.now();
-        pool.acquire(0, 500, &mut host);
+        pool.lease(500, &mut host);
         assert_eq!(host.now(), t);
     }
 }

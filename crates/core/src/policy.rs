@@ -40,11 +40,6 @@ impl PolicyKind {
     pub fn from_index(i: usize) -> PolicyKind {
         PolicyKind::ALL[i]
     }
-
-    /// Does this policy use the GPU at all?
-    pub fn uses_gpu(self) -> bool {
-        self != PolicyKind::P1
-    }
 }
 
 impl std::fmt::Display for PolicyKind {
@@ -121,13 +116,6 @@ mod tests {
     fn display_names() {
         assert_eq!(PolicyKind::P1.to_string(), "P1");
         assert_eq!(PolicyKind::P4.to_string(), "P4");
-    }
-
-    #[test]
-    fn gpu_usage() {
-        assert!(!PolicyKind::P1.uses_gpu());
-        assert!(PolicyKind::P2.uses_gpu());
-        assert!(PolicyKind::P4.uses_gpu());
     }
 
     #[test]

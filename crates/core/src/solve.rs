@@ -302,7 +302,8 @@ impl<T: Scalar> CholeskyFactor<T> {
     /// `j` alone: the whole path runs on RHS-count-invariant kernels.
     pub fn solve_many(&self, b: &[T], nrhs: usize) -> Vec<T> {
         let mut x = self.permute_rhs(b, nrhs);
-        self.solve_permuted_in_place_multi(&mut x, nrhs);
+        self.forward_in_place_multi(&mut x, nrhs);
+        self.backward_in_place_multi(&mut x, nrhs);
         self.unpermute_rhs(&x)
     }
 
@@ -319,29 +320,8 @@ impl<T: Scalar> CholeskyFactor<T> {
         self.unpermute_rhs(&x)
     }
 
-    /// Solve `(P·A·Pᵀ)·x = b` in place on a permuted right-hand side.
-    pub fn solve_permuted_in_place(&self, x: &mut [T]) {
-        self.solve_permuted_in_place_multi(x, 1);
-    }
-
-    /// Solve `(P·A·Pᵀ)·X = B` in place on a permuted `n × nrhs` block.
-    pub fn solve_permuted_in_place_multi(&self, x: &mut [T], nrhs: usize) {
-        self.forward_in_place_multi(x, nrhs);
-        self.backward_in_place_multi(x, nrhs);
-    }
-
-    /// Forward substitution `x ← L⁻¹·x` (permuted ordering).
-    pub fn forward_in_place(&self, x: &mut [T]) {
-        self.forward_in_place_multi(x, 1);
-    }
-
-    /// Backward substitution `x ← L⁻ᵀ·x` (permuted ordering).
-    pub fn backward_in_place(&self, x: &mut [T]) {
-        self.backward_in_place_multi(x, 1);
-    }
-
     /// Forward substitution `X ← L⁻¹·X` on a permuted `n × nrhs` block.
-    pub fn forward_in_place_multi(&self, x: &mut [T], nrhs: usize) {
+    fn forward_in_place_multi(&self, x: &mut [T], nrhs: usize) {
         let n = self.order();
         assert_eq!(x.len(), n * nrhs);
         if nrhs == 0 || n == 0 {
@@ -357,7 +337,7 @@ impl<T: Scalar> CholeskyFactor<T> {
     }
 
     /// Backward substitution `X ← L⁻ᵀ·X` on a permuted `n × nrhs` block.
-    pub fn backward_in_place_multi(&self, x: &mut [T], nrhs: usize) {
+    fn backward_in_place_multi(&self, x: &mut [T], nrhs: usize) {
         let n = self.order();
         assert_eq!(x.len(), n * nrhs);
         if nrhs == 0 || n == 0 {
@@ -378,13 +358,7 @@ impl<T: Scalar> CholeskyFactor<T> {
 
     /// Tree-parallel forward substitution (leaf→root) on `workers` threads:
     /// one task per bottom subtree, one per supernode above. Bitwise
-    /// identical to [`CholeskyFactor::forward_in_place_multi`].
-    pub fn forward_in_place_multi_parallel(&self, x: &mut [T], nrhs: usize, workers: usize) {
-        if nrhs > 0 && self.order() > 0 {
-            self.forward_tasks(&self.sweep_tasks(), x, nrhs, workers);
-        }
-    }
-
+    /// identical to [`Self::forward_in_place_multi`].
     fn forward_tasks(&self, tasks: &RangeTasks, x: &mut [T], nrhs: usize, workers: usize) {
         assert_eq!(x.len(), self.order() * nrhs);
         let symbolic = &self.symbolic;
@@ -427,13 +401,7 @@ impl<T: Scalar> CholeskyFactor<T> {
 
     /// Tree-parallel backward substitution (root→leaf, on the reversed
     /// task forest) on `workers` threads. Bitwise identical to
-    /// [`CholeskyFactor::backward_in_place_multi`].
-    pub fn backward_in_place_multi_parallel(&self, x: &mut [T], nrhs: usize, workers: usize) {
-        if nrhs > 0 && self.order() > 0 {
-            self.backward_tasks(&self.sweep_tasks(), x, nrhs, workers);
-        }
-    }
-
+    /// [`Self::backward_in_place_multi`].
     fn backward_tasks(&self, tasks: &RangeTasks, x: &mut [T], nrhs: usize, workers: usize) {
         assert_eq!(x.len(), self.order() * nrhs);
         let graph = TaskGraph::from_parents_reversed(&tasks.parents);
@@ -551,19 +519,6 @@ mod tests {
         let r = a.residual(&x, &b);
         let rel = r.iter().map(|v| v.abs()).fold(0.0, f64::max) / a.norm_inf();
         assert!(rel < 1e-12, "relative residual {rel}");
-    }
-
-    #[test]
-    fn forward_then_backward_equals_solve() {
-        let a = laplacian_2d(7, 9, Stencil::Faces);
-        let f = factor_of(&a, OrderingKind::NestedDissection);
-        let (_, b) = rhs_for_solution(&a, 7);
-        let via_solve = f.solve(&b);
-        let mut x = f.perm.permute_vec(&b);
-        f.forward_in_place(&mut x);
-        f.backward_in_place(&mut x);
-        let manual = f.perm.unpermute_vec(&x);
-        assert_eq!(via_solve, manual);
     }
 
     /// Multi-RHS B block: column j is `rhs_for_solution(a, seed + j)`.

@@ -194,9 +194,8 @@ fn validate_rhs(n: usize, b: &[f64], nrhs: usize) -> Result<(), SolveError> {
 /// solver with this analysis alive at the given precision: factor slab +
 /// refactor update-stack peak (both at the factor precision) + the two
 /// pattern copies a [`SpdSolver`] retains (original and permuted matrix).
-/// [`SpdSolver::memory_bytes`] reports the same figure for a built solver;
-/// this form lets admission control run **before** the numeric
-/// factorization spends the memory.
+/// It needs only the analysis, so admission control runs **before** the
+/// numeric factorization spends the memory.
 pub fn estimated_memory_bytes(analysis: &Analysis, precision: Precision) -> usize {
     estimated_memory_bytes_budgeted(analysis, precision, None)
 }
@@ -358,24 +357,6 @@ impl SpdSolver {
     /// Nonzeros of the factor (supernodal storage).
     pub fn factor_nnz(&self) -> usize {
         self.analysis.symbolic.factor_nnz()
-    }
-
-    /// Resident working-set estimate for this solver in bytes: the factor
-    /// slab at the configured precision, the update-stack peak a refactor
-    /// would need (the symbolic working-storage bound), and the two pattern
-    /// copies it retains (the original matrix and the permuted copy inside
-    /// the cached analysis). This is the quantity a serving layer should
-    /// charge a tenant for keeping the session resident and refactorable.
-    ///
-    /// A solver factoring under [`FactorOptions::memory_budget`] charges the
-    /// budget cap instead of the full symbolic bound for its numeric
-    /// storage — see [`estimated_memory_bytes_budgeted`].
-    pub fn memory_bytes(&self) -> usize {
-        estimated_memory_bytes_budgeted(
-            &self.analysis,
-            self.opts.precision,
-            self.opts.factor.memory_budget,
-        )
     }
 
     /// One direct solve (no refinement); accuracy is limited by the factor
@@ -816,8 +797,14 @@ mod tests {
         assert!(err < 1e-9);
     }
 
+    /// What a serving layer charges for keeping `s` resident and
+    /// refactorable.
+    fn charged(s: &SpdSolver) -> usize {
+        estimated_memory_bytes_budgeted(s.analysis(), s.opts.precision, s.opts.factor.memory_budget)
+    }
+
     #[test]
-    fn memory_bytes_scales_with_precision_and_problem() {
+    fn memory_estimate_scales_with_precision_and_problem() {
         let a = laplacian_3d(6, 6, 5, Stencil::Faces);
         let mut machine = Machine::paper_node();
         let s64 =
@@ -825,15 +812,12 @@ mod tests {
         let s32 =
             SpdSolver::new(&a, &mut machine, &solver_opts(PolicyKind::P1, Precision::F32)).unwrap();
         let sym = s64.analysis().symbolic.factor_slab_len();
-        assert!(s64.memory_bytes() >= sym * 8, "must charge at least the f64 factor slab");
-        assert!(
-            s32.memory_bytes() < s64.memory_bytes(),
-            "an f32 factor must charge less than an f64 one"
-        );
+        assert!(charged(&s64) >= sym * 8, "must charge at least the f64 factor slab");
+        assert!(charged(&s32) < charged(&s64), "an f32 factor must charge less than an f64 one");
         let small = laplacian_3d(3, 3, 3, Stencil::Faces);
         let t = SpdSolver::new(&small, &mut machine, &solver_opts(PolicyKind::P1, Precision::F64))
             .unwrap();
-        assert!(t.memory_bytes() < s64.memory_bytes());
+        assert!(charged(&t) < charged(&s64));
     }
 
     #[test]
@@ -855,20 +839,15 @@ mod tests {
         };
         let s = SpdSolver::new(&a, &mut machine, &opts).unwrap();
 
-        // The budgeted session charges strictly less than the in-core one,
-        // and the pre-admission estimate matches the built solver exactly.
-        assert!(s.memory_bytes() < full.memory_bytes());
+        // The budgeted session charges strictly less than the in-core one.
+        assert!(charged(&s) < charged(&full));
         assert_eq!(
-            s.memory_bytes(),
-            estimated_memory_bytes_budgeted(s.analysis(), Precision::F64, Some(budget))
-        );
-        assert_eq!(
-            full.memory_bytes(),
+            charged(&full),
             estimated_memory_bytes(full.analysis(), Precision::F64),
             "no budget must reproduce the unbudgeted estimate"
         );
         // The difference is exactly the numeric storage the budget trimmed.
-        assert_eq!(full.memory_bytes() - s.memory_bytes(), numeric_bound - budget);
+        assert_eq!(charged(&full) - charged(&s), numeric_bound - budget);
 
         // The budgeted factor still solves to f64 accuracy.
         let (xtrue, b) = rhs_for_solution(&a, 8);

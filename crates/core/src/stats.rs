@@ -111,8 +111,7 @@ pub struct FactorStats {
     /// counts, and the resident peak that stayed under the budget.
     /// `None` for in-core runs. Note `peak_front_bytes` above stays
     /// *logical* (the symbolic-bound invariant) even under a budget; the
-    /// tier-resident figure lives here and in
-    /// `FrontArena::resident_high_water_bytes`.
+    /// tier-resident figures live here.
     pub ooc: Option<crate::ooc::OocStats>,
 }
 
@@ -140,30 +139,6 @@ impl FactorStats {
             c[r.policy.index()] += 1;
         }
         c
-    }
-
-    /// Bin the records on an `(m, k)` grid with square bins of `bin` — the
-    /// layout of Figure 2. Returns `(bins_m, bins_k, fraction-of-total-time
-    /// matrix)` where entry `[im][ik]` is the fraction of total recorded F-U
-    /// time spent in that bin.
-    pub fn time_fraction_grid(&self, bin: usize, max_dim: usize) -> Vec<Vec<f64>> {
-        let nb = max_dim.div_ceil(bin);
-        let mut grid = vec![vec![0.0f64; nb]; nb];
-        let mut total = 0.0;
-        for r in &self.records {
-            let im = (r.m / bin).min(nb - 1);
-            let ik = (r.k / bin).min(nb - 1);
-            grid[im][ik] += r.total;
-            total += r.total;
-        }
-        if total > 0.0 {
-            for row in &mut grid {
-                for v in row {
-                    *v /= total;
-                }
-            }
-        }
-        grid
     }
 }
 
@@ -223,22 +198,6 @@ mod tests {
         assert!((r.t_syrk - 0.3).abs() < 1e-12);
         assert!((r.t_copy - 0.05).abs() < 1e-12);
         assert!((r.t_assemble - 0.02).abs() < 1e-12);
-    }
-
-    #[test]
-    fn grid_fractions_sum_to_one() {
-        let stats = FactorStats {
-            records: vec![rec(100, 100, 1.0), rec(900, 100, 3.0), rec(2000, 2000, 6.0)],
-            total_time: 10.0,
-            ..Default::default()
-        };
-        let g = stats.time_fraction_grid(500, 2500);
-        let sum: f64 = g.iter().flatten().sum();
-        assert!((sum - 1.0).abs() < 1e-12);
-        assert!((g[0][0] - 0.1).abs() < 1e-12);
-        assert!((g[1][0] - 0.3).abs() < 1e-12);
-        // Out-of-range dims clamp to the last bin.
-        assert!((g[4][4] - 0.6).abs() < 1e-12);
     }
 
     #[test]

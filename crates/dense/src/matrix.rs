@@ -36,12 +36,6 @@ impl<T: Scalar> DenseMat<T> {
         m
     }
 
-    /// Build from column-major data (`data.len() == rows * cols`).
-    pub fn from_col_major(rows: usize, cols: usize, data: Vec<T>) -> Self {
-        assert_eq!(data.len(), rows * cols, "data length must be rows*cols");
-        DenseMat { rows, cols, data }
-    }
-
     /// The identity matrix of order `n`.
     pub fn identity(n: usize) -> Self {
         Self::from_fn(n, n, |i, j| if i == j { T::ONE } else { T::ZERO })

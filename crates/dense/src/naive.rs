@@ -2,7 +2,7 @@
 //!
 //! Small problems dispatch here from the public entry points, where packing
 //! overhead would outweigh the register-tiled engine (the cutoff is
-//! [`crate::kernel::PACK_MIN_MADDS`] multiply-adds), and the blocked `trsm`
+//! `kernel::PACK_MIN_MADDS` multiply-adds), and the blocked `trsm`
 //! solves its diagonal blocks here.
 
 use crate::gemm::axpy;

@@ -132,11 +132,6 @@ impl Gpu {
         self.mem.virtual_mode = on;
     }
 
-    /// Is the device in virtual (timing-only) mode?
-    pub fn is_virtual(&self) -> bool {
-        self.mem.virtual_mode
-    }
-
     /// Drain profile records.
     pub fn take_records(&mut self) -> Vec<ProfileRecord> {
         std::mem::take(&mut self.records)
@@ -145,11 +140,6 @@ impl Gpu {
     /// Bytes currently allocated on the device.
     pub fn mem_used(&self) -> usize {
         self.mem.used()
-    }
-
-    /// Device memory capacity in bytes.
-    pub fn mem_capacity(&self) -> usize {
-        self.mem.capacity()
     }
 
     /// Length (elements) of an allocated buffer.

@@ -153,10 +153,6 @@ impl DeviceMemory {
     pub fn used(&self) -> usize {
         self.used
     }
-
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
 }
 
 #[cfg(test)]

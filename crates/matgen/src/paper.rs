@@ -15,7 +15,7 @@
 //! has a referent. Simulated time — not wall time — provides the scale.
 
 use crate::elasticity::elasticity_3d;
-use crate::grid::{laplacian_2d, laplacian_3d, Stencil};
+use crate::grid::{laplacian_3d, Stencil};
 use mf_sparse::SymCsc;
 
 /// Identifier for a stand-in of one of the paper's five matrices.
@@ -96,17 +96,6 @@ pub fn paper_suite(scale: f64) -> Vec<(PaperMatrix, SymCsc<f64>)> {
     PaperMatrix::ALL.iter().map(|&m| (m, m.generate_scaled(scale))).collect()
 }
 
-/// A 2-D suite used for the paper's closing remark that "one might not
-/// observe such speedups for large 2D problems": square 9-point grids of
-/// comparable order to the scaled 3-D suite.
-pub fn suite_2d(scale: f64) -> Vec<(&'static str, SymCsc<f64>)> {
-    let s = |base: usize| ((base as f64 * scale).round() as usize).max(8);
-    vec![
-        ("grid2d-180", laplacian_2d(s(180), s(180), Stencil::Full)),
-        ("grid2d-220", laplacian_2d(s(220), s(220), Stencil::Full)),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,14 +158,5 @@ mod tests {
         assert_eq!(PaperMatrix::Audikw1.paper_dims().0, 943_695);
         assert_eq!(PaperMatrix::Sgi1M.paper_dims().1, 125_755_875);
         assert_eq!(PaperMatrix::ALL.len(), 5);
-    }
-
-    #[test]
-    fn suite_2d_generates() {
-        let s = suite_2d(0.25);
-        assert_eq!(s.len(), 2);
-        for (_, a) in s {
-            assert!(a.order() > 1000);
-        }
     }
 }

@@ -81,35 +81,6 @@ impl EliminationTree {
         assert_eq!(post.len(), n, "forest must cover all vertices");
         post
     }
-
-    /// Depth of each node (roots at depth 0).
-    pub fn depths(&self) -> Vec<usize> {
-        let n = self.parent.len();
-        let mut depth = vec![usize::MAX; n];
-        for j in 0..n {
-            // Walk up until a known depth, then unwind.
-            let mut path = Vec::new();
-            let mut v = j;
-            while depth[v] == usize::MAX {
-                path.push(v);
-                if self.parent[v] == NONE {
-                    depth[v] = 0;
-                    break;
-                }
-                v = self.parent[v];
-            }
-            let mut d = depth[v];
-            for &u in path.iter().rev() {
-                if depth[u] == usize::MAX {
-                    d += 1;
-                    depth[u] = d;
-                } else {
-                    d = depth[u];
-                }
-            }
-        }
-        depth
-    }
 }
 
 /// First-child / next-sibling representation of a forest.
@@ -388,12 +359,9 @@ mod tests {
     }
 
     #[test]
-    fn depths_and_children() {
+    fn children_lists_of_an_arrow() {
         let a = arrow(5);
         let t = elimination_tree(&a);
-        let d = t.depths();
-        assert_eq!(d[4], 0);
-        assert!(d[..4].iter().all(|&x| x == 1));
         assert_eq!(child_counts(&t), vec![0, 0, 0, 0, 4]);
         let lists = t.children_lists();
         assert_eq!(lists.roots, vec![4]);

@@ -10,7 +10,7 @@
 //! policies and auto-tuner key on.
 //!
 //! The symbolic pipeline mirrors the one in WSMP-style supernodal
-//! multifrontal codes (paper refs [3], [13]):
+//! multifrontal codes (the paper's references 3 and 13):
 //!
 //! ```text
 //! A (lower CSC) → ordering P → P·A·Pᵀ → etree → postorder → column counts

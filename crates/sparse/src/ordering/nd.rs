@@ -91,7 +91,7 @@ pub fn nested_dissection(g: &Adjacency, opts: &NdOptions) -> Permutation {
 /// A part's order depends only on the graph and the part, and lands in a
 /// slice of the result fixed when the part is cut off. The driver exploits
 /// that by expanding the dissection *serially* — always the largest pending
-/// part, by the same [`Dissector::expand`] step the serial recursion takes —
+/// part, by the same `Dissector::expand` step the serial recursion takes —
 /// until there are a few parts per worker, then runs each part's full
 /// serial dissection as an independent task and copies the per-part orders
 /// into their slices. Scheduling cannot perturb the result: no step reads

@@ -476,7 +476,7 @@ impl RowChunks {
 /// task DAG: [`TaskGraph::from_parents`] releases a parent only after all
 /// of its children completed, and the runtime's release/acquire on the
 /// dependency counters makes every child's published rows visible. Each
-/// worker appends the structures it computes to its own [`RowChunks`] and
+/// worker appends the structures it computes to its own `RowChunks` and
 /// publishes where they are; a final pass copies them into the postorder
 /// layout the serial build produces. Per-worker mark scratch is stamped by
 /// supernode id, which never repeats.
