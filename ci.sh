@@ -58,8 +58,13 @@ RUST_TEST_THREADS=1 cargo test -q --release -p mf-server
 #   multigpu_        bitwise factors at every workers x devices, OOM parity
 #   ooc_             budgeted == in-core bits, residency, bf16 spill, typed errors
 #   symbolic_flat, bottom_subtrees, subtree_tasks
-#                    flat parallel build == serial, the subtree partition, the
-#                    range-task drivers and the forward stack bound
+#                    the row-structure range tasks == the serial build at 1/2/4/8
+#                    workers, the factor's subtree partition, the factor and
+#                    solve range-task drivers and the forward stack bound
+#   range_tasks      the one task partition (subtrees in range order, then one
+#                    task per supernode above in ascending id) covers the
+#                    postorder once, for the factor's, the solve's and the
+#                    analysis' subtrees
 #   sim_clock        golden hashes of total_time, fallbacks, peer bytes, allocation
 #                    events and per-device busy time: drain, pipelined, 2/4 devices,
 #                    P2/P3/P4/baseline, and under device OOM; of the per-call records
@@ -120,6 +125,7 @@ mf-core/lib two_buffer 2
 mf-dense/ld_invariance output_leading_dimension 1
 mf-dense/lib factor_front_small_is_bitwise 1
 mf-sparse/lib pseudo_peripheral_from_components 1
+mf-sparse/lib range_tasks 1
 MANIFEST
 
 # Property tests for the peer-copy primitive the multi-GPU extend-add path

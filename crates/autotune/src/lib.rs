@@ -14,6 +14,8 @@
 //! objective is included as the ablation comparator representing prior work
 //! (the paper's references 19 and 20).
 
+#![forbid(unsafe_code)]
+
 pub mod dataset;
 pub mod train;
 

@@ -11,6 +11,8 @@
 //! Experiments report *simulated* time on the calibrated Tesla-T10/Xeon-5160
 //! machine model; see EXPERIMENTS.md for the paper-vs-measured comparison.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod experiments;
 pub mod maps;

@@ -64,9 +64,10 @@ pub use solver::{
 };
 pub use stats::{FactorStats, FuRecord};
 
-// Re-export the analysis entry points: `analyze_parallel` is the public
-// parallel symbolic pipeline (bitwise identical to `analyze` at every worker
-// count), and `AnalyzeError` is how both reject structurally singular input.
+// Re-export the analysis entry points: `analyze_parallel` is the symbolic
+// pipeline at any worker count (bitwise identical at every one), `analyze` is
+// it at one worker, and `AnalyzeError` is how it rejects structurally
+// singular input.
 pub use mf_sparse::{analyze, analyze_parallel, Analysis, AnalyzeError};
 
 /// Convenient glob-import of the solver-facing API.

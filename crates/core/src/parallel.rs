@@ -19,13 +19,14 @@
 //!    threading — the one intra-front parallelism mechanism: the last
 //!    task standing near the root runs its kernels at the full budget.
 //!
-//! This module owns the task partition ([`RangeTasks`], which the parallel
-//! solve sweeps share), the hand-off slots between tasks and the per-worker
-//! state. What a task does to its fronts is not its own: every task is the
-//! arena loop of [`crate::factor`] (`FrontRun::factor_range`, the drain
-//! schedule) on the worker's arena. Pipelined and multi-device runs keep
-//! fronts in flight on one host timeline, so the entry hands them to
-//! [`factor_permuted`].
+//! The tasks are mf-sparse's [`RangeTasks`] around the bottom subtrees —
+//! the one task partition of the analysis' row structures, this factor and
+//! both parallel solve sweeps. This module owns the hand-off slots between
+//! tasks and the per-worker state. What a task does to its fronts is not its
+//! own: every task is the arena loop of [`crate::factor`]
+//! (`FrontRun::factor_range`, the drain schedule) on the worker's arena.
+//! Pipelined and multi-device runs keep fronts in flight on one host
+//! timeline, so the entry hands them to [`factor_permuted`].
 //!
 //! The model predicts simulated makespans from simulated durations; the
 //! runtime measures wall time: `benchmark/`'s `plate2d_par2` workload
@@ -44,8 +45,7 @@ use mf_dense::{FuFlops, Scalar};
 use mf_gpusim::{GpuUtilization, Machine};
 use mf_runtime::{Runtime, TaskGraph, ThreadBudget};
 use mf_sparse::symbolic::SymbolicFactor;
-use mf_sparse::{Permutation, SymCsc};
-use std::ops::Range;
+use mf_sparse::{Permutation, RangeTasks, SymCsc};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -220,55 +220,6 @@ impl Default for ParallelOptions {
     }
 }
 
-/// The tasks of a work-stealing run over the elimination tree, shared by the
-/// parallel factor and both parallel solve sweeps. Every task is a run of
-/// the postorder: a bottom subtree, or one supernode above them. A range's
-/// first front has no child inside the range — a subtree starts at a leaf —
-/// so one range loop runs every task, its first front consuming what its
-/// children's tasks handed over.
-pub(crate) struct RangeTasks {
-    /// Postorder positions of each task: the bottom subtrees in range order,
-    /// then one per remaining supernode in ascending supernode id. At one
-    /// worker the runtime pops ready tasks by id, so this numbering fixes the
-    /// one-worker clock.
-    pub ranges: Vec<Range<usize>>,
-    /// Parent task of each task (`usize::MAX` at the roots).
-    pub parents: Vec<usize>,
-    /// Per supernode: the task whose range it ends; `usize::MAX` elsewhere.
-    pub task_of: Vec<usize>,
-}
-
-impl RangeTasks {
-    /// The tasks around `subtrees`, a [`SymbolicFactor::bottom_subtrees`]
-    /// result.
-    pub(crate) fn new(symbolic: &SymbolicFactor, subtrees: Vec<Range<usize>>) -> Self {
-        let post = &symbolic.postorder;
-        let nsn = post.len();
-        // Postorder position of every supernode above the subtrees.
-        let mut above = vec![usize::MAX; nsn];
-        for (r, &sn) in post.iter().enumerate() {
-            above[sn] = r;
-        }
-        for &sn in subtrees.iter().flat_map(|range| &post[range.clone()]) {
-            above[sn] = usize::MAX;
-        }
-        let mut ranges = subtrees;
-        ranges.extend(above.into_iter().filter(|&r| r != usize::MAX).map(|r| r..r + 1));
-        let mut task_of = vec![usize::MAX; nsn];
-        for (t, range) in ranges.iter().enumerate() {
-            task_of[post[range.end - 1]] = t;
-        }
-        let parents = ranges
-            .iter()
-            .map(|range| match symbolic.supernodes[post[range.end - 1]].parent {
-                usize::MAX => usize::MAX,
-                p => task_of[p],
-            })
-            .collect();
-        RangeTasks { ranges, parents, task_of }
-    }
-}
-
 /// Per-worker mutable state for the parallel driver. Workers never share any
 /// of this; the only cross-worker traffic is the buffered update-matrix
 /// hand-off between tasks, one mutex-guarded slot per task.
@@ -340,13 +291,14 @@ pub fn factor_permuted_parallel<T: Scalar>(
     // Decided from the symbolic structure and the policy selector alone —
     // deterministic and known before the run starts.
     let tasks = RangeTasks::new(
-        symbolic,
+        &symbolic.postorder,
+        |sn| symbolic.supernodes[sn].parent,
         symbolic.bottom_subtrees(T::BYTES, |sn| {
             let info = &symbolic.supernodes[sn];
             opts.selector.choose(sn, info.m(), info.k()) == PolicyKind::P1
         }),
     );
-    let graph = TaskGraph::from_parents(&tasks.parents);
+    let graph = TaskGraph::from_parents(tasks.parents());
 
     // Factor storage: one contiguous slab; workers write their supernodes'
     // panel regions in place (regions are disjoint by construction).
@@ -363,9 +315,9 @@ pub fn factor_permuted_parallel<T: Scalar>(
     // allocator's thread cache recycles them more cheaply than an explicit
     // free list here); update rows come from the shared symbolic structure.
     let updates: Vec<Mutex<Option<Vec<T>>>> =
-        (0..tasks.ranges.len()).map(|_| Mutex::new(None)).collect();
+        (0..tasks.ranges().len()).map(|_| Mutex::new(None)).collect();
     let slot = |t: usize| updates[t].lock().unwrap_or_else(|poison| poison.into_inner());
-    let take_update = |c: usize| slot(tasks.task_of[c]).take();
+    let take_update = |c: usize| slot(tasks.task_of()[c]).take();
 
     // A subtree task's stack bound; a single supernode keeps nothing on the
     // stack (its update is assembled straight into the hand-off buffer).
@@ -394,7 +346,7 @@ pub fn factor_permuted_parallel<T: Scalar>(
 
     let runtime = Runtime::new(workers);
     let (mut states, errors) = runtime.run(&graph, states, |st: &mut WorkerCtx<'_, T>, t| {
-        let range = tasks.ranges[t].clone();
+        let range = tasks.ranges()[t].clone();
         let first = symbolic.postorder[range.start];
         // The dependency counters guarantee every child's slot is filled
         // before this task runs; a missing or poisoned slot means a worker
@@ -468,7 +420,7 @@ pub fn factor_permuted_parallel<T: Scalar>(
     });
     // On failure report the error the serial driver would have hit first:
     // the one of the task that starts earliest in the postorder.
-    if let Some((_, err)) = errors.into_iter().min_by_key(|&(t, _)| tasks.ranges[t].start) {
+    if let Some((_, err)) = errors.into_iter().min_by_key(|&(t, _)| tasks.ranges()[t].start) {
         return Err(err);
     }
     stats.merge_worker_records(
@@ -595,59 +547,6 @@ mod tests {
 
     fn machines(n: usize) -> Vec<Machine> {
         (0..n).map(|_| Machine::paper_node()).collect()
-    }
-
-    #[test]
-    fn range_tasks_partition_the_postorder() {
-        let selector = PolicySelector::Baseline(BaselineThresholds::default());
-        for a in [
-            laplacian_2d(60, 60, Stencil::Faces),
-            laplacian_3d(12, 12, 12, Stencil::Faces),
-            mf_matgen::elasticity_3d(6, 6, 6),
-        ] {
-            // Minimum degree and a subtree budget of an eighth of f64's leave
-            // dozens of supernodes above the subtrees, whose ascending ids
-            // are not their postorder: the numbering rule is exercised.
-            let amalg = AmalgamationOptions::default();
-            let sym = analyze(&a, OrderingKind::MinimumDegree, Some(&amalg)).unwrap().symbolic;
-            let (nsn, post) = (sym.num_supernodes(), &sym.postorder);
-            let mut subtree_len = vec![1usize; nsn];
-            for &sn in post {
-                subtree_len[sn] += sym.children(sn).iter().map(|&c| subtree_len[c]).sum::<usize>();
-            }
-            let p1 = |sn: usize| {
-                let info = &sym.supernodes[sn];
-                selector.choose(sn, info.m(), info.k()) == PolicyKind::P1
-            };
-            for subtrees in [sym.bottom_subtrees(64, p1), sym.bottom_subtrees(64, |_| true)] {
-                let tasks = RangeTasks::new(&sym, subtrees.clone());
-                let nsub = subtrees.len();
-                assert!(nsub > 0 && tasks.ranges.len() > nsub, "subtrees and singletons");
-                // The subtrees in range order, then one task per remaining
-                // supernode in ascending supernode id.
-                assert_eq!(tasks.ranges[..nsub], subtrees[..]);
-                assert!(tasks.ranges[nsub..].iter().all(|r| r.len() == 1));
-                let above: Vec<usize> =
-                    tasks.ranges[nsub..].iter().map(|r| post[r.start]).collect();
-                assert!(above.windows(2).all(|w| w[0] < w[1]));
-                assert!(tasks.ranges[nsub..].windows(2).any(|w| w[0].start > w[1].start));
-                // Together they cover the postorder exactly once.
-                let mut sorted = tasks.ranges.clone();
-                sorted.sort_by_key(|r| r.start);
-                assert!(sorted.into_iter().flatten().eq(0..nsn));
-                for (t, range) in tasks.ranges.iter().enumerate() {
-                    let root = post[range.end - 1];
-                    assert!(range.len() == 1 || subtree_len[root] == range.len(), "whole subtree");
-                    let inside = &post[range.clone()];
-                    assert!(sym.children(post[range.start]).iter().all(|c| !inside.contains(c)));
-                    assert_eq!(tasks.task_of[root], t);
-                    let parent = sym.supernodes[root].parent;
-                    let want =
-                        if parent == usize::MAX { usize::MAX } else { tasks.task_of[parent] };
-                    assert_eq!(tasks.parents[t], want);
-                }
-            }
-        }
     }
 
     #[test]

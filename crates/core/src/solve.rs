@@ -46,12 +46,12 @@
 //! single-RHS solve of column `j` alone.
 
 use crate::factor::{CholeskyFactor, SharedSlice};
-use crate::parallel::RangeTasks;
 use mf_dense::{
     backward_panel_small, forward_panel_small, gemm_multi_rhs, panel_is_small,
     trsm_left_lower_notrans_multi, trsm_left_lower_trans_multi, Scalar, Transpose,
 };
 use mf_runtime::{Runtime, TaskGraph};
+use mf_sparse::RangeTasks;
 use std::ops::Range;
 
 /// Per-worker scratch of the sweeps: the gathered pivot rows and update rows
@@ -353,7 +353,12 @@ impl<T: Scalar> CholeskyFactor<T> {
     /// The tasks of both tree-parallel sweeps: the factor's partition, with
     /// every front eligible for a bottom subtree.
     fn sweep_tasks(&self) -> RangeTasks {
-        RangeTasks::new(&self.symbolic, self.symbolic.bottom_subtrees(T::BYTES, |_| true))
+        let sym = &self.symbolic;
+        RangeTasks::new(
+            &sym.postorder,
+            |sn| sym.supernodes[sn].parent,
+            sym.bottom_subtrees(T::BYTES, |_| true),
+        )
     }
 
     /// Tree-parallel forward substitution (leaf→root) on `workers` threads:
@@ -362,18 +367,18 @@ impl<T: Scalar> CholeskyFactor<T> {
     fn forward_tasks(&self, tasks: &RangeTasks, x: &mut [T], nrhs: usize, workers: usize) {
         assert_eq!(x.len(), self.order() * nrhs);
         let symbolic = &self.symbolic;
-        let graph = TaskGraph::from_parents(&tasks.parents);
+        let graph = TaskGraph::from_parents(tasks.parents());
         // Subtrahends that cross tasks: that of task `t`'s last front is the
         // `m × nrhs` block at `offset[t] · nrhs` of one hand-off block.
-        let (mut rows, mut offset) = (0, Vec::with_capacity(tasks.ranges.len()));
-        for range in &tasks.ranges {
+        let (mut rows, mut offset) = (0, Vec::with_capacity(tasks.ranges().len()));
+        for range in tasks.ranges() {
             offset.push(rows);
             rows += symbolic.supernodes[symbolic.postorder[range.end - 1]].m();
         }
         let mut handoff = vec![T::ZERO; rows * nrhs];
         let handoff_view = SharedSlice::new(&mut handoff);
         let block_of =
-            |sn: usize| (offset[tasks.task_of[sn]] * nrhs, symbolic.supernodes[sn].m() * nrhs);
+            |sn: usize| (offset[tasks.task_of()[sn]] * nrhs, symbolic.supernodes[sn].m() * nrhs);
         let shared = SharedSlice::new(x);
         let runtime = Runtime::new(workers);
         let states: Vec<SweepScratch<T>> =
@@ -382,7 +387,7 @@ impl<T: Scalar> CholeskyFactor<T> {
             if scratch.stack.is_empty() {
                 scratch.stack = vec![T::ZERO; symbolic.solve_stack_rows() * nrhs];
             }
-            let range = tasks.ranges[t].clone();
+            let range = tasks.ranges()[t].clone();
             let (off, len) = block_of(symbolic.postorder[range.end - 1]);
             let handed = |c| {
                 let (off, len) = block_of(c);
@@ -404,13 +409,13 @@ impl<T: Scalar> CholeskyFactor<T> {
     /// [`Self::backward_in_place_multi`].
     fn backward_tasks(&self, tasks: &RangeTasks, x: &mut [T], nrhs: usize, workers: usize) {
         assert_eq!(x.len(), self.order() * nrhs);
-        let graph = TaskGraph::from_parents_reversed(&tasks.parents);
+        let graph = TaskGraph::from_parents_reversed(tasks.parents());
         let shared = SharedSlice::new(x);
         let runtime = Runtime::new(workers);
         let states: Vec<SweepScratch<T>> =
             (0..runtime.workers()).map(|_| SweepScratch::default()).collect();
         let (_, errors) = runtime.run(&graph, states, |scratch, t| -> Result<(), ()> {
-            for &sn in self.symbolic.postorder[tasks.ranges[t].clone()].iter().rev() {
+            for &sn in self.symbolic.postorder[tasks.ranges()[t].clone()].iter().rev() {
                 self.backward_front(sn, nrhs, &shared, scratch);
             }
             Ok(())

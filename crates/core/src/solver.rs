@@ -28,7 +28,7 @@
 use crate::factor::{factor_permuted, CholeskyFactor, FactorError, FactorOptions};
 use crate::stats::FactorStats;
 use mf_gpusim::Machine;
-use mf_sparse::symbolic::{analyze, analyze_parallel, Analysis, SymCscF64Holder};
+use mf_sparse::symbolic::{analyze_parallel, Analysis, SymCscF64Holder};
 use mf_sparse::{AmalgamationOptions, OrderingKind, SymCsc};
 
 /// Which precision the factor is stored/computed in.
@@ -52,10 +52,9 @@ pub struct SolverOptions {
     pub factor: FactorOptions,
     /// Factor precision.
     pub precision: Precision,
-    /// Worker threads for the symbolic analysis. `0` or `1` runs the serial
-    /// pipeline; `> 1` runs [`analyze_parallel`] on the mf-runtime pool,
-    /// which is bitwise identical to the serial analysis at every worker
-    /// count.
+    /// Worker threads of [`analyze_parallel`], the symbolic analysis, which
+    /// is bitwise identical at every worker count. `0` and `1` both run
+    /// every stage's serial body once, on the calling thread.
     pub analysis_workers: usize,
 }
 
@@ -273,11 +272,12 @@ impl SpdSolver {
         machine: &mut Machine,
         opts: &SolverOptions,
     ) -> Result<Self, FactorError> {
-        let analysis = if opts.analysis_workers > 1 {
-            analyze_parallel(a, opts.ordering, opts.amalgamation.as_ref(), opts.analysis_workers)
-        } else {
-            analyze(a, opts.ordering, opts.amalgamation.as_ref())
-        }?;
+        let analysis = analyze_parallel(
+            a,
+            opts.ordering,
+            opts.amalgamation.as_ref(),
+            opts.analysis_workers.max(1),
+        )?;
         let (factor, stats) = factor_holder(&analysis.permuted.0, &analysis, machine, opts)?;
         Ok(Self::assemble(a, analysis, factor, stats, opts))
     }

@@ -18,6 +18,8 @@
 //! Simulated time, not wall time, is the metric every experiment reports;
 //! that is what makes the reproduction hardware-independent.
 
+#![forbid(unsafe_code)]
+
 pub mod calib;
 pub mod device;
 pub mod host;

@@ -8,6 +8,8 @@
 //! matrix to a scaled stand-in whose elimination-tree/front-size *shape*
 //! matches the original's role in the evaluation (see DESIGN.md §1).
 
+#![forbid(unsafe_code)]
+
 pub mod elasticity;
 pub mod grid;
 pub mod huge;

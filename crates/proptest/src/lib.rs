@@ -9,6 +9,8 @@
 //! index, so failures reproduce across runs. There is no shrinking — the
 //! failure report instead prints every sampled input of the failing case.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 pub mod prelude {

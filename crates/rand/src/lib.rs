@@ -9,6 +9,8 @@
 //! all the workspace relies on; the exact values differ from upstream
 //! `rand`, and nothing here is cryptographic.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 pub mod rngs {

@@ -30,6 +30,8 @@
 //! postorder child rank, making the parallel factor bitwise identical to
 //! the serial one; see `factor_permuted_parallel`).
 
+#![forbid(unsafe_code)]
+
 pub mod budget;
 pub mod deque;
 pub mod graph;

@@ -60,6 +60,8 @@
 //! assert!(r.iter().all(|v| v.abs() < 1e-8));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod cache;
 mod session;
 mod worker;
@@ -76,7 +78,7 @@ use mf_core::{
 };
 use mf_gpusim::Machine;
 use mf_runtime::ThreadBudget;
-use mf_sparse::symbolic::{analyze, analyze_parallel, Analysis, AnalyzeError, SymCscF64Holder};
+use mf_sparse::symbolic::{analyze_parallel, Analysis, AnalyzeError, SymCscF64Holder};
 use mf_sparse::SymCsc;
 
 use cache::{lock, AnalysisCache};
@@ -367,16 +369,12 @@ impl Server {
             None => {
                 inner.stats.analysis_misses.fetch_add(1, Ordering::Relaxed);
                 let opts = &inner.cfg.solver;
-                let an = if opts.analysis_workers > 1 {
-                    analyze_parallel(
-                        a,
-                        opts.ordering,
-                        opts.amalgamation.as_ref(),
-                        opts.analysis_workers,
-                    )
-                } else {
-                    analyze(a, opts.ordering, opts.amalgamation.as_ref())
-                }
+                let an = analyze_parallel(
+                    a,
+                    opts.ordering,
+                    opts.amalgamation.as_ref(),
+                    opts.analysis_workers.max(1),
+                )
                 .map(Arc::new)
                 .map_err(SubmitError::Analyze)?;
                 inner.cache.insert(a.clone(), an.clone());

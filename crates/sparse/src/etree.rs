@@ -1,19 +1,22 @@
-//! Elimination tree, postordering and column counts.
+//! Elimination tree and column counts.
 //!
 //! The elimination tree of the Cholesky factor `L` drives everything in the
 //! multifrontal method: the postorder traversal order, the update-matrix
 //! stack discipline, and the parallel task DAG. We implement Liu's
-//! algorithm with path compression, a stack-based postorder (safe for the
-//! deep trees produced by band orderings), and the classic `O(|L|)`
-//! row-subtree column-count algorithm.
+//! algorithm with path compression and the classic `O(|L|)` row-subtree
+//! column-count algorithm. The postorder is taken of the supernodal forest
+//! ([`crate::supernode::supernode_forest`], a stack-based traversal safe for
+//! the deep trees produced by band orderings), which is also a column
+//! tree's postorder when handed the column parents.
 
 use crate::csc::SymCsc;
 use mf_dense::Scalar;
+use std::ops::Range;
 
 /// Sentinel for "no parent" (tree roots).
 pub const NONE: usize = usize::MAX;
 
-/// The elimination tree of a symmetric matrix, plus derived structures.
+/// The elimination tree of a symmetric matrix.
 #[derive(Debug, Clone)]
 pub struct EliminationTree {
     /// `parent[j]` is the parent column of `j`, or [`NONE`] for roots.
@@ -30,68 +33,6 @@ impl EliminationTree {
     pub fn is_empty(&self) -> bool {
         self.parent.is_empty()
     }
-
-    /// First-child / next-sibling lists for traversals.
-    pub fn children_lists(&self) -> ChildrenLists {
-        let n = self.parent.len();
-        let mut first_child = vec![NONE; n];
-        let mut next_sibling = vec![NONE; n];
-        let mut roots = Vec::new();
-        // Iterate in reverse so children end up in increasing order.
-        for j in (0..n).rev() {
-            match self.parent[j] {
-                NONE => roots.push(j),
-                p => {
-                    next_sibling[j] = first_child[p];
-                    first_child[p] = j;
-                }
-            }
-        }
-        roots.reverse();
-        ChildrenLists { first_child, next_sibling, roots }
-    }
-
-    /// Postorder permutation of the tree: returns `post` with
-    /// `post[rank] = column`, children before parents.
-    pub fn postorder(&self) -> Vec<usize> {
-        let n = self.parent.len();
-        let lists = self.children_lists();
-        let mut post = Vec::with_capacity(n);
-        let mut stack: Vec<(usize, bool)> = Vec::new();
-        for &r in &lists.roots {
-            stack.push((r, false));
-            while let Some((v, expanded)) = stack.pop() {
-                if expanded {
-                    post.push(v);
-                } else {
-                    stack.push((v, true));
-                    // Push children in reverse so they pop in order.
-                    let mut kids = Vec::new();
-                    let mut c = lists.first_child[v];
-                    while c != NONE {
-                        kids.push(c);
-                        c = lists.next_sibling[c];
-                    }
-                    for &k in kids.iter().rev() {
-                        stack.push((k, false));
-                    }
-                }
-            }
-        }
-        assert_eq!(post.len(), n, "forest must cover all vertices");
-        post
-    }
-}
-
-/// First-child / next-sibling representation of a forest.
-#[derive(Debug, Clone)]
-pub struct ChildrenLists {
-    /// `first_child[v]` — lowest-numbered child of `v`, or [`NONE`].
-    pub first_child: Vec<usize>,
-    /// `next_sibling[v]` — next child of `v`'s parent, or [`NONE`].
-    pub next_sibling: Vec<usize>,
-    /// Tree roots in increasing order.
-    pub roots: Vec<usize>,
 }
 
 /// Compute the elimination tree of a lower-stored symmetric matrix using
@@ -126,10 +67,24 @@ pub fn column_counts<T: Scalar>(a: &SymCsc<T>, etree: &EliminationTree) -> Vec<u
     let n = a.order();
     let (uptr, urows) = a.upper_pattern();
     let mut cc = vec![1usize; n]; // diagonal
-    let mut mark = vec![NONE; n];
-    for i in 0..n {
+    count_rows(&uptr, &urows, etree, 0..n, &mut cc, &mut vec![NONE; n]);
+    cc
+}
+
+/// The row-subtree body of both column-count drivers: for every row `i` in
+/// `rows`, walk the etree from each entry of its strict upper row and add
+/// one to every column on the path, guarded by `mark` (`n`-length scratch
+/// stamped with the row).
+fn count_rows(
+    uptr: &[usize],
+    urows: &[usize],
+    etree: &EliminationTree,
+    rows: Range<usize>,
+    cc: &mut [usize],
+    mark: &mut [usize],
+) {
+    for i in rows {
         mark[i] = i;
-        // Row i of L: walk each row subtree rooted at the entries of row i.
         for &j0 in &urows[uptr[i]..uptr[i + 1]] {
             let mut j = j0;
             while j < i && mark[j] != i {
@@ -142,53 +97,39 @@ pub fn column_counts<T: Scalar>(a: &SymCsc<T>, etree: &EliminationTree) -> Vec<u
             }
         }
     }
-    cc
 }
 
 /// Parallel column counts, bitwise identical to [`column_counts`] at every
 /// worker count.
 ///
-/// Rows are independent in the row-subtree algorithm: row `i` walks the
-/// etree from each entry of its strict upper row and bumps every column on
-/// the path, guarded by a per-row mark. Contiguous row chunks therefore run
-/// as independent tasks that accumulate into per-worker count arrays; the
-/// final merge sums `usize` contributions per column, which is commutative
-/// and exact, so the result does not depend on which worker ran which chunk.
+/// Rows are independent in the row-subtree algorithm, so contiguous row
+/// chunks run [`column_counts`]'s body as independent tasks that accumulate
+/// into per-worker count arrays (`workers ≤ 1` runs [`column_counts`]
+/// itself); the final merge sums `usize` contributions per column, which is
+/// commutative and exact, so the result does not depend on which worker ran
+/// which chunk.
 pub fn column_counts_parallel<T: Scalar>(
     a: &SymCsc<T>,
     etree: &EliminationTree,
     workers: usize,
 ) -> Vec<usize> {
+    if workers <= 1 {
+        return column_counts(a, etree);
+    }
     let n = a.order();
     let (uptr, urows) = a.upper_pattern();
     // Chunk rows contiguously, a few chunks per worker so the stealing
     // runtime can balance the skewed per-row costs near the dense tail.
-    let workers = workers.max(1);
     let chunk = (n / (workers * 4)).max(64);
     let ntasks = n.div_ceil(chunk);
-    let rt = mf_runtime::Runtime::new(workers.min(ntasks.max(1)));
+    let rt = mf_runtime::Runtime::new(workers.min(ntasks));
     let graph = mf_runtime::TaskGraph::new(ntasks);
     // Per-worker state: a local count accumulator (increments only, the
     // shared `+1` diagonal is added at merge time) and a row-stamped mark.
     let states: Vec<(Vec<usize>, Vec<usize>)> =
         (0..rt.workers()).map(|_| (vec![0usize; n], vec![NONE; n])).collect();
     let (states, _errs) = rt.run(&graph, states, |(cc, mark), t| -> Result<(), ()> {
-        let lo = t * chunk;
-        let hi = ((t + 1) * chunk).min(n);
-        for i in lo..hi {
-            mark[i] = i;
-            for &j0 in &urows[uptr[i]..uptr[i + 1]] {
-                let mut j = j0;
-                while j < i && mark[j] != i {
-                    cc[j] += 1;
-                    mark[j] = i;
-                    j = etree.parent[j];
-                    if j == NONE {
-                        break;
-                    }
-                }
-            }
-        }
+        count_rows(&uptr, &urows, etree, t * chunk..((t + 1) * chunk).min(n), cc, mark);
         Ok(())
     });
     let mut cc = vec![1usize; n]; // diagonal
@@ -215,6 +156,7 @@ pub fn child_counts(etree: &EliminationTree) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::csc::Triplet;
+    use crate::supernode::supernode_forest;
 
     fn tridiag(n: usize) -> SymCsc<f64> {
         let mut t = Triplet::new(n);
@@ -266,15 +208,14 @@ mod tests {
         }
         let t = elimination_tree(&tp.assemble());
         assert!(t.parent.iter().all(|&p| p == NONE));
-        let post = t.postorder();
-        assert_eq!(post, vec![0, 1, 2, 3]);
+        assert_eq!(supernode_forest(&t.parent).postorder, vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn postorder_children_before_parents() {
         let a = arrow(8);
         let t = elimination_tree(&a);
-        let post = t.postorder();
+        let post = supernode_forest(&t.parent).postorder;
         let mut rank = [0usize; 8];
         for (r, &v) in post.iter().enumerate() {
             rank[v] = r;
@@ -290,10 +231,8 @@ mod tests {
     fn postorder_handles_deep_chain_without_overflow() {
         // A 200_000-long chain would overflow a recursive postorder.
         let n = 200_000;
-        let t = EliminationTree {
-            parent: (0..n).map(|j| if j + 1 < n { j + 1 } else { NONE }).collect(),
-        };
-        let post = t.postorder();
+        let parent: Vec<usize> = (0..n).map(|j| if j + 1 < n { j + 1 } else { NONE }).collect();
+        let post = supernode_forest(&parent).postorder;
         assert_eq!(post.len(), n);
         assert_eq!(post[0], 0);
         assert_eq!(post[n - 1], n - 1);
@@ -359,19 +298,13 @@ mod tests {
     }
 
     #[test]
-    fn children_lists_of_an_arrow() {
+    fn children_of_an_arrow() {
         let a = arrow(5);
         let t = elimination_tree(&a);
         assert_eq!(child_counts(&t), vec![0, 0, 0, 0, 4]);
-        let lists = t.children_lists();
-        assert_eq!(lists.roots, vec![4]);
         // Children of 4 enumerate 0..3 in increasing order.
-        let mut kids = Vec::new();
-        let mut c = lists.first_child[4];
-        while c != NONE {
-            kids.push(c);
-            c = lists.next_sibling[c];
-        }
-        assert_eq!(kids, vec![0, 1, 2, 3]);
+        let forest = supernode_forest(&t.parent);
+        assert_eq!(forest.children(4), [0, 1, 2, 3]);
+        assert_eq!(forest.postorder, [0, 1, 2, 3, 4]);
     }
 }

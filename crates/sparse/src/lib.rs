@@ -17,6 +17,13 @@
 //!              → fundamental supernodes → relaxed amalgamation
 //!              → per-supernode row structures (m, k per front)
 //! ```
+//!
+//! Every stage is one serial body; the `_parallel` drivers run that body on
+//! tasks of the mf-runtime pool and are the serial stage at one worker. The
+//! tree-parallel ones — row structures here, the numeric factor and the
+//! solve sweeps in mf-core — share one task partition, [`RangeTasks`].
+
+#![forbid(unsafe_code)]
 
 pub mod csc;
 pub mod etree;
@@ -25,6 +32,7 @@ pub mod ordering;
 pub mod perm;
 pub mod supernode;
 pub mod symbolic;
+mod tasks;
 
 pub use csc::{SymCsc, Triplet};
 pub use etree::{column_counts, column_counts_parallel, elimination_tree, EliminationTree};
@@ -37,3 +45,4 @@ pub use symbolic::{
     analyze, analyze_parallel, symbolic_factor, symbolic_factor_parallel, Analysis, AnalyzeError,
     SymbolicFactor,
 };
+pub use tasks::RangeTasks;

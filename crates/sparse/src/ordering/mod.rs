@@ -43,31 +43,27 @@ pub enum OrderingKind {
     NestedDissection,
 }
 
-/// Compute a fill-reducing permutation for a lower-stored symmetric matrix.
+/// Compute a fill-reducing permutation for a lower-stored symmetric matrix,
+/// on the calling thread ([`order_parallel`] at one worker).
 pub fn order<T: Scalar>(a: &SymCsc<T>, kind: OrderingKind) -> Permutation {
+    order_parallel(a, kind, 1)
+}
+
+/// [`order`] on `workers` threads, bitwise identical at every worker count.
+///
+/// Nested dissection — the default and by far the most expensive ordering
+/// on the paper's 3-D suite — runs its disjoint recursions on the
+/// mf-runtime pool ([`nested_dissection_parallel`], which is
+/// [`nested_dissection`] at `workers ≤ 1`); the remaining kinds are cheap
+/// or inherently sequential and run on the calling thread.
+pub fn order_parallel<T: Scalar>(a: &SymCsc<T>, kind: OrderingKind, workers: usize) -> Permutation {
     match kind {
         OrderingKind::Natural => Permutation::identity(a.order()),
         OrderingKind::Rcm => reverse_cuthill_mckee(&a.to_adjacency()),
         OrderingKind::MinimumDegree => minimum_degree(&a.to_adjacency()),
         OrderingKind::NestedDissection => {
-            nested_dissection(&a.to_adjacency(), &NdOptions::default())
-        }
-    }
-}
-
-/// Parallel variant of [`order`], bitwise identical at every worker count.
-///
-/// Nested dissection — the default and by far the most expensive ordering
-/// on the paper's 3-D suite — runs its disjoint recursions on the
-/// mf-runtime pool ([`nested_dissection_parallel`]); the remaining kinds
-/// are cheap or inherently sequential and fall through to the serial
-/// implementation (which is already deterministic).
-pub fn order_parallel<T: Scalar>(a: &SymCsc<T>, kind: OrderingKind, workers: usize) -> Permutation {
-    match kind {
-        OrderingKind::NestedDissection => {
             nested_dissection_parallel(&a.to_adjacency(), &NdOptions::default(), workers)
         }
-        _ => order(a, kind),
     }
 }
 

@@ -96,12 +96,15 @@ pub fn nested_dissection(g: &Adjacency, opts: &NdOptions) -> Permutation {
 /// serial dissection as an independent task and copies the per-part orders
 /// into their slices. Scheduling cannot perturb the result: no step reads
 /// anything but its own part, and where an order goes is fixed by the plan,
-/// not by task completion order.
+/// not by task completion order. `workers ≤ 1` runs [`nested_dissection`].
 pub fn nested_dissection_parallel(g: &Adjacency, opts: &NdOptions, workers: usize) -> Permutation {
+    if workers <= 1 {
+        return nested_dissection(g, opts);
+    }
     let mut order = vec![0usize; g.len()];
     let mut nd = Dissector::new(g, opts, g.len());
     let mut tasks = nd.top_level_parts(&mut order);
-    while tasks.len() < workers.max(1) * 4 {
+    while tasks.len() < workers * 4 {
         // Every pending part is above leaf size: expanding one always makes
         // progress, and evening out the sizes evens out the tasks.
         let Some(largest) = (0..tasks.len()).max_by_key(|&i| tasks[i].sub.len()) else { break };
@@ -114,7 +117,7 @@ pub fn nested_dissection_parallel(g: &Adjacency, opts: &NdOptions, workers: usiz
     // graph is edgeless (parts are vertex-disjoint by construction).
     let ntasks = tasks.len();
     let graph = mf_runtime::TaskGraph::new(ntasks);
-    let rt = mf_runtime::Runtime::new(workers.max(1).min(ntasks.max(1)));
+    let rt = mf_runtime::Runtime::new(workers.min(ntasks));
     let largest = tasks.iter().map(|t| t.sub.len()).max().unwrap_or(0);
     // Per-worker scratch plus the (task id, emitted order) pairs it ran.
     type WorkerState<'a> = (Dissector<'a>, Vec<(usize, Vec<usize>)>);

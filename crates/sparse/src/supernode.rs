@@ -94,11 +94,12 @@ impl SupernodeForest {
 }
 
 /// Child lists and postorder of a supernodal forest given by its parent
-/// array ([`NONE`] marks roots).
+/// array ([`NONE`] marks roots) — or of any forest, the column elimination
+/// tree included.
 ///
-/// Shared by the serial and parallel symbolic factorizations so both walk
-/// exactly the same traversal — the postorder is part of the bitwise
-/// determinism contract on [`crate::symbolic::SymbolicFactor`].
+/// The one postorder of the analysis: the symbolic factorization walks it at
+/// every worker count, and it is part of the bitwise determinism contract on
+/// [`crate::symbolic::SymbolicFactor`].
 pub fn supernode_forest(sn_parent: &[usize]) -> SupernodeForest {
     let nsn = sn_parent.len();
     let mut child_ptr = vec![0usize; nsn + 1];

@@ -15,25 +15,34 @@
 //! copies a pointer, so an [`Analysis`], the solver that caches it and every
 //! factor computed from it refer to one copy. The numeric sweeps walk these
 //! arrays front to back; nothing is allocated per supernode.
+//!
+//! ## Build
+//!
+//! One body computes the row structures of a run of the postorder. The
+//! serial build runs it over the whole postorder, straight into the flat
+//! arrays; the parallel build runs it on [`RangeTasks`] — the same task
+//! shape as the numeric factor and the solve sweeps — and concatenates the
+//! runs in postorder.
 
 use crate::csc::SymCsc;
-use crate::etree::{
-    column_counts, column_counts_parallel, elimination_tree, EliminationTree, NONE,
-};
-use crate::ordering::{order, order_parallel, OrderingKind};
+use crate::etree::{column_counts_parallel, elimination_tree, EliminationTree, NONE};
+use crate::ordering::{order_parallel, OrderingKind};
 use crate::perm::Permutation;
 use crate::supernode::{
     amalgamate, fundamental_supernodes, supernode_forest, AmalgamationOptions, SupernodeForest,
     SupernodePartition,
 };
+use crate::tasks::{maximal_subtrees, RangeTasks};
 use mf_dense::{FuFlops, Scalar};
 use mf_runtime::{Runtime, TaskGraph};
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// Working-set size, in bytes, up to which a subtree counts as a *bottom
-/// subtree* ([`SymbolicFactor::bottom_subtrees`]): its panels plus its peak
-/// front stack stay cache-resident while one worker factors it front to back.
+/// subtree* ([`SymbolicFactor::bottom_subtrees`]) — a range task of the
+/// numeric factor and the solve sweeps: its panels plus its peak front stack
+/// stay cache-resident while one worker factors it front to back. (The
+/// analysis sizes its own range tasks by supernode count.)
 ///
 /// The stack is measured with a whole `s × s` front per supernode, not by
 /// the smaller `m × m` arena bound of [`SymbolicFactor::subtree_update_peaks`]
@@ -247,127 +256,142 @@ impl SymbolicFactor {
     /// them (the *top* of the forest) has no ancestor inside one.
     ///
     /// One worker can run such a range front to back on a private stack, so
-    /// the parallel drivers emit one task per range instead of one per
-    /// supernode.
+    /// the parallel factor and solve emit one [`RangeTasks`] task per range
+    /// instead of one per supernode.
     pub fn bottom_subtrees(
         &self,
         elem_bytes: usize,
         eligible: impl Fn(usize) -> bool,
     ) -> Vec<Range<usize>> {
-        let nsn = self.num_supernodes();
         let budget = BOTTOM_SUBTREE_BYTES / elem_bytes.max(1);
         // An s × s front above its live child updates, then beside its own
         // update (see `BOTTOM_SUBTREE_BYTES`).
         let peaks = self.stack_peaks(|live, info| {
             info.front_size() * info.front_size() + live.max(info.m() * info.m())
         });
-        // Per subtree: supernode count and panel scalars, or `usize::MAX`
-        // once something inside it rules the subtree out.
-        let mut size = vec![0usize; nsn];
-        let mut panels = vec![0usize; nsn];
+        // Per subtree: panel scalars, or `usize::MAX` once something inside
+        // it rules the subtree out — which makes fitting closed under
+        // descendants.
+        let mut panels = vec![0usize; self.num_supernodes()];
         for &s in &self.postorder {
-            let mut count = 1usize;
             let mut scalars = self.panel_ptr[s + 1] - self.panel_ptr[s];
             let mut fits = eligible(s);
             for &c in self.children(s) {
                 fits &= panels[c] != usize::MAX;
-                count += size[c];
                 scalars = scalars.saturating_add(panels[c]);
             }
             fits &= scalars.saturating_add(peaks[s]) <= budget;
-            size[s] = count;
             panels[s] = if fits { scalars } else { usize::MAX };
         }
-        // Fitting is closed under descendants, so the maximal fitting
-        // subtrees are the fitting supernodes whose parent does not fit.
-        let mut ranges = Vec::new();
-        for (pos, &s) in self.postorder.iter().enumerate() {
-            let parent = self.supernodes[s].parent;
-            if panels[s] != usize::MAX && (parent == NONE || panels[parent] == usize::MAX) {
-                ranges.push(pos + 1 - size[s]..pos + 1);
-            }
-        }
-        ranges
+        maximal_subtrees(
+            &self.postorder,
+            |s| self.supernodes[s].parent,
+            |s, _| panels[s] != usize::MAX,
+        )
     }
 }
 
-/// Sorted update rows of one supernode's front, written to `out`: the
-/// merged, deduplicated rows below the pivot block from the matrix pattern
-/// in the supernode's columns and from the children's update rows. Shared by
-/// the serial and parallel drivers so both compute byte-identical
-/// structures; `mark` is an `n`-length scratch stamped with the supernode id
-/// (safe to reuse across calls because every supernode is processed exactly
-/// once).
-fn supernode_update_rows<'a, T: Scalar>(
+/// Update rows of the fronts at a run of postorder positions, concatenated
+/// in postorder: the run's `i`-th front owns `rows[ends[i - 1]..ends[i]]`
+/// (from 0 for the first).
+struct RowRuns {
+    rows: Vec<usize>,
+    ends: Vec<usize>,
+}
+
+impl RowRuns {
+    /// Update rows of the run's last front — what a parent outside the run
+    /// reads.
+    fn last(&self) -> &[usize] {
+        let n = self.ends.len();
+        &self.rows[if n < 2 { 0 } else { self.ends[n - 2] }..]
+    }
+}
+
+/// The one row-structure body: the sorted update rows of the fronts at
+/// postorder positions `range`, a run whose first front has no child inside
+/// it and whose every later front has all of its children inside. A front's
+/// rows are the merged, deduplicated rows below its pivot block of the
+/// matrix pattern in its columns and of its children's update rows. The
+/// first front's children end other tasks' ranges and are read from
+/// `outside`; every later front's are the top of the run's stack of fronts
+/// whose parent is still to come, in child order. The scratch is `mark`, `n`
+/// entries stamped with supernode ids (which never repeat), and `rows`.
+fn row_structures<'o, T: Scalar>(
     a: &SymCsc<T>,
     part: &SupernodePartition,
-    s: usize,
-    children: &[usize],
-    mark: &mut [usize],
-    child_rows: impl Fn(usize) -> &'a [usize],
-    out: &mut Vec<usize>,
-) {
-    let c0 = part.starts[s];
-    let c1 = part.starts[s + 1];
-    out.clear();
-    // Pattern of A in the supernode's columns, below the pivot block.
-    for c in c0..c1 {
-        for &i in a.col_rows(c) {
-            if i >= c1 && mark[i] != s {
-                mark[i] = s;
-                out.push(i);
+    forest: &SupernodeForest,
+    range: Range<usize>,
+    outside: impl Fn(usize) -> &'o [usize],
+    (mark, rows): &mut (Vec<usize>, Vec<usize>),
+) -> RowRuns {
+    let mut out = RowRuns { rows: Vec::new(), ends: Vec::with_capacity(range.len()) };
+    let mut stack: Vec<Range<usize>> = Vec::new();
+    for (r, &s) in forest.postorder[range].iter().enumerate() {
+        let (c0, c1) = (part.starts[s], part.starts[s + 1]);
+        rows.clear();
+        // Pattern of A in the supernode's columns, below the pivot block.
+        for c in c0..c1 {
+            for &i in a.col_rows(c) {
+                if i >= c1 && mark[i] != s {
+                    mark[i] = s;
+                    rows.push(i);
+                }
             }
         }
-    }
-    // Children update rows (all ≥ c0 by the etree parent property).
-    for &ch in children {
-        for &i in child_rows(ch) {
-            debug_assert!(i >= c0);
-            if i >= c1 && mark[i] != s {
-                mark[i] = s;
-                out.push(i);
+        // Children update rows (all ≥ c0 by the etree parent property).
+        let kids = forest.children(s);
+        let first = if r == 0 { stack.len() } else { stack.len() - kids.len() };
+        for (j, &ch) in kids.iter().enumerate() {
+            let child_rows = if r == 0 { outside(ch) } else { &out.rows[stack[first + j].clone()] };
+            for &i in child_rows {
+                debug_assert!(i >= c0);
+                if i >= c1 && mark[i] != s {
+                    mark[i] = s;
+                    rows.push(i);
+                }
             }
         }
+        stack.truncate(first);
+        rows.sort_unstable();
+        stack.push(out.rows.len()..out.rows.len() + rows.len());
+        out.rows.extend_from_slice(rows);
+        out.ends.push(out.rows.len());
     }
-    out.sort_unstable();
+    out
 }
 
-/// Put the pieces together: per-supernode records over `update_rows`
-/// (`span[s]` is supernode `s`'s slice of it), the panel offsets, and the
-/// two stack bounds, each from one pass over the postorder.
+/// Put the pieces together: per-supernode records over the row structures
+/// `runs` of the whole postorder and the two stack bounds, from one pass
+/// over the postorder, then the panel offsets.
 fn build_factor(
     n: usize,
     part: &SupernodePartition,
     sn_parent: &[usize],
-    col_to_sn: Vec<usize>,
     forest: SupernodeForest,
-    update_rows: Vec<usize>,
-    span: &[Range<usize>],
+    runs: RowRuns,
 ) -> SymbolicFactor {
-    let supernodes: Vec<SupernodeInfo> = (0..part.len())
+    let mut supernodes: Vec<SupernodeInfo> = (0..part.len())
         .map(|s| SupernodeInfo {
             col_start: part.starts[s],
             col_end: part.starts[s + 1],
             parent: sn_parent[s],
-            rows_start: span[s].start,
-            rows_end: span[s].end,
+            rows_start: 0,
+            rows_end: 0,
         })
         .collect();
-    let mut panel_ptr = Vec::with_capacity(supernodes.len() + 1);
-    panel_ptr.push(0);
-    let mut off = 0usize;
-    for info in &supernodes {
-        off += info.front_size() * info.k();
-        panel_ptr.push(off);
-    }
-    // Simulate both LIFO stacks: on visiting a supernode all its children's
-    // blocks are live below its own update block (factor) or subtrahend
-    // (solve), which moves down over them when it retires.
+    // Place every front's rows and simulate both LIFO stacks: on visiting a
+    // supernode all its children's blocks are live below its own update
+    // block (factor) or subtrahend (solve), which moves down over them when
+    // it retires.
     let SupernodeForest { child_ptr, child_idx, postorder } = forest;
     let (mut live, mut update_stack_peak) = (0usize, 0usize);
     let (mut live_rows, mut solve_stack_rows) = (0usize, 0usize);
-    for &s in &postorder {
-        let m = supernodes[s].m();
+    let mut start = 0;
+    for (&s, &end) in postorder.iter().zip(&runs.ends) {
+        (supernodes[s].rows_start, supernodes[s].rows_end) = (start, end);
+        let m = end - start;
+        start = end;
         update_stack_peak = update_stack_peak.max(live + m * m);
         solve_stack_rows = solve_stack_rows.max(live_rows + m);
         for &c in &child_idx[child_ptr[s]..child_ptr[s + 1]] {
@@ -378,12 +402,19 @@ fn build_factor(
         live += m * m;
         live_rows += m;
     }
+    let mut panel_ptr = Vec::with_capacity(supernodes.len() + 1);
+    panel_ptr.push(0);
+    let mut off = 0usize;
+    for info in &supernodes {
+        off += info.front_size() * info.k();
+        panel_ptr.push(off);
+    }
     SymbolicFactor(Arc::new(SymbolicArrays {
         n,
         supernodes,
         postorder,
-        col_to_sn,
-        update_rows,
+        col_to_sn: part.col_to_sn(),
+        update_rows: runs.rows,
         child_ptr,
         child_idx,
         panel_ptr,
@@ -392,151 +423,82 @@ fn build_factor(
     }))
 }
 
-/// Compute the supernodal symbolic factorization given a partition.
+/// Compute the supernodal symbolic factorization given a partition, on the
+/// calling thread ([`symbolic_factor_parallel`] at one worker).
 pub fn symbolic_factor<T: Scalar>(
     a: &SymCsc<T>,
     etree: &EliminationTree,
     part: &SupernodePartition,
 ) -> SymbolicFactor {
-    let n = a.order();
-    let sn_parent = part.supernode_etree(etree);
-    let forest = supernode_forest(&sn_parent);
-
-    // Row structures, bottom-up, appended to one array in postorder.
-    let mut update_rows: Vec<usize> = Vec::new();
-    let mut span = vec![0..0; part.len()];
-    let mut mark = vec![usize::MAX; n];
-    let mut rows = Vec::new();
-    for &s in &forest.postorder {
-        supernode_update_rows(
-            a,
-            part,
-            s,
-            forest.children(s),
-            &mut mark,
-            |ch| &update_rows[span[ch].clone()],
-            &mut rows,
-        );
-        span[s] = update_rows.len()..update_rows.len() + rows.len();
-        update_rows.extend_from_slice(&rows);
-    }
-    build_factor(n, part, &sn_parent, part.col_to_sn(), forest, update_rows, &span)
+    symbolic_factor_parallel(a, etree, part, 1)
 }
 
-/// A finished run of update rows inside some worker's [`RowChunks`].
-#[derive(Clone, Copy)]
-struct RowRun {
-    ptr: *const usize,
-    len: usize,
+/// The range tasks of the parallel row-structure build: the maximal subtrees
+/// of at most ⌈nsn / (4·workers)⌉ supernodes — four tasks per worker, the
+/// rule of nested dissection and column counts — then one task per
+/// supernode above them.
+pub(crate) fn row_tasks(postorder: &[usize], sn_parent: &[usize], workers: usize) -> RangeTasks {
+    let cap = postorder.len().div_ceil(4 * workers);
+    let parent = |s: usize| sn_parent[s];
+    RangeTasks::new(postorder, parent, maximal_subtrees(postorder, parent, |_, size| size <= cap))
 }
 
-// SAFETY: a `RowRun` is only ever read, and only while the chunk it points
-// into is alive and unmoved (see `RowChunks`).
-unsafe impl Send for RowRun {}
-unsafe impl Sync for RowRun {}
-
-impl RowRun {
-    /// # Safety
-    /// The [`RowChunks`] that produced this run must still be alive.
-    unsafe fn rows<'a>(self) -> &'a [usize] {
-        // SAFETY: `ptr..ptr + len` was initialised before the run was
-        // published and chunk buffers never reallocate.
-        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-    }
-}
-
-/// Append-only row storage of one worker of the parallel build. Chunks are
-/// filled only up to the capacity they were created with, so their buffers
-/// never move and a published [`RowRun`] stays valid — other workers read
-/// the runs of a supernode's children while this worker keeps appending.
-#[derive(Default)]
-struct RowChunks {
-    chunks: Vec<Vec<usize>>,
-}
-
-impl RowChunks {
-    const CHUNK: usize = 1 << 16;
-
-    fn push(&mut self, rows: &[usize]) -> RowRun {
-        if self.chunks.last().is_none_or(|c| c.capacity() - c.len() < rows.len()) {
-            self.chunks.push(Vec::with_capacity(rows.len().max(Self::CHUNK)));
-        }
-        let chunk = self.chunks.last_mut().expect("a chunk with room was just ensured");
-        let start = chunk.len();
-        chunk.extend_from_slice(rows);
-        RowRun { ptr: chunk[start..].as_ptr(), len: rows.len() }
-    }
-}
-
-/// Parallel supernodal symbolic factorization, bitwise identical to
-/// [`symbolic_factor`] at every worker count.
+/// Supernodal symbolic factorization on `workers` threads of the mf-runtime
+/// pool, bitwise identical at every worker count.
 ///
-/// The per-supernode row structure depends only on the matrix pattern and
-/// the children's structures, so the supernodal elimination tree *is* the
-/// task DAG: [`TaskGraph::from_parents`] releases a parent only after all
-/// of its children completed, and the runtime's release/acquire on the
-/// dependency counters makes every child's published rows visible. Each
-/// worker appends the structures it computes to its own `RowChunks` and
-/// publishes where they are; a final pass copies them into the postorder
-/// layout the serial build produces. Per-worker mark scratch is stamped by
-/// supernode id, which never repeats.
+/// One body computes the row structures of a run of the postorder. At
+/// `workers ≤ 1` it runs once, over the whole postorder ([`symbolic_factor`]).
+/// Otherwise a front's row structure depends only on the matrix pattern and
+/// its children's structures, so the body runs on range tasks over the
+/// supernodal forest ([`RangeTasks`]). Each task leaves its rows in its own
+/// slot; a child outside a task's range ends its own task's range, which the
+/// task graph finished first, so it is read from that task's slot. A final
+/// pass concatenates the slots in postorder, the layout of the serial build.
 pub fn symbolic_factor_parallel<T: Scalar>(
     a: &SymCsc<T>,
     etree: &EliminationTree,
     part: &SupernodePartition,
     workers: usize,
 ) -> SymbolicFactor {
-    let n = a.order();
-    let nsn = part.len();
     let sn_parent = part.supernode_etree(etree);
     let forest = supernode_forest(&sn_parent);
-
-    struct Worker {
-        chunks: RowChunks,
-        mark: Vec<usize>,
-        rows: Vec<usize>,
+    let scratch = || (vec![NONE; a.order()], Vec::new());
+    if workers <= 1 {
+        let whole = |_| unreachable!("the whole postorder has no child outside it");
+        // Held until `build_factor` has allocated: freed before it, the
+        // scratch cost a cold solve of the 400² plate ≈ 4 000 more page
+        // faults per analysis under glibc's allocator.
+        let mut held = scratch();
+        let runs = row_structures(a, part, &forest, 0..part.len(), whole, &mut held);
+        return build_factor(a.order(), part, &sn_parent, forest, runs);
     }
-    let runs: Vec<OnceLock<RowRun>> = (0..nsn).map(|_| OnceLock::new()).collect();
-    let graph = TaskGraph::from_parents(&sn_parent);
-    let rt = Runtime::new(workers.max(1).min(nsn.max(1)));
-    let states: Vec<Worker> = (0..rt.workers())
-        .map(|_| Worker {
-            chunks: RowChunks::default(),
-            mark: vec![usize::MAX; n],
-            rows: Vec::new(),
-        })
-        .collect();
-    let (states, errs) = rt.run(&graph, states, |w, s| -> Result<(), ()> {
-        supernode_update_rows(
-            a,
-            part,
-            s,
-            forest.children(s),
-            &mut w.mark,
-            |ch| {
-                let run = *runs[ch].get().expect("child row structure must be published");
-                // SAFETY: every worker's chunks live until `states` drops,
-                // after the last read below.
-                unsafe { run.rows() }
-            },
-            &mut w.rows,
-        );
-        let _ = runs[s].set(w.chunks.push(&w.rows));
+    let tasks = row_tasks(&forest.postorder, &sn_parent, workers);
+    let slots: Vec<OnceLock<RowRuns>> = tasks.ranges().iter().map(|_| OnceLock::new()).collect();
+    let rt = Runtime::new(workers.min(tasks.ranges().len()));
+    let graph = TaskGraph::from_parents(tasks.parents());
+    let states = (0..rt.workers()).map(|_| scratch()).collect();
+    let (_, errs) = rt.run(&graph, states, |worker, t| -> Result<(), ()> {
+        let outside = |c: usize| {
+            slots[tasks.task_of()[c]].get().expect("a child's task finished first").last()
+        };
+        let range = tasks.ranges()[t].clone();
+        let _ = slots[t].set(row_structures(a, part, &forest, range, outside, worker));
         Ok(())
     });
     debug_assert!(errs.is_empty(), "symbolic tasks are infallible");
 
-    let mut update_rows: Vec<usize> = Vec::new();
-    let mut span = vec![0..0; nsn];
-    for &s in &forest.postorder {
-        let run = *runs[s].get().expect("every supernode task must run");
-        // SAFETY: `states` (the chunks) is still alive.
-        let rows = unsafe { run.rows() };
-        span[s] = update_rows.len()..update_rows.len() + rows.len();
-        update_rows.extend_from_slice(rows);
+    // Each range ends at the supernode `task_of` names (elsewhere `NONE`, no
+    // slot), so the postorder meets the tasks in the order of their ranges.
+    let total = slots.iter().flat_map(OnceLock::get).map(|runs| runs.rows.len()).sum();
+    let mut runs =
+        RowRuns { rows: Vec::with_capacity(total), ends: Vec::with_capacity(part.len()) };
+    for slot in forest.postorder.iter().flat_map(|&s| slots.get(tasks.task_of()[s])) {
+        let task = slot.get().expect("every task ran");
+        let base = runs.rows.len();
+        runs.ends.extend(task.ends.iter().map(|&e| base + e));
+        runs.rows.extend_from_slice(&task.rows);
     }
-    drop(states);
-    build_factor(n, part, &sn_parent, part.col_to_sn(), forest, update_rows, &span)
+    build_factor(a.order(), part, &sn_parent, forest, runs)
 }
 
 /// Typed failure of the analysis pipeline on hostile input.
@@ -648,40 +610,28 @@ impl Analysis {
 pub struct SymCscF64Holder(pub SymCsc<f64>);
 
 /// One-call analysis: order, permute, etree, column counts, fundamental
-/// supernodes, relaxed amalgamation, symbolic factorization.
+/// supernodes, relaxed amalgamation, symbolic factorization — on the calling
+/// thread ([`analyze_parallel`] at one worker).
 pub fn analyze(
     a: &SymCsc<f64>,
     ordering: OrderingKind,
     amalg: Option<&AmalgamationOptions>,
 ) -> Result<Analysis, AnalyzeError> {
-    check_diagonal(a)?;
-    let perm = order(a, ordering);
-    let pa = perm.permute_sym(a);
-    let et = elimination_tree(&pa);
-    let cc = column_counts(&pa, &et);
-    let fund = fundamental_supernodes(&et, &cc);
-    let part = match amalg {
-        Some(opts) => amalgamate(&fund, &et, &cc, opts),
-        None => fund,
-    };
-    let symbolic = symbolic_factor(&pa, &et, &part);
-    Ok(Analysis { perm, permuted: SymCscF64Holder(pa), etree: et, symbolic })
+    analyze_parallel(a, ordering, amalg, 1)
 }
 
-/// Parallel analysis on the mf-runtime pool, bitwise identical to
-/// [`analyze`] at every worker count.
+/// The analysis pipeline on `workers` threads of the mf-runtime pool,
+/// bitwise identical at every worker count.
 ///
-/// Three pipeline stages run on the work-stealing pool: nested-dissection
-/// recursion over disjoint parts
+/// Three stages run each task of theirs through their serial body: nested
+/// dissection over disjoint parts
 /// ([`crate::ordering::nested_dissection_parallel`]), column counts over
-/// row chunks ([`column_counts_parallel`]), and per-supernode row
-/// structures over the supernodal elimination tree
-/// ([`symbolic_factor_parallel`]). Each stage merges its partial results
-/// in a schedule-independent order, so the returned [`Analysis`] — and
-/// its [`Analysis::fingerprint`] — matches the serial pipeline byte for
-/// byte. `workers == 1` still exercises the parallel drivers (on the
-/// calling thread), which keeps single-worker runs meaningful in the
-/// determinism suite.
+/// row chunks ([`column_counts_parallel`]), and row structures over range
+/// tasks of the supernodal forest ([`symbolic_factor_parallel`]). Each
+/// stage merges its partial results in a schedule-independent order, so the
+/// returned [`Analysis`] — and its [`Analysis::fingerprint`] — is the same
+/// byte for byte at every worker count. At `workers ≤ 1` every stage runs
+/// its serial body once, on the calling thread: this is [`analyze`].
 pub fn analyze_parallel(
     a: &SymCsc<f64>,
     ordering: OrderingKind,
@@ -706,7 +656,7 @@ pub fn analyze_parallel(
 mod tests {
     use super::*;
     use crate::csc::Triplet;
-    use crate::etree::NONE;
+    use crate::etree::column_counts;
 
     fn tridiag(n: usize) -> SymCsc<f64> {
         let mut t = Triplet::new(n);
@@ -974,6 +924,36 @@ mod tests {
             assert!(!par.symbolic.shares_structure_with(&serial.symbolic));
             assert_eq!(par.symbolic, serial.symbolic, "workers={workers}");
             assert_eq!(par.fingerprint(), serial.fingerprint(), "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn row_structure_tasks_match_serial_on_fixed_forests() {
+        // 80 decoupled 4 × 3 grids: a forest with a root per block.
+        let mut t = Triplet::new(80 * 12);
+        let block = grid2d(4, 3);
+        for b in 0..80 {
+            for j in 0..12 {
+                for (&i, &v) in block.col_rows(j).iter().zip(block.col_vals(j)) {
+                    t.push(12 * b + i, 12 * b + j, v);
+                }
+            }
+        }
+        // A tridiagonal chain in natural order, and a 1 × 1 matrix.
+        for a in [t.assemble(), tridiag(300), tridiag(1)] {
+            let et = elimination_tree(&a);
+            let cc = column_counts(&a, &et);
+            let fund = fundamental_supernodes(&et, &cc);
+            let amalg = amalgamate(&fund, &et, &cc, &AmalgamationOptions::default());
+            for part in [fund, amalg] {
+                let serial = symbolic_factor(&a, &et, &part);
+                let roots = serial.supernodes.iter().filter(|s| s.parent == NONE).count();
+                assert!(roots == 1 || roots >= 64, "{roots} roots");
+                for workers in [1, 2, 4, 8] {
+                    let par = symbolic_factor_parallel(&a, &et, &part, workers);
+                    assert_eq!(par, serial, "n = {}, workers = {workers}", a.order());
+                }
+            }
         }
     }
 

@@ -40,6 +40,8 @@
 //! println!("factored in {:.3} simulated seconds", solver.factor_time());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use mf_autotune as autotune;
 pub use mf_core as core;
 pub use mf_dense as dense;

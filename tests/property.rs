@@ -822,12 +822,12 @@ fn supernodes_of(a: &SymCsc<f64>, relaxed: bool) -> (EliminationTree, SupernodeP
     (etree, part)
 }
 
-/// Symbolic factorization of `a` as given, serially and at 1, 2 and 4
+/// Symbolic factorization of `a` as given, serially and at 1, 2, 4 and 8
 /// workers.
 fn symbolic_builds(a: &SymCsc<f64>, relaxed: bool) -> (SymbolicFactor, Vec<SymbolicFactor>) {
     let (etree, part) = supernodes_of(a, relaxed);
     let serial = symbolic_factor(a, &etree, &part);
-    let parallel = [1usize, 2, 4].map(|w| symbolic_factor_parallel(a, &etree, &part, w));
+    let parallel = [1usize, 2, 4, 8].map(|w| symbolic_factor_parallel(a, &etree, &part, w));
     (serial, parallel.into())
 }
 
@@ -845,7 +845,7 @@ proptest! {
     ) {
         let a = random_pattern(n, groups, density, seed);
         let (serial, parallel) = symbolic_builds(&a, relaxed);
-        for (par, workers) in parallel.iter().zip([1usize, 2, 4]) {
+        for (par, workers) in parallel.iter().zip([1usize, 2, 4, 8]) {
             prop_assert!(!par.shares_structure_with(&serial));
             prop_assert!(*par == serial, "workers = {workers}");
         }
