@@ -84,9 +84,20 @@ RUST_TEST_THREADS=1 cargo test -q --release -p mf-server
 #                    the single-buffer bits; a child straddling the pivot/update
 #                    boundary lands in both buffers
 #   output_leading_dimension, factor_front_small_is_bitwise
-#                    the leading dimension of C never changes a kernel's bits
-#                    (syrk, gemm, gemm_multi_rhs; seed and packed paths); the
-#                    two-buffer fused small front == the kernel sequence
+#                    the leading dimension of a block never changes a kernel's
+#                    bits (syrk, gemm and the solve sweeps' panel; seed and
+#                    packed paths); the two-buffer fused small front == the
+#                    kernel sequence
+#   panel_sweeps     the RHS-blocked forward/backward panel kernels == an
+#                    in-test reference of the one-column order, every lane
+#                    count, NaN in what they must not read; they solve L·Lᵀ
+#   bitwise_sweeps   a batched solve == the loop of single-RHS solves, and
+#                    parallel == serial at 1/2/4 workers, for 1/2/3/8/9/17
+#                    RHS, f32 and f64, on grids, elasticity and a 27-point
+#                    cube whose panels take the packed order
+#   solve_allocations
+#                    solve_many allocates as often on the 120² plate as on
+#                    the 60² one: nothing per supernode
 #   pseudo_peripheral_from_components
 #                    nested dissection's components search serves as the
 #                    pseudo-peripheral search's first sweep
@@ -124,6 +135,9 @@ property ordering_quality 2
 mf-core/lib two_buffer 2
 mf-dense/ld_invariance output_leading_dimension 1
 mf-dense/lib factor_front_small_is_bitwise 1
+mf-dense/lib panel_sweeps 2
+mf-core/lib bitwise_sweeps 2
+mf-core/solve_alloc solve_allocations 1
 mf-sparse/lib pseudo_peripheral_from_components 1
 mf-sparse/lib range_tasks 1
 MANIFEST

@@ -315,13 +315,6 @@ impl<T: Copy> SharedSlice<T> {
         unsafe { *self.ptr.add(idx) }
     }
 
-    #[inline]
-    pub(crate) fn write(&self, idx: usize, v: T) {
-        debug_assert!(idx < self.len);
-        // SAFETY: in bounds; disjointness/ordering per the type-level note.
-        unsafe { *self.ptr.add(idx) = v }
-    }
-
     /// `off..off + len` as a slice.
     ///
     /// # Safety

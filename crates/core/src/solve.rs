@@ -3,8 +3,10 @@
 //! Given `P·A·Pᵀ = L·Lᵀ`, solving `A·X = B` proceeds as
 //! `Y = L⁻¹·(P·B)`, `Z = L⁻ᵀ·Y`, `X = Pᵀ·Z`. The forward pass walks the
 //! supernodes leaf→root, the backward pass root→leaf. Each pass is one
-//! *range loop* over a run of postorder positions, built on one per-front
-//! body; the serial sweeps run the whole postorder through it, and every
+//! *range loop* over a run of postorder positions around one per-front
+//! body, and each body is one `mf_dense` panel kernel
+//! ([`forward_panel`] / [`backward_panel`]) plus the moves of its rows. The
+//! serial sweeps run the whole postorder through the range loop, and every
 //! task of the tree-parallel sweeps — a bottom subtree
 //! (`SymbolicFactor::bottom_subtrees`) or one supernode above them, the
 //! factor's task partition — runs its range through it, which is what makes
@@ -12,23 +14,33 @@
 //! count (the same contract as
 //! [`crate::parallel::factor_permuted_parallel`]).
 //!
+//! ## Interleaved right-hand sides
+//!
+//! The right-hand sides are swept in blocks of at most [`RHS_BLOCK`]
+//! columns. A block of `w` columns is permuted into one `n × w`
+//! *RHS-interleaved* buffer — row `i` is the `w` consecutive scalars
+//! `x[i·w..(i + 1)·w]` — so a supernode's pivot rows are one contiguous
+//! run, which the kernels update in place, and every panel entry they load
+//! is applied to all `w` columns at once. Subtrahends and gathered update
+//! rows are interleaved the same way.
+//!
 //! ## Determinism design
 //!
 //! *Backward* is embarrassingly deterministic: a supernode's off-diagonal
-//! update reads only ancestor columns, which the root→leaf dependency order
+//! update reads only ancestor rows, which the root→leaf dependency order
 //! finalises before the supernode runs, and each front writes only its own
-//! columns.
+//! rows.
 //!
 //! *Forward* is the interesting one: sibling subtrees both contribute
 //! subtractions to shared ancestor rows, and letting them race on the global
 //! vector would make the float summation order depend on the schedule.
-//! Instead each supernode produces a *subtrahend* (`m × nrhs`, rows = its
-//! update rows) for its parent, exactly like the update matrices of the
-//! numeric factorization. The parent folds its children's subtrahends in
-//! child-list order — rows inside its own columns subtract straight into its
-//! right-hand-side block, rows beyond accumulate into its own subtrahend —
-//! so every addition happens at a fixed tree position in a fixed order,
-//! independent of the schedule.
+//! Instead each supernode produces a *subtrahend* (`m` rows, its update
+//! rows) for its parent, exactly like the update matrices of the numeric
+//! factorization. The parent folds its children's subtrahends in child-list
+//! order — rows inside its own columns subtract straight into its pivot
+//! rows, rows beyond accumulate into its own subtrahend — so every addition
+//! happens at a fixed tree position in a fixed order, independent of the
+//! schedule.
 //!
 //! Inside a range the subtrahends live on one LIFO stack sized by the
 //! symbolic bound `SymbolicFactor::solve_stack_rows` — the factor arena's
@@ -39,127 +51,84 @@
 //! preallocated hand-off block: a task's last front leaves it there, and
 //! the first front of the parent's task folds it from there.
 //!
-//! All right-hand-side blocks are `n × nrhs` column-major with leading
-//! dimension `n`. Every dense call goes through the RHS-count-invariant
-//! entry points ([`trsm_left_lower_notrans_multi`], [`gemm_multi_rhs`]), so
-//! column `j` of a batched solve is additionally bitwise identical to a
-//! single-RHS solve of column `j` alone.
+//! ## The per-column order contract
+//!
+//! Each column of a block sees exactly the scalar operations, in exactly
+//! the order, of a one-column solve (see `mf_dense`'s sweep kernels): no
+//! operation mixes columns, and where a product is long enough the kernels
+//! follow the packed engine's blocked fused order, decided by the panel's
+//! shape alone. So column `j` of a batched solve is bitwise identical to a
+//! single-RHS solve of column `j` alone, whatever the right-hand-side count.
 
 use crate::factor::{CholeskyFactor, SharedSlice};
-use mf_dense::{
-    backward_panel_small, forward_panel_small, gemm_multi_rhs, panel_is_small,
-    trsm_left_lower_notrans_multi, trsm_left_lower_trans_multi, Scalar, Transpose,
-};
+use mf_dense::{backward_panel, forward_panel, Scalar, RHS_BLOCK};
 use mf_runtime::{Runtime, TaskGraph};
-use mf_sparse::RangeTasks;
+use mf_sparse::{RangeTasks, SymbolicFactor};
 use std::ops::Range;
 
-/// Per-worker scratch of the sweeps: the gathered pivot rows and update rows
-/// of the front in hand, and (forward) the subtrahend stack.
-#[derive(Default)]
+/// Per-worker scratch of the sweeps, sized once for a block of `w`
+/// right-hand sides: the gathered update rows of the front in hand
+/// (backward) and the subtrahend stack (forward).
 struct SweepScratch<T> {
-    xk: Vec<T>,
     xu: Vec<T>,
     stack: Vec<T>,
 }
 
+impl<T: Scalar> SweepScratch<T> {
+    fn new(symbolic: &SymbolicFactor, w: usize) -> Self {
+        // The stack bound covers every front's own block, so every `m`.
+        let len = symbolic.solve_stack_rows() * w;
+        SweepScratch { xu: vec![T::ZERO; len], stack: vec![T::ZERO; len] }
+    }
+}
+
 impl<T: Scalar> CholeskyFactor<T> {
     /// Forward substitution at one supernode: fold the children's
-    /// subtrahends (in the order given — the child list's), solve the
-    /// diagonal block, and leave this supernode's own subtrahend in `ubuf`
-    /// (`m × nrhs`, overwritten). The one body of every forward sweep.
+    /// subtrahends (in the order given — the child list's), sweep the panel,
+    /// and leave this supernode's own subtrahend in `ubuf` (`m` interleaved
+    /// rows, overwritten). The one body of every forward sweep.
     fn forward_front<'c>(
         &self,
         sn: usize,
-        nrhs: usize,
+        w: usize,
         x: &SharedSlice<T>,
         children: impl Iterator<Item = (usize, &'c [T])>,
-        xk: &mut Vec<T>,
         ubuf: &mut [T],
     ) where
         T: 'c,
     {
         let symbolic = &self.symbolic;
-        let ldx = symbolic.n;
         let info = &symbolic.supernodes[sn];
         let (k, m) = (info.k(), info.m());
-        let s = k + m;
         let (c0, c1) = (info.col_start, info.col_end);
-        let panel = self.panel(sn);
-        debug_assert_eq!(ubuf.len(), m * nrhs);
+        debug_assert_eq!(ubuf.len(), m * w);
+        // SAFETY: rows [c0, c1) are this front's alone.
+        let xk = unsafe { x.slice_mut(c0 * w, k * w) };
 
         // Extend-add the children's subtrahends: rows inside [c0, c1) subtract
-        // from this supernode's rows of the RHS block, rows beyond fold into
-        // the outgoing block via a merge against our sorted row list.
+        // from this supernode's pivot rows, rows beyond fold into the
+        // outgoing block via a merge against our sorted row list.
         let own_rows = symbolic.update_rows(sn);
         ubuf.fill(T::ZERO);
         for (c, cbuf) in children {
-            let crows = symbolic.update_rows(c);
-            let mc = crows.len();
             let mut pos = 0usize;
-            for (i, &r) in crows.iter().enumerate() {
-                if r < c1 {
+            for (&r, sub) in symbolic.update_rows(c).iter().zip(cbuf.chunks_exact(w)) {
+                let (dst, subtract) = if r < c1 {
                     debug_assert!(r >= c0);
-                    for j in 0..nrhs {
-                        x.write(r + j * ldx, x.read(r + j * ldx) - cbuf[i + j * mc]);
-                    }
+                    (&mut xk[(r - c0) * w..(r - c0 + 1) * w], true)
                 } else {
                     while own_rows[pos] < r {
                         pos += 1;
                     }
                     debug_assert_eq!(own_rows[pos], r, "child row must appear in parent front");
-                    for j in 0..nrhs {
-                        ubuf[pos + j * m] += cbuf[i + j * mc];
-                    }
+                    (&mut ubuf[pos * w..(pos + 1) * w], false)
+                };
+                for (d, &v) in dst.iter_mut().zip(sub) {
+                    *d = if subtract { *d - v } else { *d + v };
                 }
             }
         }
-
-        if panel_is_small(k, m) {
-            // Column by column, in place: rows [c0, c1) of every RHS column
-            // are this front's alone.
-            for j in 0..nrhs {
-                // SAFETY: see above; no other front touches these rows.
-                let xj = unsafe { x.slice_mut(c0 + j * ldx, k) };
-                forward_panel_small(k, m, panel, s, xj, &mut ubuf[j * m..(j + 1) * m]);
-            }
-            return;
-        }
-
-        // Gather this supernode's rows of the RHS block into contiguous k×nrhs
-        // scratch (the global block is ldx-strided).
-        xk.clear();
-        xk.resize(k * nrhs, T::ZERO);
-        for j in 0..nrhs {
-            for i in 0..k {
-                xk[i + j * k] = x.read(c0 + i + j * ldx);
-            }
-        }
-        // Diagonal block: xk ← L₁⁻¹ xk.
-        trsm_left_lower_notrans_multi(k, nrhs, panel, s, xk, k);
-        for j in 0..nrhs {
-            for i in 0..k {
-                x.write(c0 + i + j * ldx, xk[i + j * k]);
-            }
-        }
-        // ubuf += L₂ · xk — this supernode's own contribution to its
-        // ancestors (L₂ = rows k..s of the panel).
-        if m > 0 {
-            gemm_multi_rhs(
-                Transpose::No,
-                m,
-                nrhs,
-                k,
-                T::ONE,
-                &panel[k..],
-                s,
-                xk,
-                k,
-                T::ONE,
-                ubuf,
-                m,
-            );
-        }
+        forward_panel(k, m, w, self.panel(sn), k + m, xk, ubuf);
     }
 
     /// Forward substitution over the supernodes at postorder positions
@@ -171,15 +140,14 @@ impl<T: Scalar> CholeskyFactor<T> {
     fn forward_range<'h>(
         &self,
         range: Range<usize>,
-        nrhs: usize,
+        w: usize,
         x: &SharedSlice<T>,
         handed: impl Fn(usize) -> &'h [T],
-        scratch: &mut SweepScratch<T>,
+        stack: &mut [T],
     ) where
         T: 'h,
     {
         let symbolic = &self.symbolic;
-        let SweepScratch { xk, stack, .. } = scratch;
         let mut top = 0usize;
         for r in range.clone() {
             let sn = symbolic.postorder[r];
@@ -191,102 +159,43 @@ impl<T: Scalar> CholeskyFactor<T> {
             let (from_hand, on_stack) =
                 if r == range.start { (kids, &[][..]) } else { (&[][..], kids) };
             let kid_rows: usize = on_stack.iter().map(|&c| symbolic.supernodes[c].m()).sum();
-            let dest = top - kid_rows * nrhs;
+            let dest = top - kid_rows * w;
             debug_assert!(
-                top + m * nrhs <= stack.len(),
+                top + m * w <= stack.len(),
                 "forward stack bound exceeded at supernode {sn}"
             );
             let (below, above) = stack.split_at_mut(top);
             let mut next = dest;
             let stacked = on_stack.iter().map(|&c| {
-                let len = symbolic.supernodes[c].m() * nrhs;
+                let len = symbolic.supernodes[c].m() * w;
                 next += len;
                 (c, &below[next - len..next])
             });
             let children = from_hand.iter().map(|&c| (c, handed(c))).chain(stacked);
-            self.forward_front(sn, nrhs, x, children, xk, &mut above[..m * nrhs]);
+            self.forward_front(sn, w, x, children, &mut above[..m * w]);
             // Retire the children: this supernode's block takes their place.
             if dest < top {
-                stack.copy_within(top..top + m * nrhs, dest);
+                stack.copy_within(top..top + m * w, dest);
             }
-            top = dest + m * nrhs;
+            top = dest + m * w;
         }
     }
 
     /// Backward substitution at one supernode: gather the (already final)
-    /// ancestor rows, apply the transposed off-diagonal update, solve the
-    /// diagonal block, scatter back. The one body of every backward sweep.
-    fn backward_front(
-        &self,
-        sn: usize,
-        nrhs: usize,
-        x: &SharedSlice<T>,
-        scratch: &mut SweepScratch<T>,
-    ) {
-        let symbolic = &self.symbolic;
-        let ldx = symbolic.n;
-        let info = &symbolic.supernodes[sn];
+    /// update rows into `xu` and sweep the panel. The one body of every
+    /// backward sweep.
+    fn backward_front(&self, sn: usize, w: usize, x: &SharedSlice<T>, xu: &mut [T]) {
+        let info = &self.symbolic.supernodes[sn];
         let (k, m) = (info.k(), info.m());
-        let s = k + m;
-        let c0 = info.col_start;
-        let panel = self.panel(sn);
-        let rows = symbolic.update_rows(sn);
-        let SweepScratch { xk, xu, .. } = scratch;
-
-        if panel_is_small(k, m) {
-            // Column by column, in place (rows [c0, c0 + k) are this front's
-            // alone), against one gathered column of ancestor rows.
-            xu.clear();
-            xu.resize(m, T::ZERO);
-            for j in 0..nrhs {
-                for (v, &r) in xu.iter_mut().zip(rows) {
-                    *v = x.read(r + j * ldx);
-                }
-                // SAFETY: see above; no other front touches these rows.
-                let xj = unsafe { x.slice_mut(c0 + j * ldx, k) };
-                backward_panel_small(k, m, panel, s, xj, xu);
-            }
-            return;
-        }
-
-        xk.clear();
-        xk.resize(k * nrhs, T::ZERO);
-        for j in 0..nrhs {
-            for i in 0..k {
-                xk[i + j * k] = x.read(c0 + i + j * ldx);
+        let xu = &mut xu[..m * w];
+        for (dst, &r) in xu.chunks_exact_mut(w).zip(self.symbolic.update_rows(sn)) {
+            for (j, v) in dst.iter_mut().enumerate() {
+                *v = x.read(r * w + j);
             }
         }
-        if m > 0 {
-            xu.clear();
-            xu.resize(m * nrhs, T::ZERO);
-            for j in 0..nrhs {
-                for (i, &r) in rows.iter().enumerate() {
-                    xu[i + j * m] = x.read(r + j * ldx);
-                }
-            }
-            // xk −= L₂ᵀ · x[update rows].
-            gemm_multi_rhs(
-                Transpose::Yes,
-                k,
-                nrhs,
-                m,
-                -T::ONE,
-                &panel[k..],
-                s,
-                xu,
-                m,
-                T::ONE,
-                xk,
-                k,
-            );
-        }
-        // Diagonal block: xk ← L₁⁻ᵀ xk.
-        trsm_left_lower_trans_multi(k, nrhs, panel, s, xk, k);
-        for j in 0..nrhs {
-            for i in 0..k {
-                x.write(c0 + i + j * ldx, xk[i + j * k]);
-            }
-        }
+        // SAFETY: rows [col_start, col_end) are this front's alone.
+        let xk = unsafe { x.slice_mut(info.col_start * w, k * w) };
+        backward_panel(k, m, w, self.panel(sn), k + m, xk, xu);
     }
 
     /// Solve `A·x = b` (original, unpermuted ordering). `b` is given in the
@@ -299,55 +208,65 @@ impl<T: Scalar> CholeskyFactor<T> {
     /// `n × nrhs` column-major, original ordering).
     ///
     /// Column `j` of the result is bitwise identical to `solve` on column
-    /// `j` alone: the whole path runs on RHS-count-invariant kernels.
+    /// `j` alone: no operation of the sweeps mixes columns.
     pub fn solve_many(&self, b: &[T], nrhs: usize) -> Vec<T> {
-        let mut x = self.permute_rhs(b, nrhs);
-        self.forward_in_place_multi(&mut x, nrhs);
-        self.backward_in_place_multi(&mut x, nrhs);
-        self.unpermute_rhs(&x)
+        let mut scratch = SweepScratch::new(&self.symbolic, nrhs.min(RHS_BLOCK));
+        self.solve_blocks(b, nrhs, |x, w| {
+            let x = SharedSlice::new(x);
+            // The postorder starts at a leaf: nothing is handed in.
+            let nsn = self.symbolic.num_supernodes();
+            self.forward_range(0..nsn, w, &x, |_| &[], &mut scratch.stack);
+            for &sn in self.symbolic.postorder.iter().rev() {
+                self.backward_front(sn, w, &x, &mut scratch.xu);
+            }
+        })
     }
 
     /// [`CholeskyFactor::solve_many`] with the triangular sweeps scheduled
     /// across `workers` threads on the elimination tree. Bitwise identical
     /// to the serial path at every worker count.
     pub fn solve_many_parallel(&self, b: &[T], nrhs: usize, workers: usize) -> Vec<T> {
-        let mut x = self.permute_rhs(b, nrhs);
-        if nrhs > 0 && self.order() > 0 {
-            let tasks = self.sweep_tasks();
-            self.forward_tasks(&tasks, &mut x, nrhs, workers);
-            self.backward_tasks(&tasks, &mut x, nrhs, workers);
-        }
-        self.unpermute_rhs(&x)
+        let tasks = self.sweep_tasks();
+        self.solve_blocks(b, nrhs, |x, w| {
+            self.forward_tasks(&tasks, x, w, workers);
+            self.backward_tasks(&tasks, x, w, workers);
+        })
     }
 
-    /// Forward substitution `X ← L⁻¹·X` on a permuted `n × nrhs` block.
-    fn forward_in_place_multi(&self, x: &mut [T], nrhs: usize) {
+    /// The column blocks of a solve: each run of at most [`RHS_BLOCK`]
+    /// columns of `b` is permuted into one interleaved `n × w` block
+    /// (`x = P·b`), swept in place by `sweeps(x, w)` and un-permuted into its
+    /// columns of the result (`x = Pᵀ·z`).
+    fn solve_blocks(
+        &self,
+        b: &[T],
+        nrhs: usize,
+        mut sweeps: impl FnMut(&mut [T], usize),
+    ) -> Vec<T> {
         let n = self.order();
-        assert_eq!(x.len(), n * nrhs);
-        if nrhs == 0 || n == 0 {
-            return;
+        assert_eq!(b.len(), n * nrhs, "B must be n × nrhs column-major");
+        let mut out = vec![T::ZERO; n * nrhs];
+        if n == 0 {
+            return out;
         }
-        let mut scratch = SweepScratch {
-            stack: vec![T::ZERO; self.symbolic.solve_stack_rows() * nrhs],
-            ..Default::default()
-        };
-        let nsn = self.symbolic.num_supernodes();
-        // The postorder starts at a leaf: nothing is handed in.
-        self.forward_range(0..nsn, nrhs, &SharedSlice::new(x), |_| &[], &mut scratch);
-    }
-
-    /// Backward substitution `X ← L⁻ᵀ·X` on a permuted `n × nrhs` block.
-    fn backward_in_place_multi(&self, x: &mut [T], nrhs: usize) {
-        let n = self.order();
-        assert_eq!(x.len(), n * nrhs);
-        if nrhs == 0 || n == 0 {
-            return;
+        let mut block = vec![T::ZERO; n * nrhs.min(RHS_BLOCK)];
+        for c0 in (0..nrhs).step_by(RHS_BLOCK) {
+            let w = (nrhs - c0).min(RHS_BLOCK);
+            let (cols, x) = (&b[c0 * n..], &mut block[..n * w]);
+            for (row, &old) in x.chunks_exact_mut(w).zip(self.perm.as_slice()) {
+                for (j, v) in row.iter_mut().enumerate() {
+                    *v = cols[old + j * n];
+                }
+            }
+            sweeps(x, w);
+            let cols = &mut out[c0 * n..];
+            for (old, &new) in self.perm.inv_slice().iter().enumerate() {
+                for (j, &v) in x[new * w..(new + 1) * w].iter().enumerate() {
+                    cols[old + j * n] = v;
+                }
+            }
         }
-        let shared = SharedSlice::new(x);
-        let mut scratch = SweepScratch::default();
-        for &sn in self.symbolic.postorder.iter().rev() {
-            self.backward_front(sn, nrhs, &shared, &mut scratch);
-        }
+        out
     }
 
     /// The tasks of both tree-parallel sweeps: the factor's partition, with
@@ -361,32 +280,29 @@ impl<T: Scalar> CholeskyFactor<T> {
         )
     }
 
-    /// Tree-parallel forward substitution (leaf→root) on `workers` threads:
-    /// one task per bottom subtree, one per supernode above. Bitwise
-    /// identical to [`Self::forward_in_place_multi`].
-    fn forward_tasks(&self, tasks: &RangeTasks, x: &mut [T], nrhs: usize, workers: usize) {
-        assert_eq!(x.len(), self.order() * nrhs);
+    /// Tree-parallel forward substitution (leaf→root) of one interleaved
+    /// block of `w` right-hand sides on `workers` threads: one task per
+    /// bottom subtree, one per supernode above. Bitwise identical to the
+    /// serial sweep.
+    fn forward_tasks(&self, tasks: &RangeTasks, x: &mut [T], w: usize, workers: usize) {
         let symbolic = &self.symbolic;
         let graph = TaskGraph::from_parents(tasks.parents());
         // Subtrahends that cross tasks: that of task `t`'s last front is the
-        // `m × nrhs` block at `offset[t] · nrhs` of one hand-off block.
+        // `m × w` block at `offset[t] · w` of one hand-off block.
         let (mut rows, mut offset) = (0, Vec::with_capacity(tasks.ranges().len()));
         for range in tasks.ranges() {
             offset.push(rows);
             rows += symbolic.supernodes[symbolic.postorder[range.end - 1]].m();
         }
-        let mut handoff = vec![T::ZERO; rows * nrhs];
+        let mut handoff = vec![T::ZERO; rows * w];
         let handoff_view = SharedSlice::new(&mut handoff);
         let block_of =
-            |sn: usize| (offset[tasks.task_of()[sn]] * nrhs, symbolic.supernodes[sn].m() * nrhs);
+            |sn: usize| (offset[tasks.task_of()[sn]] * w, symbolic.supernodes[sn].m() * w);
         let shared = SharedSlice::new(x);
         let runtime = Runtime::new(workers);
         let states: Vec<SweepScratch<T>> =
-            (0..runtime.workers()).map(|_| SweepScratch::default()).collect();
+            (0..runtime.workers()).map(|_| SweepScratch::new(symbolic, w)).collect();
         let (_, errors) = runtime.run(&graph, states, |scratch, t| -> Result<(), ()> {
-            if scratch.stack.is_empty() {
-                scratch.stack = vec![T::ZERO; symbolic.solve_stack_rows() * nrhs];
-            }
             let range = tasks.ranges()[t].clone();
             let (off, len) = block_of(symbolic.postorder[range.end - 1]);
             let handed = |c| {
@@ -395,7 +311,7 @@ impl<T: Scalar> CholeskyFactor<T> {
                 // counter ordered before this one.
                 unsafe { handoff_view.slice(off, len) }
             };
-            self.forward_range(range, nrhs, &shared, handed, scratch);
+            self.forward_range(range, w, &shared, handed, &mut scratch.stack);
             // SAFETY: the last front's hand-off block is this task's to
             // write; its reader waits for this task.
             unsafe { handoff_view.slice_mut(off, len) }.copy_from_slice(&scratch.stack[..len]);
@@ -405,43 +321,21 @@ impl<T: Scalar> CholeskyFactor<T> {
     }
 
     /// Tree-parallel backward substitution (root→leaf, on the reversed
-    /// task forest) on `workers` threads. Bitwise identical to
-    /// [`Self::backward_in_place_multi`].
-    fn backward_tasks(&self, tasks: &RangeTasks, x: &mut [T], nrhs: usize, workers: usize) {
-        assert_eq!(x.len(), self.order() * nrhs);
+    /// task forest) of one interleaved block of `w` right-hand sides on
+    /// `workers` threads. Bitwise identical to the serial sweep.
+    fn backward_tasks(&self, tasks: &RangeTasks, x: &mut [T], w: usize, workers: usize) {
         let graph = TaskGraph::from_parents_reversed(tasks.parents());
         let shared = SharedSlice::new(x);
         let runtime = Runtime::new(workers);
         let states: Vec<SweepScratch<T>> =
-            (0..runtime.workers()).map(|_| SweepScratch::default()).collect();
+            (0..runtime.workers()).map(|_| SweepScratch::new(&self.symbolic, w)).collect();
         let (_, errors) = runtime.run(&graph, states, |scratch, t| -> Result<(), ()> {
             for &sn in self.symbolic.postorder[tasks.ranges()[t].clone()].iter().rev() {
-                self.backward_front(sn, nrhs, &shared, scratch);
+                self.backward_front(sn, w, &shared, &mut scratch.xu);
             }
             Ok(())
         });
         debug_assert!(errors.is_empty(), "solve tasks are infallible");
-    }
-
-    /// Permute a block of right-hand sides column by column (`x = P·b`).
-    fn permute_rhs(&self, b: &[T], nrhs: usize) -> Vec<T> {
-        let n = self.order();
-        assert_eq!(b.len(), n * nrhs, "B must be n × nrhs column-major");
-        let mut x = Vec::with_capacity(n * nrhs);
-        for col in b.chunks_exact(n.max(1)) {
-            x.extend(self.perm.as_slice().iter().map(|&old| col[old]));
-        }
-        x
-    }
-
-    /// Un-permute a block of solutions column by column (`x = Pᵀ·z`).
-    fn unpermute_rhs(&self, z: &[T]) -> Vec<T> {
-        let n = self.order();
-        let mut x = Vec::with_capacity(z.len());
-        for col in z.chunks_exact(n.max(1)) {
-            x.extend(self.perm.inv_slice().iter().map(|&new| col[new]));
-        }
-        x
     }
 }
 
@@ -449,8 +343,9 @@ impl<T: Scalar> CholeskyFactor<T> {
 mod tests {
     use crate::factor::{factor_permuted, CholeskyFactor, FactorOptions, PolicySelector};
     use crate::policy::PolicyKind;
+    use mf_dense::Scalar;
     use mf_gpusim::Machine;
-    use mf_matgen::{laplacian_2d, laplacian_3d, rhs_for_solution, Stencil};
+    use mf_matgen::{elasticity_3d, laplacian_2d, laplacian_3d, rhs_for_solution, Stencil};
     use mf_sparse::symbolic::analyze;
     use mf_sparse::{AmalgamationOptions, OrderingKind, SymCsc};
 
@@ -552,36 +447,91 @@ mod tests {
         assert!(err < 1e-8, "forward error {err}");
     }
 
-    #[test]
-    fn solve_many_is_bitwise_looped_single_rhs() {
-        let a = laplacian_2d(19, 14, Stencil::Faces);
-        let f = factor_of(&a, OrderingKind::NestedDissection);
-        let n = a.order();
-        let nrhs = 8;
-        let (_, b) = rhs_block(&a, nrhs, 11);
-        let batched = f.solve_many(&b, nrhs);
-        for j in 0..nrhs {
-            let single = f.solve(&b[j * n..(j + 1) * n]);
-            for i in 0..n {
-                assert_eq!(batched[i + j * n].to_bits(), single[i].to_bits(), "rhs {j} row {i}");
+    /// The sweep suite's matrices, each with whether one of its panel
+    /// products takes the packed order: small 2-D and 3-D grids, elasticity
+    /// 6³ (largest panel product 5832 multiply-adds per column), and the
+    /// 27-point cube 12³ and elasticity 7³, which pass the threshold.
+    fn sweep_families() -> Vec<(SymCsc<f64>, bool)> {
+        vec![
+            (laplacian_2d(19, 14, Stencil::Faces), false),
+            (laplacian_3d(6, 5, 5, Stencil::Faces), false),
+            (laplacian_3d(12, 12, 12, Stencil::Full), true),
+            (elasticity_3d(6, 6, 6), false),
+            (elasticity_3d(7, 7, 7), true),
+        ]
+    }
+
+    /// Right-hand-side counts around the kernels' block of eight columns.
+    const SWEEP_NRHS: [usize; 6] = [1, 2, 3, 8, 9, 17];
+
+    fn sweep_factor<T: Scalar>(a: &SymCsc<f64>, packed: bool) -> CholeskyFactor<T> {
+        let analysis =
+            analyze(a, OrderingKind::NestedDissection, Some(&AmalgamationOptions::default()))
+                .unwrap();
+        let at: SymCsc<T> = analysis.permuted.0.cast();
+        let mut machine = Machine::paper_node();
+        let opts = FactorOptions::default();
+        let (f, _) =
+            factor_permuted(&at, &analysis.symbolic, &analysis.perm, &mut machine, &opts).unwrap();
+        // PACK_MIN_MADDS: a panel product this long takes the packed order.
+        let passes = f.symbolic.supernodes.iter().any(|s| s.m() * s.k() >= 8192);
+        assert_eq!(passes, packed, "packed-order coverage of the sweep suite moved");
+        f
+    }
+
+    fn sweep_rhs<T: Scalar>(n: usize, nrhs: usize) -> Vec<T> {
+        (0..n * nrhs).map(|i| T::from_f64(((i * 37 + 11) % 101) as f64 / 101.0 - 0.3)).collect()
+    }
+
+    fn bits<T: Scalar>(v: &[T]) -> Vec<u64> {
+        v.iter().map(|x| x.to_f64().to_bits()).collect()
+    }
+
+    fn check_batched_equals_looped<T: Scalar>() {
+        for (a, packed) in sweep_families() {
+            let f = sweep_factor::<T>(&a, packed);
+            let n = a.order();
+            for nrhs in SWEEP_NRHS {
+                let b = sweep_rhs::<T>(n, nrhs);
+                let batched = f.solve_many(&b, nrhs);
+                for j in 0..nrhs {
+                    let single = f.solve(&b[j * n..(j + 1) * n]);
+                    assert_eq!(
+                        bits(&batched[j * n..(j + 1) * n]),
+                        bits(&single),
+                        "{} n={n} nrhs={nrhs} column {j}",
+                        T::NAME
+                    );
+                }
+            }
+        }
+    }
+
+    fn check_parallel_equals_serial<T: Scalar>() {
+        for (a, packed) in sweep_families() {
+            let f = sweep_factor::<T>(&a, packed);
+            let n = a.order();
+            for nrhs in SWEEP_NRHS {
+                let b = sweep_rhs::<T>(n, nrhs);
+                let serial = bits(&f.solve_many(&b, nrhs));
+                for workers in [1, 2, 4] {
+                    let par = bits(&f.solve_many_parallel(&b, nrhs, workers));
+                    assert_eq!(par, serial, "{} n={n} nrhs={nrhs} {workers} workers", T::NAME);
+                }
             }
         }
     }
 
     #[test]
-    fn parallel_solve_is_bitwise_serial() {
-        let a = laplacian_3d(6, 5, 5, Stencil::Faces);
-        let f = factor_of(&a, OrderingKind::NestedDissection);
-        let n = a.order();
-        let nrhs = 4;
-        let (_, b) = rhs_block(&a, nrhs, 21);
-        let serial = f.solve_many(&b, nrhs);
-        for workers in [1, 2, 4] {
-            let par = f.solve_many_parallel(&b, nrhs, workers);
-            for i in 0..n * nrhs {
-                assert_eq!(serial[i].to_bits(), par[i].to_bits(), "{workers} workers, idx {i}");
-            }
-        }
+    fn bitwise_sweeps_batched_equal_looped_single_rhs() {
+        check_batched_equals_looped::<f64>();
+        check_batched_equals_looped::<f32>();
+    }
+
+    #[test]
+    fn bitwise_sweeps_parallel_equal_serial() {
+        check_parallel_equals_serial::<f64>();
+        check_parallel_equals_serial::<f32>();
     }
 
     #[test]

@@ -433,10 +433,10 @@ impl SpdSolver {
     /// Blocked iterative refinement over `nrhs` right-hand sides (`b` is
     /// `n × nrhs` column-major).
     ///
-    /// Each round computes f64 residuals for every still-active column,
-    /// compacts them into one block, and runs a single batched correction
-    /// solve — the factor is walked once per round instead of once per
-    /// column. Columns stop independently (per the module-level contract);
+    /// Each round computes f64 residuals for every still-active column in
+    /// one pass over `A`, compacts them into one block, and runs a single
+    /// batched correction solve — the matrix and the factor are walked once
+    /// per round instead of once per column. Columns stop independently (per the module-level contract);
     /// because the whole solve path is RHS-count-invariant, every column's
     /// trajectory is bitwise identical to a [`SpdSolver::solve_refined`]
     /// call on that column alone.
@@ -452,11 +452,11 @@ impl SpdSolver {
         let norm_a = self.norm_a;
 
         let mut x = self.solve_many_raw(b, nrhs);
+        let r0 = self.a.residual_many(&x, b, nrhs);
         let mut cols: Vec<ColState> = (0..nrhs)
             .map(|j| {
-                let bj = &b[j * n..(j + 1) * n];
-                let norm_b = bj.iter().map(|v| v.abs()).fold(0.0, f64::max);
-                let r = self.a.residual(&x[j * n..(j + 1) * n], bj);
+                let norm_b = b[j * n..(j + 1) * n].iter().map(|v| v.abs()).fold(0.0, f64::max);
+                let r = r0[j * n..(j + 1) * n].to_vec();
                 let rel0 = rel_residual(norm_a, norm_b, &x[j * n..(j + 1) * n], &r);
                 ColState { history: vec![rel0], norm_b, r, stop: None }
             })
@@ -487,13 +487,20 @@ impl SpdSolver {
                 rblock.extend_from_slice(&cols[j].r);
             }
             let dx = self.solve_many_raw(&rblock, active.len());
+            let (mut xa, mut ba) = (Vec::with_capacity(dx.len()), Vec::with_capacity(dx.len()));
             for (slot, &j) in active.iter().enumerate() {
                 let xj = &mut x[j * n..(j + 1) * n];
                 for (xi, di) in xj.iter_mut().zip(&dx[slot * n..(slot + 1) * n]) {
                     *xi += di;
                 }
+                xa.extend_from_slice(xj);
+                ba.extend_from_slice(&b[j * n..(j + 1) * n]);
+            }
+            // The active columns' residuals in one pass over A.
+            let r = self.a.residual_many(&xa, &ba, active.len());
+            for (slot, &j) in active.iter().enumerate() {
                 let c = &mut cols[j];
-                c.r = self.a.residual(&x[j * n..(j + 1) * n], &b[j * n..(j + 1) * n]);
+                c.r.copy_from_slice(&r[slot * n..(slot + 1) * n]);
                 let rel = rel_residual(norm_a, c.norm_b, &x[j * n..(j + 1) * n], &c.r);
                 c.history.push(rel);
             }

@@ -71,60 +71,6 @@ pub fn gemm<T: Scalar>(
     gemm_engine(m, n, kk, alpha, av, bv, c, ldc, None);
 }
 
-/// `C ← α·op(A)·B + β·C` for multi-right-hand-side solves, with a kernel
-/// dispatch that is **independent of the RHS count**.
-///
-/// `op(A)` is `m × kk`, `B` is `kk × nrhs` (no transpose — it is a block of
-/// right-hand sides), `C` is `m × nrhs`. Unlike [`gemm`], whose
-/// naive-vs-packed dispatch looks at the total op count `m·n·kk` (so the
-/// same per-column product can take different kernels — and produce
-/// different bits — depending on how many columns ride along), this entry
-/// decides on the **per-column** work `m·kk` alone. Combined with the fact
-/// that both kernels accumulate each output column independently of its
-/// neighbours, that gives the contract the solve path builds on:
-///
-/// > column `j` of the result is bitwise identical to the result of the
-/// > same call with `nrhs = 1` on column `j` alone.
-///
-/// which is what makes a batched multi-RHS triangular solve bitwise equal
-/// to a loop of single-RHS solves.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_multi_rhs<T: Scalar>(
-    transa: Transpose,
-    m: usize,
-    nrhs: usize,
-    kk: usize,
-    alpha: T,
-    a: &[T],
-    lda: usize,
-    b: &[T],
-    ldb: usize,
-    beta: T,
-    c: &mut [T],
-    ldc: usize,
-) {
-    if m == 0 || nrhs == 0 {
-        return;
-    }
-    debug_assert!(ldc >= m && c.len() >= (nrhs - 1) * ldc + m);
-    scale_cols(m, nrhs, beta, c, ldc);
-    if kk == 0 || alpha == T::ZERO {
-        return;
-    }
-    match transa {
-        Transpose::No => debug_assert!(lda >= m && a.len() >= (kk - 1) * lda + m),
-        Transpose::Yes => debug_assert!(lda >= kk && a.len() >= (m - 1) * lda + kk),
-    }
-    debug_assert!(ldb >= kk && b.len() >= (nrhs - 1) * ldb + kk);
-    if m * kk < PACK_MIN_MADDS {
-        crate::naive::gemm_accum(transa, Transpose::No, m, nrhs, kk, alpha, a, lda, b, ldb, c, ldc);
-        return;
-    }
-    let av = OpView { data: a, ld: lda, trans: transa == Transpose::Yes };
-    let bv = OpView { data: b, ld: ldb, trans: false };
-    gemm_engine(m, nrhs, kk, alpha, av, bv, c, ldc, None);
-}
-
 /// Convenience wrapper for the multifrontal hot path: `C ← C − A·Bᵀ` where
 /// `A` is `m × kk` and `B` is `n × kk` (both column-major). This is the
 /// `gemm` used by the overlapped GPU panel algorithm (Figure 9) to update the

@@ -7,8 +7,12 @@
 //! * [`potrf`] — dense Cholesky factorization `A = L·Lᵀ` (lower),
 //! * [`trsm_right_lower_trans`] — the panel solve `X·Lᵀ = B`,
 //! * [`syrk_lower`] — the symmetric rank-k update `C ← C − A·Aᵀ` (lower),
-//! * [`gemm`] — general matrix multiply (used by the GPU panel algorithm and
-//!   the solve phase).
+//! * [`gemm`] — general matrix multiply (used by the GPU panel algorithm).
+//!
+//! The solve phase runs its own two kernels, [`forward_panel`] and
+//! [`backward_panel`], which sweep a supernode's panel once for a block of
+//! up to [`RHS_BLOCK`] interleaved right-hand sides while keeping each
+//! column's one-column operation order.
 //!
 //! All kernels are generic over [`Scalar`] (`f32`/`f64`) and operate on
 //! column-major buffers with an explicit leading dimension, mirroring the
@@ -43,23 +47,20 @@ mod potrf;
 mod reference;
 mod simd;
 mod small;
+mod sweep;
 mod syrk;
 mod trsm;
 
-pub use gemm::{gemm, gemm_multi_rhs, gemm_nt, Transpose};
+pub use gemm::{gemm, gemm_nt, Transpose};
 pub use kernel::{num_threads, set_num_threads, thread_cap};
 pub use matrix::{ColMajor, DenseMat};
 pub use potrf::{potrf, potrf_blocked, potrf_unblocked, PotrfError};
 pub use reference::{gemm_ref, potrf_ref, syrk_ref, trsm_ref};
 pub use scalar::Scalar;
-pub use small::{
-    backward_panel_small, factor_front_small, forward_panel_small, front_is_small, panel_is_small,
-};
+pub use small::{factor_front_small, front_is_small};
+pub use sweep::{backward_panel, forward_panel, RHS_BLOCK};
 pub use syrk::syrk_lower;
-pub use trsm::{
-    trsm_left_lower_notrans, trsm_left_lower_notrans_multi, trsm_left_lower_trans,
-    trsm_left_lower_trans_multi, trsm_right_lower_trans,
-};
+pub use trsm::trsm_right_lower_trans;
 
 /// Floating point operation counts for the three F-U kernels, following the
 /// asymptotic expressions used in the paper (Section IV-B):

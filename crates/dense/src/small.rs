@@ -1,17 +1,16 @@
-//! Fused bodies for small fronts.
+//! The fused factor-update body for small fronts.
 //!
 //! A multifrontal factorization of a 2-D problem spends its time in tens of
 //! thousands of fronts a few rows wide. On such shapes every public kernel
 //! takes its unblocked, unpacked branch after a dispatch that costs as much
 //! as the arithmetic: shape checks, a scratch allocation, a pivot-block
-//! copy, a strided gather. The routines here run, for one front (or one
-//! panel and one right-hand side), **the same scalar operations in the same
-//! order** as those branches, with the dispatch decided once by a predicate
-//! and each panel column read once. They are bitwise interchangeable with
-//! the kernel sequences they replace whenever their predicate holds — the
-//! unit tests compare bits over every small shape.
+//! copy, a strided gather. [`factor_front_small`] runs, for one front,
+//! **the same scalar operations in the same order** as those branches, with
+//! the dispatch decided once by a predicate and each panel column read once.
+//! It is bitwise interchangeable with the kernel sequence it replaces
+//! whenever its predicate holds — the unit tests compare bits over every
+//! small shape.
 
-use crate::gemm::axpy;
 use crate::kernel::PACK_MIN_MADDS;
 use crate::naive::syrk_accum;
 use crate::potrf::{potrf_unblocked_offset, PotrfError, POTRF_UNBLOCKED_MAX};
@@ -70,76 +69,10 @@ pub fn factor_front_small<T: Scalar>(
     Ok(())
 }
 
-/// Whether the multi-right-hand-side solve kernels
-/// ([`crate::trsm_left_lower_notrans_multi`],
-/// [`crate::trsm_left_lower_trans_multi`], [`crate::gemm_multi_rhs`]) take
-/// their unblocked, unpacked branches on a `(k + m) × k` panel — the
-/// condition under which [`forward_panel_small`] and
-/// [`backward_panel_small`] reproduce them. Like those kernels' dispatch it
-/// does not depend on the right-hand-side count.
-pub fn panel_is_small(k: usize, m: usize) -> bool {
-    k <= TRSM_BLOCK && m * k < PACK_MIN_MADDS
-}
-
-/// Forward substitution through one small panel for one right-hand side:
-/// `x ← L₁⁻¹·x` on the `k` pivot rows, then `u ← u + L₂·x` on the `m` update
-/// rows (`panel` is `(k + m) × k` column-major with leading dimension `s`).
-/// Requires [`panel_is_small`]`(k, m)`.
-pub fn forward_panel_small<T: Scalar>(
-    k: usize,
-    m: usize,
-    panel: &[T],
-    s: usize,
-    x: &mut [T],
-    u: &mut [T],
-) {
-    debug_assert!(panel_is_small(k, m) && s >= k + m);
-    let (x, u) = (&mut x[..k], &mut u[..m]);
-    for j in 0..k {
-        let col = &panel[j * s..j * s + k + m];
-        let xj = x[j] / col[j];
-        x[j] = xj;
-        if xj == T::ZERO {
-            continue;
-        }
-        for (bv, &av) in x[j + 1..].iter_mut().zip(&col[j + 1..k]) {
-            *bv -= xj * av;
-        }
-        axpy(T::ONE * xj, &col[k..], u);
-    }
-}
-
-/// Backward substitution through one small panel for one right-hand side:
-/// `x ← L₁⁻ᵀ·(x − L₂ᵀ·xu)` on the `k` pivot rows, `xu` being the `m`
-/// already-final update rows. Requires [`panel_is_small`]`(k, m)`.
-pub fn backward_panel_small<T: Scalar>(
-    k: usize,
-    m: usize,
-    panel: &[T],
-    s: usize,
-    x: &mut [T],
-    xu: &[T],
-) {
-    debug_assert!(panel_is_small(k, m) && s >= k + m);
-    let (x, xu) = (&mut x[..k], &xu[..m]);
-    for j in (0..k).rev() {
-        let col = &panel[j * s..j * s + k + m];
-        if m > 0 {
-            let dot: T = col[k..].iter().zip(xu).map(|(&a, &b)| a * b).sum();
-            x[j] += -T::ONE * dot;
-        }
-        let dot: T = col[j + 1..k].iter().zip(&x[j + 1..]).map(|(&av, &xv)| av * xv).sum();
-        x[j] = (x[j] - dot) / col[j];
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        gemm_multi_rhs, potrf, syrk_lower, trsm_left_lower_notrans_multi,
-        trsm_left_lower_trans_multi, trsm_right_lower_trans, Transpose,
-    };
+    use crate::{potrf, syrk_lower, trsm_right_lower_trans};
 
     /// A diagonally dominant symmetric `s × s` matrix (column-major, full).
     fn spd<T: Scalar>(s: usize, seed: u64) -> Vec<T> {
@@ -249,82 +182,5 @@ mod tests {
         let err = factor_front_small(s, k, &mut panel, &mut update).unwrap_err();
         assert_eq!(err, potrf(k, &mut b, s).unwrap_err());
         assert_eq!(err.column, 2);
-    }
-
-    fn check_solves<T: Scalar>() {
-        for s in 1..=48usize {
-            for k in 1..=s.min(17) {
-                let m = s - k;
-                if !panel_is_small(k, m) {
-                    continue;
-                }
-                let mut panel = spd::<T>(s, (s * 17 + k) as u64);
-                factor_with_kernels(s, k, &mut panel);
-                for nrhs in [1usize, 3] {
-                    let rhs = spd::<T>(s.max(nrhs), 99);
-                    // Forward: kernels on gathered blocks vs fused, per column.
-                    let mut xk: Vec<T> = (0..k * nrhs).map(|i| rhs[i]).collect();
-                    let mut ub: Vec<T> = (0..m * nrhs).map(|i| rhs[k * nrhs + i]).collect();
-                    let (mut xf, mut uf) = (xk.clone(), ub.clone());
-                    trsm_left_lower_notrans_multi(k, nrhs, &panel, s, &mut xk, k);
-                    if m > 0 {
-                        let (l2, one) = (&panel[k..], T::ONE);
-                        gemm_multi_rhs(
-                            Transpose::No,
-                            m,
-                            nrhs,
-                            k,
-                            one,
-                            l2,
-                            s,
-                            &xk,
-                            k,
-                            one,
-                            &mut ub,
-                            m,
-                        );
-                    }
-                    for j in 0..nrhs {
-                        let (x, u) = (&mut xf[j * k..(j + 1) * k], &mut uf[j * m..(j + 1) * m]);
-                        forward_panel_small(k, m, &panel, s, x, u);
-                    }
-                    assert_eq!(bits(&xf), bits(&xk), "{} forward x s={s} k={k}", T::NAME);
-                    assert_eq!(bits(&uf), bits(&ub), "{} forward u s={s} k={k}", T::NAME);
-                    // Backward, from the forward results.
-                    let mut xb = xk.clone();
-                    let mut xg = xk.clone();
-                    if m > 0 {
-                        let (l2, one) = (&panel[k..], T::ONE);
-                        gemm_multi_rhs(
-                            Transpose::Yes,
-                            k,
-                            nrhs,
-                            m,
-                            -one,
-                            l2,
-                            s,
-                            &ub,
-                            m,
-                            one,
-                            &mut xb,
-                            k,
-                        );
-                    }
-                    trsm_left_lower_trans_multi(k, nrhs, &panel, s, &mut xb, k);
-                    for j in 0..nrhs {
-                        let x = &mut xg[j * k..(j + 1) * k];
-                        backward_panel_small(k, m, &panel, s, x, &ub[j * m..(j + 1) * m]);
-                    }
-                    assert_eq!(bits(&xg), bits(&xb), "{} backward s={s} k={k}", T::NAME);
-                }
-            }
-        }
-        assert!(panel_is_small(16, 30) && !panel_is_small(17, 1) && !panel_is_small(16, 600));
-    }
-
-    #[test]
-    fn panel_sweeps_are_bitwise_the_kernel_sequences() {
-        check_solves::<f64>();
-        check_solves::<f32>();
     }
 }

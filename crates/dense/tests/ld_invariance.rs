@@ -1,17 +1,18 @@
-//! The leading dimension of the output never changes a bit.
+//! The leading dimension of a block never changes a bit.
 //!
 //! A multifrontal factor-update may write its `syrk` into the trailing block
 //! of an `s × s` front (leading dimension `s`) or into a packed `m × m`
-//! update block (leading dimension `m`); the solve may accumulate into a
-//! packed or a strided block. Both kernels — the seed loop nests below the
-//! packing threshold and the packed engine above it — fix the operation
-//! order of every output element by the shapes alone (the engine
-//! accumulates each `KC` block into registers, then `c = fma(acc, α, c)`;
-//! the loop nests run column by column), so the same call at two leading
-//! dimensions must give the same bits in every referenced entry and leave
-//! the padding between columns untouched.
+//! update block (leading dimension `m`), and the solve sweeps read a panel
+//! at whatever leading dimension it has. Every kernel — the seed loop nests
+//! below the packing threshold, the packed engine above it, and the sweeps
+//! that follow both orders — fixes the operation order of every output
+//! element by the shapes alone (the engine accumulates each `KC` block into
+//! registers, then `c = fma(acc, α, c)`; the loop nests run column by
+//! column), so the same call at two leading dimensions must give the same
+//! bits in every referenced entry and leave the padding between columns
+//! untouched.
 
-use mf_dense::{gemm, gemm_multi_rhs, syrk_lower, Scalar, Transpose};
+use mf_dense::{gemm, syrk_lower, Scalar, Transpose};
 
 fn random<T: Scalar>(len: usize, seed: u64) -> Vec<T> {
     let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -82,22 +83,24 @@ fn check<T: Scalar>() {
         assert_eq!(got, want, "{} gemm {m}x{n}x{kk}", T::NAME);
         assert!(clean, "{} gemm {m}x{n}x{kk} wrote the padding", T::NAME);
     }
-    // gemm_multi_rhs dispatches on the per-column work m·kk.
-    for (m, nrhs, kk) in [(6usize, 3usize, 4usize), (40, 8, 90), (150, 5, 120)] {
-        for trans in [Transpose::No, Transpose::Yes] {
-            let lda = if trans == Transpose::No { m } else { kk };
-            let a = random::<T>(m * kk, 17);
-            let b = random::<T>(kk * nrhs, 23);
-            let c0 = random::<T>(m * nrhs, 29);
-            let (mut packed, mut padded) = (c0.clone(), strided(&c0, m, nrhs, PAD));
-            gemm_multi_rhs(trans, m, nrhs, kk, alpha, &a, lda, &b, kk, beta, &mut packed, m);
-            let ld = m + PAD;
-            gemm_multi_rhs(trans, m, nrhs, kk, alpha, &a, lda, &b, kk, beta, &mut padded, ld);
-            let (want, _) = referenced(&packed, m, nrhs, m, |_| 0);
-            let (got, clean) = referenced(&padded, m, nrhs, ld, |_| 0);
-            assert_eq!(got, want, "{} gemm_multi_rhs {trans:?} {m}x{nrhs}x{kk}", T::NAME);
-            assert!(clean, "{} gemm_multi_rhs {m}x{nrhs}x{kk} wrote the padding", T::NAME);
+    // The solve sweeps read a panel at any leading dimension: a supernode's
+    // panel sits in the factor slab at leading dimension k + m.
+    for (k, m, nrhs) in [(6usize, 4usize, 3usize), (40, 90, 8), (100, 150, 5), (560, 20, 2)] {
+        let a = random::<T>((k + m) * k, (k * 5 + m) as u64);
+        let (mut a, s) = (a, k + m);
+        for j in 0..k {
+            a[j + j * s] = T::from_f64(s as f64);
         }
+        let padded = strided(&a, s, k, PAD);
+        let x0 = random::<T>(k * nrhs, 23);
+        let u0 = random::<T>(m * nrhs, 29);
+        let sweep = |panel: &[T], ld: usize| {
+            let (mut x, mut u) = (x0.clone(), u0.clone());
+            mf_dense::forward_panel(k, m, nrhs, panel, ld, &mut x, &mut u);
+            mf_dense::backward_panel(k, m, nrhs, panel, ld, &mut x, &u);
+            [x, u].concat().iter().map(|v| v.to_f64().to_bits()).collect::<Vec<u64>>()
+        };
+        assert_eq!(sweep(&padded, s + PAD), sweep(&a, s), "{} sweeps k={k} m={m}", T::NAME);
     }
 }
 

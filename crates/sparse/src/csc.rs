@@ -324,6 +324,56 @@ impl<T: Scalar> SymCsc<T> {
         b.iter().zip(&ax).map(|(&bv, &av)| bv - av).collect()
     }
 
+    /// Residuals `R = B − A·X` of `nrhs` columns (`X`, `B` and `R` are
+    /// `n × nrhs` column-major) in one pass over the nonzeros. Each column
+    /// takes the operations of [`Self::residual`] in the same order, so
+    /// column `j` is bitwise `residual` of column `j`.
+    pub fn residual_many(&self, x: &[T], b: &[T], nrhs: usize) -> Vec<T> {
+        let n = self.n;
+        assert_eq!(x.len(), n * nrhs);
+        assert_eq!(b.len(), n * nrhs);
+        if nrhs == 1 {
+            return self.residual(x, b);
+        }
+        // Row-interleaved: row i holds the nrhs columns' entries.
+        let mut xs = vec![T::ZERO; n * nrhs];
+        for (c, col) in x.chunks_exact(n.max(1)).enumerate() {
+            for (i, &v) in col.iter().enumerate() {
+                xs[i * nrhs + c] = v;
+            }
+        }
+        let mut ax = vec![T::ZERO; n * nrhs];
+        let mut acc = vec![T::ZERO; nrhs];
+        for j in 0..n {
+            acc.fill(T::ZERO);
+            let xj = &xs[j * nrhs..(j + 1) * nrhs];
+            for (&i, &v) in self.col_rows(j).iter().zip(self.col_vals(j)) {
+                if i == j {
+                    for (a, &xv) in acc.iter_mut().zip(xj) {
+                        *a += v * xv;
+                    }
+                } else {
+                    let (xi, yi) =
+                        (&xs[i * nrhs..(i + 1) * nrhs], &mut ax[i * nrhs..(i + 1) * nrhs]);
+                    for c in 0..nrhs {
+                        yi[c] += v * xj[c];
+                        acc[c] += v * xi[c];
+                    }
+                }
+            }
+            for (y, &a) in ax[j * nrhs..(j + 1) * nrhs].iter_mut().zip(&acc) {
+                *y += a;
+            }
+        }
+        let mut r = b.to_vec();
+        for (c, col) in r.chunks_exact_mut(n.max(1)).enumerate() {
+            for (i, v) in col.iter_mut().enumerate() {
+                *v -= ax[i * nrhs + c];
+            }
+        }
+        r
+    }
+
     /// Infinity norm of the full symmetric matrix.
     pub fn norm_inf(&self) -> f64 {
         let mut rowsum = vec![0.0f64; self.n];
@@ -499,6 +549,21 @@ mod tests {
         a.matvec(&x, &mut b);
         let r = a.residual(&x, &b);
         assert!(r.iter().all(|v| v.abs() < 1e-12));
+    }
+
+    #[test]
+    fn residual_many_is_bitwise_residual_per_column() {
+        let a = arrow(7);
+        let n = a.order();
+        let nrhs = 3;
+        let x: Vec<f64> = (0..n * nrhs).map(|i| (i as f64 * 0.37).sin()).collect();
+        let b: Vec<f64> = (0..n * nrhs).map(|i| (i as f64 * 0.11).cos()).collect();
+        let r = a.residual_many(&x, &b, nrhs);
+        for j in 0..nrhs {
+            let col = a.residual(&x[j * n..(j + 1) * n], &b[j * n..(j + 1) * n]);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&r[j * n..(j + 1) * n]), bits(&col), "column {j}");
+        }
     }
 
     #[test]
