@@ -68,17 +68,23 @@ use std::ops::Range;
 
 /// Per-worker scratch of the sweeps, sized once for a block of `w`
 /// right-hand sides: the gathered update rows of the front in hand
-/// (backward) and the subtrahend stack (forward).
+/// (backward), the subtrahend stack and, per global row, its position among
+/// the update rows of the front in hand (forward).
 struct SweepScratch<T> {
     xu: Vec<T>,
     stack: Vec<T>,
+    slot: Vec<usize>,
 }
 
 impl<T: Scalar> SweepScratch<T> {
     fn new(symbolic: &SymbolicFactor, w: usize) -> Self {
         // The stack bound covers every front's own block, so every `m`.
         let len = symbolic.solve_stack_rows() * w;
-        SweepScratch { xu: vec![T::ZERO; len], stack: vec![T::ZERO; len] }
+        SweepScratch {
+            xu: vec![T::ZERO; len],
+            stack: vec![T::ZERO; len],
+            slot: vec![0; symbolic.n],
+        }
     }
 }
 
@@ -94,6 +100,7 @@ impl<T: Scalar> CholeskyFactor<T> {
         x: &SharedSlice<T>,
         children: impl Iterator<Item = (usize, &'c [T])>,
         ubuf: &mut [T],
+        slot: &mut [usize],
     ) where
         T: 'c,
     {
@@ -105,26 +112,30 @@ impl<T: Scalar> CholeskyFactor<T> {
         // SAFETY: rows [c0, c1) are this front's alone.
         let xk = unsafe { x.slice_mut(c0 * w, k * w) };
 
-        // Extend-add the children's subtrahends: rows inside [c0, c1) subtract
-        // from this supernode's pivot rows, rows beyond fold into the
-        // outgoing block via a merge against our sorted row list.
+        // Extend-add the children's subtrahends. A child's rows are sorted, so
+        // those inside [c0, c1) come first and subtract from this supernode's
+        // pivot rows; the rest, all among our update rows, fold into the
+        // outgoing block at the positions `slot` maps them to.
         let own_rows = symbolic.update_rows(sn);
+        for (i, &r) in own_rows.iter().enumerate() {
+            slot[r] = i;
+        }
         ubuf.fill(T::ZERO);
         for (c, cbuf) in children {
-            let mut pos = 0usize;
-            for (&r, sub) in symbolic.update_rows(c).iter().zip(cbuf.chunks_exact(w)) {
-                let (dst, subtract) = if r < c1 {
-                    debug_assert!(r >= c0);
-                    (&mut xk[(r - c0) * w..(r - c0 + 1) * w], true)
-                } else {
-                    while own_rows[pos] < r {
-                        pos += 1;
-                    }
-                    debug_assert_eq!(own_rows[pos], r, "child row must appear in parent front");
-                    (&mut ubuf[pos * w..(pos + 1) * w], false)
-                };
-                for (d, &v) in dst.iter_mut().zip(sub) {
-                    *d = if subtract { *d - v } else { *d + v };
+            let rows = symbolic.update_rows(c);
+            let split = rows.partition_point(|&r| r < c1);
+            let (pivot, beyond) = cbuf.split_at(split * w);
+            for (&r, sub) in rows[..split].iter().zip(pivot.chunks_exact(w)) {
+                debug_assert!(r >= c0);
+                for (d, &v) in xk[(r - c0) * w..(r - c0 + 1) * w].iter_mut().zip(sub) {
+                    *d -= v;
+                }
+            }
+            for (&r, sub) in rows[split..].iter().zip(beyond.chunks_exact(w)) {
+                let pos = slot[r];
+                debug_assert_eq!(own_rows[pos], r, "child row must appear in parent front");
+                for (d, &v) in ubuf[pos * w..(pos + 1) * w].iter_mut().zip(sub) {
+                    *d += v;
                 }
             }
         }
@@ -133,9 +144,9 @@ impl<T: Scalar> CholeskyFactor<T> {
 
     /// Forward substitution over the supernodes at postorder positions
     /// `range` — a run whose first front has no child inside it — on
-    /// `stack`, which holds nothing of theirs on entry and, on return, the
-    /// subtrahend of the last front at offset 0 (the ranges end at subtree
-    /// roots). The first front folds its children's subtrahends from
+    /// `scratch.stack`, which holds nothing of theirs on entry and, on
+    /// return, the subtrahend of the last front at offset 0 (the ranges end
+    /// at subtree roots). The first front folds its children's subtrahends from
     /// `handed`; every later front finds its children's on the stack.
     fn forward_range<'h>(
         &self,
@@ -143,11 +154,12 @@ impl<T: Scalar> CholeskyFactor<T> {
         w: usize,
         x: &SharedSlice<T>,
         handed: impl Fn(usize) -> &'h [T],
-        stack: &mut [T],
+        scratch: &mut SweepScratch<T>,
     ) where
         T: 'h,
     {
         let symbolic = &self.symbolic;
+        let SweepScratch { stack, slot, .. } = scratch;
         let mut top = 0usize;
         for r in range.clone() {
             let sn = symbolic.postorder[r];
@@ -172,7 +184,7 @@ impl<T: Scalar> CholeskyFactor<T> {
                 (c, &below[next - len..next])
             });
             let children = from_hand.iter().map(|&c| (c, handed(c))).chain(stacked);
-            self.forward_front(sn, w, x, children, &mut above[..m * w]);
+            self.forward_front(sn, w, x, children, &mut above[..m * w], slot);
             // Retire the children: this supernode's block takes their place.
             if dest < top {
                 stack.copy_within(top..top + m * w, dest);
@@ -215,7 +227,7 @@ impl<T: Scalar> CholeskyFactor<T> {
             let x = SharedSlice::new(x);
             // The postorder starts at a leaf: nothing is handed in.
             let nsn = self.symbolic.num_supernodes();
-            self.forward_range(0..nsn, w, &x, |_| &[], &mut scratch.stack);
+            self.forward_range(0..nsn, w, &x, |_| &[], &mut scratch);
             for &sn in self.symbolic.postorder.iter().rev() {
                 self.backward_front(sn, w, &x, &mut scratch.xu);
             }
@@ -311,7 +323,7 @@ impl<T: Scalar> CholeskyFactor<T> {
                 // counter ordered before this one.
                 unsafe { handoff_view.slice(off, len) }
             };
-            self.forward_range(range, w, &shared, handed, &mut scratch.stack);
+            self.forward_range(range, w, &shared, handed, scratch);
             // SAFETY: the last front's hand-off block is this task's to
             // write; its reader waits for this task.
             unsafe { handoff_view.slice_mut(off, len) }.copy_from_slice(&scratch.stack[..len]);
@@ -349,17 +361,13 @@ mod tests {
     use mf_sparse::symbolic::analyze;
     use mf_sparse::{AmalgamationOptions, OrderingKind, SymCsc};
 
-    fn factor_of(a: &SymCsc<f64>, ordering: OrderingKind) -> CholeskyFactor<f64> {
+    fn factor_of<T: Scalar>(a: &SymCsc<f64>, ordering: OrderingKind) -> CholeskyFactor<T> {
         let analysis = analyze(a, ordering, Some(&AmalgamationOptions::default())).unwrap();
+        let at: SymCsc<T> = analysis.permuted.0.cast();
         let mut machine = Machine::paper_node();
-        let (f, _) = factor_permuted(
-            &analysis.permuted.0,
-            &analysis.symbolic,
-            &analysis.perm,
-            &mut machine,
-            &FactorOptions::default(),
-        )
-        .unwrap();
+        let opts = FactorOptions::default();
+        let (f, _) =
+            factor_permuted(&at, &analysis.symbolic, &analysis.perm, &mut machine, &opts).unwrap();
         f
     }
 
@@ -465,14 +473,7 @@ mod tests {
     const SWEEP_NRHS: [usize; 6] = [1, 2, 3, 8, 9, 17];
 
     fn sweep_factor<T: Scalar>(a: &SymCsc<f64>, packed: bool) -> CholeskyFactor<T> {
-        let analysis =
-            analyze(a, OrderingKind::NestedDissection, Some(&AmalgamationOptions::default()))
-                .unwrap();
-        let at: SymCsc<T> = analysis.permuted.0.cast();
-        let mut machine = Machine::paper_node();
-        let opts = FactorOptions::default();
-        let (f, _) =
-            factor_permuted(&at, &analysis.symbolic, &analysis.perm, &mut machine, &opts).unwrap();
+        let f = factor_of(a, OrderingKind::NestedDissection);
         // PACK_MIN_MADDS: a panel product this long takes the packed order.
         let passes = f.symbolic.supernodes.iter().any(|s| s.m() * s.k() >= 8192);
         assert_eq!(passes, packed, "packed-order coverage of the sweep suite moved");
@@ -537,7 +538,7 @@ mod tests {
     #[test]
     fn zero_nrhs_is_a_noop() {
         let a = laplacian_2d(5, 5, Stencil::Faces);
-        let f = factor_of(&a, OrderingKind::Natural);
+        let f = factor_of::<f64>(&a, OrderingKind::Natural);
         assert!(f.solve_many(&[], 0).is_empty());
         assert!(f.solve_many_parallel(&[], 0, 2).is_empty());
     }

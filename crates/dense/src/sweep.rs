@@ -72,7 +72,8 @@ pub fn forward_panel<T: Scalar>(
     u: &mut [T],
 ) {
     debug_assert!(k == 0 || (ld >= k + m && panel.len() >= (k - 1) * ld + k + m));
-    with_lanes!(nrhs, forward_rows::<T>(k, m, panel, ld, x, u));
+    let (x, u) = (&mut x[..k * nrhs], &mut u[..m * nrhs]);
+    with_lanes!(nrhs, forward_rows::<T>(panel, ld, x, u));
 }
 
 /// Backward substitution through one panel: `x ← L₁⁻ᵀ·(x − L₂ᵀ·xu)` on the
@@ -88,19 +89,13 @@ pub fn backward_panel<T: Scalar>(
     xu: &[T],
 ) {
     debug_assert!(k == 0 || (ld >= k + m && panel.len() >= (k - 1) * ld + k + m));
-    with_lanes!(nrhs, backward_rows::<T>(k, m, panel, ld, x, xu));
+    let (x, xu) = (&mut x[..k * nrhs], &xu[..m * nrhs]);
+    with_lanes!(nrhs, backward_rows::<T>(panel, ld, x, xu));
 }
 
-fn forward_rows<T: Scalar, const W: usize>(
-    k: usize,
-    m: usize,
-    panel: &[T],
-    ld: usize,
-    x: &mut [T],
-    u: &mut [T],
-) {
-    let x = &mut x.as_chunks_mut::<W>().0[..k];
-    let u = &mut u.as_chunks_mut::<W>().0[..m];
+fn forward_rows<T: Scalar, const W: usize>(panel: &[T], ld: usize, x: &mut [T], u: &mut [T]) {
+    let (x, u) = (x.as_chunks_mut::<W>().0, u.as_chunks_mut::<W>().0);
+    let (k, m) = (x.len(), u.len());
     let u_packed = m * k >= PACK_MIN_MADDS;
     for j0 in (0..k).step_by(TRSM_BLOCK) {
         let j1 = (j0 + TRSM_BLOCK).min(k);
@@ -120,12 +115,12 @@ fn forward_rows<T: Scalar, const W: usize>(
         }
         if below_packed {
             let (solved, below) = x.split_at_mut(j1);
-            fma_rows(-T::ONE, panel, ld, j1, j0, &solved[j0..], below);
+            fma_rows(-T::ONE, &panel[j1 + j0 * ld..], ld, &solved[j0..], below);
         }
     }
     if u_packed {
         for p0 in (0..k).step_by(KC) {
-            fma_rows(T::ONE, panel, ld, k, p0, &x[p0..(p0 + KC).min(k)], u);
+            fma_rows(T::ONE, &panel[k + p0 * ld..], ld, &x[p0..(p0 + KC).min(k)], u);
         }
     }
 }
@@ -199,60 +194,51 @@ fn axpy_columns<T: Scalar, const W: usize, const C: usize, const ADD: bool>(
     }
 }
 
-/// `dst[i] ← fma(Σ_l L[row0 + i, col0 + l]·src[l], α, dst[i])`, the sum a
-/// fused chain from zero in ascending `l` — one packed-engine block.
+/// `dst[i] ← fma(Σ_l a[i + l·ld]·src[l], α, dst[i])`, the sum a fused
+/// chain from zero in ascending `l` — one packed-engine block.
 fn fma_rows<T: Scalar, const W: usize>(
     alpha: T,
-    panel: &[T],
+    a: &[T],
     ld: usize,
-    row0: usize,
-    col0: usize,
     src: &[[T; W]],
     dst: &mut [[T; W]],
 ) {
-    // About eight vector registers of accumulators per tile.
-    let row_bytes = W * T::BYTES;
-    if row_bytes <= 8 {
-        fma_tiles::<T, W, 16>(alpha, panel, ld, row0, col0, src, dst)
-    } else if row_bytes <= 32 {
-        fma_tiles::<T, W, 8>(alpha, panel, ld, row0, col0, src, dst)
+    // Narrow rows take taller tiles, so the accumulators fill the registers.
+    if W * T::BYTES <= 8 {
+        fma_tiles::<T, W, 16>(alpha, a, ld, src, dst)
     } else {
-        fma_tiles::<T, W, 4>(alpha, panel, ld, row0, col0, src, dst)
+        fma_tiles::<T, W, 8>(alpha, a, ld, src, dst)
     }
 }
 
 fn fma_tiles<T: Scalar, const W: usize, const R: usize>(
     alpha: T,
-    panel: &[T],
+    a: &[T],
     ld: usize,
-    row0: usize,
-    col0: usize,
     src: &[[T; W]],
     dst: &mut [[T; W]],
 ) {
     let (tiles, rest) = dst.as_chunks_mut::<R>();
-    let tail0 = row0 + tiles.len() * R;
+    let tail = tiles.len() * R;
     for (t, tile) in tiles.iter_mut().enumerate() {
-        fma_tile(alpha, panel, ld, row0 + t * R, col0, src, tile);
+        fma_tile(alpha, &a[t * R..], ld, src, tile);
     }
     for (i, row) in rest.iter_mut().enumerate() {
-        fma_tile(alpha, panel, ld, tail0 + i, col0, src, std::array::from_mut(row));
+        fma_tile(alpha, &a[tail + i..], ld, src, std::array::from_mut(row));
     }
 }
 
 #[inline(always)]
 fn fma_tile<T: Scalar, const W: usize, const R: usize>(
     alpha: T,
-    panel: &[T],
+    a: &[T],
     ld: usize,
-    row0: usize,
-    col0: usize,
     src: &[[T; W]],
     dst: &mut [[T; W]; R],
 ) {
     let mut acc = [[T::ZERO; W]; R];
     for (l, s) in src.iter().enumerate() {
-        let a: &[T; R] = panel[(col0 + l) * ld + row0..][..R].try_into().unwrap();
+        let a: &[T; R] = a[l * ld..][..R].try_into().unwrap();
         for i in 0..R {
             for r in 0..W {
                 acc[i][r] = a[i].mul_add(s[r], acc[i][r]);
@@ -266,18 +252,11 @@ fn fma_tile<T: Scalar, const W: usize, const R: usize>(
     }
 }
 
-fn backward_rows<T: Scalar, const W: usize>(
-    k: usize,
-    m: usize,
-    panel: &[T],
-    ld: usize,
-    x: &mut [T],
-    xu: &[T],
-) {
-    let x = &mut x.as_chunks_mut::<W>().0[..k];
-    let xu = &xu.as_chunks::<W>().0[..m];
+fn backward_rows<T: Scalar, const W: usize>(panel: &[T], ld: usize, x: &mut [T], xu: &[T]) {
+    let (x, xu) = (x.as_chunks_mut::<W>().0, xu.as_chunks::<W>().0);
+    let (k, m) = (x.len(), xu.len());
     if m > 0 {
-        dot_columns(m * k >= PACK_MIN_MADDS, panel, ld, k, 0, xu, x);
+        dot_columns(m * k >= PACK_MIN_MADDS, &panel[k..], ld, xu, x);
     }
     for j0 in (0..k).step_by(TRSM_BLOCK).rev() {
         let j1 = (j0 + TRSM_BLOCK).min(k);
@@ -285,7 +264,7 @@ fn backward_rows<T: Scalar, const W: usize>(
         let block = &mut head[j0..];
         if !solved.is_empty() {
             let packed = solved.len() * (j1 - j0) >= PACK_MIN_MADDS;
-            dot_columns(packed, panel, ld, j1, j0, solved, block);
+            dot_columns(packed, &panel[j1 + j0 * ld..], ld, solved, block);
         }
         for j in (0..j1 - j0).rev() {
             let col = &panel[(j0 + j) * ld + j0..(j0 + j) * ld + j1];
@@ -302,60 +281,55 @@ fn backward_rows<T: Scalar, const W: usize>(
     }
 }
 
-/// `dst[c] ← dst[c] − Σ_l L[row0 + l, col0 + c]·src[l]` for every `c`, in
-/// the packed engine's order when `packed`, the seed dot's otherwise; a few
-/// columns side by side, so their chains overlap.
+/// `dst[c] ← dst[c] − Σ_l a[l + c·ld]·src[l]` for every `c`, in the packed
+/// engine's order when `packed`, the seed dot's otherwise; a few columns
+/// side by side, so their chains overlap.
 fn dot_columns<T: Scalar, const W: usize>(
     packed: bool,
-    panel: &[T],
+    a: &[T],
     ld: usize,
-    row0: usize,
-    col0: usize,
     src: &[[T; W]],
     dst: &mut [[T; W]],
 ) {
     if W * T::BYTES <= 32 {
-        dot_groups::<T, W, 8>(packed, panel, ld, row0, col0, src, dst)
+        dot_groups::<T, W, 8>(packed, a, ld, src, dst)
     } else {
-        dot_groups::<T, W, 4>(packed, panel, ld, row0, col0, src, dst)
+        dot_groups::<T, W, 4>(packed, a, ld, src, dst)
     }
 }
 
 fn dot_groups<T: Scalar, const W: usize, const C: usize>(
     packed: bool,
-    panel: &[T],
+    a: &[T],
     ld: usize,
-    row0: usize,
-    col0: usize,
     src: &[[T; W]],
     dst: &mut [[T; W]],
 ) {
     let (groups, rest) = dst.as_chunks_mut::<C>();
     for (g, group) in groups.iter_mut().enumerate() {
-        chains(packed, panel, ld, row0, col0 + g * C, src, group);
+        chains(packed, &a[g * C * ld..], ld, src, group);
     }
-    let col0 = col0 + groups.len() * C;
+    let tail = groups.len() * C;
     let (pairs, rest) = rest.as_chunks_mut::<2>();
     for (g, pair) in pairs.iter_mut().enumerate() {
-        chains(packed, panel, ld, row0, col0 + g * 2, src, pair);
+        chains(packed, &a[(tail + g * 2) * ld..], ld, src, pair);
     }
     if let [one] = rest {
-        chains(packed, panel, ld, row0, col0 + pairs.len() * 2, src, std::array::from_mut(one));
+        let c = tail + pairs.len() * 2;
+        chains(packed, &a[c * ld..], ld, src, std::array::from_mut(one));
     }
 }
 
 #[inline(always)]
 fn chains<T: Scalar, const W: usize, const C: usize>(
     packed: bool,
-    panel: &[T],
+    a: &[T],
     ld: usize,
-    row0: usize,
-    col0: usize,
     src: &[[T; W]],
     dst: &mut [[T; W]; C],
 ) {
     let n = src.len();
-    let cols: [&[T]; C] = std::array::from_fn(|c| &panel[(col0 + c) * ld + row0..][..n]);
+    let cols: [&[T]; C] = std::array::from_fn(|c| &a[c * ld..][..n]);
     if packed {
         for (b, block) in src.chunks(KC).enumerate() {
             let mut acc = [[T::ZERO; W]; C];
@@ -569,6 +543,9 @@ mod tests {
         // L₂ rows and columns, and packed products below diagonal blocks.
         let shapes = [
             (1, 0),
+            (1, 1),
+            (3, 1),
+            (2, 2),
             (1, 3),
             (5, 0),
             (7, 12),
@@ -609,6 +586,13 @@ mod tests {
     fn panel_sweeps_are_bitwise_the_per_column_order() {
         check_against_reference::<f64>();
         check_against_reference::<f32>();
+        // x₀ = -0 survives only if the L₂ dot product (one -0 term) is summed
+        // from -0.0: then x₀ += +0 turns it into +0 before the substitution.
+        let a = [2.0, 0.0, -0.5, f64::NAN, 4.0, 0.25];
+        let (mut x, mut xr) = ([-0.0, 1.0], [-0.0, 1.0]);
+        backward_panel(2, 1, 1, &a, 3, &mut x, &[0.0]);
+        backward_reference(2, 1, &a, 3, &mut xr, &[0.0]);
+        assert_eq!(bits(&x), bits(&xr), "signed zero of an L₂ dot product");
     }
 
     #[test]

@@ -13,12 +13,11 @@
 //!
 //! ## Why batching wins throughput-wise
 //!
-//! A batched sweep walks the factor's supernodal panels once for the whole
-//! block and routes trailing updates through one multi-RHS GEMM per
-//! supernode — 1.9–2.4× over per-request dispatch at 8–32 RHS when it was
-//! measured (`benchmark/` tracks `core.solve_rhs8_s` against `core.solve_s`).
-//! Aggregating *across callers* converts that kernel
-//! win into service throughput.
+//! A batched sweep reads each of the factor's supernodal panels once per
+//! block of up to eight right-hand sides and applies every entry to all of
+//! them, so an extra column costs a fraction of a solve (`benchmark/`
+//! tracks `core.solve_rhs8_s` against `core.solve_s`). Aggregating *across
+//! callers* converts that kernel win into service throughput.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
