@@ -436,10 +436,10 @@ impl SpdSolver {
     /// Each round computes f64 residuals for every still-active column in
     /// one pass over `A`, compacts them into one block, and runs a single
     /// batched correction solve — the matrix and the factor are walked once
-    /// per round instead of once per column. Columns stop independently (per the module-level contract);
-    /// because the whole solve path is RHS-count-invariant, every column's
-    /// trajectory is bitwise identical to a [`SpdSolver::solve_refined`]
-    /// call on that column alone.
+    /// per round instead of once per column. Columns stop independently
+    /// (per the module-level contract); because the whole solve path is
+    /// RHS-count-invariant, every column's trajectory is bitwise identical
+    /// to a [`SpdSolver::solve_refined`] call on that column alone.
     pub fn solve_refined_many(
         &self,
         b: &[f64],
@@ -496,7 +496,6 @@ impl SpdSolver {
                 xa.extend_from_slice(xj);
                 ba.extend_from_slice(&b[j * n..(j + 1) * n]);
             }
-            // The active columns' residuals in one pass over A.
             let r = self.a.residual_many(&xa, &ba, active.len());
             for (slot, &j) in active.iter().enumerate() {
                 let c = &mut cols[j];

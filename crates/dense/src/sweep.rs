@@ -34,8 +34,8 @@ use crate::kernel::{KC, PACK_MIN_MADDS};
 use crate::trsm::TRSM_BLOCK;
 use crate::Scalar;
 
-/// Most right-hand sides one sweep call takes: a wider block is swept in
-/// groups of at most this many.
+/// Most right-hand sides one sweep call takes (it panics on more): a wider
+/// block is swept in groups of at most this many.
 pub const RHS_BLOCK: usize = 8;
 
 /// Substitution columns the forward sweep applies in one pass over the rows.

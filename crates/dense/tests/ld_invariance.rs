@@ -86,8 +86,8 @@ fn check<T: Scalar>() {
     // The solve sweeps read a panel at any leading dimension: a supernode's
     // panel sits in the factor slab at leading dimension k + m.
     for (k, m, nrhs) in [(6usize, 4usize, 3usize), (40, 90, 8), (100, 150, 5), (560, 20, 2)] {
-        let a = random::<T>((k + m) * k, (k * 5 + m) as u64);
-        let (mut a, s) = (a, k + m);
+        let s = k + m;
+        let mut a = random::<T>(s * k, (k * 5 + m) as u64);
         for j in 0..k {
             a[j + j * s] = T::from_f64(s as f64);
         }
