@@ -74,9 +74,10 @@ RUST_TEST_THREADS=1 cargo test -q --release -p mf-server
 #                    the parallel entry's pipelined and 4-device runs at 1/2/3 workers
 #                    are the serial entry's, bit for bit and clock for clock
 #   driver_errors    a failing pivot at every supernode under every issuer: the
-#                    serial error, empty devices, machines as good as new; a
-#                    recorded run, serial or at 1/2 workers, failed or not, leaves
-#                    no machine recording or holding records
+#                    serial error, empty devices, machines as good as new; after
+#                    a failed recorded run, serial or at 1/2 workers, the next
+#                    recorded run on the same machines books a fresh run's
+#                    per-front records, t_assemble included
 #   ordering_quality nested dissection splits meshes in balance and within 1.5x
 #                    the flops of a geometric dissection; valid on random patterns
 #   two_buffer       a front is a slab panel + an update block: every policy and
@@ -104,6 +105,11 @@ RUST_TEST_THREADS=1 cargo test -q --release -p mf-server
 #                    plan the contract names, or fails with the typed PlanError
 #                    before any machine moves; a parallel entry without
 #                    machines is typed too
+#   time_split       every gpusim charge lands in exactly one component counter
+#                    (potrf, trsm, syrk+gemm, copies, host memops + pinned
+#                    allocations) as its interval's end - start, host kernels,
+#                    device kernels, h2d, d2h and p2p on the receiving device;
+#                    reset zeroes the counters
 #   pseudo_peripheral_from_components
 #                    nested dissection's components search serves as the
 #                    pseudo-peripheral search's first sweep
@@ -130,7 +136,7 @@ determinism arena_storage 2
 determinism analysis_ 5
 determinism numeric_ 1
 determinism multigpu_ 3
-determinism ooc_ 8
+determinism ooc_ 6
 determinism sim_clock 3
 determinism driver_errors 2
 property ooc_ 2
@@ -146,6 +152,7 @@ mf-core/lib bitwise_sweeps 2
 mf-core/solve_alloc solve_allocations 1
 determinism exec_plan 1
 mf-core/lib exec_plan 1
+mf-gpusim/lib time_split 3
 mf-sparse/lib pseudo_peripheral_from_components 1
 mf-sparse/lib range_tasks 1
 MANIFEST

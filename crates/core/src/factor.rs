@@ -74,10 +74,10 @@ impl PolicySelector {
 ///
 /// A pipelined run produces factor slabs **bitwise identical** to the drain
 /// schedule's — only the simulated timeline (and therefore makespan and GPU
-/// utilization) changes. It does not collect per-call [`FuRecord`]s: with
-/// fronts overlapping on the device, per-front time attribution is
-/// ill-defined, so `record_stats` yields records only from a run that ends up
-/// on the drain schedule. Front storage is per-front heap buffers: front
+/// utilization) changes. Only a run that ends up on the drain schedule books
+/// per-call [`FuRecord`]s: with fronts overlapping on the device, a front's
+/// split of simulated time is ill-defined, so a pipelined run books none,
+/// `record_stats` or not. Front storage is per-front heap buffers: front
 /// lifetimes overlap, which the postorder LIFO arena cannot express. Whether
 /// a request actually pipelines is [`FactorOptions::plan`]'s decision, and
 /// the run records it.
@@ -360,31 +360,31 @@ pub(crate) struct SnOutcome {
 
 impl SnOutcome {
     /// Close front `sn`'s books right after the lane ran it. With `record`,
-    /// everything `machine` has queued since the front began — its assembly,
-    /// its factor-update, its extraction — goes into its record.
+    /// what `machine`'s component counters gathered since the front's
+    /// assembly began — its assembly, its factor-update, its extraction — is
+    /// its record's split.
     pub(crate) fn close(
         sn: usize,
         symbolic: &SymbolicFactor,
         ran: FrontRan,
-        machine: &mut Machine,
+        machine: &Machine,
         record: bool,
     ) -> Self {
         let info = &symbolic.supernodes[sn];
         let record = record.then(|| {
-            let mut rec = FuRecord {
+            let split = machine.split();
+            FuRecord {
                 sn,
                 m: info.m(),
                 k: info.k(),
                 policy: ran.outcome.executed,
                 total: ran.total,
-                t_potrf: 0.0,
-                t_trsm: 0.0,
-                t_syrk: 0.0,
-                t_copy: 0.0,
-                t_assemble: 0.0,
-            };
-            rec.absorb(&machine.take_records());
-            rec
+                t_potrf: split.potrf,
+                t_trsm: split.trsm,
+                t_syrk: split.syrk,
+                t_copy: split.copy,
+                t_assemble: split.host,
+            }
         });
         SnOutcome { record, oom_fallback: ran.outcome.oom_fallback }
     }
@@ -420,7 +420,6 @@ pub(crate) fn factor_drain<T: Scalar>(
     let mut pool = pinned_pool(opts);
     let mut slab = vec![T::ZERO; symbolic.factor_slab_len()];
     let mut rel: Vec<usize> = Vec::new();
-    machine.set_recording(opts.record_stats);
 
     // Whole-run working storage: the factor slab, where the panels are
     // factored in place, plus one arena of update blocks sized by the
@@ -444,7 +443,6 @@ pub(crate) fn factor_drain<T: Scalar>(
             stats.records.extend(out.record);
         },
     );
-    stop_recording(machine);
     ran?;
 
     stats.peak_front_bytes = arena.high_water() * T::BYTES;
@@ -462,15 +460,6 @@ pub(crate) fn ooc_plan<T: Scalar>(
 ) -> Result<Option<OocPlan>, FactorError> {
     let plan = |budget| plan_ooc(symbolic, T::BYTES, budget, opts.ladder, &TierParams::default());
     Ok(opts.memory_budget.map(plan).transpose()?)
-}
-
-/// The end of a run on `machine`, error or not: it goes back not
-/// recording and with nothing queued. What a front whose pivot failed had
-/// recorded since its assembly would otherwise be booked into the next
-/// recorded run's first front.
-pub(crate) fn stop_recording(machine: &mut Machine) {
-    machine.set_recording(false);
-    let _ = machine.take_records();
 }
 
 /// What the arena factorization of a postorder range reads: the matrix, the
@@ -523,8 +512,11 @@ impl<T: Scalar> FrontRun<'_, T> {
         for r in range.clone() {
             let sn = symbolic.postorder[r];
             if let Some(plan) = self.ooc_plan {
-                plan.begin_front(r, machine);
+                plan.begin_front(r, &mut machine.host);
             }
+            // The front's split starts here: its spill traffic is not its
+            // own, and nothing an earlier front (or a failed run) charged is.
+            machine.clear_split();
             let info = &symbolic.supernodes[sn];
             let (k, m) = (info.k(), info.m());
             let kids = symbolic.children(sn);

@@ -60,7 +60,7 @@
 use std::collections::BTreeSet;
 
 use mf_dense::Scalar;
-use mf_gpusim::{Machine, SpillTier, TierParams};
+use mf_gpusim::{HostClock, SpillTier, TierParams};
 use mf_sparse::SymbolicFactor;
 
 /// Storage precision of spilled blocks.
@@ -404,17 +404,13 @@ pub struct OocPlan {
 
 impl OocPlan {
     /// Replay the planned spill transfers of the front at postorder `rank`
-    /// on the executing clock, then drop any profile records the charges
-    /// produced so they do not leak into the front's assembly bucket
-    /// (`FuRecord::absorb` books `HostMemop` under `t_assemble`).
-    pub(crate) fn begin_front(&self, rank: usize, machine: &mut Machine) {
+    /// on the executing host clock. They come before the front's assembly
+    /// begins, so its per-call record does not book them.
+    pub(crate) fn begin_front(&self, rank: usize, host: &mut HostClock) {
         for op in &self.step_io[rank] {
             let bw =
                 if op.write { self.tiers.write_bw(op.tier) } else { self.tiers.read_bw(op.tier) };
-            machine.host.charge_memop(op.bytes, bw);
-        }
-        if !self.step_io[rank].is_empty() {
-            let _ = machine.take_records();
+            host.charge_memop(op.bytes, bw);
         }
     }
 

@@ -35,8 +35,7 @@
 
 use crate::arena::FrontArena;
 use crate::factor::{
-    ooc_plan, pinned_pool, stop_recording, CholeskyFactor, FactorError, FactorOptions, FrontRun,
-    SharedSlice,
+    ooc_plan, pinned_pool, CholeskyFactor, FactorError, FactorOptions, FrontRun, SharedSlice,
 };
 use crate::lane::take_children;
 use crate::pinned_pool::PinnedPool;
@@ -334,18 +333,15 @@ pub(crate) fn factor_tasks<T: Scalar>(
 
     let states: Vec<WorkerCtx<'_, T>> = machines
         .iter_mut()
-        .map(|machine| {
-            machine.set_recording(opts.record_stats);
-            WorkerCtx {
-                machine,
-                pool: pinned_pool(opts),
-                records: Vec::new(),
-                oom: 0,
-                arena: FrontArena::with_len(0),
-                rel: Vec::new(),
-                peak_front: 0,
-                allocs: 0,
-            }
+        .map(|machine| WorkerCtx {
+            machine,
+            pool: pinned_pool(opts),
+            records: Vec::new(),
+            oom: 0,
+            arena: FrontArena::with_len(0),
+            rel: Vec::new(),
+            peak_front: 0,
+            allocs: 0,
         })
         .collect();
 
@@ -408,7 +404,6 @@ pub(crate) fn factor_tasks<T: Scalar>(
         stats.oom_fallbacks += st.oom;
         stats.peak_front_bytes = stats.peak_front_bytes.max(st.peak_front * T::BYTES);
         stats.front_alloc_events += st.allocs;
-        stop_recording(st.machine);
     }
     // Aggregate GPU engine accounting across worker devices, measured
     // against the run's makespan (busy seconds sum; `gpus` counts devices,

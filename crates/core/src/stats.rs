@@ -6,7 +6,7 @@
 
 use crate::policy::PolicyKind;
 use mf_dense::FuFlops;
-use mf_gpusim::{Component, GpuUtilization, KernelKind, ProfileRecord};
+use mf_gpusim::GpuUtilization;
 
 /// Timing breakdown of one factor-update call.
 #[derive(Debug, Clone, Copy)]
@@ -47,23 +47,6 @@ impl FuRecord {
             0.0
         }
     }
-
-    /// Fold a batch of profile records (one F-U call's worth) into the
-    /// per-component buckets of this record.
-    pub fn absorb(&mut self, records: &[ProfileRecord]) {
-        for r in records {
-            let d = r.duration();
-            match r.component {
-                Component::CpuKernel(k) | Component::GpuKernel(k) => match k {
-                    KernelKind::Potrf | KernelKind::PanelPotrf => self.t_potrf += d,
-                    KernelKind::Trsm => self.t_trsm += d,
-                    KernelKind::Syrk | KernelKind::Gemm => self.t_syrk += d,
-                },
-                Component::CopyH2D | Component::CopyD2H | Component::CopyP2P => self.t_copy += d,
-                Component::PinnedAlloc | Component::HostMemop => self.t_assemble += d,
-            }
-        }
-    }
 }
 
 /// All records of one factorization run plus run-level metadata.
@@ -71,10 +54,11 @@ impl FuRecord {
 pub struct FactorStats {
     /// Per-supernode records in postorder execution order.
     pub records: Vec<FuRecord>,
-    /// Total simulated factorization time. For the serial driver this is
-    /// the machine's elapsed clock; for the parallel driver it is the
-    /// maximum per-worker elapsed clock (each worker's simulated busy
-    /// time — a lower bound on the simulated makespan).
+    /// Total simulated factorization time, by the plan's
+    /// [`crate::Schedule`]: `Drain`, `Pipelined` and `MultiGpu` read the one
+    /// host timeline that ran the run, after every device drained; `Tasks`
+    /// reads the largest worker clock (the worker clocks share no timing
+    /// edge, so it is a lower bound on a makespan, not one).
     pub total_time: f64,
     /// Measured wall-clock seconds of the driver call on the real hardware
     /// this process ran on (unlike `total_time`, which is simulated).
@@ -162,45 +146,6 @@ mod tests {
             t_copy: 0.0,
             t_assemble: 0.0,
         }
-    }
-
-    #[test]
-    fn absorb_buckets_by_component() {
-        let mut r = rec(10, 5, 1.0);
-        r.absorb(&[
-            ProfileRecord {
-                component: Component::CpuKernel(KernelKind::Potrf),
-                ops: 1.0,
-                bytes: 0,
-                start: 0.0,
-                end: 0.1,
-            },
-            ProfileRecord {
-                component: Component::GpuKernel(KernelKind::Gemm),
-                ops: 1.0,
-                bytes: 0,
-                start: 0.1,
-                end: 0.4,
-            },
-            ProfileRecord {
-                component: Component::CopyH2D,
-                ops: 0.0,
-                bytes: 8,
-                start: 0.0,
-                end: 0.05,
-            },
-            ProfileRecord {
-                component: Component::HostMemop,
-                ops: 0.0,
-                bytes: 8,
-                start: 0.0,
-                end: 0.02,
-            },
-        ]);
-        assert!((r.t_potrf - 0.1).abs() < 1e-12);
-        assert!((r.t_syrk - 0.3).abs() < 1e-12);
-        assert!((r.t_copy - 0.05).abs() < 1e-12);
-        assert!((r.t_assemble - 0.02).abs() < 1e-12);
     }
 
     #[test]

@@ -16,10 +16,10 @@
 //! as the caller orders dependent operations program-order on streams —
 //! exactly the discipline a correct CUDA program follows.
 
-use crate::calib::{exact_ops, GpuConfig, KernelKind};
+use crate::calib::{GpuConfig, KernelKind};
 use crate::host::HostClock;
 use crate::memory::{DevBuf, DevMat, DeviceMemory, DeviceOom, InvalidBuffer};
-use crate::profile::{Component, GpuUtilization, ProfileRecord};
+use crate::profile::{GpuUtilization, TimeSplit};
 use mf_dense::potrf_unblocked;
 use mf_dense::{gemm, syrk_lower, trsm_right_lower_trans, Transpose};
 
@@ -65,8 +65,8 @@ pub struct Gpu {
     /// Accumulated busy time charged through each stream (kernels + copies
     /// issued on it), indexed like `streams`.
     stream_busy: Vec<f64>,
-    records: Vec<ProfileRecord>,
-    recording: bool,
+    /// Seconds charged per component since the counters were last cleared.
+    split: TimeSplit,
 }
 
 impl Gpu {
@@ -85,8 +85,7 @@ impl Gpu {
             peer_busy: 0.0,
             peer_bytes: 0,
             stream_busy: vec![0.0],
-            records: Vec::new(),
-            recording: false,
+            split: TimeSplit::default(),
         }
     }
 
@@ -118,11 +117,6 @@ impl Gpu {
         Stream(idx)
     }
 
-    /// Enable/disable profiling.
-    pub fn set_recording(&mut self, on: bool) {
-        self.recording = on;
-    }
-
     /// Enable/disable virtual (timing-only) mode: allocations track bytes
     /// without backing storage and kernels/copies charge time without
     /// touching data. Used to estimate policy times on fronts far too large
@@ -132,9 +126,16 @@ impl Gpu {
         self.mem.virtual_mode = on;
     }
 
-    /// Drain profile records.
-    pub fn take_records(&mut self) -> Vec<ProfileRecord> {
-        std::mem::take(&mut self.records)
+    /// Seconds charged per component since the counters were last cleared:
+    /// kernels under their kind, h2d, d2h and received peer copies as copy
+    /// time.
+    pub fn split(&self) -> TimeSplit {
+        self.split
+    }
+
+    /// Zero the component counters.
+    pub fn clear_split(&mut self) {
+        self.split = TimeSplit::default();
     }
 
     /// Bytes currently allocated on the device.
@@ -265,7 +266,7 @@ impl Gpu {
                 Err(e) => debug_assert!(false, "h2d: {e}"),
             }
         }
-        self.schedule_copy(stream, rows * cols * 4, pinned, mode, Component::CopyH2D, host);
+        self.schedule_copy(stream, rows * cols * 4, pinned, mode, host);
     }
 
     /// Copy a `rows × cols` block from the device view `src` into host `dst`
@@ -295,7 +296,7 @@ impl Gpu {
                 Err(e) => debug_assert!(false, "d2h: {e}"),
             }
         }
-        self.schedule_copy(stream, rows * cols * 4, pinned, mode, Component::CopyD2H, host);
+        self.schedule_copy(stream, rows * cols * 4, pinned, mode, host);
     }
 
     fn schedule_copy(
@@ -304,7 +305,6 @@ impl Gpu {
         bytes: usize,
         pinned: bool,
         mode: CopyMode,
-        component: Component,
         host: &mut HostClock,
     ) {
         let dur = self.cfg.pcie.time(bytes, pinned);
@@ -314,12 +314,10 @@ impl Gpu {
         self.copy_free = end;
         self.copy_busy += dur;
         self.stream_busy[stream.0] += dur;
+        self.split.copy += end - start;
         match mode {
             CopyMode::Sync => host.sync_to(end),
             CopyMode::Async => host.charge_issue(),
-        }
-        if self.recording {
-            self.records.push(ProfileRecord { component, ops: 0.0, bytes, start, end });
         }
     }
 
@@ -354,16 +352,8 @@ impl Gpu {
         self.compute_free = end;
         self.compute_busy += dur;
         self.stream_busy[stream.0] += dur;
+        self.split.kernel(kind, start, end);
         host.charge_issue();
-        if self.recording {
-            self.records.push(ProfileRecord {
-                component: Component::GpuKernel(kind),
-                ops: exact_ops(kind, m, n, k),
-                bytes: 0,
-                start,
-                end,
-            });
-        }
     }
 
     /// CUBLAS-like `strsm` (right, lower, transposed, non-unit): solve
@@ -475,7 +465,8 @@ impl Gpu {
         res.map_err(|e| e.column)
     }
 
-    /// Reset all timelines to zero (memory contents and allocations kept).
+    /// Reset all timelines and the component counters to zero (memory
+    /// contents and allocations kept).
     pub fn reset_clock(&mut self) {
         for s in &mut self.streams {
             *s = 0.0;
@@ -490,7 +481,7 @@ impl Gpu {
         self.peer_free = 0.0;
         self.peer_busy = 0.0;
         self.peer_bytes = 0;
-        self.records.clear();
+        self.clear_split();
     }
 
     /// Peer (device-to-device) copy: move a `rows × cols` column-major block
@@ -549,16 +540,8 @@ impl Gpu {
         src.peer_busy += dur;
         dst.peer_busy += dur;
         dst.peer_bytes += bytes;
+        dst.split.copy += end - start;
         host.charge_issue();
-        if dst.recording {
-            dst.records.push(ProfileRecord {
-                component: Component::CopyP2P,
-                ops: 0.0,
-                bytes,
-                start,
-                end,
-            });
-        }
         Event(end)
     }
 }
@@ -755,14 +738,11 @@ mod tests {
         // Launch a long kernel on s0, then an async copy on s1: the copy
         // must start before the kernel ends (engines overlap).
         let v = DevMat::whole(buf, 1 << 10);
-        gpu.set_recording(true);
         gpu.syrk(s0, v, v, 1 << 10, 512, &mut host);
+        let kernel_end = gpu.stream_tail(s0);
         gpu.h2d(s1, v, 1 << 10, 512, &big, 1 << 10, true, CopyMode::Async, &mut host);
-        gpu.sync_all(&mut host);
-        let recs = gpu.take_records();
-        assert_eq!(recs.len(), 2);
-        let (kern, copy) = (&recs[0], &recs[1]);
-        assert!(copy.start < kern.end, "copy should overlap the kernel");
+        let copy_start = gpu.stream_tail(s1) - gpu.split().copy;
+        assert!(copy_start < kernel_end, "copy should overlap the kernel");
     }
 
     #[test]
@@ -772,12 +752,12 @@ mod tests {
         let s1 = gpu.create_stream();
         let buf = gpu.alloc(1 << 18).unwrap();
         let data = vec![0.0f32; 1 << 18];
-        gpu.set_recording(true);
         let v = DevMat::whole(buf, 1 << 9);
         gpu.h2d(s0, v, 1 << 9, 256, &data, 1 << 9, true, CopyMode::Async, &mut host);
+        let (first_end, first) = (gpu.stream_tail(s0), gpu.split().copy);
         gpu.h2d(s1, v, 1 << 9, 256, &data, 1 << 9, true, CopyMode::Async, &mut host);
-        let recs = gpu.take_records();
-        assert!(recs[1].start >= recs[0].end - 1e-12, "single copy engine must serialise");
+        let second_start = gpu.stream_tail(s1) - (gpu.split().copy - first);
+        assert!(second_start >= first_end - 1e-12, "single copy engine must serialise");
     }
 
     #[test]
@@ -790,10 +770,10 @@ mod tests {
         gpu.syrk(s0, v, v, 64, 32, &mut host);
         let ev = gpu.record_event(s0);
         gpu.wait_event(s1, ev);
-        gpu.set_recording(true);
+        gpu.clear_split();
         gpu.syrk(s1, v, v, 8, 4, &mut host);
-        let recs = gpu.take_records();
-        assert!(recs[0].start >= ev.0 - 1e-12, "s1 kernel must wait for the event");
+        let start = gpu.stream_tail(s1) - gpu.split().syrk;
+        assert!(start >= ev.0 - 1e-12, "s1 kernel must wait for the event");
     }
 
     #[test]
@@ -821,11 +801,11 @@ mod tests {
         let buf = gpu.alloc(1 << 20).unwrap();
         let data = vec![0.0f32; 1 << 20];
         let v = DevMat::whole(buf, 1 << 10);
-        gpu.set_recording(true);
         gpu.h2d(s0, v, 1 << 10, 1 << 10, &data, 1 << 10, false, CopyMode::Sync, &mut host);
+        let pageable = gpu.split().copy;
         gpu.h2d(s0, v, 1 << 10, 1 << 10, &data, 1 << 10, true, CopyMode::Sync, &mut host);
-        let recs = gpu.take_records();
-        assert!(recs[1].duration() < recs[0].duration());
+        let pinned = gpu.split().copy - pageable;
+        assert!(pinned < pageable);
     }
 
     #[test]
@@ -979,12 +959,22 @@ mod tests {
             &mut host,
         );
         let h2d_end = set.device(1).stream_tail(s1);
-        set.device_mut(1).set_recording(true);
-        set.p2p(0, DevMat::whole(a, n), 1, s1b, DevMat::whole(b, n), 64, 64, Event(0.0), &mut host);
-        let recs = set.device_mut(1).take_records();
-        assert_eq!(recs.len(), 1);
-        assert!(matches!(recs[0].component, Component::CopyP2P));
-        assert!(recs[0].start < h2d_end, "p2p must overlap the PCIe copy engine");
+        set.device_mut(1).clear_split();
+        let ev = set.p2p(
+            0,
+            DevMat::whole(a, n),
+            1,
+            s1b,
+            DevMat::whole(b, n),
+            64,
+            64,
+            Event(0.0),
+            &mut host,
+        );
+        let p2p = set.device(1).split();
+        assert!(p2p.copy > 0.0, "the receiving device books the peer copy");
+        assert_eq!(set.device(0).split(), TimeSplit::default(), "the sender books nothing");
+        assert!(ev.0 - p2p.copy < h2d_end, "p2p must overlap the PCIe copy engine");
     }
 
     #[test]

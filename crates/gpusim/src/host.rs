@@ -6,7 +6,7 @@
 //! clock forward to the relevant stream tail).
 
 use crate::calib::{exact_ops, CpuConfig, KernelKind};
-use crate::profile::{Component, ProfileRecord};
+use crate::profile::TimeSplit;
 
 /// Cost of issuing one asynchronous GPU command from the host.
 pub const ISSUE_OVERHEAD: f64 = 1.5e-6;
@@ -18,21 +18,13 @@ pub struct HostClock {
     now: f64,
     pinned_bytes: usize,
     pinned_peak: usize,
-    records: Vec<ProfileRecord>,
-    recording: bool,
+    split: TimeSplit,
 }
 
 impl HostClock {
     /// A fresh host timeline at t = 0.
     pub fn new(cfg: CpuConfig) -> Self {
-        HostClock {
-            cfg,
-            now: 0.0,
-            pinned_bytes: 0,
-            pinned_peak: 0,
-            records: Vec::new(),
-            recording: false,
-        }
+        HostClock { cfg, now: 0.0, pinned_bytes: 0, pinned_peak: 0, split: TimeSplit::default() }
     }
 
     /// The CPU configuration.
@@ -45,14 +37,16 @@ impl HostClock {
         self.now
     }
 
-    /// Enable/disable per-call profile recording.
-    pub fn set_recording(&mut self, on: bool) {
-        self.recording = on;
+    /// Seconds charged per component since the counters were last cleared:
+    /// CPU kernels under their kind, memops and pinned allocations as host
+    /// time.
+    pub fn split(&self) -> TimeSplit {
+        self.split
     }
 
-    /// Drain recorded profile entries.
-    pub fn take_records(&mut self) -> Vec<ProfileRecord> {
-        std::mem::take(&mut self.records)
+    /// Zero the component counters.
+    pub fn clear_split(&mut self) {
+        self.split = TimeSplit::default();
     }
 
     /// Advance the clock by an arbitrary duration (host-side bookkeeping
@@ -82,15 +76,7 @@ impl HostClock {
         let dur = self.cfg.kernels.curve(kind).time(ops);
         let start = self.now;
         self.now += dur;
-        if self.recording {
-            self.records.push(ProfileRecord {
-                component: Component::CpuKernel(kind),
-                ops,
-                bytes: 0,
-                start,
-                end: self.now,
-            });
-        }
+        self.split.kernel(kind, start, self.now);
         dur
     }
 
@@ -100,15 +86,7 @@ impl HostClock {
         let dur = bytes as f64 / bw;
         let start = self.now;
         self.now += dur;
-        if self.recording {
-            self.records.push(ProfileRecord {
-                component: Component::HostMemop,
-                ops: 0.0,
-                bytes,
-                start,
-                end: self.now,
-            });
-        }
+        self.split.host += self.now - start;
         dur
     }
 
@@ -126,15 +104,8 @@ impl HostClock {
         self.now += dur;
         self.pinned_bytes += bytes;
         self.pinned_peak = self.pinned_peak.max(self.pinned_bytes);
-        if self.recording {
-            self.records.push(ProfileRecord {
-                component: Component::PinnedAlloc,
-                ops: 0.0,
-                bytes,
-                start: self.now - dur,
-                end: self.now,
-            });
-        }
+        // The interval ends now and is booked as `dur` back from its end.
+        self.split.host += self.now - (self.now - dur);
         dur
     }
 
@@ -154,10 +125,11 @@ impl HostClock {
         self.pinned_peak
     }
 
-    /// Reset the clock to zero, keeping configuration and allocations.
+    /// Reset the clock and the component counters to zero, keeping
+    /// configuration and allocations.
     pub fn reset(&mut self) {
         self.now = 0.0;
-        self.records.clear();
+        self.clear_split();
     }
 }
 
@@ -199,16 +171,15 @@ mod tests {
     }
 
     #[test]
-    fn recording_captures_components() {
+    fn charges_book_into_their_components() {
         let mut h = HostClock::new(xeon_5160_core());
-        h.set_recording(true);
         h.charge_kernel(KernelKind::Trsm, 10, 0, 5);
+        let kernel_end = h.now();
         h.charge_memop(4096, 4.0e9);
-        let recs = h.take_records();
-        assert_eq!(recs.len(), 2);
-        assert!(matches!(recs[0].component, Component::CpuKernel(KernelKind::Trsm)));
-        assert!(matches!(recs[1].component, Component::HostMemop));
-        assert!(recs[0].end <= recs[1].start + 1e-15);
+        let split = h.split();
+        assert_eq!(split.trsm, kernel_end, "the kernel ran from zero");
+        assert_eq!(split.host, h.now() - kernel_end, "the memop followed it");
+        assert_eq!(split.potrf + split.syrk + split.copy, 0.0);
     }
 
     #[test]

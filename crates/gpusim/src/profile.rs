@@ -1,59 +1,41 @@
-//! Per-call profiling records.
+//! Where simulated time goes.
 //!
-//! Every simulated operation (CPU kernel, GPU kernel, transfer, pinned
-//! allocation) can emit a [`ProfileRecord`]; the factorization layer joins
-//! them per F-U call to produce the paper's Figures 2, 5, 6 and Table IV,
-//! and the auto-tuner consumes the per-call timings as training data.
+//! Every host and device timeline keeps a [`TimeSplit`]: always-on counters
+//! of the seconds its charges spent per component. The factorization layer
+//! clears a machine's counters when a front's assembly begins and reads them
+//! when the front is done, which yields the per-front breakdown of the
+//! paper's Figures 2, 5, 6 and Table IV and the per-call timings the
+//! auto-tuner trains on. [`GpuUtilization`] is the run-level engine view.
 
 use crate::calib::KernelKind;
 
-/// What an interval of simulated time was spent on.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Component {
-    /// A dense kernel on the host CPU.
-    CpuKernel(KernelKind),
-    /// A dense kernel on the GPU.
-    GpuKernel(KernelKind),
-    /// Host→device transfer.
-    CopyH2D,
-    /// Device→host transfer.
-    CopyD2H,
-    /// Device→device peer transfer over the p2p link.
-    CopyP2P,
-    /// Pinned host memory allocation.
-    PinnedAlloc,
-    /// Host-side memory operation (extend-add assembly, packing).
-    HostMemop,
+/// Simulated seconds one timeline spent per component since its counters
+/// were last cleared. Each charge adds the `end − start` of its own interval
+/// (not the duration it was computed from), so a bucket is the sum of the
+/// intervals it was charged, in charge order.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct TimeSplit {
+    /// `potrf` kernels (the host's blocked one, the device's panel kernel).
+    pub potrf: f64,
+    /// `trsm` kernels.
+    pub trsm: f64,
+    /// `syrk` and `gemm` kernels.
+    pub syrk: f64,
+    /// Transfers: h2d, d2h, and peer copies on the receiving device.
+    pub copy: f64,
+    /// Host memory operations (assembly, packing) and pinned allocations.
+    pub host: f64,
 }
 
-/// One timed operation.
-#[derive(Debug, Clone, Copy)]
-pub struct ProfileRecord {
-    /// The operation class.
-    pub component: Component,
-    /// Floating-point operations (0 for transfers).
-    pub ops: f64,
-    /// Bytes moved (0 for kernels).
-    pub bytes: usize,
-    /// Start time, seconds.
-    pub start: f64,
-    /// End time, seconds.
-    pub end: f64,
-}
-
-impl ProfileRecord {
-    /// Duration in seconds.
-    pub fn duration(&self) -> f64 {
-        self.end - self.start
-    }
-
-    /// Achieved rate in flop/s (kernels only).
-    pub fn rate(&self) -> f64 {
-        if self.ops > 0.0 && self.duration() > 0.0 {
-            self.ops / self.duration()
-        } else {
-            0.0
-        }
+impl TimeSplit {
+    /// Book a kernel's interval under its kind's bucket.
+    pub(crate) fn kernel(&mut self, kind: KernelKind, start: f64, end: f64) {
+        let bucket = match kind {
+            KernelKind::Potrf | KernelKind::PanelPotrf => &mut self.potrf,
+            KernelKind::Trsm => &mut self.trsm,
+            KernelKind::Syrk | KernelKind::Gemm => &mut self.syrk,
+        };
+        *bucket += end - start;
     }
 }
 
@@ -116,30 +98,5 @@ impl GpuUtilization {
     /// inter-supernode pipeline exists to shrink.
     pub fn compute_idle_fraction(&self) -> f64 {
         1.0 - self.compute_utilization()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn rate_computation() {
-        let r = ProfileRecord {
-            component: Component::GpuKernel(KernelKind::Gemm),
-            ops: 2e9,
-            bytes: 0,
-            start: 0.0,
-            end: 0.01,
-        };
-        assert!((r.rate() - 2e11).abs() < 1.0);
-        let t = ProfileRecord {
-            component: Component::CopyH2D,
-            ops: 0.0,
-            bytes: 8,
-            start: 0.0,
-            end: 0.01,
-        };
-        assert_eq!(t.rate(), 0.0);
     }
 }

@@ -18,9 +18,8 @@
 //!
 //! Capacities follow the repository's ~25×-scaled-down stand-in regime
 //! (see `mf-matgen::paper`): the defaults are sized so the five scaled
-//! suite matrices fit in core while the `mf-matgen::huge` families do
-//! not — mirroring how the real sgi_4M-class problems overflow a Tesla
-//! T10's 4 GB and then host RAM.
+//! suite matrices fit in core, as the paper's matrices fit a Tesla T10's
+//! 4 GB.
 
 /// Where an evicted block is stored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -12,14 +12,12 @@
 
 pub mod elasticity;
 pub mod grid;
-pub mod huge;
 pub mod paper;
 pub mod random;
 pub mod rhs;
 
 pub use elasticity::elasticity_3d;
 pub use grid::{laplacian_2d, laplacian_3d, Stencil};
-pub use huge::{huge_suite, HugeMatrix};
 pub use paper::{paper_suite, PaperMatrix};
 pub use random::random_spd_sparse;
 pub use rhs::{rhs_for_solution, rhs_ones};

@@ -975,8 +975,7 @@ fn numeric_bits_match_golden() {
 use gpu_multifrontal::core::{
     in_core_bytes, min_feasible_budget, plan_ooc, PrecisionLadder, SolverOptions, SpdSolver,
 };
-use gpu_multifrontal::gpusim::{TierParams, DEFAULT_DEVICE_BUDGET};
-use gpu_multifrontal::matgen::HugeMatrix;
+use gpu_multifrontal::gpusim::TierParams;
 
 /// Matrices whose elimination trees leave real spill headroom: the
 /// elongated Laplacian's root front is small relative to the total bound
@@ -1148,50 +1147,6 @@ fn ooc_infeasible_budget_is_typed() {
             assert_eq!(required, min_feasible_budget(&an.symbolic, 8));
         }
         other => panic!("expected BudgetTooSmall, got {:?}", other.map(|(_, s)| s.total_time)),
-    }
-}
-
-#[test]
-fn ooc_huge_family_bounds_exceed_default_tier_budgets() {
-    // Analyze-only (the symbolic phase is cheap even at out-of-core size):
-    // at 0.3 scale the huge families already outgrow device + pinned
-    // host, which is what forces the disk tier into play at full scale.
-    let tiers = TierParams::default();
-    for huge in HugeMatrix::ALL {
-        let a = huge.generate_scaled(0.3);
-        let an = analysis_of(&a);
-        let bound = in_core_bytes(&an.symbolic, 4);
-        assert!(
-            bound > DEFAULT_DEVICE_BUDGET + tiers.host_capacity,
-            "{}: f32 bound {bound} must exceed device+host default budgets",
-            huge.name()
-        );
-        assert!(huge.full_order() >= 1_000_000, "{} is not huge-N", huge.name());
-    }
-}
-
-#[test]
-fn ooc_huge_family_factors_under_budget_at_test_scale() {
-    // Numeric check at a scale debug builds can afford: the sgi_4M family,
-    // shrunk, still factors bitwise-identically to in-core at 60% and 30%
-    // budgets.
-    let a = HugeMatrix::Sgi4M.generate_scaled(0.12);
-    let an = analysis_of(&a);
-    let a32: SymCsc<f32> = an.permuted.0.cast();
-    let mut m0 = Machine::paper_node();
-    let (f0, _) =
-        factor_permuted(&a32, &an.symbolic, &an.perm, &mut m0, &FactorOptions::default()).unwrap();
-    let reference = panel_bits(&f0);
-    for frac in [0.6f64, 0.3] {
-        let budget = budget_for(&an.symbolic, 4, frac);
-        let opts = FactorOptions { memory_budget: Some(budget), ..Default::default() };
-        let mut machine = Machine::paper_node();
-        let (f, stats) =
-            factor_permuted(&a32, &an.symbolic, &an.perm, &mut machine, &opts).unwrap();
-        assert_eq!(reference, panel_bits(&f), "sgi_4M at {frac} of the bound diverged");
-        let ooc = stats.ooc.unwrap();
-        assert!(ooc.resident_peak_bytes <= budget);
-        assert!(ooc.traffic_bytes() > 0);
     }
 }
 
@@ -1638,67 +1593,69 @@ fn record_words(s: &FactorStats) -> Vec<u64> {
     w
 }
 
+/// Whether `a`'s records are `b`'s up to the rounding of a later start: the
+/// same fronts under the same policies, every time within a picosecond — far
+/// above what re-rounding an interval at these clocks moves (≈ 1e-17 s), far
+/// below the smallest charge (nanoseconds).
+fn records_match_up_to_rounding(a: &FactorStats, b: &FactorStats) -> bool {
+    let (a, b) = (record_words(a), record_words(b));
+    let close = |p: &u64, q: &u64| (f64::from_bits(*p) - f64::from_bits(*q)).abs() <= 1e-12;
+    a.len() == b.len()
+        && a.chunks(8)
+            .zip(b.chunks(8))
+            .all(|(x, y)| x[..2] == y[..2] && x[2..].iter().zip(&y[2..]).all(|(p, q)| close(p, q)))
+}
+
 #[test]
 fn driver_errors_leave_recording_machines_clean() {
-    // A pivot failure anywhere in the tree of a *recorded* serial run: the
-    // machine comes back not recording and with no kernel record queued, so
-    // a long-lived clock does not collect records nobody drains and the next
-    // recorded run books none of the failed front's into its first front.
+    // A pivot failure anywhere in the tree of a *recorded* run — serial, or
+    // the parallel entry at 1 and 2 workers — leaves nothing that the next
+    // recorded run on the same machines books: a front's split starts when
+    // its assembly does. On the clocks the failure left, the next run's
+    // records are a fresh run's up to the rounding of their later start; on
+    // reset clocks they are a fresh run's word for word, `t_assemble`
+    // included. (At two workers, which worker steals which task moves the
+    // start of a front, so there they match up to rounding as well.)
     let an = analysis_of(&laplacian_3d(7, 6, 6, Stencil::Faces));
     let good: SymCsc<f32> = an.permuted.0.cast();
+    let par = ParallelOptions { thread_budget: 2 };
     for selector in clock_selectors() {
-        let opts = FactorOptions { selector, record_stats: true, ..Default::default() };
-        let recorded = |a: &SymCsc<f32>, machine: &mut Machine| {
-            factor_permuted(a, &an.symbolic, &an.perm, machine, &opts)
+        // Pinned staging is allocated per front: with growth-only reuse, the
+        // fronts that pay a pool's growth depend on what its worker ran
+        // before, at two workers a matter of stealing.
+        let opts = FactorOptions {
+            selector,
+            record_stats: true,
+            pinned_reuse: false,
+            ..Default::default()
         };
-        let fresh = record_words(&recorded(&good, &mut Machine::paper_node()).unwrap().1);
-        for info in an.symbolic.supernodes.iter() {
-            let what = format!("{:?} column {}", opts.selector, info.col_start);
-            let bad = with_negative_pivot(&good, info.col_start);
+        // `None` is the serial entry, `Some(w)` the parallel one at `w` workers.
+        for workers in [None, Some(1), Some(2)] {
+            let run = |a: &SymCsc<f32>, machines: &mut [Machine]| match workers {
+                None => factor_permuted(a, &an.symbolic, &an.perm, &mut machines[0], &opts),
+                Some(_) => {
+                    factor_permuted_parallel(a, &an.symbolic, &an.perm, machines, &opts, &par)
+                }
+            };
+            let fleet = || -> Vec<Machine> {
+                (0..workers.unwrap_or(1)).map(|_| Machine::paper_node()).collect()
+            };
+            let fresh = run(&good, &mut fleet()).unwrap().1;
+            for info in an.symbolic.supernodes.iter() {
+                let what = format!("{:?} {workers:?} column {}", opts.selector, info.col_start);
+                let bad = with_negative_pivot(&good, info.col_start);
+                let mut machines = fleet();
+                run(&bad, &mut machines).unwrap_err();
+                let (_, after) = run(&good, &mut machines).unwrap();
+                assert!(records_match_up_to_rounding(&after, &fresh), "{what}: after the error");
 
-            let mut probed = Machine::paper_node();
-            recorded(&bad, &mut probed).unwrap_err();
-            assert!(probed.take_records().is_empty(), "{what}: records left queued");
-            probed.host.charge_memop(64, 1.0e9);
-            assert!(probed.take_records().is_empty(), "{what}: machine left recording");
-
-            // The next recorded run on the same clock, against one on a
-            // machine cleaned by hand after the same failure...
-            let mut cleaned = Machine::paper_node();
-            recorded(&bad, &mut cleaned).unwrap_err();
-            cleaned.set_recording(false);
-            cleaned.take_records();
-            let want = record_words(&recorded(&good, &mut cleaned).unwrap().1);
-            let mut reused = Machine::paper_node();
-            recorded(&bad, &mut reused).unwrap_err();
-            let (_, stats) = recorded(&good, &mut reused).unwrap();
-            assert_eq!(record_words(&stats), want, "{what}: records after the error");
-            // ...and, the clocks zeroed, against a fresh machine.
-            reused.reset();
-            let (_, stats) = recorded(&good, &mut reused).unwrap();
-            assert_eq!(record_words(&stats), fresh, "{what}: records on the reset machine");
-
-            // The parallel issuer hands every worker machine back the same
-            // way, after the failure and after the success that follows it.
-            for workers in [1usize, 2] {
-                let mut machines: Vec<Machine> =
-                    (0..workers).map(|_| Machine::paper_node()).collect();
-                for (a, ok) in [(&bad, false), (&good, true)] {
-                    let ran = factor_permuted_parallel(
-                        a,
-                        &an.symbolic,
-                        &an.perm,
-                        &mut machines,
-                        &opts,
-                        &ParallelOptions { thread_budget: 2 },
-                    );
-                    assert_eq!(ran.is_ok(), ok, "{what}");
-                    for (w, machine) in machines.iter_mut().enumerate() {
-                        let what = format!("{what}, worker {w} of {workers}, ok {ok}");
-                        assert!(machine.take_records().is_empty(), "{what}: records left queued");
-                        machine.host.charge_memop(64, 1.0e9);
-                        assert!(machine.take_records().is_empty(), "{what}: left recording");
-                    }
+                run(&bad, &mut machines).unwrap_err();
+                machines.iter_mut().for_each(Machine::reset);
+                let (_, reset) = run(&good, &mut machines).unwrap();
+                if workers == Some(2) {
+                    assert!(records_match_up_to_rounding(&reset, &fresh), "{what}: reset clocks");
+                } else {
+                    assert_eq!(record_words(&reset), record_words(&fresh), "{what}: reset clocks");
                 }
             }
         }
