@@ -55,7 +55,12 @@ RUST_TEST_THREADS=1 cargo test -q --release -p mf-server
 #   numeric_         golden hashes of factor slabs and solve_many outputs (f64 and
 #                    f32, 1 and 8 RHS, serial and 1/2/4 workers) from before the
 #                    flat structure, the solve stack and the subtree tasks
-#   multigpu_        bitwise factors at every workers x devices, OOM parity
+#   multigpu_        the in-flight issuer's factors bitwise at every workers x
+#                    1/2/4/8 devices, OOM parity at 4 devices and 1/2 workers
+#   in_flight_       the one issuer of fronts in flight at 1/2/4 devices: the
+#                    drain driver's OOM fallbacks and bits (f64 and f32); a
+#                    failing pivot at 1/2 devices reports the serial column and
+#                    hands the device back empty
 #   ooc_             budgeted == in-core bits, residency, bf16 spill, typed errors
 #   symbolic_flat, bottom_subtrees, subtree_tasks
 #                    the row-structure range tasks == the serial build at 1/2/4/8
@@ -66,7 +71,10 @@ RUST_TEST_THREADS=1 cargo test -q --release -p mf-server
 #                    postorder once, for the factor's, the solve's and the
 #                    analysis' subtrees
 #   sim_clock        golden hashes of total_time, fallbacks, peer bytes, allocation
-#                    events and per-device busy time: drain, pipelined, 2/4 devices,
+#                    events and per-device busy time: drain, then the one in-flight
+#                    issuer at 1 device (pipelined: window 3, batched P4 runs,
+#                    children readied together) and at 2/4 devices (window 8, no
+#                    batches, children readied one by one),
 #                    P2/P3/P4/baseline, and under device OOM; of the per-call records
 #                    (sn, policy, total, kernel and copy buckets) of recorded drain
 #                    runs, serial and one-worker parallel; and
@@ -145,6 +153,7 @@ property bottom_subtrees 1
 property subtree_tasks 1
 property ordering_quality 2
 mf-core/lib two_buffer 2
+mf-core/lib in_flight_ 2
 mf-dense/ld_invariance output_leading_dimension 1
 mf-dense/lib factor_front_small_is_bitwise 1
 mf-dense/lib panel_sweeps 2

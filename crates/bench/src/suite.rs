@@ -41,19 +41,9 @@ impl MatrixRuns {
     /// Run the factorization once more under an arbitrary selector,
     /// returning its stats. Uses a fresh paper-node machine.
     pub fn run_with(&self, selector: PolicySelector, copy_optimized: bool) -> FactorStats {
-        let mut machine = Machine::paper_node();
-        let a32: SymCsc<f32> = self.analysis.permuted.0.cast();
         let opts =
             FactorOptions { selector, copy_optimized, record_stats: true, ..Default::default() };
-        let (_, stats) = factor_permuted(
-            &a32,
-            &self.analysis.symbolic,
-            &self.analysis.perm,
-            &mut machine,
-            &opts,
-        )
-        .expect("suite matrices are SPD");
-        stats
+        factor_f32(&self.analysis, &opts)
     }
 
     /// Ideal-hybrid stats (per-supernode oracle from the dataset).
@@ -61,71 +51,41 @@ impl MatrixRuns {
         self.run_with(PolicySelector::Oracle(self.dataset.oracle_table()), false)
     }
 
-    /// Like [`Self::run_with`], but through the pipelined GPU dispatch
-    /// driver (event-chained downloads, look-ahead uploads, batched small
-    /// fronts) instead of the drain-per-front driver.
+    /// Like [`Self::run_with`], but pipelined (event-chained downloads,
+    /// look-ahead uploads, batched small fronts) where the plan's rehearsal
+    /// predicts a win over the drain schedule.
     pub fn run_pipelined(&self, selector: PolicySelector, copy_optimized: bool) -> FactorStats {
-        let mut machine = Machine::paper_node();
-        let a32: SymCsc<f32> = self.analysis.permuted.0.cast();
         let opts = FactorOptions {
             selector,
             copy_optimized,
             pipeline: mf_core::PipelineOptions::pipelined(),
             ..Default::default()
         };
-        let (_, stats) = factor_permuted(
-            &a32,
-            &self.analysis.symbolic,
-            &self.analysis.perm,
-            &mut machine,
-            &opts,
-        )
-        .expect("suite matrices are SPD");
-        stats
+        factor_f32(&self.analysis, &opts)
     }
 
     /// Like [`Self::run_pipelined`], but across `ndev` simulated devices
-    /// through the multi-GPU driver (proportional subtree mapping,
-    /// peer-copy extend-add, cross-device look-ahead — DESIGN.md §4.13).
+    /// (proportional subtree mapping, peer-copy extend-add, cross-device
+    /// look-ahead — DESIGN.md §4.13).
     pub fn run_multigpu(&self, selector: PolicySelector, ndev: usize) -> FactorStats {
-        let mut machine = Machine::paper_node();
-        let a32: SymCsc<f32> = self.analysis.permuted.0.cast();
         let opts = FactorOptions {
             selector,
             pipeline: mf_core::PipelineOptions::pipelined(),
             devices: mf_core::MultiGpuOptions::devices(ndev),
             ..Default::default()
         };
-        let (_, stats) = factor_permuted(
-            &a32,
-            &self.analysis.symbolic,
-            &self.analysis.perm,
-            &mut machine,
-            &opts,
-        )
-        .expect("suite matrices are SPD");
-        stats
+        factor_f32(&self.analysis, &opts)
     }
 
     /// *Measured* wall-clock seconds of one serial baseline-hybrid
     /// factorization on this host — real elapsed time, not the simulated
     /// `total_time` the other columns report.
     pub fn measured_serial_wall(&self) -> f64 {
-        let mut machine = Machine::paper_node();
-        let a32: SymCsc<f32> = self.analysis.permuted.0.cast();
         let opts = FactorOptions {
             selector: PolicySelector::Baseline(BaselineThresholds::default()),
             ..Default::default()
         };
-        let (_, stats) = factor_permuted(
-            &a32,
-            &self.analysis.symbolic,
-            &self.analysis.perm,
-            &mut machine,
-            &opts,
-        )
-        .expect("suite matrices are SPD");
-        stats.wall_time
+        factor_f32(&self.analysis, &opts).wall_time
     }
 
     /// *Measured* wall-clock seconds of the real work-stealing parallel
@@ -161,23 +121,26 @@ pub struct SuiteData {
     pub model: LinearPolicyModel,
 }
 
+/// The stats of one f32 factorization of `analysis`'s matrix under `opts` on
+/// a fresh paper-node machine.
+fn factor_f32(analysis: &Analysis, opts: &FactorOptions) -> FactorStats {
+    let a32: SymCsc<f32> = analysis.permuted.0.cast();
+    let mut machine = Machine::paper_node();
+    let (_, stats) = factor_permuted(&a32, &analysis.symbolic, &analysis.perm, &mut machine, opts)
+        .expect("suite matrices are SPD");
+    stats
+}
+
 /// Factor one matrix under all four fixed policies (f32, stats recorded).
 pub fn run_all_policies(analysis: &Analysis) -> [FactorStats; 4] {
-    let a32: SymCsc<f32> = analysis.permuted.0.cast();
-    let mut out: Vec<FactorStats> = Vec::with_capacity(4);
-    for p in PolicyKind::ALL {
-        let mut machine = Machine::paper_node();
+    PolicyKind::ALL.map(|p| {
         let opts = FactorOptions {
             selector: PolicySelector::Fixed(p),
             record_stats: true,
             ..Default::default()
         };
-        let (_, stats) =
-            factor_permuted(&a32, &analysis.symbolic, &analysis.perm, &mut machine, &opts)
-                .expect("suite matrices are SPD");
-        out.push(stats);
-    }
-    out.try_into().expect("exactly four runs")
+        factor_f32(analysis, &opts)
+    })
 }
 
 impl SuiteData {

@@ -13,20 +13,19 @@
 //! factorization, no matter how many supernodes run.
 //!
 //! A front's lifecycle — dispatch, downloads, extraction, finish — belongs to
-//! `crate::lane`. This module holds two of its issuers: the arena loop
+//! `crate::lane`. This module holds one of its two issuers, the arena loop
 //! (`FrontRun::factor_range`: the drain schedule, one front at a time on the
 //! LIFO stack, which every work-stealing task of [`crate::parallel`] runs on
-//! the worker's own arena) and the postorder issuer for fronts whose
-//! lifetimes overlap (`PostorderRun`: look-ahead, batched P4 runs), and the
-//! timing-only rehearsal by which [`FactorOptions::plan`] chooses between them.
+//! the worker's own arena). Fronts whose lifetimes overlap — the pipelined
+//! schedule on one device or several, and the timing-only rehearsal by which
+//! [`FactorOptions::plan`] chooses between pipelined and drain — go through
+//! the other, `crate::multigpu`'s issuer of fronts in flight.
 
 use crate::arena::FrontArena;
 use crate::features::LinearPolicyModel;
-use crate::frontal::{assemble_front_into, ChildUpdate, Front};
+use crate::frontal::{assemble_front_into, ChildUpdate};
 use crate::fu::{FuContext, FuError};
-use crate::lane::{
-    child_views, FrontRan, FrontSink, FrontStore, Lane, Member, Phase1, PIPELINE_DEPTH,
-};
+use crate::lane::{child_views, FrontRan, Lane};
 use crate::multigpu::MultiGpuOptions;
 use crate::ooc::{plan_ooc, OocPlan};
 use crate::pinned_pool::PinnedPool;
@@ -67,10 +66,11 @@ impl PolicySelector {
 /// Pipelined GPU dispatch (DESIGN.md §4.9): the lifecycle every run issues
 /// its fronts into, with more than one front in flight — look-ahead staging
 /// of the next GPU-bound front while the current one computes, event-gated
-/// consumption of child updates, and batched dispatch of runs of small
-/// fronts. Depth and batch limits are fixed (see `crate::lane` and the
-/// postorder issuer in this module). Off, the same lifecycle finishes each
-/// front before the next assembles: the drain schedule.
+/// consumption of child updates, and (on one device) batched dispatch of
+/// runs of small fronts. Depth and batch limits are fixed (see `crate::lane`
+/// and the issuer of fronts in flight in `crate::multigpu`, which runs every
+/// device count of [`FactorOptions::devices`]). Off, the same lifecycle
+/// finishes each front before the next assembles: the drain schedule.
 ///
 /// A pipelined run produces factor slabs **bitwise identical** to the drain
 /// schedule's — only the simulated timeline (and therefore makespan and GPU
@@ -110,9 +110,9 @@ pub struct FactorOptions {
     pub pinned_reuse: bool,
     /// Pipelined GPU dispatch (see [`PipelineOptions`]).
     pub pipeline: PipelineOptions,
-    /// Multi-device execution (see [`MultiGpuOptions`]). `count > 1` needs
-    /// pipelining and a machine with a device; the plan then runs the
-    /// multi-GPU driver, one host timeline feeding every device.
+    /// Devices a pipelined run keeps fronts in flight on (see
+    /// [`MultiGpuOptions`]). `count > 1` needs pipelining and a machine with a
+    /// device; one host timeline then feeds every device.
     pub devices: MultiGpuOptions,
     /// Out-of-core residency budget in bytes for the factor slab plus the
     /// front arena (DESIGN.md §4.14). `None` runs fully in core. With a
@@ -553,7 +553,7 @@ impl<T: Scalar> FrontRun<'_, T> {
                 &mut machine.host,
             );
             let policy = opts.selector.choose(sn, m, k);
-            let mut ctx = fu_ctx(machine, pool, opts, kernel_threads, false);
+            let mut ctx = fu_ctx(machine, pool, opts, kernel_threads);
             let ran = lane
                 .run_front(sn, &mut front, policy, &mut ctx)
                 .map_err(|e| fu_err_to_factor(info.col_start, e))?;
@@ -575,25 +575,20 @@ impl<T: Scalar> FrontRun<'_, T> {
     }
 }
 
-// ----- postorder issuer of the pipelined lifecycle ---------------------------
-
-/// Build the F-U context of one call: the run's options plus what varies per
-/// call — the dense-engine thread width the tree runtime granted, and
-/// timing-only mode (the rehearsal behind the pipelined-vs-drain cost model
-/// runs the full F-U schedule with every numeric touch suppressed).
-pub(crate) fn fu_ctx<'a>(
+/// Build the F-U context of one arena-loop call: the run's options plus the
+/// dense-engine thread width the tree runtime granted.
+fn fu_ctx<'a>(
     machine: &'a mut Machine,
     pool: &'a mut PinnedPool,
     opts: &FactorOptions,
     kernel_threads: Option<usize>,
-    timing_only: bool,
 ) -> FuContext<'a> {
     FuContext {
         host: &mut machine.host,
         gpu: machine.gpu.as_mut(),
         pool,
         copy_optimized: opts.copy_optimized,
-        timing_only,
+        timing_only: false,
         kernel_threads,
     }
 }
@@ -614,245 +609,6 @@ pub(crate) fn fu_err_to_factor(col_start: usize, e: FuError) -> FactorError {
             FactorError::NotPositiveDefinite { column: col_start + local_column }
         }
     }
-}
-
-/// Largest front order `s` that joins a batched dispatch: a batch pays one
-/// launch and one PCIe latency for the whole run, which matters only while
-/// those rival a member's own transfer and kernel time. On the matrices
-/// named at [`PIPELINE_DEPTH`] under fixed P4, 64 costs 0.2–2.2 % of the
-/// makespan and 256 gains 0.04–0.9 %; 128 stays because every recorded
-/// makespan is pinned to it.
-const BATCH_MAX_FRONT: usize = 128;
-
-/// Most fronts in one batched dispatch. The batch is one device allocation
-/// and one staging slot, flushed and finished as one entry, so none of it
-/// reaches a parent before all of it has downloaded. Batching itself is
-/// worth 3–8 % of the fixed-P4 makespan on those matrices (against one
-/// member per dispatch); 4, 8 and 16 members agree within 0.1 %.
-const BATCH_MAX_FRONTS: usize = 8;
-
-/// One single-device run of the lifecycle of [`crate::lane`] in postorder.
-/// With `look_ahead` it is the pipelined schedule: each dispatched front
-/// stays staged until the next one has dispatched, [`PIPELINE_DEPTH`] fronts
-/// stay in flight, and runs of small P4 fronts share one dispatch. Without,
-/// every front is flushed and finished before the next assembles — the drain
-/// schedule, charge for charge.
-struct PostorderRun<'a, T> {
-    a: &'a SymCsc<T>,
-    symbolic: &'a SymbolicFactor,
-    opts: &'a FactorOptions,
-    look_ahead: bool,
-    store: FrontStore<'a, T>,
-    lane: Lane<'a, T>,
-    oom_fallbacks: usize,
-}
-
-impl<'a, T: Scalar> PostorderRun<'a, T> {
-    /// The panels go into `slab`; without one the run is timing-only: it
-    /// charges every simulated cost and touches no numeric data (the
-    /// machine's device and the pool must then be in virtual mode).
-    fn new(
-        a: &'a SymCsc<T>,
-        symbolic: &'a SymbolicFactor,
-        opts: &'a FactorOptions,
-        look_ahead: bool,
-        slab: Option<&'a mut [T]>,
-    ) -> Self {
-        let store = FrontStore::new(symbolic, slab);
-        PostorderRun { a, symbolic, opts, look_ahead, store, lane: Lane::new(), oom_fallbacks: 0 }
-    }
-
-    /// Issue every front and drain the lane; on a pivot failure abandon what
-    /// the lane still holds on the device.
-    fn run(&mut self, machine: &mut Machine, pool: &mut PinnedPool) -> Result<(), FactorError> {
-        let mut ctx = fu_ctx(machine, pool, self.opts, None, self.store.timing);
-        let issued = self.issue(&mut ctx);
-        match issued {
-            Ok(()) => {
-                self.lane.flush(&mut ctx, &mut self.store);
-                self.lane.enforce_window(0, &mut ctx);
-            }
-            Err(_) => self.lane.abandon(&mut ctx),
-        }
-        issued
-    }
-
-    fn issue(&mut self, ctx: &mut FuContext<'_>) -> Result<(), FactorError> {
-        let post = &self.symbolic.postorder;
-        let mut i = 0;
-        while i < post.len() {
-            let run = self.batch_run_len(i);
-            if run >= 2 {
-                self.step_batch(&post[i..i + run], ctx)?;
-            } else {
-                self.step_single(post[i], ctx)?;
-            }
-            i += run;
-        }
-        Ok(())
-    }
-
-    /// Length of the batchable run starting at postorder position `start`:
-    /// consecutive P4-selected fronts no larger than [`BATCH_MAX_FRONT`],
-    /// with no producer/consumer pair inside the run (a member's children
-    /// must have flushed before it assembles). Returns 1 when the front at
-    /// `start` dispatches alone.
-    fn batch_run_len(&self, start: usize) -> usize {
-        // Batches run the naive whole-front P4 plan; under the
-        // copy-optimized plan members dispatch singly so the transfer byte
-        // counts (and the bits) match the drain schedule.
-        if !self.look_ahead || self.opts.copy_optimized {
-            return 1;
-        }
-        let symbolic = self.symbolic;
-        let post = &symbolic.postorder;
-        let mut len = 0;
-        while len < BATCH_MAX_FRONTS && start + len < post.len() {
-            let sn = post[start + len];
-            let info = &symbolic.supernodes[sn];
-            let (s, k, m) = (info.front_size(), info.k(), info.m());
-            if s > BATCH_MAX_FRONT || self.opts.selector.choose(sn, m, k) != PolicyKind::P4 {
-                break;
-            }
-            if symbolic.children(sn).iter().any(|c| post[start..start + len].contains(c)) {
-                break;
-            }
-            len += 1;
-        }
-        len.max(1)
-    }
-
-    /// Make `sn`'s child updates consumable and assemble its front.
-    fn ready_front(&mut self, sn: usize, ctx: &mut FuContext<'_>) -> Member<'a, T> {
-        let kids = self.symbolic.children(sn);
-        self.lane.flush_if_holds(|c| kids.contains(&c), ctx, &mut self.store);
-        self.lane.finish_holding(|c| kids.contains(&c), ctx);
-        self.store.assemble(self.a, sn, ctx.host)
-    }
-
-    /// Run one assembled front through the lane: staged behind the next
-    /// dispatch with [`PIPELINE_DEPTH`] fronts in flight under `look_ahead`,
-    /// finished before the call returns without.
-    fn dispatch(
-        &mut self,
-        mut member: Member<'a, T>,
-        policy: PolicyKind,
-        look_ahead: bool,
-        ctx: &mut FuContext<'_>,
-    ) -> Result<(), FactorError> {
-        let col_start = self.symbolic.supernodes[member.sn].col_start;
-        let outcome = if look_ahead {
-            let staged = self.lane.run_staged(member, policy, false, ctx, &mut self.store);
-            self.lane.enforce_window(PIPELINE_DEPTH, ctx);
-            staged
-        } else {
-            let ran = self.lane.run_front(member.sn, &mut member.front(), policy, ctx);
-            self.store.deliver(member.sn, member.update, None);
-            ran.map(|r| r.outcome)
-        };
-        let outcome = outcome.map_err(|e| fu_err_to_factor(col_start, e))?;
-        self.oom_fallbacks += usize::from(outcome.oom_fallback);
-        Ok(())
-    }
-
-    fn step_single(&mut self, sn: usize, ctx: &mut FuContext<'_>) -> Result<(), FactorError> {
-        let info = &self.symbolic.supernodes[sn];
-        let member = self.ready_front(sn, ctx);
-        let policy = self.opts.selector.choose(sn, info.m(), info.k());
-        self.dispatch(member, policy, self.look_ahead, ctx)
-    }
-
-    fn step_batch(&mut self, sns: &[usize], ctx: &mut FuContext<'_>) -> Result<(), FactorError> {
-        let symbolic = self.symbolic;
-        let mut members: Vec<Member<'a, T>> =
-            sns.iter().map(|&sn| self.ready_front(sn, ctx)).collect();
-        let batch = {
-            let mut fronts: Vec<Front<'_, T>> = members.iter_mut().map(Member::front).collect();
-            self.lane.dispatch_batch(&mut fronts, ctx, &mut self.store).map_err(|e| {
-                fu_err_to_factor(symbolic.supernodes[sns[e.member]].col_start, e.error)
-            })?
-        };
-        match batch {
-            Some(batch) => {
-                self.lane.stage(members, Phase1::Batch(batch), false, ctx, &mut self.store);
-                self.lane.enforce_window(PIPELINE_DEPTH, ctx);
-            }
-            // The run does not fit even an empty device: its members
-            // dispatch one by one on the drained lane, so every decision
-            // matches the drain schedule's.
-            None => {
-                for member in members {
-                    self.dispatch(member, PolicyKind::P4, false, ctx)?;
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Timing-only rehearsal of one schedule of [`PostorderRun`] on a *virtual
-/// twin* of `machine`: same CPU and GPU configuration, fresh clocks, device
-/// memory and staging pool in virtual mode. Every simulated duration depends
-/// only on shapes and configuration — never on numeric data — and the
-/// rehearsal runs the very bodies the real run does, so the rehearsed
-/// makespan equals the real driver's exactly, including OOM fallback
-/// decisions and pinned-pool waits (where a front's bytes sit is never
-/// charged, so the drain rehearsal stands for the arena run). No numeric
-/// buffer is allocated or touched. [`FactorOptions::plan`] rehearses both
-/// schedules of a single-device pipelined request.
-pub(crate) fn rehearse_makespan<T: Scalar>(
-    a: &SymCsc<T>,
-    symbolic: &SymbolicFactor,
-    opts: &FactorOptions,
-    machine: &Machine,
-    pipelined: bool,
-) -> f64 {
-    let gpu_cfg = machine.gpu.as_ref().expect("a rehearsal needs a GPU machine").config().clone();
-    let mut twin = Machine::with_gpu(machine.host.config().clone(), gpu_cfg);
-    if let Some(g) = twin.gpu.as_mut() {
-        g.set_virtual(true);
-    }
-    let mut pool = pinned_pool(opts);
-    pool.set_virtual(true);
-    PostorderRun::new(a, symbolic, opts, pipelined, None)
-        .run(&mut twin, &mut pool)
-        .expect("timing-only rehearsal sees no data, so no pivot can fail");
-    twin.elapsed()
-}
-
-/// [`crate::Schedule::Pipelined`]: the postorder issuer with look-ahead, which
-/// the plan picks when its rehearsal predicts a win.
-///
-/// Per-front numeric work is byte-for-byte the drain schedule's — assembly in
-/// postorder, the same staged f32 kernels in the same order, extend-add of
-/// child updates in postorder child rank — so factor slabs are **bitwise
-/// identical** to it. What changes is when the host blocks: instead of a
-/// full device drain after every front, each front's downloads gate on
-/// completion events, the next front's upload is dispatched before the
-/// previous front's downloads flush, and runs of small P4 fronts share one
-/// dispatch.
-pub(crate) fn factor_pipelined<T: Scalar>(
-    a: &SymCsc<T>,
-    symbolic: &SymbolicFactor,
-    perm: &Permutation,
-    machine: &mut Machine,
-    opts: &FactorOptions,
-) -> Result<(CholeskyFactor<T>, FactorStats), FactorError> {
-    let mut pool = pinned_pool(opts);
-    let mut slab = vec![T::ZERO; symbolic.factor_slab_len()];
-    let mut run = PostorderRun::new(a, symbolic, opts, true, Some(&mut slab));
-    run.run(machine, &mut pool)?;
-    let total_time = machine.elapsed();
-    let stats = FactorStats {
-        oom_fallbacks: run.oom_fallbacks,
-        front_alloc_events: run.store.allocs,
-        peak_front_bytes: run.store.peak_bytes(),
-        total_time,
-        gpu: machine.gpu.as_ref().map(|g| g.utilization(total_time)),
-        ..Default::default()
-    };
-    drop(run);
-    Ok((CholeskyFactor { symbolic: symbolic.clone(), perm: perm.clone(), slab }, stats))
 }
 
 #[cfg(test)]
@@ -1155,73 +911,13 @@ mod tests {
             };
             assert_eq!(drain_s.to_bits(), drained.total_time.to_bits(), "{policy}: drain");
             assert_eq!(pipelined_s < drain_s, wins, "{policy}: {pipelined_s:.6e} vs {drain_s:.6e}");
-            let (predicted, schedule) =
-                if wins { (pipelined_s, Schedule::Pipelined) } else { (drain_s, Schedule::Drain) };
+            let (predicted, schedule) = if wins {
+                (pipelined_s, Schedule::Pipelined { devices: 1 })
+            } else {
+                (drain_s, Schedule::Drain)
+            };
             assert_eq!(planned.plan.schedule, schedule, "{policy}");
             assert_eq!(predicted.to_bits(), planned.total_time.to_bits(), "{policy}: planned run");
         }
-    }
-
-    #[test]
-    fn pipelined_oom_fallbacks_match_drain_driver() {
-        // A device too small for the big fronts: the pipelined driver must
-        // make the same P1-fallback decisions (after draining) and still
-        // produce identical bits.
-        let a = laplacian_3d(6, 6, 5, Stencil::Faces);
-        let analysis =
-            analyze(&a, OrderingKind::NestedDissection, Some(&AmalgamationOptions::default()))
-                .unwrap();
-        let run = |pipeline: PipelineOptions| {
-            let mut cfg = mf_gpusim::tesla_t10();
-            cfg.mem_bytes = 2_000; // 500 f32 elements — only small fronts fit
-            let mut machine = Machine::with_gpu(mf_gpusim::xeon_5160_core(), cfg);
-            let opts = FactorOptions {
-                selector: PolicySelector::Fixed(PolicyKind::P4),
-                pipeline,
-                ..Default::default()
-            };
-            factor_permuted(
-                &analysis.permuted.0,
-                &analysis.symbolic,
-                &analysis.perm,
-                &mut machine,
-                &opts,
-            )
-            .unwrap()
-        };
-        let (fd, sd) = run(PipelineOptions::default());
-        let (fp, sp) = run(PipelineOptions::pipelined());
-        assert!(sd.oom_fallbacks > 0, "test needs OOM pressure to be meaningful");
-        assert_eq!(sp.oom_fallbacks, sd.oom_fallbacks);
-        assert!(fd.slab.iter().zip(&fp.slab).all(|(x, y)| x.to_bits() == y.to_bits()));
-    }
-
-    #[test]
-    fn pipelined_indefinite_matrix_reports_same_column() {
-        use mf_sparse::Triplet;
-        let mut t = Triplet::new(8);
-        for i in 0..8 {
-            t.push(i, i, if i == 5 { -3.0 } else { 4.0 });
-            if i + 1 < 8 {
-                t.push(i + 1, i, -1.0);
-            }
-        }
-        let a = t.assemble();
-        let analysis = analyze(&a, OrderingKind::Natural, None).unwrap();
-        let mut machine = Machine::paper_node();
-        let opts = FactorOptions {
-            selector: PolicySelector::Fixed(PolicyKind::P4),
-            pipeline: PipelineOptions::pipelined(),
-            ..Default::default()
-        };
-        let err = factor_permuted(
-            &analysis.permuted.0,
-            &analysis.symbolic,
-            &analysis.perm,
-            &mut machine,
-            &opts,
-        )
-        .unwrap_err();
-        assert_eq!(err, FactorError::NotPositiveDefinite { column: 5 });
     }
 }

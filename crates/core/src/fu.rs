@@ -40,8 +40,8 @@ pub const DEFAULT_PANEL_WIDTH: usize = 64;
 /// Block-column width for P2's overlapped `syrk` downloads.
 const P2_DOWNLOAD_BLOCK: usize = 512;
 
-/// Stream ids on the device (the multi-GPU driver adds a third for
-/// incoming peer copies).
+/// Stream ids on the device (the issuer of fronts in flight adds a third for
+/// incoming peer copies between devices).
 pub(crate) const S_COMPUTE: usize = 0;
 pub(crate) const S_COPY: usize = 1;
 
@@ -236,10 +236,10 @@ pub(crate) fn dispatch_fu<T: Scalar>(
 }
 
 /// Phase 1: enqueue all uploads and compute kernels for `front` under
-/// `policy`. Returns `Ok(None)` on device OOM *without* falling back — the
-/// pipelined driver drains its in-flight fronts (releasing device memory)
-/// and retries before accepting a P1 fallback, so its fallback decisions
-/// match the drain-per-front driver's.
+/// `policy`. Returns `Ok(None)` on device OOM *without* falling back — a
+/// lane with fronts in flight drains them (releasing device memory) and
+/// retries before accepting a P1 fallback, so its fallback decisions match
+/// the drain schedule's.
 pub(crate) fn try_dispatch_gpu<T: Scalar>(
     front: &mut Front<'_, T>,
     policy: PolicyKind,
@@ -1379,7 +1379,7 @@ mod tests {
 
     #[test]
     fn keep_update_path_is_bitwise_identical_to_download_path() {
-        // The multi-GPU driver's remote-child path must mutate the front
+        // The peer-export path between devices must mutate the front
         // exactly like the normal download path — same bytes, different
         // simulated time — and export the exact device update block.
         let (s, k) = (96, 36);

@@ -13,16 +13,17 @@
 //! computes data eagerly, only the host's wait and the extraction charges
 //! outstanding).
 //!
-//! Three issuers drive lanes and own nothing of the lifecycle but its order:
+//! Two issuers drive lanes and own nothing of the lifecycle but its order:
 //! the arena loop of [`crate::factor`] (the drain schedule: every front
 //! through [`Lane::run_front`], finished before the next assembles — every
-//! work-stealing task of [`crate::parallel`] is this loop over its range), its
-//! postorder issuer (look-ahead and batched P4 runs; timing-only without
-//! look-ahead it rehearses that drain schedule) and [`crate::multigpu`] (one
-//! lane per device, peer exports). What differs between them arrives as
-//! data: staging, `keep_update`, timing-only, and the [`FrontSink`] that
-//! receives the update blocks. [`Lane::run_front`] and [`Lane::run_staged`]
-//! are the only places a front's phases are sequenced.
+//! work-stealing task of [`crate::parallel`] is this loop over its range) and
+//! the issuer of fronts in flight in [`crate::multigpu`] (one lane per
+//! device, look-ahead, batched P4 runs on one lane, peer exports between
+//! several; timing-only without look-ahead it rehearses the drain schedule).
+//! What differs between them arrives as data: staging, `keep_update`,
+//! timing-only, and the issuer's `Sink` that receives the update blocks.
+//! [`Lane::run_front`] and [`Lane::run_staged`] are the only places a front's
+//! phases are sequenced.
 //!
 //! Numerics never depend on the schedule: every body runs the same host
 //! operations on the same bytes in the same per-front order whatever is
@@ -38,8 +39,8 @@ use crate::frontal::{
 use crate::fu::{
     dispatch_fu, enqueue_batch_downloads, enqueue_downloads, finish_fu, try_dispatch_gpu,
     try_dispatch_gpu_batch, BatchError, FuBatchPending, FuContext, FuError, FuOutcome, FuPending,
-    RemoteUpdate,
 };
+use crate::multigpu::Sink;
 use crate::policy::PolicyKind;
 use mf_dense::Scalar;
 use mf_gpusim::HostClock;
@@ -54,19 +55,6 @@ use std::collections::VecDeque;
 /// paper node) a window of 1 costs up to 0.6 % and 2 to 6 stay within 0.4 %
 /// of 3 in either direction — no caller ever had a reason to set another.
 pub(crate) const PIPELINE_DEPTH: usize = 3;
-
-/// Whoever issues fronts into a lane, as the lane sees it.
-pub(crate) trait FrontSink<T> {
-    /// Take the update block of front `sn`, whose results are final (data
-    /// only — the lane charges the clock; the panel is already in the
-    /// slab). `remote` is the update block left on the device when the
-    /// front was flushed with `keep_update`.
-    fn deliver(&mut self, sn: usize, update: Vec<T>, remote: Option<RemoteUpdate>);
-
-    /// The lane has drained ahead of an OOM retry: release whatever else the
-    /// issuer holds on the device of `ctx`.
-    fn device_drained(&mut self, _ctx: &mut FuContext<'_>) {}
-}
 
 /// The owned updates of `sn`'s children in postorder child rank — the order
 /// every driver extend-adds them in, which is what keeps the factor bits
@@ -186,17 +174,16 @@ impl<'a, T: Scalar> FrontStore<'a, T> {
         member
     }
 
-    /// Peak bytes of simultaneously live update blocks.
-    pub(crate) fn peak_bytes(&self) -> usize {
-        self.peak * T::BYTES
-    }
-}
-
-impl<T: Scalar> FrontSink<T> for FrontStore<'_, T> {
-    fn deliver(&mut self, sn: usize, update: Vec<T>, _remote: Option<RemoteUpdate>) {
+    /// Keep `sn`'s update block for its parent (timing-only, drop it).
+    pub(crate) fn deliver(&mut self, sn: usize, update: Vec<T>) {
         if !self.timing {
             self.updates[sn] = Some(update);
         }
+    }
+
+    /// Peak bytes of simultaneously live update blocks.
+    pub(crate) fn peak_bytes(&self) -> usize {
+        self.peak * T::BYTES
     }
 }
 
@@ -305,7 +292,7 @@ impl<'a, T: Scalar> Lane<'a, T> {
         policy: PolicyKind,
         keep_update: bool,
         ctx: &mut FuContext<'_>,
-        sink: &mut impl FrontSink<T>,
+        sink: &mut Sink<'_, '_, T>,
     ) -> Result<FuOutcome, FuError> {
         let pending = self.dispatch(&mut member.front(), policy, ctx, sink)?;
         let outcome = pending.outcome();
@@ -327,7 +314,7 @@ impl<'a, T: Scalar> Lane<'a, T> {
         front: &mut Front<'_, T>,
         policy: PolicyKind,
         ctx: &mut FuContext<'_>,
-        sink: &mut impl FrontSink<T>,
+        sink: &mut Sink<'_, '_, T>,
     ) -> Result<FuPending, FuError> {
         if let Some(pending) = try_dispatch_gpu(front, policy, ctx)? {
             return Ok(pending);
@@ -343,7 +330,7 @@ impl<'a, T: Scalar> Lane<'a, T> {
         &mut self,
         fronts: &mut [Front<'_, T>],
         ctx: &mut FuContext<'_>,
-        sink: &mut impl FrontSink<T>,
+        sink: &mut Sink<'_, '_, T>,
     ) -> Result<Option<FuBatchPending>, BatchError> {
         if let Some(batch) = try_dispatch_gpu_batch(fronts, ctx)? {
             return Ok(Some(batch));
@@ -352,9 +339,11 @@ impl<'a, T: Scalar> Lane<'a, T> {
         try_dispatch_gpu_batch(fronts, ctx)
     }
 
-    fn drain_device(&mut self, ctx: &mut FuContext<'_>, sink: &mut impl FrontSink<T>) {
+    fn drain_device(&mut self, ctx: &mut FuContext<'_>, sink: &mut Sink<'_, '_, T>) {
         self.flush(ctx, sink);
-        self.enforce_window(0, ctx);
+        while let Some(entry) = self.inflight.pop_front() {
+            finish::<T>(entry, ctx);
+        }
         sink.device_drained(ctx);
     }
 
@@ -368,14 +357,14 @@ impl<'a, T: Scalar> Lane<'a, T> {
         phase1: Phase1,
         keep_update: bool,
         ctx: &mut FuContext<'_>,
-        sink: &mut impl FrontSink<T>,
+        sink: &mut Sink<'_, '_, T>,
     ) {
         self.flush(ctx, sink);
         self.staged = Some(Staged { fronts, phase1, keep_update });
     }
 
     /// Phase 2 for whatever is staged; it moves in flight.
-    pub(crate) fn flush(&mut self, ctx: &mut FuContext<'_>, sink: &mut impl FrontSink<T>) {
+    pub(crate) fn flush(&mut self, ctx: &mut FuContext<'_>, sink: &mut Sink<'_, '_, T>) {
         let Some(Staged { mut fronts, phase1, keep_update }) = self.staged.take() else { return };
         match phase1 {
             Phase1::Single(pending) => {
@@ -409,7 +398,7 @@ impl<'a, T: Scalar> Lane<'a, T> {
         mut pending: FuPending,
         keep_update: bool,
         ctx: &mut FuContext<'_>,
-        sink: &mut impl FrontSink<T>,
+        sink: &mut Sink<'_, '_, T>,
     ) {
         let remote = enqueue_downloads(&mut member.front(), &mut pending, keep_update, ctx);
         let Member { sn, s, k, update, .. } = member;
@@ -424,7 +413,7 @@ impl<'a, T: Scalar> Lane<'a, T> {
         &mut self,
         holds: impl Fn(usize) -> bool,
         ctx: &mut FuContext<'_>,
-        sink: &mut impl FrontSink<T>,
+        sink: &mut Sink<'_, '_, T>,
     ) {
         if self.staged.as_ref().is_some_and(|st| st.fronts.iter().any(|f| holds(f.sn))) {
             self.flush(ctx, sink);
@@ -448,18 +437,6 @@ impl<'a, T: Scalar> Lane<'a, T> {
                 j += 1;
             }
         }
-    }
-
-    /// Finish the oldest entries until at most `window` remain in flight; a
-    /// window of 0 drains the lane. Returns the host time at which the last
-    /// of them ended its factor-update (now, when none had to finish).
-    pub(crate) fn enforce_window(&mut self, window: usize, ctx: &mut FuContext<'_>) -> f64 {
-        let mut fu_end = ctx.host.now();
-        while self.inflight.len() > window {
-            let entry = self.inflight.pop_front().expect("non-empty: len > window >= 0");
-            fu_end = finish::<T>(entry, ctx);
-        }
-        fu_end
     }
 
     /// Give up after an error: free every device buffer the lane still owns

@@ -1,7 +1,8 @@
-//! The multi-GPU execution layer (DESIGN.md §4.13): proportional mapping of
-//! elimination-subtree regions onto a [`DeviceSet`], peer-copy extend-add of
-//! cross-device contribution blocks, and a global look-ahead window that
-//! keeps every device fed while remote children are still in flight.
+//! The issuer of fronts in flight (DESIGN.md §4.9, §4.13): one host timeline
+//! feeding `ndev` device lanes — the pipelined schedule at one device, the
+//! multi-GPU run at several — plus proportional mapping of
+//! elimination-subtree regions onto a [`DeviceSet`] and peer-copy
+//! extend-add of cross-device contribution blocks.
 //!
 //! # Mapping
 //!
@@ -11,16 +12,21 @@
 //! is at or below `total / ndev` (and there are at least `ndev` chunks),
 //! then chunks are LPT-assigned to the least-loaded device. Split nodes —
 //! the *separator frontier* — ride with their heaviest child's device, so
-//! the top of the tree stays where most of its operands already live.
+//! the top of the tree stays where most of its operands already live. At
+//! one device the issue order is the postorder.
 //!
 //! # Execution
 //!
-//! This module is the multi-device *issuer* of the pipelined front lifecycle
-//! of `crate::lane`: it owns the issue order (round-robin over per-device
-//! postorder queues, so a front uploads to one device while another
-//! device's kernels run), which lane a front runs on, the window over all
-//! lanes, and the peer exports between lanes. One host timeline drives every
-//! lane; lane `d` is device `d`. Above the frontier,
+//! [`issue_fronts`] drives the front lifecycle of `crate::lane`: it owns the
+//! issue order (round-robin over per-device postorder queues, so a front
+//! uploads to one device while another device's kernels run), which lane a
+//! front runs on, the window over all lanes, and the peer exports between
+//! lanes; lane `d` is device `d`. Without look-ahead every front finishes
+//! before the next assembles — the drain schedule, charge for charge, which
+//! the plan's rehearsal prices. Three rules differ by lane count (one short
+//! branch each, see [`Issuer::window`], [`Issuer::batch_run_len`] and
+//! [`Issuer::ready_children`]): the window, batched P4 runs, and how a
+//! parent waits for its children. Above the frontier,
 //! a front whose children were factored on *other* devices consumes their
 //! packed `m × m` contribution blocks via [`DeviceSet::p2p`] peer copies —
 //! event-chained, on the dedicated peer engine — instead of the
@@ -33,8 +39,8 @@
 //! Host f32/f64 numerics are untouched: every front assembles from `A` plus
 //! its children's packed updates in fixed postorder child rank, and runs the
 //! exact per-front kernel sequence of the serial drain driver, so factor
-//! slabs are **bitwise identical** to the serial, pipelined and parallel
-//! drivers at every device count. The peer-copy path
+//! slabs are **bitwise identical** to the drain and parallel drivers at
+//! every device count. The peer-copy path
 //! changes only *simulated time*: the simulator's transfers are eager
 //! memcpys, so reading the still-device-resident update block yields the
 //! same bytes the download path would have produced (pinned by
@@ -44,34 +50,34 @@
 //! resident there), so P1-fallback decisions — the one place scheduling
 //! could touch numerics — match the drain driver exactly.
 
-use crate::factor::{fu_err_to_factor, pinned_pool, CholeskyFactor, FactorError, FactorOptions};
-use crate::frontal::charge_update_extract;
+use crate::factor::{fu_err_to_factor, pinned_pool, FactorError, FactorOptions};
+use crate::frontal::{charge_update_extract, Front};
 use crate::fu::{FuContext, RemoteUpdate, S_COMPUTE, S_COPY};
-use crate::lane::{FrontSink, FrontStore, Lane};
+use crate::lane::{FrontStore, Lane, Member, Phase1, PIPELINE_DEPTH};
 use crate::pinned_pool::PinnedPool;
 use crate::policy::PolicyKind;
 use crate::stats::FactorStats;
 use mf_dense::Scalar;
 use mf_gpusim::{CopyMode, DevMat, DeviceSet, Gpu, GpuUtilization, HostClock, Machine};
 use mf_sparse::symbolic::SymbolicFactor;
-use mf_sparse::{Permutation, SymCsc};
+use mf_sparse::SymCsc;
 use std::collections::VecDeque;
 
 /// Stream id for incoming peer copies on each device (S_COMPUTE and S_COPY
 /// keep the single-device meanings).
 const S_PEER: usize = 2;
 
-/// Multi-device execution options, carried on
+/// Device-count options, carried on
 /// [`FactorOptions::devices`](crate::factor::FactorOptions::devices).
 ///
-/// With `count > 1` and pipelining enabled, the plan
-/// ([`FactorOptions::plan`]) runs the multi-GPU driver on the first machine
-/// with a device: that device becomes device 0 of a [`DeviceSet`] of `count`
-/// identically-configured devices fed from the machine's host timeline.
+/// A pipelined run ([`crate::Schedule::Pipelined`]) keeps fronts in flight on
+/// `count` devices: the machine's own becomes device 0 of a [`DeviceSet`] of
+/// `count` identically-configured devices fed from the machine's host
+/// timeline, and moves back when the run ends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MultiGpuOptions {
-    /// Number of simulated devices. `1` (the default) keeps the
-    /// single-device drivers; `0` is a typed [`crate::PlanError`], and so is
+    /// Number of simulated devices. `1` (the default) is the machine's own
+    /// device alone; `0` is a typed [`crate::PlanError`], and so is
     /// `count > 1` without pipelining or without a device.
     pub count: usize,
 }
@@ -106,6 +112,10 @@ pub struct DeviceMap {
 pub fn proportional_map(symbolic: &SymbolicFactor, ndev: usize) -> DeviceMap {
     assert!(ndev >= 1, "need at least one device");
     let nsn = symbolic.num_supernodes();
+    if ndev == 1 {
+        // One device owns the forest, and its one queue is the postorder.
+        return DeviceMap { device_of: vec![0; nsn], issue_order: symbolic.postorder.clone() };
+    }
     let mut work = vec![0.0f64; nsn];
     for &sn in &symbolic.postorder {
         let own = symbolic.supernodes[sn].flops().total().max(1.0);
@@ -121,21 +131,19 @@ pub fn proportional_map(symbolic: &SymbolicFactor, ndev: usize) -> DeviceMap {
     // chunks to cover the devices). Split nodes form the frontier.
     let mut chunks = roots;
     let mut frontier = vec![false; nsn];
-    if ndev > 1 {
-        loop {
-            let cand = chunks
-                .iter()
-                .copied()
-                .filter(|&c| !symbolic.children(c).is_empty())
-                .max_by(|&x, &y| work[x].total_cmp(&work[y]).then(y.cmp(&x)));
-            let Some(c) = cand else { break };
-            if work[c] <= target && chunks.len() >= ndev {
-                break;
-            }
-            chunks.retain(|&x| x != c);
-            frontier[c] = true;
-            chunks.extend(symbolic.children(c).iter().copied());
+    loop {
+        let cand = chunks
+            .iter()
+            .copied()
+            .filter(|&c| !symbolic.children(c).is_empty())
+            .max_by(|&x, &y| work[x].total_cmp(&work[y]).then(y.cmp(&x)));
+        let Some(c) = cand else { break };
+        if work[c] <= target && chunks.len() >= ndev {
+            break;
         }
+        chunks.retain(|&x| x != c);
+        frontier[c] = true;
+        chunks.extend(symbolic.children(c).iter().copied());
     }
 
     // LPT assignment: heaviest chunk first onto the least-loaded device.
@@ -203,16 +211,32 @@ pub fn proportional_map(symbolic: &SymbolicFactor, ndev: usize) -> DeviceMap {
     DeviceMap { device_of, issue_order }
 }
 
-/// Fronts the host keeps in flight over all devices before it waits for the
-/// oldest (never fewer than there are devices, so every device can hold
+/// Fronts the host keeps in flight over several lanes before it waits for
+/// the oldest (never fewer than there are devices, so every device can hold
 /// work). At 2 and 4 devices on plate 120², cube 16³ and elasticity 10³ (f32,
 /// fixed P2/P3/P4 and the baseline hybrid) windows of 2, 4 and 16 land within
 /// 3 % of 8 with no consistent sign.
 const LOOK_AHEAD: usize = 8;
 
-/// What a lane of the multi-GPU run delivers into: the shared front store,
-/// plus the update blocks left device-resident for a peer-copy extend-add.
-struct MgSink<'r, 'a, T> {
+/// Largest front order `s` that joins a batched dispatch: a batch pays one
+/// launch and one PCIe latency for the whole run, which matters only while
+/// those rival a member's own transfer and kernel time. On the matrices
+/// named at [`PIPELINE_DEPTH`] under fixed P4, 64 costs 0.2–2.2 % of the
+/// makespan and 256 gains 0.04–0.9 %; 128 stays because every recorded
+/// makespan is pinned to it.
+const BATCH_MAX_FRONT: usize = 128;
+
+/// Most fronts in one batched dispatch. The batch is one device allocation
+/// and one staging slot, flushed and finished as one entry, so none of it
+/// reaches a parent before all of it has downloaded. Batching itself is
+/// worth 3–8 % of the fixed-P4 makespan on those matrices (against one
+/// member per dispatch); 4, 8 and 16 members agree within 0.1 %.
+const BATCH_MAX_FRONTS: usize = 8;
+
+/// What a lane delivers into: the front store, the update blocks left
+/// device-resident for a peer-copy extend-add, and the FIFO behind the
+/// window.
+pub(crate) struct Sink<'r, 'a, T> {
     store: &'r mut FrontStore<'a, T>,
     exports: &'r mut [Option<RemoteUpdate>],
     order: &'r mut VecDeque<usize>,
@@ -221,16 +245,21 @@ struct MgSink<'r, 'a, T> {
     dev: usize,
 }
 
-impl<T: Scalar> FrontSink<T> for MgSink<'_, '_, T> {
-    fn deliver(&mut self, sn: usize, update: Vec<T>, remote: Option<RemoteUpdate>) {
-        self.store.deliver(sn, update, None);
+impl<T: Scalar> Sink<'_, '_, T> {
+    /// Take the update block of front `sn`, whose results are final (data
+    /// only — the lane charges the clock; the panel is already in the
+    /// slab). `remote` is the update block left on the device when the
+    /// front was flushed with `keep_update`.
+    pub(crate) fn deliver(&mut self, sn: usize, update: Vec<T>, remote: Option<RemoteUpdate>) {
+        self.store.deliver(sn, update);
         self.exports[sn] = remote;
         self.order.push_back(sn);
     }
 
-    /// Evict every export still resident on the lane's device, so an OOM
-    /// retry sees the memory the serial drain driver would.
-    fn device_drained(&mut self, ctx: &mut FuContext<'_>) {
+    /// The lane has drained ahead of an OOM retry: evict every export still
+    /// resident on its device, so the retry sees the memory the serial drain
+    /// driver would.
+    pub(crate) fn device_drained(&mut self, ctx: &mut FuContext<'_>) {
         for c in 0..self.exports.len() {
             if self.device_of[c] == self.dev {
                 if let Some(ru) = self.exports[c].take() {
@@ -259,14 +288,16 @@ fn evict<T: Scalar>(ru: RemoteUpdate, ctx: &mut FuContext<'_>) {
     charge_update_extract::<T>(ru.m, ctx.host);
 }
 
-/// Whole-run state of the multi-GPU issuer: one host timeline, one [`Lane`]
-/// per device of `set` (lane `d` drives device `d`), the issue order and the
-/// peer exports between lanes. The lifecycle of each front is
-/// [`crate::lane`]'s.
-struct MgRun<'a, 'm, T> {
+/// Whole-run state of the issuer: one host timeline, one [`Lane`] per device
+/// of `set` (lane `d` drives device `d`), the issue order and the peer
+/// exports between lanes. The lifecycle of each front is [`crate::lane`]'s.
+struct Issuer<'a, 'm, T> {
     a: &'a SymCsc<T>,
     symbolic: &'a SymbolicFactor,
     opts: &'a FactorOptions,
+    /// Stage each front behind the next dispatch and keep a window in
+    /// flight; without, every front finishes before the next assembles.
+    look_ahead: bool,
     map: DeviceMap,
     host: &'m mut HostClock,
     set: DeviceSet,
@@ -284,14 +315,14 @@ struct MgRun<'a, 'm, T> {
     oom_fallbacks: usize,
 }
 
-impl<'a, T: Scalar> MgRun<'a, '_, T> {
+impl<'a, T: Scalar> Issuer<'a, '_, T> {
     /// Run `f` on lane `lane` against the host clock and device `lane`.
     fn on_lane<R>(
         &mut self,
         lane: usize,
-        f: impl FnOnce(&mut Lane<'a, T>, &mut FuContext<'_>, &mut MgSink<'_, 'a, T>) -> R,
+        f: impl FnOnce(&mut Lane<'a, T>, &mut FuContext<'_>, &mut Sink<'_, 'a, T>) -> R,
     ) -> R {
-        let mut sink = MgSink {
+        let mut sink = Sink {
             store: &mut self.store,
             exports: &mut self.exports,
             order: &mut self.order,
@@ -303,15 +334,16 @@ impl<'a, T: Scalar> MgRun<'a, '_, T> {
             gpu: Some(self.set.device_mut(lane)),
             pool: &mut self.pool,
             copy_optimized: self.opts.copy_optimized,
-            timing_only: false,
+            timing_only: sink.store.timing,
             kernel_threads: None,
         };
         f(&mut self.lanes[lane], &mut ctx, &mut sink)
     }
 
+    /// Issue every front and drain every lane; on a pivot failure abandon
+    /// what the lanes and the exports still hold on the devices.
     fn run(&mut self) -> Result<(), FactorError> {
-        let order = self.map.issue_order.clone();
-        let issued = order.into_iter().try_for_each(|sn| self.step(sn));
+        let issued = self.issue();
         for lane in 0..self.lanes.len() {
             self.on_lane(lane, |l, ctx, sink| match issued {
                 Ok(()) => l.flush(ctx, sink),
@@ -333,21 +365,166 @@ impl<'a, T: Scalar> MgRun<'a, '_, T> {
         issued
     }
 
+    fn issue(&mut self) -> Result<(), FactorError> {
+        let order = self.map.issue_order.clone();
+        let mut i = 0;
+        while i < order.len() {
+            let run = self.batch_run_len(&order[i..]);
+            if run >= 2 {
+                self.step_batch(&order[i..i + run])?;
+            } else {
+                self.step(order[i])?;
+            }
+            i += run;
+        }
+        Ok(())
+    }
+
+    /// Fronts in flight over all lanes before the host waits for the oldest.
+    /// One lane keeps [`PIPELINE_DEPTH`], several [`LOOK_AHEAD`]: each rule
+    /// holds its own `GOLDEN_CLOCK` column (pipelined; 2 and 4 devices)
+    /// until ROADMAP item 2 re-records the clock.
+    fn window(&self) -> usize {
+        match self.lanes.len() {
+            1 => PIPELINE_DEPTH,
+            n => LOOK_AHEAD.max(n),
+        }
+    }
+
+    /// Length of the batchable run at the head of `next` (the rest of the
+    /// issue order): consecutive P4-selected fronts no larger than
+    /// [`BATCH_MAX_FRONT`], with no producer/consumer pair inside the run (a
+    /// member's children must have flushed before it assembles). Returns 1
+    /// when the front at the head dispatches alone. Batches run on one lane
+    /// only, which `GOLDEN_CLOCK`'s pipelined column pins against its device
+    /// columns until ROADMAP item 2 re-records the clock.
+    fn batch_run_len(&self, next: &[usize]) -> usize {
+        // Batches run the naive whole-front P4 plan; under the
+        // copy-optimized plan members dispatch singly so the transfer byte
+        // counts (and the bits) match the drain schedule.
+        if self.lanes.len() > 1 || !self.look_ahead || self.opts.copy_optimized {
+            return 1;
+        }
+        let symbolic = self.symbolic;
+        let mut len = 0;
+        while len < BATCH_MAX_FRONTS && len < next.len() {
+            let sn = next[len];
+            let info = &symbolic.supernodes[sn];
+            let (s, k, m) = (info.front_size(), info.k(), info.m());
+            if s > BATCH_MAX_FRONT || self.opts.selector.choose(sn, m, k) != PolicyKind::P4 {
+                break;
+            }
+            if symbolic.children(sn).iter().any(|c| next[..len].contains(c)) {
+                break;
+            }
+            len += 1;
+        }
+        len.max(1)
+    }
+
+    /// Make `sn`'s child updates consumable. On one lane the staged entry
+    /// flushes if it holds any child, then every entry in flight holding one
+    /// finishes, oldest first. Over several lanes each child in turn flushes
+    /// if staged, and a non-exported child costs a host *event wait*; an
+    /// exported child costs nothing here — its ordering flows through the
+    /// peer-copy event on the consumer device, which is exactly the
+    /// cross-device look-ahead. Each rule holds its own `GOLDEN_CLOCK`
+    /// column (pipelined; 2 and 4 devices) until ROADMAP item 2
+    /// re-records the clock.
+    fn ready_children(&mut self, sn: usize) {
+        let kids = self.symbolic.children(sn);
+        if self.lanes.len() == 1 {
+            self.on_lane(0, |l, ctx, sink| {
+                l.flush_if_holds(|c| kids.contains(&c), ctx, sink);
+                l.finish_holding(|c| kids.contains(&c), ctx);
+            });
+            return;
+        }
+        for &c in kids {
+            self.on_lane(self.map.device_of[c], |l, ctx, sink| {
+                l.flush_if_holds(|x| x == c, ctx, sink);
+                if sink.exports[c].is_none() {
+                    l.finish_holding(|x| x == c, ctx);
+                }
+            });
+        }
+    }
+
+    /// Make `sn`'s child updates consumable and assemble its front.
+    fn ready_front(&mut self, sn: usize) -> Member<'a, T> {
+        self.ready_children(sn);
+        self.store.assemble(self.a, sn, self.host)
+    }
+
     fn step(&mut self, sn: usize) -> Result<(), FactorError> {
         let info = &self.symbolic.supernodes[sn];
-        let lane = self.map.device_of[sn];
-        self.ready_children(sn);
-        let member = self.store.assemble(self.a, sn, self.host);
+        let member = self.ready_front(sn);
         let policy = self.opts.selector.choose(sn, info.m(), info.k());
-        self.consume_child_exports(sn, lane, policy);
+        self.consume_child_exports(sn, policy);
         // Structure and selector alone decide it, so it is known before the
         // dispatch; a front that leaves nothing on the device ignores it.
         let keep_update = self.exports_update(sn);
-        let outcome = self
-            .on_lane(lane, |l, ctx, sink| l.run_staged(member, policy, keep_update, ctx, sink))
-            .map_err(|e| fu_err_to_factor(info.col_start, e))?;
+        self.dispatch(member, policy, keep_update, self.look_ahead)
+    }
+
+    /// Run one assembled front through its lane: staged behind the next
+    /// dispatch with the window in flight under `look_ahead`, finished
+    /// before the call returns without.
+    fn dispatch(
+        &mut self,
+        mut member: Member<'a, T>,
+        policy: PolicyKind,
+        keep_update: bool,
+        look_ahead: bool,
+    ) -> Result<(), FactorError> {
+        let sn = member.sn;
+        let outcome = if look_ahead {
+            self.on_lane(self.map.device_of[sn], |l, ctx, sink| {
+                l.run_staged(member, policy, keep_update, ctx, sink)
+            })
+        } else {
+            self.on_lane(self.map.device_of[sn], |l, ctx, sink| {
+                let ran = l.run_front(sn, &mut member.front(), policy, ctx);
+                sink.deliver(sn, member.update, None);
+                ran.map(|r| r.outcome)
+            })
+        };
+        let outcome =
+            outcome.map_err(|e| fu_err_to_factor(self.symbolic.supernodes[sn].col_start, e))?;
         self.oom_fallbacks += usize::from(outcome.oom_fallback);
-        self.trim_window(LOOK_AHEAD.max(self.lanes.len()));
+        if look_ahead {
+            self.trim_window(self.window());
+        }
+        Ok(())
+    }
+
+    /// A batchable run (one lane): every member assembles, then all dispatch
+    /// as one device allocation.
+    fn step_batch(&mut self, sns: &[usize]) -> Result<(), FactorError> {
+        let symbolic = self.symbolic;
+        let mut members: Vec<Member<'a, T>> = sns.iter().map(|&sn| self.ready_front(sn)).collect();
+        let batch = self
+            .on_lane(0, |l, ctx, sink| {
+                let mut fronts: Vec<Front<'_, T>> = members.iter_mut().map(Member::front).collect();
+                l.dispatch_batch(&mut fronts, ctx, sink)
+            })
+            .map_err(|e| fu_err_to_factor(symbolic.supernodes[sns[e.member]].col_start, e.error))?;
+        match batch {
+            Some(batch) => {
+                self.on_lane(0, |l, ctx, sink| {
+                    l.stage(members, Phase1::Batch(batch), false, ctx, sink)
+                });
+                self.trim_window(self.window());
+            }
+            // The run does not fit even an empty device: its members
+            // dispatch one by one on the drained lane, so every decision
+            // matches the drain schedule's.
+            None => {
+                for member in members {
+                    self.dispatch(member, PolicyKind::P4, false, false)?;
+                }
+            }
+        }
         Ok(())
     }
 
@@ -357,7 +534,8 @@ impl<'a, T: Scalar> MgRun<'a, '_, T> {
     /// on the runs measured at [`LOOK_AHEAD`] host staging alone is 0–4 %
     /// slower and never faster. Host staging ([`evict`]) stays the fallback
     /// where a peer copy cannot serve: a P1 parent, a landing buffer that
-    /// does not fit, an OOM retry on the producing device.
+    /// does not fit, an OOM retry on the producing device. Never at one
+    /// device.
     fn exports_update(&self, sn: usize) -> bool {
         let info = &self.symbolic.supernodes[sn];
         let parent = info.parent;
@@ -368,23 +546,6 @@ impl<'a, T: Scalar> MgRun<'a, '_, T> {
         }
     }
 
-    /// Make `sn`'s child updates consumable. Children staged anywhere flush
-    /// (producing their update data and, cross-device, their exports). A
-    /// non-exported in-flight child costs a host *event wait*; an exported
-    /// child costs nothing here — its ordering flows through the peer-copy
-    /// event on the consumer device, which is exactly the cross-device
-    /// look-ahead.
-    fn ready_children(&mut self, sn: usize) {
-        for &c in self.symbolic.children(sn) {
-            self.on_lane(self.map.device_of[c], |l, ctx, sink| {
-                l.flush_if_holds(|x| x == c, ctx, sink);
-                if sink.exports[c].is_none() {
-                    l.finish_holding(|x| x == c, ctx);
-                }
-            });
-        }
-    }
-
     /// Peer-copy every exported child update onto `sn`'s device: an `m × m`
     /// landing buffer, a [`DeviceSet::p2p`] gated on the producer's ready
     /// event, and a compute-stream wait so `sn`'s kernels observe the
@@ -392,7 +553,8 @@ impl<'a, T: Scalar> MgRun<'a, '_, T> {
     /// the CPU or the landing allocation does not fit. Data-wise this is a
     /// no-op — the host already holds the authoritative update — so only
     /// the simulated timeline moves.
-    fn consume_child_exports(&mut self, sn: usize, lane: usize, policy: PolicyKind) {
+    fn consume_child_exports(&mut self, sn: usize, policy: PolicyKind) {
+        let lane = self.map.device_of[sn];
         for &c in self.symbolic.children(sn) {
             let Some(ru) = self.exports[c].take() else { continue };
             let clane = self.map.device_of[c];
@@ -431,36 +593,45 @@ impl<'a, T: Scalar> MgRun<'a, '_, T> {
     }
 }
 
-/// [`crate::Schedule::MultiGpu`]: the machine's own device becomes device 0
-/// of a [`DeviceSet`] of `ndev` identical devices, all fed from the
-/// machine's host timeline, and moves back when the run ends, error or not.
-/// Factor slabs are bitwise identical to the serial driver at every device
-/// count (see the module docs).
-pub(crate) fn factor_multigpu<T: Scalar>(
+/// Fronts in flight on `ndev` lanes of one host timeline:
+/// [`crate::Schedule::Pipelined`] with `look_ahead` and the panels into
+/// `slab`, the plan's rehearsal at one device (see [`rehearse_makespan`]).
+/// The machine's own device becomes device 0 of a [`DeviceSet`] of `ndev`
+/// identical devices and moves back when the run ends, error or not.
+/// Without a slab the run is timing-only: it charges every simulated cost
+/// and touches no numeric data (the machine's device must then be in
+/// virtual mode; the staging pool is put there). Factor slabs are bitwise
+/// identical to the drain driver at every device count (see the module
+/// docs).
+pub(crate) fn issue_fronts<T: Scalar>(
     a: &SymCsc<T>,
     symbolic: &SymbolicFactor,
-    perm: &Permutation,
     machine: &mut Machine,
     opts: &FactorOptions,
     ndev: usize,
-) -> Result<(CholeskyFactor<T>, FactorStats), FactorError> {
-    let own = machine.gpu.take().expect("the plan runs several devices on a machine with one");
+    look_ahead: bool,
+    slab: Option<&mut [T]>,
+) -> Result<FactorStats, FactorError> {
+    let own =
+        machine.gpu.take().expect("the plan keeps fronts in flight on a machine with a device");
     let cfg = own.config().clone();
     let mut gpus = vec![own];
     gpus.resize_with(ndev, || Gpu::new(cfg.clone()));
+    let mut pool = pinned_pool(opts);
+    pool.set_virtual(slab.is_none());
 
-    let mut slab = vec![T::ZERO; symbolic.factor_slab_len()];
-    let mut run = MgRun {
+    let mut run = Issuer {
         a,
         symbolic,
         opts,
+        look_ahead,
         map: proportional_map(symbolic, ndev),
         host: &mut machine.host,
         set: DeviceSet::from_gpus(gpus),
-        pool: pinned_pool(opts),
+        pool,
         lanes: (0..ndev).map(|_| Lane::new()).collect(),
         order: VecDeque::new(),
-        store: FrontStore::new(symbolic, Some(&mut slab)),
+        store: FrontStore::new(symbolic, slab),
         exports: vec![None; symbolic.num_supernodes()],
         oom_fallbacks: 0,
     };
@@ -479,18 +650,45 @@ pub(crate) fn factor_multigpu<T: Scalar>(
     let peer_bytes = run.set.peer_bytes();
     machine.gpu = Some(run.set.take(0));
     result?;
-    let stats = FactorStats {
+    Ok(FactorStats {
         oom_fallbacks: run.oom_fallbacks,
         front_alloc_events: run.store.allocs,
         peak_front_bytes: run.store.peak_bytes(),
         total_time: total,
         gpu: Some(agg),
-        gpu_devices: per_dev,
+        // One device is all of `gpu`; `GOLDEN_CLOCK` hashes both fields.
+        gpu_devices: if ndev > 1 { per_dev } else { Vec::new() },
         peer_bytes,
         ..Default::default()
-    };
-    drop(run);
-    Ok((CholeskyFactor { symbolic: symbolic.clone(), perm: perm.clone(), slab }, stats))
+    })
+}
+
+/// Timing-only rehearsal of the one-device run, with `look_ahead` or
+/// without (the drain schedule), on a *virtual twin* of `machine`: same CPU
+/// and GPU configuration, fresh clocks, device memory and staging pool in
+/// virtual mode. Every simulated duration depends only on shapes and
+/// configuration — never on numeric data — and the rehearsal runs the very
+/// bodies the real run does, so the rehearsed makespan equals the real
+/// run's exactly, including OOM fallback decisions and pinned-pool waits
+/// (where a front's bytes sit is never charged, so the drain rehearsal
+/// stands for the arena run). No numeric buffer is allocated or touched.
+/// [`FactorOptions::plan`] rehearses both schedules of a single-device
+/// pipelined request.
+pub(crate) fn rehearse_makespan<T: Scalar>(
+    a: &SymCsc<T>,
+    symbolic: &SymbolicFactor,
+    opts: &FactorOptions,
+    machine: &Machine,
+    look_ahead: bool,
+) -> f64 {
+    let gpu_cfg = machine.gpu.as_ref().expect("a rehearsal needs a GPU machine").config().clone();
+    let mut twin = Machine::with_gpu(machine.host.config().clone(), gpu_cfg);
+    if let Some(g) = twin.gpu.as_mut() {
+        g.set_virtual(true);
+    }
+    issue_fronts(a, symbolic, &mut twin, opts, 1, look_ahead, None)
+        .expect("timing-only rehearsal sees no data, so no pivot can fail")
+        .total_time
 }
 
 #[cfg(test)]
@@ -640,32 +838,40 @@ mod tests {
     }
 
     #[test]
-    fn multigpu_oom_fallbacks_match_drain_driver() {
-        let analysis = grid_analysis(6, 6, 5);
-        let a32: SymCsc<f32> = analysis.permuted.0.cast();
-        let run = |devices: MultiGpuOptions, pipeline: PipelineOptions| {
-            let mut cfg = mf_gpusim::tesla_t10();
-            cfg.mem_bytes = 2_000; // 500 f32 elements — only small fronts fit
-            let mut machine = Machine::with_gpu(mf_gpusim::xeon_5160_core(), cfg);
-            let opts = FactorOptions {
-                selector: PolicySelector::Fixed(PolicyKind::P4),
-                pipeline,
-                devices,
-                ..Default::default()
+    fn in_flight_oom_fallbacks_match_drain_driver() {
+        // A device too small for the big fronts: at every device count the
+        // issuer must make the drain driver's P1-fallback decisions (after
+        // draining) and still produce identical bits, in f64 and in f32.
+        fn check<T: Scalar>(a: &SymCsc<T>, analysis: &Analysis) {
+            let run = |devices: MultiGpuOptions, pipeline: PipelineOptions| {
+                let mut cfg = mf_gpusim::tesla_t10();
+                cfg.mem_bytes = 2_000; // 500 f32 elements — only small fronts fit
+                let mut machine = Machine::with_gpu(mf_gpusim::xeon_5160_core(), cfg);
+                let opts = FactorOptions {
+                    selector: PolicySelector::Fixed(PolicyKind::P4),
+                    pipeline,
+                    devices,
+                    ..Default::default()
+                };
+                factor_permuted(a, &analysis.symbolic, &analysis.perm, &mut machine, &opts).unwrap()
             };
-            factor_permuted(&a32, &analysis.symbolic, &analysis.perm, &mut machine, &opts).unwrap()
-        };
-        let (fd, sd) = run(MultiGpuOptions::default(), PipelineOptions::default());
-        assert!(sd.oom_fallbacks > 0, "test needs OOM pressure to be meaningful");
-        for ndev in [2usize, 4] {
-            let (fm, sm) = run(MultiGpuOptions::devices(ndev), PipelineOptions::pipelined());
-            assert_eq!(sm.oom_fallbacks, sd.oom_fallbacks, "{ndev}-device OOM decisions");
-            assert_eq!(bits(&fd.slab), bits(&fm.slab), "{ndev}-device OOM bits");
+            let bits =
+                |slab: &[T]| -> Vec<u64> { slab.iter().map(|x| x.to_f64().to_bits()).collect() };
+            let (fd, sd) = run(MultiGpuOptions::default(), PipelineOptions::default());
+            assert!(sd.oom_fallbacks > 0, "test needs OOM pressure to be meaningful");
+            for ndev in [1usize, 2, 4] {
+                let (fm, sm) = run(MultiGpuOptions::devices(ndev), PipelineOptions::pipelined());
+                assert_eq!(sm.oom_fallbacks, sd.oom_fallbacks, "{ndev}-device OOM decisions");
+                assert_eq!(bits(&fd.slab), bits(&fm.slab), "{ndev}-device OOM bits");
+            }
         }
+        let analysis = grid_analysis(6, 6, 5);
+        check(&analysis.permuted.0, &analysis);
+        check(&analysis.permuted.0.cast::<f32>(), &analysis);
     }
 
     #[test]
-    fn multigpu_indefinite_matrix_reports_same_column() {
+    fn in_flight_indefinite_matrix_reports_same_column() {
         let mut t = Triplet::new(8);
         for i in 0..8 {
             t.push(i, i, if i == 5 { -3.0 } else { 4.0 });
@@ -675,22 +881,25 @@ mod tests {
         }
         let a = t.assemble();
         let analysis = analyze(&a, OrderingKind::Natural, None).unwrap();
-        let mut machine = Machine::paper_node();
-        let opts = FactorOptions {
-            selector: PolicySelector::Fixed(PolicyKind::P4),
-            pipeline: PipelineOptions::pipelined(),
-            devices: MultiGpuOptions::devices(2),
-            ..Default::default()
-        };
-        let err = factor_permuted(
-            &analysis.permuted.0,
-            &analysis.symbolic,
-            &analysis.perm,
-            &mut machine,
-            &opts,
-        )
-        .unwrap_err();
-        assert_eq!(err, FactorError::NotPositiveDefinite { column: 5 });
-        assert!(machine.gpu.is_some(), "error path must restore the device");
+        for ndev in [1usize, 2] {
+            let mut machine = Machine::paper_node();
+            let opts = FactorOptions {
+                selector: PolicySelector::Fixed(PolicyKind::P4),
+                pipeline: PipelineOptions::pipelined(),
+                devices: MultiGpuOptions::devices(ndev),
+                ..Default::default()
+            };
+            let err = factor_permuted(
+                &analysis.permuted.0,
+                &analysis.symbolic,
+                &analysis.perm,
+                &mut machine,
+                &opts,
+            )
+            .unwrap_err();
+            assert_eq!(err, FactorError::NotPositiveDefinite { column: 5 }, "{ndev} devices");
+            let gpu = machine.gpu.as_ref().expect("error path must restore the device");
+            assert_eq!(gpu.mem_used(), 0, "{ndev} devices: the device comes back empty");
+        }
     }
 }

@@ -16,10 +16,8 @@
 //! [`factor_permuted`]: crate::factor::factor_permuted
 //! [`factor_permuted_parallel`]: crate::parallel::factor_permuted_parallel
 
-use crate::factor::{
-    factor_drain, factor_pipelined, rehearse_makespan, CholeskyFactor, FactorError, FactorOptions,
-};
-use crate::multigpu::factor_multigpu;
+use crate::factor::{factor_drain, CholeskyFactor, FactorError, FactorOptions};
+use crate::multigpu::{issue_fronts, rehearse_makespan};
 use crate::parallel::{factor_tasks, ParallelOptions};
 use crate::stats::FactorStats;
 use mf_dense::Scalar;
@@ -45,12 +43,11 @@ pub enum Schedule {
         /// Hardware threads shared between workers and kernels.
         thread_budget: usize,
     },
-    /// Fronts in flight against one device: look-ahead staging, event-gated
-    /// downloads, batched runs of small P4 fronts.
-    Pipelined,
-    /// The pipelined lifecycle on `devices` identical devices, one lane
-    /// each, fed from one host timeline.
-    MultiGpu {
+    /// Fronts in flight on `devices` identical devices, one lane each, fed
+    /// from one host timeline: look-ahead staging and event-gated downloads;
+    /// on one device, batched runs of small P4 fronts; over several,
+    /// peer-copy extend-adds between devices.
+    Pipelined {
         /// Simulated devices; the machine's own is device 0.
         devices: usize,
     },
@@ -98,8 +95,8 @@ pub enum PlanError {
     NoMachines,
     /// `devices.count` is zero.
     NoDevices,
-    /// Several devices without pipelining: the multi-device driver is the
-    /// pipelined lifecycle.
+    /// Several devices without pipelining: only the pipelined schedule keeps
+    /// fronts in flight on more than one device.
     DevicesWithoutPipeline {
         /// The requested device count.
         devices: usize,
@@ -141,10 +138,9 @@ impl FactorOptions {
     /// - Pipelining under a memory budget, or with no device on any machine,
     ///   drains too ([`Decision::BudgetDrains`], [`Decision::NoDevice`]).
     /// - Otherwise the first machine with a device runs the fronts in flight
-    ///   on its host timeline: several devices are [`Schedule::MultiGpu`];
-    ///   one device is [`Schedule::Pipelined`] when the exact rehearsal
-    ///   predicts it to win, else [`Schedule::Drain`] on that machine
-    ///   ([`Decision::Rehearsed`]).
+    ///   on its host timeline: several devices are [`Schedule::Pipelined`];
+    ///   so is one device when the exact rehearsal predicts it to win, else
+    ///   [`Schedule::Drain`] on that machine ([`Decision::Rehearsed`]).
     pub fn plan<T: Scalar>(
         &self,
         a: &SymCsc<T>,
@@ -182,18 +178,15 @@ impl FactorOptions {
             return Ok(plan);
         };
         plan.machine = g;
-        plan.schedule = if devices > 1 {
-            Schedule::MultiGpu { devices }
-        } else {
+        plan.schedule = Schedule::Pipelined { devices };
+        if devices == 1 {
             let [pipelined_s, drain_s] =
                 [true, false].map(|p| rehearse_makespan(a, symbolic, self, &machines[g], p));
             plan.decision = Some(Decision::Rehearsed { pipelined_s, drain_s });
-            if pipelined_s < drain_s {
-                Schedule::Pipelined
-            } else {
-                Schedule::Drain
+            if pipelined_s >= drain_s {
+                plan.schedule = Schedule::Drain;
             }
-        };
+        }
         Ok(plan)
     }
 }
@@ -215,9 +208,12 @@ pub(crate) fn run_plan<T: Scalar>(
         Schedule::Tasks { thread_budget, .. } => {
             factor_tasks(a, symbolic, perm, machines, opts, thread_budget)
         }
-        Schedule::Pipelined => factor_pipelined(a, symbolic, perm, &mut machines[machine], opts),
-        Schedule::MultiGpu { devices } => {
-            factor_multigpu(a, symbolic, perm, &mut machines[machine], opts, devices)
+        Schedule::Pipelined { devices } => {
+            let mut slab = vec![T::ZERO; symbolic.factor_slab_len()];
+            issue_fronts(a, symbolic, &mut machines[machine], opts, devices, true, Some(&mut slab))
+                .map(|stats| {
+                    (CholeskyFactor { symbolic: symbolic.clone(), perm: perm.clone(), slab }, stats)
+                })
         }
     }?;
     stats.wall_time = wall0.elapsed().as_secs_f64();

@@ -55,7 +55,7 @@ pub struct FactorStats {
     /// Per-supernode records in postorder execution order.
     pub records: Vec<FuRecord>,
     /// Total simulated factorization time, by the plan's
-    /// [`crate::Schedule`]: `Drain`, `Pipelined` and `MultiGpu` read the one
+    /// [`crate::Schedule`]: `Drain` and `Pipelined` read the one
     /// host timeline that ran the run, after every device drained; `Tasks`
     /// reads the largest worker clock (the worker clocks share no timing
     /// edge, so it is a lower bound on a makespan, not one).
@@ -82,13 +82,14 @@ pub struct FactorStats {
     /// one entry per worker device (busy seconds summed, `gpus` counted),
     /// so utilization stays normalised per engine.
     pub gpu: Option<GpuUtilization>,
-    /// Per-device engine accounting from the multi-GPU driver, in global
-    /// device order (device 0 is the caller's own device). Empty for
-    /// single-device runs; `gpu` still carries the aggregate.
+    /// Per-device engine accounting of a pipelined run on several devices,
+    /// in global device order (device 0 is the caller's own device). Empty
+    /// for single-device runs, whose one device is `gpu`; `gpu` always
+    /// carries the aggregate.
     pub gpu_devices: Vec<GpuUtilization>,
     /// Total bytes moved over peer (device-to-device) links by the
-    /// multi-GPU driver's peer-copy extend-adds. Zero for single-device
-    /// runs.
+    /// peer-copy extend-adds of a pipelined run on several devices. Zero for
+    /// single-device runs.
     pub peer_bytes: usize,
     /// Residency/traffic accounting of a memory-budgeted run
     /// (`FactorOptions::memory_budget`): tier traffic, eviction/reload

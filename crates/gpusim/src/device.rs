@@ -553,8 +553,8 @@ impl Gpu {
 /// [`Gpu::p2p`] peer-copy primitive.
 ///
 /// Slots are `Option<Gpu>` so a driver can [`DeviceSet::take`] a device back
-/// out of the set — the multi-GPU driver returns the machine's own device
-/// this way when its run ends.
+/// out of the set — a factorization with fronts in flight returns the
+/// machine's own device this way when its run ends.
 #[derive(Debug)]
 pub struct DeviceSet {
     gpus: Vec<Option<Gpu>>,
@@ -566,8 +566,9 @@ impl DeviceSet {
         DeviceSet { gpus: (0..n).map(|_| Some(Gpu::new(cfg.clone()))).collect() }
     }
 
-    /// Wrap existing devices (device 0 keeps its clocks and memory — the
-    /// multi-GPU driver promotes the machine's device this way).
+    /// Wrap existing devices (device 0 keeps its clocks and memory — a
+    /// factorization with fronts in flight promotes the machine's device
+    /// this way).
     pub fn from_gpus(gpus: Vec<Gpu>) -> Self {
         DeviceSet { gpus: gpus.into_iter().map(Some).collect() }
     }

@@ -1,6 +1,6 @@
 //! Property tests for the peer-copy (`d2d`) primitive.
 //!
-//! Two contracts the multi-GPU driver leans on:
+//! Two contracts a multi-device factorization leans on:
 //!
 //! 1. **Event semantics** — the event a peer copy returns is *forward-only*
 //!    (never earlier than the wait event it was gated on, never earlier than

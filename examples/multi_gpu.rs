@@ -3,9 +3,10 @@
 //! workers (the "2 CPU threads + 2 GPUs" configuration of Table VII) — and
 //! then go past it: first the deterministic list-schedule *simulation* the
 //! paper's estimate style implies (hardware-independent makespans of the
-//! paper's node), then the **real multi-GPU driver** — proportional
-//! subtree mapping, peer-copy extend-add, cross-device look-ahead
-//! (DESIGN.md §4.13) — on 1/2/4/8 simulated devices, and finally the
+//! paper's node), then the **real multi-device run** — the pipelined
+//! schedule with proportional subtree mapping, peer-copy extend-add and
+//! cross-device look-ahead (DESIGN.md §4.13) — on 1/2/4/8 simulated
+//! devices, and finally the
 //! work-stealing runtime *measuring* wall-clock seconds on this host. The
 //! sections are labelled distinctly; measured numbers agree with simulated
 //! ones only insofar as the host has hardware threads to spend.
@@ -121,7 +122,7 @@ fn main() {
         drain_p4.total_time / piped_p4.total_time
     );
 
-    // The real multi-GPU driver: the machine's device becomes device 0 of a
+    // The real multi-device run: the machine's device becomes device 0 of a
     // uniform simulated device set; whole subtrees map to devices in
     // proportion to their work (Geist–Ng), child updates crossing the
     // device frontier travel over peer links instead of bouncing through

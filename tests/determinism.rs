@@ -1187,9 +1187,9 @@ fn ooc_budgeted_solver_refines_to_f64_accuracy() {
 
 use gpu_multifrontal::core::{FactorStats, MultiGpuOptions, PipelineOptions};
 
-/// How a GPU run is issued: the drain schedule, the pipelined driver, the
-/// multi-GPU driver at `n` devices from one host, or the parallel entry at
-/// `workers` machines, pipelined on `n` devices.
+/// How a GPU run is issued: the drain schedule, the in-flight issuer at one
+/// device (pipelined) or at `n` devices from one host, or the parallel entry
+/// at `workers` machines, pipelined on `n` devices.
 #[derive(Debug, Clone, Copy)]
 enum Issuer {
     Drain,
@@ -1699,7 +1699,7 @@ fn expected_plan(
     }
     let Some(g) = first_gpu else { return Ok((Some(drain), 0, Some("NoDevice"))) };
     if devices > 1 {
-        return Ok((Some(Schedule::MultiGpu { devices }), g, None));
+        return Ok((Some(Schedule::Pipelined { devices }), g, None));
     }
     Ok((None, g, Some("Rehearsed")))
 }
@@ -1807,7 +1807,7 @@ fn exec_plan_every_option_combination_is_canonical_bits_or_a_typed_error() {
                 (Some(s), _) => assert_eq!(plan.schedule, s, "{what}"),
                 (None, Some(Decision::Rehearsed { pipelined_s, drain_s })) => {
                     let wins = pipelined_s < drain_s;
-                    let s = if wins { Schedule::Pipelined } else { Schedule::Drain };
+                    let s = if wins { Schedule::Pipelined { devices: 1 } } else { Schedule::Drain };
                     assert_eq!(plan.schedule, s, "{what}: {plan:?}");
                     assert_eq!(stats.total_time, pipelined_s.min(drain_s), "{what}: clock");
                     verdicts[usize::from(wins)] = true;
