@@ -121,6 +121,21 @@ RUST_TEST_THREADS=1 cargo test -q --release -p mf-server
 #   pseudo_peripheral_from_components
 #                    nested dissection's components search serves as the
 #                    pseudo-peripheral search's first sweep
+#   rehearsal_equals_the_run_it_predicts
+#                    one F-U plan run with and without data charges the same
+#                    clock: over fixed P1-P4 and the baseline hybrid, both P4
+#                    transfer plans and three matrices, the drain rehearsal ==
+#                    factor_drain's makespan and the issuer without a slab ==
+#                    the issuer with one at 1/2/4 devices, bit for bit; the
+#                    plan records the P2-loses / P4-wins rehearsals it ran
+#   keep_update_path_is_bitwise_identical_to_download_path
+#                    the keep rule (update downloads dropped, the device
+#                    buffer exported) lands the download path's bytes and
+#                    exports the exact device update, P2/P3/P4 both plans
+#   estimate_matches_real_execution_time
+#                    estimate_fu_time == the f32 run with data, bit for bit,
+#                    every policy, both P4 transfer plans, five front shapes
+#                    (fused small, root, mid, large)
 echo "==> named suites (counted, default + single test thread)"
 while read -r target filter expected; do
   case $target in
@@ -164,6 +179,9 @@ mf-core/lib exec_plan 1
 mf-gpusim/lib time_split 3
 mf-sparse/lib pseudo_peripheral_from_components 1
 mf-sparse/lib range_tasks 1
+mf-core/lib rehearsal_equals_the_run_it_predicts 1
+mf-core/lib keep_update_path_is_bitwise_identical_to_download_path 1
+mf-core/lib estimate_matches_real_execution_time 1
 MANIFEST
 
 # Property tests for the peer-copy primitive the multi-GPU extend-add path

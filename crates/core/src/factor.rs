@@ -588,7 +588,6 @@ fn fu_ctx<'a>(
         gpu: machine.gpu.as_mut(),
         pool,
         copy_optimized: opts.copy_optimized,
-        timing_only: false,
         kernel_threads,
     }
 }
@@ -880,15 +879,80 @@ mod tests {
 
     #[test]
     fn rehearsal_equals_the_run_it_predicts() {
-        // The cost-model gate is exact only if a timing-only rehearsal
-        // charges what the real run charges: on the P2-loses / P4-wins
-        // elasticity case the rehearsed makespans the run records in its plan
-        // must equal the runs they stand for to the bit (under P2 the planned
-        // run *is* the drain schedule).
+        // The cost-model gate is exact only if a timing-only run charges what
+        // the run with data charges. Over fixed P1–P4 and the baseline hybrid,
+        // both P4 transfer plans and three matrices: the drain rehearsal
+        // equals `factor_drain`'s makespan, and the issuer without a slab
+        // equals the issuer with one at 1, 2 and 4 devices — to the bit —
+        // and hands the machine's device back in the mode it arrived in.
+        use crate::multigpu::{issue_fronts, rehearse_makespan};
         use crate::plan::{Decision, Schedule};
-        let a = mf_matgen::elasticity_3d(4, 4, 3);
+        let matrices = [
+            ("elasticity 4x4x3", mf_matgen::elasticity_3d(4, 4, 3)),
+            ("laplacian 8^3", laplacian_3d(8, 8, 8, Stencil::Faces)),
+            ("elasticity 6^3", mf_matgen::elasticity_3d(6, 6, 6)),
+        ];
+        let mut selectors: Vec<PolicySelector> =
+            PolicyKind::ALL.iter().map(|&p| PolicySelector::Fixed(p)).collect();
+        selectors.push(PolicySelector::Baseline(BaselineThresholds::default()));
+        for (name, a) in &matrices {
+            let amalg = AmalgamationOptions::default();
+            let analysis = analyze(a, OrderingKind::NestedDissection, Some(&amalg)).unwrap();
+            let (a32, symbolic): (SymCsc<f32>, _) =
+                (analysis.permuted.0.cast(), &analysis.symbolic);
+            for (selector, copy_optimized) in selectors.iter().flat_map(|s| [(s, false), (s, true)])
+            {
+                let opts = |devices: usize, pipeline: PipelineOptions| FactorOptions {
+                    selector: selector.clone(),
+                    copy_optimized,
+                    pipeline,
+                    devices: MultiGpuOptions::devices(devices),
+                    ..Default::default()
+                };
+                let what = format!("{name} {selector:?} copy_optimized={copy_optimized}");
+                let drain = opts(1, PipelineOptions::default());
+                let mut machine = Machine::paper_node();
+                let drained = factor_permuted(&a32, symbolic, &analysis.perm, &mut machine, &drain)
+                    .unwrap()
+                    .1;
+                let drain_s = rehearse_makespan(&a32, symbolic, &drain, &machine, false);
+                assert_eq!(drain_s.to_bits(), drained.total_time.to_bits(), "{what}: drain");
+                for ndev in [1, 2, 4] {
+                    let pipelined = opts(ndev, PipelineOptions::pipelined());
+                    let mut slab = vec![0.0f32; symbolic.factor_slab_len()];
+                    let mut machine = Machine::paper_node();
+                    let ran = issue_fronts(
+                        &a32,
+                        symbolic,
+                        &mut machine,
+                        &pipelined,
+                        ndev,
+                        true,
+                        Some(&mut slab),
+                    )
+                    .unwrap();
+                    let mut twin = Machine::paper_node();
+                    let rehearsed =
+                        issue_fronts(&a32, symbolic, &mut twin, &pipelined, ndev, true, None)
+                            .unwrap();
+                    assert_eq!(
+                        rehearsed.total_time.to_bits(),
+                        ran.total_time.to_bits(),
+                        "{what}: {ndev} devices, {:.17e} vs {:.17e}",
+                        rehearsed.total_time,
+                        ran.total_time
+                    );
+                    assert!(!twin.gpu.as_ref().unwrap().is_virtual(), "{what}: {ndev} devices");
+                }
+            }
+        }
+
+        // The plan records these rehearsals: on the P2-loses / P4-wins
+        // elasticity case the rehearsed makespans equal the runs they stand
+        // for (under P2 the planned run *is* the drain schedule).
+        let a = &matrices[0].1;
         let analysis =
-            analyze(&a, OrderingKind::NestedDissection, Some(&AmalgamationOptions::default()))
+            analyze(a, OrderingKind::NestedDissection, Some(&AmalgamationOptions::default()))
                 .unwrap();
         let a32: SymCsc<f32> = analysis.permuted.0.cast();
         for (policy, wins) in [(PolicyKind::P2, false), (PolicyKind::P4, true)] {

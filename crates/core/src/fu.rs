@@ -1,38 +1,49 @@
-//! The factor-update (F-U) executor: one dense Cholesky step of a frontal
-//! matrix under each of the four policies of Table VI.
+//! The factor-update (F-U): one dense Cholesky step of a frontal matrix,
+//! written as data. Table VI defines P1–P4 by *placement* — which of potrf,
+//! trsm and syrk run on the device, and which regions cross PCIe around
+//! them — and an [`FuPlan`] is exactly that: the device buffers, then an
+//! ordered list of phase-1 ops (host kernels, uploads, device kernels,
+//! events) and phase-2 ops (event-gated downloads, host landing of the
+//! results). One interpreter runs every plan, with data (a factorization)
+//! or without (a rehearsal and [`estimate_fu_time`], where the staging pool
+//! and the devices are virtual); it is the only code that asks which.
 //!
-//! Policy implementations follow the paper's workflow optimizations
-//! (Section V-A):
+//! The placements follow the paper's workflow optimizations (Section V-A):
 //!
-//! * **P2** — `potrf`/`trsm` on the CPU; `syrk` on the GPU computed in
-//!   block-columns whose device→host downloads overlap the next block's
-//!   compute (copy engine ∥ compute engine).
-//! * **P3** — the unfactored sub-panel `A₂` uploads *while* the CPU runs
-//!   `potrf`; the factored `L₂` downloads *while* the GPU runs `syrk`.
-//! * **P4** — the overlapped panel algorithm of Figure 9: a lightweight
-//!   `w × w` device `potrf` kernel, a spanning `trsm`, then `syrk`/`gemm`
-//!   trailing updates, entirely on the device. With `copy_optimized` only
-//!   the panel and update regions cross PCIe instead of the full `s × s`
-//!   front (the optimization the paper credits for P4 winning at moderate
-//!   sizes in the multi-GPU runs).
+//! * **P1** — potrf, trsm and syrk on the host; a small front takes one
+//!   fused pass over its columns. Nothing is allocated per front.
+//! * **P2** — potrf and trsm on the host; `L₂` uploads and syrk runs on the
+//!   device in block-columns, each downloading behind its own event while
+//!   the next computes (copy engine ∥ compute engine).
+//! * **P3** — `A₂` uploads while the host runs potrf; `L₁` follows, the
+//!   device runs trsm and syrk, and `L₂` downloads while syrk still runs.
+//! * **P4** — everything on the device: Figure 9's panel loop (a `w × w`
+//!   device potrf, a spanning trsm, then syrk/gemm trailing updates). With
+//!   `copy_optimized` only the panel and update regions cross PCIe instead
+//!   of the whole `s × s` front. A batch of small fronts is its members'
+//!   panel loops behind one allocation, one upload and one download.
 //!
-//! This module owns the three phases of one front's factor-update (dispatch,
-//! downloads, finish) and their device buffers; `crate::lane` owns when
-//! they run relative to other fronts. Nothing else calls the phases, bar
-//! `execute_fu` for the estimate of one factor-update taken alone.
+//! One transfer rule serves every placement: with `keep_update` the update
+//! block's downloads are dropped (a whole-front download shrinks to the
+//! panel) and the device buffer holding it is exported as a
+//! [`RemoteUpdate`] for a peer-copy extend-add.
 //!
-//! All GPU arithmetic is f32 (the paper's choice on the T10); host fronts
-//! may be f64, converted at the staging boundary — exactly the
-//! mixed-precision scheme whose lost digits the paper recovers with
+//! This module owns the three phases of one plan (dispatch, downloads,
+//! finish) and their device buffers; `crate::lane` owns when they run
+//! relative to other fronts. All GPU arithmetic is f32 (the paper's choice
+//! on the T10); host fronts may be f64, converted at the staging boundary —
+//! the mixed-precision scheme whose lost digits the paper recovers with
 //! iterative refinement.
 
 use crate::frontal::Front;
 use crate::pinned_pool::PinnedPool;
 use crate::policy::PolicyKind;
 use mf_dense::{
-    factor_front_small, front_is_small, potrf, syrk_lower, trsm_right_lower_trans, Scalar,
+    factor_front_small, front_is_small, potrf, syrk_lower, trsm_right_lower_trans, PotrfError,
+    Scalar,
 };
-use mf_gpusim::{CopyMode, DevBuf, DevMat, Event, Gpu, HostClock, KernelKind, Machine};
+use mf_gpusim::{CopyMode, DevBuf, DevMat, Event, Gpu, HostClock, KernelKind, Machine, Stream};
+use std::borrow::Cow;
 
 /// Width of the device panels in the P4 algorithm (Figure 9's `w`).
 pub const DEFAULT_PANEL_WIDTH: usize = 64;
@@ -55,7 +66,23 @@ pub enum FuError {
     },
 }
 
-/// Execution context shared across the factorization's F-U calls.
+impl From<PotrfError> for FuError {
+    fn from(e: PotrfError) -> Self {
+        FuError::NotPositiveDefinite { local_column: e.column }
+    }
+}
+
+/// A failed dispatch of several fronts, attributed to one of them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct BatchError {
+    /// Index into the dispatched fronts.
+    pub member: usize,
+    /// The underlying F-U failure.
+    pub error: FuError,
+}
+
+/// Execution context shared across the factorization's F-U calls. Whether
+/// data exists is the staging pool's virtual mode (see [`estimate_fu_time`]).
 #[derive(Debug)]
 pub(crate) struct FuContext<'a> {
     /// The host timeline.
@@ -66,10 +93,6 @@ pub(crate) struct FuContext<'a> {
     pub pool: &'a mut PinnedPool,
     /// Use the copy-optimized P4 transfer plan.
     pub copy_optimized: bool,
-    /// Timing-only mode: charge every cost but skip all numeric work and
-    /// data movement. Requires the device and the pool to be in
-    /// virtual mode (see [`estimate_fu_time`]). The front may be a dummy.
-    pub timing_only: bool,
     /// Dense-engine thread width for this call, from the tree runtime's
     /// [`ThreadBudget`](mf_runtime::ThreadBudget) arbitration: `Some(w)`
     /// caps the engine's column-slab threading at `w` for the duration
@@ -90,161 +113,375 @@ pub(crate) struct FuOutcome {
     pub oom_fallback: bool,
 }
 
-/// Run one factor-update on `front` under `policy`. On device OOM the call
-/// transparently falls back to P1 and reports it in the outcome.
-///
-/// The three phases back to back with no extraction in between: the
-/// factor-update alone, as [`estimate_fu_time`] prices it for the policy maps
-/// and this module's tests exercise it. No driver comes through here —
-/// `crate::lane` sequences the phases of every front that is part of a run.
-pub(crate) fn execute_fu<T: Scalar>(
-    front: &mut Front<'_, T>,
-    policy: PolicyKind,
-    ctx: &mut FuContext<'_>,
-) -> Result<FuOutcome, FuError> {
-    let mut pending = dispatch_fu(front, policy, ctx)?;
-    enqueue_downloads(front, &mut pending, false, ctx);
-    finish_fu(&mut pending, ctx);
-    Ok(pending.outcome())
+/// A view into the plan's device buffer `buf` (its index in the plan's
+/// allocations) at offset `off` with leading dimension `ld`.
+#[derive(Debug, Clone, Copy)]
+struct Dv {
+    buf: usize,
+    off: usize,
+    ld: usize,
 }
 
-/// An F-U operation whose GPU work has been enqueued but not yet drained.
+impl Dv {
+    fn whole(buf: usize, ld: usize) -> Self {
+        Dv { buf, off: 0, ld }
+    }
+
+    fn at(self, i: usize, j: usize) -> Self {
+        Dv { off: self.off + i + j * self.ld, ..self }
+    }
+}
+
+/// A `rows × cols` transfer between the device view `dev` and the plan's
+/// staging slot `slot` from offset `at` with leading dimension `ld`.
+#[derive(Debug, Clone, Copy)]
+struct Xfer {
+    dev: Dv,
+    rows: usize,
+    cols: usize,
+    slot: usize,
+    at: usize,
+    ld: usize,
+}
+
+/// The part of a front an op moves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Region {
+    /// Rows `row0..row0 + rows` of the panel's `k` columns, packed at
+    /// leading dimension `rows`.
+    Panel { row0: usize, rows: usize },
+    /// The `m × m` update block.
+    Update,
+    /// The whole `s × s` front at leading dimension `s`.
+    Front,
+}
+
+/// One step of a plan. Fronts are indexed into the dispatched slice (one
+/// front, or a batch's members); slots and events by the order of their
+/// `Lease` and `Record` ops; device kernels run on the compute stream.
 ///
-/// The three-phase lifecycle replaces the seed's per-front `sync_all`:
-///
-/// 1. [`dispatch_fu`] / [`try_dispatch_gpu`] — host prework (CPU
-///    potrf/trsm where the policy wants them), pinned staging, h2d uploads
-///    and every compute kernel, with a completion event recorded per
-///    download dependency;
-/// 2. [`enqueue_downloads`] — d2h transfers, each gated on its producer's
-///    *event* rather than a device drain, the front's `done` event, and
-///    the host-side numerics consuming the staged data (the simulator
-///    computes data eagerly at enqueue time, so results can be unstaged as
-///    soon as the transfer is queued — only *time* remains outstanding);
-/// 3. [`finish_fu`] — the only host block: wait on `done`, free device
-///    buffers, land deferred host charges.
-///
-/// Look-ahead falls out of call order: a driver that runs phase 1 of front
-/// *j+1* before phase 3 of front *j* has the next front uploading while
-/// the current one computes.
+/// - `Host` — host kernels of front 0, in order (see [`host_kernels`]).
+/// - `Lease` — the next staging slot, of this many scalars.
+/// - `Stage` — a region of front `f` into a slot (data only).
+/// - `H2d`, `D2h` — a transfer on a stream; a download may wait for an event
+///   first, and its `region` is what the keep rule reads.
+/// - `Trsm`, `Syrk`, `Gemm` — a device kernel; `PanelLoop` — Figure 9's
+///   panel loop over front `f`, resident at `front`.
+/// - `Record`, `Wait` — record the next event on a stream; make a stream
+///   wait for an event.
+/// - `Land` — a downloaded region of front `f` from a slot, lower triangles
+///   only: written, or added (`add`, a device-computed `−L₂·L₂ᵀ`).
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Host(&'static [KernelKind]),
+    Lease(usize),
+    Stage { f: usize, region: Region, slot: usize, at: usize },
+    H2d { stream: usize, x: Xfer },
+    Trsm { l: Dv, k: usize, b: Dv, m: usize },
+    Syrk { a: Dv, c: Dv, n: usize, k: usize },
+    Gemm { a: Dv, b: Dv, c: Dv, m: usize, n: usize, k: usize },
+    PanelLoop { f: usize, front: Dv, s: usize, k: usize },
+    Record(usize),
+    Wait { stream: usize, ev: usize },
+    D2h { region: Region, stream: usize, after: Option<usize>, x: Xfer },
+    Land { f: usize, region: Region, add: bool, slot: usize, at: usize, ld: usize },
+}
+
+/// One front's (or one batch's) factor-update as data: the device
+/// allocations, all made before any front mutation so that an OOM leaves
+/// the fronts untouched, then the phase-1 ops `ops[..split]` and the phase-2
+/// ops `ops[split..]`.
+#[derive(Debug)]
+pub(crate) struct FuPlan {
+    /// The policy the plan runs.
+    policy: PolicyKind,
+    /// Device buffer lengths (f32 elements).
+    allocs: Vec<usize>,
+    ops: Cow<'static, [Op]>,
+    split: usize,
+    /// Where the update block is final on the device, and the event after
+    /// which it is: what `keep_update` exports.
+    update: Option<(Dv, usize)>,
+}
+
+impl FuPlan {
+    /// P1 — or a P2/P3 root, whose pivot factor is all there is.
+    fn host(policy: PolicyKind) -> Self {
+        const P1: &[Op] = &[Op::Host(&[KernelKind::Potrf, KernelKind::Trsm, KernelKind::Syrk])];
+        FuPlan { policy, allocs: Vec::new(), ops: Cow::Borrowed(P1), split: 1, update: None }
+    }
+
+    /// The placement of `policy` on an `s × s` front with `k` pivots under
+    /// `ctx`'s transfer plan; every policy is P1 on a CPU-only machine.
+    pub(crate) fn new(policy: PolicyKind, s: usize, k: usize, ctx: &FuContext<'_>) -> Self {
+        use Op::*;
+        let (m, copy_optimized) = (s - k, ctx.copy_optimized);
+        let (sc, sx) = (S_COMPUTE, S_COPY);
+        let xfer = |dev, rows, cols, slot, at, ld| Xfer { dev, rows, cols, slot, at, ld };
+        let land = |region, add, slot, at, ld| Land { f: 0, region, add, slot, at, ld };
+        let stage = |region, slot, at| Stage { f: 0, region, slot, at };
+        let l2 = Region::Panel { row0: k, rows: m };
+        let (allocs, ops, split, update) = match policy {
+            _ if ctx.gpu.is_none() => return Self::host(PolicyKind::P1),
+            PolicyKind::P1 => return Self::host(policy),
+            PolicyKind::P2 | PolicyKind::P3 if m == 0 => return Self::host(policy),
+            PolicyKind::P2 => {
+                let (lv, wv) = (Dv::whole(0, m), Dv::whole(1, m));
+                let mut ops = vec![
+                    Host(&[KernelKind::Potrf, KernelKind::Trsm]),
+                    Lease(m * k),
+                    stage(l2, 0, 0),
+                    H2d { stream: sc, x: xfer(lv, m, k, 0, 0, m) },
+                    Lease(m * m),
+                ];
+                let chunks = (0..m).step_by(P2_DOWNLOAD_BLOCK);
+                let jb = |j0: usize| P2_DOWNLOAD_BLOCK.min(m - j0);
+                for j0 in chunks.clone() {
+                    ops.push(Syrk { a: lv.at(j0, 0), c: wv.at(j0, j0), n: jb(j0), k });
+                    let (j1, below) = (j0 + jb(j0), m - j0 - jb(j0));
+                    if below > 0 {
+                        let (a, b, c) = (lv.at(j1, 0), lv.at(j0, 0), wv.at(j1, j0));
+                        ops.push(Gemm { a, b, c, m: below, n: jb(j0), k });
+                    }
+                    ops.push(Record(sc));
+                }
+                let split = ops.len();
+                for (ev, j0) in chunks.clone().enumerate() {
+                    let x = xfer(wv.at(j0, j0), m - j0, jb(j0), 1, j0 + j0 * m, m);
+                    ops.push(D2h { region: Region::Update, stream: sx, after: Some(ev), x });
+                }
+                ops.push(land(Region::Update, true, 1, 0, m));
+                (vec![m * k, m * m], ops, split, Some((wv, chunks.len() - 1)))
+            }
+            PolicyKind::P3 => {
+                let (pv, l1, wv) = (Dv::whole(0, m), Dv::whole(1, k), Dv::whole(2, m));
+                let ops = vec![
+                    Lease(m * k),
+                    stage(l2, 0, 0),
+                    H2d { stream: sx, x: xfer(pv, m, k, 0, 0, m) },
+                    Host(&[KernelKind::Potrf]),
+                    Lease((k * k).max(m * m)),
+                    stage(Region::Panel { row0: 0, rows: k }, 1, 0),
+                    H2d { stream: sx, x: xfer(l1, k, k, 1, 0, k) },
+                    Record(sx),
+                    Wait { stream: sc, ev: 0 },
+                    Trsm { l: l1, k, b: pv, m },
+                    Record(sc),
+                    Syrk { a: pv, c: wv, n: m, k },
+                    Record(sc),
+                    D2h { region: l2, stream: sx, after: Some(1), x: xfer(pv, m, k, 0, 0, m) },
+                    D2h {
+                        region: Region::Update,
+                        stream: sx,
+                        after: Some(2),
+                        x: xfer(wv, m, m, 1, 0, m),
+                    },
+                    land(l2, false, 0, 0, m),
+                    land(Region::Update, true, 1, 0, m),
+                ];
+                (vec![m * k, k * k, m * m], ops, 13, Some((wv, 2)))
+            }
+            PolicyKind::P4 => {
+                let (fv, panel) = (Dv::whole(0, s), Region::Panel { row0: 0, rows: s });
+                let uv = fv.at(k, k);
+                // What crosses PCIe both ways: the whole front, or only its
+                // panel and update block.
+                let whole = [(Region::Front, xfer(fv, s, s, 0, 0, s))];
+                let apart = [
+                    (panel, xfer(fv, s, k, 0, 0, s)),
+                    (Region::Update, xfer(uv, m, m, 0, s * k, m)),
+                ];
+                let parts =
+                    if !copy_optimized { &whole[..] } else { &apart[..1 + usize::from(m > 0)] };
+                let mut ops = vec![Lease(parts.iter().map(|(_, x)| x.rows * x.cols).sum())];
+                for &(region, x) in parts {
+                    ops.extend([stage(region, 0, x.at), H2d { stream: sc, x }]);
+                }
+                ops.push(PanelLoop { f: 0, front: fv, s, k });
+                let split = ops.len();
+                // The update's ready event, recorded when its downloads issue.
+                ops.push(Record(sc));
+                for &(region, x) in parts {
+                    ops.push(D2h { region, stream: sc, after: None, x });
+                }
+                ops.push(land(panel, false, 0, 0, s));
+                if m > 0 {
+                    let (at, ld) = if copy_optimized { (s * k, m) } else { (k + k * s, s) };
+                    ops.push(land(Region::Update, false, 0, at, ld));
+                }
+                (vec![s * s], ops, split, (m > 0).then_some((uv, 0)))
+            }
+        };
+        FuPlan { policy, allocs, ops: ops.into(), split, update }
+    }
+
+    /// A batched P4 run of small fronts: their naive P4 panel loops behind
+    /// one allocation, one upload and one download, so each member's
+    /// kernels — and bits — are those of its own dispatch.
+    pub(crate) fn batch<T>(fronts: &[Front<'_, T>]) -> Self {
+        use Op::*;
+        let (mut stage, mut loops, mut lands, mut total) = (vec![], vec![], vec![], 0);
+        for (f, &Front { s, k, .. }) in fronts.iter().enumerate() {
+            stage.push(Stage { f, region: Region::Front, slot: 0, at: total });
+            loops.push(PanelLoop { f, front: Dv { buf: 0, off: total, ld: s }, s, k });
+            let panel = Region::Panel { row0: 0, rows: s };
+            lands.push(Land { f, region: panel, add: false, slot: 0, at: total, ld: s });
+            if s > k {
+                let at = total + k + k * s;
+                lands.push(Land { f, region: Region::Update, add: false, slot: 0, at, ld: s });
+            }
+            total += s * s;
+        }
+        let x = Xfer { dev: Dv::whole(0, total), rows: total, cols: 1, slot: 0, at: 0, ld: total };
+        let up = H2d { stream: S_COMPUTE, x };
+        let down = D2h { region: Region::Front, stream: S_COMPUTE, after: None, x };
+        let split = 2 + stage.len() + loops.len();
+        let ops = [vec![Lease(total)], stage, vec![up], loops, vec![down], lands].concat();
+        FuPlan { policy: PolicyKind::P4, allocs: vec![total], ops: ops.into(), split, update: None }
+    }
+}
+
+/// A dispatched plan: what phases 2 and 3 have yet to run, and the device
+/// buffers, staging slots and events phase 1 left behind. Look-ahead falls
+/// out of call order: a lane that runs phase 1 of front *j+1* before phase 2
+/// of front *j* has the next front uploading while the current one computes.
 #[derive(Debug)]
 pub(crate) struct FuPending {
-    executed: PolicyKind,
-    oom_fallback: bool,
-    state: PendingState,
-}
-
-#[derive(Debug)]
-enum PendingState {
-    /// No GPU work outstanding (P1, an m = 0 front, or already finished).
-    Done,
-    Computed(DownloadPlan),
-    Downloaded(FinishPlan),
-}
-
-/// Phase-1 output: which downloads remain and the events they wait on.
-#[derive(Debug)]
-enum DownloadPlan {
-    P2 {
-        d_l2: DevBuf,
-        d_w: DevBuf,
-        m: usize,
-        sp: usize,
-        su: usize,
-        /// `(j0, jb, event)` per block column of W.
-        chunks: Vec<(usize, usize, Event)>,
-    },
-    P3 {
-        d_panel: DevBuf,
-        d_l1: DevBuf,
-        d_w: DevBuf,
-        m: usize,
-        k: usize,
-        sp: usize,
-        su: usize,
-        ev_trsm: Event,
-        ev_syrk: Event,
-    },
-    P4 {
-        d_front: DevBuf,
-        s: usize,
-        k: usize,
-        sp: usize,
-        stage_len: usize,
-        copy_optimized: bool,
-    },
-}
-
-/// Phase-2 output: what the final host block must clean up.
-#[derive(Debug)]
-struct FinishPlan {
-    done: Event,
+    outcome: FuOutcome,
+    plan: FuPlan,
+    phase: Phase,
     bufs: Vec<DevBuf>,
-    /// Deferred host charge for applying the downloaded update block.
+    slots: Vec<usize>,
+    events: Vec<Event>,
+    /// Phase 2 under the keep rule.
+    keep: bool,
+    /// Stream of the last download issued, which the `done` event closes.
+    last: Option<Stream>,
+    /// Host bytes of applying downloaded updates, charged at the finish.
     apply_bytes: usize,
 }
 
-impl FuPending {
-    fn finished(executed: PolicyKind, oom_fallback: bool) -> Self {
-        FuPending { executed, oom_fallback, state: PendingState::Done }
-    }
+#[derive(Debug, Clone, Copy)]
+enum Phase {
+    /// Nothing outstanding on the device (a host plan, or finished).
+    Done,
+    Downloads,
+    Finish(Event),
+}
 
+impl FuPending {
     /// The policy that ran, and whether a device OOM forced it.
     pub(crate) fn outcome(&self) -> FuOutcome {
-        FuOutcome { executed: self.executed, oom_fallback: self.oom_fallback }
+        self.outcome
     }
 
     /// Whether every phase has run (nothing outstanding on the device).
     pub(crate) fn is_done(&self) -> bool {
-        matches!(self.state, PendingState::Done)
+        matches!(self.phase, Phase::Done)
     }
 
-    /// Give up on the front: free the device buffers it still owns, in
+    /// Give up on the plan: free the device buffers it still owns, in
     /// whatever phase it stands, without charging any time. The error path
     /// of a driver whose caller keeps the machine.
     pub(crate) fn abandon(self, gpu: &mut Gpu) {
-        let bufs = match self.state {
-            PendingState::Done => Vec::new(),
-            PendingState::Computed(DownloadPlan::P2 { d_l2, d_w, .. }) => vec![d_l2, d_w],
-            PendingState::Computed(DownloadPlan::P3 { d_panel, d_l1, d_w, .. }) => {
-                vec![d_panel, d_l1, d_w]
-            }
-            PendingState::Computed(DownloadPlan::P4 { d_front, .. }) => vec![d_front],
-            PendingState::Downloaded(plan) => plan.bufs,
-        };
-        for b in bufs {
+        for b in self.bufs {
             let _ = gpu.free(b);
         }
     }
-}
 
-/// Phase 1 with transparent fallback: on a CPU-only machine the F-U runs
-/// as P1; on device OOM it falls back to P1 and flags the outcome. Either
-/// way the returned pending may already be done.
-pub(crate) fn dispatch_fu<T: Scalar>(
-    front: &mut Front<'_, T>,
-    policy: PolicyKind,
-    ctx: &mut FuContext<'_>,
-) -> Result<FuPending, FuError> {
-    match try_dispatch_gpu(front, policy, ctx)? {
-        Some(p) => Ok(p),
-        None => {
-            fu_p1(front, ctx)?;
-            Ok(FuPending::finished(PolicyKind::P1, true))
+    fn dev(&self, v: Dv) -> DevMat {
+        DevMat { buf: self.bufs[v.buf], off: v.off, ld: v.ld }
+    }
+
+    /// Run one op: the interpreter's only body, and the only code that asks
+    /// whether data exists (the staging pool is virtual when it does not;
+    /// a virtual slot is empty, and a virtual device moves no bytes).
+    fn step<T: Scalar>(
+        &mut self,
+        op: Op,
+        fronts: &mut [Front<'_, T>],
+        ctx: &mut FuContext<'_>,
+    ) -> Result<(), BatchError> {
+        let data = !ctx.pool.is_virtual();
+        let (host, pool) = (&mut *ctx.host, &mut *ctx.pool);
+        if let Op::Host(kinds) = op {
+            let ran = host_kernels(kinds, &mut fronts[0], host, data);
+            return ran.map_err(|error| BatchError { member: 0, error });
         }
+        let gpu = ctx.gpu.as_deref_mut().expect("device plans run on a device");
+        let streams = [gpu.stream(S_COMPUTE), gpu.stream(S_COPY)];
+        let compute = streams[S_COMPUTE];
+        match op {
+            Op::Host(_) => unreachable!("host kernels ran above"),
+            Op::Lease(len) => self.slots.push(pool.lease(len, host)),
+            Op::Stage { f, region, slot, at } => {
+                if data {
+                    stage(&fronts[f], region, &mut pool.slot_mut(self.slots[slot])[at..]);
+                }
+            }
+            Op::H2d { stream, x } => {
+                let src = pool.slot(self.slots[x.slot]).get(x.at..).unwrap_or_default();
+                let (st, dst) = (streams[stream], self.dev(x.dev));
+                gpu.h2d(st, dst, x.rows, x.cols, src, x.ld, true, CopyMode::Async, host);
+            }
+            Op::Trsm { l, k, b, m } => gpu.trsm(compute, self.dev(l), k, self.dev(b), m, host),
+            Op::Syrk { a, c, n, k } => gpu.syrk(compute, self.dev(a), self.dev(c), n, k, host),
+            Op::Gemm { a, b, c, m, n, k } => {
+                let (a, b, c) = (self.dev(a), self.dev(b), self.dev(c));
+                gpu.gemm_nt(compute, a, b, c, m, n, k, host);
+            }
+            Op::PanelLoop { f, front, s, k } => {
+                panel_loop(gpu, host, self.dev(front), s, k)
+                    .map_err(|error| BatchError { member: f, error })?;
+            }
+            Op::Record(stream) => self.events.push(gpu.record_event(streams[stream])),
+            Op::Wait { stream, ev } => gpu.wait_event(streams[stream], self.events[ev]),
+            Op::D2h { region, stream, after, mut x } => {
+                // The keep rule: the update block stays on the device.
+                match region {
+                    Region::Update if self.keep => return Ok(()),
+                    Region::Front if self.keep => x.cols = fronts[0].k,
+                    _ => {}
+                }
+                let st = streams[stream];
+                if let Some(ev) = after {
+                    gpu.wait_event(st, self.events[ev]);
+                }
+                let (src, dst) = (self.dev(x.dev), pool.slot_mut(self.slots[x.slot]));
+                let dst = dst.get_mut(x.at..).unwrap_or_default();
+                gpu.d2h(st, src, x.rows, x.cols, dst, x.ld, true, CopyMode::Async, host);
+                self.last = Some(st);
+            }
+            Op::Land { f, region, add, slot, at, ld } => {
+                let (kept, m) = (self.keep && region == Region::Update, fronts[f].m());
+                if add && !kept {
+                    // Read and write of the packed lower triangle.
+                    self.apply_bytes += m * (m + 1) * T::BYTES;
+                }
+                if data {
+                    let (src, ld) = match self.plan.update.filter(|_| kept) {
+                        Some((v, _)) => (&gpu.peek(self.dev(v).buf).expect("live")[v.off..], v.ld),
+                        None => (&pool.slot(self.slots[slot])[at..], ld),
+                    };
+                    land(&mut fronts[f], region, src, ld, add);
+                }
+            }
+        }
+        Ok(())
     }
 }
 
-/// Phase 1: enqueue all uploads and compute kernels for `front` under
-/// `policy`. Returns `Ok(None)` on device OOM *without* falling back — a
-/// lane with fronts in flight drains them (releasing device memory) and
-/// retries before accepting a P1 fallback, so its fallback decisions match
-/// the drain schedule's.
-pub(crate) fn try_dispatch_gpu<T: Scalar>(
-    front: &mut Front<'_, T>,
-    policy: PolicyKind,
+/// Phase 1 of `plan` over `fronts` (one front, or a batch's members): the
+/// device allocations, then every phase-1 op. Returns `Ok(None)` on device
+/// OOM *without* falling back, the fronts untouched — a lane with fronts in
+/// flight drains them (releasing device memory) and retries before it
+/// accepts a P1 fallback, so its fallback decisions match the drain
+/// schedule's. On a failing pivot every buffer and slot is released.
+pub(crate) fn try_dispatch<T: Scalar>(
+    fronts: &mut [Front<'_, T>],
+    plan: FuPlan,
     ctx: &mut FuContext<'_>,
-) -> Result<Option<FuPending>, FuError> {
+) -> Result<Option<FuPending>, BatchError> {
     if let Some(w) = ctx.kernel_threads {
         // Process-global cap: concurrent tasks each set their own width and
         // the last store wins for kernels launched after it — a benign race
@@ -252,28 +489,59 @@ pub(crate) fn try_dispatch_gpu<T: Scalar>(
         // restores the caller's cap once the whole run finishes.
         mf_dense::set_num_threads(w);
     }
-    let requested = if ctx.gpu.is_some() { policy } else { PolicyKind::P1 };
-    let attempt = match requested {
-        PolicyKind::P1 => {
-            fu_p1(front, ctx)?;
-            return Ok(Some(FuPending::finished(PolicyKind::P1, false)));
-        }
-        PolicyKind::P2 => dispatch_p2(front, ctx),
-        PolicyKind::P3 => dispatch_p3(front, ctx),
-        PolicyKind::P4 => dispatch_p4(front, ctx),
+    let mut p = FuPending {
+        outcome: FuOutcome { executed: plan.policy, oom_fallback: false },
+        phase: if plan.allocs.is_empty() { Phase::Done } else { Phase::Downloads },
+        plan,
+        bufs: Vec::new(),
+        slots: Vec::new(),
+        events: Vec::new(),
+        keep: false,
+        last: None,
+        apply_bytes: 0,
     };
-    match attempt {
-        Ok(state) => Ok(Some(FuPending { executed: requested, oom_fallback: false, state })),
-        Err(GpuFuError::NotPd(c)) => Err(FuError::NotPositiveDefinite { local_column: c }),
-        Err(GpuFuError::Oom) => Ok(None),
+    if let Some(gpu) = ctx.gpu.as_deref_mut() {
+        p.bufs = p.plan.allocs.iter().map_while(|&len| gpu.alloc(len).ok()).collect();
+        if p.bufs.len() < p.plan.allocs.len() {
+            p.abandon(gpu);
+            return Ok(None);
+        }
     }
+    for i in 0..p.plan.split {
+        if let Err(e) = p.step(p.plan.ops[i], fronts, ctx) {
+            p.slots.iter().rev().for_each(|&slot| ctx.pool.retire_now(slot, ctx.host));
+            if let Some(gpu) = ctx.gpu.as_deref_mut() {
+                p.abandon(gpu);
+            }
+            return Err(e);
+        }
+    }
+    Ok(Some(p))
 }
 
-/// A device-resident contribution block left behind by
-/// [`enqueue_downloads`] with `keep_update`: the `m × m` update of a
-/// factored front, still on its device, ready to be peer-copied into the
-/// device that owns the parent front instead of round-tripping through the
-/// host.
+/// Phase 1 of one front with transparent fallback: on device OOM it runs P1
+/// and flags the outcome.
+pub(crate) fn dispatch_fu<T: Scalar>(
+    front: &mut Front<'_, T>,
+    policy: PolicyKind,
+    ctx: &mut FuContext<'_>,
+) -> Result<FuPending, FuError> {
+    let fronts = std::slice::from_mut(front);
+    let plan = FuPlan::new(policy, fronts[0].s, fronts[0].k, ctx);
+    if let Some(p) = try_dispatch(fronts, plan, ctx).map_err(|e| e.error)? {
+        return Ok(p);
+    }
+    let plan = FuPlan::host(PolicyKind::P1);
+    let mut p =
+        try_dispatch(fronts, plan, ctx).map_err(|e| e.error)?.expect("P1 allocates nothing");
+    p.outcome.oom_fallback = true;
+    Ok(p)
+}
+
+/// A device-resident contribution block left behind by phase 2 under
+/// `keep_update`: the `m × m` update of a factored front, still on its
+/// device, ready to be peer-copied into the device that owns the parent
+/// front instead of round-tripping through the host.
 ///
 /// The consumer owns `buf` and must free it on the producing device once
 /// the peer copy has been issued (or once it decides to fall back to host
@@ -290,189 +558,86 @@ pub(crate) struct RemoteUpdate {
     pub ready: Event,
 }
 
-/// Phase 2: enqueue the device→host downloads (each gated on its
-/// producer's completion event), record the front's `done` event, retire
-/// staging slots guarded by it, and run the host-side numerics that
-/// consume the staged data. No host blocking happens here.
-///
-/// With `keep_update` the update block's download is *skipped* and its
-/// device buffer returned as a [`RemoteUpdate`] for a peer-copy extend-add
-/// (the panel still crosses to the host — its columns land in the factor
-/// slab). The host numerics then read the device buffer in place: the
-/// simulator's transfers are eager memcpys of the device bytes, so the
-/// values are bit-identical to the downloaded ones and only simulated time
-/// changes. Nothing is kept (and `None` returned) when there is nothing to
-/// export: a finished front, an `m = 0` front, or timing-only mode, where
-/// device buffers hold no data.
+/// Phase 2 of one front; see [`downloads`].
 pub(crate) fn enqueue_downloads<T: Scalar>(
     front: &mut Front<'_, T>,
     pending: &mut FuPending,
     keep_update: bool,
     ctx: &mut FuContext<'_>,
 ) -> Option<RemoteUpdate> {
-    let plan = match std::mem::replace(&mut pending.state, PendingState::Done) {
-        PendingState::Computed(p) => p,
-        other => {
-            pending.state = other;
-            return None;
-        }
-    };
-    let timing = ctx.timing_only;
-    let keep = keep_update && !timing;
-    let (host, gpu, pool) = split_ctx(ctx);
-    let (finish, remote) = match plan {
-        DownloadPlan::P2 { d_l2, d_w, m, sp, su, chunks } => {
-            let done = if keep {
-                chunks.last().expect("m > 0 fronts enqueue at least one chunk").2
-            } else {
-                let copy = gpu.stream(S_COPY);
-                let wv = DevMat::whole(d_w, m);
-                for (j0, jb, ev) in chunks {
-                    gpu.wait_event(copy, ev);
-                    let stage = pool.slot_mut(su);
-                    let dst = if timing { &mut [][..] } else { &mut stage[j0 + j0 * m..] };
-                    let src = wv.offset(j0, j0);
-                    gpu.d2h(copy, src, m - j0, jb, dst, m, true, CopyMode::Async, host);
-                }
-                gpu.record_event(copy)
-            };
-            if !timing {
-                let w = if keep {
-                    gpu.peek(d_w).expect("update buffer is live")
-                } else {
-                    pool.slot(su)
-                };
-                apply_update_numerics(front, &w[..m * m]);
-            }
-            pool.retire(su, done.0, host);
-            pool.retire(sp, done.0, host);
-            if keep {
-                let remote = RemoteUpdate { buf: d_w, view: DevMat::whole(d_w, m), m, ready: done };
-                (FinishPlan { done, bufs: vec![d_l2], apply_bytes: 0 }, Some(remote))
-            } else {
-                let apply_bytes = update_apply_bytes::<T>(m);
-                (FinishPlan { done, bufs: vec![d_l2, d_w], apply_bytes }, None)
-            }
-        }
-        DownloadPlan::P3 { d_panel, d_l1, d_w, m, k, sp, su, ev_trsm, ev_syrk } => {
-            let copy = gpu.stream(S_COPY);
-            let pv = DevMat::whole(d_panel, m);
-            // Download L₂ — overlaps the syrk still running on the device.
-            gpu.wait_event(copy, ev_trsm);
-            gpu.d2h(copy, pv, m, k, pool.slot_mut(sp), m, true, CopyMode::Async, host);
-            let done = if keep {
-                Event(gpu.record_event(copy).0.max(ev_syrk.0))
-            } else {
-                gpu.wait_event(copy, ev_syrk);
-                let wv = DevMat::whole(d_w, m);
-                gpu.d2h(copy, wv, m, m, pool.slot_mut(su), m, true, CopyMode::Async, host);
-                gpu.record_event(copy)
-            };
-            if !timing {
-                unstage_lower(front.panel, front.s, k, m, k, &pool.slot(sp)[..m * k], m);
-                let w = if keep {
-                    gpu.peek(d_w).expect("update buffer is live")
-                } else {
-                    pool.slot(su)
-                };
-                apply_update_numerics(front, &w[..m * m]);
-            }
-            pool.retire(su, done.0, host);
-            pool.retire(sp, done.0, host);
-            if keep {
-                let remote =
-                    RemoteUpdate { buf: d_w, view: DevMat::whole(d_w, m), m, ready: ev_syrk };
-                (FinishPlan { done, bufs: vec![d_panel, d_l1], apply_bytes: 0 }, Some(remote))
-            } else {
-                let apply_bytes = update_apply_bytes::<T>(m);
-                (FinishPlan { done, bufs: vec![d_panel, d_l1, d_w], apply_bytes }, None)
-            }
-        }
-        DownloadPlan::P4 { d_front, s, k, sp, stage_len, copy_optimized } => {
-            let m = s - k;
-            let keep = keep && m > 0;
-            let compute = gpu.stream(S_COMPUTE);
-            let fv = DevMat::whole(d_front, s);
-            // Kernels are all enqueued; the update bytes are final after
-            // this point on the compute stream.
-            let ready = gpu.record_event(compute);
-            if keep || copy_optimized {
-                let dst = if timing { &mut [][..] } else { &mut pool.slot_mut(sp)[..s * k] };
-                gpu.d2h(compute, fv, s, k, dst, s, true, CopyMode::Async, host);
-                if !keep && m > 0 {
-                    let dst =
-                        if timing { &mut [][..] } else { &mut pool.slot_mut(sp)[s * k..stage_len] };
-                    gpu.d2h(compute, fv.offset(k, k), m, m, dst, m, true, CopyMode::Async, host);
-                }
-            } else {
-                let dst = if timing { &mut [][..] } else { pool.slot_mut(sp) };
-                gpu.d2h(compute, fv, s, s, dst, s, true, CopyMode::Async, host);
-            }
-            let done = gpu.record_event(compute);
-            if !timing {
-                // Kept: the device buffer *is* the s×s front, so unstaging
-                // it in place reproduces the staged bytes. Staged, the
-                // copy-optimized plan packed the update block behind the
-                // panel; the naive one staged the whole front.
-                let (src, update_at, update_ld) = if keep {
-                    (gpu.peek(d_front).expect("front buffer is live"), k + k * s, s)
-                } else if copy_optimized {
-                    (&pool.slot(sp)[..stage_len], s * k, m)
-                } else {
-                    (&pool.slot(sp)[..stage_len], k + k * s, s)
-                };
-                unstage_front(front, src, update_at, update_ld);
-            }
-            pool.retire(sp, done.0, host);
-            if keep {
-                let remote = RemoteUpdate { buf: d_front, view: fv.offset(k, k), m, ready };
-                (FinishPlan { done, bufs: Vec::new(), apply_bytes: 0 }, Some(remote))
-            } else {
-                (FinishPlan { done, bufs: vec![d_front], apply_bytes: 0 }, None)
-            }
-        }
-    };
-    pending.state = PendingState::Downloaded(finish);
+    downloads(std::slice::from_mut(front), pending, keep_update, ctx)
+}
+
+/// Phase 2: the plan's downloads, each gated on its producer's event, the
+/// `done` event, the landing of the results in the fronts (the simulator
+/// computes data eagerly, so results land as soon as the transfers are
+/// queued — only *time* remains outstanding) and the staging slots retired
+/// behind `done`. No host blocking happens here.
+///
+/// `keep_update` applies the keep rule to a plan that has an update block
+/// on the device: it stays there, exported as a [`RemoteUpdate`], and the
+/// host lands it from the device buffer in place — the simulator's
+/// transfers are eager memcpys, so the bytes are those a download would
+/// have produced and only simulated time changes. Nothing is exported (and
+/// `None` returned) from a finished plan or one without an update block.
+pub(crate) fn downloads<T: Scalar>(
+    fronts: &mut [Front<'_, T>],
+    p: &mut FuPending,
+    keep_update: bool,
+    ctx: &mut FuContext<'_>,
+) -> Option<RemoteUpdate> {
+    if !matches!(p.phase, Phase::Downloads) {
+        return None;
+    }
+    p.keep = keep_update && p.plan.update.is_some();
+    for i in p.plan.split..p.plan.ops.len() {
+        p.step(p.plan.ops[i], fronts, ctx).expect("phase 2 has no failing op");
+    }
+    let gpu = ctx.gpu.as_deref_mut().expect("device plans run on a device");
+    let mut done = p.last.map(|st| gpu.record_event(st));
+    let remote = p.plan.update.filter(|_| p.keep).map(|(v, ev)| {
+        let ready = p.events[ev];
+        done = Some(Event(done.map_or(ready.0, |d| d.0.max(ready.0))));
+        let view = p.dev(v);
+        RemoteUpdate { buf: p.bufs.remove(v.buf), view, m: fronts[0].m(), ready }
+    });
+    let done = done.expect("a device plan downloads or exports");
+    for &slot in p.slots.iter().rev() {
+        ctx.pool.retire(slot, done.0, ctx.host);
+    }
+    p.phase = Phase::Finish(done);
     remote
 }
 
-/// Phase 3 — the only host block: wait for the front's `done` event, free
-/// its device buffers and land the deferred host charges.
-pub(crate) fn finish_fu(pending: &mut FuPending, ctx: &mut FuContext<'_>) {
-    let plan = match std::mem::replace(&mut pending.state, PendingState::Done) {
-        PendingState::Downloaded(p) => p,
-        other => {
-            pending.state = other;
-            return;
-        }
-    };
-    let (host, gpu, _pool) = split_ctx(ctx);
-    gpu.wait_event_host(plan.done, host);
-    for b in plan.bufs {
+/// Phase 3 — the only host block: wait for the `done` event, free the
+/// device buffers and land the deferred host charge of applying updates.
+pub(crate) fn finish_fu(p: &mut FuPending, ctx: &mut FuContext<'_>) {
+    let Phase::Finish(done) = p.phase else { return };
+    p.phase = Phase::Done;
+    let gpu = ctx.gpu.as_deref_mut().expect("device plans run on a device");
+    gpu.wait_event_host(done, ctx.host);
+    for b in p.bufs.drain(..) {
         let _ = gpu.free(b);
     }
-    if plan.apply_bytes > 0 {
-        host.charge_memop(plan.apply_bytes, crate::frontal::ASSEMBLY_BW);
+    if p.apply_bytes > 0 {
+        ctx.host.charge_memop(p.apply_bytes, crate::frontal::ASSEMBLY_BW);
     }
 }
 
-enum GpuFuError {
-    NotPd(usize),
-    Oom,
-}
-
-impl From<mf_gpusim::DeviceOom> for GpuFuError {
-    fn from(_: mf_gpusim::DeviceOom) -> Self {
-        GpuFuError::Oom
-    }
-}
-
-impl From<FuError> for GpuFuError {
-    fn from(e: FuError) -> Self {
-        match e {
-            FuError::NotPositiveDefinite { local_column } => GpuFuError::NotPd(local_column),
-        }
-    }
+/// Run one factor-update on `front` under `policy`, the three phases back
+/// to back. On device OOM the call falls back to P1 and reports it. This is
+/// the factor-update alone, as [`estimate_fu_time`] prices it; no driver
+/// comes through here — `crate::lane` sequences the phases of every front
+/// that is part of a run.
+pub(crate) fn execute_fu<T: Scalar>(
+    front: &mut Front<'_, T>,
+    policy: PolicyKind,
+    ctx: &mut FuContext<'_>,
+) -> Result<FuOutcome, FuError> {
+    let mut pending = dispatch_fu(front, policy, ctx)?;
+    enqueue_downloads(front, &mut pending, false, ctx);
+    finish_fu(&mut pending, ctx);
+    Ok(pending.outcome())
 }
 
 /// Estimate the simulated time of one factor-update of dimensions `(m, k)`
@@ -490,9 +655,7 @@ pub fn estimate_fu_time(
     policy: PolicyKind,
     copy_optimized: bool,
 ) -> f64 {
-    if let Some(g) = machine.gpu.as_mut() {
-        g.set_virtual(true);
-    }
+    machine.gpu.iter_mut().for_each(|g| g.set_virtual(true));
     let mut pool = PinnedPool::new(2);
     pool.set_virtual(true);
     let mut front = Front::<f32> { s: m + k, k, panel: &mut [], update: &mut [] };
@@ -508,21 +671,17 @@ pub fn estimate_fu_time(
             gpu: machine.gpu.as_mut(),
             pool: &mut pool,
             copy_optimized,
-            timing_only: true,
             kernel_threads: None,
         };
-        execute_fu(&mut front, policy, &mut ctx)
-            .expect("timing-only execution cannot fail numerically");
+        execute_fu(&mut front, policy, &mut ctx).expect("no data, so no failing pivot");
     }
     let t = machine.elapsed();
-    if let Some(g) = machine.gpu.as_mut() {
-        g.set_virtual(false);
-    }
+    machine.gpu.iter_mut().for_each(|g| g.set_virtual(false));
     machine.reset();
     t
 }
 
-// ----- shared CPU pieces ----------------------------------------------------
+// ----- host kernels and staging ----------------------------------------------
 
 std::thread_local! {
     /// Per-thread pivot-block packing scratch (u64-backed so one buffer
@@ -532,7 +691,7 @@ std::thread_local! {
 }
 
 /// Run `body` on a thread-local scratch slice of `len` scalars. The slice
-/// is *not* zeroed between calls — `cpu_trsm` overwrites the lower triangle
+/// is *not* zeroed between calls — the trsm overwrites the lower triangle
 /// it reads, and `trsm_right_lower_trans` never touches the strictly-upper
 /// part, so stale bytes cannot reach any computation.
 fn with_pivot_scratch<T: Scalar, R>(len: usize, body: impl FnOnce(&mut [T]) -> R) -> R {
@@ -550,72 +709,59 @@ fn with_pivot_scratch<T: Scalar, R>(len: usize, body: impl FnOnce(&mut [T]) -> R
     })
 }
 
-fn cpu_potrf<T: Scalar>(
+/// Host kernels of `front`, in order — potrf of the pivot block, trsm of the
+/// panel below it, syrk of that panel into the update block — computed when
+/// data exists, and charged; trsm and syrk are empty at `m = 0`. All three
+/// on a small front (P1) take one fused pass over its columns — the same
+/// arithmetic in the same order — and then only their charges remain.
+fn host_kernels<T: Scalar>(
+    kinds: &[KernelKind],
     front: &mut Front<'_, T>,
     host: &mut HostClock,
-    charge_only: bool,
+    data: bool,
 ) -> Result<(), FuError> {
-    let (s, k) = (front.s, front.k);
-    if !charge_only {
-        potrf(k, front.panel, s)
-            .map_err(|e| FuError::NotPositiveDefinite { local_column: e.column })?;
-    }
-    host.charge_kernel(KernelKind::Potrf, 0, k, 0);
-    Ok(())
-}
-
-fn cpu_trsm<T: Scalar>(front: &mut Front<'_, T>, host: &mut HostClock, charge_only: bool) {
-    let (s, k) = (front.s, front.k);
-    let m = s - k;
-    if m == 0 {
-        return;
-    }
-    if !charge_only {
-        // Pack the k×k pivot block (lower triangle) into reused scratch.
-        with_pivot_scratch::<T, _>(k * k, |l1| {
-            for j in 0..k {
-                for i in j..k {
-                    l1[i + j * k] = front.panel[i + j * s];
-                }
-            }
-            trsm_right_lower_trans(m, k, l1, k, &mut front.panel[k..], s);
-        });
-    }
-    host.charge_kernel(KernelKind::Trsm, m, 0, k);
-}
-
-fn cpu_syrk<T: Scalar>(front: &mut Front<'_, T>, host: &mut HostClock, charge_only: bool) {
-    let (s, k) = (front.s, front.k);
-    let m = s - k;
-    if m == 0 {
-        return;
-    }
-    if !charge_only {
-        // L₂ is read in place in the panel (the engine packs strided
-        // operands itself) and the product lands in the packed update block.
-        syrk_lower(m, k, -T::ONE, &front.panel[k..], s, T::ONE, front.update, m);
-    }
-    host.charge_kernel(KernelKind::Syrk, 0, m, k);
-}
-
-fn fu_p1<T: Scalar>(front: &mut Front<'_, T>, ctx: &mut FuContext<'_>) -> Result<(), FuError> {
-    let timing = ctx.timing_only;
-    let host = &mut *ctx.host;
-    // A small front takes one fused pass over its columns instead of three
-    // kernel dispatches — the same arithmetic in the same order — and then
-    // only the kernels' charges remain to be issued (`charge_only`).
-    let fused = !timing && front_is_small(front.s, front.k);
+    let (s, k, m) = (front.s, front.k, front.m());
+    let fused = data && kinds.len() == 3 && front_is_small(s, k);
     if fused {
-        factor_front_small(front.s, front.k, front.panel, front.update)
-            .map_err(|e| FuError::NotPositiveDefinite { local_column: e.column })?;
+        factor_front_small(s, k, front.panel, front.update)?;
     }
-    cpu_potrf(front, host, timing || fused)?;
-    cpu_trsm(front, host, timing || fused);
-    cpu_syrk(front, host, timing || fused);
+    let compute = data && !fused;
+    for &kind in kinds {
+        match kind {
+            KernelKind::Potrf => {
+                if compute {
+                    potrf(k, front.panel, s)?;
+                }
+                host.charge_kernel(kind, 0, k, 0);
+            }
+            KernelKind::Trsm if m > 0 => {
+                if compute {
+                    // Pack the k×k pivot block (lower triangle) into scratch.
+                    with_pivot_scratch::<T, _>(k * k, |l1| {
+                        for j in 0..k {
+                            for i in j..k {
+                                l1[i + j * k] = front.panel[i + j * s];
+                            }
+                        }
+                        trsm_right_lower_trans(m, k, l1, k, &mut front.panel[k..], s);
+                    });
+                }
+                host.charge_kernel(kind, m, 0, k);
+            }
+            KernelKind::Syrk if m > 0 => {
+                if compute {
+                    // L₂ is read in place in the panel (the engine packs
+                    // strided operands itself) and the product lands in the
+                    // update block.
+                    syrk_lower(m, k, -T::ONE, &front.panel[k..], s, T::ONE, front.update, m);
+                }
+                host.charge_kernel(kind, 0, m, k);
+            }
+            _ => {}
+        }
+    }
     Ok(())
 }
-
-// ----- staging helpers ------------------------------------------------------
 
 fn stage_to_f32<T: Scalar>(src: &[T], dst: &mut [f32]) {
     for (d, s) in dst.iter_mut().zip(src) {
@@ -623,281 +769,69 @@ fn stage_to_f32<T: Scalar>(src: &[T], dst: &mut [f32]) {
     }
 }
 
-fn unstage_from_f32<T: Scalar>(src: &[f32], dst: &mut [T]) {
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d = T::from_f64(*s as f64);
-    }
-}
-
-/// Stage rows `row0..row0 + rows` of the panel's first `cols` columns into
-/// a packed f32 buffer with leading dimension `rows`.
-fn stage_panel<T: Scalar>(
-    front: &Front<'_, T>,
-    row0: usize,
-    rows: usize,
-    cols: usize,
-    dst: &mut [f32],
-) {
-    let s = front.s;
-    for j in 0..cols {
-        let src = &front.panel[j * s + row0..j * s + row0 + rows];
-        stage_to_f32(src, &mut dst[j * rows..(j + 1) * rows]);
-    }
-}
-
-/// Stage the whole `s × s` front (leading dimension `s`): the panel's
-/// columns, then each update column below `k` zeros — the `k × m` block
-/// above the update block is stored nowhere, and no kernel reads it.
-fn stage_front<T: Scalar>(front: &Front<'_, T>, dst: &mut [f32]) {
+/// Stage a region of `front` into a packed f32 buffer: a panel row range at
+/// leading dimension `rows`, the update block at `m`, or the whole `s × s`
+/// front at `s` — the panel's columns, then each update column below `k`
+/// zeros (the `k × m` block above the update block is stored nowhere, and
+/// no kernel reads it).
+fn stage<T: Scalar>(front: &Front<'_, T>, region: Region, dst: &mut [f32]) {
     let (s, k, m) = (front.s, front.k, front.m());
-    stage_panel(front, 0, s, k, &mut dst[..s * k]);
-    for j in 0..m {
-        let col = &mut dst[(k + j) * s..(k + j + 1) * s];
-        col[..k].fill(0.0);
-        stage_to_f32(&front.update[j * m..(j + 1) * m], &mut col[k..]);
+    match region {
+        Region::Panel { row0, rows } => {
+            for j in 0..k {
+                let src = &front.panel[j * s + row0..j * s + row0 + rows];
+                stage_to_f32(src, &mut dst[j * rows..(j + 1) * rows]);
+            }
+        }
+        Region::Update => stage_to_f32(front.update, dst),
+        Region::Front => {
+            stage(front, Region::Panel { row0: 0, rows: s }, dst);
+            for j in 0..m {
+                let col = &mut dst[(k + j) * s..(k + j + 1) * s];
+                col[..k].fill(0.0);
+                stage_to_f32(&front.update[j * m..(j + 1) * m], &mut col[k..]);
+            }
+        }
     }
 }
 
-/// Unstage an f32 block (leading dimension `src_ld`) into rows
-/// `row0..row0 + rows` of the first `cols` columns of `dst` (leading
-/// dimension `ld`), never above the diagonal: column `j` starts at row
-/// `max(row0, j)`, so the strictly-upper triangle of a slab panel stays zero.
-fn unstage_lower<T: Scalar>(
-    dst: &mut [T],
-    ld: usize,
-    row0: usize,
-    rows: usize,
-    cols: usize,
-    src: &[f32],
-    src_ld: usize,
-) {
+/// Land an f32 block (leading dimension `ld`) in a region of `front`
+/// — written, or added with `add` — never above the diagonal: column `j`
+/// starts at row `max(row0, j)`, so the strictly-upper triangle of a slab
+/// panel stays zero.
+fn land<T: Scalar>(front: &mut Front<'_, T>, region: Region, src: &[f32], ld: usize, add: bool) {
+    let (s, k, m) = (front.s, front.k, front.m());
+    let (dst, dld, row0, rows, cols) = match region {
+        Region::Panel { row0, rows } => (&mut *front.panel, s, row0, rows, k),
+        _ => (&mut *front.update, m, 0, m, m),
+    };
     for j in 0..cols {
         let top = row0.max(j);
-        let from = &src[j * src_ld + top - row0..j * src_ld + rows];
-        unstage_from_f32(from, &mut dst[j * ld + top..j * ld + row0 + rows]);
-    }
-}
-
-/// Unstage a factored front, lower triangles only, from an f32 buffer
-/// holding its panel at leading dimension `s` and its update block at
-/// `update_at` with leading dimension `update_ld`.
-fn unstage_front<T: Scalar>(
-    front: &mut Front<'_, T>,
-    src: &[f32],
-    update_at: usize,
-    update_ld: usize,
-) {
-    let (s, k, m) = (front.s, front.k, front.m());
-    unstage_lower(front.panel, s, 0, s, k, src, s);
-    if m > 0 {
-        unstage_lower(front.update, m, 0, m, m, &src[update_at..], update_ld);
-    }
-}
-
-/// Apply a device-computed `−L₂·L₂ᵀ` (staged in `w`, `m × m`, lower) to the
-/// front's update block: `U += w`. Numerics only — the matching host
-/// charge ([`update_apply_bytes`]) lands in [`finish_fu`], after the host
-/// has actually waited for the download.
-fn apply_update_numerics<T: Scalar>(front: &mut Front<'_, T>, w: &[f32]) {
-    let m = front.m();
-    for j in 0..m {
-        let dst = &mut front.update[j * m + j..(j + 1) * m];
-        let src = &w[j * m + j..(j + 1) * m];
-        for (d, &v) in dst.iter_mut().zip(src) {
-            *d += T::from_f64(v as f64);
+        let from = &src[j * ld + top - row0..j * ld + rows];
+        for (d, &v) in dst[j * dld + top..j * dld + row0 + rows].iter_mut().zip(from) {
+            let v = T::from_f64(v as f64);
+            *d = if add { *d + v } else { v };
         }
     }
 }
-
-/// Host bytes touched applying an `m × m` packed lower update (read+write
-/// of the triangle).
-fn update_apply_bytes<T: Scalar>(m: usize) -> usize {
-    m * (m + 1) / 2 * 2 * T::BYTES
-}
-
-/// Destructure the context into independently borrowable pieces. Panics if
-/// it carries no device (callers check before dispatching GPU policies).
-fn split_ctx<'b>(
-    ctx: &'b mut FuContext<'_>,
-) -> (&'b mut HostClock, &'b mut Gpu, &'b mut PinnedPool) {
-    let gpu = ctx.gpu.as_deref_mut().expect("GPU policy dispatched on a CPU-only machine");
-    (ctx.host, gpu, ctx.pool)
-}
-
-// ----- P2 --------------------------------------------------------------------
-
-fn dispatch_p2<T: Scalar>(
-    front: &mut Front<'_, T>,
-    ctx: &mut FuContext<'_>,
-) -> Result<PendingState, GpuFuError> {
-    let (s, k) = (front.s, front.k);
-    let m = s - k;
-    let timing = ctx.timing_only;
-    if m == 0 {
-        cpu_potrf(front, ctx.host, timing)?;
-        return Ok(PendingState::Done);
-    }
-
-    // Allocate before any front mutation: an OOM must leave the front
-    // untouched so the caller can drain in-flight work and retry (or fall
-    // back to P1) without double-factoring the pivot block. Device allocs
-    // charge no simulated time, so the reorder is clock-neutral.
-    let (host, gpu, pool) = split_ctx(ctx);
-    let d_l2 = gpu.alloc(m * k)?;
-    let d_w = match gpu.alloc(m * m) {
-        Ok(b) => b,
-        Err(_) => {
-            let _ = gpu.free(d_l2);
-            return Err(GpuFuError::Oom);
-        }
-    };
-    if let Err(e) = cpu_potrf(front, host, timing) {
-        let _ = gpu.free(d_l2);
-        let _ = gpu.free(d_w);
-        return Err(e.into());
-    }
-    cpu_trsm(front, host, timing);
-    let compute = gpu.stream(S_COMPUTE);
-
-    // Upload L₂ via pinned staging.
-    let sp = pool.lease(m * k, host);
-    if !timing {
-        stage_panel(front, k, m, k, pool.slot_mut(sp));
-    }
-    gpu.h2d(compute, DevMat::whole(d_l2, m), m, k, pool.slot(sp), m, true, CopyMode::Async, host);
-
-    // W = −L₂·L₂ᵀ in block columns; each records the event its download
-    // waits on in phase 2.
-    let su = pool.lease(m * m, host);
-    let lv = DevMat::whole(d_l2, m);
-    let wv = DevMat::whole(d_w, m);
-    let mut chunks = Vec::new();
-    let mut j0 = 0;
-    while j0 < m {
-        let jb = P2_DOWNLOAD_BLOCK.min(m - j0);
-        gpu.syrk(compute, lv.offset(j0, 0), wv.offset(j0, j0), jb, k, host);
-        let below = m - j0 - jb;
-        if below > 0 {
-            gpu.gemm_nt(
-                compute,
-                lv.offset(j0 + jb, 0),
-                lv.offset(j0, 0),
-                wv.offset(j0 + jb, j0),
-                below,
-                jb,
-                k,
-                host,
-            );
-        }
-        chunks.push((j0, jb, gpu.record_event(compute)));
-        j0 += jb;
-    }
-    Ok(PendingState::Computed(DownloadPlan::P2 { d_l2, d_w, m, sp, su, chunks }))
-}
-
-// ----- P3 --------------------------------------------------------------------
-
-fn dispatch_p3<T: Scalar>(
-    front: &mut Front<'_, T>,
-    ctx: &mut FuContext<'_>,
-) -> Result<PendingState, GpuFuError> {
-    let (s, k) = (front.s, front.k);
-    let m = s - k;
-    let timing = ctx.timing_only;
-    if m == 0 {
-        cpu_potrf(front, ctx.host, timing)?;
-        return Ok(PendingState::Done);
-    }
-    let (host, gpu, pool) = split_ctx(ctx);
-    let d_panel = gpu.alloc(m * k)?;
-    let d_l1 = match gpu.alloc(k * k) {
-        Ok(b) => b,
-        Err(_) => {
-            let _ = gpu.free(d_panel);
-            return Err(GpuFuError::Oom);
-        }
-    };
-    let d_w = match gpu.alloc(m * m) {
-        Ok(b) => b,
-        Err(_) => {
-            let _ = gpu.free(d_panel);
-            let _ = gpu.free(d_l1);
-            return Err(GpuFuError::Oom);
-        }
-    };
-    let compute = gpu.stream(S_COMPUTE);
-    let copy = gpu.stream(S_COPY);
-    let pv = DevMat::whole(d_panel, m);
-    let l1v = DevMat::whole(d_l1, k);
-    let wv = DevMat::whole(d_w, m);
-
-    // Upload the unfactored sub-panel A₂ — overlaps the CPU potrf below.
-    let sp = pool.lease(m * k, host);
-    if !timing {
-        stage_panel(front, k, m, k, pool.slot_mut(sp));
-    }
-    gpu.h2d(copy, pv, m, k, pool.slot(sp), m, true, CopyMode::Async, host);
-
-    // CPU potrf of the pivot block (overlapping the A₂ upload).
-    if let Err(e) = cpu_potrf(front, host, timing) {
-        let _ = gpu.free(d_panel);
-        let _ = gpu.free(d_l1);
-        let _ = gpu.free(d_w);
-        pool.retire_now(sp, host);
-        return Err(e.into());
-    }
-
-    // Upload the factored L₁.
-    let su = pool.lease((k * k).max(m * m), host);
-    if !timing {
-        stage_panel(front, 0, k, k, pool.slot_mut(su));
-    }
-    gpu.h2d(copy, l1v, k, k, pool.slot(su), k, true, CopyMode::Async, host);
-
-    // GPU trsm waits for both uploads (same copy stream ⇒ one event).
-    let ev_up = gpu.record_event(copy);
-    gpu.wait_event(compute, ev_up);
-    gpu.trsm(compute, l1v, k, pv, m, host);
-    let ev_trsm = gpu.record_event(compute);
-
-    // GPU syrk into W (fresh buffer ⇒ zero-initialised ⇒ W = −L₂L₂ᵀ). The
-    // L₂ download in phase 2 gates on ev_trsm, so it still overlaps this.
-    gpu.syrk(compute, pv, wv, m, k, host);
-    let ev_syrk = gpu.record_event(compute);
-    Ok(PendingState::Computed(DownloadPlan::P3 {
-        d_panel,
-        d_l1,
-        d_w,
-        m,
-        k,
-        sp,
-        su,
-        ev_trsm,
-        ev_syrk,
-    }))
-}
-
-// ----- P4 --------------------------------------------------------------------
 
 /// Figure 9's panel loop over a device-resident `s × s` front view with
 /// pivot width `k`. Returns the failing front-local column on a
 /// non-positive pivot.
-fn p4_panel_loop(
+fn panel_loop(
     gpu: &mut Gpu,
     host: &mut HostClock,
     fv: DevMat,
     s: usize,
     k: usize,
-    w: usize,
-) -> Result<(), usize> {
+) -> Result<(), FuError> {
     let m = s - k;
     let compute = gpu.stream(S_COMPUTE);
     let mut p = 0;
     while p < k {
-        let wb = w.min(k - p);
-        if let Err(col) = gpu.panel_potrf(compute, fv.offset(p, p), wb, host) {
-            return Err(p + col);
-        }
+        let wb = DEFAULT_PANEL_WIDTH.min(k - p);
+        gpu.panel_potrf(compute, fv.offset(p, p), wb, host)
+            .map_err(|col| FuError::NotPositiveDefinite { local_column: p + col })?;
         let rest = s - p - wb;
         if rest > 0 {
             gpu.trsm(compute, fv.offset(p, p), wb, fv.offset(p + wb, p), rest, host);
@@ -906,16 +840,8 @@ fn p4_panel_loop(
         if k_rest > 0 {
             gpu.syrk(compute, fv.offset(p + wb, p), fv.offset(p + wb, p + wb), k_rest, wb, host);
             if m > 0 {
-                gpu.gemm_nt(
-                    compute,
-                    fv.offset(k, p),
-                    fv.offset(p + wb, p),
-                    fv.offset(k, p + wb),
-                    m,
-                    k_rest,
-                    wb,
-                    host,
-                );
+                let (a, b, c) = (fv.offset(k, p), fv.offset(p + wb, p), fv.offset(k, p + wb));
+                gpu.gemm_nt(compute, a, b, c, m, k_rest, wb, host);
             }
         }
         if m > 0 {
@@ -924,179 +850,6 @@ fn p4_panel_loop(
         p += wb;
     }
     Ok(())
-}
-
-fn dispatch_p4<T: Scalar>(
-    front: &mut Front<'_, T>,
-    ctx: &mut FuContext<'_>,
-) -> Result<PendingState, GpuFuError> {
-    let (s, k) = (front.s, front.k);
-    let m = s - k;
-    let w = DEFAULT_PANEL_WIDTH;
-    let copy_optimized = ctx.copy_optimized;
-    let timing = ctx.timing_only;
-    let (host, gpu, pool) = split_ctx(ctx);
-    let d_front = gpu.alloc(s * s)?;
-    let compute = gpu.stream(S_COMPUTE);
-    let fv = DevMat::whole(d_front, s);
-
-    // Upload. Naive: the whole s×s front. Copy-optimized: only the panel
-    // (s×k) and update (m×m) regions.
-    let stage_len = if copy_optimized { s * k + m * m } else { s * s };
-    let sp = pool.lease(stage_len, host);
-    let empty: &[f32] = &[];
-    if copy_optimized {
-        if !timing {
-            stage_panel(front, 0, s, k, &mut pool.slot_mut(sp)[..s * k]);
-        }
-        let src = if timing { empty } else { &pool.slot(sp)[..s * k] };
-        gpu.h2d(compute, fv, s, k, src, s, true, CopyMode::Async, host);
-        if m > 0 {
-            if !timing {
-                stage_to_f32(front.update, &mut pool.slot_mut(sp)[s * k..stage_len]);
-            }
-            let src = if timing { empty } else { &pool.slot(sp)[s * k..stage_len] };
-            gpu.h2d(compute, fv.offset(k, k), m, m, src, m, true, CopyMode::Async, host);
-        }
-    } else {
-        if !timing {
-            stage_front(front, pool.slot_mut(sp));
-        }
-        gpu.h2d(compute, fv, s, s, pool.slot(sp), s, true, CopyMode::Async, host);
-    }
-
-    if let Err(col) = p4_panel_loop(gpu, host, fv, s, k, w) {
-        let _ = gpu.free(d_front);
-        pool.retire_now(sp, host);
-        return Err(GpuFuError::NotPd(col));
-    }
-    Ok(PendingState::Computed(DownloadPlan::P4 { d_front, s, k, sp, stage_len, copy_optimized }))
-}
-
-// ----- batched small-front dispatch ------------------------------------------
-
-/// Error from a batched dispatch, attributing the failure to one member.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct BatchError {
-    /// Index into the dispatched run.
-    pub member: usize,
-    /// The underlying F-U failure.
-    pub error: FuError,
-}
-
-/// A batched dispatch of consecutive small GPU-eligible fronts: one device
-/// allocation, one upload and one download cover the whole run, amortising
-/// the launch and PCIe latency that per-front dispatch pays once per
-/// member. Members run the naive (whole-front) P4 plan back to back, so
-/// per-member kernel sequences — and therefore numerics — are identical to
-/// single dispatch.
-#[derive(Debug)]
-pub(crate) struct FuBatchPending {
-    d_all: DevBuf,
-    slot: usize,
-    total: usize,
-    /// `(base, s, k)` per member, in dispatch order.
-    members: Vec<(usize, usize, usize)>,
-}
-
-impl FuBatchPending {
-    /// [`FuPending::abandon`] for a dispatched batch.
-    pub(crate) fn abandon(self, gpu: &mut Gpu) {
-        let _ = gpu.free(self.d_all);
-    }
-}
-
-/// Phase 1 for a run of fronts: stage every member into one leased slot,
-/// upload with a single h2d, then enqueue each member's Figure-9 panel
-/// loop. Returns `Ok(None)` if the combined device allocation OOMs (the
-/// caller drains and retries member-by-member).
-pub(crate) fn try_dispatch_gpu_batch<T: Scalar>(
-    fronts: &mut [Front<'_, T>],
-    ctx: &mut FuContext<'_>,
-) -> Result<Option<FuBatchPending>, BatchError> {
-    let w = DEFAULT_PANEL_WIDTH;
-    let timing = ctx.timing_only;
-    let (host, gpu, pool) = split_ctx(ctx);
-    let mut members = Vec::with_capacity(fronts.len());
-    let mut total = 0usize;
-    for f in fronts.iter() {
-        members.push((total, f.s, f.k));
-        total += f.s * f.s;
-    }
-    let d_all = match gpu.alloc(total) {
-        Ok(b) => b,
-        Err(_) => return Ok(None),
-    };
-    let slot = pool.lease(total, host);
-    if !timing {
-        for (f, &(base, s, _)) in fronts.iter().zip(&members) {
-            stage_front(f, &mut pool.slot_mut(slot)[base..base + s * s]);
-        }
-    }
-    let compute = gpu.stream(S_COMPUTE);
-    gpu.h2d(
-        compute,
-        DevMat::whole(d_all, total),
-        total,
-        1,
-        pool.slot(slot),
-        total,
-        true,
-        CopyMode::Async,
-        host,
-    );
-    for (i, &(base, s, k)) in members.iter().enumerate() {
-        let fv = DevMat { buf: d_all, off: base, ld: s };
-        if let Err(col) = p4_panel_loop(gpu, host, fv, s, k, w) {
-            let _ = gpu.free(d_all);
-            pool.retire_now(slot, host);
-            return Err(BatchError {
-                member: i,
-                error: FuError::NotPositiveDefinite { local_column: col },
-            });
-        }
-    }
-    Ok(Some(FuBatchPending { d_all, slot, total, members }))
-}
-
-/// Phase 2 for a batch: one download covers the whole run, then every
-/// member unstages from its sub-range of the slot. Returns a pending that
-/// [`finish_fu`] drains exactly like a single dispatch.
-pub(crate) fn enqueue_batch_downloads<T: Scalar>(
-    fronts: &mut [Front<'_, T>],
-    batch: FuBatchPending,
-    ctx: &mut FuContext<'_>,
-) -> FuPending {
-    let timing = ctx.timing_only;
-    let (host, gpu, pool) = split_ctx(ctx);
-    let FuBatchPending { d_all, slot, total, members } = batch;
-    let compute = gpu.stream(S_COMPUTE);
-    {
-        let dst = if timing { &mut [][..] } else { &mut pool.slot_mut(slot)[..total] };
-        gpu.d2h(
-            compute,
-            DevMat::whole(d_all, total),
-            total,
-            1,
-            dst,
-            total,
-            true,
-            CopyMode::Async,
-            host,
-        );
-    }
-    let done = gpu.record_event(compute);
-    if !timing {
-        for (f, &(base, s, k)) in fronts.iter_mut().zip(&members) {
-            unstage_front(f, &pool.slot(slot)[base..base + s * s], k + k * s, s);
-        }
-    }
-    pool.retire(slot, done.0, host);
-    FuPending {
-        executed: PolicyKind::P4,
-        oom_fallback: false,
-        state: PendingState::Downloaded(FinishPlan { done, bufs: vec![d_all], apply_bytes: 0 }),
-    }
 }
 
 #[cfg(test)]
@@ -1168,7 +921,6 @@ mod tests {
             gpu: machine.gpu.as_mut(),
             pool,
             copy_optimized,
-            timing_only: false,
             kernel_threads: None,
         }
     }
@@ -1342,23 +1094,34 @@ mod tests {
         // The timing-only path must charge exactly what the real f32 path
         // does in steady state (warmed pinned pool — the estimate models
         // the paper's single-precision pipeline after pool growth has
-        // amortised).
-        for p in PolicyKind::ALL {
-            let mut machine = Machine::paper_node();
-            let mut pool = PinnedPool::new(2);
-            let mut t_real = 0.0;
-            for pass in 0..2 {
-                machine.reset();
-                let mut bufs = Bufs::<f32>::spd(150, 60, 77);
-                execute_fu(&mut bufs.front(), p, &mut ctx(&mut machine, &mut pool, false)).unwrap();
-                if pass == 1 {
-                    t_real = machine.elapsed();
+        // amortised): the same plan, run with and without data, to the bit.
+        // Shapes: a mid-size front, a fused small one, a root (m = 0), a
+        // large one and the keep test's front, under both P4 transfer plans.
+        for (s, k) in [(150, 60), (20, 7), (40, 40), (300, 100), (96, 36)] {
+            for copy_optimized in [false, true] {
+                for p in PolicyKind::ALL {
+                    let mut machine = Machine::paper_node();
+                    let mut pool = PinnedPool::new(2);
+                    let mut t_real = 0.0;
+                    for pass in 0..2 {
+                        machine.reset();
+                        let mut bufs = Bufs::<f32>::spd(s, k, 77);
+                        let mut ctx = ctx(&mut machine, &mut pool, copy_optimized);
+                        execute_fu(&mut bufs.front(), p, &mut ctx).unwrap();
+                        if pass == 1 {
+                            t_real = machine.elapsed();
+                        }
+                    }
+                    let mut machine2 = Machine::paper_node();
+                    let t_est = estimate_fu_time(&mut machine2, s - k, k, p, copy_optimized);
+                    assert_eq!(
+                        t_real.to_bits(),
+                        t_est.to_bits(),
+                        "{p} {s}x{k} copy_optimized={copy_optimized}: \
+                         real {t_real:.17e} vs estimate {t_est:.17e}"
+                    );
                 }
             }
-            let mut machine2 = Machine::paper_node();
-            let t_est = estimate_fu_time(&mut machine2, 90, 60, p, false);
-            let rel = (t_real - t_est).abs() / t_real;
-            assert!(rel < 1e-9, "{p}: real {t_real:.6e} vs estimate {t_est:.6e}");
         }
     }
 
@@ -1554,8 +1317,9 @@ mod tests {
         let mut pool = PinnedPool::new(2);
         let mut ctx = ctx(&mut machine, &mut pool, false);
         let mut fronts: Vec<Front<'_, f64>> = bufs.iter_mut().map(Bufs::front).collect();
-        let batch = try_dispatch_gpu_batch(&mut fronts, &mut ctx).unwrap().expect("the run fits");
-        let mut pending = enqueue_batch_downloads(&mut fronts, batch, &mut ctx);
+        let plan = FuPlan::batch(&fronts);
+        let mut pending = try_dispatch(&mut fronts, plan, &mut ctx).unwrap().expect("the run fits");
+        assert!(downloads(&mut fronts, &mut pending, false, &mut ctx).is_none());
         finish_fu(&mut pending, &mut ctx);
         drop(fronts);
         for (i, (b, want)) in bufs.iter().zip(want).enumerate() {

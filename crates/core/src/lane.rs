@@ -1,17 +1,18 @@
 //! The front lifecycle: one body per phase, shared by every driver — the
 //! drain schedule is the lane with nothing staged and a window of 0.
 //!
-//! A front goes through assemble → dispatch under a policy → downloads →
+//! A front goes through assemble → dispatch of its F-U plan → downloads →
 //! extraction → finish, and hands its update to its parent. [`crate::fu`]
-//! owns what each phase does to one front; this module owns *when* the
-//! phases run relative to other fronts on the same device, and the device
-//! buffers outstanding in between. A [`Lane`] is one device's pipeline: at
-//! most one *staged* front (dispatched, downloads not yet enqueued — holding
-//! them back until the next front dispatches lets that front's upload
-//! overtake them on the copy engine) and a FIFO of fronts *in flight*
-//! (downloads enqueued, results already in place because the simulator
-//! computes data eagerly, only the host's wait and the extraction charges
-//! outstanding).
+//! owns what each phase does — one interpreter runs every policy's plan, a
+//! single front's or a batched P4 run's alike, and returns one
+//! [`FuPending`] — and this module owns *when* the phases run relative to
+//! other fronts on the same device, and the device buffers outstanding in
+//! between. A [`Lane`] is one device's pipeline: at most one *staged* entry
+//! (a dispatched front or batch, downloads not yet enqueued — holding them
+//! back until the next dispatch lets its upload overtake them on the copy
+//! engine) and a FIFO of entries *in flight* (downloads enqueued, results
+//! already in place because the simulator computes data eagerly, only the
+//! host's wait and the extraction charges outstanding).
 //!
 //! Two issuers drive lanes and own nothing of the lifecycle but its order:
 //! the arena loop of [`crate::factor`] (the drain schedule: every front
@@ -19,11 +20,14 @@
 //! work-stealing task of [`crate::parallel`] is this loop over its range) and
 //! the issuer of fronts in flight in [`crate::multigpu`] (one lane per
 //! device, look-ahead, batched P4 runs on one lane, peer exports between
-//! several; timing-only without look-ahead it rehearses the drain schedule).
-//! What differs between them arrives as data: staging, `keep_update`,
-//! timing-only, and the issuer's `Sink` that receives the update blocks.
-//! [`Lane::run_front`] and [`Lane::run_staged`] are the only places a front's
-//! phases are sequenced.
+//! several; without look-ahead it runs the drain schedule, which is how the
+//! plan rehearses it). What differs between them arrives as data: staging,
+//! `keep_update` and the issuer's `Sink` that receives the update blocks.
+//! Whether data exists is not among them: for a run without a slab the
+//! issuer makes the staging pool and its devices virtual (and its
+//! [`FrontStore`] only charges assembly), and of the F-U only the
+//! interpreter reads that. [`Lane::run_front`] and [`Lane::run_staged`] are
+//! the only places a front's phases are sequenced.
 //!
 //! Numerics never depend on the schedule: every body runs the same host
 //! operations on the same bytes in the same per-front order whatever is
@@ -37,8 +41,8 @@ use crate::frontal::{
     lower_trapezoid_len, ChildUpdate, Front,
 };
 use crate::fu::{
-    dispatch_fu, enqueue_batch_downloads, enqueue_downloads, finish_fu, try_dispatch_gpu,
-    try_dispatch_gpu_batch, BatchError, FuBatchPending, FuContext, FuError, FuOutcome, FuPending,
+    dispatch_fu, downloads, enqueue_downloads, finish_fu, try_dispatch, BatchError, FuContext,
+    FuError, FuOutcome, FuPending, FuPlan,
 };
 use crate::multigpu::Sink;
 use crate::policy::PolicyKind;
@@ -98,13 +102,12 @@ fn split_panels<'a, T>(mut slab: &'a mut [T], panel_ptr: &[usize]) -> Vec<&'a mu
 /// overlap (which the postorder LIFO arena cannot express): every
 /// supernode's panel region of the factor slab, handed to its front, the
 /// update blocks awaiting their parents, and the allocation accounting.
-/// Timing-only, it holds and touches no buffer at all.
+/// Without a slab it holds and touches no buffer at all.
 pub(crate) struct FrontStore<'a, T> {
     symbolic: &'a SymbolicFactor,
     panels: Vec<&'a mut [T]>,
     updates: Vec<Option<Vec<T>>>,
     rel: Vec<usize>,
-    pub timing: bool,
     /// Scalars in live update blocks, and the most there ever were.
     live: usize,
     peak: usize,
@@ -114,9 +117,8 @@ pub(crate) struct FrontStore<'a, T> {
 
 impl<'a, T: Scalar> FrontStore<'a, T> {
     /// Storage for a run whose panels go into `slab` (zeroed); `None` for a
-    /// timing-only run.
+    /// run without data.
     pub(crate) fn new(symbolic: &'a SymbolicFactor, slab: Option<&'a mut [T]>) -> Self {
-        let timing = slab.is_none();
         let panels: Vec<_> =
             slab.map(|slab| split_panels(slab, symbolic.panel_ptr())).unwrap_or_default();
         FrontStore {
@@ -124,7 +126,6 @@ impl<'a, T: Scalar> FrontStore<'a, T> {
             updates: panels.iter().map(|_| None).collect(),
             panels,
             rel: Vec::new(),
-            timing,
             live: 0,
             peak: 0,
             allocs: 1,
@@ -132,7 +133,7 @@ impl<'a, T: Scalar> FrontStore<'a, T> {
     }
 
     /// Assemble `sn`'s front — its panel in the slab, its update block in a
-    /// fresh buffer — consuming its children's updates; timing-only, charge
+    /// fresh buffer — consuming its children's updates; without a slab, charge
     /// the assembly and hand out empty buffers.
     pub(crate) fn assemble(
         &mut self,
@@ -144,7 +145,7 @@ impl<'a, T: Scalar> FrontStore<'a, T> {
         let info = &symbolic.supernodes[sn];
         let (s, k, m) = (info.front_size(), info.k(), info.m());
         let mut member = Member { sn, s, k, panel: &mut [], update: Vec::new() };
-        if self.timing {
+        if self.panels.is_empty() {
             let a_nnz = (info.col_start..info.col_end).map(|c| a.col_rows(c).len()).sum();
             let child_ms = symbolic.children(sn).iter().map(|&c| symbolic.supernodes[c].m());
             let extended = child_ms.map(|cm| lower_trapezoid_len(cm, cm)).sum();
@@ -174,10 +175,10 @@ impl<'a, T: Scalar> FrontStore<'a, T> {
         member
     }
 
-    /// Keep `sn`'s update block for its parent (timing-only, drop it).
+    /// Keep `sn`'s update block for its parent (without a slab, drop it).
     pub(crate) fn deliver(&mut self, sn: usize, update: Vec<T>) {
-        if !self.timing {
-            self.updates[sn] = Some(update);
+        if let Some(slot) = self.updates.get_mut(sn) {
+            *slot = Some(update);
         }
     }
 
@@ -206,14 +207,8 @@ impl<T> Member<'_, T> {
 /// A dispatched front or batch (phase 1 done) whose downloads are held back.
 struct Staged<'a, T> {
     fronts: Vec<Member<'a, T>>,
-    phase1: Phase1,
+    pending: FuPending,
     keep_update: bool,
-}
-
-/// What phase 1 left outstanding.
-pub(crate) enum Phase1 {
-    Single(FuPending),
-    Batch(FuBatchPending),
 }
 
 /// A flushed front or batch: what finishing it has yet to wait for, free and
@@ -283,8 +278,8 @@ impl<'a, T: Scalar> Lane<'a, T> {
     }
 
     /// The same for a front the lane may keep: with GPU work outstanding it
-    /// stays staged until the next dispatch (or an explicit [`Self::flush`])
-    /// — see [`Self::flush_front`] for `keep_update` — and the issuer trims
+    /// stays staged until the next dispatch (or an explicit [`Self::flush`],
+    /// which applies `keep_update`) — and the issuer trims
     /// the window, which may span several lanes.
     pub(crate) fn run_staged(
         &mut self,
@@ -300,7 +295,7 @@ impl<'a, T: Scalar> Lane<'a, T> {
             charge_extract::<T>(member.s, member.k, member.s - member.k, ctx.host);
             sink.deliver(member.sn, member.update, None);
         } else {
-            self.stage(vec![member], Phase1::Single(pending), keep_update, ctx, sink);
+            self.stage(vec![member], pending, keep_update, ctx, sink);
         }
         Ok(outcome)
     }
@@ -316,7 +311,10 @@ impl<'a, T: Scalar> Lane<'a, T> {
         ctx: &mut FuContext<'_>,
         sink: &mut Sink<'_, '_, T>,
     ) -> Result<FuPending, FuError> {
-        if let Some(pending) = try_dispatch_gpu(front, policy, ctx)? {
+        let plan = FuPlan::new(policy, front.s, front.k, ctx);
+        if let Some(pending) =
+            try_dispatch(std::slice::from_mut(front), plan, ctx).map_err(|e| e.error)?
+        {
             return Ok(pending);
         }
         self.drain_device(ctx, sink);
@@ -331,12 +329,12 @@ impl<'a, T: Scalar> Lane<'a, T> {
         fronts: &mut [Front<'_, T>],
         ctx: &mut FuContext<'_>,
         sink: &mut Sink<'_, '_, T>,
-    ) -> Result<Option<FuBatchPending>, BatchError> {
-        if let Some(batch) = try_dispatch_gpu_batch(fronts, ctx)? {
-            return Ok(Some(batch));
+    ) -> Result<Option<FuPending>, BatchError> {
+        if let Some(pending) = try_dispatch(fronts, FuPlan::batch(fronts), ctx)? {
+            return Ok(Some(pending));
         }
         self.drain_device(ctx, sink);
-        try_dispatch_gpu_batch(fronts, ctx)
+        try_dispatch(fronts, FuPlan::batch(fronts), ctx)
     }
 
     fn drain_device(&mut self, ctx: &mut FuContext<'_>, sink: &mut Sink<'_, '_, T>) {
@@ -347,64 +345,46 @@ impl<'a, T: Scalar> Lane<'a, T> {
         sink.device_drained(ctx);
     }
 
-    /// Stage a dispatched front (one member) or batch; see
-    /// [`Self::flush_front`] for `keep_update`. Dispatch-before-flush: its
-    /// upload is already queued, so flushing the previously staged entry's
-    /// downloads now cannot delay it.
+    /// Stage a dispatched front (one member) or batch; see [`Self::flush`]
+    /// for `keep_update`. Dispatch-before-flush: its upload is already
+    /// queued, so flushing the previously staged entry's downloads now
+    /// cannot delay it.
     pub(crate) fn stage(
         &mut self,
         fronts: Vec<Member<'a, T>>,
-        phase1: Phase1,
+        pending: FuPending,
         keep_update: bool,
         ctx: &mut FuContext<'_>,
         sink: &mut Sink<'_, '_, T>,
     ) {
         self.flush(ctx, sink);
-        self.staged = Some(Staged { fronts, phase1, keep_update });
+        self.staged = Some(Staged { fronts, pending, keep_update });
     }
 
-    /// Phase 2 for whatever is staged; it moves in flight.
+    /// Phase 2 for whatever is staged: enqueue its event-gated downloads —
+    /// a single front's update block too, unless `keep_update` leaves it on
+    /// the device for the sink — and deliver the updates at once (the data
+    /// exists the moment the transfers are queued), so the buffers can go;
+    /// the entry moves in flight with its extraction charges deferred to
+    /// the finish.
     pub(crate) fn flush(&mut self, ctx: &mut FuContext<'_>, sink: &mut Sink<'_, '_, T>) {
-        let Some(Staged { mut fronts, phase1, keep_update }) = self.staged.take() else { return };
-        match phase1 {
-            Phase1::Single(pending) => {
-                let member = fronts.pop().expect("a single dispatch stages one front");
-                self.flush_front(member, pending, keep_update, ctx, sink);
-            }
-            Phase1::Batch(batch) => {
-                let mut views: Vec<Front<'_, T>> = fronts.iter_mut().map(Member::front).collect();
-                let pending = enqueue_batch_downloads(&mut views, batch, ctx);
-                let members = fronts
-                    .into_iter()
-                    .map(|Member { sn, s, k, update, .. }| {
-                        sink.deliver(sn, update, None);
-                        (sn, s, k, s - k)
-                    })
-                    .collect();
-                self.inflight.push_back(Inflight { members, pending });
-            }
-        }
-    }
-
-    /// Phase 2 for one dispatched front with GPU work outstanding: enqueue
-    /// its event-gated downloads — the update block's too, unless
-    /// `keep_update` leaves it on the device for the sink — and deliver the
-    /// update at once (the data exists the moment the transfers are
-    /// queued), so the buffer can go; the front moves in flight with its
-    /// extraction charges deferred to the finish.
-    fn flush_front(
-        &mut self,
-        mut member: Member<'a, T>,
-        mut pending: FuPending,
-        keep_update: bool,
-        ctx: &mut FuContext<'_>,
-        sink: &mut Sink<'_, '_, T>,
-    ) {
-        let remote = enqueue_downloads(&mut member.front(), &mut pending, keep_update, ctx);
-        let Member { sn, s, k, update, .. } = member;
-        let m = if remote.is_some() { 0 } else { s - k };
-        sink.deliver(sn, update, remote);
-        self.inflight.push_back(Inflight { members: vec![(sn, s, k, m)], pending });
+        let Some(Staged { mut fronts, mut pending, keep_update }) = self.staged.take() else {
+            return;
+        };
+        let remote = if let [one] = fronts.as_mut_slice() {
+            downloads(std::slice::from_mut(&mut one.front()), &mut pending, keep_update, ctx)
+        } else {
+            let mut views: Vec<Front<'_, T>> = fronts.iter_mut().map(Member::front).collect();
+            downloads(&mut views, &mut pending, keep_update, ctx)
+        };
+        let members = fronts
+            .into_iter()
+            .map(|Member { sn, s, k, update, .. }| {
+                sink.deliver(sn, update, remote);
+                (sn, s, k, if remote.is_some() { 0 } else { s - k })
+            })
+            .collect();
+        self.inflight.push_back(Inflight { members, pending });
     }
 
     /// Flush the staged entry if it holds a supernode `holds` accepts (a
@@ -444,10 +424,8 @@ impl<'a, T: Scalar> Lane<'a, T> {
     /// the device as empty as a finished run leaves it.
     pub(crate) fn abandon(&mut self, ctx: &mut FuContext<'_>) {
         let Some(gpu) = ctx.gpu.as_deref_mut() else { return };
-        match self.staged.take().map(|st| st.phase1) {
-            Some(Phase1::Single(pending)) => pending.abandon(gpu),
-            Some(Phase1::Batch(batch)) => batch.abandon(gpu),
-            None => {}
+        if let Some(st) = self.staged.take() {
+            st.pending.abandon(gpu);
         }
         for entry in self.inflight.drain(..) {
             entry.pending.abandon(gpu);

@@ -53,7 +53,7 @@
 use crate::factor::{fu_err_to_factor, pinned_pool, FactorError, FactorOptions};
 use crate::frontal::{charge_update_extract, Front};
 use crate::fu::{FuContext, RemoteUpdate, S_COMPUTE, S_COPY};
-use crate::lane::{FrontStore, Lane, Member, Phase1, PIPELINE_DEPTH};
+use crate::lane::{FrontStore, Lane, Member, PIPELINE_DEPTH};
 use crate::pinned_pool::PinnedPool;
 use crate::policy::PolicyKind;
 use crate::stats::FactorStats;
@@ -334,7 +334,6 @@ impl<'a, T: Scalar> Issuer<'a, '_, T> {
             gpu: Some(self.set.device_mut(lane)),
             pool: &mut self.pool,
             copy_optimized: self.opts.copy_optimized,
-            timing_only: sink.store.timing,
             kernel_threads: None,
         };
         f(&mut self.lanes[lane], &mut ctx, &mut sink)
@@ -503,17 +502,15 @@ impl<'a, T: Scalar> Issuer<'a, '_, T> {
     fn step_batch(&mut self, sns: &[usize]) -> Result<(), FactorError> {
         let symbolic = self.symbolic;
         let mut members: Vec<Member<'a, T>> = sns.iter().map(|&sn| self.ready_front(sn)).collect();
-        let batch = self
+        let pending = self
             .on_lane(0, |l, ctx, sink| {
                 let mut fronts: Vec<Front<'_, T>> = members.iter_mut().map(Member::front).collect();
                 l.dispatch_batch(&mut fronts, ctx, sink)
             })
             .map_err(|e| fu_err_to_factor(symbolic.supernodes[sns[e.member]].col_start, e.error))?;
-        match batch {
-            Some(batch) => {
-                self.on_lane(0, |l, ctx, sink| {
-                    l.stage(members, Phase1::Batch(batch), false, ctx, sink)
-                });
+        match pending {
+            Some(pending) => {
+                self.on_lane(0, |l, ctx, sink| l.stage(members, pending, false, ctx, sink));
                 self.trim_window(self.window());
             }
             // The run does not fit even an empty device: its members
@@ -598,11 +595,11 @@ impl<'a, T: Scalar> Issuer<'a, '_, T> {
 /// `slab`, the plan's rehearsal at one device (see [`rehearse_makespan`]).
 /// The machine's own device becomes device 0 of a [`DeviceSet`] of `ndev`
 /// identical devices and moves back when the run ends, error or not.
-/// Without a slab the run is timing-only: it charges every simulated cost
-/// and touches no numeric data (the machine's device must then be in
-/// virtual mode; the staging pool is put there). Factor slabs are bitwise
-/// identical to the drain driver at every device count (see the module
-/// docs).
+/// Without a slab the run is timing-only: every device of the set and the
+/// staging pool are virtual, so it issues the data run's every simulated
+/// call and touches no numeric data; the machine's device comes back in the
+/// mode it arrived in. Factor slabs are bitwise identical to the drain
+/// driver at every device count (see the module docs).
 pub(crate) fn issue_fronts<T: Scalar>(
     a: &SymCsc<T>,
     symbolic: &SymbolicFactor,
@@ -614,11 +611,14 @@ pub(crate) fn issue_fronts<T: Scalar>(
 ) -> Result<FactorStats, FactorError> {
     let own =
         machine.gpu.take().expect("the plan keeps fronts in flight on a machine with a device");
-    let cfg = own.config().clone();
+    let (cfg, arrived_virtual, no_data) = (own.config().clone(), own.is_virtual(), slab.is_none());
     let mut gpus = vec![own];
     gpus.resize_with(ndev, || Gpu::new(cfg.clone()));
     let mut pool = pinned_pool(opts);
-    pool.set_virtual(slab.is_none());
+    pool.set_virtual(no_data);
+    for g in &mut gpus {
+        g.set_virtual(no_data);
+    }
 
     let mut run = Issuer {
         a,
@@ -648,7 +648,9 @@ pub(crate) fn issue_fronts<T: Scalar>(
         agg.merge(u);
     }
     let peer_bytes = run.set.peer_bytes();
-    machine.gpu = Some(run.set.take(0));
+    let mut own = run.set.take(0);
+    own.set_virtual(arrived_virtual);
+    machine.gpu = Some(own);
     result?;
     Ok(FactorStats {
         oom_fallbacks: run.oom_fallbacks,
@@ -664,16 +666,16 @@ pub(crate) fn issue_fronts<T: Scalar>(
 }
 
 /// Timing-only rehearsal of the one-device run, with `look_ahead` or
-/// without (the drain schedule), on a *virtual twin* of `machine`: same CPU
-/// and GPU configuration, fresh clocks, device memory and staging pool in
-/// virtual mode. Every simulated duration depends only on shapes and
-/// configuration — never on numeric data — and the rehearsal runs the very
-/// bodies the real run does, so the rehearsed makespan equals the real
-/// run's exactly, including OOM fallback decisions and pinned-pool waits
-/// (where a front's bytes sit is never charged, so the drain rehearsal
-/// stands for the arena run). No numeric buffer is allocated or touched.
-/// [`FactorOptions::plan`] rehearses both schedules of a single-device
-/// pipelined request.
+/// without (the drain schedule), on a *twin* of `machine`: same CPU and GPU
+/// configuration, fresh clocks; [`issue_fronts`] without a slab makes its
+/// device and staging pool virtual. Every simulated duration depends only
+/// on shapes and configuration — never on numeric data — and the rehearsal
+/// runs the very bodies the real run does, so the rehearsed makespan equals
+/// the real run's exactly, including OOM fallback decisions and pinned-pool
+/// waits (where a front's bytes sit is never charged, so the drain
+/// rehearsal stands for the arena run). No numeric buffer is allocated or
+/// touched. [`FactorOptions::plan`] rehearses both schedules of a
+/// single-device pipelined request.
 pub(crate) fn rehearse_makespan<T: Scalar>(
     a: &SymCsc<T>,
     symbolic: &SymbolicFactor,
@@ -683,9 +685,6 @@ pub(crate) fn rehearse_makespan<T: Scalar>(
 ) -> f64 {
     let gpu_cfg = machine.gpu.as_ref().expect("a rehearsal needs a GPU machine").config().clone();
     let mut twin = Machine::with_gpu(machine.host.config().clone(), gpu_cfg);
-    if let Some(g) = twin.gpu.as_mut() {
-        g.set_virtual(true);
-    }
     issue_fronts(a, symbolic, &mut twin, opts, 1, look_ahead, None)
         .expect("timing-only rehearsal sees no data, so no pivot can fail")
         .total_time

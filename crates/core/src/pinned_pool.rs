@@ -58,6 +58,11 @@ impl PinnedPool {
         self.virtual_mode = on;
     }
 
+    /// Whether the pool is virtual: no data exists, only costs.
+    pub fn is_virtual(&self) -> bool {
+        self.virtual_mode
+    }
+
     /// The growth-only (or allocate-per-call) charging policy for one slot.
     fn charge_for(&mut self, idx: usize, len: usize, host: &mut HostClock) {
         if self.reuse {

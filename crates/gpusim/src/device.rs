@@ -126,6 +126,11 @@ impl Gpu {
         self.mem.virtual_mode = on;
     }
 
+    /// Whether the device is in virtual (timing-only) mode.
+    pub fn is_virtual(&self) -> bool {
+        self.mem.virtual_mode
+    }
+
     /// Seconds charged per component since the counters were last cleared:
     /// kernels under their kind, h2d, d2h and received peer copies as copy
     /// time.
