@@ -122,12 +122,15 @@ RUST_TEST_THREADS=1 cargo test -q --release -p mf-server
 #                    nested dissection's components search serves as the
 #                    pseudo-peripheral search's first sweep
 #   rehearsal_equals_the_run_it_predicts
-#                    one F-U plan run with and without data charges the same
-#                    clock: over fixed P1-P4 and the baseline hybrid, both P4
-#                    transfer plans and three matrices, the drain rehearsal ==
-#                    factor_drain's makespan and the issuer without a slab ==
-#                    the issuer with one at 1/2/4 devices, bit for bit; the
-#                    plan records the P2-loses / P4-wins rehearsals it ran
+#                    a run without data charges the clock of the run with
+#                    data: FactorOptions::rehearse == factor_permuted on
+#                    total_time, every FuRecord field, gpu, gpu_devices,
+#                    peer_bytes, oom_fallbacks and plan, bit for bit, over
+#                    fixed P1-P4, the baseline hybrid and a mixed oracle
+#                    table, both P4 transfer plans, drain and pipelined at
+#                    1/2/4 devices, three matrices, on the paper node and a
+#                    2 000-byte device; the plan records the P2-loses /
+#                    P4-wins rehearsals it ran
 #   keep_update_path_is_bitwise_identical_to_download_path
 #                    the keep rule (update downloads dropped, the device
 #                    buffer exported) lands the download path's bytes and

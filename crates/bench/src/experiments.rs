@@ -5,7 +5,7 @@
 use crate::config::ExpConfig;
 use crate::maps::{map_agreement, render_map, TimeGrid};
 use crate::report::{fmt_gf, fmt_time, Report};
-use crate::suite::SuiteData;
+use crate::suite::{rehearse, SuiteData};
 use mf_autotune::{train, Objective, TrainOptions};
 use mf_core::{
     durations_by_supernode, estimate_fu_time, simulate_tree_schedule, BaselineThresholds,
@@ -649,6 +649,7 @@ pub fn exp_table7(cfg: &ExpConfig, cache: &mut Option<SuiteData>) -> Report {
             "schedule invariant cp / w^eff ≤ makespan ≤ serial violated on {name} at w={w}"
         );
     };
+    let fitted = fitted_baseline(&mut Machine::paper_node());
     // Copy-optimized model: retrain on copy-optimized P4 timings.
     for m in &s.matrices {
         let t1 = m.t_serial();
@@ -659,8 +660,6 @@ pub fn exp_table7(cfg: &ExpConfig, cache: &mut Option<SuiteData>) -> Report {
         let t4 = m.stats[3].total_time;
         let ideal = m.run_ideal().total_time;
         let model = m.run_with(PolicySelector::Model(s.model.clone()), false).total_time;
-        let mut fit_machine = Machine::paper_node();
-        let fitted = fitted_baseline(&mut fit_machine);
         let baseline = m.run_with(PolicySelector::Baseline(fitted), false).total_time;
         let baseline_paper_thr =
             m.run_with(PolicySelector::Baseline(BaselineThresholds::default()), false).total_time;
@@ -832,25 +831,15 @@ pub fn exp_ablations(cfg: &ExpConfig, cache: &mut Option<SuiteData>) -> Report {
 
     r.section("pinned-buffer reuse (§V-A2) vs allocate-per-call");
     let with_reuse = m.run_with(PolicySelector::Fixed(PolicyKind::P3), false);
-    let no_reuse = {
-        let mut machine = Machine::paper_node();
-        let a32: mf_sparse::SymCsc<f32> = m.analysis.permuted.0.cast();
-        let opts = mf_core::FactorOptions {
+    let no_reuse = rehearse(
+        &m.analysis,
+        &mf_core::FactorOptions {
             selector: PolicySelector::Fixed(PolicyKind::P3),
             pinned_reuse: false,
             record_stats: true,
             ..Default::default()
-        };
-        let (_, st) = mf_core::factor_permuted(
-            &a32,
-            &m.analysis.symbolic,
-            &m.analysis.perm,
-            &mut machine,
-            &opts,
-        )
-        .unwrap();
-        st
-    };
+        },
+    );
     r.line(&format!(
         "P3 on {}: reuse {} vs allocate-per-call {} ({:.2}× slower without reuse)",
         m.name(),

@@ -9,7 +9,10 @@
 //! * `MF_OUT` — report output directory (default `reports/`).
 //!
 //! Experiments report *simulated* time on the calibrated Tesla-T10/Xeon-5160
-//! machine model; see EXPERIMENTS.md for the paper-vs-measured comparison.
+//! machine model, read from rehearsals (`FactorOptions::rehearse`: a run's
+//! clock and per-call records without its data); only `exp_table7`'s measured
+//! wall-clock section factors numerically. See EXPERIMENTS.md for the
+//! paper-vs-measured comparison.
 
 #![forbid(unsafe_code)]
 

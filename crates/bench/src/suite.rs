@@ -1,4 +1,4 @@
-//! Shared experiment pipeline: factor the matrix suite under every policy,
+//! Shared experiment pipeline: rehearse the matrix suite under every policy,
 //! build the timing dataset, train the model hybrid — the data every
 //! figure/table binary consumes.
 
@@ -21,9 +21,11 @@ pub struct MatrixRuns {
     pub a: SymCsc<f64>,
     /// Ordering + symbolic factorization.
     pub analysis: Analysis,
-    /// Per-policy stats from single-precision runs (index = policy index).
+    /// Per-policy stats of single-precision rehearsals (index = policy
+    /// index): the simulated clock and per-call records of each run, without
+    /// its data.
     pub stats: [FactorStats; 4],
-    /// Per-supernode timing dataset joined across the four runs.
+    /// Per-supernode timing dataset joined across the four rehearsals.
     pub dataset: Dataset,
 }
 
@@ -38,12 +40,12 @@ impl MatrixRuns {
         self.stats[0].total_time
     }
 
-    /// Run the factorization once more under an arbitrary selector,
-    /// returning its stats. Uses a fresh paper-node machine.
+    /// Rehearse the factorization once more under an arbitrary selector,
+    /// returning its stats (per-call records included).
     pub fn run_with(&self, selector: PolicySelector, copy_optimized: bool) -> FactorStats {
         let opts =
             FactorOptions { selector, copy_optimized, record_stats: true, ..Default::default() };
-        factor_f32(&self.analysis, &opts)
+        rehearse(&self.analysis, &opts)
     }
 
     /// Ideal-hybrid stats (per-supernode oracle from the dataset).
@@ -61,7 +63,7 @@ impl MatrixRuns {
             pipeline: mf_core::PipelineOptions::pipelined(),
             ..Default::default()
         };
-        factor_f32(&self.analysis, &opts)
+        rehearse(&self.analysis, &opts)
     }
 
     /// Like [`Self::run_pipelined`], but across `ndev` simulated devices
@@ -74,18 +76,22 @@ impl MatrixRuns {
             devices: mf_core::MultiGpuOptions::devices(ndev),
             ..Default::default()
         };
-        factor_f32(&self.analysis, &opts)
+        rehearse(&self.analysis, &opts)
     }
 
     /// *Measured* wall-clock seconds of one serial baseline-hybrid
     /// factorization on this host — real elapsed time, not the simulated
     /// `total_time` the other columns report.
     pub fn measured_serial_wall(&self) -> f64 {
+        let a32: SymCsc<f32> = self.analysis.permuted.0.cast();
         let opts = FactorOptions {
             selector: PolicySelector::Baseline(BaselineThresholds::default()),
             ..Default::default()
         };
-        factor_f32(&self.analysis, &opts).wall_time
+        let (symbolic, perm) = (&self.analysis.symbolic, &self.analysis.perm);
+        let (_, stats) = factor_permuted(&a32, symbolic, perm, &mut Machine::paper_node(), &opts)
+            .expect("suite matrices are SPD");
+        stats.wall_time
     }
 
     /// *Measured* wall-clock seconds of the real work-stealing parallel
@@ -121,17 +127,15 @@ pub struct SuiteData {
     pub model: LinearPolicyModel,
 }
 
-/// The stats of one f32 factorization of `analysis`'s matrix under `opts` on
-/// a fresh paper-node machine.
-fn factor_f32(analysis: &Analysis, opts: &FactorOptions) -> FactorStats {
+/// The stats of an f32 factorization of `analysis`'s matrix under `opts` on
+/// a fresh paper node, rehearsed: its simulated clock without its data.
+pub(crate) fn rehearse(analysis: &Analysis, opts: &FactorOptions) -> FactorStats {
     let a32: SymCsc<f32> = analysis.permuted.0.cast();
-    let mut machine = Machine::paper_node();
-    let (_, stats) = factor_permuted(&a32, &analysis.symbolic, &analysis.perm, &mut machine, opts)
-        .expect("suite matrices are SPD");
-    stats
+    opts.rehearse(&a32, &analysis.symbolic, &Machine::paper_node())
+        .expect("the paper node has a device and the suite runs in core")
 }
 
-/// Factor one matrix under all four fixed policies (f32, stats recorded).
+/// Rehearse one matrix under all four fixed policies (f32, stats recorded).
 pub fn run_all_policies(analysis: &Analysis) -> [FactorStats; 4] {
     PolicyKind::ALL.map(|p| {
         let opts = FactorOptions {
@@ -139,12 +143,13 @@ pub fn run_all_policies(analysis: &Analysis) -> [FactorStats; 4] {
             record_stats: true,
             ..Default::default()
         };
-        factor_f32(analysis, &opts)
+        rehearse(analysis, &opts)
     })
 }
 
 impl SuiteData {
-    /// Build the suite: generate matrices, analyze, run all policies, train.
+    /// Build the suite: generate matrices, analyze, rehearse all policies,
+    /// train.
     pub fn build(cfg: &ExpConfig) -> SuiteData {
         Self::build_subset(cfg, &PaperMatrix::ALL)
     }
@@ -176,11 +181,6 @@ impl SuiteData {
             TrainOptions { iterations: if cfg.quick { 400 } else { 1200 }, ..Default::default() };
         let model = train(&merged, &train_opts);
         SuiteData { matrices, merged, model }
-    }
-
-    /// The default baseline hybrid thresholds.
-    pub fn baseline(&self) -> BaselineThresholds {
-        BaselineThresholds::default()
     }
 }
 

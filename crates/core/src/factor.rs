@@ -17,21 +17,24 @@
 //! (`FrontRun::factor_range`: the drain schedule, one front at a time on the
 //! LIFO stack, which every work-stealing task of [`crate::parallel`] runs on
 //! the worker's own arena). Fronts whose lifetimes overlap — the pipelined
-//! schedule on one device or several, and the timing-only rehearsal by which
+//! schedule on one device or several — and every run without data —
+//! [`FactorOptions::rehearse`] and the two rehearsals by which
 //! [`FactorOptions::plan`] chooses between pipelined and drain — go through
-//! the other, `crate::multigpu`'s issuer of fronts in flight.
+//! the other, `crate::multigpu`'s issuer of fronts in flight. Either way a
+//! front that finishes before the next assembles books its per-call record in
+//! [`Lane::run_front`].
 
 use crate::arena::FrontArena;
 use crate::features::LinearPolicyModel;
 use crate::frontal::{assemble_front_into, ChildUpdate};
 use crate::fu::{FuContext, FuError};
-use crate::lane::{child_views, FrontRan, Lane};
+use crate::lane::{child_views, Lane, SnOutcome};
 use crate::multigpu::MultiGpuOptions;
 use crate::ooc::{plan_ooc, OocPlan};
 use crate::pinned_pool::PinnedPool;
 use crate::plan::{run_plan, PlanError};
 use crate::policy::{BaselineThresholds, PolicyKind};
-use crate::stats::{FactorStats, FuRecord};
+use crate::stats::FactorStats;
 use mf_dense::{FuFlops, Scalar};
 use mf_gpusim::{Machine, TierParams};
 use mf_sparse::symbolic::SymbolicFactor;
@@ -75,12 +78,12 @@ impl PolicySelector {
 /// A pipelined run produces factor slabs **bitwise identical** to the drain
 /// schedule's — only the simulated timeline (and therefore makespan and GPU
 /// utilization) changes. Only a run that ends up on the drain schedule books
-/// per-call [`FuRecord`]s: with fronts overlapping on the device, a front's
-/// split of simulated time is ill-defined, so a pipelined run books none,
-/// `record_stats` or not. Front storage is per-front heap buffers: front
-/// lifetimes overlap, which the postorder LIFO arena cannot express. Whether
-/// a request actually pipelines is [`FactorOptions::plan`]'s decision, and
-/// the run records it.
+/// per-call [`FuRecord`](crate::FuRecord)s: with fronts overlapping on the
+/// device, a front's split of simulated time is ill-defined, so a pipelined
+/// run books none, `record_stats` or not. Front storage is per-front heap
+/// buffers: front lifetimes overlap, which the postorder LIFO arena cannot
+/// express. Whether a request actually pipelines is [`FactorOptions::plan`]'s
+/// decision, and the run records it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PipelineOptions {
     /// Ask for fronts in flight. The plan drains instead under a memory
@@ -103,7 +106,8 @@ pub struct FactorOptions {
     pub selector: PolicySelector,
     /// Use the copy-optimized P4 transfer plan (§VI-C).
     pub copy_optimized: bool,
-    /// Collect per-call [`FuRecord`]s (adds no simulated time).
+    /// Collect per-call [`FuRecord`](crate::FuRecord)s (adds no simulated
+    /// time).
     pub record_stats: bool,
     /// Use the growth-only pinned-buffer reuse policy (§V-A2); disable for
     /// the allocation-cost ablation.
@@ -348,48 +352,6 @@ impl<T: Copy> SharedSlice<T> {
     }
 }
 
-/// Bookkeeping one front leaves behind once [`Lane::run_front`] has run it
-/// (the panel went into the factor slab; the update stays in the issuer's
-/// front storage).
-pub(crate) struct SnOutcome {
-    /// Per-call timing record, when `opts.record_stats` is set.
-    pub record: Option<FuRecord>,
-    /// Whether a device OOM forced a P1 fallback.
-    pub oom_fallback: bool,
-}
-
-impl SnOutcome {
-    /// Close front `sn`'s books right after the lane ran it. With `record`,
-    /// what `machine`'s component counters gathered since the front's
-    /// assembly began — its assembly, its factor-update, its extraction — is
-    /// its record's split.
-    pub(crate) fn close(
-        sn: usize,
-        symbolic: &SymbolicFactor,
-        ran: FrontRan,
-        machine: &Machine,
-        record: bool,
-    ) -> Self {
-        let info = &symbolic.supernodes[sn];
-        let record = record.then(|| {
-            let split = machine.split();
-            FuRecord {
-                sn,
-                m: info.m(),
-                k: info.k(),
-                policy: ran.outcome.executed,
-                total: ran.total,
-                t_potrf: split.potrf,
-                t_trsm: split.trsm,
-                t_syrk: split.syrk,
-                t_copy: split.copy,
-                t_assemble: split.host,
-            }
-        });
-        SnOutcome { record, oom_fallback: ran.outcome.oom_fallback }
-    }
-}
-
 /// Factor an already-permuted matrix on the given machine.
 ///
 /// `a` must be the permuted matrix `P·A·Pᵀ` whose structure `symbolic`
@@ -554,10 +516,8 @@ impl<T: Scalar> FrontRun<'_, T> {
             );
             let policy = opts.selector.choose(sn, m, k);
             let mut ctx = fu_ctx(machine, pool, opts, kernel_threads);
-            let ran = lane
-                .run_front(sn, &mut front, policy, &mut ctx)
-                .map_err(|e| fu_err_to_factor(info.col_start, e))?;
-            on_front(r, SnOutcome::close(sn, symbolic, ran, machine, opts.record_stats));
+            let ran = lane.run_front(sn, &mut front, policy, opts.record_stats, &mut ctx);
+            on_front(r, ran.map_err(|e| fu_err_to_factor(info.col_start, e))?);
             if last {
                 out = (m > 0).then_some(leaving);
             } else {
@@ -879,73 +839,99 @@ mod tests {
 
     #[test]
     fn rehearsal_equals_the_run_it_predicts() {
-        // The cost-model gate is exact only if a timing-only run charges what
-        // the run with data charges. Over fixed P1–P4 and the baseline hybrid,
-        // both P4 transfer plans and three matrices: the drain rehearsal
-        // equals `factor_drain`'s makespan, and the issuer without a slab
-        // equals the issuer with one at 1, 2 and 4 devices — to the bit —
-        // and hands the machine's device back in the mode it arrived in.
-        use crate::multigpu::{issue_fronts, rehearse_makespan};
+        // A rehearsal is exact only if a timing-only run charges what the run
+        // with data charges. Over fixed P1–P4, the baseline hybrid and a mixed
+        // oracle table, both P4 transfer plans, drain and pipelined at 1, 2
+        // and 4 devices, three matrices, on the paper node and on a device
+        // too small for the big fronts: `rehearse` equals `factor_permuted`
+        // on every clock field, to the bit, and holds no storage.
         use crate::plan::{Decision, Schedule};
+        use crate::stats::FuRecord;
         let matrices = [
             ("elasticity 4x4x3", mf_matgen::elasticity_3d(4, 4, 3)),
             ("laplacian 8^3", laplacian_3d(8, 8, 8, Stencil::Faces)),
             ("elasticity 6^3", mf_matgen::elasticity_3d(6, 6, 6)),
         ];
-        let mut selectors: Vec<PolicySelector> =
-            PolicyKind::ALL.iter().map(|&p| PolicySelector::Fixed(p)).collect();
-        selectors.push(PolicySelector::Baseline(BaselineThresholds::default()));
+        // The paper node, or one whose device is too small for the big fronts.
+        let node = |small_device: bool| {
+            let mut cfg = mf_gpusim::tesla_t10();
+            if small_device {
+                cfg.mem_bytes = 2_000; // 500 f32 elements — only small fronts fit
+            }
+            Machine::with_gpu(mf_gpusim::xeon_5160_core(), cfg)
+        };
+        let record_bits = |r: &FuRecord| {
+            let t = [r.total, r.t_potrf, r.t_trsm, r.t_syrk, r.t_copy, r.t_assemble];
+            (r.sn, r.m, r.k, r.policy, t.map(f64::to_bits))
+        };
+        let util_bits = |u: &mf_gpusim::GpuUtilization| {
+            ([u.compute_busy, u.copy_busy, u.span].map(f64::to_bits), u.gpus)
+        };
+        let mut oom_fallbacks = 0;
         for (name, a) in &matrices {
             let amalg = AmalgamationOptions::default();
             let analysis = analyze(a, OrderingKind::NestedDissection, Some(&amalg)).unwrap();
             let (a32, symbolic): (SymCsc<f32>, _) =
                 (analysis.permuted.0.cast(), &analysis.symbolic);
-            for (selector, copy_optimized) in selectors.iter().flat_map(|s| [(s, false), (s, true)])
-            {
-                let opts = |devices: usize, pipeline: PipelineOptions| FactorOptions {
-                    selector: selector.clone(),
-                    copy_optimized,
-                    pipeline,
-                    devices: MultiGpuOptions::devices(devices),
-                    ..Default::default()
-                };
-                let what = format!("{name} {selector:?} copy_optimized={copy_optimized}");
-                let drain = opts(1, PipelineOptions::default());
-                let mut machine = Machine::paper_node();
-                let drained = factor_permuted(&a32, symbolic, &analysis.perm, &mut machine, &drain)
-                    .unwrap()
-                    .1;
-                let drain_s = rehearse_makespan(&a32, symbolic, &drain, &machine, false);
-                assert_eq!(drain_s.to_bits(), drained.total_time.to_bits(), "{what}: drain");
-                for ndev in [1, 2, 4] {
-                    let pipelined = opts(ndev, PipelineOptions::pipelined());
-                    let mut slab = vec![0.0f32; symbolic.factor_slab_len()];
-                    let mut machine = Machine::paper_node();
-                    let ran = issue_fronts(
-                        &a32,
-                        symbolic,
-                        &mut machine,
-                        &pipelined,
-                        ndev,
-                        true,
-                        Some(&mut slab),
-                    )
-                    .unwrap();
-                    let mut twin = Machine::paper_node();
-                    let rehearsed =
-                        issue_fronts(&a32, symbolic, &mut twin, &pipelined, ndev, true, None)
-                            .unwrap();
-                    assert_eq!(
-                        rehearsed.total_time.to_bits(),
-                        ran.total_time.to_bits(),
-                        "{what}: {ndev} devices, {:.17e} vs {:.17e}",
-                        rehearsed.total_time,
-                        ran.total_time
-                    );
-                    assert!(!twin.gpu.as_ref().unwrap().is_virtual(), "{what}: {ndev} devices");
+            // The clock fields of both runs agree; returns the run's fallbacks.
+            let check = |opts: &FactorOptions, small_device: bool| {
+                let what = format!(
+                    "{name} small_device={small_device} {:?} copy_optimized={} {:?} {:?}",
+                    opts.selector, opts.copy_optimized, opts.pipeline, opts.devices
+                );
+                let mut machine = node(small_device);
+                let ran = factor_permuted(&a32, symbolic, &analysis.perm, &mut machine, opts);
+                let ran = ran.unwrap().1;
+                let rehearsed = opts.rehearse(&a32, symbolic, &node(small_device)).unwrap();
+                assert_eq!(
+                    rehearsed.total_time.to_bits(),
+                    ran.total_time.to_bits(),
+                    "{what}: {:.17e} vs {:.17e}",
+                    rehearsed.total_time,
+                    ran.total_time
+                );
+                assert_eq!(rehearsed.records.len(), ran.records.len(), "{what}: records");
+                for (r, n) in rehearsed.records.iter().zip(&ran.records) {
+                    assert_eq!(record_bits(r), record_bits(n), "{what}: {r:?} vs {n:?}");
+                }
+                let gpu = |s: &FactorStats| s.gpu.as_ref().map(util_bits);
+                assert_eq!(gpu(&rehearsed), gpu(&ran), "{what}: gpu");
+                let devices = |s: &FactorStats| s.gpu_devices.iter().map(util_bits).collect();
+                let rehearsed_devices: Vec<_> = devices(&rehearsed);
+                assert_eq!(rehearsed_devices, devices(&ran), "{what}: gpu_devices");
+                assert_eq!(rehearsed.peer_bytes, ran.peer_bytes, "{what}: peer_bytes");
+                assert_eq!(rehearsed.oom_fallbacks, ran.oom_fallbacks, "{what}: oom_fallbacks");
+                assert_eq!(rehearsed.plan, ran.plan, "{what}: plan");
+                let storage = (rehearsed.front_alloc_events, rehearsed.peak_front_bytes);
+                assert_eq!(storage, (0, 0), "{what}: a rehearsal holds no storage");
+                assert!(rehearsed.ooc.is_none(), "{what}: ooc");
+                ran.oom_fallbacks
+            };
+            let mixed = (0..symbolic.num_supernodes()).map(|sn| PolicyKind::ALL[sn % 4]).collect();
+            let mut selectors: Vec<PolicySelector> =
+                PolicyKind::ALL.iter().map(|&p| PolicySelector::Fixed(p)).collect();
+            selectors.push(PolicySelector::Baseline(BaselineThresholds::default()));
+            selectors.push(PolicySelector::Oracle(mixed));
+            let schedules = [(false, 1), (true, 1), (true, 2), (true, 4)];
+            for small_device in [false, true] {
+                for (selector, copy_optimized) in
+                    selectors.iter().flat_map(|s| [(s, false), (s, true)])
+                {
+                    for (pipelined, devices) in schedules {
+                        let opts = FactorOptions {
+                            selector: selector.clone(),
+                            copy_optimized,
+                            record_stats: true,
+                            pipeline: PipelineOptions { enabled: pipelined },
+                            devices: MultiGpuOptions::devices(devices),
+                            ..Default::default()
+                        };
+                        oom_fallbacks += check(&opts, small_device);
+                    }
                 }
             }
         }
+        assert!(oom_fallbacks > 0, "the grid needs OOM fallbacks to be meaningful");
 
         // The plan records these rehearsals: on the P2-loses / P4-wins
         // elasticity case the rehearsed makespans equal the runs they stand

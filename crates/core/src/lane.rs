@@ -20,9 +20,10 @@
 //! work-stealing task of [`crate::parallel`] is this loop over its range) and
 //! the issuer of fronts in flight in [`crate::multigpu`] (one lane per
 //! device, look-ahead, batched P4 runs on one lane, peer exports between
-//! several; without look-ahead it runs the drain schedule, which is how the
-//! plan rehearses it). What differs between them arrives as data: staging,
-//! `keep_update` and the issuer's `Sink` that receives the update blocks.
+//! several; without look-ahead it runs the drain schedule, per-call records
+//! included, which is how a rehearsal prices it without data). What differs
+//! between them arrives as data: staging, `keep_update` and the issuer's
+//! `Sink` that receives the update blocks.
 //! Whether data exists is not among them: for a run without a slab the
 //! issuer makes the staging pool and its devices virtual (and its
 //! [`FrontStore`] only charges assembly), and of the F-U only the
@@ -46,8 +47,9 @@ use crate::fu::{
 };
 use crate::multigpu::Sink;
 use crate::policy::PolicyKind;
+use crate::stats::FuRecord;
 use mf_dense::Scalar;
-use mf_gpusim::HostClock;
+use mf_gpusim::{Gpu, HostClock, TimeSplit};
 use mf_sparse::symbolic::SymbolicFactor;
 use mf_sparse::SymCsc;
 use std::collections::VecDeque;
@@ -119,6 +121,7 @@ impl<'a, T: Scalar> FrontStore<'a, T> {
     /// Storage for a run whose panels go into `slab` (zeroed); `None` for a
     /// run without data.
     pub(crate) fn new(symbolic: &'a SymbolicFactor, slab: Option<&'a mut [T]>) -> Self {
+        let allocs = u64::from(slab.is_some());
         let panels: Vec<_> =
             slab.map(|slab| split_panels(slab, symbolic.panel_ptr())).unwrap_or_default();
         FrontStore {
@@ -128,7 +131,7 @@ impl<'a, T: Scalar> FrontStore<'a, T> {
             rel: Vec::new(),
             live: 0,
             peak: 0,
-            allocs: 1,
+            allocs,
         }
     }
 
@@ -221,14 +224,44 @@ struct Inflight {
     pending: FuPending,
 }
 
-/// What [`Lane::run_front`] reports of one front.
-pub(crate) struct FrontRan {
-    /// The policy that ran, and whether a device OOM forced it.
-    pub outcome: FuOutcome,
-    /// Simulated time of the factor-update proper: from entry until the host
-    /// has waited for the downloads and applied the update, the extraction
-    /// charges excluded — [`crate::stats::FuRecord::total`].
-    pub total: f64,
+/// Bookkeeping one front leaves behind once a lane has run it (the panel
+/// went into the factor slab; the update stays in the issuer's front
+/// storage).
+pub(crate) struct SnOutcome {
+    /// Per-call timing record of a front run by [`Lane::run_front`] in a run
+    /// that records.
+    pub record: Option<FuRecord>,
+    /// Whether a device OOM forced a P1 fallback.
+    pub oom_fallback: bool,
+}
+
+impl SnOutcome {
+    /// Close front `sn`'s books right after it ran as `outcome`, its
+    /// factor-update proper taking `total` simulated seconds
+    /// ([`FuRecord::total`]). A run that records passes `split`: what the
+    /// component counters of its host and device gathered since the front's
+    /// assembly began — its assembly, its factor-update, its extraction.
+    fn close(
+        sn: usize,
+        (m, k): (usize, usize),
+        outcome: FuOutcome,
+        total: f64,
+        split: Option<TimeSplit>,
+    ) -> Self {
+        let record = split.map(|split| FuRecord {
+            sn,
+            m,
+            k,
+            policy: outcome.executed,
+            total,
+            t_potrf: split.potrf,
+            t_trsm: split.trsm,
+            t_syrk: split.syrk,
+            t_copy: split.copy,
+            t_assemble: split.host,
+        });
+        SnOutcome { record, oom_fallback: outcome.oom_fallback }
+    }
 }
 
 /// One device's pipeline (see the module docs).
@@ -253,14 +286,17 @@ impl<'a, T: Scalar> Lane<'a, T> {
     /// back to P1 at once, the device already as empty as a drain leaves
     /// it); then, with nothing outstanding on the device (P1, or an `m = 0`
     /// P2/P3 pivot), the extraction charges on the spot; otherwise phase 2
-    /// and its finish.
+    /// and its finish. With `record`, the front's per-call record is booked
+    /// from the counters of `ctx`'s host and device, which its issuer cleared
+    /// where the front's assembly began.
     pub(crate) fn run_front(
         &mut self,
         sn: usize,
         front: &mut Front<'_, T>,
         policy: PolicyKind,
+        record: bool,
         ctx: &mut FuContext<'_>,
-    ) -> Result<FrontRan, FuError> {
+    ) -> Result<SnOutcome, FuError> {
         debug_assert!(self.staged.is_none() && self.inflight.is_empty(), "a drained lane");
         let t0 = ctx.host.now();
         let mut pending = dispatch_fu(front, policy, ctx)?;
@@ -274,13 +310,15 @@ impl<'a, T: Scalar> Lane<'a, T> {
             enqueue_downloads(front, &mut pending, false, ctx);
             finish::<T>(Inflight { members: vec![(sn, s, k, m)], pending }, ctx)
         };
-        Ok(FrontRan { outcome, total: fu_end - t0 })
+        let split = record.then(|| counters(ctx));
+        Ok(SnOutcome::close(sn, (m, k), outcome, fu_end - t0, split))
     }
 
     /// The same for a front the lane may keep: with GPU work outstanding it
     /// stays staged until the next dispatch (or an explicit [`Self::flush`],
     /// which applies `keep_update`) — and the issuer trims
-    /// the window, which may span several lanes.
+    /// the window, which may span several lanes. A front in flight books no
+    /// record.
     pub(crate) fn run_staged(
         &mut self,
         mut member: Member<'a, T>,
@@ -288,7 +326,7 @@ impl<'a, T: Scalar> Lane<'a, T> {
         keep_update: bool,
         ctx: &mut FuContext<'_>,
         sink: &mut Sink<'_, '_, T>,
-    ) -> Result<FuOutcome, FuError> {
+    ) -> Result<SnOutcome, FuError> {
         let pending = self.dispatch(&mut member.front(), policy, ctx, sink)?;
         let outcome = pending.outcome();
         if pending.is_done() {
@@ -297,7 +335,7 @@ impl<'a, T: Scalar> Lane<'a, T> {
         } else {
             self.stage(vec![member], pending, keep_update, ctx, sink);
         }
-        Ok(outcome)
+        Ok(SnOutcome { record: None, oom_fallback: outcome.oom_fallback })
     }
 
     /// Phase 1 for one front. On device OOM the lane first reaches the drain
@@ -430,6 +468,19 @@ impl<'a, T: Scalar> Lane<'a, T> {
         for entry in self.inflight.drain(..) {
             entry.pending.abandon(gpu);
         }
+    }
+}
+
+/// The component counters of `ctx`'s host and device added up, bucket by
+/// bucket: a front's split when they were cleared where its assembly began.
+fn counters(ctx: &FuContext<'_>) -> TimeSplit {
+    let (h, d) = (ctx.host.split(), ctx.gpu.as_deref().map(Gpu::split).unwrap_or_default());
+    TimeSplit {
+        potrf: h.potrf + d.potrf,
+        trsm: h.trsm + d.trsm,
+        syrk: h.syrk + d.syrk,
+        copy: h.copy + d.copy,
+        host: h.host + d.host,
     }
 }
 

@@ -22,12 +22,13 @@
 //! uploads to one device while another device's kernels run), which lane a
 //! front runs on, the window over all lanes, and the peer exports between
 //! lanes; lane `d` is device `d`. Without look-ahead every front finishes
-//! before the next assembles — the drain schedule, charge for charge, which
-//! the plan's rehearsal prices. Three rules differ by lane count (one short
-//! branch each, see [`Issuer::window`], [`Issuer::batch_run_len`] and
-//! [`Issuer::ready_children`]): the window, batched P4 runs, and how a
-//! parent waits for its children. Above the frontier,
-//! a front whose children were factored on *other* devices consumes their
+//! before the next assembles — the drain schedule, charge for charge and
+//! record for record. Without a slab the run is a rehearsal ([`rehearse`]):
+//! [`FactorOptions::rehearse`] and the plan's two rehearsals. Three rules
+//! differ by lane count (one short branch each, see [`Issuer::window`],
+//! [`Issuer::batch_run_len`] and [`Issuer::ready_children`]): the window,
+//! batched P4 runs, and how a parent waits for its children. Above the
+//! frontier, a front whose children were factored on *other* devices consumes their
 //! packed `m × m` contribution blocks via [`DeviceSet::p2p`] peer copies —
 //! event-chained, on the dedicated peer engine — instead of the
 //! d2h → host-assemble → h2d staging round-trip; the producing front's
@@ -55,6 +56,7 @@ use crate::frontal::{charge_update_extract, Front};
 use crate::fu::{FuContext, RemoteUpdate, S_COMPUTE, S_COPY};
 use crate::lane::{FrontStore, Lane, Member, PIPELINE_DEPTH};
 use crate::pinned_pool::PinnedPool;
+use crate::plan::Schedule;
 use crate::policy::PolicyKind;
 use crate::stats::FactorStats;
 use mf_dense::Scalar;
@@ -312,7 +314,9 @@ struct Issuer<'a, 'm, T> {
     store: FrontStore<'a, T>,
     /// Device-resident update blocks awaiting a peer-copy extend-add.
     exports: Vec<Option<RemoteUpdate>>,
-    oom_fallbacks: usize,
+    /// OOM fallbacks, and the per-call records of a run without look-ahead
+    /// under `record_stats`.
+    stats: FactorStats,
 }
 
 impl<'a, T: Scalar> Issuer<'a, '_, T> {
@@ -456,6 +460,9 @@ impl<'a, T: Scalar> Issuer<'a, '_, T> {
     }
 
     fn step(&mut self, sn: usize) -> Result<(), FactorError> {
+        // The front's split starts at its assembly, as in the arena loop.
+        self.host.clear_split();
+        self.set.device_mut(self.map.device_of[sn]).clear_split();
         let info = &self.symbolic.supernodes[sn];
         let member = self.ready_front(sn);
         let policy = self.opts.selector.choose(sn, info.m(), info.k());
@@ -468,7 +475,8 @@ impl<'a, T: Scalar> Issuer<'a, '_, T> {
 
     /// Run one assembled front through its lane: staged behind the next
     /// dispatch with the window in flight under `look_ahead`, finished
-    /// before the call returns without.
+    /// before the call returns without — and, in a run without look-ahead
+    /// under `record_stats`, booked as a per-call record.
     fn dispatch(
         &mut self,
         mut member: Member<'a, T>,
@@ -476,21 +484,20 @@ impl<'a, T: Scalar> Issuer<'a, '_, T> {
         keep_update: bool,
         look_ahead: bool,
     ) -> Result<(), FactorError> {
-        let sn = member.sn;
-        let outcome = if look_ahead {
-            self.on_lane(self.map.device_of[sn], |l, ctx, sink| {
-                l.run_staged(member, policy, keep_update, ctx, sink)
-            })
+        let (sn, lane) = (member.sn, self.map.device_of[member.sn]);
+        let out = if look_ahead {
+            self.on_lane(lane, |l, ctx, sink| l.run_staged(member, policy, keep_update, ctx, sink))
         } else {
-            self.on_lane(self.map.device_of[sn], |l, ctx, sink| {
-                let ran = l.run_front(sn, &mut member.front(), policy, ctx);
+            let record = self.opts.record_stats && !self.look_ahead;
+            self.on_lane(lane, |l, ctx, sink| {
+                let out = l.run_front(sn, &mut member.front(), policy, record, ctx);
                 sink.deliver(sn, member.update, None);
-                ran.map(|r| r.outcome)
+                out
             })
         };
-        let outcome =
-            outcome.map_err(|e| fu_err_to_factor(self.symbolic.supernodes[sn].col_start, e))?;
-        self.oom_fallbacks += usize::from(outcome.oom_fallback);
+        let out = out.map_err(|e| fu_err_to_factor(self.symbolic.supernodes[sn].col_start, e))?;
+        self.stats.oom_fallbacks += usize::from(out.oom_fallback);
+        self.stats.records.extend(out.record);
         if look_ahead {
             self.trim_window(self.window());
         }
@@ -592,7 +599,7 @@ impl<'a, T: Scalar> Issuer<'a, '_, T> {
 
 /// Fronts in flight on `ndev` lanes of one host timeline:
 /// [`crate::Schedule::Pipelined`] with `look_ahead` and the panels into
-/// `slab`, the plan's rehearsal at one device (see [`rehearse_makespan`]).
+/// `slab`; without a slab, a rehearsal (see [`rehearse`]).
 /// The machine's own device becomes device 0 of a [`DeviceSet`] of `ndev`
 /// identical devices and moves back when the run ends, error or not.
 /// Without a slab the run is timing-only: every device of the set and the
@@ -633,7 +640,7 @@ pub(crate) fn issue_fronts<T: Scalar>(
         order: VecDeque::new(),
         store: FrontStore::new(symbolic, slab),
         exports: vec![None; symbolic.num_supernodes()],
-        oom_fallbacks: 0,
+        stats: FactorStats::default(),
     };
     let result = run.run();
 
@@ -653,7 +660,6 @@ pub(crate) fn issue_fronts<T: Scalar>(
     machine.gpu = Some(own);
     result?;
     Ok(FactorStats {
-        oom_fallbacks: run.oom_fallbacks,
         front_alloc_events: run.store.allocs,
         peak_front_bytes: run.store.peak_bytes(),
         total_time: total,
@@ -661,33 +667,37 @@ pub(crate) fn issue_fronts<T: Scalar>(
         // One device is all of `gpu`; `GOLDEN_CLOCK` hashes both fields.
         gpu_devices: if ndev > 1 { per_dev } else { Vec::new() },
         peer_bytes,
-        ..Default::default()
+        ..run.stats
     })
 }
 
-/// Timing-only rehearsal of the one-device run, with `look_ahead` or
-/// without (the drain schedule), on a *twin* of `machine`: same CPU and GPU
-/// configuration, fresh clocks; [`issue_fronts`] without a slab makes its
-/// device and staging pool virtual. Every simulated duration depends only
-/// on shapes and configuration — never on numeric data — and the rehearsal
-/// runs the very bodies the real run does, so the rehearsed makespan equals
-/// the real run's exactly, including OOM fallback decisions and pinned-pool
-/// waits (where a front's bytes sit is never charged, so the drain
-/// rehearsal stands for the arena run). No numeric buffer is allocated or
-/// touched. [`FactorOptions::plan`] rehearses both schedules of a
-/// single-device pipelined request.
-pub(crate) fn rehearse_makespan<T: Scalar>(
+/// Timing-only run of `schedule` — [`crate::Schedule::Drain`] on one lane
+/// without look-ahead, [`crate::Schedule::Pipelined`] on its lanes with it —
+/// on a *twin* of `machine`: same CPU and GPU configuration,
+/// fresh clocks; [`issue_fronts`] without a slab makes its devices and
+/// staging pool virtual. Every simulated duration depends only on shapes and
+/// configuration — never on numeric data — and the rehearsal runs the very
+/// bodies the run with data does, so its clock equals that run's exactly,
+/// OOM fallbacks and pinned-pool waits included (where a front's bytes sit
+/// is never charged, so the drain rehearsal stands for the arena run). Behind
+/// [`FactorOptions::rehearse`] and the two rehearsals of
+/// [`FactorOptions::plan`].
+pub(crate) fn rehearse<T: Scalar>(
     a: &SymCsc<T>,
     symbolic: &SymbolicFactor,
     opts: &FactorOptions,
     machine: &Machine,
-    look_ahead: bool,
-) -> f64 {
+    schedule: Schedule,
+) -> FactorStats {
+    let (ndev, look_ahead) = match schedule {
+        Schedule::Pipelined { devices } => (devices, true),
+        // The serial entry's plan never holds `Tasks`.
+        Schedule::Drain | Schedule::Tasks { .. } => (1, false),
+    };
     let gpu_cfg = machine.gpu.as_ref().expect("a rehearsal needs a GPU machine").config().clone();
     let mut twin = Machine::with_gpu(machine.host.config().clone(), gpu_cfg);
-    issue_fronts(a, symbolic, &mut twin, opts, 1, look_ahead, None)
+    issue_fronts(a, symbolic, &mut twin, opts, ndev, look_ahead, None)
         .expect("timing-only rehearsal sees no data, so no pivot can fail")
-        .total_time
 }
 
 #[cfg(test)]

@@ -13,11 +13,17 @@
 //! What the run decides per front — a device OOM sending a front to P1 — is
 //! not a plan decision; `FactorStats::oom_fallbacks` counts it.
 //!
+//! [`FactorOptions::rehearse`] runs the serial entry's plan without data: its
+//! schedule, timing-only, through the issuer of fronts in flight on a twin of
+//! the machine, which returns the run's simulated clock and per-call records
+//! bit for bit. The plan's own two single-device rehearsals are the same
+//! routine.
+//!
 //! [`factor_permuted`]: crate::factor::factor_permuted
 //! [`factor_permuted_parallel`]: crate::parallel::factor_permuted_parallel
 
 use crate::factor::{factor_drain, CholeskyFactor, FactorError, FactorOptions};
-use crate::multigpu::{issue_fronts, rehearse_makespan};
+use crate::multigpu::{issue_fronts, rehearse};
 use crate::parallel::{factor_tasks, ParallelOptions};
 use crate::stats::FactorStats;
 use mf_dense::Scalar;
@@ -106,6 +112,11 @@ pub enum PlanError {
         /// The requested device count.
         devices: usize,
     },
+    /// [`FactorOptions::rehearse`] on a machine without a device or under a
+    /// memory budget: the rehearsal runs fronts through the issuer of fronts
+    /// in flight, which needs a device, and the out-of-core spill charges
+    /// run only in the arena loop.
+    NotRehearsable,
 }
 
 impl fmt::Display for PlanError {
@@ -119,6 +130,7 @@ impl fmt::Display for PlanError {
             PlanError::DevicesWithoutGpu { devices } => {
                 write!(f, "{devices} devices requested, but no machine carries a GPU")
             }
+            PlanError::NotRehearsable => write!(f, "a rehearsal needs a GPU and no memory budget"),
         }
     }
 }
@@ -180,14 +192,44 @@ impl FactorOptions {
         plan.machine = g;
         plan.schedule = Schedule::Pipelined { devices };
         if devices == 1 {
-            let [pipelined_s, drain_s] =
-                [true, false].map(|p| rehearse_makespan(a, symbolic, self, &machines[g], p));
+            let [pipelined_s, drain_s] = [plan.schedule, Schedule::Drain]
+                .map(|s| rehearse(a, symbolic, self, &machines[g], s).total_time);
             plan.decision = Some(Decision::Rehearsed { pipelined_s, drain_s });
             if pipelined_s >= drain_s {
                 plan.schedule = Schedule::Drain;
             }
         }
         Ok(plan)
+    }
+
+    /// The simulated clock of [`crate::factor_permuted`] on `machine` under
+    /// these options, without data: the serial entry's plan, its schedule
+    /// run timing-only on a twin of `machine` (same configuration, fresh
+    /// clocks) — [`Schedule::Drain`] on one lane without look-ahead,
+    /// [`Schedule::Pipelined`] on its `devices` lanes with it. No numeric
+    /// buffer is allocated or touched; `a` gives the pattern and `T` the
+    /// bytes every transfer and assembly is charged for.
+    ///
+    /// `total_time`, `records`, `gpu`, `gpu_devices`, `peer_bytes`,
+    /// `oom_fallbacks` and `plan` equal those of `factor_permuted` on a fresh
+    /// `machine` bit for bit. `front_alloc_events`, `peak_front_bytes` and
+    /// `ooc` describe storage a rehearsal never holds: they are zero and
+    /// `None`, and so is `wall_time`.
+    ///
+    /// A machine without a device, or a memory budget, is
+    /// [`PlanError::NotRehearsable`]; an option combination no driver runs is
+    /// the [`PlanError`] of [`Self::plan`].
+    pub fn rehearse<T: Scalar>(
+        &self,
+        a: &SymCsc<T>,
+        symbolic: &SymbolicFactor,
+        machine: &Machine,
+    ) -> Result<FactorStats, PlanError> {
+        let plan = self.plan(a, symbolic, std::slice::from_ref(machine), None)?;
+        if self.memory_budget.is_some() || machine.gpu.is_none() {
+            return Err(PlanError::NotRehearsable);
+        }
+        Ok(FactorStats { plan, ..rehearse(a, symbolic, self, machine, plan.schedule) })
     }
 }
 
@@ -260,5 +302,29 @@ mod tests {
         }
         let e = FactorError::Plan(PlanError::DevicesWithoutPipeline { devices: 4 });
         assert_eq!(e.to_string(), "unsupported options: 4 devices need pipelining enabled");
+    }
+
+    #[test]
+    fn rehearsal_without_device_or_under_budget_is_typed() {
+        let a = laplacian_3d(4, 4, 3, Stencil::Faces);
+        let an = analyze(&a, OrderingKind::NestedDissection, Some(&AmalgamationOptions::default()))
+            .unwrap();
+        let (a, symbolic) = (&an.permuted.0, &an.symbolic);
+        let cpu_only = Machine::cpu_only(mf_gpusim::xeon_5160_core());
+        for pipeline in [PipelineOptions::default(), PipelineOptions::pipelined()] {
+            let opts = FactorOptions { pipeline, ..Default::default() };
+            assert_eq!(
+                opts.rehearse(a, symbolic, &cpu_only).err(),
+                Some(PlanError::NotRehearsable)
+            );
+            let budgeted = FactorOptions { memory_budget: Some(usize::MAX), ..opts };
+            let got = budgeted.rehearse(a, symbolic, &Machine::paper_node()).err();
+            assert_eq!(got, Some(PlanError::NotRehearsable), "{pipeline:?}");
+        }
+        let e = FactorError::Plan(PlanError::NotRehearsable);
+        assert_eq!(
+            e.to_string(),
+            "unsupported options: a rehearsal needs a GPU and no memory budget"
+        );
     }
 }

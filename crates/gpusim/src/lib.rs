@@ -94,19 +94,6 @@ impl Machine {
         self.host.now()
     }
 
-    /// Both timelines' component counters, bucket by bucket host + device.
-    pub fn split(&self) -> TimeSplit {
-        let h = self.host.split();
-        let d = self.gpu.as_ref().map(Gpu::split).unwrap_or_default();
-        TimeSplit {
-            potrf: h.potrf + d.potrf,
-            trsm: h.trsm + d.trsm,
-            syrk: h.syrk + d.syrk,
-            copy: h.copy + d.copy,
-            host: h.host + d.host,
-        }
-    }
-
     /// Zero both timelines' component counters.
     pub fn clear_split(&mut self) {
         self.host.clear_split();
@@ -140,7 +127,7 @@ mod tests {
     }
 
     #[test]
-    fn machine_split_adds_both_timelines() {
+    fn machine_clear_split_zeroes_both_timelines() {
         let mut m = Machine::paper_node();
         m.host.charge_kernel(KernelKind::Potrf, 0, 64, 0);
         let host_potrf = m.host.now();
@@ -151,11 +138,13 @@ mod tests {
         let start = host.now();
         gpu.syrk(s0, v, v, 64, 32, host);
         let syrk = gpu.stream_tail(s0) - start;
-        let split = m.split();
-        assert_eq!((split.potrf, split.syrk), (host_potrf, syrk));
-        assert_eq!(split.trsm + split.copy + split.host, 0.0);
+        let (h, d) = (m.host.split(), m.gpu.as_ref().unwrap().split());
+        assert_eq!((h.potrf, d.syrk), (host_potrf, syrk));
+        assert_eq!(h.trsm + h.syrk + h.copy + h.host, 0.0);
+        assert_eq!(d.potrf + d.trsm + d.copy + d.host, 0.0);
         m.clear_split();
-        assert_eq!(m.split(), TimeSplit::default());
+        assert_eq!(m.host.split(), TimeSplit::default());
+        assert_eq!(m.gpu.as_ref().unwrap().split(), TimeSplit::default());
     }
 
     #[test]
@@ -289,8 +278,8 @@ mod tests {
         let s0 = gpu.default_stream();
         gpu.h2d(s0, v, 4, 4, &[1.0; 16], 4, true, CopyMode::Async, host);
         gpu.syrk(s0, v, v, 4, 2, host);
-        let split = m.split();
-        assert!(split.potrf > 0.0 && split.syrk > 0.0 && split.copy > 0.0 && split.host > 0.0);
+        let (h, d) = (m.host.split(), m.gpu.as_ref().unwrap().split());
+        assert!(h.potrf > 0.0 && h.host > 0.0 && d.syrk > 0.0 && d.copy > 0.0);
         m.reset();
         assert_eq!(m.host.split(), TimeSplit::default(), "HostClock::reset");
         assert_eq!(m.gpu.as_ref().unwrap().split(), TimeSplit::default(), "Gpu::reset_clock");

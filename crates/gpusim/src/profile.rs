@@ -2,8 +2,9 @@
 //!
 //! Every host and device timeline keeps a [`TimeSplit`]: always-on counters
 //! of the seconds its charges spent per component. The factorization layer
-//! clears a machine's counters when a front's assembly begins and reads them
-//! when the front is done, which yields the per-front breakdown of the
+//! clears a machine's counters when a front's assembly begins and adds its
+//! host's and device's up, bucket by bucket, when the front is done, which
+//! yields the per-front breakdown of the
 //! paper's Figures 2, 5, 6 and Table IV and the per-call timings the
 //! auto-tuner trains on. [`GpuUtilization`] is the run-level engine view.
 

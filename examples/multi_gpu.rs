@@ -33,18 +33,16 @@ fn main() {
 
     // Per-supernode durations for CPU-only (P1) and for GPU workers
     // (copy-optimized P4-heavy hybrid — the configuration the paper found
-    // best for multi-GPU runs).
+    // best for multi-GPU runs), rehearsed: each run's simulated clock and
+    // per-call records without its data.
     let run = |selector: PolicySelector, copy_opt: bool| {
-        let mut machine = Machine::paper_node();
         let opts = FactorOptions {
             selector,
             copy_optimized: copy_opt,
             record_stats: true,
             ..Default::default()
         };
-        factor_permuted(&a32, &analysis.symbolic, &analysis.perm, &mut machine, &opts)
-            .expect("SPD")
-            .1
+        opts.rehearse(&a32, &analysis.symbolic, &Machine::paper_node()).expect("a GPU machine")
     };
     let cpu_stats = run(PolicySelector::Fixed(PolicyKind::P1), false);
     let gpu_stats = run(PolicySelector::Baseline(BaselineThresholds::default()), true);
@@ -105,15 +103,14 @@ fn main() {
         );
     };
     let drain_p4 = run(PolicySelector::Fixed(PolicyKind::P4), false);
-    let mut piped_machine = Machine::paper_node();
     let piped_opts = FactorOptions {
         selector: PolicySelector::Fixed(PolicyKind::P4),
         pipeline: PipelineOptions::pipelined(),
         ..Default::default()
     };
-    let (_, piped_p4) =
-        factor_permuted(&a32, &analysis.symbolic, &analysis.perm, &mut piped_machine, &piped_opts)
-            .expect("SPD");
+    let piped_p4 = piped_opts
+        .rehearse(&a32, &analysis.symbolic, &Machine::paper_node())
+        .expect("a GPU machine");
     gpu_line("drain-per-front", &drain_p4);
     gpu_line("pipelined      ", &piped_p4);
     println!("  plan: {:?}", piped_p4.plan);

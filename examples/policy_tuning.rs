@@ -8,16 +8,15 @@
 //! ```
 
 use gpu_multifrontal::autotune::{train, Dataset, Objective, TrainOptions};
-use gpu_multifrontal::core::{
-    estimate_fu_time, factor_permuted, FactorOptions, PolicyKind, PolicySelector,
-};
+use gpu_multifrontal::core::{estimate_fu_time, FactorOptions, PolicyKind, PolicySelector};
 use gpu_multifrontal::matgen::{laplacian_3d, Stencil};
 use gpu_multifrontal::prelude::*;
 use gpu_multifrontal::sparse::symbolic::analyze;
 use gpu_multifrontal::sparse::AmalgamationOptions;
 
 fn main() {
-    // Training data: per-supernode timings from two 3-D problems.
+    // Training data: per-supernode timings from two 3-D problems, rehearsed
+    // (the simulated clock of each run without its data).
     let mut sets = Vec::new();
     for (nx, ny, nz) in [(16, 16, 16), (22, 18, 12)] {
         let a = laplacian_3d(nx, ny, nz, Stencil::Full);
@@ -27,16 +26,12 @@ fn main() {
         let a32: SymCsc<f32> = analysis.permuted.0.cast();
         let mut stats = Vec::new();
         for p in PolicyKind::ALL {
-            let mut machine = Machine::paper_node();
             let opts = FactorOptions {
                 selector: PolicySelector::Fixed(p),
                 record_stats: true,
                 ..Default::default()
             };
-            let (_, st) =
-                factor_permuted(&a32, &analysis.symbolic, &analysis.perm, &mut machine, &opts)
-                    .expect("SPD");
-            stats.push(st);
+            stats.push(opts.rehearse(&a32, &analysis.symbolic, &Machine::paper_node()).unwrap());
         }
         sets.push(Dataset::from_policy_runs(&[&stats[0], &stats[1], &stats[2], &stats[3]]));
     }

@@ -33,18 +33,16 @@ fn main() {
     );
     let a32: SymCsc<f32> = analysis.permuted.0.cast();
 
-    // Factor under each fixed policy, recording per-call timings.
+    // Rehearse each fixed policy — its simulated clock and per-call timings
+    // without the factor's data.
     let mut stats = Vec::new();
     for p in PolicyKind::ALL {
-        let mut machine = Machine::paper_node();
         let opts = FactorOptions {
             selector: PolicySelector::Fixed(p),
             record_stats: true,
             ..Default::default()
         };
-        let (_, st) =
-            factor_permuted(&a32, &analysis.symbolic, &analysis.perm, &mut machine, &opts)
-                .expect("SPD");
+        let st = opts.rehearse(&a32, &analysis.symbolic, &Machine::paper_node()).expect("a GPU");
         println!("  {p}: {:.3} ms simulated", st.total_time * 1e3);
         stats.push(st);
     }

@@ -3,16 +3,15 @@
 //! model on an *unseen* matrix → verify it generalizes.
 
 use gpu_multifrontal::autotune::{train, Dataset, Objective, TrainOptions};
-use gpu_multifrontal::core::{factor_permuted, FactorOptions, FactorStats, PolicySelector};
+use gpu_multifrontal::core::{FactorOptions, FactorStats, PolicySelector};
 use gpu_multifrontal::matgen::{elasticity_3d, laplacian_3d, Stencil};
 use gpu_multifrontal::prelude::*;
 use gpu_multifrontal::sparse::symbolic::{analyze, Analysis};
 use gpu_multifrontal::sparse::AmalgamationOptions;
 
 fn run(a32: &SymCsc<f32>, analysis: &Analysis, selector: PolicySelector) -> FactorStats {
-    let mut machine = Machine::paper_node();
     let opts = FactorOptions { selector, record_stats: true, ..Default::default() };
-    factor_permuted(a32, &analysis.symbolic, &analysis.perm, &mut machine, &opts).expect("SPD").1
+    opts.rehearse(a32, &analysis.symbolic, &Machine::paper_node()).expect("a GPU machine")
 }
 
 fn dataset_of(a: &SymCsc<f64>) -> (Analysis, SymCsc<f32>, Dataset, [FactorStats; 4]) {

@@ -3,8 +3,7 @@
 
 use gpu_multifrontal::autotune::{train, Dataset, TrainOptions};
 use gpu_multifrontal::core::{
-    estimate_fu_time, factor_permuted, simulate_tree_schedule, FactorOptions, MoldableModel,
-    PolicySelector,
+    estimate_fu_time, simulate_tree_schedule, FactorOptions, MoldableModel, PolicySelector,
 };
 use gpu_multifrontal::dense::FuFlops;
 use gpu_multifrontal::gpusim::{tesla_t10, xeon_5160_core};
@@ -18,9 +17,8 @@ fn policy_stats(
     analysis: &gpu_multifrontal::sparse::Analysis,
     selector: PolicySelector,
 ) -> gpu_multifrontal::core::FactorStats {
-    let mut machine = Machine::paper_node();
     let opts = FactorOptions { selector, record_stats: true, ..Default::default() };
-    factor_permuted(a32, &analysis.symbolic, &analysis.perm, &mut machine, &opts).expect("SPD").1
+    opts.rehearse(a32, &analysis.symbolic, &Machine::paper_node()).expect("a GPU machine")
 }
 
 /// Table III: asymptotic rates within 1 % of the paper's values.
