@@ -111,7 +111,9 @@ RUST_TEST_THREADS=1 cargo test -q --release -p mf-server
 #                    budget x machines with and without a device x serial or
 #                    parallel entry) factors to the canonical bits recording the
 #                    plan the contract names, or fails with the typed PlanError
-#                    before any machine moves; a parallel entry without
+#                    before any machine moves; at every serial-entry point the
+#                    rehearsal equals the run (clock, records, fallbacks, plan,
+#                    ooc) or fails with its error; a parallel entry without
 #                    machines is typed too
 #   time_split       every gpusim charge lands in exactly one component counter
 #                    (potrf, trsm, syrk+gemm, copies, host memops + pinned
@@ -125,12 +127,14 @@ RUST_TEST_THREADS=1 cargo test -q --release -p mf-server
 #                    a run without data charges the clock of the run with
 #                    data: FactorOptions::rehearse == factor_permuted on
 #                    total_time, every FuRecord field, gpu, gpu_devices,
-#                    peer_bytes, oom_fallbacks and plan, bit for bit, over
-#                    fixed P1-P4, the baseline hybrid and a mixed oracle
-#                    table, both P4 transfer plans, drain and pipelined at
-#                    1/2/4 devices, three matrices, on the paper node and a
-#                    2 000-byte device; the plan records the P2-loses /
-#                    P4-wins rehearsals it ran
+#                    peer_bytes, oom_fallbacks, plan and ooc, bit for bit,
+#                    or the run's error, over fixed P1-P4, the baseline
+#                    hybrid and a mixed oracle table, both P4 transfer plans,
+#                    drain and pipelined at 1/2/4 devices, three matrices, on
+#                    the paper node, a 2 000-byte device and a CPU-only node,
+#                    in core and under budgets at min_feasible_budget and
+#                    halfway to in core (ladder off and bf16); the plan
+#                    records the P2-loses / P4-wins rehearsals it ran
 #   keep_update_path_is_bitwise_identical_to_download_path
 #                    the keep rule (update downloads dropped, the device
 #                    buffer exported) lands the download path's bytes and
@@ -138,7 +142,8 @@ RUST_TEST_THREADS=1 cargo test -q --release -p mf-server
 #   estimate_matches_real_execution_time
 #                    estimate_fu_time == the f32 run with data, bit for bit,
 #                    every policy, both P4 transfer plans, five front shapes
-#                    (fused small, root, mid, large)
+#                    (fused small, root, mid, large), both through the lane's
+#                    run_front; the device comes back in the mode it came in
 echo "==> named suites (counted, default + single test thread)"
 while read -r target filter expected; do
   case $target in

@@ -132,7 +132,7 @@ pub struct SuiteData {
 pub(crate) fn rehearse(analysis: &Analysis, opts: &FactorOptions) -> FactorStats {
     let a32: SymCsc<f32> = analysis.permuted.0.cast();
     opts.rehearse(&a32, &analysis.symbolic, &Machine::paper_node())
-        .expect("the paper node has a device and the suite runs in core")
+        .expect("the suite's options are valid")
 }
 
 /// Rehearse one matrix under all four fixed policies (f32, stats recorded).

@@ -16,19 +16,20 @@
 //! `crate::lane`. This module holds one of its two issuers, the arena loop
 //! (`FrontRun::factor_range`: the drain schedule, one front at a time on the
 //! LIFO stack, which every work-stealing task of [`crate::parallel`] runs on
-//! the worker's own arena). Fronts whose lifetimes overlap — the pipelined
-//! schedule on one device or several — and every run without data —
-//! [`FactorOptions::rehearse`] and the two rehearsals by which
-//! [`FactorOptions::plan`] chooses between pipelined and drain — go through
-//! the other, `crate::multigpu`'s issuer of fronts in flight. Either way a
-//! front that finishes before the next assembles books its per-call record in
-//! [`Lane::run_front`].
+//! the worker's own arena), and every front it runs books its per-call record
+//! in [`Lane::run_front`]. Without a factor slab the same loop runs
+//! timing-only — no arena, a virtual staging pool and device, each assembly
+//! charged from the structure — which is how [`FactorOptions::rehearse`] and
+//! the drain rehearsal of [`FactorOptions::plan`] price the drain schedule,
+//! out-of-core spills included. Fronts whose lifetimes overlap — the
+//! pipelined schedule on one device or several — go through the other
+//! issuer, `crate::multigpu`'s issuer of fronts in flight.
 
 use crate::arena::FrontArena;
 use crate::features::LinearPolicyModel;
-use crate::frontal::{assemble_front_into, ChildUpdate};
+use crate::frontal::{assemble_front_into, ChildUpdate, Front};
 use crate::fu::{FuContext, FuError};
-use crate::lane::{child_views, Lane, SnOutcome};
+use crate::lane::{charge_assembly, child_views, Lane, SnOutcome};
 use crate::multigpu::MultiGpuOptions;
 use crate::ooc::{plan_ooc, OocPlan};
 use crate::pinned_pool::PinnedPool;
@@ -370,32 +371,37 @@ pub fn factor_permuted<T: Scalar>(
 }
 
 /// [`crate::Schedule::Drain`]: the whole postorder through the arena loop on
-/// one machine.
+/// one machine, the panels into `slab`. Without a slab the run is
+/// timing-only: it holds no arena, its staging pool is virtual and every
+/// front's assembly is charged from the structure (the caller makes the
+/// machine's device virtual).
 pub(crate) fn factor_drain<T: Scalar>(
     a: &SymCsc<T>,
     symbolic: &SymbolicFactor,
-    perm: &Permutation,
     machine: &mut Machine,
     opts: &FactorOptions,
-) -> Result<(CholeskyFactor<T>, FactorStats), FactorError> {
+    slab: Option<&mut [T]>,
+) -> Result<FactorStats, FactorError> {
     let ooc_plan = ooc_plan::<T>(symbolic, opts)?;
     let mut pool = pinned_pool(opts);
-    let mut slab = vec![T::ZERO; symbolic.factor_slab_len()];
+    pool.set_virtual(slab.is_none());
     let mut rel: Vec<usize> = Vec::new();
 
     // Whole-run working storage: the factor slab, where the panels are
     // factored in place, plus one arena of update blocks sized by the
     // symbolic stack-peak bound — the numeric phase's only front-storage
-    // allocations.
-    let mut stats = FactorStats { front_alloc_events: 2, ..Default::default() };
-    let mut arena = FrontArena::<T>::with_len(symbolic.update_stack_peak());
+    // allocations, and none without data.
+    let data = slab.is_some();
+    let mut stats = FactorStats { front_alloc_events: 2 * u64::from(data), ..Default::default() };
+    let mut arena = FrontArena::<T>::with_len(if data { symbolic.update_stack_peak() } else { 0 });
+    let slab = slab.map(SharedSlice::new);
     let run = FrontRun { a, symbolic, opts, ooc_plan: ooc_plan.as_ref() };
     // The postorder ends at a root, so no update leaves the run.
     let ran = run.factor_range(
         0..symbolic.num_supernodes(),
         &[],
         &mut arena,
-        &SharedSlice::new(&mut slab),
+        slab.as_ref(),
         &mut rel,
         machine,
         &mut pool,
@@ -411,7 +417,7 @@ pub(crate) fn factor_drain<T: Scalar>(
     stats.ooc = ooc_plan.map(|plan| plan.stats);
     stats.total_time = machine.elapsed();
     stats.gpu = machine.gpu.as_ref().map(|g| g.utilization(stats.total_time));
-    Ok((CholeskyFactor { symbolic: symbolic.clone(), perm: perm.clone(), slab }, stats))
+    Ok(stats)
 }
 
 /// The deterministic out-of-core schedule of a budgeted run (`None` in core),
@@ -453,14 +459,16 @@ impl<T: Scalar> FrontRun<'_, T> {
     /// work-stealing task of [`crate::parallel`] runs its range here on the
     /// worker's own arena. Each front goes through [`Lane::run_front`], so
     /// every simulated-time charge is issued per front, in postorder.
-    /// `on_front(position, outcome)` collects the statistics.
+    /// `on_front(position, outcome)` collects the statistics. Without a
+    /// `slab` the loop runs without data: a front is its shape, its assembly
+    /// charged from the structure, and `arena` is never touched.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn factor_range(
         &self,
         range: std::ops::Range<usize>,
         handed: &[Vec<T>],
         arena: &mut FrontArena<T>,
-        slab: &SharedSlice<T>,
+        slab: Option<&SharedSlice<T>>,
         rel: &mut Vec<usize>,
         machine: &mut Machine,
         pool: &mut PinnedPool,
@@ -481,6 +489,16 @@ impl<T: Scalar> FrontRun<'_, T> {
             machine.clear_split();
             let info = &symbolic.supernodes[sn];
             let (k, m) = (info.k(), info.m());
+            let policy = opts.selector.choose(sn, m, k);
+            let Some(slab) = slab else {
+                // Without data a front is its shape, its assembly a charge alone.
+                charge_assembly(self.a, symbolic, sn, &mut machine.host);
+                let mut front = Front { s: info.front_size(), k, panel: &mut [], update: &mut [] };
+                let mut ctx = fu_ctx(machine, pool, opts, kernel_threads);
+                let ran = lane.run_front(sn, &mut front, policy, opts.record_stats, &mut ctx);
+                on_front(r, ran.map_err(|e| fu_err_to_factor(info.col_start, e))?);
+                continue;
+            };
             let kids = symbolic.children(sn);
             // The first front's children are outside the range, their
             // updates handed over; every later front's are on the stack.
@@ -514,7 +532,6 @@ impl<T: Scalar> FrontRun<'_, T> {
                 rel,
                 &mut machine.host,
             );
-            let policy = opts.selector.choose(sn, m, k);
             let mut ctx = fu_ctx(machine, pool, opts, kernel_threads);
             let ran = lane.run_front(sn, &mut front, policy, opts.record_stats, &mut ctx);
             on_front(r, ran.map_err(|e| fu_err_to_factor(info.col_start, e))?);
@@ -842,9 +859,14 @@ mod tests {
         // A rehearsal is exact only if a timing-only run charges what the run
         // with data charges. Over fixed P1–P4, the baseline hybrid and a mixed
         // oracle table, both P4 transfer plans, drain and pipelined at 1, 2
-        // and 4 devices, three matrices, on the paper node and on a device
-        // too small for the big fronts: `rehearse` equals `factor_permuted`
-        // on every clock field, to the bit, and holds no storage.
+        // and 4 devices, three matrices, on the paper node, on a device too
+        // small for the big fronts and on a node without a device — and under
+        // a memory budget at the smallest feasible size and halfway to in
+        // core, each with and without the bf16 ladder: `rehearse` equals
+        // `factor_permuted` on every clock field and on the out-of-core
+        // accounting, to the bit, holds no storage, and fails where the run
+        // fails with the run's error.
+        use crate::ooc::{in_core_bytes, min_feasible_budget, PrecisionLadder};
         use crate::plan::{Decision, Schedule};
         use crate::stats::FuRecord;
         let matrices = [
@@ -852,13 +874,16 @@ mod tests {
             ("laplacian 8^3", laplacian_3d(8, 8, 8, Stencil::Faces)),
             ("elasticity 6^3", mf_matgen::elasticity_3d(6, 6, 6)),
         ];
-        // The paper node, or one whose device is too small for the big fronts.
-        let node = |small_device: bool| {
-            let mut cfg = mf_gpusim::tesla_t10();
-            if small_device {
+        // 0: the paper node; 1: its device too small for the big fronts;
+        // 2: its CPU alone.
+        let node = |kind: usize| match kind {
+            0 => Machine::paper_node(),
+            1 => {
+                let mut cfg = mf_gpusim::tesla_t10();
                 cfg.mem_bytes = 2_000; // 500 f32 elements — only small fronts fit
+                Machine::with_gpu(mf_gpusim::xeon_5160_core(), cfg)
             }
-            Machine::with_gpu(mf_gpusim::xeon_5160_core(), cfg)
+            _ => Machine::cpu_only(mf_gpusim::xeon_5160_core()),
         };
         let record_bits = |r: &FuRecord| {
             let t = [r.total, r.t_potrf, r.t_trsm, r.t_syrk, r.t_copy, r.t_assemble];
@@ -867,22 +892,33 @@ mod tests {
         let util_bits = |u: &mf_gpusim::GpuUtilization| {
             ([u.compute_busy, u.copy_busy, u.span].map(f64::to_bits), u.gpus)
         };
-        let mut oom_fallbacks = 0;
+        let (mut oom_fallbacks, mut spilled, mut failed) = (0, 0, 0);
         for (name, a) in &matrices {
             let amalg = AmalgamationOptions::default();
             let analysis = analyze(a, OrderingKind::NestedDissection, Some(&amalg)).unwrap();
             let (a32, symbolic): (SymCsc<f32>, _) =
                 (analysis.permuted.0.cast(), &analysis.symbolic);
-            // The clock fields of both runs agree; returns the run's fallbacks.
-            let check = |opts: &FactorOptions, small_device: bool| {
+            // The two runs agree; returns the run's stats, if it ran.
+            let check = |opts: &FactorOptions, kind: usize| {
                 let what = format!(
-                    "{name} small_device={small_device} {:?} copy_optimized={} {:?} {:?}",
-                    opts.selector, opts.copy_optimized, opts.pipeline, opts.devices
+                    "{name} node {kind} {:?} copy_optimized={} {:?} {:?} budget={:?} {:?}",
+                    opts.selector,
+                    opts.copy_optimized,
+                    opts.pipeline,
+                    opts.devices,
+                    opts.memory_budget,
+                    opts.ladder
                 );
-                let mut machine = node(small_device);
+                let mut machine = node(kind);
                 let ran = factor_permuted(&a32, symbolic, &analysis.perm, &mut machine, opts);
-                let ran = ran.unwrap().1;
-                let rehearsed = opts.rehearse(&a32, symbolic, &node(small_device)).unwrap();
+                let rehearsed = opts.rehearse(&a32, symbolic, &node(kind));
+                let (rehearsed, ran) = match (rehearsed, ran) {
+                    (Ok(rehearsed), Ok((_, ran))) => (rehearsed, ran),
+                    (rehearsed, ran) => {
+                        assert_eq!(rehearsed.err(), ran.err(), "{what}: the run's error");
+                        return None;
+                    }
+                };
                 assert_eq!(
                     rehearsed.total_time.to_bits(),
                     ran.total_time.to_bits(),
@@ -902,36 +938,57 @@ mod tests {
                 assert_eq!(rehearsed.peer_bytes, ran.peer_bytes, "{what}: peer_bytes");
                 assert_eq!(rehearsed.oom_fallbacks, ran.oom_fallbacks, "{what}: oom_fallbacks");
                 assert_eq!(rehearsed.plan, ran.plan, "{what}: plan");
+                assert_eq!(rehearsed.ooc, ran.ooc, "{what}: ooc");
                 let storage = (rehearsed.front_alloc_events, rehearsed.peak_front_bytes);
                 assert_eq!(storage, (0, 0), "{what}: a rehearsal holds no storage");
-                assert!(rehearsed.ooc.is_none(), "{what}: ooc");
-                ran.oom_fallbacks
+                Some(ran)
             };
             let mixed = (0..symbolic.num_supernodes()).map(|sn| PolicyKind::ALL[sn % 4]).collect();
             let mut selectors: Vec<PolicySelector> =
                 PolicyKind::ALL.iter().map(|&p| PolicySelector::Fixed(p)).collect();
             selectors.push(PolicySelector::Baseline(BaselineThresholds::default()));
             selectors.push(PolicySelector::Oracle(mixed));
+            // In core on every node, every schedule; under each budget and
+            // ladder on the paper node and the CPU alone, drained and asked
+            // to pipeline (which drains under a budget).
+            let (min, in_core) = (min_feasible_budget(symbolic, 4), in_core_bytes(symbolic, 4));
+            let mut setups = vec![(None, PrecisionLadder::Off, vec![0, 1, 2], 4)];
+            for budget in [min, min + (in_core - min) / 2] {
+                for ladder in [PrecisionLadder::Off, PrecisionLadder::Bf16] {
+                    setups.push((Some(budget), ladder, vec![0, 2], 2));
+                }
+            }
             let schedules = [(false, 1), (true, 1), (true, 2), (true, 4)];
-            for small_device in [false, true] {
-                for (selector, copy_optimized) in
-                    selectors.iter().flat_map(|s| [(s, false), (s, true)])
-                {
-                    for (pipelined, devices) in schedules {
-                        let opts = FactorOptions {
-                            selector: selector.clone(),
-                            copy_optimized,
-                            record_stats: true,
-                            pipeline: PipelineOptions { enabled: pipelined },
-                            devices: MultiGpuOptions::devices(devices),
-                            ..Default::default()
-                        };
-                        oom_fallbacks += check(&opts, small_device);
+            for (memory_budget, ladder, kinds, nschedules) in setups {
+                for kind in kinds {
+                    for (selector, copy_optimized) in
+                        selectors.iter().flat_map(|s| [(s, false), (s, true)])
+                    {
+                        for &(pipelined, devices) in &schedules[..nschedules] {
+                            let opts = FactorOptions {
+                                selector: selector.clone(),
+                                copy_optimized,
+                                record_stats: true,
+                                pipeline: PipelineOptions { enabled: pipelined },
+                                devices: MultiGpuOptions::devices(devices),
+                                memory_budget,
+                                ladder,
+                                ..Default::default()
+                            };
+                            let Some(ran) = check(&opts, kind) else {
+                                failed += 1;
+                                continue;
+                            };
+                            oom_fallbacks += ran.oom_fallbacks;
+                            spilled += ran.ooc.map_or(0, |o| o.traffic_bytes());
+                        }
                     }
                 }
             }
         }
         assert!(oom_fallbacks > 0, "the grid needs OOM fallbacks to be meaningful");
+        assert!(spilled > 0, "the grid needs spill traffic to be meaningful");
+        assert!(failed > 0, "the grid needs runs that fail to be meaningful");
 
         // The plan records these rehearsals: on the P2-loses / P4-wins
         // elasticity case the rehearsed makespans equal the runs they stand

@@ -36,6 +36,7 @@
 //! iterative refinement.
 
 use crate::frontal::Front;
+use crate::lane::Lane;
 use crate::pinned_pool::PinnedPool;
 use crate::policy::PolicyKind;
 use mf_dense::{
@@ -624,30 +625,18 @@ pub(crate) fn finish_fu(p: &mut FuPending, ctx: &mut FuContext<'_>) {
     }
 }
 
-/// Run one factor-update on `front` under `policy`, the three phases back
-/// to back. On device OOM the call falls back to P1 and reports it. This is
-/// the factor-update alone, as [`estimate_fu_time`] prices it; no driver
-/// comes through here — `crate::lane` sequences the phases of every front
-/// that is part of a run.
-pub(crate) fn execute_fu<T: Scalar>(
-    front: &mut Front<'_, T>,
-    policy: PolicyKind,
-    ctx: &mut FuContext<'_>,
-) -> Result<FuOutcome, FuError> {
-    let mut pending = dispatch_fu(front, policy, ctx)?;
-    enqueue_downloads(front, &mut pending, false, ctx);
-    finish_fu(&mut pending, ctx);
-    Ok(pending.outcome())
-}
-
 /// Estimate the simulated time of one factor-update of dimensions `(m, k)`
 /// under `policy`, without computing anything — the device and staging pool
-/// run in virtual mode and the front is a dummy. This powers the paper's
-/// policy-map and speedup-map figures (12, 13, 14), whose `(m, k)` ranges
-/// are far beyond what real numerics could cover.
+/// run in virtual mode and the front is a dummy, run through the drain
+/// schedule's body (`Lane::run_front`). The estimate is the front's
+/// [`FuRecord::total`](crate::FuRecord::total): the factor-update proper,
+/// without its extraction. This powers the paper's policy-map and
+/// speedup-map figures (12, 13, 14), whose `(m, k)` ranges are far beyond
+/// what real numerics could cover.
 ///
 /// The machine's clocks are reset before and after, so a long-lived machine
-/// can be reused across many estimates.
+/// can be reused across many estimates; its device comes back in the mode
+/// it arrived in.
 pub fn estimate_fu_time(
     machine: &mut Machine,
     m: usize,
@@ -655,10 +644,12 @@ pub fn estimate_fu_time(
     policy: PolicyKind,
     copy_optimized: bool,
 ) -> f64 {
+    let arrived = machine.gpu.as_ref().map(Gpu::is_virtual);
     machine.gpu.iter_mut().for_each(|g| g.set_virtual(true));
     let mut pool = PinnedPool::new(2);
     pool.set_virtual(true);
     let mut front = Front::<f32> { s: m + k, k, panel: &mut [], update: &mut [] };
+    let mut t = 0.0;
     // Two passes, the clocks reset before each. The first is a warm-up that
     // grows the pinned pool to this call's footprint so the second measures
     // the steady-state cost (in a factorization the pool amortises growth
@@ -673,10 +664,10 @@ pub fn estimate_fu_time(
             copy_optimized,
             kernel_threads: None,
         };
-        execute_fu(&mut front, policy, &mut ctx).expect("no data, so no failing pivot");
+        let ran = Lane::new().run_front(0, &mut front, policy, true, &mut ctx);
+        t = ran.expect("no data, so no failing pivot").record.expect("a recorded front").total;
     }
-    let t = machine.elapsed();
-    machine.gpu.iter_mut().for_each(|g| g.set_virtual(false));
+    machine.gpu.iter_mut().zip(arrived).for_each(|(g, mode)| g.set_virtual(mode));
     machine.reset();
     t
 }
@@ -855,6 +846,7 @@ fn panel_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::FuRecord;
     use mf_dense::matrix::random_spd;
     use mf_gpusim::Machine;
 
@@ -925,15 +917,27 @@ mod tests {
         }
     }
 
+    /// One front through the drain schedule's body: its record — the policy
+    /// that ran, and the factor-update's simulated seconds in `total` — and
+    /// whether a device OOM forced that policy.
+    fn run_fu<T: Scalar>(
+        front: &mut Front<'_, T>,
+        policy: PolicyKind,
+        ctx: &mut FuContext<'_>,
+    ) -> Result<(FuRecord, bool), FuError> {
+        let out = Lane::new().run_front(0, front, policy, true, ctx)?;
+        Ok((out.record.expect("a recorded front"), out.oom_fallback))
+    }
+
     fn run(policy: PolicyKind, s: usize, k: usize, seed: u64) -> (Bufs<f64>, f64) {
         let mut machine = Machine::paper_node();
         let mut pool = PinnedPool::new(2);
         let mut bufs = Bufs::spd(s, k, seed);
-        let out = execute_fu(&mut bufs.front(), policy, &mut ctx(&mut machine, &mut pool, false))
-            .unwrap();
-        assert_eq!(out.executed, policy);
-        assert!(!out.oom_fallback);
-        (bufs, machine.elapsed())
+        let (record, oom_fallback) =
+            run_fu(&mut bufs.front(), policy, &mut ctx(&mut machine, &mut pool, false)).unwrap();
+        assert_eq!(record.policy, policy);
+        assert!(!oom_fallback);
+        (bufs, record.total)
     }
 
     #[test]
@@ -990,7 +994,7 @@ mod tests {
                 // Poison a pivot column inside the block.
                 bufs.panel[bad + bad * s] = -50.0;
                 let mut ctx = ctx(&mut machine, &mut pool, false);
-                let err = execute_fu(&mut bufs.front(), p, &mut ctx).unwrap_err();
+                let err = run_fu(&mut bufs.front(), p, &mut ctx).unwrap_err();
                 assert_eq!(err, FuError::NotPositiveDefinite { local_column: bad }, "{p}");
             }
         }
@@ -1025,11 +1029,11 @@ mod tests {
         });
         let mut pool = PinnedPool::new(2);
         let mut bufs = Bufs::<f64>::spd(64, 16, 21);
-        let out =
-            execute_fu(&mut bufs.front(), PolicyKind::P4, &mut ctx(&mut machine, &mut pool, false))
+        let (record, oom_fallback) =
+            run_fu(&mut bufs.front(), PolicyKind::P4, &mut ctx(&mut machine, &mut pool, false))
                 .unwrap();
-        assert_eq!(out.executed, PolicyKind::P1);
-        assert!(out.oom_fallback);
+        assert_eq!(record.policy, PolicyKind::P1);
+        assert!(oom_fallback);
         for j in 0..64 {
             assert!(bufs.at(j, j) > 0.0);
         }
@@ -1041,8 +1045,8 @@ mod tests {
         let mut pool = PinnedPool::new(2);
         let mut bufs = Bufs::<f64>::spd(30, 10, 2);
         let mut ctx = ctx(&mut machine, &mut pool, false);
-        let out = execute_fu(&mut bufs.front(), PolicyKind::P3, &mut ctx).unwrap();
-        assert_eq!(out.executed, PolicyKind::P1);
+        let (record, _) = run_fu(&mut bufs.front(), PolicyKind::P3, &mut ctx).unwrap();
+        assert_eq!(record.policy, PolicyKind::P1);
     }
 
     #[test]
@@ -1054,8 +1058,7 @@ mod tests {
             let mut pool = PinnedPool::new(2);
             let mut bufs = Bufs::<f64>::spd(s, k, 31);
             let mut ctx = ctx(&mut machine, &mut pool, opt);
-            execute_fu(&mut bufs.front(), PolicyKind::P4, &mut ctx).unwrap();
-            t[idx] = machine.elapsed();
+            t[idx] = run_fu(&mut bufs.front(), PolicyKind::P4, &mut ctx).unwrap().0.total;
         }
         assert!(t[1] < t[0], "copy-optimized {:.3e} ≥ naive {:.3e}", t[1], t[0]);
     }
@@ -1067,8 +1070,7 @@ mod tests {
         let mut machine = Machine::paper_node();
         let mut pool = PinnedPool::new(2);
         let mut bufs = Bufs::<f64>::spd(s, k, 41);
-        execute_fu(&mut bufs.front(), PolicyKind::P4, &mut ctx(&mut machine, &mut pool, true))
-            .unwrap();
+        run_fu(&mut bufs.front(), PolicyKind::P4, &mut ctx(&mut machine, &mut pool, true)).unwrap();
         assert_eq!(bufs.lower_bits(), naive.lower_bits());
     }
 
@@ -1085,8 +1087,8 @@ mod tests {
         let mut pool = PinnedPool::new(2);
         let mut bufs = Bufs::<f64>::spd(s, k, 17);
         let mut ctx = ctx(&mut machine, &mut pool, false);
-        execute_fu(&mut bufs.front(), PolicyKind::P3, &mut ctx).unwrap();
-        assert!(machine.elapsed() > t_fast * 5.0);
+        let (record, _) = run_fu(&mut bufs.front(), PolicyKind::P3, &mut ctx).unwrap();
+        assert!(record.total > t_fast * 5.0);
     }
 
     #[test]
@@ -1103,23 +1105,26 @@ mod tests {
                     let mut machine = Machine::paper_node();
                     let mut pool = PinnedPool::new(2);
                     let mut t_real = 0.0;
-                    for pass in 0..2 {
+                    for _pass in 0..2 {
                         machine.reset();
                         let mut bufs = Bufs::<f32>::spd(s, k, 77);
                         let mut ctx = ctx(&mut machine, &mut pool, copy_optimized);
-                        execute_fu(&mut bufs.front(), p, &mut ctx).unwrap();
-                        if pass == 1 {
-                            t_real = machine.elapsed();
-                        }
+                        t_real = run_fu(&mut bufs.front(), p, &mut ctx).unwrap().0.total;
                     }
-                    let mut machine2 = Machine::paper_node();
-                    let t_est = estimate_fu_time(&mut machine2, s - k, k, p, copy_optimized);
-                    assert_eq!(
-                        t_real.to_bits(),
-                        t_est.to_bits(),
-                        "{p} {s}x{k} copy_optimized={copy_optimized}: \
-                         real {t_real:.17e} vs estimate {t_est:.17e}"
-                    );
+                    // The estimate leaves the device in the mode it found it in.
+                    for arrived_virtual in [false, true] {
+                        let mut machine2 = Machine::paper_node();
+                        machine2.gpu.as_mut().unwrap().set_virtual(arrived_virtual);
+                        let t_est = estimate_fu_time(&mut machine2, s - k, k, p, copy_optimized);
+                        assert_eq!(
+                            t_real.to_bits(),
+                            t_est.to_bits(),
+                            "{p} {s}x{k} copy_optimized={copy_optimized}: \
+                             real {t_real:.17e} vs estimate {t_est:.17e}"
+                        );
+                        let mode = machine2.gpu.as_ref().unwrap().is_virtual();
+                        assert_eq!(mode, arrived_virtual, "{p} {s}x{k}: device mode");
+                    }
                 }
             }
         }
@@ -1214,7 +1219,7 @@ mod tests {
             let mut machine = Machine::paper_node();
             let mut pool = PinnedPool::new(2);
             let mut bufs = Bufs::<f64>::spd(100, 40, 51);
-            execute_fu(&mut bufs.front(), p, &mut ctx(&mut machine, &mut pool, false)).unwrap();
+            run_fu(&mut bufs.front(), p, &mut ctx(&mut machine, &mut pool, false)).unwrap();
             assert_eq!(machine.gpu.as_ref().unwrap().mem_used(), 0, "{p} leaked device memory");
         }
     }
@@ -1302,7 +1307,7 @@ mod tests {
                 let mut pool = PinnedPool::new(2);
                 let mut bufs = Bufs::<f64>::spd(s, k, seed);
                 let mut ctx = ctx(&mut machine, &mut pool, copy_optimized);
-                execute_fu(&mut bufs.front(), policy, &mut ctx).unwrap();
+                run_fu(&mut bufs.front(), policy, &mut ctx).unwrap();
                 let what = format!("{policy} copy_optimized={copy_optimized} {s}x{k}");
                 assert!(bufs.upper_zero(), "{what}: the panel's upper triangle was written");
                 assert_eq!(fnv(&bufs.lower_bits()), want, "{what}: bits moved");

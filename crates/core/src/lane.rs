@@ -16,19 +16,19 @@
 //!
 //! Two issuers drive lanes and own nothing of the lifecycle but its order:
 //! the arena loop of [`crate::factor`] (the drain schedule: every front
-//! through [`Lane::run_front`], finished before the next assembles — every
-//! work-stealing task of [`crate::parallel`] is this loop over its range) and
-//! the issuer of fronts in flight in [`crate::multigpu`] (one lane per
-//! device, look-ahead, batched P4 runs on one lane, peer exports between
-//! several; without look-ahead it runs the drain schedule, per-call records
-//! included, which is how a rehearsal prices it without data). What differs
-//! between them arrives as data: staging, `keep_update` and the issuer's
-//! `Sink` that receives the update blocks.
-//! Whether data exists is not among them: for a run without a slab the
-//! issuer makes the staging pool and its devices virtual (and its
-//! [`FrontStore`] only charges assembly), and of the F-U only the
-//! interpreter reads that. [`Lane::run_front`] and [`Lane::run_staged`] are
-//! the only places a front's phases are sequenced.
+//! through [`Lane::run_front`], finished before the next assembles, its
+//! per-call record booked — every work-stealing task of [`crate::parallel`]
+//! is this loop over its range) and the issuer of fronts in flight in
+//! [`crate::multigpu`] (one lane per device, always with look-ahead; batched
+//! P4 runs on one lane, peer exports between several). What differs between
+//! them arrives as data: staging, `keep_update` and the issuer's `Sink`
+//! that receives the update blocks.
+//! Whether data exists is not among them: in a run without a slab either
+//! issuer makes the staging pool virtual (the device is virtual too) and
+//! charges each assembly from the structure ([`charge_assembly`]), and of
+//! the F-U only the interpreter reads that. [`Lane::run_front`] and
+//! [`Lane::run_staged`] are the only places a front's phases are sequenced;
+//! [`crate::estimate_fu_time`] prices one front through the first.
 //!
 //! Numerics never depend on the schedule: every body runs the same host
 //! operations on the same bytes in the same per-front order whatever is
@@ -100,6 +100,21 @@ fn split_panels<'a, T>(mut slab: &'a mut [T], panel_ptr: &[usize]) -> Vec<&'a mu
         .collect()
 }
 
+/// Charge the assembly of `sn`'s front from the structure alone — what
+/// [`assemble_front_into`] charges for it — in a run without data.
+pub(crate) fn charge_assembly<T: Scalar>(
+    a: &SymCsc<T>,
+    symbolic: &SymbolicFactor,
+    sn: usize,
+    host: &mut HostClock,
+) {
+    let info = &symbolic.supernodes[sn];
+    let a_nnz = (info.col_start..info.col_end).map(|c| a.col_rows(c).len()).sum();
+    let child_ms = symbolic.children(sn).iter().map(|&c| symbolic.supernodes[c].m());
+    let extended = child_ms.map(|cm| lower_trapezoid_len(cm, cm)).sum();
+    charge_assemble::<T>(a_nnz, extended, info.front_size(), info.k(), host);
+}
+
 /// Per-front storage for a run on one host thread whose front lifetimes
 /// overlap (which the postorder LIFO arena cannot express): every
 /// supernode's panel region of the factor slab, handed to its front, the
@@ -149,10 +164,7 @@ impl<'a, T: Scalar> FrontStore<'a, T> {
         let (s, k, m) = (info.front_size(), info.k(), info.m());
         let mut member = Member { sn, s, k, panel: &mut [], update: Vec::new() };
         if self.panels.is_empty() {
-            let a_nnz = (info.col_start..info.col_end).map(|c| a.col_rows(c).len()).sum();
-            let child_ms = symbolic.children(sn).iter().map(|&c| symbolic.supernodes[c].m());
-            let extended = child_ms.map(|cm| lower_trapezoid_len(cm, cm)).sum();
-            charge_assemble::<T>(a_nnz, extended, s, k, host);
+            charge_assembly(a, symbolic, sn, host);
             return member;
         }
         let kids = take_children(symbolic, sn, |c| self.updates[c].take())

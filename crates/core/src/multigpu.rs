@@ -21,13 +21,14 @@
 //! issue order (round-robin over per-device postorder queues, so a front
 //! uploads to one device while another device's kernels run), which lane a
 //! front runs on, the window over all lanes, and the peer exports between
-//! lanes; lane `d` is device `d`. Without look-ahead every front finishes
-//! before the next assembles — the drain schedule, charge for charge and
-//! record for record. Without a slab the run is a rehearsal ([`rehearse`]):
-//! [`FactorOptions::rehearse`] and the plan's two rehearsals. Three rules
-//! differ by lane count (one short branch each, see [`Issuer::window`],
-//! [`Issuer::batch_run_len`] and [`Issuer::ready_children`]): the window,
-//! batched P4 runs, and how a parent waits for its children. Above the
+//! lanes; lane `d` is device `d`. A front's downloads are staged behind the
+//! next dispatch and the window keeps fronts in flight, so no front books a
+//! per-call record. Without a slab the run is timing-only: the pipelined
+//! schedule as [`FactorOptions::rehearse`] and the plan's rehearsal price it.
+//! Three rules differ by lane count (one short branch each, see
+//! [`Issuer::window`], [`Issuer::batch_run_len`] and
+//! [`Issuer::ready_children`]): the window, batched P4 runs, and how a parent
+//! waits for its children. Above the
 //! frontier, a front whose children were factored on *other* devices consumes their
 //! packed `m × m` contribution blocks via [`DeviceSet::p2p`] peer copies —
 //! event-chained, on the dedicated peer engine — instead of the
@@ -53,10 +54,9 @@
 
 use crate::factor::{fu_err_to_factor, pinned_pool, FactorError, FactorOptions};
 use crate::frontal::{charge_update_extract, Front};
-use crate::fu::{FuContext, RemoteUpdate, S_COMPUTE, S_COPY};
-use crate::lane::{FrontStore, Lane, Member, PIPELINE_DEPTH};
+use crate::fu::{FuContext, FuError, RemoteUpdate, S_COMPUTE, S_COPY};
+use crate::lane::{FrontStore, Lane, Member, SnOutcome, PIPELINE_DEPTH};
 use crate::pinned_pool::PinnedPool;
-use crate::plan::Schedule;
 use crate::policy::PolicyKind;
 use crate::stats::FactorStats;
 use mf_dense::Scalar;
@@ -297,9 +297,6 @@ struct Issuer<'a, 'm, T> {
     a: &'a SymCsc<T>,
     symbolic: &'a SymbolicFactor,
     opts: &'a FactorOptions,
-    /// Stage each front behind the next dispatch and keep a window in
-    /// flight; without, every front finishes before the next assembles.
-    look_ahead: bool,
     map: DeviceMap,
     host: &'m mut HostClock,
     set: DeviceSet,
@@ -314,9 +311,8 @@ struct Issuer<'a, 'm, T> {
     store: FrontStore<'a, T>,
     /// Device-resident update blocks awaiting a peer-copy extend-add.
     exports: Vec<Option<RemoteUpdate>>,
-    /// OOM fallbacks, and the per-call records of a run without look-ahead
-    /// under `record_stats`.
-    stats: FactorStats,
+    /// Fronts a device OOM sent to P1.
+    oom_fallbacks: usize,
 }
 
 impl<'a, T: Scalar> Issuer<'a, '_, T> {
@@ -405,7 +401,7 @@ impl<'a, T: Scalar> Issuer<'a, '_, T> {
         // Batches run the naive whole-front P4 plan; under the
         // copy-optimized plan members dispatch singly so the transfer byte
         // counts (and the bits) match the drain schedule.
-        if self.lanes.len() > 1 || !self.look_ahead || self.opts.copy_optimized {
+        if self.lanes.len() > 1 || self.opts.copy_optimized {
             return 1;
         }
         let symbolic = self.symbolic;
@@ -460,9 +456,6 @@ impl<'a, T: Scalar> Issuer<'a, '_, T> {
     }
 
     fn step(&mut self, sn: usize) -> Result<(), FactorError> {
-        // The front's split starts at its assembly, as in the arena loop.
-        self.host.clear_split();
-        self.set.device_mut(self.map.device_of[sn]).clear_split();
         let info = &self.symbolic.supernodes[sn];
         let member = self.ready_front(sn);
         let policy = self.opts.selector.choose(sn, info.m(), info.k());
@@ -470,37 +463,18 @@ impl<'a, T: Scalar> Issuer<'a, '_, T> {
         // Structure and selector alone decide it, so it is known before the
         // dispatch; a front that leaves nothing on the device ignores it.
         let keep_update = self.exports_update(sn);
-        self.dispatch(member, policy, keep_update, self.look_ahead)
+        let lane = self.map.device_of[sn];
+        let out =
+            self.on_lane(lane, |l, ctx, sink| l.run_staged(member, policy, keep_update, ctx, sink));
+        self.count(sn, out)?;
+        self.trim_window(self.window());
+        Ok(())
     }
 
-    /// Run one assembled front through its lane: staged behind the next
-    /// dispatch with the window in flight under `look_ahead`, finished
-    /// before the call returns without — and, in a run without look-ahead
-    /// under `record_stats`, booked as a per-call record.
-    fn dispatch(
-        &mut self,
-        mut member: Member<'a, T>,
-        policy: PolicyKind,
-        keep_update: bool,
-        look_ahead: bool,
-    ) -> Result<(), FactorError> {
-        let (sn, lane) = (member.sn, self.map.device_of[member.sn]);
-        let out = if look_ahead {
-            self.on_lane(lane, |l, ctx, sink| l.run_staged(member, policy, keep_update, ctx, sink))
-        } else {
-            let record = self.opts.record_stats && !self.look_ahead;
-            self.on_lane(lane, |l, ctx, sink| {
-                let out = l.run_front(sn, &mut member.front(), policy, record, ctx);
-                sink.deliver(sn, member.update, None);
-                out
-            })
-        };
+    /// Count front `sn`'s OOM fallback, or lift its pivot failure.
+    fn count(&mut self, sn: usize, out: Result<SnOutcome, FuError>) -> Result<(), FactorError> {
         let out = out.map_err(|e| fu_err_to_factor(self.symbolic.supernodes[sn].col_start, e))?;
-        self.stats.oom_fallbacks += usize::from(out.oom_fallback);
-        self.stats.records.extend(out.record);
-        if look_ahead {
-            self.trim_window(self.window());
-        }
+        self.oom_fallbacks += usize::from(out.oom_fallback);
         Ok(())
     }
 
@@ -520,12 +494,18 @@ impl<'a, T: Scalar> Issuer<'a, '_, T> {
                 self.on_lane(0, |l, ctx, sink| l.stage(members, pending, false, ctx, sink));
                 self.trim_window(self.window());
             }
-            // The run does not fit even an empty device: its members
-            // dispatch one by one on the drained lane, so every decision
-            // matches the drain schedule's.
+            // The run does not fit even an empty device: its members run
+            // one by one on the drained lane, so every decision matches the
+            // drain schedule's.
             None => {
-                for member in members {
-                    self.dispatch(member, PolicyKind::P4, false, false)?;
+                for mut member in members {
+                    let sn = member.sn;
+                    let out = self.on_lane(0, |l, ctx, sink| {
+                        let out = l.run_front(sn, &mut member.front(), PolicyKind::P4, false, ctx);
+                        sink.deliver(sn, member.update, None);
+                        out
+                    });
+                    self.count(sn, out)?;
                 }
             }
         }
@@ -597,15 +577,13 @@ impl<'a, T: Scalar> Issuer<'a, '_, T> {
     }
 }
 
-/// Fronts in flight on `ndev` lanes of one host timeline:
-/// [`crate::Schedule::Pipelined`] with `look_ahead` and the panels into
-/// `slab`; without a slab, a rehearsal (see [`rehearse`]).
-/// The machine's own device becomes device 0 of a [`DeviceSet`] of `ndev`
-/// identical devices and moves back when the run ends, error or not.
-/// Without a slab the run is timing-only: every device of the set and the
-/// staging pool are virtual, so it issues the data run's every simulated
-/// call and touches no numeric data; the machine's device comes back in the
-/// mode it arrived in. Factor slabs are bitwise identical to the drain
+/// [`crate::Schedule::Pipelined`]: fronts in flight on `ndev` lanes of one
+/// host timeline, the panels into `slab`. The machine's own device becomes
+/// device 0 of a [`DeviceSet`] of `ndev` identical devices and moves back,
+/// in the mode it arrived in, when the run ends, error or not. Without a
+/// slab the run is timing-only: every device of the set and the staging
+/// pool are virtual, so it issues the data run's every simulated call and
+/// touches no numeric data. Factor slabs are bitwise identical to the drain
 /// driver at every device count (see the module docs).
 pub(crate) fn issue_fronts<T: Scalar>(
     a: &SymCsc<T>,
@@ -613,7 +591,6 @@ pub(crate) fn issue_fronts<T: Scalar>(
     machine: &mut Machine,
     opts: &FactorOptions,
     ndev: usize,
-    look_ahead: bool,
     slab: Option<&mut [T]>,
 ) -> Result<FactorStats, FactorError> {
     let own =
@@ -631,7 +608,6 @@ pub(crate) fn issue_fronts<T: Scalar>(
         a,
         symbolic,
         opts,
-        look_ahead,
         map: proportional_map(symbolic, ndev),
         host: &mut machine.host,
         set: DeviceSet::from_gpus(gpus),
@@ -640,7 +616,7 @@ pub(crate) fn issue_fronts<T: Scalar>(
         order: VecDeque::new(),
         store: FrontStore::new(symbolic, slab),
         exports: vec![None; symbolic.num_supernodes()],
-        stats: FactorStats::default(),
+        oom_fallbacks: 0,
     };
     let result = run.run();
 
@@ -667,37 +643,9 @@ pub(crate) fn issue_fronts<T: Scalar>(
         // One device is all of `gpu`; `GOLDEN_CLOCK` hashes both fields.
         gpu_devices: if ndev > 1 { per_dev } else { Vec::new() },
         peer_bytes,
-        ..run.stats
+        oom_fallbacks: run.oom_fallbacks,
+        ..Default::default()
     })
-}
-
-/// Timing-only run of `schedule` — [`crate::Schedule::Drain`] on one lane
-/// without look-ahead, [`crate::Schedule::Pipelined`] on its lanes with it —
-/// on a *twin* of `machine`: same CPU and GPU configuration,
-/// fresh clocks; [`issue_fronts`] without a slab makes its devices and
-/// staging pool virtual. Every simulated duration depends only on shapes and
-/// configuration — never on numeric data — and the rehearsal runs the very
-/// bodies the run with data does, so its clock equals that run's exactly,
-/// OOM fallbacks and pinned-pool waits included (where a front's bytes sit
-/// is never charged, so the drain rehearsal stands for the arena run). Behind
-/// [`FactorOptions::rehearse`] and the two rehearsals of
-/// [`FactorOptions::plan`].
-pub(crate) fn rehearse<T: Scalar>(
-    a: &SymCsc<T>,
-    symbolic: &SymbolicFactor,
-    opts: &FactorOptions,
-    machine: &Machine,
-    schedule: Schedule,
-) -> FactorStats {
-    let (ndev, look_ahead) = match schedule {
-        Schedule::Pipelined { devices } => (devices, true),
-        // The serial entry's plan never holds `Tasks`.
-        Schedule::Drain | Schedule::Tasks { .. } => (1, false),
-    };
-    let gpu_cfg = machine.gpu.as_ref().expect("a rehearsal needs a GPU machine").config().clone();
-    let mut twin = Machine::with_gpu(machine.host.config().clone(), gpu_cfg);
-    issue_fronts(a, symbolic, &mut twin, opts, ndev, look_ahead, None)
-        .expect("timing-only rehearsal sees no data, so no pivot can fail")
 }
 
 #[cfg(test)]

@@ -274,15 +274,16 @@ pub fn factor_permuted_parallel<T: Scalar>(
 }
 
 /// [`crate::Schedule::Tasks`]: the drain schedule as work-stealing range
-/// tasks, one worker per machine, `thread_budget` threads between them.
+/// tasks, one worker per machine, `thread_budget` threads between them, the
+/// panels into `slab`.
 pub(crate) fn factor_tasks<T: Scalar>(
     a: &SymCsc<T>,
     symbolic: &SymbolicFactor,
-    perm: &Permutation,
     machines: &mut [Machine],
     opts: &FactorOptions,
     thread_budget: usize,
-) -> Result<(CholeskyFactor<T>, FactorStats), FactorError> {
+    slab: &mut [T],
+) -> Result<FactorStats, FactorError> {
     let workers = machines.len();
 
     // Budgeted runs consume the same deterministic out-of-core schedule as
@@ -306,8 +307,7 @@ pub(crate) fn factor_tasks<T: Scalar>(
 
     // Factor storage: one contiguous slab; workers write their supernodes'
     // panel regions in place (regions are disjoint by construction).
-    let mut slab = vec![T::ZERO; symbolic.factor_slab_len()];
-    let slab_view = SharedSlice::new(&mut slab);
+    let slab_view = SharedSlice::new(slab);
 
     // Hand-off buffers, one slot per task, holding the update of its last
     // front. A slot is written exactly once (by the worker that ran the
@@ -373,7 +373,7 @@ pub(crate) fn factor_tasks<T: Scalar>(
             range,
             &handed,
             &mut st.arena,
-            &slab_view,
+            Some(&slab_view),
             &mut st.rel,
             st.machine,
             &mut st.pool,
@@ -427,9 +427,7 @@ pub(crate) fn factor_tasks<T: Scalar>(
         states.iter_mut().map(|st| std::mem::take(&mut st.records)).collect(),
     );
     stats.ooc = ooc_plan.map(|p| p.stats);
-    drop(states);
-
-    Ok((CholeskyFactor { symbolic: symbolic.clone(), perm: perm.clone(), slab }, stats))
+    Ok(stats)
 }
 
 #[cfg(test)]

@@ -13,21 +13,22 @@
 //! What the run decides per front — a device OOM sending a front to P1 — is
 //! not a plan decision; `FactorStats::oom_fallbacks` counts it.
 //!
-//! [`FactorOptions::rehearse`] runs the serial entry's plan without data: its
-//! schedule, timing-only, through the issuer of fronts in flight on a twin of
-//! the machine, which returns the run's simulated clock and per-call records
-//! bit for bit. The plan's own two single-device rehearsals are the same
-//! routine.
+//! One private function maps a [`Schedule`] to its driver: with a factor slab
+//! for [`run_plan`], without one for [`FactorOptions::rehearse`], which runs
+//! the serial entry's plan on a twin of the machine (same configuration,
+//! fresh clocks, its device virtual) and returns the run's simulated clock,
+//! per-call records and out-of-core accounting bit for bit — or the run's own
+//! error. The plan's own two single-device rehearsals are the same routine.
 //!
 //! [`factor_permuted`]: crate::factor::factor_permuted
 //! [`factor_permuted_parallel`]: crate::parallel::factor_permuted_parallel
 
 use crate::factor::{factor_drain, CholeskyFactor, FactorError, FactorOptions};
-use crate::multigpu::{issue_fronts, rehearse};
+use crate::multigpu::issue_fronts;
 use crate::parallel::{factor_tasks, ParallelOptions};
 use crate::stats::FactorStats;
 use mf_dense::Scalar;
-use mf_gpusim::Machine;
+use mf_gpusim::{Gpu, HostClock, Machine};
 use mf_sparse::symbolic::SymbolicFactor;
 use mf_sparse::{Permutation, SymCsc};
 use std::fmt;
@@ -112,11 +113,6 @@ pub enum PlanError {
         /// The requested device count.
         devices: usize,
     },
-    /// [`FactorOptions::rehearse`] on a machine without a device or under a
-    /// memory budget: the rehearsal runs fronts through the issuer of fronts
-    /// in flight, which needs a device, and the out-of-core spill charges
-    /// run only in the arena loop.
-    NotRehearsable,
 }
 
 impl fmt::Display for PlanError {
@@ -130,7 +126,6 @@ impl fmt::Display for PlanError {
             PlanError::DevicesWithoutGpu { devices } => {
                 write!(f, "{devices} devices requested, but no machine carries a GPU")
             }
-            PlanError::NotRehearsable => write!(f, "a rehearsal needs a GPU and no memory budget"),
         }
     }
 }
@@ -192,8 +187,10 @@ impl FactorOptions {
         plan.machine = g;
         plan.schedule = Schedule::Pipelined { devices };
         if devices == 1 {
-            let [pipelined_s, drain_s] = [plan.schedule, Schedule::Drain]
-                .map(|s| rehearse(a, symbolic, self, &machines[g], s).total_time);
+            let [pipelined_s, drain_s] = [plan.schedule, Schedule::Drain].map(|s| {
+                let rehearsed = rehearse(s, a, symbolic, self, &machines[g]);
+                rehearsed.expect("an in-core rehearsal has no data to fail on").total_time
+            });
             plan.decision = Some(Decision::Rehearsed { pipelined_s, drain_s });
             if pipelined_s >= drain_s {
                 plan.schedule = Schedule::Drain;
@@ -204,32 +201,27 @@ impl FactorOptions {
 
     /// The simulated clock of [`crate::factor_permuted`] on `machine` under
     /// these options, without data: the serial entry's plan, its schedule
-    /// run timing-only on a twin of `machine` (same configuration, fresh
-    /// clocks) — [`Schedule::Drain`] on one lane without look-ahead,
-    /// [`Schedule::Pipelined`] on its `devices` lanes with it. No numeric
+    /// run by the same driver on a twin of `machine` (same configuration,
+    /// fresh clocks, its device virtual) without a factor slab. No numeric
     /// buffer is allocated or touched; `a` gives the pattern and `T` the
-    /// bytes every transfer and assembly is charged for.
+    /// bytes every transfer, assembly and spill is charged for.
     ///
     /// `total_time`, `records`, `gpu`, `gpu_devices`, `peer_bytes`,
-    /// `oom_fallbacks` and `plan` equal those of `factor_permuted` on a fresh
-    /// `machine` bit for bit. `front_alloc_events`, `peak_front_bytes` and
-    /// `ooc` describe storage a rehearsal never holds: they are zero and
-    /// `None`, and so is `wall_time`.
-    ///
-    /// A machine without a device, or a memory budget, is
-    /// [`PlanError::NotRehearsable`]; an option combination no driver runs is
-    /// the [`PlanError`] of [`Self::plan`].
+    /// `oom_fallbacks`, `plan` and `ooc` equal those of `factor_permuted` on
+    /// a fresh `machine` bit for bit, on any machine and under any budget.
+    /// `front_alloc_events` and `peak_front_bytes` describe storage a
+    /// rehearsal never holds: they are zero, and so is `wall_time`. Where
+    /// the run fails before touching data — an option combination no driver
+    /// runs, an infeasible memory budget — the rehearsal returns the run's
+    /// own error; it reads no pivot, so it never fails on one.
     pub fn rehearse<T: Scalar>(
         &self,
         a: &SymCsc<T>,
         symbolic: &SymbolicFactor,
         machine: &Machine,
-    ) -> Result<FactorStats, PlanError> {
+    ) -> Result<FactorStats, FactorError> {
         let plan = self.plan(a, symbolic, std::slice::from_ref(machine), None)?;
-        if self.memory_budget.is_some() || machine.gpu.is_none() {
-            return Err(PlanError::NotRehearsable);
-        }
-        Ok(FactorStats { plan, ..rehearse(a, symbolic, self, machine, plan.schedule) })
+        Ok(FactorStats { plan, ..rehearse(plan.schedule, a, symbolic, self, machine)? })
     }
 }
 
@@ -244,23 +236,50 @@ pub(crate) fn run_plan<T: Scalar>(
     opts: &FactorOptions,
 ) -> Result<(CholeskyFactor<T>, FactorStats), FactorError> {
     let wall0 = std::time::Instant::now();
-    let machine = plan.machine;
-    let (factor, mut stats) = match plan.schedule {
-        Schedule::Drain => factor_drain(a, symbolic, perm, &mut machines[machine], opts),
+    let mut slab = vec![T::ZERO; symbolic.factor_slab_len()];
+    let stats = drive(plan.schedule, plan.machine, a, symbolic, machines, opts, Some(&mut slab))?;
+    let factor = CholeskyFactor { symbolic: symbolic.clone(), perm: perm.clone(), slab };
+    Ok((factor, FactorStats { wall_time: wall0.elapsed().as_secs_f64(), plan, ..stats }))
+}
+
+/// `schedule` without data on a twin of `machine`: the same configuration,
+/// fresh clocks and, if `machine` has a device, a virtual one.
+fn rehearse<T: Scalar>(
+    schedule: Schedule,
+    a: &SymCsc<T>,
+    symbolic: &SymbolicFactor,
+    opts: &FactorOptions,
+    machine: &Machine,
+) -> Result<FactorStats, FactorError> {
+    let gpu = machine.gpu.as_ref().map(|g| Gpu::new(g.config().clone()));
+    let mut twin = Machine { host: HostClock::new(machine.host.config().clone()), gpu };
+    twin.gpu.iter_mut().for_each(|g| g.set_virtual(true));
+    drive(schedule, 0, a, symbolic, std::slice::from_mut(&mut twin), opts, None)
+}
+
+/// Run `schedule` on its driver — on `machines[machine]`'s host timeline,
+/// or on every machine for [`Schedule::Tasks`] — the panels into `slab`, or
+/// without a slab timing-only. The one map from a schedule to its driver,
+/// for the run and the rehearsal alike.
+fn drive<T: Scalar>(
+    schedule: Schedule,
+    machine: usize,
+    a: &SymCsc<T>,
+    symbolic: &SymbolicFactor,
+    machines: &mut [Machine],
+    opts: &FactorOptions,
+    slab: Option<&mut [T]>,
+) -> Result<FactorStats, FactorError> {
+    match schedule {
+        Schedule::Drain => factor_drain(a, symbolic, &mut machines[machine], opts, slab),
         Schedule::Tasks { thread_budget, .. } => {
-            factor_tasks(a, symbolic, perm, machines, opts, thread_budget)
+            let slab = slab.expect("only the parallel entry plans tasks, and it runs with data");
+            factor_tasks(a, symbolic, machines, opts, thread_budget, slab)
         }
         Schedule::Pipelined { devices } => {
-            let mut slab = vec![T::ZERO; symbolic.factor_slab_len()];
-            issue_fronts(a, symbolic, &mut machines[machine], opts, devices, true, Some(&mut slab))
-                .map(|stats| {
-                    (CholeskyFactor { symbolic: symbolic.clone(), perm: perm.clone(), slab }, stats)
-                })
+            issue_fronts(a, symbolic, &mut machines[machine], opts, devices, slab)
         }
-    }?;
-    stats.wall_time = wall0.elapsed().as_secs_f64();
-    stats.plan = plan;
-    Ok((factor, stats))
+    }
 }
 
 #[cfg(test)]
@@ -305,26 +324,26 @@ mod tests {
     }
 
     #[test]
-    fn rehearsal_without_device_or_under_budget_is_typed() {
+    fn rehearsal_under_an_infeasible_budget_is_the_runs_error() {
+        // One byte below the smallest feasible budget, on a machine with a
+        // device and on one without, drained or asked to pipeline (which
+        // drains under a budget): the rehearsal fails as the run does.
         let a = laplacian_3d(4, 4, 3, Stencil::Faces);
         let an = analyze(&a, OrderingKind::NestedDissection, Some(&AmalgamationOptions::default()))
             .unwrap();
         let (a, symbolic) = (&an.permuted.0, &an.symbolic);
-        let cpu_only = Machine::cpu_only(mf_gpusim::xeon_5160_core());
-        for pipeline in [PipelineOptions::default(), PipelineOptions::pipelined()] {
-            let opts = FactorOptions { pipeline, ..Default::default() };
-            assert_eq!(
-                opts.rehearse(a, symbolic, &cpu_only).err(),
-                Some(PlanError::NotRehearsable)
-            );
-            let budgeted = FactorOptions { memory_budget: Some(usize::MAX), ..opts };
-            let got = budgeted.rehearse(a, symbolic, &Machine::paper_node()).err();
-            assert_eq!(got, Some(PlanError::NotRehearsable), "{pipeline:?}");
+        let required = crate::ooc::min_feasible_budget(symbolic, f64::BYTES);
+        let want = FactorError::BudgetTooSmall { budget: required - 1, required };
+        let machines = [Machine::paper_node, || Machine::cpu_only(mf_gpusim::xeon_5160_core())];
+        for (machine, pipeline) in machines
+            .iter()
+            .flat_map(|m| [(m, PipelineOptions::default()), (m, PipelineOptions::pipelined())])
+        {
+            let opts =
+                FactorOptions { pipeline, memory_budget: Some(required - 1), ..Default::default() };
+            let ran = crate::factor_permuted(a, symbolic, &an.perm, &mut machine(), &opts);
+            assert_eq!(ran.err(), Some(want), "{pipeline:?}: the run");
+            assert_eq!(opts.rehearse(a, symbolic, &machine()).err(), Some(want), "{pipeline:?}");
         }
-        let e = FactorError::Plan(PlanError::NotRehearsable);
-        assert_eq!(
-            e.to_string(),
-            "unsupported options: a rehearsal needs a GPU and no memory budget"
-        );
     }
 }

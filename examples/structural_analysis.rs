@@ -42,7 +42,8 @@ fn main() {
             record_stats: true,
             ..Default::default()
         };
-        let st = opts.rehearse(&a32, &analysis.symbolic, &Machine::paper_node()).expect("a GPU");
+        let st =
+            opts.rehearse(&a32, &analysis.symbolic, &Machine::paper_node()).expect("valid options");
         println!("  {p}: {:.3} ms simulated", st.total_time * 1e3);
         stats.push(st);
     }

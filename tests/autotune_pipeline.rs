@@ -11,7 +11,7 @@ use gpu_multifrontal::sparse::AmalgamationOptions;
 
 fn run(a32: &SymCsc<f32>, analysis: &Analysis, selector: PolicySelector) -> FactorStats {
     let opts = FactorOptions { selector, record_stats: true, ..Default::default() };
-    opts.rehearse(a32, &analysis.symbolic, &Machine::paper_node()).expect("a GPU machine")
+    opts.rehearse(a32, &analysis.symbolic, &Machine::paper_node()).expect("valid options")
 }
 
 fn dataset_of(a: &SymCsc<f64>) -> (Analysis, SymCsc<f32>, Dataset, [FactorStats; 4]) {

@@ -1737,6 +1737,7 @@ fn plan_cases(selector: &PolicySelector, budget: usize) -> Vec<PlanCase> {
                         pipeline: PipelineOptions { enabled },
                         devices: MultiGpuOptions::devices(devices),
                         memory_budget,
+                        record_stats: true,
                         ..Default::default()
                     };
                     cases.push((opts, gpus, parallel));
@@ -1752,8 +1753,12 @@ fn exec_plan_every_option_combination_is_canonical_bits_or_a_typed_error() {
     // Every point of the plan space, under a GPU and a hybrid selector,
     // either factors to the canonical bits, recording the plan the contract
     // names (and `plan` predicted), or fails with the contract's typed error
-    // before touching any machine.
+    // before touching any machine. At every serial-entry point the rehearsal
+    // on a fresh machine of the same kind equals the run — clock, records,
+    // fallbacks, plan and out-of-core accounting — or fails with its error.
     use gpu_multifrontal::gpusim::xeon_5160_core;
+    let node =
+        |g: bool| if g { Machine::paper_node() } else { Machine::cpu_only(xeon_5160_core()) };
     let an = analysis_of(&laplacian_3d(6, 6, 5, Stencil::Faces));
     let a: SymCsc<f32> = an.permuted.0.cast();
     let budget = budget_for(&an.symbolic, 4, 0.5);
@@ -1770,16 +1775,8 @@ fn exec_plan_every_option_combination_is_canonical_bits_or_a_typed_error() {
         let mut verdicts = [false; 2];
         for (opts, gpus, parallel) in plan_cases(&selector, budget) {
             let what = format!("{opts:?} on {gpus:?}, parallel {parallel}");
-            let mut machines: Vec<Machine> =
-                gpus.iter()
-                    .map(|&g| {
-                        if g {
-                            Machine::paper_node()
-                        } else {
-                            Machine::cpu_only(xeon_5160_core())
-                        }
-                    })
-                    .collect();
+            let mut machines: Vec<Machine> = gpus.iter().map(|&g| node(g)).collect();
+            let rehearsed = (!parallel).then(|| opts.rehearse(&a, &an.symbolic, &node(gpus[0])));
             let par = parallel.then_some(&par);
             let planned = opts.plan(&a, &an.symbolic, &machines, par);
             let ran = match par {
@@ -1793,6 +1790,13 @@ fn exec_plan_every_option_combination_is_canonical_bits_or_a_typed_error() {
                     assert_eq!(planned, Err(e), "{what}");
                     assert_eq!(ran.err(), Some(FactorError::Plan(e)), "{what}");
                     assert!(machines.iter_mut().all(|m| m.elapsed() == 0.0), "{what}");
+                    if let Some(rehearsed) = rehearsed {
+                        assert_eq!(
+                            rehearsed.err(),
+                            Some(FactorError::Plan(e)),
+                            "{what}: rehearsal"
+                        );
+                    }
                     continue;
                 }
                 Ok(want) => want,
@@ -1800,6 +1804,14 @@ fn exec_plan_every_option_combination_is_canonical_bits_or_a_typed_error() {
             let plan = planned.unwrap();
             let (f, stats) = ran.unwrap();
             assert_eq!(stats.plan, plan, "{what}: the run records its plan");
+            if let Some(rehearsed) = rehearsed {
+                let r = rehearsed.unwrap_or_else(|e| panic!("{what}: the rehearsal failed: {e}"));
+                assert_eq!(r.total_time.to_bits(), stats.total_time.to_bits(), "{what}: rehearsed");
+                assert_eq!(record_words(&r), record_words(&stats), "{what}: rehearsed records");
+                assert_eq!(r.oom_fallbacks, stats.oom_fallbacks, "{what}: rehearsed fallbacks");
+                assert_eq!(r.plan, stats.plan, "{what}: rehearsed plan");
+                assert_eq!(r.ooc, stats.ooc, "{what}: rehearsed out-of-core accounting");
+            }
             assert_eq!(panel_bits(&f), canonical, "{what}: bits");
             assert_eq!(plan.machine, machine, "{what}: machine");
             assert_eq!(plan.decision.as_ref().map(decision_kind), decision, "{what}: {plan:?}");

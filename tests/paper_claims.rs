@@ -18,7 +18,7 @@ fn policy_stats(
     selector: PolicySelector,
 ) -> gpu_multifrontal::core::FactorStats {
     let opts = FactorOptions { selector, record_stats: true, ..Default::default() };
-    opts.rehearse(a32, &analysis.symbolic, &Machine::paper_node()).expect("a GPU machine")
+    opts.rehearse(a32, &analysis.symbolic, &Machine::paper_node()).expect("valid options")
 }
 
 /// Table III: asymptotic rates within 1 % of the paper's values.
