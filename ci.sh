@@ -144,6 +144,8 @@ RUST_TEST_THREADS=1 cargo test -q --release -p mf-server
 #                    every policy, both P4 transfer plans, five front shapes
 #                    (fused small, root, mid, large), both through the lane's
 #                    run_front; the device comes back in the mode it came in
+#   leaf_min_degree  minimum degree on bit rows == the quotient graph's order, every ND leaf
+#   column_counts_match  near-linear column counts == the row-subtree walk, at 1/2/4/8 workers
 echo "==> named suites (counted, default + single test thread)"
 while read -r target filter expected; do
   case $target in
@@ -190,6 +192,8 @@ mf-sparse/lib range_tasks 1
 mf-core/lib rehearsal_equals_the_run_it_predicts 1
 mf-core/lib keep_update_path_is_bitwise_identical_to_download_path 1
 mf-core/lib estimate_matches_real_execution_time 1
+mf-sparse/lib leaf_min_degree 1
+mf-sparse/lib column_counts_match 1
 MANIFEST
 
 # Property tests for the peer-copy primitive the multi-GPU extend-add path

@@ -3,15 +3,15 @@
 //! The elimination tree of the Cholesky factor `L` drives everything in the
 //! multifrontal method: the postorder traversal order, the update-matrix
 //! stack discipline, and the parallel task DAG. We implement Liu's
-//! algorithm with path compression and the classic `O(|L|)` row-subtree
-//! column-count algorithm. The postorder is taken of the supernodal forest
-//! ([`crate::supernode::supernode_forest`], a stack-based traversal safe for
-//! the deep trees produced by band orderings), which is also a column
-//! tree's postorder when handed the column parents.
+//! algorithm with path compression and Gilbert, Ng and Peyton's
+//! near-linear column counts. The postorder is taken of the supernodal
+//! forest ([`crate::supernode::supernode_forest`], a stack-based traversal
+//! safe for the deep trees produced by band orderings), which is also a
+//! column tree's postorder when handed the column parents.
 
 use crate::csc::SymCsc;
+use crate::supernode::supernode_forest;
 use mf_dense::Scalar;
-use std::ops::Range;
 
 /// Sentinel for "no parent" (tree roots).
 pub const NONE: usize = usize::MAX;
@@ -61,84 +61,86 @@ pub fn elimination_tree<T: Scalar>(a: &SymCsc<T>) -> EliminationTree {
     EliminationTree { parent }
 }
 
-/// Column counts `cc[j] = |{i : L[i,j] ≠ 0}|` (diagonal included) via the
-/// `O(|L|)` row-subtree traversal.
+/// Column counts `cc[j] = |{i : L[i,j] ≠ 0}|` (diagonal included), by
+/// Gilbert, Ng and Peyton's algorithm in `O(|A| α(n))` from the lower columns
+/// alone (no transposed pattern, no walk over the factor).
+///
+/// Row `i` of `L` is the *row subtree* of `i`: the etree paths from the
+/// entries of row `i` of `A` up to `i`. A column's count is the number of
+/// row subtrees it lies in, and that is a sum over its subtree of `+1` for
+/// every leaf of a row subtree (an etree leaf is the one leaf of its own
+/// row's), `−1` for every least common ancestor of two consecutive leaves of
+/// one (in postorder), and `−1` for every child. An off-diagonal entry
+/// `A[i, j]` makes `j` a leaf of row `i`'s subtree iff `j`'s first
+/// descendant comes after every earlier leaf of that row; the least common
+/// ancestor of `j` and the row's previous leaf is found by path-compressed
+/// ancestor links over the columns already passed in postorder.
 pub fn column_counts<T: Scalar>(a: &SymCsc<T>, etree: &EliminationTree) -> Vec<usize> {
     let n = a.order();
-    let (uptr, urows) = a.upper_pattern();
-    let mut cc = vec![1usize; n]; // diagonal
-    count_rows(&uptr, &urows, etree, 0..n, &mut cc, &mut vec![NONE; n]);
-    cc
-}
-
-/// The row-subtree body of both column-count drivers: for every row `i` in
-/// `rows`, walk the etree from each entry of its strict upper row and add
-/// one to every column on the path, guarded by `mark` (`n`-length scratch
-/// stamped with the row).
-fn count_rows(
-    uptr: &[usize],
-    urows: &[usize],
-    etree: &EliminationTree,
-    rows: Range<usize>,
-    cc: &mut [usize],
-    mark: &mut [usize],
-) {
-    for i in rows {
-        mark[i] = i;
-        for &j0 in &urows[uptr[i]..uptr[i + 1]] {
-            let mut j = j0;
-            while j < i && mark[j] != i {
-                cc[j] += 1;
-                mark[j] = i;
-                j = etree.parent[j];
-                if j == NONE {
-                    break;
-                }
-            }
+    let parent = &etree.parent;
+    let post = supernode_forest(parent).postorder;
+    // `first[j]`: postorder rank of the first descendant of `j`. A column
+    // still without one when the postorder reaches it is a leaf.
+    let mut first = vec![NONE; n];
+    let mut delta = vec![0isize; n];
+    for (k, &j) in post.iter().enumerate() {
+        delta[j] = isize::from(first[j] == NONE);
+        let mut v = j;
+        while v != NONE && first[v] == NONE {
+            first[v] = k;
+            v = parent[v];
         }
     }
+    // Per row: the largest `first` of its leaves so far and its last leaf.
+    let mut max_first = vec![NONE; n];
+    let mut prev_leaf = vec![NONE; n];
+    let mut ancestor: Vec<usize> = (0..n).collect();
+    for &j in &post {
+        let p = parent[j];
+        if p != NONE {
+            delta[p] -= 1;
+        }
+        for &i in a.col_rows(j) {
+            if i <= j || (max_first[i] != NONE && first[j] <= max_first[i]) {
+                continue; // the diagonal, or not a leaf of row i's subtree
+            }
+            max_first[i] = first[j];
+            delta[j] += 1;
+            let prev = std::mem::replace(&mut prev_leaf[i], j);
+            if prev != NONE {
+                let mut q = prev;
+                while ancestor[q] != q {
+                    q = ancestor[q];
+                }
+                let mut s = prev;
+                while s != q {
+                    s = std::mem::replace(&mut ancestor[s], q);
+                }
+                delta[q] -= 1;
+            }
+        }
+        if p != NONE {
+            ancestor[j] = p;
+        }
+    }
+    // Parents come after their children in column order.
+    for j in 0..n {
+        if parent[j] != NONE {
+            delta[parent[j]] += delta[j];
+        }
+    }
+    delta.into_iter().map(|d| d as usize).collect()
 }
 
-/// Parallel column counts, bitwise identical to [`column_counts`] at every
-/// worker count.
-///
-/// Rows are independent in the row-subtree algorithm, so contiguous row
-/// chunks run [`column_counts`]'s body as independent tasks that accumulate
-/// into per-worker count arrays (`workers ≤ 1` runs [`column_counts`]
-/// itself); the final merge sums `usize` contributions per column, which is
-/// commutative and exact, so the result does not depend on which worker ran
-/// which chunk.
+/// [`column_counts`], the analysis' column-count stage at `workers` threads:
+/// it runs on the calling thread at every worker count, since the
+/// near-linear serial body costs less than handing the work out.
 pub fn column_counts_parallel<T: Scalar>(
     a: &SymCsc<T>,
     etree: &EliminationTree,
-    workers: usize,
+    _workers: usize,
 ) -> Vec<usize> {
-    if workers <= 1 {
-        return column_counts(a, etree);
-    }
-    let n = a.order();
-    let (uptr, urows) = a.upper_pattern();
-    // Chunk rows contiguously, a few chunks per worker so the stealing
-    // runtime can balance the skewed per-row costs near the dense tail.
-    let chunk = (n / (workers * 4)).max(64);
-    let ntasks = n.div_ceil(chunk);
-    let rt = mf_runtime::Runtime::new(workers.min(ntasks));
-    let graph = mf_runtime::TaskGraph::new(ntasks);
-    // Per-worker state: a local count accumulator (increments only, the
-    // shared `+1` diagonal is added at merge time) and a row-stamped mark.
-    let states: Vec<(Vec<usize>, Vec<usize>)> =
-        (0..rt.workers()).map(|_| (vec![0usize; n], vec![NONE; n])).collect();
-    let (states, _errs) = rt.run(&graph, states, |(cc, mark), t| -> Result<(), ()> {
-        count_rows(&uptr, &urows, etree, t * chunk..((t + 1) * chunk).min(n), cc, mark);
-        Ok(())
-    });
-    let mut cc = vec![1usize; n]; // diagonal
-    for (local, _) in &states {
-        for (c, l) in cc.iter_mut().zip(local) {
-            *c += l;
-        }
-    }
-    cc
+    column_counts(a, etree)
 }
 
 /// Number of children of every node.
@@ -156,7 +158,7 @@ pub fn child_counts(etree: &EliminationTree) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::csc::Triplet;
-    use crate::supernode::supernode_forest;
+    use proptest::prelude::*;
 
     fn tridiag(n: usize) -> SymCsc<f64> {
         let mut t = Triplet::new(n);
@@ -275,10 +277,95 @@ mod tests {
         }
     }
 
+    /// The row-subtree walk: one etree path step per nonzero of `L`, row by
+    /// row — the reference [`column_counts`] is held to.
+    fn row_subtree_counts(a: &SymCsc<f64>, etree: &EliminationTree) -> Vec<usize> {
+        let n = a.order();
+        let (uptr, urows) = a.upper_pattern();
+        let mut cc = vec![1usize; n];
+        let mut mark = vec![NONE; n];
+        for i in 0..n {
+            mark[i] = i;
+            for &j0 in &urows[uptr[i]..uptr[i + 1]] {
+                let mut j = j0;
+                while j < i && mark[j] != i {
+                    cc[j] += 1;
+                    mark[j] = i;
+                    j = etree.parent[j];
+                }
+            }
+        }
+        cc
+    }
+
+    /// Counts of `a` against the oracle, at every worker count too.
+    fn counts_match_oracle(a: &SymCsc<f64>) -> Vec<usize> {
+        let t = elimination_tree(a);
+        let cc = column_counts(a, &t);
+        assert_eq!(cc, row_subtree_counts(a, &t), "n = {}", a.order());
+        for w in [1, 2, 4, 8] {
+            assert_eq!(column_counts_parallel(a, &t, w), cc, "workers={w}");
+        }
+        cc
+    }
+
+    /// Block-diagonal union of the given matrices.
+    fn union(blocks: &[SymCsc<f64>]) -> SymCsc<f64> {
+        let mut t = Triplet::new(blocks.iter().map(|b| b.order()).sum());
+        let mut base = 0;
+        for b in blocks {
+            for j in 0..b.order() {
+                for &i in b.col_rows(j) {
+                    t.push(base + i, base + j, 1.0);
+                }
+            }
+            base += b.order();
+        }
+        t.assemble()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random lower patterns: up to `per_col` entries per column, each
+        /// within `reach` rows below the diagonal (short reaches give deep
+        /// trees, long ones bushy ones), the diagonal sometimes missing.
+        fn random_lower_patterns_match(
+            n in 0usize..160,
+            per_col in 0usize..6,
+            reach in 1usize..80,
+            seed in 0u64..10_000,
+        ) {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut rand = |m: usize| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state % m as u64) as usize
+            };
+            let mut t = Triplet::new(n);
+            for j in 0..n {
+                if rand(8) != 0 {
+                    t.push(j, j, 1.0);
+                }
+                for _ in 0..rand(per_col + 1) {
+                    let i = j + 1 + rand(reach);
+                    if i < n {
+                        t.push(i, j, 1.0);
+                    }
+                }
+            }
+            counts_match_oracle(&t.assemble());
+        }
+    }
+
     #[test]
-    fn parallel_column_counts_match_serial() {
-        let mats = [tridiag(300), arrow(257), {
-            let n = 129;
+    fn column_counts_match_row_subtree_oracle() {
+        random_lower_patterns_match();
+        // Forests: a diagonal matrix, and several components side by side.
+        let diagonal = union(&vec![tridiag(1); 9]);
+        assert_eq!(counts_match_oracle(&diagonal), vec![1; 9]);
+        let full = |n: usize| {
             let mut tp = Triplet::new(n);
             for i in 0..n {
                 tp.push(i, i, 4.0);
@@ -287,14 +374,19 @@ mod tests {
                 }
             }
             tp.assemble()
-        }];
-        for a in &mats {
-            let t = elimination_tree(a);
-            let serial = column_counts(a, &t);
-            for w in [1, 2, 4, 8] {
-                assert_eq!(column_counts_parallel(a, &t, w), serial, "workers={w}");
-            }
+        };
+        let forest = union(&[tridiag(5), arrow(6), tridiag(1), full(4), arrow(3)]);
+        let cc = counts_match_oracle(&forest);
+        assert_eq!(cc, [2, 2, 2, 2, 1, 2, 2, 2, 2, 2, 1, 1, 4, 3, 2, 1, 2, 2, 1]);
+        for a in [tridiag(300), arrow(257), full(129)] {
+            counts_match_oracle(&a);
         }
+        // A 200 000-column chain: nothing recursive may walk its etree.
+        let n = 200_000;
+        let cc = counts_match_oracle(&tridiag(n));
+        assert!(cc[..n - 1].iter().all(|&c| c == 2) && cc[n - 1] == 1);
+        assert_eq!(counts_match_oracle(&tridiag(0)), Vec::<usize>::new());
+        assert_eq!(counts_match_oracle(&tridiag(1)), vec![1]);
     }
 
     #[test]

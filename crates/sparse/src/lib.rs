@@ -4,10 +4,10 @@
 //! touched: compressed sparse column storage for symmetric matrices
 //! ([`SymCsc`]), fill-reducing orderings (natural, reverse Cuthill-McKee,
 //! minimum degree, nested dissection), the elimination tree (Liu's
-//! algorithm), postordering, column counts, fundamental and relaxed
-//! supernodes, and the full supernodal symbolic factorization that determines
-//! the `(m, k)` shape of every frontal matrix — the quantities the paper's
-//! policies and auto-tuner key on.
+//! algorithm), postordering, column counts (Gilbert, Ng and Peyton),
+//! fundamental and relaxed supernodes, and the full supernodal symbolic
+//! factorization that determines the `(m, k)` shape of every frontal matrix —
+//! the quantities the paper's policies and auto-tuner key on.
 //!
 //! The symbolic pipeline mirrors the one in WSMP-style supernodal
 //! multifrontal codes (the paper's references 3 and 13):
@@ -19,9 +19,12 @@
 //! ```
 //!
 //! Every stage is one serial body; the `_parallel` drivers run that body on
-//! tasks of the mf-runtime pool and are the serial stage at one worker. The
-//! tree-parallel ones — row structures here, the numeric factor and the
-//! solve sweeps in mf-core — share one task partition, [`RangeTasks`].
+//! tasks of the mf-runtime pool and are the serial stage at one worker,
+//! except [`column_counts_parallel`]: Gilbert, Ng and Peyton's near-linear
+//! counts cost less than handing out, so it is [`column_counts`] at every
+//! worker count. The tree-parallel drivers — row structures here, the
+//! numeric factor and the solve sweeps in mf-core — share one task
+//! partition, [`RangeTasks`].
 
 #![forbid(unsafe_code)]
 

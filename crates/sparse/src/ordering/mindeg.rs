@@ -1,16 +1,20 @@
-//! Quotient-graph minimum-degree ordering.
+//! Minimum-degree ordering, two ways with one answer.
 //!
-//! A compact exact-external-degree minimum-degree implementation using the
-//! quotient-graph (element/variable) representation with element absorption.
-//! It favors clarity over the full AMD bag of tricks (no supervariables, no
-//! approximate degrees), which makes it ideal for the moderate subproblems
-//! where we use it: standalone small matrices and the leaf blocks of nested
-//! dissection. Asymptotically heavier than AMD on large 3-D problems — use
-//! [`super::nested_dissection`] there.
+//! The pivot is always the uneliminated vertex of least `(degree, id)` in the
+//! elimination graph, and degrees are exact, so the order depends on the
+//! graph and its numbering alone — not on how either representation below
+//! lays it out.
 //!
-//! The pivot is always the uneliminated vertex of least `(degree, id)`, and
-//! degrees are exact, so the order depends on the graph and its numbering
-//! alone — not on how the lists below happen to be laid out.
+//! * [`MdWork`] keeps the quotient graph (element/variable representation
+//!   with element absorption) and exact external degrees. It favors clarity
+//!   over the full AMD bag of tricks (no supervariables, no approximate
+//!   degrees) and orders whole graphs ([`minimum_degree`]) and the parts of
+//!   nested dissection above [`BIT_ROWS`] vertices. Asymptotically heavier
+//!   than AMD on large 3-D problems — use [`super::nested_dissection`] there.
+//! * [`order_bits`] holds the elimination graph itself as one `u128`
+//!   adjacency row per vertex, for the parts of nested dissection of at most
+//!   [`BIT_ROWS`] vertices — every leaf at the default leaf size — where it
+//!   costs a fraction of the quotient graph's bookkeeping.
 
 use super::subgraph::{Stamps, Subgraph};
 use crate::csc::Adjacency;
@@ -70,9 +74,29 @@ pub(crate) struct MdWork {
     /// Lazy min-heap keyed by (degree, vertex); stale entries skipped on pop.
     heap: BinaryHeap<Reverse<(u32, u32)>>,
     seen: Stamps,
+    /// When set, every part [`Self::order_part`] is handed, in order.
+    #[cfg(test)]
+    pub parts: Option<Vec<Subgraph>>,
 }
 
+/// The largest part [`MdWork::order_part`] eliminates on bit rows.
+pub(crate) const BIT_ROWS: usize = 128;
+
 impl MdWork {
+    /// Minimum degree of a part of nested dissection: [`order_bits`] up to
+    /// [`BIT_ROWS`] vertices, else [`Self::order`]. Both give the same order.
+    pub fn order_part(&mut self, g: &Subgraph, out: &mut [usize]) {
+        #[cfg(test)]
+        if let Some(parts) = &mut self.parts {
+            parts.push(g.clone());
+        }
+        if g.len() <= BIT_ROWS {
+            order_bits(g, out)
+        } else {
+            self.order(g, out)
+        }
+    }
+
     /// Eliminate `g` by minimum degree, writing the pivots' original ids
     /// (`g.verts`) to `out` in elimination order.
     pub fn order(&mut self, g: &Subgraph, out: &mut [usize]) {
@@ -216,6 +240,80 @@ impl MdWork {
             end += e.esize as usize;
         }
         self.evars.truncate(end);
+    }
+}
+
+/// Minimum degree of a graph of at most [`BIT_ROWS`] vertices on bit rows,
+/// writing the pivots' original ids (`g.verts`) to `out` in elimination
+/// order.
+///
+/// Row `v` holds `v`'s live neighbours in the elimination graph.
+/// Eliminating pivot `p` makes its neighbours a clique: `p`'s row is ORed
+/// into each of theirs, and every row is kept free of eliminated vertices
+/// and of its own bit, so a degree is the row's popcount. This is the graph
+/// whose exact external degrees [`MdWork`] tracks, and the pivot is again
+/// the live vertex of least `(degree, id)` ([`DegreeSets`]), so the order is
+/// the same.
+pub(crate) fn order_bits(g: &Subgraph, out: &mut [usize]) {
+    let n = g.len();
+    assert!(n <= BIT_ROWS, "{n} vertices do not fit a bit row");
+    debug_assert_eq!(out.len(), n);
+    let mut rows = [0u128; BIT_ROWS];
+    let mut degree = [0usize; BIT_ROWS];
+    let mut sets = DegreeSets { by_degree: [0; BIT_ROWS], nonempty: 0 };
+    for v in 0..n {
+        for &w in g.neighbors(v as u32) {
+            rows[v] |= 1 << w;
+        }
+        degree[v] = rows[v].count_ones() as usize;
+        sets.insert(degree[v], v);
+    }
+    for place in out.iter_mut() {
+        let p = sets.least();
+        sets.remove(degree[p], p);
+        *place = g.verts[p] as usize;
+        // Rows are symmetric, so `p` is in exactly the rows it now joins.
+        let clique = rows[p];
+        let mut rest = clique;
+        while rest != 0 {
+            let v = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            rows[v] = (rows[v] | clique) & !(1 << v | 1 << p);
+            let d = rows[v].count_ones() as usize;
+            if d != degree[v] {
+                sets.remove(degree[v], v);
+                sets.insert(d, v);
+                degree[v] = d;
+            }
+        }
+    }
+}
+
+/// The live vertices of [`order_bits`] by degree, as bit sets.
+struct DegreeSets {
+    /// `by_degree[d]`: the live vertices of degree `d` (at most 127).
+    by_degree: [u128; BIT_ROWS],
+    /// Bit `d` is set iff `by_degree[d]` is not empty.
+    nonempty: u128,
+}
+
+impl DegreeSets {
+    fn insert(&mut self, d: usize, v: usize) {
+        self.by_degree[d] |= 1 << v;
+        self.nonempty |= 1 << d;
+    }
+
+    fn remove(&mut self, d: usize, v: usize) {
+        self.by_degree[d] &= !(1 << v);
+        if self.by_degree[d] == 0 {
+            self.nonempty &= !(1 << d);
+        }
+    }
+
+    /// The live vertex of least `(degree, id)`.
+    fn least(&self) -> usize {
+        let d = self.nonempty.trailing_zeros() as usize;
+        self.by_degree[d].trailing_zeros() as usize
     }
 }
 

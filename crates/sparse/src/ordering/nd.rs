@@ -2,8 +2,9 @@
 //!
 //! The recipe for mesh-like graphs: find a separator that cuts a part into
 //! two halves of similar size, recurse on the halves, and number the
-//! separator last. Leaves are ordered by the exact minimum-degree algorithm,
-//! giving good fronts at the bottom of the elimination tree. How much the
+//! separator last. Leaves are ordered by exact minimum degree, on bit rows
+//! up to 128 vertices ([`MdWork::order_part`]), giving good fronts at the
+//! bottom of the elimination tree. How much the
 //! factorization costs is decided by how small *and how balanced* the
 //! separators are: a separator that peels a corner off the part is thin but
 //! leaves the rest to be cut again, and the separators chain up into one
@@ -237,7 +238,7 @@ impl<'a> Dissector<'a> {
     ) {
         let n = sub.len();
         if n <= self.opts.leaf_size {
-            return self.md.order(sub, &mut order[at..at + n]);
+            return self.md.order_part(sub, &mut order[at..at + n]);
         }
         // The far half of a split may be disconnected; dissect each
         // connected component independently. A single component's search
@@ -259,7 +260,7 @@ impl<'a> Dissector<'a> {
         debug_assert_eq!(self.bfs.queue.len(), n, "part must be connected");
         if nlevels < 3 {
             // The graph is complete: no useful split, treat as a leaf.
-            return self.md.order(sub, &mut order[at..at + n]);
+            return self.md.order_part(sub, &mut order[at..at + n]);
         }
         // First candidate: the interior level that costs least. (Both
         // neighbours of an interior level are non-empty.)
@@ -338,7 +339,7 @@ impl<'a> Dissector<'a> {
         let members = &self.bfs.queue[run];
         if members.len() <= self.opts.leaf_size {
             sub.extract_into(members, &self.pos, first, &mut self.leaf);
-            self.md.order(&self.leaf, &mut order[at..at + members.len()]);
+            self.md.order_part(&self.leaf, &mut order[at..at + members.len()]);
         } else {
             let mut child = Subgraph::default();
             sub.extract_into(members, &self.pos, first, &mut child);
@@ -351,7 +352,9 @@ impl<'a> Dissector<'a> {
 mod tests {
     use super::*;
     use crate::csc::{SymCsc, Triplet};
+    use crate::ordering::mindeg::{order_bits, BIT_ROWS};
     use crate::ordering::tests::{fill_of, grid2d};
+    use proptest::prelude::*;
 
     #[test]
     fn orders_every_vertex_exactly_once() {
@@ -378,6 +381,117 @@ mod tests {
             }
         }
         t.assemble()
+    }
+
+    /// 9-point Laplacian pattern on an `n × n` grid.
+    fn plate9(n: usize) -> SymCsc<f64> {
+        let mut t = Triplet::new(n * n);
+        for (x, y) in (0..n * n).map(|i| (i % n, i / n)) {
+            t.push(y * n + x, y * n + x, 8.0);
+            // The neighbours numbered after (x, y).
+            for (x2, y2) in [(x + 2, y + 1), (x, y + 2), (x + 1, y + 2), (x + 2, y + 2)] {
+                if (1..=n).contains(&x2) && y2 <= n {
+                    t.push((y2 - 1) * n + x2 - 1, y * n + x, -1.0);
+                }
+            }
+        }
+        t.assemble()
+    }
+
+    /// The graph on `0..n` with the given edges.
+    fn graph(n: usize, edges: impl IntoIterator<Item = (usize, usize)>) -> Subgraph {
+        let mut t = Triplet::new(n);
+        for v in 0..n {
+            t.push(v, v, 1.0);
+        }
+        for (v, w) in edges {
+            if v != w {
+                t.push(v.max(w), v.min(w), 1.0);
+            }
+        }
+        Subgraph::whole(&t.assemble().to_adjacency())
+    }
+
+    /// The subgraph of `g` induced by its first `n` vertices.
+    fn first_vertices(g: &Adjacency, n: usize) -> Subgraph {
+        let members: Vec<u32> = (0..n as u32).collect();
+        let pos: Vec<u32> = (0..g.len() as u32).collect();
+        let mut out = Subgraph::default();
+        Subgraph::whole(g).extract_into(&members, &pos, 0, &mut out);
+        out
+    }
+
+    fn bits_match_quotient_graph(g: &Subgraph) {
+        let (mut bits, mut quotient) = (vec![0; g.len()], vec![0; g.len()]);
+        order_bits(g, &mut bits);
+        MdWork::default().order(g, &mut quotient);
+        assert_eq!(bits, quotient, "n = {}", g.len());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Random graphs: `per_vertex` edges per vertex, a quarter of them
+        /// to anywhere, the rest within `reach` ids.
+        fn random_graphs_match(
+            n in 0usize..=BIT_ROWS,
+            per_vertex in 0usize..8,
+            reach in 1usize..40,
+            seed in 0u64..10_000,
+        ) {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut rand = |m: usize| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state % m as u64) as usize
+            };
+            let mut edges = Vec::new();
+            for v in 0..n {
+                for _ in 0..per_vertex {
+                    let w = if rand(4) == 0 { rand(n) } else { (v + 1 + rand(reach)) % n };
+                    edges.push((v, w));
+                }
+            }
+            bits_match_quotient_graph(&graph(n, edges));
+        }
+    }
+
+    #[test]
+    fn leaf_min_degree_bit_rows_match_quotient_graph() {
+        let (plate, cube) = (plate9(12).to_adjacency(), grid3d_27(6).to_adjacency());
+        for n in [0, 1, 2, 63, 64, 65, 96, 127, 128] {
+            bits_match_quotient_graph(&graph(n, []));
+            bits_match_quotient_graph(&graph(n, (0..n).flat_map(|v| (0..v).map(move |w| (v, w)))));
+            bits_match_quotient_graph(&graph(n, (1..n).map(|v| (0, v))));
+            bits_match_quotient_graph(&graph(n, (1..n).map(|v| (v - 1, v))));
+            // A path, a star and an isolated vertex or two side by side.
+            let (third, half) = (n / 3, 2 * n / 3);
+            let path = (1..third).map(|v| (v - 1, v));
+            bits_match_quotient_graph(&graph(n, path.chain((third + 1..half).map(|v| (third, v)))));
+            bits_match_quotient_graph(&first_vertices(&plate, n));
+            bits_match_quotient_graph(&first_vertices(&cube, n));
+        }
+        random_graphs_match();
+
+        // Every part nested dissection orders by minimum degree, in the
+        // numbering and neighbour order it hands them over in.
+        for (a, leaves) in [(plate9(60), 40), (grid3d_27(12), 16)] {
+            let g = a.to_adjacency();
+            let opts = NdOptions::default();
+            let mut nd = Dissector::new(&g, &opts, g.len());
+            nd.md.parts = Some(Vec::new());
+            let mut order = vec![0usize; g.len()];
+            let mut pending = nd.top_level_parts(&mut order);
+            nd.finish(&mut pending, &mut order);
+            assert_eq!(Permutation::from_vec(order), nested_dissection(&g, &opts));
+            let parts = nd.md.parts.take().expect("parts captured");
+            assert!(parts.len() >= leaves, "{} parts of {} vertices", parts.len(), g.len());
+            for part in &parts {
+                assert!(part.len() <= opts.leaf_size);
+                bits_match_quotient_graph(part);
+            }
+        }
     }
 
     /// The top-level separator of the order `p` of the connected graph `g`

@@ -16,7 +16,7 @@ use crate::csc::Adjacency;
 /// a traversal visits vertices in exactly the order it would on the
 /// original graph restricted to this vertex set. The local numbering itself
 /// is the order the vertices were handed to [`Subgraph::extract_into`].
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Subgraph {
     /// `verts[local]` = the vertex's id in the original graph.
     pub verts: Vec<u32>,

@@ -152,7 +152,10 @@ pub fn fundamental_supernodes(etree: &EliminationTree, colcount: &[usize]) -> Su
             starts.push(j);
         }
     }
-    starts.push(n);
+    // No columns, no supernodes: the partition is `[0]`.
+    if n > 0 {
+        starts.push(n);
+    }
     let p = SupernodePartition { starts };
     p.validate();
     p

@@ -25,7 +25,7 @@
 //! runs in postorder.
 
 use crate::csc::SymCsc;
-use crate::etree::{column_counts_parallel, elimination_tree, EliminationTree, NONE};
+use crate::etree::{column_counts, elimination_tree, EliminationTree, NONE};
 use crate::ordering::{order_parallel, OrderingKind};
 use crate::perm::Permutation;
 use crate::supernode::{
@@ -435,8 +435,7 @@ pub fn symbolic_factor<T: Scalar>(
 
 /// The range tasks of the parallel row-structure build: the maximal subtrees
 /// of at most ⌈nsn / (4·workers)⌉ supernodes — four tasks per worker, the
-/// rule of nested dissection and column counts — then one task per
-/// supernode above them.
+/// rule of nested dissection — then one task per supernode above them.
 pub(crate) fn row_tasks(postorder: &[usize], sn_parent: &[usize], workers: usize) -> RangeTasks {
     let cap = postorder.len().div_ceil(4 * workers);
     let parent = |s: usize| sn_parent[s];
@@ -623,15 +622,16 @@ pub fn analyze(
 /// The analysis pipeline on `workers` threads of the mf-runtime pool,
 /// bitwise identical at every worker count.
 ///
-/// Three stages run each task of theirs through their serial body: nested
+/// Two stages run each task of theirs through their serial body: nested
 /// dissection over disjoint parts
-/// ([`crate::ordering::nested_dissection_parallel`]), column counts over
-/// row chunks ([`column_counts_parallel`]), and row structures over range
-/// tasks of the supernodal forest ([`symbolic_factor_parallel`]). Each
-/// stage merges its partial results in a schedule-independent order, so the
+/// ([`crate::ordering::nested_dissection_parallel`]) and row structures over
+/// range tasks of the supernodal forest ([`symbolic_factor_parallel`]). Each
+/// merges its partial results in a schedule-independent order, so the
 /// returned [`Analysis`] — and its [`Analysis::fingerprint`] — is the same
-/// byte for byte at every worker count. At `workers ≤ 1` every stage runs
-/// its serial body once, on the calling thread: this is [`analyze`].
+/// byte for byte at every worker count. The other stages, column counts
+/// among them ([`column_counts`], near-linear), run on the calling thread.
+/// At `workers ≤ 1` every stage runs its serial body once, on the calling
+/// thread: this is [`analyze`].
 pub fn analyze_parallel(
     a: &SymCsc<f64>,
     ordering: OrderingKind,
@@ -642,7 +642,7 @@ pub fn analyze_parallel(
     let perm = order_parallel(a, ordering, workers);
     let pa = perm.permute_sym(a);
     let et = elimination_tree(&pa);
-    let cc = column_counts_parallel(&pa, &et, workers);
+    let cc = column_counts(&pa, &et);
     let fund = fundamental_supernodes(&et, &cc);
     let part = match amalg {
         Some(opts) => amalgamate(&fund, &et, &cc, opts),
@@ -656,7 +656,6 @@ pub fn analyze_parallel(
 mod tests {
     use super::*;
     use crate::csc::Triplet;
-    use crate::etree::column_counts;
 
     fn tridiag(n: usize) -> SymCsc<f64> {
         let mut t = Triplet::new(n);

@@ -6,7 +6,7 @@ use gpu_multifrontal::matgen::{
     elasticity_3d, laplacian_2d, laplacian_3d, random_spd_sparse, rhs_for_solution, Stencil,
 };
 use gpu_multifrontal::prelude::*;
-use gpu_multifrontal::sparse::AmalgamationOptions;
+use gpu_multifrontal::sparse::{analyze, analyze_parallel, AmalgamationOptions};
 
 fn solve_and_check(a: &SymCsc<f64>, opts: &SolverOptions, tol: f64) {
     let mut machine = Machine::paper_node();
@@ -166,6 +166,42 @@ fn tiny_and_degenerate_systems() {
     let x = solver.solve(&b).unwrap();
     for (i, &xi) in x.iter().enumerate() {
         assert!((xi - 1.0).abs() < 1e-5, "x[{i}] = {xi}");
+    }
+}
+
+#[test]
+fn empty_system_analyzes_factors_and_solves() {
+    // A 0 × 0 matrix has an empty partition, so an analysis of no supernodes,
+    // an empty factor and empty solves, under every ordering and worker count.
+    let a = Triplet::new(0).assemble();
+    let amalg = AmalgamationOptions::default();
+    let kinds = [
+        OrderingKind::Natural,
+        OrderingKind::Rcm,
+        OrderingKind::MinimumDegree,
+        OrderingKind::NestedDissection,
+    ];
+    for kind in kinds {
+        for am in [None, Some(&amalg)] {
+            let serial = analyze(&a, kind, am).unwrap();
+            assert_eq!(serial.symbolic.num_supernodes(), 0, "{kind:?}");
+            assert_eq!(serial.symbolic.factor_slab_len(), 0, "{kind:?}");
+            for workers in [1, 2, 4] {
+                let par = analyze_parallel(&a, kind, am, workers).unwrap();
+                assert_eq!(par.fingerprint(), serial.fingerprint(), "{kind:?} at {workers}");
+                assert_eq!(par.symbolic, serial.symbolic, "{kind:?} at {workers}");
+            }
+        }
+        for (selector, precision) in [
+            (PolicySelector::Fixed(PolicyKind::P1), Precision::F64),
+            (PolicySelector::Fixed(PolicyKind::P4), Precision::F32),
+        ] {
+            let mut machine = Machine::paper_node();
+            let o = SolverOptions { ordering: kind, ..opts(selector, precision) };
+            let solver = SpdSolver::new(&a, &mut machine, &o).unwrap();
+            assert_eq!(solver.solve(&[]).unwrap(), Vec::<f64>::new(), "{kind:?}");
+            assert!(solver.solve_refined(&[], 3, 1e-12).unwrap().x.is_empty(), "{kind:?}");
+        }
     }
 }
 
