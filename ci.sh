@@ -146,6 +146,9 @@ RUST_TEST_THREADS=1 cargo test -q --release -p mf-server
 #                    run_front; the device comes back in the mode it came in
 #   leaf_min_degree  minimum degree on bit rows == the quotient graph's order, every ND leaf
 #   column_counts_match  near-linear column counts == the row-subtree walk, at 1/2/4/8 workers
+#   a_nnz_counts     each supernode's recorded entry count == the permuted matrix's in its columns
+#   refactor_on_a_reused  refactors on one machine report a fresh solver's clock and gpu stats
+#   parallel_factor_never_writes  a 2-worker factor leaves the process kernel cap alone
 echo "==> named suites (counted, default + single test thread)"
 while read -r target filter expected; do
   case $target in
@@ -194,6 +197,9 @@ mf-core/lib keep_update_path_is_bitwise_identical_to_download_path 1
 mf-core/lib estimate_matches_real_execution_time 1
 mf-sparse/lib leaf_min_degree 1
 mf-sparse/lib column_counts_match 1
+mf-sparse/lib a_nnz_counts 1
+mf-core/lib refactor_on_a_reused 1
+mf-core/kernel_width parallel_factor_never_writes 1
 MANIFEST
 
 # Property tests for the peer-copy primitive the multi-GPU extend-add path

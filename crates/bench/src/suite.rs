@@ -130,8 +130,7 @@ pub struct SuiteData {
 /// The stats of an f32 factorization of `analysis`'s matrix under `opts` on
 /// a fresh paper node, rehearsed: its simulated clock without its data.
 pub(crate) fn rehearse(analysis: &Analysis, opts: &FactorOptions) -> FactorStats {
-    let a32: SymCsc<f32> = analysis.permuted.0.cast();
-    opts.rehearse(&a32, &analysis.symbolic, &Machine::paper_node())
+    opts.rehearse::<f32>(&analysis.symbolic, &Machine::paper_node())
         .expect("the suite's options are valid")
 }
 

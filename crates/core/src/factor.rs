@@ -17,19 +17,20 @@
 //! (`FrontRun::factor_range`: the drain schedule, one front at a time on the
 //! LIFO stack, which every work-stealing task of [`crate::parallel`] runs on
 //! the worker's own arena), and every front it runs books its per-call record
-//! in [`Lane::run_front`]. Without a factor slab the same loop runs
-//! timing-only — no arena, a virtual staging pool and device, each assembly
-//! charged from the structure — which is how [`FactorOptions::rehearse`] and
-//! the drain rehearsal of [`FactorOptions::plan`] price the drain schedule,
-//! out-of-core spills included. Fronts whose lifetimes overlap — the
+//! in [`Lane::run_front`]. Each front's assembly is charged from the
+//! structure, with data or without; without the matrix and the factor slab
+//! the same loop runs timing-only — no arena, a virtual staging pool and
+//! device — which is how [`FactorOptions::rehearse`] and the drain rehearsal
+//! of [`FactorOptions::plan`] price the drain schedule, out-of-core spills
+//! included. Fronts whose lifetimes overlap — the
 //! pipelined schedule on one device or several — go through the other
 //! issuer, `crate::multigpu`'s issuer of fronts in flight.
 
 use crate::arena::FrontArena;
 use crate::features::LinearPolicyModel;
-use crate::frontal::{assemble_front_into, ChildUpdate, Front};
+use crate::frontal::{assemble_front_into, charge_assemble, ChildUpdate, Front};
 use crate::fu::{FuContext, FuError};
-use crate::lane::{charge_assembly, child_views, Lane, SnOutcome};
+use crate::lane::{child_views, Lane, SnOutcome};
 use crate::multigpu::MultiGpuOptions;
 use crate::ooc::{plan_ooc, OocPlan};
 use crate::pinned_pool::PinnedPool;
@@ -366,46 +367,45 @@ pub fn factor_permuted<T: Scalar>(
     machine: &mut Machine,
     opts: &FactorOptions,
 ) -> Result<(CholeskyFactor<T>, FactorStats), FactorError> {
-    let plan = opts.plan(a, symbolic, std::slice::from_ref(machine), None)?;
+    let plan = opts.plan::<T>(symbolic, std::slice::from_ref(machine), None)?;
     run_plan(plan, a, symbolic, perm, std::slice::from_mut(machine), opts)
 }
 
 /// [`crate::Schedule::Drain`]: the whole postorder through the arena loop on
-/// one machine, the panels into `slab`. Without a slab the run is
-/// timing-only: it holds no arena, its staging pool is virtual and every
-/// front's assembly is charged from the structure (the caller makes the
-/// machine's device virtual).
+/// one machine, `a`'s values assembled and the panels put into the slab of
+/// `data`. Without data the run is timing-only: it holds no arena and its
+/// staging pool is virtual (the caller makes the machine's device virtual).
 pub(crate) fn factor_drain<T: Scalar>(
-    a: &SymCsc<T>,
     symbolic: &SymbolicFactor,
     machine: &mut Machine,
     opts: &FactorOptions,
-    slab: Option<&mut [T]>,
+    data: Option<(&SymCsc<T>, &mut [T])>,
 ) -> Result<FactorStats, FactorError> {
     let ooc_plan = ooc_plan::<T>(symbolic, opts)?;
     let mut pool = pinned_pool(opts);
-    pool.set_virtual(slab.is_none());
+    pool.set_virtual(data.is_none());
     let mut rel: Vec<usize> = Vec::new();
 
     // Whole-run working storage: the factor slab, where the panels are
     // factored in place, plus one arena of update blocks sized by the
     // symbolic stack-peak bound — the numeric phase's only front-storage
     // allocations, and none without data.
-    let data = slab.is_some();
-    let mut stats = FactorStats { front_alloc_events: 2 * u64::from(data), ..Default::default() };
-    let mut arena = FrontArena::<T>::with_len(if data { symbolic.update_stack_peak() } else { 0 });
-    let slab = slab.map(SharedSlice::new);
-    let run = FrontRun { a, symbolic, opts, ooc_plan: ooc_plan.as_ref() };
+    let with_data = data.is_some();
+    let mut stats =
+        FactorStats { front_alloc_events: 2 * u64::from(with_data), ..Default::default() };
+    let mut arena =
+        FrontArena::<T>::with_len(if with_data { symbolic.update_stack_peak() } else { 0 });
+    let data = data.map(|(a, slab)| (a, SharedSlice::new(slab)));
+    let run = FrontRun { symbolic, opts, ooc_plan: ooc_plan.as_ref() };
     // The postorder ends at a root, so no update leaves the run.
     let ran = run.factor_range(
         0..symbolic.num_supernodes(),
         &[],
         &mut arena,
-        slab.as_ref(),
+        data.as_ref().map(|(a, slab)| (*a, slab)),
         &mut rel,
         machine,
         &mut pool,
-        None,
         |_, out| {
             stats.oom_fallbacks += usize::from(out.oom_fallback);
             stats.records.extend(out.record);
@@ -430,16 +430,16 @@ pub(crate) fn ooc_plan<T: Scalar>(
     Ok(opts.memory_budget.map(plan).transpose()?)
 }
 
-/// What the arena factorization of a postorder range reads: the matrix, the
-/// shared structure, the options and (budgeted runs) the out-of-core plan.
-pub(crate) struct FrontRun<'a, T> {
-    pub a: &'a SymCsc<T>,
+/// What the arena factorization of a postorder range reads besides its data:
+/// the shared structure, the options and (budgeted runs) the out-of-core
+/// plan.
+pub(crate) struct FrontRun<'a> {
     pub symbolic: &'a SymbolicFactor,
     pub opts: &'a FactorOptions,
     pub ooc_plan: Option<&'a OocPlan>,
 }
 
-impl<T: Scalar> FrontRun<'_, T> {
+impl FrontRun<'_> {
     /// Factor the supernodes at postorder positions `range` — a run whose
     /// first front has no child inside it: the whole postorder, a bottom
     /// subtree, or one supernode — front to back, each panel in place in
@@ -459,20 +459,21 @@ impl<T: Scalar> FrontRun<'_, T> {
     /// work-stealing task of [`crate::parallel`] runs its range here on the
     /// worker's own arena. Each front goes through [`Lane::run_front`], so
     /// every simulated-time charge is issued per front, in postorder.
-    /// `on_front(position, outcome)` collects the statistics. Without a
-    /// `slab` the loop runs without data: a front is its shape, its assembly
-    /// charged from the structure, and `arena` is never touched.
+    /// `on_front(position, outcome)` collects the statistics. Each front's
+    /// assembly is charged from the structure; `data` is the matrix whose
+    /// values it assembles and the slab its panel goes into. Without them the
+    /// loop runs without data: a front is its shape, and `arena` is never
+    /// touched.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn factor_range(
+    pub(crate) fn factor_range<T: Scalar>(
         &self,
         range: std::ops::Range<usize>,
         handed: &[Vec<T>],
         arena: &mut FrontArena<T>,
-        slab: Option<&SharedSlice<T>>,
+        data: Option<(&SymCsc<T>, &SharedSlice<T>)>,
         rel: &mut Vec<usize>,
         machine: &mut Machine,
         pool: &mut PinnedPool,
-        kernel_threads: Option<usize>,
         mut on_front: impl FnMut(usize, SnOutcome),
     ) -> Result<Option<Vec<T>>, FactorError> {
         let (symbolic, opts) = (self.symbolic, self.opts);
@@ -490,11 +491,11 @@ impl<T: Scalar> FrontRun<'_, T> {
             let info = &symbolic.supernodes[sn];
             let (k, m) = (info.k(), info.m());
             let policy = opts.selector.choose(sn, m, k);
-            let Some(slab) = slab else {
-                // Without data a front is its shape, its assembly a charge alone.
-                charge_assembly(self.a, symbolic, sn, &mut machine.host);
+            charge_assemble::<T>(symbolic, sn, &mut machine.host);
+            let Some((a, slab)) = data else {
+                // Without data a front is its shape.
                 let mut front = Front { s: info.front_size(), k, panel: &mut [], update: &mut [] };
-                let mut ctx = fu_ctx(machine, pool, opts, kernel_threads);
+                let mut ctx = fu_ctx(machine, pool, opts);
                 let ran = lane.run_front(sn, &mut front, policy, opts.record_stats, &mut ctx);
                 on_front(r, ran.map_err(|e| fu_err_to_factor(info.col_start, e))?);
                 continue;
@@ -523,16 +524,15 @@ impl<T: Scalar> FrontRun<'_, T> {
             // SAFETY: this supernode's panel region is written here alone.
             let panel = unsafe { slab.slice_mut(panel_ptr[sn], panel_ptr[sn + 1] - panel_ptr[sn]) };
             let mut front = assemble_front_into(
-                self.a,
+                a,
                 info.col_start..info.col_end,
                 symbolic.update_rows(sn),
                 children,
                 &mut *panel,
                 update,
                 rel,
-                &mut machine.host,
             );
-            let mut ctx = fu_ctx(machine, pool, opts, kernel_threads);
+            let mut ctx = fu_ctx(machine, pool, opts);
             let ran = lane.run_front(sn, &mut front, policy, opts.record_stats, &mut ctx);
             on_front(r, ran.map_err(|e| fu_err_to_factor(info.col_start, e))?);
             if last {
@@ -552,20 +552,17 @@ impl<T: Scalar> FrontRun<'_, T> {
     }
 }
 
-/// Build the F-U context of one arena-loop call: the run's options plus the
-/// dense-engine thread width the tree runtime granted.
+/// Build the F-U context of one arena-loop call under the run's options.
 fn fu_ctx<'a>(
     machine: &'a mut Machine,
     pool: &'a mut PinnedPool,
     opts: &FactorOptions,
-    kernel_threads: Option<usize>,
 ) -> FuContext<'a> {
     FuContext {
         host: &mut machine.host,
         gpu: machine.gpu.as_mut(),
         pool,
         copy_optimized: opts.copy_optimized,
-        kernel_threads,
     }
 }
 
@@ -911,7 +908,7 @@ mod tests {
                 );
                 let mut machine = node(kind);
                 let ran = factor_permuted(&a32, symbolic, &analysis.perm, &mut machine, opts);
-                let rehearsed = opts.rehearse(&a32, symbolic, &node(kind));
+                let rehearsed = opts.rehearse::<f32>(symbolic, &node(kind));
                 let (rehearsed, ran) = match (rehearsed, ran) {
                     (Ok(rehearsed), Ok((_, ran))) => (rehearsed, ran),
                     (rehearsed, ran) => {

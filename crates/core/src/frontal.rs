@@ -24,6 +24,7 @@
 
 use mf_dense::Scalar;
 use mf_gpusim::HostClock;
+use mf_sparse::symbolic::SymbolicFactor;
 use mf_sparse::SymCsc;
 use std::ops::Range;
 
@@ -87,9 +88,8 @@ pub(crate) fn lower_trapezoid_len(s: usize, cols: usize) -> usize {
 /// extend-add every child update view in the order given — each child
 /// column lands whole in one buffer, the panel for a child row that is a
 /// pivot column of this front, the update block otherwise. `rel` is a
-/// reusable scratch buffer for the child row-relocation map. Charges host
-/// assembly time for exactly the bytes written.
-#[allow(clippy::too_many_arguments)]
+/// reusable scratch buffer for the child row-relocation map. Numerics only:
+/// the drivers charge the assembly from the structure ([`charge_assemble`]).
 pub fn assemble_front_into<'a, 'c, T: Scalar + 'c>(
     a: &SymCsc<T>,
     cols: Range<usize>,
@@ -98,7 +98,6 @@ pub fn assemble_front_into<'a, 'c, T: Scalar + 'c>(
     panel: &'a mut [T],
     update: &'a mut [T],
     rel: &mut Vec<usize>,
-    host: &mut HostClock,
 ) -> Front<'a, T> {
     let k = cols.len();
     let m = tail.len();
@@ -137,19 +136,16 @@ pub fn assemble_front_into<'a, 'c, T: Scalar + 'c>(
     };
 
     // Scatter A's entries (lower triangle) for the pivot columns.
-    let mut scattered = 0usize;
     for (lc, c) in cols.clone().enumerate() {
         let mut t = 0usize;
         for (&i, &v) in a.col_rows(c).iter().zip(a.col_vals(c)) {
             debug_assert!(i >= c);
             let lr = merge_local(&mut t, i);
             panel[lr + lc * s] += v;
-            scattered += 1;
         }
     }
 
     // Extend-add children.
-    let mut extended = 0usize;
     for child in children {
         let cm = child.m();
         // Relative indices: child rows merged into front-local rows, built
@@ -169,28 +165,30 @@ pub fn assemble_front_into<'a, 'c, T: Scalar + 'c>(
                 col[r - base] += v;
             }
         }
-        extended += lower_trapezoid_len(cm, cm);
     }
-    charge_assemble::<T>(scattered, extended, s, k, host);
 
     Front { s, k, panel, update }
 }
 
-/// The simulated cost of [`assemble_front_into`], which charges through
-/// here, from counts alone (what a timing-only run has): read+write per
-/// entry `scattered` from `A`'s supernode columns and per entry `extended`
-/// from the children's update triangles, plus the zero-fill that is
-/// actually written (the panel trapezoid and the update triangle, not the
-/// full `s × s`).
+/// Charge the assembly of `sn`'s front — what [`assemble_front_into`] does
+/// to it — from the structure alone, with data or without: read+write per
+/// entry of `A` in its columns ([`SupernodeInfo::a_nnz`]) and per entry of
+/// its children's update triangles, plus the zero-fill that is actually
+/// written (the panel trapezoid and the update triangle, not the full
+/// `s × s`).
+///
+/// [`SupernodeInfo::a_nnz`]: mf_sparse::symbolic::SupernodeInfo::a_nnz
 pub(crate) fn charge_assemble<T: Scalar>(
-    scattered: usize,
-    extended: usize,
-    s: usize,
-    k: usize,
+    symbolic: &SymbolicFactor,
+    sn: usize,
     host: &mut HostClock,
 ) {
+    let info = &symbolic.supernodes[sn];
+    let child_ms = symbolic.children(sn).iter().map(|&c| symbolic.supernodes[c].m());
+    let extended: usize = child_ms.map(|cm| lower_trapezoid_len(cm, cm)).sum();
+    let (s, k) = (info.front_size(), info.k());
     let zeroed = lower_trapezoid_len(s, k) + lower_trapezoid_len(s - k, s - k);
-    host.charge_memop((scattered + extended) * 2 * T::BYTES + zeroed * T::BYTES, ASSEMBLY_BW);
+    host.charge_memop((info.a_nnz() + extended) * 2 * T::BYTES + zeroed * T::BYTES, ASSEMBLY_BW);
 }
 
 /// The simulated cost of moving a factored panel's lower trapezoid out of
@@ -244,7 +242,6 @@ mod tests {
         inf: &Shape,
         children: &[(Vec<usize>, Vec<f64>)],
         (panel, update): &'a mut (Vec<f64>, Vec<f64>),
-        host: &mut HostClock,
     ) -> Front<'a, f64> {
         let mut rel = Vec::new();
         assemble_front_into(
@@ -255,7 +252,6 @@ mod tests {
             panel,
             update,
             &mut rel,
-            host,
         )
     }
 
@@ -272,9 +268,8 @@ mod tests {
         t.push(3, 3, 7.0);
         let a = t.assemble();
         let inf = info(0, 2, vec![3]);
-        let mut host = HostClock::new(mf_gpusim::xeon_5160_core());
         let mut bufs = buffers(&inf);
-        let f = assemble(&a, &inf, &[], &mut bufs, &mut host);
+        let f = assemble(&a, &inf, &[], &mut bufs);
         assert_eq!(f.s, 3);
         assert_eq!(f.k, 2);
         assert_eq!(at(&f, 0, 0), 4.0);
@@ -285,7 +280,6 @@ mod tests {
         assert_eq!(at(&f, 2, 2), 0.0, "A(3,3) belongs to a later supernode");
         // The panel's strictly-upper entry is never written.
         assert_eq!(f.panel[3], 0.0);
-        assert!(host.now() > 0.0);
     }
 
     #[test]
@@ -299,9 +293,8 @@ mod tests {
         let inf = info(2, 4, vec![4]);
         // lower: (2,2)=10, (4,2)=20, (4,4)=30
         let child = (vec![2usize, 4], vec![10.0, 20.0, 0.0, 30.0]);
-        let mut host = HostClock::new(mf_gpusim::xeon_5160_core());
         let mut bufs = buffers(&inf);
-        let f = assemble(&a, &inf, &[child], &mut bufs, &mut host);
+        let f = assemble(&a, &inf, &[child], &mut bufs);
         // Local rows: 2→0, 3→1, 4→2.
         assert_eq!(at(&f, 0, 0), 1.0 + 10.0);
         assert_eq!(at(&f, 2, 0), 20.0);
@@ -320,9 +313,8 @@ mod tests {
         let inf = info(0, 2, vec![2]);
         let c1 = (vec![0usize, 2], vec![1.0, 2.0, 0.0, 3.0]);
         let c2 = (vec![0usize, 1], vec![5.0, 6.0, 0.0, 7.0]);
-        let mut host = HostClock::new(mf_gpusim::xeon_5160_core());
         let mut bufs = buffers(&inf);
-        let f = assemble(&a, &inf, &[c1, c2], &mut bufs, &mut host);
+        let f = assemble(&a, &inf, &[c1, c2], &mut bufs);
         assert_eq!(at(&f, 0, 0), 6.0); // 1 + 5
         assert_eq!(at(&f, 2, 0), 2.0);
         assert_eq!(at(&f, 1, 0), 6.0);
@@ -350,9 +342,8 @@ mod tests {
             }
         }
         let child = (vec![2usize, 4, 7], data);
-        let mut host = HostClock::new(mf_gpusim::xeon_5160_core());
         let mut bufs = buffers(&inf);
-        let f = assemble(&a, &inf, &[child], &mut bufs, &mut host);
+        let f = assemble(&a, &inf, &[child], &mut bufs);
         let (s, m) = (5, 3);
         // Child column 0 (row 2 = panel column 1): rows 2, 4, 7 → panel rows
         // 1, 2, 4, added to A's diagonal at (1, 1).

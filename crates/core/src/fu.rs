@@ -94,14 +94,6 @@ pub(crate) struct FuContext<'a> {
     pub pool: &'a mut PinnedPool,
     /// Use the copy-optimized P4 transfer plan.
     pub copy_optimized: bool,
-    /// Dense-engine thread width for this call, from the tree runtime's
-    /// [`ThreadBudget`](mf_runtime::ThreadBudget) arbitration: `Some(w)`
-    /// caps the engine's column-slab threading at `w` for the duration
-    /// (leaf fronts under a busy pool get 1, a lone root front gets the
-    /// whole budget). `None` leaves the process-wide cap untouched (the
-    /// serial driver). Thread width never changes results — the engine is
-    /// bitwise deterministic at every thread count.
-    pub kernel_threads: Option<usize>,
 }
 
 /// Outcome of an F-U call.
@@ -483,13 +475,6 @@ pub(crate) fn try_dispatch<T: Scalar>(
     plan: FuPlan,
     ctx: &mut FuContext<'_>,
 ) -> Result<Option<FuPending>, BatchError> {
-    if let Some(w) = ctx.kernel_threads {
-        // Process-global cap: concurrent tasks each set their own width and
-        // the last store wins for kernels launched after it — a benign race
-        // (widths only steer wall-clock, never bits). The parallel driver
-        // restores the caller's cap once the whole run finishes.
-        mf_dense::set_num_threads(w);
-    }
     let mut p = FuPending {
         outcome: FuOutcome { executed: plan.policy, oom_fallback: false },
         phase: if plan.allocs.is_empty() { Phase::Done } else { Phase::Downloads },
@@ -662,7 +647,6 @@ pub fn estimate_fu_time(
             gpu: machine.gpu.as_mut(),
             pool: &mut pool,
             copy_optimized,
-            kernel_threads: None,
         };
         let ran = Lane::new().run_front(0, &mut front, policy, true, &mut ctx);
         t = ran.expect("no data, so no failing pivot").record.expect("a recorded front").total;
@@ -908,13 +892,7 @@ mod tests {
         pool: &'a mut PinnedPool,
         copy_optimized: bool,
     ) -> FuContext<'a> {
-        FuContext {
-            host: &mut machine.host,
-            gpu: machine.gpu.as_mut(),
-            pool,
-            copy_optimized,
-            kernel_threads: None,
-        }
+        FuContext { host: &mut machine.host, gpu: machine.gpu.as_mut(), pool, copy_optimized }
     }
 
     /// One front through the drain schedule's body: its record — the policy

@@ -23,10 +23,10 @@
 //! P4 runs on one lane, peer exports between several). What differs between
 //! them arrives as data: staging, `keep_update` and the issuer's `Sink`
 //! that receives the update blocks.
-//! Whether data exists is not among them: in a run without a slab either
-//! issuer makes the staging pool virtual (the device is virtual too) and
-//! charges each assembly from the structure ([`charge_assembly`]), and of
-//! the F-U only the interpreter reads that. [`Lane::run_front`] and
+//! Whether data exists is not among them: either issuer charges each
+//! assembly from the structure ([`charge_assemble`]) and, in a run without
+//! values or slab, makes the staging pool virtual (the device is virtual
+//! too); of the F-U only the interpreter reads that. [`Lane::run_front`] and
 //! [`Lane::run_staged`] are the only places a front's phases are sequenced;
 //! [`crate::estimate_fu_time`] prices one front through the first.
 //!
@@ -38,8 +38,8 @@
 
 use crate::factor::FactorError;
 use crate::frontal::{
-    assemble_front_into, charge_assemble, charge_panel_extract, charge_update_extract,
-    lower_trapezoid_len, ChildUpdate, Front,
+    assemble_front_into, charge_assemble, charge_panel_extract, charge_update_extract, ChildUpdate,
+    Front,
 };
 use crate::fu::{
     dispatch_fu, downloads, enqueue_downloads, finish_fu, try_dispatch, BatchError, FuContext,
@@ -100,28 +100,16 @@ fn split_panels<'a, T>(mut slab: &'a mut [T], panel_ptr: &[usize]) -> Vec<&'a mu
         .collect()
 }
 
-/// Charge the assembly of `sn`'s front from the structure alone — what
-/// [`assemble_front_into`] charges for it — in a run without data.
-pub(crate) fn charge_assembly<T: Scalar>(
-    a: &SymCsc<T>,
-    symbolic: &SymbolicFactor,
-    sn: usize,
-    host: &mut HostClock,
-) {
-    let info = &symbolic.supernodes[sn];
-    let a_nnz = (info.col_start..info.col_end).map(|c| a.col_rows(c).len()).sum();
-    let child_ms = symbolic.children(sn).iter().map(|&c| symbolic.supernodes[c].m());
-    let extended = child_ms.map(|cm| lower_trapezoid_len(cm, cm)).sum();
-    charge_assemble::<T>(a_nnz, extended, info.front_size(), info.k(), host);
-}
-
 /// Per-front storage for a run on one host thread whose front lifetimes
 /// overlap (which the postorder LIFO arena cannot express): every
 /// supernode's panel region of the factor slab, handed to its front, the
 /// update blocks awaiting their parents, and the allocation accounting.
-/// Without a slab it holds and touches no buffer at all.
+/// Without data it holds and touches no buffer at all.
 pub(crate) struct FrontStore<'a, T> {
     symbolic: &'a SymbolicFactor,
+    /// The permuted matrix whose values the fronts assemble; `None` without
+    /// data.
+    a: Option<&'a SymCsc<T>>,
     panels: Vec<&'a mut [T]>,
     updates: Vec<Option<Vec<T>>>,
     rel: Vec<usize>,
@@ -133,14 +121,19 @@ pub(crate) struct FrontStore<'a, T> {
 }
 
 impl<'a, T: Scalar> FrontStore<'a, T> {
-    /// Storage for a run whose panels go into `slab` (zeroed); `None` for a
-    /// run without data.
-    pub(crate) fn new(symbolic: &'a SymbolicFactor, slab: Option<&'a mut [T]>) -> Self {
-        let allocs = u64::from(slab.is_some());
+    /// Storage for a run that assembles `a`'s values and puts the panels
+    /// into `slab` (zeroed); `None` for a run without data.
+    pub(crate) fn new(
+        symbolic: &'a SymbolicFactor,
+        data: Option<(&'a SymCsc<T>, &'a mut [T])>,
+    ) -> Self {
+        let allocs = u64::from(data.is_some());
+        let (a, slab) = data.unzip();
         let panels: Vec<_> =
             slab.map(|slab| split_panels(slab, symbolic.panel_ptr())).unwrap_or_default();
         FrontStore {
             symbolic,
+            a,
             updates: panels.iter().map(|_| None).collect(),
             panels,
             rel: Vec::new(),
@@ -150,23 +143,16 @@ impl<'a, T: Scalar> FrontStore<'a, T> {
         }
     }
 
-    /// Assemble `sn`'s front — its panel in the slab, its update block in a
-    /// fresh buffer — consuming its children's updates; without a slab, charge
-    /// the assembly and hand out empty buffers.
-    pub(crate) fn assemble(
-        &mut self,
-        a: &SymCsc<T>,
-        sn: usize,
-        host: &mut HostClock,
-    ) -> Member<'a, T> {
+    /// Charge the assembly of `sn`'s front, then assemble it — its panel in
+    /// the slab, its update block in a fresh buffer — consuming its
+    /// children's updates; without data, hand out empty buffers.
+    pub(crate) fn assemble(&mut self, sn: usize, host: &mut HostClock) -> Member<'a, T> {
         let symbolic = self.symbolic;
         let info = &symbolic.supernodes[sn];
         let (s, k, m) = (info.front_size(), info.k(), info.m());
+        charge_assemble::<T>(symbolic, sn, host);
         let mut member = Member { sn, s, k, panel: &mut [], update: Vec::new() };
-        if self.panels.is_empty() {
-            charge_assembly(a, symbolic, sn, host);
-            return member;
-        }
+        let Some(a) = self.a else { return member };
         let kids = take_children(symbolic, sn, |c| self.updates[c].take())
             .expect("every child is issued, and its update delivered, before its parent");
         if m > 0 {
@@ -184,13 +170,12 @@ impl<'a, T: Scalar> FrontStore<'a, T> {
             &mut *member.panel,
             &mut member.update,
             &mut self.rel,
-            host,
         );
         self.live -= kids.iter().map(Vec::len).sum::<usize>();
         member
     }
 
-    /// Keep `sn`'s update block for its parent (without a slab, drop it).
+    /// Keep `sn`'s update block for its parent (without data, drop it).
     pub(crate) fn deliver(&mut self, sn: usize, update: Vec<T>) {
         if let Some(slot) = self.updates.get_mut(sn) {
             *slot = Some(update);

@@ -23,7 +23,7 @@
 //! front runs on, the window over all lanes, and the peer exports between
 //! lanes; lane `d` is device `d`. A front's downloads are staged behind the
 //! next dispatch and the window keeps fronts in flight, so no front books a
-//! per-call record. Without a slab the run is timing-only: the pipelined
+//! per-call record. Without data the run is timing-only: the pipelined
 //! schedule as [`FactorOptions::rehearse`] and the plan's rehearsal price it.
 //! Three rules differ by lane count (one short branch each, see
 //! [`Issuer::window`], [`Issuer::batch_run_len`] and
@@ -294,7 +294,6 @@ fn evict<T: Scalar>(ru: RemoteUpdate, ctx: &mut FuContext<'_>) {
 /// of `set` (lane `d` drives device `d`), the issue order and the peer
 /// exports between lanes. The lifecycle of each front is [`crate::lane`]'s.
 struct Issuer<'a, 'm, T> {
-    a: &'a SymCsc<T>,
     symbolic: &'a SymbolicFactor,
     opts: &'a FactorOptions,
     map: DeviceMap,
@@ -334,7 +333,6 @@ impl<'a, T: Scalar> Issuer<'a, '_, T> {
             gpu: Some(self.set.device_mut(lane)),
             pool: &mut self.pool,
             copy_optimized: self.opts.copy_optimized,
-            kernel_threads: None,
         };
         f(&mut self.lanes[lane], &mut ctx, &mut sink)
     }
@@ -452,7 +450,7 @@ impl<'a, T: Scalar> Issuer<'a, '_, T> {
     /// Make `sn`'s child updates consumable and assemble its front.
     fn ready_front(&mut self, sn: usize) -> Member<'a, T> {
         self.ready_children(sn);
-        self.store.assemble(self.a, sn, self.host)
+        self.store.assemble(sn, self.host)
     }
 
     fn step(&mut self, sn: usize) -> Result<(), FactorError> {
@@ -578,24 +576,24 @@ impl<'a, T: Scalar> Issuer<'a, '_, T> {
 }
 
 /// [`crate::Schedule::Pipelined`]: fronts in flight on `ndev` lanes of one
-/// host timeline, the panels into `slab`. The machine's own device becomes
-/// device 0 of a [`DeviceSet`] of `ndev` identical devices and moves back,
-/// in the mode it arrived in, when the run ends, error or not. Without a
-/// slab the run is timing-only: every device of the set and the staging
-/// pool are virtual, so it issues the data run's every simulated call and
-/// touches no numeric data. Factor slabs are bitwise identical to the drain
-/// driver at every device count (see the module docs).
+/// host timeline, `a`'s values assembled and the panels put into the slab of
+/// `data`. The machine's own device becomes device 0 of a [`DeviceSet`] of
+/// `ndev` identical devices and moves back, in the mode it arrived in, when
+/// the run ends, error or not. Without data the run is timing-only: every
+/// device of the set and the staging pool are virtual, so it issues the data
+/// run's every simulated call and touches no numeric data. Factor slabs are
+/// bitwise identical to the drain driver at every device count (see the
+/// module docs).
 pub(crate) fn issue_fronts<T: Scalar>(
-    a: &SymCsc<T>,
     symbolic: &SymbolicFactor,
     machine: &mut Machine,
     opts: &FactorOptions,
     ndev: usize,
-    slab: Option<&mut [T]>,
+    data: Option<(&SymCsc<T>, &mut [T])>,
 ) -> Result<FactorStats, FactorError> {
     let own =
         machine.gpu.take().expect("the plan keeps fronts in flight on a machine with a device");
-    let (cfg, arrived_virtual, no_data) = (own.config().clone(), own.is_virtual(), slab.is_none());
+    let (cfg, arrived_virtual, no_data) = (own.config().clone(), own.is_virtual(), data.is_none());
     let mut gpus = vec![own];
     gpus.resize_with(ndev, || Gpu::new(cfg.clone()));
     let mut pool = pinned_pool(opts);
@@ -605,7 +603,6 @@ pub(crate) fn issue_fronts<T: Scalar>(
     }
 
     let mut run = Issuer {
-        a,
         symbolic,
         opts,
         map: proportional_map(symbolic, ndev),
@@ -614,7 +611,7 @@ pub(crate) fn issue_fronts<T: Scalar>(
         pool,
         lanes: (0..ndev).map(|_| Lane::new()).collect(),
         order: VecDeque::new(),
-        store: FrontStore::new(symbolic, slab),
+        store: FrontStore::new(symbolic, data),
         exports: vec![None; symbolic.num_supernodes()],
         oom_fallbacks: 0,
     };

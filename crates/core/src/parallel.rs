@@ -17,7 +17,9 @@
 //!    worker count), and a shared [`ThreadBudget`] arbitrates hardware threads
 //!    between tree-level workers and the dense engine's column-slab
 //!    threading — the one intra-front parallelism mechanism: the last
-//!    task standing near the root runs its kernels at the full budget.
+//!    task standing near the root runs its kernels at the full budget. A
+//!    task's width holds on its own thread only
+//!    ([`mf_dense::with_num_threads`]); the process-wide cap never moves.
 //!
 //! The tasks are mf-sparse's [`RangeTasks`] around the bottom subtrees —
 //! the one task partition of the analysis' row structures, this factor and
@@ -269,20 +271,19 @@ pub fn factor_permuted_parallel<T: Scalar>(
     opts: &FactorOptions,
     par: &ParallelOptions,
 ) -> Result<(CholeskyFactor<T>, FactorStats), FactorError> {
-    let plan = opts.plan(a, symbolic, machines, Some(par))?;
+    let plan = opts.plan::<T>(symbolic, machines, Some(par))?;
     run_plan(plan, a, symbolic, perm, machines, opts)
 }
 
 /// [`crate::Schedule::Tasks`]: the drain schedule as work-stealing range
-/// tasks, one worker per machine, `thread_budget` threads between them, the
-/// panels into `slab`.
+/// tasks, one worker per machine, `thread_budget` threads between them, `a`'s
+/// values assembled and the panels put into `slab`.
 pub(crate) fn factor_tasks<T: Scalar>(
-    a: &SymCsc<T>,
+    (a, slab): (&SymCsc<T>, &mut [T]),
     symbolic: &SymbolicFactor,
     machines: &mut [Machine],
     opts: &FactorOptions,
     thread_budget: usize,
-    slab: &mut [T],
 ) -> Result<FactorStats, FactorError> {
     let workers = machines.len();
 
@@ -326,10 +327,8 @@ pub(crate) fn factor_tasks<T: Scalar>(
     // A subtree task's stack bound; a single supernode keeps nothing on the
     // stack (its update is assembled straight into the hand-off buffer).
     let peaks = symbolic.subtree_update_peaks();
-    let front_run = FrontRun { a, symbolic, opts, ooc_plan: ooc_plan.as_ref() };
-
+    let front_run = FrontRun { symbolic, opts, ooc_plan: ooc_plan.as_ref() };
     let budget = ThreadBudget::new(thread_budget);
-    let saved_cap = mf_dense::thread_cap();
 
     let states: Vec<WorkerCtx<'_, T>> = machines
         .iter_mut()
@@ -367,24 +366,26 @@ pub(crate) fn factor_tasks<T: Scalar>(
             st.arena = FrontArena::with_len(need);
         }
         st.arena.clear();
-        let width = budget.begin();
+        // The task's kernels run at the width its budget slot grants, on this
+        // thread alone; the slot goes back when the task ends or unwinds.
+        let lease = budget.lease();
         let (records, oom) = (&mut st.records, &mut st.oom);
-        let done = front_run.factor_range(
-            range,
-            &handed,
-            &mut st.arena,
-            Some(&slab_view),
-            &mut st.rel,
-            st.machine,
-            &mut st.pool,
-            Some(width),
-            |r, out| {
-                *oom += usize::from(out.oom_fallback);
-                records.extend(out.record.map(|rec| (r, rec)));
-            },
-        );
-        budget.end();
-        let update = done?;
+        let update = mf_dense::with_num_threads(lease.width(), || {
+            front_run.factor_range(
+                range,
+                &handed,
+                &mut st.arena,
+                Some((a, &slab_view)),
+                &mut st.rel,
+                st.machine,
+                &mut st.pool,
+                |r, out| {
+                    *oom += usize::from(out.oom_fallback);
+                    records.extend(out.record.map(|rec| (r, rec)));
+                },
+            )
+        })?;
+        drop(lease);
         st.peak_front = st.peak_front.max(st.arena.high_water());
         if let Some(u) = update {
             st.allocs += 1;
@@ -392,10 +393,6 @@ pub(crate) fn factor_tasks<T: Scalar>(
         }
         Ok(())
     });
-
-    // Workers widened the process-global dense-engine cap while running;
-    // restore whatever the caller had configured.
-    mf_dense::set_num_threads(saved_cap);
 
     // front_alloc_events starts at 1 for the factor slab.
     let mut stats = FactorStats { front_alloc_events: 1, ..Default::default() };

@@ -13,12 +13,15 @@
 //! What the run decides per front — a device OOM sending a front to P1 — is
 //! not a plan decision; `FactorStats::oom_fallbacks` counts it.
 //!
-//! One private function maps a [`Schedule`] to its driver: with a factor slab
-//! for [`run_plan`], without one for [`FactorOptions::rehearse`], which runs
-//! the serial entry's plan on a twin of the machine (same configuration,
-//! fresh clocks, its device virtual) and returns the run's simulated clock,
-//! per-call records and out-of-core accounting bit for bit — or the run's own
-//! error. The plan's own two single-device rehearsals are the same routine.
+//! One private function maps a [`Schedule`] to its driver: with the matrix
+//! and a factor slab for [`run_plan`], without either for
+//! [`FactorOptions::rehearse`], which runs the serial entry's plan on a twin
+//! of the machine (same configuration, fresh clocks, its device virtual) and
+//! returns the run's simulated clock, per-call records and out-of-core
+//! accounting bit for bit — or the run's own error. Every price is read from
+//! the structure, so planning and rehearsing take no matrix. The plan's own
+//! two single-device rehearsals are the same routine. A run starts the
+//! clocks of the machines it runs on at zero, as the twin's start.
 //!
 //! [`factor_permuted`]: crate::factor::factor_permuted
 //! [`factor_permuted_parallel`]: crate::parallel::factor_permuted_parallel
@@ -135,10 +138,10 @@ impl std::error::Error for PlanError {}
 impl FactorOptions {
     /// The plan of a run of these options on `machines` — one machine for
     /// [`crate::factor_permuted`] (`par` = `None`), one per worker for
-    /// [`crate::factor_permuted_parallel`] (`par` its options) — over `a`'s
-    /// pattern and `symbolic`'s structure. Pure: it reads the machines'
-    /// configurations only, and a run of the same inputs records exactly
-    /// this plan.
+    /// [`crate::factor_permuted_parallel`] (`par` its options) — over
+    /// `symbolic`'s structure, its prices at `T`'s width. Pure: it reads the
+    /// machines' configurations only, and a run of the same inputs records
+    /// exactly this plan.
     ///
     /// - Without pipelining the run drains: [`Schedule::Drain`] serially,
     ///   [`Schedule::Tasks`] from the parallel entry.
@@ -150,7 +153,6 @@ impl FactorOptions {
     ///   [`Schedule::Drain`] on that machine ([`Decision::Rehearsed`]).
     pub fn plan<T: Scalar>(
         &self,
-        a: &SymCsc<T>,
         symbolic: &SymbolicFactor,
         machines: &[Machine],
         par: Option<&ParallelOptions>,
@@ -188,7 +190,7 @@ impl FactorOptions {
         plan.schedule = Schedule::Pipelined { devices };
         if devices == 1 {
             let [pipelined_s, drain_s] = [plan.schedule, Schedule::Drain].map(|s| {
-                let rehearsed = rehearse(s, a, symbolic, self, &machines[g]);
+                let rehearsed = rehearse::<T>(s, symbolic, self, &machines[g]);
                 rehearsed.expect("an in-core rehearsal has no data to fail on").total_time
             });
             plan.decision = Some(Decision::Rehearsed { pipelined_s, drain_s });
@@ -202,13 +204,14 @@ impl FactorOptions {
     /// The simulated clock of [`crate::factor_permuted`] on `machine` under
     /// these options, without data: the serial entry's plan, its schedule
     /// run by the same driver on a twin of `machine` (same configuration,
-    /// fresh clocks, its device virtual) without a factor slab. No numeric
-    /// buffer is allocated or touched; `a` gives the pattern and `T` the
-    /// bytes every transfer, assembly and spill is charged for.
+    /// fresh clocks, its device virtual) without the matrix or a factor slab.
+    /// No numeric buffer is allocated or touched; `symbolic` gives every
+    /// front's shape and entry count, and `T` the bytes every transfer,
+    /// assembly and spill is charged for.
     ///
     /// `total_time`, `records`, `gpu`, `gpu_devices`, `peer_bytes`,
     /// `oom_fallbacks`, `plan` and `ooc` equal those of `factor_permuted` on
-    /// a fresh `machine` bit for bit, on any machine and under any budget.
+    /// `machine` bit for bit, on any machine and under any budget.
     /// `front_alloc_events` and `peak_front_bytes` describe storage a
     /// rehearsal never holds: they are zero, and so is `wall_time`. Where
     /// the run fails before touching data — an option combination no driver
@@ -216,17 +219,17 @@ impl FactorOptions {
     /// own error; it reads no pivot, so it never fails on one.
     pub fn rehearse<T: Scalar>(
         &self,
-        a: &SymCsc<T>,
         symbolic: &SymbolicFactor,
         machine: &Machine,
     ) -> Result<FactorStats, FactorError> {
-        let plan = self.plan(a, symbolic, std::slice::from_ref(machine), None)?;
-        Ok(FactorStats { plan, ..rehearse(plan.schedule, a, symbolic, self, machine)? })
+        let plan = self.plan::<T>(symbolic, std::slice::from_ref(machine), None)?;
+        Ok(FactorStats { plan, ..rehearse::<T>(plan.schedule, symbolic, self, machine)? })
     }
 }
 
 /// Run `plan` — [`FactorOptions::plan`]'s for these options and machines —
-/// on its driver, and record it and the call's wall time in the stats.
+/// on its driver, the clocks of the machines it runs on started at zero, and
+/// record it and the call's wall time in the stats.
 pub(crate) fn run_plan<T: Scalar>(
     plan: ExecPlan,
     a: &SymCsc<T>,
@@ -236,8 +239,13 @@ pub(crate) fn run_plan<T: Scalar>(
     opts: &FactorOptions,
 ) -> Result<(CholeskyFactor<T>, FactorStats), FactorError> {
     let wall0 = std::time::Instant::now();
+    match plan.schedule {
+        Schedule::Tasks { .. } => machines.iter_mut().for_each(Machine::reset),
+        _ => machines[plan.machine].reset(),
+    }
     let mut slab = vec![T::ZERO; symbolic.factor_slab_len()];
-    let stats = drive(plan.schedule, plan.machine, a, symbolic, machines, opts, Some(&mut slab))?;
+    let data = Some((a, &mut slab[..]));
+    let stats = drive(plan.schedule, plan.machine, symbolic, machines, opts, data)?;
     let factor = CholeskyFactor { symbolic: symbolic.clone(), perm: perm.clone(), slab };
     Ok((factor, FactorStats { wall_time: wall0.elapsed().as_secs_f64(), plan, ..stats }))
 }
@@ -246,7 +254,6 @@ pub(crate) fn run_plan<T: Scalar>(
 /// fresh clocks and, if `machine` has a device, a virtual one.
 fn rehearse<T: Scalar>(
     schedule: Schedule,
-    a: &SymCsc<T>,
     symbolic: &SymbolicFactor,
     opts: &FactorOptions,
     machine: &Machine,
@@ -254,30 +261,29 @@ fn rehearse<T: Scalar>(
     let gpu = machine.gpu.as_ref().map(|g| Gpu::new(g.config().clone()));
     let mut twin = Machine { host: HostClock::new(machine.host.config().clone()), gpu };
     twin.gpu.iter_mut().for_each(|g| g.set_virtual(true));
-    drive(schedule, 0, a, symbolic, std::slice::from_mut(&mut twin), opts, None)
+    drive::<T>(schedule, 0, symbolic, std::slice::from_mut(&mut twin), opts, None)
 }
 
 /// Run `schedule` on its driver — on `machines[machine]`'s host timeline,
-/// or on every machine for [`Schedule::Tasks`] — the panels into `slab`, or
-/// without a slab timing-only. The one map from a schedule to its driver,
-/// for the run and the rehearsal alike.
+/// or on every machine for [`Schedule::Tasks`] — with `data`, the matrix to
+/// assemble and the slab for the panels, or without it timing-only. The one
+/// map from a schedule to its driver, for the run and the rehearsal alike.
 fn drive<T: Scalar>(
     schedule: Schedule,
     machine: usize,
-    a: &SymCsc<T>,
     symbolic: &SymbolicFactor,
     machines: &mut [Machine],
     opts: &FactorOptions,
-    slab: Option<&mut [T]>,
+    data: Option<(&SymCsc<T>, &mut [T])>,
 ) -> Result<FactorStats, FactorError> {
     match schedule {
-        Schedule::Drain => factor_drain(a, symbolic, &mut machines[machine], opts, slab),
+        Schedule::Drain => factor_drain(symbolic, &mut machines[machine], opts, data),
         Schedule::Tasks { thread_budget, .. } => {
-            let slab = slab.expect("only the parallel entry plans tasks, and it runs with data");
-            factor_tasks(a, symbolic, machines, opts, thread_budget, slab)
+            let data = data.expect("only the parallel entry plans tasks, and it runs with data");
+            factor_tasks(data, symbolic, machines, opts, thread_budget)
         }
         Schedule::Pipelined { devices } => {
-            issue_fronts(a, symbolic, &mut machines[machine], opts, devices, slab)
+            issue_fronts(symbolic, &mut machines[machine], opts, devices, data)
         }
     }
 }
@@ -343,7 +349,8 @@ mod tests {
                 FactorOptions { pipeline, memory_budget: Some(required - 1), ..Default::default() };
             let ran = crate::factor_permuted(a, symbolic, &an.perm, &mut machine(), &opts);
             assert_eq!(ran.err(), Some(want), "{pipeline:?}: the run");
-            assert_eq!(opts.rehearse(a, symbolic, &machine()).err(), Some(want), "{pipeline:?}");
+            let rehearsed = opts.rehearse::<f64>(symbolic, &machine());
+            assert_eq!(rehearsed.err(), Some(want), "{pipeline:?}");
         }
     }
 }

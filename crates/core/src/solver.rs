@@ -317,7 +317,10 @@ impl SpdSolver {
     /// sparsity pattern** as the one this solver was built from, reusing the
     /// cached ordering/supernodes/postorder. Much cheaper than
     /// [`SpdSolver::new`] and produces exactly the factor a fresh solver
-    /// would (same permutation, same symbolic structure, same bits).
+    /// would (same permutation, same symbolic structure, same bits) and the
+    /// statistics it would report on a fresh machine: the run starts
+    /// `machine`'s clocks at zero, so a loop of refactors on one machine
+    /// reports each run's own simulated time.
     ///
     /// On error the solver is left unchanged (the old factor stays valid).
     pub fn refactor(
@@ -766,6 +769,42 @@ mod tests {
         assert_eq!(x_re.len(), x_fresh.len());
         for (p, q) in x_re.iter().zip(&x_fresh) {
             assert_eq!(p.to_bits(), q.to_bits());
+        }
+    }
+
+    #[test]
+    fn refactor_on_a_reused_machine_reports_its_own_run() {
+        // The time-stepping loop: one machine, a factor, then refactors.
+        // Each refactor's clock and device accounting are a fresh solver's,
+        // not the sum of every run the machine has seen, and the rehearsal
+        // on that machine predicts them.
+        use crate::factor::PipelineOptions;
+        use crate::multigpu::MultiGpuOptions;
+        let a = laplacian_3d(10, 10, 10, Stencil::Faces);
+        let gpu_bits = |s: &SpdSolver| {
+            let u = s.stats().gpu.expect("the paper node has a device");
+            ([u.compute_busy, u.copy_busy, u.span].map(f64::to_bits), u.gpus)
+        };
+        let p4 = solver_opts(PolicyKind::P4, Precision::F32);
+        let pipelined = FactorOptions {
+            pipeline: PipelineOptions::pipelined(),
+            devices: MultiGpuOptions::devices(2),
+            ..p4.factor.clone()
+        };
+        for opts in [p4.clone(), SolverOptions { factor: pipelined, ..p4 }] {
+            let fresh = SpdSolver::new(&a, &mut Machine::paper_node(), &opts).unwrap();
+            assert!(fresh.stats().gpu.unwrap().compute_busy > 0.0, "the selector uses the GPU");
+            let mut machine = Machine::paper_node();
+            let mut s = SpdSolver::new(&a, &mut machine, &opts).unwrap();
+            for refactor in 1..=2 {
+                s.refactor(&a, &mut machine).unwrap();
+                let what = format!("{:?} refactor {refactor}", opts.factor.devices);
+                assert_eq!(s.factor_time().to_bits(), fresh.factor_time().to_bits(), "{what}");
+                assert_eq!(gpu_bits(&s), gpu_bits(&fresh), "{what}: gpu");
+                let rehearsed = opts.factor.rehearse::<f32>(&s.analysis().symbolic, &machine);
+                let rehearsed = rehearsed.unwrap().total_time;
+                assert_eq!(rehearsed.to_bits(), s.factor_time().to_bits(), "{what}: rehearsed");
+            }
         }
     }
 

@@ -54,7 +54,8 @@ impl FuRecord {
 pub struct FactorStats {
     /// Per-supernode records in postorder execution order.
     pub records: Vec<FuRecord>,
-    /// Total simulated factorization time, by the plan's
+    /// Total simulated factorization time of this run alone (it starts the
+    /// clocks of the machines it runs on at zero), by the plan's
     /// [`crate::Schedule`]: `Drain` and `Pipelined` read the one
     /// host timeline that ran the run, after every device drained; `Tasks`
     /// reads the largest worker clock (the worker clocks share no timing

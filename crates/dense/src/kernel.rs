@@ -26,6 +26,7 @@
 use crate::arena::with_pack_buffers;
 use crate::pack::{pack_a, pack_b, slivers_a, slivers_b, OpView};
 use crate::Scalar;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Micro-tile rows. 16 keeps an f64 accumulator column in two 512-bit
@@ -54,27 +55,54 @@ const PAR_MIN_MADDS: usize = 1 << 21;
 /// Requested worker-thread cap; 0 means "ask the OS".
 static MAX_THREADS: AtomicUsize = AtomicUsize::new(0);
 
-/// Cap the number of worker threads the dense kernels may use. `0` restores
-/// the default (the machine's available parallelism). Thread count never
-/// changes results: see the module notes on determinism.
+std::thread_local! {
+    /// This thread's cap while a [`with_num_threads`] scope is open; 0 = none.
+    static SCOPED_THREADS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Cap the number of worker threads the dense kernels may use, process-wide:
+/// every thread outside a [`with_num_threads`] scope. `0` restores the
+/// default (the machine's available parallelism). Thread count never changes
+/// results: see the module notes on determinism.
 pub fn set_num_threads(n: usize) {
     MAX_THREADS.store(n, Ordering::Relaxed);
 }
 
-/// The raw requested cap as last passed to [`set_num_threads`] (`0` =
+/// Run `f` with the dense kernels it calls on this thread capped at `n`
+/// worker threads, whatever the process-wide cap; other threads keep theirs
+/// (`0` opens no scope). The enclosing scope, if any, comes back when `f`
+/// returns or unwinds. This is how concurrent tasks run their kernels at
+/// different widths.
+pub fn with_num_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(usize);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SCOPED_THREADS.with(|c| c.set(self.0));
+        }
+    }
+    let _restore = Restore(SCOPED_THREADS.with(|c| c.replace(n)));
+    f()
+}
+
+/// The raw process-wide cap as last passed to [`set_num_threads`] (`0` =
 /// "ask the OS"). Unlike [`num_threads`] this does not resolve `0`, so a
 /// caller that temporarily overrides the cap can restore it exactly.
 pub fn thread_cap() -> usize {
     MAX_THREADS.load(Ordering::Relaxed)
 }
 
-/// The worker-thread cap currently in effect.
+/// The worker-thread cap in effect on this thread: its
+/// [`with_num_threads`] scope's, else the process-wide one.
 pub fn num_threads() -> usize {
     // `available_parallelism` re-reads cgroup state on every call (>10 µs on
     // some kernels), which would dwarf a small kernel invocation — query the
     // OS once.
     static OS_THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    match MAX_THREADS.load(Ordering::Relaxed) {
+    let cap = match SCOPED_THREADS.with(Cell::get) {
+        0 => MAX_THREADS.load(Ordering::Relaxed),
+        scoped => scoped,
+    };
+    match cap {
         0 => {
             *OS_THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
         }

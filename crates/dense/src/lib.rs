@@ -24,7 +24,8 @@
 //! (`MC × KC × NC`), contiguous panel packing that absorbs the transpose
 //! combinations, and an `MR × NR` micro-kernel whose explicit accumulator
 //! array autovectorizes to FMA chains for both scalar types. The engine can
-//! multithread over disjoint column slabs of `C` ([`set_num_threads`]);
+//! multithread over disjoint column slabs of `C` ([`set_num_threads`], or
+//! per thread [`with_num_threads`]);
 //! results are bitwise identical for every thread count (see `kernel.rs`).
 //! The seed loop-nest kernels survive in [`naive`] as the small-size path.
 //! *Measured* speed never feeds the
@@ -52,7 +53,7 @@ mod syrk;
 mod trsm;
 
 pub use gemm::{gemm, gemm_nt, Transpose};
-pub use kernel::{num_threads, set_num_threads, thread_cap};
+pub use kernel::{num_threads, set_num_threads, thread_cap, with_num_threads};
 pub use matrix::{ColMajor, DenseMat};
 pub use potrf::{potrf, potrf_blocked, potrf_unblocked, PotrfError};
 pub use reference::{gemm_ref, potrf_ref, syrk_ref, trsm_ref};

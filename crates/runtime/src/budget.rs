@@ -5,10 +5,11 @@
 //! concurrently and each should keep its dense kernels single-threaded;
 //! near the root one huge front runs alone and should take every hardware
 //! thread inside the kernel. [`ThreadBudget`] implements that hand-off with
-//! one shared counter: a task entering execution claims a slot and receives
-//! `max(1, total / active)` kernel threads, so the *sum* of kernel widths
-//! never exceeds the budget by more than the rounding slack — no
-//! oversubscription when a root front runs under a busy pool.
+//! one shared counter: a task entering execution takes a [`BudgetLease`] on
+//! a slot and receives `max(1, total / active)` kernel threads, so the *sum*
+//! of kernel widths never exceeds the budget by more than the rounding slack
+//! — no oversubscription when a root front runs under a busy pool. The slot
+//! goes back when the lease drops, the task's unwind included.
 //!
 //! Widths may vary run to run (they depend on how many tasks happen to be
 //! in flight), which is safe because the dense engine is bitwise
@@ -39,26 +40,12 @@ impl ThreadBudget {
         self.active.load(Ordering::Relaxed)
     }
 
-    /// Enter a task: claims a slot and returns the kernel-thread width this
-    /// task may use. Pair with [`Self::end`].
-    pub fn begin(&self) -> usize {
-        let running = self.active.fetch_add(1, Ordering::AcqRel) + 1;
-        (self.total / running).max(1)
-    }
-
-    /// Leave a task entered with [`Self::begin`].
-    pub fn end(&self) {
-        let prev = self.active.fetch_sub(1, Ordering::AcqRel);
-        debug_assert!(prev > 0, "ThreadBudget::end without begin");
-    }
-
-    /// RAII form of [`Self::begin`]/[`Self::end`]: the slot is released when
-    /// the returned lease drops, including on unwind — the form long-lived
-    /// services should use, where a leaked slot would permanently shrink
-    /// every later task's kernel width.
+    /// Enter a task: claim a slot, held until the returned lease drops —
+    /// on unwind too, so a task that dies never shrinks every later task's
+    /// kernel width. The lease carries the width this task may use.
     pub fn lease(&self) -> BudgetLease<'_> {
-        let width = self.begin();
-        BudgetLease { budget: self, width }
+        let running = self.active.fetch_add(1, Ordering::AcqRel) + 1;
+        BudgetLease { budget: self, width: (self.total / running).max(1) }
     }
 }
 
@@ -78,7 +65,7 @@ impl BudgetLease<'_> {
 
 impl Drop for BudgetLease<'_> {
     fn drop(&mut self) {
-        self.budget.end();
+        self.budget.active.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -89,33 +76,26 @@ mod tests {
     #[test]
     fn lone_task_gets_the_whole_budget() {
         let b = ThreadBudget::new(8);
-        assert_eq!(b.begin(), 8);
-        b.end();
+        assert_eq!(b.lease().width(), 8);
         assert_eq!(b.active(), 0);
     }
 
     #[test]
     fn concurrent_tasks_split_the_budget() {
         let b = ThreadBudget::new(8);
-        assert_eq!(b.begin(), 8); // 1 active
-        assert_eq!(b.begin(), 4); // 2 active
-        assert_eq!(b.begin(), 2); // 3 active → 8/3 = 2
-        assert_eq!(b.begin(), 2); // 4 active
-        for _ in 0..4 {
-            b.end();
-        }
+        // 1, 2, 3 and 4 active: 8/3 rounds down to 2.
+        let leases: Vec<_> = (0..4).map(|_| b.lease()).collect();
+        assert_eq!(leases.iter().map(BudgetLease::width).collect::<Vec<_>>(), [8, 4, 2, 2]);
+        drop(leases);
+        assert_eq!(b.active(), 0);
     }
 
     #[test]
     fn width_never_drops_below_one() {
         let b = ThreadBudget::new(2);
-        for _ in 0..5 {
-            assert!(b.begin() >= 1);
-        }
+        let leases: Vec<_> = (0..5).map(|_| b.lease()).collect();
+        assert!(leases.iter().all(|l| l.width() >= 1));
         assert_eq!(b.active(), 5);
-        for _ in 0..5 {
-            b.end();
-        }
     }
 
     #[test]
@@ -141,7 +121,6 @@ mod tests {
     fn zero_budget_clamps_to_one() {
         let b = ThreadBudget::new(0);
         assert_eq!(b.total(), 1);
-        assert_eq!(b.begin(), 1);
-        b.end();
+        assert_eq!(b.lease().width(), 1);
     }
 }

@@ -66,6 +66,8 @@ pub struct SupernodeInfo {
     /// This supernode's slice of the flat update-row array.
     rows_start: usize,
     rows_end: usize,
+    /// Entries of the permuted lower matrix in the supernode's columns.
+    a_nnz: usize,
 }
 
 impl SupernodeInfo {
@@ -82,6 +84,12 @@ impl SupernodeInfo {
     /// Front order `s = m + k`.
     pub fn front_size(&self) -> usize {
         self.k() + self.m()
+    }
+
+    /// Entries of the permuted lower matrix in columns
+    /// `col_start..col_end` — what the front's assembly scatters from `A`.
+    pub fn a_nnz(&self) -> usize {
+        self.a_nnz
     }
 
     /// Factor-update flop counts for this front.
@@ -362,10 +370,11 @@ fn row_structures<'o, T: Scalar>(
 }
 
 /// Put the pieces together: per-supernode records over the row structures
-/// `runs` of the whole postorder and the two stack bounds, from one pass
-/// over the postorder, then the panel offsets.
+/// `runs` of the whole postorder and `colptr`, the permuted matrix's column
+/// pointers, and the two stack bounds, from one pass over the postorder,
+/// then the panel offsets.
 fn build_factor(
-    n: usize,
+    colptr: &[usize],
     part: &SupernodePartition,
     sn_parent: &[usize],
     forest: SupernodeForest,
@@ -378,6 +387,7 @@ fn build_factor(
             parent: sn_parent[s],
             rows_start: 0,
             rows_end: 0,
+            a_nnz: colptr[part.starts[s + 1]] - colptr[part.starts[s]],
         })
         .collect();
     // Place every front's rows and simulate both LIFO stacks: on visiting a
@@ -410,7 +420,7 @@ fn build_factor(
         panel_ptr.push(off);
     }
     SymbolicFactor(Arc::new(SymbolicArrays {
-        n,
+        n: colptr.len() - 1,
         supernodes,
         postorder,
         col_to_sn: part.col_to_sn(),
@@ -469,7 +479,7 @@ pub fn symbolic_factor_parallel<T: Scalar>(
         // faults per analysis under glibc's allocator.
         let mut held = scratch();
         let runs = row_structures(a, part, &forest, 0..part.len(), whole, &mut held);
-        return build_factor(a.order(), part, &sn_parent, forest, runs);
+        return build_factor(a.colptr(), part, &sn_parent, forest, runs);
     }
     let tasks = row_tasks(&forest.postorder, &sn_parent, workers);
     let slots: Vec<OnceLock<RowRuns>> = tasks.ranges().iter().map(|_| OnceLock::new()).collect();
@@ -497,7 +507,7 @@ pub fn symbolic_factor_parallel<T: Scalar>(
         runs.ends.extend(task.ends.iter().map(|&e| base + e));
         runs.rows.extend_from_slice(&task.rows);
     }
-    build_factor(a.order(), part, &sn_parent, forest, runs)
+    build_factor(a.colptr(), part, &sn_parent, forest, runs)
 }
 
 /// Typed failure of the analysis pipeline on hostile input.
@@ -954,6 +964,97 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `nx × ny × nz` nodes, `dofs` unknowns each, every unknown coupled to
+    /// every unknown of its node and its 26 neighbours: a 27-point Laplacian
+    /// at one unknown a node, an elasticity pattern at three.
+    fn grid3d(nx: usize, ny: usize, nz: usize, dofs: usize) -> SymCsc<f64> {
+        let node = |x: usize, y: usize, z: usize| (z * ny + y) * nx + x;
+        let mut t = Triplet::new(nx * ny * nz * dofs);
+        for (x, y, z) in
+            (0..nz).flat_map(|z| (0..ny).flat_map(move |y| (0..nx).map(move |x| (x, y, z))))
+        {
+            let near = |c: usize, n: usize| c.saturating_sub(1)..(c + 2).min(n);
+            for (u, v, w) in near(z, nz)
+                .flat_map(|w| near(y, ny).flat_map(move |v| near(x, nx).map(move |u| (u, v, w))))
+            {
+                for (i, j) in (0..dofs).flat_map(|i| (0..dofs).map(move |j| (i, j))) {
+                    let (r, c) = (node(u, v, w) * dofs + i, node(x, y, z) * dofs + j);
+                    if r >= c {
+                        t.push(r, c, 1.0);
+                    }
+                }
+            }
+        }
+        t.assemble()
+    }
+
+    /// Every supernode's recorded `a_nnz` is the entry count of the permuted
+    /// matrix in its columns, for the serial build and at 2 and 4 workers,
+    /// with and without amalgamation.
+    fn a_nnz_matches_pattern(a: &SymCsc<f64>) {
+        let amalg = AmalgamationOptions::default();
+        for (amalg, workers) in
+            [None, Some(&amalg)].into_iter().flat_map(|m| [1, 2, 4].map(|w| (m, w)))
+        {
+            let an = analyze_parallel(a, OrderingKind::NestedDissection, amalg, workers).unwrap();
+            let pa = &an.permuted.0;
+            for (sn, info) in an.symbolic.supernodes.iter().enumerate() {
+                let entries: usize =
+                    (info.col_start..info.col_end).map(|c| pa.col_rows(c).len()).sum();
+                assert_eq!(
+                    info.a_nnz(),
+                    entries,
+                    "n = {} supernode {sn} workers={workers}",
+                    a.order()
+                );
+            }
+            let total: usize = an.symbolic.supernodes.iter().map(SupernodeInfo::a_nnz).sum();
+            assert_eq!(total, pa.nnz_lower(), "n = {} workers={workers}", a.order());
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Random lower patterns with every diagonal present: up to `per_col`
+        /// entries per column, each within `reach` rows of the diagonal.
+        fn random_patterns_a_nnz(
+            n in 1usize..120,
+            per_col in 0usize..6,
+            reach in 1usize..60,
+            seed in 0u64..10_000,
+        ) {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut rand = |m: usize| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state % m as u64) as usize
+            };
+            let mut t = Triplet::new(n);
+            for j in 0..n {
+                t.push(j, j, 1.0);
+                for _ in 0..rand(per_col + 1) {
+                    let i = j + 1 + rand(reach);
+                    if i < n {
+                        t.push(i, j, 1.0);
+                    }
+                }
+            }
+            a_nnz_matches_pattern(&t.assemble());
+        }
+    }
+
+    #[test]
+    fn a_nnz_counts_the_permuted_entries_of_each_supernode() {
+        for a in [grid2d(13, 11), grid3d(6, 5, 4, 1), grid3d(4, 3, 3, 3), tridiag(1)] {
+            a_nnz_matches_pattern(&a);
+        }
+        let empty = Triplet::<f64>::new(0).assemble();
+        a_nnz_matches_pattern(&empty);
+        random_patterns_a_nnz();
     }
 
     #[test]

@@ -42,7 +42,7 @@ fn main() {
             record_stats: true,
             ..Default::default()
         };
-        opts.rehearse(&a32, &analysis.symbolic, &Machine::paper_node()).expect("valid options")
+        opts.rehearse::<f32>(&analysis.symbolic, &Machine::paper_node()).expect("valid options")
     };
     let cpu_stats = run(PolicySelector::Fixed(PolicyKind::P1), false);
     let gpu_stats = run(PolicySelector::Baseline(BaselineThresholds::default()), true);
@@ -109,7 +109,7 @@ fn main() {
         ..Default::default()
     };
     let piped_p4 = piped_opts
-        .rehearse(&a32, &analysis.symbolic, &Machine::paper_node())
+        .rehearse::<f32>(&analysis.symbolic, &Machine::paper_node())
         .expect("valid options");
     gpu_line("drain-per-front", &drain_p4);
     gpu_line("pipelined      ", &piped_p4);

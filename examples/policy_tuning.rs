@@ -23,7 +23,6 @@ fn main() {
         let analysis =
             analyze(&a, OrderingKind::NestedDissection, Some(&AmalgamationOptions::default()))
                 .unwrap();
-        let a32: SymCsc<f32> = analysis.permuted.0.cast();
         let mut stats = Vec::new();
         for p in PolicyKind::ALL {
             let opts = FactorOptions {
@@ -31,7 +30,7 @@ fn main() {
                 record_stats: true,
                 ..Default::default()
             };
-            stats.push(opts.rehearse(&a32, &analysis.symbolic, &Machine::paper_node()).unwrap());
+            stats.push(opts.rehearse::<f32>(&analysis.symbolic, &Machine::paper_node()).unwrap());
         }
         sets.push(Dataset::from_policy_runs(&[&stats[0], &stats[1], &stats[2], &stats[3]]));
     }

@@ -31,7 +31,6 @@ fn main() {
         analysis.symbolic.factor_nnz(),
         analysis.symbolic.total_flops()
     );
-    let a32: SymCsc<f32> = analysis.permuted.0.cast();
 
     // Rehearse each fixed policy — its simulated clock and per-call timings
     // without the factor's data.
@@ -42,8 +41,9 @@ fn main() {
             record_stats: true,
             ..Default::default()
         };
-        let st =
-            opts.rehearse(&a32, &analysis.symbolic, &Machine::paper_node()).expect("valid options");
+        let st = opts
+            .rehearse::<f32>(&analysis.symbolic, &Machine::paper_node())
+            .expect("valid options");
         println!("  {p}: {:.3} ms simulated", st.total_time * 1e3);
         stats.push(st);
     }
@@ -53,6 +53,7 @@ fn main() {
     // and run the model-based hybrid.
     let dataset = Dataset::from_policy_runs(&[&stats[0], &stats[1], &stats[2], &stats[3]]);
     let model = train(&dataset, &TrainOptions::default());
+    let a32: SymCsc<f32> = analysis.permuted.0.cast();
     let mut machine = Machine::paper_node();
     let opts = FactorOptions {
         selector: PolicySelector::Model(model),

@@ -9,38 +9,35 @@ use gpu_multifrontal::prelude::*;
 use gpu_multifrontal::sparse::symbolic::{analyze, Analysis};
 use gpu_multifrontal::sparse::AmalgamationOptions;
 
-fn run(a32: &SymCsc<f32>, analysis: &Analysis, selector: PolicySelector) -> FactorStats {
+fn run(analysis: &Analysis, selector: PolicySelector) -> FactorStats {
     let opts = FactorOptions { selector, record_stats: true, ..Default::default() };
-    opts.rehearse(a32, &analysis.symbolic, &Machine::paper_node()).expect("valid options")
+    opts.rehearse::<f32>(&analysis.symbolic, &Machine::paper_node()).expect("valid options")
 }
 
-fn dataset_of(a: &SymCsc<f64>) -> (Analysis, SymCsc<f32>, Dataset, [FactorStats; 4]) {
+fn dataset_of(a: &SymCsc<f64>) -> (Analysis, Dataset, [FactorStats; 4]) {
     let analysis =
         analyze(a, OrderingKind::NestedDissection, Some(&AmalgamationOptions::default())).unwrap();
-    let a32: SymCsc<f32> = analysis.permuted.0.cast();
-    let stats: Vec<FactorStats> = PolicyKind::ALL
-        .into_iter()
-        .map(|p| run(&a32, &analysis, PolicySelector::Fixed(p)))
-        .collect();
+    let stats: Vec<FactorStats> =
+        PolicyKind::ALL.into_iter().map(|p| run(&analysis, PolicySelector::Fixed(p))).collect();
     let stats: [FactorStats; 4] = stats.try_into().unwrap();
     let ds = Dataset::from_policy_runs(&[&stats[0], &stats[1], &stats[2], &stats[3]]);
-    (analysis, a32, ds, stats)
+    (analysis, ds, stats)
 }
 
 #[test]
 fn model_generalizes_to_unseen_matrix() {
     // Train across two matrix classes (the paper trains over its whole
     // suite)…
-    let (_, _, ds_a, _) = dataset_of(&laplacian_3d(16, 16, 16, Stencil::Full));
-    let (_, _, ds_b, _) = dataset_of(&elasticity_3d(8, 8, 8));
+    let (_, ds_a, _) = dataset_of(&laplacian_3d(16, 16, 16, Stencil::Full));
+    let (_, ds_b, _) = dataset_of(&elasticity_3d(8, 8, 8));
     let model = train(&Dataset::merge([ds_a, ds_b]), &TrainOptions::default());
 
     // …deploy on a larger elasticity problem it never saw. (Sizes are 4/3 of
     // what they were under the level-set-only ordering — 12³, 6³ and 8³ —
     // whose fronts at those sizes were as large as these are now.)
     let a_test = elasticity_3d(12, 12, 12);
-    let (analysis, a32, ds_test, stats) = dataset_of(&a_test);
-    let modelr = run(&a32, &analysis, PolicySelector::Model(model));
+    let (analysis, ds_test, stats) = dataset_of(&a_test);
+    let modelr = run(&analysis, PolicySelector::Model(model));
     let ideal = ds_test.ideal_time();
     let t1 = stats[0].total_time;
     assert!(modelr.total_time < t1, "model hybrid must beat serial on the unseen matrix");
@@ -59,7 +56,7 @@ fn model_generalizes_to_unseen_matrix() {
 #[test]
 fn cost_sensitive_training_not_worse_than_cross_entropy() {
     let a = laplacian_3d(13, 13, 13, Stencil::Full);
-    let (_, _, ds, _) = dataset_of(&a);
+    let (_, ds, _) = dataset_of(&a);
     let (tr, te) = ds.split(0.75, 3);
     let ec = train(&tr, &TrainOptions::default());
     let ce = train(&tr, &TrainOptions { objective: Objective::CrossEntropy, ..Default::default() });
@@ -74,22 +71,22 @@ fn cost_sensitive_training_not_worse_than_cross_entropy() {
 #[test]
 fn oracle_is_lower_bound_for_all_selectors() {
     let a = laplacian_3d(11, 11, 11, Stencil::Faces);
-    let (analysis, a32, ds, stats) = dataset_of(&a);
-    let oracle = run(&a32, &analysis, PolicySelector::Oracle(ds.oracle_table()));
+    let (analysis, ds, stats) = dataset_of(&a);
+    let oracle = run(&analysis, PolicySelector::Oracle(ds.oracle_table()));
     for st in &stats {
         assert!(oracle.total_time <= st.total_time * 1.001);
     }
     let model = train(&ds, &TrainOptions::default());
-    let modelr = run(&a32, &analysis, PolicySelector::Model(model));
+    let modelr = run(&analysis, PolicySelector::Model(model));
     assert!(oracle.total_time <= modelr.total_time * 1.001);
-    let base = run(&a32, &analysis, PolicySelector::Baseline(BaselineThresholds::default()));
+    let base = run(&analysis, PolicySelector::Baseline(BaselineThresholds::default()));
     assert!(oracle.total_time <= base.total_time * 1.001);
 }
 
 #[test]
 fn training_data_joins_runs_coherently() {
     let a = laplacian_3d(9, 9, 9, Stencil::Faces);
-    let (analysis, _, ds, stats) = dataset_of(&a);
+    let (analysis, ds, stats) = dataset_of(&a);
     assert_eq!(ds.len(), analysis.symbolic.num_supernodes());
     // Every per-policy column of the dataset sums to that run's F-U total.
     for (j, st) in stats.iter().enumerate() {

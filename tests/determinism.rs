@@ -1776,9 +1776,9 @@ fn exec_plan_every_option_combination_is_canonical_bits_or_a_typed_error() {
         for (opts, gpus, parallel) in plan_cases(&selector, budget) {
             let what = format!("{opts:?} on {gpus:?}, parallel {parallel}");
             let mut machines: Vec<Machine> = gpus.iter().map(|&g| node(g)).collect();
-            let rehearsed = (!parallel).then(|| opts.rehearse(&a, &an.symbolic, &node(gpus[0])));
+            let rehearsed = (!parallel).then(|| opts.rehearse::<f32>(&an.symbolic, &node(gpus[0])));
             let par = parallel.then_some(&par);
-            let planned = opts.plan(&a, &an.symbolic, &machines, par);
+            let planned = opts.plan::<f32>(&an.symbolic, &machines, par);
             let ran = match par {
                 Some(par) => {
                     factor_permuted_parallel(&a, &an.symbolic, &an.perm, &mut machines, &opts, par)

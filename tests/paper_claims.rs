@@ -3,22 +3,22 @@
 
 use gpu_multifrontal::autotune::{train, Dataset, TrainOptions};
 use gpu_multifrontal::core::{
-    estimate_fu_time, simulate_tree_schedule, FactorOptions, MoldableModel, PolicySelector,
+    durations_by_supernode, estimate_fu_time, simulate_tree_schedule, FactorOptions, MoldableModel,
+    PolicySelector,
 };
-use gpu_multifrontal::dense::FuFlops;
 use gpu_multifrontal::gpusim::{tesla_t10, xeon_5160_core};
 use gpu_multifrontal::matgen::{elasticity_3d, laplacian_3d, Stencil};
 use gpu_multifrontal::prelude::*;
 use gpu_multifrontal::sparse::symbolic::analyze;
 use gpu_multifrontal::sparse::AmalgamationOptions;
 
+/// The f32 rehearsal of `analysis` under `selector` on the paper node.
 fn policy_stats(
-    a32: &SymCsc<f32>,
     analysis: &gpu_multifrontal::sparse::Analysis,
     selector: PolicySelector,
 ) -> gpu_multifrontal::core::FactorStats {
     let opts = FactorOptions { selector, record_stats: true, ..Default::default() };
-    opts.rehearse(a32, &analysis.symbolic, &Machine::paper_node()).expect("valid options")
+    opts.rehearse::<f32>(&analysis.symbolic, &Machine::paper_node()).expect("valid options")
 }
 
 /// Table III: asymptotic rates within 1 % of the paper's values.
@@ -44,8 +44,7 @@ fn most_calls_are_small() {
     let a = laplacian_3d(16, 16, 16, Stencil::Faces);
     let analysis =
         analyze(&a, OrderingKind::NestedDissection, Some(&AmalgamationOptions::default())).unwrap();
-    let a32: SymCsc<f32> = analysis.permuted.0.cast();
-    let st = policy_stats(&a32, &analysis, PolicySelector::Fixed(PolicyKind::P1));
+    let st = policy_stats(&analysis, PolicySelector::Fixed(PolicyKind::P1));
     let small = st.records.iter().filter(|r| r.k <= 500 && r.m <= 1000).count();
     let frac = small as f64 / st.records.len() as f64;
     assert!(frac > 0.9, "small-call fraction {frac:.2} (paper: ~0.97)");
@@ -112,16 +111,15 @@ fn model_hybrid_near_ideal() {
     let a = laplacian_3d(14, 14, 14, Stencil::Full);
     let analysis =
         analyze(&a, OrderingKind::NestedDissection, Some(&AmalgamationOptions::default())).unwrap();
-    let a32: SymCsc<f32> = analysis.permuted.0.cast();
     let stats: Vec<_> = PolicyKind::ALL
         .into_iter()
-        .map(|p| policy_stats(&a32, &analysis, PolicySelector::Fixed(p)))
+        .map(|p| policy_stats(&analysis, PolicySelector::Fixed(p)))
         .collect();
     let dataset = Dataset::from_policy_runs(&[&stats[0], &stats[1], &stats[2], &stats[3]]);
     let model = train(&dataset, &TrainOptions::default());
 
-    let ideal = policy_stats(&a32, &analysis, PolicySelector::Oracle(dataset.oracle_table()));
-    let modelr = policy_stats(&a32, &analysis, PolicySelector::Model(model));
+    let ideal = policy_stats(&analysis, PolicySelector::Oracle(dataset.oracle_table()));
+    let modelr = policy_stats(&analysis, PolicySelector::Model(model));
     assert!(
         modelr.total_time < ideal.total_time * 1.10,
         "model {:.4} vs ideal {:.4} — must be within 10 % (paper: ~2 %)",
@@ -151,10 +149,9 @@ fn speedup_ordering_matches_paper() {
     let a = elasticity_3d(16, 16, 16);
     let analysis =
         analyze(&a, OrderingKind::NestedDissection, Some(&AmalgamationOptions::default())).unwrap();
-    let a32: SymCsc<f32> = analysis.permuted.0.cast();
     let stats: Vec<_> = PolicyKind::ALL
         .into_iter()
-        .map(|p| policy_stats(&a32, &analysis, PolicySelector::Fixed(p)))
+        .map(|p| policy_stats(&analysis, PolicySelector::Fixed(p)))
         .collect();
     let t1 = stats[0].total_time;
     let sp: Vec<f64> = stats.iter().map(|s| t1 / s.total_time).collect();
@@ -164,18 +161,13 @@ fn speedup_ordering_matches_paper() {
 
     // Ideal hybrid ≥ best fixed.
     let dataset = Dataset::from_policy_runs(&[&stats[0], &stats[1], &stats[2], &stats[3]]);
-    let ideal = policy_stats(&a32, &analysis, PolicySelector::Oracle(dataset.oracle_table()));
+    let ideal = policy_stats(&analysis, PolicySelector::Oracle(dataset.oracle_table()));
     let sp_ideal = t1 / ideal.total_time;
     assert!(sp_ideal * 1.001 >= sp[3], "ideal {sp_ideal} vs best fixed {}", sp[3]);
 
     // 4 CPU workers give a speedup in the paper's band; 2 hybrid workers
     // beat 1.
-    let nsn = analysis.symbolic.num_supernodes();
-    let (mut d, mut o) = (vec![0.0; nsn], vec![0.0; nsn]);
-    for r in &stats[0].records {
-        d[r.sn] = r.total;
-        o[r.sn] = FuFlops::new(r.m, r.k).total();
-    }
+    let (d, o) = durations_by_supernode(&analysis.symbolic, &stats[0]);
     let s4 = simulate_tree_schedule(&analysis.symbolic, &d, &o, 4, Some(MoldableModel::default()));
     assert!(s4.speedup() > 2.0 && s4.speedup() < 4.2, "4-thread speedup {}", s4.speedup());
 }
