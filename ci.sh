@@ -75,9 +75,11 @@ RUST_TEST_THREADS=1 cargo test -q --release -p mf-server
 #                    issuer at 1 device (pipelined: window 3, batched P4 runs,
 #                    children readied together) and at 2/4 devices (window 8, no
 #                    batches, children readied one by one),
-#                    P2/P3/P4/baseline, and under device OOM; of the per-call records
-#                    (sn, policy, total, kernel and copy buckets) of recorded drain
-#                    runs, serial and one-worker parallel; and
+#                    P2/P3/P4/baseline, and under device OOM, the parallel entry's
+#                    drain at 2/4 workers giving the drain column's words but its
+#                    allocation count; of the per-call records (sn, policy, total,
+#                    kernel and copy buckets) of recorded serial drain runs, the
+#                    parallel entry's at 1/2/4 workers equal to them; and
 #                    sim_clock_parallel_entry_runs_pipelined_and_multi_device_on_one_timeline:
 #                    the parallel entry's pipelined and 4-device runs at 1/2/3 workers
 #                    are the serial entry's, bit for bit and clock for clock
@@ -111,10 +113,10 @@ RUST_TEST_THREADS=1 cargo test -q --release -p mf-server
 #                    budget x machines with and without a device x serial or
 #                    parallel entry) factors to the canonical bits recording the
 #                    plan the contract names, or fails with the typed PlanError
-#                    before any machine moves; at every serial-entry point the
-#                    rehearsal equals the run (clock, records, fallbacks, plan,
-#                    ooc) or fails with its error; a parallel entry without
-#                    machines is typed too
+#                    before any machine moves; at every point, the parallel entry
+#                    included, the rehearsal equals the run (clock, records,
+#                    fallbacks, plan, ooc) or fails with its error; a parallel
+#                    entry without machines is typed too
 #   time_split       every gpusim charge lands in exactly one component counter
 #                    (potrf, trsm, syrk+gemm, copies, host memops + pinned
 #                    allocations) as its interval's end - start, host kernels,
@@ -149,6 +151,8 @@ RUST_TEST_THREADS=1 cargo test -q --release -p mf-server
 #   a_nnz_counts     each supernode's recorded entry count == the permuted matrix's in its columns
 #   refactor_on_a_reused  refactors on one machine report a fresh solver's clock and gpu stats
 #   parallel_factor_never_writes  a 2-worker factor leaves the process kernel cap alone
+#   one_plan_        the parallel entry's simulated fields == factor_permuted's and rehearse's, 1/2/4 workers x 8 repeats
+#   unlike_machines  the parallel entry refuses machines unlike its first before any clock moves
 echo "==> named suites (counted, default + single test thread)"
 while read -r target filter expected; do
   case $target in
@@ -200,6 +204,8 @@ mf-sparse/lib column_counts_match 1
 mf-sparse/lib a_nnz_counts 1
 mf-core/lib refactor_on_a_reused 1
 mf-core/kernel_width parallel_factor_never_writes 1
+determinism one_plan_ 1
+determinism unlike_machines 1
 MANIFEST
 
 # Property tests for the peer-copy primitive the multi-GPU extend-add path

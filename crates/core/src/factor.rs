@@ -20,9 +20,9 @@
 //! in [`Lane::run_front`]. Each front's assembly is charged from the
 //! structure, with data or without; without the matrix and the factor slab
 //! the same loop runs timing-only — no arena, a virtual staging pool and
-//! device — which is how [`FactorOptions::rehearse`] and the drain rehearsal
-//! of [`FactorOptions::plan`] price the drain schedule, out-of-core spills
-//! included. Fronts whose lifetimes overlap — the
+//! device — which is how [`FactorOptions::rehearse`], the drain rehearsal
+//! of [`FactorOptions::plan`] and the parallel entry's clock price the drain
+//! schedule, out-of-core spills included. Fronts whose lifetimes overlap — the
 //! pipelined schedule on one device or several — go through the other
 //! issuer, `crate::multigpu`'s issuer of fronts in flight.
 
@@ -367,8 +367,8 @@ pub fn factor_permuted<T: Scalar>(
     machine: &mut Machine,
     opts: &FactorOptions,
 ) -> Result<(CholeskyFactor<T>, FactorStats), FactorError> {
-    let plan = opts.plan::<T>(symbolic, std::slice::from_ref(machine), None)?;
-    run_plan(plan, a, symbolic, perm, std::slice::from_mut(machine), opts)
+    let plan = opts.plan::<T>(symbolic, std::slice::from_ref(machine))?;
+    run_plan(plan, a, symbolic, perm, std::slice::from_mut(machine), opts, None)
 }
 
 /// [`crate::Schedule::Drain`]: the whole postorder through the arena loop on

@@ -27,9 +27,11 @@
 //! tasks and the per-worker state. What a task does to its fronts is not its
 //! own: every task is the arena loop of [`crate::factor`]
 //! (`FrontRun::factor_range`, the drain schedule) on the worker's arena.
-//! Which schedule the entry runs is [`FactorOptions::plan`]'s decision:
-//! pipelined and multi-device runs keep fronts in flight on one host
-//! timeline, so they run on one machine.
+//! Which schedule the entry runs is [`FactorOptions::plan`]'s decision, the
+//! serial entry's plan for the first machine: a drain runs as these tasks
+//! over every machine, and pipelined and multi-device runs keep fronts in
+//! flight on one host timeline, the first machine's. Either way the
+//! simulated fields are the serial entry's; no worker's clock is read.
 //!
 //! The model predicts simulated makespans from simulated durations; the
 //! runtime measures wall time: `benchmark/`'s `plate2d_par2` workload
@@ -43,9 +45,9 @@ use crate::lane::take_children;
 use crate::pinned_pool::PinnedPool;
 use crate::plan::run_plan;
 use crate::policy::PolicyKind;
-use crate::stats::{FactorStats, FuRecord};
+use crate::stats::FactorStats;
 use mf_dense::{FuFlops, Scalar};
-use mf_gpusim::{GpuUtilization, Machine};
+use mf_gpusim::Machine;
 use mf_runtime::{Runtime, TaskGraph, ThreadBudget};
 use mf_sparse::symbolic::SymbolicFactor;
 use mf_sparse::{Permutation, RangeTasks, SymCsc};
@@ -228,9 +230,6 @@ impl Default for ParallelOptions {
 struct WorkerCtx<'m, T> {
     machine: &'m mut Machine,
     pool: PinnedPool,
-    /// `(postorder_rank, record)` pairs, merged into postorder at the end.
-    records: Vec<(usize, FuRecord)>,
-    oom: usize,
     /// This worker's LIFO stack of update blocks, grown to the largest
     /// subtree it has met.
     arena: FrontArena<T>,
@@ -243,26 +242,30 @@ struct WorkerCtx<'m, T> {
 }
 
 /// Factor an already-permuted matrix in parallel across the elimination
-/// tree, one worker thread per entry of `machines`.
+/// tree, one worker thread per entry of `machines`, which must be alike
+/// ([`crate::PlanError::UnlikeMachines`]).
 ///
-/// The task DAG runs on the `mf-runtime` work-stealing scheduler. A task is
-/// a run of the postorder — a *bottom subtree*
+/// The run executes [`FactorOptions::plan`]'s plan — the one
+/// [`crate::factor_permuted`] makes for `machines[0]` — and records it in
+/// [`FactorStats::plan`]. A drain runs on the `mf-runtime` work-stealing
+/// scheduler. A task is a run of the postorder — a *bottom subtree*
 /// ([`SymbolicFactor::bottom_subtrees`]: CPU fronts whose panels and front
 /// stack fit the cache), or one supernode above them — and every task is the
 /// serial driver's range loop on the worker's own arena. Each worker owns
-/// one [`Machine`] (its simulated CPU+GPU node) and one pinned pool;
-/// update matrices that cross tasks are buffered and consumed by the
-/// parent's extend-add in postorder child rank — the same order and the same
-/// `crate::lane` body as the serial driver, which makes the result
-/// **bitwise identical** to [`crate::factor_permuted`] at every worker
-/// count. The run executes [`FactorOptions::plan`]'s plan for these machines
-/// and records it in [`FactorStats::plan`]: a run that keeps fronts in flight
-/// (pipelining, several devices) is the serial entry's on the first machine
-/// with a device, and leaves the others untouched.
+/// one [`Machine`] and one pinned pool; update matrices that cross tasks are
+/// buffered and consumed by the parent's extend-add in postorder child rank
+/// — the same order and the same `crate::lane` body as the serial driver,
+/// which makes the result **bitwise identical** to [`crate::factor_permuted`]
+/// at every worker count. A run that keeps fronts in flight (pipelining,
+/// several devices) is the serial entry's on the first machine, and leaves
+/// the others untouched.
 ///
-/// Returned [`FactorStats`]: `records` are merged back into postorder,
-/// `total_time` is the maximum per-worker simulated clock, and `wall_time`
-/// is the real measured wall-clock of this call.
+/// Returned [`FactorStats`]: the simulated fields — `total_time`, `records`,
+/// `gpu`, `oom_fallbacks`, `ooc` — are the serial entry's on `machines[0]`,
+/// bit for bit (a drain's are its rehearsal, as
+/// [`FactorOptions::rehearse`] returns them); `peak_front_bytes` and
+/// `front_alloc_events` count this run's storage, and `wall_time` is the
+/// real measured wall-clock of this call.
 pub fn factor_permuted_parallel<T: Scalar>(
     a: &SymCsc<T>,
     symbolic: &SymbolicFactor,
@@ -271,20 +274,21 @@ pub fn factor_permuted_parallel<T: Scalar>(
     opts: &FactorOptions,
     par: &ParallelOptions,
 ) -> Result<(CholeskyFactor<T>, FactorStats), FactorError> {
-    let plan = opts.plan::<T>(symbolic, machines, Some(par))?;
-    run_plan(plan, a, symbolic, perm, machines, opts)
+    let plan = opts.plan::<T>(symbolic, machines)?;
+    run_plan(plan, a, symbolic, perm, machines, opts, Some(par))
 }
 
-/// [`crate::Schedule::Tasks`]: the drain schedule as work-stealing range
-/// tasks, one worker per machine, `thread_budget` threads between them, `a`'s
-/// values assembled and the panels put into `slab`.
+/// The drain schedule as work-stealing range tasks, one worker per machine,
+/// `thread_budget` threads between them, `a`'s values assembled and the
+/// panels put into `slab`. Returns the run's storage accounting:
+/// `(peak_front_bytes, front_alloc_events)`.
 pub(crate) fn factor_tasks<T: Scalar>(
     (a, slab): (&SymCsc<T>, &mut [T]),
     symbolic: &SymbolicFactor,
     machines: &mut [Machine],
     opts: &FactorOptions,
     thread_budget: usize,
-) -> Result<FactorStats, FactorError> {
+) -> Result<(usize, u64), FactorError> {
     let workers = machines.len();
 
     // Budgeted runs consume the same deterministic out-of-core schedule as
@@ -335,8 +339,6 @@ pub(crate) fn factor_tasks<T: Scalar>(
         .map(|machine| WorkerCtx {
             machine,
             pool: pinned_pool(opts),
-            records: Vec::new(),
-            oom: 0,
             arena: FrontArena::with_len(0),
             rel: Vec::new(),
             peak_front: 0,
@@ -345,7 +347,7 @@ pub(crate) fn factor_tasks<T: Scalar>(
         .collect();
 
     let runtime = Runtime::new(workers);
-    let (mut states, errors) = runtime.run(&graph, states, |st: &mut WorkerCtx<'_, T>, t| {
+    let (states, errors) = runtime.run(&graph, states, |st: &mut WorkerCtx<'_, T>, t| {
         let range = tasks.ranges()[t].clone();
         let first = symbolic.postorder[range.start];
         // The dependency counters guarantee every child's slot is filled
@@ -369,7 +371,6 @@ pub(crate) fn factor_tasks<T: Scalar>(
         // The task's kernels run at the width its budget slot grants, on this
         // thread alone; the slot goes back when the task ends or unwinds.
         let lease = budget.lease();
-        let (records, oom) = (&mut st.records, &mut st.oom);
         let update = mf_dense::with_num_threads(lease.width(), || {
             front_run.factor_range(
                 range,
@@ -379,10 +380,7 @@ pub(crate) fn factor_tasks<T: Scalar>(
                 &mut st.rel,
                 st.machine,
                 &mut st.pool,
-                |r, out| {
-                    *oom += usize::from(out.oom_fallback);
-                    records.extend(out.record.map(|rec| (r, rec)));
-                },
+                |_, _| (),
             )
         })?;
         drop(lease);
@@ -394,37 +392,14 @@ pub(crate) fn factor_tasks<T: Scalar>(
         Ok(())
     });
 
-    // front_alloc_events starts at 1 for the factor slab.
-    let mut stats = FactorStats { front_alloc_events: 1, ..Default::default() };
-    for st in states.iter_mut() {
-        stats.total_time = stats.total_time.max(st.machine.elapsed());
-        stats.oom_fallbacks += st.oom;
-        stats.peak_front_bytes = stats.peak_front_bytes.max(st.peak_front * T::BYTES);
-        stats.front_alloc_events += st.allocs;
-    }
-    // Aggregate GPU engine accounting across worker devices, measured
-    // against the run's makespan (busy seconds sum; `gpus` counts devices,
-    // so utilization stays normalised per engine).
-    stats.gpu = states.iter().fold(None::<GpuUtilization>, |acc, st| {
-        match (acc, st.machine.gpu.as_ref()) {
-            (None, Some(g)) => Some(g.utilization(stats.total_time)),
-            (Some(mut u), Some(g)) => {
-                u.merge(&g.utilization(stats.total_time));
-                Some(u)
-            }
-            (acc, None) => acc,
-        }
-    });
     // On failure report the error the serial driver would have hit first:
     // the one of the task that starts earliest in the postorder.
     if let Some((_, err)) = errors.into_iter().min_by_key(|&(t, _)| tasks.ranges()[t].start) {
         return Err(err);
     }
-    stats.merge_worker_records(
-        states.iter_mut().map(|st| std::mem::take(&mut st.records)).collect(),
-    );
-    stats.ooc = ooc_plan.map(|p| p.stats);
-    Ok(stats)
+    let peak_front = states.iter().map(|st| st.peak_front).max().unwrap_or(0);
+    // One allocation event for the factor slab.
+    Ok((peak_front * T::BYTES, 1 + states.iter().map(|st| st.allocs).sum::<u64>()))
 }
 
 #[cfg(test)]
@@ -577,10 +552,10 @@ mod tests {
             .unwrap();
             assert_eq!(fs.slab.len(), fp.slab.len());
             assert!(fs.slab.iter().zip(&fp.slab).all(|(x, y)| x.to_bits() == y.to_bits()));
-            // Stats merge back into postorder, covering every supernode.
+            // The simulated fields are the serial run's.
             assert_eq!(sp.records.len(), ss.records.len());
             assert!(sp.records.iter().zip(&ss.records).all(|(x, y)| x.sn == y.sn));
-            assert!(sp.total_time > 0.0);
+            assert_eq!(sp.total_time.to_bits(), ss.total_time.to_bits());
             assert!(sp.wall_time > 0.0);
         }
     }

@@ -2,26 +2,29 @@
 //! front moves.
 //!
 //! [`FactorOptions::plan`] reads the options, the machines and the structure
-//! and returns an [`ExecPlan`]: one [`Schedule`], the machine whose host
-//! timeline runs it, and the [`Decision`] it took on the caller's behalf, if
-//! any, with its reason. An option combination no driver runs is a typed
-//! [`PlanError`]. Both entries — [`factor_permuted`] and
-//! [`factor_permuted_parallel`] — plan, then hand the plan to one dispatch,
-//! [`run_plan`]; no driver reroutes, and the run records its plan in
-//! [`FactorStats::plan`].
+//! and returns an [`ExecPlan`]: one [`Schedule`] and the [`Decision`] it took
+//! on the caller's behalf, if any, with its reason. An option combination no
+//! driver runs is a typed [`PlanError`]. Both entries — [`factor_permuted`]
+//! and [`factor_permuted_parallel`] — make the one plan of their first
+//! machine and hand it to one dispatch, [`run_plan`]; no driver reroutes, and
+//! the run records its plan in [`FactorStats::plan`]. The parallel entry's
+//! worker count changes how a drain executes (work-stealing range tasks over
+//! every machine), hence the wall time and the storage accounting, and
+//! nothing simulated.
 //!
 //! What the run decides per front — a device OOM sending a front to P1 — is
 //! not a plan decision; `FactorStats::oom_fallbacks` counts it.
 //!
 //! One private function maps a [`Schedule`] to its driver: with the matrix
 //! and a factor slab for [`run_plan`], without either for
-//! [`FactorOptions::rehearse`], which runs the serial entry's plan on a twin
-//! of the machine (same configuration, fresh clocks, its device virtual) and
+//! [`FactorOptions::rehearse`], which runs the plan on a twin of the first
+//! machine (same configuration, fresh clocks, its device virtual) and
 //! returns the run's simulated clock, per-call records and out-of-core
 //! accounting bit for bit — or the run's own error. Every price is read from
 //! the structure, so planning and rehearsing take no matrix. The plan's own
-//! two single-device rehearsals are the same routine. A run starts the
-//! clocks of the machines it runs on at zero, as the twin's start.
+//! two single-device rehearsals and the clock of the parallel entry's drain
+//! are the same routine. A run starts the clocks of the machines it runs on
+//! at zero, as the twin's start.
 //!
 //! [`factor_permuted`]: crate::factor::factor_permuted
 //! [`factor_permuted_parallel`]: crate::parallel::factor_permuted_parallel
@@ -41,22 +44,16 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Schedule {
     /// One front at a time in postorder on one machine's arena, the device
-    /// drained after each.
+    /// drained after each. The parallel entry runs the same fronts as
+    /// work-stealing postorder range tasks, one worker per machine; its
+    /// simulated fields are the serial run's.
     #[default]
     Drain,
-    /// The drain schedule as work-stealing postorder range tasks, one worker
-    /// per machine, sharing `thread_budget` hardware threads between tree
-    /// workers and dense kernels.
-    Tasks {
-        /// Tree-level workers (the machines of the parallel entry).
-        workers: usize,
-        /// Hardware threads shared between workers and kernels.
-        thread_budget: usize,
-    },
     /// Fronts in flight on `devices` identical devices, one lane each, fed
     /// from one host timeline: look-ahead staging and event-gated downloads;
     /// on one device, batched runs of small P4 fronts; over several,
-    /// peer-copy extend-adds between devices.
+    /// peer-copy extend-adds between devices. Both entries run it on their
+    /// first machine and leave the others untouched.
     Pipelined {
         /// Simulated devices; the machine's own is device 0.
         devices: usize,
@@ -69,7 +66,8 @@ pub enum Decision {
     /// Pipelining was asked under a memory budget. The residency plan models
     /// the drain schedule's nested front lifetimes only, so the run drains.
     BudgetDrains,
-    /// Pipelining was asked, but no machine carries a device: the run drains.
+    /// Pipelining was asked, but the machines carry no device: the run
+    /// drains.
     NoDevice,
     /// The exact rehearsal of both single-device schedules (simulated
     /// seconds). The run pipelines iff `pipelined_s < drain_s`, so a
@@ -82,17 +80,12 @@ pub enum Decision {
     },
 }
 
-/// What a factorization run executes (see the module docs).
+/// What a factorization run executes (see the module docs), priced for and
+/// run on the first machine by either entry.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ExecPlan {
     /// The schedule.
     pub schedule: Schedule,
-    /// Index of the machine whose host timeline runs the schedule.
-    /// [`Schedule::Tasks`] runs on every machine and names the first; from
-    /// the parallel entry every other schedule keeps fronts in flight on one
-    /// host timeline, this machine's (its first with a device), and leaves
-    /// the others untouched.
-    pub machine: usize,
     /// The choice the planner made on the caller's behalf, if any.
     pub decision: Option<Decision>,
 }
@@ -103,6 +96,10 @@ pub struct ExecPlan {
 pub enum PlanError {
     /// The parallel entry got no machine to run on.
     NoMachines,
+    /// The parallel entry got machines unlike its first: any worker runs any
+    /// front, so every machine needs the first one's CPU configuration and
+    /// device configuration (or, like it, no device).
+    UnlikeMachines,
     /// `devices.count` is zero.
     NoDevices,
     /// Several devices without pipelining: only the pipelined schedule keeps
@@ -111,7 +108,7 @@ pub enum PlanError {
         /// The requested device count.
         devices: usize,
     },
-    /// Several devices, but no machine carries one to replicate.
+    /// Several devices, but the machines carry none to replicate.
     DevicesWithoutGpu {
         /// The requested device count.
         devices: usize,
@@ -122,6 +119,7 @@ impl fmt::Display for PlanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PlanError::NoMachines => write!(f, "no machine to factor on"),
+            PlanError::UnlikeMachines => write!(f, "machines of unlike configurations"),
             PlanError::NoDevices => write!(f, "a device count of zero"),
             PlanError::DevicesWithoutPipeline { devices } => {
                 write!(f, "{devices} devices need pipelining enabled")
@@ -137,44 +135,40 @@ impl std::error::Error for PlanError {}
 
 impl FactorOptions {
     /// The plan of a run of these options on `machines` — one machine for
-    /// [`crate::factor_permuted`] (`par` = `None`), one per worker for
-    /// [`crate::factor_permuted_parallel`] (`par` its options) — over
-    /// `symbolic`'s structure, its prices at `T`'s width. Pure: it reads the
-    /// machines' configurations only, and a run of the same inputs records
-    /// exactly this plan.
+    /// [`crate::factor_permuted`], one per worker for
+    /// [`crate::factor_permuted_parallel`] — over `symbolic`'s structure, its
+    /// prices at `T`'s width on the first machine, which every other must be
+    /// like. Pure: it reads the machines' configurations only, and a run of
+    /// the same inputs records exactly this plan.
     ///
-    /// - Without pipelining the run drains: [`Schedule::Drain`] serially,
-    ///   [`Schedule::Tasks`] from the parallel entry.
-    /// - Pipelining under a memory budget, or with no device on any machine,
-    ///   drains too ([`Decision::BudgetDrains`], [`Decision::NoDevice`]).
-    /// - Otherwise the first machine with a device runs the fronts in flight
-    ///   on its host timeline: several devices are [`Schedule::Pipelined`];
-    ///   so is one device when the exact rehearsal predicts it to win, else
-    ///   [`Schedule::Drain`] on that machine ([`Decision::Rehearsed`]).
+    /// - Without pipelining the run drains ([`Schedule::Drain`]).
+    /// - Pipelining under a memory budget, or without a device, drains too
+    ///   ([`Decision::BudgetDrains`], [`Decision::NoDevice`]).
+    /// - Otherwise the fronts run in flight on the first machine's host
+    ///   timeline: several devices are [`Schedule::Pipelined`]; so is one
+    ///   device when the exact rehearsal predicts it to win, else the run
+    ///   drains ([`Decision::Rehearsed`]).
     pub fn plan<T: Scalar>(
         &self,
         symbolic: &SymbolicFactor,
         machines: &[Machine],
-        par: Option<&ParallelOptions>,
     ) -> Result<ExecPlan, PlanError> {
         let devices = self.devices.count;
-        let gpu = machines.iter().position(|m| m.gpu.is_some());
-        if machines.is_empty() {
-            return Err(PlanError::NoMachines);
+        let Some(first) = machines.first() else { return Err(PlanError::NoMachines) };
+        let alike = |m: &Machine| {
+            m.host.config() == first.host.config()
+                && m.gpu.as_ref().map(Gpu::config) == first.gpu.as_ref().map(Gpu::config)
+        };
+        if !machines.iter().all(alike) {
+            return Err(PlanError::UnlikeMachines);
         } else if devices == 0 {
             return Err(PlanError::NoDevices);
         } else if devices > 1 && !self.pipeline.enabled {
             return Err(PlanError::DevicesWithoutPipeline { devices });
-        } else if devices > 1 && gpu.is_none() {
+        } else if devices > 1 && first.gpu.is_none() {
             return Err(PlanError::DevicesWithoutGpu { devices });
         }
-        let schedule = match par {
-            Some(par) => {
-                Schedule::Tasks { workers: machines.len(), thread_budget: par.thread_budget }
-            }
-            None => Schedule::Drain,
-        };
-        let mut plan = ExecPlan { schedule, machine: 0, decision: None };
+        let mut plan = ExecPlan::default();
         if !self.pipeline.enabled {
             return Ok(plan);
         }
@@ -182,15 +176,14 @@ impl FactorOptions {
             plan.decision = Some(Decision::BudgetDrains);
             return Ok(plan);
         }
-        let Some(g) = gpu else {
+        if first.gpu.is_none() {
             plan.decision = Some(Decision::NoDevice);
             return Ok(plan);
-        };
-        plan.machine = g;
+        }
         plan.schedule = Schedule::Pipelined { devices };
         if devices == 1 {
             let [pipelined_s, drain_s] = [plan.schedule, Schedule::Drain].map(|s| {
-                let rehearsed = rehearse::<T>(s, symbolic, self, &machines[g]);
+                let rehearsed = rehearse::<T>(s, symbolic, self, first);
                 rehearsed.expect("an in-core rehearsal has no data to fail on").total_time
             });
             plan.decision = Some(Decision::Rehearsed { pipelined_s, drain_s });
@@ -201,17 +194,19 @@ impl FactorOptions {
         Ok(plan)
     }
 
-    /// The simulated clock of [`crate::factor_permuted`] on `machine` under
-    /// these options, without data: the serial entry's plan, its schedule
-    /// run by the same driver on a twin of `machine` (same configuration,
-    /// fresh clocks, its device virtual) without the matrix or a factor slab.
-    /// No numeric buffer is allocated or touched; `symbolic` gives every
-    /// front's shape and entry count, and `T` the bytes every transfer,
-    /// assembly and spill is charged for.
+    /// The simulated clock of a factorization under these options on
+    /// `machine`, without data: the plan, its schedule run by the same driver
+    /// on a twin of `machine` (same configuration, fresh clocks, its device
+    /// virtual) without the matrix or a factor slab. No numeric buffer is
+    /// allocated or touched; `symbolic` gives every front's shape and entry
+    /// count, and `T` the bytes every transfer, assembly and spill is charged
+    /// for.
     ///
     /// `total_time`, `records`, `gpu`, `gpu_devices`, `peer_bytes`,
-    /// `oom_fallbacks`, `plan` and `ooc` equal those of `factor_permuted` on
-    /// `machine` bit for bit, on any machine and under any budget.
+    /// `oom_fallbacks`, `plan` and `ooc` equal those of
+    /// [`crate::factor_permuted`] on `machine` and of
+    /// [`crate::factor_permuted_parallel`] on any number of machines like it,
+    /// bit for bit, on any machine and under any budget.
     /// `front_alloc_events` and `peak_front_bytes` describe storage a
     /// rehearsal never holds: they are zero, and so is `wall_time`. Where
     /// the run fails before touching data — an option combination no driver
@@ -222,14 +217,17 @@ impl FactorOptions {
         symbolic: &SymbolicFactor,
         machine: &Machine,
     ) -> Result<FactorStats, FactorError> {
-        let plan = self.plan::<T>(symbolic, std::slice::from_ref(machine), None)?;
+        let plan = self.plan::<T>(symbolic, std::slice::from_ref(machine))?;
         Ok(FactorStats { plan, ..rehearse::<T>(plan.schedule, symbolic, self, machine)? })
     }
 }
 
 /// Run `plan` — [`FactorOptions::plan`]'s for these options and machines —
 /// on its driver, the clocks of the machines it runs on started at zero, and
-/// record it and the call's wall time in the stats.
+/// record it and the call's wall time in the stats. From the parallel entry
+/// (`par`) a drain runs as work-stealing range tasks over every machine, its
+/// simulated fields the drain's rehearsal on the first; every other run is
+/// the serial driver's on the first machine.
 pub(crate) fn run_plan<T: Scalar>(
     plan: ExecPlan,
     a: &SymCsc<T>,
@@ -237,15 +235,23 @@ pub(crate) fn run_plan<T: Scalar>(
     perm: &Permutation,
     machines: &mut [Machine],
     opts: &FactorOptions,
+    par: Option<&ParallelOptions>,
 ) -> Result<(CholeskyFactor<T>, FactorStats), FactorError> {
     let wall0 = std::time::Instant::now();
-    match plan.schedule {
-        Schedule::Tasks { .. } => machines.iter_mut().for_each(Machine::reset),
-        _ => machines[plan.machine].reset(),
-    }
     let mut slab = vec![T::ZERO; symbolic.factor_slab_len()];
-    let data = Some((a, &mut slab[..]));
-    let stats = drive(plan.schedule, plan.machine, symbolic, machines, opts, data)?;
+    let stats = match (plan.schedule, par) {
+        (Schedule::Drain, Some(par)) => {
+            machines.iter_mut().for_each(Machine::reset);
+            let (peak_front_bytes, front_alloc_events) =
+                factor_tasks((a, &mut slab), symbolic, machines, opts, par.thread_budget)?;
+            let clock = rehearse::<T>(Schedule::Drain, symbolic, opts, &machines[0])?;
+            FactorStats { peak_front_bytes, front_alloc_events, ..clock }
+        }
+        (schedule, _) => {
+            machines[0].reset();
+            drive(schedule, symbolic, &mut machines[0], opts, Some((a, &mut slab[..])))?
+        }
+    };
     let factor = CholeskyFactor { symbolic: symbolic.clone(), perm: perm.clone(), slab };
     Ok((factor, FactorStats { wall_time: wall0.elapsed().as_secs_f64(), plan, ..stats }))
 }
@@ -261,30 +267,23 @@ fn rehearse<T: Scalar>(
     let gpu = machine.gpu.as_ref().map(|g| Gpu::new(g.config().clone()));
     let mut twin = Machine { host: HostClock::new(machine.host.config().clone()), gpu };
     twin.gpu.iter_mut().for_each(|g| g.set_virtual(true));
-    drive::<T>(schedule, 0, symbolic, std::slice::from_mut(&mut twin), opts, None)
+    drive::<T>(schedule, symbolic, &mut twin, opts, None)
 }
 
-/// Run `schedule` on its driver — on `machines[machine]`'s host timeline,
-/// or on every machine for [`Schedule::Tasks`] — with `data`, the matrix to
-/// assemble and the slab for the panels, or without it timing-only. The one
-/// map from a schedule to its driver, for the run and the rehearsal alike.
+/// Run `schedule` on its driver on `machine`'s host timeline with `data`,
+/// the matrix to assemble and the slab for the panels, or without it
+/// timing-only. The one map from a schedule to its driver, for the run and
+/// the rehearsal alike.
 fn drive<T: Scalar>(
     schedule: Schedule,
-    machine: usize,
     symbolic: &SymbolicFactor,
-    machines: &mut [Machine],
+    machine: &mut Machine,
     opts: &FactorOptions,
     data: Option<(&SymCsc<T>, &mut [T])>,
 ) -> Result<FactorStats, FactorError> {
     match schedule {
-        Schedule::Drain => factor_drain(symbolic, &mut machines[machine], opts, data),
-        Schedule::Tasks { thread_budget, .. } => {
-            let data = data.expect("only the parallel entry plans tasks, and it runs with data");
-            factor_tasks(data, symbolic, machines, opts, thread_budget)
-        }
-        Schedule::Pipelined { devices } => {
-            issue_fronts(symbolic, &mut machines[machine], opts, devices, data)
-        }
+        Schedule::Drain => factor_drain(symbolic, machine, opts, data),
+        Schedule::Pipelined { devices } => issue_fronts(symbolic, machine, opts, devices, data),
     }
 }
 

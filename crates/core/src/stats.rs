@@ -55,11 +55,9 @@ pub struct FactorStats {
     /// Per-supernode records in postorder execution order.
     pub records: Vec<FuRecord>,
     /// Total simulated factorization time of this run alone (it starts the
-    /// clocks of the machines it runs on at zero), by the plan's
-    /// [`crate::Schedule`]: `Drain` and `Pipelined` read the one
-    /// host timeline that ran the run, after every device drained; `Tasks`
-    /// reads the largest worker clock (the worker clocks share no timing
-    /// edge, so it is a lower bound on a makespan, not one).
+    /// clocks of the machines it runs on at zero): the first machine's host
+    /// timeline after every device drained. A drain from the parallel entry
+    /// reports its rehearsal on that machine, the serial run's clock.
     pub total_time: f64,
     /// Measured wall-clock seconds of the driver call on the real hardware
     /// this process ran on (unlike `total_time`, which is simulated).
@@ -67,10 +65,11 @@ pub struct FactorStats {
     /// Supernodes that fell back to P1 because the device was out of memory.
     pub oom_fallbacks: usize,
     /// Peak bytes of front working storage in live use at any point: the
-    /// arena high-water mark (serial) or the largest per-worker arena
-    /// extent actually touched (parallel). Pipelined and multi-GPU runs,
-    /// whose front lifetimes overlap, report the most simultaneously-live
-    /// front and update buffers instead.
+    /// arena high-water mark of a drain, or from the parallel entry the
+    /// largest per-worker arena extent actually touched. Pipelined and
+    /// multi-GPU runs, whose front lifetimes overlap, report the most
+    /// simultaneously-live front and update buffers instead. Zero in a
+    /// rehearsal, which holds no storage.
     pub peak_front_bytes: usize,
     /// Allocation (or growth) events the numeric phase performed for
     /// front/update storage. The serial drain run is O(1) — exactly the
@@ -79,9 +78,7 @@ pub struct FactorStats {
     /// pipelined and multi-GPU runs allocate per front.
     pub front_alloc_events: u64,
     /// GPU engine busy/idle accounting over the run, measured against
-    /// `total_time`. `None` on CPU-only machines. Parallel runs aggregate
-    /// one entry per worker device (busy seconds summed, `gpus` counted),
-    /// so utilization stays normalised per engine.
+    /// `total_time`. `None` on CPU-only machines.
     pub gpu: Option<GpuUtilization>,
     /// Per-device engine accounting of a pipelined run on several devices,
     /// in global device order (device 0 is the caller's own device). Empty
@@ -99,23 +96,12 @@ pub struct FactorStats {
     /// *logical* (the symbolic-bound invariant) even under a budget; the
     /// tier-resident figures live here.
     pub ooc: Option<crate::ooc::OocStats>,
-    /// What the run executed: [`crate::FactorOptions::plan`]'s schedule,
-    /// machine and decision for it.
+    /// What the run executed: [`crate::FactorOptions::plan`]'s schedule and
+    /// decision for it, the same from either entry.
     pub plan: crate::plan::ExecPlan,
 }
 
 impl FactorStats {
-    /// Merge per-worker record buffers from a parallel run into this run's
-    /// record list, restoring the serial convention: records sorted by the
-    /// supernode's postorder rank (its execution position in the serial
-    /// driver). Each buffer entry is `(postorder_rank, record)`; workers
-    /// append to their own buffer race-free during the run and the merge
-    /// happens once at the end.
-    pub fn merge_worker_records(&mut self, buffers: Vec<Vec<(usize, FuRecord)>>) {
-        let mut tagged: Vec<(usize, FuRecord)> = buffers.into_iter().flatten().collect();
-        tagged.sort_by_key(|&(rank, _)| rank);
-        self.records.extend(tagged.into_iter().map(|(_, r)| r));
-    }
     /// Sum of a field over all records.
     pub fn sum(&self, f: impl Fn(&FuRecord) -> f64) -> f64 {
         self.records.iter().map(f).sum()
@@ -155,19 +141,6 @@ mod tests {
         let r = rec(0, 100, 2.0);
         let expect = (100f64.powi(3) / 3.0) / 2.0;
         assert!((r.rate() - expect).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_worker_records_restores_postorder() {
-        let mut s = FactorStats::default();
-        // Worker 0 ran ranks 2 and 0, worker 1 ran ranks 1 and 3.
-        let buffers = vec![
-            vec![(2usize, rec(2, 2, 0.2)), (0, rec(0, 0, 0.0))],
-            vec![(1usize, rec(1, 1, 0.1)), (3, rec(3, 3, 0.3))],
-        ];
-        s.merge_worker_records(buffers);
-        let ms: Vec<usize> = s.records.iter().map(|r| r.m).collect();
-        assert_eq!(ms, vec![0, 1, 2, 3], "records must come back in postorder rank");
     }
 
     #[test]

@@ -67,7 +67,7 @@ impl RateCurve {
 }
 
 /// Per-kernel cost curves of one processor.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelRates {
     /// `potrf` curve.
     pub potrf: RateCurve,
@@ -95,7 +95,7 @@ impl KernelRates {
 }
 
 /// PCIe transfer model.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PcieModel {
     /// Effective bandwidth for pageable host memory, bytes/s (the paper's
     /// observed β ≈ 1.4 GB/s over PCIe x8).
@@ -116,7 +116,7 @@ impl PcieModel {
 
 /// Cost of pinned host memory management (Section V-A2: each allocation is
 /// "prohibitively expensive" for small transfers).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PinnedAllocModel {
     /// Fixed cost per `cudaMallocHost`-equivalent call, seconds.
     pub base: f64,
@@ -132,7 +132,7 @@ impl PinnedAllocModel {
 }
 
 /// Full device description (Table I analogue).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuConfig {
     /// Human-readable name.
     pub name: &'static str,
@@ -175,7 +175,7 @@ impl GpuConfig {
 }
 
 /// CPU model: one core of the host processor, with f64 kernel curves.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuConfig {
     /// Human-readable name.
     pub name: &'static str,

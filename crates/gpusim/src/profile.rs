@@ -58,8 +58,8 @@ pub struct GpuUtilization {
 }
 
 impl GpuUtilization {
-    /// Fold another device's accounting into this one (parallel drivers
-    /// aggregate one entry per worker machine).
+    /// Fold another device's accounting into this one (a pipelined run on
+    /// several devices aggregates one entry per device).
     pub fn merge(&mut self, other: &GpuUtilization) {
         self.compute_busy += other.compute_busy;
         self.copy_busy += other.copy_busy;

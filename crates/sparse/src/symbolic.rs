@@ -46,9 +46,7 @@ use std::sync::{Arc, OnceLock};
 ///
 /// The stack is measured with a whole `s × s` front per supernode, not by
 /// the smaller `m × m` arena bound of [`SymbolicFactor::subtree_update_peaks`]
-/// (a front's panel lives in the factor slab): the partition, and with it
-/// the task numbering that fixes the one-worker parallel clock, is pinned
-/// on this measure.
+/// (a front's panel lives in the factor slab).
 pub const BOTTOM_SUBTREE_BYTES: usize = 256 << 10;
 
 /// Per-supernode symbolic information. The front's rows are the pivot

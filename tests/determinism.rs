@@ -1189,19 +1189,22 @@ use gpu_multifrontal::core::{FactorStats, MultiGpuOptions, PipelineOptions};
 
 /// How a GPU run is issued: the drain schedule, the in-flight issuer at one
 /// device (pipelined) or at `n` devices from one host, or the parallel entry
-/// at `workers` machines, pipelined on `n` devices.
+/// at `workers` machines, drained or pipelined on `n` devices.
 #[derive(Debug, Clone, Copy)]
 enum Issuer {
     Drain,
     Pipelined,
     Devices(usize),
+    ParallelDrain(usize),
     Workers(usize, usize),
 }
 
 impl Issuer {
     fn opts(self, selector: PolicySelector) -> FactorOptions {
         let (pipeline, devices) = match self {
-            Issuer::Drain => (PipelineOptions::default(), MultiGpuOptions::default()),
+            Issuer::Drain | Issuer::ParallelDrain(_) => {
+                (PipelineOptions::default(), MultiGpuOptions::default())
+            }
             Issuer::Pipelined => (PipelineOptions::pipelined(), MultiGpuOptions::default()),
             Issuer::Devices(n) | Issuer::Workers(_, n) => {
                 (PipelineOptions::pipelined(), MultiGpuOptions::devices(n))
@@ -1210,7 +1213,7 @@ impl Issuer {
         FactorOptions { selector, pipeline, devices, ..Default::default() }
     }
 
-    /// Factor on `machines` (all of them for [`Issuer::Workers`], the first
+    /// Factor on `machines` (all of them from the parallel entry, the first
     /// otherwise).
     fn factor<T: Scalar>(
         self,
@@ -1221,7 +1224,7 @@ impl Issuer {
     ) -> Result<(CholeskyFactor<T>, FactorStats), FactorError> {
         let opts = self.opts(selector);
         match self {
-            Issuer::Workers(..) => factor_permuted_parallel(
+            Issuer::ParallelDrain(_) | Issuer::Workers(..) => factor_permuted_parallel(
                 a,
                 &an.symbolic,
                 &an.perm,
@@ -1234,7 +1237,10 @@ impl Issuer {
     }
 
     fn machines(self, make: impl Fn() -> Machine) -> Vec<Machine> {
-        let n = if let Issuer::Workers(w, _) = self { w } else { 1 };
+        let n = match self {
+            Issuer::ParallelDrain(w) | Issuer::Workers(w, _) => w,
+            _ => 1,
+        };
         (0..n).map(|_| make()).collect()
     }
 }
@@ -1263,8 +1269,18 @@ fn clock_words(s: &FactorStats) -> Vec<u64> {
     w
 }
 
-/// The issuers whose simulated clock is a function of the input alone: one
-/// host timeline. Work-stealing runs at two or more workers are not.
+/// [`clock_words`] but `front_alloc_events`: the simulated figures, which the
+/// parallel entry's drain shares with the serial run at every worker count,
+/// its storage accounting aside.
+fn sim_words(s: &FactorStats) -> Vec<u64> {
+    let mut w = clock_words(s);
+    w.remove(3);
+    w
+}
+
+/// The issuers of the golden clock, one host timeline each. The parallel
+/// entry's drain is the `Drain` column's run at every worker count:
+/// [`clock_hashes`] asserts its [`sim_words`] at 2 and 4 workers.
 const CLOCK_ISSUERS: [Issuer; 4] =
     [Issuer::Drain, Issuer::Pipelined, Issuer::Devices(2), Issuer::Devices(4)];
 
@@ -1275,7 +1291,19 @@ fn clock_hashes(a: &SymCsc<f32>, an: &Analysis, make: impl Fn() -> Machine) -> [
             .into_iter()
             .flat_map(|sel| {
                 let mut machines = issuer.machines(&make);
-                let (_, stats) = issuer.factor(a, an, &mut machines, sel).unwrap();
+                let (_, stats) = issuer.factor(a, an, &mut machines, sel.clone()).unwrap();
+                if let Issuer::Drain = issuer {
+                    for workers in [2, 4] {
+                        let par = Issuer::ParallelDrain(workers);
+                        let (_, p) =
+                            par.factor(a, an, &mut par.machines(&make), sel.clone()).unwrap();
+                        assert_eq!(
+                            sim_words(&p),
+                            sim_words(&stats),
+                            "{sel:?} at {workers} workers"
+                        );
+                    }
+                }
                 clock_words(&stats)
             })
             .collect();
@@ -1391,7 +1419,8 @@ fn sim_clock_parallel_entry_runs_pipelined_and_multi_device_on_one_timeline() {
     // Fronts in flight share one host timeline: a pipelined or multi-device
     // run from the parallel entry is the serial entry's run on its first
     // machine — same bits, same clock — and leaves the other machines as
-    // they came.
+    // they came. Where the rehearsal drains a one-device request, the drain
+    // runs as tasks over every machine with the serial run's clock.
     let mut inputs: Vec<(Analysis, fn() -> Machine)> = golden_families()
         .iter()
         .map(|(_, a)| (analysis_of(a), Machine::paper_node as fn() -> Machine))
@@ -1418,6 +1447,11 @@ fn sim_clock_parallel_entry_runs_pipelined_and_multi_device_on_one_timeline() {
                     )
                     .unwrap();
                     assert_eq!(panel_bits(&fp), panel_bits(&fs), "{what}: bits");
+                    assert_eq!(sp.plan, ss.plan, "{what}: plan");
+                    if sp.plan.schedule == Schedule::Drain {
+                        assert_eq!(sim_words(&sp), sim_words(&ss), "{what}: clock");
+                        continue;
+                    }
                     assert_eq!(clock_words(&sp), clock_words(&ss), "{what}: clock");
                     for m in &mut machines[1..] {
                         assert_eq!(m.elapsed(), 0.0, "{what}: an unused machine's clock moved");
@@ -1432,56 +1466,62 @@ fn sim_clock_parallel_entry_runs_pipelined_and_multi_device_on_one_timeline() {
 
 /// [`fnv1a`] over [`clock_selectors`] of a *recorded* drain run's per-call
 /// records — `(sn, policy, total, t_potrf, t_trsm, t_syrk, t_copy)` each —
-/// plus its `total_time` and `oom_fallbacks`: the serial entry, then the
-/// parallel entry on one machine. `t_assemble` is left out on purpose: which
-/// front a host memop is booked to is bookkeeping, not the clock.
-fn record_hashes(a: &SymCsc<f32>, an: &Analysis, make: impl Fn() -> Machine) -> [u64; 2] {
-    [false, true].map(|parallel| {
-        let mut words = Vec::new();
-        for selector in clock_selectors() {
-            let opts = FactorOptions { selector, record_stats: true, ..Default::default() };
-            let mut machines = [make()];
-            let (_, stats) = if parallel {
-                let par = ParallelOptions { thread_budget: 2 };
+/// plus its `total_time` and `oom_fallbacks`, from the serial entry, whose
+/// records and clock the parallel entry at 1, 2 and 4 workers must give word
+/// for word. `t_assemble` is left out of the hash on purpose: which front a
+/// host memop is booked to is bookkeeping, not the clock.
+fn record_hash(a: &SymCsc<f32>, an: &Analysis, make: impl Fn() -> Machine) -> u64 {
+    let mut words = Vec::new();
+    for selector in clock_selectors() {
+        let opts = FactorOptions { selector, record_stats: true, ..Default::default() };
+        let (_, stats) = factor_permuted(a, &an.symbolic, &an.perm, &mut make(), &opts).unwrap();
+        assert_eq!(stats.records.len(), an.symbolic.num_supernodes());
+        // Every word of a record but its last, `t_assemble`.
+        let serial: Vec<u64> = record_words(&stats)
+            .chunks(8)
+            .flat_map(|r| r[..7].to_vec())
+            .chain([stats.total_time.to_bits(), stats.oom_fallbacks as u64])
+            .collect();
+        for workers in [1usize, 2, 4] {
+            let mut machines: Vec<Machine> = (0..workers).map(|_| make()).collect();
+            let par = ParallelOptions { thread_budget: 2 };
+            let (_, p) =
                 factor_permuted_parallel(a, &an.symbolic, &an.perm, &mut machines, &opts, &par)
-            } else {
-                factor_permuted(a, &an.symbolic, &an.perm, &mut machines[0], &opts)
-            }
-            .unwrap();
-            assert_eq!(stats.records.len(), an.symbolic.num_supernodes());
-            // Every word of a record but its last, `t_assemble`.
-            words.extend(record_words(&stats).chunks(8).flat_map(|r| r[..7].to_vec()));
-            words.extend([stats.total_time.to_bits(), stats.oom_fallbacks as u64]);
+                    .unwrap();
+            let what = format!("{:?} at {workers} workers", opts.selector);
+            assert_eq!(record_words(&p), record_words(&stats), "{what}: records");
+            assert_eq!(sim_words(&p), sim_words(&stats), "{what}: clock");
         }
-        fnv1a(words.into_iter())
-    })
+        words.extend(serial);
+    }
+    fnv1a(words.into_iter())
 }
 
-/// `(name, [serial, one-worker parallel])` over the rows of [`GOLDEN_CLOCK`].
-/// Recorded at commit 8dffe96, the last one whose drain runs sequenced a
-/// front's phases outside `mf-core`'s lane.
-const GOLDEN_RECORDS: [(&str, [u64; 2]); 8] = [
-    ("plate60", [0xc3b8_227e_f0a8_6be4, 0x3db4_52e5_3749_33a9]),
-    ("cube10", [0x1825_2408_6eaa_af84, 0xefa5_3145_ce05_9e48]),
-    ("elasticity6", [0x65e9_a4cf_c666_17fb, 0x18fb_46b5_f941_8691]),
-    ("strip400x3", [0x46c1_a88b_65f9_9a7e, 0xe973_453e_e65d_896e]),
-    ("three_paths", [0x07ae_ad58_a68c_69be, 0x35c0_3fdd_b8f3_1d20]),
-    ("star150", [0xc813_3089_75a1_500e, 0x6df2_a928_cad7_d36e]),
-    ("clique100_tail30", [0xeeb3_158c_319f_b067, 0xeeb3_158c_319f_b067]),
-    ("lap3d-6x6x5-oom", [0x141c_93a9_55dd_a615, 0x2193_2fdc_02d1_e778]),
+/// `(name, serial hash)` over the rows of [`GOLDEN_CLOCK`]. Recorded at
+/// commit 8dffe96, the last one whose drain runs sequenced a front's phases
+/// outside `mf-core`'s lane.
+const GOLDEN_RECORDS: [(&str, u64); 8] = [
+    ("plate60", 0xc3b8_227e_f0a8_6be4),
+    ("cube10", 0x1825_2408_6eaa_af84),
+    ("elasticity6", 0x65e9_a4cf_c666_17fb),
+    ("strip400x3", 0x46c1_a88b_65f9_9a7e),
+    ("three_paths", 0x07ae_ad58_a68c_69be),
+    ("star150", 0xc813_3089_75a1_500e),
+    ("clique100_tail30", 0xeeb3_158c_319f_b067),
+    ("lap3d-6x6x5-oom", 0x141c_93a9_55dd_a615),
 ];
 
 #[test]
 fn sim_clock_records_match_golden() {
-    let mut actual: Vec<(&str, [u64; 2])> = golden_families()
+    let mut actual: Vec<(&str, u64)> = golden_families()
         .iter()
         .map(|(name, a)| {
             let an = analysis_of(a);
-            (*name, record_hashes(&an.permuted.0.cast(), &an, Machine::paper_node))
+            (*name, record_hash(&an.permuted.0.cast(), &an, Machine::paper_node))
         })
         .collect();
     let an = analysis_of(&laplacian_3d(6, 6, 5, Stencil::Faces));
-    actual.push(("lap3d-6x6x5-oom", record_hashes(&an.permuted.0.cast(), &an, small_device_node)));
+    actual.push(("lap3d-6x6x5-oom", record_hash(&an.permuted.0.cast(), &an, small_device_node)));
     assert_eq!(actual, GOLDEN_RECORDS, "actual:\n{actual:#x?}");
 }
 
@@ -1570,12 +1610,9 @@ fn driver_errors_leave_devices_empty() {
             // The machines that saw every failure still behave as new.
             for ((issuer, ms), want) in issuers.iter().zip(machines.iter_mut()).zip(&fresh) {
                 let (f, s) = issuer.factor(&good, &an, ms, selector.clone()).unwrap();
-                let work_stealing = matches!(issuer, Issuer::Workers(w, 1) if *w > 1);
                 assert_eq!(panel_bits(&f), want.0, "{issuer:?} {selector:?}: bits after errors");
                 assert_eq!(s.oom_fallbacks, want.1, "{issuer:?} {selector:?}: fallbacks");
-                if !work_stealing {
-                    assert_eq!(s.total_time.to_bits(), want.2, "{issuer:?} {selector:?}: clock");
-                }
+                assert_eq!(s.total_time.to_bits(), want.2, "{issuer:?} {selector:?}: clock");
             }
         }
     }
@@ -1614,21 +1651,12 @@ fn driver_errors_leave_recording_machines_clean() {
     // its assembly does. On the clocks the failure left, the next run's
     // records are a fresh run's up to the rounding of their later start; on
     // reset clocks they are a fresh run's word for word, `t_assemble`
-    // included. (At two workers, which worker steals which task moves the
-    // start of a front, so there they match up to rounding as well.)
+    // included.
     let an = analysis_of(&laplacian_3d(7, 6, 6, Stencil::Faces));
     let good: SymCsc<f32> = an.permuted.0.cast();
     let par = ParallelOptions { thread_budget: 2 };
     for selector in clock_selectors() {
-        // Pinned staging is allocated per front: with growth-only reuse, the
-        // fronts that pay a pool's growth depend on what its worker ran
-        // before, at two workers a matter of stealing.
-        let opts = FactorOptions {
-            selector,
-            record_stats: true,
-            pinned_reuse: false,
-            ..Default::default()
-        };
+        let opts = FactorOptions { selector, record_stats: true, ..Default::default() };
         // `None` is the serial entry, `Some(w)` the parallel one at `w` workers.
         for workers in [None, Some(1), Some(2)] {
             let run = |a: &SymCsc<f32>, machines: &mut [Machine]| match workers {
@@ -1652,11 +1680,7 @@ fn driver_errors_leave_recording_machines_clean() {
                 run(&bad, &mut machines).unwrap_err();
                 machines.iter_mut().for_each(Machine::reset);
                 let (_, reset) = run(&good, &mut machines).unwrap();
-                if workers == Some(2) {
-                    assert!(records_match_up_to_rounding(&reset, &fresh), "{what}: reset clocks");
-                } else {
-                    assert_eq!(record_words(&reset), record_words(&fresh), "{what}: reset clocks");
-                }
+                assert_eq!(record_words(&reset), record_words(&fresh), "{what}: reset clocks");
             }
         }
     }
@@ -1666,42 +1690,39 @@ fn driver_errors_leave_recording_machines_clean() {
 // (The `exec_plan` prefix is load-bearing: ci.sh runs this suite by name.)
 
 /// The plan a run must record, restated from `FactorOptions::plan`'s
-/// contract for machines `gpus` (whether each carries a device) on the
-/// parallel entry (`parallel`) or the serial one: the schedule (`None` where
-/// the rehearsal picks pipelined or drain), the machine it runs on and the
-/// kind of its decision.
+/// contract for machines `gpus` (whether each carries a device), the same
+/// from either entry: the schedule (`None` where the rehearsal picks
+/// pipelined or drain) and the kind of its decision.
 fn expected_plan(
     opts: &FactorOptions,
     gpus: &[bool],
-    parallel: bool,
-) -> Result<(Option<Schedule>, usize, Option<&'static str>), PlanError> {
+) -> Result<(Option<Schedule>, Option<&'static str>), PlanError> {
     let devices = opts.devices.count;
-    let first_gpu = gpus.iter().position(|&g| g);
+    if gpus.iter().any(|&g| g != gpus[0]) {
+        return Err(PlanError::UnlikeMachines);
+    }
     if devices == 0 {
         return Err(PlanError::NoDevices);
     }
     if devices > 1 && !opts.pipeline.enabled {
         return Err(PlanError::DevicesWithoutPipeline { devices });
     }
-    if devices > 1 && first_gpu.is_none() {
+    if devices > 1 && !gpus[0] {
         return Err(PlanError::DevicesWithoutGpu { devices });
     }
-    let drain = if parallel {
-        Schedule::Tasks { workers: gpus.len(), thread_budget: 2 }
-    } else {
-        Schedule::Drain
-    };
     if !opts.pipeline.enabled {
-        return Ok((Some(drain), 0, None));
+        return Ok((Some(Schedule::Drain), None));
     }
     if opts.memory_budget.is_some() {
-        return Ok((Some(drain), 0, Some("BudgetDrains")));
+        return Ok((Some(Schedule::Drain), Some("BudgetDrains")));
     }
-    let Some(g) = first_gpu else { return Ok((Some(drain), 0, Some("NoDevice"))) };
+    if !gpus[0] {
+        return Ok((Some(Schedule::Drain), Some("NoDevice")));
+    }
     if devices > 1 {
-        return Ok((Some(Schedule::Pipelined { devices }), g, None));
+        return Ok((Some(Schedule::Pipelined { devices }), None));
     }
-    Ok((None, g, Some("Rehearsed")))
+    Ok((None, Some("Rehearsed")))
 }
 
 fn decision_kind(d: &Decision) -> &'static str {
@@ -1753,9 +1774,11 @@ fn exec_plan_every_option_combination_is_canonical_bits_or_a_typed_error() {
     // Every point of the plan space, under a GPU and a hybrid selector,
     // either factors to the canonical bits, recording the plan the contract
     // names (and `plan` predicted), or fails with the contract's typed error
-    // before touching any machine. At every serial-entry point the rehearsal
-    // on a fresh machine of the same kind equals the run — clock, records,
-    // fallbacks, plan and out-of-core accounting — or fails with its error.
+    // before touching any machine. At every point, from either entry, the
+    // rehearsal on a fresh machine like the first equals the run — clock,
+    // records, fallbacks, plan and out-of-core accounting — or fails with its
+    // error; only unlike machines, which one machine cannot show, have no
+    // rehearsal.
     use gpu_multifrontal::gpusim::xeon_5160_core;
     let node =
         |g: bool| if g { Machine::paper_node() } else { Machine::cpu_only(xeon_5160_core()) };
@@ -1776,26 +1799,21 @@ fn exec_plan_every_option_combination_is_canonical_bits_or_a_typed_error() {
         for (opts, gpus, parallel) in plan_cases(&selector, budget) {
             let what = format!("{opts:?} on {gpus:?}, parallel {parallel}");
             let mut machines: Vec<Machine> = gpus.iter().map(|&g| node(g)).collect();
-            let rehearsed = (!parallel).then(|| opts.rehearse::<f32>(&an.symbolic, &node(gpus[0])));
-            let par = parallel.then_some(&par);
-            let planned = opts.plan::<f32>(&an.symbolic, &machines, par);
-            let ran = match par {
-                Some(par) => {
-                    factor_permuted_parallel(&a, &an.symbolic, &an.perm, &mut machines, &opts, par)
-                }
-                None => factor_permuted(&a, &an.symbolic, &an.perm, &mut machines[0], &opts),
+            let rehearsed = opts.rehearse::<f32>(&an.symbolic, &node(gpus[0]));
+            let planned = opts.plan::<f32>(&an.symbolic, &machines);
+            let ran = if parallel {
+                factor_permuted_parallel(&a, &an.symbolic, &an.perm, &mut machines, &opts, &par)
+            } else {
+                factor_permuted(&a, &an.symbolic, &an.perm, &mut machines[0], &opts)
             };
-            let (schedule, machine, decision) = match expected_plan(&opts, gpus, parallel) {
+            let (schedule, decision) = match expected_plan(&opts, gpus) {
                 Err(e) => {
                     assert_eq!(planned, Err(e), "{what}");
                     assert_eq!(ran.err(), Some(FactorError::Plan(e)), "{what}");
                     assert!(machines.iter_mut().all(|m| m.elapsed() == 0.0), "{what}");
-                    if let Some(rehearsed) = rehearsed {
-                        assert_eq!(
-                            rehearsed.err(),
-                            Some(FactorError::Plan(e)),
-                            "{what}: rehearsal"
-                        );
+                    if e != PlanError::UnlikeMachines {
+                        let err = rehearsed.err();
+                        assert_eq!(err, Some(FactorError::Plan(e)), "{what}: rehearsal");
                     }
                     continue;
                 }
@@ -1804,16 +1822,13 @@ fn exec_plan_every_option_combination_is_canonical_bits_or_a_typed_error() {
             let plan = planned.unwrap();
             let (f, stats) = ran.unwrap();
             assert_eq!(stats.plan, plan, "{what}: the run records its plan");
-            if let Some(rehearsed) = rehearsed {
-                let r = rehearsed.unwrap_or_else(|e| panic!("{what}: the rehearsal failed: {e}"));
-                assert_eq!(r.total_time.to_bits(), stats.total_time.to_bits(), "{what}: rehearsed");
-                assert_eq!(record_words(&r), record_words(&stats), "{what}: rehearsed records");
-                assert_eq!(r.oom_fallbacks, stats.oom_fallbacks, "{what}: rehearsed fallbacks");
-                assert_eq!(r.plan, stats.plan, "{what}: rehearsed plan");
-                assert_eq!(r.ooc, stats.ooc, "{what}: rehearsed out-of-core accounting");
-            }
+            let r = rehearsed.unwrap_or_else(|e| panic!("{what}: the rehearsal failed: {e}"));
+            assert_eq!(r.total_time.to_bits(), stats.total_time.to_bits(), "{what}: rehearsed");
+            assert_eq!(record_words(&r), record_words(&stats), "{what}: rehearsed records");
+            assert_eq!(r.oom_fallbacks, stats.oom_fallbacks, "{what}: rehearsed fallbacks");
+            assert_eq!(r.plan, stats.plan, "{what}: rehearsed plan");
+            assert_eq!(r.ooc, stats.ooc, "{what}: rehearsed out-of-core accounting");
             assert_eq!(panel_bits(&f), canonical, "{what}: bits");
-            assert_eq!(plan.machine, machine, "{what}: machine");
             assert_eq!(plan.decision.as_ref().map(decision_kind), decision, "{what}: {plan:?}");
             match (schedule, plan.decision) {
                 (Some(s), _) => assert_eq!(plan.schedule, s, "{what}"),
@@ -1826,8 +1841,8 @@ fn exec_plan_every_option_combination_is_canonical_bits_or_a_typed_error() {
                 }
                 (None, _) => panic!("{what}: no rehearsal in {plan:?}"),
             }
-            if !matches!(plan.schedule, Schedule::Tasks { .. }) {
-                for (j, m) in machines.iter_mut().enumerate().filter(|&(j, _)| j != machine) {
+            if let Schedule::Pipelined { .. } = plan.schedule {
+                for (j, m) in machines.iter_mut().enumerate().skip(1) {
                     assert_eq!(m.elapsed(), 0.0, "{what}: machine {j} was used");
                 }
             }
@@ -1836,5 +1851,93 @@ fn exec_plan_every_option_combination_is_canonical_bits_or_a_typed_error() {
         // front on the host, where the pipeline cannot win.
         let wins = matches!(selector, PolicySelector::Fixed(_));
         assert!(verdicts[usize::from(wins)], "{selector:?}: rehearsal verdicts {verdicts:?}");
+    }
+}
+
+// ──────────────────── one plan at every worker count ───────────────────────
+// (The `one_plan_` and `unlike_machines` prefixes are load-bearing: ci.sh runs
+// these tests by name.)
+
+#[test]
+fn one_plan_parallel_entry_reports_the_serial_clock_on_every_repeat() {
+    // The parallel entry runs the serial entry's plan for its first machine:
+    // whichever worker steals which task, its simulated fields — clock, every
+    // per-call record word, device busy time, fallbacks, plan and out-of-core
+    // accounting — are `factor_permuted`'s on one such machine and
+    // `FactorOptions::rehearse`'s, bit for bit, at every worker count.
+    let an = analysis_of(&elasticity_3d(8, 8, 8));
+    let a: SymCsc<f32> = an.permuted.0.cast();
+    let budget = budget_for(&an.symbolic, 4, 0.5);
+    let budgeted = FactorOptions {
+        selector: PolicySelector::Fixed(PolicyKind::P4),
+        memory_budget: Some(budget),
+        ..Default::default()
+    };
+    let cases = clock_selectors()
+        .into_iter()
+        .map(|selector| FactorOptions { selector, ..Default::default() })
+        .chain([budgeted]);
+    let sim = |s: &FactorStats| (sim_words(s), record_words(s), s.gpu, s.plan, s.ooc.clone());
+    let par = ParallelOptions { thread_budget: 2 };
+    for opts in cases.map(|o| FactorOptions { record_stats: true, ..o }) {
+        let (_, serial) =
+            factor_permuted(&a, &an.symbolic, &an.perm, &mut Machine::paper_node(), &opts).unwrap();
+        assert!(serial.gpu.is_some() && !serial.records.is_empty(), "{:?}", opts.selector);
+        assert_eq!(serial.ooc.is_some(), opts.memory_budget.is_some());
+        let rehearsed = opts.rehearse::<f32>(&an.symbolic, &Machine::paper_node()).unwrap();
+        assert_eq!(sim(&rehearsed), sim(&serial), "{:?}: the rehearsal", opts.selector);
+        for workers in [1usize, 2, 4] {
+            for repeat in 0..8 {
+                let mut machines: Vec<Machine> =
+                    (0..workers).map(|_| Machine::paper_node()).collect();
+                let (_, p) = factor_permuted_parallel(
+                    &a,
+                    &an.symbolic,
+                    &an.perm,
+                    &mut machines,
+                    &opts,
+                    &par,
+                )
+                .unwrap();
+                let what = format!("{:?} at {workers} workers, repeat {repeat}", opts.selector);
+                assert_eq!(sim(&p), sim(&serial), "{what}");
+            }
+        }
+    }
+}
+
+#[test]
+fn unlike_machines_are_refused_before_any_clock_moves() {
+    // Any worker runs any front, so the parallel entry needs machines like
+    // its first: on a CPU-only node beside a paper node the factor bits
+    // would follow which worker stole which front. Refused by the plan,
+    // before any machine's clock moves.
+    use gpu_multifrontal::gpusim::xeon_5160_core;
+    let cpu = || Machine::cpu_only(xeon_5160_core());
+    let an = analysis_of(&laplacian_3d(12, 12, 12, Stencil::Full));
+    let a: SymCsc<f32> = an.permuted.0.cast();
+    let opts =
+        FactorOptions { selector: PolicySelector::Fixed(PolicyKind::P4), ..Default::default() };
+    let warm = analysis_of(&laplacian_3d(4, 4, 3, Stencil::Faces));
+    let warm_a: SymCsc<f32> = warm.permuted.0.cast();
+    let fleets: [Vec<Machine>; 3] = [
+        vec![cpu(), Machine::paper_node()],
+        vec![Machine::paper_node(), Machine::paper_node(), cpu()],
+        vec![Machine::paper_node(), small_device_node()],
+    ];
+    for mut machines in fleets {
+        // Clocks that have run, so a reset would show.
+        for m in machines.iter_mut() {
+            factor_permuted(&warm_a, &warm.symbolic, &warm.perm, m, &opts).unwrap();
+        }
+        let clocks: Vec<f64> = machines.iter_mut().map(Machine::elapsed).collect();
+        let what = format!("{:?}", machines.iter().map(|m| m.gpu.is_some()).collect::<Vec<_>>());
+        assert_eq!(opts.plan::<f32>(&an.symbolic, &machines), Err(PlanError::UnlikeMachines));
+        let par = ParallelOptions { thread_budget: 2 };
+        let ran = factor_permuted_parallel(&a, &an.symbolic, &an.perm, &mut machines, &opts, &par);
+        let want = FactorError::Plan(PlanError::UnlikeMachines);
+        assert_eq!(ran.err(), Some(want), "{what}");
+        let after: Vec<f64> = machines.iter_mut().map(Machine::elapsed).collect();
+        assert_eq!(after, clocks, "{what}: a clock moved");
     }
 }
