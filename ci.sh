@@ -23,15 +23,25 @@ cargo test -q
 echo "==> workspace tests"
 cargo test -q --workspace
 
+# mf-runtime's idle workers wait on a condvar with no timeout, so a lost
+# wake is a hang, not a slow run: the runtime suite and both determinism runs
+# below run under `timeout`, with a bound far above their run time (seconds),
+# and their test binaries are built first so the bound times the tests only.
+echo "==> runtime suite (under timeout)"
+cargo test -q --release -p mf-runtime --no-run
+timeout 600 cargo test -q --release -p mf-runtime
+
 # The parallel-driver determinism contracts (bitwise-identical factors AND
 # solves at every worker count) must hold both with the test harness running
-# cases concurrently (default) and fully serialized — the two schedules
-# exercise different interleavings of the work-stealing runtime.
+# cases concurrently (default) and fully serialized — the two put different
+# loads on the runtime's workers, and so different orders of task starts and
+# completions.
+cargo test -q --release --test determinism --no-run
 echo "==> determinism suite (default test threads)"
-cargo test -q --release --test determinism
+timeout 600 cargo test -q --release --test determinism
 
 echo "==> determinism suite (RUST_TEST_THREADS=1)"
-RUST_TEST_THREADS=1 cargo test -q --release --test determinism
+RUST_TEST_THREADS=1 timeout 600 cargo test -q --release --test determinism
 
 # The server's concurrency contracts (batched responses bitwise identical to
 # serial answers, typed rejections, LRU eviction accounting) must hold with
@@ -153,6 +163,7 @@ RUST_TEST_THREADS=1 cargo test -q --release -p mf-server
 #   parallel_factor_never_writes  a 2-worker factor leaves the process kernel cap alone
 #   one_plan_        the parallel entry's simulated fields == factor_permuted's and rehearse's, 1/2/4 workers x 8 repeats
 #   unlike_machines  the parallel entry refuses machines unlike its first before any clock moves
+#   panicking_task   a task panicking on the caller's or a spawned worker thread panics out of Runtime::run, never hangs, and stops the tree
 echo "==> named suites (counted, default + single test thread)"
 while read -r target filter expected; do
   case $target in
@@ -206,6 +217,7 @@ mf-core/lib refactor_on_a_reused 1
 mf-core/kernel_width parallel_factor_never_writes 1
 determinism one_plan_ 1
 determinism unlike_machines 1
+mf-runtime/lib panicking_task 1
 MANIFEST
 
 # Property tests for the peer-copy primitive the multi-GPU extend-add path

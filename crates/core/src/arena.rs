@@ -14,7 +14,7 @@
 //!
 //! The arena loop (`FrontRun::factor_range` in `factor.rs`) runs a
 //! postorder range on one arena: the serial driver the whole postorder,
-//! every work-stealing task its own range on its worker's arena, grown to
+//! every parallel range task its own range on its worker's arena, grown to
 //! the largest bottom subtree that worker has run. An update that leaves
 //! its range — a different worker consumes it, so no one stack can hold it
 //! — is assembled in a buffer of its own instead. The stack is the same

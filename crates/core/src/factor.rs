@@ -15,7 +15,7 @@
 //! A front's lifecycle — dispatch, downloads, extraction, finish — belongs to
 //! `crate::lane`. This module holds one of its two issuers, the arena loop
 //! (`FrontRun::factor_range`: the drain schedule, one front at a time on the
-//! LIFO stack, which every work-stealing task of [`crate::parallel`] runs on
+//! LIFO stack, which every range task of [`crate::parallel`] runs on
 //! the worker's own arena), and every front it runs books its per-call record
 //! in [`Lane::run_front`]. Each front's assembly is charged from the
 //! structure, with data or without; without the matrix and the factor slab
@@ -169,14 +169,6 @@ pub enum FactorError {
         /// Global (permuted) column index.
         column: usize,
     },
-    /// A parallel worker died (panicked) before handing off the update
-    /// matrix this supernode depends on. The factorization cannot continue,
-    /// but the failure is reported structurally instead of poisoning the
-    /// whole process.
-    WorkerLost {
-        /// Supernode whose child hand-off was missing.
-        supernode: usize,
-    },
     /// The symbolic analysis rejected the matrix before any numbers moved.
     Analyze(AnalyzeError),
     /// The out-of-core memory budget is below the minimum feasible
@@ -201,12 +193,6 @@ impl std::fmt::Display for FactorError {
                 write!(
                     f,
                     "matrix is not positive definite (pivot failure at permuted column {column})"
-                )
-            }
-            FactorError::WorkerLost { supernode } => {
-                write!(
-                    f,
-                    "parallel worker lost before supernode {supernode} received its child updates"
                 )
             }
             FactorError::Analyze(e) => write!(f, "analysis failed: {e}"),
@@ -456,7 +442,7 @@ impl FrontRun<'_> {
     /// the first child's offset frees the children in one move.
     ///
     /// The serial driver runs the whole postorder through here; every
-    /// work-stealing task of [`crate::parallel`] runs its range here on the
+    /// range task of [`crate::parallel`] runs its range here on the
     /// worker's own arena. Each front goes through [`Lane::run_front`], so
     /// every simulated-time charge is issued per front, in postorder.
     /// `on_front(position, outcome)` collects the statistics. Each front's
@@ -736,7 +722,6 @@ mod tests {
                 // (the first non-positive pivot may surface at 3 exactly).
                 assert_eq!(column, 3);
             }
-            FactorError::WorkerLost { .. } => panic!("serial factorization cannot lose a worker"),
             FactorError::Analyze(_) => panic!("analysis already succeeded before the factor"),
             FactorError::BudgetTooSmall { .. } => panic!("no memory budget was requested"),
             FactorError::Plan(e) => panic!("default options plan a drain run: {e}"),

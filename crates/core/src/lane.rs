@@ -17,7 +17,7 @@
 //! Two issuers drive lanes and own nothing of the lifecycle but its order:
 //! the arena loop of [`crate::factor`] (the drain schedule: every front
 //! through [`Lane::run_front`], finished before the next assembles, its
-//! per-call record booked — every work-stealing task of [`crate::parallel`]
+//! per-call record booked — every range task of [`crate::parallel`]
 //! is this loop over its range) and the issuer of fronts in flight in
 //! [`crate::multigpu`] (one lane per device, always with look-ahead; batched
 //! P4 runs on one lane, peer exports between several). What differs between
@@ -36,7 +36,6 @@
 //! empty-device state of the drain driver so P1-fallback decisions — the
 //! one place scheduling could touch numerics — match it.
 
-use crate::factor::FactorError;
 use crate::frontal::{
     assemble_front_into, charge_assemble, charge_panel_extract, charge_update_extract, ChildUpdate,
     Front,
@@ -64,15 +63,16 @@ pub(crate) const PIPELINE_DEPTH: usize = 3;
 
 /// The owned updates of `sn`'s children in postorder child rank — the order
 /// every driver extend-adds them in, which is what keeps the factor bits
-/// independent of the schedule. A child whose update is gone means the
-/// worker that ran it died mid-task.
+/// independent of the schedule. Every child has handed its update off
+/// before its parent is assembled: a driver issues a parent only after each
+/// child's front returned `Ok`, and a panic anywhere ends the run.
 pub(crate) fn take_children<T>(
     symbolic: &SymbolicFactor,
     sn: usize,
     mut take: impl FnMut(usize) -> Option<Vec<T>>,
-) -> Result<Vec<Vec<T>>, FactorError> {
-    let lost = FactorError::WorkerLost { supernode: sn };
-    symbolic.children(sn).iter().map(|&c| take(c).ok_or(lost)).collect()
+) -> Vec<Vec<T>> {
+    let handed_off = "every child hands its update off before its parent is assembled";
+    symbolic.children(sn).iter().map(|&c| take(c).expect(handed_off)).collect()
 }
 
 /// Borrowed views of [`take_children`]'s buffers for the extend-add.
@@ -153,8 +153,7 @@ impl<'a, T: Scalar> FrontStore<'a, T> {
         charge_assemble::<T>(symbolic, sn, host);
         let mut member = Member { sn, s, k, panel: &mut [], update: Vec::new() };
         let Some(a) = self.a else { return member };
-        let kids = take_children(symbolic, sn, |c| self.updates[c].take())
-            .expect("every child is issued, and its update delivered, before its parent");
+        let kids = take_children(symbolic, sn, |c| self.updates[c].take());
         if m > 0 {
             self.allocs += 1;
             member.update = vec![T::ZERO; m * m];
@@ -509,23 +508,16 @@ mod tests {
     use mf_sparse::{analyze, AmalgamationOptions, OrderingKind};
 
     #[test]
-    fn take_children_in_child_order_or_worker_lost() {
+    fn take_children_in_child_order() {
         let a = mf_matgen::laplacian_2d(12, 12, mf_matgen::Stencil::Faces);
         let amalg = AmalgamationOptions::default();
         let sym = analyze(&a, OrderingKind::NestedDissection, Some(&amalg)).unwrap().symbolic;
         let nsn = sym.num_supernodes();
         let sn = (0..nsn).find(|&s| sym.children(s).len() >= 2).expect("a front with two children");
         let kids = sym.children(sn);
-        let full = || -> Vec<Option<Vec<usize>>> { (0..nsn).map(|c| Some(vec![c])).collect() };
         // Every slot full: the buffers come back in child order.
-        let mut slots = full();
+        let mut slots: Vec<Option<Vec<usize>>> = (0..nsn).map(|c| Some(vec![c])).collect();
         let got = take_children(&sym, sn, |c| slots[c].take());
-        assert_eq!(got, Ok(kids.iter().map(|&c| vec![c]).collect()));
-        // A child's slot is empty — its worker died: the parent's hand-off
-        // is lost.
-        let mut slots = full();
-        slots[kids[1]] = None;
-        let lost = take_children(&sym, sn, |c| slots[c].take());
-        assert_eq!(lost, Err(FactorError::WorkerLost { supernode: sn }));
+        assert_eq!(got, kids.iter().map(|&c| vec![c]).collect::<Vec<_>>());
     }
 }

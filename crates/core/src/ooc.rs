@@ -347,9 +347,9 @@ pub struct OocStats {
     /// Panels still on a spill tier when factorization finishes.
     pub panels_spilled_at_end: usize,
     /// Total transfer time of the spill engine at tier bandwidths. This
-    /// is the spill engine's own serialized timeline; the factorization
-    /// drivers additionally charge each transfer on the clock of the
-    /// worker that replays it.
+    /// is the spill engine's own serialized timeline; the drain driver
+    /// additionally charges each transfer on the run's simulated host clock
+    /// (a parallel drain reports its rehearsal's, the serial run's).
     pub spill_seconds: f64,
 }
 

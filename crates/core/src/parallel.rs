@@ -8,8 +8,8 @@
 //!    per-worker virtual timelines, largest-bottom-level-first priorities,
 //!    and moldable large tasks standing in for intra-front parallel BLAS.
 //! 2. [`factor_permuted_parallel`] — a real wall-clock parallel numeric
-//!    factorization on the `mf-runtime` work-stealing scheduler. A task is a
-//!    run of the postorder: a *bottom subtree* (CPU fronts whose panels and
+//!    factorization on the `mf-runtime` task scheduler. A task is a run of
+//!    the postorder: a *bottom subtree* (CPU fronts whose panels and
 //!    front stack fit the cache), or one supernode above them. Each task's
 //!    remaining-children counter releases its parent; update matrices that
 //!    cross tasks are buffered and extend-added in postorder child rank (so
@@ -247,8 +247,8 @@ struct WorkerCtx<'m, T> {
 ///
 /// The run executes [`FactorOptions::plan`]'s plan — the one
 /// [`crate::factor_permuted`] makes for `machines[0]` — and records it in
-/// [`FactorStats::plan`]. A drain runs on the `mf-runtime` work-stealing
-/// scheduler. A task is a run of the postorder — a *bottom subtree*
+/// [`FactorStats::plan`]. A drain runs on the `mf-runtime` task scheduler.
+/// A task is a run of the postorder — a *bottom subtree*
 /// ([`SymbolicFactor::bottom_subtrees`]: CPU fronts whose panels and front
 /// stack fit the cache), or one supernode above them — and every task is the
 /// serial driver's range loop on the worker's own arena. Each worker owns
@@ -278,7 +278,7 @@ pub fn factor_permuted_parallel<T: Scalar>(
     run_plan(plan, a, symbolic, perm, machines, opts, Some(par))
 }
 
-/// The drain schedule as work-stealing range tasks, one worker per machine,
+/// The drain schedule as range tasks, one worker per machine,
 /// `thread_budget` threads between them, `a`'s values assembled and the
 /// panels put into `slab`. Returns the run's storage accounting:
 /// `(peak_front_bytes, front_alloc_events)`.
@@ -350,12 +350,9 @@ pub(crate) fn factor_tasks<T: Scalar>(
     let (states, errors) = runtime.run(&graph, states, |st: &mut WorkerCtx<'_, T>, t| {
         let range = tasks.ranges()[t].clone();
         let first = symbolic.postorder[range.start];
-        // The dependency counters guarantee every child's slot is filled
-        // before this task runs; a missing or poisoned slot means a worker
-        // died mid-task, which is surfaced as a structured error (still
-        // selected by minimal postorder rank below) rather than a cascading
-        // panic.
-        let handed = take_children(symbolic, first, take_update)?;
+        // The dependency counters start this task only after every child
+        // task returned `Ok`, its slot filled.
+        let handed = take_children(symbolic, first, take_update);
         // Grow this worker's arena to the largest subtree bound it has met.
         // Reuse without re-zeroing is safe: assembly re-zeroes the triangle
         // of a block it references and nothing reads the rest.

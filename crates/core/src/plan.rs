@@ -8,9 +8,9 @@
 //! and [`factor_permuted_parallel`] — make the one plan of their first
 //! machine and hand it to one dispatch, [`run_plan`]; no driver reroutes, and
 //! the run records its plan in [`FactorStats::plan`]. The parallel entry's
-//! worker count changes how a drain executes (work-stealing range tasks over
-//! every machine), hence the wall time and the storage accounting, and
-//! nothing simulated.
+//! worker count changes how a drain executes (range tasks on the
+//! `mf-runtime` scheduler over every machine), hence the wall time and the
+//! storage accounting, and nothing simulated.
 //!
 //! What the run decides per front — a device OOM sending a front to P1 — is
 //! not a plan decision; `FactorStats::oom_fallbacks` counts it.
@@ -45,8 +45,8 @@ use std::fmt;
 pub enum Schedule {
     /// One front at a time in postorder on one machine's arena, the device
     /// drained after each. The parallel entry runs the same fronts as
-    /// work-stealing postorder range tasks, one worker per machine; its
-    /// simulated fields are the serial run's.
+    /// postorder range tasks, one worker per machine; its simulated fields
+    /// are the serial run's.
     #[default]
     Drain,
     /// Fronts in flight on `devices` identical devices, one lane each, fed
@@ -225,7 +225,7 @@ impl FactorOptions {
 /// Run `plan` — [`FactorOptions::plan`]'s for these options and machines —
 /// on its driver, the clocks of the machines it runs on started at zero, and
 /// record it and the call's wall time in the stats. From the parallel entry
-/// (`par`) a drain runs as work-stealing range tasks over every machine, its
+/// (`par`) a drain runs as range tasks over every machine, its
 /// simulated fields the drain's rehearsal on the first; every other run is
 /// the serial driver's on the first machine.
 pub(crate) fn run_plan<T: Scalar>(

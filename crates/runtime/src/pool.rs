@@ -1,90 +1,54 @@
-//! The worker pool: per-worker Chase–Lev deques, a sleep/wake parker, and
-//! the run loop that drives a [`TaskGraph`] to completion.
+//! The worker pool: one monitor — a mutex over the run's ready stack and
+//! bookkeeping, and a condvar idle workers wait on — and the run loop that
+//! drives a [`TaskGraph`] to completion.
 
-use crate::deque::{Steal, TaskDeque};
 use crate::graph::TaskGraph;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
-use std::time::Duration;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
-/// How long an idle worker sleeps before re-scanning on its own. Wakeups
-/// are delivered reliably (the SeqCst handshake in [`Parker`] closes the
-/// historical store-load race), so the timeout is pure paranoia against
-/// bugs elsewhere — it can afford to be long. The old 500 µs value papered
-/// over missed wakes with busy re-scans, which burned a core per idle
-/// worker on expansion-heavy graphs.
-const PARK_TIMEOUT: Duration = Duration::from_millis(5);
-
-/// Epoch-based sleep/wake coordination for idle workers.
-///
-/// A worker reads the epoch, scans every deque, and parks only if the epoch
-/// is still unchanged — any wake-worthy event (task release or expansion,
-/// abort, last completion) bumps the epoch first.
-///
-/// The wake path is a classic two-flag (Dekker-style) handshake: the parker
-/// publishes `sleepers += 1` then reads `epoch`; the waker publishes
-/// `epoch += 1` then reads `sleepers`. Both sides' operations are `SeqCst`,
-/// so at least one of them observes the other — a missed wake would need
-/// the parker to read the pre-bump epoch *and* the waker to read the
-/// pre-increment sleeper count, which the total `SeqCst` order forbids.
-/// Release/acquire alone is not enough: each thread's load could hoist
-/// above its own store, and the wait would silently fall back to the
-/// safety timeout.
-#[derive(Debug, Default)]
-struct Parker {
-    epoch: AtomicU64,
-    sleepers: AtomicUsize,
-    lock: Mutex<()>,
-    cv: Condvar,
+/// What the workers of one run share, all of it behind one lock.
+struct Shared<E> {
+    /// Released tasks no worker has started, the most recent on top.
+    ready: Vec<usize>,
+    /// Tasks that returned `Ok`.
+    completed: usize,
+    /// Set by the first error or a panicking task: no task starts after it.
+    abort: bool,
+    /// Every `(task, error)` returned before the stop.
+    errors: Vec<(usize, E)>,
 }
 
-impl Parker {
-    fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst)
-    }
+/// The run's shared state and the condvar idle workers wait on. Every
+/// change a waiter could be waiting for — a task pushed, the last
+/// completion, an abort — is made under the lock and notified, so no wake
+/// can be lost and no wait needs a timeout.
+struct Monitor<E> {
+    shared: Mutex<Shared<E>>,
+    wake: Condvar,
+}
 
-    /// Bump the epoch and wake every parked worker.
-    fn wake_all(&self) {
-        self.epoch.fetch_add(1, Ordering::SeqCst);
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            // Taking the lock orders the notify after any in-progress
-            // check-then-wait transition.
-            let _g = self.lock.lock().unwrap();
-            self.cv.notify_all();
-        }
-    }
-
-    /// Park until the epoch moves past `seen` (or the safety timeout).
-    fn park(&self, seen: u64) {
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
-        {
-            let g = self.lock.lock().unwrap();
-            if self.epoch.load(Ordering::SeqCst) == seen {
-                let _ = self.cv.wait_timeout(g, PARK_TIMEOUT).unwrap();
-            }
-        }
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+impl<E> Monitor<E> {
+    /// No task runs under the lock, and a worker that panics sets `abort` on
+    /// its way out, so a poisoned state is still one to read and stop on.
+    fn lock(&self) -> MutexGuard<'_, Shared<E>> {
+        self.shared.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 /// Sets the abort flag if the worker unwinds out of a task, so the other
 /// workers stop instead of waiting forever for a completion count that will
 /// never arrive.
-struct AbortOnPanic<'a> {
-    abort: &'a AtomicBool,
-    parker: &'a Parker,
-}
+struct AbortOnPanic<'a, E>(&'a Monitor<E>);
 
-impl Drop for AbortOnPanic<'_> {
+impl<E> Drop for AbortOnPanic<'_, E> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            self.abort.store(true, Ordering::Release);
-            self.parker.wake_all();
+            self.0.lock().abort = true;
+            self.0.wake.notify_all();
         }
     }
 }
 
-/// A work-stealing runtime with a fixed worker count.
+/// A task runtime with a fixed worker count.
 #[derive(Debug, Clone, Copy)]
 pub struct Runtime {
     workers: usize,
@@ -108,19 +72,23 @@ impl Runtime {
     /// entries; the vector is returned after the run for the caller to
     /// harvest. `task(state, id)` runs each task; the runtime guarantees a
     /// task starts only after all of its prerequisites returned `Ok`, with
-    /// their writes visible (release/acquire on the dependency counters).
+    /// their writes visible (every completion and every start of a task is
+    /// ordered by the run's one lock).
     ///
-    /// Scheduling: the initial ready set (tasks with no prerequisites) is
-    /// dealt round-robin across the worker deques in ascending id order;
-    /// each completion pushes newly released tasks onto the completing
-    /// worker's own deque (bottom, LIFO — depth-first into the tree, the
-    /// cache-friendly order); idle workers steal from the top (FIFO —
-    /// breadth-first, the load-balancing order).
+    /// Scheduling: one ready stack, seeded with the initial ready set (tasks
+    /// with no prerequisites) so that the lowest id is popped first. A worker
+    /// that finishes a task runs the first dependent it released next,
+    /// itself — the parent runs where its last child's update is hot — and
+    /// pushes any further released dependents onto the stack, waking one
+    /// idle worker for each. An idle worker pops the top of the stack, or
+    /// waits on the run's condvar until there is something to pop or
+    /// nothing left to do.
     ///
     /// Errors abort the run: no new task starts after the first `Err`, and
     /// every `(task, error)` observed before the stop is returned (an empty
     /// vector means success). More than one error can be reported because
-    /// in-flight tasks on other workers run to completion.
+    /// in-flight tasks on other workers run to completion. A panicking task
+    /// stops the run the same way, and the panic propagates out of `run`.
     ///
     /// The calling thread participates as worker 0 — only `workers - 1`
     /// threads are spawned, so a 1-worker runtime degenerates to a plain
@@ -141,70 +109,50 @@ impl Runtime {
         if n == 0 {
             return (states, Vec::new());
         }
-        let nw = self.workers;
-        // Each deque is sized to the whole graph: a task is pushed at most
-        // once overall, so no deque can ever see more than `n` pushes —
-        // the no-wraparound precondition of `TaskDeque`; no deque ever
-        // grows or spills.
-        let deques: Vec<TaskDeque> = (0..nw).map(|_| TaskDeque::new(n)).collect();
-        for (i, t) in graph.initial_ready().into_iter().enumerate() {
-            deques[i % nw].push(t);
-        }
-
-        let completed = AtomicUsize::new(0);
-        let abort = AtomicBool::new(false);
-        let parker = Parker::default();
-        let errors: Mutex<Vec<(usize, E)>> = Mutex::new(Vec::new());
-
-        let find_task = |w: usize| -> Option<usize> {
-            if let Some(t) = deques[w].pop() {
-                return Some(t);
-            }
-            for i in 1..nw {
-                let d = &deques[(w + i) % nw];
-                loop {
-                    match d.steal() {
-                        Steal::Task(t) => return Some(t),
-                        Steal::Retry => std::hint::spin_loop(),
-                        Steal::Empty => break,
-                    }
-                }
-            }
-            None
+        // Reversed, so the stack pops the lowest id first: one worker runs a
+        // postordered tree's tasks in id order.
+        let mut ready = graph.initial_ready();
+        ready.reverse();
+        let monitor = Monitor {
+            shared: Mutex::new(Shared { ready, completed: 0, abort: false, errors: Vec::new() }),
+            wake: Condvar::new(),
         };
 
-        let worker = |w: usize, state: &mut S| {
-            let _guard = AbortOnPanic { abort: &abort, parker: &parker };
+        let worker = |state: &mut S| {
+            let _guard = AbortOnPanic(&monitor);
+            let mut next = None;
+            let mut shared = monitor.lock();
             loop {
-                if abort.load(Ordering::Acquire) || completed.load(Ordering::Acquire) == n {
-                    return;
-                }
-                // Read the epoch *before* the scan so a release that lands
-                // mid-scan prevents the park below.
-                let epoch = parker.epoch();
-                let Some(t) = find_task(w) else {
-                    if abort.load(Ordering::Acquire) || completed.load(Ordering::Acquire) == n {
+                let t = loop {
+                    if shared.abort || shared.completed == n {
                         return;
                     }
-                    parker.park(epoch);
-                    continue;
+                    if let Some(t) = next.take().or_else(|| shared.ready.pop()) {
+                        break t;
+                    }
+                    shared = monitor.wake.wait(shared).unwrap_or_else(PoisonError::into_inner);
                 };
-                match task(state, t) {
+                drop(shared);
+                let result = task(state, t);
+                shared = monitor.lock();
+                match result {
                     Ok(()) => {
-                        for &dep in graph.dependents(t) {
-                            if graph.complete_one(dep) {
-                                deques[w].push(dep);
-                                parker.wake_all();
-                            }
+                        shared.completed += 1;
+                        let mut released =
+                            graph.dependents(t).iter().copied().filter(|&d| graph.complete_one(d));
+                        next = released.next();
+                        for d in released {
+                            shared.ready.push(d);
+                            monitor.wake.notify_one();
                         }
-                        if completed.fetch_add(1, Ordering::AcqRel) + 1 == n {
-                            parker.wake_all();
+                        if shared.completed == n {
+                            monitor.wake.notify_all();
                         }
                     }
                     Err(e) => {
-                        errors.lock().unwrap().push((t, e));
-                        abort.store(true, Ordering::Release);
-                        parker.wake_all();
+                        shared.errors.push((t, e));
+                        shared.abort = true;
+                        monitor.wake.notify_all();
                     }
                 }
             }
@@ -215,31 +163,31 @@ impl Runtime {
         let states = std::thread::scope(|scope| {
             let handles: Vec<_> = states
                 .into_iter()
-                .enumerate()
-                .map(|(i, st)| {
+                .map(|mut st| {
                     let worker = &worker;
                     scope.spawn(move || {
-                        let mut st = st;
-                        worker(i + 1, &mut st);
+                        worker(&mut st);
                         st
                     })
                 })
                 .collect();
-            worker(0, &mut state0);
-            let mut all = Vec::with_capacity(nw);
+            worker(&mut state0);
+            let mut all = Vec::with_capacity(self.workers);
             all.push(state0);
             all.extend(handles.into_iter().map(|h| h.join().expect("worker thread panicked")));
             all
         });
 
-        (states, errors.into_inner().unwrap())
+        (states, monitor.shared.into_inner().unwrap_or_else(PoisonError::into_inner).errors)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::time::Duration;
 
     fn chain(n: usize) -> TaskGraph {
         // 0 ← 1 ← 2 ← … (each task depends on the previous one).
@@ -326,13 +274,45 @@ mod tests {
     }
 
     #[test]
+    fn panicking_task_propagates_out_of_run_and_the_root_never_runs() {
+        // A leaf panics on the caller's thread (worker 0), or on a spawned
+        // worker: `run` must panic — neither hang nor return — and the root,
+        // which depends on every task, must never start.
+        for (workers, on_caller) in [(1, true), (2, true), (4, true), (2, false), (4, false)] {
+            let (g, _) = binary_tree(7);
+            let caller = std::thread::current().id();
+            let panicked = (Mutex::new(false), Condvar::new());
+            let root_ran = AtomicBool::new(false);
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                Runtime::new(workers).run(&g, vec![(); workers], |_, t| -> Result<(), ()> {
+                    root_ran.fetch_or(t == 0, Ordering::Relaxed);
+                    if (std::thread::current().id() == caller) == on_caller {
+                        *panicked.0.lock().unwrap() = true;
+                        panicked.1.notify_all();
+                        panic!("task {t} panics");
+                    }
+                    // Every other task waits for the panic, so a worker of
+                    // the other kind surely gets a task of its own.
+                    let seen = panicked.0.lock().unwrap();
+                    let wait = Duration::from_secs(10);
+                    drop(panicked.1.wait_timeout_while(seen, wait, |p| !*p).unwrap());
+                    Ok(())
+                })
+            }));
+            assert!(outcome.is_err(), "{workers} workers, on caller {on_caller}: run returned");
+            assert!(*panicked.0.lock().unwrap(), "{workers} workers: no task panicked");
+            assert!(!root_ran.load(Ordering::Relaxed), "{workers} workers: the root ran");
+        }
+    }
+
+    #[test]
     fn park_wake_storm_stays_live() {
         // Alternating wide/narrow rounds: W parallel tasks funnel into a
         // single gate task that releases the next round, so most workers
-        // park at every gate and must be woken by whichever worker runs it.
-        // A lost wake costs a full PARK_TIMEOUT per occurrence; systematic
-        // loss would stall this test into its harness timeout. Correctness
-        // (every task exactly once, in round order) is asserted directly.
+        // wait at every gate and must be woken by whichever worker runs it.
+        // Idle workers wait without a timeout, so one lost wake hangs this
+        // test (CI runs the suite under `timeout`). Correctness (every task
+        // exactly once, in round order) is asserted directly.
         let (rounds, width, workers) = (200usize, 4usize, 4usize);
         let n = rounds * (width + 1);
         let mut g = TaskGraph::new(n);

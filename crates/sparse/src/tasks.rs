@@ -39,7 +39,7 @@ pub(crate) fn maximal_subtrees(
     ranges
 }
 
-/// The tasks of a work-stealing run over a postordered forest: the given
+/// The tasks of a parallel run over a postordered forest: the given
 /// subtrees, then one task per node above them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RangeTasks {

@@ -7,7 +7,7 @@
 //! schedule with proportional subtree mapping, peer-copy extend-add and
 //! cross-device look-ahead (DESIGN.md §4.13) — on 1/2/4/8 simulated
 //! devices, and finally the
-//! work-stealing runtime *measuring* wall-clock seconds on this host. The
+//! task runtime *measuring* wall-clock seconds on this host. The
 //! sections are labelled distinctly; measured numbers agree with simulated
 //! ones only insofar as the host has hardware threads to spend.
 //!
@@ -169,12 +169,12 @@ fn main() {
     println!("  (every device count reproduced the drain driver's factor bit for bit)");
 
     // Now run the real thing: the same baseline-hybrid factorization on the
-    // mf-runtime work-stealing scheduler, measured in elapsed seconds on
+    // mf-runtime task scheduler, measured in elapsed seconds on
     // this host. The factor is bitwise identical to the serial run at every
     // worker count; only the wall-clock changes, and only as far as the
     // host's hardware threads allow.
     let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    println!("\n== MEASURED wall-clock (work-stealing runtime, {threads} hardware thread(s)) ==\n");
+    println!("\n== MEASURED wall-clock (task runtime, {threads} hardware thread(s)) ==\n");
     let opts = FactorOptions {
         selector: PolicySelector::Baseline(BaselineThresholds::default()),
         copy_optimized: true,

@@ -16,7 +16,7 @@
 //!   CUBLAS-like kernels computing real f32 numerics on simulated time),
 //! * [`core`] — the hybrid multifrontal factorization, policies P1–P4,
 //!   hybrid selectors, solves, iterative refinement, parallel scheduling,
-//! * [`runtime`] — the work-stealing elimination-tree runtime backing the
+//! * [`runtime`] — the elimination-tree task runtime backing the
 //!   wall-clock parallel driver,
 //! * [`autotune`] — the expected-cost policy classifier (paper Eq. 3),
 //! * [`matgen`] — the synthetic matrix suite standing in for Table II.

@@ -1861,7 +1861,7 @@ fn exec_plan_every_option_combination_is_canonical_bits_or_a_typed_error() {
 #[test]
 fn one_plan_parallel_entry_reports_the_serial_clock_on_every_repeat() {
     // The parallel entry runs the serial entry's plan for its first machine:
-    // whichever worker steals which task, its simulated fields — clock, every
+    // whichever worker runs which task, its simulated fields — clock, every
     // per-call record word, device busy time, fallbacks, plan and out-of-core
     // accounting — are `factor_permuted`'s on one such machine and
     // `FactorOptions::rehearse`'s, bit for bit, at every worker count.
