@@ -71,7 +71,8 @@ RUST_TEST_THREADS=1 cargo test -q --release -p mf-server
 #                    drain driver's OOM fallbacks and bits (f64 and f32); a
 #                    failing pivot at 1/2 devices reports the serial column and
 #                    hands the device back empty
-#   ooc_             budgeted == in-core bits, residency, bf16 spill, typed errors
+#   ooc_             budgeted == in-core bits at every budget and worker count,
+#                    residency, refinement under a budget, typed errors
 #   symbolic_flat, bottom_subtrees, subtree_tasks
 #                    the row-structure range tasks == the serial build at 1/2/4/8
 #                    workers, the factor's subtree partition, the factor and
@@ -141,11 +142,12 @@ RUST_TEST_THREADS=1 cargo test -q --release -p mf-server
 #                    total_time, every FuRecord field, gpu, gpu_devices,
 #                    peer_bytes, oom_fallbacks, plan and ooc, bit for bit,
 #                    or the run's error, over fixed P1-P4, the baseline
-#                    hybrid and a mixed oracle table, both P4 transfer plans,
-#                    drain and pipelined at 1/2/4 devices, three matrices, on
-#                    the paper node, a 2 000-byte device and a CPU-only node,
-#                    in core and under budgets at min_feasible_budget and
-#                    halfway to in core (ladder off and bf16); the plan
+#                    hybrid, a hand-set model hybrid picking at least two
+#                    policies per matrix and a mixed oracle table, both P4
+#                    transfer plans, drain and pipelined at 1/2/4 devices,
+#                    three matrices, on the paper node, a 2 000-byte device
+#                    and a CPU-only node, in core and under budgets at
+#                    min_feasible_budget and halfway to in core; the plan
 #                    records the P2-loses / P4-wins rehearsals it ran
 #   keep_update_path_is_bitwise_identical_to_download_path
 #                    the keep rule (update downloads dropped, the device
@@ -187,10 +189,10 @@ determinism arena_storage 2
 determinism analysis_ 5
 determinism numeric_ 1
 determinism multigpu_ 3
-determinism ooc_ 6
+determinism ooc_ 4
 determinism sim_clock 3
 determinism driver_errors 2
-property ooc_ 2
+property ooc_ 1
 property symbolic_flat 1
 property bottom_subtrees 1
 property subtree_tasks 1

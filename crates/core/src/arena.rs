@@ -18,9 +18,8 @@
 //! the largest bottom subtree that worker has run. An update that leaves
 //! its range — a different worker consumes it, so no one stack can hold it
 //! — is assembled in a buffer of its own instead. The stack is the same
-//! under a memory budget: the out-of-core plan decides residency itself,
-//! and the arena only lends it [`FrontArena::update_at_mut`] to degrade a
-//! spill-bound block in place.
+//! under a memory budget: the out-of-core plan prices residency on the
+//! simulated clock and never touches a block.
 
 use mf_dense::Scalar;
 
@@ -91,13 +90,6 @@ impl<T: Scalar> FrontArena<T> {
         self.buf.copy_within(front_off..front_off + m * m, dest);
         self.top = dest + m * m;
     }
-
-    /// The packed update region written by the last [`Self::pop_and_compact`]
-    /// for a supernode whose update landed at `off` — the out-of-core driver
-    /// degrades spill-bound updates in place through this.
-    pub fn update_at_mut(&mut self, off: usize, m: usize) -> &mut [T] {
-        &mut self.buf[off..off + m * m]
-    }
 }
 
 #[cfg(test)]
@@ -128,10 +120,10 @@ mod tests {
         parent.copy_from_slice(&[11.0, 21.0, 0.0, 22.0]);
         arena.pop_and_compact(4, 2, 0);
         assert_eq!(arena.top(), 4);
-        assert_eq!(arena.update_at_mut(0, 2), [11.0, 21.0, 0.0, 22.0]);
         assert_eq!(arena.high_water(), 8);
-        // A root (m = 0) releases everything it consumed.
-        let _ = arena.split_for_front(0);
+        // A root (m = 0) sees the parent's block moved down below it, and
+        // releases everything it consumed.
+        assert_eq!(arena.split_for_front(0).0, [11.0, 21.0, 0.0, 22.0]);
         arena.pop_and_compact(4, 0, 0);
         assert_eq!(arena.top(), 0);
     }

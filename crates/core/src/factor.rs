@@ -122,19 +122,14 @@ pub struct FactorOptions {
     pub devices: MultiGpuOptions,
     /// Out-of-core residency budget in bytes for the factor slab plus the
     /// front arena (DESIGN.md §4.14). `None` runs fully in core. With a
-    /// budget set, the drivers replay the deterministic spill schedule of
-    /// [`crate::ooc::plan_ooc`]: transfers
-    /// are charged on the executing clock, `FactorStats::ooc` reports the
-    /// traffic, and the plan drains (the residency plan models the drain
-    /// schedule's front lifetimes exactly).
+    /// budget set, the run drains (the residency plan models the drain
+    /// schedule's front lifetimes exactly) and prices the deterministic spill
+    /// schedule of [`crate::ooc::plan_ooc`] on its simulated clock;
+    /// `FactorStats::ooc` reports the traffic. A budget moves the clock,
+    /// never the bits: the factor is the in-core run's.
     /// Budgets below [`crate::ooc::min_feasible_budget`] fail with
     /// [`FactorError::BudgetTooSmall`].
     pub memory_budget: Option<usize>,
-    /// Storage precision of spilled blocks (see
-    /// [`crate::ooc::PrecisionLadder`]); only meaningful with a budget.
-    /// Off by default — budgeted runs are then bitwise identical to
-    /// in-core runs.
-    pub ladder: crate::ooc::PrecisionLadder,
 }
 
 impl Default for FactorOptions {
@@ -147,7 +142,6 @@ impl Default for FactorOptions {
             pipeline: PipelineOptions::default(),
             devices: MultiGpuOptions::default(),
             memory_budget: None,
-            ladder: crate::ooc::PrecisionLadder::default(),
         }
     }
 }
@@ -367,7 +361,10 @@ pub(crate) fn factor_drain<T: Scalar>(
     opts: &FactorOptions,
     data: Option<(&SymCsc<T>, &mut [T])>,
 ) -> Result<FactorStats, FactorError> {
-    let ooc_plan = ooc_plan::<T>(symbolic, opts)?;
+    // The deterministic out-of-core schedule of a budgeted run, pinned before
+    // any front moves; an infeasible budget fails typed here.
+    let plan = |budget| plan_ooc(symbolic, T::BYTES, budget, &TierParams::default());
+    let ooc_plan = opts.memory_budget.map(plan).transpose()?;
     let mut pool = pinned_pool(opts);
     pool.set_virtual(data.is_none());
     let mut rel: Vec<usize> = Vec::new();
@@ -406,19 +403,9 @@ pub(crate) fn factor_drain<T: Scalar>(
     Ok(stats)
 }
 
-/// The deterministic out-of-core schedule of a budgeted run (`None` in core),
-/// pinned before any numbers move; an infeasible budget fails typed here.
-pub(crate) fn ooc_plan<T: Scalar>(
-    symbolic: &SymbolicFactor,
-    opts: &FactorOptions,
-) -> Result<Option<OocPlan>, FactorError> {
-    let plan = |budget| plan_ooc(symbolic, T::BYTES, budget, opts.ladder, &TierParams::default());
-    Ok(opts.memory_budget.map(plan).transpose()?)
-}
-
 /// What the arena factorization of a postorder range reads besides its data:
-/// the shared structure, the options and (budgeted runs) the out-of-core
-/// plan.
+/// the shared structure, the options and (a budgeted serial drain) the
+/// out-of-core plan whose transfers it charges.
 pub(crate) struct FrontRun<'a> {
     pub symbolic: &'a SymbolicFactor,
     pub opts: &'a FactorOptions,
@@ -514,7 +501,7 @@ impl FrontRun<'_> {
                 info.col_start..info.col_end,
                 symbolic.update_rows(sn),
                 children,
-                &mut *panel,
+                panel,
                 update,
                 rel,
             );
@@ -525,13 +512,6 @@ impl FrontRun<'_> {
                 out = (m > 0).then_some(leaving);
             } else {
                 arena.pop_and_compact(front_off, m, dest);
-            }
-            if let Some(plan) = self.ooc_plan {
-                let update = match out.as_deref_mut() {
-                    Some(u) => u,
-                    None => arena.update_at_mut(dest, m),
-                };
-                plan.finish_front(sn, panel, update);
             }
         }
         Ok(out)
@@ -839,16 +819,17 @@ mod tests {
     #[test]
     fn rehearsal_equals_the_run_it_predicts() {
         // A rehearsal is exact only if a timing-only run charges what the run
-        // with data charges. Over fixed P1–P4, the baseline hybrid and a mixed
-        // oracle table, both P4 transfer plans, drain and pipelined at 1, 2
-        // and 4 devices, three matrices, on the paper node, on a device too
-        // small for the big fronts and on a node without a device — and under
-        // a memory budget at the smallest feasible size and halfway to in
-        // core, each with and without the bf16 ladder: `rehearse` equals
+        // with data charges. Over fixed P1–P4, the baseline hybrid, a
+        // hand-set model hybrid and a mixed oracle table, both P4 transfer
+        // plans, drain and pipelined at 1, 2 and 4 devices, three matrices,
+        // on the paper node, on a device too small for the big fronts and on
+        // a node without a device — and under a memory budget at the smallest
+        // feasible size and halfway to in core: `rehearse` equals
         // `factor_permuted` on every clock field and on the out-of-core
         // accounting, to the bit, holds no storage, and fails where the run
         // fails with the run's error.
-        use crate::ooc::{in_core_bytes, min_feasible_budget, PrecisionLadder};
+        use crate::features::NUM_FEATURES;
+        use crate::ooc::{in_core_bytes, min_feasible_budget};
         use crate::plan::{Decision, Schedule};
         use crate::stats::FuRecord;
         let matrices = [
@@ -874,6 +855,14 @@ mod tests {
         let util_bits = |u: &mf_gpusim::GpuUtilization| {
             ([u.compute_busy, u.copy_busy, u.span].map(f64::to_bits), u.gpus)
         };
+        // A model hybrid on x = ln(1 + front ops): P1 scores 0, P2 x − ln 5e3
+        // and P4 2x − ln 5e3 − ln 1e6, so P1 below 5e3 ops, P4 above 1e6.
+        let mut model = LinearPolicyModel::constant(PolicyKind::P1);
+        model.theta = vec![[0.0; NUM_FEATURES]; 4];
+        model.theta[PolicyKind::P2.index()][0] = -(5e3f64.ln());
+        model.theta[PolicyKind::P2.index()][NUM_FEATURES - 1] = 1.0;
+        model.theta[PolicyKind::P4.index()][0] = -(5e3f64.ln() + 1e6f64.ln());
+        model.theta[PolicyKind::P4.index()][NUM_FEATURES - 1] = 2.0;
         let (mut oom_fallbacks, mut spilled, mut failed) = (0, 0, 0);
         for (name, a) in &matrices {
             let amalg = AmalgamationOptions::default();
@@ -883,13 +872,12 @@ mod tests {
             // The two runs agree; returns the run's stats, if it ran.
             let check = |opts: &FactorOptions, kind: usize| {
                 let what = format!(
-                    "{name} node {kind} {:?} copy_optimized={} {:?} {:?} budget={:?} {:?}",
+                    "{name} node {kind} {:?} copy_optimized={} {:?} {:?} budget={:?}",
                     opts.selector,
                     opts.copy_optimized,
                     opts.pipeline,
                     opts.devices,
-                    opts.memory_budget,
-                    opts.ladder
+                    opts.memory_budget
                 );
                 let mut machine = node(kind);
                 let ran = factor_permuted(&a32, symbolic, &analysis.perm, &mut machine, opts);
@@ -926,22 +914,26 @@ mod tests {
                 Some(ran)
             };
             let mixed = (0..symbolic.num_supernodes()).map(|sn| PolicyKind::ALL[sn % 4]).collect();
+            let mut picked: Vec<usize> =
+                symbolic.supernodes.iter().map(|i| model.predict(i.m(), i.k()).index()).collect();
+            picked.sort();
+            picked.dedup();
+            assert!(picked.len() >= 2, "{name}: the model picks only {picked:?}");
             let mut selectors: Vec<PolicySelector> =
                 PolicyKind::ALL.iter().map(|&p| PolicySelector::Fixed(p)).collect();
             selectors.push(PolicySelector::Baseline(BaselineThresholds::default()));
+            selectors.push(PolicySelector::Model(model.clone()));
             selectors.push(PolicySelector::Oracle(mixed));
-            // In core on every node, every schedule; under each budget and
-            // ladder on the paper node and the CPU alone, drained and asked
-            // to pipeline (which drains under a budget).
+            // In core on every node, every schedule; under each budget on the
+            // paper node and the CPU alone, drained and asked to pipeline
+            // (which drains under a budget).
             let (min, in_core) = (min_feasible_budget(symbolic, 4), in_core_bytes(symbolic, 4));
-            let mut setups = vec![(None, PrecisionLadder::Off, vec![0, 1, 2], 4)];
+            let mut setups = vec![(None, vec![0, 1, 2], 4)];
             for budget in [min, min + (in_core - min) / 2] {
-                for ladder in [PrecisionLadder::Off, PrecisionLadder::Bf16] {
-                    setups.push((Some(budget), ladder, vec![0, 2], 2));
-                }
+                setups.push((Some(budget), vec![0, 2], 2));
             }
             let schedules = [(false, 1), (true, 1), (true, 2), (true, 4)];
-            for (memory_budget, ladder, kinds, nschedules) in setups {
+            for (memory_budget, kinds, nschedules) in setups {
                 for kind in kinds {
                     for (selector, copy_optimized) in
                         selectors.iter().flat_map(|s| [(s, false), (s, true)])
@@ -954,7 +946,6 @@ mod tests {
                                 pipeline: PipelineOptions { enabled: pipelined },
                                 devices: MultiGpuOptions::devices(devices),
                                 memory_budget,
-                                ladder,
                                 ..Default::default()
                             };
                             let Some(ran) = check(&opts, kind) else {

@@ -52,7 +52,7 @@ pub use fu::estimate_fu_time;
 pub use multigpu::MultiGpuOptions;
 pub use ooc::{
     in_core_bytes, min_feasible_budget, plan_ooc, OocError, OocEvent, OocEventKind, OocPlan,
-    OocStats, PrecisionLadder,
+    OocStats,
 };
 pub use parallel::{
     durations_by_supernode, factor_permuted_parallel, simulate_tree_schedule, MoldableModel,
@@ -76,7 +76,7 @@ pub use mf_sparse::{analyze, analyze_parallel, Analysis, AnalyzeError};
 pub mod prelude {
     pub use crate::factor::{FactorOptions, PipelineOptions, PolicySelector};
     pub use crate::multigpu::MultiGpuOptions;
-    pub use crate::ooc::{in_core_bytes, min_feasible_budget, OocError, PrecisionLadder};
+    pub use crate::ooc::{in_core_bytes, min_feasible_budget, OocError};
     pub use crate::plan::{Decision, ExecPlan, PlanError, Schedule};
     pub use crate::policy::{BaselineThresholds, PolicyKind};
     pub use crate::solver::{

@@ -1,5 +1,5 @@
 //! Out-of-core execution: memory-budgeted residency with liveness-driven
-//! eviction and a mixed-precision spill ladder (DESIGN.md §4.14).
+//! eviction (DESIGN.md §4.14).
 //!
 //! The in-core drivers keep the whole factor slab plus the front arena
 //! resident — `in_core_bytes` — which caps solvable N at device memory.
@@ -35,178 +35,23 @@
 //! ## Replay
 //!
 //! A budgeted run takes the drain schedule at every worker count, the one
-//! schedule whose front lifetimes the plan models. The arena loop calls
-//! [`OocPlan::begin_front`] before each front, which charges that step's
-//! transfers on the executing [`HostClock`](mf_gpusim::HostClock) through
-//! `charge_memop`, so spill traffic shares the virtual timeline with every
-//! other cost, and [`OocPlan::finish_front`] after it. Residency is the
-//! plan's alone: [`OocStats`] reports it, and no driver keeps a second
-//! account.
+//! schedule whose front lifetimes the plan models. The serial arena loop
+//! calls [`OocPlan::begin_front`] before each front, which charges that
+//! step's transfers on the executing [`HostClock`](mf_gpusim::HostClock)
+//! through `charge_memop`, so spill traffic shares the virtual timeline with
+//! every other cost. Residency is the plan's alone: [`OocStats`] reports it,
+//! and no driver keeps a second account.
 //!
-//! ## Precision ladder
-//!
-//! Spilled blocks may be stored down-converted ([`PrecisionLadder`]):
-//! bf16 or f16 storage halves spill traffic of an f32 factorization while
-//! f32 compute and the existing f64 iterative refinement absorb the
-//! storage error — the storage-vs-compute precision split of
-//! Li/Serban/Negrut (PAPERS.md), extending the paper's f32+refinement
-//! scheme (§V). Down-conversion is applied *once*, in place, at the
-//! moment a block is first produced if the plan says it will ever be
-//! stored encoded; numerics therefore depend only on the (budget,
-//! ladder) pair, never on worker count or on when the replayed transfers
-//! happen — with the ladder off the factor is bitwise identical to the
-//! in-core driver.
+//! A spilled block comes back as it left, in the compute precision, so a
+//! budget moves the simulated clock and never the bits: a budgeted factor is
+//! bitwise identical to the in-core one at every budget and worker count.
+//! The plan only prices transfers, so the parallel drain's workers run
+//! without one; that run's simulated fields are its serial rehearsal's.
 
 use std::collections::BTreeSet;
 
-use mf_dense::Scalar;
 use mf_gpusim::{HostClock, SpillTier, TierParams};
 use mf_sparse::SymbolicFactor;
-
-/// Storage precision of spilled blocks.
-///
-/// Compute precision is unchanged (the factorization runs in `T`); the
-/// ladder only governs what a block looks like while it lives on a spill
-/// tier. `Bf16`/`F16` store 2 bytes per scalar regardless of `T`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PrecisionLadder {
-    /// Spilled blocks keep the compute precision; reloads are bitwise.
-    #[default]
-    Off,
-    /// bfloat16 storage: f32 range, 8-bit mantissa. Round-to-nearest-even.
-    Bf16,
-    /// IEEE half storage: 11-bit mantissa, saturating at ±65504 (a spill
-    /// encoder must never manufacture infinities).
-    F16,
-}
-
-impl PrecisionLadder {
-    /// Short stable name (used in reports and logs).
-    pub fn name(self) -> &'static str {
-        match self {
-            PrecisionLadder::Off => "off",
-            PrecisionLadder::Bf16 => "bf16",
-            PrecisionLadder::F16 => "f16",
-        }
-    }
-
-    /// Bytes one scalar occupies on a spill tier when the compute type
-    /// has `elem_bytes` bytes.
-    pub fn stored_bytes(self, elem_bytes: usize) -> usize {
-        match self {
-            PrecisionLadder::Off => elem_bytes,
-            PrecisionLadder::Bf16 | PrecisionLadder::F16 => 2,
-        }
-    }
-
-    /// The value a scalar comes back as after one store/load round trip.
-    ///
-    /// The encoder is f32-front-ended: f64 inputs first round to f32
-    /// (RNE), then to the 16-bit storage format — the same double
-    /// rounding a real half-precision spill path performs.
-    pub fn store_and_load(self, x: f64) -> f64 {
-        match self {
-            PrecisionLadder::Off => x,
-            PrecisionLadder::Bf16 => bf16_roundtrip(x as f32) as f64,
-            PrecisionLadder::F16 => f16_roundtrip(x as f32) as f64,
-        }
-    }
-
-    /// Degrade a block in place to what it will read back as from a spill
-    /// tier. Idempotent; a no-op when the ladder is off.
-    pub fn degrade_slice<T: Scalar>(self, xs: &mut [T]) {
-        match self {
-            PrecisionLadder::Off => {}
-            PrecisionLadder::Bf16 => {
-                for x in xs {
-                    *x = T::from_f64(bf16_roundtrip(x.to_f64() as f32) as f64);
-                }
-            }
-            PrecisionLadder::F16 => {
-                for x in xs {
-                    *x = T::from_f64(f16_roundtrip(x.to_f64() as f32) as f64);
-                }
-            }
-        }
-    }
-}
-
-/// f32 → bf16 → f32 round trip, round-to-nearest-even, saturating to the
-/// largest finite bf16 instead of overflowing to infinity.
-fn bf16_roundtrip(x: f32) -> f32 {
-    if !x.is_finite() {
-        return x;
-    }
-    let bits = x.to_bits();
-    let rounded = bits.wrapping_add(0x7FFF + ((bits >> 16) & 1)) & 0xFFFF_0000;
-    let out = f32::from_bits(rounded);
-    if out.is_infinite() {
-        // Rounding carried into the exponent of f32::MAX-scale inputs.
-        f32::from_bits((bits & 0x8000_0000) | 0x7F7F_0000)
-    } else {
-        out
-    }
-}
-
-/// f32 → IEEE half → f32 round trip (RNE, saturating at ±65504).
-fn f16_roundtrip(x: f32) -> f32 {
-    f32_from_f16(f16_from_f32(x))
-}
-
-fn f16_from_f32(x: f32) -> u16 {
-    let bits = x.to_bits();
-    let sign = ((bits >> 16) & 0x8000) as u16;
-    let exp = ((bits >> 23) & 0xFF) as i32;
-    let man = bits & 0x007F_FFFF;
-    if exp == 0xFF {
-        // Propagate NaN; saturate infinities like every other overflow.
-        return if man != 0 { sign | 0x7E00 } else { sign | 0x7BFF };
-    }
-    let e = exp - 127;
-    if e > 15 {
-        return sign | 0x7BFF; // saturate to 65504
-    }
-    if e >= -14 {
-        // Normal half: keep 10 mantissa bits, RNE on the 13 dropped.
-        let mut half = (((e + 15) as u32) << 10) | (man >> 13);
-        let rem = man & 0x1FFF;
-        if rem > 0x1000 || (rem == 0x1000 && half & 1 == 1) {
-            half += 1;
-            if half >= 0x7C00 {
-                half = 0x7BFF; // carry reached the infinity encoding
-            }
-        }
-        return sign | half as u16;
-    }
-    if e >= -24 {
-        // Subnormal half.
-        let man_full = man | 0x0080_0000;
-        let shift = (13 + (-14 - e)) as u32;
-        let mut half = man_full >> shift;
-        let rem = man_full & ((1u32 << shift) - 1);
-        let halfway = 1u32 << (shift - 1);
-        if rem > halfway || (rem == halfway && half & 1 == 1) {
-            half += 1;
-        }
-        return sign | half as u16;
-    }
-    sign // underflow to (signed) zero
-}
-
-fn f32_from_f16(h: u16) -> f32 {
-    let sign = ((h as u32) & 0x8000) << 16;
-    let exp = ((h >> 10) & 0x1F) as u32;
-    let man = (h & 0x3FF) as u32;
-    if exp == 0 {
-        // ±0 and subnormals: value = man · 2⁻²⁴, exact in f32.
-        let mag = man as f32 * f32::from_bits((127 - 24) << 23);
-        return if sign != 0 { -mag } else { mag };
-    }
-    if exp == 0x1F {
-        return if man != 0 { f32::NAN } else { f32::from_bits(sign | 0x7F80_0000) };
-    }
-    f32::from_bits(sign | ((exp + 112) << 23) | (man << 13))
-}
 
 /// Why an out-of-core plan cannot be built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -276,7 +121,7 @@ pub struct IoOp {
     pub tier: SpillTier,
     /// `true` = eviction (device → tier), `false` = reload.
     pub write: bool,
-    /// Encoded bytes on the wire (2 B/scalar under a 16-bit ladder).
+    /// Bytes on the wire: the block at its compute precision.
     pub bytes: usize,
 }
 
@@ -321,8 +166,6 @@ pub struct OocStats {
     pub budget_bytes: usize,
     /// Compute-precision scalar size.
     pub elem_bytes: usize,
-    /// Storage ladder for spilled blocks.
-    pub ladder: PrecisionLadder,
     /// The in-core working-set bound (slab + update-stack peak) — what an
     /// unbudgeted run would keep resident.
     pub logical_peak_bytes: usize,
@@ -332,13 +175,13 @@ pub struct OocStats {
     pub arena_resident_peak_bytes: usize,
     /// [`min_feasible_budget`] of the structure.
     pub min_feasible_bytes: usize,
-    /// Encoded bytes evicted to the pinned-host tier.
+    /// Bytes evicted to the pinned-host tier.
     pub host_bytes_out: usize,
-    /// Encoded bytes reloaded from the pinned-host tier.
+    /// Bytes reloaded from the pinned-host tier.
     pub host_bytes_in: usize,
-    /// Encoded bytes evicted to the disk tier.
+    /// Bytes evicted to the disk tier.
     pub disk_bytes_out: usize,
-    /// Encoded bytes reloaded from the disk tier.
+    /// Bytes reloaded from the disk tier.
     pub disk_bytes_in: usize,
     /// Number of block evictions.
     pub evictions: usize,
@@ -354,17 +197,17 @@ pub struct OocStats {
 }
 
 impl OocStats {
-    /// Total encoded eviction traffic.
+    /// Total eviction traffic in bytes.
     pub fn bytes_out(&self) -> usize {
         self.host_bytes_out + self.disk_bytes_out
     }
 
-    /// Total encoded reload traffic.
+    /// Total reload traffic in bytes.
     pub fn bytes_in(&self) -> usize {
         self.host_bytes_in + self.disk_bytes_in
     }
 
-    /// Total encoded spill traffic in both directions.
+    /// Total spill traffic in both directions, in bytes.
     pub fn traffic_bytes(&self) -> usize {
         self.bytes_out() + self.bytes_in()
     }
@@ -373,11 +216,9 @@ impl OocStats {
 /// A deterministic out-of-core schedule for one symbolic structure.
 ///
 /// Everything here is a pure function of `(symbolic, elem_bytes, budget,
-/// ladder, tiers)` — no numeric values, no worker count, no clock state —
-/// which is what makes budgeted factorization bitwise-deterministic: the
-/// serial and parallel drivers both consume the same plan and apply the
-/// same [`OocPlan::degrade_panel`]/[`OocPlan::degrade_update`] flags at
-/// block production time.
+/// tiers)` — no numeric values, no worker count, no clock state — and
+/// nothing in it touches a value: it prices the transfers of a budgeted run
+/// and reports its residency, and the factor's bits are the in-core run's.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OocPlan {
     /// Totals, surfaced as `FactorStats::ooc`.
@@ -385,15 +226,9 @@ pub struct OocPlan {
     /// Per-postorder-rank transfers to replay (charge on the executing
     /// clock) before processing that supernode.
     pub step_io: Vec<Vec<IoOp>>,
-    /// Per-supernode: the panel is stored encoded at some point, so the
-    /// driver must degrade it (once, at production) to the ladder's
-    /// read-back value.
-    pub degrade_panel: Vec<bool>,
-    /// Per-supernode: ditto for the packed update block.
-    pub degrade_update: Vec<bool>,
     /// Where each panel lives when factorization ends (`None` = resident).
     pub panel_tier: Vec<Option<SpillTier>>,
-    /// Pinned-host tier occupancy (encoded bytes) at the end.
+    /// Pinned-host tier occupancy in bytes at the end.
     pub host_used_end: usize,
     /// Full residency trace for invariant checking.
     pub events: Vec<OocEvent>,
@@ -413,19 +248,6 @@ impl OocPlan {
             host.charge_memop(op.bytes, bw);
         }
     }
-
-    /// Degrade the blocks of supernode `sn` the plan ever stores encoded —
-    /// its factor `panel`, its packed `update` (empty at a root) — to their
-    /// tier read-back values, once, at production: numerics then cannot
-    /// depend on when transfers happen.
-    pub(crate) fn finish_front<T: Scalar>(&self, sn: usize, panel: &mut [T], update: &mut [T]) {
-        if self.degrade_update[sn] {
-            self.stats.ladder.degrade_slice(update);
-        }
-        if self.degrade_panel[sn] {
-            self.stats.ladder.degrade_slice(panel);
-        }
-    }
 }
 
 /// Mutable planner state: device residency, tier occupancy, the Belady
@@ -433,10 +255,8 @@ impl OocPlan {
 struct PlanState<'a> {
     nsn: usize,
     elem_bytes: usize,
-    enc_bytes: usize,
     budget: usize,
     tiers: &'a TierParams,
-    ladder: PrecisionLadder,
     /// Scalar counts per block: `[0, nsn)` = panels (s·k), `[nsn, 2nsn)`
     /// = updates (m·m).
     block_elems: Vec<usize>,
@@ -447,7 +267,7 @@ struct PlanState<'a> {
     spilled: Vec<Option<SpillTier>>,
     /// Resident blocks currently eligible for eviction, max key first.
     evictable: BTreeSet<(usize, usize)>,
-    /// Device-resident bytes (compute precision).
+    /// Device-resident bytes.
     cur: usize,
     /// Of which, arena blocks (update blocks).
     arena_cur: usize,
@@ -455,17 +275,11 @@ struct PlanState<'a> {
     ops: Vec<IoOp>,
     events: Vec<OocEvent>,
     stats: OocStats,
-    degrade_panel: Vec<bool>,
-    degrade_update: Vec<bool>,
 }
 
 impl PlanState<'_> {
-    fn native(&self, blk: usize) -> usize {
+    fn bytes(&self, blk: usize) -> usize {
         self.block_elems[blk] * self.elem_bytes
-    }
-
-    fn encoded(&self, blk: usize) -> usize {
-        self.block_elems[blk] * self.enc_bytes
     }
 
     fn push_event(&mut self, rank: usize, kind: OocEventKind) {
@@ -484,34 +298,26 @@ impl PlanState<'_> {
                 OocError::BudgetTooSmall { budget: self.budget, required: self.cur + need }
             })?;
             self.evictable.remove(&(self.key[blk], blk));
-            let native = self.native(blk);
-            let enc = self.encoded(blk);
-            let tier = if self.host_used + enc <= self.tiers.host_capacity {
-                self.host_used += enc;
+            let bytes = self.bytes(blk);
+            let tier = if self.host_used + bytes <= self.tiers.host_capacity {
+                self.host_used += bytes;
                 SpillTier::Host
             } else {
                 SpillTier::Disk
             };
             self.spilled[blk] = Some(tier);
-            self.cur -= native;
+            self.cur -= bytes;
             match tier {
-                SpillTier::Host => self.stats.host_bytes_out += enc,
-                SpillTier::Disk => self.stats.disk_bytes_out += enc,
+                SpillTier::Host => self.stats.host_bytes_out += bytes,
+                SpillTier::Disk => self.stats.disk_bytes_out += bytes,
             }
             self.stats.evictions += 1;
-            self.stats.spill_seconds += self.tiers.transfer_seconds(tier, true, enc);
-            self.ops.push(IoOp { tier, write: true, bytes: enc });
-            if self.ladder != PrecisionLadder::Off {
-                if blk < self.nsn {
-                    self.degrade_panel[blk] = true;
-                } else {
-                    self.degrade_update[blk - self.nsn] = true;
-                }
-            }
+            self.stats.spill_seconds += self.tiers.transfer_seconds(tier, true, bytes);
+            self.ops.push(IoOp { tier, write: true, bytes });
             if blk < self.nsn {
                 self.push_event(rank, OocEventKind::EvictPanel(blk));
             } else {
-                self.arena_cur -= native;
+                self.arena_cur -= bytes;
                 self.push_event(rank, OocEventKind::EvictUpdate(blk - self.nsn));
             }
         }
@@ -529,7 +335,6 @@ pub fn plan_ooc(
     symbolic: &SymbolicFactor,
     elem_bytes: usize,
     budget_bytes: usize,
-    ladder: PrecisionLadder,
     tiers: &TierParams,
 ) -> Result<OocPlan, OocError> {
     let nsn = symbolic.num_supernodes();
@@ -561,10 +366,8 @@ pub fn plan_ooc(
     let mut st = PlanState {
         nsn,
         elem_bytes,
-        enc_bytes: ladder.stored_bytes(elem_bytes),
         budget: budget_bytes,
         tiers,
-        ladder,
         block_elems,
         key,
         spilled: vec![None; 2 * nsn],
@@ -577,13 +380,10 @@ pub fn plan_ooc(
         stats: OocStats {
             budget_bytes,
             elem_bytes,
-            ladder,
             logical_peak_bytes: in_core_bytes(symbolic, elem_bytes),
             min_feasible_bytes: min_feasible,
             ..OocStats::default()
         },
-        degrade_panel: vec![false; nsn],
-        degrade_update: vec![false; nsn],
     };
 
     let mut step_io = Vec::with_capacity(nsn);
@@ -616,28 +416,27 @@ pub fn plan_ooc(
             if st.block_elems[blk] == 0 {
                 continue;
             }
-            let native = st.native(blk);
+            let bytes = st.bytes(blk);
             if let Some(tier) = st.spilled[blk] {
-                let enc = st.encoded(blk);
-                st.make_room(native, r)?;
+                st.make_room(bytes, r)?;
                 st.spilled[blk] = None;
-                st.cur += native;
-                st.arena_cur += native;
+                st.cur += bytes;
+                st.arena_cur += bytes;
                 if tier == SpillTier::Host {
-                    st.host_used -= enc;
-                    st.stats.host_bytes_in += enc;
+                    st.host_used -= bytes;
+                    st.stats.host_bytes_in += bytes;
                 } else {
-                    st.stats.disk_bytes_in += enc;
+                    st.stats.disk_bytes_in += bytes;
                 }
                 st.stats.loads += 1;
-                st.stats.spill_seconds += tiers.transfer_seconds(tier, false, enc);
-                st.ops.push(IoOp { tier, write: false, bytes: enc });
+                st.stats.spill_seconds += tiers.transfer_seconds(tier, false, bytes);
+                st.ops.push(IoOp { tier, write: false, bytes });
                 st.push_event(r, OocEventKind::LoadUpdate(c));
             } else {
                 st.evictable.remove(&(st.key[blk], blk));
             }
-            st.cur -= native;
-            st.arena_cur -= native;
+            st.cur -= bytes;
+            st.arena_cur -= bytes;
             st.push_event(r, OocEventKind::ConsumeUpdate(c));
         }
 
@@ -659,8 +458,6 @@ pub fn plan_ooc(
     Ok(OocPlan {
         stats: st.stats,
         step_io,
-        degrade_panel: st.degrade_panel,
-        degrade_update: st.degrade_update,
         panel_tier,
         host_used_end: st.host_used,
         events: st.events,
@@ -681,56 +478,15 @@ mod tests {
     }
 
     #[test]
-    fn ladder_roundtrips_and_saturates() {
-        for lad in [PrecisionLadder::Bf16, PrecisionLadder::F16] {
-            // Powers of two and small integers are exact in both formats.
-            for x in [0.0, 1.0, -2.0, 0.5, 1024.0, -0.25] {
-                assert_eq!(lad.store_and_load(x), x, "{lad:?} should keep {x} exact");
-            }
-            // Idempotent: a second round trip changes nothing.
-            let once = lad.store_and_load(std::f64::consts::PI);
-            assert_eq!(lad.store_and_load(once), once);
-            assert!((once - std::f64::consts::PI).abs() < 2e-2);
-        }
-        // f16 saturates instead of overflowing to infinity.
-        assert_eq!(PrecisionLadder::F16.store_and_load(1e9), 65504.0);
-        assert_eq!(PrecisionLadder::F16.store_and_load(-1e9), -65504.0);
-        assert!(PrecisionLadder::Bf16.store_and_load(f32::MAX as f64).is_finite());
-        // Subnormal halves survive the trip.
-        let tiny = PrecisionLadder::F16.store_and_load(6e-8);
-        assert!(tiny > 0.0 && tiny < 1e-7);
-        // RNE: 1 + 2^-11 is halfway in f16 (10-bit mantissa) and must
-        // round to the even neighbour, 1.0.
-        assert_eq!(PrecisionLadder::F16.store_and_load(1.0 + 2f64.powi(-11)), 1.0);
-        // Off is the identity.
-        assert_eq!(PrecisionLadder::Off.store_and_load(std::f64::consts::E), std::f64::consts::E);
-    }
-
-    #[test]
-    fn degrade_slice_matches_scalar_roundtrip() {
-        let mut xs: Vec<f32> = (0..64).map(|i| (i as f32).sin() * 3.0).collect();
-        let orig = xs.clone();
-        PrecisionLadder::Bf16.degrade_slice(&mut xs);
-        for (d, o) in xs.iter().zip(&orig) {
-            assert_eq!(*d as f64, PrecisionLadder::Bf16.store_and_load(*o as f64));
-        }
-        // f64 inputs go through the f32 front end.
-        let mut ys = [std::f64::consts::PI];
-        PrecisionLadder::F16.degrade_slice(&mut ys);
-        assert_eq!(ys[0], PrecisionLadder::F16.store_and_load(std::f64::consts::PI));
-    }
-
-    #[test]
     fn full_budget_plans_no_traffic() {
         let sym = test_symbolic();
         let bound = in_core_bytes(&sym, 4);
-        let plan = plan_ooc(&sym, 4, bound, PrecisionLadder::Off, &TierParams::default()).unwrap();
+        let plan = plan_ooc(&sym, 4, bound, &TierParams::default()).unwrap();
         assert_eq!(plan.stats.evictions, 0);
         assert_eq!(plan.stats.loads, 0);
         assert_eq!(plan.stats.traffic_bytes(), 0);
         assert_eq!(plan.stats.panels_spilled_at_end, 0);
         assert!(plan.step_io.iter().all(|s| s.is_empty()));
-        assert!(plan.degrade_panel.iter().all(|&d| !d));
         assert!(plan.stats.resident_peak_bytes <= bound);
     }
 
@@ -741,7 +497,7 @@ mod tests {
         let min = min_feasible_budget(&sym, 4);
         assert!(min <= bound);
         let budget = (bound * 3 / 10).max(min);
-        let plan = plan_ooc(&sym, 4, budget, PrecisionLadder::Off, &TierParams::default()).unwrap();
+        let plan = plan_ooc(&sym, 4, budget, &TierParams::default()).unwrap();
         assert!(plan.stats.evictions > 0, "30% budget must evict");
         assert!(plan.stats.panels_spilled_at_end > 0);
         assert!(plan.events.iter().all(|e| e.resident_bytes <= budget));
@@ -760,7 +516,7 @@ mod tests {
     fn infeasible_budget_is_typed() {
         let sym = test_symbolic();
         let min = min_feasible_budget(&sym, 4);
-        match plan_ooc(&sym, 4, min - 1, PrecisionLadder::Off, &TierParams::default()) {
+        match plan_ooc(&sym, 4, min - 1, &TierParams::default()) {
             Err(OocError::BudgetTooSmall { budget, required }) => {
                 assert_eq!(budget, min - 1);
                 assert_eq!(required, min);
@@ -768,29 +524,17 @@ mod tests {
             other => panic!("expected BudgetTooSmall, got {other:?}"),
         }
         // At exactly the minimum the plan must succeed.
-        assert!(plan_ooc(&sym, 4, min, PrecisionLadder::Off, &TierParams::default()).is_ok());
+        assert!(plan_ooc(&sym, 4, min, &TierParams::default()).is_ok());
     }
 
     #[test]
-    fn plan_is_deterministic_and_ladder_halves_traffic() {
+    fn plan_is_a_pure_function_of_its_inputs() {
         let sym = test_symbolic();
         let bound = in_core_bytes(&sym, 4);
         let budget = (bound * 3 / 10).max(min_feasible_budget(&sym, 4));
         let tiers = TierParams::default();
-        let a = plan_ooc(&sym, 4, budget, PrecisionLadder::Off, &tiers).unwrap();
-        let b = plan_ooc(&sym, 4, budget, PrecisionLadder::Off, &tiers).unwrap();
+        let a = plan_ooc(&sym, 4, budget, &tiers).unwrap();
+        let b = plan_ooc(&sym, 4, budget, &tiers).unwrap();
         assert_eq!(a, b, "the plan is a pure function of its inputs");
-        let bf = plan_ooc(&sym, 4, budget, PrecisionLadder::Bf16, &tiers).unwrap();
-        // Same schedule, half the encoded bytes per f32 scalar.
-        assert_eq!(bf.stats.evictions, a.stats.evictions);
-        assert_eq!(bf.stats.traffic_bytes() * 2, a.stats.traffic_bytes());
-        // Every spilled block is flagged for degradation, and only those.
-        for sn in 0..sym.num_supernodes() {
-            if bf.panel_tier[sn].is_some() {
-                assert!(bf.degrade_panel[sn]);
-            }
-        }
-        assert!(bf.degrade_panel.iter().any(|&d| d));
-        assert!(a.degrade_panel.iter().all(|&d| !d), "ladder off never degrades");
     }
 }

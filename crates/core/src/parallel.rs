@@ -39,7 +39,7 @@
 
 use crate::arena::FrontArena;
 use crate::factor::{
-    ooc_plan, pinned_pool, CholeskyFactor, FactorError, FactorOptions, FrontRun, SharedSlice,
+    pinned_pool, CholeskyFactor, FactorError, FactorOptions, FrontRun, SharedSlice,
 };
 use crate::lane::take_children;
 use crate::pinned_pool::PinnedPool;
@@ -282,6 +282,10 @@ pub fn factor_permuted_parallel<T: Scalar>(
 /// `thread_budget` threads between them, `a`'s values assembled and the
 /// panels put into `slab`. Returns the run's storage accounting:
 /// `(peak_front_bytes, front_alloc_events)`.
+///
+/// The run's simulated fields are its rehearsal's, so the workers book no
+/// per-front records and carry no out-of-core plan: a budget prices spills,
+/// and moves no bit.
 pub(crate) fn factor_tasks<T: Scalar>(
     (a, slab): (&SymCsc<T>, &mut [T]),
     symbolic: &SymbolicFactor,
@@ -290,12 +294,6 @@ pub(crate) fn factor_tasks<T: Scalar>(
     thread_budget: usize,
 ) -> Result<(usize, u64), FactorError> {
     let workers = machines.len();
-
-    // Budgeted runs consume the same deterministic out-of-core schedule as
-    // the serial driver: the plan decides residency and which blocks get
-    // ladder-degraded; workers only replay its transfers and apply its
-    // flags, so the factor bits cannot depend on worker count.
-    let ooc_plan = ooc_plan::<T>(symbolic, opts)?;
 
     // Bottom subtrees: runs of CPU fronts small enough to stay in cache.
     // Decided from the symbolic structure and the policy selector alone —
@@ -331,7 +329,8 @@ pub(crate) fn factor_tasks<T: Scalar>(
     // A subtree task's stack bound; a single supernode keeps nothing on the
     // stack (its update is assembled straight into the hand-off buffer).
     let peaks = symbolic.subtree_update_peaks();
-    let front_run = FrontRun { symbolic, opts, ooc_plan: ooc_plan.as_ref() };
+    let opts = &FactorOptions { record_stats: false, ..opts.clone() };
+    let front_run = FrontRun { symbolic, opts, ooc_plan: None };
     let budget = ThreadBudget::new(thread_budget);
 
     let states: Vec<WorkerCtx<'_, T>> = machines

@@ -226,8 +226,8 @@ impl FactorOptions {
 /// on its driver, the clocks of the machines it runs on started at zero, and
 /// record it and the call's wall time in the stats. From the parallel entry
 /// (`par`) a drain runs as range tasks over every machine, its
-/// simulated fields the drain's rehearsal on the first; every other run is
-/// the serial driver's on the first machine.
+/// simulated fields the drain's rehearsal on the first, rehearsed before the
+/// tasks start; every other run is the serial driver's on the first machine.
 pub(crate) fn run_plan<T: Scalar>(
     plan: ExecPlan,
     a: &SymCsc<T>,
@@ -241,10 +241,12 @@ pub(crate) fn run_plan<T: Scalar>(
     let mut slab = vec![T::ZERO; symbolic.factor_slab_len()];
     let stats = match (plan.schedule, par) {
         (Schedule::Drain, Some(par)) => {
+            // The rehearsal goes first: it builds the budget's out-of-core
+            // plan, so an infeasible budget fails typed before any worker runs.
+            let clock = rehearse::<T>(Schedule::Drain, symbolic, opts, &machines[0])?;
             machines.iter_mut().for_each(Machine::reset);
             let (peak_front_bytes, front_alloc_events) =
                 factor_tasks((a, &mut slab), symbolic, machines, opts, par.thread_budget)?;
-            let clock = rehearse::<T>(Schedule::Drain, symbolic, opts, &machines[0])?;
             FactorStats { peak_front_bytes, front_alloc_events, ..clock }
         }
         (schedule, _) => {

@@ -382,7 +382,7 @@ fn budgeted_sessions_reserve_the_cap_and_infeasible_caps_are_typed() {
     assert_eq!(full_charge - charged, bound - budget, "the saving is exactly the trimmed bound");
 
     // And it still answers bitwise identically to the in-core serial
-    // reference — spilling moves bytes, never bits (ladder off).
+    // reference — spilling moves bytes, never bits.
     let b = rhs(n, 2, 9);
     let expected = serial_answer(&a, &b, 2);
     assert_bitwise(&server.solve_many(sess, b, 2).unwrap(), &expected, "budgeted session");

@@ -972,10 +972,7 @@ fn numeric_bits_match_golden() {
 
 // ───────────────────────── out-of-core (memory-budgeted) execution ─────────
 
-use gpu_multifrontal::core::{
-    in_core_bytes, min_feasible_budget, plan_ooc, PrecisionLadder, SolverOptions, SpdSolver,
-};
-use gpu_multifrontal::gpusim::TierParams;
+use gpu_multifrontal::core::{in_core_bytes, min_feasible_budget, SolverOptions, SpdSolver};
 
 /// Matrices whose elimination trees leave real spill headroom: the
 /// elongated Laplacian's root front is small relative to the total bound
@@ -995,7 +992,7 @@ fn budget_for(symbolic: &SymbolicFactor, elem: usize, frac: f64) -> usize {
     ((bound as f64 * frac) as usize).max(min_feasible_budget(symbolic, elem))
 }
 
-/// The tentpole determinism contract: with the ladder off, a budgeted
+/// The out-of-core determinism contract: a budgeted
 /// factorization is bitwise identical to the in-core one — at every budget,
 /// every worker count and both precisions — and what it spills costs
 /// simulated time.
@@ -1076,66 +1073,6 @@ fn ooc_budgeted_bitwise_identical_to_in_core_f32() {
 }
 
 #[test]
-fn ooc_bf16_ladder_fixed_config_is_schedule_independent() {
-    // With a 16-bit spill ladder the factor differs from in-core (storage
-    // rounding is real), but for a fixed (budget, ladder) pair it is still
-    // bitwise identical across serial/parallel and every worker count.
-    let a = laplacian_3d(6, 6, 60, Stencil::Faces);
-    let an = analysis_of(&a);
-    let a32: SymCsc<f32> = an.permuted.0.cast();
-    let budget = budget_for(&an.symbolic, 4, 0.4);
-
-    let mut m0 = Machine::paper_node();
-    let (f_incore, _) =
-        factor_permuted(&a32, &an.symbolic, &an.perm, &mut m0, &FactorOptions::default()).unwrap();
-
-    for ladder in [PrecisionLadder::Bf16, PrecisionLadder::F16] {
-        let opts = FactorOptions { memory_budget: Some(budget), ladder, ..Default::default() };
-        let mut ms = Machine::paper_node();
-        let (fs, ss) = factor_permuted(&a32, &an.symbolic, &an.perm, &mut ms, &opts).unwrap();
-        let reference = panel_bits(&fs);
-        assert_ne!(
-            reference,
-            panel_bits(&f_incore),
-            "{ladder:?}: a tight budget must actually degrade some spilled block"
-        );
-        // Traffic shrinks by exactly the storage ratio (2 B vs 4 B): the
-        // eviction schedule is chosen on native sizes, so it is identical.
-        assert_eq!(ss.ooc.as_ref().unwrap().elem_bytes, 4);
-        for workers in [1usize, 2, 4, 8] {
-            let mut machines: Vec<Machine> = (0..workers).map(|_| Machine::paper_node()).collect();
-            let par = ParallelOptions { thread_budget: 4 };
-            let (fp, _) =
-                factor_permuted_parallel(&a32, &an.symbolic, &an.perm, &mut machines, &opts, &par)
-                    .unwrap();
-            assert_eq!(
-                reference,
-                panel_bits(&fp),
-                "{ladder:?}: {workers}-worker ladder factor diverged from serial"
-            );
-        }
-    }
-}
-
-#[test]
-fn ooc_ladder_halves_spill_traffic_without_changing_the_schedule() {
-    let a = laplacian_3d(6, 6, 60, Stencil::Faces);
-    let an = analysis_of(&a);
-    let tiers = TierParams::default();
-    let budget = budget_for(&an.symbolic, 4, 0.4);
-    let off = plan_ooc(&an.symbolic, 4, budget, PrecisionLadder::Off, &tiers).unwrap();
-    let bf16 = plan_ooc(&an.symbolic, 4, budget, PrecisionLadder::Bf16, &tiers).unwrap();
-    assert!(off.stats.traffic_bytes() > 0);
-    assert_eq!(
-        off.stats.traffic_bytes(),
-        2 * bf16.stats.traffic_bytes(),
-        "16-bit storage must exactly halve f32 spill traffic"
-    );
-    assert_eq!(off.stats.evictions, bf16.stats.evictions);
-    assert_eq!(off.stats.loads, bf16.stats.loads);
-}
-
-#[test]
 fn ooc_infeasible_budget_is_typed() {
     let a = laplacian_3d(7, 7, 7, Stencil::Faces);
     let an = analysis_of(&a);
@@ -1152,9 +1089,8 @@ fn ooc_infeasible_budget_is_typed() {
 
 #[test]
 fn ooc_budgeted_solver_refines_to_f64_accuracy() {
-    // End-to-end: f32 factor under a 40% budget with bf16 spill storage;
-    // f64 iterative refinement must still absorb both the compute and the
-    // storage error.
+    // End-to-end: f32 factor under a 40% budget; f64 iterative refinement
+    // absorbs the compute error, and spilling adds none.
     use gpu_multifrontal::matgen::rhs_for_solution;
     let a = laplacian_3d(6, 6, 30, Stencil::Faces);
     let an = analysis_of(&a);
@@ -1162,11 +1098,7 @@ fn ooc_budgeted_solver_refines_to_f64_accuracy() {
     let opts = SolverOptions {
         ordering: OrderingKind::NestedDissection,
         amalgamation: Some(AmalgamationOptions::default()),
-        factor: FactorOptions {
-            memory_budget: Some(budget),
-            ladder: PrecisionLadder::Bf16,
-            ..Default::default()
-        },
+        factor: FactorOptions::memory_budget(budget),
         precision: Precision::F32,
         analysis_workers: 0,
     };
@@ -1176,7 +1108,7 @@ fn ooc_budgeted_solver_refines_to_f64_accuracy() {
     let refined = s.solve_refined(&b, 8, 1e-13).unwrap();
     assert!(
         refined.converged,
-        "refinement must converge through bf16 spill storage: {:?}",
+        "refinement must converge under a memory budget: {:?}",
         refined.residual_history
     );
 }

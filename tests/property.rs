@@ -438,20 +438,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The planned device residency never exceeds the budget at ANY event —
-    /// not just at step boundaries — for random structures, random budget
-    /// fractions, and every ladder.
+    /// not just at step boundaries — for random structures and random budget
+    /// fractions.
     #[test]
     fn ooc_residency_never_exceeds_budget(
         n in 30usize..200,
         density in 2usize..8,
         seed in 0u64..500,
         frac_pct in 5usize..101,
-        ladder_ix in 0usize..3,
     ) {
-        use gpu_multifrontal::core::{in_core_bytes, min_feasible_budget, plan_ooc, PrecisionLadder};
+        use gpu_multifrontal::core::{in_core_bytes, min_feasible_budget, plan_ooc};
         use gpu_multifrontal::gpusim::TierParams;
 
-        let ladder = [PrecisionLadder::Off, PrecisionLadder::Bf16, PrecisionLadder::F16][ladder_ix];
         let a = random_spd_sparse(n, density, seed);
         let analysis = analyze(
             &a,
@@ -462,7 +460,7 @@ proptest! {
         let bound = in_core_bytes(sym, 4);
         let budget = (bound * frac_pct / 100).max(min_feasible_budget(sym, 4));
         let tiers = TierParams::default();
-        let plan = plan_ooc(sym, 4, budget, ladder, &tiers).unwrap();
+        let plan = plan_ooc(sym, 4, budget, &tiers).unwrap();
 
         prop_assert!(!plan.events.is_empty());
         for ev in &plan.events {
@@ -480,55 +478,6 @@ proptest! {
         // Host-tier occupancy accounting balances: what is still on the
         // host at the end equals what went out minus what came back.
         prop_assert!(plan.host_used_end <= tiers.host_capacity);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// An f32 factorization under a tight budget with 16-bit spill storage
-    /// still refines to f64 accuracy: the ladder's storage error stays
-    /// inside what iterative refinement absorbs.
-    #[test]
-    fn ooc_refinement_converges_with_16bit_spill_storage(
-        n in 40usize..140,
-        density in 2usize..7,
-        seed in 0u64..200,
-        frac_pct in 30usize..70,
-        ladder_ix in 0usize..2,
-    ) {
-        use gpu_multifrontal::core::{in_core_bytes, min_feasible_budget, PrecisionLadder};
-
-        let ladder = [PrecisionLadder::Bf16, PrecisionLadder::F16][ladder_ix];
-        let a = random_spd_sparse(n, density, seed);
-        let analysis = analyze(
-            &a,
-            OrderingKind::NestedDissection,
-            Some(&AmalgamationOptions::default()),
-        ).unwrap();
-        let sym = &analysis.symbolic;
-        let budget = (in_core_bytes(sym, 4) * frac_pct / 100)
-            .max(min_feasible_budget(sym, 4));
-        let opts = SolverOptions {
-            ordering: OrderingKind::NestedDissection,
-            amalgamation: Some(AmalgamationOptions::default()),
-            factor: FactorOptions {
-                memory_budget: Some(budget),
-                ladder,
-                ..Default::default()
-            },
-            precision: Precision::F32,
-            analysis_workers: 0,
-        };
-        let mut machine = Machine::paper_node();
-        let solver = SpdSolver::new(&a, &mut machine, &opts).expect("diag-dominant ⇒ SPD");
-        let (_, b) = gpu_multifrontal::matgen::rhs_for_solution(&a, seed ^ 0x5A5A);
-        let sol = solver.solve_refined(&b, 10, 1e-12).unwrap();
-        prop_assert!(
-            sol.converged,
-            "{ladder:?} at {frac_pct}% budget failed to refine: {:?}",
-            sol.residual_history
-        );
     }
 }
 
