@@ -71,8 +71,14 @@ RUST_TEST_THREADS=1 cargo test -q --release -p mf-server
 #                    drain driver's OOM fallbacks and bits (f64 and f32); a
 #                    failing pivot at 1/2 devices reports the serial column and
 #                    hands the device back empty
-#   ooc_             budgeted == in-core bits at every budget and worker count,
-#                    residency, refinement under a budget, typed errors
+#   ooc_             budgeted == in-core bits at every budget and worker count
+#                    (f32, f64), refinement under a budget, typed errors; a
+#                    budgeted rehearsal's resident peak <= budget and a full
+#                    budget spills nothing, on random structures
+#   ooc::            the spill planner: a full budget plans no traffic, a tight
+#                    one evicts within the budget (host tier before disk, and
+#                    within its capacity), one byte under the floor is typed
+#                    BudgetTooSmall, the plan is a pure function of its inputs
 #   symbolic_flat, bottom_subtrees, subtree_tasks
 #                    the row-structure range tasks == the serial build at 1/2/4/8
 #                    workers, the factor's subtree partition, the factor and
@@ -193,6 +199,7 @@ determinism ooc_ 4
 determinism sim_clock 3
 determinism driver_errors 2
 property ooc_ 1
+mf-core/lib ooc:: 4
 property symbolic_flat 1
 property bottom_subtrees 1
 property subtree_tasks 1

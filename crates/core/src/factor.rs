@@ -38,7 +38,7 @@ use crate::plan::{run_plan, PlanError};
 use crate::policy::{BaselineThresholds, PolicyKind};
 use crate::stats::FactorStats;
 use mf_dense::{FuFlops, Scalar};
-use mf_gpusim::{Machine, TierParams};
+use mf_gpusim::Machine;
 use mf_sparse::symbolic::SymbolicFactor;
 use mf_sparse::{AnalyzeError, Permutation, SymCsc};
 
@@ -123,8 +123,8 @@ pub struct FactorOptions {
     /// Out-of-core residency budget in bytes for the factor slab plus the
     /// front arena (DESIGN.md §4.14). `None` runs fully in core. With a
     /// budget set, the run drains (the residency plan models the drain
-    /// schedule's front lifetimes exactly) and prices the deterministic spill
-    /// schedule of [`crate::ooc::plan_ooc`] on its simulated clock;
+    /// schedule's front lifetimes exactly) and prices a deterministic spill
+    /// schedule, planned from the structure alone, on its simulated clock;
     /// `FactorStats::ooc` reports the traffic. A budget moves the clock,
     /// never the bits: the factor is the in-core run's.
     /// Budgets below [`crate::ooc::min_feasible_budget`] fail with
@@ -211,16 +211,6 @@ impl From<AnalyzeError> for FactorError {
 impl From<PlanError> for FactorError {
     fn from(e: PlanError) -> Self {
         FactorError::Plan(e)
-    }
-}
-
-impl From<crate::ooc::OocError> for FactorError {
-    fn from(e: crate::ooc::OocError) -> Self {
-        match e {
-            crate::ooc::OocError::BudgetTooSmall { budget, required } => {
-                FactorError::BudgetTooSmall { budget, required }
-            }
-        }
     }
 }
 
@@ -363,8 +353,7 @@ pub(crate) fn factor_drain<T: Scalar>(
 ) -> Result<FactorStats, FactorError> {
     // The deterministic out-of-core schedule of a budgeted run, pinned before
     // any front moves; an infeasible budget fails typed here.
-    let plan = |budget| plan_ooc(symbolic, T::BYTES, budget, &TierParams::default());
-    let ooc_plan = opts.memory_budget.map(plan).transpose()?;
+    let ooc_plan = opts.memory_budget.map(|b| plan_ooc(symbolic, T::BYTES, b)).transpose()?;
     let mut pool = pinned_pool(opts);
     pool.set_virtual(data.is_none());
     let mut rel: Vec<usize> = Vec::new();

@@ -50,10 +50,7 @@ pub use factor::{
 pub use features::{raw_features, LinearPolicyModel, NUM_FEATURES};
 pub use fu::estimate_fu_time;
 pub use multigpu::MultiGpuOptions;
-pub use ooc::{
-    in_core_bytes, min_feasible_budget, plan_ooc, OocError, OocEvent, OocEventKind, OocPlan,
-    OocStats,
-};
+pub use ooc::{in_core_bytes, min_feasible_budget, OocStats};
 pub use parallel::{
     durations_by_supernode, factor_permuted_parallel, simulate_tree_schedule, MoldableModel,
     ParallelOptions, ScheduleResult,
@@ -61,8 +58,8 @@ pub use parallel::{
 pub use plan::{Decision, ExecPlan, PlanError, Schedule};
 pub use policy::{BaselineThresholds, PolicyKind};
 pub use solver::{
-    estimated_memory_bytes, estimated_memory_bytes_budgeted, Precision, RefactorError, RefineInfo,
-    RefineStop, RefinedManySolution, RefinedSolution, SolveError, SolverOptions, SpdSolver,
+    estimated_memory_bytes, Precision, RefactorError, RefineInfo, RefineStop, RefinedManySolution,
+    RefinedSolution, SolveError, SolverOptions, SpdSolver,
 };
 pub use stats::{FactorStats, FuRecord};
 
@@ -76,7 +73,7 @@ pub use mf_sparse::{analyze, analyze_parallel, Analysis, AnalyzeError};
 pub mod prelude {
     pub use crate::factor::{FactorOptions, PipelineOptions, PolicySelector};
     pub use crate::multigpu::MultiGpuOptions;
-    pub use crate::ooc::{in_core_bytes, min_feasible_budget, OocError};
+    pub use crate::ooc::{in_core_bytes, min_feasible_budget};
     pub use crate::plan::{Decision, ExecPlan, PlanError, Schedule};
     pub use crate::policy::{BaselineThresholds, PolicyKind};
     pub use crate::solver::{

@@ -26,6 +26,7 @@
 //! be a perfectly finite stagnation plateau.
 
 use crate::factor::{factor_permuted, CholeskyFactor, FactorError, FactorOptions};
+use crate::ooc::{in_core_bytes, min_feasible_budget};
 use crate::stats::FactorStats;
 use mf_gpusim::Machine;
 use mf_sparse::symbolic::{analyze_parallel, Analysis, SymCscF64Holder};
@@ -195,39 +196,34 @@ fn validate_rhs(n: usize, b: &[f64], nrhs: usize) -> Result<(), SolveError> {
 /// pattern copies a [`SpdSolver`] retains (original and permuted matrix).
 /// It needs only the analysis, so admission control runs **before** the
 /// numeric factorization spends the memory.
-pub fn estimated_memory_bytes(analysis: &Analysis, precision: Precision) -> usize {
-    estimated_memory_bytes_budgeted(analysis, precision, None)
-}
-
-/// [`estimated_memory_bytes`] for a session that factors under a memory
-/// budget ([`FactorOptions::memory_budget`]): the factor slab + update
-/// stack term is capped at the budget — a budgeted run keeps at most
-/// `budget` bytes of numeric storage tier-resident, spilling the rest —
-/// while the two retained pattern copies are charged in full (they are
-/// never spilled). Admission control should reserve this figure, **not**
-/// the symbolic bound, for budgeted sessions; whether the budget is
-/// feasible at all is a separate check
-/// ([`crate::ooc::min_feasible_budget`]).
-pub fn estimated_memory_bytes_budgeted(
+///
+/// Under a memory budget ([`FactorOptions::memory_budget`]) the numeric
+/// term is capped at the budget — a budgeted run keeps at most `budget`
+/// bytes of numeric storage resident, spilling the rest — while the two
+/// pattern copies are charged in full (they are never spilled). A budget
+/// below [`min_feasible_budget`] fails with the run's own
+/// [`FactorError::BudgetTooSmall`].
+pub fn estimated_memory_bytes(
     analysis: &Analysis,
     precision: Precision,
     memory_budget: Option<usize>,
-) -> usize {
+) -> Result<usize, FactorError> {
     let scalar = match precision {
         Precision::F64 => std::mem::size_of::<f64>(),
         Precision::F32 => std::mem::size_of::<f32>(),
     };
-    let idx = std::mem::size_of::<usize>();
-    let sym = &analysis.symbolic;
-    let pa = &analysis.permuted.0;
-    let factor_slab = sym.factor_slab_len() * scalar;
-    let update_stack = sym.update_stack_peak() * scalar;
-    let mut numeric = factor_slab + update_stack;
+    let mut numeric = in_core_bytes(&analysis.symbolic, scalar);
     if let Some(budget) = memory_budget {
+        let required = min_feasible_budget(&analysis.symbolic, scalar);
+        if budget < required {
+            return Err(FactorError::BudgetTooSmall { budget, required });
+        }
         numeric = numeric.min(budget);
     }
+    let idx = std::mem::size_of::<usize>();
+    let pa = &analysis.permuted.0;
     let pattern = pa.nnz_lower() * (idx + std::mem::size_of::<f64>()) + (pa.order() + 1) * idx;
-    numeric + 2 * pattern
+    Ok(numeric + 2 * pattern)
 }
 
 /// Failure of [`SpdSolver::refactor`].
@@ -845,7 +841,7 @@ mod tests {
     /// What a serving layer charges for keeping `s` resident and
     /// refactorable.
     fn charged(s: &SpdSolver) -> usize {
-        estimated_memory_bytes_budgeted(s.analysis(), s.opts.precision, s.opts.factor.memory_budget)
+        estimated_memory_bytes(s.analysis(), s.opts.precision, s.opts.factor.memory_budget).unwrap()
     }
 
     #[test]
@@ -867,8 +863,6 @@ mod tests {
 
     #[test]
     fn budgeted_solver_reserves_the_cap_not_the_symbolic_bound() {
-        use crate::ooc::min_feasible_budget;
-
         let a = laplacian_3d(7, 7, 7, Stencil::Faces);
         let mut machine = Machine::paper_node();
         let full_opts = solver_opts(PolicyKind::P1, Precision::F64);
@@ -886,13 +880,14 @@ mod tests {
 
         // The budgeted session charges strictly less than the in-core one.
         assert!(charged(&s) < charged(&full));
-        assert_eq!(
-            charged(&full),
-            estimated_memory_bytes(full.analysis(), Precision::F64),
-            "no budget must reproduce the unbudgeted estimate"
-        );
         // The difference is exactly the numeric storage the budget trimmed.
         assert_eq!(charged(&full) - charged(&s), numeric_bound - budget);
+        // A cap below the feasibility floor is the run's own error.
+        let required = min_feasible_budget(sym, 8);
+        assert_eq!(
+            estimated_memory_bytes(full.analysis(), Precision::F64, Some(required - 1)),
+            Err(FactorError::BudgetTooSmall { budget: required - 1, required })
+        );
 
         // The budgeted factor still solves to f64 accuracy.
         let (xtrue, b) = rhs_for_solution(&a, 8);

@@ -25,7 +25,6 @@ pub mod device;
 pub mod host;
 pub mod memory;
 pub mod profile;
-pub mod tier;
 
 pub use calib::{
     exact_ops, fermi_like, tesla_t10, xeon_5160_core, CpuConfig, GpuConfig, KernelKind,
@@ -35,7 +34,6 @@ pub use device::{CopyMode, DeviceSet, Event, Gpu, Stream};
 pub use host::{HostClock, ISSUE_OVERHEAD};
 pub use memory::{DevBuf, DevMat, DeviceOom, InvalidBuffer};
 pub use profile::{GpuUtilization, TimeSplit};
-pub use tier::{SpillTier, TierParams, DEFAULT_DEVICE_BUDGET};
 
 /// An operation that needs a device ran on a machine without one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

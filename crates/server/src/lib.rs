@@ -28,10 +28,9 @@
 //!   sessions evicted LRU, and a submission that cannot fit even then is
 //!   rejected with [`SubmitError::BudgetExceeded`]. Sessions configured
 //!   with a factor memory budget spill to host/disk tiers instead of
-//!   holding the bound resident, so they reserve only the cap
-//!   ([`mf_core::estimated_memory_bytes_budgeted`]); a cap too small for
-//!   the largest front is rejected at admission with the typed
-//!   [`mf_core::FactorError::BudgetTooSmall`].
+//!   holding the bound resident, so the same estimate reserves only the
+//!   cap; a cap too small for the largest front is rejected at admission
+//!   with the typed [`mf_core::FactorError::BudgetTooSmall`].
 //!
 //! ## Consistency model
 //!
@@ -72,10 +71,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use mf_core::{
-    estimated_memory_bytes_budgeted, min_feasible_budget, FactorError, Precision, SolveError,
-    SolverOptions, SpdSolver,
-};
+use mf_core::{estimated_memory_bytes, FactorError, SolveError, SolverOptions, SpdSolver};
 use mf_gpusim::Machine;
 use mf_runtime::ThreadBudget;
 use mf_sparse::symbolic::{analyze_parallel, Analysis, AnalyzeError, SymCscF64Holder};
@@ -387,22 +383,18 @@ impl Server {
         // the bound — but only when the cap is feasible at all (the largest
         // front's working set must fit). An infeasible cap is rejected here,
         // typed, before any bytes are reserved or numeric work starts.
-        let factor_budget = inner.cfg.solver.factor.memory_budget;
-        if let Some(budget) = factor_budget {
-            let elem = match inner.cfg.solver.precision {
-                Precision::F64 => std::mem::size_of::<f64>(),
-                Precision::F32 => std::mem::size_of::<f32>(),
-            };
-            let required = min_feasible_budget(&analysis.symbolic, elem);
-            if budget < required {
-                inner.stats.rejected_budget.fetch_add(1, Ordering::Relaxed);
-                return Err(SubmitError::Factor(FactorError::BudgetTooSmall { budget, required }));
-            }
-        }
+        let solver_opts = &inner.cfg.solver;
+        let required = estimated_memory_bytes(
+            &analysis,
+            solver_opts.precision,
+            solver_opts.factor.memory_budget,
+        )
+        .map_err(|e| {
+            inner.stats.rejected_budget.fetch_add(1, Ordering::Relaxed);
+            SubmitError::Factor(e)
+        })?;
         // Reserve the tenant's bytes before the expensive numeric
         // factorization, evicting idle sessions LRU to make room.
-        let required =
-            estimated_memory_bytes_budgeted(&analysis, inner.cfg.solver.precision, factor_budget);
         let id = {
             let mut reg = lock(&inner.registry);
             let resident_now = self.evict_until_fits(&mut reg, tenant, required);

@@ -437,9 +437,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The planned device residency never exceeds the budget at ANY event —
-    /// not just at step boundaries — for random structures and random budget
-    /// fractions.
+    /// A budgeted rehearsal succeeds at every feasible budget, its device
+    /// residency never exceeds the budget, and a full budget spills nothing,
+    /// for random structures and random budget fractions.
     #[test]
     fn ooc_residency_never_exceeds_budget(
         n in 30usize..200,
@@ -447,8 +447,8 @@ proptest! {
         seed in 0u64..500,
         frac_pct in 5usize..101,
     ) {
-        use gpu_multifrontal::core::{in_core_bytes, min_feasible_budget, plan_ooc};
-        use gpu_multifrontal::gpusim::TierParams;
+        use gpu_multifrontal::core::{in_core_bytes, min_feasible_budget};
+        use gpu_multifrontal::gpusim::xeon_5160_core;
 
         let a = random_spd_sparse(n, density, seed);
         let analysis = analyze(
@@ -459,25 +459,18 @@ proptest! {
         let sym = &analysis.symbolic;
         let bound = in_core_bytes(sym, 4);
         let budget = (bound * frac_pct / 100).max(min_feasible_budget(sym, 4));
-        let tiers = TierParams::default();
-        let plan = plan_ooc(sym, 4, budget, &tiers).unwrap();
+        let rehearsed = FactorOptions::memory_budget(budget)
+            .rehearse::<f32>(sym, &Machine::cpu_only(xeon_5160_core()));
+        prop_assert!(rehearsed.is_ok(), "budget {} failed: {:?}", budget, rehearsed.err());
+        let ooc = rehearsed.unwrap().ooc.expect("a budgeted run reports its traffic");
 
-        prop_assert!(!plan.events.is_empty());
-        for ev in &plan.events {
-            prop_assert!(
-                ev.resident_bytes <= budget,
-                "event {:?} at rank {} holds {} bytes over budget {}",
-                ev.kind, ev.rank, ev.resident_bytes, budget
-            );
-        }
-        prop_assert!(plan.stats.resident_peak_bytes <= budget);
-        prop_assert_eq!(plan.stats.logical_peak_bytes, bound);
+        prop_assert!(
+            ooc.resident_peak_bytes <= budget,
+            "resident peak {} over budget {}", ooc.resident_peak_bytes, budget
+        );
         if budget >= bound {
-            prop_assert!(plan.stats.traffic_bytes() == 0, "a full budget must not spill");
+            prop_assert!(ooc.traffic_bytes() == 0, "a full budget must not spill");
         }
-        // Host-tier occupancy accounting balances: what is still on the
-        // host at the end equals what went out minus what came back.
-        prop_assert!(plan.host_used_end <= tiers.host_capacity);
     }
 }
 
