@@ -96,7 +96,11 @@ RUST_TEST_THREADS=1 cargo test -q --release -p mf-server
 #                    drain at 2/4 workers giving the drain column's words but its
 #                    allocation count; of the per-call records (sn, policy, total,
 #                    kernel and copy buckets) of recorded serial drain runs, the
-#                    parallel entry's at 1/2/4 workers equal to them; and
+#                    parallel entry's at 1/2/4 workers equal to them; of budgeted
+#                    drain runs (clock words and every OocStats field, fixed
+#                    P1 and the baseline hybrid at min_feasible_budget and
+#                    halfway to in core, on the paper node and the CPU alone);
+#                    and
 #                    sim_clock_parallel_entry_runs_pipelined_and_multi_device_on_one_timeline:
 #                    the parallel entry's pipelined and 4-device runs at 1/2/3 workers
 #                    are the serial entry's, bit for bit and clock for clock
@@ -134,6 +138,10 @@ RUST_TEST_THREADS=1 cargo test -q --release -p mf-server
 #                    included, the rehearsal equals the run (clock, records,
 #                    fallbacks, plan, ooc) or fails with its error; a parallel
 #                    entry without machines is typed too
+#   gpusim_          a device's streams and events: wait_event is forward-only,
+#                    stream tails (record_event) never regress, record/wait
+#                    chains are transitive, and a d2h after an h2d reads back
+#                    the uploaded bits
 #   time_split       every gpusim charge lands in exactly one component counter
 #                    (potrf, trsm, syrk+gemm, copies, host memops + pinned
 #                    allocations) as its interval's end - start, host kernels,
@@ -163,7 +171,7 @@ RUST_TEST_THREADS=1 cargo test -q --release -p mf-server
 #                    estimate_fu_time == the f32 run with data, bit for bit,
 #                    every policy, both P4 transfer plans, five front shapes
 #                    (fused small, root, mid, large), both through the lane's
-#                    run_front; the device comes back in the mode it came in
+#                    run_front
 #   leaf_min_degree  minimum degree on bit rows == the quotient graph's order, every ND leaf
 #   column_counts_match  near-linear column counts == the row-subtree walk, at 1/2/4/8 workers
 #   a_nnz_counts     each supernode's recorded entry count == the permuted matrix's in its columns
@@ -196,9 +204,10 @@ determinism analysis_ 5
 determinism numeric_ 1
 determinism multigpu_ 3
 determinism ooc_ 4
-determinism sim_clock 3
+determinism sim_clock 4
 determinism driver_errors 2
 property ooc_ 1
+property gpusim_ 3
 mf-core/lib ooc:: 4
 property symbolic_flat 1
 property bottom_subtrees 1

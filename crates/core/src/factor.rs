@@ -19,8 +19,8 @@
 //! the worker's own arena), and every front it runs books its per-call record
 //! in [`Lane::run_front`]. Each front's assembly is charged from the
 //! structure, with data or without; without the matrix and the factor slab
-//! the same loop runs timing-only — no arena, a virtual staging pool and
-//! device — which is how [`FactorOptions::rehearse`], the drain rehearsal
+//! the same loop runs timing-only — no arena, a staging pool without data
+//! and reserved device buffers — which is how [`FactorOptions::rehearse`], the drain rehearsal
 //! of [`FactorOptions::plan`] and the parallel entry's clock price the drain
 //! schedule, out-of-core spills included. Fronts whose lifetimes overlap — the
 //! pipelined schedule on one device or several — go through the other
@@ -343,8 +343,8 @@ pub fn factor_permuted<T: Scalar>(
 
 /// [`crate::Schedule::Drain`]: the whole postorder through the arena loop on
 /// one machine, `a`'s values assembled and the panels put into the slab of
-/// `data`. Without data the run is timing-only: it holds no arena and its
-/// staging pool is virtual (the caller makes the machine's device virtual).
+/// `data`. Without data the run is timing-only: it holds no arena, and its
+/// staging pool is built without data, so its device buffers are reserved.
 pub(crate) fn factor_drain<T: Scalar>(
     symbolic: &SymbolicFactor,
     machine: &mut Machine,
@@ -354,8 +354,7 @@ pub(crate) fn factor_drain<T: Scalar>(
     // The deterministic out-of-core schedule of a budgeted run, pinned before
     // any front moves; an infeasible budget fails typed here.
     let ooc_plan = opts.memory_budget.map(|b| plan_ooc(symbolic, T::BYTES, b)).transpose()?;
-    let mut pool = pinned_pool(opts);
-    pool.set_virtual(data.is_none());
+    let mut pool = pinned_pool(opts, data.is_some());
     let mut rel: Vec<usize> = Vec::new();
 
     // Whole-run working storage: the factor slab, where the panels are
@@ -521,12 +520,12 @@ fn fu_ctx<'a>(
     }
 }
 
-/// The run's pinned staging pool under `opts`.
-pub(crate) fn pinned_pool(opts: &FactorOptions) -> PinnedPool {
+/// The run's pinned staging pool under `opts`, with data or without.
+pub(crate) fn pinned_pool(opts: &FactorOptions, data: bool) -> PinnedPool {
     if opts.pinned_reuse {
-        PinnedPool::new(2)
+        PinnedPool::new(2, data)
     } else {
-        PinnedPool::without_reuse(2)
+        PinnedPool::without_reuse(2, data)
     }
 }
 

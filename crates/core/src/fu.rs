@@ -6,7 +6,8 @@
 //! events) and phase-2 ops (event-gated downloads, host landing of the
 //! results). One interpreter runs every plan, with data (a factorization)
 //! or without (a rehearsal and [`estimate_fu_time`], where the staging pool
-//! and the devices are virtual); it is the only code that asks which.
+//! is built without data and the device buffers are reserved, not
+//! allocated); it is the only code that asks which.
 //!
 //! The placements follow the paper's workflow optimizations (Section V-A):
 //!
@@ -43,7 +44,7 @@ use mf_dense::{
     factor_front_small, front_is_small, potrf, syrk_lower, trsm_right_lower_trans, PotrfError,
     Scalar,
 };
-use mf_gpusim::{CopyMode, DevBuf, DevMat, Event, Gpu, HostClock, KernelKind, Machine, Stream};
+use mf_gpusim::{DevBuf, DevMat, Event, Gpu, HostClock, KernelKind, Machine, Stream};
 use std::borrow::Cow;
 
 /// Width of the device panels in the P4 algorithm (Figure 9's `w`).
@@ -83,7 +84,7 @@ pub(crate) struct BatchError {
 }
 
 /// Execution context shared across the factorization's F-U calls. Whether
-/// data exists is the staging pool's virtual mode (see [`estimate_fu_time`]).
+/// data exists is the staging pool's (see [`PinnedPool::has_data`]).
 #[derive(Debug)]
 pub(crate) struct FuContext<'a> {
     /// The host timeline.
@@ -387,15 +388,15 @@ impl FuPending {
     }
 
     /// Run one op: the interpreter's only body, and the only code that asks
-    /// whether data exists (the staging pool is virtual when it does not;
-    /// a virtual slot is empty, and a virtual device moves no bytes).
+    /// whether data exists (when it does not, a staging slot is empty and a
+    /// reserved device buffer moves no bytes).
     fn step<T: Scalar>(
         &mut self,
         op: Op,
         fronts: &mut [Front<'_, T>],
         ctx: &mut FuContext<'_>,
     ) -> Result<(), BatchError> {
-        let data = !ctx.pool.is_virtual();
+        let data = ctx.pool.has_data();
         let (host, pool) = (&mut *ctx.host, &mut *ctx.pool);
         if let Op::Host(kinds) = op {
             let ran = host_kernels(kinds, &mut fronts[0], host, data);
@@ -415,7 +416,7 @@ impl FuPending {
             Op::H2d { stream, x } => {
                 let src = pool.slot(self.slots[x.slot]).get(x.at..).unwrap_or_default();
                 let (st, dst) = (streams[stream], self.dev(x.dev));
-                gpu.h2d(st, dst, x.rows, x.cols, src, x.ld, true, CopyMode::Async, host);
+                gpu.h2d(st, dst, x.rows, x.cols, src, x.ld, host);
             }
             Op::Trsm { l, k, b, m } => gpu.trsm(compute, self.dev(l), k, self.dev(b), m, host),
             Op::Syrk { a, c, n, k } => gpu.syrk(compute, self.dev(a), self.dev(c), n, k, host),
@@ -442,7 +443,7 @@ impl FuPending {
                 }
                 let (src, dst) = (self.dev(x.dev), pool.slot_mut(self.slots[x.slot]));
                 let dst = dst.get_mut(x.at..).unwrap_or_default();
-                gpu.d2h(st, src, x.rows, x.cols, dst, x.ld, true, CopyMode::Async, host);
+                gpu.d2h(st, src, x.rows, x.cols, dst, x.ld, host);
                 self.last = Some(st);
             }
             Op::Land { f, region, add, slot, at, ld } => {
@@ -465,11 +466,11 @@ impl FuPending {
 }
 
 /// Phase 1 of `plan` over `fronts` (one front, or a batch's members): the
-/// device allocations, then every phase-1 op. Returns `Ok(None)` on device
-/// OOM *without* falling back, the fronts untouched — a lane with fronts in
-/// flight drains them (releasing device memory) and retries before it
-/// accepts a P1 fallback, so its fallback decisions match the drain
-/// schedule's. On a failing pivot every buffer and slot is released.
+/// device buffers (allocated with data, reserved without), then every
+/// phase-1 op. Returns `Ok(None)` on device OOM *without* falling back, the
+/// fronts untouched — a lane with fronts in flight drains them (releasing
+/// device memory) and retries before it accepts a P1 fallback, so its
+/// fallback decisions match the drain schedule's. On a failing pivot every buffer and slot is released.
 pub(crate) fn try_dispatch<T: Scalar>(
     fronts: &mut [Front<'_, T>],
     plan: FuPlan,
@@ -487,7 +488,9 @@ pub(crate) fn try_dispatch<T: Scalar>(
         apply_bytes: 0,
     };
     if let Some(gpu) = ctx.gpu.as_deref_mut() {
-        p.bufs = p.plan.allocs.iter().map_while(|&len| gpu.alloc(len).ok()).collect();
+        let data = ctx.pool.has_data();
+        let mut buf = |len| if data { gpu.alloc(len) } else { gpu.reserve(len) }.ok();
+        p.bufs = p.plan.allocs.iter().map_while(|&len| buf(len)).collect();
         if p.bufs.len() < p.plan.allocs.len() {
             p.abandon(gpu);
             return Ok(None);
@@ -611,17 +614,17 @@ pub(crate) fn finish_fu(p: &mut FuPending, ctx: &mut FuContext<'_>) {
 }
 
 /// Estimate the simulated time of one factor-update of dimensions `(m, k)`
-/// under `policy`, without computing anything — the device and staging pool
-/// run in virtual mode and the front is a dummy, run through the drain
-/// schedule's body (`Lane::run_front`). The estimate is the front's
+/// under `policy`, without computing anything — the staging pool is built
+/// without data, so the device buffers are reserved, not allocated, and the
+/// front is a dummy, run through the drain schedule's body
+/// (`Lane::run_front`). The estimate is the front's
 /// [`FuRecord::total`](crate::FuRecord::total): the factor-update proper,
 /// without its extraction. This powers the paper's policy-map and
 /// speedup-map figures (12, 13, 14), whose `(m, k)` ranges are far beyond
 /// what real numerics could cover.
 ///
 /// The machine's clocks are reset before and after, so a long-lived machine
-/// can be reused across many estimates; its device comes back in the mode
-/// it arrived in.
+/// can be reused across many estimates.
 pub fn estimate_fu_time(
     machine: &mut Machine,
     m: usize,
@@ -629,10 +632,7 @@ pub fn estimate_fu_time(
     policy: PolicyKind,
     copy_optimized: bool,
 ) -> f64 {
-    let arrived = machine.gpu.as_ref().map(Gpu::is_virtual);
-    machine.gpu.iter_mut().for_each(|g| g.set_virtual(true));
-    let mut pool = PinnedPool::new(2);
-    pool.set_virtual(true);
+    let mut pool = PinnedPool::new(2, false);
     let mut front = Front::<f32> { s: m + k, k, panel: &mut [], update: &mut [] };
     let mut t = 0.0;
     // Two passes, the clocks reset before each. The first is a warm-up that
@@ -651,7 +651,6 @@ pub fn estimate_fu_time(
         let ran = Lane::new().run_front(0, &mut front, policy, true, &mut ctx);
         t = ran.expect("no data, so no failing pivot").record.expect("a recorded front").total;
     }
-    machine.gpu.iter_mut().zip(arrived).for_each(|(g, mode)| g.set_virtual(mode));
     machine.reset();
     t
 }
@@ -909,7 +908,7 @@ mod tests {
 
     fn run(policy: PolicyKind, s: usize, k: usize, seed: u64) -> (Bufs<f64>, f64) {
         let mut machine = Machine::paper_node();
-        let mut pool = PinnedPool::new(2);
+        let mut pool = PinnedPool::new(2, true);
         let mut bufs = Bufs::spd(s, k, seed);
         let (record, oom_fallback) =
             run_fu(&mut bufs.front(), policy, &mut ctx(&mut machine, &mut pool, false)).unwrap();
@@ -967,7 +966,7 @@ mod tests {
         for (s, k, bad) in [(20, 10, 4), (160, 100, 70)] {
             for p in PolicyKind::ALL {
                 let mut machine = Machine::paper_node();
-                let mut pool = PinnedPool::new(2);
+                let mut pool = PinnedPool::new(2, true);
                 let mut bufs = Bufs::<f64>::spd(s, k, 5);
                 // Poison a pivot column inside the block.
                 bufs.panel[bad + bad * s] = -50.0;
@@ -1005,7 +1004,7 @@ mod tests {
             cfg.mem_bytes = 1024; // far too small
             cfg
         });
-        let mut pool = PinnedPool::new(2);
+        let mut pool = PinnedPool::new(2, true);
         let mut bufs = Bufs::<f64>::spd(64, 16, 21);
         let (record, oom_fallback) =
             run_fu(&mut bufs.front(), PolicyKind::P4, &mut ctx(&mut machine, &mut pool, false))
@@ -1020,7 +1019,7 @@ mod tests {
     #[test]
     fn no_gpu_machine_degrades_to_p1() {
         let mut machine = Machine::cpu_only(mf_gpusim::xeon_5160_core());
-        let mut pool = PinnedPool::new(2);
+        let mut pool = PinnedPool::new(2, true);
         let mut bufs = Bufs::<f64>::spd(30, 10, 2);
         let mut ctx = ctx(&mut machine, &mut pool, false);
         let (record, _) = run_fu(&mut bufs.front(), PolicyKind::P3, &mut ctx).unwrap();
@@ -1033,7 +1032,7 @@ mod tests {
         let mut t = [0.0f64; 2];
         for (idx, opt) in [false, true].into_iter().enumerate() {
             let mut machine = Machine::paper_node();
-            let mut pool = PinnedPool::new(2);
+            let mut pool = PinnedPool::new(2, true);
             let mut bufs = Bufs::<f64>::spd(s, k, 31);
             let mut ctx = ctx(&mut machine, &mut pool, opt);
             t[idx] = run_fu(&mut bufs.front(), PolicyKind::P4, &mut ctx).unwrap().0.total;
@@ -1046,7 +1045,7 @@ mod tests {
         let (s, k) = (80, 30);
         let (naive, _) = run(PolicyKind::P4, s, k, 41);
         let mut machine = Machine::paper_node();
-        let mut pool = PinnedPool::new(2);
+        let mut pool = PinnedPool::new(2, true);
         let mut bufs = Bufs::<f64>::spd(s, k, 41);
         run_fu(&mut bufs.front(), PolicyKind::P4, &mut ctx(&mut machine, &mut pool, true)).unwrap();
         assert_eq!(bufs.lower_bits(), naive.lower_bits());
@@ -1059,10 +1058,9 @@ mod tests {
         let (s, k) = (500, 200);
         let (_, t_fast) = run(PolicyKind::P3, s, k, 17);
         let mut cfg = mf_gpusim::tesla_t10();
-        cfg.pcie.pageable_bw /= 1000.0;
         cfg.pcie.pinned_bw /= 1000.0;
         let mut machine = Machine::with_gpu(mf_gpusim::xeon_5160_core(), cfg);
-        let mut pool = PinnedPool::new(2);
+        let mut pool = PinnedPool::new(2, true);
         let mut bufs = Bufs::<f64>::spd(s, k, 17);
         let mut ctx = ctx(&mut machine, &mut pool, false);
         let (record, _) = run_fu(&mut bufs.front(), PolicyKind::P3, &mut ctx).unwrap();
@@ -1081,7 +1079,7 @@ mod tests {
             for copy_optimized in [false, true] {
                 for p in PolicyKind::ALL {
                     let mut machine = Machine::paper_node();
-                    let mut pool = PinnedPool::new(2);
+                    let mut pool = PinnedPool::new(2, true);
                     let mut t_real = 0.0;
                     for _pass in 0..2 {
                         machine.reset();
@@ -1089,20 +1087,14 @@ mod tests {
                         let mut ctx = ctx(&mut machine, &mut pool, copy_optimized);
                         t_real = run_fu(&mut bufs.front(), p, &mut ctx).unwrap().0.total;
                     }
-                    // The estimate leaves the device in the mode it found it in.
-                    for arrived_virtual in [false, true] {
-                        let mut machine2 = Machine::paper_node();
-                        machine2.gpu.as_mut().unwrap().set_virtual(arrived_virtual);
-                        let t_est = estimate_fu_time(&mut machine2, s - k, k, p, copy_optimized);
-                        assert_eq!(
-                            t_real.to_bits(),
-                            t_est.to_bits(),
-                            "{p} {s}x{k} copy_optimized={copy_optimized}: \
-                             real {t_real:.17e} vs estimate {t_est:.17e}"
-                        );
-                        let mode = machine2.gpu.as_ref().unwrap().is_virtual();
-                        assert_eq!(mode, arrived_virtual, "{p} {s}x{k}: device mode");
-                    }
+                    let mut machine2 = Machine::paper_node();
+                    let t_est = estimate_fu_time(&mut machine2, s - k, k, p, copy_optimized);
+                    assert_eq!(
+                        t_real.to_bits(),
+                        t_est.to_bits(),
+                        "{p} {s}x{k} copy_optimized={copy_optimized}: \
+                         real {t_real:.17e} vs estimate {t_est:.17e}"
+                    );
                 }
             }
         }
@@ -1138,7 +1130,7 @@ mod tests {
         ] {
             let run_once = |keep: bool| -> (Bufs<f64>, Option<Vec<f32>>) {
                 let mut machine = Machine::paper_node();
-                let mut pool = PinnedPool::new(2);
+                let mut pool = PinnedPool::new(2, true);
                 let mut bufs = Bufs::spd(s, k, 63);
                 let mut front = bufs.front();
                 let mut ctx = ctx(&mut machine, &mut pool, copy_optimized);
@@ -1195,7 +1187,7 @@ mod tests {
     fn device_memory_fully_released_after_each_policy() {
         for p in [PolicyKind::P2, PolicyKind::P3, PolicyKind::P4] {
             let mut machine = Machine::paper_node();
-            let mut pool = PinnedPool::new(2);
+            let mut pool = PinnedPool::new(2, true);
             let mut bufs = Bufs::<f64>::spd(100, 40, 51);
             run_fu(&mut bufs.front(), p, &mut ctx(&mut machine, &mut pool, false)).unwrap();
             assert_eq!(machine.gpu.as_ref().unwrap().mem_used(), 0, "{p} leaked device memory");
@@ -1282,7 +1274,7 @@ mod tests {
         for (policy, copy_optimized, want) in golden {
             for (&(s, k, seed), want) in shapes.iter().zip(want) {
                 let mut machine = Machine::paper_node();
-                let mut pool = PinnedPool::new(2);
+                let mut pool = PinnedPool::new(2, true);
                 let mut bufs = Bufs::<f64>::spd(s, k, seed);
                 let mut ctx = ctx(&mut machine, &mut pool, copy_optimized);
                 run_fu(&mut bufs.front(), policy, &mut ctx).unwrap();
@@ -1297,7 +1289,7 @@ mod tests {
         let mut bufs: Vec<Bufs<f64>> =
             members.iter().map(|&(s, k, seed)| Bufs::spd(s, k, seed)).collect();
         let mut machine = Machine::paper_node();
-        let mut pool = PinnedPool::new(2);
+        let mut pool = PinnedPool::new(2, true);
         let mut ctx = ctx(&mut machine, &mut pool, false);
         let mut fronts: Vec<Front<'_, f64>> = bufs.iter_mut().map(Bufs::front).collect();
         let plan = FuPlan::batch(&fronts);

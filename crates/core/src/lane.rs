@@ -25,8 +25,9 @@
 //! that receives the update blocks.
 //! Whether data exists is not among them: either issuer charges each
 //! assembly from the structure ([`charge_assemble`]) and, in a run without
-//! values or slab, makes the staging pool virtual (the device is virtual
-//! too); of the F-U only the interpreter reads that. [`Lane::run_front`] and
+//! values or slab, builds its staging pool without data; of the F-U only
+//! the interpreter reads that, and it reserves device buffers where the run
+//! with data allocates them. [`Lane::run_front`] and
 //! [`Lane::run_staged`] are the only places a front's phases are sequenced;
 //! [`crate::estimate_fu_time`] prices one front through the first.
 //!

@@ -1,8 +1,8 @@
 //! The issuer of fronts in flight (DESIGN.md §4.9, §4.13): one host timeline
 //! feeding `ndev` device lanes — the pipelined schedule at one device, the
 //! multi-GPU run at several — plus proportional mapping of
-//! elimination-subtree regions onto a [`DeviceSet`] and peer-copy
-//! extend-add of cross-device contribution blocks.
+//! elimination-subtree regions onto the devices and peer-copy extend-add of
+//! cross-device contribution blocks.
 //!
 //! # Mapping
 //!
@@ -30,7 +30,7 @@
 //! [`Issuer::ready_children`]): the window, batched P4 runs, and how a parent
 //! waits for its children. Above the
 //! frontier, a front whose children were factored on *other* devices consumes their
-//! packed `m × m` contribution blocks via [`DeviceSet::p2p`] peer copies —
+//! packed `m × m` contribution blocks via [`Gpu::p2p`] peer copies —
 //! event-chained, on the dedicated peer engine — instead of the
 //! d2h → host-assemble → h2d staging round-trip; the producing front's
 //! update download (and its host-side apply charge) is skipped entirely
@@ -60,7 +60,7 @@ use crate::pinned_pool::PinnedPool;
 use crate::policy::PolicyKind;
 use crate::stats::FactorStats;
 use mf_dense::Scalar;
-use mf_gpusim::{CopyMode, DevMat, DeviceSet, Gpu, GpuUtilization, HostClock, Machine};
+use mf_gpusim::{DevMat, Gpu, GpuUtilization, HostClock, Machine};
 use mf_sparse::symbolic::SymbolicFactor;
 use mf_sparse::SymCsc;
 use std::collections::VecDeque;
@@ -73,9 +73,9 @@ const S_PEER: usize = 2;
 /// [`FactorOptions::devices`](crate::factor::FactorOptions::devices).
 ///
 /// A pipelined run ([`crate::Schedule::Pipelined`]) keeps fronts in flight on
-/// `count` devices: the machine's own becomes device 0 of a [`DeviceSet`] of
-/// `count` identically-configured devices fed from the machine's host
-/// timeline, and moves back when the run ends.
+/// `count` devices: the machine's own becomes device 0 of `count`
+/// identically-configured devices fed from the machine's host timeline, and
+/// moves back when the run ends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MultiGpuOptions {
     /// Number of simulated devices. `1` (the default) is the machine's own
@@ -283,7 +283,7 @@ fn evict<T: Scalar>(ru: RemoteUpdate, ctx: &mut FuContext<'_>) {
     let copy = gpu.stream(S_COPY);
     gpu.wait_event(copy, ru.ready);
     let dst = ctx.pool.slot_mut(slot);
-    gpu.d2h(copy, ru.view, ru.m, ru.m, dst, ru.m, true, CopyMode::Async, ctx.host);
+    gpu.d2h(copy, ru.view, ru.m, ru.m, dst, ru.m, ctx.host);
     let ev = gpu.record_event(copy);
     ctx.pool.retire(slot, ev.0, ctx.host);
     let _ = gpu.free(ru.buf);
@@ -291,14 +291,14 @@ fn evict<T: Scalar>(ru: RemoteUpdate, ctx: &mut FuContext<'_>) {
 }
 
 /// Whole-run state of the issuer: one host timeline, one [`Lane`] per device
-/// of `set` (lane `d` drives device `d`), the issue order and the peer
+/// of `gpus` (lane `d` drives device `d`), the issue order and the peer
 /// exports between lanes. The lifecycle of each front is [`crate::lane`]'s.
 struct Issuer<'a, 'm, T> {
     symbolic: &'a SymbolicFactor,
     opts: &'a FactorOptions,
     map: DeviceMap,
     host: &'m mut HostClock,
-    set: DeviceSet,
+    gpus: Vec<Gpu>,
     pool: PinnedPool,
     lanes: Vec<Lane<'a, T>>,
     /// Supernodes in the order their fronts went in flight on any lane —
@@ -330,7 +330,7 @@ impl<'a, T: Scalar> Issuer<'a, '_, T> {
         };
         let mut ctx = FuContext {
             host: self.host,
-            gpu: Some(self.set.device_mut(lane)),
+            gpu: Some(&mut self.gpus[lane]),
             pool: &mut self.pool,
             copy_optimized: self.opts.copy_optimized,
         };
@@ -351,7 +351,7 @@ impl<'a, T: Scalar> Issuer<'a, '_, T> {
         if issued.is_err() {
             for c in 0..self.exports.len() {
                 if let Some(ru) = self.exports[c].take() {
-                    let _ = self.set.device_mut(self.map.device_of[c]).free(ru.buf);
+                    let _ = self.gpus[self.map.device_of[c]].free(ru.buf);
                 }
             }
         }
@@ -529,9 +529,9 @@ impl<'a, T: Scalar> Issuer<'a, '_, T> {
     }
 
     /// Peer-copy every exported child update onto `sn`'s device: an `m × m`
-    /// landing buffer, a [`DeviceSet::p2p`] gated on the producer's ready
-    /// event, and a compute-stream wait so `sn`'s kernels observe the
-    /// scattered update. Falls back to host staging when the parent runs on
+    /// landing buffer (allocated with data, reserved without), a
+    /// [`Gpu::p2p`] gated on the producer's ready event, and a compute-stream
+    /// wait so `sn`'s kernels observe the scattered update. Falls back to host staging when the parent runs on
     /// the CPU or the landing allocation does not fit. Data-wise this is a
     /// no-op — the host already holds the authoritative update — so only
     /// the simulated timeline moves.
@@ -540,27 +540,28 @@ impl<'a, T: Scalar> Issuer<'a, '_, T> {
         for &c in self.symbolic.children(sn) {
             let Some(ru) = self.exports[c].take() else { continue };
             let clane = self.map.device_of[c];
-            let set = &mut self.set;
-            let landing = if policy == PolicyKind::P1 {
-                None
-            } else {
-                set.device_mut(lane).alloc(ru.m * ru.m).ok()
+            let (gpus, data) = (&mut self.gpus, self.pool.has_data());
+            let gpu = &mut gpus[lane];
+            let landing = match policy {
+                PolicyKind::P1 => None,
+                _ if data => gpu.alloc(ru.m * ru.m).ok(),
+                _ => gpu.reserve(ru.m * ru.m).ok(),
             };
             let Some(dst) = landing else {
                 self.on_lane(clane, |_, ctx, _| evict::<T>(ru, ctx));
                 continue;
             };
-            let dst_stream = set.device_mut(lane).stream(S_PEER);
+            let (dst_stream, cs) = (gpu.stream(S_PEER), gpu.stream(S_COMPUTE));
             let dst_view = DevMat::whole(dst, ru.m);
-            let ev = set
-                .p2p(clane, ru.view, lane, dst_stream, dst_view, ru.m, ru.m, ru.ready, self.host);
-            let cs = set.device_mut(lane).stream(S_COMPUTE);
-            set.device_mut(lane).wait_event(cs, ev);
+            let (rv, m) = (ru.view, ru.m);
+            let ev =
+                Gpu::p2p(gpus, clane, rv, lane, dst_stream, dst_view, m, m, ru.ready, self.host);
+            gpus[lane].wait_event(cs, ev);
             // The copy's timing is scheduled; the allocator is timeless, so
             // free both endpoints now — `sn`'s own dispatch must see the
             // same free memory the serial drain driver would.
-            let _ = set.device_mut(lane).free(dst);
-            let _ = set.device_mut(clane).free(ru.buf);
+            let _ = gpus[lane].free(dst);
+            let _ = gpus[clane].free(ru.buf);
         }
     }
 
@@ -577,11 +578,11 @@ impl<'a, T: Scalar> Issuer<'a, '_, T> {
 
 /// [`crate::Schedule::Pipelined`]: fronts in flight on `ndev` lanes of one
 /// host timeline, `a`'s values assembled and the panels put into the slab of
-/// `data`. The machine's own device becomes device 0 of a [`DeviceSet`] of
-/// `ndev` identical devices and moves back, in the mode it arrived in, when
-/// the run ends, error or not. Without data the run is timing-only: every
-/// device of the set and the staging pool are virtual, so it issues the data
-/// run's every simulated call and touches no numeric data. Factor slabs are
+/// `data`. The machine's own device becomes device 0 of `ndev` identical
+/// devices and moves back when the run ends, error or not. Without data the
+/// run is timing-only: its staging pool is built without data and its device
+/// buffers are reserved, so it issues the data run's every simulated call
+/// and touches no numeric data. Factor slabs are
 /// bitwise identical to the drain driver at every device count (see the
 /// module docs).
 pub(crate) fn issue_fronts<T: Scalar>(
@@ -593,21 +594,17 @@ pub(crate) fn issue_fronts<T: Scalar>(
 ) -> Result<FactorStats, FactorError> {
     let own =
         machine.gpu.take().expect("the plan keeps fronts in flight on a machine with a device");
-    let (cfg, arrived_virtual, no_data) = (own.config().clone(), own.is_virtual(), data.is_none());
+    let cfg = own.config().clone();
     let mut gpus = vec![own];
     gpus.resize_with(ndev, || Gpu::new(cfg.clone()));
-    let mut pool = pinned_pool(opts);
-    pool.set_virtual(no_data);
-    for g in &mut gpus {
-        g.set_virtual(no_data);
-    }
+    let pool = pinned_pool(opts, data.is_some());
 
     let mut run = Issuer {
         symbolic,
         opts,
         map: proportional_map(symbolic, ndev),
         host: &mut machine.host,
-        set: DeviceSet::from_gpus(gpus),
+        gpus,
         pool,
         lanes: (0..ndev).map(|_| Lane::new()).collect(),
         order: VecDeque::new(),
@@ -619,18 +616,17 @@ pub(crate) fn issue_fronts<T: Scalar>(
 
     // Stats and the device's way back happen whether or not the run errored,
     // so callers always get their machine back intact.
-    run.set.sync_all(run.host);
+    for g in &mut run.gpus {
+        g.sync_all(run.host);
+    }
     let total = run.host.now();
-    let per_dev: Vec<GpuUtilization> =
-        (0..ndev).map(|d| run.set.device(d).utilization(total)).collect();
+    let per_dev: Vec<GpuUtilization> = run.gpus.iter().map(|g| g.utilization(total)).collect();
     let mut agg = GpuUtilization::default();
     for u in &per_dev {
         agg.merge(u);
     }
-    let peer_bytes = run.set.peer_bytes();
-    let mut own = run.set.take(0);
-    own.set_virtual(arrived_virtual);
-    machine.gpu = Some(own);
+    let peer_bytes = run.gpus.iter().map(Gpu::peer_bytes).sum();
+    machine.gpu = Some(run.gpus.swap_remove(0));
     result?;
     Ok(FactorStats {
         front_alloc_events: run.store.allocs,

@@ -337,7 +337,7 @@ pub(crate) fn factor_tasks<T: Scalar>(
         .iter_mut()
         .map(|machine| WorkerCtx {
             machine,
-            pool: pinned_pool(opts),
+            pool: pinned_pool(opts, true),
             arena: FrontArena::with_len(0),
             rel: Vec::new(),
             peak_front: 0,

@@ -4,9 +4,9 @@
 //! pinned allocation is expensive — so "any allocation/deallocation is
 //! triggered only when the maximum allocated size over all the previous
 //! calls is insufficient". [`PinnedPool`] implements exactly that, with a
-//! switch to allocate-per-call for the ablation benchmark, and a *virtual*
-//! mode that charges allocation costs without backing memory (used by
-//! timing-only estimation of huge fronts).
+//! switch to allocate-per-call for the ablation benchmark. A pool built
+//! without data (a run without data) charges the same allocations and
+//! backs none of them.
 
 use mf_gpusim::HostClock;
 
@@ -20,8 +20,8 @@ use mf_gpusim::HostClock;
 #[derive(Debug)]
 pub struct PinnedPool {
     slots: Vec<Vec<f32>>,
-    /// Logical length of each slot (equals `slots[i].len()` except in
-    /// virtual mode, where slots stay empty).
+    /// Logical length of each slot (equals `slots[i].len()` in a pool with
+    /// data; a pool without data keeps its slots empty).
     logical: Vec<usize>,
     /// Simulated time at which the last transfer touching each slot
     /// completes; a slot may not be re-leased before this.
@@ -29,38 +29,33 @@ pub struct PinnedPool {
     /// Slots currently handed out by [`Self::lease`].
     leased: Vec<bool>,
     reuse: bool,
-    virtual_mode: bool,
+    data: bool,
 }
 
 impl PinnedPool {
     /// A pool with `nslots` independent staging buffers and the growth-only
-    /// reuse policy enabled.
-    pub fn new(nslots: usize) -> Self {
+    /// reuse policy enabled, backing its slots with memory if `data`.
+    pub fn new(nslots: usize, data: bool) -> Self {
         PinnedPool {
             slots: vec![Vec::new(); nslots],
             logical: vec![0; nslots],
             ready_at: vec![0.0; nslots],
             leased: vec![false; nslots],
             reuse: true,
-            virtual_mode: false,
+            data,
         }
     }
 
     /// Disable reuse: every lease allocates and every retirement frees
     /// pinned memory (the configuration the paper found prohibitively slow).
-    pub fn without_reuse(nslots: usize) -> Self {
-        PinnedPool { reuse: false, ..Self::new(nslots) }
+    pub fn without_reuse(nslots: usize, data: bool) -> Self {
+        PinnedPool { reuse: false, ..Self::new(nslots, data) }
     }
 
-    /// Charge allocation costs but never allocate backing memory. Slot
-    /// contents must not be read in this mode (timing-only estimation).
-    pub fn set_virtual(&mut self, on: bool) {
-        self.virtual_mode = on;
-    }
-
-    /// Whether the pool is virtual: no data exists, only costs.
-    pub fn is_virtual(&self) -> bool {
-        self.virtual_mode
+    /// Whether the run has data. A pool without it charges allocation costs
+    /// and never allocates backing memory: its slots stay empty.
+    pub fn has_data(&self) -> bool {
+        self.data
     }
 
     /// The growth-only (or allocate-per-call) charging policy for one slot.
@@ -73,7 +68,7 @@ impl PinnedPool {
                 }
                 host.alloc_pinned(len * 4);
                 self.logical[idx] = len;
-                if !self.virtual_mode {
+                if self.data {
                     self.slots[idx].resize(len, 0.0);
                 }
             }
@@ -81,7 +76,7 @@ impl PinnedPool {
             // Allocate-per-call mode: charge a fresh allocation every time.
             host.alloc_pinned(len * 4);
             self.logical[idx] = len;
-            if !self.virtual_mode {
+            if self.data {
                 self.slots[idx].clear();
                 self.slots[idx].resize(len, 0.0);
             }
@@ -151,7 +146,7 @@ impl PinnedPool {
     }
 
     /// Raw access to a leased slot (no charging), at least as long as the
-    /// lease asked for. Not meaningful in virtual mode.
+    /// lease asked for in a pool with data, empty in one without.
     pub fn slot(&self, idx: usize) -> &[f32] {
         &self.slots[idx]
     }
@@ -169,7 +164,7 @@ mod tests {
 
     #[test]
     fn reuse_only_charges_on_growth() {
-        let mut pool = PinnedPool::new(1);
+        let mut pool = PinnedPool::new(1, true);
         let mut host = HostClock::new(xeon_5160_core());
         let a = pool.lease(1000, &mut host);
         pool.retire_now(a, &mut host);
@@ -189,7 +184,7 @@ mod tests {
 
     #[test]
     fn no_reuse_charges_every_time() {
-        let mut pool = PinnedPool::without_reuse(1);
+        let mut pool = PinnedPool::without_reuse(1, true);
         let mut host = HostClock::new(xeon_5160_core());
         let a = pool.lease(100, &mut host);
         pool.retire_now(a, &mut host);
@@ -201,7 +196,7 @@ mod tests {
 
     #[test]
     fn pinned_accounting_balances() {
-        let mut pool = PinnedPool::without_reuse(2);
+        let mut pool = PinnedPool::without_reuse(2, true);
         let mut host = HostClock::new(xeon_5160_core());
         let a = pool.lease(64, &mut host);
         let b = pool.lease(32, &mut host);
@@ -213,7 +208,7 @@ mod tests {
 
     #[test]
     fn slots_are_independent() {
-        let mut pool = PinnedPool::new(2);
+        let mut pool = PinnedPool::new(2, true);
         let mut host = HostClock::new(xeon_5160_core());
         let a = pool.lease(10, &mut host);
         let b = pool.lease(10, &mut host);
@@ -228,7 +223,7 @@ mod tests {
 
     #[test]
     fn lease_reuses_lowest_ready_generation() {
-        let mut pool = PinnedPool::new(2);
+        let mut pool = PinnedPool::new(2, true);
         let mut host = HostClock::new(xeon_5160_core());
         let a = pool.lease(100, &mut host);
         let b = pool.lease(100, &mut host);
@@ -243,7 +238,7 @@ mod tests {
 
     #[test]
     fn lease_grows_generation_when_all_busy_or_guarded() {
-        let mut pool = PinnedPool::new(2);
+        let mut pool = PinnedPool::new(2, true);
         let mut host = HostClock::new(xeon_5160_core());
         let a = pool.lease(10, &mut host);
         let _b = pool.lease(10, &mut host);
@@ -259,12 +254,11 @@ mod tests {
     }
 
     #[test]
-    fn virtual_mode_charges_without_allocating() {
-        let mut pool = PinnedPool::new(1);
-        pool.set_virtual(true);
+    fn pool_without_data_charges_without_allocating() {
+        let mut pool = PinnedPool::new(1, false);
         let mut host = HostClock::new(xeon_5160_core());
         let a = pool.lease(1_000_000_000, &mut host);
-        assert!(pool.slot(a).is_empty(), "virtual lease must not allocate");
+        assert!(pool.slot(a).is_empty(), "a lease without data must not allocate");
         assert!(host.now() > 0.0, "but it must charge");
         assert_eq!(pool.logical[a], 1_000_000_000);
         pool.retire_now(a, &mut host);

@@ -18,7 +18,7 @@
 //! One private function maps a [`Schedule`] to its driver: with the matrix
 //! and a factor slab for [`run_plan`], without either for
 //! [`FactorOptions::rehearse`], which runs the plan on a twin of the first
-//! machine (same configuration, fresh clocks, its device virtual) and
+//! machine (same configuration, fresh clocks and device) and
 //! returns the run's simulated clock, per-call records and out-of-core
 //! accounting bit for bit — or the run's own error. Every price is read from
 //! the structure, so planning and rehearsing take no matrix. The plan's own
@@ -196,11 +196,11 @@ impl FactorOptions {
 
     /// The simulated clock of a factorization under these options on
     /// `machine`, without data: the plan, its schedule run by the same driver
-    /// on a twin of `machine` (same configuration, fresh clocks, its device
-    /// virtual) without the matrix or a factor slab. No numeric buffer is
-    /// allocated or touched; `symbolic` gives every front's shape and entry
-    /// count, and `T` the bytes every transfer, assembly and spill is charged
-    /// for.
+    /// on a twin of `machine` (same configuration, fresh clocks and device)
+    /// without the matrix or a factor slab. No numeric buffer is allocated
+    /// or touched (device buffers are reserved, not allocated); `symbolic`
+    /// gives every front's shape and entry count, and `T` the bytes every
+    /// transfer, assembly and spill is charged for.
     ///
     /// `total_time`, `records`, `gpu`, `gpu_devices`, `peer_bytes`,
     /// `oom_fallbacks`, `plan` and `ooc` equal those of
@@ -259,7 +259,7 @@ pub(crate) fn run_plan<T: Scalar>(
 }
 
 /// `schedule` without data on a twin of `machine`: the same configuration,
-/// fresh clocks and, if `machine` has a device, a virtual one.
+/// fresh clocks and, if `machine` has a device, a fresh one.
 fn rehearse<T: Scalar>(
     schedule: Schedule,
     symbolic: &SymbolicFactor,
@@ -268,7 +268,6 @@ fn rehearse<T: Scalar>(
 ) -> Result<FactorStats, FactorError> {
     let gpu = machine.gpu.as_ref().map(|g| Gpu::new(g.config().clone()));
     let mut twin = Machine { host: HostClock::new(machine.host.config().clone()), gpu };
-    twin.gpu.iter_mut().for_each(|g| g.set_virtual(true));
     drive::<T>(schedule, symbolic, &mut twin, opts, None)
 }
 

@@ -5,16 +5,20 @@
 //! * **in-order streams** — operations on one stream serialise,
 //! * **engine overlap** — the compute engine and the (single) copy engine
 //!   run concurrently, so asynchronous copies overlap kernels (§V-A2),
-//! * **asynchronous issue** — the host pays only a small issue cost and
-//!   blocks at explicit synchronisation points (pageable copies are
-//!   synchronous, as in CUDA),
+//! * **asynchronous issue** — every copy is an asynchronous transfer from
+//!   pinned host memory, as the paper's policies stage them (§V-A2): the
+//!   host pays only a small issue cost and blocks at explicit
+//!   synchronisation points,
 //! * **device memory limits** — allocation fails beyond the configured
 //!   capacity (4 GB on the T10).
 //!
 //! Numerics are computed **for real in f32** via `mf-dense` the moment an
 //! operation is enqueued; only *time* is simulated. This is valid as long
 //! as the caller orders dependent operations program-order on streams —
-//! exactly the discipline a correct CUDA program follows.
+//! exactly the discipline a correct CUDA program follows. A run without
+//! data [`Gpu::reserve`]s its buffers instead of allocating them: they are
+//! charged against capacity like any other, and every operation on them
+//! charges its time and moves no bytes.
 
 use crate::calib::{GpuConfig, KernelKind};
 use crate::host::HostClock;
@@ -30,16 +34,6 @@ pub struct Stream(usize);
 /// A recorded event: the stream-tail time at recording.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Event(pub f64);
-
-/// Transfer mode for copies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CopyMode {
-    /// Host blocks until the transfer completes (pageable memory).
-    Sync,
-    /// Host continues immediately (requires pinned memory in CUDA; here the
-    /// caller asserts pinned-ness via the `pinned` flag).
-    Async,
-}
 
 /// The simulated device.
 #[derive(Debug)]
@@ -62,21 +56,18 @@ pub struct Gpu {
     peer_busy: f64,
     /// Bytes received over the peer link (accounted on the destination).
     peer_bytes: usize,
-    /// Accumulated busy time charged through each stream (kernels + copies
-    /// issued on it), indexed like `streams`.
-    stream_busy: Vec<f64>,
     /// Seconds charged per component since the counters were last cleared.
     split: TimeSplit,
 }
 
 impl Gpu {
-    /// A fresh device with one default stream (stream 0).
+    /// A fresh device, its streams created by [`Self::stream`].
     pub fn new(cfg: GpuConfig) -> Self {
         let mem = DeviceMemory::new(cfg.mem_bytes);
         Gpu {
             cfg,
             mem,
-            streams: vec![0.0],
+            streams: Vec::new(),
             compute_free: 0.0,
             copy_free: 0.0,
             compute_busy: 0.0,
@@ -84,7 +75,6 @@ impl Gpu {
             peer_free: 0.0,
             peer_busy: 0.0,
             peer_bytes: 0,
-            stream_busy: vec![0.0],
             split: TimeSplit::default(),
         }
     }
@@ -94,41 +84,14 @@ impl Gpu {
         &self.cfg
     }
 
-    /// The default stream.
-    pub fn default_stream(&self) -> Stream {
-        Stream(0)
-    }
-
-    /// Create an additional stream.
-    pub fn create_stream(&mut self) -> Stream {
-        self.streams.push(0.0);
-        self.stream_busy.push(0.0);
-        Stream(self.streams.len() - 1)
-    }
-
     /// Get stream `idx`, creating intermediate streams as needed (so callers
     /// can use stable stream ids across many operations without leaking a
     /// new stream per call).
     pub fn stream(&mut self, idx: usize) -> Stream {
-        while self.streams.len() <= idx {
-            self.streams.push(0.0);
-            self.stream_busy.push(0.0);
+        if self.streams.len() <= idx {
+            self.streams.resize(idx + 1, 0.0);
         }
         Stream(idx)
-    }
-
-    /// Enable/disable virtual (timing-only) mode: allocations track bytes
-    /// without backing storage and kernels/copies charge time without
-    /// touching data. Used to estimate policy times on fronts far too large
-    /// to compute for real (the paper's Figure 12/13/14 maps go to
-    /// m = k = 10000).
-    pub fn set_virtual(&mut self, on: bool) {
-        self.mem.virtual_mode = on;
-    }
-
-    /// Whether the device is in virtual (timing-only) mode.
-    pub fn is_virtual(&self) -> bool {
-        self.mem.virtual_mode
     }
 
     /// Seconds charged per component since the counters were last cleared:
@@ -148,14 +111,19 @@ impl Gpu {
         self.mem.used()
     }
 
-    /// Length (elements) of an allocated buffer.
-    pub fn buf_len(&self, buf: crate::memory::DevBuf) -> Result<usize, InvalidBuffer> {
-        self.mem.len(buf)
-    }
-
     /// Allocate a device buffer of `len` f32 elements (zero-initialised).
     pub fn alloc(&mut self, len: usize) -> Result<DevBuf, DeviceOom> {
-        self.mem.alloc(len)
+        self.mem.alloc(len, true)
+    }
+
+    /// Reserve a buffer of `len` f32 elements without storage: charged
+    /// against capacity under the same out-of-memory rule as
+    /// [`Self::alloc`], and every operation on it charges its time without
+    /// moving or computing a byte. A run without data reserves what the run
+    /// with data allocates — on fronts far too large to compute for real,
+    /// too (the paper's Figure 12/13/14 maps go to m = k = 10000).
+    pub fn reserve(&mut self, len: usize) -> Result<DevBuf, DeviceOom> {
+        self.mem.alloc(len, false)
     }
 
     /// Free a device buffer. Double frees and stale handles are reported as
@@ -169,7 +137,8 @@ impl Gpu {
         self.mem.get(buf)
     }
 
-    /// Record an event on `stream`.
+    /// Record an event on `stream`: the completion time of the latest work
+    /// issued there (the stream's tail).
     pub fn record_event(&self, stream: Stream) -> Event {
         Event(self.streams[stream.0])
     }
@@ -180,13 +149,6 @@ impl Gpu {
         if event.0 > *tail {
             *tail = event.0;
         }
-    }
-
-    /// Non-blocking event query: has `event` completed by host time `at`?
-    /// Advances nothing — the pipelined dispatch layer uses this to decide
-    /// whether a staging generation can be recycled without stalling.
-    pub fn event_query(&self, event: Event, at: f64) -> bool {
-        event.0 <= at
     }
 
     /// Block the host until `event` completes — a targeted wait on one
@@ -201,11 +163,6 @@ impl Gpu {
     pub fn sync_all(&mut self, host: &mut HostClock) {
         let t = self.streams.iter().fold(0.0f64, |a, &b| a.max(b));
         host.sync_to(t.max(self.compute_free).max(self.copy_free).max(self.peer_free));
-    }
-
-    /// Completion time of the latest work on `stream` (for schedulers).
-    pub fn stream_tail(&self, stream: Stream) -> f64 {
-        self.streams[stream.0]
     }
 
     /// Accumulated compute-engine busy time since the last clock reset.
@@ -228,11 +185,6 @@ impl Gpu {
         self.peer_bytes
     }
 
-    /// Accumulated busy time of work issued on `stream`.
-    pub fn stream_busy(&self, stream: Stream) -> f64 {
-        self.stream_busy[stream.0]
-    }
-
     /// Engine busy/idle accounting over a span of `span` simulated seconds
     /// (typically the run's makespan).
     pub fn utilization(&self, span: f64) -> GpuUtilization {
@@ -252,26 +204,15 @@ impl Gpu {
         cols: usize,
         src: &[f32],
         src_ld: usize,
-        pinned: bool,
-        mode: CopyMode,
         host: &mut HostClock,
     ) {
-        // Data moves now (eager numerics); skipped entirely in virtual mode.
-        // An invalid handle skips the data movement (debug builds assert) but
-        // still charges the simulated transfer time so clocks stay plausible.
-        if !self.mem.virtual_mode {
-            match self.mem.get_mut(dst.buf) {
-                Ok(data) => {
-                    for j in 0..cols {
-                        let s = &src[j * src_ld..j * src_ld + rows];
-                        let doff = dst.off + j * dst.ld;
-                        data[doff..doff + rows].copy_from_slice(s);
-                    }
-                }
-                Err(e) => debug_assert!(false, "h2d: {e}"),
+        if let Some(data) = self.mem.storage_mut(dst.buf) {
+            for j in 0..cols {
+                let doff = dst.off + j * dst.ld;
+                data[doff..doff + rows].copy_from_slice(&src[j * src_ld..j * src_ld + rows]);
             }
         }
-        self.schedule_copy(stream, rows * cols * 4, pinned, mode, host);
+        self.schedule_copy(stream, rows * cols * 4, host);
     }
 
     /// Copy a `rows × cols` block from the device view `src` into host `dst`
@@ -285,59 +226,41 @@ impl Gpu {
         cols: usize,
         dst: &mut [f32],
         dst_ld: usize,
-        pinned: bool,
-        mode: CopyMode,
         host: &mut HostClock,
     ) {
-        if !self.mem.virtual_mode {
-            match self.mem.get(src.buf) {
-                Ok(data) => {
-                    for j in 0..cols {
-                        let soff = src.off + j * src.ld;
-                        dst[j * dst_ld..j * dst_ld + rows]
-                            .copy_from_slice(&data[soff..soff + rows]);
-                    }
-                }
-                Err(e) => debug_assert!(false, "d2h: {e}"),
+        if let Some(data) = self.mem.storage(src.buf) {
+            for j in 0..cols {
+                let soff = src.off + j * src.ld;
+                dst[j * dst_ld..j * dst_ld + rows].copy_from_slice(&data[soff..soff + rows]);
             }
         }
-        self.schedule_copy(stream, rows * cols * 4, pinned, mode, host);
+        self.schedule_copy(stream, rows * cols * 4, host);
     }
 
-    fn schedule_copy(
-        &mut self,
-        stream: Stream,
-        bytes: usize,
-        pinned: bool,
-        mode: CopyMode,
-        host: &mut HostClock,
-    ) {
-        let dur = self.cfg.pcie.time(bytes, pinned);
+    fn schedule_copy(&mut self, stream: Stream, bytes: usize, host: &mut HostClock) {
+        let dur = self.cfg.pcie.time(bytes, true);
         let start = host.now().max(self.streams[stream.0]).max(self.copy_free);
         let end = start + dur;
         self.streams[stream.0] = end;
         self.copy_free = end;
         self.copy_busy += dur;
-        self.stream_busy[stream.0] += dur;
         self.split.copy += end - start;
-        match mode {
-            CopyMode::Sync => host.sync_to(end),
-            CopyMode::Async => host.charge_issue(),
-        }
+        host.charge_issue();
     }
 
     // ----- kernels --------------------------------------------------------
 
     /// Pack a `rows × cols` region of a device view into a dense scratch
-    /// vector (simulation-internal; carries no simulated cost).
-    fn pack(&self, m: DevMat, rows: usize, cols: usize) -> Result<Vec<f32>, InvalidBuffer> {
-        let data = self.mem.get(m.buf)?;
+    /// vector (simulation-internal; carries no simulated cost), if its
+    /// buffer has storage.
+    fn pack(&self, m: DevMat, rows: usize, cols: usize) -> Option<Vec<f32>> {
+        let data = self.mem.storage(m.buf)?;
         let mut out = vec![0.0f32; rows * cols];
         for j in 0..cols {
             let off = m.off + j * m.ld;
             out[j * rows..(j + 1) * rows].copy_from_slice(&data[off..off + rows]);
         }
-        Ok(out)
+        Some(out)
     }
 
     fn schedule_kernel(
@@ -356,7 +279,6 @@ impl Gpu {
         self.streams[stream.0] = end;
         self.compute_free = end;
         self.compute_busy += dur;
-        self.stream_busy[stream.0] += dur;
         self.split.kernel(kind, start, end);
         host.charge_issue();
     }
@@ -373,13 +295,8 @@ impl Gpu {
         m: usize,
         host: &mut HostClock,
     ) {
-        if !self.mem.virtual_mode {
-            let res = self.pack(l, k, k).and_then(|lpack| {
-                let data = self.mem.get_mut(b.buf)?;
-                trsm_right_lower_trans(m, k, &lpack, k, &mut data[b.off..], b.ld);
-                Ok(())
-            });
-            debug_assert!(res.is_ok(), "trsm: {:?}", res.err());
+        if let (Some(lpack), Some(data)) = (self.pack(l, k, k), self.mem.storage_mut(b.buf)) {
+            trsm_right_lower_trans(m, k, &lpack, k, &mut data[b.off..], b.ld);
         }
         self.schedule_kernel(stream, KernelKind::Trsm, m, 0, k, host);
     }
@@ -395,13 +312,8 @@ impl Gpu {
         k: usize,
         host: &mut HostClock,
     ) {
-        if !self.mem.virtual_mode {
-            let res = self.pack(a, n, k).and_then(|apack| {
-                let data = self.mem.get_mut(c.buf)?;
-                syrk_lower(n, k, -1.0f32, &apack, n, 1.0, &mut data[c.off..], c.ld);
-                Ok(())
-            });
-            debug_assert!(res.is_ok(), "syrk: {:?}", res.err());
+        if let (Some(apack), Some(data)) = (self.pack(a, n, k), self.mem.storage_mut(c.buf)) {
+            syrk_lower(n, k, -1.0f32, &apack, n, 1.0, &mut data[c.off..], c.ld);
         }
         self.schedule_kernel(stream, KernelKind::Syrk, 0, n, k, host);
     }
@@ -420,28 +332,11 @@ impl Gpu {
         k: usize,
         host: &mut HostClock,
     ) {
-        if !self.mem.virtual_mode {
-            let res = self.pack(a, m, k).and_then(|apack| {
-                let bpack = self.pack(b, n, k)?;
-                let data = self.mem.get_mut(c.buf)?;
-                gemm(
-                    Transpose::No,
-                    Transpose::Yes,
-                    m,
-                    n,
-                    k,
-                    -1.0f32,
-                    &apack,
-                    m,
-                    &bpack,
-                    n,
-                    1.0,
-                    &mut data[c.off..],
-                    c.ld,
-                );
-                Ok(())
-            });
-            debug_assert!(res.is_ok(), "gemm_nt: {:?}", res.err());
+        let (apack, bpack) = (self.pack(a, m, k), self.pack(b, n, k));
+        if let (Some(apack), Some(bpack), Some(data)) = (apack, bpack, self.mem.storage_mut(c.buf))
+        {
+            let (no, yes) = (Transpose::No, Transpose::Yes);
+            gemm(no, yes, m, n, k, -1.0f32, &apack, m, &bpack, n, 1.0, &mut data[c.off..], c.ld);
         }
         self.schedule_kernel(stream, KernelKind::Gemm, m, n, k, host);
     }
@@ -455,16 +350,9 @@ impl Gpu {
         n: usize,
         host: &mut HostClock,
     ) -> Result<(), usize> {
-        let res = if self.mem.virtual_mode {
-            Ok(())
-        } else {
-            match self.mem.get_mut(a.buf) {
-                Ok(data) => potrf_unblocked(n, &mut data[a.off..], a.ld),
-                Err(e) => {
-                    debug_assert!(false, "panel_potrf: {e}");
-                    Ok(())
-                }
-            }
+        let res = match self.mem.storage_mut(a.buf) {
+            Some(data) => potrf_unblocked(n, &mut data[a.off..], a.ld),
+            None => Ok(()),
         };
         self.schedule_kernel(stream, KernelKind::PanelPotrf, 0, n, 0, host);
         res.map_err(|e| e.column)
@@ -473,12 +361,7 @@ impl Gpu {
     /// Reset all timelines and the component counters to zero (memory
     /// contents and allocations kept).
     pub fn reset_clock(&mut self) {
-        for s in &mut self.streams {
-            *s = 0.0;
-        }
-        for b in &mut self.stream_busy {
-            *b = 0.0;
-        }
+        self.streams.fill(0.0);
         self.compute_free = 0.0;
         self.copy_free = 0.0;
         self.compute_busy = 0.0;
@@ -490,7 +373,8 @@ impl Gpu {
     }
 
     /// Peer (device-to-device) copy: move a `rows × cols` column-major block
-    /// from `src_view` on `src` into `dst_view` on `dst` over the p2p link.
+    /// from `src_view` on device `src` of `gpus` into `dst_view` on device
+    /// `dst` over the p2p link.
     ///
     /// Event-chained exactly like `h2d`/`d2h`: the transfer starts no
     /// earlier than `wait` (an event recorded on *any* device — events carry
@@ -504,11 +388,13 @@ impl Gpu {
     /// Data moves eagerly (a straight memcpy of what the source buffer holds
     /// now), matching the simulator's eager-numerics discipline; only time
     /// is scheduled. Traffic is accounted on the destination device.
+    /// Panics unless `src` and `dst` are two distinct devices of `gpus`.
     #[allow(clippy::too_many_arguments)]
     pub fn p2p(
-        src: &mut Gpu,
+        gpus: &mut [Gpu],
+        src: usize,
         src_view: DevMat,
-        dst: &mut Gpu,
+        dst: usize,
         dst_stream: Stream,
         dst_view: DevMat,
         rows: usize,
@@ -516,16 +402,13 @@ impl Gpu {
         wait: Event,
         host: &mut HostClock,
     ) -> Event {
-        if !src.mem.virtual_mode && !dst.mem.virtual_mode {
-            let res = src.pack(src_view, rows, cols).and_then(|block| {
-                let data = dst.mem.get_mut(dst_view.buf)?;
-                for j in 0..cols {
-                    let doff = dst_view.off + j * dst_view.ld;
-                    data[doff..doff + rows].copy_from_slice(&block[j * rows..(j + 1) * rows]);
-                }
-                Ok(())
-            });
-            debug_assert!(res.is_ok(), "p2p: {:?}", res.err());
+        let [src, dst] = gpus.get_disjoint_mut([src, dst]).expect("two distinct devices");
+        let block = src.pack(src_view, rows, cols);
+        if let (Some(block), Some(data)) = (block, dst.mem.storage_mut(dst_view.buf)) {
+            for j in 0..cols {
+                let doff = dst_view.off + j * dst_view.ld;
+                data[doff..doff + rows].copy_from_slice(&block[j * rows..(j + 1) * rows]);
+            }
         }
         let bytes = rows * cols * 4;
         let bw = src.cfg.p2p_bw.min(dst.cfg.p2p_bw);
@@ -539,7 +422,6 @@ impl Gpu {
             .max(dst.streams[dst_stream.0]);
         let end = start + dur;
         dst.streams[dst_stream.0] = end;
-        dst.stream_busy[dst_stream.0] += dur;
         src.peer_free = end;
         dst.peer_free = end;
         src.peer_busy += dur;
@@ -548,103 +430,6 @@ impl Gpu {
         dst.split.copy += end - start;
         host.charge_issue();
         Event(end)
-    }
-}
-
-/// A set of simulated devices sharing one host timeline — the multi-GPU
-/// node. Devices keep fully independent clocks, streams and memories;
-/// cross-device ordering flows only through events (absolute simulated
-/// times, so a wait on a remote event is just a `max`) and through the
-/// [`Gpu::p2p`] peer-copy primitive.
-///
-/// Slots are `Option<Gpu>` so a driver can [`DeviceSet::take`] a device back
-/// out of the set — a factorization with fronts in flight returns the
-/// machine's own device this way when its run ends.
-#[derive(Debug)]
-pub struct DeviceSet {
-    gpus: Vec<Option<Gpu>>,
-}
-
-impl DeviceSet {
-    /// `n` fresh devices of the same configuration.
-    pub fn uniform(cfg: GpuConfig, n: usize) -> Self {
-        DeviceSet { gpus: (0..n).map(|_| Some(Gpu::new(cfg.clone()))).collect() }
-    }
-
-    /// Wrap existing devices (device 0 keeps its clocks and memory — a
-    /// factorization with fronts in flight promotes the machine's device
-    /// this way).
-    pub fn from_gpus(gpus: Vec<Gpu>) -> Self {
-        DeviceSet { gpus: gpus.into_iter().map(Some).collect() }
-    }
-
-    /// Number of device slots (taken or not).
-    pub fn len(&self) -> usize {
-        self.gpus.len()
-    }
-
-    /// Whether the set has no devices.
-    pub fn is_empty(&self) -> bool {
-        self.gpus.is_empty()
-    }
-
-    /// Shared access to device `i`. Panics if `i` is out of range or taken.
-    pub fn device(&self, i: usize) -> &Gpu {
-        self.gpus[i].as_ref().expect("device taken out of the set")
-    }
-
-    /// Exclusive access to device `i`. Panics if out of range or taken.
-    pub fn device_mut(&mut self, i: usize) -> &mut Gpu {
-        self.gpus[i].as_mut().expect("device taken out of the set")
-    }
-
-    /// Move device `i` out of the set. Panics if already taken.
-    pub fn take(&mut self, i: usize) -> Gpu {
-        self.gpus[i].take().expect("device already taken")
-    }
-
-    /// Split-borrow two distinct devices at once.
-    pub fn pair_mut(&mut self, a: usize, b: usize) -> (&mut Gpu, &mut Gpu) {
-        assert_ne!(a, b, "pair_mut needs two distinct devices");
-        let (lo, hi) = (a.min(b), a.max(b));
-        let (left, right) = self.gpus.split_at_mut(hi);
-        let l = left[lo].as_mut().expect("device taken out of the set");
-        let r = right[0].as_mut().expect("device taken out of the set");
-        if a < b {
-            (l, r)
-        } else {
-            (r, l)
-        }
-    }
-
-    /// Peer copy between two devices of the set (see [`Gpu::p2p`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn p2p(
-        &mut self,
-        src: usize,
-        src_view: DevMat,
-        dst: usize,
-        dst_stream: Stream,
-        dst_view: DevMat,
-        rows: usize,
-        cols: usize,
-        wait: Event,
-        host: &mut HostClock,
-    ) -> Event {
-        let (s, d) = self.pair_mut(src, dst);
-        Gpu::p2p(s, src_view, d, dst_stream, dst_view, rows, cols, wait, host)
-    }
-
-    /// Block the host until every present device drains.
-    pub fn sync_all(&mut self, host: &mut HostClock) {
-        for g in self.gpus.iter_mut().flatten() {
-            g.sync_all(host);
-        }
-    }
-
-    /// Total bytes moved over peer links (summed over receiving devices).
-    pub fn peer_bytes(&self) -> usize {
-        self.gpus.iter().flatten().map(|g| g.peer_bytes()).sum()
     }
 }
 
@@ -661,16 +446,16 @@ mod tests {
     fn h2d_d2h_roundtrip_with_strides() {
         let (mut gpu, mut host) = setup();
         let buf = gpu.alloc(100).unwrap();
-        let s0 = gpu.default_stream();
+        let s0 = gpu.stream(0);
         // 3×2 block into a ld=10 device view at offset 4.
         let src: Vec<f32> = vec![1., 2., 3., 4., 5., 6.];
         let dst_view = DevMat { buf, off: 4, ld: 10 };
-        gpu.h2d(s0, dst_view, 3, 2, &src, 3, false, CopyMode::Sync, &mut host);
+        gpu.h2d(s0, dst_view, 3, 2, &src, 3, &mut host);
         let mut back = vec![0.0f32; 8];
-        gpu.d2h(s0, dst_view, 3, 2, &mut back, 4, false, CopyMode::Sync, &mut host);
+        gpu.d2h(s0, dst_view, 3, 2, &mut back, 4, &mut host);
         assert_eq!(&back[0..3], &[1., 2., 3.]);
         assert_eq!(&back[4..7], &[4., 5., 6.]);
-        assert!(host.now() > 0.0, "sync copies must cost time");
+        assert!(gpu.record_event(s0).0 > 0.0, "copies cost device time");
     }
 
     #[test]
@@ -683,9 +468,9 @@ mod tests {
         let m = n - k;
         let a0 = mf_dense::matrix::random_spd::<f32>(n, 5);
         let buf = gpu.alloc(n * n).unwrap();
-        let s0 = gpu.default_stream();
+        let s0 = gpu.stream(0);
         let full = DevMat::whole(buf, n);
-        gpu.h2d(s0, full, n, n, a0.as_slice(), n, false, CopyMode::Sync, &mut host);
+        gpu.h2d(s0, full, n, n, a0.as_slice(), n, &mut host);
         // Device-side blocked step.
         gpu.panel_potrf(s0, full, k, &mut host).unwrap();
         gpu.trsm(s0, full, k, full.offset(k, 0), m, &mut host);
@@ -725,52 +510,52 @@ mod tests {
     fn same_stream_serializes() {
         let (mut gpu, mut host) = setup();
         let buf = gpu.alloc(64 * 64).unwrap();
-        let s0 = gpu.default_stream();
+        let s0 = gpu.stream(0);
         let v = DevMat::whole(buf, 64);
         gpu.syrk(s0, v, v, 32, 16, &mut host);
-        let t1 = gpu.stream_tail(s0);
+        let t1 = gpu.record_event(s0).0;
         gpu.syrk(s0, v, v, 32, 16, &mut host);
-        let t2 = gpu.stream_tail(s0);
+        let t2 = gpu.record_event(s0).0;
         assert!(t2 > t1, "second kernel must start after the first");
     }
 
     #[test]
     fn copy_overlaps_compute_across_streams() {
         let (mut gpu, mut host) = setup();
-        let s0 = gpu.default_stream();
-        let s1 = gpu.create_stream();
+        let s0 = gpu.stream(0);
+        let s1 = gpu.stream(1);
         let buf = gpu.alloc(1 << 20).unwrap();
         let big = vec![0.5f32; 1 << 20];
         // Launch a long kernel on s0, then an async copy on s1: the copy
         // must start before the kernel ends (engines overlap).
         let v = DevMat::whole(buf, 1 << 10);
         gpu.syrk(s0, v, v, 1 << 10, 512, &mut host);
-        let kernel_end = gpu.stream_tail(s0);
-        gpu.h2d(s1, v, 1 << 10, 512, &big, 1 << 10, true, CopyMode::Async, &mut host);
-        let copy_start = gpu.stream_tail(s1) - gpu.split().copy;
+        let kernel_end = gpu.record_event(s0).0;
+        gpu.h2d(s1, v, 1 << 10, 512, &big, 1 << 10, &mut host);
+        let copy_start = gpu.record_event(s1).0 - gpu.split().copy;
         assert!(copy_start < kernel_end, "copy should overlap the kernel");
     }
 
     #[test]
     fn two_copies_serialize_on_the_copy_engine() {
         let (mut gpu, mut host) = setup();
-        let s0 = gpu.default_stream();
-        let s1 = gpu.create_stream();
+        let s0 = gpu.stream(0);
+        let s1 = gpu.stream(1);
         let buf = gpu.alloc(1 << 18).unwrap();
         let data = vec![0.0f32; 1 << 18];
         let v = DevMat::whole(buf, 1 << 9);
-        gpu.h2d(s0, v, 1 << 9, 256, &data, 1 << 9, true, CopyMode::Async, &mut host);
-        let (first_end, first) = (gpu.stream_tail(s0), gpu.split().copy);
-        gpu.h2d(s1, v, 1 << 9, 256, &data, 1 << 9, true, CopyMode::Async, &mut host);
-        let second_start = gpu.stream_tail(s1) - (gpu.split().copy - first);
+        gpu.h2d(s0, v, 1 << 9, 256, &data, 1 << 9, &mut host);
+        let (first_end, first) = (gpu.record_event(s0).0, gpu.split().copy);
+        gpu.h2d(s1, v, 1 << 9, 256, &data, 1 << 9, &mut host);
+        let second_start = gpu.record_event(s1).0 - (gpu.split().copy - first);
         assert!(second_start >= first_end - 1e-12, "single copy engine must serialise");
     }
 
     #[test]
     fn events_order_cross_stream_work() {
         let (mut gpu, mut host) = setup();
-        let s0 = gpu.default_stream();
-        let s1 = gpu.create_stream();
+        let s0 = gpu.stream(0);
+        let s1 = gpu.stream(1);
         let buf = gpu.alloc(4096).unwrap();
         let v = DevMat::whole(buf, 64);
         gpu.syrk(s0, v, v, 64, 32, &mut host);
@@ -778,40 +563,8 @@ mod tests {
         gpu.wait_event(s1, ev);
         gpu.clear_split();
         gpu.syrk(s1, v, v, 8, 4, &mut host);
-        let start = gpu.stream_tail(s1) - gpu.split().syrk;
+        let start = gpu.record_event(s1).0 - gpu.split().syrk;
         assert!(start >= ev.0 - 1e-12, "s1 kernel must wait for the event");
-    }
-
-    #[test]
-    fn sync_copy_blocks_host_async_does_not() {
-        let (mut gpu, mut host) = setup();
-        let s0 = gpu.default_stream();
-        let buf = gpu.alloc(1 << 20).unwrap();
-        let data = vec![0.0f32; 1 << 20];
-        let v = DevMat::whole(buf, 1 << 10);
-        let before = host.now();
-        gpu.h2d(s0, v, 1 << 10, 1 << 10, &data, 1 << 10, false, CopyMode::Sync, &mut host);
-        let sync_cost = host.now() - before;
-        assert!(sync_cost > 1e-3, "4 MB pageable ≈ 3 ms: {sync_cost}");
-
-        let before = host.now();
-        gpu.h2d(s0, v, 1 << 10, 1 << 10, &data, 1 << 10, true, CopyMode::Async, &mut host);
-        let async_cost = host.now() - before;
-        assert!(async_cost < 1e-4, "async issue must be cheap: {async_cost}");
-    }
-
-    #[test]
-    fn pinned_copy_faster_than_pageable() {
-        let (mut gpu, mut host) = setup();
-        let s0 = gpu.default_stream();
-        let buf = gpu.alloc(1 << 20).unwrap();
-        let data = vec![0.0f32; 1 << 20];
-        let v = DevMat::whole(buf, 1 << 10);
-        gpu.h2d(s0, v, 1 << 10, 1 << 10, &data, 1 << 10, false, CopyMode::Sync, &mut host);
-        let pageable = gpu.split().copy;
-        gpu.h2d(s0, v, 1 << 10, 1 << 10, &data, 1 << 10, true, CopyMode::Sync, &mut host);
-        let pinned = gpu.split().copy - pageable;
-        assert!(pinned < pageable);
     }
 
     #[test]
@@ -821,6 +574,7 @@ mod tests {
         let mut gpu = Gpu::new(cfg);
         assert!(gpu.alloc(10).is_ok());
         assert!(gpu.alloc(1000).is_err());
+        assert!(gpu.reserve(1000).is_err(), "a reservation obeys the same capacity");
     }
 
     #[test]
@@ -829,7 +583,6 @@ mod tests {
         let buf = gpu.alloc(16).unwrap();
         gpu.free(buf).unwrap();
         assert!(gpu.free(buf).is_err());
-        assert!(gpu.buf_len(buf).is_err());
         assert!(gpu.peek(buf).is_err());
         // The device is still usable afterwards.
         assert!(gpu.alloc(16).is_ok());
@@ -839,7 +592,7 @@ mod tests {
     fn panel_potrf_rejects_indefinite() {
         let (mut gpu, mut host) = setup();
         let buf = gpu.alloc(16).unwrap();
-        let s0 = gpu.default_stream();
+        let s0 = gpu.stream(0);
         let v = DevMat::whole(buf, 4);
         // Zero matrix is not PD.
         let err = gpu.panel_potrf(s0, v, 4, &mut host).unwrap_err();
@@ -847,25 +600,11 @@ mod tests {
     }
 
     #[test]
-    fn event_query_is_non_blocking() {
-        let (mut gpu, mut host) = setup();
-        let buf = gpu.alloc(64 * 64).unwrap();
-        let s0 = gpu.default_stream();
-        let v = DevMat::whole(buf, 64);
-        gpu.syrk(s0, v, v, 64, 32, &mut host);
-        let ev = gpu.record_event(s0);
-        let before = host.now();
-        assert!(!gpu.event_query(ev, before), "kernel cannot have finished at issue time");
-        assert!(gpu.event_query(ev, ev.0), "event completes exactly at its recorded time");
-        assert_eq!(host.now(), before, "querying must not advance the host clock");
-    }
-
-    #[test]
     fn wait_event_host_blocks_to_event_not_device() {
         let (mut gpu, mut host) = setup();
         let buf = gpu.alloc(1 << 20).unwrap();
-        let s0 = gpu.default_stream();
-        let s1 = gpu.create_stream();
+        let s0 = gpu.stream(0);
+        let s1 = gpu.stream(1);
         let v = DevMat::whole(buf, 1 << 10);
         // Short kernel on s0, long kernel on s1.
         gpu.syrk(s0, v, v, 32, 16, &mut host);
@@ -873,22 +612,21 @@ mod tests {
         gpu.syrk(s1, v, v, 1 << 10, 512, &mut host);
         gpu.wait_event_host(ev, &mut host);
         assert!((host.now() - ev.0).abs() < 1e-15, "host waits exactly to the event");
-        assert!(host.now() < gpu.stream_tail(s1), "the long kernel is still in flight");
+        assert!(host.now() < gpu.record_event(s1).0, "the long kernel is still in flight");
     }
 
     #[test]
     fn engine_busy_accounting_accumulates_and_resets() {
         let (mut gpu, mut host) = setup();
         let buf = gpu.alloc(1 << 18).unwrap();
-        let s0 = gpu.default_stream();
+        let s0 = gpu.stream(0);
         let v = DevMat::whole(buf, 1 << 9);
         let data = vec![0.0f32; 1 << 18];
         gpu.syrk(s0, v, v, 256, 128, &mut host);
-        gpu.h2d(s0, v, 1 << 9, 256, &data, 1 << 9, true, CopyMode::Async, &mut host);
+        gpu.h2d(s0, v, 1 << 9, 256, &data, 1 << 9, &mut host);
         let kb = gpu.compute_busy();
         let cb = gpu.copy_busy();
         assert!(kb > 0.0 && cb > 0.0);
-        assert!((gpu.stream_busy(s0) - (kb + cb)).abs() < 1e-15);
         gpu.sync_all(&mut host);
         let u = gpu.utilization(host.now());
         assert!(u.compute_utilization() > 0.0 && u.compute_utilization() <= 1.0);
@@ -896,48 +634,30 @@ mod tests {
         gpu.reset_clock();
         assert_eq!(gpu.compute_busy(), 0.0);
         assert_eq!(gpu.copy_busy(), 0.0);
-        assert_eq!(gpu.stream_busy(s0), 0.0);
+    }
+
+    fn devices(n: usize) -> Vec<Gpu> {
+        (0..n).map(|_| Gpu::new(tesla_t10())).collect()
     }
 
     #[test]
     fn p2p_moves_bytes_and_chains_events() {
-        let mut set = DeviceSet::uniform(tesla_t10(), 2);
+        let mut gpus = devices(2);
         let mut host = HostClock::new(xeon_5160_core());
         let n = 64;
-        let src_buf = set.device_mut(0).alloc(n * n).unwrap();
-        let dst_buf = set.device_mut(1).alloc(n * n).unwrap();
+        let src = DevMat::whole(gpus[0].alloc(n * n).unwrap(), n);
+        let dst = DevMat::whole(gpus[1].alloc(n * n).unwrap(), n);
         let data: Vec<f32> = (0..n * n).map(|i| i as f32 * 0.5).collect();
-        let s0 = set.device(0).default_stream();
-        let s1 = set.device(1).default_stream();
-        set.device_mut(0).h2d(
-            s0,
-            DevMat::whole(src_buf, n),
-            n,
-            n,
-            &data,
-            n,
-            true,
-            CopyMode::Async,
-            &mut host,
-        );
-        let ready = set.device_mut(0).record_event(s0);
-        let ev = set.p2p(
-            0,
-            DevMat::whole(src_buf, n),
-            1,
-            s1,
-            DevMat::whole(dst_buf, n),
-            n,
-            n,
-            ready,
-            &mut host,
-        );
+        let (s0, s1) = (gpus[0].stream(0), gpus[1].stream(0));
+        gpus[0].h2d(s0, src, n, n, &data, n, &mut host);
+        let ready = gpus[0].record_event(s0);
+        let ev = Gpu::p2p(&mut gpus, 0, src, 1, s1, dst, n, n, ready, &mut host);
         assert!(ev.0 >= ready.0, "peer-copy events are forward-only");
-        assert_eq!(set.device(1).peek(dst_buf).unwrap(), &data[..], "d2d moves exact bytes");
-        assert_eq!(set.peer_bytes(), n * n * 4);
-        assert!(set.device(0).peer_busy() > 0.0 && set.device(1).peer_busy() > 0.0);
+        assert_eq!(gpus[1].peek(dst.buf).unwrap(), &data[..], "d2d moves exact bytes");
+        assert_eq!((gpus[0].peer_bytes(), gpus[1].peer_bytes()), (0, n * n * 4));
+        assert!(gpus[0].peer_busy() > 0.0 && gpus[1].peer_busy() > 0.0);
         // The destination stream tail advanced to the copy's completion.
-        assert!((set.device(1).stream_tail(s1) - ev.0).abs() < 1e-15);
+        assert_eq!(gpus[1].record_event(s1), ev);
     }
 
     #[test]
@@ -945,88 +665,79 @@ mod tests {
         // A peer copy runs on its own engine: issue a long h2d on the
         // destination's copy engine, then a p2p — the p2p must not queue
         // behind it.
-        let mut set = DeviceSet::uniform(tesla_t10(), 2);
+        let mut gpus = devices(2);
         let mut host = HostClock::new(xeon_5160_core());
         let n = 1 << 10;
-        let a = set.device_mut(0).alloc(n * n).unwrap();
-        let b = set.device_mut(1).alloc(n * n).unwrap();
+        let a = DevMat::whole(gpus[0].alloc(n * n).unwrap(), n);
+        let b = DevMat::whole(gpus[1].alloc(n * n).unwrap(), n);
         let big = vec![0.25f32; n * n];
-        let s1 = set.device(1).default_stream();
-        let s1b = set.device_mut(1).stream(1);
-        set.device_mut(1).h2d(
-            s1,
-            DevMat::whole(b, n),
-            n,
-            n,
-            &big,
-            n,
-            true,
-            CopyMode::Async,
-            &mut host,
-        );
-        let h2d_end = set.device(1).stream_tail(s1);
-        set.device_mut(1).clear_split();
-        let ev = set.p2p(
-            0,
-            DevMat::whole(a, n),
-            1,
-            s1b,
-            DevMat::whole(b, n),
-            64,
-            64,
-            Event(0.0),
-            &mut host,
-        );
-        let p2p = set.device(1).split();
+        let (s1, s1b) = (gpus[1].stream(0), gpus[1].stream(1));
+        gpus[1].h2d(s1, b, n, n, &big, n, &mut host);
+        let h2d_end = gpus[1].record_event(s1).0;
+        gpus[1].clear_split();
+        let ev = Gpu::p2p(&mut gpus, 0, a, 1, s1b, b, 64, 64, Event(0.0), &mut host);
+        let p2p = gpus[1].split();
         assert!(p2p.copy > 0.0, "the receiving device books the peer copy");
-        assert_eq!(set.device(0).split(), TimeSplit::default(), "the sender books nothing");
+        assert_eq!(gpus[0].split(), TimeSplit::default(), "the sender books nothing");
         assert!(ev.0 - p2p.copy < h2d_end, "p2p must overlap the PCIe copy engine");
     }
 
     #[test]
     fn p2p_serializes_on_the_peer_engine() {
-        let mut set = DeviceSet::uniform(tesla_t10(), 3);
+        let mut gpus = devices(3);
         let mut host = HostClock::new(xeon_5160_core());
-        let a = set.device_mut(0).alloc(4096).unwrap();
-        let b = set.device_mut(1).alloc(4096).unwrap();
-        let c = set.device_mut(2).alloc(4096).unwrap();
-        let s1 = set.device(1).default_stream();
-        let ev1 = set.p2p(
-            0,
-            DevMat::whole(a, 64),
-            1,
-            s1,
-            DevMat::whole(b, 64),
-            64,
-            64,
-            Event(0.0),
-            &mut host,
-        );
+        let [a, b, c] = [0, 1, 2].map(|d| DevMat::whole(gpus[d].alloc(4096).unwrap(), 64));
+        let s1 = gpus[1].stream(0);
+        let ev1 = Gpu::p2p(&mut gpus, 0, a, 1, s1, b, 64, 64, Event(0.0), &mut host);
         // Device 1's peer engine is busy until ev1; a second copy into it
         // (from a third device) must start no earlier.
-        let ev2 = set.p2p(
-            2,
-            DevMat::whole(c, 64),
-            1,
-            s1,
-            DevMat::whole(b, 64),
-            64,
-            64,
-            Event(0.0),
-            &mut host,
-        );
+        let ev2 = Gpu::p2p(&mut gpus, 2, c, 1, s1, b, 64, 64, Event(0.0), &mut host);
         assert!(ev2.0 >= ev1.0 * 2.0 - 1e-12, "peer copies serialise on the shared engine");
+    }
+
+    #[test]
+    fn reserved_buffers_charge_what_allocated_ones_do_and_move_no_bytes() {
+        // The same operations on allocated and on reserved buffers: equal
+        // clocks, counters and capacity, and no byte lands in a reservation.
+        let n = 32;
+        let eye: Vec<f32> = (0..n * n).map(|i| if i % (n + 1) == 0 { 4.0 } else { 0.0 }).collect();
+        let run = |reserve: bool| {
+            let (mut gpus, mut host) = (devices(2), HostClock::new(xeon_5160_core()));
+            let buf = |g: &mut Gpu| {
+                let b = if reserve { g.reserve(n * n) } else { g.alloc(n * n) };
+                DevMat::whole(b.unwrap(), n)
+            };
+            let (v, w) = (buf(&mut gpus[0]), buf(&mut gpus[1]));
+            let (mut back, g) = (vec![-1.0f32; n * n], &mut gpus[0]);
+            let s = g.stream(0);
+            g.h2d(s, v, n, n, &eye, n, &mut host);
+            g.panel_potrf(s, v, 8, &mut host).unwrap();
+            g.trsm(s, v, 8, v.offset(8, 0), n - 8, &mut host);
+            g.syrk(s, v.offset(8, 0), v.offset(8, 8), n - 8, 8, &mut host);
+            g.gemm_nt(s, v.offset(16, 0), v.offset(8, 0), v.offset(16, 8), 16, 8, 8, &mut host);
+            g.d2h(s, v, n, n, &mut back, n, &mut host);
+            let ready = g.record_event(s);
+            let s1 = gpus[1].stream(0);
+            let ev = Gpu::p2p(&mut gpus, 0, v, 1, s1, w, n, n, ready, &mut host);
+            let stored = gpus[1].peek(w.buf).unwrap().len();
+            let clocks = (host.now(), ev, gpus[0].split(), gpus[1].split(), gpus[1].mem_used());
+            (clocks, back[0], stored)
+        };
+        let (allocated, reserved) = (run(false), run(true));
+        assert_eq!(allocated.0, reserved.0, "the same clocks, counters and memory");
+        assert_eq!((allocated.1, allocated.2), (2.0, n * n), "allocated buffers compute");
+        assert_eq!((reserved.1, reserved.2), (-1.0, 0), "reserved buffers move no bytes");
     }
 
     #[test]
     fn reset_clock_keeps_memory() {
         let (mut gpu, mut host) = setup();
         let buf = gpu.alloc(16).unwrap();
-        let s0 = gpu.default_stream();
+        let s0 = gpu.stream(0);
         let v = DevMat::whole(buf, 4);
-        gpu.h2d(s0, v, 4, 4, &[1.0; 16], 4, false, CopyMode::Sync, &mut host);
+        gpu.h2d(s0, v, 4, 4, &[1.0; 16], 4, &mut host);
         gpu.reset_clock();
-        assert_eq!(gpu.stream_tail(s0), 0.0);
+        assert_eq!(gpu.record_event(s0).0, 0.0);
         assert_eq!(gpu.peek(buf).unwrap()[0], 1.0);
     }
 }

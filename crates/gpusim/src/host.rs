@@ -17,14 +17,13 @@ pub struct HostClock {
     cfg: CpuConfig,
     now: f64,
     pinned_bytes: usize,
-    pinned_peak: usize,
     split: TimeSplit,
 }
 
 impl HostClock {
     /// A fresh host timeline at t = 0.
     pub fn new(cfg: CpuConfig) -> Self {
-        HostClock { cfg, now: 0.0, pinned_bytes: 0, pinned_peak: 0, split: TimeSplit::default() }
+        HostClock { cfg, now: 0.0, pinned_bytes: 0, split: TimeSplit::default() }
     }
 
     /// The CPU configuration.
@@ -103,7 +102,6 @@ impl HostClock {
         let dur = self.cfg.pinned_alloc.time(bytes);
         self.now += dur;
         self.pinned_bytes += bytes;
-        self.pinned_peak = self.pinned_peak.max(self.pinned_bytes);
         // The interval ends now and is booked as `dur` back from its end.
         self.split.host += self.now - (self.now - dur);
         dur
@@ -118,11 +116,6 @@ impl HostClock {
     /// Currently pinned bytes.
     pub fn pinned_bytes(&self) -> usize {
         self.pinned_bytes
-    }
-
-    /// Peak pinned bytes.
-    pub fn pinned_peak(&self) -> usize {
-        self.pinned_peak
     }
 
     /// Reset the clock and the component counters to zero, keeping
@@ -165,7 +158,7 @@ mod tests {
         assert!(d > 1e-4, "pinned alloc must be expensive: {d}");
         assert_eq!(h.pinned_bytes(), 1 << 20);
         h.alloc_pinned(512);
-        assert_eq!(h.pinned_peak(), (1 << 20) + 512);
+        assert_eq!(h.pinned_bytes(), (1 << 20) + 512);
         h.free_pinned(1 << 20);
         assert_eq!(h.pinned_bytes(), 512);
     }

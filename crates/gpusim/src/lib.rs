@@ -7,8 +7,10 @@
 //!   Table III and the crossover points of Figures 7/8; presets for the
 //!   Tesla T10, one Xeon 5160 core, and a hypothetical Fermi-class device;
 //! * [`Gpu`] — a device with in-order streams, events, a compute engine and
-//!   a copy engine that overlap, PCIe transfer costs (pageable vs pinned),
-//!   and a bounded device-memory allocator;
+//!   a copy engine that overlap, asynchronous PCIe transfers from pinned
+//!   host memory, peer copies between devices, and a bounded device-memory
+//!   allocator whose buffers are allocated with storage or reserved without
+//!   it (a run without data);
 //! * [`HostClock`] — the host's virtual timeline, charging CPU kernels from
 //!   calibrated f64 curves and modelling pinned-allocation costs;
 //! * CUBLAS-like kernels (`trsm`, `syrk`, `gemm_nt`, `panel_potrf`) that
@@ -30,26 +32,15 @@ pub use calib::{
     exact_ops, fermi_like, tesla_t10, xeon_5160_core, CpuConfig, GpuConfig, KernelKind,
     KernelRates, PcieModel, PinnedAllocModel, RateCurve,
 };
-pub use device::{CopyMode, DeviceSet, Event, Gpu, Stream};
+pub use device::{Event, Gpu, Stream};
 pub use host::{HostClock, ISSUE_OVERHEAD};
 pub use memory::{DevBuf, DevMat, DeviceOom, InvalidBuffer};
 pub use profile::{GpuUtilization, TimeSplit};
 
-/// An operation that needs a device ran on a machine without one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NoGpu;
-
-impl core::fmt::Display for NoGpu {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "machine has no GPU")
-    }
-}
-
-impl std::error::Error for NoGpu {}
-
 /// A host/device pair with aligned virtual timelines — the "machine" on
-/// which a factorization executes. A multi-GPU run drives a [`DeviceSet`] of
-/// several devices from the machine's host timeline (`mf-core::multigpu`).
+/// which a factorization executes. A multi-GPU run drives several devices,
+/// the machine's own first, from the machine's host timeline
+/// (`mf-core::multigpu`).
 #[derive(Debug)]
 pub struct Machine {
     /// Host timeline.
@@ -72,15 +63,6 @@ impl Machine {
     /// The paper's experimental node: one Xeon 5160 core + one Tesla T10.
     pub fn paper_node() -> Self {
         Machine::with_gpu(calib::xeon_5160_core(), calib::tesla_t10())
-    }
-
-    /// Split-borrow both timelines at once — GPU enqueue calls need
-    /// `&mut Gpu` and `&mut HostClock` simultaneously.
-    pub fn host_and_gpu(&mut self) -> Result<(&mut HostClock, &mut Gpu), NoGpu> {
-        match self.gpu.as_mut() {
-            Some(g) => Ok((&mut self.host, g)),
-            None => Err(NoGpu),
-        }
     }
 
     /// Total elapsed simulated time (host view, after a full sync).
@@ -129,13 +111,14 @@ mod tests {
         let mut m = Machine::paper_node();
         m.host.charge_kernel(KernelKind::Potrf, 0, 64, 0);
         let host_potrf = m.host.now();
-        let (host, gpu) = m.host_and_gpu().unwrap();
+        let Machine { host, gpu } = &mut m;
+        let gpu = gpu.as_mut().unwrap();
         let buf = gpu.alloc(64 * 64).unwrap();
-        let s0 = gpu.default_stream();
+        let s0 = gpu.stream(0);
         let v = DevMat::whole(buf, 64);
         let start = host.now();
         gpu.syrk(s0, v, v, 64, 32, host);
-        let syrk = gpu.stream_tail(s0) - start;
+        let syrk = gpu.record_event(s0).0 - start;
         let (h, d) = (m.host.split(), m.gpu.as_ref().unwrap().split());
         assert_eq!((h.potrf, d.syrk), (host_potrf, syrk));
         assert_eq!(h.trsm + h.syrk + h.copy + h.host, 0.0);
@@ -146,16 +129,17 @@ mod tests {
     }
 
     #[test]
-    fn gpu_accessors_surface_no_gpu() {
-        let mut m = Machine::cpu_only(xeon_5160_core());
-        assert_eq!(m.host_and_gpu().unwrap_err(), NoGpu);
+    fn machine_elapsed_waits_for_the_device() {
         let mut p = Machine::paper_node();
-        let (host, gpu) = p.host_and_gpu().unwrap();
+        let Machine { host, gpu } = &mut p;
+        let gpu = gpu.as_mut().unwrap();
         let buf = gpu.alloc(16).unwrap();
-        let s0 = gpu.default_stream();
+        let s0 = gpu.stream(0);
         let v = DevMat::whole(buf, 4);
         gpu.syrk(s0, v, v, 4, 2, host);
-        assert!(p.elapsed() > 0.0);
+        let done = gpu.record_event(s0).0;
+        assert!(done > host.now());
+        assert_eq!(p.elapsed(), done);
     }
 
     #[test]
@@ -212,34 +196,33 @@ mod tests {
         assert_eq!(h.split(), want, "waits, issue overhead and frees are no component");
     }
 
-    /// Run `op` on `gpu`'s default stream, the only one in use, and return
-    /// the `end − start` of the interval it scheduled there.
+    /// Run `op` on `gpu`'s stream 0, the only one in use, and return the
+    /// `end − start` of the interval it scheduled there.
     fn interval(
         gpu: &mut Gpu,
         host: &mut HostClock,
         op: impl FnOnce(&mut Gpu, &mut HostClock),
     ) -> f64 {
-        let s0 = gpu.default_stream();
-        let start = host.now().max(gpu.stream_tail(s0));
+        let s0 = gpu.stream(0);
+        let start = host.now().max(gpu.record_event(s0).0);
         op(gpu, host);
-        gpu.stream_tail(s0) - start
+        gpu.record_event(s0).0 - start
     }
 
     #[test]
     fn time_split_books_every_device_charge_once() {
-        let mut set = DeviceSet::uniform(tesla_t10(), 2);
+        let mut gpus = vec![Gpu::new(tesla_t10()), Gpu::new(tesla_t10())];
         let mut host = HostClock::new(xeon_5160_core());
         host.advance(0.1);
         let n = 64;
-        let v = DevMat::whole(set.device_mut(0).alloc(n * n).unwrap(), n);
-        let w = DevMat::whole(set.device_mut(1).alloc(n * n).unwrap(), n);
+        let v = DevMat::whole(gpus[0].alloc(n * n).unwrap(), n);
+        let w = DevMat::whole(gpus[1].alloc(n * n).unwrap(), n);
         let eye: Vec<f32> = (0..n * n).map(|i| if i % (n + 1) == 0 { 1.0 } else { 0.0 }).collect();
         let mut back = vec![0.0f32; n * n];
         let mut want = TimeSplit::default();
-        let gpu = set.device_mut(0);
-        let s0 = gpu.default_stream();
-        want.copy +=
-            interval(gpu, &mut host, |g, h| g.h2d(s0, v, n, n, &eye, n, true, CopyMode::Async, h));
+        let gpu = &mut gpus[0];
+        let s0 = gpu.stream(0);
+        want.copy += interval(gpu, &mut host, |g, h| g.h2d(s0, v, n, n, &eye, n, h));
         assert_eq!(gpu.split(), want, "h2d");
         want.potrf += interval(gpu, &mut host, |g, h| g.panel_potrf(s0, v, 16, h).unwrap());
         assert_eq!(gpu.split(), want, "panel potrf");
@@ -253,17 +236,15 @@ mod tests {
             g.gemm_nt(s0, v.offset(32, 0), v.offset(16, 0), v.offset(32, 16), 32, 16, 16, h)
         });
         assert_eq!(gpu.split(), want, "gemm");
-        want.copy += interval(gpu, &mut host, |g, h| {
-            g.d2h(s0, v, n, n, &mut back, n, false, CopyMode::Sync, h)
-        });
+        want.copy += interval(gpu, &mut host, |g, h| g.d2h(s0, v, n, n, &mut back, n, h));
         assert_eq!(gpu.split(), want, "d2h");
 
         // A peer copy is booked on the receiving device alone.
-        let s1 = set.device(1).default_stream();
+        let s1 = gpus[1].stream(0);
         let start = host.now();
-        let ev = set.p2p(0, v, 1, s1, w, n, n, Event(0.0), &mut host);
-        assert_eq!(set.device(1).split(), TimeSplit { copy: ev.0 - start, ..Default::default() });
-        assert_eq!(set.device(0).split(), want, "the sending device books nothing");
+        let ev = Gpu::p2p(&mut gpus, 0, v, 1, s1, w, n, n, Event(0.0), &mut host);
+        assert_eq!(gpus[1].split(), TimeSplit { copy: ev.0 - start, ..Default::default() });
+        assert_eq!(gpus[0].split(), want, "the sending device books nothing");
     }
 
     #[test]
@@ -271,10 +252,11 @@ mod tests {
         let mut m = Machine::paper_node();
         m.host.charge_kernel(KernelKind::Potrf, 0, 64, 0);
         m.host.charge_memop(4096, 4.0e9);
-        let (host, gpu) = m.host_and_gpu().unwrap();
+        let Machine { host, gpu } = &mut m;
+        let gpu = gpu.as_mut().unwrap();
         let v = DevMat::whole(gpu.alloc(16).unwrap(), 4);
-        let s0 = gpu.default_stream();
-        gpu.h2d(s0, v, 4, 4, &[1.0; 16], 4, true, CopyMode::Async, host);
+        let s0 = gpu.stream(0);
+        gpu.h2d(s0, v, 4, 4, &[1.0; 16], 4, host);
         gpu.syrk(s0, v, v, 4, 2, host);
         let (h, d) = (m.host.split(), m.gpu.as_ref().unwrap().split());
         assert!(h.potrf > 0.0 && h.host > 0.0 && d.syrk > 0.0 && d.copy > 0.0);

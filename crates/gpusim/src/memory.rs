@@ -71,16 +71,17 @@ impl DevMat {
     }
 }
 
+/// The device's buffers and their byte accounting. A buffer allocated with
+/// storage holds its elements; one reserved without storage (a run without
+/// data) holds an empty `Vec` and is charged against capacity all the same.
 #[derive(Debug)]
 pub(crate) struct DeviceMemory {
+    /// Each live buffer's storage; `None` marks a freed slot.
     slabs: Vec<Option<Vec<f32>>>,
     lens: Vec<usize>,
     free_ids: Vec<usize>,
     capacity: usize,
     used: usize,
-    /// Virtual mode: track sizes and charge capacity without backing
-    /// storage — used by timing-only estimation on huge fronts.
-    pub virtual_mode: bool,
 }
 
 impl DeviceMemory {
@@ -91,17 +92,18 @@ impl DeviceMemory {
             free_ids: Vec::new(),
             capacity,
             used: 0,
-            virtual_mode: false,
         }
     }
 
-    pub fn alloc(&mut self, len: usize) -> Result<DevBuf, DeviceOom> {
+    /// Charge `len` elements against capacity, with zeroed storage if
+    /// `backed`.
+    pub fn alloc(&mut self, len: usize, backed: bool) -> Result<DevBuf, DeviceOom> {
         let bytes = len * 4;
         if self.used + bytes > self.capacity {
             return Err(DeviceOom { requested: bytes, available: self.capacity - self.used });
         }
         self.used += bytes;
-        let data = if self.virtual_mode { Vec::new() } else { vec![0.0f32; len] };
+        let data = if backed { vec![0.0f32; len] } else { Vec::new() };
         let id = match self.free_ids.pop() {
             Some(id) => {
                 self.slabs[id] = Some(data);
@@ -135,11 +137,6 @@ impl DeviceMemory {
         Ok(())
     }
 
-    pub fn len(&self, buf: DevBuf) -> Result<usize, InvalidBuffer> {
-        self.check(buf)?;
-        Ok(self.lens[buf.0])
-    }
-
     pub fn get(&self, buf: DevBuf) -> Result<&[f32], InvalidBuffer> {
         self.check(buf)?;
         Ok(self.slabs[buf.0].as_ref().unwrap())
@@ -148,6 +145,22 @@ impl DeviceMemory {
     pub fn get_mut(&mut self, buf: DevBuf) -> Result<&mut [f32], InvalidBuffer> {
         self.check(buf)?;
         Ok(self.slabs[buf.0].as_mut().unwrap())
+    }
+
+    /// The bytes an operation on `buf` moves or computes: none for a buffer
+    /// without storage (reserved, or of length 0), and none for a stale
+    /// handle, which debug builds assert against.
+    pub fn storage(&self, buf: DevBuf) -> Option<&[f32]> {
+        let data = self.get(buf);
+        debug_assert!(data.is_ok(), "{:?}", data.err());
+        data.ok().filter(|d| !d.is_empty())
+    }
+
+    /// [`Self::storage`], mutably.
+    pub fn storage_mut(&mut self, buf: DevBuf) -> Option<&mut [f32]> {
+        let data = self.get_mut(buf);
+        debug_assert!(data.is_ok(), "{:?}", data.err());
+        data.ok().filter(|d| !d.is_empty())
     }
 
     pub fn used(&self) -> usize {
@@ -162,9 +175,9 @@ mod tests {
     #[test]
     fn alloc_free_accounting() {
         let mut m = DeviceMemory::new(1000);
-        let a = m.alloc(100).unwrap(); // 400 bytes
+        let a = m.alloc(100, true).unwrap(); // 400 bytes
         assert_eq!(m.used(), 400);
-        let b = m.alloc(100).unwrap();
+        let b = m.alloc(100, false).unwrap();
         assert_eq!(m.used(), 800);
         m.free(a).unwrap();
         assert_eq!(m.used(), 400);
@@ -175,7 +188,7 @@ mod tests {
     #[test]
     fn oom_reports_sizes() {
         let mut m = DeviceMemory::new(100);
-        let err = m.alloc(1000).unwrap_err();
+        let err = m.alloc(1000, true).unwrap_err();
         assert_eq!(err.requested, 4000);
         assert_eq!(err.available, 100);
         assert!(err.to_string().contains("out of memory"));
@@ -184,32 +197,31 @@ mod tests {
     #[test]
     fn slot_reuse_after_free() {
         let mut m = DeviceMemory::new(10_000);
-        let a = m.alloc(10).unwrap();
+        let a = m.alloc(10, true).unwrap();
         m.free(a).unwrap();
-        let b = m.alloc(20).unwrap();
+        let b = m.alloc(20, true).unwrap();
         // Freed slot id is reused.
         assert_eq!(a.0, b.0);
-        assert_eq!(m.len(b), Ok(20));
+        assert_eq!(m.get(b).map(<[f32]>::len), Ok(20));
     }
 
     #[test]
     fn double_free_is_an_error_not_a_panic() {
         let mut m = DeviceMemory::new(10_000);
-        let a = m.alloc(10).unwrap();
+        let a = m.alloc(10, true).unwrap();
         m.free(a).unwrap();
         assert_eq!(m.free(a), Err(InvalidBuffer { id: a.0 }));
         // Accounting must be untouched by the failed free.
         assert_eq!(m.used(), 0);
         // The slab can still be allocated from afterwards.
-        assert!(m.alloc(10).is_ok());
+        assert!(m.alloc(10, true).is_ok());
     }
 
     #[test]
     fn use_after_free_is_an_error_not_a_panic() {
         let mut m = DeviceMemory::new(10_000);
-        let a = m.alloc(10).unwrap();
+        let a = m.alloc(10, true).unwrap();
         m.free(a).unwrap();
-        assert_eq!(m.len(a), Err(InvalidBuffer { id: a.0 }));
         assert_eq!(m.get(a).err(), Some(InvalidBuffer { id: a.0 }));
         assert_eq!(m.get_mut(a).err(), Some(InvalidBuffer { id: a.0 }));
     }
@@ -218,7 +230,7 @@ mod tests {
     fn out_of_range_handle_is_an_error() {
         let mut m = DeviceMemory::new(10_000);
         assert_eq!(m.free(DevBuf(42)), Err(InvalidBuffer { id: 42 }));
-        assert_eq!(m.len(DevBuf(42)), Err(InvalidBuffer { id: 42 }));
+        assert_eq!(m.get(DevBuf(42)).err(), Some(InvalidBuffer { id: 42 }));
     }
 
     #[test]
@@ -232,7 +244,20 @@ mod tests {
     #[test]
     fn buffers_zero_initialized() {
         let mut m = DeviceMemory::new(10_000);
-        let a = m.alloc(16).unwrap();
+        let a = m.alloc(16, true).unwrap();
         assert!(m.get(a).unwrap().iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn reserved_buffers_are_charged_but_hold_no_storage() {
+        let mut m = DeviceMemory::new(1000);
+        let a = m.alloc(200, false).unwrap();
+        assert_eq!(m.used(), 800);
+        assert_eq!(m.storage(a), None);
+        assert_eq!(m.alloc(100, false).unwrap_err(), DeviceOom { requested: 400, available: 200 });
+        m.free(a).unwrap();
+        assert_eq!(m.used(), 0);
+        let b = m.alloc(16, true).unwrap();
+        assert_eq!(m.storage(b).map(<[f32]>::len), Some(16));
     }
 }

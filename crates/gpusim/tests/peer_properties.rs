@@ -17,7 +17,7 @@
 //!    this route, so fidelity here is a prerequisite of the driver's
 //!    bitwise-determinism guarantee.
 
-use mf_gpusim::{tesla_t10, xeon_5160_core, CopyMode, DevMat, DeviceSet, Event, Gpu, HostClock};
+use mf_gpusim::{tesla_t10, xeon_5160_core, DevMat, Event, Gpu, HostClock};
 use proptest::prelude::*;
 
 fn host() -> HostClock {
@@ -57,20 +57,17 @@ proptest! {
         extra_wait in 0u8..2,
         seed in 0u64..1_000_000,
     ) {
-        let mut set = DeviceSet::uniform(tesla_t10(), ndev);
+        let mut gpus: Vec<Gpu> = (0..ndev).map(|_| Gpu::new(tesla_t10())).collect();
         let mut hc = host();
         let len = rows * cols;
         // One buffer per device, device 0 seeded with data.
-        let mut bufs = Vec::new();
-        for d in 0..ndev {
-            bufs.push(set.device_mut(d).alloc(len).unwrap());
-        }
+        let bufs: Vec<_> = gpus.iter_mut().map(|g| g.alloc(len).unwrap()).collect();
         let src = payload(len, seed);
         let mut ev = {
-            let g = set.device_mut(0);
+            let g = &mut gpus[0];
             let view = DevMat::whole(bufs[0], rows);
             let s = g.stream(1);
-            g.h2d(s, view, rows, cols, &src, rows, true, CopyMode::Async, &mut hc);
+            g.h2d(s, view, rows, cols, &src, rows, &mut hc);
             g.record_event(s)
         };
         let mut cur = 0usize;
@@ -86,8 +83,8 @@ proptest! {
             };
             let sview = DevMat::whole(bufs[cur], rows);
             let dview = DevMat::whole(bufs[nxt], rows);
-            let dst_stream = set.device_mut(nxt).stream(2);
-            let done = set.p2p(cur, sview, nxt, dst_stream, dview, rows, cols, wait, &mut hc);
+            let dst_stream = gpus[nxt].stream(2);
+            let done = Gpu::p2p(&mut gpus, cur, sview, nxt, dst_stream, dview, rows, cols, wait, &mut hc);
             // Forward-only: completion is strictly after the gate (the link
             // has nonzero latency) and never before the issue point.
             prop_assert!(done.0 > wait.0, "hop {hop}: event {} not after wait {}", done.0, wait.0);
@@ -95,19 +92,18 @@ proptest! {
             // Transitive: the chain's completion times never go backwards.
             prop_assert!(done.0 >= prev_end, "hop {hop}: chain went backwards");
             // The destination stream observed the copy.
-            prop_assert!(set.device(nxt).stream_tail(dst_stream) >= done.0);
+            prop_assert!(gpus[nxt].record_event(dst_stream).0 >= done.0);
             prev_end = done.0;
             ev = done;
             cur = nxt;
         }
         // Peer engines on every device are free no later than the last hop
         // completed (serialisation: the chain is the only peer traffic).
-        for d in 0..ndev {
-            let g = set.device(d);
+        for g in &gpus {
             prop_assert!(g.peer_busy() <= prev_end + 1e-12);
         }
         // Traffic is accounted on destinations only, once per hop.
-        let total: usize = (0..ndev).map(|d| set.device(d).peer_bytes()).sum();
+        let total: usize = gpus.iter().map(Gpu::peer_bytes).sum();
         prop_assert_eq!(total, hops * rows * cols * 4);
     }
 
@@ -125,27 +121,27 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let mut hc = host();
-        let mut a = Gpu::new(tesla_t10());
-        let mut b = Gpu::new(tesla_t10());
+        let mut gpus = vec![Gpu::new(tesla_t10()), Gpu::new(tesla_t10())];
         let lda = rows + src_pad;
         let ldb = rows + di + dst_pad;
         let src = payload(lda * cols, seed);
-        let abuf = a.alloc(lda * cols).unwrap();
-        let bbuf = b.alloc(ldb * (cols + dj)).unwrap();
+        let abuf = gpus[0].alloc(lda * cols).unwrap();
+        let bbuf = gpus[1].alloc(ldb * (cols + dj)).unwrap();
         let aview = DevMat::whole(abuf, lda);
-        let s_up = a.stream(1);
-        a.h2d(s_up, aview, rows, cols, &src, lda, true, CopyMode::Async, &mut hc);
-        let staged = a.record_event(s_up);
+        let s_up = gpus[0].stream(1);
+        gpus[0].h2d(s_up, aview, rows, cols, &src, lda, &mut hc);
+        let staged = gpus[0].record_event(s_up);
         // Peer-copy into an offset sub-view of B's padded buffer, gated on
         // the upload event — the route the multi-GPU extend-add takes.
         let bview = DevMat::whole(bbuf, ldb).offset(di, dj);
-        let s_peer = b.stream(2);
-        let done = Gpu::p2p(&mut a, aview, &mut b, s_peer, bview, rows, cols, staged, &mut hc);
+        let s_peer = gpus[1].stream(2);
+        let done = Gpu::p2p(&mut gpus, 0, aview, 1, s_peer, bview, rows, cols, staged, &mut hc);
         prop_assert!(done.0 >= staged.0);
         let mut out = vec![0.0f32; rows * cols];
+        let b = &mut gpus[1];
         let s_down = b.stream(1);
         b.wait_event(s_down, done);
-        b.d2h(s_down, bview, rows, cols, &mut out, rows, true, CopyMode::Async, &mut hc);
+        b.d2h(s_down, bview, rows, cols, &mut out, rows, &mut hc);
         for j in 0..cols {
             for i in 0..rows {
                 let got = out[i + j * rows].to_bits();

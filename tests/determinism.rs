@@ -1457,6 +1457,74 @@ fn sim_clock_records_match_golden() {
     assert_eq!(actual, GOLDEN_RECORDS, "actual:\n{actual:#x?}");
 }
 
+/// `(name, [paper node, CPU-only node])`: [`ooc_families`] in f32, drained
+/// under fixed P1 and the baseline hybrid at `min_feasible_budget` and
+/// halfway to `in_core_bytes`, each node's hash over [`clock_words`] and
+/// every [`OocStats`] field of those four runs. Recorded at commit 67cb3cb.
+const GOLDEN_BUDGET_CLOCK: [(&str, [u64; 2]); 3] = [
+    ("lap3d-6x6x60", [0x5ea0_225d_1209_abb1, 0x14ee_4b9a_7d23_de31]),
+    ("lap3d-7x7x7", [0x2fcf_1492_3a04_faa5, 0x6d3a_1d64_10c1_02a5]),
+    ("elasticity-4x4x3", [0xa023_55d1_a308_473d, 0x30d1_f14a_bcf8_d83d]),
+];
+
+#[test]
+fn sim_clock_under_budget_matches_golden() {
+    use gpu_multifrontal::core::OocStats;
+    use gpu_multifrontal::gpusim::xeon_5160_core;
+    let nodes: [fn() -> Machine; 2] = [Machine::paper_node, || Machine::cpu_only(xeon_5160_core())];
+    let selectors = [
+        PolicySelector::Fixed(PolicyKind::P1),
+        PolicySelector::Baseline(BaselineThresholds::default()),
+    ];
+    let actual: Vec<(&str, [u64; 2])> = ooc_families()
+        .iter()
+        .map(|(name, a)| {
+            let an = analysis_of(a);
+            let (a, sym) = (an.permuted.0.cast::<f32>(), &an.symbolic);
+            let (min, in_core) = (min_feasible_budget(sym, 4), in_core_bytes(sym, 4));
+            let hashes = nodes.map(|node| {
+                let mut words = Vec::new();
+                for selector in &selectors {
+                    for budget in [min, min + (in_core - min) / 2] {
+                        let opts = FactorOptions {
+                            selector: selector.clone(),
+                            memory_budget: Some(budget),
+                            ..Default::default()
+                        };
+                        let (_, s) =
+                            factor_permuted(&a, sym, &an.perm, &mut node(), &opts).unwrap();
+                        words.extend(clock_words(&s));
+                        let OocStats {
+                            resident_peak_bytes,
+                            host_bytes_out,
+                            host_bytes_in,
+                            disk_bytes_out,
+                            disk_bytes_in,
+                            evictions,
+                            loads,
+                        } = s.ooc.expect("a budgeted run reports its traffic");
+                        words.extend(
+                            [
+                                resident_peak_bytes,
+                                host_bytes_out,
+                                host_bytes_in,
+                                disk_bytes_out,
+                                disk_bytes_in,
+                                evictions,
+                                loads,
+                            ]
+                            .map(|x| x as u64),
+                        );
+                    }
+                }
+                fnv1a(words.into_iter())
+            });
+            (*name, hashes)
+        })
+        .collect();
+    assert_eq!(actual, GOLDEN_BUDGET_CLOCK, "actual:\n{actual:#x?}");
+}
+
 #[test]
 fn recorded_cpu_run_accounts_for_every_simulated_second() {
     // On one host timeline with no device every simulated second is either

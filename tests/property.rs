@@ -198,16 +198,17 @@ proptest! {
 
     /// Stream/event semantics of the GPU simulator, under arbitrary op
     /// interleavings: `wait_event` never moves a stream's clock backwards
-    /// (it is a forward-only max), stream tails never regress as work is
-    /// enqueued, and `event_query` answers exactly "has the event's
-    /// timestamp passed".
+    /// (it is a forward-only max), stream tails (read as `record_event`)
+    /// never regress as work is enqueued, and an event is complete at time
+    /// `t` exactly when `e.0 <= t`.
     #[test]
     fn gpusim_wait_event_is_forward_only(
         ops in prop::collection::vec((0u8..4, 0usize..3, 0usize..8, 1usize..64), 1..60),
     ) {
-        use gpu_multifrontal::gpusim::{CopyMode, DevMat, Event, Machine};
+        use gpu_multifrontal::gpusim::{DevMat, Event, Machine};
         let mut machine = Machine::paper_node();
-        let (host, gpu) = machine.host_and_gpu().unwrap();
+        let Machine { host, gpu } = &mut machine;
+        let gpu = gpu.as_mut().unwrap();
         let streams = [gpu.stream(0), gpu.stream(1), gpu.stream(2)];
         let buf = gpu.alloc(4096).unwrap();
         let src = vec![1.25f32; 64];
@@ -215,33 +216,27 @@ proptest! {
         let mut events: Vec<Event> = Vec::new();
         for &(kind, si, ei, n) in &ops {
             let s = streams[si];
-            let before = gpu.stream_tail(s);
+            let before = gpu.record_event(s).0;
             match kind {
-                0 => gpu.h2d(s, DevMat::whole(buf, n), n, 1, &src, n, true, CopyMode::Async, host),
-                1 => gpu.d2h(s, DevMat::whole(buf, n), n, 1, &mut dst, n, true, CopyMode::Async, host),
+                0 => gpu.h2d(s, DevMat::whole(buf, n), n, 1, &src, n, host),
+                1 => gpu.d2h(s, DevMat::whole(buf, n), n, 1, &mut dst, n, host),
                 2 => {
                     let e = gpu.record_event(s);
-                    // An event records the stream's tail at record time.
-                    prop_assert_eq!(e.0.to_bits(), gpu.stream_tail(s).to_bits());
+                    // An event records the stream's tail and moves nothing.
+                    prop_assert_eq!(e.0.to_bits(), before.to_bits());
                     events.push(e);
                 }
                 _ => {
                     if !events.is_empty() {
                         let e = events[ei % events.len()];
                         gpu.wait_event(s, e);
-                        let after = gpu.stream_tail(s);
+                        let after = gpu.record_event(s).0;
                         prop_assert!(after >= before, "wait_event moved a stream backwards");
-                        prop_assert!(after >= e.0, "stream must not run ahead of its dependency");
-                        prop_assert!(gpu.event_query(e, after), "event complete at the waited tail");
+                        prop_assert!(e.0 <= after, "event complete at the waited tail");
                     }
                 }
             }
-            prop_assert!(gpu.stream_tail(s) >= before, "stream tails must be monotone");
-        }
-        // event_query is exactly a timestamp comparison — no side effects.
-        for e in &events {
-            prop_assert!(gpu.event_query(*e, e.0));
-            prop_assert!(!gpu.event_query(*e, e.0 - 1e-9));
+            prop_assert!(gpu.record_event(s).0 >= before, "stream tails must be monotone");
         }
     }
 
@@ -252,28 +247,29 @@ proptest! {
     fn gpusim_event_chains_are_transitive(
         na in 1usize..64, nb in 1usize..64, nc in 1usize..64,
     ) {
-        use gpu_multifrontal::gpusim::{CopyMode, DevMat, Machine};
+        use gpu_multifrontal::gpusim::{DevMat, Machine};
         let mut machine = Machine::paper_node();
-        let (host, gpu) = machine.host_and_gpu().unwrap();
+        let Machine { host, gpu } = &mut machine;
+        let gpu = gpu.as_mut().unwrap();
         let (a, b, c) = (gpu.stream(0), gpu.stream(1), gpu.stream(2));
         let buf = gpu.alloc(64).unwrap();
         let src = vec![0.5f32; 64];
         let mut dst = vec![0.0f32; 64];
-        gpu.h2d(a, DevMat::whole(buf, na), na, 1, &src, na, true, CopyMode::Async, host);
+        gpu.h2d(a, DevMat::whole(buf, na), na, 1, &src, na, host);
         let e1 = gpu.record_event(a);
         gpu.wait_event(b, e1);
-        gpu.h2d(b, DevMat::whole(buf, nb), nb, 1, &src, nb, true, CopyMode::Async, host);
+        gpu.h2d(b, DevMat::whole(buf, nb), nb, 1, &src, nb, host);
         let e2 = gpu.record_event(b);
         gpu.wait_event(c, e2);
-        gpu.d2h(c, DevMat::whole(buf, nc), nc, 1, &mut dst, nc, true, CopyMode::Async, host);
+        gpu.d2h(c, DevMat::whole(buf, nc), nc, 1, &mut dst, nc, host);
         prop_assert!(e2.0 >= e1.0, "downstream event must cover its dependency");
-        prop_assert!(gpu.stream_tail(c) >= e1.0, "transitive dependency must reach stream C");
-        // Host-side wait on the final d2h makes every upstream event queryable.
+        prop_assert!(gpu.record_event(c).0 >= e1.0, "transitive dependency must reach stream C");
+        // Host-side wait on the final d2h completes every upstream event.
         let done = gpu.record_event(c);
         gpu.wait_event_host(done, host);
-        prop_assert!(gpu.event_query(e1, host.now()));
-        prop_assert!(gpu.event_query(e2, host.now()));
-        prop_assert!(gpu.event_query(done, host.now()));
+        prop_assert!(e1.0 <= host.now());
+        prop_assert!(e2.0 <= host.now());
+        prop_assert!(done.0 <= host.now());
     }
 
     /// A d2h that waits (via an event) on an h2d observes exactly the bytes
@@ -283,18 +279,19 @@ proptest! {
         vals in prop::collection::vec(-1e6f32..1e6, 1..128),
         cross_stream in any::<bool>(),
     ) {
-        use gpu_multifrontal::gpusim::{CopyMode, DevMat, Machine};
+        use gpu_multifrontal::gpusim::{DevMat, Machine};
         let mut machine = Machine::paper_node();
-        let (host, gpu) = machine.host_and_gpu().unwrap();
+        let Machine { host, gpu } = &mut machine;
+        let gpu = gpu.as_mut().unwrap();
         let up = gpu.stream(0);
         let down = if cross_stream { gpu.stream(1) } else { up };
         let n = vals.len();
         let buf = gpu.alloc(n).unwrap();
-        gpu.h2d(up, DevMat::whole(buf, n), n, 1, &vals, n, true, CopyMode::Async, host);
+        gpu.h2d(up, DevMat::whole(buf, n), n, 1, &vals, n, host);
         let uploaded = gpu.record_event(up);
         gpu.wait_event(down, uploaded);
         let mut out = vec![0.0f32; n];
-        gpu.d2h(down, DevMat::whole(buf, n), n, 1, &mut out, n, true, CopyMode::Async, host);
+        gpu.d2h(down, DevMat::whole(buf, n), n, 1, &mut out, n, host);
         let done = gpu.record_event(down);
         gpu.wait_event_host(done, host);
         for (i, (&x, &y)) in vals.iter().zip(&out).enumerate() {
