@@ -11,6 +11,16 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# `unsafe` lives in mf-dense alone (its SIMD kernels and packing scratch):
+# every other crate root forbids it, so the compiler rejects a new block.
+echo "==> #![forbid(unsafe_code)] in every crate root but mf-dense's"
+missing=$(grep -L '^#!\[forbid(unsafe_code)\]' crates/*/src/lib.rs | grep -v '^crates/dense/' || true)
+[ -z "$missing" ] || {
+  echo "crate roots without #![forbid(unsafe_code)]:"
+  echo "$missing"
+  exit 1
+}
+
 # Public docs must resolve every intra-doc link and link no private item, so
 # a deletion cannot leave a dangling reference behind.
 echo "==> cargo doc (-D warnings)"
@@ -124,9 +134,10 @@ RUST_TEST_THREADS=1 cargo test -q --release -p mf-server
 #                    in-test reference of the one-column order, every lane
 #                    count, NaN in what they must not read; they solve L·Lᵀ
 #   bitwise_sweeps   a batched solve == the loop of single-RHS solves, and
-#                    parallel == serial at 1/2/4 workers, for 1/2/3/8/9/17
-#                    RHS, f32 and f64, on grids, elasticity and a 27-point
-#                    cube whose panels take the packed order
+#                    parallel == serial at 1/2/4 workers (each task writing
+#                    the rows it owns, reading what others published), for
+#                    1/2/3/8/9/17 RHS, f32 and f64, on grids, elasticity and
+#                    a 27-point cube whose panels take the packed order
 #   solve_allocations
 #                    solve_many allocates as often on the 120² plate as on
 #                    the 60² one: nothing per supernode
@@ -177,7 +188,9 @@ RUST_TEST_THREADS=1 cargo test -q --release -p mf-server
 #   a_nnz_counts     each supernode's recorded entry count == the permuted matrix's in its columns
 #   refactor_on_a_reused  refactors on one machine report a fresh solver's clock and gpu stats
 #   parallel_factor_never_writes  a 2-worker factor leaves the process kernel cap alone
-#   one_plan_        the parallel entry's simulated fields == factor_permuted's and rehearse's, 1/2/4 workers x 8 repeats
+#   one_plan_        the parallel entry's simulated fields == factor_permuted's and rehearse's, 1/2/4 workers x 8 repeats;
+#                    its first machine left as the serial run leaves its machine (clock, empty device, utilization),
+#                    the others untouched: its range tasks own their panels and run on twins
 #   unlike_machines  the parallel entry refuses machines unlike its first before any clock moves
 #   panicking_task   a task panicking on the caller's or a spawned worker thread panics out of Runtime::run, never hangs, and stops the tree
 echo "==> named suites (counted, default + single test thread)"

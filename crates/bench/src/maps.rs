@@ -1,8 +1,9 @@
 //! Policy maps and speedup maps over the `(m, k)` plane (Figures 12–14).
 //!
-//! Uses `mf_core::estimate_fu_time` (timing-only execution of the real
-//! policy code paths on a virtual device) to evaluate every cell — the
-//! ranges go to `m = k = 10000`, far beyond feasible real numerics.
+//! Uses `mf_core::estimate_fu_time` (the real policy code paths run without
+//! data: a staging pool built without data, device buffers reserved on the
+//! caller's own device, not allocated) to evaluate every cell — the ranges
+//! go to `m = k = 10000`, far beyond feasible real numerics.
 
 use mf_core::{estimate_fu_time, BaselineThresholds, LinearPolicyModel, PolicyKind};
 use mf_dense::FuFlops;

@@ -10,7 +10,11 @@
 //! front's pivot columns are assembled and factored in place, plus a
 //! postorder LIFO stack of update blocks ([`FrontArena`]) sized by
 //! `SymbolicFactor::update_stack_peak` — two allocations for the whole
-//! factorization, no matter how many supernodes run.
+//! factorization, no matter how many supernodes run. A front writes its
+//! panel through its own `&mut` slice: the arena loop takes the panels of
+//! its range in postorder, split off the slab (`lane::postorder_parts`) — the
+//! whole postorder's in a serial drain, a range task's own in
+//! [`crate::parallel`] — so no two fronts can reach one panel region.
 //!
 //! A front's lifecycle — dispatch, downloads, extraction, finish — belongs to
 //! `crate::lane`. This module holds one of its two issuers, the arena loop
@@ -30,7 +34,7 @@ use crate::arena::FrontArena;
 use crate::features::LinearPolicyModel;
 use crate::frontal::{assemble_front_into, charge_assemble, ChildUpdate, Front};
 use crate::fu::{FuContext, FuError};
-use crate::lane::{child_views, Lane, SnOutcome};
+use crate::lane::{child_views, panel_len, postorder_parts, Lane, SnOutcome};
 use crate::multigpu::MultiGpuOptions;
 use crate::ooc::{plan_ooc, OocPlan};
 use crate::pinned_pool::PinnedPool;
@@ -267,63 +271,6 @@ impl<T: Scalar> CholeskyFactor<T> {
     }
 }
 
-/// Raw-pointer view of a block whose disjoint parts concurrent tasks write:
-/// the factor slab (each front's task writes its supernode's panel), the
-/// permuted right-hand sides of a solve sweep (each front writes the rows of
-/// its own columns) and the sweep's hand-off block (each task its own
-/// slice).
-///
-/// Raw pointers are used because handing overlapping `&mut` slices to
-/// concurrent tasks would be aliasing UB even with disjoint index sets.
-/// Every access is sound for the same reason: the part is written by exactly
-/// one task, and anything that reads it is ordered after that task — by the
-/// release/acquire dependency counters of the task graph, or by the driver
-/// being done with the view.
-pub(crate) struct SharedSlice<T> {
-    ptr: *mut T,
-    len: usize,
-}
-
-// SAFETY: the view hands out disjoint parts only (see the accessors).
-unsafe impl<T: Send> Send for SharedSlice<T> {}
-unsafe impl<T: Send> Sync for SharedSlice<T> {}
-
-impl<T: Copy> SharedSlice<T> {
-    pub(crate) fn new(block: &mut [T]) -> Self {
-        SharedSlice { ptr: block.as_mut_ptr(), len: block.len() }
-    }
-
-    #[inline]
-    pub(crate) fn read(&self, idx: usize) -> T {
-        debug_assert!(idx < self.len);
-        // SAFETY: in bounds; disjointness/ordering per the type-level note.
-        unsafe { *self.ptr.add(idx) }
-    }
-
-    /// `off..off + len` as a slice.
-    ///
-    /// # Safety
-    /// No task may write the range while the slice lives.
-    pub(crate) unsafe fn slice(&self, off: usize, len: usize) -> &[T] {
-        debug_assert!(off + len <= self.len);
-        // SAFETY: in bounds; no concurrent writer per the caller.
-        unsafe { std::slice::from_raw_parts(self.ptr.add(off), len) }
-    }
-
-    /// `off..off + len` as a mutable slice.
-    ///
-    /// # Safety
-    /// The range must be the calling task's alone while the slice lives —
-    /// for the slab, every driver runs each supernode exactly once and panel
-    /// ranges (a prefix sum) never overlap.
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn slice_mut(&self, off: usize, len: usize) -> &mut [T] {
-        debug_assert!(off + len <= self.len);
-        // SAFETY: in bounds; exclusivity is the caller's obligation.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(off), len) }
-    }
-}
-
 /// Factor an already-permuted matrix on the given machine.
 ///
 /// `a` must be the permuted matrix `P·A·Pᵀ` whose structure `symbolic`
@@ -366,14 +313,14 @@ pub(crate) fn factor_drain<T: Scalar>(
         FactorStats { front_alloc_events: 2 * u64::from(with_data), ..Default::default() };
     let mut arena =
         FrontArena::<T>::with_len(if with_data { symbolic.update_stack_peak() } else { 0 });
-    let data = data.map(|(a, slab)| (a, SharedSlice::new(slab)));
+    let mut data = data.map(|(a, slab)| (a, postorder_parts(symbolic, slab, panel_len)));
     let run = FrontRun { symbolic, opts, ooc_plan: ooc_plan.as_ref() };
     // The postorder ends at a root, so no update leaves the run.
     let ran = run.factor_range(
         0..symbolic.num_supernodes(),
         &[],
         &mut arena,
-        data.as_ref().map(|(a, slab)| (*a, slab)),
+        data.as_mut().map(|(a, panels)| (*a, &mut panels[..])),
         &mut rel,
         machine,
         &mut pool,
@@ -422,23 +369,22 @@ impl FrontRun<'_> {
     /// every simulated-time charge is issued per front, in postorder.
     /// `on_front(position, outcome)` collects the statistics. Each front's
     /// assembly is charged from the structure; `data` is the matrix whose
-    /// values it assembles and the slab its panel goes into. Without them the
-    /// loop runs without data: a front is its shape, and `arena` is never
-    /// touched.
+    /// values it assembles and the range's panels in postorder, each front's
+    /// slab region, its own to write. Without them the loop runs without
+    /// data: a front is its shape, and `arena` is never touched.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn factor_range<T: Scalar>(
         &self,
         range: std::ops::Range<usize>,
         handed: &[Vec<T>],
         arena: &mut FrontArena<T>,
-        data: Option<(&SymCsc<T>, &SharedSlice<T>)>,
+        mut data: Option<(&SymCsc<T>, &mut [&mut [T]])>,
         rel: &mut Vec<usize>,
         machine: &mut Machine,
         pool: &mut PinnedPool,
         mut on_front: impl FnMut(usize, SnOutcome),
     ) -> Result<Option<Vec<T>>, FactorError> {
         let (symbolic, opts) = (self.symbolic, self.opts);
-        let panel_ptr = symbolic.panel_ptr();
         let mut lane = Lane::new();
         let mut out = None;
         for r in range.clone() {
@@ -453,7 +399,7 @@ impl FrontRun<'_> {
             let (k, m) = (info.k(), info.m());
             let policy = opts.selector.choose(sn, m, k);
             charge_assemble::<T>(symbolic, sn, &mut machine.host);
-            let Some((a, slab)) = data else {
+            let Some((a, panels)) = data.as_mut() else {
                 // Without data a front is its shape.
                 let mut front = Front { s: info.front_size(), k, panel: &mut [], update: &mut [] };
                 let mut ctx = fu_ctx(machine, pool, opts);
@@ -482,14 +428,12 @@ impl FrontRun<'_> {
                 ChildUpdate { rows, data }
             });
             let children = child_views(symbolic, sn, from_hand).chain(stacked);
-            // SAFETY: this supernode's panel region is written here alone.
-            let panel = unsafe { slab.slice_mut(panel_ptr[sn], panel_ptr[sn + 1] - panel_ptr[sn]) };
             let mut front = assemble_front_into(
                 a,
                 info.col_start..info.col_end,
                 symbolic.update_rows(sn),
                 children,
-                panel,
+                &mut *panels[r - range.start],
                 update,
                 rel,
             );

@@ -45,7 +45,9 @@ use mf_dense::{
     Scalar,
 };
 use mf_gpusim::{DevBuf, DevMat, Event, Gpu, HostClock, KernelKind, Machine, Stream};
+use std::any::Any;
 use std::borrow::Cow;
+use std::cell::RefCell;
 
 /// Width of the device panels in the P4 algorithm (Figure 9's `w`).
 pub const DEFAULT_PANEL_WIDTH: usize = 64;
@@ -658,28 +660,23 @@ pub fn estimate_fu_time(
 // ----- host kernels and staging ----------------------------------------------
 
 std::thread_local! {
-    /// Per-thread pivot-block packing scratch (u64-backed so one buffer
-    /// serves every `Scalar`). Never shrinks; a whole factorization performs
-    /// at most one allocation per thread here.
-    static PIVOT_SCRATCH: std::cell::RefCell<Vec<u64>> = const { std::cell::RefCell::new(Vec::new()) };
+    /// Per-thread pivot-block packing scratch, one buffer per scalar type.
+    /// Never shrinks; a whole factorization performs at most one allocation
+    /// per thread here.
+    static PIVOT_SCRATCH: RefCell<(Vec<f32>, Vec<f64>)> =
+        const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
 /// Run `body` on a thread-local scratch slice of `len` scalars. The slice
 /// is *not* zeroed between calls — the trsm overwrites the lower triangle
 /// it reads, and `trsm_right_lower_trans` never touches the strictly-upper
-/// part, so stale bytes cannot reach any computation.
+/// part, so stale values cannot reach any computation.
 fn with_pivot_scratch<T: Scalar, R>(len: usize, body: impl FnOnce(&mut [T]) -> R) -> R {
-    PIVOT_SCRATCH.with(|cell| {
-        let mut buf = cell.borrow_mut();
-        let words = (len * T::BYTES).div_ceil(std::mem::size_of::<u64>());
-        if buf.len() < words {
-            buf.resize(words, 0);
-        }
-        // SAFETY: the buffer holds at least `len * T::BYTES` bytes, u64
-        // alignment satisfies every Scalar (f32/f64), and Scalar types admit
-        // any bit pattern.
-        let slice = unsafe { std::slice::from_raw_parts_mut(buf.as_mut_ptr().cast::<T>(), len) };
-        body(slice)
+    PIVOT_SCRATCH.with_borrow_mut(|(f32s, f64s)| {
+        let bufs: [&mut dyn Any; 2] = [f32s, f64s];
+        let buf = bufs.into_iter().find_map(|b| b.downcast_mut::<Vec<T>>()).expect("f32 or f64");
+        buf.resize(buf.len().max(len), T::ZERO);
+        body(&mut buf[..len])
     })
 }
 

@@ -50,7 +50,7 @@ use crate::policy::PolicyKind;
 use crate::stats::FuRecord;
 use mf_dense::Scalar;
 use mf_gpusim::{Gpu, HostClock, TimeSplit};
-use mf_sparse::symbolic::SymbolicFactor;
+use mf_sparse::symbolic::{SupernodeInfo, SymbolicFactor};
 use mf_sparse::SymCsc;
 use std::collections::VecDeque;
 
@@ -89,16 +89,31 @@ pub(crate) fn child_views<'c, T>(
         .map(|(&c, data)| ChildUpdate { rows: symbolic.update_rows(c), data })
 }
 
-/// The factor slab cut into every supernode's panel region.
-fn split_panels<'a, T>(mut slab: &'a mut [T], panel_ptr: &[usize]) -> Vec<&'a mut [T]> {
-    panel_ptr
-        .windows(2)
-        .map(|w| {
-            let (panel, rest) = std::mem::take(&mut slab).split_at_mut(w[1] - w[0]);
-            slab = rest;
-            panel
-        })
-        .collect()
+/// `block` cut into consecutive parts of `lens` scalars: the factor slab into
+/// every supernode's panel region or an interleaved block of right-hand
+/// sides into every supernode's rows, in supernode order, or a sweep's
+/// hand-off block into every task's slice.
+pub(crate) fn split_panels<T>(
+    mut block: &mut [T],
+    lens: impl Iterator<Item = usize>,
+) -> Vec<&mut [T]> {
+    lens.map(|len| block.split_off_mut(..len).expect("the parts fit the block")).collect()
+}
+
+/// A supernode's panel length in the factor slab.
+pub(crate) fn panel_len(info: &SupernodeInfo) -> usize {
+    info.front_size() * info.k()
+}
+
+/// [`split_panels`]' parts, supernode `sn`'s of `len(sn)` scalars, listed in
+/// postorder.
+pub(crate) fn postorder_parts<'a, T>(
+    symbolic: &SymbolicFactor,
+    block: &'a mut [T],
+    len: impl Fn(&SupernodeInfo) -> usize,
+) -> Vec<&'a mut [T]> {
+    let mut by_sn = split_panels(block, symbolic.supernodes.iter().map(len));
+    symbolic.postorder.iter().map(|&sn| std::mem::take(&mut by_sn[sn])).collect()
 }
 
 /// Per-front storage for a run on one host thread whose front lifetimes
@@ -130,8 +145,9 @@ impl<'a, T: Scalar> FrontStore<'a, T> {
     ) -> Self {
         let allocs = u64::from(data.is_some());
         let (a, slab) = data.unzip();
-        let panels: Vec<_> =
-            slab.map(|slab| split_panels(slab, symbolic.panel_ptr())).unwrap_or_default();
+        let panels: Vec<_> = slab
+            .map(|slab| split_panels(slab, symbolic.supernodes.iter().map(panel_len)))
+            .unwrap_or_default();
         FrontStore {
             symbolic,
             a,

@@ -28,6 +28,8 @@
 //! assert!(sol.residual_history.last().unwrap() < &1e-11);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod arena;
 mod factor;
 mod features;

@@ -23,27 +23,33 @@
 //!
 //! The tasks are mf-sparse's [`RangeTasks`] around the bottom subtrees —
 //! the one task partition of the analysis' row structures, this factor and
-//! both parallel solve sweeps. This module owns the hand-off slots between
-//! tasks and the per-worker state. What a task does to its fronts is not its
-//! own: every task is the arena loop of [`crate::factor`]
-//! (`FrontRun::factor_range`, the drain schedule) on the worker's arena.
+//! both parallel solve sweeps. This module owns the per-task slots — what a
+//! task takes when it starts, what it hands its parent's task — and the
+//! per-worker state. A task writes only what it owns: the panels of its
+//! range, split off the factor slab once and taken from its slot, so the
+//! borrow checker, not a convention, keeps two tasks off one panel. What a
+//! task does to its fronts is not its own: every
+//! task is the arena loop of [`crate::factor`] (`FrontRun::factor_range`,
+//! the drain schedule) on the worker's arena.
+//!
 //! Which schedule the entry runs is [`FactorOptions::plan`]'s decision, the
-//! serial entry's plan for the first machine: a drain runs as these tasks
-//! over every machine, and pipelined and multi-device runs keep fronts in
-//! flight on one host timeline, the first machine's. Either way the
-//! simulated fields are the serial entry's; no worker's clock is read.
+//! serial entry's plan for the first machine. A drain runs as these tasks,
+//! one worker per machine, each on a twin of the first machine whose clock
+//! nobody reads; the drain's clock runs without data on the first machine
+//! itself, before any task, which leaves it as the serial entry leaves its
+//! machine and the others untouched. Pipelined and multi-device runs keep
+//! fronts in flight on the first machine's host timeline. Either way the
+//! simulated fields are the serial entry's.
 //!
 //! The model predicts simulated makespans from simulated durations; the
 //! runtime measures wall time: `benchmark/`'s `plate2d_par2` workload
 //! reports it as `runtime.par2_speedup.*`.
 
 use crate::arena::FrontArena;
-use crate::factor::{
-    pinned_pool, CholeskyFactor, FactorError, FactorOptions, FrontRun, SharedSlice,
-};
-use crate::lane::take_children;
+use crate::factor::{pinned_pool, CholeskyFactor, FactorError, FactorOptions, FrontRun};
+use crate::lane::{panel_len, postorder_parts, take_children};
 use crate::pinned_pool::PinnedPool;
-use crate::plan::run_plan;
+use crate::plan::{run_plan, twin};
 use crate::policy::PolicyKind;
 use crate::stats::FactorStats;
 use mf_dense::{FuFlops, Scalar};
@@ -51,7 +57,7 @@ use mf_gpusim::Machine;
 use mf_runtime::{Runtime, TaskGraph, ThreadBudget};
 use mf_sparse::symbolic::SymbolicFactor;
 use mf_sparse::{Permutation, RangeTasks, SymCsc};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Intra-task (moldable) parallelism model.
 #[derive(Debug, Clone, Copy)]
@@ -148,21 +154,15 @@ pub fn simulate_tree_schedule(
         // produces the multi-thread speedup.
         let mut order: Vec<usize> = (0..workers).collect();
         order.sort_by(|&a, &b| worker_free[a].total_cmp(&worker_free[b]));
-        let width = match &moldable {
-            Some(m) => {
-                let cap = (ops[sn] / m.ops_per_worker).floor().max(1.0) as usize;
-                cap.min(workers)
-            }
-            None => 1,
-        };
+        let width = moldable
+            .map_or(1, |m| ((ops[sn] / m.ops_per_worker).floor().max(1.0) as usize).min(workers));
         let chosen = &order[..width];
         // Task starts when the ready condition holds and all chosen workers
         // are free.
         let start = chosen.iter().map(|&w| worker_free[w]).fold(ready_time[sn], f64::max);
-        let dur = match (&moldable, width > 1) {
-            (Some(m), true) => durations[sn] / (width as f64).powf(m.efficiency),
-            _ => durations[sn],
-        };
+        let molded = moldable.filter(|_| width > 1);
+        let dur =
+            molded.map_or(durations[sn], |m| durations[sn] / (width as f64).powf(m.efficiency));
         let end = start + dur;
         for &w in chosen {
             worker_free[w] = end;
@@ -225,10 +225,11 @@ impl Default for ParallelOptions {
 }
 
 /// Per-worker mutable state for the parallel driver. Workers never share any
-/// of this; the only cross-worker traffic is the buffered update-matrix
-/// hand-off between tasks, one mutex-guarded slot per task.
-struct WorkerCtx<'m, T> {
-    machine: &'m mut Machine,
+/// of this; the only cross-worker traffic is the tasks' slots: the panels a
+/// task takes and the update block it hands its parent's task.
+struct WorkerCtx<T> {
+    /// A twin of the first machine: its clock is never read.
+    machine: Machine,
     pool: PinnedPool,
     /// This worker's LIFO stack of update blocks, grown to the largest
     /// subtree it has met.
@@ -251,21 +252,23 @@ struct WorkerCtx<'m, T> {
 /// A task is a run of the postorder — a *bottom subtree*
 /// ([`SymbolicFactor::bottom_subtrees`]: CPU fronts whose panels and front
 /// stack fit the cache), or one supernode above them — and every task is the
-/// serial driver's range loop on the worker's own arena. Each worker owns
-/// one [`Machine`] and one pinned pool; update matrices that cross tasks are
+/// serial driver's range loop on the worker's own arena, writing the panels
+/// of its range, which it alone holds. Each worker owns a twin of
+/// `machines[0]` and one pinned pool; update matrices that cross tasks are
 /// buffered and consumed by the parent's extend-add in postorder child rank
 /// — the same order and the same `crate::lane` body as the serial driver,
 /// which makes the result **bitwise identical** to [`crate::factor_permuted`]
 /// at every worker count. A run that keeps fronts in flight (pipelining,
-/// several devices) is the serial entry's on the first machine, and leaves
-/// the others untouched.
+/// several devices) is the serial entry's on the first machine.
 ///
 /// Returned [`FactorStats`]: the simulated fields — `total_time`, `records`,
 /// `gpu`, `oom_fallbacks`, `ooc` — are the serial entry's on `machines[0]`,
-/// bit for bit (a drain's are its rehearsal, as
+/// bit for bit (a drain's are its run without data on `machines[0]`, as
 /// [`FactorOptions::rehearse`] returns them); `peak_front_bytes` and
 /// `front_alloc_events` count this run's storage, and `wall_time` is the
-/// real measured wall-clock of this call.
+/// real measured wall-clock of this call. Either way the call leaves
+/// `machines[0]` as [`crate::factor_permuted`] leaves its machine and the
+/// other machines untouched.
 pub fn factor_permuted_parallel<T: Scalar>(
     a: &SymCsc<T>,
     symbolic: &SymbolicFactor,
@@ -278,39 +281,34 @@ pub fn factor_permuted_parallel<T: Scalar>(
     run_plan(plan, a, symbolic, perm, machines, opts, Some(par))
 }
 
-/// The drain schedule as range tasks, one worker per machine,
-/// `thread_budget` threads between them, `a`'s values assembled and the
-/// panels put into `slab`. Returns the run's storage accounting:
+/// The drain schedule as range tasks, `workers` workers on twins of
+/// `machine`, `thread_budget` threads between them, `a`'s values assembled
+/// and the panels put into `slab`. Returns the run's storage accounting:
 /// `(peak_front_bytes, front_alloc_events)`.
 ///
-/// The run's simulated fields are its rehearsal's, so the workers book no
-/// per-front records and carry no out-of-core plan: a budget prices spills,
-/// and moves no bit.
+/// The run's simulated fields are those of its run without data, so the
+/// workers book no per-front records and carry no out-of-core plan: a budget
+/// prices spills, and moves no bit.
 pub(crate) fn factor_tasks<T: Scalar>(
     (a, slab): (&SymCsc<T>, &mut [T]),
     symbolic: &SymbolicFactor,
-    machines: &mut [Machine],
+    (machine, workers): (&Machine, usize),
     opts: &FactorOptions,
     thread_budget: usize,
 ) -> Result<(usize, u64), FactorError> {
-    let workers = machines.len();
-
     // Bottom subtrees: runs of CPU fronts small enough to stay in cache.
     // Decided from the symbolic structure and the policy selector alone —
     // deterministic and known before the run starts.
-    let tasks = RangeTasks::new(
-        &symbolic.postorder,
-        |sn| symbolic.supernodes[sn].parent,
-        symbolic.bottom_subtrees(T::BYTES, |sn| {
-            let info = &symbolic.supernodes[sn];
-            opts.selector.choose(sn, info.m(), info.k()) == PolicyKind::P1
-        }),
-    );
+    let tasks = range_tasks::<T>(symbolic, |sn| {
+        let info = &symbolic.supernodes[sn];
+        opts.selector.choose(sn, info.m(), info.k()) == PolicyKind::P1
+    });
     let graph = TaskGraph::from_parents(tasks.parents());
 
-    // Factor storage: one contiguous slab; workers write their supernodes'
-    // panel regions in place (regions are disjoint by construction).
-    let slab_view = SharedSlice::new(slab);
+    // Factor storage: one contiguous slab, cut into the panels of every
+    // task's range, which the task takes when it starts and writes in place.
+    let mut panels = postorder_parts(symbolic, slab, panel_len);
+    let panels = group_by_task(&tasks, &symbolic.postorder, &mut panels);
 
     // Hand-off buffers, one slot per task, holding the update of its last
     // front. A slot is written exactly once (by the worker that ran the
@@ -321,10 +319,8 @@ pub(crate) fn factor_tasks<T: Scalar>(
     // per-edge buffers dropped after the parent's extend-add (the system
     // allocator's thread cache recycles them more cheaply than an explicit
     // free list here); update rows come from the shared symbolic structure.
-    let updates: Vec<Mutex<Option<Vec<T>>>> =
-        (0..tasks.ranges().len()).map(|_| Mutex::new(None)).collect();
-    let slot = |t: usize| updates[t].lock().unwrap_or_else(|poison| poison.into_inner());
-    let take_update = |c: usize| slot(tasks.task_of()[c]).take();
+    let updates: Vec<Mutex<Option<_>>> = tasks.ranges().iter().map(|_| Mutex::default()).collect();
+    let take_update = |c: usize| lock(&updates[tasks.task_of()[c]]).take();
 
     // A subtree task's stack bound; a single supernode keeps nothing on the
     // stack (its update is assembled straight into the hand-off buffer).
@@ -333,10 +329,9 @@ pub(crate) fn factor_tasks<T: Scalar>(
     let front_run = FrontRun { symbolic, opts, ooc_plan: None };
     let budget = ThreadBudget::new(thread_budget);
 
-    let states: Vec<WorkerCtx<'_, T>> = machines
-        .iter_mut()
-        .map(|machine| WorkerCtx {
-            machine,
+    let states: Vec<WorkerCtx<T>> = (0..workers)
+        .map(|_| WorkerCtx {
+            machine: twin(machine),
             pool: pinned_pool(opts, true),
             arena: FrontArena::with_len(0),
             rel: Vec::new(),
@@ -346,7 +341,7 @@ pub(crate) fn factor_tasks<T: Scalar>(
         .collect();
 
     let runtime = Runtime::new(workers);
-    let (states, errors) = runtime.run(&graph, states, |st: &mut WorkerCtx<'_, T>, t| {
+    let (states, errors) = runtime.run(&graph, states, |st: &mut WorkerCtx<T>, t| {
         let range = tasks.ranges()[t].clone();
         let first = symbolic.postorder[range.start];
         // The dependency counters start this task only after every child
@@ -355,10 +350,7 @@ pub(crate) fn factor_tasks<T: Scalar>(
         // Grow this worker's arena to the largest subtree bound it has met.
         // Reuse without re-zeroing is safe: assembly re-zeroes the triangle
         // of a block it references and nothing reads the rest.
-        let need = match range.len() {
-            1 => 0,
-            _ => peaks[symbolic.postorder[range.end - 1]],
-        };
+        let need = if range.len() == 1 { 0 } else { peaks[symbolic.postorder[range.end - 1]] };
         if st.arena.capacity() < need {
             st.allocs += 1;
             st.arena = FrontArena::with_len(need);
@@ -372,9 +364,9 @@ pub(crate) fn factor_tasks<T: Scalar>(
                 range,
                 &handed,
                 &mut st.arena,
-                Some((a, &slab_view)),
+                Some((a, std::mem::take(&mut *lock(&panels[t])))),
                 &mut st.rel,
-                st.machine,
+                &mut st.machine,
                 &mut st.pool,
                 |_, _| (),
             )
@@ -383,7 +375,7 @@ pub(crate) fn factor_tasks<T: Scalar>(
         st.peak_front = st.peak_front.max(st.arena.high_water());
         if let Some(u) = update {
             st.allocs += 1;
-            *slot(t) = Some(u);
+            *lock(&updates[t]) = Some(u);
         }
         Ok(())
     });
@@ -396,6 +388,39 @@ pub(crate) fn factor_tasks<T: Scalar>(
     let peak_front = states.iter().map(|st| st.peak_front).max().unwrap_or(0);
     // One allocation event for the factor slab.
     Ok((peak_front * T::BYTES, 1 + states.iter().map(|st| st.allocs).sum::<u64>()))
+}
+
+/// `items`, one per postorder position, cut into the ranges of `tasks`:
+/// slot `t` holds task `t`'s, which the task takes when it starts.
+pub(crate) fn group_by_task<'a, X>(
+    tasks: &RangeTasks,
+    postorder: &[usize],
+    mut items: &'a mut [X],
+) -> Vec<Mutex<&'a mut [X]>> {
+    let mut groups: Vec<&mut [X]> = tasks.ranges().iter().map(|_| Default::default()).collect();
+    // From the back: the last item is the last of the task whose range ends there.
+    while let Some(end) = items.len().checked_sub(1) {
+        let t = tasks.task_of()[postorder[end]];
+        (items, groups[t]) = std::mem::take(&mut items).split_at_mut(tasks.ranges()[t].start);
+    }
+    groups.into_iter().map(Mutex::new).collect()
+}
+
+/// The range tasks of a factor or a solve sweep at `T`'s width: the bottom
+/// subtrees of the fronts `ok` admits, then one task per supernode above.
+pub(crate) fn range_tasks<T: Scalar>(
+    sym: &SymbolicFactor,
+    ok: impl Fn(usize) -> bool,
+) -> RangeTasks {
+    let subtrees = sym.bottom_subtrees(T::BYTES, ok);
+    RangeTasks::new(&sym.postorder, |sn| sym.supernodes[sn].parent, subtrees)
+}
+
+/// A task's slot: each is filled and taken once, in the order the task
+/// graph's dependency counters impose, so a panicked holder leaves nothing
+/// half written.
+pub(crate) fn lock<X>(slot: &Mutex<X>) -> MutexGuard<'_, X> {
+    slot.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]

@@ -22,9 +22,10 @@
 //! returns the run's simulated clock, per-call records and out-of-core
 //! accounting bit for bit — or the run's own error. Every price is read from
 //! the structure, so planning and rehearsing take no matrix. The plan's own
-//! two single-device rehearsals and the clock of the parallel entry's drain
-//! are the same routine. A run starts the clocks of the machines it runs on
-//! at zero, as the twin's start.
+//! two single-device rehearsals are the same routine, and so is the clock of
+//! the parallel entry's drain, run on the first machine itself, whose range
+//! tasks run on twins. A run starts the clocks of the machines it runs on at
+//! zero, as a twin's start.
 //!
 //! [`factor_permuted`]: crate::factor::factor_permuted
 //! [`factor_permuted_parallel`]: crate::parallel::factor_permuted_parallel
@@ -183,7 +184,7 @@ impl FactorOptions {
         plan.schedule = Schedule::Pipelined { devices };
         if devices == 1 {
             let [pipelined_s, drain_s] = [plan.schedule, Schedule::Drain].map(|s| {
-                let rehearsed = rehearse::<T>(s, symbolic, self, first);
+                let rehearsed = drive::<T>(s, symbolic, &mut twin(first), self, None);
                 rehearsed.expect("an in-core rehearsal has no data to fail on").total_time
             });
             plan.decision = Some(Decision::Rehearsed { pipelined_s, drain_s });
@@ -218,16 +219,18 @@ impl FactorOptions {
         machine: &Machine,
     ) -> Result<FactorStats, FactorError> {
         let plan = self.plan::<T>(symbolic, std::slice::from_ref(machine))?;
-        Ok(FactorStats { plan, ..rehearse::<T>(plan.schedule, symbolic, self, machine)? })
+        let rehearsed = drive::<T>(plan.schedule, symbolic, &mut twin(machine), self, None)?;
+        Ok(FactorStats { plan, ..rehearsed })
     }
 }
 
 /// Run `plan` — [`FactorOptions::plan`]'s for these options and machines —
 /// on its driver, the clocks of the machines it runs on started at zero, and
 /// record it and the call's wall time in the stats. From the parallel entry
-/// (`par`) a drain runs as range tasks over every machine, its
-/// simulated fields the drain's rehearsal on the first, rehearsed before the
-/// tasks start; every other run is the serial driver's on the first machine.
+/// (`par`) a drain runs as range tasks, one worker per machine on a twin of
+/// the first, its simulated fields the drain run without data on the first
+/// machine before the tasks start; every other run is the serial driver's on
+/// the first machine. Machines after the first are never touched.
 pub(crate) fn run_plan<T: Scalar>(
     plan: ExecPlan,
     a: &SymCsc<T>,
@@ -241,12 +244,14 @@ pub(crate) fn run_plan<T: Scalar>(
     let mut slab = vec![T::ZERO; symbolic.factor_slab_len()];
     let stats = match (plan.schedule, par) {
         (Schedule::Drain, Some(par)) => {
-            // The rehearsal goes first: it builds the budget's out-of-core
-            // plan, so an infeasible budget fails typed before any worker runs.
-            let clock = rehearse::<T>(Schedule::Drain, symbolic, opts, &machines[0])?;
-            machines.iter_mut().for_each(Machine::reset);
+            // The drain's clock runs without data on the first machine, and
+            // first: it builds the budget's out-of-core plan, so an
+            // infeasible budget fails typed before any worker runs.
+            machines[0].reset();
+            let clock = drive::<T>(Schedule::Drain, symbolic, &mut machines[0], opts, None)?;
+            let workers = (&machines[0], machines.len());
             let (peak_front_bytes, front_alloc_events) =
-                factor_tasks((a, &mut slab), symbolic, machines, opts, par.thread_budget)?;
+                factor_tasks((a, &mut slab), symbolic, workers, opts, par.thread_budget)?;
             FactorStats { peak_front_bytes, front_alloc_events, ..clock }
         }
         (schedule, _) => {
@@ -258,17 +263,12 @@ pub(crate) fn run_plan<T: Scalar>(
     Ok((factor, FactorStats { wall_time: wall0.elapsed().as_secs_f64(), plan, ..stats }))
 }
 
-/// `schedule` without data on a twin of `machine`: the same configuration,
-/// fresh clocks and, if `machine` has a device, a fresh one.
-fn rehearse<T: Scalar>(
-    schedule: Schedule,
-    symbolic: &SymbolicFactor,
-    opts: &FactorOptions,
-    machine: &Machine,
-) -> Result<FactorStats, FactorError> {
+/// A twin of `machine`, on which a rehearsal and a parallel drain's workers
+/// run: the same configuration, fresh clocks and, if `machine` has a device,
+/// a fresh one.
+pub(crate) fn twin(machine: &Machine) -> Machine {
     let gpu = machine.gpu.as_ref().map(|g| Gpu::new(g.config().clone()));
-    let mut twin = Machine { host: HostClock::new(machine.host.config().clone()), gpu };
-    drive::<T>(schedule, symbolic, &mut twin, opts, None)
+    Machine { host: HostClock::new(machine.host.config().clone()), gpu }
 }
 
 /// Run `schedule` on its driver on `machine`'s host timeline with `data`,

@@ -2,17 +2,32 @@
 //!
 //! Given `P·A·Pᵀ = L·Lᵀ`, solving `A·X = B` proceeds as
 //! `Y = L⁻¹·(P·B)`, `Z = L⁻ᵀ·Y`, `X = Pᵀ·Z`. The forward pass walks the
-//! supernodes leaf→root, the backward pass root→leaf. Each pass is one
-//! *range loop* over a run of postorder positions around one per-front
-//! body, and each body is one `mf_dense` panel kernel
-//! ([`forward_panel`] / [`backward_panel`]) plus the moves of its rows. The
-//! serial sweeps run the whole postorder through the range loop, and every
-//! task of the tree-parallel sweeps — a bottom subtree
+//! supernodes leaf→root, the backward pass root→leaf. Each pass has one
+//! per-front body, one `mf_dense` panel kernel ([`forward_panel`] /
+//! [`backward_panel`]) plus the moves of its rows, and the forward pass one
+//! *range loop* over a run of postorder positions around it. The serial
+//! sweeps run the whole postorder through them, and every task of the
+//! tree-parallel sweeps — a bottom subtree
 //! (`SymbolicFactor::bottom_subtrees`) or one supernode above them, the
-//! factor's task partition — runs its range through it, which is what makes
-//! the parallel solve bitwise identical to the serial one at every worker
-//! count (the same contract as
+//! factor's task partition — runs its range through them, which is what
+//! makes the parallel solve bitwise identical to the serial one at every
+//! worker count (the same contract as
 //! [`crate::parallel::factor_permuted_parallel`]).
+//!
+//! ## Who writes which rows
+//!
+//! A front writes only its own rows, its columns' `k` interleaved rows,
+//! and it holds them as its own `&mut` slice. A serial sweep slices them
+//! off the block at each front; in the backward sweep it first reads the
+//! front's update rows — ancestors' rows, final already — from the whole
+//! block, then borrows the front's own to write. A parallel sweep cuts the
+//! block into every supernode's rows (supernodes partition the columns in
+//! id order) and hands each task its fronts' rows once. What crosses tasks
+//! is published read-only after its writer is done: a forward task's last
+//! subtrahend, in its own slice of one hand-off block, and a backward
+//! front's swept rows, from which the fronts below read their update rows,
+//! walking up their ancestor chain. The backward body is generic over that
+//! read.
 //!
 //! ## Interleaved right-hand sides
 //!
@@ -48,8 +63,8 @@
 //! child order, its own block is built above them and then moved down onto
 //! the first child's offset. Nothing is allocated per supernode. Between
 //! tasks of a parallel sweep a subtrahend travels in its own slice of one
-//! preallocated hand-off block: a task's last front leaves it there, and
-//! the first front of the parent's task folds it from there.
+//! hand-off block: a task's last front leaves it there, and the first front
+//! of the parent's task folds it from there.
 //!
 //! ## The per-column order contract
 //!
@@ -60,11 +75,15 @@
 //! shape alone. So column `j` of a batched solve is bitwise identical to a
 //! single-RHS solve of column `j` alone, whatever the right-hand-side count.
 
-use crate::factor::{CholeskyFactor, SharedSlice};
+use crate::factor::CholeskyFactor;
+use crate::lane::{postorder_parts, split_panels};
+use crate::parallel::{group_by_task, lock, range_tasks};
 use mf_dense::{backward_panel, forward_panel, Scalar, RHS_BLOCK};
 use mf_runtime::{Runtime, TaskGraph};
 use mf_sparse::{RangeTasks, SymbolicFactor};
+use std::convert::Infallible;
 use std::ops::Range;
+use std::sync::{Mutex, OnceLock};
 
 /// Per-worker scratch of the sweeps, sized once for a block of `w`
 /// right-hand sides: the gathered update rows of the front in hand
@@ -88,16 +107,24 @@ impl<T: Scalar> SweepScratch<T> {
     }
 }
 
+/// The rows a forward range writes: a whole interleaved block (the serial
+/// sweep), or a task's rows, one chunk per front in postorder.
+enum RangeRows<'a, 'x, T> {
+    Block(&'a mut [T]),
+    Chunks(&'a mut [&'x mut [T]]),
+}
+
 impl<T: Scalar> CholeskyFactor<T> {
     /// Forward substitution at one supernode: fold the children's
-    /// subtrahends (in the order given — the child list's), sweep the panel,
-    /// and leave this supernode's own subtrahend in `ubuf` (`m` interleaved
-    /// rows, overwritten). The one body of every forward sweep.
+    /// subtrahends (in the order given — the child list's) into its rows
+    /// `xk`, sweep the panel, and leave this supernode's own subtrahend in
+    /// `ubuf` (`m` interleaved rows, overwritten). The one body of every
+    /// forward sweep.
     fn forward_front<'c>(
         &self,
         sn: usize,
         w: usize,
-        x: &SharedSlice<T>,
+        xk: &mut [T],
         children: impl Iterator<Item = (usize, &'c [T])>,
         ubuf: &mut [T],
         slot: &mut [usize],
@@ -108,9 +135,7 @@ impl<T: Scalar> CholeskyFactor<T> {
         let info = &symbolic.supernodes[sn];
         let (k, m) = (info.k(), info.m());
         let (c0, c1) = (info.col_start, info.col_end);
-        debug_assert_eq!(ubuf.len(), m * w);
-        // SAFETY: rows [c0, c1) are this front's alone.
-        let xk = unsafe { x.slice_mut(c0 * w, k * w) };
+        debug_assert_eq!((xk.len(), ubuf.len()), (k * w, m * w));
 
         // Extend-add the children's subtrahends. A child's rows are sorted, so
         // those inside [c0, c1) come first and subtract from this supernode's
@@ -152,7 +177,7 @@ impl<T: Scalar> CholeskyFactor<T> {
         &self,
         range: Range<usize>,
         w: usize,
-        x: &SharedSlice<T>,
+        mut x: RangeRows<'_, '_, T>,
         handed: impl Fn(usize) -> &'h [T],
         scratch: &mut SweepScratch<T>,
     ) where
@@ -163,7 +188,8 @@ impl<T: Scalar> CholeskyFactor<T> {
         let mut top = 0usize;
         for r in range.clone() {
             let sn = symbolic.postorder[r];
-            let m = symbolic.supernodes[sn].m();
+            let info = &symbolic.supernodes[sn];
+            let m = info.m();
             let kids = symbolic.children(sn);
             // The first front's children are outside the range, their
             // subtrahends handed over; every later front's are the top of the
@@ -184,7 +210,11 @@ impl<T: Scalar> CholeskyFactor<T> {
                 (c, &below[next - len..next])
             });
             let children = from_hand.iter().map(|&c| (c, handed(c))).chain(stacked);
-            self.forward_front(sn, w, x, children, &mut above[..m * w], slot);
+            let xk = match &mut x {
+                RangeRows::Block(x) => &mut x[info.col_start * w..info.col_end * w],
+                RangeRows::Chunks(rows) => &mut *rows[r - range.start],
+            };
+            self.forward_front(sn, w, xk, children, &mut above[..m * w], slot);
             // Retire the children: this supernode's block takes their place.
             if dest < top {
                 stack.copy_within(top..top + m * w, dest);
@@ -193,21 +223,27 @@ impl<T: Scalar> CholeskyFactor<T> {
         }
     }
 
-    /// Backward substitution at one supernode: gather the (already final)
-    /// update rows into `xu` and sweep the panel. The one body of every
-    /// backward sweep.
-    fn backward_front(&self, sn: usize, w: usize, x: &SharedSlice<T>, xu: &mut [T]) {
-        let info = &self.symbolic.supernodes[sn];
-        let (k, m) = (info.k(), info.m());
+    /// Backward substitution at one supernode: gather its update rows, its
+    /// ancestors' and final already, into `xu` — `read(x, r, j)` is column `j`
+    /// of row `r` — and then sweep the panel over its own rows, which start
+    /// at `x[at]`. The one body of every backward sweep.
+    fn backward_front(
+        &self,
+        sn: usize,
+        w: usize,
+        x: &mut [T],
+        at: usize,
+        mut read: impl FnMut(&[T], usize, usize) -> T,
+        xu: &mut [T],
+    ) {
+        let (k, m) = (self.symbolic.supernodes[sn].k(), self.symbolic.supernodes[sn].m());
         let xu = &mut xu[..m * w];
         for (dst, &r) in xu.chunks_exact_mut(w).zip(self.symbolic.update_rows(sn)) {
             for (j, v) in dst.iter_mut().enumerate() {
-                *v = x.read(r * w + j);
+                *v = read(x, r, j);
             }
         }
-        // SAFETY: rows [col_start, col_end) are this front's alone.
-        let xk = unsafe { x.slice_mut(info.col_start * w, k * w) };
-        backward_panel(k, m, w, self.panel(sn), k + m, xk, xu);
+        backward_panel(k, m, w, self.panel(sn), k + m, &mut x[at..at + k * w], xu);
     }
 
     /// Solve `A·x = b` (original, unpermuted ordering). `b` is given in the
@@ -224,12 +260,15 @@ impl<T: Scalar> CholeskyFactor<T> {
     pub fn solve_many(&self, b: &[T], nrhs: usize) -> Vec<T> {
         let mut scratch = SweepScratch::new(&self.symbolic, nrhs.min(RHS_BLOCK));
         self.solve_blocks(b, nrhs, |x, w| {
-            let x = SharedSlice::new(x);
             // The postorder starts at a leaf: nothing is handed in.
             let nsn = self.symbolic.num_supernodes();
-            self.forward_range(0..nsn, w, &x, |_| &[], &mut scratch);
+            self.forward_range(0..nsn, w, RangeRows::Block(x), |_| &[], &mut scratch);
+            // The gather reads the block before the front's rows are
+            // borrowed to write.
+            let read = move |x: &[T], r: usize, j: usize| x[r * w + j];
             for &sn in self.symbolic.postorder.iter().rev() {
-                self.backward_front(sn, w, &x, &mut scratch.xu);
+                let at = self.symbolic.supernodes[sn].col_start * w;
+                self.backward_front(sn, w, x, at, read, &mut scratch.xu);
             }
         })
     }
@@ -238,7 +277,7 @@ impl<T: Scalar> CholeskyFactor<T> {
     /// across `workers` threads on the elimination tree. Bitwise identical
     /// to the serial path at every worker count.
     pub fn solve_many_parallel(&self, b: &[T], nrhs: usize, workers: usize) -> Vec<T> {
-        let tasks = self.sweep_tasks();
+        let tasks = range_tasks::<T>(&self.symbolic, |_| true);
         self.solve_blocks(b, nrhs, |x, w| {
             self.forward_tasks(&tasks, x, w, workers);
             self.backward_tasks(&tasks, x, w, workers);
@@ -281,73 +320,71 @@ impl<T: Scalar> CholeskyFactor<T> {
         out
     }
 
-    /// The tasks of both tree-parallel sweeps: the factor's partition, with
-    /// every front eligible for a bottom subtree.
-    fn sweep_tasks(&self) -> RangeTasks {
-        let sym = &self.symbolic;
-        RangeTasks::new(
-            &sym.postorder,
-            |sn| sym.supernodes[sn].parent,
-            sym.bottom_subtrees(T::BYTES, |_| true),
-        )
-    }
-
     /// Tree-parallel forward substitution (leaf→root) of one interleaved
     /// block of `w` right-hand sides on `workers` threads: one task per
-    /// bottom subtree, one per supernode above. Bitwise identical to the
-    /// serial sweep.
+    /// bottom subtree, one per supernode above, each writing its fronts'
+    /// rows. Bitwise identical to the serial sweep.
     fn forward_tasks(&self, tasks: &RangeTasks, x: &mut [T], w: usize, workers: usize) {
         let symbolic = &self.symbolic;
         let graph = TaskGraph::from_parents(tasks.parents());
-        // Subtrahends that cross tasks: that of task `t`'s last front is the
-        // `m × w` block at `offset[t] · w` of one hand-off block.
-        let (mut rows, mut offset) = (0, Vec::with_capacity(tasks.ranges().len()));
-        for range in tasks.ranges() {
-            offset.push(rows);
-            rows += symbolic.supernodes[symbolic.postorder[range.end - 1]].m();
-        }
-        let mut handoff = vec![T::ZERO; rows * w];
-        let handoff_view = SharedSlice::new(&mut handoff);
-        let block_of =
-            |sn: usize| (offset[tasks.task_of()[sn]] * w, symbolic.supernodes[sn].m() * w);
-        let shared = SharedSlice::new(x);
+        // Subtrahends that cross tasks: that of task `t`'s last front goes to
+        // its own `m × w` slice of one hand-off block, which the task
+        // publishes read-only to its parent's task when it is done.
+        let last_m = |r: &Range<usize>| symbolic.supernodes[symbolic.postorder[r.end - 1]].m() * w;
+        let mut handoff = vec![T::ZERO; tasks.ranges().iter().map(last_m).sum()];
+        let blocks = split_panels(&mut handoff, tasks.ranges().iter().map(last_m));
+        let blocks: Vec<Mutex<&mut [T]>> = blocks.into_iter().map(Mutex::new).collect();
+        let published: Vec<OnceLock<&[T]>> = blocks.iter().map(|_| OnceLock::new()).collect();
+        let mut rows = postorder_parts(symbolic, x, |i| i.k() * w);
+        let rows = group_by_task(tasks, &symbolic.postorder, &mut rows);
         let runtime = Runtime::new(workers);
-        let states: Vec<SweepScratch<T>> =
+        let states: Vec<_> =
             (0..runtime.workers()).map(|_| SweepScratch::new(symbolic, w)).collect();
-        let (_, errors) = runtime.run(&graph, states, |scratch, t| -> Result<(), ()> {
-            let range = tasks.ranges()[t].clone();
-            let (off, len) = block_of(symbolic.postorder[range.end - 1]);
-            let handed = |c| {
-                let (off, len) = block_of(c);
-                // SAFETY: written by the child's task, which the dependency
-                // counter ordered before this one.
-                unsafe { handoff_view.slice(off, len) }
-            };
-            self.forward_range(range, w, &shared, handed, scratch);
-            // SAFETY: the last front's hand-off block is this task's to
-            // write; its reader waits for this task.
-            unsafe { handoff_view.slice_mut(off, len) }.copy_from_slice(&scratch.stack[..len]);
+        runtime.run(&graph, states, |scratch, t| -> Result<(), Infallible> {
+            let handed = |c: usize| *published[tasks.task_of()[c]].get().expect("a child ran");
+            let own = RangeRows::Chunks(std::mem::take(&mut *lock(&rows[t])));
+            self.forward_range(tasks.ranges()[t].clone(), w, own, handed, scratch);
+            let block = std::mem::take(&mut *lock(&blocks[t]));
+            block.copy_from_slice(&scratch.stack[..block.len()]);
+            published[t].set(block).expect("a task runs once");
             Ok(())
         });
-        debug_assert!(errors.is_empty(), "solve tasks are infallible");
     }
 
     /// Tree-parallel backward substitution (root→leaf, on the reversed
     /// task forest) of one interleaved block of `w` right-hand sides on
-    /// `workers` threads. Bitwise identical to the serial sweep.
+    /// `workers` threads, each task writing its fronts' rows. Bitwise
+    /// identical to the serial sweep.
     fn backward_tasks(&self, tasks: &RangeTasks, x: &mut [T], w: usize, workers: usize) {
+        let symbolic = &self.symbolic;
         let graph = TaskGraph::from_parents_reversed(tasks.parents());
-        let shared = SharedSlice::new(x);
+        // A front publishes its rows read-only once swept; every update row
+        // of a front is a row of an ancestor, swept before it.
+        let swept: &[OnceLock<&[T]>] =
+            &symbolic.supernodes.iter().map(|_| OnceLock::new()).collect::<Vec<_>>();
+        let mut rows = postorder_parts(symbolic, x, |i| i.k() * w);
+        let rows = group_by_task(tasks, &symbolic.postorder, &mut rows);
         let runtime = Runtime::new(workers);
-        let states: Vec<SweepScratch<T>> =
-            (0..runtime.workers()).map(|_| SweepScratch::new(&self.symbolic, w)).collect();
-        let (_, errors) = runtime.run(&graph, states, |scratch, t| -> Result<(), ()> {
-            for &sn in self.symbolic.postorder[tasks.ranges()[t].clone()].iter().rev() {
-                self.backward_front(sn, w, &shared, &mut scratch.xu);
+        let states: Vec<_> =
+            (0..runtime.workers()).map(|_| SweepScratch::new(symbolic, w)).collect();
+        runtime.run(&graph, states, |scratch, t| -> Result<(), Infallible> {
+            let own = std::mem::take(&mut *lock(&rows[t])).iter_mut().map(std::mem::take);
+            for (&sn, xk) in symbolic.postorder[tasks.ranges()[t].clone()].iter().zip(own).rev() {
+                // Update rows are sorted and column ranges increase up the
+                // tree: one walk up the ancestor chain reads them all.
+                let (mut a, mut rows) = (sn, &[][..]);
+                let read = move |_: &[T], r: usize, j: usize| {
+                    while r >= symbolic.supernodes[a].col_end {
+                        a = symbolic.supernodes[a].parent;
+                        rows = *swept[a].get().expect("an ancestor is swept first");
+                    }
+                    rows[(r - symbolic.supernodes[a].col_start) * w + j]
+                };
+                self.backward_front(sn, w, xk, 0, read, &mut scratch.xu);
+                swept[sn].set(xk).expect("a front is swept once");
             }
             Ok(())
         });
-        debug_assert!(errors.is_empty(), "solve tasks are infallible");
     }
 }
 

@@ -57,7 +57,7 @@ pub struct FactorStats {
     /// Total simulated factorization time of this run alone (it starts the
     /// clocks of the machines it runs on at zero): the first machine's host
     /// timeline after every device drained. A drain from the parallel entry
-    /// reports its rehearsal on that machine, the serial run's clock.
+    /// reports its run without data on that machine, the serial run's clock.
     pub total_time: f64,
     /// Measured wall-clock seconds of the driver call on the real hardware
     /// this process ran on (unlike `total_time`, which is simulated).

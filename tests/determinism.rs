@@ -475,7 +475,8 @@ fn assert_solve_bitwise_deterministic<T: Scalar>(
     let mut machine = Machine::paper_node();
     let (f, _) = factor_permuted(a, symbolic, perm, &mut machine, &baseline_opts()).unwrap();
     let n = symbolic.n;
-    for nrhs in [1usize, 4] {
+    // Nine right-hand sides span two blocks of the sweeps.
+    for nrhs in [1usize, 4, 9] {
         let b = rhs_block::<T>(n, nrhs);
         let serial = f.solve_many(&b, nrhs);
         let serial_bits: Vec<u64> = serial.iter().map(|&x| x.to_f64().to_bits()).collect();
@@ -1864,7 +1865,9 @@ fn one_plan_parallel_entry_reports_the_serial_clock_on_every_repeat() {
     // whichever worker runs which task, its simulated fields — clock, every
     // per-call record word, device busy time, fallbacks, plan and out-of-core
     // accounting — are `factor_permuted`'s on one such machine and
-    // `FactorOptions::rehearse`'s, bit for bit, at every worker count.
+    // `FactorOptions::rehearse`'s, bit for bit, at every worker count. The
+    // workers factor on twins: the first machine is left as the serial run
+    // leaves its machine, and the others are not touched.
     let an = analysis_of(&elasticity_3d(8, 8, 8));
     let a: SymCsc<f32> = an.permuted.0.cast();
     let budget = budget_for(&an.symbolic, 4, 0.5);
@@ -1878,10 +1881,20 @@ fn one_plan_parallel_entry_reports_the_serial_clock_on_every_repeat() {
         .map(|selector| FactorOptions { selector, ..Default::default() })
         .chain([budgeted]);
     let sim = |s: &FactorStats| (sim_words(s), record_words(s), s.gpu, s.plan, s.ooc.clone());
+    // A machine as a run leaves it: its clock, device memory in use and
+    // device utilization over the clock.
+    let left = |m: &mut Machine| {
+        let t = m.elapsed();
+        let gpu = m.gpu.as_ref().expect("a paper node");
+        (t.to_bits(), gpu.mem_used(), gpu.utilization(t))
+    };
     let par = ParallelOptions { thread_budget: 2 };
     for opts in cases.map(|o| FactorOptions { record_stats: true, ..o }) {
+        let mut serial_machine = Machine::paper_node();
         let (_, serial) =
-            factor_permuted(&a, &an.symbolic, &an.perm, &mut Machine::paper_node(), &opts).unwrap();
+            factor_permuted(&a, &an.symbolic, &an.perm, &mut serial_machine, &opts).unwrap();
+        let serial_left = left(&mut serial_machine);
+        assert_eq!(serial_left.1, 0, "{:?}: the serial run's device is empty", opts.selector);
         assert!(serial.gpu.is_some() && !serial.records.is_empty(), "{:?}", opts.selector);
         assert_eq!(serial.ooc.is_some(), opts.memory_budget.is_some());
         let rehearsed = opts.rehearse::<f32>(&an.symbolic, &Machine::paper_node()).unwrap();
@@ -1901,6 +1914,12 @@ fn one_plan_parallel_entry_reports_the_serial_clock_on_every_repeat() {
                 .unwrap();
                 let what = format!("{:?} at {workers} workers, repeat {repeat}", opts.selector);
                 assert_eq!(sim(&p), sim(&serial), "{what}");
+                // The first machine is left as the serial run leaves its
+                // machine; the others are untouched.
+                assert_eq!(left(&mut machines[0]), serial_left, "{what}: the first machine");
+                for m in &mut machines[1..] {
+                    assert_eq!(m.elapsed(), 0.0, "{what}: a machine after the first");
+                }
             }
         }
     }
