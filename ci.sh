@@ -71,10 +71,15 @@ RUST_TEST_THREADS=1 cargo test -q --release -p mf-server
 # `crate/file` (one of a crate's test files).
 #   arena_storage    peak front bytes == the two-buffer bound, two allocations
 #                    serially, parallel bits == serial at 1/2/4/8 workers
-#   analysis_        analyze_parallel == analyze byte for byte; golden orderings
+#   analysis_        analyze_parallel == analyze byte for byte; golden orderings;
+#                    the stage calls (order, permute_sym, elimination_tree, ...)
+#                    replayed serially and at 2/4 workers == analyze's fingerprint
+#   postorder_       every ordering kind comes out postordered: the supernodal
+#                    postorder is the identity, fundamental and amalgamated, and
+#                    the fill is the raw ordering's, on grids and random patterns
 #   numeric_         golden hashes of factor slabs and solve_many outputs (f64 and
-#                    f32, 1 and 8 RHS, serial and 1/2/4 workers) from before the
-#                    flat structure, the solve stack and the subtree tasks
+#                    f32, 1 and 8 RHS, serial and 1/2/4 workers), re-recorded
+#                    with postordered orderings and the recursive panel solve
 #   multigpu_        the in-flight issuer's factors bitwise at every workers x
 #                    1/2/4/8 devices, OOM parity at 4 devices and 1/2 workers
 #   in_flight_       the one issuer of fronts in flight at 1/2/4 devices: the
@@ -96,7 +101,8 @@ RUST_TEST_THREADS=1 cargo test -q --release -p mf-server
 #   range_tasks      the one task partition (subtrees in range order, then one
 #                    task per supernode above in ascending id) covers the
 #                    postorder once, for the factor's, the solve's and the
-#                    analysis' subtrees
+#                    analysis' subtrees, on a raw (not postordered) nested-
+#                    dissection structure
 #   sim_clock        golden hashes of total_time, fallbacks, peer bytes, allocation
 #                    events and per-device busy time: drain, then the one in-flight
 #                    issuer at 1 device (pipelined: window 3, batched P4 runs,
@@ -213,7 +219,7 @@ while read -r target filter expected; do
   done
 done <<'MANIFEST'
 determinism arena_storage 2
-determinism analysis_ 5
+determinism analysis_ 6
 determinism numeric_ 1
 determinism multigpu_ 3
 determinism ooc_ 4
@@ -226,6 +232,7 @@ property symbolic_flat 1
 property bottom_subtrees 1
 property subtree_tasks 1
 property ordering_quality 2
+property postorder_ 1
 mf-core/lib two_buffer 2
 mf-core/lib in_flight_ 2
 mf-dense/ld_invariance output_leading_dimension 1

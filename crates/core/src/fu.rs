@@ -1206,9 +1206,11 @@ mod tests {
         // exactly zero, and the lower triangles must hash to what the
         // single-buffer front (one s × s buffer, the panel copied out after
         // the factor-update) gave on the same inputs — recorded at commit
-        // 0c1acb9, the last one with that front. Shapes: a fused small
-        // front, one and three P4 panels, a three-panel P4 front with a
-        // large pivot block, and a root (m = 0).
+        // 0c1acb9, the last one with that front; the fronts whose panel
+        // solve (`trsm_right_lower_trans`, below the pivot block) spans more
+        // than 24 columns re-recorded when that solve became recursive.
+        // Shapes: a fused small front, one and three P4 panels, a
+        // three-panel P4 front with a large pivot block, and a root (m = 0).
         let shapes =
             [(20usize, 7usize, 1u64), (60, 24, 3), (96, 36, 63), (200, 150, 5), (40, 40, 7)];
         let golden: [(PolicyKind, bool, [u64; 5]); 5] = [
@@ -1218,8 +1220,8 @@ mod tests {
                 [
                     0xf0be1ef228e28d71,
                     0xfcb661c7b14399c3,
-                    0x38fde24cd1ae01e5,
-                    0xc11229d11f712b7f,
+                    0x43af227d06dd891b,
+                    0x36dfe8fee48b1b41,
                     0x565a034c9b93614f,
                 ],
             ),
@@ -1229,8 +1231,8 @@ mod tests {
                 [
                     0x5419d30ea3cf2f11,
                     0x2ab238b7f2df4780,
-                    0xd55ba9f017a0bc74,
-                    0x351fc1985a082731,
+                    0xe91c3e07c1c9a4d2,
+                    0x978e3b014cfcddcd,
                     0x565a034c9b93614f,
                 ],
             ),
@@ -1240,8 +1242,8 @@ mod tests {
                 [
                     0x367524bd36a93b71,
                     0xd2c0a414d613128b,
-                    0x658e99759f5d8c2b,
-                    0x6d1be01660cc8ef7,
+                    0x349fae208f931b0f,
+                    0x525ef020c8c953cb,
                     0x565a034c9b93614f,
                 ],
             ),
@@ -1251,8 +1253,8 @@ mod tests {
                 [
                     0x975b4f3cff2d50a0,
                     0xa913b2b1182bf773,
-                    0xca403cacb923bb3a,
-                    0xe687e023eb7f3caf,
+                    0x6a07e8d48f1f9473,
+                    0xad201e9dae781587,
                     0x79efe2d82143a4d9,
                 ],
             ),
@@ -1262,8 +1264,8 @@ mod tests {
                 [
                     0x975b4f3cff2d50a0,
                     0xa913b2b1182bf773,
-                    0xca403cacb923bb3a,
-                    0xe687e023eb7f3caf,
+                    0x6a07e8d48f1f9473,
+                    0xad201e9dae781587,
                     0x79efe2d82143a4d9,
                 ],
             ),
@@ -1282,7 +1284,7 @@ mod tests {
         }
         // A batched P4 run of small fronts, a root among them.
         let members = [(30usize, 10usize, 11u64), (48, 16, 12), (64, 64, 13), (100, 40, 14)];
-        let want = [0x6bec081e35036789, 0x8749c141e826dabf, 0x6b34d7a69e66e0bd, 0xe64961f772c82ceb];
+        let want = [0x6bec081e35036789, 0x8749c141e826dabf, 0x6b34d7a69e66e0bd, 0xac031477660f8b7e];
         let mut bufs: Vec<Bufs<f64>> =
             members.iter().map(|&(s, k, seed)| Bufs::spd(s, k, seed)).collect();
         let mut machine = Machine::paper_node();

@@ -85,26 +85,28 @@ use std::convert::Infallible;
 use std::ops::Range;
 use std::sync::{Mutex, OnceLock};
 
-/// Per-worker scratch of the sweeps, sized once for a block of `w`
-/// right-hand sides: the gathered update rows of the front in hand
-/// (backward), the subtrahend stack and, per global row, its position among
-/// the update rows of the front in hand (forward).
-struct SweepScratch<T> {
-    xu: Vec<T>,
+/// A forward sweep's scratch, sized once per solve for blocks of up to `w`
+/// right-hand sides: the subtrahend stack and, per global row, its position
+/// among the update rows of the front in hand.
+struct ForwardScratch<T> {
     stack: Vec<T>,
     slot: Vec<usize>,
 }
 
-impl<T: Scalar> SweepScratch<T> {
+impl<T: Scalar> ForwardScratch<T> {
     fn new(symbolic: &SymbolicFactor, w: usize) -> Self {
-        // The stack bound covers every front's own block, so every `m`.
-        let len = symbolic.solve_stack_rows() * w;
-        SweepScratch {
-            xu: vec![T::ZERO; len],
-            stack: vec![T::ZERO; len],
+        ForwardScratch {
+            stack: vec![T::ZERO; symbolic.solve_stack_rows() * w],
             slot: vec![0; symbolic.n],
         }
     }
+}
+
+/// A backward sweep's scratch, sized once per solve for blocks of up to `w`
+/// right-hand sides: the gathered update rows of the front in hand.
+fn backward_scratch<T: Scalar>(symbolic: &SymbolicFactor, w: usize) -> Vec<T> {
+    let max_m = symbolic.supernodes.iter().map(|s| s.m()).max().unwrap_or(0);
+    vec![T::ZERO; max_m * w]
 }
 
 /// The rows a forward range writes: a whole interleaved block (the serial
@@ -179,12 +181,12 @@ impl<T: Scalar> CholeskyFactor<T> {
         w: usize,
         mut x: RangeRows<'_, '_, T>,
         handed: impl Fn(usize) -> &'h [T],
-        scratch: &mut SweepScratch<T>,
+        scratch: &mut ForwardScratch<T>,
     ) where
         T: 'h,
     {
         let symbolic = &self.symbolic;
-        let SweepScratch { stack, slot, .. } = scratch;
+        let ForwardScratch { stack, slot } = scratch;
         let mut top = 0usize;
         for r in range.clone() {
             let sn = symbolic.postorder[r];
@@ -258,17 +260,19 @@ impl<T: Scalar> CholeskyFactor<T> {
     /// Column `j` of the result is bitwise identical to `solve` on column
     /// `j` alone: no operation of the sweeps mixes columns.
     pub fn solve_many(&self, b: &[T], nrhs: usize) -> Vec<T> {
-        let mut scratch = SweepScratch::new(&self.symbolic, nrhs.min(RHS_BLOCK));
+        let w = nrhs.min(RHS_BLOCK);
+        let (mut forward, mut xu) =
+            (ForwardScratch::new(&self.symbolic, w), backward_scratch(&self.symbolic, w));
         self.solve_blocks(b, nrhs, |x, w| {
             // The postorder starts at a leaf: nothing is handed in.
             let nsn = self.symbolic.num_supernodes();
-            self.forward_range(0..nsn, w, RangeRows::Block(x), |_| &[], &mut scratch);
+            self.forward_range(0..nsn, w, RangeRows::Block(x), |_| &[], &mut forward);
             // The gather reads the block before the front's rows are
             // borrowed to write.
             let read = move |x: &[T], r: usize, j: usize| x[r * w + j];
             for &sn in self.symbolic.postorder.iter().rev() {
                 let at = self.symbolic.supernodes[sn].col_start * w;
-                self.backward_front(sn, w, x, at, read, &mut scratch.xu);
+                self.backward_front(sn, w, x, at, read, &mut xu);
             }
         })
     }
@@ -276,11 +280,19 @@ impl<T: Scalar> CholeskyFactor<T> {
     /// [`CholeskyFactor::solve_many`] with the triangular sweeps scheduled
     /// across `workers` threads on the elimination tree. Bitwise identical
     /// to the serial path at every worker count.
+    ///
+    /// The tasks, their two graphs and every worker's scratch of both
+    /// sweeps are built once per call and serve every block.
     pub fn solve_many_parallel(&self, b: &[T], nrhs: usize, workers: usize) -> Vec<T> {
-        let tasks = range_tasks::<T>(&self.symbolic, |_| true);
+        let (symbolic, w) = (&self.symbolic, nrhs.min(RHS_BLOCK));
+        let mut sweeps = ParallelSweeps::new(range_tasks::<T>(symbolic, |_| true), workers);
+        let per_worker = 0..sweeps.runtime.workers();
+        let mut forward: Vec<_> =
+            per_worker.clone().map(|_| ForwardScratch::new(symbolic, w)).collect();
+        let mut backward: Vec<_> = per_worker.map(|_| backward_scratch(symbolic, w)).collect();
         self.solve_blocks(b, nrhs, |x, w| {
-            self.forward_tasks(&tasks, x, w, workers);
-            self.backward_tasks(&tasks, x, w, workers);
+            forward = self.forward_tasks(&mut sweeps, x, w, std::mem::take(&mut forward));
+            backward = self.backward_tasks(&mut sweeps, x, w, std::mem::take(&mut backward));
         })
     }
 
@@ -324,9 +336,15 @@ impl<T: Scalar> CholeskyFactor<T> {
     /// block of `w` right-hand sides on `workers` threads: one task per
     /// bottom subtree, one per supernode above, each writing its fronts'
     /// rows. Bitwise identical to the serial sweep.
-    fn forward_tasks(&self, tasks: &RangeTasks, x: &mut [T], w: usize, workers: usize) {
+    fn forward_tasks(
+        &self,
+        sweeps: &mut ParallelSweeps,
+        x: &mut [T],
+        w: usize,
+        states: Vec<ForwardScratch<T>>,
+    ) -> Vec<ForwardScratch<T>> {
         let symbolic = &self.symbolic;
-        let graph = TaskGraph::from_parents(tasks.parents());
+        let ParallelSweeps { tasks, forward: graph, runtime, .. } = sweeps;
         // Subtrahends that cross tasks: that of task `t`'s last front goes to
         // its own `m × w` slice of one hand-off block, which the task
         // publishes read-only to its parent's task when it is done.
@@ -337,10 +355,8 @@ impl<T: Scalar> CholeskyFactor<T> {
         let published: Vec<OnceLock<&[T]>> = blocks.iter().map(|_| OnceLock::new()).collect();
         let mut rows = postorder_parts(symbolic, x, |i| i.k() * w);
         let rows = group_by_task(tasks, &symbolic.postorder, &mut rows);
-        let runtime = Runtime::new(workers);
-        let states: Vec<_> =
-            (0..runtime.workers()).map(|_| SweepScratch::new(symbolic, w)).collect();
-        runtime.run(&graph, states, |scratch, t| -> Result<(), Infallible> {
+        graph.reset();
+        let (states, _) = runtime.run(graph, states, |scratch, t| -> Result<(), Infallible> {
             let handed = |c: usize| *published[tasks.task_of()[c]].get().expect("a child ran");
             let own = RangeRows::Chunks(std::mem::take(&mut *lock(&rows[t])));
             self.forward_range(tasks.ranges()[t].clone(), w, own, handed, scratch);
@@ -349,25 +365,30 @@ impl<T: Scalar> CholeskyFactor<T> {
             published[t].set(block).expect("a task runs once");
             Ok(())
         });
+        states
     }
 
     /// Tree-parallel backward substitution (root→leaf, on the reversed
     /// task forest) of one interleaved block of `w` right-hand sides on
     /// `workers` threads, each task writing its fronts' rows. Bitwise
     /// identical to the serial sweep.
-    fn backward_tasks(&self, tasks: &RangeTasks, x: &mut [T], w: usize, workers: usize) {
+    fn backward_tasks(
+        &self,
+        sweeps: &mut ParallelSweeps,
+        x: &mut [T],
+        w: usize,
+        states: Vec<Vec<T>>,
+    ) -> Vec<Vec<T>> {
         let symbolic = &self.symbolic;
-        let graph = TaskGraph::from_parents_reversed(tasks.parents());
+        let ParallelSweeps { tasks, backward: graph, runtime, .. } = sweeps;
         // A front publishes its rows read-only once swept; every update row
         // of a front is a row of an ancestor, swept before it.
         let swept: &[OnceLock<&[T]>] =
             &symbolic.supernodes.iter().map(|_| OnceLock::new()).collect::<Vec<_>>();
         let mut rows = postorder_parts(symbolic, x, |i| i.k() * w);
         let rows = group_by_task(tasks, &symbolic.postorder, &mut rows);
-        let runtime = Runtime::new(workers);
-        let states: Vec<_> =
-            (0..runtime.workers()).map(|_| SweepScratch::new(symbolic, w)).collect();
-        runtime.run(&graph, states, |scratch, t| -> Result<(), Infallible> {
+        graph.reset();
+        let (states, _) = runtime.run(graph, states, |xu, t| -> Result<(), Infallible> {
             let own = std::mem::take(&mut *lock(&rows[t])).iter_mut().map(std::mem::take);
             for (&sn, xk) in symbolic.postorder[tasks.ranges()[t].clone()].iter().zip(own).rev() {
                 // Update rows are sorted and column ranges increase up the
@@ -380,11 +401,33 @@ impl<T: Scalar> CholeskyFactor<T> {
                     }
                     rows[(r - symbolic.supernodes[a].col_start) * w + j]
                 };
-                self.backward_front(sn, w, xk, 0, read, &mut scratch.xu);
+                self.backward_front(sn, w, xk, 0, read, xu);
                 swept[sn].set(xk).expect("a front is swept once");
             }
             Ok(())
         });
+        states
+    }
+}
+
+/// What the blocks of one parallel solve share: the range tasks and the
+/// task graphs of the forward sweep and of the backward one (the reversed
+/// forest), on one runtime.
+struct ParallelSweeps {
+    tasks: RangeTasks,
+    forward: TaskGraph,
+    backward: TaskGraph,
+    runtime: Runtime,
+}
+
+impl ParallelSweeps {
+    fn new(tasks: RangeTasks, workers: usize) -> Self {
+        ParallelSweeps {
+            forward: TaskGraph::from_parents(tasks.parents()),
+            backward: TaskGraph::from_parents_reversed(tasks.parents()),
+            tasks,
+            runtime: Runtime::new(workers),
+        }
     }
 }
 

@@ -2,10 +2,11 @@
 //!
 //! The factor-update operation needs the *right-side, lower, transposed*
 //! solve `X·Lᵀ = B` (computing the sub-diagonal panel `L₂ = A₂·L₁⁻ᵀ`,
-//! Figure 1). It is a blocked right-looking algorithm: a width-[`TRSM_BLOCK`]
-//! diagonal block is solved with the seed substitution loops, then the
-//! entire remaining trailing region is updated in one [`gemm`] call — which
-//! routes the O(n²)-per-block bulk of the work through the packed engine.
+//! Figure 1). It recurses on halves of `L`: solve the left half, update the
+//! right half with one [`gemm`] of depth `n/2` — which routes the bulk of
+//! the work through the packed engine in large products — and solve the
+//! right half, down to diagonal blocks of at most [`TRSM_BLOCK`] columns,
+//! which the seed substitution loops solve.
 //! The solve phase's left-side substitutions live in `sweep.rs`, which keeps
 //! the same block width.
 
@@ -34,40 +35,29 @@ pub fn trsm_right_lower_trans<T: Scalar>(
     if n <= TRSM_BLOCK {
         return crate::naive::trsm_right_lower_trans(m, n, a, lda, b, ldb);
     }
-    // Right-looking: solve the columns of one diagonal block, then push the
-    // rank-w update X_blk·L₂₁ᵀ into every trailing column at once.
-    let mut j0 = 0;
-    while j0 < n {
-        let j1 = (j0 + TRSM_BLOCK).min(n);
-        let w = j1 - j0;
-        {
-            let bj = &mut b[j0 * ldb..];
-            crate::naive::trsm_right_lower_trans(m, w, &a[j0 + j0 * lda..], lda, bj, ldb);
-        }
-        if j1 < n {
-            // Trailing columns and the solved block live in disjoint column
-            // ranges of B, so a split borrows both sides without copies.
-            let (head, trail) = b.split_at_mut(j1 * ldb);
-            let xblk = &head[j0 * ldb..];
-            let l21 = &a[j1 + j0 * lda..];
-            gemm(
-                Transpose::No,
-                Transpose::Yes,
-                m,
-                n - j1,
-                w,
-                -T::ONE,
-                xblk,
-                ldb,
-                l21,
-                lda,
-                T::ONE,
-                trail,
-                ldb,
-            );
-        }
-        j0 = j1;
-    }
+    // Recursive: with L = [L₁₁ 0; L₂₁ L₂₂] and X = [X₁ X₂], solve the left
+    // half X₁·L₁₁ᵀ = B₁, push X₁·L₂₁ᵀ into the right half in one gemm of
+    // depth n/2, then solve X₂·L₂₂ᵀ = B₂. The left and right halves are
+    // disjoint column ranges of B, so a split borrows both without copies.
+    let n1 = n / 2;
+    trsm_right_lower_trans(m, n1, a, lda, b, ldb);
+    let (left, right) = b.split_at_mut(n1 * ldb);
+    gemm(
+        Transpose::No,
+        Transpose::Yes,
+        m,
+        n - n1,
+        n1,
+        -T::ONE,
+        left,
+        ldb,
+        &a[n1..],
+        lda,
+        T::ONE,
+        right,
+        ldb,
+    );
+    trsm_right_lower_trans(m, n - n1, &a[n1 + n1 * lda..], lda, right, ldb);
 }
 
 #[cfg(test)]

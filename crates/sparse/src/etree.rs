@@ -9,7 +9,8 @@
 //! safe for the deep trees produced by band orderings), which is also a
 //! column tree's postorder when handed the column parents.
 
-use crate::csc::SymCsc;
+use crate::csc::{Adjacency, SymCsc};
+use crate::perm::Permutation;
 use crate::supernode::supernode_forest;
 use mf_dense::Scalar;
 
@@ -59,6 +60,80 @@ pub fn elimination_tree<T: Scalar>(a: &SymCsc<T>) -> EliminationTree {
         }
     }
     EliminationTree { parent }
+}
+
+/// The elimination tree of `P·A·Pᵀ` — [`elimination_tree`] of
+/// `perm.permute_sym(a)` — from `g`, the adjacency graph of `A`, without
+/// forming the permuted matrix: Liu's algorithm takes the entries of a row
+/// in any order, so row `j` of `P·A·Pᵀ` is read off the neighbours of
+/// `perm[j]` through the inverse permutation.
+pub(crate) fn permuted_elimination_tree(g: &Adjacency, perm: &Permutation) -> EliminationTree {
+    let n = g.len();
+    let inv = perm.inv_slice();
+    let mut parent = vec![NONE; n];
+    let mut ancestor = vec![NONE; n];
+    for (j, &old) in perm.as_slice().iter().enumerate() {
+        for &u in g.neighbors(old) {
+            let mut v = inv[u];
+            while v < j {
+                let next = ancestor[v];
+                ancestor[v] = j;
+                if next == NONE {
+                    parent[v] = j;
+                    break;
+                }
+                v = next;
+            }
+        }
+    }
+    EliminationTree { parent }
+}
+
+/// `perm` composed with the postorder of `etree`, the elimination tree of
+/// the matrix it permutes, and that tree relabelled: the elimination tree of
+/// the re-permuted matrix. A postorder is a topological order of the tree
+/// that keeps every subtree contiguous, so the relabelled tree is the
+/// re-permuted matrix's and the fill is unchanged; the postorder of the
+/// relabelled tree is the identity.
+///
+/// The postorder is [`supernode_forest`]'s (children ascending, roots
+/// ascending), laid out without a traversal: parents come after their
+/// children, so one ascending pass sizes every subtree and one descending
+/// pass hands each node the block of positions its subtree occupies, the
+/// last child the right end of its parent's block.
+pub(crate) fn postordered(
+    perm: &Permutation,
+    etree: &EliminationTree,
+) -> (Permutation, EliminationTree) {
+    let parent = &etree.parent;
+    let n = parent.len();
+    let mut size = vec![1usize; n];
+    for j in 0..n {
+        if parent[j] != NONE {
+            size[parent[j]] += size[j];
+        }
+    }
+    // `free[p]`: one past the part of `p`'s block (at `n`, the forest's) not
+    // yet handed to a child; the block ends at `p`'s own position.
+    let mut rank = size;
+    let mut free = vec![0usize; n + 1];
+    free[n] = n;
+    for j in (0..n).rev() {
+        let p = if parent[j] == NONE { n } else { parent[j] };
+        let end = free[p];
+        free[p] = end - rank[j];
+        free[j] = end - 1;
+        rank[j] = end - 1;
+    }
+    let mut order = vec![0usize; n];
+    let mut relabelled = vec![NONE; n];
+    for j in 0..n {
+        order[rank[j]] = perm.old_of(j);
+        if parent[j] != NONE {
+            relabelled[rank[j]] = rank[parent[j]];
+        }
+    }
+    (Permutation::from_vec(order), EliminationTree { parent: relabelled })
 }
 
 /// Column counts `cc[j] = |{i : L[i,j] ≠ 0}|` (diagonal included), by

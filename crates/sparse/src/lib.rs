@@ -13,10 +13,16 @@
 //! multifrontal codes (the paper's references 3 and 13):
 //!
 //! ```text
-//! A (lower CSC) → ordering P → P·A·Pᵀ → etree → postorder → column counts
-//!              → fundamental supernodes → relaxed amalgamation
+//! A (lower CSC) → ordering P → etree of P·A·Pᵀ → P ∘ postorder → P·A·Pᵀ
+//!              → column counts → fundamental supernodes
+//!              → relaxed amalgamation
 //!              → per-supernode row structures (m, k per front)
 //! ```
+//!
+//! [`order`] returns every ordering already composed with the postorder of
+//! the elimination tree it induces (the tree is read off the ordering's
+//! adjacency graph, not a permuted matrix), so supernode ids are their own
+//! postorder and [`analyze`] reuses the relabelled tree.
 //!
 //! Every stage is one serial body; the `_parallel` drivers run that body on
 //! tasks of the mf-runtime pool and are the serial stage at one worker,

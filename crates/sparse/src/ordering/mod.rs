@@ -26,6 +26,7 @@ pub use nd::{nested_dissection, nested_dissection_parallel, NdOptions};
 pub use rcm::reverse_cuthill_mckee;
 
 use crate::csc::SymCsc;
+use crate::etree::{permuted_elimination_tree, postordered, EliminationTree};
 use crate::perm::Permutation;
 use mf_dense::Scalar;
 
@@ -56,15 +57,35 @@ pub fn order<T: Scalar>(a: &SymCsc<T>, kind: OrderingKind) -> Permutation {
 /// mf-runtime pool ([`nested_dissection_parallel`], which is
 /// [`nested_dissection`] at `workers ≤ 1`); the remaining kinds are cheap
 /// or inherently sequential and run on the calling thread.
+///
+/// Every kind comes out postordered: the ordering is composed with the
+/// postorder of the elimination tree it induces, which keeps the fill and
+/// numbers every subtree of the tree as a contiguous run of columns ending
+/// at its root. Supernodes then follow their own postorder, and relaxed
+/// amalgamation can merge a child into its parent wherever their columns
+/// meet.
 pub fn order_parallel<T: Scalar>(a: &SymCsc<T>, kind: OrderingKind, workers: usize) -> Permutation {
-    match kind {
-        OrderingKind::Natural => Permutation::identity(a.order()),
-        OrderingKind::Rcm => reverse_cuthill_mckee(&a.to_adjacency()),
-        OrderingKind::MinimumDegree => minimum_degree(&a.to_adjacency()),
+    order_with_etree(a, kind, workers).0
+}
+
+/// [`order_parallel`] and the elimination tree of the permuted matrix, from
+/// one pass over the adjacency graph the ordering was computed on (no
+/// permuted matrix is formed).
+pub(crate) fn order_with_etree<T: Scalar>(
+    a: &SymCsc<T>,
+    kind: OrderingKind,
+    workers: usize,
+) -> (Permutation, EliminationTree) {
+    let g = a.to_adjacency();
+    let perm = match kind {
+        OrderingKind::Natural => Permutation::identity(g.len()),
+        OrderingKind::Rcm => reverse_cuthill_mckee(&g),
+        OrderingKind::MinimumDegree => minimum_degree(&g),
         OrderingKind::NestedDissection => {
-            nested_dissection_parallel(&a.to_adjacency(), &NdOptions::default(), workers)
+            nested_dissection_parallel(&g, &NdOptions::default(), workers)
         }
-    }
+    };
+    postordered(&perm, &permuted_elimination_tree(&g, &perm))
 }
 
 #[cfg(test)]

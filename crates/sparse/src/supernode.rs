@@ -174,6 +174,26 @@ pub struct AmalgamationOptions {
     pub max_width: usize,
 }
 
+/// `(small, zero_fraction) = (8, 0.12)`, swept on the postordered analysis
+/// of the benchmark's two cold matrices, the 9-point plate 400² and the
+/// 27-point cube 30³ (f64, one thread, the CPU policy: supernodes, Gflop to
+/// factor, and the minimum of 7 runs of the factor plus one refined solve, in
+/// ms). A row replaces the default only if it wins on both matrices:
+///
+/// | small | zero_fraction | plate: sn / Gflop / ms | cube: sn / Gflop / ms |
+/// |-------|---------------|------------------------|-----------------------|
+/// | 4     | 0.12          | 31 980 / 1.69 / 185.7  | 2 841 / 5.58 / 211.7  |
+/// | **8** | **0.12**      | 27 746 / 1.71 / 185.2  | 2 523 / 5.59 / 211.4  |
+/// | 8     | 0.06          | 27 810 / 1.68 / 191.6  | 2 601 / 5.08 / 214.5  |
+/// | 8     | 0.2           | 27 127 / 1.79 / 199.1  | 2 391 / 6.27 / 230.6  |
+/// | 8     | 0.3           | 26 108 / 2.21 / 201.9  | 2 235 / 6.49 / 227.5  |
+/// | 16    | 0.12          | 24 038 / 1.78 / 199.6  | 2 241 / 5.62 / 219.5  |
+/// | 16    | 0.2           | 23 998 / 1.84 / 192.4  | 2 174 / 6.28 / 230.6  |
+/// | 24    | 0.12          | 23 171 / 1.84 / 191.5  | 2 179 / 5.65 / 223.0  |
+///
+/// Fewer, wider fronts cost more flops than they save in front handling on
+/// both; `small` 4 is within noise of 8, with 15 % more supernodes on the
+/// plate.
 impl Default for AmalgamationOptions {
     fn default() -> Self {
         AmalgamationOptions { small: 8, zero_fraction: 0.12, max_width: 0 }

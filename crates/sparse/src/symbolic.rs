@@ -25,8 +25,8 @@
 //! runs in postorder.
 
 use crate::csc::SymCsc;
-use crate::etree::{column_counts, elimination_tree, EliminationTree, NONE};
-use crate::ordering::{order_parallel, OrderingKind};
+use crate::etree::{column_counts, EliminationTree, NONE};
+use crate::ordering::{order_with_etree, OrderingKind};
 use crate::perm::Permutation;
 use crate::supernode::{
     amalgamate, fundamental_supernodes, supernode_forest, AmalgamationOptions, SupernodeForest,
@@ -104,7 +104,8 @@ pub struct SymbolicArrays {
     /// Per-supernode records, in ascending column order.
     pub supernodes: Vec<SupernodeInfo>,
     /// Depth-first postorder over supernodes (children before parents, every
-    /// subtree a contiguous run ending at its root).
+    /// subtree a contiguous run ending at its root) — the identity for every
+    /// [`analyze`], whose ordering comes out postordered.
     pub postorder: Vec<usize>,
     /// Map column → supernode.
     pub col_to_sn: Vec<usize>,
@@ -640,6 +641,12 @@ pub fn analyze(
 /// among them ([`column_counts`], near-linear), run on the calling thread.
 /// At `workers ≤ 1` every stage runs its serial body once, on the calling
 /// thread: this is [`analyze`].
+///
+/// The ordering comes out of [`crate::ordering::order_parallel`]
+/// postordered, together with the elimination tree it computed to do so,
+/// relabelled: that is the permuted matrix's tree, so no second pass builds
+/// it. Replaying the stages one call at a time — `order`, `permute_sym`,
+/// [`crate::etree::elimination_tree`], … — gives the same [`Analysis`].
 pub fn analyze_parallel(
     a: &SymCsc<f64>,
     ordering: OrderingKind,
@@ -647,9 +654,8 @@ pub fn analyze_parallel(
     workers: usize,
 ) -> Result<Analysis, AnalyzeError> {
     check_diagonal(a)?;
-    let perm = order_parallel(a, ordering, workers);
+    let (perm, et) = order_with_etree(a, ordering, workers);
     let pa = perm.permute_sym(a);
-    let et = elimination_tree(&pa);
     let cc = column_counts(&pa, &et);
     let fund = fundamental_supernodes(&et, &cc);
     let part = match amalg {
@@ -664,6 +670,7 @@ pub fn analyze_parallel(
 mod tests {
     use super::*;
     use crate::csc::Triplet;
+    use crate::etree::elimination_tree;
 
     fn tridiag(n: usize) -> SymCsc<f64> {
         let mut t = Triplet::new(n);

@@ -105,9 +105,10 @@ impl RangeTasks {
 mod tests {
     use super::*;
     use crate::csc::{SymCsc, Triplet};
-    use crate::ordering::OrderingKind;
-    use crate::supernode::AmalgamationOptions;
-    use crate::symbolic::{analyze, row_tasks};
+    use crate::etree::{column_counts, elimination_tree};
+    use crate::ordering::{nested_dissection, NdOptions};
+    use crate::supernode::{amalgamate, fundamental_supernodes, AmalgamationOptions};
+    use crate::symbolic::{row_tasks, symbolic_factor};
 
     /// 7-point Laplacian pattern on an `nx × ny × nz` grid (a 2-D grid at
     /// `nz = 1`).
@@ -129,11 +130,19 @@ mod tests {
     #[test]
     fn range_tasks_partition_the_postorder() {
         for a in [grid(60, 60, 1), grid(12, 12, 12), grid(20, 9, 5)] {
-            // Minimum degree and a subtree budget of an eighth of f64's leave
-            // dozens of supernodes above the subtrees, whose ascending ids
-            // are not their postorder: the numbering rule is exercised.
-            let amalg = AmalgamationOptions::default();
-            let sym = analyze(&a, OrderingKind::MinimumDegree, Some(&amalg)).unwrap().symbolic;
+            // `order` postorders every ordering, so the structure is built
+            // from a raw nested-dissection permutation: its minimum-degree
+            // leaves are not postordered, and the factor's partition with a
+            // subtree budget of an eighth of f64's leaves supernodes above
+            // the subtrees whose ascending ids are not their postorder, so
+            // the numbering rule is exercised.
+            let perm = nested_dissection(&a.to_adjacency(), &NdOptions::default());
+            let pa = perm.permute_sym(&a);
+            let et = elimination_tree(&pa);
+            let cc = column_counts(&pa, &et);
+            let fund = fundamental_supernodes(&et, &cc);
+            let part = amalgamate(&fund, &et, &cc, &AmalgamationOptions::default());
+            let sym = symbolic_factor(&pa, &et, &part);
             let (nsn, post) = (sym.num_supernodes(), &sym.postorder);
             let parent: Vec<usize> = sym.supernodes.iter().map(|s| s.parent).collect();
             let mut subtree_len = vec![1usize; nsn];
@@ -157,6 +166,7 @@ mod tests {
                     .collect();
                 partitions.push((subtrees, Some(workers)));
             }
+            let mut breaks = 0;
             for (subtrees, workers) in partitions {
                 let tasks = RangeTasks::new(post, |s| parent[s], subtrees.clone());
                 let nsub = subtrees.len();
@@ -183,14 +193,19 @@ mod tests {
                     assert_eq!(tasks.parents[t], want);
                 }
                 match workers {
-                    // The factor's: ids above the subtrees out of postorder.
+                    // The factor's: count ids above the subtrees out of
+                    // postorder.
                     None => {
-                        assert!(tasks.ranges[nsub..].windows(2).any(|w| w[0].start > w[1].start))
+                        breaks += tasks.ranges[nsub..]
+                            .windows(2)
+                            .filter(|w| w[0].start > w[1].start)
+                            .count()
                     }
                     // The analysis' is what the row-structure build runs.
                     Some(w) => assert_eq!(tasks, row_tasks(post, &parent, w)),
                 }
             }
+            assert!(breaks > 0, "n = {}: no id above the subtrees out of postorder", a.order());
         }
     }
 }

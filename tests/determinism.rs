@@ -786,41 +786,40 @@ fn golden_families() -> Vec<(&'static str, SymCsc<f64>)> {
 }
 
 /// `(name, nested dissection, minimum degree, RCM, Analysis::fingerprint)`,
-/// the first three as [`perm_hash`]. Minimum degree and RCM are as recorded
-/// from commit 17193a0, before the ordering moved to compact subgraphs;
-/// nested dissection and the fingerprints were re-recorded when the separator
-/// step became "cheapest level set or multilevel separator" (the strip, the
-/// paths and the star did not move: their level sets were already the best
-/// cut). Serial-vs-parallel identity cannot see a change that moves both;
-/// this can.
+/// the first three as [`perm_hash`] of `order`'s output, which is every
+/// ordering composed with the postorder of its elimination tree. Re-recorded
+/// when `order` began to postorder. Orderings whose tree was postordered
+/// already kept their hashes: every RCM order here, and every column of the
+/// paths, the star and the clique. Serial-vs-parallel identity cannot see a
+/// change that moves both; this can.
 const GOLDEN_ORDERINGS: [(&str, u64, u64, u64, u64); 7] = [
     (
         "plate60",
-        0xa4da_7a39_f7d9_79d1,
-        0x1cc4_2e71_083e_aaa9,
+        0xa86c_7856_7941_b479,
+        0xb8c4_9658_d41d_7f79,
         0x6d34_6bb4_6374_c5b1,
-        0x700b_e05e_7e00_d889,
+        0x3d42_b31e_7ef0_bb1d,
     ),
     (
         "cube10",
-        0x317a_c50f_6c62_4f35,
-        0x785c_9536_1392_43d5,
+        0x1645_e9a7_2213_0019,
+        0x7522_b403_4469_d43d,
         0x6406_6407_f995_fd41,
-        0xe15f_9444_47a2_31c4,
+        0x5af1_1a33_0f60_3ae5,
     ),
     (
         "elasticity6",
-        0x23df_b54d_3caf_81a5,
-        0xdb1d_de6a_736f_f92d,
+        0xa66e_09ff_91a8_7149,
+        0xed21_5ff1_80be_5709,
         0x40eb_df99_9f9b_0f1d,
-        0x052b_61d8_4be0_fce3,
+        0xe4e9_b4ef_147a_c90a,
     ),
     (
         "strip400x3",
-        0xb1d4_01b9_5e24_80a5,
-        0x0f7a_f3e1_f29e_31d9,
+        0xf68b_2f3b_2658_e135,
+        0xa8c6_5635_c652_eb99,
         0xb2d4_dfa6_2939_8735,
-        0x020a_62e7_9a99_510a,
+        0xe502_d95b_bc95_89d4,
     ),
     (
         "three_paths",
@@ -872,6 +871,52 @@ fn analysis_ordering_matches_golden() {
     assert_eq!(actual, GOLDEN_ORDERINGS, "actual:\n{actual:#x?}");
 }
 
+/// The analysis as its stage calls — `order`, `permute_sym`,
+/// `elimination_tree`, `column_counts`, `fundamental_supernodes`,
+/// `amalgamate`, `symbolic_factor`, each stage's `_parallel` form at
+/// `workers` — the way a caller that times the stages replays it.
+fn staged_analysis(a: &SymCsc<f64>, workers: Option<usize>) -> Analysis {
+    use gpu_multifrontal::sparse::symbolic::SymCscF64Holder;
+    use gpu_multifrontal::sparse::{
+        amalgamate, column_counts, column_counts_parallel, elimination_tree,
+        fundamental_supernodes, order, order_parallel, symbolic_factor, symbolic_factor_parallel,
+    };
+    let kind = OrderingKind::NestedDissection;
+    let perm = workers.map_or_else(|| order(a, kind), |w| order_parallel(a, kind, w));
+    let pa = perm.permute_sym(a);
+    let etree = elimination_tree(&pa);
+    let cc = workers
+        .map_or_else(|| column_counts(&pa, &etree), |w| column_counts_parallel(&pa, &etree, w));
+    let fund = fundamental_supernodes(&etree, &cc);
+    let part = amalgamate(&fund, &etree, &cc, &AmalgamationOptions::default());
+    let symbolic = workers.map_or_else(
+        || symbolic_factor(&pa, &etree, &part),
+        |w| symbolic_factor_parallel(&pa, &etree, &part, w),
+    );
+    Analysis { perm, permuted: SymCscF64Holder(pa), etree, symbolic }
+}
+
+/// The stage calls give the one-call analysis: the ordering comes out
+/// postordered from `order` itself, so replaying the stages — serially and
+/// at 2 and 4 workers — reproduces `analyze`'s and `analyze_parallel`'s
+/// fingerprint, and the tree `analyze` reuses from the ordering is the
+/// elimination tree of the permuted matrix.
+#[test]
+fn analysis_staged_pipeline_matches_analyze() {
+    for (name, a) in golden_families() {
+        let whole = analysis_of(&a).fingerprint();
+        assert_eq!(staged_analysis(&a, None).fingerprint(), whole, "{name}: serial stages");
+        for workers in [2usize, 4] {
+            let amalg = AmalgamationOptions::default();
+            let par = analyze_parallel(&a, OrderingKind::NestedDissection, Some(&amalg), workers)
+                .unwrap();
+            let staged = staged_analysis(&a, Some(workers)).fingerprint();
+            assert_eq!(staged, whole, "{name}: stages at {workers} workers");
+            assert_eq!(par.fingerprint(), whole, "{name}: analyze_parallel at {workers} workers");
+        }
+    }
+}
+
 // ───────────────────────── numeric golden bits ─────────────────────────────
 // (The `numeric_` prefix is load-bearing: ci.sh runs this suite by name.)
 
@@ -910,32 +955,31 @@ fn numeric_hashes<T: Scalar>(
 }
 
 /// `(name, f64 under the default CPU policy, f32 under the baseline hybrid)`,
-/// each `[slab, 1 RHS, 8 RHS]`. The three families whose nested-dissection
-/// order is unchanged since commit ed369d8 — the last one with
-/// per-supernode row vectors, per-supernode solve buffers and one task per
-/// front — keep the bits recorded there; the other four were re-recorded
-/// together with [`GOLDEN_ORDERINGS`]. Serial-vs-parallel identity cannot
-/// see a change that moves both; this can.
+/// each `[slab, 1 RHS, 8 RHS]`. Re-recorded together with
+/// [`GOLDEN_ORDERINGS`] (postordered orderings, hence other supernodes) and
+/// the recursive panel solve `trsm_right_lower_trans`: the paths and the
+/// star kept their bits, the clique its f64 ones. Serial-vs-parallel
+/// identity cannot see a change that moves both; this can.
 const GOLDEN_NUMERIC: [(&str, [u64; 3], [u64; 3]); 7] = [
     (
         "plate60",
-        [0x0fae_0f07_3f83_1a2e, 0x3d5b_ec63_2686_6764, 0x0501_2930_8f33_5ff8],
-        [0x2997_445d_ee99_b191, 0xc3a3_c2e9_bbdc_0c4e, 0x1b96_4554_901f_5a97],
+        [0x2ee6_14de_7444_8cbe, 0x50c5_6c91_c41a_f951, 0x3bc1_4486_16ae_d3a9],
+        [0x680e_4476_f38e_1421, 0x35c2_da14_1406_8a63, 0x5f74_9528_8627_01d9],
     ),
     (
         "cube10",
-        [0x839c_fe29_2dba_d85e, 0xd2e1_4ed2_1dbb_9a4d, 0x4cb3_13b7_f122_06db],
-        [0xf1bf_54a2_036f_96e1, 0x01fd_f93c_1ecb_b35e, 0x821b_76b9_406d_35c9],
+        [0x6d94_fb55_dc1b_b470, 0x69ca_4e5a_3259_584f, 0x98ce_2271_3b95_6b2d],
+        [0x53f4_ea1a_279d_2349, 0xaca8_bc83_d9af_8419, 0xc007_ddab_5935_851b],
     ),
     (
         "elasticity6",
-        [0x29a3_a07b_c9d0_aee0, 0x19f4_4aa3_3718_6df2, 0x6532_23df_e0a1_9420],
-        [0x9f54_4e2d_9731_ed72, 0xf2e5_3652_3934_0d10, 0x9d4a_90dd_f30e_2436],
+        [0xf045_9f22_b45e_540e, 0xa20e_3e00_4381_30f7, 0xbf01_008b_94a1_7846],
+        [0xa3df_01eb_e8fc_ea1c, 0x18b9_faa7_03c0_8f92, 0x02a2_515f_e90b_972a],
     ),
     (
         "strip400x3",
-        [0xcb21_5cc2_236f_1d85, 0xe308_39b8_2c1e_5b8d, 0x0944_800e_8d0b_ecf4],
-        [0x21ac_a16e_cefe_f421, 0xac55_eddb_24e2_3030, 0xb70f_5d9f_2910_a029],
+        [0x9c39_4130_f0ce_3cd9, 0x1cbe_868d_f25e_633d, 0xbf4f_88de_45e6_b8dd],
+        [0x4b90_b24d_11eb_c2bd, 0xb04e_3093_59ee_eadd, 0x43c4_c391_e66d_7c1f],
     ),
     (
         "three_paths",
@@ -950,7 +994,7 @@ const GOLDEN_NUMERIC: [(&str, [u64; 3], [u64; 3]); 7] = [
     (
         "clique100_tail30",
         [0x33cd_18f1_5420_0d3d, 0xf1de_fab0_3696_6c17, 0x306a_408f_ff30_ba1f],
-        [0x610b_d310_3874_87f5, 0x9519_7204_4243_126d, 0xac27_f36a_5970_24ec],
+        [0x8334_c503_096d_2b6d, 0x1c5b_44e7_1625_fc47, 0xc881_e8d6_6783_48b7],
     ),
 ];
 
@@ -1253,46 +1297,45 @@ fn small_device_node() -> Machine {
 
 /// `(name, one hash per CLOCK_ISSUERS entry)`: [`golden_families`] in f32 on
 /// the paper node, then the 6×6×5 Laplacian on a 2 000-byte device (every
-/// large front takes the drain-then-retry OOM path). Recorded at commit
-/// e92d7ea, the last one with a pipelined front lifecycle per driver; the
-/// pipelined and multi-device columns' allocation counts re-recorded at the
-/// two-buffer front (an update block per front instead of an `s × s` front
-/// plus a packed update), every other word unchanged.
+/// large front takes the drain-then-retry OOM path). Re-recorded together
+/// with [`GOLDEN_ORDERINGS`]: postordered orderings give other supernodes,
+/// hence other fronts, clocks and allocation counts (the paths, the star and
+/// the clique kept theirs).
 const GOLDEN_CLOCK: [(&str, [u64; 4]); 8] = [
     (
         "plate60",
         [
-            0x6592_a086_2032_046c,
-            0x080c_72f1_334d_347e,
-            0x7df7_2024_2e36_f0e3,
-            0x8c65_48ff_285a_25a0,
+            0xb8e4_779e_fe83_1e1a,
+            0x265d_b7c9_d1ff_1711,
+            0x155e_6d95_4b54_e3a7,
+            0x397b_988b_0ce2_29d0,
         ],
     ),
     (
         "cube10",
         [
-            0x57a7_37ee_bfe6_fc5f,
-            0x9ba7_aedb_1fd4_8faf,
-            0x8886_fcd2_8392_e1a6,
-            0xfd0a_d59e_3a99_2acf,
+            0x112f_cc40_333c_c71a,
+            0xcd50_3ec8_b03e_209c,
+            0xc88d_d6da_1f37_9373,
+            0x78ea_75dc_522a_8f86,
         ],
     ),
     (
         "elasticity6",
         [
-            0xf380_92f4_5cde_202a,
-            0xddb3_cfa3_a1d0_ffb1,
-            0x18eb_b2a2_5a89_bec9,
-            0x453f_ffa7_31cd_e52f,
+            0x2518_8a67_0593_fd87,
+            0x3b8e_7c18_29ec_964a,
+            0xd0d1_d46e_a048_5c55,
+            0xec87_836d_3c96_d9cb,
         ],
     ),
     (
         "strip400x3",
         [
-            0xf463_e95a_f0c0_ef33,
-            0x5dc3_f864_c2f7_e68b,
-            0x82a8_7085_f074_3afb,
-            0x90b7_0629_5fc9_5e96,
+            0xae4c_e7a1_da56_69c2,
+            0xc32e_e4b5_82c5_350e,
+            0x4d36_2174_e63b_26b8,
+            0x0508_af84_7756_5ab9,
         ],
     ),
     (
@@ -1325,10 +1368,10 @@ const GOLDEN_CLOCK: [(&str, [u64; 4]); 8] = [
     (
         "lap3d-6x6x5-oom",
         [
-            0xc310_643e_563d_41dc,
-            0x45f5_3399_12f4_ae1d,
-            0x570c_fc11_2950_0b76,
-            0xcefa_9003_3432_0f44,
+            0x9c13_abd1_ece8_d6cb,
+            0xffca_53df_1a60_3534,
+            0x438f_3508_26ee_b2c7,
+            0x3c72_589c_1ae7_6918,
         ],
     ),
 ];
@@ -1430,18 +1473,17 @@ fn record_hash(a: &SymCsc<f32>, an: &Analysis, make: impl Fn() -> Machine) -> u6
     fnv1a(words.into_iter())
 }
 
-/// `(name, serial hash)` over the rows of [`GOLDEN_CLOCK`]. Recorded at
-/// commit 8dffe96, the last one whose drain runs sequenced a front's phases
-/// outside `mf-core`'s lane.
+/// `(name, serial hash)` over the rows of [`GOLDEN_CLOCK`]. Re-recorded
+/// together with [`GOLDEN_CLOCK`].
 const GOLDEN_RECORDS: [(&str, u64); 8] = [
-    ("plate60", 0xc3b8_227e_f0a8_6be4),
-    ("cube10", 0x1825_2408_6eaa_af84),
-    ("elasticity6", 0x65e9_a4cf_c666_17fb),
-    ("strip400x3", 0x46c1_a88b_65f9_9a7e),
+    ("plate60", 0xb387_8227_bdc4_9f32),
+    ("cube10", 0x2ad3_e713_411d_b013),
+    ("elasticity6", 0x260f_6fe0_87d8_a272),
+    ("strip400x3", 0x8795_0e1d_abf5_26f6),
     ("three_paths", 0x07ae_ad58_a68c_69be),
     ("star150", 0xc813_3089_75a1_500e),
     ("clique100_tail30", 0xeeb3_158c_319f_b067),
-    ("lap3d-6x6x5-oom", 0x141c_93a9_55dd_a615),
+    ("lap3d-6x6x5-oom", 0xc72f_0900_d3cf_6362),
 ];
 
 #[test]
@@ -1461,11 +1503,12 @@ fn sim_clock_records_match_golden() {
 /// `(name, [paper node, CPU-only node])`: [`ooc_families`] in f32, drained
 /// under fixed P1 and the baseline hybrid at `min_feasible_budget` and
 /// halfway to `in_core_bytes`, each node's hash over [`clock_words`] and
-/// every [`OocStats`] field of those four runs. Recorded at commit 67cb3cb.
+/// every [`OocStats`] field of those four runs. Re-recorded together with
+/// [`GOLDEN_CLOCK`].
 const GOLDEN_BUDGET_CLOCK: [(&str, [u64; 2]); 3] = [
-    ("lap3d-6x6x60", [0x5ea0_225d_1209_abb1, 0x14ee_4b9a_7d23_de31]),
-    ("lap3d-7x7x7", [0x2fcf_1492_3a04_faa5, 0x6d3a_1d64_10c1_02a5]),
-    ("elasticity-4x4x3", [0xa023_55d1_a308_473d, 0x30d1_f14a_bcf8_d83d]),
+    ("lap3d-6x6x60", [0xfd7e_9dbd_1950_f579, 0x68f7_fb46_e8e6_aa79]),
+    ("lap3d-7x7x7", [0xe668_8fc1_f9ef_d145, 0x73ad_905a_9dce_98c5]),
+    ("elasticity-4x4x3", [0x6432_ab55_c61e_e5b1, 0x819e_bbf1_4dd7_e0b1]),
 ];
 
 #[test]

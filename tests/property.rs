@@ -600,6 +600,81 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Postordered orderings: `order` composes every ordering with the postorder
+// of the elimination tree it induces. (The `postorder_` prefix is
+// load-bearing: ci.sh runs this suite by name.)
+// ---------------------------------------------------------------------------
+
+use gpu_multifrontal::sparse::ordering::reverse_cuthill_mckee;
+
+/// The ordering `kind` before it is postordered.
+fn raw_order(g: &Adjacency, kind: OrderingKind) -> Permutation {
+    match kind {
+        OrderingKind::Natural => Permutation::identity(g.len()),
+        OrderingKind::Rcm => reverse_cuthill_mckee(g),
+        OrderingKind::MinimumDegree => minimum_degree(g),
+        OrderingKind::NestedDissection => nested_dissection(g, &NdOptions::default()),
+    }
+}
+
+/// Σ column counts of `L` under `perm`.
+fn fill_under(a: &SymCsc<f64>, perm: &Permutation) -> usize {
+    let pa = perm.permute_sym(a);
+    column_counts(&pa, &elimination_tree(&pa)).iter().sum()
+}
+
+/// Under every ordering kind the supernodes follow their own postorder,
+/// fundamental and amalgamated, and the fill is the raw ordering's.
+fn assert_postordered(a: &SymCsc<f64>) -> Result<(), TestCaseError> {
+    let g = a.to_adjacency();
+    for kind in [
+        OrderingKind::Natural,
+        OrderingKind::Rcm,
+        OrderingKind::MinimumDegree,
+        OrderingKind::NestedDissection,
+    ] {
+        let fund = analyze(a, kind, None).unwrap();
+        let fill = fill_under(a, &fund.perm);
+        prop_assert!(fund.symbolic.postorder.iter().enumerate().all(|(r, &s)| r == s), "{kind:?}");
+        prop_assert!(fill == fill_under(a, &raw_order(&g, kind)), "{kind:?}");
+        prop_assert!(fund.symbolic.factor_nnz() == fill, "{kind:?}");
+        let relaxed = analyze(a, kind, Some(&AmalgamationOptions::default())).unwrap();
+        prop_assert!(
+            relaxed.symbolic.postorder.iter().enumerate().all(|(r, &s)| r == s),
+            "{kind:?}"
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random patterns: several components, isolated vertices, cliques.
+    fn postorder_random_patterns(
+        n in 1usize..260,
+        groups in 1usize..5,
+        density in 1usize..9,
+        seed in 0u64..10_000,
+    ) {
+        assert_postordered(&random_pattern(n, groups, density, seed))?;
+    }
+}
+
+#[test]
+fn postorder_is_the_identity_and_keeps_the_fill() {
+    postorder_random_patterns();
+    for a in [
+        laplacian_2d(23, 17, Stencil::Full),
+        laplacian_2d(40, 3, Stencil::Faces),
+        laplacian_3d(9, 8, 7, Stencil::Faces),
+        elasticity_3d(4, 3, 3),
+    ] {
+        assert_postordered(&a).unwrap();
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Ordering quality: nested dissection must cut meshes where a geometric
 // dissection would — in balance, with separators about a mesh plane wide —
 // and stay valid where there is no mesh at all. (The `ordering_quality`
