@@ -4,14 +4,14 @@
 //! multifrontal method: the postorder traversal order, the update-matrix
 //! stack discipline, and the parallel task DAG. We implement Liu's
 //! algorithm with path compression and Gilbert, Ng and Peyton's
-//! near-linear column counts. The postorder is taken of the supernodal
-//! forest ([`crate::supernode::supernode_forest`], a stack-based traversal
-//! safe for the deep trees produced by band orderings), which is also a
-//! column tree's postorder when handed the column parents.
+//! near-linear column counts. A column tree's postorder is the one
+//! [`crate::supernode::supernode_forest`] takes of a supernodal forest,
+//! laid out from subtree sizes instead of a traversal (parents come after
+//! their children), so deep trees from band orderings cost no recursion.
+//! Every ordering leaves [`crate::ordering::order`] postordered by it.
 
 use crate::csc::{Adjacency, SymCsc};
 use crate::perm::Permutation;
-use crate::supernode::supernode_forest;
 use mf_dense::Scalar;
 
 /// Sentinel for "no parent" (tree roots).
@@ -95,21 +95,36 @@ pub(crate) fn permuted_elimination_tree(g: &Adjacency, perm: &Permutation) -> El
 /// that keeps every subtree contiguous, so the relabelled tree is the
 /// re-permuted matrix's and the fill is unchanged; the postorder of the
 /// relabelled tree is the identity.
-///
-/// The postorder is [`supernode_forest`]'s (children ascending, roots
-/// ascending), laid out without a traversal: parents come after their
-/// children, so one ascending pass sizes every subtree and one descending
-/// pass hands each node the block of positions its subtree occupies, the
-/// last child the right end of its parent's block.
 pub(crate) fn postordered(
     perm: &Permutation,
     etree: &EliminationTree,
 ) -> (Permutation, EliminationTree) {
     let parent = &etree.parent;
+    let rank = postorder_ranks(parent);
+    let mut order = vec![0usize; parent.len()];
+    let mut relabelled = vec![NONE; parent.len()];
+    for (j, &r) in rank.iter().enumerate() {
+        order[r] = perm.old_of(j);
+        if parent[j] != NONE {
+            relabelled[r] = rank[parent[j]];
+        }
+    }
+    (Permutation::from_vec(order), EliminationTree { parent: relabelled })
+}
+
+/// Postorder position of every node of an elimination forest (`parent[j] >
+/// j`, [`NONE`] at the roots), in the postorder
+/// [`crate::supernode::supernode_forest`] takes: children and roots
+/// ascending. It is laid out without a traversal: one ascending pass sizes
+/// every subtree, and one descending pass hands each node the block of
+/// positions its subtree occupies, the last child the right end of its
+/// parent's block.
+fn postorder_ranks(parent: &[usize]) -> Vec<usize> {
     let n = parent.len();
     let mut size = vec![1usize; n];
     for j in 0..n {
         if parent[j] != NONE {
+            debug_assert!(parent[j] > j, "parents come after their children");
             size[parent[j]] += size[j];
         }
     }
@@ -125,15 +140,7 @@ pub(crate) fn postordered(
         free[j] = end - 1;
         rank[j] = end - 1;
     }
-    let mut order = vec![0usize; n];
-    let mut relabelled = vec![NONE; n];
-    for j in 0..n {
-        order[rank[j]] = perm.old_of(j);
-        if parent[j] != NONE {
-            relabelled[rank[j]] = rank[parent[j]];
-        }
-    }
-    (Permutation::from_vec(order), EliminationTree { parent: relabelled })
+    rank
 }
 
 /// Column counts `cc[j] = |{i : L[i,j] ≠ 0}|` (diagonal included), by
@@ -153,7 +160,10 @@ pub(crate) fn postordered(
 pub fn column_counts<T: Scalar>(a: &SymCsc<T>, etree: &EliminationTree) -> Vec<usize> {
     let n = a.order();
     let parent = &etree.parent;
-    let post = supernode_forest(parent).postorder;
+    let mut post = vec![0usize; n];
+    for (j, r) in postorder_ranks(parent).into_iter().enumerate() {
+        post[r] = j;
+    }
     // `first[j]`: postorder rank of the first descendant of `j`. A column
     // still without one when the postorder reaches it is a leaf.
     let mut first = vec![NONE; n];
@@ -233,6 +243,7 @@ pub fn child_counts(etree: &EliminationTree) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::csc::Triplet;
+    use crate::supernode::supernode_forest;
     use proptest::prelude::*;
 
     fn tridiag(n: usize) -> SymCsc<f64> {
