@@ -101,8 +101,8 @@ RUST_TEST_THREADS=1 cargo test -q --release -p mf-server
 #   range_tasks      the one task partition (subtrees in range order, then one
 #                    task per supernode above in ascending id) covers the
 #                    postorder once, for the factor's, the solve's and the
-#                    analysis' subtrees, on a raw (not postordered) nested-
-#                    dissection structure
+#                    analysis' subtrees, on a raw (not postordered) minimum-
+#                    degree structure whose factor partitions break postorder
 #   sim_clock        golden hashes of total_time, fallbacks, peer bytes, allocation
 #                    events and per-device busy time: drain, then the one in-flight
 #                    issuer at 1 device (pipelined: window 3, batched P4 runs,
@@ -191,6 +191,7 @@ RUST_TEST_THREADS=1 cargo test -q --release -p mf-server
 #                    run_front
 #   leaf_min_degree  minimum degree on bit rows == the quotient graph's order, every ND leaf
 #   column_counts_match  near-linear column counts == the row-subtree walk, at 1/2/4/8 workers
+#   forest_postorder  the one postorder layout: subtrees nested, children and roots ascending; a forest with a parent numbered before its child panics
 #   a_nnz_counts     each supernode's recorded entry count == the permuted matrix's in its columns
 #   refactor_on_a_reused  refactors on one machine report a fresh solver's clock and gpu stats
 #   parallel_factor_never_writes  a 2-worker factor leaves the process kernel cap alone
@@ -250,6 +251,7 @@ mf-core/lib keep_update_path_is_bitwise_identical_to_download_path 1
 mf-core/lib estimate_matches_real_execution_time 1
 mf-sparse/lib leaf_min_degree 1
 mf-sparse/lib column_counts_match 1
+mf-sparse/lib forest_postorder 1
 mf-sparse/lib a_nnz_counts 1
 mf-core/lib refactor_on_a_reused 1
 mf-core/kernel_width parallel_factor_never_writes 1

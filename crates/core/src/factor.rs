@@ -630,7 +630,8 @@ mod tests {
         .unwrap_err();
         match err {
             FactorError::NotPositiveDefinite { column } => {
-                // Natural ordering ⇒ permuted column == original column 3
+                // A path's natural order is already postordered ⇒ permuted
+                // column == original column 3
                 // (the first non-positive pivot may surface at 3 exactly).
                 assert_eq!(column, 3);
             }

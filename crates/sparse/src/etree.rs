@@ -4,11 +4,12 @@
 //! multifrontal method: the postorder traversal order, the update-matrix
 //! stack discipline, and the parallel task DAG. We implement Liu's
 //! algorithm with path compression and Gilbert, Ng and Peyton's
-//! near-linear column counts. A column tree's postorder is the one
-//! [`crate::supernode::supernode_forest`] takes of a supernodal forest,
-//! laid out from subtree sizes instead of a traversal (parents come after
-//! their children), so deep trees from band orderings cost no recursion.
-//! Every ordering leaves [`crate::ordering::order`] postordered by it.
+//! near-linear column counts. One postorder serves column and supernodal
+//! forests alike (parents come after their children in both): it is laid
+//! out from subtree sizes instead of a traversal, so deep trees from band
+//! orderings cost no recursion, and
+//! [`crate::supernode::supernode_forest`] takes it. Every ordering leaves
+//! [`crate::ordering::order`] postordered by it.
 
 use crate::csc::{Adjacency, SymCsc};
 use crate::perm::Permutation;
@@ -112,19 +113,19 @@ pub(crate) fn postordered(
     (Permutation::from_vec(order), EliminationTree { parent: relabelled })
 }
 
-/// Postorder position of every node of an elimination forest (`parent[j] >
-/// j`, [`NONE`] at the roots), in the postorder
-/// [`crate::supernode::supernode_forest`] takes: children and roots
-/// ascending. It is laid out without a traversal: one ascending pass sizes
-/// every subtree, and one descending pass hands each node the block of
-/// positions its subtree occupies, the last child the right end of its
-/// parent's block.
+/// Postorder position of every node of a forest whose parents come after
+/// their children (`parent[j] > j`, [`NONE`] at the roots), as elimination
+/// and supernodal forests do: children and roots ascending. It is laid out
+/// without a traversal, so deep trees from band orderings cost no recursion
+/// and no stack: one ascending pass sizes every subtree, and one descending
+/// pass hands each node the block of positions its subtree occupies, the
+/// last child the right end of its parent's block.
 fn postorder_ranks(parent: &[usize]) -> Vec<usize> {
     let n = parent.len();
     let mut size = vec![1usize; n];
     for j in 0..n {
         if parent[j] != NONE {
-            debug_assert!(parent[j] > j, "parents come after their children");
+            assert!(parent[j] > j, "parents come after their children");
             size[parent[j]] += size[j];
         }
     }
@@ -141,6 +142,16 @@ fn postorder_ranks(parent: &[usize]) -> Vec<usize> {
         rank[j] = end - 1;
     }
     rank
+}
+
+/// The postorder of a forest with `parent[j] > j` ([`postorder_ranks`]):
+/// `post[r]` is the node at position `r`.
+pub(crate) fn forest_postorder(parent: &[usize]) -> Vec<usize> {
+    let mut post = vec![0usize; parent.len()];
+    for (j, r) in postorder_ranks(parent).into_iter().enumerate() {
+        post[r] = j;
+    }
+    post
 }
 
 /// Column counts `cc[j] = |{i : L[i,j] ≠ 0}|` (diagonal included), by
@@ -160,10 +171,7 @@ fn postorder_ranks(parent: &[usize]) -> Vec<usize> {
 pub fn column_counts<T: Scalar>(a: &SymCsc<T>, etree: &EliminationTree) -> Vec<usize> {
     let n = a.order();
     let parent = &etree.parent;
-    let mut post = vec![0usize; n];
-    for (j, r) in postorder_ranks(parent).into_iter().enumerate() {
-        post[r] = j;
-    }
+    let post = forest_postorder(parent);
     // `first[j]`: postorder rank of the first descendant of `j`. A column
     // still without one when the postorder reaches it is a leaf.
     let mut first = vec![NONE; n];

@@ -7,7 +7,9 @@
 //! mesh planes wide — and it only comes out that way if the separators are
 //! both small and balanced. We implement:
 //!
-//! * [`OrderingKind::Natural`] — the identity (for tests and banded inputs),
+//! * [`OrderingKind::Natural`] — the input's own order, postordered by its
+//!   elimination tree (for tests and banded inputs, where that tree is
+//!   already postordered and the ordering is the identity),
 //! * [`OrderingKind::Rcm`] — reverse Cuthill-McKee (bandwidth reduction),
 //! * [`OrderingKind::MinimumDegree`] — quotient-graph minimum degree with
 //!   element absorption and an AMD-style degree bound,
@@ -33,7 +35,8 @@ use mf_dense::Scalar;
 /// Selector for the ordering algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OrderingKind {
-    /// Identity ordering.
+    /// The input's own order, postordered by its elimination tree: the
+    /// identity when that tree is already postordered, as for banded inputs.
     Natural,
     /// Reverse Cuthill-McKee.
     Rcm,

@@ -8,7 +8,7 @@
 //! this is what produces the moderate/large `(m, k)` calls on which the GPU
 //! policies pay off.
 
-use crate::etree::{child_counts, EliminationTree, NONE};
+use crate::etree::{child_counts, forest_postorder, EliminationTree, NONE};
 
 /// A partition of the columns `0..n` into supernodes of consecutive columns.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,12 +94,14 @@ impl SupernodeForest {
 }
 
 /// Child lists and postorder of a supernodal forest given by its parent
-/// array ([`NONE`] marks roots) — or of any forest, the column elimination
-/// tree included.
+/// array ([`NONE`] marks roots) — or of any forest whose parents come after
+/// their children, as in every elimination and supernodal forest (the
+/// column elimination tree included); it panics on one that does not.
 ///
-/// The one postorder of the analysis: the symbolic factorization walks it at
-/// every worker count, and it is part of the bitwise determinism contract on
-/// [`crate::symbolic::SymbolicFactor`].
+/// The one postorder of the analysis (children and roots ascending, laid out
+/// from subtree sizes without a traversal): the symbolic factorization walks
+/// it at every worker count, and it is part of the bitwise determinism
+/// contract on [`crate::symbolic::SymbolicFactor`].
 pub fn supernode_forest(sn_parent: &[usize]) -> SupernodeForest {
     let nsn = sn_parent.len();
     let mut child_ptr = vec![0usize; nsn + 1];
@@ -120,20 +122,7 @@ pub fn supernode_forest(sn_parent: &[usize]) -> SupernodeForest {
             next[p] += 1;
         }
     }
-    let mut postorder = Vec::with_capacity(nsn);
-    let mut stack: Vec<(usize, bool)> =
-        (0..nsn).rev().filter(|&s| sn_parent[s] == NONE).map(|r| (r, false)).collect();
-    while let Some((s, expanded)) = stack.pop() {
-        if expanded {
-            postorder.push(s);
-        } else {
-            stack.push((s, true));
-            for &c in child_idx[child_ptr[s]..child_ptr[s + 1]].iter().rev() {
-                stack.push((c, false));
-            }
-        }
-    }
-    assert_eq!(postorder.len(), nsn, "supernodal forest must cover all supernodes");
+    let postorder = forest_postorder(sn_parent);
     SupernodeForest { child_ptr, child_idx, postorder }
 }
 
@@ -435,5 +424,19 @@ mod tests {
             &AmalgamationOptions { small: 0, zero_fraction: 0.0, max_width: 0 },
         );
         assert_eq!(am.starts, fund.starts);
+    }
+
+    #[test]
+    fn forest_postorder_nests_subtrees_and_rejects_a_parent_before_its_child() {
+        // Roots 3 and 5; 3 has children 0 and 2, 2 has child 1; 4 hangs off 5.
+        let forest = supernode_forest(&[3, 2, 3, NONE, 5, NONE]);
+        assert_eq!(forest.children(3), [0, 2]);
+        assert_eq!(forest.postorder, [0, 1, 2, 3, 4, 5]);
+        let forest = supernode_forest(&[4, 4, 3, 4, NONE]);
+        assert_eq!(forest.postorder, [0, 1, 2, 3, 4]);
+        let forest = supernode_forest(&[2, 3, NONE, NONE]);
+        assert_eq!(forest.postorder, [0, 2, 1, 3]);
+        let bad = std::panic::catch_unwind(|| supernode_forest(&[NONE, 0]));
+        assert!(bad.is_err(), "a parent numbered before its child is refused");
     }
 }
